@@ -14,8 +14,9 @@ import (
 // The benchmarks below regenerate every table and figure of the paper's
 // evaluation (one bench per experiment id of DESIGN.md §2). They run the
 // corresponding harness end to end at a reduced scale so `go test
-// -bench=.` completes on a laptop; `cmd/squid-bench -scale full`
-// produces the recorded EXPERIMENTS.md numbers.
+// -bench=.` completes on a laptop; `cmd/squid-bench -exp all -scale
+// full` runs them at the paper's scale. They reproduce the paper; the
+// repository's performance is measured by `go run ./benchmark`.
 
 // benchScale sizes the datasets for the testing.B harness.
 func benchScale() experiments.Scale {

@@ -6,279 +6,67 @@
 //	squid-bench -list
 //	squid-bench -exp fig10
 //	squid-bench -exp all [-scale full|test]
-//	squid-bench -exp all -json bench.json   # machine-readable timings
-//	squid-bench -exp build -json -          # offline-phase build-vs-load
 //
-// With -json the harness also measures the pipeline phases (dataset
-// generation, αDB construction, batch discovery throughput) and writes a
-// JSON report with per-phase wall times and rows/sec, so the benchmark
-// trajectory (BENCH_*.json) can be tracked across commits.
-//
-// The build experiment (aliases: build, build-vs-load) measures the
-// offline phase per dataset generator: serial vs parallel αDB
-// construction, snapshot save/load against the cold build, the αDB heap
-// footprint under dictionary encoding, and the process peak RSS.
-//
-// The mixed experiment (-exp mixed) measures the online phase under
-// sustained ingest: reader goroutines run DiscoverBatch while a writer
-// concurrently inserts fact rows (and occasional new entities) through
-// InsertBatch, reporting discovery and insert throughput plus the
-// selectivity-cache hit rate under per-property invalidation.
-//
-// The serve experiment (-exp serve) boots the network serving layer
-// (internal/server) in-process on a loopback listener and drives mixed
-// discover/execute/insert HTTP traffic from -conc client goroutines for
-// -duration, reporting sustained throughput and client-observed
-// p50/p95/p99 latency per operation class, then drains the server
-// gracefully.
-//
-// The discover experiment (-exp discover) measures single-discovery
-// latency with a cold selectivity cache across worker counts
-// (1/2/4/GOMAXPROCS via Params.Workers), reports p50/p99 per arm and
-// the serial-vs-parallel speedup, and verifies the parallel output is
-// byte-identical to serial. It also runs a dense-only A/B arm (every
-// row set forced into the pre-adaptive bitset representation) and
-// reports the warm cache's row-set memory under both accountings. Its
-// JSON report is the committed BENCH_discover.json baseline CI
-// compares against.
-//
-// The discover and mixed experiments also run against the generated
-// scale track (-scale gen100k or gen1m): the squid-gen retail schema
-// at ~100k/~1M rows, with -fixture pointing at a snapshot to load (or
-// to create on first run). The gen1m report is the committed
-// BENCH_scale.json million-row baseline.
-//
-// -cpuprofile and -memprofile write pprof profiles of the run (the CPU
-// profile covers the whole process; the heap profile is taken post-GC
-// at exit), so hot-path regressions are diagnosable without editing
-// code.
+// It reproduces the paper's figures only. Performance is measured by
+// the benchmark of record, `go run ./benchmark` (see benchmark/README.md
+// and BENCHMARK.json).
 package main
 
 import (
-	"bufio"
-	"bytes"
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"squid"
 	"squid/internal/buildinfo"
-	"squid/internal/datagen"
 	"squid/internal/experiments"
 )
 
-// Phase is one timed step of the benchmark report.
-type Phase struct {
-	ID         string  `json:"id"`
-	WallMS     float64 `json:"wall_ms"`
-	Rows       int     `json:"rows,omitempty"`
-	RowsPerSec float64 `json:"rows_per_sec,omitempty"`
-	Runs       int     `json:"runs,omitempty"`
-	PerRunMS   float64 `json:"per_run_ms,omitempty"`
-}
-
-// BuildResult is one dataset's offline-phase measurement (the
-// build-vs-load experiment).
-type BuildResult struct {
-	Dataset            string  `json:"dataset"`
-	Rows               int     `json:"rows"`
-	SerialBuildMS      float64 `json:"serial_build_ms"`
-	ParallelBuildMS    float64 `json:"parallel_build_ms"`
-	ParallelSpeedup    float64 `json:"parallel_speedup"`
-	Workers            int     `json:"workers"`
-	SnapshotBytes      int64   `json:"snapshot_bytes"`
-	SnapshotSaveMS     float64 `json:"snapshot_save_ms"`
-	SnapshotLoadMS     float64 `json:"snapshot_load_ms"`
-	LoadVsBuildSpeedup float64 `json:"load_vs_build_speedup"`
-	AlphaHeapBytes     int64   `json:"alpha_heap_bytes"`
-	DBBytes            int64   `json:"db_bytes"`
-	PrecomputedBytes   int64   `json:"precomputed_bytes"`
-}
-
-// MixedResult is the mixed read/write experiment measurement: batch
-// discovery throughput sustained while writer goroutines ingest rows
-// concurrently through the copy-on-write epoch path (a fact-ingest
-// writer plus disjoint-relation entity writers), exercising the
-// per-property cache invalidation, the per-relation writer locks, and
-// the epoch combiner. Writer-observed publish latency (the wall time
-// of each InsertBatch: copy-on-write apply + publish) and
-// reader-observed discovery latency are reported as percentiles so the
-// wait-free-read claim is visible in the artifact: discovery p99 must
-// not move with ingest pressure.
-type MixedResult struct {
-	Dataset          string  `json:"dataset"`
-	Readers          int     `json:"readers"`
-	Writers          int     `json:"writers"`
-	WallMS           float64 `json:"wall_ms"`
-	Discoveries      int     `json:"discoveries"`
-	DiscoverPerSec   float64 `json:"discoveries_per_sec"`
-	DiscoverP50MS    float64 `json:"discover_p50_ms"`
-	DiscoverP99MS    float64 `json:"discover_p99_ms"`
-	InsertRows       int     `json:"insert_rows"`
-	EntityInsertRows int     `json:"entity_insert_rows"`
-	InsertBatchRows  int     `json:"insert_batch_rows"`
-	InsertsPerSec    float64 `json:"inserts_per_sec"`
-	PublishP50MS     float64 `json:"publish_p50_ms"`
-	PublishP99MS     float64 `json:"publish_p99_ms"`
-	EpochPublishes   uint64  `json:"epoch_publishes"`
-	EpochCombines    uint64  `json:"epoch_combines"`
-	CacheHits        uint64  `json:"cache_hits"`
-	CacheMisses      uint64  `json:"cache_misses"`
-	CacheEntries     int     `json:"cache_entries"`
-}
-
-// Report is the machine-readable benchmark output.
-type Report struct {
-	Scale     string           `json:"scale"`
-	GoVersion string           `json:"go_version"`
-	GOMAXPROC int              `json:"gomaxprocs"`
-	UnixTime  int64            `json:"unix_time"`
-	Phases    []Phase          `json:"phases,omitempty"`
-	Build     []BuildResult    `json:"build,omitempty"`
-	Mixed     []MixedResult    `json:"mixed,omitempty"`
-	Serve     []ServeResult    `json:"serve,omitempty"`
-	Discover  []DiscoverResult `json:"discover,omitempty"`
-	PeakRSSKB int64            `json:"peak_rss_kb,omitempty"`
-}
-
 func main() {
 	var (
-		exp        = flag.String("exp", "", "experiment id to run (see -list), or \"all\"")
-		scale      = flag.String("scale", "full", "dataset scale: full, test, gen100k, or gen1m")
-		fixture    = flag.String("fixture", "", "gen scales: snapshot fixture (.sqas) to load, or to generate when absent")
-		list       = flag.Bool("list", false, "list available experiments")
-		jsonPath   = flag.String("json", "", "write a machine-readable timing report to this path (\"-\" = stdout)")
-		conc       = flag.Int("conc", 0, "serve experiment: concurrent HTTP clients (0 = 2x GOMAXPROCS)")
-		duration   = flag.Duration("duration", 0, "serve experiment: load duration (0 = 5s full scale, 1.5s test scale)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
-		memprofile = flag.String("memprofile", "", "write a post-GC heap profile at exit to this file")
+		exp   = flag.String("exp", "", "experiment id to run (see -list), or \"all\"")
+		scale = flag.String("scale", "full", "dataset scale: full or test")
+		list  = flag.Bool("list", false, "list available experiments")
 	)
 	flag.Parse()
 
-	// Build identity on stderr, so the report a run produced is always
-	// attributable to a binary (stdout stays machine-readable for
-	// -json -).
+	// Build identity on stderr, so a run's tables are always attributable
+	// to a binary.
 	fmt.Fprintln(os.Stderr, "squid-bench:", buildinfo.Get().String())
 
-	// Profiles must be closed out on every exit path, so the experiment
-	// dispatch lives in run() and returns an exit code instead of
-	// calling os.Exit under an armed profiler.
-	var cpuFile *os.File
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "squid-bench:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "squid-bench:", err)
-			os.Exit(1)
-		}
-		cpuFile = f
-	}
-	code := run(*exp, *scale, *fixture, *list, *jsonPath, *conc, *duration)
-	if cpuFile != nil {
-		pprof.StopCPUProfile()
-		cpuFile.Close()
-	}
-	if *memprofile != "" {
-		if err := writeHeapProfile(*memprofile); err != nil {
-			fmt.Fprintln(os.Stderr, "squid-bench:", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-	}
-	if code != 0 {
+	if code := run(os.Stdout, *exp, *scale, *list); code != 0 {
 		os.Exit(code)
 	}
 }
 
-// writeHeapProfile forces a GC and writes the live-heap profile, so the
-// numbers reflect retained memory (the αDB footprint), not garbage.
-func writeHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	runtime.GC()
-	return pprof.WriteHeapProfile(f)
-}
-
-// run dispatches the selected experiment and returns the process exit
-// code (0 ok, 1 failure, 2 usage).
-func run(exp, scale, fixture string, list bool, jsonPath string, conc int, duration time.Duration) int {
+// run dispatches the selected experiment, writing its tables to out, and
+// returns the process exit code (0 ok, 2 usage).
+func run(out io.Writer, exp, scale string, list bool) int {
 	if list || exp == "" {
-		fmt.Println("available experiments:")
+		fmt.Fprintln(out, "available experiments:")
 		for _, r := range experiments.Registry() {
-			fmt.Printf("  %-8s %s\n", r.ID, r.Description)
+			fmt.Fprintf(out, "  %-8s %s\n", r.ID, r.Description)
 		}
-		fmt.Println("  build    offline phase: serial vs parallel build, snapshot save/load, heap, peak RSS")
-		fmt.Println("  mixed    online phase: batch discovery concurrent with incremental ingest")
-		fmt.Println("  serve    serving layer: mixed HTTP workload against a live internal/server instance")
-		fmt.Println("  discover single-discovery latency: serial vs parallel workers, cold cache")
-		fmt.Println("  all      run every paper experiment above (build/mixed/serve/discover run by name)")
-		if exp == "" && !list {
+		fmt.Fprintln(out, "  all      run every experiment above")
+		if !list {
 			return 2
 		}
 		return 0
 	}
 
-	var sc experiments.Scale
-	switch {
-	case scale == "full":
-		sc = experiments.FullScale()
-	case scale == "test":
-		sc = experiments.TestScale()
-	case isGenScale(scale):
-		// Generated (squid-gen) scales exist for the discover and mixed
-		// experiments; the paper experiments are bound to the IMDb/DBLP
-		// schemas.
-		if exp != "discover" && exp != "mixed" {
-			fmt.Fprintf(os.Stderr, "scale %q supports only -exp discover and -exp mixed\n", scale)
-			return 2
-		}
+	var suite *experiments.Suite
+	switch scale {
+	case "full":
+		suite = experiments.NewSuite(experiments.FullScale())
+	case "test":
+		suite = experiments.NewSuite(experiments.TestScale())
 	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q (want full, test, gen100k, or gen1m)\n", scale)
+		fmt.Fprintf(os.Stderr, "unknown scale %q (want full or test)\n", scale)
 		return 2
 	}
 
-	fail := func(err error) int {
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "squid-bench:", err)
-			return 1
-		}
-		return 0
-	}
-	switch exp {
-	case "build", "build-vs-load":
-		return fail(runBuildExperiment(sc, scale, jsonPath))
-	case "mixed":
-		return fail(runMixedExperiment(sc, scale, fixture, jsonPath))
-	case "serve":
-		return fail(runServeExperiment(sc, scale, jsonPath, conc, duration))
-	case "discover":
-		return fail(runDiscoverExperiment(sc, scale, fixture, jsonPath))
-	}
-	suite := experiments.NewSuite(sc)
-
-	if jsonPath != "" {
-		return fail(runJSON(suite, scale, exp, jsonPath))
-	}
-
 	if exp == "all" {
-		experiments.RunAll(suite, os.Stdout)
+		experiments.RunAll(suite, out)
 		return 0
 	}
 	runner, ok := experiments.Lookup(exp)
@@ -286,505 +74,6 @@ func run(exp, scale, fixture string, list bool, jsonPath string, conc int, durat
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", exp)
 		return 2
 	}
-	runner.Run(suite, os.Stdout)
+	runner.Run(suite, out)
 	return 0
-}
-
-// runJSON measures the pipeline phases plus the selected experiments and
-// writes the report.
-func runJSON(suite *experiments.Suite, scale, exp, path string) error {
-	// Validate the selection before paying for the pipeline phases.
-	runners := experiments.Registry()
-	if exp != "all" {
-		runner, ok := experiments.Lookup(exp)
-		if !ok {
-			return fmt.Errorf("unknown experiment %q; use -list", exp)
-		}
-		runners = []experiments.Runner{runner}
-	}
-	report := Report{
-		Scale:     scale,
-		GoVersion: runtime.Version(),
-		GOMAXPROC: runtime.GOMAXPROCS(0),
-		UnixTime:  time.Now().Unix(),
-	}
-	timed := func(id string, rows int, fn func()) {
-		start := time.Now()
-		fn()
-		wall := time.Since(start)
-		p := Phase{ID: id, WallMS: msOf(wall), Rows: rows}
-		if rows > 0 && wall > 0 {
-			p.RowsPerSec = float64(rows) / wall.Seconds()
-		}
-		report.Phases = append(report.Phases, p)
-	}
-
-	// Offline pipeline phases on the IMDb dataset: generation, αDB
-	// build (the Fig 18 precomputation), then online batch-discovery
-	// throughput through the public API. The row count is only known
-	// after generation, so the phase is patched up afterwards.
-	var g *datagen.IMDb
-	timed("generate:imdb", 0, func() { g = datagen.GenerateIMDb(suite.Scale.IMDb) })
-	rows := g.DB.TotalRows()
-	last := &report.Phases[len(report.Phases)-1]
-	last.Rows = rows
-	if last.WallMS > 0 {
-		last.RowsPerSec = float64(rows) / (last.WallMS / 1e3)
-	}
-
-	var sys *squid.System
-	timed("alphadb-build:imdb", rows, func() {
-		var err error
-		sys, err = squid.Build(g.DB, squid.DefaultBuildConfig())
-		if err != nil {
-			panic(err)
-		}
-	})
-
-	// Batch discovery: the funny-actors intent at several |E| plus
-	// sliding windows of plain person names, fanned across the worker
-	// pool.
-	sets, err := imdbExampleSets(g, sys)
-	if err != nil {
-		return err
-	}
-	if len(sets) > 0 {
-		start := time.Now()
-		if _, err := sys.DiscoverBatch(context.Background(), sets); err != nil {
-			// Individual sets may legitimately fail to resolve; only
-			// abort on systemic errors.
-			fmt.Fprintln(os.Stderr, "note: batch discovery reported:", err)
-		}
-		wall := time.Since(start)
-		report.Phases = append(report.Phases, Phase{
-			ID:       "discover-batch:imdb",
-			WallMS:   msOf(wall),
-			Runs:     len(sets),
-			PerRunMS: msOf(wall) / float64(len(sets)),
-		})
-	}
-
-	// Experiment harness phases.
-	for _, r := range runners {
-		runner := r
-		timed("exp:"+runner.ID, 0, func() { runner.Run(suite, io.Discard) })
-	}
-	return writeReport(report, path)
-}
-
-// writeReport renders the machine-readable report to path: "-" means
-// stdout, "" skips the write (text-only run).
-func writeReport(report Report, path string) error {
-	if path == "" {
-		return nil
-	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(out)
-		return err
-	}
-	return os.WriteFile(path, out, 0o644)
-}
-
-func msOf(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-
-// imdbExampleSets builds the batch-discovery workload over a generated
-// IMDb dataset: the funny-actors intent at several |E| plus sliding
-// windows of plain person names.
-func imdbExampleSets(g *datagen.IMDb, sys *squid.System) ([][]string, error) {
-	person := g.DB.Relation("person")
-	nameOf := func(id int64) (string, bool) {
-		r, ok := sys.AlphaDB().Entity("person").RowByID(id)
-		if !ok {
-			return "", false
-		}
-		return person.Column("name").Get(r).Str(), true
-	}
-	var sets [][]string
-	for _, k := range []int{5, 10, 15, 20} {
-		if k > len(g.Comedians) {
-			break
-		}
-		var ex []string
-		for _, id := range g.Comedians[:k] {
-			name, ok := nameOf(id)
-			if !ok {
-				return nil, fmt.Errorf("comedian id %d has no αDB row; dataset and αDB drifted", id)
-			}
-			ex = append(ex, name)
-		}
-		sets = append(sets, ex)
-	}
-	for i := 0; i+3 < person.NumRows() && len(sets) < 16; i += 7 {
-		sets = append(sets, []string{
-			person.Column("name").Get(i).Str(),
-			person.Column("name").Get(i + 1).Str(),
-			person.Column("name").Get(i + 2).Str(),
-		})
-	}
-	return sets, nil
-}
-
-// runBuildExperiment measures the offline phase for the IMDb and DBLP
-// generators: serial vs parallel αDB construction, snapshot save/load
-// against the cold build, the αDB heap footprint under dictionary
-// encoding, and the process peak RSS. Text goes to stdout; -json writes
-// the machine-readable report.
-func runBuildExperiment(sc experiments.Scale, scale, jsonPath string) error {
-	report := Report{
-		Scale:     scale,
-		GoVersion: runtime.Version(),
-		GOMAXPROC: runtime.GOMAXPROCS(0),
-		UnixTime:  time.Now().Unix(),
-	}
-	datasets := []struct {
-		name string
-		gen  func() *squid.Database
-	}{
-		{"imdb", func() *squid.Database { return datagen.GenerateIMDb(sc.IMDb).DB }},
-		{"dblp", func() *squid.Database { return datagen.GenerateDBLP(sc.DBLP).DB }},
-	}
-	for _, d := range datasets {
-		res, err := measureBuild(d.name, d.gen())
-		if err != nil {
-			return err
-		}
-		report.Build = append(report.Build, res)
-	}
-	report.PeakRSSKB = peakRSSKB()
-
-	fmt.Printf("offline phase (build-vs-load), %s scale, %d workers\n", scale, runtime.GOMAXPROCS(0))
-	for _, b := range report.Build {
-		fmt.Printf("  %-6s %8d rows  build %8.1fms serial / %8.1fms parallel (%.2fx)\n",
-			b.Dataset, b.Rows, b.SerialBuildMS, b.ParallelBuildMS, b.ParallelSpeedup)
-		fmt.Printf("         snapshot %8d bytes  save %6.1fms  load %6.1fms (%.2fx vs cold build)\n",
-			b.SnapshotBytes, b.SnapshotSaveMS, b.SnapshotLoadMS, b.LoadVsBuildSpeedup)
-		fmt.Printf("         heap %s (db %s + precomputed %s, dictionary-encoded)\n",
-			humanBytes(b.AlphaHeapBytes), humanBytes(b.DBBytes), humanBytes(b.PrecomputedBytes))
-	}
-	if report.PeakRSSKB > 0 {
-		fmt.Printf("  peak RSS %s\n", humanBytes(report.PeakRSSKB*1024))
-	}
-	return writeReport(report, jsonPath)
-}
-
-// measureBuild runs the offline-phase measurements for one generated
-// database.
-func measureBuild(name string, db *squid.Database) (BuildResult, error) {
-	res := BuildResult{Dataset: name, Rows: db.TotalRows(), Workers: runtime.GOMAXPROCS(0)}
-
-	// Warmup build so serial and parallel timings see the same cache
-	// state, then the serial baseline; both systems are dropped before
-	// the heap probe.
-	serialCfg := squid.DefaultBuildConfig()
-	serialCfg.Workers = 1
-	if _, err := squid.Build(db, serialCfg); err != nil {
-		return res, err
-	}
-	runtime.GC()
-	start := time.Now()
-	if _, err := squid.Build(db, serialCfg); err != nil {
-		return res, err
-	}
-	res.SerialBuildMS = msOf(time.Since(start))
-
-	// Parallel build, bracketed with GC'd heap readings so the delta
-	// approximates the αDB's resident footprint.
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	start = time.Now()
-	sys, err := squid.Build(db, squid.DefaultBuildConfig())
-	if err != nil {
-		return res, err
-	}
-	res.ParallelBuildMS = msOf(time.Since(start))
-	runtime.GC()
-	runtime.ReadMemStats(&m1)
-	if m1.HeapAlloc > m0.HeapAlloc {
-		res.AlphaHeapBytes = int64(m1.HeapAlloc - m0.HeapAlloc)
-	}
-	if res.ParallelBuildMS > 0 {
-		res.ParallelSpeedup = res.SerialBuildMS / res.ParallelBuildMS
-	}
-	stats := sys.Stats()
-	res.DBBytes = stats.DBBytes
-	res.PrecomputedBytes = stats.PrecomputedSize
-
-	// Snapshot round trip.
-	var buf bytes.Buffer
-	start = time.Now()
-	if err := sys.Save(&buf); err != nil {
-		return res, err
-	}
-	res.SnapshotSaveMS = msOf(time.Since(start))
-	res.SnapshotBytes = int64(buf.Len())
-	start = time.Now()
-	loaded, err := squid.Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		return res, err
-	}
-	res.SnapshotLoadMS = msOf(time.Since(start))
-	if res.SnapshotLoadMS > 0 {
-		res.LoadVsBuildSpeedup = res.SerialBuildMS / res.SnapshotLoadMS
-	}
-	runtime.KeepAlive(loaded)
-	runtime.KeepAlive(sys)
-	return res, nil
-}
-
-// runMixedExperiment measures the online phase under sustained ingest:
-// reader goroutines run DiscoverBatch in a loop while a fact writer
-// ingests castinfo facts (with occasional new person entities) through
-// InsertBatch and two disjoint-relation entity writers ingest person
-// and movie rows in parallel (their write domains are disjoint, so the
-// copy-on-write epoch scheme lets them commute; the combiner chains
-// their publishes). It reports discovery and insert throughput,
-// reader-observed discovery latency p50/p99 (which must stay flat
-// under ingest — readers are wait-free), writer-observed publish
-// latency p50/p99, the epoch publish/combine counters, and the
-// selectivity-cache health — per-property invalidation keeps the hit
-// rate up while the fact table grows.
-func runMixedExperiment(sc experiments.Scale, scale, fixture, jsonPath string) error {
-	report := Report{
-		Scale:     scale,
-		GoVersion: runtime.Version(),
-		GOMAXPROC: runtime.GOMAXPROCS(0),
-		UnixTime:  time.Now().Unix(),
-	}
-	w, err := setupWorkload(sc, scale, fixture)
-	if err != nil {
-		return err
-	}
-	sys, sets := w.sys, w.sets
-	if len(sets) == 0 {
-		return fmt.Errorf("mixed: no example sets")
-	}
-
-	readers := runtime.GOMAXPROCS(0) - 1
-	if readers < 1 {
-		readers = 1
-	}
-	const batchRows = 64
-	const entityWriters = 2 // two disjoint entity write domains
-	insertRows := 8192
-	if scale == "test" {
-		insertRows = 1024
-	}
-
-	var discoveries atomic.Int64
-	var writerDone atomic.Bool
-	var writerWall time.Duration
-	// One error slot per writer: the goroutines never share a variable.
-	writerErrs := make([]error, 1+entityWriters)
-	discoverLat := make([][]time.Duration, readers)
-	publishLat := make([][]time.Duration, 1+entityWriters)
-	entityRows := make([]int, entityWriters)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for {
-				// Snapshot the flag first so every reader completes one
-				// full round after the writer finishes (post-ingest
-				// answers come from a fully maintained αDB).
-				done := writerDone.Load()
-				t0 := time.Now()
-				res, err := sys.DiscoverBatch(context.Background(), sets)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "note: mixed discovery reported:", err)
-				}
-				discoverLat[r] = append(discoverLat[r], time.Since(t0))
-				// Count only the sets that actually produced a
-				// discovery, so a persistent online-phase regression
-				// shows up as zero throughput instead of healthy noise.
-				for _, d := range res {
-					if d != nil {
-						discoveries.Add(1)
-					}
-				}
-				if done {
-					return
-				}
-			}
-		}(r)
-	}
-	// Writer 0: the fact-ingest workload (fact batches, with occasional
-	// brand-new primary entities the facts reference).
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer func() {
-			writerWall = time.Since(start)
-			writerDone.Store(true)
-		}()
-		nextEntityID := int64(10_000_000) // clear of every generated id
-		for off := 0; off < insertRows; off += batchRows {
-			n := insertRows - off
-			if n > batchRows {
-				n = batchRows
-			}
-			ops := make([]squid.InsertOp, 0, n+1)
-			injected := (off/batchRows)%8 == 0
-			if injected {
-				// Every eighth batch also ingests a brand-new entity the
-				// following facts reference.
-				ops = append(ops, w.mixed.newEntity(nextEntityID))
-			}
-			for k := 0; k < n; k++ {
-				i := off + k
-				pid := int64(i % w.mixed.numPrimary)
-				if injected && k%16 == 0 {
-					pid = nextEntityID
-				}
-				ops = append(ops, w.mixed.fact(i, pid))
-			}
-			if injected {
-				nextEntityID++
-			}
-			t0 := time.Now()
-			if err := sys.InsertBatch(ops); err != nil {
-				writerErrs[0] = err
-				return
-			}
-			publishLat[0] = append(publishLat[0], time.Since(t0))
-		}
-	}()
-	// Writers 1..: disjoint-relation entity ingest, running until the
-	// fact writer finishes. The two entity writers (person+movie for
-	// IMDb, customer+product for the generated scales) have disjoint
-	// write domains, so THEY build epochs in parallel and exercise the
-	// publish combiner against each other; the fact writer's domain
-	// covers both entities (its rows reference them), so it serializes
-	// with either entity writer — epoch_combines therefore counts
-	// entity-vs-entity combines.
-	for ew := 0; ew < entityWriters; ew++ {
-		wg.Add(1)
-		go func(ew int) {
-			defer wg.Done()
-			id := int64(20_000_000 + ew*1_000_000)
-			for batch := 0; !writerDone.Load(); batch++ {
-				ops := make([]squid.InsertOp, 0, batchRows/4)
-				for k := 0; k < batchRows/4; k++ {
-					ops = append(ops, w.mixed.entity[ew%2](id))
-					id++
-				}
-				t0 := time.Now()
-				if err := sys.InsertBatch(ops); err != nil {
-					writerErrs[1+ew] = err
-					return
-				}
-				publishLat[1+ew] = append(publishLat[1+ew], time.Since(t0))
-				entityRows[ew] += len(ops)
-			}
-		}(ew)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	for _, err := range writerErrs {
-		if err != nil {
-			return err
-		}
-	}
-	if discoveries.Load() == 0 {
-		return fmt.Errorf("mixed: no example set produced a discovery; online phase is broken")
-	}
-
-	var allDiscover, allPublish []time.Duration
-	for _, ds := range discoverLat {
-		allDiscover = append(allDiscover, ds...)
-	}
-	for _, ds := range publishLat {
-		allPublish = append(allPublish, ds...)
-	}
-	totalEntityRows := 0
-	for _, n := range entityRows {
-		totalEntityRows += n
-	}
-	stats := sys.Stats()
-	res := MixedResult{
-		Dataset:          w.dataset,
-		Readers:          readers,
-		Writers:          1 + entityWriters,
-		WallMS:           msOf(wall),
-		Discoveries:      int(discoveries.Load()),
-		DiscoverP50MS:    percentileMS(allDiscover, 0.50),
-		DiscoverP99MS:    percentileMS(allDiscover, 0.99),
-		InsertRows:       insertRows,
-		EntityInsertRows: totalEntityRows,
-		InsertBatchRows:  batchRows,
-		PublishP50MS:     percentileMS(allPublish, 0.50),
-		PublishP99MS:     percentileMS(allPublish, 0.99),
-		EpochPublishes:   stats.EpochPublishes,
-		EpochCombines:    stats.EpochCombines,
-		CacheHits:        stats.SelCacheHits,
-		CacheMisses:      stats.SelCacheMisses,
-		CacheEntries:     stats.SelCacheEntries,
-	}
-	if wall > 0 {
-		res.DiscoverPerSec = float64(res.Discoveries) / wall.Seconds()
-	}
-	// Insert throughput over the fact writer's own elapsed time: the
-	// overall wall includes the readers' final post-ingest rounds,
-	// which would understate ingest and couple it to discovery latency.
-	if writerWall > 0 {
-		res.InsertsPerSec = float64(insertRows+totalEntityRows) / writerWall.Seconds()
-	}
-	report.Mixed = append(report.Mixed, res)
-	report.PeakRSSKB = peakRSSKB()
-
-	fmt.Printf("online phase (mixed read/write), %s scale, %d readers + %d writers\n", scale, res.Readers, res.Writers)
-	fmt.Printf("  %-6s %8.1fms wall  %6d discoveries (%8.1f/s, p50 %.2fms p99 %.2fms)\n",
-		res.Dataset, res.WallMS, res.Discoveries, res.DiscoverPerSec, res.DiscoverP50MS, res.DiscoverP99MS)
-	fmt.Printf("         %6d fact + %d entity rows ingested (%8.1f/s, batches of %d); publish p50 %.2fms p99 %.2fms\n",
-		res.InsertRows, res.EntityInsertRows, res.InsertsPerSec, res.InsertBatchRows, res.PublishP50MS, res.PublishP99MS)
-	fmt.Printf("         epochs: %d publishes, %d combines; selectivity cache: %d entries, %d hits / %d misses\n",
-		res.EpochPublishes, res.EpochCombines, res.CacheEntries, res.CacheHits, res.CacheMisses)
-	return writeReport(report, jsonPath)
-}
-
-// peakRSSKB reads the process's peak resident set (VmHWM) from
-// /proc/self/status; 0 when unavailable (non-Linux).
-func peakRSSKB() int64 {
-	f, err := os.Open("/proc/self/status")
-	if err != nil {
-		return 0
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "VmHWM:") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return 0
-		}
-		kb, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return 0
-		}
-		return kb
-	}
-	return 0
-}
-
-func humanBytes(n int64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.1f GB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1f MB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1f KB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", n)
-	}
 }

@@ -1,6 +1,6 @@
 // Command squid-gen generates the schema-aware synthetic datasets of
 // the million-row scale track and emits them as snapshot fixtures the
-// existing loaders ingest (squid.Load / squid-bench -fixture /
+// existing loaders ingest (squid.Load / squid -snapshot /
 // squid-server -snapshot).
 //
 // Usage:
@@ -11,9 +11,12 @@
 //
 // The generator is deterministic: the same scale and seed always
 // produce byte-identical databases (and therefore identical discovery
-// output), so committed baselines stay comparable across runs and
-// machines. The fixture is written atomically (temp file + rename) —
-// an interrupted run never leaves a truncated snapshot behind.
+// output) across runs and machines. The fixture is written atomically
+// (temp file, fsync, rename) — an interrupted run never leaves a
+// truncated snapshot behind. After writing it, squid-gen prints the
+// planted example sets, one per line, ready to paste after
+// `squid -dataset gen -snapshot <fixture>` or into a discover request
+// to `squid-server -dataset gen -snapshot <fixture>`.
 package main
 
 import (
@@ -89,6 +92,10 @@ func run(scale string, seed int64, out string, customers, products, facts int) e
 		tmp.Close()
 		return fmt.Errorf("save: %w", err)
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("save: %w", err)
+	}
 	if err := tmp.Close(); err != nil {
 		return err
 	}
@@ -106,5 +113,12 @@ func run(scale string, seed int64, out string, customers, products, facts int) e
 	fmt.Printf("  generate %v, build %v, save %v\n",
 		genWall.Round(time.Millisecond), buildWall.Round(time.Millisecond), saveWall.Round(time.Millisecond))
 	fmt.Printf("  fixture %s (%d bytes)\n", out, fi.Size())
+	fmt.Println("example sets (each a prefix of one planted loyalist group):")
+	for _, set := range datagen.GenExampleSets(cfg) {
+		for _, name := range set {
+			fmt.Printf(" %q", name)
+		}
+		fmt.Println()
+	}
 	return nil
 }

@@ -207,21 +207,21 @@ func TestEmptyExamples(t *testing.T) {
 	}
 }
 
-// TestFilterRowsMatchSatisfiedBy cross-checks EntityRows against
+// TestFilterRowsMatchSatisfiedBy cross-checks RowSet against
 // SatisfiedBy for every discovered filter.
 func TestFilterRowsMatchSatisfiedBy(t *testing.T) {
 	a := actorsDB(t, 80, 40, 3)
 	info := a.Entity("person")
 	contexts := DiscoverContexts(info, []int{0, 1, 2}, DefaultParams())
 	for _, c := range contexts {
-		rows := c.Filter.EntityRows()
+		rows := c.Filter.RowSet().ToSorted()
 		inSet := make(map[int]bool, len(rows))
 		for _, r := range rows {
 			inSet[r] = true
 		}
 		for row := 0; row < info.NumRows; row++ {
 			if got := c.Filter.SatisfiedBy(info, row); got != inSet[row] {
-				t.Errorf("%v: row %d SatisfiedBy=%v but EntityRows membership=%v", c.Filter, row, got, inSet[row])
+				t.Errorf("%v: row %d SatisfiedBy=%v but RowSet membership=%v", c.Filter, row, got, inSet[row])
 			}
 		}
 	}
@@ -234,7 +234,7 @@ func TestSelectivityMatchesRowFraction(t *testing.T) {
 	info := a.Entity("person")
 	contexts := DiscoverContexts(info, []int{0, 1}, DefaultParams())
 	for _, c := range contexts {
-		want := float64(len(c.Filter.EntityRows())) / float64(info.NumRows)
+		want := float64(len(c.Filter.RowSet().ToSorted())) / float64(info.NumRows)
 		if got := c.Filter.Selectivity(); math.Abs(got-want) > 1e-9 {
 			t.Errorf("%v: ψ=%v want %v", c.Filter, got, want)
 		}

@@ -51,12 +51,10 @@ type Filter struct {
 	// WaitGroup barrier before the next phase reads the memos, so they
 	// need no locking. Cross-discovery reuse happens one layer down in
 	// the αDB's selectivity cache.
-	selVal  float64
-	selOK   bool
-	rowSet  *index.RowSet
-	setOK   bool
-	rowsVal []int
-	rowsOK  bool
+	selVal float64
+	selOK  bool
+	rowSet *index.RowSet
+	setOK  bool
 }
 
 // Attr returns the display attribute name.
@@ -170,18 +168,6 @@ func (f *Filter) rowSetT(sp trace.Span) *index.RowSet {
 	}
 	f.setOK = true
 	return f.rowSet
-}
-
-// EntityRows returns the sorted (ascending) rows of the entity relation
-// satisfying the filter — the []int decoding of RowSet, memoized per
-// filter. Callers must not mutate the returned slice.
-func (f *Filter) EntityRows() []int {
-	if f.rowsOK {
-		return f.rowsVal
-	}
-	f.rowsVal = f.RowSet().ToSorted()
-	f.rowsOK = true
-	return f.rowsVal
 }
 
 // SatisfiedBy reports whether the entity at row satisfies the filter.

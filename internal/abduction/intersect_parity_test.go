@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"squid/internal/adb"
-	"squid/internal/index"
 )
 
 // scanIntersect is the brute-force oracle: every row the entity has,
@@ -29,12 +28,32 @@ func scanIntersect(info *adb.EntityInfo, fs []*Filter) []int {
 	return out
 }
 
+// mergeSorted intersects two ascending row lists by two-pointer merge.
+func mergeSorted(a, b []int) []int {
+	var out []int
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	return out
+}
+
 // mergeIntersect is the pre-bitset IntersectRows algorithm (sorted-merge
-// cascade over EntityRows), kept inline as a second reference.
+// cascade over each filter's decoded row list), kept inline as a second
+// reference that shares none of the RowSet algebra.
 func mergeIntersect(fs []*Filter) []int {
-	acc := fs[0].EntityRows()
+	acc := fs[0].RowSet().ToSorted()
 	for _, f := range fs[1:] {
-		acc = index.IntersectSorted(acc, f.EntityRows())
+		acc = mergeSorted(acc, f.RowSet().ToSorted())
 		if len(acc) == 0 {
 			return nil
 		}

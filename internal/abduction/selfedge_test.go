@@ -49,7 +49,7 @@ func TestNormalizedSelfEdgeNoDegree(t *testing.T) {
 	// MB and MD are both sequels (movie_original_id associations), so
 	// derived contexts over the self-edge exist; with normalization on
 	// and no matching plain degree attribute this used to panic inside
-	// EntityRows.
+	// RowSet.
 	results, err := Discover(a.Snapshot(), []string{"MB", "MD"}, params, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestNormalizedSelfEdgeNoDegree(t *testing.T) {
 		if d.Filter.NormUse {
 			t.Errorf("filter %s uses normalization without a degree property", d.Filter)
 		}
-		_ = d.Filter.EntityRows() // must not panic
+		_ = d.Filter.RowSet() // must not panic
 		if !d.Filter.validFor(res.EntityInfo(), res.ExampleRows) {
 			t.Errorf("filter %s not valid for the examples", d.Filter)
 		}

@@ -245,7 +245,7 @@ func TestDerivedPersonToGenre(t *testing.T) {
 	if got := ptg.MaxStrength("Comedy"); got != 3 {
 		t.Errorf("MaxStrength=%d", got)
 	}
-	rows := ptg.EntityRowsWithStrength("Comedy", 2)
+	rows := ptg.EntityRowSetWithStrength("Comedy", 2).ToSorted()
 	if len(rows) != 1 || rows[0] != 0 {
 		t.Errorf("rows(Comedy,≥2)=%v", rows)
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // randomEntityDB builds an entity relation large enough to exercise both
-// the sparse (index) and dense (scan) paths of EntityRowsInRange.
+// the sparse (index) and dense (scan) paths of EntityRowSetInRange.
 func randomEntityDB(n int) *relation.Database {
 	rng := rand.New(rand.NewSource(7))
 	db := relation.NewDatabase("rand")
@@ -68,14 +68,14 @@ func TestEntityRowsCrossCheck(t *testing.T) {
 		if trial%2 == 0 {
 			span = float64(900 + rng.Intn(300))
 		}
-		got := weight.EntityRowsInRange(lo, lo+span)
+		got := weight.EntityRowSetInRange(lo, lo+span).ToSorted()
 		want := naiveRange(lo, lo+span)
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-			t.Fatalf("EntityRowsInRange(%v,%v): got %d rows, want %d (%v vs %v)",
+			t.Fatalf("EntityRowSetInRange(%v,%v): got %d rows, want %d (%v vs %v)",
 				lo, lo+span, len(got), len(want), got, want)
 		}
 		if !sort.IntsAreSorted(got) {
-			t.Fatalf("EntityRowsInRange(%v,%v) not sorted", lo, lo+span)
+			t.Fatalf("EntityRowSetInRange(%v,%v) not sorted", lo, lo+span)
 		}
 	}
 
@@ -103,16 +103,16 @@ func TestEntityRowsCrossCheck(t *testing.T) {
 		return out
 	}
 	for _, vals := range [][]string{{"a"}, {"a", "c"}, {"b", "d", "e"}, {"nope"}} {
-		got := class.EntityRowsWithAnyValue(vals)
+		got := class.EntityRowSetWithAnyValue(vals).ToSorted()
 		want := naiveAny(vals)
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-			t.Fatalf("EntityRowsWithAnyValue(%v): %v want %v", vals, got, want)
+			t.Fatalf("EntityRowSetWithAnyValue(%v): %v want %v", vals, got, want)
 		}
 	}
 }
 
 // TestDerivedStrengthCrossCheck verifies the O(log n) StrengthOf lookup
-// and the cached EntityRowsWithStrength against the Counts oracle on the
+// and the cached EntityRowSetWithStrength against the Counts oracle on the
 // paper's running-example fixture.
 func TestDerivedStrengthCrossCheck(t *testing.T) {
 	a, err := Build(fixtureDB(), DefaultConfig())
@@ -135,9 +135,9 @@ func TestDerivedStrengthCrossCheck(t *testing.T) {
 						want = append(want, row)
 					}
 				}
-				got := p.EntityRowsWithStrength(v, theta)
+				got := p.EntityRowSetWithStrength(v, theta).ToSorted()
 				if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-					t.Errorf("%s: EntityRowsWithStrength(%s,%d)=%v want %v", p.Attr, v, theta, got, want)
+					t.Errorf("%s: EntityRowSetWithStrength(%s,%d)=%v want %v", p.Attr, v, theta, got, want)
 				}
 			}
 		}
@@ -158,9 +158,9 @@ func TestSelectivityCacheInvalidation(t *testing.T) {
 	oldAge := oldInfo.BasicByAttr("age")
 	cache := a.SelectivityCache()
 
-	before := oldAge.EntityRowsInRange(45, 65) // populate the cache
+	before := oldAge.EntityRowSetInRange(45, 65).ToSorted() // populate the cache
 	if cache.Len() == 0 {
-		t.Fatal("cache not populated by EntityRowsInRange")
+		t.Fatal("cache not populated by EntityRowSetInRange")
 	}
 	gen0 := cache.Generation()
 
@@ -183,7 +183,7 @@ func TestSelectivityCacheInvalidation(t *testing.T) {
 	if age == oldAge {
 		t.Fatal("insert did not clone the touched property")
 	}
-	after := age.EntityRowsInRange(45, 65)
+	after := age.EntityRowSetInRange(45, 65).ToSorted()
 	if len(after) != len(before)+1 {
 		t.Errorf("post-insert range rows = %d want %d", len(after), len(before)+1)
 	}
@@ -203,7 +203,7 @@ func TestSelectivityCacheInvalidation(t *testing.T) {
 	// The retired epoch's handle still answers pre-insert (snapshot
 	// isolation), and its re-stored entry is keyed by the retired
 	// identity — the new epoch can never be served from it.
-	if got := oldAge.EntityRowsInRange(45, 65); len(got) != len(before) {
+	if got := oldAge.EntityRowSetInRange(45, 65).ToSorted(); len(got) != len(before) {
 		t.Errorf("retired epoch's row set changed: %d want %d", len(got), len(before))
 	}
 
@@ -212,7 +212,7 @@ func TestSelectivityCacheInvalidation(t *testing.T) {
 	if ptg == nil {
 		t.Fatal("movie:genre derived property missing")
 	}
-	preRows := ptg.EntityRowsWithStrength("Drama", 1)
+	preRows := ptg.EntityRowSetWithStrength("Drama", 1).ToSorted()
 	gen1 := cache.Generation()
 	// Person 3 appears in movie 13 (Drama) for the first time.
 	if err := a.InsertFact("castinfo", relation.IntVal(3), relation.IntVal(13)); err != nil {
@@ -225,14 +225,14 @@ func TestSelectivityCacheInvalidation(t *testing.T) {
 	if ptg2 == ptg {
 		t.Fatal("fact insert did not clone the derived property")
 	}
-	postRows := ptg2.EntityRowsWithStrength("Drama", 1)
+	postRows := ptg2.EntityRowSetWithStrength("Drama", 1).ToSorted()
 	if len(postRows) != len(preRows)+1 {
 		t.Errorf("post-fact Drama rows = %v want one more than %v", postRows, preRows)
 	}
 	if !sort.IntsAreSorted(postRows) {
 		t.Errorf("post-fact rows not sorted: %v", postRows)
 	}
-	if got := ptg.EntityRowsWithStrength("Drama", 1); len(got) != len(preRows) {
+	if got := ptg.EntityRowSetWithStrength("Drama", 1).ToSorted(); len(got) != len(preRows) {
 		t.Errorf("retired derived row set changed: %v want %v", got, preRows)
 	}
 	rebuildAndCompare(t, a)
@@ -257,8 +257,8 @@ func TestPerPropertyInvalidation(t *testing.T) {
 	}
 	cache := a.SelectivityCache()
 
-	_ = age.EntityRowsInRange(45, 65)
-	yearRows := year.EntityRowsInRange(2000, 2003)
+	_ = age.EntityRowSetInRange(45, 65)
+	yearRows := year.EntityRowSetInRange(2000, 2003).ToSorted()
 	if cache.Len() != 2 {
 		t.Fatalf("cache primed with %d entries, want 2", cache.Len())
 	}
@@ -282,7 +282,7 @@ func TestPerPropertyInvalidation(t *testing.T) {
 		t.Errorf("cache has %d entries after person insert, want only the movie entry", cache.Len())
 	}
 	h0, _ := cache.Metrics()
-	got := year2.EntityRowsInRange(2000, 2003)
+	got := year2.EntityRowSetInRange(2000, 2003).ToSorted()
 	if h1, _ := cache.Metrics(); h1 != h0+1 {
 		t.Error("movie row set was not served from cache after a person insert")
 	}
@@ -295,12 +295,12 @@ func TestPerPropertyInvalidation(t *testing.T) {
 	// (and live cache entries), the derived movie:genre property is
 	// cloned and its entry evicted.
 	age2 := person2.BasicByAttr("age")
-	_ = age2.EntityRowsInRange(45, 65) // prime person.age on the current epoch
+	_ = age2.EntityRowSetInRange(45, 65) // prime person.age on the current epoch
 	ptg := person2.DerivedByAttr("movie:genre")
 	if ptg == nil {
 		t.Fatal("movie:genre derived property missing")
 	}
-	_ = ptg.EntityRowsWithStrength("Drama", 1)
+	_ = ptg.EntityRowSetWithStrength("Drama", 1)
 	if cache.Len() != 3 {
 		t.Fatalf("cache primed with %d entries, want 3", cache.Len())
 	}
@@ -395,8 +395,8 @@ func TestDisjunctionCacheKey(t *testing.T) {
 	if class == nil {
 		t.Fatal("class property missing")
 	}
-	r1 := class.EntityRowsWithAnyValue([]string{"a\x00b", "c"})
-	r2 := class.EntityRowsWithAnyValue([]string{"a", "b\x00c"})
+	r1 := class.EntityRowSetWithAnyValue([]string{"a\x00b", "c"}).ToSorted()
+	r2 := class.EntityRowSetWithAnyValue([]string{"a", "b\x00c"}).ToSorted()
 	if !reflect.DeepEqual(r1, []int{0, 1, 5}) {
 		t.Errorf(`rows of {"a\x00b","c"} = %v, want [0 1 5]`, r1)
 	}
@@ -407,7 +407,7 @@ func TestDisjunctionCacheKey(t *testing.T) {
 	// Order canonicalization: the reversed set must hit the same entry.
 	cache := a.SelectivityCache()
 	h0, _ := cache.Metrics()
-	r3 := class.EntityRowsWithAnyValue([]string{"c", "a\x00b"})
+	r3 := class.EntityRowSetWithAnyValue([]string{"c", "a\x00b"}).ToSorted()
 	if h1, _ := cache.Metrics(); h1 != h0+1 {
 		t.Error("reordered disjunction missed the cache")
 	}
@@ -426,8 +426,8 @@ func TestCacheMetrics(t *testing.T) {
 	age := a.Entity("person").BasicByAttr("age")
 	cache := a.SelectivityCache()
 	h0, m0 := cache.Metrics()
-	_ = age.EntityRowsInRange(40, 70)
-	_ = age.EntityRowsInRange(40, 70)
+	_ = age.EntityRowSetInRange(40, 70)
+	_ = age.EntityRowSetInRange(40, 70)
 	h1, m1 := cache.Metrics()
 	if m1 != m0+1 {
 		t.Errorf("misses %d -> %d, want one new miss", m0, m1)

@@ -299,23 +299,10 @@ func (p *BasicProperty) EntityRowsWithValue(v string) []int {
 	return p.rowsOf(code)
 }
 
-// EntityRowsWithAnyValue returns the union of the per-value row sets
-// (sorted ascending): the satisfying rows of a disjunctive IN filter.
-// Results are memoized in the αDB selectivity cache; do not mutate.
-func (p *BasicProperty) EntityRowsWithAnyValue(values []string) []int {
-	if len(values) == 0 {
-		return nil
-	}
-	if len(values) == 1 {
-		return p.EntityRowsWithValue(values[0])
-	}
-	return p.EntityRowSetWithAnyValue(values).ToSorted()
-}
-
-// EntityRowSetWithAnyValue is the bitset form of EntityRowsWithAnyValue:
-// the union of the per-value posting lists as a dense RowSet, memoized
-// in the αDB selectivity cache under the same canonical disjunction key
-// (a single value is a one-element disjunction). The returned set is
+// EntityRowSetWithAnyValue returns the union of the per-value posting
+// lists — the satisfying rows of a disjunctive IN filter — memoized in
+// the αDB selectivity cache under the canonical disjunction key (a
+// single value is a one-element disjunction). The returned set is
 // shared: do not mutate.
 func (p *BasicProperty) EntityRowSetWithAnyValue(values []string) *index.RowSet {
 	return p.EntityRowSetWithAnyValueT(values, trace.Span{})
@@ -354,23 +341,12 @@ func disjunctionKey(values []string) string {
 	return b.String()
 }
 
-// EntityRowsInRange returns the entity rows whose numeric value lies in
-// [lo, hi], sorted ascending. Selective ranges are answered from the
-// sorted value→row index in O(log n + k); wide ranges (≥ ¼ of the
-// entities) fall back to the dense row-order scan, which is cheaper
-// than re-sorting a near-complete row set. Results are memoized; do not
-// mutate the returned slice.
-func (p *BasicProperty) EntityRowsInRange(lo, hi float64) []int {
-	if p.Kind != Numeric || p.sorted == nil {
-		return nil
-	}
-	return p.EntityRowSetInRange(lo, hi).ToSorted()
-}
-
-// EntityRowSetInRange is the bitset form of EntityRowsInRange. Both the
-// index path and the dense scan insert straight into the RowSet, so
-// neither needs the row-order re-sort the []int index path paid.
-// Memoized; do not mutate the returned set.
+// EntityRowSetInRange returns the entity rows whose numeric value lies
+// in [lo, hi]. Selective ranges are answered from the sorted value→row
+// index in O(log n + k); wide ranges (≥ ¼ of the entities) fall back to
+// the row-order scan. Both paths insert straight into the RowSet, so
+// neither pays a row-order re-sort. Memoized; do not mutate the
+// returned set.
 func (p *BasicProperty) EntityRowSetInRange(lo, hi float64) *index.RowSet {
 	return p.EntityRowSetInRangeT(lo, hi, trace.Span{})
 }
@@ -598,15 +574,9 @@ func (p *DerivedProperty) SelectivityOfCode(code int32, theta int) float64 {
 	return float64(s.CountGE(float64(theta))) / float64(p.numEntities)
 }
 
-// EntityRowsWithStrength returns the entity rows associated with value v
-// at strength ≥ θ, sorted ascending. Results are memoized in the αDB
-// selectivity cache; do not mutate the returned slice.
-func (p *DerivedProperty) EntityRowsWithStrength(v string, theta int) []int {
-	return p.EntityRowSetWithStrength(v, theta).ToSorted()
-}
-
-// EntityRowSetWithStrength is the bitset form of EntityRowsWithStrength.
-// Memoized; do not mutate the returned set.
+// EntityRowSetWithStrength returns the entity rows associated with
+// value v at strength ≥ θ. Memoized in the αDB selectivity cache; do
+// not mutate the returned set.
 func (p *DerivedProperty) EntityRowSetWithStrength(v string, theta int) *index.RowSet {
 	return p.EntityRowSetWithStrengthT(v, theta, trace.Span{})
 }
@@ -630,16 +600,10 @@ func (p *DerivedProperty) EntityRowSetWithStrengthT(v string, theta int, sp trac
 	})
 }
 
-// EntityRowsWithNormStrength returns the entity rows associated with
+// EntityRowSetWithNormStrength returns the entity rows associated with
 // value v at normalized strength ≥ θn, where each row's strength is
 // divided by its degree (total association count) from the companion
-// degree property. Sorted ascending; memoized; do not mutate.
-func (p *DerivedProperty) EntityRowsWithNormStrength(v string, thetaN float64, degree *DerivedProperty) []int {
-	return p.EntityRowSetWithNormStrength(v, thetaN, degree).ToSorted()
-}
-
-// EntityRowSetWithNormStrength is the bitset form of
-// EntityRowsWithNormStrength. Memoized; do not mutate the returned set.
+// degree property. Memoized; do not mutate the returned set.
 func (p *DerivedProperty) EntityRowSetWithNormStrength(v string, thetaN float64, degree *DerivedProperty) *index.RowSet {
 	return p.EntityRowSetWithNormStrengthT(v, thetaN, degree, trace.Span{})
 }

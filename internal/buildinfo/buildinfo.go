@@ -1,8 +1,9 @@
 // Package buildinfo reads the binary's build identity once from
 // runtime/debug.ReadBuildInfo and serves it to every surface that
 // reports it: the squid_build_info gauge on /metrics, the version block
-// of GET /v1/stats, and the startup banner of squid-server and
-// squid-bench. One source, so the surfaces can never disagree.
+// of GET /v1/stats, the startup banner of the commands, and the
+// benchmark's environment block. One source, so the surfaces can never
+// disagree.
 package buildinfo
 
 import (

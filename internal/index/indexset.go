@@ -527,34 +527,9 @@ func searchFloatAfter(xs []float64, v float64) int {
 	return lo
 }
 
-// IntersectSorted intersects two ascending row lists by merge; the
-// result is ascending. It is the abduction layer's posting-list
-// intersection primitive.
-func IntersectSorted(a, b []int) []int {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	out := make([]int, 0, min(len(a), len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 // UnionSorted merges two ascending row lists, dropping duplicates; the
-// result is ascending. Together with IntersectSorted it is the posting
-// -list algebra shared by the abduction layer, the αDB's disjunctive
-// row sets, and the engine's IN-predicate pushdown.
+// result is ascending: the posting-list union behind the engine's
+// IN-predicate pushdown.
 func UnionSorted(a, b []int) []int {
 	if len(a) == 0 {
 		return b

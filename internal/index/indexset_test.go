@@ -168,7 +168,7 @@ func TestNumericRowsInsert(t *testing.T) {
 	}
 }
 
-func TestIntersectSorted(t *testing.T) {
+func TestRowSetIntersectSortedLists(t *testing.T) {
 	cases := []struct{ a, b, want []int }{
 		{[]int{1, 3, 5, 7}, []int{3, 4, 5, 8}, []int{3, 5}},
 		{[]int{1, 2}, []int{3, 4}, nil},
@@ -176,12 +176,10 @@ func TestIntersectSorted(t *testing.T) {
 		{[]int{2, 4, 6}, []int{2, 4, 6}, []int{2, 4, 6}},
 	}
 	for _, c := range cases {
-		got := IntersectSorted(c.a, c.b)
-		if len(got) == 0 && len(c.want) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("IntersectSorted(%v,%v) = %v want %v", c.a, c.b, got, c.want)
+		s := RowSetFromSorted(c.a)
+		s.AndWith(RowSetFromSorted(c.b))
+		if got := s.ToSorted(); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%v ∩ %v = %v want %v", c.a, c.b, got, c.want)
 		}
 	}
 }

@@ -49,22 +49,6 @@ type RowSet struct {
 	hintWords int
 }
 
-// denseOnly forces every set into the dense form (no sparsification),
-// reproducing the pre-adaptive representation exactly. It exists for
-// A/B benchmarking (squid-bench's dense baseline arm) and for parity
-// tests; it is a plain package variable, so it must only be flipped
-// while no RowSet is being mutated on another goroutine — experiment
-// setup, not request time.
-var denseOnly bool
-
-// SetDenseOnly toggles the dense-only debug mode and returns the
-// previous value. See denseOnly for the (single-threaded) contract.
-func SetDenseOnly(v bool) bool {
-	prev := denseOnly
-	denseOnly = v
-	return prev
-}
-
 // sparseLimit returns the largest sparse cardinality for a set spanning
 // the given number of 64-row words: two members per word — the byte
 // break-even where the 4-byte-per-member array matches the bitset it
@@ -95,15 +79,9 @@ func (s *RowSet) spanWords() int {
 // only bounds expectations — Add still grows the set past it — and an
 // adaptive set starts sparse regardless, so the parameter no longer
 // pre-allocates storage; it is kept as the accounting hint
-// DenseEquivalentBytes reports against. Under denseOnly the full
-// universe bitset is allocated up front, exactly as the pre-adaptive
-// representation did.
+// DenseEquivalentBytes reports against.
 func NewRowSet(universe int) *RowSet {
-	w := (universe + 63) >> 6
-	if denseOnly {
-		return &RowSet{words: make([]uint64, w), hintWords: w}
-	}
-	return &RowSet{hintWords: w}
+	return &RowSet{hintWords: (universe + 63) >> 6}
 }
 
 // RowSetFromSorted builds a set from an ascending row list (the αDB
@@ -146,23 +124,16 @@ func dedupSorted(sp []uint32) []uint32 {
 }
 
 // maybeDensify flips a sparse set to the dense form when it exceeds the
-// sparse threshold for its span (always, under denseOnly).
+// sparse threshold for its span.
 func (s *RowSet) maybeDensify() {
 	if s.words != nil {
 		return
 	}
 	w := s.spanWords()
-	if !denseOnly && len(s.sparse) <= sparseLimit(w) {
+	if len(s.sparse) <= sparseLimit(w) {
 		return
 	}
-	if w == 0 {
-		if !denseOnly {
-			return
-		}
-		s.words = []uint64{}
-	} else {
-		s.words = make([]uint64, w)
-	}
+	s.words = make([]uint64, w)
 	for _, r := range s.sparse {
 		s.words[r>>6] |= 1 << (r & 63)
 	}
@@ -175,7 +146,7 @@ func (s *RowSet) maybeDensify() {
 // exact cardinality. Hysteresis (limit/2, not limit) keeps a set sitting
 // at the boundary from thrashing between forms.
 func (s *RowSet) maybeSparsify(count int) {
-	if denseOnly || s.words == nil {
+	if s.words == nil {
 		return
 	}
 	if count > sparseLimit(len(s.words))/2 {
@@ -347,9 +318,6 @@ func (s *RowSet) AndWith(t *RowSet) bool {
 	tEmpty := t == nil || (t.words == nil && len(t.sparse) == 0) || (t.words != nil && len(t.words) == 0)
 	if tEmpty {
 		s.words, s.sparse = nil, nil
-		if denseOnly {
-			s.words = []uint64{}
-		}
 		return false
 	}
 	switch {
@@ -597,11 +565,9 @@ func (s *RowSet) DenseEquivalentBytes() int64 {
 // ascending build, while its span was still a fraction of its final
 // one, converts back to the cheaper sparse form — and the surviving
 // storage is reallocated to exactly fit, dropping append-growth slack
-// a frozen set would never use. A no-op under denseOnly, where cached
-// sets must keep the pre-adaptive full-universe bitsets the baseline
-// is measuring.
+// a frozen set would never use.
 func (s *RowSet) Compact() {
-	if s == nil || denseOnly {
+	if s == nil {
 		return
 	}
 	if s.words != nil {

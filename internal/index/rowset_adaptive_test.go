@@ -17,9 +17,11 @@ const opUniverse = 1 << 12
 // applyOps interprets data as a little op language over one RowSet and
 // replays every op against a map oracle, failing on the first
 // divergence in contents, cardinality, membership, or the sparse
-// sorted-unique invariant. It returns the final sorted contents so
-// callers can compare replays across representation modes.
-func applyOps(t *testing.T, data []byte) []int {
+// sorted-unique invariant. Every op records the form (or, for the
+// binary ops, the receiver×operand form pair) it ran on in seen, so
+// callers can prove which arms of the form-aware algebra a replay
+// reached.
+func applyOps(t *testing.T, data []byte, seen map[string]bool) {
 	t.Helper()
 	s := NewRowSet(opUniverse)
 	ref := map[int]bool{}
@@ -69,16 +71,19 @@ func applyOps(t *testing.T, data []byte) []int {
 		switch next() % 8 {
 		case 0:
 			r := nextRow()
+			seen["add:"+s.Form()] = true
 			s.Add(r)
 			ref[r] = true
 		case 1:
 			rows := nextRows()
+			seen["addall:"+s.Form()] = true
 			s.AddAll(rows)
 			for _, r := range rows {
 				ref[r] = true
 			}
 		case 2:
 			o, m := operand()
+			seen["and:"+s.Form()+"x"+o.Form()] = true
 			remaining := s.AndWith(o)
 			for r := range ref {
 				if !m[r] {
@@ -90,12 +95,14 @@ func applyOps(t *testing.T, data []byte) []int {
 			}
 		case 3:
 			o, m := operand()
+			seen["or:"+s.Form()+"x"+o.Form()] = true
 			s.OrWith(o)
 			for r := range m {
 				ref[r] = true
 			}
 		case 4:
 			o, m := operand()
+			seen["andnot:"+s.Form()+"x"+o.Form()] = true
 			s.AndNotWith(o)
 			for r := range m {
 				delete(ref, r)
@@ -103,6 +110,7 @@ func applyOps(t *testing.T, data []byte) []int {
 		case 5:
 			// Clone-detach check: mutating the clone must not leak into
 			// the original, whatever form it is in.
+			seen["clone:"+s.Form()] = true
 			before := s.ToSorted()
 			c := s.Clone()
 			c.Add(nextRow())
@@ -114,13 +122,13 @@ func applyOps(t *testing.T, data []byte) []int {
 			s = s.Clone()
 		case 7:
 			r := nextRow()
+			seen["contains:"+s.Form()] = true
 			if got, want := s.Contains(r), ref[r]; got != want {
 				t.Fatalf("Contains(%d) = %v, want %v", r, got, want)
 			}
 		}
 		checkOracle(t, s, ref)
 	}
-	return s.ToSorted()
 }
 
 // checkOracle compares a set against its map oracle and verifies the
@@ -148,27 +156,35 @@ func checkOracle(t *testing.T, s *RowSet, ref map[int]bool) {
 			t.Fatalf("sparse invariant broken at %d: %v", i, s.sparse)
 		}
 	}
-	if denseOnly && len(ref) > 0 && s.Form() != "dense" {
-		t.Fatalf("denseOnly mode left a non-empty set in %s form", s.Form())
-	}
 }
 
-// TestRowSetRandomOpParity replays random op sequences twice — adaptive
-// and dense-only — checking both against the map oracle at every step
-// and against each other at the end. This is the deterministic twin of
-// FuzzRowSetOps covering densify, sparsify, grow, and every cross-form
-// And/Or/AndNot combination.
+// TestRowSetRandomOpParity replays random op sequences, checking
+// against the map oracle at every step. This is the deterministic twin
+// of FuzzRowSetOps; it fails unless the sequences drove every op
+// through both forms and And/Or/AndNot through all four
+// receiver×operand form pairs, so the dense algebra cannot silently
+// drop out of coverage.
 func TestRowSetRandomOpParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	seen := map[string]bool{}
 	for i := 0; i < 250; i++ {
 		data := make([]byte, 40+rng.Intn(400))
 		rng.Read(data)
-		adaptive := applyOps(t, data)
-		prev := SetDenseOnly(true)
-		dense := applyOps(t, data)
-		SetDenseOnly(prev)
-		if !reflect.DeepEqual(adaptive, dense) {
-			t.Fatalf("seq %d: adaptive %v != dense-only %v", i, adaptive, dense)
+		applyOps(t, data, seen)
+	}
+	forms := []string{"sparse", "dense"}
+	for _, f := range forms {
+		for _, op := range []string{"add", "addall", "clone", "contains"} {
+			if !seen[op+":"+f] {
+				t.Errorf("no sequence ran %s on a %s set", op, f)
+			}
+		}
+		for _, g := range forms {
+			for _, op := range []string{"and", "or", "andnot"} {
+				if !seen[op+":"+f+"x"+g] {
+					t.Errorf("no sequence ran %s on %s x %s", op, f, g)
+				}
+			}
 		}
 	}
 }
@@ -281,26 +297,6 @@ func TestRowSetAndWithShrinksStorage(t *testing.T) {
 	}
 	if rb := e.ResidentBytes(); rb != 0 {
 		t.Fatalf("empty result resident at %d bytes", rb)
-	}
-}
-
-// TestRowSetDenseOnlyMode pins the A/B knob squid-bench's baseline arm
-// uses: dense-only sets never sparsify and resident bytes equal the
-// dense-equivalent accounting.
-func TestRowSetDenseOnlyMode(t *testing.T) {
-	prev := SetDenseOnly(true)
-	defer SetDenseOnly(prev)
-	s := NewRowSet(100)
-	s.Add(70)
-	if s.Form() != "dense" {
-		t.Fatalf("denseOnly Add left form %s", s.Form())
-	}
-	if rb, de := s.ResidentBytes(), s.DenseEquivalentBytes(); rb != de {
-		t.Fatalf("denseOnly resident %d != dense-equivalent %d", rb, de)
-	}
-	s.AndWith(RowSetFromSorted([]int{1}))
-	if s.Form() != "dense" {
-		t.Fatalf("denseOnly intersection sparsified to %s", s.Form())
 	}
 }
 

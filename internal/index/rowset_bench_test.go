@@ -29,10 +29,7 @@ func stridedRows(universe, stride, offset int) []int {
 // BenchmarkRowSetIntersect measures the three form combinations of
 // AndWith over a million-row universe — the shapes the abduction
 // intersection cascade produces at scale. Each iteration pays one
-// Clone (the cascade's detach step) plus the intersection. The
-// dense_only arm replays the sparse×sparse shape under the pre-adaptive
-// representation, so the win of galloping over the word loop is visible
-// in one benchmark run.
+// Clone (the cascade's detach step) plus the intersection.
 func BenchmarkRowSetIntersect(b *testing.B) {
 	const universe = 1 << 20
 	rng := rand.New(rand.NewSource(11))
@@ -42,13 +39,8 @@ func BenchmarkRowSetIntersect(b *testing.B) {
 	denseA := RowSetFromSorted(stridedRows(universe, 3, 0))
 	denseB := RowSetFromSorted(stridedRows(universe, 5, 1))
 
-	prev := SetDenseOnly(true)
-	denseOnlyA := RowSetFromSorted(sparseA.ToSorted())
-	denseOnlyB := RowSetFromSorted(sparseB.ToSorted())
-	SetDenseOnly(prev)
-
-	if sparseA.Form() != "sparse" || denseA.Form() != "dense" || denseOnlyA.Form() != "dense" {
-		b.Fatalf("setup forms: %s/%s/%s", sparseA.Form(), denseA.Form(), denseOnlyA.Form())
+	if sparseA.Form() != "sparse" || denseA.Form() != "dense" {
+		b.Fatalf("setup forms: %s/%s", sparseA.Form(), denseA.Form())
 	}
 
 	cases := []struct {
@@ -58,7 +50,6 @@ func BenchmarkRowSetIntersect(b *testing.B) {
 		{"sparse_sparse", sparseA, sparseB},
 		{"sparse_dense", sparseA, denseA},
 		{"dense_dense", denseA, denseB},
-		{"dense_only_baseline", denseOnlyA, denseOnlyB},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

@@ -1,16 +1,11 @@
 package index
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // FuzzRowSetOps feeds arbitrary op sequences (see applyOps for the
-// encoding) through the adaptive RowSet twice — once adaptive, once
-// under the dense-only representation — checking every step against a
-// map oracle and the two final states against each other. Any fuzz
-// input that drives the two representations apart, breaks the sparse
-// sorted-unique invariant, or diverges from the oracle is a crash.
+// encoding) through the adaptive RowSet, checking every step against a
+// map oracle. Any fuzz input that breaks the sparse sorted-unique
+// invariant or diverges from the oracle is a crash.
 func FuzzRowSetOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 10})
@@ -24,15 +19,6 @@ func FuzzRowSetOps(f *testing.F) {
 	// Word-boundary adds and a subtract.
 	f.Add([]byte{0, 0, 63, 0, 0, 64, 0, 0, 65, 4, 0, 2, 0, 64, 7, 0, 63})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if denseOnly {
-			t.Fatal("denseOnly left on by a previous run")
-		}
-		adaptive := applyOps(t, data)
-		prev := SetDenseOnly(true)
-		defer SetDenseOnly(prev)
-		dense := applyOps(t, data)
-		if !reflect.DeepEqual(adaptive, dense) {
-			t.Fatalf("adaptive %v != dense-only %v", adaptive, dense)
-		}
+		applyOps(t, data, map[string]bool{})
 	})
 }

@@ -14,10 +14,11 @@ import (
 // segment that does not survive power loss.
 //
 // The check is intraprocedural: a function that creates or opens a
-// writable file (os.Create / os.OpenFile / an FS Create) and later
-// renames (os.Rename or an FS Rename) must have a Sync call between
-// the two. Functions that only rename (pure moves, FS forwarders) are
-// not flagged — the write happened elsewhere, and so must the sync.
+// writable file (os.Create / os.CreateTemp / os.OpenFile / an FS
+// Create) and later renames (os.Rename or an FS Rename) must have a
+// Sync call between the two. Functions that only rename (pure moves,
+// FS forwarders) are not flagged — the write happened elsewhere, and
+// so must the sync.
 func analyzerSyncRename() *Analyzer {
 	return &Analyzer{
 		Name: "syncrename",
@@ -44,7 +45,7 @@ func runSyncRename(prog *Program, pkg *Package, report func(ast.Node, string)) {
 				return true
 			}
 			switch {
-			case pkg.calleePkgFunc(call, "os", "Create") || pkg.calleePkgFunc(call, "os", "OpenFile"):
+			case pkg.calleePkgFunc(call, "os", "Create") || pkg.calleePkgFunc(call, "os", "CreateTemp") || pkg.calleePkgFunc(call, "os", "OpenFile"):
 				creates = append(creates, call.Pos())
 			case pkg.calleePkgFunc(call, "os", "Rename"):
 				renames = append(renames, renameCall{call, call.Pos()})

@@ -28,6 +28,24 @@ func openFileRenameNoSync(path string) error {
 	return os.Rename(path+".tmp", path) // want "without a preceding Sync"
 }
 
+// os.CreateTemp hands back a writable file just like os.Create: the
+// temp-file-then-rename idiom owes the same fsync.
+func createTempRenameNoSync(dir, path string) error {
+	f, err := os.CreateTemp(dir, ".tmp-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(f.Name())
+	if _, err := f.Write([]byte("payload")); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path) // want "without a preceding Sync"
+}
+
 func syncAfterRenameIsTooLate(path string) error {
 	f, err := os.Create(path + ".tmp")
 	if err != nil {

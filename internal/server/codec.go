@@ -92,10 +92,17 @@ func opToString(op engine.Op) string {
 	return op.String()
 }
 
+// integralInt64 reports whether x is a whole number that int64(x)
+// represents exactly. Beyond ±2^63 the conversion is undefined (it
+// yields math.MinInt64 on amd64), so such values must never reach it.
+func integralInt64(x float64) bool {
+	return x == math.Trunc(x) && math.Abs(x) < 1<<63
+}
+
 // valueFromJSON converts a decoded JSON scalar to a relation value.
 // Integral numbers become integers (JSON has no int/float distinction;
 // the engine compares numerics cross-kind, so this is lossless for the
-// query class).
+// query class); numbers too large for an int64 stay floats.
 func valueFromJSON(v any) (relation.Value, error) {
 	switch x := v.(type) {
 	case nil:
@@ -103,7 +110,7 @@ func valueFromJSON(v any) (relation.Value, error) {
 	case string:
 		return relation.StringVal(x), nil
 	case float64:
-		if x == math.Trunc(x) && !math.IsInf(x, 0) {
+		if integralInt64(x) {
 			return relation.IntVal(int64(x)), nil
 		}
 		return relation.FloatVal(x), nil
@@ -130,7 +137,7 @@ func valueToJSON(v relation.Value) any {
 
 // valueForColumn converts a JSON scalar to a value of the column's
 // declared type, the strict conversion the write path needs (an Int
-// column rejects 3.5, a Float column stores 1980 as 1980.0).
+// column rejects 3.5 and 1e300, a Float column stores 1980 as 1980.0).
 func valueForColumn(col *relation.Column, v any) (relation.Value, error) {
 	if v == nil {
 		return relation.Null, nil
@@ -138,7 +145,7 @@ func valueForColumn(col *relation.Column, v any) (relation.Value, error) {
 	switch col.Type {
 	case relation.Int:
 		x, ok := v.(float64)
-		if !ok || x != math.Trunc(x) || math.IsInf(x, 0) {
+		if !ok || !integralInt64(x) {
 			return relation.Value{}, fmt.Errorf("column %q wants an integer, got %v", col.Name, v)
 		}
 		return relation.IntVal(int64(x)), nil

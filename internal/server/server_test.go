@@ -287,6 +287,58 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeJSONNumbers pins the int64 boundary of the JSON codec:
+// a whole number at or beyond ±2^63 must never reach int64(x), which
+// would store or compare math.MinInt64. The write path rejects it; the
+// query path keeps it a float so the comparison means what it says.
+func TestOutOfRangeJSONNumbers(t *testing.T) {
+	sys := newTestSystem(t)
+	ts := httptest.NewServer(New(sys, Config{}))
+	defer ts.Close()
+	c := ts.Client()
+
+	for _, id := range []float64{1e300, 9.3e18, -9.3e18, 1 << 63} {
+		if v, err := valueFromJSON(id); err != nil || v.IsInt() || v.Float() != id {
+			t.Errorf("valueFromJSON(%g) = %v, %v; want the float unchanged", id, v, err)
+		}
+		var errResp ErrorResponse
+		code := postJSON(t, c, ts.URL+"/v1/insert", InsertRequest{
+			Rel: "academics", Values: []any{id, "Out Of Range"}}, &errResp)
+		if code != http.StatusBadRequest || errResp.Code != "bad_insert" {
+			t.Errorf("insert id=%g: status %d code %q, want 400 bad_insert", id, code, errResp.Code)
+		}
+	}
+	if v, err := valueFromJSON(float64(1980)); err != nil || !v.IsInt() || v.Int() != 1980 {
+		t.Errorf("valueFromJSON(1980) = %v, %v; want the integer", v, err)
+	}
+	if n := sys.ExecutableDB().Relation("academics").NumRows(); n != 6 {
+		t.Fatalf("rejected inserts left %d academics rows, want 6", n)
+	}
+
+	plans := []struct {
+		op    string
+		value float64
+		want  int
+	}{
+		{"<=", 1e300, 6},
+		{"<=", 9.3e18, 6},
+		{">=", 9.3e18, 0},
+		{">=", -9.3e18, 6},
+		{"<=", 102, 3},
+	}
+	for _, p := range plans {
+		var exec ExecuteResponse
+		code := postJSON(t, c, ts.URL+"/v1/execute", ExecuteRequest{Query: QueryJSON{
+			From:   []string{"academics"},
+			Preds:  []PredJSON{{Rel: "academics", Col: "id", Op: p.op, Value: p.value}},
+			Select: []ColRefJSON{{Rel: "academics", Col: "name"}},
+		}}, &exec)
+		if code != http.StatusOK || exec.NumRows != p.want {
+			t.Errorf("execute id %s %g: status %d, %d rows, want %d", p.op, p.value, code, exec.NumRows, p.want)
+		}
+	}
+}
+
 func TestAdmissionQueue(t *testing.T) {
 	a := newAdmission(1, 1)
 	if err := a.acquire(context.Background()); err != nil {

@@ -39,8 +39,8 @@
 //     discards only the entries of the properties whose statistics it
 //     shifted, so sustained ingest into one relation leaves the rest of
 //     the cache warm.
-//   - Filter row sets intersect as sorted posting-list merges, seeded
-//     by the most selective filter.
+//   - Filter row sets intersect as adaptive sparse/dense row sets,
+//     seeded by the most selective filter.
 //   - DiscoverBatch fans independent example sets across a bounded
 //     worker pool over the shared αDB. Writes (InsertEntity,
 //     InsertFact, InsertBatch) are safe to run concurrently with
@@ -52,10 +52,11 @@
 //     relations proceed in parallel (per-relation write locks); no
 //     external coordination is required anywhere.
 //
-// Benchmarks: `go test -bench=.` runs the experiment harness at reduced
-// scale; `go run ./cmd/squid-bench -exp all` regenerates the paper's
-// tables, and `-json` emits machine-readable per-phase timings for
-// tracking across commits.
+// Benchmarks: `go run ./benchmark -workload <name>` is the benchmark of
+// record (BENCHMARK.json is its contract, benchmark/README.md its
+// manual). `go run ./cmd/squid-bench -exp all` regenerates the paper's
+// tables, and `go test -bench=.` runs the same experiments at reduced
+// scale.
 //
 // A minimal session:
 //

@@ -176,15 +176,15 @@ func TestFilterStatsPinnedAcrossInsert(t *testing.T) {
 	if f == nil {
 		t.Fatal("interest filter not among candidates")
 	}
-	before := len(f.EntityRows())
+	before := len(f.RowSet().ToSorted())
 	psiBefore := f.Selectivity()
 
 	// Thomas Cormen (id 100, row 0) picks up the interest.
 	if err := sys.InsertFact("research", IntVal(100), StringVal("data management")); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.EntityRows(); len(got) != before {
-		t.Errorf("pinned filter's EntityRows moved to %d, want the epoch's %d", len(got), before)
+	if got := f.RowSet().ToSorted(); len(got) != before {
+		t.Errorf("pinned filter's RowSet moved to %d rows, want the epoch's %d", len(got), before)
 	}
 	if f.Selectivity() != psiBefore {
 		t.Errorf("pinned filter's selectivity moved to %v from %v", f.Selectivity(), psiBefore)
@@ -199,8 +199,8 @@ func TestFilterStatsPinnedAcrossInsert(t *testing.T) {
 	if f2 == nil {
 		t.Fatal("interest filter missing from fresh discovery")
 	}
-	if got := f2.EntityRows(); len(got) != before+1 {
-		t.Errorf("fresh filter's EntityRows = %d want %d", len(got), before+1)
+	if got := f2.RowSet().ToSorted(); len(got) != before+1 {
+		t.Errorf("fresh filter's RowSet = %d rows want %d", len(got), before+1)
 	}
 	if f2.Selectivity() <= psiBefore {
 		t.Errorf("fresh filter's selectivity %v did not grow from %v", f2.Selectivity(), psiBefore)
