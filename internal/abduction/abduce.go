@@ -68,21 +68,14 @@ func (r *Result) OutputValues() []string {
 	return out
 }
 
-// AbduceForEntity runs the full online pipeline for examples already
-// resolved to rows of one entity relation: context discovery, Algorithm 1,
-// and output computation. Params.Workers bounds its parallelism.
-func AbduceForEntity(info *adb.EntityInfo, base BaseQuery, exampleRows []int, params Params) *Result {
-	//lint:ignore ctxpoll non-cancellable convenience wrapper over abduceForEntityCtx
-	res, _ := abduceForEntityCtx(context.Background(), newWorkPool(params.Workers), info, base, exampleRows, params, trace.Span{})
-	return res
-}
-
-// abduceForEntityCtx is AbduceForEntity with cooperative cancellation
-// and a shared worker pool: ctx is consulted between candidate-filter
+// abduceForEntityCtx runs the full online pipeline for examples already
+// resolved to rows of one entity relation: context discovery, Algorithm
+// 1, and output computation. ctx is consulted between candidate-filter
 // evaluations and before the output-row intersection, so a canceled
 // context aborts a long abduction mid-flight instead of after the fact;
-// the pool fans the per-property context walks and the selectivity
-// prefetch out without oversubscribing the discovery-wide budget.
+// the pool (bounded by Params.Workers) fans the per-property context
+// walks and the selectivity prefetch out without oversubscribing the
+// discovery-wide budget.
 //
 // sp is the candidate's trace span (or the zero Span): each pipeline
 // phase — context discovery, selectivity prefetch, Algorithm 1, row-set

@@ -50,7 +50,7 @@ type Filter struct {
 	// each filter from at most one goroutine per phase, with a
 	// WaitGroup barrier before the next phase reads the memos, so they
 	// need no locking. Cross-discovery reuse happens one layer down in
-	// the αDB's selectivity cache.
+	// the properties' own row-set memos.
 	selVal float64
 	selOK  bool
 	rowSet *index.RowSet
@@ -156,14 +156,14 @@ func (f *Filter) rowSetT(sp trace.Span) *index.RowSet {
 	}
 	switch f.Kind {
 	case BasicCategorical:
-		f.rowSet = f.Basic.EntityRowSetWithAnyValueT(f.Values, sp)
+		f.rowSet = f.Basic.EntityRowSetWithAnyValue(f.Values, sp)
 	case BasicNumeric:
-		f.rowSet = f.Basic.EntityRowSetInRangeT(f.Lo, f.Hi, sp)
+		f.rowSet = f.Basic.EntityRowSetInRange(f.Lo, f.Hi, sp)
 	default:
 		if f.NormUse {
-			f.rowSet = f.Derivd.EntityRowSetWithNormStrengthT(f.Value(), f.ThetaN, f.degree, sp)
+			f.rowSet = f.Derivd.EntityRowSetWithNormStrength(f.Value(), f.ThetaN, f.degree, sp)
 		} else {
-			f.rowSet = f.Derivd.EntityRowSetWithStrengthT(f.Value(), f.Theta, sp)
+			f.rowSet = f.Derivd.EntityRowSetWithStrength(f.Value(), f.Theta, sp)
 		}
 	}
 	f.setOK = true

@@ -144,20 +144,14 @@ func alphaImpact(f *Filter, params Params) float64 {
 	return 1
 }
 
-// Abduce runs Algorithm 1: for each minimal valid filter decide
+// abduceCtx runs Algorithm 1: for each minimal valid filter decide
 // independently whether including it increases the query posterior
 // (Equation 5), returning the decisions and the selected filter set.
-// Ties drop the filter (Occam's razor, Appendix C).
-func Abduce(contexts []Context, params Params) ([]FilterDecision, []*Filter) {
-	//lint:ignore ctxpoll non-cancellable convenience wrapper over abduceCtx
-	decisions, selected, _ := abduceCtx(context.Background(), nil, contexts, params, trace.Span{})
-	return decisions, selected
-}
-
-// abduceCtx is Abduce with a cancellation check between candidate
-// evaluations: each iteration computes the filter's selectivity (the
-// expensive step of Algorithm 1), so consulting ctx here is what makes a
-// single long discovery abort promptly instead of only between requests.
+// Ties drop the filter (Occam's razor, Appendix C). ctx is checked
+// between candidate evaluations: each iteration computes the filter's
+// selectivity (the expensive step of Algorithm 1), so consulting ctx
+// here is what makes a single long discovery abort promptly instead of
+// only between requests.
 //
 // The selectivities are prefetched over the worker pool first — each
 // filter is touched by exactly one unit, and the pool's barrier

@@ -1,8 +1,11 @@
 package abduction
 
 import (
+	"context"
 	"math"
 	"testing"
+
+	"squid/internal/trace"
 )
 
 func TestSkewness(t *testing.T) {
@@ -172,7 +175,10 @@ func TestExample21Abduction(t *testing.T) {
 	// not yet included; with four examples exclude=0.9·0.0625≈0.056 →
 	// included. This mirrors the paper's "more examples → more
 	// confidence" behavior.
-	_, selected := Abduce(contexts, DefaultParams())
+	_, selected, err := abduceCtx(context.Background(), nil, contexts, DefaultParams(), trace.Span{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if containsFilter(selected, dm.Filter) {
 		t.Error("2 examples should not yet overcome ρ=0.1")
 	}
@@ -181,7 +187,10 @@ func TestExample21Abduction(t *testing.T) {
 	// use a slightly higher prior to include.
 	params := DefaultParams()
 	params.Rho = 0.2
-	_, selected4 := Abduce(contexts4, params)
+	_, selected4, err := abduceCtx(context.Background(), nil, contexts4, params, trace.Span{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	found := false
 	for _, f := range selected4 {
 		if f.Attr() == "interest" && f.Value() == "data management" {
@@ -208,7 +217,10 @@ func TestAbduceDecisionRule(t *testing.T) {
 	a := fig6DB(t)
 	info := a.Entity("person")
 	contexts := DiscoverContexts(info, []int{0, 1, 2}, DefaultParams()) // all males
-	decisions, _ := Abduce(contexts, DefaultParams())
+	decisions, _, err := abduceCtx(context.Background(), nil, contexts, DefaultParams(), trace.Span{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, d := range decisions {
 		if d.Filter.Attr() != "gender" {
 			continue
@@ -243,7 +255,10 @@ func TestTieDropsFilter(t *testing.T) {
 	// Solve ρ = (1−ρ)·ψ^|E| for ψ=0.5, |E|=3: ρ = 0.125/1.125 = 1/9.
 	params := DefaultParams()
 	params.Rho = 1.0 / 9.0
-	decisions, selected := Abduce([]Context{*g}, params)
+	decisions, selected, err := abduceCtx(context.Background(), nil, []Context{*g}, params, trace.Span{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(decisions[0].Include-decisions[0].Exclude) > 1e-12 {
 		t.Fatalf("expected tie: include=%v exclude=%v", decisions[0].Include, decisions[0].Exclude)
 	}

@@ -1,10 +1,13 @@
 package abduction
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"squid/internal/trace"
 )
 
 // TestAbduceDecisionArithmetic property-checks the Equation 5 decision
@@ -27,7 +30,10 @@ func TestAbduceDecisionArithmetic(t *testing.T) {
 			Filter:      &Filter{Kind: BasicCategorical, Basic: gender, Values: []string{"Male"}},
 			NumExamples: numExamples,
 		}
-		decisions, selected := Abduce([]Context{ctx}, params)
+		decisions, selected, err := abduceCtx(context.Background(), nil, []Context{ctx}, params, trace.Span{})
+		if err != nil {
+			return false
+		}
 		d := decisions[0]
 		wantInclude := params.Rho // δ=α=λ=1 for this filter
 		wantExclude := (1 - params.Rho) * math.Pow(0.5, float64(numExamples))
@@ -149,8 +155,14 @@ func TestExampleOrderInvariance(t *testing.T) {
 	info := a.Entity("person")
 	rows := []int{1, 4, 9, 13}
 	perm := []int{13, 1, 9, 4}
-	r1 := AbduceForEntity(info, BaseQuery{"person", "name"}, rows, DefaultParams())
-	r2 := AbduceForEntity(info, BaseQuery{"person", "name"}, perm, DefaultParams())
+	r1, err := abduceForEntityCtx(context.Background(), newWorkPool(DefaultParams().Workers), info, BaseQuery{"person", "name"}, rows, DefaultParams(), trace.Span{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := abduceForEntityCtx(context.Background(), newWorkPool(DefaultParams().Workers), info, BaseQuery{"person", "name"}, perm, DefaultParams(), trace.Span{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r1.Filters) != len(r2.Filters) {
 		t.Fatalf("filter count depends on example order: %d vs %d", len(r1.Filters), len(r2.Filters))
 	}

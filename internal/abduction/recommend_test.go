@@ -1,14 +1,20 @@
 package abduction
 
 import (
+	"context"
 	"testing"
+
+	"squid/internal/trace"
 )
 
 func TestRecommendExamples(t *testing.T) {
 	a := actorsDB(t, 200, 60, 23)
 	info := a.Entity("person")
 	examples := []int{0, 3, 7}
-	res := AbduceForEntity(info, BaseQuery{"person", "name"}, examples, DefaultParams())
+	res, err := abduceForEntityCtx(context.Background(), newWorkPool(DefaultParams().Workers), info, BaseQuery{"person", "name"}, examples, DefaultParams(), trace.Span{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	recs := RecommendExamples(res, 5)
 	if len(recs) == 0 {
 		t.Fatal("no recommendations")
@@ -43,7 +49,10 @@ func TestRecommendExamplesDegenerate(t *testing.T) {
 	}
 	a := actorsDB(t, 100, 40, 29)
 	info := a.Entity("person")
-	res := AbduceForEntity(info, BaseQuery{"person", "name"}, []int{0, 1}, DefaultParams())
+	res, err := abduceForEntityCtx(context.Background(), newWorkPool(DefaultParams().Workers), info, BaseQuery{"person", "name"}, []int{0, 1}, DefaultParams(), trace.Span{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := RecommendExamples(res, 0); got != nil {
 		t.Error("k=0 must recommend nothing")
 	}
@@ -76,7 +85,10 @@ func TestRecommendationPrunesCandidates(t *testing.T) {
 	a := actorsDB(t, 200, 60, 31)
 	info := a.Entity("person")
 	examples := []int{0, 3}
-	res := AbduceForEntity(info, BaseQuery{"person", "name"}, examples, DefaultParams())
+	res, err := abduceForEntityCtx(context.Background(), newWorkPool(DefaultParams().Workers), info, BaseQuery{"person", "name"}, examples, DefaultParams(), trace.Span{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	before := len(res.Decisions)
 	recs := RecommendExamples(res, 1)
 	if len(recs) == 0 {
@@ -94,7 +106,10 @@ func TestRecommendationPrunesCandidates(t *testing.T) {
 	if recRow < 0 {
 		t.Fatal("recommended value not resolvable")
 	}
-	res2 := AbduceForEntity(info, BaseQuery{"person", "name"}, append(examples, recRow), DefaultParams())
+	res2, err := abduceForEntityCtx(context.Background(), newWorkPool(DefaultParams().Workers), info, BaseQuery{"person", "name"}, append(examples, recRow), DefaultParams(), trace.Span{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res2.Decisions) > before {
 		t.Errorf("confirming a diversity example grew the candidate set: %d -> %d", before, len(res2.Decisions))
 	}

@@ -1,10 +1,13 @@
 package abduction
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"squid/internal/adb"
+
+	"squid/internal/trace"
 )
 
 // TestTheorem1OptimalityBruteForce verifies Theorem 1: the filter subset
@@ -37,7 +40,10 @@ func TestTheorem1OptimalityBruteForce(t *testing.T) {
 		if len(contexts) > 14 {
 			contexts = contexts[:14]
 		}
-		decisions, selected := Abduce(contexts, params)
+		decisions, selected, err := abduceCtx(context.Background(), nil, contexts, params, trace.Span{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		chosen := make(map[*Filter]bool, len(selected))
 		for _, f := range selected {
 			chosen[f] = true
@@ -76,7 +82,10 @@ func TestAbduceExample13(t *testing.T) {
 	info := a.Entity("person")
 	// First 20 persons are comedians; sample 5 of them.
 	examples := []int{0, 3, 7, 11, 15}
-	res := AbduceForEntity(info, BaseQuery{"person", "name"}, examples, DefaultParams())
+	res, err := abduceForEntityCtx(context.Background(), newWorkPool(DefaultParams().Workers), info, BaseQuery{"person", "name"}, examples, DefaultParams(), trace.Span{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var comedyFilter *Filter
 	for _, f := range res.Filters {
@@ -187,8 +196,14 @@ func TestQREParamsKeepMoreFilters(t *testing.T) {
 	a := actorsDB(t, 150, 60, 17)
 	info := a.Entity("person")
 	examples := []int{0, 1, 2, 4, 5}
-	def := AbduceForEntity(info, BaseQuery{"person", "name"}, examples, DefaultParams())
-	qre := AbduceForEntity(info, BaseQuery{"person", "name"}, examples, QREParams())
+	def, err := abduceForEntityCtx(context.Background(), newWorkPool(DefaultParams().Workers), info, BaseQuery{"person", "name"}, examples, DefaultParams(), trace.Span{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qre, err := abduceForEntityCtx(context.Background(), newWorkPool(QREParams().Workers), info, BaseQuery{"person", "name"}, examples, QREParams(), trace.Span{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(qre.Filters) < len(def.Filters) {
 		t.Errorf("QRE params must keep at least as many filters: %d < %d", len(qre.Filters), len(def.Filters))
 	}
@@ -207,7 +222,10 @@ func TestMoreExamplesNeverAddCoincidentalFilters(t *testing.T) {
 		truth[i] = true
 	}
 	precisionAt := func(examples []int) float64 {
-		res := AbduceForEntity(info, BaseQuery{"person", "name"}, examples, DefaultParams())
+		res, err := abduceForEntityCtx(context.Background(), newWorkPool(DefaultParams().Workers), info, BaseQuery{"person", "name"}, examples, DefaultParams(), trace.Span{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(res.OutputRows) == 0 {
 			return 0
 		}

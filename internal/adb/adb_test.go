@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"squid/internal/relation"
+	"squid/internal/trace"
 )
 
 // fixtureDB builds the paper's running IMDb-style example (Figs 2, 5, 6):
@@ -245,7 +246,7 @@ func TestDerivedPersonToGenre(t *testing.T) {
 	if got := ptg.MaxStrength("Comedy"); got != 3 {
 		t.Errorf("MaxStrength=%d", got)
 	}
-	rows := ptg.EntityRowSetWithStrength("Comedy", 2).ToSorted()
+	rows := ptg.EntityRowSetWithStrength("Comedy", 2, trace.Span{}).ToSorted()
 	if len(rows) != 1 || rows[0] != 0 {
 		t.Errorf("rows(Comedy,≥2)=%v", rows)
 	}

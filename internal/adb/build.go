@@ -63,7 +63,6 @@ type EntityInfo struct {
 
 	rel     *relation.Relation
 	pkIndex *index.IntHash
-	rowIDs  []int64 // row -> entity id
 
 	// Name→property maps built once at construction, replacing the
 	// linear scans the hot paths (normalization-degree lookup, tests)
@@ -75,8 +74,8 @@ type EntityInfo struct {
 // RowByID resolves an entity id to its row in the entity relation.
 func (e *EntityInfo) RowByID(id int64) (int, bool) { return e.pkIndex.First(id) }
 
-// IDByRow resolves a row to the entity id.
-func (e *EntityInfo) IDByRow(row int) int64 { return e.rowIDs[row] }
+// IDByRow resolves a row to the entity id (the primary-key cell).
+func (e *EntityInfo) IDByRow(row int) int64 { return e.rel.Column(e.PK).Int64(row) }
 
 // Rel returns the underlying entity relation.
 func (e *EntityInfo) Rel() *relation.Relation { return e.rel }
@@ -177,7 +176,7 @@ func buildEpoch(db *relation.Database, cfg Config) (*Epoch, error) {
 		Indexes:   index.NewIndexSet(),
 		DerivedDB: relation.NewDatabase(db.Name + "_alpha"),
 		cfg:       cfg,
-		selCache:  NewSelCache(),
+		selCache:  &SelCache{},
 	}
 
 	entities := db.EntityRelations()
@@ -195,11 +194,12 @@ func buildEpoch(db *relation.Database, cfg Config) (*Epoch, error) {
 	}()
 	defer func() { <-invDone }()
 
-	// Phase 1: scaffold every entity (PK index warming, row-id table).
+	// Phase 1: scaffold every entity (PK index warming).
 	builds := make([]*entityBuild, len(entities))
 	errs := make([]error, len(entities))
 	index.RunBounded(len(entities), workers, func(i int) {
-		builds[i], errs[i] = a.scaffoldEntity(entities[i])
+		info, err := a.scaffoldEntity(entities[i])
+		builds[i], errs[i] = &entityBuild{info: info}, err
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -250,25 +250,7 @@ func buildEpoch(db *relation.Database, cfg Config) (*Epoch, error) {
 // (all movie genres, IQ7 of the paper), the abduced query is the plain
 // projection over that relation with no filters.
 func (a *Epoch) EphemeralEntity(name string) *EntityInfo {
-	rel := a.DB.Relation(name)
-	if rel == nil || rel.PrimaryKey == "" {
-		return nil
-	}
-	pkCol := rel.Column(rel.PrimaryKey)
-	if pkCol.Type != relation.Int {
-		return nil
-	}
-	info := &EntityInfo{
-		Relation: name,
-		PK:       rel.PrimaryKey,
-		NumRows:  rel.NumRows(),
-		rel:      rel,
-		pkIndex:  a.Indexes.IntHash(rel, rel.PrimaryKey),
-	}
-	info.rowIDs = make([]int64, rel.NumRows())
-	for i := range info.rowIDs {
-		info.rowIDs[i] = pkCol.Int64(i)
-	}
+	info, _ := a.scaffoldEntity(name) // the error only says why name cannot serve; the caller tries the next match
 	return info
 }
 
@@ -291,30 +273,28 @@ func (a *Epoch) CombinedDB() *relation.Database {
 	return a.combined
 }
 
-// scaffoldEntity validates one entity relation and builds its lookup
-// scaffolding (primary-key index, row→id table); safe to run in
-// parallel across entities (the shared IndexSet serializes builds).
-func (a *Epoch) scaffoldEntity(name string) (*entityBuild, error) {
+// scaffoldEntity validates that a relation can serve as an entity (an
+// integer primary key) and builds its property-less lookup scaffold;
+// safe to run in parallel across entities (the shared IndexSet
+// serializes builds).
+func (a *Epoch) scaffoldEntity(name string) (*EntityInfo, error) {
 	rel := a.DB.Relation(name)
+	if rel == nil {
+		return nil, fmt.Errorf("adb: no relation %q", name)
+	}
 	if rel.PrimaryKey == "" {
 		return nil, fmt.Errorf("adb: entity relation %q has no primary key", name)
 	}
-	pkCol := rel.Column(rel.PrimaryKey)
-	if pkCol.Type != relation.Int {
+	if rel.Column(rel.PrimaryKey).Type != relation.Int {
 		return nil, fmt.Errorf("adb: entity relation %q primary key must be INTEGER", name)
 	}
-	info := &EntityInfo{
+	return &EntityInfo{
 		Relation: name,
 		PK:       rel.PrimaryKey,
 		NumRows:  rel.NumRows(),
 		rel:      rel,
 		pkIndex:  a.Indexes.IntHash(rel, rel.PrimaryKey),
-	}
-	info.rowIDs = make([]int64, rel.NumRows())
-	for i := range info.rowIDs {
-		info.rowIDs[i] = pkCol.Int64(i)
-	}
-	return &entityBuild{info: info}, nil
+	}, nil
 }
 
 // planEntity enumerates the property-discovery tasks of one entity in
@@ -483,20 +463,18 @@ func (a *Epoch) finishCategorical(p *BasicProperty) *BasicProperty {
 	if !a.keepCategorical(p.numValues, p.numEntities) {
 		return nil
 	}
-	p.cache = a.selCache
+	p.memo = newRowSetMemo(a.selCache)
 	return p
 }
 
-// buildCatStats fills catCounts/catRows from valsByRow, counting each
-// (entity, code) pair once.
+// buildCatStats fills catRows from valsByRow, listing each (entity,
+// code) pair once.
 func (p *BasicProperty) buildCatStats() {
-	p.catCounts = make([]int, p.dict.Len())
 	p.catRows = make([][]int, p.dict.Len())
 	add := func(c int32, row int) {
-		if p.catCounts[c] == 0 {
+		if len(p.catRows[c]) == 0 {
 			p.numValues++
 		}
-		p.catCounts[c]++
 		p.catRows[c] = append(p.catRows[c], row)
 	}
 	for row, codes := range p.valsByRow {
@@ -566,9 +544,8 @@ func (a *Epoch) buildDirectProperty(info *EntityInfo, col *relation.Column) *Bas
 	if len(vals) == 0 {
 		return nil
 	}
-	p.sorted = index.BuildSortedFromValues(vals)
 	p.numIdx = index.BuildNumericRows(vals, rows)
-	p.cache = a.selCache
+	p.memo = newRowSetMemo(a.selCache)
 	return p
 }
 

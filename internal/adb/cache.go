@@ -8,12 +8,10 @@ import (
 	"squid/internal/trace"
 )
 
-// SelKey identifies one selectivity / satisfying-row-set question about
-// a property: the property identity plus the filter operands. Keys are
-// comparable structs so cache lookups allocate nothing.
+// SelKey identifies one satisfying-row-set question about the property
+// whose memo holds it: the filter operands. Keys are comparable structs
+// so memo lookups allocate nothing.
 type SelKey struct {
-	// Prop is the *BasicProperty or *DerivedProperty identity.
-	Prop any
 	// Value is the categorical value ("" for numeric ranges); for
 	// disjunctions it is the canonical sorted, length-prefixed join of
 	// the value set (see disjunctionKey).
@@ -27,262 +25,161 @@ type SelKey struct {
 	Theta int
 }
 
-// SelCache memoizes satisfying-entity row sets across discoveries
-// (§5's "smart selectivity computation" made persistent): the row sets
-// back every selectivity question that is not already a precomputed
+// rowSetMemo is one property's memo of satisfying-entity row sets
+// (§5's "smart selectivity computation" made persistent): the sets back
+// every selectivity question that is not already a precomputed
 // O(1)/O(log n) statistic (disjunctions, numeric ranges, normalized
-// derived thresholds), so concurrent batches of similar intents cost
-// one map read instead of a posting walk per repeated filter. Row sets
-// are stored as adaptive index.RowSets — sorted-array form for the
-// highly-selective sets abduction favors (a few bytes per member even
-// over million-row universes), bitset form for the dense ones, with
-// form-aware intersection downstream. Cached sets are shared —
-// callers must treat them as immutable, exactly like the αDB posting
-// lists they memoize, and Clone before mutating.
+// derived thresholds), so repeated filters cost one map read instead of
+// a posting walk. Sets are stored as adaptive index.RowSets and are
+// shared — callers must treat them as immutable, exactly like the αDB
+// posting lists they memoize, and Clone before mutating.
 //
-// One cache is shared by every epoch of an αDB, and keys carry the
-// property identity — which under copy-on-write epochs IS the epoch
-// pin: an insert that shifts a property's statistics produces a fresh
-// clone with a fresh pointer, so the new epoch's lookups can never hit
-// an entry computed against the retired statistics, and a discovery
-// still pinning the retired epoch keeps hitting exactly the entries
-// that match what it sees. Properties untouched by an insert keep
-// their identity across epochs and their entries stay warm — the
-// sustained-ingest workload never pays a stop-the-world wipe. Because
-// a property's statistics are immutable for the lifetime of its
-// pointer, there is no store/invalidate race to guard against: every
-// computed result is valid forever for its key.
-//
-// The cache tracks which property identities are live (registered at
-// build/load, swapped at every epoch publish): Rows only stores under
-// a live identity. A reader still pinned to a retired epoch keeps
-// getting correct computed answers for its retired properties — they
-// just aren't memoized anymore — so retired identities can never
-// re-enter the cache after their eviction sweep and linger
-// unreclaimed, while stores for live (untouched) properties are never
-// dropped, no matter how fast writers publish. The live set's size is
-// bounded by the current property count.
-type SelCache struct {
-	mu   sync.RWMutex
-	rows map[SelKey]*index.RowSet
-	// keys indexes the cached entries by property, so InvalidateProps
-	// deletes exactly one property's entries instead of sweeping the
-	// whole map. A key may appear more than once after re-stores; the
-	// deletes are idempotent.
-	keys map[any][]SelKey
-	// live holds the property identities of the current epoch; only
-	// they may store. Maintained by Register (build/load) and
-	// ReplaceProps (epoch publish).
-	live map[any]struct{}
-	// gen counts invalidation events cache-wide (monitoring surface;
-	// tests assert it moves when an epoch retires properties).
-	gen uint64
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
+// The property owns its memo, and that is the whole epoch protocol: a
+// property's statistics are immutable for the lifetime of its pointer,
+// so every memoized set is valid forever for the property it hangs
+// off. An insert that shifts a property's statistics clones the
+// property (cloneForWrite) and the clone starts with an empty memo, so
+// a newer epoch can never be served a retired answer; a discovery still
+// pinning the retired epoch keeps hitting the retired property's memo,
+// which matches exactly what it sees; and when the last such reader
+// lets go, the property and its memo are collected together. Properties
+// an insert does not touch keep their identity — and their warm memo —
+// across the publish.
+type rowSetMemo struct {
+	cache *SelCache // αDB-wide hit/miss totals
+	mu    sync.RWMutex
+	sets  map[SelKey]*index.RowSet
 }
 
-// NewSelCache creates an empty cache.
-func NewSelCache() *SelCache {
-	return &SelCache{
-		rows: make(map[SelKey]*index.RowSet),
-		keys: make(map[any][]SelKey),
-		live: make(map[any]struct{}),
-	}
+func newRowSetMemo(c *SelCache) *rowSetMemo {
+	return &rowSetMemo{cache: c, sets: make(map[SelKey]*index.RowSet)}
 }
 
-// Register marks property identities as live (storable); called once
-// per property at αDB build/load, and by ReplaceProps for clones.
-func (c *SelCache) Register(props ...any) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	for _, p := range props {
-		c.live[p] = struct{}{}
-	}
-	c.mu.Unlock()
-}
-
-// RowSet returns the memoized satisfying-row bitset for key, computing
-// and storing it on a miss. The returned set is shared: do not mutate
-// (Clone first).
-func (c *SelCache) RowSet(key SelKey, compute func() *index.RowSet) *index.RowSet {
-	return c.RowSetT(key, trace.Span{}, compute)
-}
-
-// RowSetT is RowSet with per-request attribution: every cache event —
-// hit, miss, store — bumps the corresponding counter on sp in addition
-// to the cache-wide totals, so a trace can say which phase paid for
-// which cache behavior. The zero Span makes it exactly RowSet.
-func (c *SelCache) RowSetT(key SelKey, sp trace.Span, compute func() *index.RowSet) *index.RowSet {
-	if c == nil {
-		return compute()
-	}
-	c.mu.RLock()
-	set, ok := c.rows[key]
-	c.mu.RUnlock()
+// rowSet returns the memoized set for key, computing and storing it on
+// a miss. Every memo event — hit, miss, store — bumps the matching
+// counter on sp in addition to the αDB-wide totals, so a trace can say
+// which phase paid for which cache behavior (the zero Span records
+// nothing). The returned set is shared: do not mutate (Clone first).
+func (m *rowSetMemo) rowSet(key SelKey, sp trace.Span, compute func() *index.RowSet) *index.RowSet {
+	m.mu.RLock()
+	set, ok := m.sets[key]
+	m.mu.RUnlock()
 	if ok {
-		c.hits.Add(1)
+		m.cache.hits.Add(1)
 		sp.Add(trace.CounterCacheHits, 1)
 		return set
 	}
-	c.misses.Add(1)
+	m.cache.misses.Add(1)
 	sp.Add(trace.CounterCacheMisses, 1)
 	set = compute()
 	// The stored set is frozen from here on; drop the append-growth
 	// slack it accumulated while being computed.
 	set.Compact()
-	c.mu.Lock()
-	// Store only under a live identity: a retired property (its epoch
-	// already superseded) must not re-enter the cache after its sweep.
-	if _, isLive := c.live[key.Prop]; isLive {
-		c.rows[key] = set
-		c.keys[key.Prop] = append(c.keys[key.Prop], key)
-		sp.Add(trace.CounterCacheStores, 1)
-	}
-	c.mu.Unlock()
+	m.mu.Lock()
+	m.sets[key] = set
+	m.mu.Unlock()
+	sp.Add(trace.CounterCacheStores, 1)
 	return set
 }
 
-// Rows is the sorted-[]int view of RowSet, kept for callers that speak
-// the posting-list format: on a miss, compute's result is converted to
-// a bitset for storage; hits decode the cached bitset and never invoke
-// compute. The returned slice is freshly decoded and owned by the
-// caller.
-func (c *SelCache) Rows(key SelKey, compute func() []int) []int {
-	if c == nil {
-		return compute()
-	}
-	return c.RowSet(key, func() *index.RowSet {
-		return index.RowSetFromSorted(compute())
-	}).ToSorted()
+// SelCache is the αDB-wide view of the per-property row-set memos: the
+// cumulative hit/miss counters every memo reports to, plus inspection
+// and reset over the memos of the current epoch's properties. It holds
+// no entries itself — a retired property's memo is unreachable from
+// here the moment its epoch is replaced, and lives only as long as a
+// reader pins that epoch.
+type SelCache struct {
+	db *AlphaDB
+
+	hits   atomic.Uint64
+	misses atomic.Uint64
 }
 
-// InvalidateProps retires the given property identities: their cached
-// entries are discarded and they lose the right to store new ones.
-func (c *SelCache) InvalidateProps(props ...any) {
-	c.ReplaceProps(props, nil)
-}
-
-// ReplaceProps is the epoch publish hook: the retired identities'
-// entries are evicted and de-registered (they can never store again),
-// and their clones — carrying the shifted statistics under fresh
-// identities — become live in one critical section.
-func (c *SelCache) ReplaceProps(retired, admitted []any) {
-	if c == nil || (len(retired) == 0 && len(admitted) == 0) {
-		return
-	}
-	c.mu.Lock()
-	for _, p := range retired {
-		for _, k := range c.keys[p] {
-			delete(c.rows, k)
+// eachMemo calls fn with the memo of every property of the epoch.
+func (a *Epoch) eachMemo(fn func(*rowSetMemo)) {
+	for _, info := range a.Entities {
+		for _, p := range info.Basic {
+			fn(p.memo)
 		}
-		delete(c.keys, p)
-		delete(c.live, p)
+		for _, p := range info.Derived {
+			fn(p.memo)
+		}
 	}
-	for _, p := range admitted {
-		c.live[p] = struct{}{}
-	}
-	if len(retired) > 0 {
-		c.gen++
-	}
-	c.mu.Unlock()
 }
 
-// Invalidate discards every entry; kept for whole-αDB resets where
-// per-property attribution is unavailable.
+// Invalidate empties the memo of every property of the current epoch
+// (the benchmark's definition of a cold discovery).
 func (c *SelCache) Invalidate() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.rows = make(map[SelKey]*index.RowSet)
-	c.keys = make(map[any][]SelKey)
-	c.gen++
-	c.mu.Unlock()
+	c.db.Snapshot().eachMemo(func(m *rowSetMemo) {
+		m.mu.Lock()
+		clear(m.sets)
+		m.mu.Unlock()
+	})
 }
 
-// Generation returns the cache-wide invalidation event counter (tests
-// assert it moves when inserts retire properties).
-func (c *SelCache) Generation() uint64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.gen
-}
-
-// Len returns the number of live row-set entries.
+// Len returns the number of row sets memoized by the current epoch's
+// properties.
 func (c *SelCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.rows)
+	n := 0
+	c.db.Snapshot().eachMemo(func(m *rowSetMemo) {
+		m.mu.RLock()
+		n += len(m.sets)
+		m.mu.RUnlock()
+	})
+	return n
 }
 
-// RowSetBytes reports the resident heap bytes of every cached row set
-// and what the same sets would occupy as dense-only bitsets — the
-// memory half of the million-row scale track (the adaptive sparse form
-// keeps highly-selective cached sets at a few bytes per member instead
-// of one bit per universe row).
+// Range calls fn for every row set memoized by the current epoch's
+// properties, each under its memo's read lock, stopping when fn returns
+// false — the inspection surface for diagnostics and tests (fn must not
+// mutate the sets it is handed).
+func (c *SelCache) Range(fn func(SelKey, *index.RowSet) bool) {
+	more := true
+	c.db.Snapshot().eachMemo(func(m *rowSetMemo) {
+		if !more {
+			return
+		}
+		m.mu.RLock()
+		defer m.mu.RUnlock()
+		for k, s := range m.sets {
+			if more = fn(k, s); !more {
+				return
+			}
+		}
+	})
+}
+
+// RowSetBytes reports the resident heap bytes of the current epoch's
+// memoized row sets and what the same sets would occupy as dense-only
+// bitsets (the adaptive sparse form keeps highly-selective sets at a
+// few bytes per member instead of one bit per universe row).
 func (c *SelCache) RowSetBytes() (resident, denseEquivalent int64) {
-	if c == nil {
-		return 0, 0
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, s := range c.rows {
+	c.Range(func(_ SelKey, s *index.RowSet) bool {
 		resident += s.ResidentBytes()
 		denseEquivalent += s.DenseEquivalentBytes()
-	}
+		return true
+	})
 	return resident, denseEquivalent
 }
 
-// RowSetForms reports how many cached row sets are live in each
-// physical form — the composition behind the RowSetBytes numbers (a
-// savings ratio near 1.0x with many dense entries means the workload's
-// cached filters genuinely are dense, not that adaptation failed).
+// RowSetForms reports how many memoized row sets are in each physical
+// form — the composition behind the RowSetBytes numbers (a savings
+// ratio near 1.0x with many dense entries means the workload's filters
+// genuinely are dense, not that adaptation failed).
 func (c *SelCache) RowSetForms() (sparse, dense int) {
-	if c == nil {
-		return 0, 0
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, s := range c.rows {
+	c.Range(func(_ SelKey, s *index.RowSet) bool {
 		if s.Form() == "dense" {
 			dense++
 		} else {
 			sparse++
 		}
-	}
+		return true
+	})
 	return sparse, dense
 }
 
-// Range calls fn for every cached entry under the read lock, stopping
-// when fn returns false — the inspection surface for diagnostics and
-// tests (fn must not mutate the sets it is handed).
-func (c *SelCache) Range(fn func(SelKey, *index.RowSet) bool) {
-	if c == nil {
-		return
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for k, s := range c.rows {
-		if !fn(k, s) {
-			return
-		}
-	}
-}
-
-// Metrics reports cumulative hit/miss counts (monitoring surface for
-// the batch API).
+// Metrics reports cumulative hit/miss counts since build or load, over
+// every epoch's memos.
 func (c *SelCache) Metrics() (hits, misses uint64) {
-	if c == nil {
-		return 0, 0
-	}
 	return c.hits.Load(), c.misses.Load()
 }

@@ -4,10 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"squid/internal/relation"
+	"squid/internal/trace"
 )
 
 // randomEntityDB builds an entity relation large enough to exercise both
@@ -68,7 +72,7 @@ func TestEntityRowsCrossCheck(t *testing.T) {
 		if trial%2 == 0 {
 			span = float64(900 + rng.Intn(300))
 		}
-		got := weight.EntityRowSetInRange(lo, lo+span).ToSorted()
+		got := weight.EntityRowSetInRange(lo, lo+span, trace.Span{}).ToSorted()
 		want := naiveRange(lo, lo+span)
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 			t.Fatalf("EntityRowSetInRange(%v,%v): got %d rows, want %d (%v vs %v)",
@@ -103,7 +107,7 @@ func TestEntityRowsCrossCheck(t *testing.T) {
 		return out
 	}
 	for _, vals := range [][]string{{"a"}, {"a", "c"}, {"b", "d", "e"}, {"nope"}} {
-		got := class.EntityRowSetWithAnyValue(vals).ToSorted()
+		got := class.EntityRowSetWithAnyValue(vals, trace.Span{}).ToSorted()
 		want := naiveAny(vals)
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 			t.Fatalf("EntityRowSetWithAnyValue(%v): %v want %v", vals, got, want)
@@ -135,7 +139,7 @@ func TestDerivedStrengthCrossCheck(t *testing.T) {
 						want = append(want, row)
 					}
 				}
-				got := p.EntityRowSetWithStrength(v, theta).ToSorted()
+				got := p.EntityRowSetWithStrength(v, theta, trace.Span{}).ToSorted()
 				if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 					t.Errorf("%s: EntityRowSetWithStrength(%s,%d)=%v want %v", p.Attr, v, theta, got, want)
 				}
@@ -144,11 +148,12 @@ func TestDerivedStrengthCrossCheck(t *testing.T) {
 	}
 }
 
-// TestSelectivityCacheInvalidation checks the copy-on-write cache
-// contract: an insert retires the touched properties' cache entries
-// (the clones carry fresh identities, so the new epoch can never hit a
-// pre-insert answer), while a handle pinned to the retired epoch keeps
-// answering from exactly the pre-insert state.
+// TestSelectivityCacheInvalidation checks the copy-on-write memo
+// contract: an insert republishes the touched properties as clones with
+// empty memos (so the new epoch can never hit a pre-insert answer and
+// Len, which counts the current epoch only, drops), while a handle
+// pinned to the retired epoch keeps answering from exactly the
+// pre-insert state.
 func TestSelectivityCacheInvalidation(t *testing.T) {
 	a, err := Build(fixtureDB(), DefaultConfig())
 	if err != nil {
@@ -158,11 +163,10 @@ func TestSelectivityCacheInvalidation(t *testing.T) {
 	oldAge := oldInfo.BasicByAttr("age")
 	cache := a.SelectivityCache()
 
-	before := oldAge.EntityRowSetInRange(45, 65).ToSorted() // populate the cache
+	before := oldAge.EntityRowSetInRange(45, 65, trace.Span{}).ToSorted() // populate the cache
 	if cache.Len() == 0 {
 		t.Fatal("cache not populated by EntityRowSetInRange")
 	}
-	gen0 := cache.Generation()
 
 	// Insert a 50-year-old: the cached [45,65] row set belongs to the
 	// retired epoch now.
@@ -172,9 +176,6 @@ func TestSelectivityCacheInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.Generation() == gen0 {
-		t.Error("InsertEntity did not bump the cache generation")
-	}
 	if cache.Len() != 0 {
 		t.Errorf("InsertEntity left %d retired cache entries", cache.Len())
 	}
@@ -183,7 +184,7 @@ func TestSelectivityCacheInvalidation(t *testing.T) {
 	if age == oldAge {
 		t.Fatal("insert did not clone the touched property")
 	}
-	after := age.EntityRowSetInRange(45, 65).ToSorted()
+	after := age.EntityRowSetInRange(45, 65, trace.Span{}).ToSorted()
 	if len(after) != len(before)+1 {
 		t.Errorf("post-insert range rows = %d want %d", len(after), len(before)+1)
 	}
@@ -201,9 +202,8 @@ func TestSelectivityCacheInvalidation(t *testing.T) {
 		t.Error("post-insert range rows missing the new entity")
 	}
 	// The retired epoch's handle still answers pre-insert (snapshot
-	// isolation), and its re-stored entry is keyed by the retired
-	// identity — the new epoch can never be served from it.
-	if got := oldAge.EntityRowSetInRange(45, 65).ToSorted(); len(got) != len(before) {
+	// isolation) from its own memo, which the new epoch cannot reach.
+	if got := oldAge.EntityRowSetInRange(45, 65, trace.Span{}).ToSorted(); len(got) != len(before) {
 		t.Errorf("retired epoch's row set changed: %d want %d", len(got), len(before))
 	}
 
@@ -212,27 +212,23 @@ func TestSelectivityCacheInvalidation(t *testing.T) {
 	if ptg == nil {
 		t.Fatal("movie:genre derived property missing")
 	}
-	preRows := ptg.EntityRowSetWithStrength("Drama", 1).ToSorted()
-	gen1 := cache.Generation()
+	preRows := ptg.EntityRowSetWithStrength("Drama", 1, trace.Span{}).ToSorted()
 	// Person 3 appears in movie 13 (Drama) for the first time.
 	if err := a.InsertFact("castinfo", relation.IntVal(3), relation.IntVal(13)); err != nil {
 		t.Fatal(err)
-	}
-	if cache.Generation() == gen1 {
-		t.Error("InsertFact did not bump the cache generation")
 	}
 	ptg2 := a.Entity("person").DerivedByAttr("movie:genre")
 	if ptg2 == ptg {
 		t.Fatal("fact insert did not clone the derived property")
 	}
-	postRows := ptg2.EntityRowSetWithStrength("Drama", 1).ToSorted()
+	postRows := ptg2.EntityRowSetWithStrength("Drama", 1, trace.Span{}).ToSorted()
 	if len(postRows) != len(preRows)+1 {
 		t.Errorf("post-fact Drama rows = %v want one more than %v", postRows, preRows)
 	}
 	if !sort.IntsAreSorted(postRows) {
 		t.Errorf("post-fact rows not sorted: %v", postRows)
 	}
-	if got := ptg.EntityRowSetWithStrength("Drama", 1).ToSorted(); len(got) != len(preRows) {
+	if got := ptg.EntityRowSetWithStrength("Drama", 1, trace.Span{}).ToSorted(); len(got) != len(preRows) {
 		t.Errorf("retired derived row set changed: %v want %v", got, preRows)
 	}
 	rebuildAndCompare(t, a)
@@ -257,8 +253,8 @@ func TestPerPropertyInvalidation(t *testing.T) {
 	}
 	cache := a.SelectivityCache()
 
-	_ = age.EntityRowSetInRange(45, 65)
-	yearRows := year.EntityRowSetInRange(2000, 2003).ToSorted()
+	_ = age.EntityRowSetInRange(45, 65, trace.Span{})
+	yearRows := year.EntityRowSetInRange(2000, 2003, trace.Span{}).ToSorted()
 	if cache.Len() != 2 {
 		t.Fatalf("cache primed with %d entries, want 2", cache.Len())
 	}
@@ -282,7 +278,7 @@ func TestPerPropertyInvalidation(t *testing.T) {
 		t.Errorf("cache has %d entries after person insert, want only the movie entry", cache.Len())
 	}
 	h0, _ := cache.Metrics()
-	got := year2.EntityRowSetInRange(2000, 2003).ToSorted()
+	got := year2.EntityRowSetInRange(2000, 2003, trace.Span{}).ToSorted()
 	if h1, _ := cache.Metrics(); h1 != h0+1 {
 		t.Error("movie row set was not served from cache after a person insert")
 	}
@@ -295,12 +291,12 @@ func TestPerPropertyInvalidation(t *testing.T) {
 	// (and live cache entries), the derived movie:genre property is
 	// cloned and its entry evicted.
 	age2 := person2.BasicByAttr("age")
-	_ = age2.EntityRowSetInRange(45, 65) // prime person.age on the current epoch
+	_ = age2.EntityRowSetInRange(45, 65, trace.Span{}) // prime person.age on the current epoch
 	ptg := person2.DerivedByAttr("movie:genre")
 	if ptg == nil {
 		t.Fatal("movie:genre derived property missing")
 	}
-	_ = ptg.EntityRowSetWithStrength("Drama", 1)
+	_ = ptg.EntityRowSetWithStrength("Drama", 1, trace.Span{})
 	if cache.Len() != 3 {
 		t.Fatalf("cache primed with %d entries, want 3", cache.Len())
 	}
@@ -323,48 +319,74 @@ func TestPerPropertyInvalidation(t *testing.T) {
 	rebuildAndCompare(t, a)
 }
 
-// TestRetiredEntriesNotServed pins the epoch-keyed cache contract: a
-// property clone (fresh identity) can never be served an entry computed
-// for the retired identity, eviction deletes exactly the retired keys,
-// and a retired identity can never re-enter the cache afterwards (the
-// no-leak guarantee for readers still pinned to retired epochs).
+// TestRetiredEntriesNotServed pins the ownership contract of the
+// per-property memos: a clone never sees the retired property's memo,
+// Len counts the current epoch's entries only (whatever a reader still
+// pinned to a retired epoch memoizes there), and a retired property is
+// collected together with its memo once no reader pins it.
 func TestRetiredEntriesNotServed(t *testing.T) {
-	c := NewSelCache()
-	retired, clone := new(int), new(int)
-	c.Register(retired) // build-time registration
-	computes := 0
-	pre := c.Rows(SelKey{Prop: retired, Value: "v"}, func() []int { computes++; return []int{1, 2} })
-	if !reflect.DeepEqual(pre, []int{1, 2}) {
-		t.Fatalf("Rows returned %v", pre)
+	a, err := Build(fixtureDB(), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The publish step retires the old identity and admits the clone.
-	c.ReplaceProps([]any{retired}, []any{clone})
-	if c.Len() != 0 {
-		t.Fatal("retired entry survived eviction")
+	cache := a.SelectivityCache()
+	retired := a.Entity("person").BasicByAttr("age")
+	pre := retired.EntityRowSetInRange(45, 65, trace.Span{})
+	var collected atomic.Int32
+	runtime.SetFinalizer(retired, func(*BasicProperty) { collected.Add(1) })
+	runtime.SetFinalizer(retired.memo, func(*rowSetMemo) { collected.Add(1) })
+
+	err = a.InsertEntity("person",
+		relation.IntVal(7), relation.StringVal("New Actor"),
+		relation.StringVal("Male"), relation.IntVal(50), relation.IntVal(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := a.Entity("person").BasicByAttr("age")
+	if clone == retired || clone.memo == retired.memo {
+		t.Fatal("the republished property shares the retired memo")
+	}
+	if cache.Len() != 0 {
+		t.Fatalf("Len = %d after the publish, want 0: retired entries are not current", cache.Len())
 	}
 	// The clone's lookup must recompute, never alias the retired entry.
-	post := c.Rows(SelKey{Prop: clone, Value: "v"}, func() []int { computes++; return []int{1, 2, 3} })
-	if computes != 2 || !reflect.DeepEqual(post, []int{1, 2, 3}) {
-		t.Fatalf("clone served retired state: computes=%d rows=%v", computes, post)
+	_, m0 := cache.Metrics()
+	post := clone.EntityRowSetInRange(45, 65, trace.Span{})
+	if _, m1 := cache.Metrics(); m1 != m0+1 {
+		t.Error("clone was served from a memo it never filled")
 	}
-	// A reader still pinned to the retired epoch recomputes correct
-	// answers but can no longer store: the retired identity must not
-	// re-enter the cache (it would never be swept again).
-	re := c.Rows(SelKey{Prop: retired, Value: "v"}, func() []int { computes++; return []int{1, 2} })
-	if computes != 3 || !reflect.DeepEqual(re, []int{1, 2}) {
-		t.Fatalf("retired-epoch recompute wrong: computes=%d rows=%v", computes, re)
+	if post.Count() != pre.Count()+1 {
+		t.Errorf("clone computed %d rows, want the retired %d plus the new entity", post.Count(), pre.Count())
 	}
-	if c.Len() != 1 {
-		t.Fatalf("retired identity re-entered the cache: %d entries want 1", c.Len())
+	// A reader still pinned to the retired epoch keeps hitting the
+	// retired memo, and what it stores there stays out of Len.
+	h0, _ := cache.Metrics()
+	if again := retired.EntityRowSetInRange(45, 65, trace.Span{}); again != pre {
+		t.Error("retired property recomputed a set its memo holds")
 	}
-	// The clone's entry is live and undisturbed.
-	if got := c.Rows(SelKey{Prop: clone, Value: "v"}, func() []int { computes++; return nil }); computes != 3 || !reflect.DeepEqual(got, []int{1, 2, 3}) {
-		t.Fatalf("clone entry disturbed: computes=%d rows=%v", computes, got)
+	if h1, _ := cache.Metrics(); h1 != h0+1 {
+		t.Error("retired property's lookup was not a hit")
 	}
-	// Full wipe still works for whole-αDB resets.
-	c.Invalidate()
-	if c.Len() != 0 {
-		t.Fatal("wipe left entries")
+	_ = retired.EntityRowSetInRange(0, 200, trace.Span{})
+	if cache.Len() != 1 {
+		t.Fatalf("Len = %d, want only the clone's entry", cache.Len())
+	}
+	cache.Invalidate()
+	if cache.Len() != 0 {
+		t.Fatal("Invalidate left entries")
+	}
+
+	// Drop the pins: the retired epoch, property and memo are garbage.
+	// Finalizers need a cycle to queue and one to run, and the epoch's
+	// own finalizer goes first, so poll briefly.
+	retired, pre = nil, nil
+	deadline := time.Now().Add(5 * time.Second)
+	for collected.Load() != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("retired property and memo never collected: %d of 2 finalizers ran", collected.Load())
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -395,8 +417,8 @@ func TestDisjunctionCacheKey(t *testing.T) {
 	if class == nil {
 		t.Fatal("class property missing")
 	}
-	r1 := class.EntityRowSetWithAnyValue([]string{"a\x00b", "c"}).ToSorted()
-	r2 := class.EntityRowSetWithAnyValue([]string{"a", "b\x00c"}).ToSorted()
+	r1 := class.EntityRowSetWithAnyValue([]string{"a\x00b", "c"}, trace.Span{}).ToSorted()
+	r2 := class.EntityRowSetWithAnyValue([]string{"a", "b\x00c"}, trace.Span{}).ToSorted()
 	if !reflect.DeepEqual(r1, []int{0, 1, 5}) {
 		t.Errorf(`rows of {"a\x00b","c"} = %v, want [0 1 5]`, r1)
 	}
@@ -407,7 +429,7 @@ func TestDisjunctionCacheKey(t *testing.T) {
 	// Order canonicalization: the reversed set must hit the same entry.
 	cache := a.SelectivityCache()
 	h0, _ := cache.Metrics()
-	r3 := class.EntityRowSetWithAnyValue([]string{"c", "a\x00b"}).ToSorted()
+	r3 := class.EntityRowSetWithAnyValue([]string{"c", "a\x00b"}, trace.Span{}).ToSorted()
 	if h1, _ := cache.Metrics(); h1 != h0+1 {
 		t.Error("reordered disjunction missed the cache")
 	}
@@ -426,8 +448,8 @@ func TestCacheMetrics(t *testing.T) {
 	age := a.Entity("person").BasicByAttr("age")
 	cache := a.SelectivityCache()
 	h0, m0 := cache.Metrics()
-	_ = age.EntityRowSetInRange(40, 70)
-	_ = age.EntityRowSetInRange(40, 70)
+	_ = age.EntityRowSetInRange(40, 70, trace.Span{})
+	_ = age.EntityRowSetInRange(40, 70, trace.Span{})
 	h1, m1 := cache.Metrics()
 	if m1 != m0+1 {
 		t.Errorf("misses %d -> %d, want one new miss", m0, m1)

@@ -277,7 +277,7 @@ func (a *Epoch) buildEntityAssocProperty(info *EntityInfo, fact1 string, fkToMe,
 	if p.numValues == 0 {
 		return nil
 	}
-	p.cache = a.selCache
+	p.memo = newRowSetMemo(a.selCache)
 	return p
 }
 
@@ -324,6 +324,7 @@ func (a *Epoch) materializeDerived(info *EntityInfo, p *DerivedProperty, adjacen
 		relation.Col("count", relation.Int),
 	).AddForeignKey("entity_id", p.Entity, info.PK)
 	vcol := rel.Column("value")
+	pkCol := info.rel.Column(info.PK)
 
 	for eRow, viaRows := range adjacency {
 		if len(viaRows) == 0 {
@@ -333,7 +334,7 @@ func (a *Epoch) materializeDerived(info *EntityInfo, p *DerivedProperty, adjacen
 		if len(m) == 0 {
 			continue
 		}
-		id := info.rowIDs[eRow]
+		id := pkCol.Int64(eRow)
 		for _, c := range sortedCodesByValue(m, decode) {
 			cnt := m[c]
 			rel.MustAppend(relation.IntVal(id), relation.StringVal(decode(c)), relation.IntVal(int64(cnt)))
@@ -343,7 +344,7 @@ func (a *Epoch) materializeDerived(info *EntityInfo, p *DerivedProperty, adjacen
 		}
 	}
 	p.rel = rel
-	p.cache = a.selCache
+	p.memo = newRowSetMemo(a.selCache)
 	p.byEntity = index.BuildIntHash(rel, "entity_id")
 	for code, vcs := range p.perValueRows {
 		if len(vcs) == 0 {

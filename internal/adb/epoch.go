@@ -25,7 +25,10 @@ import (
 // published epoch; they build the next one copy-on-write (cloning only
 // the relations, per-property statistics, and index shards the batch
 // touches, structurally sharing everything else) and publish it with
-// one pointer swap.
+// one pointer swap. What is derived from a property lives on the
+// property: a cloned property starts with an empty row-set memo, an
+// untouched one carries its memo into the next epoch (see rowSetMemo),
+// so publishing has nothing to evict.
 //
 // Two structures are shared across epochs instead of cloned, because
 // they are append-only with stable identities: the column dictionaries
@@ -70,18 +73,11 @@ type Epoch struct {
 // Seq returns the epoch sequence number.
 func (a *Epoch) Seq() uint64 { return a.seq }
 
-// PublishedAt returns when this epoch became the current one.
-func (a *Epoch) PublishedAt() time.Time { return a.publishedAt }
-
 // Entity returns the EntityInfo for a relation name, or nil.
 func (a *Epoch) Entity(name string) *EntityInfo { return a.Entities[name] }
 
 // Config returns the build configuration.
 func (a *Epoch) Config() Config { return a.cfg }
-
-// SelectivityCache exposes the memoized selectivity/row-set cache
-// shared by every epoch of this αDB.
-func (a *Epoch) SelectivityCache() *SelCache { return a.selCache }
 
 // rowLimit bounds shared inverted-index reads to this epoch's rows.
 func (a *Epoch) rowLimit(rel string) int { return a.rowCounts[rel] }
@@ -138,9 +134,8 @@ type AlphaDB struct {
 	// sorted. Entity relations map to themselves.
 	domains map[string][]string
 
-	// inverted and selCache are the shared-across-epochs structures;
-	// cfg and BuildTime are build-time constants.
-	inverted *index.Inverted
+	// selCache carries the αDB-wide memo counters; cfg and BuildTime
+	// are build-time constants.
 	selCache *SelCache
 	cfg      Config
 	// BuildTime is the offline precomputation wall time.
@@ -174,21 +169,11 @@ func (a *AlphaDB) SetPublishHook(hook func(seq uint64, rows []AppliedRow)) {
 // newAlphaDB wraps a freshly built or decoded epoch into a handle.
 func newAlphaDB(e *Epoch) *AlphaDB {
 	a := &AlphaDB{
-		inverted:  e.Inverted,
 		selCache:  e.selCache,
 		cfg:       e.cfg,
 		BuildTime: e.BuildTime,
 	}
-	// Register every property identity as live with the shared cache;
-	// the publish step keeps the set current as clones replace them.
-	for _, info := range e.Entities {
-		for _, p := range info.Basic {
-			e.selCache.Register(p)
-		}
-		for _, p := range info.Derived {
-			e.selCache.Register(p)
-		}
-	}
+	a.selCache.db = a
 	if e.rowCounts == nil {
 		//lint:ignore epochmutate pre-publication initialization: the epoch is not yet shared (published by cur.Store below)
 		e.rowCounts = snapshotRowCounts(e.DB)
@@ -222,8 +207,8 @@ func (a *AlphaDB) EphemeralEntity(name string) *EntityInfo {
 // CombinedDB returns the current epoch's combined database.
 func (a *AlphaDB) CombinedDB() *relation.Database { return a.Snapshot().CombinedDB() }
 
-// SelectivityCache exposes the memoized selectivity/row-set cache shared
-// by every epoch of this αDB (monitoring and test surface).
+// SelectivityCache exposes the αDB-wide view of the per-property
+// row-set memos (monitoring, benchmark and test surface).
 func (a *AlphaDB) SelectivityCache() *SelCache { return a.selCache }
 
 // Config returns the build configuration.
@@ -392,11 +377,6 @@ func (a *AlphaDB) publishT(eb *epochBuilder, sp trace.Span) {
 		publishedAt: time.Now(),
 		rowCounts:   rowCounts,
 	}
-	// Retire the replaced properties from the shared cache (their
-	// entries evict, and de-registration stops late in-flight computes
-	// from re-inserting them) and admit the clones in the same critical
-	// section.
-	a.selCache.ReplaceProps(eb.oldProps, eb.newProps)
 	a.cur.Store(next)
 	a.publishes.Add(1)
 	ps.Add(trace.CounterEpochSeq, int64(next.seq))

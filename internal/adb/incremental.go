@@ -42,8 +42,6 @@ type epochBuilder struct {
 	derivedRels map[string]*relation.Relation // privatized derived relations
 	entities    map[string]*EntityInfo        // privatized entity infos
 	isPriv      map[any]bool                  // clones created by this builder
-	oldProps    []any                         // replaced property identities
-	newProps    []any                         // their clones, admitted at publish
 	rowCounts   map[string]int                // updated base-relation row counts
 
 	// logRows, when set (a publish hook is attached), makes the builder
@@ -173,8 +171,6 @@ func (eb *epochBuilder) privBasic(info *EntityInfo, i int) *BasicProperty {
 	}
 	q := p.cloneForWrite()
 	eb.isPriv[q] = true
-	eb.oldProps = append(eb.oldProps, p)
-	eb.newProps = append(eb.newProps, q)
 	info.Basic[i] = q
 	return q
 }
@@ -188,8 +184,6 @@ func (eb *epochBuilder) privDerived(info *EntityInfo, i int) *DerivedProperty {
 	}
 	q := p.cloneForWrite()
 	eb.isPriv[q] = true
-	eb.oldProps = append(eb.oldProps, p)
-	eb.newProps = append(eb.newProps, q)
 	info.Derived[i] = q
 	return q
 }
@@ -318,7 +312,6 @@ func (eb *epochBuilder) insertEntity(entityRel string, vals []relation.Value) er
 	}
 	row := rel.NumRows() - 1
 	info.NumRows = rel.NumRows()
-	info.rowIDs = append(info.rowIDs, pk.Int())
 	eb.rowCounts[entityRel] = rel.NumRows()
 	// Privatize and maintain every materialized index of this relation
 	// (including the primary-key index) for the new row.
@@ -367,8 +360,7 @@ func (eb *epochBuilder) insertDirectValue(p *BasicProperty, rel *relation.Relati
 		if !col.IsNull(row) {
 			v := col.Float64(row)
 			p.numByRow[row] = &v
-			p.sorted = p.sorted.Insert(v) // private clone: in-place is safe
-			p.numIdx = p.numIdx.Insert(v, row)
+			p.numIdx = p.numIdx.Insert(v, row) // private clone: in-place is safe
 		}
 		return
 	}
@@ -479,10 +471,9 @@ func setCatValues(p *BasicProperty, eRow int, codes []int32, code int32) {
 // posting list in row order (fact inserts touch arbitrary entity rows).
 func (p *BasicProperty) addCatValueAt(code int32, eRow int) {
 	p.growTo(code)
-	if p.catCounts[code] == 0 {
+	if len(p.catRows[code]) == 0 {
 		p.numValues++
 	}
-	p.catCounts[code]++
 	p.catRows[code] = insertSortedInt(p.catRows[code], eRow)
 }
 
@@ -584,7 +575,7 @@ func (eb *epochBuilder) insertDerivedDelta(info *EntityInfo, p *DerivedProperty,
 			}
 		}
 	}
-	entityID := info.rowIDs[eRow]
+	entityID := info.IDByRow(eRow)
 	for _, v := range values {
 		eb.bump(p, entityID, eRow, v)
 	}

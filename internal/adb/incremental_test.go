@@ -2,9 +2,9 @@ package adb
 
 import (
 	"math"
-	"squid/internal/index"
 	"testing"
 
+	"squid/internal/index"
 	"squid/internal/relation"
 )
 
@@ -41,6 +41,10 @@ func rebuildAndCompare(t *testing.T, a *AlphaDB) {
 				lo, hi := fp.NumericIndex().Min(), fp.NumericIndex().Max()
 				if got, want := p.RangeSelectivity(lo, hi), fp.RangeSelectivity(lo, hi); math.Abs(got-want) > 1e-9 {
 					t.Errorf("%s.%s full-range ψ=%v vs %v", name, p.Attr, got, want)
+				}
+				mid := (lo + hi) / 2
+				if got, want := p.DomainCoverage(lo, mid), fp.DomainCoverage(lo, mid); got != want {
+					t.Errorf("%s.%s half-range coverage=%v vs %v", name, p.Attr, got, want)
 				}
 			}
 		}

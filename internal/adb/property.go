@@ -98,19 +98,17 @@ type BasicProperty struct {
 	// values come from; every categorical statistic below is keyed by
 	// its int32 codes.
 	dict *relation.Dict
-	// catCounts[code] is the number of distinct entities exhibiting
-	// the value, catRows[code] the rows of those entities (ascending).
-	// numValues counts codes with a nonzero count — the property's
+	// catRows[code] lists the rows of the distinct entities exhibiting
+	// the value (ascending); its length is the value's entity count.
+	// numValues counts codes with a non-empty list — the property's
 	// distinct-value cardinality (the dictionary can hold values this
 	// property never exhibits).
-	catCounts []int
 	catRows   [][]int
 	numValues int
 
-	// Numeric statistics: the sorted value multiset for prefix
-	// selectivity, and the value→row index for range-filter row lookup
-	// in O(log n + k).
-	sorted *index.Sorted
+	// numIdx is the numeric statistic: the sorted (value, row) index
+	// answers prefix selectivity in O(log n) and range-filter row
+	// lookup in O(log n + k).
 	numIdx *index.NumericRows
 
 	// valsByRow caches per-entity value codes (always set for
@@ -120,7 +118,7 @@ type BasicProperty struct {
 	numByRow  []*float64
 
 	numEntities int
-	cache       *SelCache
+	memo        *rowSetMemo
 }
 
 // NumEntities returns |R|, the selectivity denominator.
@@ -130,17 +128,16 @@ func (p *BasicProperty) NumEntities() int { return p.numEntities }
 // the scalar statistics and the outer containers are copied (so the
 // writer can grow and re-point them freely), the inner row lists are
 // shared (appends past a retired epoch's lengths are invisible to its
-// readers; in-place mutations always copy out first), and the sorted
-// indexes are deep-copied because incremental inserts shift their
-// elements in place.
+// readers; in-place mutations always copy out first), the numeric
+// index is deep-copied because incremental inserts shift its elements
+// in place, and the memo starts empty (see rowSetMemo).
 func (p *BasicProperty) cloneForWrite() *BasicProperty {
 	q := *p
-	q.catCounts = append([]int(nil), p.catCounts...)
 	q.catRows = append([][]int(nil), p.catRows...)
 	q.valsByRow = append([][]int32(nil), p.valsByRow...)
 	q.numByRow = append([]*float64(nil), p.numByRow...)
-	q.sorted = p.sorted.Clone()
 	q.numIdx = p.numIdx.Clone()
+	q.memo = newRowSetMemo(p.memo.cache)
 	return &q
 }
 
@@ -191,16 +188,8 @@ func (p *BasicProperty) NumValue(row int) (float64, bool) {
 	return *p.numByRow[row], true
 }
 
-// countOf returns the entity count of a code (0 when out of range: the
+// rowsOf returns the posting list of a code (nil when out of range: the
 // dictionary can grow past the statistics under incremental inserts).
-func (p *BasicProperty) countOf(code int32) int {
-	if int(code) < len(p.catCounts) {
-		return p.catCounts[code]
-	}
-	return 0
-}
-
-// rowsOf returns the posting list of a code.
 func (p *BasicProperty) rowsOf(code int32) []int {
 	if int(code) < len(p.catRows) {
 		return p.catRows[code]
@@ -211,8 +200,7 @@ func (p *BasicProperty) rowsOf(code int32) []int {
 // growTo extends the per-code statistics to cover code (incremental
 // inserts can intern values the build never saw).
 func (p *BasicProperty) growTo(code int32) {
-	for int32(len(p.catCounts)) <= code {
-		p.catCounts = append(p.catCounts, 0)
+	for int32(len(p.catRows)) <= code {
 		p.catRows = append(p.catRows, nil)
 	}
 }
@@ -221,10 +209,9 @@ func (p *BasicProperty) growTo(code int32) {
 // arrive in ascending order (the builder scans rows in order).
 func (p *BasicProperty) addCatRow(code int32, row int) {
 	p.growTo(code)
-	if p.catCounts[code] == 0 {
+	if len(p.catRows[code]) == 0 {
 		p.numValues++
 	}
-	p.catCounts[code]++
 	p.catRows[code] = append(p.catRows[code], row)
 }
 
@@ -244,25 +231,26 @@ func (p *BasicProperty) SelectivityOfCode(code int32) float64 {
 	if p.numEntities == 0 {
 		return 0
 	}
-	return float64(p.countOf(code)) / float64(p.numEntities)
+	return float64(len(p.rowsOf(code))) / float64(p.numEntities)
 }
 
-// RangeSelectivity returns ψ(φ⟨Attr,[lo,hi],⊥⟩) using the precomputed
-// prefix counts (§5 smart selectivity computation).
+// RangeSelectivity returns ψ(φ⟨Attr,[lo,hi],⊥⟩) as a difference of
+// prefix counts over the sorted index (§5 smart selectivity
+// computation).
 func (p *BasicProperty) RangeSelectivity(lo, hi float64) float64 {
-	if p.numEntities == 0 || p.sorted == nil {
+	if p.numEntities == 0 || p.numIdx == nil {
 		return 0
 	}
-	return float64(p.sorted.CountRange(lo, hi)) / float64(p.numEntities)
+	return float64(p.numIdx.CountRange(lo, hi)) / float64(p.numEntities)
 }
 
 // DomainCoverage returns the fraction of the attribute's observed domain
 // covered by [lo, hi] (Appendix A).
 func (p *BasicProperty) DomainCoverage(lo, hi float64) float64 {
-	if p.sorted == nil || p.sorted.Len() == 0 {
+	if p.numIdx == nil {
 		return 1
 	}
-	span := p.sorted.Max() - p.sorted.Min()
+	span := p.numIdx.Max() - p.numIdx.Min()
 	if span <= 0 {
 		return 1
 	}
@@ -300,22 +288,15 @@ func (p *BasicProperty) EntityRowsWithValue(v string) []int {
 }
 
 // EntityRowSetWithAnyValue returns the union of the per-value posting
-// lists — the satisfying rows of a disjunctive IN filter — memoized in
-// the αDB selectivity cache under the canonical disjunction key (a
-// single value is a one-element disjunction). The returned set is
+// lists — the satisfying rows of a disjunctive IN filter — memoized
+// under the canonical disjunction key (a single value is a one-element
+// disjunction), with memo events attributed to sp. The returned set is
 // shared: do not mutate.
-func (p *BasicProperty) EntityRowSetWithAnyValue(values []string) *index.RowSet {
-	return p.EntityRowSetWithAnyValueT(values, trace.Span{})
-}
-
-// EntityRowSetWithAnyValueT is EntityRowSetWithAnyValue with cache
-// events attributed to sp.
-func (p *BasicProperty) EntityRowSetWithAnyValueT(values []string, sp trace.Span) *index.RowSet {
+func (p *BasicProperty) EntityRowSetWithAnyValue(values []string, sp trace.Span) *index.RowSet {
 	if len(values) == 0 {
 		return index.NewRowSet(0)
 	}
-	key := SelKey{Prop: p, Value: disjunctionKey(values)}
-	return p.cache.RowSetT(key, sp, func() *index.RowSet {
+	return p.memo.rowSet(SelKey{Value: disjunctionKey(values)}, sp, func() *index.RowSet {
 		s := index.NewRowSet(p.numEntities)
 		for _, v := range values {
 			s.AddAll(p.EntityRowsWithValue(v))
@@ -345,22 +326,15 @@ func disjunctionKey(values []string) string {
 // in [lo, hi]. Selective ranges are answered from the sorted value→row
 // index in O(log n + k); wide ranges (≥ ¼ of the entities) fall back to
 // the row-order scan. Both paths insert straight into the RowSet, so
-// neither pays a row-order re-sort. Memoized; do not mutate the
-// returned set.
-func (p *BasicProperty) EntityRowSetInRange(lo, hi float64) *index.RowSet {
-	return p.EntityRowSetInRangeT(lo, hi, trace.Span{})
-}
-
-// EntityRowSetInRangeT is EntityRowSetInRange with cache events
-// attributed to sp.
-func (p *BasicProperty) EntityRowSetInRangeT(lo, hi float64, sp trace.Span) *index.RowSet {
-	if p.Kind != Numeric || p.sorted == nil {
+// neither pays a row-order re-sort. Memoized, with memo events
+// attributed to sp; do not mutate the returned set.
+func (p *BasicProperty) EntityRowSetInRange(lo, hi float64, sp trace.Span) *index.RowSet {
+	if p.numIdx == nil {
 		return index.NewRowSet(0)
 	}
-	key := SelKey{Prop: p, Lo: lo, Hi: hi}
-	return p.cache.RowSetT(key, sp, func() *index.RowSet {
+	return p.memo.rowSet(SelKey{Lo: lo, Hi: hi}, sp, func() *index.RowSet {
 		s := index.NewRowSet(p.numEntities)
-		if k := p.sorted.CountRange(lo, hi); p.numIdx != nil && k*4 < p.numEntities {
+		if p.numIdx.CountRange(lo, hi)*4 < p.numEntities {
 			p.numIdx.AddRangeToSet(lo, hi, s)
 			return s
 		}
@@ -380,8 +354,8 @@ func (p *BasicProperty) NumDistinct() int { return p.numValues }
 // DistinctValues returns the property's categorical domain, sorted.
 func (p *BasicProperty) DistinctValues() []string {
 	out := make([]string, 0, p.numValues)
-	for code, cnt := range p.catCounts {
-		if cnt > 0 {
+	for code, rows := range p.catRows {
+		if len(rows) > 0 {
 			out = append(out, p.dict.Value(int32(code)))
 		}
 	}
@@ -390,7 +364,7 @@ func (p *BasicProperty) DistinctValues() []string {
 }
 
 // NumericIndex exposes the sorted value index (nil for categorical).
-func (p *BasicProperty) NumericIndex() *index.Sorted { return p.sorted }
+func (p *BasicProperty) NumericIndex() *index.NumericRows { return p.numIdx }
 
 // String renders the property for diagnostics.
 func (p *BasicProperty) String() string {
@@ -441,7 +415,7 @@ type DerivedProperty struct {
 	perValue     []*index.Sorted
 	perValueRows [][]valCount
 	numEntities  int
-	cache        *SelCache
+	memo         *rowSetMemo
 
 	// privCodes marks the value codes whose inner statistics the
 	// current epoch writer already copied out of the shared backing;
@@ -456,12 +430,13 @@ func (p *DerivedProperty) NumEntities() int { return p.numEntities }
 // (see BasicProperty.cloneForWrite): outer containers copied, per-code
 // inner statistics shared until first mutation (privCodes tracks the
 // copy-outs), relation and entity index re-pointed by the writer when
-// it privatizes them.
+// it privatizes them, memo empty.
 func (p *DerivedProperty) cloneForWrite() *DerivedProperty {
 	q := *p
 	q.perValue = append([]*index.Sorted(nil), p.perValue...)
 	q.perValueRows = append([][]valCount(nil), p.perValueRows...)
 	q.privCodes = nil
+	q.memo = newRowSetMemo(p.memo.cache)
 	return &q
 }
 
@@ -575,17 +550,10 @@ func (p *DerivedProperty) SelectivityOfCode(code int32, theta int) float64 {
 }
 
 // EntityRowSetWithStrength returns the entity rows associated with
-// value v at strength ≥ θ. Memoized in the αDB selectivity cache; do
-// not mutate the returned set.
-func (p *DerivedProperty) EntityRowSetWithStrength(v string, theta int) *index.RowSet {
-	return p.EntityRowSetWithStrengthT(v, theta, trace.Span{})
-}
-
-// EntityRowSetWithStrengthT is EntityRowSetWithStrength with cache
-// events attributed to sp.
-func (p *DerivedProperty) EntityRowSetWithStrengthT(v string, theta int, sp trace.Span) *index.RowSet {
-	key := SelKey{Prop: p, Value: v, Theta: theta}
-	return p.cache.RowSetT(key, sp, func() *index.RowSet {
+// value v at strength ≥ θ. Memoized, with memo events attributed to sp;
+// do not mutate the returned set.
+func (p *DerivedProperty) EntityRowSetWithStrength(v string, theta int, sp trace.Span) *index.RowSet {
+	return p.memo.rowSet(SelKey{Value: v, Theta: theta}, sp, func() *index.RowSet {
 		s := index.NewRowSet(p.numEntities)
 		code, ok := p.LookupCode(v)
 		if !ok {
@@ -603,20 +571,14 @@ func (p *DerivedProperty) EntityRowSetWithStrengthT(v string, theta int, sp trac
 // EntityRowSetWithNormStrength returns the entity rows associated with
 // value v at normalized strength ≥ θn, where each row's strength is
 // divided by its degree (total association count) from the companion
-// degree property. Memoized; do not mutate the returned set.
-func (p *DerivedProperty) EntityRowSetWithNormStrength(v string, thetaN float64, degree *DerivedProperty) *index.RowSet {
-	return p.EntityRowSetWithNormStrengthT(v, thetaN, degree, trace.Span{})
-}
-
-// EntityRowSetWithNormStrengthT is EntityRowSetWithNormStrength with
-// cache events attributed to sp.
-func (p *DerivedProperty) EntityRowSetWithNormStrengthT(v string, thetaN float64, degree *DerivedProperty, sp trace.Span) *index.RowSet {
+// degree property. Memoized, with memo events attributed to sp; do not
+// mutate the returned set.
+func (p *DerivedProperty) EntityRowSetWithNormStrength(v string, thetaN float64, degree *DerivedProperty, sp trace.Span) *index.RowSet {
 	if degree == nil {
 		// No denominator: nothing satisfies a normalized threshold.
 		return index.NewRowSet(0)
 	}
-	key := SelKey{Prop: p, Value: v, Lo: thetaN, Theta: -1}
-	return p.cache.RowSetT(key, sp, func() *index.RowSet {
+	return p.memo.rowSet(SelKey{Value: v, Lo: thetaN, Theta: -1}, sp, func() *index.RowSet {
 		s := index.NewRowSet(p.numEntities)
 		code, ok := p.LookupCode(v)
 		if !ok {

@@ -15,9 +15,11 @@ import (
 // dictionaries), the inverted entity-lookup index, per-property
 // statistics, and the sorted numeric indexes — so a warm boot costs one
 // sequential read plus O(n) hash-index rebuilds instead of the full
-// precomputation. The selectivity cache restarts empty (it is a pure
-// memo), and restored systems support incremental inserts exactly like
-// freshly built ones.
+// precomputation. The row-set memos restart empty, and restored systems
+// support incremental inserts exactly like freshly built ones. The
+// file is bytes from outside the process: every row number and value
+// code it carries is range-checked at decode, so a damaged snapshot
+// fails Load instead of panicking inside a later discovery.
 
 // Encode writes the current epoch to a snapshot stream (the caller
 // owns the header; see squid.System.Save). The epoch is pinned at call
@@ -75,7 +77,7 @@ func Decode(r *snapshot.Reader) (*AlphaDB, error) {
 		DerivedDB: derived,
 		BuildTime: buildTime,
 		cfg:       cfg,
-		selCache:  NewSelCache(),
+		selCache:  &SelCache{},
 		seq:       seq,
 	}
 	a.decodeInverted(r)
@@ -293,7 +295,6 @@ func writeEntity(w *snapshot.Writer, info *EntityInfo) {
 	w.String(info.Relation)
 	w.String(info.PK)
 	w.Int(info.NumRows)
-	w.Int64s(info.rowIDs)
 	w.Uvarint(uint64(len(info.Basic)))
 	for _, p := range info.Basic {
 		writeBasic(w, p)
@@ -305,22 +306,20 @@ func writeEntity(w *snapshot.Writer, info *EntityInfo) {
 }
 
 func readEntity(r *snapshot.Reader, a *Epoch) *EntityInfo {
-	info := &EntityInfo{
-		Relation: r.String(),
-		PK:       r.String(),
-		NumRows:  r.Int(),
-		rowIDs:   r.Int64s(),
-	}
+	name, pk, numRows := r.String(), r.String(), r.Int()
 	if r.Err() != nil {
-		return info
+		return nil
 	}
-	rel := a.DB.Relation(info.Relation)
-	if rel == nil {
-		r.Fail("entity %q not present in restored database", info.Relation)
-		return info
+	info, err := a.scaffoldEntity(name)
+	if err != nil {
+		r.Fail("%v", err)
+		return nil
 	}
-	info.rel = rel
-	info.pkIndex = a.Indexes.IntHash(rel, info.PK)
+	if info.PK != pk || info.NumRows != numRows {
+		r.Fail("entity %q: recorded key %q and %d rows, restored relation has key %q and %d rows",
+			name, pk, numRows, info.PK, info.NumRows)
+		return nil
+	}
 	nb := r.Len()
 	for i := 0; i < nb && r.Err() == nil; i++ {
 		p := readBasic(r, a, info)
@@ -347,7 +346,6 @@ func writeBasic(w *snapshot.Writer, p *BasicProperty) {
 	w.Int(p.numEntities)
 	if p.Kind == Categorical {
 		w.Int(p.numValues)
-		w.Ints(p.catCounts)
 		// Jagged lists flatten to (lengths, payload) block pairs: one
 		// contiguous read each on load, sliced back per code/row.
 		lens := make([]int, len(p.catRows))
@@ -369,7 +367,7 @@ func writeBasic(w *snapshot.Writer, p *BasicProperty) {
 		return
 	}
 	// Numeric: the per-row values as a presence bitmap plus the dense
-	// payload, then the two sorted indexes.
+	// payload, then the sorted (value, row) index.
 	present := make([]bool, len(p.numByRow))
 	var vals []float64
 	for i, v := range p.numByRow {
@@ -380,7 +378,6 @@ func writeBasic(w *snapshot.Writer, p *BasicProperty) {
 	}
 	w.Bools(present)
 	w.Floats(vals)
-	w.Floats(p.sorted.RawVals())
 	idxVals, idxRows := p.numIdx.RawPairs()
 	w.Floats(idxVals)
 	w.Ints(idxRows)
@@ -413,8 +410,12 @@ func readBasic(r *snapshot.Reader, a *Epoch, info *EntityInfo) *BasicProperty {
 	p.Access = readAccess(r)
 	p.MultiValued = r.Bool()
 	p.numEntities = r.Int()
-	p.cache = a.selCache
+	p.memo = newRowSetMemo(a.selCache)
 	if r.Err() != nil {
+		return p
+	}
+	if p.numEntities != info.NumRows {
+		r.Fail("property %s.%s: %d entities recorded for a %d-row relation", info.Relation, p.Attr, p.numEntities, info.NumRows)
 		return p
 	}
 	if p.Kind == Categorical {
@@ -425,20 +426,25 @@ func readBasic(r *snapshot.Reader, a *Epoch, info *EntityInfo) *BasicProperty {
 		}
 		p.dict = src.Dict()
 		p.numValues = r.Int()
-		p.catCounts = r.Ints()
+		lens, rows := r.Ints(), r.Ints()
 		var ok bool
-		if p.catRows, ok = sliceJaggedInts(r, r.Ints(), r.Ints()); !ok {
-			r.Fail("property %s.%s: catRows payload mismatch", info.Relation, p.Attr)
+		if p.catRows, ok = sliceJaggedInts(r, lens, rows); !ok || len(lens) > p.dict.Len() || !allBelow(rows, info.NumRows) {
+			r.Fail("property %s.%s: catRows payload mismatch or out of range", info.Relation, p.Attr)
 			return p
 		}
-		if p.valsByRow, ok = sliceJaggedInt32s(r, r.Ints(), r.Int32s()); !ok {
-			r.Fail("property %s.%s: valsByRow payload mismatch", info.Relation, p.Attr)
+		vlens, codes := r.Ints(), r.Int32s()
+		if p.valsByRow, ok = sliceJaggedInt32s(r, vlens, codes); !ok || len(vlens) != info.NumRows || !allBelow(codes, p.dict.Len()) {
+			r.Fail("property %s.%s: valsByRow payload mismatch or out of range", info.Relation, p.Attr)
 			return p
 		}
 		return p
 	}
 	present := r.Bools()
 	vals := r.Floats()
+	if len(present) != info.NumRows {
+		r.Fail("property %s.%s: presence bitmap covers %d of %d rows", info.Relation, p.Attr, len(present), info.NumRows)
+		return p
+	}
 	p.numByRow = make([]*float64, len(present))
 	vi := 0
 	for i, ok := range present {
@@ -454,9 +460,24 @@ func readBasic(r *snapshot.Reader, a *Epoch, info *EntityInfo) *BasicProperty {
 		p.numByRow[i] = &vals[vi]
 		vi++
 	}
-	p.sorted = index.RestoreSorted(r.Floats())
-	p.numIdx = index.RestoreNumericRows(r.Floats(), r.Ints())
+	idxVals, idxRows := r.Floats(), r.Ints()
+	if len(idxVals) != len(idxRows) || !sort.Float64sAreSorted(idxVals) || !allBelow(idxRows, info.NumRows) {
+		r.Fail("property %s.%s: numeric index unsorted, ragged or out of range", info.Relation, p.Attr)
+		return p
+	}
+	p.numIdx = index.RestoreNumericRows(idxVals, idxRows)
 	return p
+}
+
+// allBelow reports whether every element of xs lies in [0, limit) — the
+// range check on row numbers and value codes adopted from a file.
+func allBelow[T int | int32](xs []T, limit int) bool {
+	for _, x := range xs {
+		if x < 0 || int(x) >= limit {
+			return false
+		}
+	}
+	return true
 }
 
 // sliceJaggedInts rebuilds a jagged [][]int from its flattened
@@ -547,12 +568,12 @@ func readDerived(r *snapshot.Reader, a *Epoch, info *EntityInfo) *DerivedPropert
 	p.Target = readAccess(r)
 	p.RelName = r.String()
 	p.numEntities = r.Int()
-	p.cache = a.selCache
+	p.memo = newRowSetMemo(a.selCache)
 	if r.Err() != nil {
 		return p
 	}
 	rel := a.DerivedDB.Relation(p.RelName)
-	if rel == nil {
+	if rel == nil || rel.Column("value") == nil || rel.Column("value").Dict() == nil {
 		r.Fail("derived property %s.%s: relation %q missing from restored derived database",
 			info.Relation, p.Attr, p.RelName)
 		return p
@@ -573,6 +594,10 @@ func readDerived(r *snapshot.Reader, a *Epoch, info *EntityInfo) *DerivedPropert
 	if len(rows) != total || len(counts) != total || len(svals) != total {
 		r.Fail("derived property %s.%s: payload blocks disagree (%d lens, %d rows, %d counts, %d strengths)",
 			info.Relation, p.Attr, total, len(rows), len(counts), len(svals))
+		return p
+	}
+	if len(lens) > p.valueDict().Len() || !allBelow(rows, info.NumRows) {
+		r.Fail("derived property %s.%s: value codes or entity rows out of range", info.Relation, p.Attr)
 		return p
 	}
 	backing := make([]valCount, total)

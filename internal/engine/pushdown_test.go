@@ -255,8 +255,9 @@ func TestExecuteReversedRange(t *testing.T) {
 }
 
 // TestRangePushdownAfterAppend verifies the sorted numeric index stays
-// consistent when rows are appended through the shared pool's NoteAppend
-// (the incremental-maintenance contract of the αDB).
+// consistent when rows are appended the way the αDB appends them: onto a
+// copy-on-write clone of the relation, with an IndexDelta maintaining
+// the touched shards and the merge producing the next view.
 func TestRangePushdownAfterAppend(t *testing.T) {
 	db := pushdownDB(200)
 	pool := index.NewIndexSet()
@@ -268,22 +269,29 @@ func TestRangePushdownAfterAppend(t *testing.T) {
 	if want := scanRows(items, preds); !reflect.DeepEqual(before, want) {
 		t.Fatalf("pre-append filterRows=%v want %v", before, want)
 	}
-	// Append rows and maintain the pool as the αDB does.
+	next := items.CloneForWrite()
+	delta := index.NewIndexDelta(pool)
 	for i := 0; i < 10; i++ {
-		items.MustAppend(
+		next.MustAppend(
 			relation.IntVal(int64(1000+i)),
 			relation.StringVal("epsilon"),
 			relation.IntVal(int64(9)),
 		)
-		pool.NoteAppend(items, items.NumRows()-1)
+		delta.NoteAppend(next, next.NumRows()-1)
 	}
-	got := e.filterRows(items, preds)
-	want := scanRows(items, preds)
+	db2 := db.CloneWith(map[string]*relation.Relation{"items": next})
+	e2 := NewExecutorWithIndexes(db2, delta.MergeInto(pool))
+	got := e2.filterRows(next, preds)
+	want := scanRows(next, preds)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-append filterRows=%v want %v", got, want)
 	}
 	if len(got) != len(before)+10 {
 		t.Fatalf("expected %d rows, got %d", len(before)+10, len(got))
+	}
+	// The pre-append view still answers from the pre-append rows.
+	if again := e.filterRows(items, preds); !reflect.DeepEqual(again, before) {
+		t.Fatalf("append leaked into the base view: %v want %v", again, before)
 	}
 }
 

@@ -142,10 +142,6 @@ func scoreAgainst(d Discovery, truth []string) metrics.PRF {
 	return metrics.Compare(d.Result.OutputValues(), truth)
 }
 
-// Sampler produces deterministic example-sampling RNGs per (tag, run);
-// exported so diagnostic tools can replay harness draws exactly.
-func (s *Suite) Sampler(tag string, run int) *rand.Rand { return s.sampler(tag, run) }
-
 // sampler produces deterministic example samples per (query, size, run).
 func (s *Suite) sampler(tag string, run int) *rand.Rand {
 	h := int64(0)

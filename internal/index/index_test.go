@@ -33,7 +33,7 @@ func testDB() *relation.Database {
 }
 
 func TestInvertedLookup(t *testing.T) {
-	inv := BuildInverted(testDB())
+	inv := BuildInvertedParallel(testDB(), 1)
 	got := inv.Lookup("tom cruise")
 	if len(got) != 1 || got[0].Relation != "person" || got[0].Row != 0 {
 		t.Errorf("lookup=%v", got)
@@ -52,7 +52,7 @@ func TestInvertedLookup(t *testing.T) {
 }
 
 func TestCommonColumns(t *testing.T) {
-	inv := BuildInverted(testDB())
+	inv := BuildInvertedParallel(testDB(), 1)
 	// Both names only co-occur in person.name.
 	matches := inv.CommonColumns([]string{"Tom Cruise", "Clint Eastwood"}, nil)
 	if len(matches) != 1 {
@@ -67,7 +67,7 @@ func TestCommonColumns(t *testing.T) {
 }
 
 func TestCommonColumnsAmbiguity(t *testing.T) {
-	inv := BuildInverted(testDB())
+	inv := BuildInvertedParallel(testDB(), 1)
 	matches := inv.CommonColumns([]string{"Titanic", "Pulp Fiction"}, nil)
 	if len(matches) != 1 || matches[0].Key != (ColumnKey{"movie", "title"}) {
 		t.Fatalf("matches=%v", matches)
@@ -81,7 +81,7 @@ func TestCommonColumnsAmbiguity(t *testing.T) {
 }
 
 func TestCommonColumnsNoMatch(t *testing.T) {
-	inv := BuildInverted(testDB())
+	inv := BuildInvertedParallel(testDB(), 1)
 	if got := inv.CommonColumns([]string{"Tom Cruise", "Pulp Fiction"}, nil); got != nil {
 		t.Errorf("expected no common column, got %v", got)
 	}
@@ -159,32 +159,6 @@ func TestSortedCounts(t *testing.T) {
 	}
 	if s.CountRange(5, 3) != 0 {
 		t.Error("inverted range must be 0")
-	}
-}
-
-func TestSortedFromColumn(t *testing.T) {
-	db := testDB()
-	s := BuildSorted(db.Relation("person"), "age")
-	if s.Len() != 3 {
-		t.Fatalf("len=%d", s.Len())
-	}
-	if s.CountRange(40, 50) != 2 {
-		t.Errorf("CountRange(40,50)=%d", s.CountRange(40, 50))
-	}
-	// String column yields empty index.
-	if BuildSorted(db.Relation("person"), "name").Len() != 0 {
-		t.Error("string column must yield empty sorted index")
-	}
-}
-
-func TestSortedSkipsNulls(t *testing.T) {
-	r := relation.New("t", relation.Col("x", relation.Int))
-	r.MustAppend(relation.IntVal(1))
-	r.MustAppend(relation.Null)
-	r.MustAppend(relation.IntVal(3))
-	s := BuildSorted(r, "x")
-	if s.Len() != 2 {
-		t.Errorf("len=%d, NULLs must be excluded", s.Len())
 	}
 }
 

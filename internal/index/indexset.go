@@ -16,10 +16,9 @@ import (
 //
 // Epoch semantics: each published αDB epoch owns one IndexSet view.
 // The indexes themselves are immutable once visible to readers; a
-// copy-on-write writer never calls NoteAppend on a live view — it
-// accumulates privatized shard clones in an IndexDelta and the publish
-// step merges them into the next epoch's view (MergeInto), structurally
-// sharing every untouched index. The internal lock only serializes the
+// copy-on-write writer accumulates privatized shard clones in an
+// IndexDelta and the publish step merges them into the next epoch's
+// view (MergeInto), structurally sharing every untouched index. The internal lock only serializes the
 // lazy first build of a cold index (double-checked locking), so readers
 // of warm indexes never block.
 type IndexSet struct {
@@ -111,46 +110,6 @@ func (s *IndexSet) peek(key ColumnKey) (*IntHash, *StrHash, *NumericRows) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.ints[key], s.strs[key], s.nums[key]
-}
-
-// NoteAppend maintains every materialized index of rel for the row that
-// was just appended. It mutates the receiver's indexes in place, so it
-// is only for sets private to a single writer (tests, worker-local
-// builds); epoch writers use IndexDelta.NoteAppend instead, which
-// clones the touched shards copy-on-write.
-func (s *IndexSet) NoteAppend(rel *relation.Relation, row int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, col := range rel.Columns() {
-		key := ColumnKey{rel.Name, col.Name}
-		switch col.Type {
-		case relation.Int:
-			if h := s.ints[key]; h != nil && !col.IsNull(row) {
-				h.Insert(col.Int64(row), row)
-			}
-		case relation.String:
-			if h := s.strs[key]; h != nil && !col.IsNull(row) {
-				h.Insert(col.Str(row), row)
-			}
-		}
-		if col.Type != relation.String {
-			if n := s.nums[key]; n != nil && !col.IsNull(row) {
-				s.nums[key] = n.Insert(col.Float64(row), row)
-			}
-		}
-	}
-}
-
-// Drop discards the materialized indexes of one column; used when a
-// cell of that column is mutated in place (appends are handled by
-// NoteAppend; in-place updates would leave postings stale).
-func (s *IndexSet) Drop(relName, col string) {
-	key := ColumnKey{relName, col}
-	s.mu.Lock()
-	delete(s.ints, key)
-	delete(s.strs, key)
-	delete(s.nums, key)
-	s.mu.Unlock()
 }
 
 // NumIndexes reports how many hash indexes have been materialized.
@@ -422,6 +381,22 @@ func (n *NumericRows) permSort(lo, hi int) {
 
 // Len returns the number of indexed (value, row) pairs.
 func (n *NumericRows) Len() int { return len(n.vals) }
+
+// Min returns the smallest indexed value (0 when empty).
+func (n *NumericRows) Min() float64 {
+	if len(n.vals) == 0 {
+		return 0
+	}
+	return n.vals[0]
+}
+
+// Max returns the largest indexed value (0 when empty).
+func (n *NumericRows) Max() float64 {
+	if len(n.vals) == 0 {
+		return 0
+	}
+	return n.vals[len(n.vals)-1]
+}
 
 // RawPairs exposes the sorted value/row storage for snapshot
 // serialization; do not mutate.

@@ -51,40 +51,85 @@ func TestIndexSetLazyBuildAndReuse(t *testing.T) {
 	}
 }
 
-func TestIndexSetNoteAppend(t *testing.T) {
+// TestIndexDeltaNoteAppend drives the copy-on-write maintenance path:
+// appends noted on a delta land in the merged view's indexes, and the
+// base view's shards — still serving the retired epoch — never move.
+func TestIndexDeltaNoteAppend(t *testing.T) {
 	rel := testRelation(50)
-	set := NewIndexSet()
-	ih := set.IntHash(rel, "id")
-	sh := set.StrHash(rel, "tag")
+	base := NewIndexSet()
+	baseInt := base.IntHash(rel, "id")
+	baseStr := base.StrHash(rel, "tag")
+	baseNum := base.Numeric(rel, "id")
 
-	rel.MustAppend(relation.IntVal(99), relation.StringVal("purple"))
-	set.NoteAppend(rel, rel.NumRows()-1)
+	next := rel.CloneForWrite()
+	delta := NewIndexDelta(base)
+	next.MustAppend(relation.IntVal(99), relation.StringVal("purple"))
+	delta.NoteAppend(next, next.NumRows()-1)
+	merged := delta.MergeInto(base)
 
-	wantInt := BuildIntHash(rel, "id")
-	wantStr := BuildStrHash(rel, "tag")
+	ih, _, nh := merged.peek(ColumnKey{"t", "id"})
+	_, sh, _ := merged.peek(ColumnKey{"t", "tag"})
+	if ih == nil || sh == nil || nh == nil {
+		t.Fatal("merged view lost a maintained index")
+	}
+	wantInt := BuildIntHash(next, "id")
 	for v := int64(0); v < 100; v++ {
 		if !reflect.DeepEqual(ih.Rows(v), wantInt.Rows(v)) {
 			t.Errorf("after append, Rows(%d) = %v want %v", v, ih.Rows(v), wantInt.Rows(v))
 		}
 	}
-	if !reflect.DeepEqual(sh.Rows("purple"), wantStr.Rows("purple")) {
-		t.Errorf("after append, Rows(purple) = %v want %v", sh.Rows("purple"), wantStr.Rows("purple"))
+	if got, want := sh.Rows("purple"), BuildStrHash(next, "tag").Rows("purple"); !reflect.DeepEqual(got, want) {
+		t.Errorf("after append, Rows(purple) = %v want %v", got, want)
+	}
+	if nh.Len() != 51 || nh.Max() != 99 || nh.Min() != 0 {
+		t.Errorf("numeric index after append: len=%d min=%v max=%v", nh.Len(), nh.Min(), nh.Max())
+	}
+	if len(baseInt.Rows(99)) != 0 || len(baseStr.Rows("purple")) != 0 || baseNum.Len() != 50 {
+		t.Error("append leaked into the base view's shards")
 	}
 }
 
-func TestIndexSetDrop(t *testing.T) {
+// TestIndexDeltaDrop: a dropped column's indexes are absent from the
+// merged view (and rebuild lazily from the writer's relation), while
+// the base view keeps its own.
+func TestIndexDeltaDrop(t *testing.T) {
 	rel := testRelation(50)
-	set := NewIndexSet()
-	set.IntHash(rel, "id")
-	set.StrHash(rel, "tag")
-	set.Drop("t", "id")
-	if set.NumIndexes() != 1 {
-		t.Errorf("after drop, NumIndexes=%d want 1", set.NumIndexes())
+	base := NewIndexSet()
+	base.IntHash(rel, "id")
+	base.StrHash(rel, "tag")
+
+	next := rel.CloneForWrite("id")
+	delta := NewIndexDelta(base)
+	if err := next.Column("id").Set(0, relation.IntVal(5)); err != nil {
+		t.Fatal(err)
 	}
-	// Rebuilding after a drop reflects current data.
-	rel.MustAppend(relation.IntVal(5), relation.StringVal("red"))
-	if got, want := set.IntHash(rel, "id").Rows(5), BuildIntHash(rel, "id").Rows(5); !reflect.DeepEqual(got, want) {
+	delta.Drop("t", "id")
+	merged := delta.MergeInto(base)
+	if ih, _, _ := merged.peek(ColumnKey{"t", "id"}); ih != nil {
+		t.Error("dropped index survived the merge")
+	}
+	if base.NumIndexes() != 2 {
+		t.Errorf("drop touched the base view: NumIndexes=%d want 2", base.NumIndexes())
+	}
+	if got, want := merged.IntHash(next, "id").Rows(5), BuildIntHash(next, "id").Rows(5); !reflect.DeepEqual(got, want) {
 		t.Errorf("rebuilt Rows(5) = %v want %v", got, want)
+	}
+}
+
+// TestNumericRowsSkipsNulls: NULL cells are not indexed, and Min/Max
+// report the extremes of what is.
+func TestNumericRowsSkipsNulls(t *testing.T) {
+	r := relation.New("t", relation.Col("x", relation.Int))
+	r.MustAppend(relation.IntVal(7))
+	r.MustAppend(relation.Null)
+	r.MustAppend(relation.IntVal(3))
+	n := NewIndexSet().Numeric(r, "x")
+	if n.Len() != 2 || n.Min() != 3 || n.Max() != 7 {
+		t.Errorf("len=%d min=%v max=%v, want 2/3/7", n.Len(), n.Min(), n.Max())
+	}
+	empty := &NumericRows{}
+	if empty.Min() != 0 || empty.Max() != 0 {
+		t.Error("empty index must report 0 extremes")
 	}
 }
 

@@ -44,11 +44,6 @@ type Inverted struct {
 	postings map[string][]Posting
 }
 
-// BuildInverted indexes every String column of every relation in db.
-func BuildInverted(db *relation.Database) *Inverted {
-	return BuildInvertedParallel(db, 1)
-}
-
 // BuildInvertedParallel builds the inverted index with per-relation
 // shards fanned over a bounded worker pool, then merges the shards in
 // relation order, so the posting lists are byte-identical to a serial

@@ -395,106 +395,6 @@ func gallop(xs []uint32, v uint32) int {
 	return lo + sort.Search(hi-lo, func(k int) bool { return xs[lo+k] >= v })
 }
 
-// OrWith unions in place (s ∪= t), growing and adapting s as needed.
-func (s *RowSet) OrWith(t *RowSet) {
-	if t == nil || (t.words == nil && len(t.sparse) == 0) || (t.words != nil && len(t.words) == 0) {
-		return
-	}
-	switch {
-	case s.words == nil && t.words == nil:
-		s.sparse = unionSorted(s.sparse, t.sparse)
-		s.maybeDensify()
-	case s.words == nil:
-		// sparse×dense: adopt a copy of t's words (never alias the
-		// operand) and scatter the sparse members in.
-		words := make([]uint64, max(len(t.words), s.spanWords()))
-		copy(words, t.words)
-		for _, r := range s.sparse {
-			words[r>>6] |= 1 << (r & 63)
-		}
-		s.words, s.sparse = words, nil
-	case t.words == nil:
-		for _, r := range t.sparse {
-			w := int(r >> 6)
-			s.grow(w)
-			s.words[w] |= 1 << (r & 63)
-		}
-	default:
-		s.grow(len(t.words) - 1)
-		for i, w := range t.words {
-			s.words[i] |= w
-		}
-	}
-}
-
-// unionSorted merges two sorted duplicate-free sets into a fresh slice.
-func unionSorted(a, b []uint32) []uint32 {
-	out := make([]uint32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			out = append(out, a[i])
-			i++
-			j++
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		default:
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-// AndNotWith subtracts in place (s −= t), adapting the form when the
-// subtraction empties a dense set out.
-func (s *RowSet) AndNotWith(t *RowSet) {
-	if t == nil || (t.words == nil && len(t.sparse) == 0) || (t.words != nil && len(t.words) == 0) {
-		return
-	}
-	switch {
-	case s.words == nil && t.words == nil:
-		out := s.sparse[:0]
-		j := 0
-		for _, r := range s.sparse {
-			for j < len(t.sparse) && t.sparse[j] < r {
-				j++
-			}
-			if j == len(t.sparse) || t.sparse[j] != r {
-				out = append(out, r)
-			}
-		}
-		s.sparse = out
-	case s.words == nil:
-		out := s.sparse[:0]
-		for _, r := range s.sparse {
-			if w := int(r >> 6); w >= len(t.words) || t.words[w]&(1<<(r&63)) == 0 {
-				out = append(out, r)
-			}
-		}
-		s.sparse = out
-	case t.words == nil:
-		for _, r := range t.sparse {
-			if w := int(r >> 6); w < len(s.words) {
-				s.words[w] &^= 1 << (r & 63)
-			}
-		}
-		s.trimWords()
-		s.maybeSparsify(s.Count())
-	default:
-		n := min(len(s.words), len(t.words))
-		for i := 0; i < n; i++ {
-			s.words[i] &^= t.words[i]
-		}
-		s.trimWords()
-		s.maybeSparsify(s.Count())
-	}
-}
-
 // Iterate calls fn on every member in ascending order until fn returns
 // false.
 func (s *RowSet) Iterate(fn func(row int) bool) {

@@ -18,7 +18,7 @@ const opUniverse = 1 << 12
 // replays every op against a map oracle, failing on the first
 // divergence in contents, cardinality, membership, or the sparse
 // sorted-unique invariant. Every op records the form (or, for the
-// binary ops, the receiver×operand form pair) it ran on in seen, so
+// binary op, the receiver×operand form pair) it ran on in seen, so
 // callers can prove which arms of the form-aware algebra a replay
 // reached.
 func applyOps(t *testing.T, data []byte, seen map[string]bool) {
@@ -39,28 +39,29 @@ func applyOps(t *testing.T, data []byte, seen map[string]bool) {
 		lo := next()
 		return (hi<<8 | lo) % opUniverse
 	}
+	// nextRows draws the row list of a bulk op: either scattered rows
+	// (sparse-shaped) or a contiguous run long enough to densify, so the
+	// receiver reaches both forms and the binary op sees every
+	// form×form combination.
 	nextRows := func() []int {
-		k := next() % 32
-		out := make([]int, 0, k)
-		for i := 0; i < k; i++ {
-			out = append(out, nextRow())
-		}
-		return out
-	}
-	// operand builds the right-hand set for the binary ops: either a
-	// scattered row list (sparse-shaped) or a contiguous run long enough
-	// to densify, so every form×form combination is exercised.
-	operand := func() (*RowSet, map[int]bool) {
 		var rows []int
 		if next()%2 == 0 {
-			rows = nextRows()
-		} else {
-			start := nextRow()
-			n := next() * 4
-			for r := start; r < start+n && r < opUniverse; r++ {
-				rows = append(rows, r)
+			k := next() % 32
+			for i := 0; i < k; i++ {
+				rows = append(rows, nextRow())
 			}
+			return rows
 		}
+		start := nextRow()
+		n := next() * 4
+		for r := start; r < start+n && r < opUniverse; r++ {
+			rows = append(rows, r)
+		}
+		return rows
+	}
+	// operand builds the right-hand set of AndWith.
+	operand := func() (*RowSet, map[int]bool) {
+		rows := nextRows()
 		m := map[int]bool{}
 		for _, r := range rows {
 			m[r] = true
@@ -68,7 +69,7 @@ func applyOps(t *testing.T, data []byte, seen map[string]bool) {
 		return RowSetFromSorted(rows), m
 	}
 	for pos < len(data) {
-		switch next() % 8 {
+		switch next() % 6 {
 		case 0:
 			r := nextRow()
 			seen["add:"+s.Form()] = true
@@ -94,20 +95,6 @@ func applyOps(t *testing.T, data []byte, seen map[string]bool) {
 				t.Fatalf("AndWith reported remaining=%v with %d rows left", remaining, len(ref))
 			}
 		case 3:
-			o, m := operand()
-			seen["or:"+s.Form()+"x"+o.Form()] = true
-			s.OrWith(o)
-			for r := range m {
-				ref[r] = true
-			}
-		case 4:
-			o, m := operand()
-			seen["andnot:"+s.Form()+"x"+o.Form()] = true
-			s.AndNotWith(o)
-			for r := range m {
-				delete(ref, r)
-			}
-		case 5:
 			// Clone-detach check: mutating the clone must not leak into
 			// the original, whatever form it is in.
 			seen["clone:"+s.Form()] = true
@@ -118,9 +105,9 @@ func applyOps(t *testing.T, data []byte, seen map[string]bool) {
 			if got := s.ToSorted(); !reflect.DeepEqual(got, before) {
 				t.Fatalf("original changed through clone: %v -> %v", before, got)
 			}
-		case 6:
+		case 4:
 			s = s.Clone()
-		case 7:
+		case 5:
 			r := nextRow()
 			seen["contains:"+s.Form()] = true
 			if got, want := s.Contains(r), ref[r]; got != want {
@@ -161,9 +148,9 @@ func checkOracle(t *testing.T, s *RowSet, ref map[int]bool) {
 // TestRowSetRandomOpParity replays random op sequences, checking
 // against the map oracle at every step. This is the deterministic twin
 // of FuzzRowSetOps; it fails unless the sequences drove every op
-// through both forms and And/Or/AndNot through all four
-// receiver×operand form pairs, so the dense algebra cannot silently
-// drop out of coverage.
+// through both forms and AndWith through all four receiver×operand
+// form pairs, so the dense algebra cannot silently drop out of
+// coverage.
 func TestRowSetRandomOpParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	seen := map[string]bool{}
@@ -180,10 +167,8 @@ func TestRowSetRandomOpParity(t *testing.T) {
 			}
 		}
 		for _, g := range forms {
-			for _, op := range []string{"and", "or", "andnot"} {
-				if !seen[op+":"+f+"x"+g] {
-					t.Errorf("no sequence ran %s on %s x %s", op, f, g)
-				}
+			if !seen["and:"+f+"x"+g] {
+				t.Errorf("no sequence ran and on %s x %s", f, g)
 			}
 		}
 	}
@@ -328,8 +313,6 @@ func TestRowSetFrozenConcurrentReads(t *testing.T) {
 					// set is only ever a read operand.
 					c := s.Clone()
 					c.AndWith(s)
-					c.OrWith(s)
-					c.AndNotWith(s)
 				}
 			}(frozen)
 		}

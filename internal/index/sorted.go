@@ -1,10 +1,6 @@
 package index
 
-import (
-	"sort"
-
-	"squid/internal/relation"
-)
+import "sort"
 
 // Sorted is a sorted index over a numeric column. It supports the prefix
 // selectivity queries the αDB precomputes (§5 "smart selectivity
@@ -14,27 +10,6 @@ type Sorted struct {
 	vals []float64 // sorted, NULLs excluded
 	min  float64
 	max  float64
-}
-
-// BuildSorted builds a sorted index over the named numeric column.
-func BuildSorted(rel *relation.Relation, col string) *Sorted {
-	c := rel.Column(col)
-	s := &Sorted{}
-	if c == nil || c.Type == relation.String {
-		return s
-	}
-	for row := 0; row < c.Len(); row++ {
-		if c.IsNull(row) {
-			continue
-		}
-		s.vals = append(s.vals, c.Float64(row))
-	}
-	sort.Float64s(s.vals)
-	if len(s.vals) > 0 {
-		s.min = s.vals[0]
-		s.max = s.vals[len(s.vals)-1]
-	}
-	return s
 }
 
 // BuildSortedFromValues builds the index straight from a value slice;

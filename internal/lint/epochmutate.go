@@ -37,8 +37,6 @@ var epochReachMutators = map[string]bool{
 	"Add":           true,
 	"AddAll":        true,
 	"AndWith":       true,
-	"OrWith":        true,
-	"AndNotWith":    true,
 }
 
 // analyzerEpochMutate enforces the copy-on-write contract of

@@ -147,9 +147,11 @@ func runMutexCopy(prog *Program, pkg *Package, report func(ast.Node, string)) {
 // analyzerUnusedExport flags exported package-level identifiers in
 // internal/ packages that no other package of the module references
 // and no _test.go file mentions: dead public surface that widens the
-// contract the other analyzers must police. Methods and struct fields
-// are exempt (interface satisfaction and encoding make their use
-// invisible to name resolution).
+// contract the other analyzers must police. An exported method is
+// flagged when no selector anywhere in the module (tests included)
+// names it and no interface the module can see declares it — interface
+// satisfaction is the one use name resolution cannot show. Struct
+// fields stay exempt (encoding makes their use invisible).
 func analyzerUnusedExport() *Analyzer {
 	return &Analyzer{
 		Name: "unusedexport",
@@ -185,6 +187,96 @@ func runUnusedExport(prog *Program, pkg *Package, report func(ast.Node, string))
 			continue
 		}
 		report(at, fmt.Sprintf("exported identifier %s is used by no other package and no test: unexport or remove it", name))
+	}
+
+	named := prog.selectorNames()
+	ifaceMethods := prog.interfaceMethodNames()
+	// A fixture package is not part of prog.Pkgs; its own selectors and
+	// interfaces count like any module package's.
+	own := map[string]bool{}
+	collectSelectorNames(pkg, own)
+	collectInterfaceMethods(pkg, own)
+	for _, fd := range pkg.funcDecls() {
+		name := fd.Name.Name
+		if fd.Recv == nil || !fd.Name.IsExported() {
+			continue
+		}
+		if named[name] || ifaceMethods[name] || own[name] || prog.TestIdents[name] {
+			continue
+		}
+		report(fd.Name, fmt.Sprintf("exported method %s.%s is named by no selector in the module and declared by no interface: unexport or remove it", recvTypeName(fd), name))
+	}
+}
+
+// selectorNames returns every name the module's non-test files select
+// (x.Name): method calls, method values, field reads (memoized per
+// program). Test files contribute through TestIdents.
+func (p *Program) selectorNames() map[string]bool {
+	if p.selNames == nil {
+		p.selNames = map[string]bool{}
+		for _, pkg := range p.Pkgs {
+			collectSelectorNames(pkg, p.selNames)
+		}
+	}
+	return p.selNames
+}
+
+func collectSelectorNames(pkg *Package, into map[string]bool) {
+	for _, f := range pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				into[sel.Sel.Name] = true
+			}
+			return true
+		})
+	}
+}
+
+// interfaceMethodNames returns the method names of every interface the
+// module can see: interface types written in its own files (named or
+// anonymous, embedded methods included), the named interfaces of the
+// packages it imports directly, and error (memoized per program).
+func (p *Program) interfaceMethodNames() map[string]bool {
+	if p.ifaceMethods != nil {
+		return p.ifaceMethods
+	}
+	names := map[string]bool{"Error": true}
+	for _, pkg := range p.Pkgs {
+		collectInterfaceMethods(pkg, names)
+		for _, imp := range pkg.Types.Imports() {
+			scope := imp.Scope()
+			for _, n := range scope.Names() {
+				if tn, ok := scope.Lookup(n).(*types.TypeName); ok {
+					addInterfaceMethods(tn.Type(), names)
+				}
+			}
+		}
+	}
+	p.ifaceMethods = names
+	return names
+}
+
+// collectInterfaceMethods adds the method names of every interface type
+// expression in the package's files.
+func collectInterfaceMethods(pkg *Package, into map[string]bool) {
+	for _, f := range pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if it, ok := n.(*ast.InterfaceType); ok {
+				addInterfaceMethods(pkg.typeOf(it), into)
+			}
+			return true
+		})
+	}
+}
+
+func addInterfaceMethods(t types.Type, into map[string]bool) {
+	if t == nil {
+		return
+	}
+	if it, ok := t.Underlying().(*types.Interface); ok {
+		for i := 0; i < it.NumMethods(); i++ {
+			into[it.Method(i).Name()] = true
+		}
 	}
 }
 

@@ -50,6 +50,9 @@ type Program struct {
 	loading   map[string]bool
 	stdImp    types.Importer
 	crossUses map[types.Object]bool
+	// selNames and ifaceMethods memoize unusedexport's method analysis.
+	selNames     map[string]bool
+	ifaceMethods map[string]bool
 }
 
 // LoadModule parses and typechecks every package of the module rooted

@@ -9,22 +9,21 @@ import (
 
 // rowSetMutators are the index.RowSet methods that write the receiver.
 var rowSetMutators = map[string]bool{
-	"Add":        true,
-	"AddAll":     true,
-	"AndWith":    true,
-	"OrWith":     true,
-	"AndNotWith": true,
+	"Add":     true,
+	"AddAll":  true,
+	"AndWith": true,
 }
 
 // analyzerRowSetAlias enforces the shared-row-set contract: a RowSet
-// obtained from SelCache.RowSet, Filter.RowSet(), or an EntityRowSet*
-// property method aliases αDB-cache storage shared across discoveries
-// and epochs. It must flow through Clone() before any mutating method;
-// mutating the alias corrupts every other reader's cached answer.
+// obtained from Filter.RowSet() or an EntityRowSet* property method
+// aliases the property's memo storage, shared across discoveries and
+// across the epochs the property lives through. It must flow through
+// Clone() before any mutating method; mutating the alias corrupts every
+// other reader's memoized answer.
 func analyzerRowSetAlias() *Analyzer {
 	return &Analyzer{
 		Name: "rowsetalias",
-		Doc:  "a RowSet from SelCache.RowSet / Filter.RowSet / EntityRowSet* is shared cache storage — Clone() before AndWith/OrWith/AndNotWith/Add*",
+		Doc:  "a RowSet from Filter.RowSet / EntityRowSet* is shared memo storage — Clone() before AndWith/Add*",
 		Run:  runRowSetAlias,
 	}
 }

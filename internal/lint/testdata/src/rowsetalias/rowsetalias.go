@@ -1,20 +1,19 @@
-// Fixture for the rowsetalias analyzer: a RowSet obtained from the
-// selectivity cache, a Filter, or an EntityRowSet* property method is
-// shared storage — mutating it without Clone() is a violation.
+// Fixture for the rowsetalias analyzer: a RowSet obtained from a Filter
+// or an EntityRowSet* property method is the property's memo storage —
+// mutating it without Clone() is a violation.
 package rowsetalias
 
 import (
 	"squid/internal/abduction"
 	"squid/internal/adb"
 	"squid/internal/index"
+	"squid/internal/trace"
 )
 
-func mk() *index.RowSet { return index.NewRowSet(8) }
+// --- positive cases: mutating a memo-aliasing set ---
 
-// --- positive cases: mutating a cache-aliasing set ---
-
-func chainedMutation(c *adb.SelCache, k adb.SelKey) {
-	c.RowSet(k, mk).AndWith(nil) // want "AndWith mutates a RowSet aliasing shared"
+func chainedMutation(p *adb.DerivedProperty) {
+	p.EntityRowSetWithStrength("v", 1, trace.Span{}).AndWith(nil) // want "AndWith mutates a RowSet aliasing shared"
 }
 
 func filterAlias(f *abduction.Filter) {
@@ -23,32 +22,32 @@ func filterAlias(f *abduction.Filter) {
 }
 
 func propertyAlias(p *adb.BasicProperty) {
-	s := p.EntityRowSetInRange(0, 10)
-	s.OrWith(nil) // want "OrWith mutates a RowSet aliasing shared"
+	s := p.EntityRowSetInRange(0, 10, trace.Span{})
+	s.AddAll(nil) // want "AddAll mutates a RowSet aliasing shared"
 }
 
 func aliasCopied(f *abduction.Filter) {
 	s := f.RowSet()
 	t := s
-	t.AndNotWith(nil) // want "AndNotWith mutates a RowSet aliasing shared"
+	t.AndWith(nil) // want "AndWith mutates a RowSet aliasing shared"
 }
 
-// Under the adaptive representation, highly-selective cached sets live
-// in the sparse (sorted-array) form — they are exactly as shared as
-// dense ones, and the bulk mutators corrupt them just the same.
-func sparseCachedBulkMutation(f *abduction.Filter) {
+// Under the adaptive representation, highly-selective memoized sets
+// live in the sparse (sorted-array) form — they are exactly as shared
+// as dense ones, and the bulk mutators corrupt them just the same.
+func sparseMemoBulkMutation(f *abduction.Filter) {
 	s := f.RowSet()
 	s.AddAll([]int{1, 2}) // want "AddAll mutates a RowSet aliasing shared"
 }
 
-func sparseCacheComputeAlias(c *adb.SelCache, k adb.SelKey) {
-	s := c.RowSet(k, func() *index.RowSet { return index.RowSetFromSorted([]int{3}) })
+func disjunctionAlias(p *adb.BasicProperty) {
+	s := p.EntityRowSetWithAnyValue([]string{"a", "b"}, trace.Span{})
 	s.AndWith(nil) // want "AndWith mutates a RowSet aliasing shared"
 }
 
 // --- negative cases ---
 
-// Clone() detaches from cache storage; the copy is private.
+// Clone() detaches from memo storage; the copy is private.
 func cloneDetaches(f *abduction.Filter) {
 	s := f.RowSet().Clone()
 	s.AndWith(nil)
@@ -75,5 +74,5 @@ func freshSetIsPrivate() {
 func freshSparseIsPrivate() {
 	s := index.RowSetFromSorted([]int{1, 2, 3})
 	s.AddAll([]int{9})
-	s.AndNotWith(nil)
+	s.AndWith(nil)
 }

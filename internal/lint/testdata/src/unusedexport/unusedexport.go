@@ -25,6 +25,34 @@ func Discover() *QzReachable { return nil }
 
 type QzReachable struct{ Hits int }
 
+// --- methods ---
+
+// An exported method nothing selects and no interface declares is dead
+// surface, whatever its receiver.
+func (QzReachable) QzDeadMethod() {} // want "exported method QzReachable.QzDeadMethod is named by no selector"
+
+func (*qzPrivate) QzDeadOnPrivate() {} // want "exported method qzPrivate.QzDeadOnPrivate is named by no selector"
+
+// Named by a selector somewhere in the module (here, below).
+func (QzReachable) QzSelected() int { return 0 }
+
+var _ = QzReachable{}.QzSelected
+
+// Declared by an interface the module can see: fmt.Stringer from an
+// imported package, qzDoer written in these files.
+func (QzReachable) String() string { return "" }
+
+type qzDoer interface{ QzDo() }
+
+type qzPrivate struct{}
+
+func (*qzPrivate) QzDo() {}
+
+var _ qzDoer = (*qzPrivate)(nil)
+
+// Mentioned by a _test.go file of the module (TestIdents).
+func (QzReachable) Explain() string { return "" }
+
 // Unexported identifiers are never the analyzer's business.
 func qzHelper() int { return 0 }
 

@@ -55,15 +55,6 @@ func (d *Database) AddRelation(r *Relation) *Relation {
 // Relation returns the named relation or nil.
 func (d *Database) Relation(name string) *Relation { return d.relations[name] }
 
-// MustRelation returns the named relation or panics.
-func (d *Database) MustRelation(name string) *Relation {
-	r := d.relations[name]
-	if r == nil {
-		panic(fmt.Sprintf("database %q: no relation %q", d.Name, name))
-	}
-	return r
-}
-
 // RelationNames returns relation names in insertion order.
 func (d *Database) RelationNames() []string {
 	out := make([]string, len(d.order))

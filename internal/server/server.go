@@ -909,9 +909,6 @@ func (s *Server) snapshotLoop() {
 // accepting connections and waits for in-flight requests.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Finalize stops the periodic snapshot loop, writes the final
 // snapshot (when a path is configured), and closes the write-ahead log
 // (final fsync, so even under the interval policy a graceful shutdown

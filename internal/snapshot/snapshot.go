@@ -35,8 +35,10 @@ const Magic = "SQAS"
 // Version is the current snapshot format version. Bump on ANY layout
 // change (see the package comment for the compatibility policy).
 // History: v2 added the αDB epoch sequence number (the write-ahead
-// log's replay anchor).
-const Version = 2
+// log's replay anchor); v3 dropped the three blocks that stored a
+// statistic twice (entity row→id table, per-code entity counts, the
+// numeric value multiset beside the value→row index).
+const Version = 3
 
 // ErrVersion reports a snapshot whose format version does not match
 // this build's Version.

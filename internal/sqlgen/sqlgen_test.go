@@ -1,6 +1,7 @@
 package sqlgen
 
 import (
+	"context"
 	"reflect"
 	"sort"
 	"strings"
@@ -177,6 +178,18 @@ func TestPredicateCount(t *testing.T) {
 	}
 }
 
+// discoverPerson abduces the person.name query for the named examples
+// (unique in the fixture, so no resolver is needed); the tests below
+// swap in hand-built filters and only need a Result grounded in the αDB.
+func discoverPerson(t *testing.T, alpha *adb.AlphaDB, examples ...string) *abduction.Result {
+	t.Helper()
+	results, err := abduction.DiscoverCtx(context.Background(), alpha.Snapshot(), examples, abduction.DefaultParams(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results[0]
+}
+
 func TestAlphaSQLNumericRange(t *testing.T) {
 	_, alpha := paperDB(t)
 	info := alpha.Entity("person")
@@ -184,13 +197,7 @@ func TestAlphaSQLNumericRange(t *testing.T) {
 	if age == nil {
 		t.Fatal("age property missing")
 	}
-	res := &abduction.Result{
-		Base:    abduction.BaseQuery{Entity: "person", Attr: "name"},
-		Filters: []*abduction.Filter{{Kind: abduction.BasicNumeric, Basic: age, Lo: 40, Hi: 50}},
-	}
-	// Result needs its info set; reconstruct through AbduceForEntity to
-	// keep internals consistent.
-	res = abduction.AbduceForEntity(info, res.Base, []int{0, 1, 2}, abduction.DefaultParams())
+	res := discoverPerson(t, alpha, "Eddie Murphy", "Jim Carrey", "Robin Williams")
 	res.Filters = []*abduction.Filter{{Kind: abduction.BasicNumeric, Basic: age, Lo: 40, Hi: 50}}
 	sql := AlphaSQL(res)
 	if !strings.Contains(sql, "person.age >= 40") || !strings.Contains(sql, "person.age <= 50") {
@@ -208,7 +215,7 @@ func TestSameDerivedRelationTwiceUsesAlias(t *testing.T) {
 	if ptg == nil {
 		t.Fatal("derived property missing")
 	}
-	res := abduction.AbduceForEntity(info, abduction.BaseQuery{Entity: "person", Attr: "name"}, []int{0, 1}, abduction.DefaultParams())
+	res := discoverPerson(t, alpha, "Eddie Murphy", "Jim Carrey")
 	res.Filters = []*abduction.Filter{
 		{Kind: abduction.Derived, Derivd: ptg, Values: []string{"Comedy"}, Theta: 3},
 		{Kind: abduction.Derived, Derivd: ptg, Values: []string{"Drama"}, Theta: 2},
@@ -237,7 +244,7 @@ func TestOriginalSQLIntersectForMultipleDerived(t *testing.T) {
 	_, alpha := paperDB(t)
 	info := alpha.Entity("person")
 	ptg := info.DerivedByAttr("movie:genre")
-	res := abduction.AbduceForEntity(info, abduction.BaseQuery{Entity: "person", Attr: "name"}, []int{0, 1}, abduction.DefaultParams())
+	res := discoverPerson(t, alpha, "Eddie Murphy", "Jim Carrey")
 	res.Filters = []*abduction.Filter{
 		{Kind: abduction.Derived, Derivd: ptg, Values: []string{"Comedy"}, Theta: 3},
 		{Kind: abduction.Derived, Derivd: ptg, Values: []string{"Drama"}, Theta: 2},
@@ -253,8 +260,7 @@ func TestOriginalSQLIntersectForMultipleDerived(t *testing.T) {
 
 func TestNoFilterSQL(t *testing.T) {
 	_, alpha := paperDB(t)
-	info := alpha.Entity("person")
-	res := abduction.AbduceForEntity(info, abduction.BaseQuery{Entity: "person", Attr: "name"}, []int{0}, abduction.DefaultParams())
+	res := discoverPerson(t, alpha, "Eddie Murphy")
 	res.Filters = nil
 	sql := AlphaSQL(res)
 	if strings.Contains(sql, "WHERE") {

@@ -28,17 +28,21 @@
 // so discovery cost tracks the number of candidate filters rather than
 // the data size (the paper's Fig 16b scalability claim):
 //
-//   - An IndexSet (internal/index) pools hash indexes over every base
-//     and derived relation, built once and maintained in place by
-//     incremental inserts; dimension lookups, αDB maintenance, and the
-//     engine's point-predicate pushdown all share it.
+//   - An IndexSet (internal/index) is each epoch's view of the hash
+//     and sorted indexes over every base and derived relation, built
+//     once and immutable once visible; an insert clones the shards it
+//     touches and the next epoch's view shares the rest. Dimension
+//     lookups, αDB maintenance, and the engine's predicate pushdown all
+//     read it.
 //   - Each property answers selectivity and satisfying-row questions
-//     from precomputed postings and sorted value→row indexes; a
-//     memoized selectivity cache (internal/adb.SelCache) shares row
-//     sets across discoveries. Invalidation is per property: an insert
-//     discards only the entries of the properties whose statistics it
-//     shifted, so sustained ingest into one relation leaves the rest of
-//     the cache warm.
+//     from precomputed postings and a sorted value→row index, and
+//     memoizes the row sets it computes, shared across discoveries.
+//     The property owns its memo: an insert republishes only the
+//     properties whose statistics it shifted, as clones with empty
+//     memos, so sustained ingest into one relation leaves every other
+//     property's memo warm, and a retired property's memo is collected
+//     with it (internal/adb.SelCache is the αDB-wide view: hit/miss
+//     counters plus inspection of the current epoch's memos).
 //   - Filter row sets intersect as adaptive sparse/dense row sets,
 //     seeded by the most selective filter.
 //   - DiscoverBatch fans independent example sets across a bounded
@@ -532,7 +536,8 @@ func (s *System) DiscoverAll(examples []string) ([]*Discovery, error) {
 // dynamic-dataset extension). Safe to call concurrently with discovery
 // (readers are wait-free on their pinned epochs) and with inserts into
 // other relations; only the inserted entity's own properties are
-// cloned and cache-invalidated.
+// cloned (their row-set memos start empty), every other property keeps
+// its memo.
 func (s *System) InsertEntity(rel string, vals ...Value) error {
 	if err := s.alpha.InsertEntity(rel, vals...); err != nil {
 		return err

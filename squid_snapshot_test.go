@@ -134,7 +134,9 @@ func TestSnapshotRoundTripAfterInsert(t *testing.T) {
 }
 
 // TestSnapshotVersionMismatch asserts the strict version policy: a
-// stream with a bumped version is rejected with ErrSnapshotVersion.
+// stream with a newer or an older version (v2, the format before the
+// duplicated statistics blocks were dropped) is rejected with
+// ErrSnapshotVersion.
 func TestSnapshotVersionMismatch(t *testing.T) {
 	sys, _ := snapshotSystem(t)
 	var buf bytes.Buffer
@@ -142,9 +144,12 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
-	b[4]++ // version varint lives right after the 4-byte magic
-	if _, err := Load(bytes.NewReader(b)); !errors.Is(err, ErrSnapshotVersion) {
-		t.Errorf("Load of bumped-version snapshot = %v, want ErrSnapshotVersion", err)
+	// The version varint lives right after the 4-byte magic.
+	for _, v := range []byte{b[4] + 1, 2} {
+		b[4] = v
+		if _, err := Load(bytes.NewReader(b)); !errors.Is(err, ErrSnapshotVersion) {
+			t.Errorf("Load of a version-%d snapshot = %v, want ErrSnapshotVersion", v, err)
+		}
 	}
 
 	// And garbage is rejected without panicking.
