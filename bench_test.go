@@ -2,6 +2,8 @@ package squid
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"squid/internal/adb"
@@ -266,6 +268,65 @@ func BenchmarkGroundTruthExecution(b *testing.B) {
 			if _, err := benchqueries.GroundTruth(g.DB, q); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// insertBenchBatch is the repository benchmark's insert batch at bench
+// scale: 60 castinfo facts over generator ids, then 4 new persons with
+// ids no earlier batch used (benchmark/input.go, same shape).
+func insertBenchBatch(cfg datagen.IMDbConfig, k int) []InsertOp {
+	rng := rand.New(rand.NewSource(int64(k) + 1))
+	ops := make([]InsertOp, 0, 64)
+	for i := 0; i < 60; i++ {
+		ops = append(ops, InsertOp{Rel: "castinfo", Vals: []Value{
+			IntVal(int64(rng.Intn(cfg.NumPersons))), IntVal(int64(rng.Intn(cfg.NumMovies))), IntVal(int64(rng.Intn(5))),
+		}})
+	}
+	for i := 0; i < 4; i++ {
+		id := int64(cfg.NumPersons + 4*k + i)
+		ops = append(ops, InsertOp{Rel: "person", Vals: []Value{
+			IntVal(id), StringVal(fmt.Sprintf("Bench Person %d", id)), StringVal("Female"),
+			IntVal(int64(1930 + rng.Intn(75))), IntVal(int64(rng.Intn(14))),
+		}})
+	}
+	return ops
+}
+
+// BenchmarkInsertBatch measures one publish of the repository
+// benchmark's 64-row batch: ms/op is insert_batch_ms without HTTP and
+// WAL, B/op is what a publish allocates (copy-on-write clones included).
+func BenchmarkInsertBatch(b *testing.B) {
+	cfg := benchScale().IMDb
+	sys, err := Build(datagen.GenerateIMDb(cfg).DB, DefaultBuildConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sys.InsertBatch(insertBenchBatch(cfg, i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkInsertSingleFact measures a one-fact publish — the floor a
+// publish pays before any row of a batch amortizes it.
+func BenchmarkInsertSingleFact(b *testing.B) {
+	cfg := benchScale().IMDb
+	sys, err := Build(datagen.GenerateIMDb(cfg).DB, DefaultBuildConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		err := sys.InsertFact("castinfo",
+			IntVal(int64(rng.Intn(cfg.NumPersons))), IntVal(int64(rng.Intn(cfg.NumMovies))), IntVal(int64(rng.Intn(5))))
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -455,11 +455,11 @@ func (a *Epoch) keepCategorical(distinct, entities int) bool {
 	return true
 }
 
-// finishCategorical computes the per-code statistics of a categorical
-// basic property from its per-row code lists and applies the
+// finishCategorical adopts the per-row code lists of a categorical
+// basic property, computes its per-code statistics and applies the
 // distinct-count guards.
-func (a *Epoch) finishCategorical(p *BasicProperty) *BasicProperty {
-	p.buildCatStats()
+func (a *Epoch) finishCategorical(p *BasicProperty, valsByRow [][]int32) *BasicProperty {
+	p.buildCatStats(valsByRow)
 	if !a.keepCategorical(p.numValues, p.numEntities) {
 		return nil
 	}
@@ -467,17 +467,18 @@ func (a *Epoch) finishCategorical(p *BasicProperty) *BasicProperty {
 	return p
 }
 
-// buildCatStats fills catRows from valsByRow, listing each (entity,
-// code) pair once.
-func (p *BasicProperty) buildCatStats() {
-	p.catRows = make([][]int, p.dict.Len())
+// buildCatStats adopts valsByRow and fills catRows from it, listing
+// each (entity, code) pair once. Both become chunked vectors cut from
+// the flat arrays built here.
+func (p *BasicProperty) buildCatStats(valsByRow [][]int32) {
+	catRows := make([][]int, p.dict.Len())
 	add := func(c int32, row int) {
-		if len(p.catRows[c]) == 0 {
+		if len(catRows[c]) == 0 {
 			p.numValues++
 		}
-		p.catRows[c] = append(p.catRows[c], row)
+		catRows[c] = append(catRows[c], row)
 	}
-	for row, codes := range p.valsByRow {
+	for row, codes := range valsByRow {
 		// Dedup codes within the row: linear scan for the common short
 		// lists, a set for heavy multi-valued rows.
 		if len(codes) > 16 {
@@ -503,6 +504,7 @@ func (p *BasicProperty) buildCatStats() {
 			}
 		}
 	}
+	p.valsByRow, p.catRows = index.ChunkedOf(valsByRow), index.ChunkedOf(catRows)
 }
 
 // buildDirectProperty creates a basic property from a direct entity
@@ -517,19 +519,20 @@ func (a *Epoch) buildDirectProperty(info *EntityInfo, col *relation.Column) *Bas
 	if col.Type == relation.String {
 		p.Kind = Categorical
 		p.dict = col.Dict()
-		p.valsByRow = make([][]int32, info.NumRows)
+		valsByRow := make([][]int32, info.NumRows)
 		backing := make([]int32, info.NumRows)
 		for row := 0; row < info.NumRows; row++ {
 			if col.IsNull(row) {
 				continue
 			}
 			backing[row] = col.Code(row)
-			p.valsByRow[row] = backing[row : row+1 : row+1]
+			valsByRow[row] = backing[row : row+1 : row+1]
 		}
-		return a.finishCategorical(p)
+		return a.finishCategorical(p, valsByRow)
 	}
 	p.Kind = Numeric
-	p.numByRow = make([]*float64, info.NumRows)
+	numByRow := make([]float64, info.NumRows)
+	numHas := make([]uint64, (info.NumRows+63)/64)
 	var vals []float64
 	var rows []int
 	for row := 0; row < info.NumRows; row++ {
@@ -537,13 +540,15 @@ func (a *Epoch) buildDirectProperty(info *EntityInfo, col *relation.Column) *Bas
 			continue
 		}
 		v := col.Float64(row)
-		p.numByRow[row] = &v
+		numByRow[row] = v
+		numHas[row>>6] |= 1 << (row & 63)
 		vals = append(vals, v)
 		rows = append(rows, row)
 	}
 	if len(vals) == 0 {
 		return nil
 	}
+	p.numByRow, p.numHas = index.ChunkedOf(numByRow), index.ChunkedOf(numHas)
 	p.numIdx = index.BuildNumericRows(vals, rows)
 	p.memo = newRowSetMemo(a.selCache)
 	return p
@@ -584,7 +589,7 @@ func (a *Epoch) buildFKDimProperty(info *EntityInfo, fk relation.ForeignKey) *Ba
 		numEntities: info.NumRows,
 		dict:        vc.Dict(),
 	}
-	p.valsByRow = make([][]int32, info.NumRows)
+	valsByRow := make([][]int32, info.NumRows)
 	backing := make([]int32, info.NumRows)
 	for row := 0; row < info.NumRows; row++ {
 		if fkc.IsNull(row) {
@@ -592,10 +597,10 @@ func (a *Epoch) buildFKDimProperty(info *EntityInfo, fk relation.ForeignKey) *Ba
 		}
 		if dimRow, ok := dimIdx.First(fkc.Int64(row)); ok && !vc.IsNull(dimRow) {
 			backing[row] = vc.Code(dimRow)
-			p.valsByRow[row] = backing[row : row+1 : row+1]
+			valsByRow[row] = backing[row : row+1 : row+1]
 		}
 	}
-	return a.finishCategorical(p)
+	return a.finishCategorical(p, valsByRow)
 }
 
 // buildAttrTableProperty creates a (multi-valued) basic property from an
@@ -617,16 +622,16 @@ func (a *Epoch) buildAttrTableProperty(info *EntityInfo, sideName string, fk rel
 		numEntities: info.NumRows,
 		dict:        col.Dict(),
 	}
-	p.valsByRow = make([][]int32, info.NumRows)
+	valsByRow := make([][]int32, info.NumRows)
 	for sr := 0; sr < side.NumRows(); sr++ {
 		if fkc.IsNull(sr) || col.IsNull(sr) {
 			continue
 		}
 		if row, ok := info.pkIndex.First(fkc.Int64(sr)); ok {
-			p.valsByRow[row] = append(p.valsByRow[row], col.Code(sr))
+			valsByRow[row] = append(valsByRow[row], col.Code(sr))
 		}
 	}
-	return a.finishCategorical(p)
+	return a.finishCategorical(p, valsByRow)
 }
 
 // buildFactDimProperty creates a (multi-valued) basic property reached
@@ -656,7 +661,7 @@ func (a *Epoch) buildFactDimProperty(info *EntityInfo, factName string, fkToMe, 
 		numEntities: info.NumRows,
 		dict:        vc.Dict(),
 	}
-	p.valsByRow = make([][]int32, info.NumRows)
+	valsByRow := make([][]int32, info.NumRows)
 	for fr := 0; fr < fact.NumRows(); fr++ {
 		if entCol.IsNull(fr) || dimFK.IsNull(fr) {
 			continue
@@ -669,7 +674,7 @@ func (a *Epoch) buildFactDimProperty(info *EntityInfo, factName string, fkToMe, 
 		if !ok || vc.IsNull(dimRow) {
 			continue
 		}
-		p.valsByRow[row] = append(p.valsByRow[row], vc.Code(dimRow))
+		valsByRow[row] = append(valsByRow[row], vc.Code(dimRow))
 	}
-	return a.finishCategorical(p)
+	return a.finishCategorical(p, valsByRow)
 }

@@ -264,16 +264,16 @@ func (a *Epoch) buildEntityAssocProperty(info *EntityInfo, fact1 string, fkToMe,
 		numEntities: info.NumRows,
 		dict:        vc.Dict(),
 	}
-	p.valsByRow = make([][]int32, info.NumRows)
+	valsByRow := make([][]int32, info.NumRows)
 	for eRow, viaRows := range adjacency {
 		for _, vr := range viaRows {
 			if !vc.IsNull(vr) {
-				p.valsByRow[eRow] = append(p.valsByRow[eRow], vc.Code(vr))
+				valsByRow[eRow] = append(valsByRow[eRow], vc.Code(vr))
 			}
 		}
 	}
 	// Bypass the cardinality guards: build stats directly.
-	p.buildCatStats()
+	p.buildCatStats(valsByRow)
 	if p.numValues == 0 {
 		return nil
 	}
@@ -325,6 +325,10 @@ func (a *Epoch) materializeDerived(info *EntityInfo, p *DerivedProperty, adjacen
 	).AddForeignKey("entity_id", p.Entity, info.PK)
 	vcol := rel.Column("value")
 	pkCol := info.rel.Column(info.PK)
+	// Per-code pair lists, appended in entity-row order: each chunk is
+	// its own allocation, so a chunk an insert later replaces is freed
+	// on its own instead of being pinned by its neighbors' array.
+	var pairs []index.Chunked[valCount]
 
 	for eRow, viaRows := range adjacency {
 		if len(viaRows) == 0 {
@@ -338,24 +342,21 @@ func (a *Epoch) materializeDerived(info *EntityInfo, p *DerivedProperty, adjacen
 		for _, c := range sortedCodesByValue(m, decode) {
 			cnt := m[c]
 			rel.MustAppend(relation.IntVal(id), relation.StringVal(decode(c)), relation.IntVal(int64(cnt)))
-			dcode := vcol.Code(rel.NumRows() - 1)
-			p.growTo(dcode)
-			p.perValueRows[dcode] = append(p.perValueRows[dcode], valCount{entityRow: eRow, count: cnt})
+			dcode := int(vcol.Code(rel.NumRows() - 1))
+			for len(pairs) <= dcode {
+				pairs = append(pairs, index.Chunked[valCount]{})
+			}
+			pairs[dcode].Append(nil, valCount{entityRow: eRow, count: cnt})
 		}
 	}
 	p.rel = rel
 	p.memo = newRowSetMemo(a.selCache)
 	p.byEntity = index.BuildIntHash(rel, "entity_id")
-	for code, vcs := range p.perValueRows {
-		if len(vcs) == 0 {
-			continue
-		}
-		vals := make([]float64, len(vcs))
-		for i, vc := range vcs {
-			vals[i] = float64(vc.count)
-		}
-		p.perValue[code] = index.BuildSortedFromValues(vals)
+	codes := make([]codeStats, len(pairs))
+	for code := range pairs {
+		codes[code] = newCodeStats(pairs[code])
 	}
+	p.codes = index.ChunkedOf(codes)
 	return nil
 }
 

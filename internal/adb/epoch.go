@@ -22,10 +22,10 @@ import (
 // against it: no lock is taken, no writer can stall them, and every
 // answer — selectivity, row sets, query output — reflects exactly the
 // state at publish time (snapshot isolation). Writers never mutate a
-// published epoch; they build the next one copy-on-write (cloning only
-// the relations, per-property statistics, and index shards the batch
-// touches, structurally sharing everything else) and publish it with
-// one pointer swap. What is derived from a property lives on the
+// published epoch; they build the next one copy-on-write (copying only
+// the chunks of per-property statistics and the index tails the batch
+// writes into, structurally sharing everything else) and publish it
+// with one pointer swap. What is derived from a property lives on the
 // property: a cloned property starts with an empty row-set memo, an
 // untouched one carries its memo into the next epoch (see rowSetMemo),
 // so publishing has nothing to evict.
@@ -146,8 +146,8 @@ type AlphaDB struct {
 
 	// retired / retainedBytes gauge the epoch chain's garbage: epochs
 	// replaced by a publish but not yet collected (readers may still pin
-	// them), and an upper-bound estimate of the private bytes they
-	// retain. A publish raises both; a finalizer on the retired epoch
+	// them), and the bytes they keep alive on their own — what the
+	// publishes that retired them copied. A publish raises both; a finalizer on the retired epoch
 	// lowers them when the collector proves no reader holds it.
 	retired       atomic.Int64
 	retainedBytes atomic.Int64
@@ -224,10 +224,10 @@ type EpochStats struct {
 	Publishes   uint64
 	Combines    uint64
 	// Retired counts epochs replaced by a publish but not yet garbage
-	// collected (readers may still pin them); RetainedBytes is an
-	// upper-bound estimate of the private bytes those epochs retain
-	// (the replaced relations' sizes — structural sharing means the
-	// true figure is at most this).
+	// collected (readers may still pin them); RetainedBytes is what
+	// those epochs keep alive on their own: the bytes the publishes
+	// that retired them copied instead of sharing (chunks, index tails,
+	// derived count columns).
 	Retired       int64
 	RetainedBytes int64
 }
@@ -381,22 +381,14 @@ func (a *AlphaDB) publishT(eb *epochBuilder, sp trace.Span) {
 	a.publishes.Add(1)
 	ps.Add(trace.CounterEpochSeq, int64(next.seq))
 
-	// GC telemetry: cur just retired. Charge it the bytes of the
-	// relations this publish replaced (everything else it shares with
-	// next structurally), and let a finalizer credit them back once no
-	// reader pins it — the gap between publishes and finalizations is
-	// exactly the chain's uncollected garbage.
-	var est int64
-	for name := range eb.baseRels {
-		if r := cur.DB.Relation(name); r != nil {
-			est += r.ByteSize()
-		}
-	}
-	for name := range eb.derivedRels {
-		if r := cur.DerivedDB.Relation(name); r != nil {
-			est += r.ByteSize()
-		}
-	}
+	// GC telemetry: cur just retired. Everything the builder did not
+	// copy, cur shares with next; what it did copy — chunks and chunk
+	// tables, index tails and folded bases, the derived count columns —
+	// has an original of the same size that only cur still references.
+	// Charge cur that, and let a finalizer credit it back once no reader
+	// pins it — the gap between publishes and finalizations is exactly
+	// the chain's uncollected garbage.
+	est := eb.gen.Copied
 	a.retired.Add(1)
 	a.retainedBytes.Add(est)
 	runtime.SetFinalizer(cur, func(*Epoch) {

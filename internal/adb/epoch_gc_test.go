@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"squid/internal/datagen"
 	"squid/internal/relation"
 )
 
@@ -57,5 +58,63 @@ func TestEpochGCTelemetry(t *testing.T) {
 			t.Fatalf("retired epoch never collected: retired=%d retained=%d", es.Retired, es.RetainedBytes)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestOneFactPublishRetainsWhatItCopies: the retired-epoch gauge charges
+// what the publish actually copied — a chunk of each per-row and
+// per-code vector the fact reaches, the index tails, and the derived
+// relations' count columns (flat storage, the one whole-structure copy
+// left) — not the size of every relation it touched, and credits it
+// back once the readers are gone. On the small fixture all of it fits
+// 256 KB; at eight times the rows everything but the count columns
+// still does.
+func TestOneFactPublishRetainsWhatItCopies(t *testing.T) {
+	for _, cfg := range []datagen.IMDbConfig{
+		{Seed: 11, NumPersons: 300, NumMovies: 150, NumCompany: 10},
+		{Seed: 7, NumPersons: 2500, NumMovies: 1000, NumCompany: 50},
+	} {
+		a, err := Build(datagen.GenerateIMDb(cfg).DB, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var countCols int64
+		for _, info := range a.Snapshot().Entities {
+			for _, p := range info.Derived {
+				if p.Fact1 == "castinfo" {
+					countCols += p.rel.Column("count").ByteSize()
+				}
+			}
+		}
+		pinned := a.Snapshot()
+		if err := a.InsertFact("castinfo", relation.IntVal(17), relation.IntVal(23), relation.IntVal(1)); err != nil {
+			t.Fatal(err)
+		}
+		es := a.EpochStats()
+		t.Logf("%d persons: a one-fact publish retains %d bytes, %d of them count columns", cfg.NumPersons, es.RetainedBytes, countCols)
+		if es.Retired != 1 || es.RetainedBytes <= countCols {
+			t.Fatalf("retired = %d, retained = %d bytes (the count columns alone are %d)", es.Retired, es.RetainedBytes, countCols)
+		}
+		limit := int64(256 << 10)
+		if cfg.NumPersons > 300 {
+			limit += countCols
+		}
+		if es.RetainedBytes > limit {
+			t.Errorf("%d persons: one fact retains %d bytes, want under %d", cfg.NumPersons, es.RetainedBytes, limit)
+		}
+		runtime.KeepAlive(pinned)
+		pinned = nil
+		_ = pinned
+		runtime.GC()
+		runtime.GC()
+		// Finalizers run on their own goroutine after the second cycle.
+		deadline := time.Now().Add(5 * time.Second)
+		for a.EpochStats().RetainedBytes != 0 || a.EpochStats().Retired != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("gauge did not return to zero: %+v", a.EpochStats())
+			}
+			runtime.GC()
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
 }

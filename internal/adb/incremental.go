@@ -2,7 +2,6 @@ package adb
 
 import (
 	"fmt"
-	"sort"
 
 	"squid/internal/index"
 	"squid/internal/relation"
@@ -12,11 +11,12 @@ import (
 // This file implements one of the paper's §9 future directions —
 // efficient αDB maintenance for dynamic datasets — as a copy-on-write
 // epoch writer. Instead of rebuilding the αDB (or mutating it under a
-// global lock), an insert batch builds the next epoch: it clones
-// exactly the relations, per-property statistics, and index shards the
-// batch touches, structurally shares everything else with the base
-// epoch, applies the same per-row delta logic as before to the private
-// clones, and publishes the result with one atomic pointer swap
+// global lock), an insert batch builds the next epoch: it clones the
+// headers of the relations, per-property statistics, and index shards
+// the batch touches, copies only the chunks and index tails it writes
+// into (index.Chunked, index.IntHash), structurally shares everything
+// else with the base epoch, applies the per-row delta logic to the
+// private clones, and publishes the result with one atomic pointer swap
 // (AlphaDB.publish). Readers pinned to older epochs are never stalled
 // and never observe a half-applied batch. Only inserts are supported
 // (append-only maintenance), which covers the common catalog-growth
@@ -29,14 +29,20 @@ import (
 
 // epochBuilder accumulates one writer's copy-on-write changes against
 // a base epoch. Privatization is lazy and per-structure: the first
-// touch of a relation, property, or index shard clones it; later
-// touches in the same batch mutate the private clone in place. Inner
-// row lists are shared with the base and only ever appended past the
-// base's lengths — in-place mutations (derived-count bumps, mid-list
-// insertions) always copy the affected list out first.
+// touch of a relation, property, or index shard clones its header;
+// the first write into a chunk of a per-row or per-code vector copies
+// that chunk (stamped with gen, so later touches in the same batch
+// mutate it in place). Inner row lists are shared with the base and
+// only ever appended past the base's lengths — mid-list insertions copy
+// the affected list out first.
 type epochBuilder struct {
 	base *Epoch
 	idx  *index.IndexDelta
+	// gen is this writer's generation: it stamps every chunk and table
+	// the builder copies, and tallies the bytes copied (chunks, index
+	// tails and folds, updated columns) — what the epoch this publish
+	// retires keeps alive on its own.
+	gen *index.Gen
 
 	baseRels    map[string]*relation.Relation // privatized base relations
 	derivedRels map[string]*relation.Relation // privatized derived relations
@@ -74,9 +80,11 @@ func (eb *epochBuilder) noteApplied(rel string, vals []relation.Value) {
 }
 
 func newEpochBuilder(base *Epoch) *epochBuilder {
+	gen := new(index.Gen)
 	return &epochBuilder{
 		base:        base,
-		idx:         index.NewIndexDelta(base.Indexes),
+		idx:         index.NewIndexDelta(base.Indexes, gen),
+		gen:         gen,
 		baseRels:    make(map[string]*relation.Relation),
 		derivedRels: make(map[string]*relation.Relation),
 		entities:    make(map[string]*EntityInfo),
@@ -113,7 +121,8 @@ func (eb *epochBuilder) baseRel(name string) *relation.Relation {
 }
 
 // derivedRel privatizes a derived relation; the count column gets a
-// deep copy because bumps overwrite existing cells in place.
+// deep copy because bumps overwrite existing cells in place (column
+// storage is flat: the one whole-structure copy left on this path).
 func (eb *epochBuilder) derivedRel(name string) *relation.Relation {
 	if r := eb.derivedRels[name]; r != nil {
 		return r
@@ -123,6 +132,7 @@ func (eb *epochBuilder) derivedRel(name string) *relation.Relation {
 		return nil
 	}
 	r = r.CloneForWrite("count")
+	eb.gen.Copied += r.Column("count").ByteSize()
 	eb.derivedRels[name] = r
 	return r
 }
@@ -169,7 +179,7 @@ func (eb *epochBuilder) privBasic(info *EntityInfo, i int) *BasicProperty {
 	if eb.isPriv[p] {
 		return p
 	}
-	q := p.cloneForWrite()
+	q := p.cloneForWrite(eb.gen)
 	eb.isPriv[q] = true
 	info.Basic[i] = q
 	return q
@@ -331,7 +341,7 @@ func (eb *epochBuilder) insertEntity(entityRel string, vals []relation.Value) er
 			// FactDim/AttrTable properties gain values only via fact
 			// inserts; the new entity simply has none yet.
 			if p.Kind == Categorical {
-				p.valsByRow = append(p.valsByRow, nil)
+				p.valsByRow.Append(eb.gen, nil)
 			}
 		}
 	}
@@ -356,37 +366,38 @@ func (eb *epochBuilder) insertEntity(entityRel string, vals []relation.Value) er
 func (eb *epochBuilder) insertDirectValue(p *BasicProperty, rel *relation.Relation, row int) {
 	col := rel.Column(p.Access.Column)
 	if p.Kind == Numeric {
-		p.numByRow = append(p.numByRow, nil)
-		if !col.IsNull(row) {
-			v := col.Float64(row)
-			p.numByRow[row] = &v
+		v, ok := 0.0, !col.IsNull(row)
+		if ok {
+			v = col.Float64(row)
 			p.numIdx = p.numIdx.Insert(v, row) // private clone: in-place is safe
 		}
+		p.appendNum(eb.gen, v, ok)
 		return
 	}
-	p.valsByRow = append(p.valsByRow, nil)
-	if !col.IsNull(row) {
-		code := col.Code(row)
-		p.valsByRow[row] = []int32{code}
-		p.addCatRow(code, row)
+	if col.IsNull(row) {
+		p.valsByRow.Append(eb.gen, nil)
+		return
 	}
+	code := col.Code(row)
+	p.valsByRow.Append(eb.gen, []int32{code})
+	p.addCatRow(eb.gen, code, row)
 }
 
 func (eb *epochBuilder) insertFKDimValue(p *BasicProperty, rel *relation.Relation, row int) {
-	p.valsByRow = append(p.valsByRow, nil)
-	fkc := rel.Column(p.Access.Column)
-	if fkc.IsNull(row) {
-		return
+	var codes []int32
+	if fkc := rel.Column(p.Access.Column); !fkc.IsNull(row) {
+		// Dimension relations are never written; reading them (and their
+		// lazily built base indexes) needs no privatization.
+		dim := eb.base.DB.Relation(p.Access.Dim)
+		dimIdx := eb.idx.ReadIntHash(dim, p.Access.DimPK)
+		vc := dim.Column(p.Access.DimValueCol)
+		if dimRow, ok := dimIdx.First(fkc.Int64(row)); ok && !vc.IsNull(dimRow) {
+			codes = []int32{vc.Code(dimRow)}
+		}
 	}
-	// Dimension relations are never written; reading them (and their
-	// lazily built base indexes) needs no privatization.
-	dim := eb.base.DB.Relation(p.Access.Dim)
-	dimIdx := eb.idx.ReadIntHash(dim, p.Access.DimPK)
-	vc := dim.Column(p.Access.DimValueCol)
-	if dimRow, ok := dimIdx.First(fkc.Int64(row)); ok && !vc.IsNull(dimRow) {
-		code := vc.Code(dimRow)
-		p.valsByRow[row] = []int32{code}
-		p.addCatRow(code, row)
+	p.valsByRow.Append(eb.gen, codes)
+	if codes != nil {
+		p.addCatRow(eb.gen, codes[0], row)
 	}
 }
 
@@ -456,25 +467,24 @@ func (eb *epochBuilder) insertFact(factRel string, vals []relation.Value) error 
 	return nil
 }
 
-// setCatValues re-points the per-entity code list of an existing row:
-// the inner list is shared with the base epoch, so extension copies it
-// out instead of appending into shared backing whose tail position may
-// alias another epoch's view of the same row.
-func setCatValues(p *BasicProperty, eRow int, codes []int32, code int32) {
+// addValueAt records code for the existing entity at eRow (fact inserts
+// touch arbitrary entity rows). The per-entity code list is shared with
+// the base epoch, so it is copied out around the new code instead of
+// appended into backing whose tail position may alias another epoch's
+// view of the same row; the value's posting list gains the row unless
+// the entity already exhibits the value.
+func (p *BasicProperty) addValueAt(g *index.Gen, code int32, eRow int) {
+	codes := p.valsByRow.At(eRow)
 	next := make([]int32, len(codes)+1)
 	copy(next, codes)
 	next[len(codes)] = code
-	p.valsByRow[eRow] = next
-}
-
-// addCatValueAt records code for the entity at eRow, inserting into the
-// posting list in row order (fact inserts touch arbitrary entity rows).
-func (p *BasicProperty) addCatValueAt(code int32, eRow int) {
-	p.growTo(code)
-	if len(p.catRows[code]) == 0 {
-		p.numValues++
+	p.valsByRow.Set(g, eRow, next)
+	for _, existing := range codes {
+		if existing == code {
+			return // value already counted for this entity
+		}
 	}
-	p.catRows[code] = insertSortedInt(p.catRows[code], eRow)
+	p.addCatRow(g, code, eRow)
 }
 
 func (eb *epochBuilder) insertFactDimValue(p *BasicProperty, fact *relation.Relation, factRow, eRow int) {
@@ -492,15 +502,7 @@ func (eb *epochBuilder) insertFactDimValue(p *BasicProperty, fact *relation.Rela
 	if !ok || vc.IsNull(dimRow) {
 		return
 	}
-	code := vc.Code(dimRow)
-	for _, existing := range p.valsByRow[eRow] {
-		if existing == code {
-			setCatValues(p, eRow, p.valsByRow[eRow], code)
-			return // value already counted for this entity
-		}
-	}
-	setCatValues(p, eRow, p.valsByRow[eRow], code)
-	p.addCatValueAt(code, eRow)
+	p.addValueAt(eb.gen, vc.Code(dimRow), eRow)
 }
 
 // insertAttrTableValue maintains an attribute-table basic property
@@ -510,15 +512,7 @@ func (eb *epochBuilder) insertAttrTableValue(p *BasicProperty, side *relation.Re
 	if col.IsNull(sideRow) {
 		return
 	}
-	code := col.Code(sideRow)
-	for _, existing := range p.valsByRow[eRow] {
-		if existing == code {
-			setCatValues(p, eRow, p.valsByRow[eRow], code)
-			return // value already counted for this entity
-		}
-	}
-	setCatValues(p, eRow, p.valsByRow[eRow], code)
-	p.addCatValueAt(code, eRow)
+	p.addValueAt(eb.gen, col.Code(sideRow), eRow)
 }
 
 // insertDerivedDelta bumps the derived counts of one entity for the new
@@ -583,8 +577,8 @@ func (eb *epochBuilder) insertDerivedDelta(info *EntityInfo, p *DerivedProperty,
 
 // bump increments the (entity, value) association strength by one on
 // the writer's private clones: the derived relation (count column
-// deep-copied), its entity-id index, and the per-value statistics
-// (copied out per code on first touch).
+// deep-copied), its entity-id index (tail cloned), and the value's pair
+// list and histogram (one chunk of each copied on first touch).
 func (eb *epochBuilder) bump(p *DerivedProperty, entityID int64, eRow int, v string) {
 	rel := eb.derivedRel(p.RelName)
 	p.rel = rel
@@ -612,50 +606,23 @@ func (eb *epochBuilder) bump(p *DerivedProperty, entityID int64, eRow int, v str
 		code = vcol.Code(rel.NumRows() - 1)
 		eb.idx.NoteAppend(rel, rel.NumRows()-1)
 	}
-	p.growTo(code)
-	// Copy the per-code statistics out of the shared backing on first
-	// touch; later bumps of the same code in this batch mutate the
-	// private copies in place.
-	if p.privCodes == nil {
-		p.privCodes = make(map[int32]bool)
+	g := eb.gen
+	for p.codes.Len() <= int(code) {
+		p.codes.Append(g, codeStats{})
 	}
-	vcs := p.perValueRows[code]
-	s := p.perValue[code]
-	if !p.privCodes[code] {
-		vcs = append([]valCount(nil), vcs...)
-		s = s.Clone()
-		p.privCodes[code] = true
-	}
-	// Per-value row list: insert in entity-row order (the invariant
-	// behind StrengthOf's binary search and merge intersection).
-	at := sort.Search(len(vcs), func(i int) bool { return vcs[i].entityRow >= eRow })
-	if at < len(vcs) && vcs[at].entityRow == eRow {
-		vcs[at].count = old + 1
+	cs := p.codes.At(int(code))
+	// Pair list: insert in entity-row order (the invariant behind
+	// StrengthOf's binary search and merge intersection).
+	pair := valCount{entityRow: eRow, count: old + 1}
+	if ci, off, has := cs.find(eRow); has {
+		cs.pairs.SetAt(g, ci, off, pair)
 	} else {
-		vcs = append(vcs, valCount{})
-		copy(vcs[at+1:], vcs[at:])
-		vcs[at] = valCount{entityRow: eRow, count: old + 1}
+		cs.pairs.InsertAt(g, ci, off, pair)
 	}
-	p.perValueRows[code] = vcs
-	// Sorted selectivity index: replace old count with new.
-	if s == nil {
-		p.perValue[code] = index.BuildSortedFromValues([]float64{float64(old + 1)})
-		return
+	// Histogram: one more entity at strength ≥ old+1.
+	for cs.ge.Len() <= old {
+		cs.ge.Append(g, 0)
 	}
-	p.perValue[code] = s.Replace(float64(old), float64(old+1), old == 0)
-}
-
-// insertSortedInt returns a new sorted list with v inserted (no-op when
-// already present). It always allocates: the input may be shared with
-// retired epochs, and shifting it in place would corrupt their view.
-func insertSortedInt(xs []int, v int) []int {
-	lo := sort.SearchInts(xs, v)
-	if lo < len(xs) && xs[lo] == v {
-		return xs
-	}
-	out := make([]int, len(xs)+1)
-	copy(out, xs[:lo])
-	out[lo] = v
-	copy(out[lo+1:], xs[lo:])
-	return out
+	cs.ge.Set(g, old, cs.ge.At(old)+1)
+	p.codes.Set(g, int(code), cs)
 }

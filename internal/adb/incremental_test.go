@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"squid/internal/index"
 	"squid/internal/relation"
 )
 
@@ -196,27 +195,5 @@ func TestInsertFactErrors(t *testing.T) {
 	// Wrong arity.
 	if err := a.InsertFact("castinfo", relation.IntVal(1)); err == nil {
 		t.Error("arity mismatch must fail")
-	}
-}
-
-func TestSortedInsertReplace(t *testing.T) {
-	// Covered here since the αDB maintenance is the consumer.
-	var s *index.Sorted
-	s = s.Insert(5)
-	s = s.Insert(2)
-	s = s.Insert(9)
-	if s.Len() != 3 || s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("insert broken: len=%d min=%v max=%v", s.Len(), s.Min(), s.Max())
-	}
-	if s.CountLE(5) != 2 {
-		t.Errorf("CountLE(5)=%d", s.CountLE(5))
-	}
-	s = s.Replace(5, 6, false)
-	if s.CountLE(5) != 1 || s.CountLE(6) != 2 {
-		t.Errorf("replace broken: ≤5:%d ≤6:%d", s.CountLE(5), s.CountLE(6))
-	}
-	s = s.Replace(0, 1, true) // fresh insert
-	if s.Len() != 4 || s.Min() != 1 {
-		t.Errorf("fresh replace broken: len=%d min=%v", s.Len(), s.Min())
 	}
 }

@@ -103,7 +103,7 @@ type BasicProperty struct {
 	// numValues counts codes with a non-empty list — the property's
 	// distinct-value cardinality (the dictionary can hold values this
 	// property never exhibits).
-	catRows   [][]int
+	catRows   index.Chunked[[]int]
 	numValues int
 
 	// numIdx is the numeric statistic: the sorted (value, row) index
@@ -113,9 +113,11 @@ type BasicProperty struct {
 
 	// valsByRow caches per-entity value codes (always set for
 	// categorical properties; single element for single-valued ones);
-	// numByRow the raw numeric values.
-	valsByRow [][]int32
-	numByRow  []*float64
+	// numByRow the raw numeric values, one cell per entity row, with
+	// numHas the presence bitset over them (64 rows a word).
+	valsByRow index.Chunked[[]int32]
+	numByRow  index.Chunked[float64]
+	numHas    index.Chunked[uint64]
 
 	numEntities int
 	memo        *rowSetMemo
@@ -124,19 +126,17 @@ type BasicProperty struct {
 // NumEntities returns |R|, the selectivity denominator.
 func (p *BasicProperty) NumEntities() int { return p.numEntities }
 
-// cloneForWrite returns a copy-on-write clone for one epoch's writer:
-// the scalar statistics and the outer containers are copied (so the
-// writer can grow and re-point them freely), the inner row lists are
-// shared (appends past a retired epoch's lengths are invisible to its
-// readers; in-place mutations always copy out first), the numeric
-// index is deep-copied because incremental inserts shift its elements
-// in place, and the memo starts empty (see rowSetMemo).
-func (p *BasicProperty) cloneForWrite() *BasicProperty {
+// cloneForWrite returns a copy-on-write clone for one epoch's writer
+// generation g: the scalar statistics and the chunked vectors' headers
+// are copied — the vectors copy a chunk table or a chunk when g first
+// writes into it, and share the rest with the retired epoch — the
+// numeric index clones its tail, and the memo starts empty (see
+// rowSetMemo). Inner row lists stay shared: appends past a retired
+// epoch's lengths are invisible to its readers, and in-place changes
+// always copy the list out first.
+func (p *BasicProperty) cloneForWrite(g *index.Gen) *BasicProperty {
 	q := *p
-	q.catRows = append([][]int(nil), p.catRows...)
-	q.valsByRow = append([][]int32(nil), p.valsByRow...)
-	q.numByRow = append([]*float64(nil), p.numByRow...)
-	q.numIdx = p.numIdx.Clone()
+	q.numIdx = p.numIdx.Clone(g)
 	q.memo = newRowSetMemo(p.memo.cache)
 	return &q
 }
@@ -163,7 +163,7 @@ func (p *BasicProperty) ValueCodes(row int) []int32 {
 	if p.Kind != Categorical {
 		return nil
 	}
-	return p.valsByRow[row]
+	return p.valsByRow.At(row)
 }
 
 // Values returns the categorical values of the entity at row (nil when
@@ -182,37 +182,62 @@ func (p *BasicProperty) Values(row int) []string {
 
 // NumValue returns the numeric value of the entity at row.
 func (p *BasicProperty) NumValue(row int) (float64, bool) {
-	if p.Kind != Numeric || p.numByRow[row] == nil {
+	if p.Kind != Numeric || p.numHas.At(row>>6)>>(row&63)&1 == 0 {
 		return 0, false
 	}
-	return *p.numByRow[row], true
+	return p.numByRow.At(row), true
+}
+
+// appendNum adds the numeric cell of a new last row.
+func (p *BasicProperty) appendNum(g *index.Gen, v float64, ok bool) {
+	row := p.numByRow.Len()
+	p.numByRow.Append(g, v)
+	if row&63 == 0 {
+		p.numHas.Append(g, 0)
+	}
+	if ok {
+		p.numHas.Set(g, row>>6, p.numHas.At(row>>6)|1<<(row&63))
+	}
 }
 
 // rowsOf returns the posting list of a code (nil when out of range: the
 // dictionary can grow past the statistics under incremental inserts).
 func (p *BasicProperty) rowsOf(code int32) []int {
-	if int(code) < len(p.catRows) {
-		return p.catRows[code]
+	if int(code) < p.catRows.Len() {
+		return p.catRows.At(int(code))
 	}
 	return nil
 }
 
-// growTo extends the per-code statistics to cover code (incremental
-// inserts can intern values the build never saw).
-func (p *BasicProperty) growTo(code int32) {
-	for int32(len(p.catRows)) <= code {
-		p.catRows = append(p.catRows, nil)
+// addCatRow records that the entity at row exhibits code, keeping the
+// posting list in row order. The per-code table grows to cover code
+// (incremental inserts can intern values the build never saw). A row
+// past the end is appended in place — the list is shared with retired
+// epochs, which never index past their own lengths — and a fact insert
+// touching an earlier entity row copies that one value's list out
+// around the new row, because shifting it would corrupt their view.
+func (p *BasicProperty) addCatRow(g *index.Gen, code int32, row int) {
+	for p.catRows.Len() <= int(code) {
+		p.catRows.Append(g, nil)
 	}
-}
-
-// addCatRow records that the entity at row exhibits code; rows must
-// arrive in ascending order (the builder scans rows in order).
-func (p *BasicProperty) addCatRow(code int32, row int) {
-	p.growTo(code)
-	if len(p.catRows[code]) == 0 {
+	rows := p.catRows.At(int(code))
+	if len(rows) == 0 {
 		p.numValues++
 	}
-	p.catRows[code] = append(p.catRows[code], row)
+	at := sort.SearchInts(rows, row)
+	switch {
+	case at == len(rows):
+		rows = append(rows, row)
+	case rows[at] == row:
+		return
+	default:
+		out := make([]int, len(rows)+1)
+		copy(out, rows[:at])
+		out[at] = row
+		copy(out[at+1:], rows[at:])
+		rows = out
+	}
+	p.catRows.Set(g, int(code), rows)
 }
 
 // CategoricalSelectivity returns ψ(φ⟨Attr,v,⊥⟩): the fraction of entities
@@ -338,9 +363,17 @@ func (p *BasicProperty) EntityRowSetInRange(lo, hi float64, sp trace.Span) *inde
 			p.numIdx.AddRangeToSet(lo, hi, s)
 			return s
 		}
-		for row, v := range p.numByRow {
-			if v != nil && *v >= lo && *v <= hi {
-				s.Add(row)
+		var has uint64
+		row := 0
+		for ci := 0; ci < p.numByRow.NumChunks(); ci++ {
+			for _, v := range p.numByRow.Chunk(ci) {
+				if row&63 == 0 {
+					has = p.numHas.At(row >> 6)
+				}
+				if has>>(row&63)&1 != 0 && v >= lo && v <= hi {
+					s.Add(row)
+				}
+				row++
 			}
 		}
 		return s
@@ -354,9 +387,13 @@ func (p *BasicProperty) NumDistinct() int { return p.numValues }
 // DistinctValues returns the property's categorical domain, sorted.
 func (p *BasicProperty) DistinctValues() []string {
 	out := make([]string, 0, p.numValues)
-	for code, rows := range p.catRows {
-		if len(rows) > 0 {
-			out = append(out, p.dict.Value(int32(code)))
+	code := int32(0)
+	for ci := 0; ci < p.catRows.NumChunks(); ci++ {
+		for _, rows := range p.catRows.Chunk(ci) {
+			if len(rows) > 0 {
+				out = append(out, p.dict.Value(code))
+			}
+			code++
 		}
 	}
 	sort.Strings(out)
@@ -406,36 +443,68 @@ type DerivedProperty struct {
 
 	rel      *relation.Relation
 	byEntity *index.IntHash
-	// perValue[code] is the sorted strength multiset of one value;
-	// perValueRows[code] lists the (entity row, strength) pairs sorted
-	// ascending by entity row — the invariant behind the O(log n)
-	// StrengthOf lookup and the merge-intersection of the abduction
-	// layer. The builder emits rows in order; incremental bumps insert
-	// in place.
-	perValue     []*index.Sorted
-	perValueRows [][]valCount
-	numEntities  int
-	memo         *rowSetMemo
+	// codes[code] holds the statistics of one value (see codeStats).
+	codes       index.Chunked[codeStats]
+	numEntities int
+	memo        *rowSetMemo
+}
 
-	// privCodes marks the value codes whose inner statistics the
-	// current epoch writer already copied out of the shared backing;
-	// only that writer touches it, and clones reset it.
-	privCodes map[int32]bool
+// codeStats is what a derived property knows about one value code.
+type codeStats struct {
+	// pairs lists the (entity row, strength) pairs sorted ascending by
+	// entity row — the invariant behind the O(log n) StrengthOf lookup
+	// and the merge-intersection of the abduction layer. The builder
+	// emits rows in order; incremental bumps insert in place.
+	pairs index.Chunked[valCount]
+	// ge is the strength histogram in suffix-count form: ge[θ-1] is
+	// the number of entities associated at strength ≥ θ, so its length
+	// is the largest strength, ψ(φ⟨Attr,v,θ⟩) is one read, and a bump
+	// from c to c+1 is ge[c]++. It is derived from pairs at build and
+	// load, never stored.
+	ge index.Chunked[int32]
+}
+
+// newCodeStats derives the histogram of a finished pair list.
+func newCodeStats(pairs index.Chunked[valCount]) codeStats {
+	maxCount := 0
+	for ci := 0; ci < pairs.NumChunks(); ci++ {
+		for _, vc := range pairs.Chunk(ci) {
+			maxCount = max(maxCount, vc.count)
+		}
+	}
+	ge := make([]int32, maxCount)
+	for ci := 0; ci < pairs.NumChunks(); ci++ {
+		for _, vc := range pairs.Chunk(ci) {
+			ge[vc.count-1]++
+		}
+	}
+	for i := maxCount - 2; i >= 0; i-- {
+		ge[i] += ge[i+1]
+	}
+	return codeStats{pairs: pairs, ge: index.ChunkedOf(ge)}
+}
+
+// find locates entity row in the pair list: the chunk and offset where
+// its pair is (found) or belongs (not found).
+func (cs *codeStats) find(row int) (ci, off int, found bool) {
+	ci, off = cs.pairs.Search(func(vc valCount) bool { return vc.entityRow >= row })
+	if ci < cs.pairs.NumChunks() {
+		c := cs.pairs.Chunk(ci)
+		found = off < len(c) && c[off].entityRow == row
+	}
+	return ci, off, found
 }
 
 // NumEntities returns |R| for the owning entity relation.
 func (p *DerivedProperty) NumEntities() int { return p.numEntities }
 
 // cloneForWrite returns a copy-on-write clone for one epoch's writer
-// (see BasicProperty.cloneForWrite): outer containers copied, per-code
-// inner statistics shared until first mutation (privCodes tracks the
-// copy-outs), relation and entity index re-pointed by the writer when
-// it privatizes them, memo empty.
+// (see BasicProperty.cloneForWrite): the per-code table, every pair
+// list and every histogram are chunked vectors that copy what the
+// writer's generation touches; relation and entity index are re-pointed
+// by the writer when it privatizes them; the memo starts empty.
 func (p *DerivedProperty) cloneForWrite() *DerivedProperty {
 	q := *p
-	q.perValue = append([]*index.Sorted(nil), p.perValue...)
-	q.perValueRows = append([][]valCount(nil), p.perValueRows...)
-	q.privCodes = nil
 	q.memo = newRowSetMemo(p.memo.cache)
 	return &q
 }
@@ -456,28 +525,13 @@ func (p *DerivedProperty) DecodeValue(code int32) string { return p.valueDict().
 // LookupCode returns the code of a derived value and whether it exists.
 func (p *DerivedProperty) LookupCode(v string) (int32, bool) { return p.valueDict().Lookup(v) }
 
-// pairsOf returns the (entity row, strength) list of a code.
-func (p *DerivedProperty) pairsOf(code int32) []valCount {
-	if int(code) < len(p.perValueRows) {
-		return p.perValueRows[code]
+// statsOf returns the statistics of a code for reading (nil when the
+// code is past the table: the dictionary can grow ahead of it).
+func (p *DerivedProperty) statsOf(code int32) *codeStats {
+	if int(code) < p.codes.Len() {
+		return p.codes.Ref(int(code))
 	}
 	return nil
-}
-
-// sortedOf returns the strength multiset of a code (nil when absent).
-func (p *DerivedProperty) sortedOf(code int32) *index.Sorted {
-	if int(code) < len(p.perValue) {
-		return p.perValue[code]
-	}
-	return nil
-}
-
-// growTo extends the per-code statistics to cover code.
-func (p *DerivedProperty) growTo(code int32) {
-	for int32(len(p.perValueRows)) <= code {
-		p.perValueRows = append(p.perValueRows, nil)
-		p.perValue = append(p.perValue, nil)
-	}
 }
 
 // Counts returns the per-value association strengths of the entity at
@@ -542,11 +596,11 @@ func (p *DerivedProperty) SelectivityOfCode(code int32, theta int) float64 {
 	if theta <= 0 {
 		return 1
 	}
-	s := p.sortedOf(code)
-	if s == nil {
+	cs := p.statsOf(code)
+	if cs == nil || theta > cs.ge.Len() {
 		return 0
 	}
-	return float64(s.CountGE(float64(theta))) / float64(p.numEntities)
+	return float64(cs.ge.At(theta-1)) / float64(p.numEntities)
 }
 
 // EntityRowSetWithStrength returns the entity rows associated with
@@ -556,12 +610,15 @@ func (p *DerivedProperty) EntityRowSetWithStrength(v string, theta int, sp trace
 	return p.memo.rowSet(SelKey{Value: v, Theta: theta}, sp, func() *index.RowSet {
 		s := index.NewRowSet(p.numEntities)
 		code, ok := p.LookupCode(v)
-		if !ok {
+		cs := p.statsOf(code)
+		if !ok || cs == nil {
 			return s
 		}
-		for _, vc := range p.pairsOf(code) {
-			if vc.count >= theta {
-				s.Add(vc.entityRow)
+		for ci := 0; ci < cs.pairs.NumChunks(); ci++ {
+			for _, vc := range cs.pairs.Chunk(ci) {
+				if vc.count >= theta {
+					s.Add(vc.entityRow)
+				}
 			}
 		}
 		return s
@@ -581,12 +638,15 @@ func (p *DerivedProperty) EntityRowSetWithNormStrength(v string, thetaN float64,
 	return p.memo.rowSet(SelKey{Value: v, Lo: thetaN, Theta: -1}, sp, func() *index.RowSet {
 		s := index.NewRowSet(p.numEntities)
 		code, ok := p.LookupCode(v)
-		if !ok {
+		cs := p.statsOf(code)
+		if !ok || cs == nil {
 			return s
 		}
-		for _, vc := range p.pairsOf(code) {
-			if d := float64(degree.StrengthOf(vc.entityRow, degree.Via)); d > 0 && float64(vc.count)/d >= thetaN {
-				s.Add(vc.entityRow)
+		for ci := 0; ci < cs.pairs.NumChunks(); ci++ {
+			for _, vc := range cs.pairs.Chunk(ci) {
+				if d := float64(degree.StrengthOf(vc.entityRow, degree.Via)); d > 0 && float64(vc.count)/d >= thetaN {
+					s.Add(vc.entityRow)
+				}
 			}
 		}
 		return s
@@ -595,12 +655,14 @@ func (p *DerivedProperty) EntityRowSetWithNormStrength(v string, thetaN float64,
 
 // StrengthOfCode returns the association strength of the entity at row
 // for the value code (0 when unassociated) by binary search over the
-// row-sorted posting list.
+// row-sorted pair list.
 func (p *DerivedProperty) StrengthOfCode(row int, code int32) int {
-	vcs := p.pairsOf(code)
-	i := sort.Search(len(vcs), func(i int) bool { return vcs[i].entityRow >= row })
-	if i < len(vcs) && vcs[i].entityRow == row {
-		return vcs[i].count
+	cs := p.statsOf(code)
+	if cs == nil {
+		return 0
+	}
+	if ci, off, found := cs.find(row); found {
+		return cs.pairs.Chunk(ci)[off].count
 	}
 	return 0
 }
@@ -625,13 +687,15 @@ type ValEntry struct {
 // the abduction layer uses it for normalized association strength.
 func (p *DerivedProperty) ValueEntries(v string) []ValEntry {
 	code, ok := p.LookupCode(v)
-	if !ok {
+	cs := p.statsOf(code)
+	if !ok || cs == nil {
 		return nil
 	}
-	vcs := p.pairsOf(code)
-	out := make([]ValEntry, len(vcs))
-	for i, vc := range vcs {
-		out[i] = ValEntry{Row: vc.entityRow, Count: vc.count}
+	out := make([]ValEntry, 0, cs.pairs.Len())
+	for ci := 0; ci < cs.pairs.NumChunks(); ci++ {
+		for _, vc := range cs.pairs.Chunk(ci) {
+			out = append(out, ValEntry{Row: vc.entityRow, Count: vc.count})
+		}
 	}
 	return out
 }
@@ -639,21 +703,18 @@ func (p *DerivedProperty) ValueEntries(v string) []ValEntry {
 // MaxStrength returns the largest association strength observed for v.
 func (p *DerivedProperty) MaxStrength(v string) int {
 	code, ok := p.LookupCode(v)
-	if !ok {
+	cs := p.statsOf(code)
+	if !ok || cs == nil {
 		return 0
 	}
-	s := p.sortedOf(code)
-	if s == nil || s.Len() == 0 {
-		return 0
-	}
-	return int(s.Max())
+	return cs.ge.Len()
 }
 
 // DistinctValues returns the derived value domain, sorted.
 func (p *DerivedProperty) DistinctValues() []string {
 	var out []string
-	for code, vcs := range p.perValueRows {
-		if len(vcs) > 0 {
+	for code := 0; code < p.codes.Len(); code++ {
+		if p.codes.Ref(code).pairs.Len() > 0 {
 			out = append(out, p.valueDict().Value(int32(code)))
 		}
 	}

@@ -15,7 +15,9 @@ import (
 // dictionaries), the inverted entity-lookup index, per-property
 // statistics, and the sorted numeric indexes — so a warm boot costs one
 // sequential read plus O(n) hash-index rebuilds instead of the full
-// precomputation. The row-set memos restart empty, and restored systems
+// precomputation. Per-row and per-code vectors load as chunks cut from
+// the decoded arrays; the strength histograms are derived from the pair
+// lists, not stored. The row-set memos restart empty, and restored systems
 // support incremental inserts exactly like freshly built ones. The
 // file is bytes from outside the process: every row number and value
 // code it carries is range-checked at decode, so a damaged snapshot
@@ -348,17 +350,17 @@ func writeBasic(w *snapshot.Writer, p *BasicProperty) {
 		w.Int(p.numValues)
 		// Jagged lists flatten to (lengths, payload) block pairs: one
 		// contiguous read each on load, sliced back per code/row.
-		lens := make([]int, len(p.catRows))
+		lens := make([]int, p.catRows.Len())
 		var flat []int
-		for code, rows := range p.catRows {
+		for code, rows := range p.catRows.All() {
 			lens[code] = len(rows)
 			flat = append(flat, rows...)
 		}
 		w.Ints(lens)
 		w.Ints(flat)
-		vlens := make([]int, len(p.valsByRow))
+		vlens := make([]int, p.valsByRow.Len())
 		var vflat []int32
-		for row, codes := range p.valsByRow {
+		for row, codes := range p.valsByRow.All() {
 			vlens[row] = len(codes)
 			vflat = append(vflat, codes...)
 		}
@@ -366,15 +368,13 @@ func writeBasic(w *snapshot.Writer, p *BasicProperty) {
 		w.Int32s(vflat)
 		return
 	}
-	// Numeric: the per-row values as a presence bitmap plus the dense
-	// payload, then the sorted (value, row) index.
-	present := make([]bool, len(p.numByRow))
-	var vals []float64
-	for i, v := range p.numByRow {
-		if v != nil {
-			present[i] = true
-			vals = append(vals, *v)
-		}
+	// Numeric: the per-row cells (absent ones hold 0) with their
+	// presence bitmap, then the sorted (value, row) index.
+	present := make([]bool, p.numByRow.Len())
+	vals := make([]float64, 0, p.numByRow.Len())
+	for row, v := range p.numByRow.All() {
+		vals = append(vals, v)
+		_, present[row] = p.NumValue(row)
 	}
 	w.Bools(present)
 	w.Floats(vals)
@@ -427,39 +427,34 @@ func readBasic(r *snapshot.Reader, a *Epoch, info *EntityInfo) *BasicProperty {
 		p.dict = src.Dict()
 		p.numValues = r.Int()
 		lens, rows := r.Ints(), r.Ints()
-		var ok bool
-		if p.catRows, ok = sliceJaggedInts(r, lens, rows); !ok || len(lens) > p.dict.Len() || !allBelow(rows, info.NumRows) {
+		catRows, ok := sliceJaggedInts(r, lens, rows)
+		if !ok || len(lens) > p.dict.Len() || !allBelow(rows, info.NumRows) {
 			r.Fail("property %s.%s: catRows payload mismatch or out of range", info.Relation, p.Attr)
 			return p
 		}
 		vlens, codes := r.Ints(), r.Int32s()
-		if p.valsByRow, ok = sliceJaggedInt32s(r, vlens, codes); !ok || len(vlens) != info.NumRows || !allBelow(codes, p.dict.Len()) {
+		valsByRow, ok := sliceJaggedInt32s(r, vlens, codes)
+		if !ok || len(vlens) != info.NumRows || !allBelow(codes, p.dict.Len()) {
 			r.Fail("property %s.%s: valsByRow payload mismatch or out of range", info.Relation, p.Attr)
 			return p
 		}
+		// Chunks are capacity-capped subslices of the decoded tables.
+		p.catRows, p.valsByRow = index.ChunkedOf(catRows), index.ChunkedOf(valsByRow)
 		return p
 	}
 	present := r.Bools()
 	vals := r.Floats()
-	if len(present) != info.NumRows {
-		r.Fail("property %s.%s: presence bitmap covers %d of %d rows", info.Relation, p.Attr, len(present), info.NumRows)
+	if len(present) != info.NumRows || len(vals) != info.NumRows {
+		r.Fail("property %s.%s: %d presence bits and %d cells for %d rows", info.Relation, p.Attr, len(present), len(vals), info.NumRows)
 		return p
 	}
-	p.numByRow = make([]*float64, len(present))
-	vi := 0
-	for i, ok := range present {
-		if !ok {
-			continue
+	numHas := make([]uint64, (len(present)+63)/64)
+	for row, ok := range present {
+		if ok {
+			numHas[row>>6] |= 1 << (row & 63)
 		}
-		if vi >= len(vals) {
-			r.Fail("property %s.%s: numeric payload shorter than presence bitmap", info.Relation, p.Attr)
-			return p
-		}
-		// Point into the decoded payload: one backing array, no
-		// per-value boxing.
-		p.numByRow[i] = &vals[vi]
-		vi++
 	}
+	p.numByRow, p.numHas = index.ChunkedOf(vals), index.ChunkedOf(numHas)
 	idxVals, idxRows := r.Floats(), r.Ints()
 	if len(idxVals) != len(idxRows) || !sort.Float64sAreSorted(idxVals) || !allBelow(idxRows, info.NumRows) {
 		r.Fail("property %s.%s: numeric index unsorted, ragged or out of range", info.Relation, p.Attr)
@@ -531,28 +526,21 @@ func writeDerived(w *snapshot.Writer, p *DerivedProperty) {
 	writeAccess(w, p.Target)
 	w.String(p.RelName)
 	w.Int(p.numEntities)
-	// Per-code statistics flatten to four whole-property blocks:
-	// lengths, entity rows, counts, and the sorted strength multisets
-	// (which ride along so load adopts instead of re-sorting). The
-	// multiset of a code always has exactly one entry per (row, count)
-	// pair, so the lengths block covers it too.
-	lens := make([]int, len(p.perValueRows))
+	// Per-code statistics flatten to three whole-property blocks:
+	// lengths, entity rows and counts. The strength histograms are
+	// derived from the counts on load.
+	lens := make([]int, p.codes.Len())
 	var rows, counts []int
-	var svals []float64
-	for code, vcs := range p.perValueRows {
-		lens[code] = len(vcs)
-		for _, vc := range vcs {
+	for code, cs := range p.codes.All() {
+		lens[code] = cs.pairs.Len()
+		for _, vc := range cs.pairs.All() {
 			rows = append(rows, vc.entityRow)
 			counts = append(counts, vc.count)
-		}
-		if s := p.perValue[code]; s != nil {
-			svals = append(svals, s.RawVals()...)
 		}
 	}
 	w.Ints(lens)
 	w.Ints(rows)
 	w.Ints(counts)
-	w.Floats(svals)
 }
 
 func readDerived(r *snapshot.Reader, a *Epoch, info *EntityInfo) *DerivedProperty {
@@ -583,7 +571,6 @@ func readDerived(r *snapshot.Reader, a *Epoch, info *EntityInfo) *DerivedPropert
 	lens := r.Ints()
 	rows := r.Ints()
 	counts := r.Ints()
-	svals := r.Floats()
 	if r.Err() != nil {
 		return p
 	}
@@ -591,32 +578,38 @@ func readDerived(r *snapshot.Reader, a *Epoch, info *EntityInfo) *DerivedPropert
 	for _, n := range lens {
 		total += n
 	}
-	if len(rows) != total || len(counts) != total || len(svals) != total {
-		r.Fail("derived property %s.%s: payload blocks disagree (%d lens, %d rows, %d counts, %d strengths)",
-			info.Relation, p.Attr, total, len(rows), len(counts), len(svals))
+	if len(rows) != total || len(counts) != total {
+		r.Fail("derived property %s.%s: payload blocks disagree (%d lens, %d rows, %d counts)",
+			info.Relation, p.Attr, total, len(rows), len(counts))
 		return p
 	}
 	if len(lens) > p.valueDict().Len() || !allBelow(rows, info.NumRows) {
 		r.Fail("derived property %s.%s: value codes or entity rows out of range", info.Relation, p.Attr)
 		return p
 	}
-	backing := make([]valCount, total)
-	p.perValueRows = make([][]valCount, len(lens))
-	p.perValue = make([]*index.Sorted, len(lens))
+	// A strength counts fact rows, so the database's row count bounds
+	// it — and with it the histogram a damaged count could ask for.
+	maxCount := a.DB.TotalRows()
+	codes := make([]codeStats, len(lens))
 	off := 0
 	for code, n := range lens {
-		if n == 0 {
-			continue
+		var pairs index.Chunked[valCount]
+		for i := off; i < off+n; i++ {
+			// StrengthOfCode binary-searches the rows: out of order, it
+			// would silently answer 0.
+			if i > off && rows[i] <= rows[i-1] {
+				r.Fail("derived property %s.%s: entity rows of code %d are not strictly ascending", info.Relation, p.Attr, code)
+				return p
+			}
+			if counts[i] < 1 || counts[i] > maxCount {
+				r.Fail("derived property %s.%s: strength %d of code %d out of range", info.Relation, p.Attr, counts[i], code)
+				return p
+			}
+			pairs.Append(nil, valCount{entityRow: rows[i], count: counts[i]})
 		}
-		seg := backing[off : off+n : off+n]
-		for i := 0; i < n; i++ {
-			seg[i] = valCount{entityRow: rows[off+i], count: counts[off+i]}
-		}
-		p.perValueRows[code] = seg
-		// Capacity-capped slice of the shared payload: incremental
-		// Insert/Replace copy out instead of clobbering the neighbor.
-		p.perValue[code] = index.RestoreSorted(svals[off : off+n : off+n])
+		codes[code] = newCodeStats(pairs)
 		off += n
 	}
+	p.codes = index.ChunkedOf(codes)
 	return p
 }

@@ -48,7 +48,8 @@ type Stats struct {
 	EpochCombines  uint64
 
 	// Epoch-chain GC telemetry: retired epochs not yet collected and
-	// the estimated bytes of replaced relation versions they pin.
+	// the bytes they keep alive on their own (what the publishes that
+	// retired them copied: chunks, index tails, derived count columns).
 	EpochRetired       int64
 	EpochRetainedBytes int64
 }

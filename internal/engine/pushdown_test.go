@@ -270,7 +270,7 @@ func TestRangePushdownAfterAppend(t *testing.T) {
 		t.Fatalf("pre-append filterRows=%v want %v", before, want)
 	}
 	next := items.CloneForWrite()
-	delta := index.NewIndexDelta(pool)
+	delta := index.NewIndexDelta(pool, nil)
 	for i := 0; i < 10; i++ {
 		next.MustAppend(
 			relation.IntVal(int64(1000+i)),

@@ -1,10 +1,8 @@
 package index
 
 import (
-	"math/rand"
-	"sort"
+	"runtime"
 	"testing"
-	"testing/quick"
 
 	"squid/internal/relation"
 )
@@ -137,76 +135,41 @@ func TestStrHash(t *testing.T) {
 	}
 }
 
-func TestSortedCounts(t *testing.T) {
-	s := BuildSortedFromValues([]float64{5, 1, 3, 3, 9})
-	if s.Len() != 5 || s.Min() != 1 || s.Max() != 9 {
-		t.Fatalf("stats: len=%d min=%v max=%v", s.Len(), s.Min(), s.Max())
-	}
-	if s.CountLE(3) != 3 {
-		t.Errorf("CountLE(3)=%d", s.CountLE(3))
-	}
-	if s.CountLT(3) != 1 {
-		t.Errorf("CountLT(3)=%d", s.CountLT(3))
-	}
-	if s.CountGE(3) != 4 {
-		t.Errorf("CountGE(3)=%d", s.CountGE(3))
-	}
-	if s.CountRange(3, 5) != 3 {
-		t.Errorf("CountRange(3,5)=%d", s.CountRange(3, 5))
-	}
-	if s.CountRange(10, 20) != 0 {
-		t.Error("out-of-range must be 0")
-	}
-	if s.CountRange(5, 3) != 0 {
-		t.Error("inverted range must be 0")
-	}
+// allocated reports the heap bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
-// Property: CountRange(lo,hi) computed via prefix differences equals a
-// brute-force scan, for random data — this is the paper's "smart
-// selectivity" identity ψ((l,h]) = ψ([min,h]) − ψ([min,l)).
-func TestSortedRangePrefixIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(200)
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = float64(r.Intn(50))
+// TestBuildIntHashPresizesByRuns: on a derived relation's clustered
+// entity ids (every key a run of rows) the map must be sized for the
+// keys, not the rows — an oversized base layer is shared by every epoch
+// and never shrinks.
+func TestBuildIntHashPresizesByRuns(t *testing.T) {
+	const keys, run = 4000, 7
+	rel := relation.New("derived", relation.Col("entity_id", relation.Int), relation.Col("count", relation.Int))
+	for k := 0; k < keys; k++ {
+		for i := 0; i < run; i++ {
+			rel.MustAppend(relation.IntVal(int64(3*k)), relation.IntVal(1))
 		}
-		s := BuildSortedFromValues(vals)
-		lo := float64(r.Intn(50)) - 5
-		hi := lo + float64(r.Intn(20))
-		want := 0
-		for _, v := range vals {
-			if v >= lo && v <= hi {
-				want++
-			}
+	}
+	var h *IntHash
+	built := allocated(func() { h = BuildIntHash(rel, "entity_id") })
+	built -= 8 * keys * run // the shared posting-list backing array
+	var ref map[int64][]int
+	want := allocated(func() {
+		ref = make(map[int64][]int, keys)
+		for k := 0; k < keys; k++ {
+			ref[int64(3*k)] = nil
 		}
-		return s.CountRange(lo, hi) == want
+	})
+	if h.NumKeys() != keys || len(ref) != keys || len(h.Rows(3)) != run {
+		t.Fatalf("index has %d keys, Rows(3) = %v", h.NumKeys(), h.Rows(3))
 	}
-	cfg := &quick.Config{MaxCount: 200, Rand: rng}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: CountLE is monotone non-decreasing.
-func TestSortedCountLEMonotone(t *testing.T) {
-	vals := make([]float64, 500)
-	rng := rand.New(rand.NewSource(7))
-	for i := range vals {
-		vals[i] = rng.Float64() * 100
-	}
-	s := BuildSortedFromValues(vals)
-	probes := append([]float64(nil), vals...)
-	sort.Float64s(probes)
-	prev := -1
-	for _, p := range probes {
-		c := s.CountLE(p)
-		if c < prev {
-			t.Fatalf("CountLE not monotone at %v: %d < %d", p, c, prev)
-		}
-		prev = c
+	if float64(built) > 1.5*float64(want) {
+		t.Errorf("BuildIntHash allocated %d bytes beside its posting array; a map of its %d keys takes %d", built, keys, want)
 	}
 }

@@ -18,7 +18,8 @@ import (
 // The indexes themselves are immutable once visible to readers; a
 // copy-on-write writer accumulates privatized shard clones in an
 // IndexDelta and the publish step merges them into the next epoch's
-// view (MergeInto), structurally sharing every untouched index. The internal lock only serializes the
+// view (MergeInto), structurally sharing every untouched index and the
+// base layer of every touched one. The internal lock only serializes the
 // lazy first build of a cold index (double-checked locking), so readers
 // of warm indexes never block.
 type IndexSet struct {
@@ -121,11 +122,11 @@ func (s *IndexSet) NumIndexes() int {
 
 // IndexDelta accumulates one copy-on-write writer's index changes
 // against a base epoch's IndexSet: the first touch of a shard clones it
-// (map copy for hash indexes, array copy for numeric indexes), later
-// touches mutate the private clone in place, and MergeInto folds the
-// clones into the next epoch's view. Reads during the apply see the
-// private clone when one exists and the immutable base otherwise, so a
-// batch observes its own earlier rows.
+// (a copy of its tail — the keys inserted since its last fold — never
+// of the index), later touches mutate the private clone in place, and
+// MergeInto swaps the clones into the next epoch's view. Reads during
+// the apply see the private clone when one exists and the immutable
+// base otherwise, so a batch observes its own earlier rows.
 type IndexDelta struct {
 	base    *IndexSet
 	ints    map[ColumnKey]*IntHash
@@ -133,12 +134,15 @@ type IndexDelta struct {
 	nums    map[ColumnKey]*NumericRows
 	dropped map[ColumnKey]bool
 	touched map[string]bool // relations whose rows this writer changed
+	gen     *Gen            // the writer's generation: charged for every shard clone
 }
 
-// NewIndexDelta starts an empty delta over the base epoch's view.
-func NewIndexDelta(base *IndexSet) *IndexDelta {
+// NewIndexDelta starts an empty delta over the base epoch's view for
+// the writer generation g.
+func NewIndexDelta(base *IndexSet, g *Gen) *IndexDelta {
 	return &IndexDelta{
 		base:    base,
+		gen:     g,
 		ints:    make(map[ColumnKey]*IntHash),
 		strs:    make(map[ColumnKey]*StrHash),
 		nums:    make(map[ColumnKey]*NumericRows),
@@ -186,7 +190,7 @@ func (d *IndexDelta) PrivateIntHash(rel *relation.Relation, col string) *IntHash
 	d.touched[rel.Name] = true
 	var h *IntHash
 	if bi, _, _ := d.base.peek(key); bi != nil && !d.dropped[key] && !wasTouched {
-		h = bi.Clone()
+		h = bi.Clone(d.gen)
 	} else {
 		h = BuildIntHash(rel, col)
 	}
@@ -196,7 +200,7 @@ func (d *IndexDelta) PrivateIntHash(rel *relation.Relation, col string) *IntHash
 
 // NoteAppend maintains every index of rel materialized in the base view
 // (or already privatized here) for the row that was just appended,
-// cloning each touched shard copy-on-write on first touch. A base
+// cloning each touched shard (its tail) on first touch. A base
 // index may only be adopted on the writer's FIRST append to the
 // relation: one that appears later was lazily built by a concurrent
 // base-epoch reader and misses this batch's earlier rows — it is left
@@ -217,7 +221,7 @@ func (d *IndexDelta) NoteAppend(rel *relation.Relation, row int) {
 		case relation.Int:
 			h := d.ints[key]
 			if h == nil && bi != nil && !wasTouched {
-				h = bi.Clone()
+				h = bi.Clone(d.gen)
 				d.ints[key] = h
 			}
 			if h != nil && !col.IsNull(row) {
@@ -226,7 +230,7 @@ func (d *IndexDelta) NoteAppend(rel *relation.Relation, row int) {
 		case relation.String:
 			h := d.strs[key]
 			if h == nil && bs != nil && !wasTouched {
-				h = bs.Clone()
+				h = bs.Clone(d.gen)
 				d.strs[key] = h
 			}
 			if h != nil && !col.IsNull(row) {
@@ -236,7 +240,7 @@ func (d *IndexDelta) NoteAppend(rel *relation.Relation, row int) {
 		if col.Type != relation.String {
 			n := d.nums[key]
 			if n == nil && bn != nil && !wasTouched {
-				n = bn.Clone()
+				n = bn.Clone(d.gen)
 				d.nums[key] = n
 			}
 			if n != nil && !col.IsNull(row) {
@@ -302,9 +306,19 @@ func (d *IndexDelta) MergeInto(cur *IndexSet) *IndexSet {
 // answers "which rows fall in [lo, hi]" in O(log n + k) instead of a
 // full column scan, backing the numeric range filters of the online
 // phase. Values are sorted; rows ride along.
+//
+// Like the hash indexes it is layered: the base arrays are immutable
+// and shared across epochs, inserts land in a small sorted tail that
+// Clone copies (or folds into a fresh base past 1/foldDiv of it), and
+// every question is answered from both — two binary searches instead
+// of one while the tail is non-empty.
 type NumericRows struct {
 	vals []float64
 	rows []int
+	// tailVals/tailRows hold the pairs inserted since the last fold,
+	// sorted by value; private to this generation.
+	tailVals []float64
+	tailRows []int
 }
 
 // buildNumericRowsFromColumn indexes the non-NULL cells of a numeric
@@ -336,17 +350,10 @@ func BuildNumericRows(vals []float64, rows []int) *NumericRows {
 	return n
 }
 
-// sortPairs sorts vals[lo:hi] and rows[lo:hi] together by value
-// (insertion into already-sorted prefixes is the common incremental
-// case; initial builds use the stdlib via an index permutation when the
-// slice is large).
+// sortPairs sorts vals[lo:hi] and rows[lo:hi] together by value: a
+// binary-insertion sort for short runs, an index permutation through
+// the stdlib sort for long ones.
 func (n *NumericRows) sortPairs(lo, hi int) {
-	// Simple binary-insertion sort over the pair slices: builds are
-	// one-time and incremental inserts touch a single element, so this
-	// stays O(n log n) comparisons / O(n²) moves worst case but in
-	// practice the builder feeds nearly-unsorted data only once per
-	// column at αDB construction. For large columns switch to a
-	// permutation sort.
 	if hi-lo > 64 {
 		n.permSort(lo, hi)
 		return
@@ -380,27 +387,59 @@ func (n *NumericRows) permSort(lo, hi int) {
 }
 
 // Len returns the number of indexed (value, row) pairs.
-func (n *NumericRows) Len() int { return len(n.vals) }
+func (n *NumericRows) Len() int { return len(n.vals) + len(n.tailVals) }
 
 // Min returns the smallest indexed value (0 when empty).
 func (n *NumericRows) Min() float64 {
-	if len(n.vals) == 0 {
+	switch {
+	case len(n.tailVals) == 0 && len(n.vals) == 0:
 		return 0
+	case len(n.tailVals) == 0:
+		return n.vals[0]
+	case len(n.vals) == 0:
+		return n.tailVals[0]
 	}
-	return n.vals[0]
+	return min(n.vals[0], n.tailVals[0])
 }
 
 // Max returns the largest indexed value (0 when empty).
 func (n *NumericRows) Max() float64 {
-	if len(n.vals) == 0 {
+	switch {
+	case len(n.tailVals) == 0 && len(n.vals) == 0:
 		return 0
+	case len(n.tailVals) == 0:
+		return n.vals[len(n.vals)-1]
+	case len(n.vals) == 0:
+		return n.tailVals[len(n.tailVals)-1]
 	}
-	return n.vals[len(n.vals)-1]
+	return max(n.vals[len(n.vals)-1], n.tailVals[len(n.tailVals)-1])
 }
 
-// RawPairs exposes the sorted value/row storage for snapshot
-// serialization; do not mutate.
-func (n *NumericRows) RawPairs() (vals []float64, rows []int) { return n.vals, n.rows }
+// RawPairs returns the sorted value/row pairs for snapshot
+// serialization: the base storage itself while the tail is empty (do
+// not mutate), a merged copy otherwise.
+func (n *NumericRows) RawPairs() (vals []float64, rows []int) {
+	if len(n.tailVals) == 0 {
+		return n.vals, n.rows
+	}
+	return n.merged()
+}
+
+// merged merges base and tail into fresh arrays. On equal values the
+// tail's pair goes first — where a single sorted array would have put
+// the later insert.
+func (n *NumericRows) merged() ([]float64, []int) {
+	total := n.Len()
+	vals, rows := make([]float64, 0, total), make([]int, 0, total)
+	i := 0
+	for j, tv := range n.tailVals {
+		k := i + searchFloat(n.vals[i:], tv)
+		vals, rows = append(vals, n.vals[i:k]...), append(rows, n.rows[i:k]...)
+		vals, rows = append(vals, tv), append(rows, n.tailRows[j])
+		i = k
+	}
+	return append(vals, n.vals[i:]...), append(rows, n.rows[i:]...)
+}
 
 // RestoreNumericRows adopts already-sorted value/row slices (snapshot
 // load).
@@ -408,18 +447,28 @@ func RestoreNumericRows(vals []float64, rows []int) *NumericRows {
 	return &NumericRows{vals: vals, rows: rows}
 }
 
+// spans returns the base and tail index ranges holding values in
+// [lo, hi].
+func (n *NumericRows) spans(lo, hi float64) (from, to, tfrom, tto int) {
+	from, to = searchFloat(n.vals, lo), searchFloatAfter(n.vals, hi)
+	if len(n.tailVals) != 0 {
+		tfrom, tto = searchFloat(n.tailVals, lo), searchFloatAfter(n.tailVals, hi)
+	}
+	return
+}
+
 // RowsInRange returns the rows whose value lies in the closed interval
 // [lo, hi], sorted ascending by row number.
 func (n *NumericRows) RowsInRange(lo, hi float64) []int {
-	if hi < lo || len(n.vals) == 0 {
+	if hi < lo {
 		return nil
 	}
-	from := searchFloat(n.vals, lo)    // first index with val >= lo
-	to := searchFloatAfter(n.vals, hi) // first index with val > hi
-	if from >= to {
+	from, to, tfrom, tto := n.spans(lo, hi)
+	if from >= to && tfrom >= tto {
 		return nil
 	}
-	out := append([]int(nil), n.rows[from:to]...)
+	out := make([]int, 0, to-from+tto-tfrom)
+	out = append(append(out, n.rows[from:to]...), n.tailRows[tfrom:tto]...)
 	sort.Ints(out)
 	return out
 }
@@ -430,12 +479,14 @@ func (n *NumericRows) RowsInRange(lo, hi float64) []int {
 // shuffle in the sparse form (and plain bit-sets in the dense form), so
 // the index path stays O(log n + k log k) with no O(k²) tail.
 func (n *NumericRows) AddRangeToSet(lo, hi float64, s *RowSet) {
-	if hi < lo || len(n.vals) == 0 {
+	if hi < lo {
 		return
 	}
-	from := searchFloat(n.vals, lo)
-	to := searchFloatAfter(n.vals, hi)
+	from, to, tfrom, tto := n.spans(lo, hi)
 	s.AddAll(n.rows[from:to])
+	if tfrom < tto {
+		s.AddAll(n.tailRows[tfrom:tto])
+	}
 }
 
 // CountRange returns |{rows : lo ≤ value ≤ hi}| in O(log n).
@@ -443,34 +494,44 @@ func (n *NumericRows) CountRange(lo, hi float64) int {
 	if hi < lo {
 		return 0
 	}
-	return searchFloatAfter(n.vals, hi) - searchFloat(n.vals, lo)
+	from, to, tfrom, tto := n.spans(lo, hi)
+	return to - from + tto - tfrom
 }
 
-// Clone returns a deep copy for copy-on-write maintenance: Insert
-// shifts elements in place, so the writer's private copy cannot share
-// arrays with readers of the original.
-func (n *NumericRows) Clone() *NumericRows {
+// Clone returns a copy-on-write clone for epoch maintenance: the base
+// arrays are shared, the tail — the only part Insert shifts in place —
+// is copied, or folded into a fresh base once it passes 1/foldDiv of
+// the old one; what it copies is charged to g.
+func (n *NumericRows) Clone(g *Gen) *NumericRows {
 	if n == nil {
 		return nil
 	}
-	return &NumericRows{
-		vals: append([]float64(nil), n.vals...),
-		rows: append([]int(nil), n.rows...),
+	q := &NumericRows{vals: n.vals, rows: n.rows}
+	switch t := len(n.tailVals); {
+	case t >= foldMin && t*foldDiv > len(n.vals):
+		q.vals, q.rows = n.merged()
+		g.charge(len(q.vals) * 16)
+	case t > 0:
+		q.tailVals = append(make([]float64, 0, t+1), n.tailVals...)
+		q.tailRows = append(make([]int, 0, t+1), n.tailRows...)
+		g.charge(t * 16)
 	}
+	return q
 }
 
-// Insert adds one (value, row) pair, keeping the value order (αDB
-// incremental maintenance). A nil receiver allocates a fresh index.
+// Insert adds one (value, row) pair to the tail, keeping its value
+// order (αDB incremental maintenance). A nil receiver allocates a fresh
+// index.
 func (n *NumericRows) Insert(v float64, row int) *NumericRows {
 	if n == nil {
-		return &NumericRows{vals: []float64{v}, rows: []int{row}}
+		n = &NumericRows{}
 	}
-	pos := searchFloat(n.vals, v)
-	n.vals = append(n.vals, 0)
-	n.rows = append(n.rows, 0)
-	copy(n.vals[pos+1:], n.vals[pos:])
-	copy(n.rows[pos+1:], n.rows[pos:])
-	n.vals[pos], n.rows[pos] = v, row
+	pos := searchFloat(n.tailVals, v)
+	n.tailVals = append(n.tailVals, 0)
+	n.tailRows = append(n.tailRows, 0)
+	copy(n.tailVals[pos+1:], n.tailVals[pos:])
+	copy(n.tailRows[pos+1:], n.tailRows[pos:])
+	n.tailVals[pos], n.tailRows[pos] = v, row
 	return n
 }
 

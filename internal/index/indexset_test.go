@@ -62,7 +62,7 @@ func TestIndexDeltaNoteAppend(t *testing.T) {
 	baseNum := base.Numeric(rel, "id")
 
 	next := rel.CloneForWrite()
-	delta := NewIndexDelta(base)
+	delta := NewIndexDelta(base, nil)
 	next.MustAppend(relation.IntVal(99), relation.StringVal("purple"))
 	delta.NoteAppend(next, next.NumRows()-1)
 	merged := delta.MergeInto(base)
@@ -99,7 +99,7 @@ func TestIndexDeltaDrop(t *testing.T) {
 	base.StrHash(rel, "tag")
 
 	next := rel.CloneForWrite("id")
-	delta := NewIndexDelta(base)
+	delta := NewIndexDelta(base, nil)
 	if err := next.Column("id").Set(0, relation.IntVal(5)); err != nil {
 		t.Fatal(err)
 	}

@@ -30,6 +30,9 @@ var epochReachMutators = map[string]bool{
 	"Append":        true,
 	"MustAppend":    true,
 	"Set":           true,
+	"SetAt":         true,
+	"Insert":        true,
+	"InsertAt":      true,
 	"SetPrimaryKey": true,
 	"AddForeignKey": true,
 	"NoteAppend":    true,

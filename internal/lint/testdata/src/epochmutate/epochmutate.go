@@ -31,7 +31,32 @@ func assignIndexes(e *adb.Epoch) {
 	e.Indexes = nil // want "assignment to field Indexes of a published"
 }
 
+// An index shard of a published epoch's view is as immutable as the
+// epoch: the layered indexes share their base with every later epoch.
+func insertIntoIntShard(e *adb.Epoch) {
+	e.Indexes.IntHash(e.DB.Relation("movie"), "id").Insert(7, 3) // want "Insert mutates state reachable from a published"
+}
+
+func insertIntoStrShard(e *adb.Epoch) {
+	h := e.Indexes.StrHash(e.DB.Relation("movie"), "title")
+	h.Insert("Heat", 3) // want "Insert mutates state reachable from a published"
+}
+
+func insertIntoNumericShard(e *adb.Epoch) {
+	e.Indexes.Numeric(e.DB.Relation("movie"), "year").Insert(1995, 3) // want "Insert mutates state reachable from a published"
+}
+
 // --- negative cases ---
+
+// Clone detaches a shard (it copies the tail and shares the base); the
+// writer's inserts stay in its private generation.
+func cloneShardsThenInsert(e *adb.Epoch) {
+	movie := e.DB.Relation("movie")
+	e.Indexes.IntHash(movie, "id").Clone(nil).Insert(7, 3)
+	h := e.Indexes.StrHash(movie, "title").Clone(nil)
+	h.Insert("Heat", 3)
+	e.Indexes.Numeric(movie, "year").Clone(nil).Insert(1995, 3)
+}
 
 // A freshly constructed epoch is private until published; initializing
 // its fields is the normal build path.

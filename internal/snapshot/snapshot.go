@@ -37,8 +37,11 @@ const Magic = "SQAS"
 // History: v2 added the αDB epoch sequence number (the write-ahead
 // log's replay anchor); v3 dropped the three blocks that stored a
 // statistic twice (entity row→id table, per-code entity counts, the
-// numeric value multiset beside the value→row index).
-const Version = 3
+// numeric value multiset beside the value→row index); v4 dropped the
+// sorted strength multiset of every derived value (the histogram is
+// derived from the pair counts on load) and stores a numeric property's
+// cells as one flat per-row block beside its presence bitmap.
+const Version = 4
 
 // ErrVersion reports a snapshot whose format version does not match
 // this build's Version.

@@ -134,9 +134,9 @@ func TestSnapshotRoundTripAfterInsert(t *testing.T) {
 }
 
 // TestSnapshotVersionMismatch asserts the strict version policy: a
-// stream with a newer or an older version (v2, the format before the
-// duplicated statistics blocks were dropped) is rejected with
-// ErrSnapshotVersion.
+// stream with a newer or an older version (v3, the format that still
+// carried a sorted strength multiset per derived value, and v2 before
+// it) is rejected with ErrSnapshotVersion.
 func TestSnapshotVersionMismatch(t *testing.T) {
 	sys, _ := snapshotSystem(t)
 	var buf bytes.Buffer
@@ -145,7 +145,7 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 	}
 	b := buf.Bytes()
 	// The version varint lives right after the 4-byte magic.
-	for _, v := range []byte{b[4] + 1, 2} {
+	for _, v := range []byte{b[4] + 1, 3, 2} {
 		b[4] = v
 		if _, err := Load(bytes.NewReader(b)); !errors.Is(err, ErrSnapshotVersion) {
 			t.Errorf("Load of a version-%d snapshot = %v, want ErrSnapshotVersion", v, err)

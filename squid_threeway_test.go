@@ -168,21 +168,69 @@ func compareAlphaDBs(t *testing.T, label string, got, want *adb.AlphaDB, rng *ra
 	}
 }
 
+// checkStrengthHistograms pins the O(1) strength histogram of every
+// derived property through its public answers: for every value,
+// ψ(φ⟨Attr,v,θ⟩)·|R| must equal a brute-force count over the value's
+// (entity, strength) pairs for every θ up to one past the largest
+// strength, which must be the largest strength among the pairs.
+func checkStrengthHistograms(t *testing.T, label string, a *adb.AlphaDB) {
+	t.Helper()
+	for name, info := range a.Snapshot().Entities {
+		for _, p := range info.Derived {
+			for _, v := range p.DistinctValues() {
+				entries := p.ValueEntries(v)
+				maxStrength := 0
+				for _, e := range entries {
+					maxStrength = max(maxStrength, e.Count)
+				}
+				if p.MaxStrength(v) != maxStrength {
+					t.Errorf("%s: %s.%s: max strength of %s = %d, the pairs say %d", label, name, p.Attr, v, p.MaxStrength(v), maxStrength)
+				}
+				for theta := 1; theta <= maxStrength+1; theta++ {
+					n := 0
+					for _, e := range entries {
+						if e.Count >= theta {
+							n++
+						}
+					}
+					if want := float64(n) / float64(p.NumEntities()); p.Selectivity(v, theta) != want {
+						t.Errorf("%s: %s.%s: ψ(%s,%d) = %v, the pairs say %v", label, name, p.Attr, v, theta, p.Selectivity(v, theta), want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestRandomIngestThreeWay is the three-roads-to-one-αDB oracle: after a
 // seeded random sequence of mixed insert batches, the incrementally
 // maintained epochs, a cold Build of the final database and a Save/Load
 // round trip must agree on every property statistic and row set, and
-// must explain every benchmark intent byte-identically.
+// must explain every benchmark intent byte-identically. The small arm
+// stays inside one chunk of every vector and never folds an index tail;
+// the large arm is sized past the copy-on-write units of internal/index
+// (256-element chunks; a hash tail folds past max(64, base/8) keys):
+// three chunks of person rows, derived pair lists of several chunks
+// that take mid-list inserts (a split), and enough castinfo publishes
+// to fold the derived relations' entity-id indexes more than twice.
 func TestRandomIngestThreeWay(t *testing.T) {
-	g := datagen.GenerateIMDb(datagen.IMDbConfig{Seed: 11, NumPersons: 300, NumMovies: 150, NumCompany: 10})
+	t.Run("small", func(t *testing.T) {
+		threeWay(t, datagen.IMDbConfig{Seed: 11, NumPersons: 300, NumMovies: 150, NumCompany: 10}, 12)
+	})
+	t.Run("past chunk and fold boundaries", func(t *testing.T) {
+		threeWay(t, datagen.IMDbConfig{Seed: 11, NumPersons: 800, NumMovies: 400, NumCompany: 20}, 60)
+	})
+}
+
+func threeWay(t *testing.T, cfg datagen.IMDbConfig, publishes int) {
+	g := datagen.GenerateIMDb(cfg)
 	sys, err := Build(g.DB, DefaultBuildConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	const publishes = 12
 	rng := rand.New(rand.NewSource(20190625))
 	rows := randomIngest(t, sys, rng, publishes)
-	if es := sys.AlphaDB().EpochStats(); rows < 200 || es.Publishes != publishes {
+	if es := sys.AlphaDB().EpochStats(); rows < 200 || es.Publishes != uint64(publishes) {
 		t.Fatalf("sequence too small: %d rows over %d publishes", rows, es.Publishes)
 	}
 
@@ -200,6 +248,9 @@ func TestRandomIngestThreeWay(t *testing.T) {
 	}
 	compareAlphaDBs(t, "incremental vs cold build", sys.AlphaDB(), cold.AlphaDB(), rand.New(rand.NewSource(1)))
 	compareAlphaDBs(t, "round trip vs cold build", loaded.AlphaDB(), cold.AlphaDB(), rand.New(rand.NewSource(1)))
+	checkStrengthHistograms(t, "incremental", sys.AlphaDB())
+	checkStrengthHistograms(t, "cold build", cold.AlphaDB())
+	checkStrengthHistograms(t, "round trip", loaded.AlphaDB())
 
 	explain := func(s *System, examples []string) string {
 		d, err := s.Discover(examples)
