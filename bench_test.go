@@ -11,6 +11,7 @@ import (
 	"squid/internal/datacube"
 	"squid/internal/datagen"
 	"squid/internal/experiments"
+	"squid/internal/metrics"
 )
 
 // The benchmarks below regenerate every table and figure of the paper's
@@ -328,5 +329,55 @@ func BenchmarkInsertSingleFact(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// discoveredPlans returns the plans the repository benchmark's execute
+// block runs — the |E| = 10 discoveries of IQ1, IQ9 and IQ16
+// (benchmark/spec.go, same intents, same example seed) — on a system
+// built over g.
+func discoveredPlans(tb testing.TB, sys *System, g *datagen.IMDb) map[string]*Query {
+	tb.Helper()
+	plans := map[string]*Query{}
+	for _, b := range benchqueries.IMDbBenchmarks(g) {
+		if b.ID != "IQ1" && b.ID != "IQ9" && b.ID != "IQ16" {
+			continue
+		}
+		truth, err := benchqueries.GroundTruth(g.DB, b)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		d, err := sys.Discover(metrics.Sample(rand.New(rand.NewSource(20190625)), truth, 10))
+		if err != nil {
+			tb.Fatalf("%s: %v", b.ID, err)
+		}
+		plans[b.ID] = d.Plan()
+	}
+	if len(plans) != 3 {
+		tb.Fatalf("discovered %d of the 3 benchmark plans", len(plans))
+	}
+	return plans
+}
+
+// BenchmarkExecutePlans measures one execution of each plan of the
+// repository benchmark's execute block at bench scale: ms/op is
+// execute_ms without the facade's competition, B/op and allocs/op are
+// what engine.execute_alloc_mb sums.
+func BenchmarkExecutePlans(b *testing.B) {
+	g := datagen.GenerateIMDb(benchScale().IMDb)
+	sys, err := Build(g.DB, DefaultBuildConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	plans := discoveredPlans(b, sys, g)
+	for _, id := range []string{"IQ1", "IQ9", "IQ16"} {
+		b.Run(id, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if res, err := sys.Execute(plans[id]); err != nil || res.NumRows() == 0 {
+					b.Fatalf("%v: empty result or error %v", id, err)
+				}
+			}
+		})
 	}
 }

@@ -41,6 +41,16 @@ func pushdownDB(n int) *relation.Database {
 	return db
 }
 
+// filterRows runs the anchor's stage on its own: the rows of rel that
+// satisfy preds, through whatever access path the executor picks.
+func filterRows(e *Executor, rel *relation.Relation, preds []Pred) []int {
+	bound := make([]rowPred, len(preds))
+	for i, p := range preds {
+		bound[i] = bindPred(p, rel.Column(p.Col))
+	}
+	return e.scan(rel, bound, e.access(rel, bound))
+}
+
 // scanRows evaluates predicates by brute force, the oracle for the
 // index-backed filterRows.
 func scanRows(rel *relation.Relation, preds []Pred) []int {
@@ -92,7 +102,7 @@ func TestFilterRowsIndexVsScan(t *testing.T) {
 		},
 	}
 	for i, preds := range cases {
-		got := e.filterRows(items, preds)
+		got := filterRows(e, items, preds)
 		want := scanRows(items, preds)
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 			t.Errorf("case %d: filterRows=%v want %v", i, got, want)
@@ -201,7 +211,7 @@ func TestRangePushdownEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := e.filterRows(m, tc.preds)
+			got := filterRows(e, m, tc.preds)
 			want := scanRows(m, tc.preds)
 			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 				t.Fatalf("filterRows=%v want %v", got, want)
@@ -224,7 +234,7 @@ func TestRangePushdownEdgeCases(t *testing.T) {
 	se := NewExecutor(small)
 	sm := small.Relation("measures")
 	for _, tc := range cases {
-		got := se.filterRows(sm, tc.preds)
+		got := filterRows(se, sm, tc.preds)
 		want := scanRows(sm, tc.preds)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("small relation, %s: filterRows=%v want %v", tc.name, got, want)
@@ -265,7 +275,7 @@ func TestRangePushdownAfterAppend(t *testing.T) {
 	items := db.Relation("items")
 	preds := []Pred{{Rel: "items", Col: "score", Op: OpGE, Val: relation.IntVal(7)}}
 
-	before := e.filterRows(items, preds)
+	before := filterRows(e, items, preds)
 	if want := scanRows(items, preds); !reflect.DeepEqual(before, want) {
 		t.Fatalf("pre-append filterRows=%v want %v", before, want)
 	}
@@ -281,7 +291,7 @@ func TestRangePushdownAfterAppend(t *testing.T) {
 	}
 	db2 := db.CloneWith(map[string]*relation.Relation{"items": next})
 	e2 := NewExecutorWithIndexes(db2, delta.MergeInto(pool))
-	got := e2.filterRows(next, preds)
+	got := filterRows(e2, next, preds)
 	want := scanRows(next, preds)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-append filterRows=%v want %v", got, want)
@@ -290,7 +300,7 @@ func TestRangePushdownAfterAppend(t *testing.T) {
 		t.Fatalf("expected %d rows, got %d", len(before)+10, len(got))
 	}
 	// The pre-append view still answers from the pre-append rows.
-	if again := e.filterRows(items, preds); !reflect.DeepEqual(again, before) {
+	if again := filterRows(e, items, preds); !reflect.DeepEqual(again, before) {
 		t.Fatalf("append leaked into the base view: %v want %v", again, before)
 	}
 }

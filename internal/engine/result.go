@@ -1,13 +1,16 @@
 package engine
 
 import (
+	"encoding/binary"
+	"math"
 	"sort"
-	"strings"
 
 	"squid/internal/relation"
 )
 
-// Result holds the projected tuples of an executed query.
+// Result holds the projected tuples of an executed query. Rows come in
+// the executor's canonical order (see Executor), so two executions of
+// one query over one database state return identical Rows.
 type Result struct {
 	Cols []string
 	Rows [][]relation.Value
@@ -16,25 +19,44 @@ type Result struct {
 // NumRows returns the result cardinality.
 func (r *Result) NumRows() int { return len(r.Rows) }
 
-// encodeTuple produces a canonical string key for a projected tuple so
-// results can be compared as sets (precision/recall, DISTINCT,
-// intersection).
-func encodeTuple(row []relation.Value) string {
-	var b strings.Builder
-	for i, v := range row {
-		if i > 0 {
-			b.WriteByte('\x1f')
-		}
-		b.WriteString(v.String())
+// appendKey appends a collision-free encoding of v to b: a kind tag,
+// then a fixed-width payload for a number or a length-prefixed one for
+// text, so no value can run into its neighbour and no string can spell
+// NULL. Two values get one key exactly when Value.Equal holds: an
+// integral DOUBLE encodes as the INTEGER it equals.
+func appendKey(b []byte, v relation.Value) []byte {
+	switch {
+	case v.IsNull():
+		return append(b, 'n')
+	case v.IsString():
+		s := v.Str()
+		return append(binary.AppendUvarint(append(b, 's'), uint64(len(s))), s...)
+	case v.IsInt():
+		return binary.BigEndian.AppendUint64(append(b, 'i'), uint64(v.Int()))
 	}
-	return b.String()
+	f := v.Float()
+	if f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64 {
+		return binary.BigEndian.AppendUint64(append(b, 'i'), uint64(int64(f)))
+	}
+	return binary.BigEndian.AppendUint64(append(b, 'f'), math.Float64bits(f))
 }
 
-// TupleSet returns the set of canonical tuple encodings.
+// appendTupleKey appends the key of a projected tuple: the keys of its
+// values back to back (each is self-delimiting).
+func appendTupleKey(b []byte, row []relation.Value) []byte {
+	for _, v := range row {
+		b = appendKey(b, v)
+	}
+	return b
+}
+
+// TupleSet returns the set of tuple keys, for comparing results as sets.
 func (r *Result) TupleSet() map[string]struct{} {
 	s := make(map[string]struct{}, len(r.Rows))
+	var buf []byte
 	for _, row := range r.Rows {
-		s[encodeTuple(row)] = struct{}{}
+		buf = appendTupleKey(buf[:0], row)
+		s[string(buf)] = struct{}{}
 	}
 	return s
 }
@@ -56,13 +78,14 @@ func (r *Result) Strings() []string {
 // distinct removes duplicate tuples, preserving first-seen order.
 func (r *Result) distinct() {
 	seen := make(map[string]struct{}, len(r.Rows))
+	var buf []byte
 	out := r.Rows[:0]
 	for _, row := range r.Rows {
-		k := encodeTuple(row)
-		if _, dup := seen[k]; dup {
+		buf = appendTupleKey(buf[:0], row)
+		if _, dup := seen[string(buf)]; dup {
 			continue
 		}
-		seen[k] = struct{}{}
+		seen[string(buf)] = struct{}{}
 		out = append(out, row)
 	}
 	r.Rows = out
@@ -71,9 +94,11 @@ func (r *Result) distinct() {
 // intersect keeps only tuples also present in other.
 func (r *Result) intersect(other *Result) {
 	keep := other.TupleSet()
+	var buf []byte
 	out := r.Rows[:0]
 	for _, row := range r.Rows {
-		if _, ok := keep[encodeTuple(row)]; ok {
+		buf = appendTupleKey(buf[:0], row)
+		if _, ok := keep[string(buf)]; ok {
 			out = append(out, row)
 		}
 	}

@@ -106,6 +106,22 @@ func (s *IndexSet) AdoptIntHash(relName, col string, h *IntHash) {
 	s.mu.Unlock()
 }
 
+// ResidentIntHash returns the hash index over the named integer column
+// if this view already holds one and nil otherwise; unlike IntHash it
+// never builds. The engine probes a join column's index only when one
+// is resident, so executing a query cannot grow the epoch's index pool
+// by its joins.
+func (s *IndexSet) ResidentIntHash(rel *relation.Relation, col string) *IntHash {
+	h, _, _ := s.peek(ColumnKey{rel.Name, col})
+	return h
+}
+
+// ResidentNumeric is ResidentIntHash for the sorted value→row index.
+func (s *IndexSet) ResidentNumeric(rel *relation.Relation, col string) *NumericRows {
+	_, _, n := s.peek(ColumnKey{rel.Name, col})
+	return n
+}
+
 // peek returns the materialized indexes at key without building.
 func (s *IndexSet) peek(key ColumnKey) (*IntHash, *StrHash, *NumericRows) {
 	s.mu.RLock()
@@ -561,35 +577,4 @@ func searchFloatAfter(xs []float64, v float64) int {
 		}
 	}
 	return lo
-}
-
-// UnionSorted merges two ascending row lists, dropping duplicates; the
-// result is ascending: the posting-list union behind the engine's
-// IN-predicate pushdown.
-func UnionSorted(a, b []int) []int {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
 }

@@ -299,6 +299,10 @@ type ExecuteResponse struct {
 	Rows    [][]any  `json:"rows"`
 	NumRows int      `json:"num_rows"`
 	WallMS  float64  `json:"wall_ms"`
+	// Trace is the request's span tree, embedded when the client asked
+	// with ?trace=1: the executor's stages in the order they ran, each
+	// scan and join with its estimate (est_rows) next to its rows.
+	Trace *trace.TraceJSON `json:"trace,omitempty"`
 }
 
 // InsertRequest appends one row; the target may be an entity or a fact
@@ -476,7 +480,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	root := rec.Root(trace.PhaseExecute, "")
 	res, err := s.sys.ExecuteContext(trace.NewContext(ctx, root), q)
 	root.End()
-	s.observeTrace(r, rec, "execute")
+	t := s.observeTrace(r, rec, "execute")
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
@@ -500,6 +504,9 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 			out[i] = valueToJSON(v)
 		}
 		resp.Rows = append(resp.Rows, out)
+	}
+	if wantTrace(r) {
+		resp.Trace = t.JSON()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -72,6 +72,53 @@ func TestDiscoverTraceEmbedding(t *testing.T) {
 	}
 }
 
+// TestExecuteTraceEmbedding asserts ?trace=1 on /v1/execute: the
+// executor's stages come back under the execute root in the order they
+// ran, scans and joins carrying est_rows next to rows, and the trace is
+// absent without the flag.
+func TestExecuteTraceEmbedding(t *testing.T) {
+	sys := newTestSystem(t)
+	ts := httptest.NewServer(New(sys, Config{}))
+	defer ts.Close()
+	c := ts.Client()
+
+	var disc DiscoverResponse
+	if code := postJSON(t, c, ts.URL+"/v1/discover", DiscoverRequest{Examples: exampleSet}, &disc); code != http.StatusOK {
+		t.Fatalf("discover: status %d", code)
+	}
+	var plain, traced ExecuteResponse
+	if code := postJSON(t, c, ts.URL+"/v1/execute", ExecuteRequest{Query: disc.Query}, &plain); code != http.StatusOK {
+		t.Fatalf("execute: status %d", code)
+	}
+	if plain.Trace != nil {
+		t.Error("trace embedded without ?trace=1")
+	}
+	if code := postJSON(t, c, ts.URL+"/v1/execute?trace=1", ExecuteRequest{Query: disc.Query}, &traced); code != http.StatusOK {
+		t.Fatalf("execute?trace=1: status %d", code)
+	}
+	tr := traced.Trace
+	if tr == nil || tr.Kind != "execute" || len(tr.Spans) != 1 {
+		t.Fatalf("want one execute trace with one root, got %+v", tr)
+	}
+	stages := tr.Spans[0].Children
+	if len(stages) < 2 || !strings.HasPrefix(stages[0].Label, "scan:") || stages[len(stages)-1].Label != "project" {
+		t.Fatalf("stages should run from a scan to the projection, got %+v", stages)
+	}
+	for i, sp := range stages {
+		if i > 0 && sp.StartMS < stages[i-1].StartMS {
+			t.Errorf("stage %q is listed before a stage that began earlier", stages[i-1].Label)
+		}
+		if label := sp.Label; strings.HasPrefix(label, "scan:") || strings.HasPrefix(label, "join:") {
+			if _, ok := sp.Counters["est_rows"]; !ok {
+				t.Errorf("stage %q carries no est_rows: %v", label, sp.Counters)
+			}
+		}
+	}
+	if got := stages[len(stages)-1].Counters["rows"]; got != int64(traced.NumRows) {
+		t.Errorf("project stage counts %d rows, the response has %d", got, traced.NumRows)
+	}
+}
+
 func findSpan(spans []*trace.SpanJSON, phase string) (*trace.SpanJSON, bool) {
 	for _, sp := range spans {
 		if sp.Phase == phase {

@@ -121,13 +121,16 @@ const (
 	CounterCacheStores
 	// CounterEpochSeq records the pinned αDB epoch sequence number.
 	CounterEpochSeq
+	// CounterEstRows records the row estimate an engine stage was
+	// ordered by, next to the CounterRows it then produced.
+	CounterEstRows
 
 	numCounters
 )
 
 var counterNames = [numCounters]string{
 	"candidates", "properties", "contexts", "selected", "rows",
-	"cache_hits", "cache_misses", "cache_stores", "epoch_seq",
+	"cache_hits", "cache_misses", "cache_stores", "epoch_seq", "est_rows",
 }
 
 // String returns the counter's wire name.
@@ -360,7 +363,10 @@ func (t *Trace) PhaseTotals() map[string]time.Duration {
 
 // children returns, per span index, the child indexes sorted by
 // (phase, label, begin order) — the deterministic sibling order both
-// renderings use. roots lists the top-level spans in the same order.
+// renderings use. Executor stages are the exception: they run one
+// after another, so their begin order is as deterministic as their
+// labels and is the thing to show, the order the joins ran in. roots
+// lists the top-level spans in the same order.
 func (t *Trace) children() (kids [][]int32, roots []int32) {
 	kids = make([][]int32, len(t.Spans))
 	for i, sp := range t.Spans {
@@ -376,7 +382,7 @@ func (t *Trace) children() (kids [][]int32, roots []int32) {
 			if x.Phase != y.Phase {
 				return x.Phase < y.Phase
 			}
-			if x.Label != y.Label {
+			if x.Label != y.Label && x.Phase != PhaseStage {
 				return x.Label < y.Label
 			}
 			return list[a] < list[b]

@@ -773,9 +773,17 @@ func (d *Discovery) Result() *abduction.Result { return d.result }
 func (s *System) ExecutableDB() *Database { return s.alpha.CombinedDB() }
 
 // Execute runs a logical query plan against the combined database of
-// the current epoch. Point and range predicates push down into the
-// epoch's index view, which structurally shares warm indexes across
-// epochs, so repeated executions skip re-planning setup. Execution is
+// the current epoch. The engine orders the joins itself: it anchors at
+// the relation its predicates make smallest and extends along the joins
+// towards the smallest relation next, probing the hash indexes the epoch
+// already holds (entity keys, the derived relations' entity_id), so a
+// discovered plan runs as key lookups however it lists its relations.
+// Executing builds the hash index of a point predicate's column on
+// first use and no other: joins never add to the epoch's index view.
+// Rows come back in one canonical order — by row id, From[0]'s first,
+// then the other relations' in name order — so the result, DISTINCT's
+// surviving duplicate and GROUP BY's representative do not depend on
+// the order chosen or on which indexes are resident. Execution is
 // wait-free with respect to inserts: it pins one epoch and can never
 // be stalled by (or stall) a writer.
 func (s *System) Execute(q *Query) (*ExecResult, error) {
@@ -784,11 +792,11 @@ func (s *System) Execute(q *Query) (*ExecResult, error) {
 }
 
 // ExecuteContext is Execute with cooperative cancellation: the engine
-// consults ctx between pipeline stages and every few thousand tuples
-// inside joins, so a canceled or deadline-expired context aborts even a
-// pathological query instead of pinning an admission slot behind
-// runaway work. The returned error wraps ctx's error; match it with
-// errors.Is.
+// consults ctx between pipeline stages and every few thousand rows
+// read or emitted inside joins, so a canceled or deadline-expired
+// context aborts even a pathological query instead of pinning an
+// admission slot behind runaway work. The returned error wraps ctx's
+// error; match it with errors.Is.
 func (s *System) ExecuteContext(ctx context.Context, q *Query) (*ExecResult, error) {
 	ep := s.alpha.Snapshot()
 	exec := engine.NewExecutorWithIndexes(ep.CombinedDB(), ep.Indexes)

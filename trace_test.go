@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"squid/internal/engine"
 	"squid/internal/trace"
 )
 
@@ -42,6 +43,45 @@ func TestDiscoverUntracedAddsNoAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	if zeroSpan != plain {
+		t.Errorf("zero-span context costs %.1f allocs/op, plain context %.1f: disabled tracing is not free", zeroSpan, plain)
+	}
+}
+
+// TestExecuteUntracedAddsNoAllocs is the same half of the contract for
+// Execute: every stage span of the executor (scan, join, cycle-join,
+// aggregate, project) is inert without a recorder, label included.
+func TestExecuteUntracedAddsNoAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("AllocsPerRun counts jitter under the race detector's instrumentation")
+	}
+	sys, err := Build(academicsDB(), DefaultBuildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A plan that passes every stage: a cyclic join condition, GROUP BY,
+	// DISTINCT.
+	q := &Query{
+		From: []string{"academics", "research"},
+		Joins: []engine.Join{
+			{LeftRel: "academics", LeftCol: "id", RightRel: "research", RightCol: "aid"},
+			{LeftRel: "research", LeftCol: "aid", RightRel: "academics", RightCol: "id"},
+		},
+		Select:   []engine.ColRef{{Rel: "academics", Col: "name"}},
+		GroupBy:  []engine.ColRef{{Rel: "academics", Col: "id"}},
+		Distinct: true,
+	}
+	ctx := context.Background()
+	run := func(ctx context.Context) func() {
+		return func() {
+			if res, err := sys.ExecuteContext(ctx, q); err != nil || res.NumRows() == 0 {
+				t.Fatalf("empty result or error %v", err)
+			}
+		}
+	}
+	run(ctx)() // build whatever is lazy first
+	plain := testing.AllocsPerRun(50, run(ctx))
+	zeroSpan := testing.AllocsPerRun(50, run(trace.NewContext(ctx, trace.Span{})))
 	if zeroSpan != plain {
 		t.Errorf("zero-span context costs %.1f allocs/op, plain context %.1f: disabled tracing is not free", zeroSpan, plain)
 	}
