@@ -346,7 +346,7 @@ func (a *Epoch) materializeDerived(info *EntityInfo, p *DerivedProperty, adjacen
 			for len(pairs) <= dcode {
 				pairs = append(pairs, index.Chunked[valCount]{})
 			}
-			pairs[dcode].Append(nil, valCount{entityRow: eRow, count: cnt})
+			pairs[dcode].Append(nil, valCount{entityRow: uint32(eRow), count: uint32(cnt)})
 		}
 	}
 	p.rel = rel

@@ -226,8 +226,8 @@ type EpochStats struct {
 	// Retired counts epochs replaced by a publish but not yet garbage
 	// collected (readers may still pin them); RetainedBytes is what
 	// those epochs keep alive on their own: the bytes the publishes
-	// that retired them copied instead of sharing (chunks, index tails,
-	// derived count columns).
+	// that retired them copied instead of sharing (chunks, index tails
+	// and folds, count-column patches).
 	Retired       int64
 	RetainedBytes int64
 }
@@ -383,8 +383,9 @@ func (a *AlphaDB) publishT(eb *epochBuilder, sp trace.Span) {
 
 	// GC telemetry: cur just retired. Everything the builder did not
 	// copy, cur shares with next; what it did copy — chunks and chunk
-	// tables, index tails and folded bases, the derived count columns —
-	// has an original of the same size that only cur still references.
+	// tables, index tails and folded bases, the patches of the derived
+	// count columns — has an original of about the same size that only
+	// cur still references.
 	// Charge cur that, and let a finalizer credit it back once no reader
 	// pins it — the gap between publishes and finalizations is exactly
 	// the chain's uncollected garbage.

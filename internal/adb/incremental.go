@@ -120,9 +120,9 @@ func (eb *epochBuilder) baseRel(name string) *relation.Relation {
 	return r
 }
 
-// derivedRel privatizes a derived relation; the count column gets a
-// deep copy because bumps overwrite existing cells in place (column
-// storage is flat: the one whole-structure copy left on this path).
+// derivedRel privatizes a derived relation; bumps overwrite existing
+// cells of the count column, which land in the clone's patch (see
+// relation.Column.CloneForUpdate) — the storage itself stays shared.
 func (eb *epochBuilder) derivedRel(name string) *relation.Relation {
 	if r := eb.derivedRels[name]; r != nil {
 		return r
@@ -131,8 +131,8 @@ func (eb *epochBuilder) derivedRel(name string) *relation.Relation {
 	if r == nil {
 		return nil
 	}
-	r = r.CloneForWrite("count")
-	eb.gen.Copied += r.Column("count").ByteSize()
+	r = r.CloneForWrite()
+	eb.gen.Copied += r.UpdateColumn("count")
 	eb.derivedRels[name] = r
 	return r
 }
@@ -560,7 +560,8 @@ func (eb *epochBuilder) insertDerivedDelta(info *EntityInfo, p *DerivedProperty,
 		viaID := via.Column(p.ViaPK).Int64(vRow)
 		// The second-fact rows of this via-entity come from the hash
 		// index instead of a full fact2 scan.
-		for _, fr := range eb.idx.ReadIntHash(fact2, p.Target.FactEntityCol).Rows(viaID) {
+		for _, r := range eb.idx.ReadIntHash(fact2, p.Target.FactEntityCol).Rows(viaID) {
+			fr := int(r)
 			if d2.IsNull(fr) {
 				continue
 			}
@@ -576,9 +577,9 @@ func (eb *epochBuilder) insertDerivedDelta(info *EntityInfo, p *DerivedProperty,
 }
 
 // bump increments the (entity, value) association strength by one on
-// the writer's private clones: the derived relation (count column
-// deep-copied), its entity-id index (tail cloned), and the value's pair
-// list and histogram (one chunk of each copied on first touch).
+// the writer's private clones: the derived relation (count cell
+// patched), its indexes (tails cloned), and the value's pair list and
+// histogram (one chunk of each copied on first touch).
 func (eb *epochBuilder) bump(p *DerivedProperty, entityID int64, eRow int, v string) {
 	rel := eb.derivedRel(p.RelName)
 	p.rel = rel
@@ -591,9 +592,9 @@ func (eb *epochBuilder) bump(p *DerivedProperty, entityID int64, eRow int, v str
 	found := -1
 	if known {
 		for _, r := range byEnt.Rows(entityID) {
-			if vcol.Code(r) == code {
-				found = r
-				old = int(ccol.Int64(r))
+			if vcol.Code(int(r)) == code {
+				found = int(r)
+				old = int(ccol.Int64(found))
 				break
 			}
 		}
@@ -613,7 +614,7 @@ func (eb *epochBuilder) bump(p *DerivedProperty, entityID int64, eRow int, v str
 	cs := p.codes.At(int(code))
 	// Pair list: insert in entity-row order (the invariant behind
 	// StrengthOf's binary search and merge intersection).
-	pair := valCount{entityRow: eRow, count: old + 1}
+	pair := valCount{entityRow: uint32(eRow), count: uint32(old + 1)}
 	if ci, off, has := cs.find(eRow); has {
 		cs.pairs.SetAt(g, ci, off, pair)
 	} else {

@@ -411,8 +411,7 @@ func (p *BasicProperty) String() string {
 // valCount pairs an entity row with its association strength for one
 // derived value.
 type valCount struct {
-	entityRow int
-	count     int
+	entityRow, count uint32
 }
 
 // DerivedProperty is an aggregate over a basic property of an associated
@@ -469,7 +468,7 @@ func newCodeStats(pairs index.Chunked[valCount]) codeStats {
 	maxCount := 0
 	for ci := 0; ci < pairs.NumChunks(); ci++ {
 		for _, vc := range pairs.Chunk(ci) {
-			maxCount = max(maxCount, vc.count)
+			maxCount = max(maxCount, int(vc.count))
 		}
 	}
 	ge := make([]int32, maxCount)
@@ -487,16 +486,27 @@ func newCodeStats(pairs index.Chunked[valCount]) codeStats {
 // find locates entity row in the pair list: the chunk and offset where
 // its pair is (found) or belongs (not found).
 func (cs *codeStats) find(row int) (ci, off int, found bool) {
-	ci, off = cs.pairs.Search(func(vc valCount) bool { return vc.entityRow >= row })
+	ci, off = cs.pairs.Search(func(vc valCount) bool { return int(vc.entityRow) >= row })
 	if ci < cs.pairs.NumChunks() {
 		c := cs.pairs.Chunk(ci)
-		found = off < len(c) && c[off].entityRow == row
+		found = off < len(c) && int(c[off].entityRow) == row
 	}
 	return ci, off, found
 }
 
 // NumEntities returns |R| for the owning entity relation.
 func (p *DerivedProperty) NumEntities() int { return p.numEntities }
+
+// PairBytes returns the bytes of the per-value statistics: the code
+// table, every (entity row, strength) pair list and every strength
+// histogram, counted from their lengths.
+func (p *DerivedProperty) PairBytes() int64 {
+	n := p.codes.ByteSize()
+	for _, cs := range p.codes.All() {
+		n += cs.pairs.ByteSize() + cs.ge.ByteSize()
+	}
+	return n
+}
 
 // cloneForWrite returns a copy-on-write clone for one epoch's writer
 // (see BasicProperty.cloneForWrite): the per-code table, every pair
@@ -544,7 +554,7 @@ func (p *DerivedProperty) Counts(entityID int64) map[string]int {
 	out := make(map[string]int, len(rows))
 	vcol, ccol := p.rel.Column("value"), p.rel.Column("count")
 	for _, r := range rows {
-		out[vcol.Str(r)] = int(ccol.Int64(r))
+		out[vcol.Str(int(r))] = int(ccol.Int64(int(r)))
 	}
 	return out
 }
@@ -566,7 +576,7 @@ func (p *DerivedProperty) CountsCodes(entityID int64) []CodeCount {
 	out := make([]CodeCount, len(rows))
 	vcol, ccol := p.rel.Column("value"), p.rel.Column("count")
 	for i, r := range rows {
-		out[i] = CodeCount{Code: vcol.Code(r), Count: int(ccol.Int64(r))}
+		out[i] = CodeCount{Code: vcol.Code(int(r)), Count: int(ccol.Int64(int(r)))}
 	}
 	return out
 }
@@ -616,8 +626,8 @@ func (p *DerivedProperty) EntityRowSetWithStrength(v string, theta int, sp trace
 		}
 		for ci := 0; ci < cs.pairs.NumChunks(); ci++ {
 			for _, vc := range cs.pairs.Chunk(ci) {
-				if vc.count >= theta {
-					s.Add(vc.entityRow)
+				if int(vc.count) >= theta {
+					s.Add(int(vc.entityRow))
 				}
 			}
 		}
@@ -644,8 +654,8 @@ func (p *DerivedProperty) EntityRowSetWithNormStrength(v string, thetaN float64,
 		}
 		for ci := 0; ci < cs.pairs.NumChunks(); ci++ {
 			for _, vc := range cs.pairs.Chunk(ci) {
-				if d := float64(degree.StrengthOf(vc.entityRow, degree.Via)); d > 0 && float64(vc.count)/d >= thetaN {
-					s.Add(vc.entityRow)
+				if d := float64(degree.StrengthOf(int(vc.entityRow), degree.Via)); d > 0 && float64(vc.count)/d >= thetaN {
+					s.Add(int(vc.entityRow))
 				}
 			}
 		}
@@ -662,7 +672,7 @@ func (p *DerivedProperty) StrengthOfCode(row int, code int32) int {
 		return 0
 	}
 	if ci, off, found := cs.find(row); found {
-		return cs.pairs.Chunk(ci)[off].count
+		return int(cs.pairs.Chunk(ci)[off].count)
 	}
 	return 0
 }
@@ -694,7 +704,7 @@ func (p *DerivedProperty) ValueEntries(v string) []ValEntry {
 	out := make([]ValEntry, 0, cs.pairs.Len())
 	for ci := 0; ci < cs.pairs.NumChunks(); ci++ {
 		for _, vc := range cs.pairs.Chunk(ci) {
-			out = append(out, ValEntry{Row: vc.entityRow, Count: vc.count})
+			out = append(out, ValEntry{Row: int(vc.entityRow), Count: int(vc.count)})
 		}
 	}
 	return out

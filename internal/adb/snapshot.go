@@ -1,6 +1,7 @@
 package adb
 
 import (
+	"math"
 	"sort"
 	"time"
 
@@ -534,8 +535,8 @@ func writeDerived(w *snapshot.Writer, p *DerivedProperty) {
 	for code, cs := range p.codes.All() {
 		lens[code] = cs.pairs.Len()
 		for _, vc := range cs.pairs.All() {
-			rows = append(rows, vc.entityRow)
-			counts = append(counts, vc.count)
+			rows = append(rows, int(vc.entityRow))
+			counts = append(counts, int(vc.count))
 		}
 	}
 	w.Ints(lens)
@@ -583,13 +584,15 @@ func readDerived(r *snapshot.Reader, a *Epoch, info *EntityInfo) *DerivedPropert
 			info.Relation, p.Attr, total, len(rows), len(counts))
 		return p
 	}
-	if len(lens) > p.valueDict().Len() || !allBelow(rows, info.NumRows) {
+	// Pairs are stored 32 bits wide: a row or strength past that is
+	// rejected here, before the narrowing could truncate it into range.
+	if len(lens) > p.valueDict().Len() || !allBelow(rows, min(info.NumRows, math.MaxUint32)) {
 		r.Fail("derived property %s.%s: value codes or entity rows out of range", info.Relation, p.Attr)
 		return p
 	}
 	// A strength counts fact rows, so the database's row count bounds
 	// it — and with it the histogram a damaged count could ask for.
-	maxCount := a.DB.TotalRows()
+	maxCount := min(a.DB.TotalRows(), math.MaxUint32)
 	codes := make([]codeStats, len(lens))
 	off := 0
 	for code, n := range lens {
@@ -605,7 +608,7 @@ func readDerived(r *snapshot.Reader, a *Epoch, info *EntityInfo) *DerivedPropert
 				r.Fail("derived property %s.%s: strength %d of code %d out of range", info.Relation, p.Attr, counts[i], code)
 				return p
 			}
-			pairs.Append(nil, valCount{entityRow: rows[i], count: counts[i]})
+			pairs.Append(nil, valCount{entityRow: uint32(rows[i]), count: uint32(counts[i])})
 		}
 		codes[code] = newCodeStats(pairs)
 		off += n

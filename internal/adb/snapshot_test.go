@@ -2,6 +2,7 @@ package adb
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"squid/internal/index"
@@ -124,6 +125,16 @@ func TestDecodeRejectsOutOfRangeBlocks(t *testing.T) {
 			// disk, so a negative count cannot be encoded at all.)
 			cs := firstPairs(person)
 			setPair(cs, 0, valCount{entityRow: cs.pairs.At(0).entityRow, count: 1 << 31})
+		}},
+		{"pair row at the 32-bit edge", func(person *EntityInfo) {
+			// Pairs are 32 bits wide in memory: a row or strength the
+			// decoder narrowed before checking would wrap into range.
+			cs := firstPairs(person)
+			setPair(cs, 1, valCount{entityRow: math.MaxUint32, count: 1})
+		}},
+		{"pair count at the 32-bit edge", func(person *EntityInfo) {
+			cs := firstPairs(person)
+			setPair(cs, 0, valCount{entityRow: cs.pairs.At(0).entityRow, count: math.MaxUint32})
 		}},
 		{"pair list code past the dictionary", func(person *EntityInfo) {
 			p := person.DerivedByAttr("movie:genre")

@@ -39,6 +39,10 @@ type Stats struct {
 	SelCacheSparseSets int
 	SelCacheDenseSets  int
 
+	// Resident attributes the epoch's memory to the structures that
+	// can be counted exactly (squid_resident_bytes on /metrics).
+	Resident ResidentBytes
+
 	// Epoch-chain health: the pinned epoch's sequence number and age,
 	// plus the cumulative publish/combine counters (a combine is a
 	// publish that merged a concurrent disjoint writer's epoch).
@@ -49,9 +53,44 @@ type Stats struct {
 
 	// Epoch-chain GC telemetry: retired epochs not yet collected and
 	// the bytes they keep alive on their own (what the publishes that
-	// retired them copied: chunks, index tails, derived count columns).
+	// retired them copied: chunks, index tails and folds, count-column
+	// patches).
 	EpochRetired       int64
 	EpochRetainedBytes int64
+}
+
+// ResidentBytes is the resident memory of one epoch by structure, each
+// figure counted from lengths and element widths rather than sampled.
+// The inverted index, the basic-property statistics and the
+// dictionaries' maps are not attributed yet.
+type ResidentBytes struct {
+	// Columns and DerivedColumns are the cell storage, dictionaries and
+	// update patches of the base and the derived relations.
+	Columns, DerivedColumns int64
+	// HashIndexBase and HashIndexTail are the flat bases and the tail
+	// maps of the materialized hash indexes; NumericIndex the sorted
+	// numeric indexes of the index pool.
+	HashIndexBase, HashIndexTail, NumericIndex int64
+	// DerivedPairs is the derived properties' per-value pair lists and
+	// strength histograms.
+	DerivedPairs int64
+	// RowSetMemos is the memoized satisfying-row sets.
+	RowSetMemos int64
+}
+
+// ResidentBytes attributes this epoch's memory by structure: one pass
+// over index and property headers and the dictionaries, never over
+// rows.
+func (a *Epoch) ResidentBytes() ResidentBytes {
+	r := ResidentBytes{Columns: a.DB.ByteSize(), DerivedColumns: a.DerivedDB.ByteSize()}
+	r.HashIndexBase, r.HashIndexTail, r.NumericIndex = a.Indexes.ResidentBytes()
+	for _, e := range a.Entities {
+		for _, p := range e.Derived {
+			r.DerivedPairs += p.PairBytes()
+		}
+	}
+	r.RowSetMemos, _ = a.selCache.RowSetBytes()
+	return r
 }
 
 // RelCard pairs a relation name with its row count.
@@ -77,11 +116,13 @@ func (a *AlphaDB) ComputeStats() Stats {
 // publish/combine counters live on the handle (AlphaDB.ComputeStats
 // fills them); here they stay zero.
 func (a *Epoch) ComputeStats() Stats {
+	res := a.ResidentBytes()
 	s := Stats{
 		Name:            a.DB.Name,
-		DBBytes:         a.DB.ByteSize(),
+		DBBytes:         res.Columns,
 		NumRelations:    a.DB.NumRelations(),
-		PrecomputedSize: a.DerivedDB.ByteSize(),
+		PrecomputedSize: res.DerivedColumns,
+		Resident:        res,
 		BuildTime:       a.BuildTime,
 		NumDerivedRels:  a.DerivedDB.NumRelations(),
 		EpochSeq:        a.seq,
@@ -119,7 +160,9 @@ func (s Stats) String() string {
 		humanBytes(s.PrecomputedSize), s.NumDerivedRels, s.DerivedRows)
 	fmt.Fprintf(&b, "  Precomputation time  %v\n", s.BuildTime.Round(time.Millisecond))
 	fmt.Fprintf(&b, "  Properties           %d basic, %d derived\n", s.NumBasicProps, s.NumDerivedProp)
-	fmt.Fprintf(&b, "  Hash indexes         %d\n", s.NumHashIndexes)
+	fmt.Fprintf(&b, "  Hash indexes         %d, %s resident (%s of it insert tails); numeric indexes %s\n", s.NumHashIndexes,
+		humanBytes(s.Resident.HashIndexBase+s.Resident.HashIndexTail), humanBytes(s.Resident.HashIndexTail), humanBytes(s.Resident.NumericIndex))
+	fmt.Fprintf(&b, "  Derived pair lists   %s\n", humanBytes(s.Resident.DerivedPairs))
 	fmt.Fprintf(&b, "  Selectivity cache    %d entries (%d hits, %d misses)\n",
 		s.SelCacheEntries, s.SelCacheHits, s.SelCacheMisses)
 	fmt.Fprintf(&b, "  Cached row sets      %s resident (dense-only would be %s; %d sparse, %d dense)\n",

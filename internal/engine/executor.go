@@ -338,12 +338,12 @@ func (e *Executor) access(rel *relation.Relation, preds []rowPred) access {
 	}
 	for i := range preds {
 		p := &preds[i]
-		var lists [][]int
+		var lists [][]uint32
 		switch {
 		case p.Op == OpEq && p.col.Type == relation.Int && p.Val.IsInt():
-			lists = [][]int{e.idx.IntHash(rel, p.Col).Rows(p.Val.Int())}
+			lists = [][]uint32{e.idx.IntHash(rel, p.Col).Rows(p.Val.Int())}
 		case p.Op == OpEq && p.col.Type == relation.String && p.Val.IsString():
-			lists = [][]int{e.idx.StrHash(rel, p.Col).Rows(p.Val.Str())}
+			lists = [][]uint32{e.idx.StrHash(rel, p.Col).Rows(p.Val.Str())}
 		case p.Op == OpIn && p.col.Type == relation.String:
 			h := e.idx.StrHash(rel, p.Col)
 			for _, v := range p.Vals {
@@ -368,15 +368,25 @@ func (e *Executor) access(rel *relation.Relation, preds []rowPred) access {
 
 // unionRows merges posting lists into one ascending, duplicate-free row
 // list (an IN may name one value twice, or two that normalize alike).
-func unionRows(lists [][]int, universe int) []int {
+func unionRows(lists [][]uint32, universe int) []int {
 	if len(lists) == 1 {
-		return lists[0]
+		return widen(lists[0])
 	}
 	s := index.NewRowSet(universe)
 	for _, l := range lists {
-		s.AddAll(l)
+		s.AddAll(widen(l))
 	}
 	return s.ToSorted()
+}
+
+// widen copies an index's uint32 posting list into the executor's row
+// width.
+func widen(list []uint32) []int {
+	rows := make([]int, len(list))
+	for i, r := range list {
+		rows[i] = int(r)
+	}
+	return rows
 }
 
 // bestRange returns the most selective range access path: the sorted
@@ -737,7 +747,8 @@ func probeJoin(p *poller, t tuples, s step, okey keyCol, h *index.IntHash, preds
 		if !ok {
 			continue
 		}
-		for _, row := range h.Rows(k) {
+		for _, r := range h.Rows(k) {
+			row := int(r)
 			if !matchAll(preds, row) {
 				continue
 			}

@@ -11,12 +11,15 @@ import (
 // The epoch-isolation contract of the layered indexes and the chunked
 // vector: a writer clones the newest generation, mutates only its clone,
 // and every retired generation keeps answering exactly the state it was
-// retired in — although posting lists, base layers, chunk tables and
+// retired in — although tail lists, base layers, chunk tables and
 // chunks are shared along the whole chain and appends land past a
 // retired generation's lengths in the same backing arrays. The driver
 // below replays an op stream against the real structures and one plain
 // map/slice oracle per generation, and compares every generation at the
-// end.
+// end. The integer keys come in three regions — a small one, a near one
+// that bursts fill in until the index is dense, and a far one on both
+// sides of zero that makes it sparse for good — so a run folds the
+// IntHash base out of and into both of its forms.
 
 // chainGen is one generation of every structure under test.
 type chainGen struct {
@@ -29,8 +32,8 @@ type chainGen struct {
 
 // chainOracle is the plain-data model of one generation.
 type chainOracle struct {
-	ints map[int64][]int
-	strs map[string][]int
+	ints map[int64][]uint32
+	strs map[string][]uint32
 	vals []float64 // numeric pairs in insertion order
 	rows []int
 	pos  []int
@@ -39,18 +42,18 @@ type chainOracle struct {
 
 func (o *chainOracle) clone() *chainOracle {
 	q := &chainOracle{
-		ints: make(map[int64][]int, len(o.ints)),
-		strs: make(map[string][]int, len(o.strs)),
+		ints: make(map[int64][]uint32, len(o.ints)),
+		strs: make(map[string][]uint32, len(o.strs)),
 		vals: append([]float64(nil), o.vals...),
 		rows: append([]int(nil), o.rows...),
 		pos:  append([]int(nil), o.pos...),
 		srt:  append([]int(nil), o.srt...),
 	}
 	for k, v := range o.ints {
-		q.ints[k] = append([]int(nil), v...)
+		q.ints[k] = append([]uint32(nil), v...)
 	}
 	for k, v := range o.strs {
-		q.strs[k] = append([]int(nil), v...)
+		q.strs[k] = append([]uint32(nil), v...)
 	}
 	return q
 }
@@ -58,9 +61,30 @@ func (o *chainOracle) clone() *chainOracle {
 // chainStats is what a run exercised.
 type chainStats struct {
 	generations, hashFolds, numFolds, splits, sharedAppends int
+	// The IntHash base: generations published in each form, folds out
+	// of each, folds that changed the form, and retired generations
+	// compared with their oracle after their successor had folded the
+	// base they share away.
+	denseGens, sparseGens, foldsOutOfDense, foldsOutOfSparse int
+	denseToSparse, sparseToDense, readAfterFold              int
 }
 
 func strKey(k int64) string { return fmt.Sprintf("key %d", k) }
+
+// burstBase places a burst of 40 fresh keys: an even b in one of 32
+// adjacent slots above the small keys (filled in, the range is dense),
+// an odd b far away on either side of zero.
+func burstBase(b int) int64 {
+	slot := int64(b >> 1)
+	switch {
+	case b&1 == 0:
+		return 48 + 40*(slot%32)
+	case slot&1 == 0:
+		return 1<<40 + 3000*slot
+	default:
+		return -(1 << 40) - 3000*slot
+	}
+}
 
 // runCloneChain replays ops and fails t on the first divergence between
 // any generation and its oracle.
@@ -69,9 +93,10 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 	var st chainStats
 	g := new(Gen)
 	live := &chainGen{ints: &IntHash{}, strs: &StrHash{}, nums: &NumericRows{}}
-	model := &chainOracle{ints: map[int64][]int{}, strs: map[string][]int{}}
+	model := &chainOracle{ints: map[int64][]uint32{}, strs: map[string][]uint32{}}
 	var retired []*chainGen
 	var models []*chainOracle
+	var foldedAway []bool // retired[i]'s successor folded
 	nextRow := 0
 
 	next := func() int {
@@ -85,8 +110,8 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 	insertKey := func(k int64) {
 		live.ints.Insert(k, nextRow)
 		live.strs.Insert(strKey(k), nextRow)
-		model.ints[k] = append(model.ints[k], nextRow)
-		model.strs[normalize(strKey(k))] = append(model.strs[normalize(strKey(k))], nextRow)
+		model.ints[k] = append(model.ints[k], uint32(nextRow))
+		model.strs[normalize(strKey(k))] = append(model.strs[normalize(strKey(k))], uint32(nextRow))
 		v := float64(k % 17)
 		live.nums = live.nums.Insert(v, nextRow)
 		model.vals, model.rows = append(model.vals, v), append(model.rows, nextRow)
@@ -113,7 +138,7 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 		case 0, 1: // insert into a small key space: posting lists grow
 			insertKey(int64(next() % 48))
 		case 2: // a burst of fresh keys: tails grow towards a fold
-			base := int64(1000 + 300*next())
+			base := burstBase(next())
 			for i := int64(0); i < 40; i++ {
 				insertKey(base + i)
 			}
@@ -143,8 +168,28 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 				ints: prev.ints.Clone(g), strs: prev.strs.Clone(g), nums: prev.nums.Clone(g),
 				pos: prev.pos, srt: prev.srt,
 			}
-			if len(prev.ints.tail) > 0 && len(live.ints.tail) == 0 {
+			folded := len(prev.ints.tail) > 0 && len(live.ints.tail) == 0
+			foldedAway = append(foldedAway, folded)
+			switch {
+			case prev.ints.offs != nil:
+				st.denseGens++
+			case len(prev.ints.post) > 0:
+				st.sparseGens++
+			}
+			if folded {
 				st.hashFolds++
+				switch {
+				case prev.ints.offs != nil:
+					st.foldsOutOfDense++
+					if live.ints.offs == nil {
+						st.denseToSparse++
+					}
+				case len(prev.ints.post) > 0:
+					st.foldsOutOfSparse++
+					if live.ints.offs != nil {
+						st.sparseToDense++
+					}
+				}
 			}
 			if len(prev.nums.tailVals) > 0 && len(live.nums.tailVals) == 0 {
 				st.numFolds++
@@ -161,6 +206,9 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 		if t.Failed() {
 			t.FailNow()
 		}
+		if i < len(foldedAway) && foldedAway[i] {
+			st.readAfterFold++
+		}
 	}
 	return st
 }
@@ -174,20 +222,29 @@ func checkChainGen(t *testing.T, at string, got *chainGen, want *chainOracle) {
 		if r := got.ints.Rows(k); !reflect.DeepEqual(r, rows) {
 			t.Errorf("%s: IntHash.Rows(%d) = %v want %v", at, k, r, rows)
 		}
-		if first, ok := got.ints.First(k); !ok || first != rows[0] {
+		if first, ok := got.ints.First(k); !ok || first != int(rows[0]) {
 			t.Errorf("%s: IntHash.First(%d) = %d, %v want %d", at, k, first, ok, rows[0])
 		}
 		if r := got.strs.Rows(strKey(k)); !reflect.DeepEqual(r, want.strs[normalize(strKey(k))]) {
 			t.Errorf("%s: StrHash.Rows(%q) = %v want %v", at, strKey(k), r, want.strs[normalize(strKey(k))])
 		}
 	}
-	// Keys a later generation inserted must stay absent here.
-	for k := int64(0); k < 64; k++ {
+	// Keys a later generation inserted must stay absent here, and so
+	// must the neighbors of every present key: in a gap of the dense
+	// table, below its first slot, above its last.
+	absent := func(k int64) {
 		if _, has := want.ints[k]; !has {
-			if _, ok := got.ints.First(k); ok || got.strs.Rows(strKey(k)) != nil {
-				t.Errorf("%s: key %d of a later generation is visible", at, k)
+			if _, ok := got.ints.First(k); ok || got.ints.Rows(k) != nil || got.strs.Rows(strKey(k)) != nil {
+				t.Errorf("%s: absent key %d is visible", at, k)
 			}
 		}
+	}
+	for k := int64(0); k < 64; k++ {
+		absent(k)
+	}
+	for k := range want.ints {
+		absent(k - 1)
+		absent(k + 1)
 	}
 
 	if got.nums.Len() != len(want.vals) {
@@ -260,9 +317,13 @@ func checkChunked(t *testing.T, at string, got *Chunked[int], want []int) {
 	}
 }
 
-// chainOps draws an op stream that publishes at least generations
-// times.
+// chainOps draws an op stream of exactly generations publishes, each
+// op followed by the arguments runCloneChain reads for it. Bursts stay
+// near for the first two thirds of it, so the integer index has the
+// time to fill in and turn dense before a far burst makes it sparse
+// for good.
 func chainOps(rng *rand.Rand, generations int) []byte {
+	args := [8]int{1, 1, 1, 1, 3, 2, 1, 0}
 	var ops []byte
 	for published := 0; published < generations; {
 		op := byte(rng.Intn(8))
@@ -272,14 +333,22 @@ func chainOps(rng *rand.Rand, generations int) []byte {
 		if op == 7 {
 			published++
 		}
-		ops = append(ops, op, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+		ops = append(ops, op)
+		for i := 0; i < args[op]; i++ {
+			ops = append(ops, byte(rng.Intn(256)))
+		}
+		if op == 2 && 3*published < 2*generations {
+			ops[len(ops)-1] &^= 1
+		}
 	}
 	return ops
 }
 
 // TestCloneChainIsolation drives 60 generations per seed and insists the
 // run crossed what the isolation argument is about: hash and numeric
-// tails folded more than once, a sorted list split a chunk, and a
+// tails folded more than once; the integer index was published in both
+// base forms, folded out of each, and retired generations were read
+// after their successors had folded; a sorted list split a chunk; and a
 // partially filled last chunk was appended through a clone while a
 // retired generation still read it.
 func TestCloneChainIsolation(t *testing.T) {
@@ -289,8 +358,13 @@ func TestCloneChainIsolation(t *testing.T) {
 	}
 	for seed := int64(1); seed <= seeds; seed++ {
 		st := runCloneChain(t, chainOps(rand.New(rand.NewSource(seed)), 60))
-		if st.generations < 50 || st.hashFolds < 2 || st.numFolds < 2 || st.splits == 0 || st.sharedAppends == 0 {
+		t.Logf("seed %d: %+v", seed, st)
+		if st.generations != 60 || st.hashFolds < 2 || st.numFolds < 2 || st.splits == 0 || st.sharedAppends == 0 {
 			t.Errorf("seed %d exercised too little: %+v", seed, st)
+		}
+		if st.denseGens == 0 || st.sparseGens == 0 || st.foldsOutOfDense == 0 || st.foldsOutOfSparse == 0 ||
+			st.denseToSparse == 0 || st.sparseToDense == 0 || st.readAfterFold < 2 {
+			t.Errorf("seed %d did not fold through both base forms: %+v", seed, st)
 		}
 	}
 }
@@ -299,6 +373,7 @@ func TestCloneChainIsolation(t *testing.T) {
 func FuzzHashCloneChain(f *testing.F) {
 	f.Add(chainOps(rand.New(rand.NewSource(7)), 8))
 	f.Add([]byte{2, 1, 7, 2, 2, 7, 0, 5, 7, 6, 9, 7, 6, 9, 7, 4, 0, 3, 9, 7, 3, 1})
+	f.Add(chainOps(rand.New(rand.NewSource(1)), 60)) // folds sparse → dense → sparse
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]

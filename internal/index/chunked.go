@@ -77,6 +77,12 @@ func ChunkedOf[T any](flat []T) Chunked[T] {
 // Len returns the number of elements.
 func (v *Chunked[T]) Len() int { return v.n }
 
+// ByteSize returns the bytes the vector holds: its elements and its
+// chunk table (not what the elements point to).
+func (v *Chunked[T]) ByteSize() int64 {
+	return int64(v.n)*int64(elemSize[T]()) + int64(len(v.chunks))*int64(unsafe.Sizeof(chunk[T]{}))
+}
+
 // NumChunks returns the number of chunks.
 func (v *Chunked[T]) NumChunks() int { return len(v.chunks) }
 

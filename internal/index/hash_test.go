@@ -1,0 +1,281 @@
+package index
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
+	"testing"
+
+	"squid/internal/relation"
+)
+
+// intColumn builds a one-column relation; a nil cell is NULL.
+func intColumn(cells []*int64) *relation.Relation {
+	rel := relation.New("t", relation.Col("k", relation.Int))
+	for _, c := range cells {
+		if c == nil {
+			rel.MustAppend(relation.Null)
+		} else {
+			rel.MustAppend(relation.IntVal(*c))
+		}
+	}
+	return rel
+}
+
+func cellsOf(keys ...int64) []*int64 {
+	cells := make([]*int64, len(keys))
+	for i := range keys {
+		cells[i] = &keys[i]
+	}
+	return cells
+}
+
+// checkIntHash compares h with a plain map built from the cells: every
+// key's rows (ascending), NumKeys, First, and the absent keys around
+// every present one — below the smallest, above the largest, in a gap.
+func checkIntHash(t *testing.T, h *IntHash, cells []*int64) {
+	t.Helper()
+	want := map[int64][]uint32{}
+	for row, c := range cells {
+		if c != nil {
+			want[*c] = append(want[*c], uint32(row))
+		}
+	}
+	if h.NumKeys() != len(want) {
+		t.Errorf("NumKeys = %d want %d", h.NumKeys(), len(want))
+	}
+	for k, rows := range want {
+		got := h.Rows(k)
+		if !reflect.DeepEqual(got, rows) || !slices.IsSorted(got) {
+			t.Errorf("Rows(%d) = %v want %v", k, got, rows)
+		}
+		if first, ok := h.First(k); !ok || first != int(rows[0]) {
+			t.Errorf("First(%d) = %d, %v want %d", k, first, ok, rows[0])
+		}
+		for _, absent := range []int64{k - 1, k + 1, k - 1000, k + 1000} {
+			if _, has := want[absent]; has {
+				continue
+			}
+			if _, ok := h.First(absent); ok || h.Rows(absent) != nil {
+				t.Errorf("absent key %d (beside %d) answers %v", absent, k, h.Rows(absent))
+			}
+		}
+	}
+	for _, absent := range []int64{math.MinInt64, math.MaxInt64, 0} {
+		if _, has := want[absent]; !has && h.Rows(absent) != nil {
+			t.Errorf("absent key %d answers %v", absent, h.Rows(absent))
+		}
+	}
+}
+
+// TestBuildIntHashParity: the two-pass bulk build against a map oracle
+// on generated columns, in the form the key range calls for.
+func TestBuildIntHashParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	null := func(cells []*int64, share float64) []*int64 {
+		for i := range cells {
+			if rng.Float64() < share {
+				cells[i] = nil
+			}
+		}
+		return cells
+	}
+	var clustered, shuffled, sparse, negative, severalRuns, twoOfMany []int64
+	for k := int64(0); k < 700; k++ {
+		twoOfMany = append(twoOfMany, k%2*2000) // a range the rows could fill and the keys do not
+		for i := rng.Intn(9); i >= 0; i-- {     // entity_id-style runs, some keys skipped
+			if k%13 != 0 {
+				clustered = append(clustered, 100+k)
+			}
+		}
+		shuffled = append(shuffled, 5000+k%211)
+		sparse = append(sparse, k*k*7919-3_000_000)
+		negative = append(negative, -k%97-1)
+		severalRuns = append(severalRuns, k%50/5) // every key in many separate runs
+	}
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	cases := []struct {
+		name  string
+		cells []*int64
+		dense bool
+	}{
+		{"unique ascending", cellsOf(3, 4, 5, 6, 7, 8), true},
+		{"clustered runs with gaps", cellsOf(clustered...), true},
+		{"shuffled duplicates", cellsOf(shuffled...), true},
+		{"several runs a key", cellsOf(severalRuns...), true},
+		{"negative keys", cellsOf(negative...), true},
+		{"nulls between", null(cellsOf(clustered...), 0.3), true},
+		{"sparse keys", cellsOf(sparse...), false},
+		{"sparse with nulls and repeats", null(cellsOf(append(sparse, sparse[:100]...)...), 0.2), false},
+		{"two far keys", cellsOf(1, 1<<40, 1, 1<<40), false},
+		{"two keys, many rows", cellsOf(twoOfMany...), false},
+		{"one key", cellsOf(42, 42, 42), true},
+		{"empty", nil, false},
+		{"all null", make([]*int64, 40), false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			h := BuildIntHash(intColumn(c.cells), "k")
+			checkIntHash(t, h, c.cells)
+			if dense := h.offs != nil; dense != c.dense {
+				t.Errorf("dense form = %v want %v (keys %d over [%d, %d])", dense, c.dense, h.keys, h.lo, h.hi)
+			}
+			if h.offs != nil && h.spans != nil {
+				t.Error("both base forms are populated")
+			}
+			// Exact sizes: one posting a non-NULL row, nothing spare.
+			rows := 0
+			for _, cell := range c.cells {
+				if cell != nil {
+					rows++
+				}
+			}
+			if len(h.post) != rows || cap(h.post) != rows {
+				t.Errorf("posting array holds %d (cap %d) for %d rows", len(h.post), cap(h.post), rows)
+			}
+		})
+	}
+}
+
+// TestIntHashExtremeKeys: keys at both ends of int64 with NULLs between
+// them. The key range max − min + 1 wraps to zero there; the form choice
+// and the slot arithmetic must not.
+func TestIntHashExtremeKeys(t *testing.T) {
+	cells := []*int64{nil}
+	for _, k := range []int64{math.MinInt64, -1, 0, math.MaxInt64} {
+		cells = append(cells, cellsOf(k)[0], nil, cellsOf(k)[0], nil)
+	}
+	h := BuildIntHash(intColumn(cells), "k")
+	if h.offs != nil {
+		t.Fatal("four keys spanning all of int64 took the dense form")
+	}
+	checkIntHash(t, h, cells)
+
+	// The same through inserts and a fold.
+	live := &IntHash{}
+	var inserted []*int64
+	add := func(k int64) {
+		live.Insert(k, len(inserted))
+		inserted = append(inserted, &k)
+	}
+	for i := int64(0); i < foldMin; i++ {
+		add(math.MaxInt64 - i)
+		add(math.MinInt64 + i)
+	}
+	folded := live.Clone(new(Gen))
+	if len(folded.tail) != 0 || folded.offs != nil {
+		t.Fatalf("fold left a tail of %d keys or chose the dense form", len(folded.tail))
+	}
+	checkIntHash(t, live, inserted)
+	checkIntHash(t, folded, inserted)
+
+	// A dense run at the very top: the slot of a key far below it must
+	// not wrap into the table.
+	top := cellsOf(math.MaxInt64-2, math.MaxInt64-1, math.MaxInt64, math.MaxInt64-2)
+	d := BuildIntHash(intColumn(top), "k")
+	if d.offs == nil {
+		t.Fatal("three adjacent keys did not take the dense form")
+	}
+	checkIntHash(t, d, top)
+	bottom := cellsOf(math.MinInt64, math.MinInt64+1, math.MinInt64+1)
+	checkIntHash(t, BuildIntHash(intColumn(bottom), "k"), bottom)
+}
+
+// TestBuildStrHashParity: values that normalize alike share one key,
+// whichever dictionary code a row carries; NULLs are skipped.
+func TestBuildStrHashParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	spellings := []string{"Pulp Fiction", "pulp  fiction", " PULP FICTION ", "Titanic", "titanic", "Heat", "Alien", "alien "}
+	for _, tc := range []struct {
+		name string
+		rows int
+		null float64
+	}{{"collisions", 400, 0}, {"with nulls", 400, 0.3}, {"empty", 0, 0}, {"all null", 30, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rel := relation.New("t", relation.Col("s", relation.String))
+			want := map[string][]uint32{}
+			for row := 0; row < tc.rows; row++ {
+				if rng.Float64() < tc.null {
+					rel.MustAppend(relation.Null)
+					continue
+				}
+				v := spellings[rng.Intn(len(spellings))]
+				if rng.Intn(4) == 0 {
+					v = fmt.Sprintf("movie %d", rng.Intn(60))
+				}
+				rel.MustAppend(relation.StringVal(v))
+				want[normalize(v)] = append(want[normalize(v)], uint32(row))
+			}
+			h := BuildStrHash(rel, "s")
+			if h.NumKeys() != len(want) {
+				t.Errorf("NumKeys = %d want %d", h.NumKeys(), len(want))
+			}
+			total := 0
+			for k, rows := range want {
+				total += len(rows)
+				if got := h.Rows(k); !reflect.DeepEqual(got, rows) {
+					t.Errorf("Rows(%q) = %v want %v", k, got, rows)
+				}
+			}
+			if len(h.post) != total || cap(h.post) != total {
+				t.Errorf("posting array holds %d (cap %d) for %d rows", len(h.post), cap(h.post), total)
+			}
+			if h.Rows("no such movie") != nil {
+				t.Error("absent key answers rows")
+			}
+		})
+	}
+}
+
+// TestResidentBytesMatchHeap: what IndexSet.ResidentBytes reports for
+// the hash indexes is what building them added to the heap, within 10% —
+// the figure is counted from lengths and widths, not sampled.
+func TestResidentBytesMatchHeap(t *testing.T) {
+	const rows = 60_000
+	rng := rand.New(rand.NewSource(5))
+	rel := relation.New("fact",
+		relation.Col("id", relation.Int),        // unique: dense
+		relation.Col("entity_id", relation.Int), // clustered runs: dense
+		relation.Col("fk", relation.Int),        // shuffled: dense
+		relation.Col("wide", relation.Int),      // sparse
+		relation.Col("tag", relation.String),    // low-cardinality text
+		relation.Col("name", relation.String),   // high-cardinality text
+	)
+	for i := 0; i < rows; i++ {
+		rel.MustAppend(
+			relation.IntVal(int64(i)), relation.IntVal(int64(i/6)), relation.IntVal(int64(rng.Intn(rows/4))),
+			relation.IntVal(rng.Int63()), relation.StringVal(fmt.Sprintf("tag %d", rng.Intn(40))),
+			relation.StringVal(fmt.Sprintf("Name %d", rng.Intn(rows/2))),
+		)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	set := NewIndexSet()
+	before := heap()
+	for _, c := range rel.Columns() {
+		if c.Type == relation.Int {
+			set.IntHash(rel, c.Name)
+		} else {
+			set.StrHash(rel, c.Name)
+		}
+	}
+	grew := int64(heap() - before)
+	base, tail, _ := set.ResidentBytes()
+	t.Logf("building %d hash indexes over %d rows grew the heap by %d bytes; ResidentBytes reports %d", set.NumIndexes(), rows, grew, base+tail)
+	if tail != 0 {
+		t.Errorf("freshly built indexes report %d tail bytes", tail)
+	}
+	if diff := math.Abs(float64(base-grew)) / float64(grew); diff > 0.10 {
+		t.Errorf("reported %d bytes, the heap grew by %d: off by %.1f%%", base, grew, 100*diff)
+	}
+	runtime.KeepAlive(set)
+	runtime.KeepAlive(rel)
+}

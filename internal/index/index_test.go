@@ -145,9 +145,11 @@ func allocated(fn func()) uint64 {
 }
 
 // TestBuildIntHashPresizesByRuns: on a derived relation's clustered
-// entity ids (every key a run of rows) the map must be sized for the
-// keys, not the rows — an oversized base layer is shared by every epoch
-// and never shrinks.
+// entity ids (every key a run of rows) the base costs what it indexes —
+// four bytes a row and four a slot of the key range, under a third of
+// the map of per-key lists it replaces — and the build allocates little
+// beyond it: an oversized base layer is shared by every epoch and never
+// shrinks.
 func TestBuildIntHashPresizesByRuns(t *testing.T) {
 	const keys, run = 4000, 7
 	rel := relation.New("derived", relation.Col("entity_id", relation.Int), relation.Col("count", relation.Int))
@@ -158,18 +160,26 @@ func TestBuildIntHashPresizesByRuns(t *testing.T) {
 	}
 	var h *IntHash
 	built := allocated(func() { h = BuildIntHash(rel, "entity_id") })
-	built -= 8 * keys * run // the shared posting-list backing array
+	if h.NumKeys() != keys || len(h.Rows(3)) != run || h.Rows(4) != nil {
+		t.Fatalf("index has %d keys, Rows(3) = %v, Rows(4) = %v", h.NumKeys(), h.Rows(3), h.Rows(4))
+	}
+	base, tail := h.residentBytes()
+	if want := int64(4*keys*run + 4*(3*keys)); h.offs == nil || tail != 0 || base > want {
+		t.Errorf("base takes %d bytes (dense: %v, tail %d), want at most %d", base, h.offs != nil, tail, want)
+	}
 	var ref map[int64][]int
-	want := allocated(func() {
+	mapped := allocated(func() {
 		ref = make(map[int64][]int, keys)
 		for k := 0; k < keys; k++ {
-			ref[int64(3*k)] = nil
+			ref[int64(3*k)] = make([]int, run)
 		}
 	})
-	if h.NumKeys() != keys || len(ref) != keys || len(h.Rows(3)) != run {
-		t.Fatalf("index has %d keys, Rows(3) = %v", h.NumKeys(), h.Rows(3))
+	if len(ref) != keys || 3*uint64(base) > mapped {
+		t.Errorf("base takes %d bytes, a map of %d per-key lists %d: expected under a third", base, keys, mapped)
 	}
-	if float64(built) > 1.5*float64(want) {
-		t.Errorf("BuildIntHash allocated %d bytes beside its posting array; a map of its %d keys takes %d", built, keys, want)
+	// The ordinals and the placement cursor, as large again, are the
+	// build's only transients (an eighth allowed for size classes).
+	if built > 2*uint64(base)+uint64(base)/8 {
+		t.Errorf("BuildIntHash allocated %d bytes for a %d-byte index", built, base)
 	}
 }

@@ -136,6 +136,26 @@ func (s *IndexSet) NumIndexes() int {
 	return len(s.ints) + len(s.strs)
 }
 
+// ResidentBytes reports what the materialized indexes hold, counted
+// from their lengths and element widths: the hash indexes' flat bases,
+// their tails, and the sorted numeric indexes.
+func (s *IndexSet) ResidentBytes() (hashBase, hashTail, numeric int64) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, h := range s.ints {
+		b, t := h.residentBytes()
+		hashBase, hashTail = hashBase+b, hashTail+t
+	}
+	for _, h := range s.strs {
+		b, t := h.residentBytes()
+		hashBase, hashTail = hashBase+b, hashTail+t
+	}
+	for _, n := range s.nums {
+		numeric += 16 * int64(len(n.vals)+cap(n.tailVals))
+	}
+	return hashBase, hashTail, numeric
+}
+
 // IndexDelta accumulates one copy-on-write writer's index changes
 // against a base epoch's IndexSet: the first touch of a shard clones it
 // (a copy of its tail — the keys inserted since its last fold — never
@@ -188,42 +208,18 @@ func (d *IndexDelta) ReadIntHash(rel *relation.Relation, col string) *IntHash {
 	return h
 }
 
-// PrivateIntHash returns the writer's private clone of the (rel, col)
-// hash index, cloning the base's prebuilt one on first touch — or
-// building fresh from the writer's relation when the base never
-// materialized it (never lazily building into the base view, see
-// ReadIntHash).
-func (d *IndexDelta) PrivateIntHash(rel *relation.Relation, col string) *IntHash {
-	key := ColumnKey{rel.Name, col}
-	if h := d.ints[key]; h != nil {
-		return h
+// touch marks rel as changed by this writer. On the first touch no row
+// has been appended yet, so every index of rel resident in the base
+// view is complete: all of them are adopted (tail-cloned) there, and the
+// publish merge carries them into the next epoch. An index that appears
+// in the base view later was lazily built by a concurrent base-epoch
+// reader and may miss this batch's rows — it is left uncovered, so the
+// merge drops it and the next epoch rebuilds it lazily from the
+// post-batch relation.
+func (d *IndexDelta) touch(rel *relation.Relation) {
+	if d.touched[rel.Name] {
+		return
 	}
-	// A base-built index is only a valid clone source before this
-	// writer's first append to the relation; afterwards it may miss
-	// batch rows (a reader could have built it from the base relation
-	// concurrently), so rebuild from the writer's relation instead.
-	wasTouched := d.touched[rel.Name]
-	d.touched[rel.Name] = true
-	var h *IntHash
-	if bi, _, _ := d.base.peek(key); bi != nil && !d.dropped[key] && !wasTouched {
-		h = bi.Clone(d.gen)
-	} else {
-		h = BuildIntHash(rel, col)
-	}
-	d.ints[key] = h
-	return h
-}
-
-// NoteAppend maintains every index of rel materialized in the base view
-// (or already privatized here) for the row that was just appended,
-// cloning each touched shard (its tail) on first touch. A base
-// index may only be adopted on the writer's FIRST append to the
-// relation: one that appears later was lazily built by a concurrent
-// base-epoch reader and misses this batch's earlier rows — it is left
-// uncovered, so the publish merge drops it and the next epoch rebuilds
-// it lazily from the post-batch relation.
-func (d *IndexDelta) NoteAppend(rel *relation.Relation, row int) {
-	wasTouched := d.touched[rel.Name]
 	d.touched[rel.Name] = true
 	for _, col := range rel.Columns() {
 		key := ColumnKey{rel.Name, col.Name}
@@ -233,44 +229,66 @@ func (d *IndexDelta) NoteAppend(rel *relation.Relation, row int) {
 			continue
 		}
 		bi, bs, bn := d.base.peek(key)
+		if bi != nil && d.ints[key] == nil {
+			d.ints[key] = bi.Clone(d.gen)
+		}
+		if bs != nil && d.strs[key] == nil {
+			d.strs[key] = bs.Clone(d.gen)
+		}
+		if bn != nil && d.nums[key] == nil {
+			d.nums[key] = bn.Clone(d.gen)
+		}
+	}
+}
+
+// PrivateIntHash returns the writer's private clone of the (rel, col)
+// hash index, for a writer about to change rel: the first touch adopts
+// every resident index of rel (see touch); an index the base never
+// materialized — or that this writer dropped — is built fresh from the
+// writer's relation (never lazily into the base view, see ReadIntHash).
+func (d *IndexDelta) PrivateIntHash(rel *relation.Relation, col string) *IntHash {
+	d.touch(rel)
+	key := ColumnKey{rel.Name, col}
+	h := d.ints[key]
+	if h == nil {
+		h = BuildIntHash(rel, col)
+		d.ints[key] = h
+	}
+	return h
+}
+
+// NoteAppend maintains every index of rel this writer holds — adopted
+// from the base view on the first touch (see touch) or built privately
+// since — for the row that was just appended.
+func (d *IndexDelta) NoteAppend(rel *relation.Relation, row int) {
+	d.touch(rel)
+	for _, col := range rel.Columns() {
+		if col.IsNull(row) {
+			continue
+		}
+		key := ColumnKey{rel.Name, col.Name}
 		switch col.Type {
 		case relation.Int:
-			h := d.ints[key]
-			if h == nil && bi != nil && !wasTouched {
-				h = bi.Clone(d.gen)
-				d.ints[key] = h
-			}
-			if h != nil && !col.IsNull(row) {
+			if h := d.ints[key]; h != nil {
 				h.Insert(col.Int64(row), row)
 			}
 		case relation.String:
-			h := d.strs[key]
-			if h == nil && bs != nil && !wasTouched {
-				h = bs.Clone(d.gen)
-				d.strs[key] = h
-			}
-			if h != nil && !col.IsNull(row) {
+			if h := d.strs[key]; h != nil {
 				h.Insert(col.Str(row), row)
 			}
 		}
-		if col.Type != relation.String {
-			n := d.nums[key]
-			if n == nil && bn != nil && !wasTouched {
-				n = bn.Clone(d.gen)
-				d.nums[key] = n
-			}
-			if n != nil && !col.IsNull(row) {
-				d.nums[key] = n.Insert(col.Float64(row), row)
-			}
+		if n := d.nums[key]; n != nil {
+			d.nums[key] = n.Insert(col.Float64(row), row)
 		}
 	}
 }
 
 // Drop discards the indexes of one column in the next epoch (a cell of
-// that column was mutated in place on the writer's private relation).
+// that column was overwritten on the writer's private relation). The
+// relation's other indexes are unaffected: a cells-only update touches
+// no other column.
 func (d *IndexDelta) Drop(relName, col string) {
 	key := ColumnKey{relName, col}
-	d.touched[relName] = true
 	d.dropped[key] = true
 	delete(d.ints, key)
 	delete(d.strs, key)

@@ -98,7 +98,8 @@ func TestIndexDeltaDrop(t *testing.T) {
 	base.IntHash(rel, "id")
 	base.StrHash(rel, "tag")
 
-	next := rel.CloneForWrite("id")
+	next := rel.CloneForWrite()
+	next.UpdateColumn("id")
 	delta := NewIndexDelta(base, nil)
 	if err := next.Column("id").Set(0, relation.IntVal(5)); err != nil {
 		t.Fatal(err)
@@ -107,6 +108,11 @@ func TestIndexDeltaDrop(t *testing.T) {
 	merged := delta.MergeInto(base)
 	if ih, _, _ := merged.peek(ColumnKey{"t", "id"}); ih != nil {
 		t.Error("dropped index survived the merge")
+	}
+	// A cells-only update touches no other column: its index is
+	// inherited, not rebuilt.
+	if _, sh, _ := merged.peek(ColumnKey{"t", "tag"}); sh == nil {
+		t.Error("dropping id's index lost the untouched tag index")
 	}
 	if base.NumIndexes() != 2 {
 		t.Errorf("drop touched the base view: NumIndexes=%d want 2", base.NumIndexes())

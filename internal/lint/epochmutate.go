@@ -34,6 +34,7 @@ var epochReachMutators = map[string]bool{
 	"Insert":        true,
 	"InsertAt":      true,
 	"SetPrimaryKey": true,
+	"UpdateColumn":  true,
 	"AddForeignKey": true,
 	"NoteAppend":    true,
 	"Drop":          true,

@@ -27,6 +27,13 @@ func mutateReachableViaLocal(e *adb.Epoch) {
 	r.SetPrimaryKey("id") // want "SetPrimaryKey mutates state reachable from a published"
 }
 
+// UpdateColumn swaps a column of the relation it is called on: on a
+// published relation that is a mutation, on a CloneForWrite clone the
+// write path's own step.
+func updateColumnOfPublished(e *adb.Epoch) {
+	e.DerivedDB.Relation("persontogenre").UpdateColumn("count") // want "UpdateColumn mutates state reachable from a published"
+}
+
 func assignIndexes(e *adb.Epoch) {
 	e.Indexes = nil // want "assignment to field Indexes of a published"
 }
@@ -71,6 +78,7 @@ func freshConstruction() *adb.Epoch {
 func cloneThenMutate(e *adb.Epoch) {
 	r := e.DB.Relation("movie").CloneForWrite()
 	r.MustAppend()
+	r.UpdateColumn("id")
 }
 
 // Reads never trip the analyzer.

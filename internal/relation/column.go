@@ -7,6 +7,12 @@ import "fmt"
 // are dictionary-encoded: cells hold int32 codes into a per-column Dict,
 // so the dense storage is four bytes per row regardless of string length
 // and scans compare codes instead of strings.
+//
+// Cell storage is flat and, across copy-on-write epochs, shared: a clone
+// copies the header. An update clone (CloneForUpdate) may still
+// overwrite INTEGER cells — they land in a small patch map that every
+// integer read consults first — and the patch folds into fresh storage
+// once it covers more than 1/patchFoldDiv of the column.
 type Column struct {
 	Name string
 	Type ColType
@@ -16,7 +22,23 @@ type Column struct {
 	codes []int32
 	dict  *Dict
 	nulls []bool // nil when the column has no NULLs so far
+	// patch holds the INTEGER cells overwritten through an update clone
+	// since the storage was last copied, by row. Non-nil marks an update
+	// clone: its Set never writes the shared storage.
+	patch map[int]int64
 }
+
+const (
+	// patchFoldDiv and patchFoldMin are the patch's fold rule, the same
+	// one the index tails follow: an update clone copies a patch of up
+	// to 1/patchFoldDiv of the column (and any patch under
+	// patchFoldMin cells) and copies the column instead past that, so
+	// a publish pays amortized O(patchFoldDiv) per overwritten cell.
+	patchFoldDiv = 64
+	patchFoldMin = 64
+	// patchSlotBytes is one patch entry: an int key and an int64 cell.
+	patchSlotBytes = 16
+)
 
 // NewColumn creates an empty column.
 func NewColumn(name string, t ColType) *Column {
@@ -126,7 +148,7 @@ func (c *Column) Get(row int) Value {
 	}
 	switch c.Type {
 	case Int:
-		return IntVal(c.ints[row])
+		return IntVal(c.Int64(row))
 	case Float:
 		return FloatVal(c.flts[row])
 	default:
@@ -136,12 +158,25 @@ func (c *Column) Get(row int) Value {
 
 // Int64 returns the raw integer at row without Value boxing. The caller
 // must know the column type and that the cell is non-NULL.
-func (c *Column) Int64(row int) int64 { return c.ints[row] }
+func (c *Column) Int64(row int) int64 {
+	if len(c.patch) != 0 {
+		return c.patched(row)
+	}
+	return c.ints[row]
+}
+
+// patched reads an integer cell through the patch.
+func (c *Column) patched(row int) int64 {
+	if v, ok := c.patch[row]; ok {
+		return v
+	}
+	return c.ints[row]
+}
 
 // Float64 returns the raw float at row.
 func (c *Column) Float64(row int) float64 {
 	if c.Type == Int {
-		return float64(c.ints[row])
+		return float64(c.Int64(row))
 	}
 	return c.flts[row]
 }
@@ -173,8 +208,13 @@ func (c *Column) DistinctCount() int {
 	return len(seen)
 }
 
-// Set overwrites the cell at row.
+// Set overwrites the cell at row. On an update clone only INTEGER cells
+// can be overwritten (they go to the patch); the storage of the other
+// types is shared with the column it was cloned from.
 func (c *Column) Set(row int, v Value) error {
+	if c.patch != nil && c.Type != Int {
+		return fmt.Errorf("relation: column %q: an update clone overwrites INTEGER cells only", c.Name)
+	}
 	if v.IsNull() {
 		c.ensureNulls()
 		c.nulls[row] = true
@@ -191,7 +231,11 @@ func (c *Column) Set(row int, v Value) error {
 		if v.kind != kindInt {
 			return fmt.Errorf("relation: column %q is INTEGER, got %s", c.Name, v.kindName())
 		}
-		c.ints[row] = v.i
+		if c.patch != nil {
+			c.patch[row] = v.i
+		} else {
+			c.ints[row] = v.i
+		}
 	case Float:
 		c.flts[row] = v.Float()
 	case String:
@@ -218,7 +262,31 @@ func (c *Column) ByteSize() int64 {
 	if c.nulls != nil {
 		n += int64(len(c.nulls))
 	}
-	return n
+	return n + c.patchBytes()
+}
+
+// patchBytes is the footprint of the patch map.
+func (c *Column) patchBytes() int64 {
+	if c.patch == nil {
+		return 0
+	}
+	return MapBytes(len(c.patch), patchSlotBytes)
+}
+
+// MapBytes estimates the heap bytes of a Go map holding n entries of
+// slotBytes (key plus value) each: the runtime keeps a power-of-two
+// number of slots filled to at most 7/8, each with one control byte —
+// exact for a map presized to n, within a doubling for one grown by
+// inserts.
+func MapBytes(n, slotBytes int) int64 {
+	if n == 0 {
+		return 0
+	}
+	slots := 8
+	for slots*7 < n*8 {
+		slots *= 2
+	}
+	return int64(slots) * int64(slotBytes+1)
 }
 
 // CloneForAppend returns a copy-on-write clone for append-only epoch
@@ -234,26 +302,55 @@ func (c *Column) CloneForAppend() *Column {
 	return &q
 }
 
-// CloneForUpdate is CloneForAppend plus a deep copy of the cell storage
-// and null bitmap, for columns a copy-on-write writer mutates in place
-// (the derived relations' count column). Readers of the original never
-// observe the updates.
-func (c *Column) CloneForUpdate() *Column {
-	q := *c
-	q.ints = append([]int64(nil), c.ints...)
-	q.flts = append([]float64(nil), c.flts...)
-	q.codes = append([]int32(nil), c.codes...)
+// CloneForUpdate is CloneForAppend for a column whose existing INTEGER
+// cells the copy-on-write writer will overwrite (the derived relations'
+// count column): the cell storage stays shared, overwrites land in the
+// clone's patch, and readers of the original never observe them. The
+// clone copies the receiver's patch — or, once the patch passes
+// patchFoldMin cells and 1/patchFoldDiv of the column, folds it into a
+// fresh copy of the storage and starts an empty one. The null bitmap,
+// which Set toggles in place, is copied when there is one. copied is
+// the bytes the clone allocated instead of sharing.
+func (c *Column) CloneForUpdate() (q *Column, copied int64) {
+	q = c.CloneForAppend()
 	if c.nulls != nil {
 		q.nulls = append([]bool(nil), c.nulls...)
+		copied += int64(len(q.nulls))
 	}
-	return &q
+	if n := len(c.patch); n >= patchFoldMin && n*patchFoldDiv > len(c.ints) {
+		// Headroom for the rows the same writers append, so the fresh
+		// storage is not copied again by the first of them.
+		q.ints = make([]int64, len(c.ints), len(c.ints)+len(c.ints)/patchFoldDiv)
+		copy(q.ints, c.ints)
+		for row, v := range c.patch {
+			q.ints[row] = v
+		}
+		q.patch = make(map[int]int64)
+		return q, copied + int64(cap(q.ints))*8
+	}
+	q.patch = make(map[int]int64, len(c.patch)+1)
+	for row, v := range c.patch {
+		q.patch[row] = v
+	}
+	return q, copied + q.patchBytes()
 }
 
 // Raw accessors for snapshot serialization. The returned slices alias
 // column storage: do not mutate.
 
-// RawInts returns the dense integer cells (Int columns).
-func (c *Column) RawInts() []int64 { return c.ints }
+// RawInts returns the dense integer cells (Int columns): the storage
+// itself while the patch is empty, a copy with the patch applied
+// otherwise.
+func (c *Column) RawInts() []int64 {
+	if len(c.patch) == 0 {
+		return c.ints
+	}
+	ints := append([]int64(nil), c.ints...)
+	for row, v := range c.patch {
+		ints[row] = v
+	}
+	return ints
+}
 
 // RawFloats returns the dense float cells (Float columns).
 func (c *Column) RawFloats() []float64 { return c.flts }

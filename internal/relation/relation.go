@@ -77,25 +77,27 @@ func Restore(name, primaryKey string, fks []ForeignKey, cols []*Column, numRows 
 
 // CloneForWrite returns a copy-on-write clone of the relation for one
 // epoch's writer: column headers are copied (appends on the clone never
-// disturb readers of the original — see Column.CloneForAppend), the
-// column-name index and key metadata are shared, and the columns named
-// in updateCols get a deep storage copy because the writer will mutate
-// their existing cells in place (Set), not just append.
-func (r *Relation) CloneForWrite(updateCols ...string) *Relation {
-	deep := make(map[string]bool, len(updateCols))
-	for _, c := range updateCols {
-		deep[c] = true
-	}
+// disturb readers of the original — see Column.CloneForAppend) and the
+// column-name index and key metadata are shared. A writer that will
+// also overwrite existing cells of a column (Set) calls UpdateColumn on
+// the clone first.
+func (r *Relation) CloneForWrite() *Relation {
 	q := *r
 	q.cols = make([]*Column, len(r.cols))
 	for i, c := range r.cols {
-		if deep[c.Name] {
-			q.cols[i] = c.CloneForUpdate()
-		} else {
-			q.cols[i] = c.CloneForAppend()
-		}
+		q.cols[i] = c.CloneForAppend()
 	}
 	return &q
+}
+
+// UpdateColumn makes the named INTEGER column of a CloneForWrite clone
+// overwritable (see Column.CloneForUpdate) and returns the bytes that
+// copied.
+func (r *Relation) UpdateColumn(name string) int64 {
+	i := r.colIdx[name]
+	q, copied := r.cols[i].CloneForUpdate()
+	r.cols[i] = q
+	return copied
 }
 
 // NumRows returns the number of rows.

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -342,5 +343,90 @@ func TestNullBackfill(t *testing.T) {
 	}
 	if c.Len() != 4 {
 		t.Error("len wrong")
+	}
+}
+
+// TestUpdateCloneChain drives Set through a chain of update clones — a
+// growing patch, a fold into fresh storage, appends after the fold — and
+// checks that the original and every earlier clone still read their own
+// cells through every integer accessor, although all of them share cell
+// storage.
+func TestUpdateCloneChain(t *testing.T) {
+	const rows = 4096
+	orig := New("derived", Col("entity_id", Int), Col("count", Int))
+	for i := 0; i < rows; i++ {
+		orig.MustAppend(IntVal(int64(i)), IntVal(1))
+	}
+	type generation struct {
+		rel  *Relation
+		want []int64 // the count column as this generation must read it
+	}
+	want := make([]int64, rows)
+	for i := range want {
+		want[i] = 1
+	}
+	chain := []generation{{orig, append([]int64(nil), want...)}}
+	rng := rand.New(rand.NewSource(18))
+	patched, folds := false, 0
+	for g := 0; g < 40; g++ {
+		prev := chain[len(chain)-1].rel
+		next := prev.CloneForWrite()
+		copied := next.UpdateColumn("count")
+		count := next.Column("count")
+		folded := len(prev.Column("count").patch) > 0 && len(count.patch) == 0
+		if folded {
+			folds++
+			if copied < int64(8*len(want)) {
+				t.Errorf("generation %d folded %d cells but reports %d bytes copied", g, len(want), copied)
+			}
+		} else if copied > int64(8*len(want))/4 {
+			t.Errorf("generation %d copied %d bytes without folding a %d-cell column", g, copied, len(want))
+		}
+		for i := 0; i < 8; i++ { // overwrite
+			row := rng.Intn(len(want))
+			want[row]++
+			if err := count.Set(row, IntVal(want[row])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		patched = patched || len(count.patch) > 8
+		if g%3 == 0 { // and append, then overwrite the appended row too
+			next.MustAppend(IntVal(int64(len(want))), IntVal(1))
+			want = append(want, 1)
+			if g%6 == 0 {
+				want[len(want)-1] = 7
+				if err := count.Set(len(want)-1, IntVal(7)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		chain = append(chain, generation{next, append([]int64(nil), want...)})
+	}
+	if !patched || folds < 2 {
+		t.Fatalf("the chain exercised too little: patch grew past one generation: %v, folds: %d", patched, folds)
+	}
+	for g, gen := range chain {
+		c := gen.rel.Column("count")
+		if c.Len() != len(gen.want) || gen.rel.NumRows() != len(gen.want) {
+			t.Fatalf("generation %d: %d cells, %d rows, want %d", g, c.Len(), gen.rel.NumRows(), len(gen.want))
+		}
+		raw := c.RawInts()
+		for row, v := range gen.want {
+			if c.Int64(row) != v || c.Get(row).Int() != v || c.Float64(row) != float64(v) || raw[row] != v {
+				t.Fatalf("generation %d row %d: Int64 %d, Get %v, Float64 %v, RawInts %d, want %d",
+					g, row, c.Int64(row), c.Get(row), c.Float64(row), raw[row], v)
+			}
+		}
+		if with, without := c.ByteSize(), int64(8*c.Len()); with != without+MapBytes(len(c.patch), patchSlotBytes) {
+			t.Errorf("generation %d: ByteSize %d does not count the %d-cell patch over %d bytes of cells", g, with, len(c.patch), without)
+		}
+	}
+	// Only INTEGER cells of an update clone can be overwritten.
+	text := New("t", Col("s", String))
+	text.MustAppend(StringVal("a"))
+	clone := text.CloneForWrite()
+	clone.UpdateColumn("s")
+	if err := clone.Column("s").Set(0, StringVal("b")); err == nil || text.Column("s").Str(0) != "a" {
+		t.Errorf("Set on a TEXT update clone: err = %v, the original reads %q", err, text.Column("s").Str(0))
 	}
 }

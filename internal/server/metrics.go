@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"squid"
 	"squid/internal/buildinfo"
 	"squid/internal/wal"
 )
@@ -78,6 +79,9 @@ type liveGauges struct {
 	// Epoch-chain GC health (always rendered).
 	epochRetired       int64
 	epochRetainedBytes int64
+
+	// Resident memory of the current epoch by structure.
+	resident squid.ResidentBytes
 
 	// Write-ahead-log health; nil when the system runs without a WAL.
 	wal *wal.Metrics
@@ -207,9 +211,15 @@ func (m *metrics) render(w *strings.Builder, live liveGauges) {
 	fmt.Fprintf(w, "# HELP squid_epoch_retired Retired epochs not yet garbage-collected (readers or leaked discoveries pin them).\n")
 	fmt.Fprintf(w, "# TYPE squid_epoch_retired gauge\n")
 	fmt.Fprintf(w, "squid_epoch_retired %d\n", live.epochRetired)
-	fmt.Fprintf(w, "# HELP squid_epoch_retained_bytes Bytes retired epochs keep alive on their own: what the publishes that retired them copied (chunks, index tails, derived count columns).\n")
+	fmt.Fprintf(w, "# HELP squid_epoch_retained_bytes Bytes retired epochs keep alive on their own: what the publishes that retired them copied (chunks, index tails and folds, count-column patches).\n")
 	fmt.Fprintf(w, "# TYPE squid_epoch_retained_bytes gauge\n")
 	fmt.Fprintf(w, "squid_epoch_retained_bytes %d\n", live.epochRetainedBytes)
+
+	fmt.Fprintf(w, "# HELP squid_resident_bytes Resident memory of the current αDB epoch by structure, counted from lengths and element widths (the inverted index, basic-property statistics and dictionary maps are not attributed).\n")
+	fmt.Fprintf(w, "# TYPE squid_resident_bytes gauge\n")
+	for _, s := range residentSeries(live.resident) {
+		fmt.Fprintf(w, "squid_resident_bytes{structure=%q} %d\n", s.structure, s.bytes)
+	}
 
 	fmt.Fprintf(w, "# HELP squid_panics_total Handler panics contained by the serving layer.\n")
 	fmt.Fprintf(w, "# TYPE squid_panics_total counter\n")
@@ -274,6 +284,24 @@ func (m *metrics) render(w *strings.Builder, live liveGauges) {
 			m.phaseMu.Unlock()
 			renderHistogram(w, "squid_discover_phase_seconds", "phase", phase, h)
 		}
+	}
+}
+
+type residentGauge struct {
+	structure string
+	bytes     int64
+}
+
+// residentSeries names the structures of squid_resident_bytes (and of
+// the resident_bytes object of GET /v1/stats), in rendering order.
+func residentSeries(r squid.ResidentBytes) []residentGauge {
+	return []residentGauge{
+		{"columns", r.Columns},
+		{"derived_columns", r.DerivedColumns},
+		{"hash_index", r.HashIndexBase + r.HashIndexTail},
+		{"numeric_index", r.NumericIndex},
+		{"derived_pairs", r.DerivedPairs},
+		{"rowset_memos", r.RowSetMemos},
 	}
 }
 

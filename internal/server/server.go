@@ -353,6 +353,10 @@ type StatsResponse struct {
 	EpochPublishes   uint64         `json:"epoch_publishes"`
 	EpochCombines    uint64         `json:"epoch_combines"`
 	RelationCards    []RelCard      `json:"relation_cards"`
+	// ResidentBytes attributes the epoch's memory by structure, under
+	// the names squid_resident_bytes uses on /metrics, plus the insert
+	// tails' share of hash_index.
+	ResidentBytes map[string]int64 `json:"resident_bytes"`
 }
 
 // RelCard pairs a relation with its cardinality.
@@ -638,6 +642,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		EpochAgeSec:      st.EpochAgeSec,
 		EpochPublishes:   st.EpochPublishes,
 		EpochCombines:    st.EpochCombines,
+		ResidentBytes:    map[string]int64{"hash_index_tail": st.Resident.HashIndexTail},
+	}
+	for _, rs := range residentSeries(st.Resident) {
+		resp.ResidentBytes[rs.structure] = rs.bytes
 	}
 	for _, rc := range st.RelationCards {
 		resp.RelationCards = append(resp.RelationCards, RelCard{Relation: rc.Relation, Rows: rc.Rows})
@@ -657,9 +665,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	// The scrape reads only cheap counters: the selectivity-cache
-	// numbers and the epoch chain's health (one atomic load each) —
-	// never the full Stats computation.
+	// The scrape reads cheap counters — the selectivity-cache numbers
+	// and the epoch chain's health, one atomic load each — and the
+	// resident-byte attribution, one pass over structure headers; never
+	// the full Stats computation.
 	hits, misses, entries := s.sys.CacheMetrics()
 	epochSeq, epochAge, publishes, combines := s.sys.EpochMetrics()
 	retired, retainedBytes := s.sys.EpochGCMetrics()
@@ -681,6 +690,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		epochCombines:      combines,
 		epochRetired:       retired,
 		epochRetainedBytes: retainedBytes,
+		resident:           s.sys.ResidentBytes(),
 		wal:                walMetrics,
 	})
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

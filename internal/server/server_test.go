@@ -236,6 +236,9 @@ func TestServerEndToEnd(t *testing.T) {
 	if stats.Name != "cs_academics" || stats.NumRelations != 2 {
 		t.Errorf("stats %+v", stats)
 	}
+	if rb := stats.ResidentBytes; rb["columns"] != stats.DBBytes || rb["hash_index"] <= 0 || rb["hash_index_tail"] > rb["hash_index"] {
+		t.Errorf("stats resident_bytes %v (db_bytes %d)", rb, stats.DBBytes)
+	}
 	var health map[string]any
 	if code := getJSON(t, c, ts.URL+"/healthz", &health); code != http.StatusOK || health["status"] != "ok" {
 		t.Errorf("healthz: %v %v", code, health)
@@ -254,6 +257,12 @@ func TestServerEndToEnd(t *testing.T) {
 		"squid_selcache_hits_total",
 		`squid_request_duration_seconds_bucket{route="/v1/discover",le="+Inf"}`,
 		"squid_admission_shed_total 0",
+		fmt.Sprintf(`squid_resident_bytes{structure="columns"} %d`, stats.DBBytes),
+		`squid_resident_bytes{structure="derived_columns"}`,
+		fmt.Sprintf(`squid_resident_bytes{structure="hash_index"} %d`, stats.ResidentBytes["hash_index"]),
+		`squid_resident_bytes{structure="numeric_index"}`,
+		`squid_resident_bytes{structure="derived_pairs"}`,
+		`squid_resident_bytes{structure="rowset_memos"}`,
 	} {
 		if !strings.Contains(text, needle) {
 			t.Errorf("metrics exposition missing %q", needle)

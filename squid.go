@@ -131,6 +131,8 @@ type (
 	BuildConfig = adb.Config
 	// Stats summarizes an αDB (Fig 18 statistics).
 	Stats = adb.Stats
+	// ResidentBytes attributes an αDB's memory by structure.
+	ResidentBytes = adb.ResidentBytes
 	// Filter is a semantic property filter of the abduced query.
 	Filter = abduction.Filter
 	// FilterDecision records the per-filter posterior computation.
@@ -368,6 +370,13 @@ func (s *System) EpochGCMetrics() (retired, retainedBytes int64) {
 	es := s.alpha.EpochStats()
 	return es.Retired, es.RetainedBytes
 }
+
+// ResidentBytes attributes the current epoch's memory by structure
+// (columns, hash and numeric indexes, derived pair lists, row-set
+// memos), each counted from lengths and element widths. One pass over
+// index and property headers and the dictionaries — cheaper than Stats,
+// never proportional to the rows.
+func (s *System) ResidentBytes() ResidentBytes { return s.alpha.Snapshot().ResidentBytes() }
 
 // AttachWAL connects a write-ahead log to the system: from now on every
 // published epoch's row deltas are appended to l (in publish order),

@@ -3,6 +3,7 @@ package squid
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"squid/internal/datagen"
@@ -156,4 +157,48 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not a snapshot at all"))); err == nil {
 		t.Error("Load of garbage succeeded")
 	}
+}
+
+// TestLoadHeapPerRow is the resident-memory guard: what Load of the
+// bench-scale fixture adds to the heap, per base-relation row, stays
+// under a budget set about 15% above what PR 18 measured (254 B/row;
+// the flat hash-index bases and 8-byte derived pairs took it there from
+// 374). A structure that quietly re-inflates — a per-key slice header, a
+// map where an array would do — fails here long before it shows in the
+// benchmark's heap_mb.
+func TestLoadHeapPerRow(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("heap sizes under the race detector are not the production ones")
+	}
+	const budget = 292 // B/row
+	var buf bytes.Buffer
+	{
+		sys, err := Build(datagen.GenerateIMDb(benchScale().IMDb).DB, DefaultBuildConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	sys, err := Load(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grew := heap() - before
+	rows := sys.alpha.Snapshot().DB.TotalRows()
+	perRow := float64(grew) / float64(rows)
+	t.Logf("Load of %d rows (%d-byte snapshot) grew the heap by %d bytes: %.0f B/row", rows, buf.Len(), grew, perRow)
+	if perRow > budget {
+		t.Errorf("heap after Load is %.0f B/row, budget %d", perRow, budget)
+	}
+	runtime.KeepAlive(sys)
 }
