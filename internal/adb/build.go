@@ -41,6 +41,14 @@ type Config struct {
 	Workers int
 }
 
+// workers resolves the Workers knob: 0 means GOMAXPROCS.
+func (c Config) workers() int {
+	if c.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return c.Workers
+}
+
 // DefaultConfig returns the configuration used throughout the paper's
 // experiments: derived properties up to two fact tables deep.
 func DefaultConfig() Config {
@@ -166,10 +174,7 @@ func buildEpoch(db *relation.Database, cfg Config) (*Epoch, error) {
 		cfg = DefaultConfig()
 		cfg.Workers = workers
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := cfg.workers()
 	a := &Epoch{
 		DB:        db,
 		Entities:  make(map[string]*EntityInfo),
@@ -467,44 +472,62 @@ func (a *Epoch) finishCategorical(p *BasicProperty, valsByRow [][]int32) *BasicP
 	return p
 }
 
-// buildCatStats adopts valsByRow and fills catRows from it, listing
-// each (entity, code) pair once. Both become chunked vectors cut from
-// the flat arrays built here.
+// buildCatStats adopts valsByRow and derives catRows from it — the one
+// constructor of a categorical property's inverse, called by every build
+// path and by the snapshot load. It is a counting sort by code that
+// lists each (entity, code) pair once: the lists are cut at exact size
+// from one backing array as capacity-capped views, so a later append
+// copies a list out instead of clobbering its neighbor.
 func (p *BasicProperty) buildCatStats(valsByRow [][]int32) {
-	catRows := make([][]int, p.dict.Len())
-	add := func(c int32, row int) {
-		if len(catRows[c]) == 0 {
-			p.numValues++
+	// seen[c] is one past the last row counted for code c: rows ascend,
+	// so a code repeated within a row is the only way to meet it again.
+	seen := make([]int, p.dict.Len())
+	lens := make([]int, p.dict.Len())
+	total := 0
+	for row, codes := range valsByRow {
+		for _, c := range codes {
+			if seen[c] != row+1 {
+				seen[c] = row + 1
+				lens[c]++
+				total++
+			}
 		}
-		catRows[c] = append(catRows[c], row)
+	}
+	backing := make([]int, total)
+	catRows := make([][]int, len(lens))
+	off := 0
+	for c, n := range lens {
+		if n > 0 {
+			p.numValues++
+			catRows[c] = backing[off : off : off+n]
+			off += n
+		}
 	}
 	for row, codes := range valsByRow {
-		// Dedup codes within the row: linear scan for the common short
-		// lists, a set for heavy multi-valued rows.
-		if len(codes) > 16 {
-			seen := make(map[int32]bool, len(codes))
-			for _, c := range codes {
-				if !seen[c] {
-					seen[c] = true
-					add(c, row)
-				}
-			}
-			continue
-		}
-		for i, c := range codes {
-			dup := false
-			for _, prev := range codes[:i] {
-				if prev == c {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				add(c, row)
+		for _, c := range codes {
+			if rows := catRows[c]; len(rows) == 0 || rows[len(rows)-1] != row {
+				catRows[c] = append(rows, row)
 			}
 		}
 	}
 	p.valsByRow, p.catRows = index.ChunkedOf(valsByRow), index.ChunkedOf(catRows)
+}
+
+// buildNumStats adopts the per-row cells of a numeric property with
+// their presence bitset (64 rows a word) and derives the sorted
+// (value, row) index from the present ones — the one constructor of that
+// index, shared by the build and the snapshot load.
+func (p *BasicProperty) buildNumStats(numByRow []float64, numHas []uint64) {
+	var vals []float64
+	var rows []int
+	for row, v := range numByRow {
+		if numHas[row>>6]>>(row&63)&1 != 0 {
+			vals = append(vals, v)
+			rows = append(rows, row)
+		}
+	}
+	p.numByRow, p.numHas = index.ChunkedOf(numByRow), index.ChunkedOf(numHas)
+	p.numIdx = index.BuildNumericRows(vals, rows)
 }
 
 // buildDirectProperty creates a basic property from a direct entity
@@ -533,23 +556,16 @@ func (a *Epoch) buildDirectProperty(info *EntityInfo, col *relation.Column) *Bas
 	p.Kind = Numeric
 	numByRow := make([]float64, info.NumRows)
 	numHas := make([]uint64, (info.NumRows+63)/64)
-	var vals []float64
-	var rows []int
 	for row := 0; row < info.NumRows; row++ {
-		if col.IsNull(row) {
-			continue
+		if !col.IsNull(row) {
+			numByRow[row] = col.Float64(row)
+			numHas[row>>6] |= 1 << (row & 63)
 		}
-		v := col.Float64(row)
-		numByRow[row] = v
-		numHas[row>>6] |= 1 << (row & 63)
-		vals = append(vals, v)
-		rows = append(rows, row)
 	}
-	if len(vals) == 0 {
+	p.buildNumStats(numByRow, numHas)
+	if p.numIdx.Len() == 0 {
 		return nil
 	}
-	p.numByRow, p.numHas = index.ChunkedOf(numByRow), index.ChunkedOf(numHas)
-	p.numIdx = index.BuildNumericRows(vals, rows)
 	p.memo = newRowSetMemo(a.selCache)
 	return p
 }

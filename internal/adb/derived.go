@@ -1,6 +1,8 @@
 package adb
 
 import (
+	"fmt"
+	"math"
 	"sort"
 
 	"squid/internal/index"
@@ -323,13 +325,7 @@ func (a *Epoch) materializeDerived(info *EntityInfo, p *DerivedProperty, adjacen
 		relation.Col("value", relation.String),
 		relation.Col("count", relation.Int),
 	).AddForeignKey("entity_id", p.Entity, info.PK)
-	vcol := rel.Column("value")
 	pkCol := info.rel.Column(info.PK)
-	// Per-code pair lists, appended in entity-row order: each chunk is
-	// its own allocation, so a chunk an insert later replaces is freed
-	// on its own instead of being pinned by its neighbors' array.
-	var pairs []index.Chunked[valCount]
-
 	for eRow, viaRows := range adjacency {
 		if len(viaRows) == 0 {
 			continue
@@ -340,24 +336,87 @@ func (a *Epoch) materializeDerived(info *EntityInfo, p *DerivedProperty, adjacen
 		}
 		id := pkCol.Int64(eRow)
 		for _, c := range sortedCodesByValue(m, decode) {
-			cnt := m[c]
-			rel.MustAppend(relation.IntVal(id), relation.StringVal(decode(c)), relation.IntVal(int64(cnt)))
-			dcode := int(vcol.Code(rel.NumRows() - 1))
-			for len(pairs) <= dcode {
-				pairs = append(pairs, index.Chunked[valCount]{})
-			}
-			pairs[dcode].Append(nil, valCount{entityRow: uint32(eRow), count: uint32(cnt)})
+			rel.MustAppend(relation.IntVal(id), relation.StringVal(decode(c)), relation.IntVal(int64(m[c])))
 		}
 	}
 	p.rel = rel
 	p.memo = newRowSetMemo(a.selCache)
 	p.byEntity = index.BuildIntHash(rel, "entity_id")
+	return a.buildPairs(info, p)
+}
+
+// buildPairs derives a derived property's per-value statistics — every
+// value's (entity row, strength) pair list and its histogram — from the
+// rows of its derived relation. It is their one constructor:
+// materializeDerived runs it over the relation it just emitted, Decode
+// over one read from a file, which is why the cells are checked here —
+// NULL, an entity_id no entity has, a strength no association can have,
+// an (entity, value) listed twice. Every chunk of a pair list is its own
+// allocation, so a chunk an insert later replaces is freed on its own
+// instead of being pinned by its neighbors' array.
+func (a *Epoch) buildPairs(info *EntityInfo, p *DerivedProperty) error {
+	ecol, vcol, ccol := p.rel.Column("entity_id"), p.rel.Column("value"), p.rel.Column("count")
+	// A strength counts fact rows, so the database's row count bounds
+	// it — and with it the histogram a damaged count could ask for. Pairs
+	// are 32 bits wide.
+	maxCount := int64(min(a.DB.TotalRows(), math.MaxUint32))
+	var pairs []index.Chunked[valCount]
+	// Rows arrive in entity order from a build; inserts append theirs at
+	// the end of the relation, and the lists they touched are sorted below.
+	var unsorted []bool
+	for r := 0; r < p.rel.NumRows(); r++ {
+		if ecol.IsNull(r) || vcol.IsNull(r) || ccol.IsNull(r) {
+			return fmt.Errorf("adb: derived relation %q: NULL cell in row %d", p.RelName, r)
+		}
+		eRow, ok := info.pkIndex.First(ecol.Int64(r))
+		if !ok {
+			return fmt.Errorf("adb: derived relation %q: row %d names entity %d, which %q does not hold", p.RelName, r, ecol.Int64(r), info.Relation)
+		}
+		cnt := ccol.Int64(r)
+		if cnt < 1 || cnt > maxCount {
+			return fmt.Errorf("adb: derived relation %q: strength %d in row %d out of range", p.RelName, cnt, r)
+		}
+		code := int(vcol.Code(r))
+		for len(pairs) <= code {
+			pairs = append(pairs, index.Chunked[valCount]{})
+			unsorted = append(unsorted, false)
+		}
+		if n := pairs[code].Len(); n > 0 && int(pairs[code].At(n-1).entityRow) >= eRow {
+			unsorted[code] = true
+		}
+		pairs[code].Append(nil, valCount{entityRow: uint32(eRow), count: uint32(cnt)})
+	}
 	codes := make([]codeStats, len(pairs))
 	for code := range pairs {
+		if unsorted[code] {
+			var ok bool
+			if pairs[code], ok = sortedPairs(pairs[code]); !ok {
+				return fmt.Errorf("adb: derived relation %q: an entity lists value %q twice", p.RelName, vcol.Dict().Value(int32(code)))
+			}
+		}
 		codes[code] = newCodeStats(pairs[code])
 	}
 	p.codes = index.ChunkedOf(codes)
 	return nil
+}
+
+// sortedPairs rebuilds a pair list in entity-row order — the invariant
+// behind StrengthOfCode's binary search — and reports whether every
+// entity appears in it once.
+func sortedPairs(pairs index.Chunked[valCount]) (index.Chunked[valCount], bool) {
+	flat := make([]valCount, 0, pairs.Len())
+	for _, vc := range pairs.All() {
+		flat = append(flat, vc)
+	}
+	sort.Slice(flat, func(i, j int) bool { return flat[i].entityRow < flat[j].entityRow })
+	var out index.Chunked[valCount]
+	for i, vc := range flat {
+		if i > 0 && flat[i-1].entityRow == vc.entityRow {
+			return out, false
+		}
+		out.Append(nil, vc)
+	}
+	return out, true
 }
 
 // sortedCodesByValue orders a code→count map by the decoded value

@@ -350,17 +350,22 @@ func (eb *epochBuilder) insertEntity(entityRel string, vals []relation.Value) er
 		p.numEntities = info.NumRows
 	}
 
-	// Index the new row's text values for entity lookup. The posting
-	// becomes visible to epoch-pinned readers only once the publish
-	// raises this relation's row count past it.
-	for _, col := range rel.Columns() {
-		if col.Type != relation.String || col.IsNull(row) {
-			continue
-		}
-		eb.base.Inverted.Insert(col.Str(row), index.Posting{Relation: entityRel, Column: col.Name, Row: row})
-	}
+	eb.postText(rel, row)
 	eb.noteApplied(entityRel, vals)
 	return nil
+}
+
+// postText posts the TEXT cells of a row just appended to rel to the
+// shared inverted index, as BuildInvertedParallel indexes every TEXT
+// column of every relation. The postings become visible to epoch-pinned
+// readers only once the publish raises the relation's row count past
+// the row.
+func (eb *epochBuilder) postText(rel *relation.Relation, row int) {
+	for _, col := range rel.Columns() {
+		if col.Type == relation.String && !col.IsNull(row) {
+			eb.base.Inverted.Insert(col.Str(row), index.Posting{Relation: rel.Name, Column: col.Name, Row: row})
+		}
+	}
 }
 
 func (eb *epochBuilder) insertDirectValue(p *BasicProperty, rel *relation.Relation, row int) {
@@ -463,6 +468,7 @@ func (eb *epochBuilder) insertFact(factRel string, vals []relation.Value) error 
 			eb.insertDerivedDelta(info, p, fact, row, eRow)
 		}
 	}
+	eb.postText(fact, row)
 	eb.noteApplied(factRel, vals)
 	return nil
 }

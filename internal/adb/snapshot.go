@@ -1,7 +1,6 @@
 package adb
 
 import (
-	"math"
 	"sort"
 	"time"
 
@@ -11,18 +10,22 @@ import (
 )
 
 // This file persists and restores the αDB through the versioned binary
-// codec of internal/snapshot. Everything the offline phase computes is
-// serialized — base and derived databases (with their column
-// dictionaries), the inverted entity-lookup index, per-property
-// statistics, and the sorted numeric indexes — so a warm boot costs one
-// sequential read plus O(n) hash-index rebuilds instead of the full
-// precomputation. Per-row and per-code vectors load as chunks cut from
-// the decoded arrays; the strength histograms are derived from the pair
-// lists, not stored. The row-set memos restart empty, and restored systems
-// support incremental inserts exactly like freshly built ones. The
-// file is bytes from outside the process: every row number and value
-// code it carries is range-checked at decode, so a damaged snapshot
-// fails Load instead of panicking inside a later discovery.
+// codec of internal/snapshot. A snapshot stores each fact once: the base
+// and derived databases (with their column dictionaries), the property
+// descriptors, and the per-entity forward statistics — a categorical
+// property's value codes per row, a numeric property's cells with their
+// presence bits. Every inverse — the inverted entity-lookup index, the
+// per-value posting lists, the derived pair lists with their strength
+// histograms, the sorted numeric indexes, the hash indexes — is rebuilt
+// at load by the constructor the cold build uses, so a loaded αDB equals
+// a built one by construction and a warm boot costs one sequential read
+// plus O(n) counting sorts instead of the full precomputation. The
+// row-set memos restart empty, and restored systems support incremental
+// inserts exactly like freshly built ones. The file is bytes from
+// outside the process: what it still carries is checked where it is
+// read — value codes against their dictionary, access paths against the
+// schema, derived cells in buildPairs — so a damaged snapshot fails Load
+// instead of panicking inside a later discovery.
 
 // Encode writes the current epoch to a snapshot stream (the caller
 // owns the header; see squid.System.Save). The epoch is pinned at call
@@ -32,10 +35,9 @@ import (
 func (a *AlphaDB) Encode(w *snapshot.Writer) { a.Snapshot().Encode(w) }
 
 // Encode writes this epoch to a snapshot stream: one immutable state,
-// wait-free with respect to concurrent writers. Shared append-only
-// structures (dictionaries, the inverted index) are filtered to the
-// epoch's row counts so the snapshot never references rows absent from
-// the encoded relations.
+// wait-free with respect to concurrent writers. Only forward data is
+// written (see the file comment); the shared append-only inverted index
+// is not, so rows a racing writer appended cannot reach the stream.
 func (a *Epoch) Encode(w *snapshot.Writer) {
 	// The epoch sequence anchors write-ahead-log replay: a booting
 	// system skips log records the snapshot already covers (seq ≤ this)
@@ -46,7 +48,6 @@ func (a *Epoch) Encode(w *snapshot.Writer) {
 	w.Varint(int64(a.BuildTime))
 	snapshot.WriteDatabase(w, a.DB)
 	snapshot.WriteDatabase(w, a.DerivedDB)
-	a.encodeInverted(w)
 
 	names := make([]string, 0, len(a.Entities))
 	for name := range a.Entities {
@@ -60,10 +61,12 @@ func (a *Epoch) Encode(w *snapshot.Writer) {
 }
 
 // Decode restores an αDB from a snapshot stream positioned after the
-// header. The restored state shares nothing with the stream; hash
-// indexes (primary keys, derived entity ids) are rebuilt into a fresh
-// IndexSet, and the result is published under the sequence number the
-// snapshot recorded, so the epoch chain continues where it left off.
+// header. The restored state shares nothing with the stream; every
+// inverse of the stored data is rebuilt by the function buildEpoch
+// builds it with (BuildInvertedParallel, buildCatStats, buildNumStats,
+// buildPairs, the IndexSet's hash indexes), and the result is published
+// under the sequence number the snapshot recorded, so the epoch chain
+// continues where it left off.
 func Decode(r *snapshot.Reader) (*AlphaDB, error) {
 	seq := r.Uvarint()
 	cfg := readConfig(r)
@@ -72,6 +75,11 @@ func Decode(r *snapshot.Reader) (*AlphaDB, error) {
 	derived := snapshot.ReadDatabase(r)
 	if r.Err() != nil {
 		return nil, r.Err()
+	}
+	for _, name := range derived.RelationNames() {
+		if db.Relation(name) != nil {
+			return nil, r.Fail("derived relation %q shadows a base relation", name)
+		}
 	}
 	a := &Epoch{
 		DB:        db,
@@ -83,7 +91,15 @@ func Decode(r *snapshot.Reader) (*AlphaDB, error) {
 		selCache:  &SelCache{},
 		seq:       seq,
 	}
-	a.decodeInverted(r)
+	// The inverted index reads only the base database: it builds beside
+	// the rest of the decode, as buildEpoch builds it beside property
+	// discovery. The deferred receive also covers the error returns.
+	invDone := make(chan struct{})
+	go func() {
+		a.Inverted = index.BuildInvertedParallel(db, cfg.workers())
+		close(invDone)
+	}()
+	defer func() { <-invDone }()
 	n := r.Len()
 	for i := 0; i < n && r.Err() == nil; i++ {
 		info := readEntity(r, a)
@@ -95,6 +111,16 @@ func Decode(r *snapshot.Reader) (*AlphaDB, error) {
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
+	// A fact insert reads the entity key through every foreign key that
+	// references an entity relation.
+	for _, name := range db.RelationNames() {
+		for _, fk := range db.Relation(name).Foreign {
+			if a.Entities[fk.RefRelation] != nil && !intColumn(db.Relation(name), fk.Column) {
+				return nil, r.Fail("relation %q: foreign key %q into entity %q is not an INTEGER column", name, fk.Column, fk.RefRelation)
+			}
+		}
+	}
+	<-invDone
 	a.rowCounts = snapshotRowCounts(db)
 	return newAlphaDB(a), nil
 }
@@ -110,11 +136,7 @@ func writeConfig(w *snapshot.Writer, cfg Config) {
 	w.Uvarint(uint64(len(keys)))
 	for _, k := range keys {
 		w.String(k)
-		cols := cfg.ExcludeColumns[k]
-		w.Uvarint(uint64(len(cols)))
-		for _, c := range cols {
-			w.String(c)
-		}
+		w.Strings(cfg.ExcludeColumns[k])
 	}
 }
 
@@ -128,15 +150,10 @@ func readConfig(r *snapshot.Reader) Config {
 	cfg.PropertyValueColumn = readStringMap(r)
 	cfg.DisplayColumn = readStringMap(r)
 	if n := r.Len(); n > 0 {
-		cfg.ExcludeColumns = make(map[string][]string, n)
+		cfg.ExcludeColumns = make(map[string][]string)
 		for i := 0; i < n && r.Err() == nil; i++ {
 			k := r.String()
-			nc := r.Len()
-			cols := make([]string, 0, nc)
-			for j := 0; j < nc && r.Err() == nil; j++ {
-				cols = append(cols, r.String())
-			}
-			cfg.ExcludeColumns[k] = cols
+			cfg.ExcludeColumns[k] = r.Strings()
 		}
 	}
 	return cfg
@@ -156,7 +173,7 @@ func readStringMap(r *snapshot.Reader) map[string]string {
 	if n == 0 {
 		return nil
 	}
-	m := make(map[string]string, n)
+	m := make(map[string]string)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		k := r.String()
 		m[k] = r.String()
@@ -171,103 +188,6 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// encodeInverted writes the inverted index as sorted keys with postings
-// referencing base relations/columns by table index, so the on-disk form
-// is compact and deterministic.
-func (a *Epoch) encodeInverted(w *snapshot.Writer) {
-	relNames := a.DB.RelationNames()
-	relIdx := make(map[string]int, len(relNames))
-	colIdx := make(map[string]map[string]int, len(relNames))
-	for i, name := range relNames {
-		relIdx[name] = i
-		cols := a.DB.Relation(name).ColumnNames()
-		m := make(map[string]int, len(cols))
-		for j, c := range cols {
-			m[c] = j
-		}
-		colIdx[name] = m
-	}
-	postings := a.Inverted.PostingsBelow(a.rowLimit)
-	keys := sortedKeys(postings)
-	w.Uvarint(uint64(len(keys)))
-	total := 0
-	for _, ps := range postings {
-		total += len(ps)
-	}
-	// Keys, per-key lengths, then the postings as three flat
-	// fixed-width blocks — the reader decodes the whole section with
-	// four contiguous reads and one backing array.
-	lens := make([]int, len(keys))
-	ris := make([]int, 0, total)
-	cis := make([]int, 0, total)
-	rows := make([]int, 0, total)
-	for i, key := range keys {
-		w.String(key)
-		ps := postings[key]
-		lens[i] = len(ps)
-		for _, p := range ps {
-			ris = append(ris, relIdx[p.Relation])
-			cis = append(cis, colIdx[p.Relation][p.Column])
-			rows = append(rows, p.Row)
-		}
-	}
-	w.Ints(lens)
-	w.Ints(ris)
-	w.Ints(cis)
-	w.Ints(rows)
-}
-
-func (a *Epoch) decodeInverted(r *snapshot.Reader) {
-	relNames := a.DB.RelationNames()
-	colNames := make([][]string, len(relNames))
-	for i, name := range relNames {
-		colNames[i] = a.DB.Relation(name).ColumnNames()
-	}
-	n := r.Len()
-	keys := make([]string, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		keys[i] = r.String()
-	}
-	lens := r.Ints()
-	ris := r.Ints()
-	cis := r.Ints()
-	rows := r.Ints()
-	if r.Err() != nil {
-		return
-	}
-	total := 0
-	for _, l := range lens {
-		total += l
-	}
-	if len(lens) != n || len(ris) != total || len(cis) != total || len(rows) != total {
-		r.Fail("inverted payload blocks disagree (%d keys, %d lens, %d/%d/%d postings for total %d)",
-			n, len(lens), len(ris), len(cis), len(rows), total)
-		return
-	}
-	postings := make(map[string][]index.Posting, n)
-	// One backing array for every posting list: per-key slices are
-	// capacity-capped views, so later incremental Inserts copy out
-	// instead of clobbering the neighbor list.
-	backing := make([]index.Posting, total)
-	off := 0
-	for i, key := range keys {
-		np := lens[i]
-		seg := backing[off : off+np : off+np]
-		for j := 0; j < np; j++ {
-			ri, ci := ris[off+j], cis[off+j]
-			if ri >= len(relNames) || ci >= len(colNames[ri]) {
-				r.Fail("inverted posting references relation %d column %d out of range", ri, ci)
-				return
-			}
-			seg[j] = index.Posting{Relation: relNames[ri], Column: colNames[ri][ci], Row: rows[off+j]}
-		}
-		postings[key] = seg
-		off += np
-	}
-	//lint:ignore epochmutate decode-time restore: the epoch under construction is private until newAlphaDB publishes it
-	a.Inverted = index.RestoreInverted(postings)
 }
 
 func writeAccess(w *snapshot.Writer, ap AccessPath) {
@@ -348,17 +268,11 @@ func writeBasic(w *snapshot.Writer, p *BasicProperty) {
 	w.Bool(p.MultiValued)
 	w.Int(p.numEntities)
 	if p.Kind == Categorical {
+		// numValues is derived on load; the recorded one is a cross-check.
 		w.Int(p.numValues)
-		// Jagged lists flatten to (lengths, payload) block pairs: one
-		// contiguous read each on load, sliced back per code/row.
-		lens := make([]int, p.catRows.Len())
-		var flat []int
-		for code, rows := range p.catRows.All() {
-			lens[code] = len(rows)
-			flat = append(flat, rows...)
-		}
-		w.Ints(lens)
-		w.Ints(flat)
+		// The jagged per-row code lists flatten to a (lengths, payload)
+		// block pair: one contiguous read each on load, sliced back per
+		// row.
 		vlens := make([]int, p.valsByRow.Len())
 		var vflat []int32
 		for row, codes := range p.valsByRow.All() {
@@ -369,8 +283,8 @@ func writeBasic(w *snapshot.Writer, p *BasicProperty) {
 		w.Int32s(vflat)
 		return
 	}
-	// Numeric: the per-row cells (absent ones hold 0) with their
-	// presence bitmap, then the sorted (value, row) index.
+	// Numeric: the per-row cells (absent ones hold 0) with their presence
+	// bitmap.
 	present := make([]bool, p.numByRow.Len())
 	vals := make([]float64, 0, p.numByRow.Len())
 	for row, v := range p.numByRow.All() {
@@ -379,27 +293,60 @@ func writeBasic(w *snapshot.Writer, p *BasicProperty) {
 	}
 	w.Bools(present)
 	w.Floats(vals)
-	idxVals, idxRows := p.numIdx.RawPairs()
-	w.Floats(idxVals)
-	w.Ints(idxRows)
 }
 
-// sourceColumn resolves the column whose dictionary keys a categorical
-// property's statistics, from its access path.
-func (a *Epoch) sourceColumn(entityRel *relation.Relation, access AccessPath) *relation.Column {
-	switch access.Type {
-	case Direct:
-		return entityRel.Column(access.Column)
-	case FKDim, FactDim:
-		if dim := a.DB.Relation(access.Dim); dim != nil {
-			return dim.Column(access.DimValueCol)
-		}
-	case AttrTable:
-		if side := a.DB.Relation(access.Fact); side != nil {
-			return side.Column(access.Column)
-		}
+// column returns the column of rel with that name and type, or nil;
+// rel may be nil.
+func column(rel *relation.Relation, name string, t relation.ColType) *relation.Column {
+	if rel == nil {
+		return nil
+	}
+	if c := rel.Column(name); c != nil && c.Type == t {
+		return c
 	}
 	return nil
+}
+
+// intColumn reports whether rel has an INTEGER column of that name —
+// what every key a property path walks must be.
+func intColumn(rel *relation.Relation, name string) bool {
+	return column(rel, name, relation.Int) != nil
+}
+
+// sourceColumn resolves an access path, starting at the relation from,
+// against the restored schema and returns the column the property's
+// values come from — the one whose dictionary keys a categorical
+// property's statistics. It returns nil when the path names a relation
+// or column that does not exist, a key that is not INTEGER or (past
+// from itself) a value column that is not TEXT: what an insert routed
+// along the path would otherwise find out by panicking.
+func (a *Epoch) sourceColumn(from *relation.Relation, access AccessPath) *relation.Column {
+	switch access.Type {
+	case Direct:
+		return from.Column(access.Column)
+	case FKDim:
+		if !intColumn(from, access.Column) {
+			return nil
+		}
+	case FactDim:
+		fact := a.DB.Relation(access.Fact)
+		if !intColumn(fact, access.FactEntityCol) || !intColumn(fact, access.FactDimCol) {
+			return nil
+		}
+	case AttrTable:
+		side := a.DB.Relation(access.Fact)
+		if !intColumn(side, access.FactEntityCol) {
+			return nil
+		}
+		return column(side, access.Column, relation.String)
+	default:
+		return nil
+	}
+	dim := a.DB.Relation(access.Dim)
+	if !intColumn(dim, access.DimPK) {
+		return nil
+	}
+	return column(dim, access.DimValueCol, relation.String)
 }
 
 func readBasic(r *snapshot.Reader, a *Epoch, info *EntityInfo) *BasicProperty {
@@ -419,32 +366,34 @@ func readBasic(r *snapshot.Reader, a *Epoch, info *EntityInfo) *BasicProperty {
 		r.Fail("property %s.%s: %d entities recorded for a %d-row relation", info.Relation, p.Attr, p.numEntities, info.NumRows)
 		return p
 	}
+	src := a.sourceColumn(info.rel, p.Access)
+	if src == nil || p.Kind > Numeric || (p.Kind == Categorical) != (src.Type == relation.String) {
+		r.Fail("property %s.%s: access path does not resolve to a column of its kind", info.Relation, p.Attr)
+		return p
+	}
 	if p.Kind == Categorical {
-		src := a.sourceColumn(info.rel, p.Access)
-		if src == nil || src.Dict() == nil {
-			r.Fail("property %s.%s: cannot resolve source dictionary", info.Relation, p.Attr)
-			return p
-		}
 		p.dict = src.Dict()
-		p.numValues = r.Int()
-		lens, rows := r.Ints(), r.Ints()
-		catRows, ok := sliceJaggedInts(r, lens, rows)
-		if !ok || len(lens) > p.dict.Len() || !allBelow(rows, info.NumRows) {
-			r.Fail("property %s.%s: catRows payload mismatch or out of range", info.Relation, p.Attr)
+		numValues := r.Int()
+		vlens, codes := r.Ints(), r.Int32s()
+		if r.Err() != nil {
 			return p
 		}
-		vlens, codes := r.Ints(), r.Int32s()
-		valsByRow, ok := sliceJaggedInt32s(r, vlens, codes)
+		valsByRow, ok := sliceJaggedInt32s(vlens, codes)
 		if !ok || len(vlens) != info.NumRows || !allBelow(codes, p.dict.Len()) {
 			r.Fail("property %s.%s: valsByRow payload mismatch or out of range", info.Relation, p.Attr)
 			return p
 		}
-		// Chunks are capacity-capped subslices of the decoded tables.
-		p.catRows, p.valsByRow = index.ChunkedOf(catRows), index.ChunkedOf(valsByRow)
+		p.buildCatStats(valsByRow)
+		if p.numValues != numValues {
+			r.Fail("property %s.%s: %d distinct values recorded, the rows hold %d", info.Relation, p.Attr, numValues, p.numValues)
+		}
 		return p
 	}
 	present := r.Bools()
 	vals := r.Floats()
+	if r.Err() != nil {
+		return p
+	}
 	if len(present) != info.NumRows || len(vals) != info.NumRows {
 		r.Fail("property %s.%s: %d presence bits and %d cells for %d rows", info.Relation, p.Attr, len(present), len(vals), info.NumRows)
 		return p
@@ -455,58 +404,30 @@ func readBasic(r *snapshot.Reader, a *Epoch, info *EntityInfo) *BasicProperty {
 			numHas[row>>6] |= 1 << (row & 63)
 		}
 	}
-	p.numByRow, p.numHas = index.ChunkedOf(vals), index.ChunkedOf(numHas)
-	idxVals, idxRows := r.Floats(), r.Ints()
-	if len(idxVals) != len(idxRows) || !sort.Float64sAreSorted(idxVals) || !allBelow(idxRows, info.NumRows) {
-		r.Fail("property %s.%s: numeric index unsorted, ragged or out of range", info.Relation, p.Attr)
-		return p
-	}
-	p.numIdx = index.RestoreNumericRows(idxVals, idxRows)
+	p.buildNumStats(vals, numHas)
 	return p
 }
 
-// allBelow reports whether every element of xs lies in [0, limit) — the
-// range check on row numbers and value codes adopted from a file.
-func allBelow[T int | int32](xs []T, limit int) bool {
-	for _, x := range xs {
-		if x < 0 || int(x) >= limit {
+// allBelow reports whether every code lies in [0, limit) — the range
+// check on value codes adopted from a file.
+func allBelow(codes []int32, limit int) bool {
+	for _, c := range codes {
+		if c < 0 || int(c) >= limit {
 			return false
 		}
 	}
 	return true
 }
 
-// sliceJaggedInts rebuilds a jagged [][]int from its flattened
+// sliceJaggedInt32s rebuilds a jagged [][]int32 from its flattened
 // (lengths, payload) form. Segments are capacity-capped slices of one
 // backing array, so later in-place appends (incremental maintenance)
 // copy out instead of clobbering the neighbor segment.
-func sliceJaggedInts(r *snapshot.Reader, lens, flat []int) ([][]int, bool) {
-	if r.Err() != nil {
-		return nil, true // defer to the sticky error
-	}
-	out := make([][]int, len(lens))
-	off := 0
-	for i, n := range lens {
-		if n < 0 || off+n > len(flat) {
-			return nil, false
-		}
-		if n > 0 {
-			out[i] = flat[off : off+n : off+n]
-		}
-		off += n
-	}
-	return out, off == len(flat)
-}
-
-// sliceJaggedInt32s is sliceJaggedInts for int32 payloads.
-func sliceJaggedInt32s(r *snapshot.Reader, lens []int, flat []int32) ([][]int32, bool) {
-	if r.Err() != nil {
-		return nil, true
-	}
+func sliceJaggedInt32s(lens []int, flat []int32) ([][]int32, bool) {
 	out := make([][]int32, len(lens))
 	off := 0
 	for i, n := range lens {
-		if n < 0 || off+n > len(flat) {
+		if n > len(flat)-off {
 			return nil, false
 		}
 		if n > 0 {
@@ -527,21 +448,6 @@ func writeDerived(w *snapshot.Writer, p *DerivedProperty) {
 	writeAccess(w, p.Target)
 	w.String(p.RelName)
 	w.Int(p.numEntities)
-	// Per-code statistics flatten to three whole-property blocks:
-	// lengths, entity rows and counts. The strength histograms are
-	// derived from the counts on load.
-	lens := make([]int, p.codes.Len())
-	var rows, counts []int
-	for code, cs := range p.codes.All() {
-		lens[code] = cs.pairs.Len()
-		for _, vc := range cs.pairs.All() {
-			rows = append(rows, int(vc.entityRow))
-			counts = append(counts, int(vc.count))
-		}
-	}
-	w.Ints(lens)
-	w.Ints(rows)
-	w.Ints(counts)
 }
 
 func readDerived(r *snapshot.Reader, a *Epoch, info *EntityInfo) *DerivedProperty {
@@ -561,58 +467,31 @@ func readDerived(r *snapshot.Reader, a *Epoch, info *EntityInfo) *DerivedPropert
 	if r.Err() != nil {
 		return p
 	}
+	if p.numEntities != info.NumRows {
+		r.Fail("derived property %s.%s: %d entities recorded for a %d-row relation", info.Relation, p.Attr, p.numEntities, info.NumRows)
+		return p
+	}
+	via, fact1 := a.DB.Relation(p.Via), a.DB.Relation(p.Fact1)
+	resolves := intColumn(via, p.ViaPK) && intColumn(fact1, p.Fact1EntityCol) && intColumn(fact1, p.Fact1ViaCol)
+	if resolves && p.Target.Type != Degree {
+		// Only TEXT values of the associated entity are aggregated.
+		src := a.sourceColumn(via, p.Target)
+		resolves = src != nil && src.Type == relation.String
+	}
+	if !resolves {
+		r.Fail("derived property %s.%s: association path does not resolve against the schema", info.Relation, p.Attr)
+		return p
+	}
 	rel := a.DerivedDB.Relation(p.RelName)
-	if rel == nil || rel.Column("value") == nil || rel.Column("value").Dict() == nil {
-		r.Fail("derived property %s.%s: relation %q missing from restored derived database",
+	if !intColumn(rel, "entity_id") || !intColumn(rel, "count") || column(rel, "value", relation.String) == nil {
+		r.Fail("derived property %s.%s: no derived relation %q with (entity_id, value, count) columns",
 			info.Relation, p.Attr, p.RelName)
 		return p
 	}
 	p.rel = rel
 	p.byEntity = a.Indexes.IntHash(rel, "entity_id")
-	lens := r.Ints()
-	rows := r.Ints()
-	counts := r.Ints()
-	if r.Err() != nil {
-		return p
+	if err := a.buildPairs(info, p); err != nil {
+		r.Fail("%v", err)
 	}
-	total := 0
-	for _, n := range lens {
-		total += n
-	}
-	if len(rows) != total || len(counts) != total {
-		r.Fail("derived property %s.%s: payload blocks disagree (%d lens, %d rows, %d counts)",
-			info.Relation, p.Attr, total, len(rows), len(counts))
-		return p
-	}
-	// Pairs are stored 32 bits wide: a row or strength past that is
-	// rejected here, before the narrowing could truncate it into range.
-	if len(lens) > p.valueDict().Len() || !allBelow(rows, min(info.NumRows, math.MaxUint32)) {
-		r.Fail("derived property %s.%s: value codes or entity rows out of range", info.Relation, p.Attr)
-		return p
-	}
-	// A strength counts fact rows, so the database's row count bounds
-	// it — and with it the histogram a damaged count could ask for.
-	maxCount := min(a.DB.TotalRows(), math.MaxUint32)
-	codes := make([]codeStats, len(lens))
-	off := 0
-	for code, n := range lens {
-		var pairs index.Chunked[valCount]
-		for i := off; i < off+n; i++ {
-			// StrengthOfCode binary-searches the rows: out of order, it
-			// would silently answer 0.
-			if i > off && rows[i] <= rows[i-1] {
-				r.Fail("derived property %s.%s: entity rows of code %d are not strictly ascending", info.Relation, p.Attr, code)
-				return p
-			}
-			if counts[i] < 1 || counts[i] > maxCount {
-				r.Fail("derived property %s.%s: strength %d of code %d out of range", info.Relation, p.Attr, counts[i], code)
-				return p
-			}
-			pairs.Append(nil, valCount{entityRow: uint32(rows[i]), count: uint32(counts[i])})
-		}
-		codes[code] = newCodeStats(pairs)
-		off += n
-	}
-	p.codes = index.ChunkedOf(codes)
 	return p
 }

@@ -3,9 +3,11 @@ package adb
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"squid/internal/index"
+	"squid/internal/relation"
 	"squid/internal/snapshot"
 )
 
@@ -27,34 +29,129 @@ func roundTrip(t *testing.T, a *AlphaDB) (loaded *AlphaDB, err error) {
 	return Decode(snapshot.NewReader(&buf))
 }
 
-// TestDecodeRejectsOutOfRangeBlocks damages one value of each block the
-// decoder adopts by reference — a row number past the entity relation,
-// a value code past the dictionary, a numeric index out of order, a
-// pair list out of order or with a strength no association can have —
-// and expects Decode to fail. Without the range checks every one of these
-// loads cleanly and panics later, inside a discovery.
+// statsFingerprint is alphaFingerprint without the derived relations'
+// row listings: every statistic, in an order the file's row order cannot
+// change.
+func statsFingerprint(a *AlphaDB) string {
+	stats, _, _ := strings.Cut(alphaFingerprint(a), "derivedrel ")
+	return stats
+}
+
+// TestDecodeRejectsOutOfRangeBlocks damages, one case at a time, what a
+// v5 snapshot still trusts — a value code past the dictionary or
+// negative, per-row blocks shorter than the relation, a distinct-value
+// count the rows contradict, a property path that does not resolve
+// against the schema, and the cells of a derived relation that buildPairs
+// turns into pair lists (an entity_id no entity has, a strength no
+// association can have, an (entity, value) listed twice, a NULL) — and
+// expects Decode to fail: unchecked, every one of these loads
+// cleanly and panics or answers wrongly later, inside a discovery. The
+// rebuilt cases damage what v5 no longer stores — a posting list, a
+// numeric index, a pair list, the row order of a derived relation — and
+// expect the opposite: the damage cannot reach the file, so the loaded
+// αDB answers as the undamaged fixture does.
 func TestDecodeRejectsOutOfRangeBlocks(t *testing.T) {
-	if _, err := roundTrip(t, buildFixture(t)); err != nil {
+	clean, err := roundTrip(t, buildFixture(t))
+	if err != nil {
 		t.Fatalf("undamaged fixture does not round-trip: %v", err)
 	}
 	const far = 1 << 20
-	// firstPairs returns the first non-empty pair list of movie:genre.
-	firstPairs := func(person *EntityInfo) *codeStats {
-		p := person.DerivedByAttr("movie:genre")
-		for code := 0; code < p.codes.Len(); code++ {
-			if cs := p.codes.Ref(code); cs.pairs.Len() > 1 {
-				return cs
-			}
+	// setCell overwrites one cell of person's movie:genre relation, whose
+	// rows are (1, Comedy, 3), (2, Drama, 2), (3, Comedy, 1).
+	setCell := func(person *EntityInfo, row int, col string, v relation.Value) {
+		if err := person.DerivedByAttr("movie:genre").rel.Column(col).Set(row, v); err != nil {
+			t.Fatal(err)
 		}
-		t.Fatal("fixture property has no pair list of two")
-		return nil
 	}
-	setPair := func(cs *codeStats, i int, vc valCount) { cs.pairs.SetAt(nil, 0, i, vc) }
 	cases := []struct {
-		name   string
-		damage func(person *EntityInfo)
+		name    string
+		rebuilt bool
+		damage  func(person *EntityInfo)
 	}{
-		{"catRows row past the relation", func(person *EntityInfo) {
+		{"valsByRow code past the dictionary", false, func(person *EntityInfo) {
+			person.BasicByAttr("gender").valsByRow.Set(nil, 0, []int32{far})
+		}},
+		{"valsByRow negative code", false, func(person *EntityInfo) {
+			person.BasicByAttr("gender").valsByRow.Set(nil, 0, []int32{-3})
+		}},
+		{"valsByRow shorter than the relation", false, func(person *EntityInfo) {
+			p := person.BasicByAttr("gender")
+			var flat [][]int32
+			for _, codes := range p.valsByRow.All() {
+				flat = append(flat, codes)
+			}
+			p.valsByRow = index.ChunkedOf(flat[:len(flat)-1])
+		}},
+		{"numValues the rows contradict", false, func(person *EntityInfo) {
+			person.BasicByAttr("gender").numValues++
+		}},
+		{"numeric cells shorter than the relation", false, func(person *EntityInfo) {
+			p := person.BasicByAttr("age")
+			var flat []float64
+			for _, v := range p.numByRow.All() {
+				flat = append(flat, v)
+			}
+			p.numByRow = index.ChunkedOf(flat[:len(flat)-1])
+		}},
+		{"access path onto a column of the other kind", false, func(person *EntityInfo) {
+			// An insert would read the INTEGER column's cells as codes.
+			person.BasicByAttr("gender").Access.Column = "age"
+		}},
+		{"access path through a relation the schema lacks", false, func(person *EntityInfo) {
+			person.BasicByAttr("country").Access.Dim = "nowhere"
+		}},
+		{"derived path through a column the schema lacks", false, func(person *EntityInfo) {
+			person.DerivedByAttr("movie:genre").Fact1ViaCol = "nowhere"
+		}},
+		{"derived relation the file lacks", false, func(person *EntityInfo) {
+			person.DerivedByAttr("movie:genre").RelName = "nowhere"
+		}},
+		{"pair row past the relation", false, func(person *EntityInfo) {
+			// A pair's row is resolved from entity_id: no entity has this one.
+			setCell(person, 1, "entity_id", relation.IntVal(far))
+		}},
+		{"pair row at the 32-bit edge", false, func(person *EntityInfo) {
+			// Pair rows are 32 bits wide in memory: an id narrowed before
+			// it is resolved would wrap onto entity 1.
+			setCell(person, 1, "entity_id", relation.IntVal(1<<32|1))
+		}},
+		{"pair row repeated", false, func(person *EntityInfo) {
+			setCell(person, 2, "entity_id", relation.IntVal(1))
+		}},
+		{"pair cell NULL", false, func(person *EntityInfo) {
+			setCell(person, 0, "count", relation.Null)
+		}},
+		{"pair count zero", false, func(person *EntityInfo) {
+			setCell(person, 0, "count", relation.IntVal(0))
+		}},
+		{"pair count negative", false, func(person *EntityInfo) {
+			setCell(person, 0, "count", relation.IntVal(-1))
+		}},
+		{"pair count past the database", false, func(person *EntityInfo) {
+			// The histogram is sized by the largest count: unchecked, one
+			// damaged cell asks for gigabytes.
+			setCell(person, 0, "count", relation.IntVal(1<<31))
+		}},
+		{"pair count at the 32-bit edge", false, func(person *EntityInfo) {
+			setCell(person, 0, "count", relation.IntVal(math.MaxUint32))
+		}},
+
+		{"pair rows out of order", true, func(person *EntityInfo) {
+			// What an insert leaves behind: a value's rows out of entity
+			// order in the relation. StrengthOfCode binary-searches the
+			// list, so load sorts it.
+			setCell(person, 0, "entity_id", relation.IntVal(3))
+			setCell(person, 0, "count", relation.IntVal(1))
+			setCell(person, 2, "entity_id", relation.IntVal(1))
+			setCell(person, 2, "count", relation.IntVal(3))
+		}},
+		{"pair list code past the dictionary", true, func(person *EntityInfo) {
+			p := person.DerivedByAttr("movie:genre")
+			for n := p.valueDict().Len(); p.codes.Len() <= n; {
+				p.codes.Append(nil, codeStats{})
+			}
+		}},
+		{"catRows row past the relation", true, func(person *EntityInfo) {
 			for _, rows := range person.BasicByAttr("gender").catRows.All() {
 				if len(rows) > 0 {
 					rows[0] = far
@@ -63,92 +160,30 @@ func TestDecodeRejectsOutOfRangeBlocks(t *testing.T) {
 			}
 			t.Fatal("fixture property has no posting list")
 		}},
-		{"catRows code past the dictionary", func(person *EntityInfo) {
+		{"catRows code past the dictionary", true, func(person *EntityInfo) {
 			p := person.BasicByAttr("gender")
 			for i := p.dict.Len(); i > 0; i-- {
 				p.catRows.Append(nil, nil)
 			}
 		}},
-		{"valsByRow code past the dictionary", func(person *EntityInfo) {
-			person.BasicByAttr("gender").valsByRow.Set(nil, 0, []int32{far})
-		}},
-		{"valsByRow negative code", func(person *EntityInfo) {
-			person.BasicByAttr("gender").valsByRow.Set(nil, 0, []int32{-3})
-		}},
-		{"valsByRow shorter than the relation", func(person *EntityInfo) {
-			p := person.BasicByAttr("gender")
-			var flat [][]int32
-			for _, codes := range p.valsByRow.All() {
-				flat = append(flat, codes)
-			}
-			p.valsByRow = index.ChunkedOf(flat[:len(flat)-1])
-		}},
-		{"numeric cells shorter than the relation", func(person *EntityInfo) {
+		{"numeric index row past the relation", true, func(person *EntityInfo) {
 			p := person.BasicByAttr("age")
-			var flat []float64
-			for _, v := range p.numByRow.All() {
-				flat = append(flat, v)
-			}
-			p.numByRow = index.ChunkedOf(flat[:len(flat)-1])
-		}},
-		{"numeric index row past the relation", func(person *EntityInfo) {
-			_, rows := person.BasicByAttr("age").numIdx.RawPairs()
-			rows[0] = far
-		}},
-		{"numeric index values out of order", func(person *EntityInfo) {
-			vals, _ := person.BasicByAttr("age").numIdx.RawPairs()
-			vals[0], vals[len(vals)-1] = vals[len(vals)-1], vals[0]
-		}},
-		{"pair row past the relation", func(person *EntityInfo) {
-			cs := firstPairs(person)
-			setPair(cs, 1, valCount{entityRow: far, count: 1})
-		}},
-		{"pair rows out of order", func(person *EntityInfo) {
-			// StrengthOfCode binary-searches the rows: adopted out of
-			// order it silently answers 0.
-			cs := firstPairs(person)
-			a, b := cs.pairs.At(0), cs.pairs.At(1)
-			setPair(cs, 0, b)
-			setPair(cs, 1, a)
-		}},
-		{"pair row repeated", func(person *EntityInfo) {
-			cs := firstPairs(person)
-			setPair(cs, 1, cs.pairs.At(0))
-		}},
-		{"pair count zero", func(person *EntityInfo) {
-			cs := firstPairs(person)
-			setPair(cs, 0, valCount{entityRow: cs.pairs.At(0).entityRow, count: 0})
-		}},
-		{"pair count past the database", func(person *EntityInfo) {
-			// The histogram is sized by the largest count: unchecked, one
-			// damaged cell asks for gigabytes. (Blocks are uint32 on
-			// disk, so a negative count cannot be encoded at all.)
-			cs := firstPairs(person)
-			setPair(cs, 0, valCount{entityRow: cs.pairs.At(0).entityRow, count: 1 << 31})
-		}},
-		{"pair row at the 32-bit edge", func(person *EntityInfo) {
-			// Pairs are 32 bits wide in memory: a row or strength the
-			// decoder narrowed before checking would wrap into range.
-			cs := firstPairs(person)
-			setPair(cs, 1, valCount{entityRow: math.MaxUint32, count: 1})
-		}},
-		{"pair count at the 32-bit edge", func(person *EntityInfo) {
-			cs := firstPairs(person)
-			setPair(cs, 0, valCount{entityRow: cs.pairs.At(0).entityRow, count: math.MaxUint32})
-		}},
-		{"pair list code past the dictionary", func(person *EntityInfo) {
-			p := person.DerivedByAttr("movie:genre")
-			for n := p.valueDict().Len(); p.codes.Len() <= n; {
-				p.codes.Append(nil, codeStats{})
-			}
+			p.numIdx = p.numIdx.Insert(55, far)
 		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			a := buildFixture(t)
 			c.damage(a.Entity("person"))
-			if _, err := roundTrip(t, a); err == nil {
+			loaded, err := roundTrip(t, a)
+			switch {
+			case !c.rebuilt && err == nil:
 				t.Fatal("damaged snapshot loaded without an error")
+			case c.rebuilt && err != nil:
+				t.Fatalf("damage outside what the file stores failed the load: %v", err)
+			case c.rebuilt && statsFingerprint(loaded) != statsFingerprint(clean):
+				t.Errorf("loaded statistics differ from the undamaged fixture's:\n%s\n--- undamaged ---\n%s",
+					statsFingerprint(loaded), statsFingerprint(clean))
 			}
 		})
 	}

@@ -263,8 +263,13 @@ func genPreds(rng *rand.Rand, from []string) []Pred {
 	var preds []Pred
 	for _, rel := range from {
 		switch rng.Intn(14) {
-		case 0: // point, INTEGER
-			preds = append(preds, Pred{Rel: rel, Col: "k", Op: OpEq, Val: iv(8)})
+		case 0: // point, INTEGER: an equality, or an IN with a repeated key
+			v := iv(8)
+			if v.Int()%2 == 0 {
+				preds = append(preds, Pred{Rel: rel, Col: "k", Op: OpIn, Vals: []relation.Value{v, relation.IntVal(v.Int() + 1), v}})
+			} else {
+				preds = append(preds, Pred{Rel: rel, Col: "k", Op: OpEq, Val: v})
+			}
 		case 1: // point, TEXT
 			preds = append(preds, Pred{Rel: rel, Col: "c", Op: OpEq, Val: cat()})
 		case 2: // IN, with a repeated value

@@ -233,17 +233,32 @@ func (pl *plan) col(clause string, c ColRef) (boundCol, error) {
 }
 
 // rowPred is a predicate bound to its column. Equality and IN over a
-// TEXT column compare dictionary codes, resolved once per execution;
-// everything else evaluates Pred.Matches on the cell.
+// TEXT column compare dictionary codes, resolved once per execution; an
+// IN of integers over an INTEGER column — a plan may carry a filter's
+// whole row set as keys (sqlgen.ToEngineQuery) — searches its operands
+// sorted; everything else evaluates Pred.Matches on the cell.
 type rowPred struct {
 	Pred
 	col    *relation.Column
 	byCode bool
 	codes  []int32
+	keys   []int64 // non-nil: the sorted operands of an integer IN
 }
 
 func bindPred(p Pred, col *relation.Column) rowPred {
 	rp := rowPred{Pred: p, col: col}
+	if col.Type == relation.Int && p.Op == OpIn {
+		keys := make([]int64, 0, len(p.Vals))
+		for _, v := range p.Vals {
+			if !v.IsInt() {
+				return rp // 3.0 equals 3: Matches knows how
+			}
+			keys = append(keys, v.Int())
+		}
+		slices.Sort(keys)
+		rp.keys = keys
+		return rp
+	}
 	if col.Type != relation.String || (p.Op != OpEq && p.Op != OpIn) {
 		return rp
 	}
@@ -265,6 +280,13 @@ func bindPred(p Pred, col *relation.Column) rowPred {
 }
 
 func (p *rowPred) matches(row int) bool {
+	if p.keys != nil {
+		if p.col.IsNull(row) {
+			return false
+		}
+		_, ok := slices.BinarySearch(p.keys, p.col.Int64(row))
+		return ok
+	}
 	if !p.byCode {
 		return p.Matches(p.col.Get(row))
 	}
@@ -344,6 +366,11 @@ func (e *Executor) access(rel *relation.Relation, preds []rowPred) access {
 			lists = [][]uint32{e.idx.IntHash(rel, p.Col).Rows(p.Val.Int())}
 		case p.Op == OpEq && p.col.Type == relation.String && p.Val.IsString():
 			lists = [][]uint32{e.idx.StrHash(rel, p.Col).Rows(p.Val.Str())}
+		case p.keys != nil:
+			h := e.idx.IntHash(rel, p.Col)
+			for _, k := range p.keys {
+				lists = append(lists, h.Rows(k))
+			}
 		case p.Op == OpIn && p.col.Type == relation.String:
 			h := e.idx.StrHash(rel, p.Col)
 			for _, v := range p.Vals {

@@ -280,9 +280,9 @@ func checkChainGen(t *testing.T, at string, got *chainGen, want *chainOracle) {
 		if got.nums.Min() != lo || got.nums.Max() != hi {
 			t.Errorf("%s: Min/Max = %v/%v want %v/%v", at, got.nums.Min(), got.nums.Max(), lo, hi)
 		}
-		vals, rows := got.nums.RawPairs()
+		vals, rows := got.nums.merged()
 		if !sort.Float64sAreSorted(vals) || len(rows) != len(want.rows) {
-			t.Errorf("%s: RawPairs unsorted or short (%d pairs)", at, len(rows))
+			t.Errorf("%s: merged pairs unsorted or short (%d pairs)", at, len(rows))
 		}
 	}
 

@@ -449,16 +449,6 @@ func (n *NumericRows) Max() float64 {
 	return max(n.vals[len(n.vals)-1], n.tailVals[len(n.tailVals)-1])
 }
 
-// RawPairs returns the sorted value/row pairs for snapshot
-// serialization: the base storage itself while the tail is empty (do
-// not mutate), a merged copy otherwise.
-func (n *NumericRows) RawPairs() (vals []float64, rows []int) {
-	if len(n.tailVals) == 0 {
-		return n.vals, n.rows
-	}
-	return n.merged()
-}
-
 // merged merges base and tail into fresh arrays. On equal values the
 // tail's pair goes first — where a single sorted array would have put
 // the later insert.
@@ -473,12 +463,6 @@ func (n *NumericRows) merged() ([]float64, []int) {
 		i = k
 	}
 	return append(vals, n.vals[i:]...), append(rows, n.rows[i:]...)
-}
-
-// RestoreNumericRows adopts already-sorted value/row slices (snapshot
-// load).
-func RestoreNumericRows(vals []float64, rows []int) *NumericRows {
-	return &NumericRows{vals: vals, rows: rows}
 }
 
 // spans returns the base and tail index ranges holding values in

@@ -44,18 +44,36 @@ type Inverted struct {
 	postings map[string][]Posting
 }
 
-// BuildInvertedParallel builds the inverted index with per-relation
-// shards fanned over a bounded worker pool, then merges the shards in
-// relation order, so the posting lists are byte-identical to a serial
-// build. Columns are dictionary-encoded: each distinct value is
-// normalized once per column, and the per-row work is a code lookup.
+// BuildInvertedParallel builds the inverted index — the αDB build and
+// the snapshot load both call it — with per-relation shards fanned over
+// a bounded worker pool, then merges the shards in relation order, so
+// the posting lists are byte-identical to a serial build. Columns are
+// dictionary-encoded: each distinct value is normalized once per column,
+// and the per-row work is a code lookup. The merged lists are laid out
+// at exact size in one backing array; each key's list is a
+// capacity-capped view, so a later Insert copies the list out instead of
+// clobbering its neighbor.
 func BuildInvertedParallel(db *relation.Database, workers int) *Inverted {
 	names := db.RelationNames()
 	shards := make([]map[string][]Posting, len(names))
 	RunBounded(len(names), workers, func(i int) {
 		shards[i] = invertRelation(names[i], db.Relation(names[i]))
 	})
-	inv := &Inverted{postings: make(map[string][]Posting)}
+	sizes := make(map[string]int)
+	total := 0
+	for _, shard := range shards {
+		for key, ps := range shard {
+			sizes[key] += len(ps)
+			total += len(ps)
+		}
+	}
+	backing := make([]Posting, total)
+	inv := &Inverted{postings: make(map[string][]Posting, len(sizes))}
+	off := 0
+	for key, n := range sizes {
+		inv.postings[key] = backing[off : off : off+n]
+		off += n
+	}
 	for _, shard := range shards {
 		for key, ps := range shard {
 			inv.postings[key] = append(inv.postings[key], ps...)
@@ -178,29 +196,6 @@ func (inv *Inverted) NumKeys() int {
 	n := len(inv.postings)
 	inv.mu.RUnlock()
 	return n
-}
-
-// PostingsBelow materializes the epoch-filtered posting map for snapshot
-// serialization: only postings whose rows exist in the caller's epoch
-// are included, and keys whose postings all filter away are dropped, so
-// an encode racing a writer never references rows absent from the
-// encoded relations.
-func (inv *Inverted) PostingsBelow(limit RowLimit) map[string][]Posting {
-	inv.mu.RLock()
-	defer inv.mu.RUnlock()
-	out := make(map[string][]Posting, len(inv.postings))
-	for key, ps := range inv.postings {
-		kept := filterPostings(ps, limit)
-		if len(kept) > 0 {
-			out[key] = kept
-		}
-	}
-	return out
-}
-
-// RestoreInverted adopts a posting map rebuilt from a snapshot.
-func RestoreInverted(postings map[string][]Posting) *Inverted {
-	return &Inverted{postings: postings}
 }
 
 // ColumnKey identifies a (relation, column) pair.

@@ -9,6 +9,7 @@ package relation
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // ColType identifies the storage type of a column.
@@ -170,10 +171,11 @@ func (v Value) String() string {
 	return "?"
 }
 
-// SQLLiteral renders the value as a SQL literal (strings quoted).
+// SQLLiteral renders the value as a SQL literal: strings quoted, a quote
+// inside one doubled.
 func (v Value) SQLLiteral() string {
 	if v.kind == kindString {
-		return "'" + v.s + "'"
+		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	}
 	return v.String()
 }

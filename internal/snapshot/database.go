@@ -24,16 +24,18 @@ func WriteDatabase(w *Writer, db *relation.Database) {
 func ReadDatabase(r *Reader) *relation.Database {
 	db := relation.NewDatabase(r.String())
 	n := r.Len()
-	names := make([]string, 0, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		rel := readRelation(r)
 		if r.Err() != nil {
 			break
 		}
+		if db.Relation(rel.Name) != nil {
+			r.Fail("relation %q appears twice", rel.Name)
+			break
+		}
 		db.AddRelation(rel)
-		names = append(names, rel.Name)
 	}
-	for _, name := range names {
+	for _, name := range db.RelationNames() {
 		if r.Err() != nil {
 			break
 		}
@@ -78,13 +80,32 @@ func readRelation(r *Reader) *relation.Relation {
 	}
 	numRows := r.Int()
 	ncols := r.Len()
-	cols := make([]*relation.Column, 0, ncols)
+	var cols []*relation.Column
+	// Restore trusts its arguments: a column named twice, or a key naming
+	// no column, is caught here.
+	have := make(map[string]bool)
 	for i := 0; i < ncols && r.Err() == nil; i++ {
 		c := readColumn(r, numRows)
 		if r.Err() != nil {
 			break
 		}
+		if have[c.Name] {
+			r.Fail("relation %q: column %q appears twice", name, c.Name)
+			break
+		}
+		have[c.Name] = true
 		cols = append(cols, c)
+	}
+	if r.Err() == nil && numRows < 0 {
+		r.Fail("relation %q: %d rows", name, numRows)
+	}
+	if r.Err() == nil && pk != "" && !have[pk] {
+		r.Fail("relation %q: primary key %q names no column", name, pk)
+	}
+	for _, fk := range fks {
+		if r.Err() == nil && !have[fk.Column] {
+			r.Fail("relation %q: foreign key %q names no column", name, fk.Column)
+		}
 	}
 	if r.Err() != nil {
 		return relation.New(name)
@@ -102,12 +123,7 @@ func writeColumn(w *Writer, c *relation.Column) {
 	case relation.Float:
 		w.Floats(c.RawFloats())
 	default:
-		d := c.Dict()
-		vals := d.Values()
-		w.Uvarint(uint64(len(vals)))
-		for _, v := range vals {
-			w.String(v)
-		}
+		w.Strings(c.Dict().Values())
 		w.Int32s(c.RawCodes())
 	}
 }
@@ -141,18 +157,20 @@ func readColumn(r *Reader, numRows int) *relation.Column {
 		}
 		return relation.RestoreFloatColumn(name, flts, nulls)
 	case relation.String:
-		nvals := r.Len()
-		vals := make([]string, 0, nvals)
-		for i := 0; i < nvals && r.Err() == nil; i++ {
-			vals = append(vals, r.String())
-		}
+		vals := r.Strings()
 		codes := r.Int32s()
 		if r.Err() != nil || !check(len(codes)) {
 			return nil
 		}
-		for _, code := range codes {
-			if code != relation.NoCode && (code < 0 || int(code) >= nvals) {
-				r.Fail("column %q: code %d outside dictionary of %d values", name, code, nvals)
+		for row, code := range codes {
+			// A NULL cell holds NoCode and no other cell does: scans that
+			// skip NULLs index the dictionary with every code they meet.
+			want := code >= 0 && int(code) < len(vals)
+			if nulls != nil && nulls[row] {
+				want = code == relation.NoCode
+			}
+			if !want {
+				r.Fail("column %q: code %d in row %d (dictionary of %d values)", name, code, row, len(vals))
 				return nil
 			}
 		}

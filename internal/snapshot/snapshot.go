@@ -1,10 +1,18 @@
 // Package snapshot implements the versioned binary format that persists
 // an abduction-ready database to disk, so a warm boot is O(read) instead
-// of O(rebuild). The format serializes the base database (with its
-// per-column string dictionaries), the materialized derived relations,
-// the inverted entity-lookup index, and every per-property statistic,
-// including the sorted numeric indexes; hash indexes are rebuilt on load
-// in a single O(n) pass because Go maps do not round-trip profitably.
+// of O(rebuild). A snapshot stores each fact once.
+//
+// Stored: the epoch sequence number, the build configuration, the base
+// database and the materialized derived relations (schemas, column
+// storage, per-column string dictionaries), the property descriptors,
+// and the per-entity forward statistics of the basic properties (value
+// codes per row; numeric cells with their presence bits).
+//
+// Derived at load, by the constructors the cold build uses: the inverted
+// entity-lookup index, the per-value posting lists, the derived
+// properties' (entity, strength) pair lists and strength histograms, the
+// sorted numeric indexes and every hash index — each a counting sort or
+// a sort over what is stored, so none of them can disagree with it.
 //
 // # Version-compatibility policy
 //
@@ -27,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Magic identifies a SQuID αDB snapshot stream.
@@ -40,8 +49,11 @@ const Magic = "SQAS"
 // numeric value multiset beside the value→row index); v4 dropped the
 // sorted strength multiset of every derived value (the histogram is
 // derived from the pair counts on load) and stores a numeric property's
-// cells as one flat per-row block beside its presence bitmap.
-const Version = 4
+// cells as one flat per-row block beside its presence bitmap; v5 dropped
+// every inverse of the stored data (the inverted index, the per-value
+// posting lists, the derived pair lists, the sorted numeric indexes),
+// which load now derives.
+const Version = 5
 
 // ErrVersion reports a snapshot whose format version does not match
 // this build's Version.
@@ -131,22 +143,18 @@ func (w *Writer) String(s string) {
 	w.raw([]byte(s))
 }
 
-// block writes a varint-encoded payload as one contiguous
-// (count, byte length, bytes) block.
-func (w *Writer) block(n int, fill func(buf []byte) []byte) {
-	w.Uvarint(uint64(n))
-	if n == 0 {
-		return
+// Strings writes a counted list of strings.
+func (w *Writer) Strings(xs []string) {
+	w.Uvarint(uint64(len(xs)))
+	for _, x := range xs {
+		w.String(x)
 	}
-	w.scratch = fill(w.scratch[:0])
-	w.Uvarint(uint64(len(w.scratch)))
-	w.raw(w.scratch)
 }
 
 // Ints writes a non-negative int slice as one fixed-width uint32 block
 // (row numbers, counts, and lengths all fit; fixed-width decodes with a
 // straight 4-byte loop). Negative or oversized values poison the
-// writer — use DeltaInts/Varint for unbounded payloads.
+// writer — use Varint for unbounded payloads.
 func (w *Writer) Ints(xs []int) {
 	w.Uvarint(uint64(len(xs)))
 	if len(xs) == 0 {
@@ -164,19 +172,6 @@ func (w *Writer) Ints(xs []int) {
 	}
 	w.scratch = buf
 	w.raw(buf)
-}
-
-// DeltaInts writes an ascending int slice delta-encoded as one block
-// (posting lists compress to ~1 byte per entry).
-func (w *Writer) DeltaInts(xs []int) {
-	w.block(len(xs), func(buf []byte) []byte {
-		prev := 0
-		for _, x := range xs {
-			buf = binary.AppendVarint(buf, int64(x-prev))
-			prev = x
-		}
-		return buf
-	})
 }
 
 // Floats writes a float slice as one fixed-width block.
@@ -250,51 +245,21 @@ type Reader struct {
 }
 
 // take reads n bytes into the reusable scratch buffer; the returned
-// slice is valid until the next take.
+// slice is valid until the next take. The buffer grows as the bytes
+// arrive, so a damaged length prefix costs what the stream holds, not
+// what the prefix claims.
 func (r *Reader) take(n int) []byte {
+	buf := r.scratch[:0]
+	for len(buf) < n && r.err == nil {
+		step := min(n-len(buf), 1<<20)
+		buf = slices.Grow(buf, step)[:len(buf)+step]
+		r.read(buf[len(buf)-step:])
+	}
 	if r.err != nil {
 		return nil
 	}
-	if cap(r.scratch) < n {
-		r.scratch = make([]byte, n)
-	}
-	buf := r.scratch[:n]
-	r.read(buf)
-	if r.err != nil {
-		return nil
-	}
+	r.scratch = buf
 	return buf
-}
-
-// block reads a (count, byte length, bytes) block and decodes count
-// varints from it via dec.
-func blockInts[T any](r *Reader, dec func(v int64, prev *T) T) []T {
-	n := r.Len()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	nb := r.Len()
-	buf := r.take(nb)
-	if r.err != nil {
-		return nil
-	}
-	out := make([]T, n)
-	var prev T
-	for i := range out {
-		v, k := binary.Varint(buf)
-		if k <= 0 {
-			r.Fail("truncated varint block")
-			return nil
-		}
-		buf = buf[k:]
-		out[i] = dec(v, &prev)
-		prev = out[i]
-	}
-	if len(buf) != 0 {
-		r.Fail("varint block has %d trailing bytes", len(buf))
-		return nil
-	}
-	return out
 }
 
 // NewReader creates a buffered snapshot reader over r.
@@ -393,16 +358,19 @@ func (r *Reader) Len() int {
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
+	return string(r.take(r.Len()))
+}
+
+// Strings reads a counted list of strings.
+func (r *Reader) Strings() []string {
 	n := r.Len()
-	if r.err != nil || n == 0 {
-		return ""
+	// Every entry takes at least a byte of stream, so the list grows with
+	// what was read instead of being sized from the prefix.
+	var out []string
+	for i := 0; i < n && r.err == nil; i++ {
+		out = append(out, r.String())
 	}
-	b := make([]byte, n)
-	r.read(b)
-	if r.err != nil {
-		return ""
-	}
-	return string(b)
+	return out
 }
 
 // Ints reads a fixed-width uint32 block.
@@ -420,11 +388,6 @@ func (r *Reader) Ints() []int {
 		out[i] = int(binary.LittleEndian.Uint32(buf[i*4:]))
 	}
 	return out
-}
-
-// DeltaInts reads a delta-encoded ascending int block.
-func (r *Reader) DeltaInts() []int {
-	return blockInts(r, func(v int64, prev *int) int { return *prev + int(v) })
 }
 
 // Floats reads a fixed-width float block.
@@ -484,11 +447,11 @@ func (r *Reader) Bools() []bool {
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	out := make([]bool, n)
 	b := r.take((n + 7) / 8)
 	if r.err != nil {
 		return nil
 	}
+	out := make([]bool, n)
 	for i := range out {
 		out[i] = b[i/8]&(1<<(i%8)) != 0
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"squid/internal/relation"
@@ -20,7 +21,7 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	w.Bool(true)
 	w.String("héllo\x00world")
 	w.Ints([]int{3, 1 << 30, 0})
-	w.DeltaInts([]int{2, 5, 5, 900})
+	w.Strings([]string{"a", "", "c"})
 	w.Floats([]float64{0, -1.5, math.Inf(1)})
 	w.Int64s([]int64{math.MinInt64, math.MaxInt64})
 	w.Int32s([]int32{-1, 0, 7})
@@ -49,8 +50,8 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	if got := r.Ints(); !reflect.DeepEqual(got, []int{3, 1 << 30, 0}) {
 		t.Errorf("Ints=%v", got)
 	}
-	if got := r.DeltaInts(); !reflect.DeepEqual(got, []int{2, 5, 5, 900}) {
-		t.Errorf("DeltaInts=%v", got)
+	if got := r.Strings(); !reflect.DeepEqual(got, []string{"a", "", "c"}) {
+		t.Errorf("Strings=%v", got)
 	}
 	if got := r.Floats(); !reflect.DeepEqual(got, []float64{0, -1.5, math.Inf(1)}) {
 		t.Errorf("Floats=%v", got)
@@ -75,6 +76,37 @@ func TestIntsRejectsOutOfRange(t *testing.T) {
 	w.Ints([]int{-1})
 	if w.Err() == nil {
 		t.Error("negative Ints value accepted")
+	}
+}
+
+// TestDamagedLengthCostsTheStream: a length prefix that claims far more
+// than the stream holds fails the read having allocated what arrived,
+// not what was claimed (a fuzzed file would otherwise ask for gigabytes).
+func TestDamagedLengthCostsTheStream(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Uvarint(1 << 27)
+	w.raw(make([]byte, 100))
+	_ = w.Flush()
+	reads := map[string]func(*Reader){
+		"Ints":    func(r *Reader) { r.Ints() },
+		"Floats":  func(r *Reader) { r.Floats() },
+		"Bools":   func(r *Reader) { r.Bools() },
+		"String":  func(r *Reader) { _ = r.String() },
+		"Strings": func(r *Reader) { r.Strings() },
+	}
+	for name, read := range reads {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := NewReader(bytes.NewReader(buf.Bytes()))
+		read(r)
+		runtime.ReadMemStats(&after)
+		if r.Err() == nil {
+			t.Errorf("%s: a block of 2^27 elements read from a 100-byte stream", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+			t.Errorf("%s: allocated %d MB for a 100-byte stream", name, grew>>20)
+		}
 	}
 }
 
@@ -156,5 +188,68 @@ func TestDatabaseRoundTrip(t *testing.T) {
 	gp.MustAppend(relation.IntVal(4), relation.StringVal("b"), relation.FloatVal(1))
 	if gp.NumRows() != 4 || gp.Get(3, "name").Str() != "b" {
 		t.Error("append to restored relation failed")
+	}
+}
+
+// TestReadDatabaseRejects: relation.Restore and the scans over a restored
+// column trust what they are handed — a key naming no column, a column
+// or relation named twice (both panic in package relation), a NoCode
+// cell that is not NULL (a scan indexes the dictionary with it) — so
+// ReadDatabase checks each where it reads it.
+func TestReadDatabaseRejects(t *testing.T) {
+	cols := func() []*relation.Column {
+		return []*relation.Column{relation.RestoreIntColumn("id", []int64{7}, nil)}
+	}
+	one := func(rels ...*relation.Relation) *relation.Database {
+		db := relation.NewDatabase("d")
+		for _, r := range rels {
+			db.AddRelation(r)
+		}
+		return db
+	}
+	cases := map[string]*relation.Database{
+		"primary key names no column": one(relation.Restore("r", "nope", nil, cols(), 1)),
+		"foreign key names no column": one(relation.Restore("r", "id", []relation.ForeignKey{{Column: "nope", RefRelation: "r", RefColumn: "id"}}, cols(), 1)),
+		"negative row count":          one(relation.Restore("r", "", nil, nil, -1)),
+		"NoCode in a cell that is not NULL": one(relation.Restore("r", "", nil, []*relation.Column{
+			relation.RestoreStringColumn("s", []int32{relation.NoCode}, relation.RestoreDict([]string{"a"}), nil)}, 1)),
+		"code past the dictionary": one(relation.Restore("r", "", nil, []*relation.Column{
+			relation.RestoreStringColumn("s", []int32{1}, relation.RestoreDict([]string{"a"}), nil)}, 1)),
+	}
+	streams := map[string][]byte{}
+	for name, db := range cases {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		WriteDatabase(w, db)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		streams[name] = buf.Bytes()
+	}
+	// Names twice: package relation refuses to build these, so the valid
+	// stream of two relations (of two columns) is renamed in place.
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	WriteDatabase(w, one(
+		relation.Restore("r1", "", nil, []*relation.Column{relation.RestoreIntColumn("c1", nil, nil), relation.RestoreIntColumn("c2", nil, nil)}, 0),
+		relation.Restore("r2", "", nil, nil, 0)))
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	streams["column named twice"] = bytes.Replace(buf.Bytes(), []byte("c2"), []byte("c1"), 1)
+	streams["relation named twice"] = bytes.Replace(buf.Bytes(), []byte("r2"), []byte("r1"), 1)
+	for name, stream := range streams {
+		r := NewReader(bytes.NewReader(stream))
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s: ReadDatabase panicked: %v", name, p)
+				}
+			}()
+			ReadDatabase(r)
+		}()
+		if r.Err() == nil {
+			t.Errorf("%s: read without an error", name)
+		}
 	}
 }

@@ -58,7 +58,7 @@ func AlphaSQL(res *abduction.Result) string {
 			alias := aliasFor(f.Derivd.RelName, true)
 			where = append(where,
 				fmt.Sprintf("%s.%s = %s.entity_id", entity, pk, alias),
-				fmt.Sprintf("%s.value = '%s'", alias, f.Value()))
+				fmt.Sprintf("%s.value = %s", alias, quote(f.Value())))
 			if f.NormUse {
 				where = append(where, fmt.Sprintf("%s.count >= %.3f * degree(%s.%s)", alias, f.ThetaN, entity, pk))
 			} else {
@@ -136,21 +136,21 @@ func OriginalSQL(res *abduction.Result) string {
 			case adb.Direct:
 				addRel(via)
 				where = append(where, fmt.Sprintf("%s.%s = %s.%s", d.Fact1, d.Fact1ViaCol, via, d.ViaPK))
-				where = append(where, fmt.Sprintf("%s.%s = '%s'", via, d.Target.Column, derived.Value()))
+				where = append(where, fmt.Sprintf("%s.%s = %s", via, d.Target.Column, quote(derived.Value())))
 			case adb.FKDim:
 				addRel(via)
 				addRel(d.Target.Dim)
 				where = append(where,
 					fmt.Sprintf("%s.%s = %s.%s", d.Fact1, d.Fact1ViaCol, via, d.ViaPK),
 					fmt.Sprintf("%s.%s = %s.%s", via, d.Target.Column, d.Target.Dim, d.Target.DimPK),
-					fmt.Sprintf("%s.%s = '%s'", d.Target.Dim, d.Target.DimValueCol, derived.Value()))
+					fmt.Sprintf("%s.%s = %s", d.Target.Dim, d.Target.DimValueCol, quote(derived.Value())))
 			case adb.FactDim:
 				addRel(d.Target.Fact)
 				addRel(d.Target.Dim)
 				where = append(where,
 					fmt.Sprintf("%s.%s = %s.%s", d.Fact1, d.Fact1ViaCol, d.Target.Fact, d.Target.FactEntityCol),
 					fmt.Sprintf("%s.%s = %s.%s", d.Target.Fact, d.Target.FactDimCol, d.Target.Dim, d.Target.DimPK),
-					fmt.Sprintf("%s.%s = '%s'", d.Target.Dim, d.Target.DimValueCol, derived.Value()))
+					fmt.Sprintf("%s.%s = %s", d.Target.Dim, d.Target.DimValueCol, quote(derived.Value())))
 			}
 			theta := fmt.Sprintf("%d", derived.Theta)
 			if derived.NormUse {
@@ -196,11 +196,11 @@ func basicCategoricalSQL(entity, pk string, f *abduction.Filter, aliasFor func(n
 	var out []string
 	valuePred := func(col string) string {
 		if len(f.Values) == 1 {
-			return fmt.Sprintf("%s = '%s'", col, f.Values[0])
+			return fmt.Sprintf("%s = %s", col, quote(f.Values[0]))
 		}
 		quoted := make([]string, len(f.Values))
 		for i, v := range f.Values {
-			quoted[i] = "'" + v + "'"
+			quoted[i] = quote(v)
 		}
 		return fmt.Sprintf("%s IN (%s)", col, strings.Join(quoted, ", "))
 	}
@@ -244,6 +244,10 @@ func orderedFilters(fs []*abduction.Filter) []*abduction.Filter {
 	})
 	return out
 }
+
+// quote renders a value as a SQL string literal (a quote inside it
+// doubled).
+func quote(v string) string { return relation.StringVal(v).SQLLiteral() }
 
 func trimFloat(v float64) string {
 	s := fmt.Sprintf("%g", v)
@@ -290,7 +294,10 @@ func PredicateCount(res *abduction.Result) (joins, selections int) {
 // ToEngineQuery lowers the abduced query to an executable engine plan
 // over the αDB's combined database (original + derived relations).
 // Filters that would need a second instance of an already-joined
-// relation become INTERSECT branches, preserving entity-set semantics.
+// relation become INTERSECT branches, preserving entity-set semantics;
+// a filter no join expresses — a normalized strength threshold, an
+// association that leads back into the entity relation itself — is
+// lowered to its own αDB row set, as a key IN (...) predicate.
 func ToEngineQuery(res *abduction.Result) *engine.Query {
 	entity := res.Base.Entity
 	pk := res.EntityInfo().PK
@@ -306,9 +313,11 @@ func ToEngineQuery(res *abduction.Result) *engine.Query {
 			}
 		}
 		if !placed {
-			nb := newBranch(entity, res.Base.Attr)
-			nb.tryAdd(f, pk)
-			branches = append(branches, nb)
+			if nb := newBranch(entity, res.Base.Attr); nb.tryAdd(f, pk) {
+				branches = append(branches, nb)
+			} else {
+				root.q.Preds = append(root.q.Preds, keyPred(res.EntityInfo(), f))
+			}
 		}
 	}
 	q := branches[0].q
@@ -316,6 +325,17 @@ func ToEngineQuery(res *abduction.Result) *engine.Query {
 		q.Intersect = append(q.Intersect, b.q)
 	}
 	return q
+}
+
+// keyPred is the filter as a predicate over the entity's primary key:
+// the keys of the rows in the filter's αDB row set.
+func keyPred(info *adb.EntityInfo, f *abduction.Filter) engine.Pred {
+	rows := f.RowSet().ToSorted()
+	keys := make([]relation.Value, len(rows))
+	for i, row := range rows {
+		keys[i] = relation.IntVal(info.IDByRow(row))
+	}
+	return engine.Pred{Rel: info.Relation, Col: info.PK, Op: engine.OpIn, Vals: keys}
 }
 
 // branchBuilder accumulates one SPJ block; a filter that needs a relation
@@ -395,9 +415,8 @@ func (b *branchBuilder) tryAdd(f *abduction.Filter, pk string) bool {
 	case abduction.Derived:
 		rel := f.Derivd.RelName
 		if f.NormUse || b.used[rel] {
-			// Normalized thresholds are not expressible as a simple
-			// count predicate; evaluate those via the αDB row sets
-			// instead (IntersectRows).
+			// A normalized threshold is not expressible as a count
+			// predicate: ToEngineQuery lowers it to the filter's row set.
 			return false
 		}
 		b.addRel(rel)

@@ -164,6 +164,37 @@ func TestEngineQueryMatchesIntersectRows(t *testing.T) {
 	}
 }
 
+// TestSQLQuotesValues: a value holding a quote renders as a SQL string
+// literal with the quote doubled, in both SQL forms and in both shapes
+// of a categorical predicate.
+func TestSQLQuotesValues(t *testing.T) {
+	_, alpha := paperDB(t)
+	info := alpha.Entity("person")
+	gender, ptg := info.BasicByAttr("gender"), info.DerivedByAttr("movie:genre")
+	cases := []struct {
+		name            string
+		filter          *abduction.Filter
+		alpha, original string
+	}{
+		{"equality", &abduction.Filter{Kind: abduction.BasicCategorical, Basic: gender, Values: []string{"O'Neil"}},
+			"person.gender = 'O''Neil'", "person.gender = 'O''Neil'"},
+		{"disjunction", &abduction.Filter{Kind: abduction.BasicCategorical, Basic: gender, Values: []string{"O'Neil", "Male"}},
+			"person.gender IN ('O''Neil', 'Male')", "person.gender IN ('O''Neil', 'Male')"},
+		{"derived", &abduction.Filter{Kind: abduction.Derived, Derivd: ptg, Values: []string{"Rock 'n' Roll"}, Theta: 1},
+			".value = 'Rock ''n'' Roll'", "genre.name = 'Rock ''n'' Roll'"},
+	}
+	for _, c := range cases {
+		res := discoverPerson(t, alpha, "Eddie Murphy", "Jim Carrey")
+		res.Filters = []*abduction.Filter{c.filter}
+		if sql := AlphaSQL(res); !strings.Contains(sql, c.alpha) {
+			t.Errorf("%s: αDB SQL lacks %s:\n%s", c.name, c.alpha, sql)
+		}
+		if sql := OriginalSQL(res); !strings.Contains(sql, c.original) {
+			t.Errorf("%s: original SQL lacks %s:\n%s", c.name, c.original, sql)
+		}
+	}
+}
+
 func TestPredicateCount(t *testing.T) {
 	_, alpha := paperDB(t)
 	res := abduceComedians(t, alpha)

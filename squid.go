@@ -262,10 +262,12 @@ func Build(db *Database, cfg BuildConfig) (*System, error) {
 // cannot read; rebuild from the source database and save again.
 var ErrSnapshotVersion = snapshot.ErrVersion
 
-// Save persists the system — the αDB with its dictionaries, derived
-// relations, statistics, numeric indexes, and the discovery parameters —
-// to the versioned binary snapshot format (internal/snapshot). A warm
-// boot via Load is O(read) instead of O(rebuild).
+// Save persists the system — the base and derived databases with their
+// dictionaries, the property descriptors with their per-entity
+// statistics, and the discovery parameters — to the versioned binary
+// snapshot format (internal/snapshot). Each fact is stored once: every
+// index over it is derived again by Load, so a warm boot is one
+// sequential read plus O(n) rebuilds instead of the full precomputation.
 func (s *System) Save(w io.Writer) error {
 	sw := snapshot.NewWriter(w)
 	sw.Header()
@@ -277,11 +279,12 @@ func (s *System) Save(w io.Writer) error {
 	return nil
 }
 
-// Load restores a System from a snapshot written by Save. The restored
-// system is fully operational: discovery answers are identical to the
-// saved system's, and incremental inserts (InsertEntity/InsertFact)
-// maintain it exactly like a freshly built one. Version mismatches
-// return an error matching ErrSnapshotVersion.
+// Load restores a System from a snapshot written by Save, rebuilding
+// every index with the constructor Build uses. The restored system is
+// fully operational: discovery answers are identical to the saved
+// system's, and incremental inserts (InsertEntity/InsertFact) maintain
+// it exactly like a freshly built one. The stream is untrusted: damage
+// returns an error, a version mismatch one matching ErrSnapshotVersion.
 func Load(r io.Reader) (*System, error) {
 	sr := snapshot.NewReader(r)
 	sr.Header()

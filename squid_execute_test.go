@@ -2,6 +2,7 @@ package squid
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"squid/internal/datagen"
@@ -121,5 +122,36 @@ func TestInsertKeepsDerivedValueIndex(t *testing.T) {
 		if got, want := h.Rows(v), fresh.Rows(v); !reflect.DeepEqual(got, want) {
 			t.Errorf("Rows(%q) = %v, a fresh index answers %v", v, got, want)
 		}
+	}
+}
+
+// TestExecuteMatchesOutputNormalized: executing the plan of a discovery
+// returns the discovery's output also when a filter's strength threshold
+// is normalized by the entity's degree. No join of the plan expresses
+// such a filter; the plan carries its row set as keys — dropped instead,
+// the plan answered with every entity the remaining filters let through.
+func TestExecuteMatchesOutputNormalized(t *testing.T) {
+	g := datagen.GenerateIMDb(benchScale().IMDb)
+	sys, err := Build(g.DB, DefaultBuildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := DefaultParams()
+	params.NormalizeAssociation = true
+	sys.SetParams(params)
+	d, err := sys.Discover(exampleNames(t, sys, g, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(d.Filters, func(f *Filter) bool { return f.NormUse }) {
+		t.Fatal("no normalized filter was abduced: the test proves nothing")
+	}
+	res, err := sys.Execute(d.Plan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := slices.Compact(res.Strings()), slices.Compact(slices.Clone(d.Output))
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Execute(Plan()) returned %d distinct names, Output has %d", len(got), len(want))
 	}
 }

@@ -135,9 +135,9 @@ func TestSnapshotRoundTripAfterInsert(t *testing.T) {
 }
 
 // TestSnapshotVersionMismatch asserts the strict version policy: a
-// stream with a newer or an older version (v3, the format that still
-// carried a sorted strength multiset per derived value, and v2 before
-// it) is rejected with ErrSnapshotVersion.
+// stream with a newer or an older version (v4, the format that still
+// stored every inverse beside the data it inverts, v3 and v2 before it)
+// is rejected with ErrSnapshotVersion.
 func TestSnapshotVersionMismatch(t *testing.T) {
 	sys, _ := snapshotSystem(t)
 	var buf bytes.Buffer
@@ -146,7 +146,7 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 	}
 	b := buf.Bytes()
 	// The version varint lives right after the 4-byte magic.
-	for _, v := range []byte{b[4] + 1, 3, 2} {
+	for _, v := range []byte{b[4] + 1, 4, 3, 2} {
 		b[4] = v
 		if _, err := Load(bytes.NewReader(b)); !errors.Is(err, ErrSnapshotVersion) {
 			t.Errorf("Load of a version-%d snapshot = %v, want ErrSnapshotVersion", v, err)
@@ -201,4 +201,28 @@ func TestLoadHeapPerRow(t *testing.T) {
 		t.Errorf("heap after Load is %.0f B/row, budget %d", perRow, budget)
 	}
 	runtime.KeepAlive(sys)
+}
+
+// TestSnapshotBytesPerRow is the file-size guard beside the heap one:
+// what Save of the bench-scale fixture writes, per base-relation row,
+// stays under a budget set about 8% above format v5 (106 B/row; v4, which
+// still stored every inverse beside the data it inverts, wrote 148). A
+// block that creeps back into the format fails here before it reaches
+// the benchmark's snapshot_mb.
+func TestSnapshotBytesPerRow(t *testing.T) {
+	const budget = 115 // B/row
+	sys, err := Build(datagen.GenerateIMDb(benchScale().IMDb).DB, DefaultBuildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sys.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rows := sys.alpha.Snapshot().DB.TotalRows()
+	perRow := float64(buf.Len()) / float64(rows)
+	t.Logf("Save of %d rows wrote %d bytes: %.0f B/row", rows, buf.Len(), perRow)
+	if perRow > budget {
+		t.Errorf("snapshot is %.0f B/row, budget %d", perRow, budget)
+	}
 }

@@ -2,15 +2,20 @@ package squid
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"squid/internal/adb"
 	"squid/internal/benchqueries"
 	"squid/internal/datagen"
+	"squid/internal/index"
 	"squid/internal/metrics"
+	"squid/internal/relation"
 	"squid/internal/trace"
 )
 
@@ -86,9 +91,30 @@ func randomIngest(t *testing.T, sys *System, rng *rand.Rand, publishes int) int 
 
 // compareAlphaDBs asserts two αDBs over the same rows answer every
 // property question identically: selectivities, domain coverage and
-// satisfying-row sets of every basic and derived property.
+// satisfying-row sets of every basic and derived property, and the
+// inverted-index postings (sorted: a build groups them by relation, an
+// insert appends them in arrival order) of every TEXT value.
 func compareAlphaDBs(t *testing.T, label string, got, want *adb.AlphaDB, rng *rand.Rand) {
 	t.Helper()
+	postings := func(a *adb.AlphaDB, v string) []index.Posting {
+		ps := slices.Clone(a.Snapshot().InvertedLookup(v))
+		slices.SortFunc(ps, func(a, b index.Posting) int {
+			return cmp.Or(strings.Compare(a.Relation, b.Relation), strings.Compare(a.Column, b.Column), cmp.Compare(a.Row, b.Row))
+		})
+		return ps
+	}
+	for _, name := range want.DB().RelationNames() {
+		for _, col := range want.DB().Relation(name).Columns() {
+			if col.Type != relation.String {
+				continue
+			}
+			for _, v := range col.Dict().Values() {
+				if g, w := postings(got, v), postings(want, v); !reflect.DeepEqual(g, w) {
+					t.Errorf("%s: postings of %q are %v want %v", label, v, g, w)
+				}
+			}
+		}
+	}
 	for name, w := range want.Snapshot().Entities {
 		g := got.Entity(name)
 		if g == nil || g.NumRows != w.NumRows || len(g.Basic) != len(w.Basic) || len(g.Derived) != len(w.Derived) {
@@ -281,4 +307,38 @@ func threeWay(t *testing.T, cfg datagen.IMDbConfig, publishes int) {
 	if intents < 8 {
 		t.Fatalf("only %d benchmark intents had enough ground truth", intents)
 	}
+}
+
+// TestInsertFactPostsText: an insert into an attribute table posts the
+// row's TEXT cells to the inverted index, as a cold build and a load
+// index every relation's TEXT columns — the three roads resolve the new
+// value to the same posting.
+func TestInsertFactPostsText(t *testing.T) {
+	sys, err := Build(academicsDB(), DefaultBuildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.InsertFact("research", IntVal(100), StringVal("Quantum Origami")); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := Build(sys.AlphaDB().DB(), DefaultBuildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sys.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []index.Posting{{Relation: "research", Column: "interest", Row: 8}}
+	for label, s := range map[string]*System{"incremental": sys, "cold build": cold, "round trip": loaded} {
+		if got := s.AlphaDB().Snapshot().InvertedLookup("quantum origami"); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: postings of the inserted interest are %v want %v", label, got, want)
+		}
+	}
+	compareAlphaDBs(t, "incremental vs cold build", sys.AlphaDB(), cold.AlphaDB(), rand.New(rand.NewSource(1)))
+	compareAlphaDBs(t, "round trip vs cold build", loaded.AlphaDB(), cold.AlphaDB(), rand.New(rand.NewSource(1)))
 }
