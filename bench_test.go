@@ -2,6 +2,7 @@ package squid
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -219,6 +220,61 @@ func BenchmarkDiscovery(b *testing.B) {
 		if _, err := sys.Discover(examples); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDiscoverPool measures a warm discovery the way the repository
+// benchmark's intent_warm workload draws them — examples sampled from an
+// intent's ground truth at the benchmark's 4x scale, Params.Workers 1,
+// memos hot — at the two ends of the response size: IQ9 at |E| = 5 (a
+// few dozen output values; context discovery and Algorithm 1 are the
+// cost) and IQ12 at |E| = 30 (about 1,450; materializing and ordering
+// the output is). ns/op, B/op and allocs/op are per discovery.
+func BenchmarkDiscoverPool(b *testing.B) {
+	cfg := datagen.DefaultIMDbConfig()
+	cfg.NumPersons *= 4
+	cfg.NumMovies *= 4
+	cfg.NumCompany *= 4
+	g := datagen.GenerateIMDb(cfg)
+	sys, err := Build(g.DB, DefaultBuildConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := sys.Params()
+	p.Workers = 1
+	sys.SetParams(p)
+	truths := map[string][]string{}
+	for _, q := range benchqueries.IMDbBenchmarks(g) {
+		if truths[q.ID], err = benchqueries.GroundTruth(g.DB, q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	for _, arm := range []struct {
+		name, intent string
+		examples     int
+	}{{"small-output", "IQ9", 5}, {"large-output", "IQ12", 30}} {
+		b.Run(arm.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			draws := make([][]string, 16)
+			values := 0
+			for i := range draws {
+				draws[i] = metrics.Sample(rng, truths[arm.intent], arm.examples)
+				d, err := sys.DiscoverContext(ctx, draws[i]) // warms the memos
+				if err != nil {
+					b.Fatal(err)
+				}
+				values += len(d.Output)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sys.DiscoverContext(ctx, draws[i%len(draws)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(values)/float64(len(draws)), "values/op")
+		})
 	}
 }
 

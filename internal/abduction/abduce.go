@@ -8,6 +8,7 @@ import (
 
 	"squid/internal/adb"
 	"squid/internal/index"
+	"squid/internal/relation"
 	"squid/internal/trace"
 )
 
@@ -53,18 +54,28 @@ type Result struct {
 // EntityInfo exposes the αDB entity the result is grounded in.
 func (r *Result) EntityInfo() *adb.EntityInfo { return r.info }
 
-// OutputValues projects the output rows onto the base query attribute.
+// OutputValues projects the output rows onto the base query attribute:
+// the non-NULL values, sorted, one per row (two entities of one name
+// give the name twice). The rows' dictionary codes are collected, ordered
+// by the dictionary's rank table (relation.Dict.SortCodes — integer
+// work, no string is compared) and decoded once from one view of the
+// values. The attribute is a TEXT column: base queries come from the
+// inverted index, which indexes nothing else.
 func (r *Result) OutputValues() []string {
 	col := r.info.Rel().Column(r.Base.Attr)
-	out := make([]string, 0, len(r.OutputRows))
+	codes := make([]int32, 0, len(r.OutputRows))
 	for _, row := range r.OutputRows {
-		v := col.Get(row)
-		if v.IsNull() {
-			continue
+		if c := col.Code(row); c != relation.NoCode {
+			codes = append(codes, c)
 		}
-		out = append(out, v.String())
 	}
-	sort.Strings(out)
+	dict := col.Dict()
+	dict.SortCodes(codes)
+	vals := dict.Values()
+	out := make([]string, len(codes))
+	for i, c := range codes {
+		out[i] = vals[c]
+	}
 	return out
 }
 

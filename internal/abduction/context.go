@@ -2,7 +2,7 @@ package abduction
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"sync"
 
 	"squid/internal/adb"
@@ -57,7 +57,7 @@ func discoverContextsCtx(ctx context.Context, pool *workPool, info *adb.EntityIn
 			prop := info.Basic[i]
 			switch prop.Kind {
 			case adb.Categorical:
-				perProp[i] = categoricalContexts(prop, exampleRows, params)
+				perProp[i] = categoricalContexts(st, prop, params)
 			case adb.Numeric:
 				if f, ok := numericContext(prop, exampleRows); ok {
 					perProp[i] = []Context{{Filter: f, NumExamples: len(exampleRows)}}
@@ -70,7 +70,14 @@ func discoverContextsCtx(ctx context.Context, pool *workPool, info *adb.EntityIn
 	if err != nil {
 		return nil, err
 	}
-	var out []Context
+	total := 0
+	for _, cs := range perProp {
+		total += len(cs)
+	}
+	if total == 0 {
+		return nil, nil
+	}
+	out := make([]Context, 0, total)
 	for _, cs := range perProp {
 		out = append(out, cs...)
 	}
@@ -78,20 +85,34 @@ func discoverContextsCtx(ctx context.Context, pool *workPool, info *adb.EntityIn
 }
 
 // exampleState is the shared per-example lookup state of one context
-// discovery: entity ids resolved once, and per-degree-property
-// normalization denominators computed once and reused by every derived
-// property sharing that association (instead of re-deriving them per
-// property as the scan-based pipeline did).
+// discovery: entity ids resolved once, per-degree-property normalization
+// denominators computed once and reused by every derived property
+// sharing that association (instead of re-deriving them per property as
+// the scan-based pipeline did), and the intersection scratch the
+// property units take turns with.
 type exampleState struct {
 	info *adb.EntityInfo
 	rows []int
 	ids  []int64
-	// mu guards degrees: derived-property units run concurrently under
-	// the discovery pool and share the memo.
+	// mu guards degrees and free: property units run concurrently under
+	// the discovery pool and share both.
 	mu sync.Mutex
 	// degrees memoizes, per degree property, the per-example total
 	// association counts.
 	degrees map[*adb.DerivedProperty][]float64
+	// free holds the scratch no unit is using: one on the serial path,
+	// reused by every property of the discovery, at most one per worker
+	// otherwise.
+	free []*ctxScratch
+}
+
+// ctxScratch is the reusable working memory of one property's context
+// intersection (see categoricalContexts and derivedContexts).
+type ctxScratch struct {
+	codes  []int32
+	seenBy []int32
+	counts []adb.CodeCount
+	aggs   []sharedAssoc
 }
 
 func newExampleState(info *adb.EntityInfo, exampleRows []int, params Params) *exampleState {
@@ -104,6 +125,25 @@ func newExampleState(info *adb.EntityInfo, exampleRows []int, params Params) *ex
 		st.degrees = make(map[*adb.DerivedProperty][]float64)
 	}
 	return st
+}
+
+// scratch hands a unit its working memory; the unit returns it with
+// release when its contexts are built.
+func (st *exampleState) scratch() *ctxScratch {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if n := len(st.free); n > 0 {
+		sc := st.free[n-1]
+		st.free = st.free[:n-1]
+		return sc
+	}
+	return &ctxScratch{}
+}
+
+func (st *exampleState) release(sc *ctxScratch) {
+	st.mu.Lock()
+	st.free = append(st.free, sc)
+	st.mu.Unlock()
 }
 
 // degreesFor returns the per-example degree (total association count)
@@ -126,76 +166,80 @@ func (st *exampleState) degreesFor(degree *adb.DerivedProperty) []float64 {
 }
 
 // categoricalContexts emits shared-value contexts for a categorical
-// basic property. The value sets intersect as dictionary codes — int32
-// map operations with no string hashing; codes decode to strings only
-// when a filter is emitted.
-func categoricalContexts(prop *adb.BasicProperty, exampleRows []int, params Params) []Context {
-	// Intersect the value-code sets across examples.
-	shared := make(map[int32]int)
-	for _, c := range dedupCodes(prop.ValueCodes(exampleRows[0])) {
-		shared[c] = 1
-	}
-	for _, row := range exampleRows[1:] {
-		if len(shared) == 0 {
-			break
-		}
-		for _, c := range dedupCodes(prop.ValueCodes(row)) {
-			if n, ok := shared[c]; ok && n == 1 {
-				// mark seen this round by bumping; reset below
-				shared[c] = 2
+// basic property. The value sets intersect as dictionary codes with no
+// map and no per-value object: the first example's codes, sorted and
+// deduplicated in the scratch, are the shared set; every further example
+// stamps the shared codes it holds (a binary search per code of its
+// list, so a row of hundreds of codes stays linear in the row) and the
+// unstamped ones are dropped. Codes decode to strings only when a filter
+// is emitted, in the dictionary's rank order.
+func categoricalContexts(st *exampleState, prop *adb.BasicProperty, params Params) []Context {
+	sc := st.scratch()
+	defer st.release(sc)
+	shared := append(sc.codes[:0], prop.ValueCodes(st.rows[0])...)
+	slices.Sort(shared)
+	shared = slices.Compact(shared)
+	seenBy := append(sc.seenBy[:0], make([]int32, len(shared))...)
+	for i := 1; i < len(st.rows) && len(shared) > 0; i++ {
+		for _, c := range prop.ValueCodes(st.rows[i]) {
+			if at, ok := slices.BinarySearch(shared, c); ok {
+				seenBy[at] = int32(i)
 			}
 		}
-		for c, n := range shared {
-			if n == 2 {
-				shared[c] = 1
-			} else {
-				delete(shared, c)
+		// The stamps are not moved along with the codes: every stamp
+		// is at most i, so none can pass for example i+1's.
+		kept := 0
+		for at, c := range shared {
+			if seenBy[at] == int32(i) {
+				shared[kept] = c
+				kept++
 			}
 		}
+		shared = shared[:kept]
 	}
-	var out []Context
-	for _, v := range decodeSorted(prop, shared) {
-		out = append(out, Context{
-			Filter:      &Filter{Kind: BasicCategorical, Basic: prop, Values: []string{v}},
-			NumExamples: len(exampleRows),
-		})
-	}
-	if len(out) > 0 || params.MaxDisjunction == 0 || prop.MultiValued {
+	sc.codes, sc.seenBy = shared, seenBy
+	if len(shared) > 0 {
+		prop.Dict().SortCodes(shared)
+		vals := prop.Dict().Values()
+		values := make([]string, len(shared))
+		filters := make([]Filter, len(shared))
+		out := make([]Context, len(shared))
+		for i, c := range shared {
+			values[i] = vals[c]
+			filters[i] = Filter{Kind: BasicCategorical, Basic: prop, Values: values[i : i+1 : i+1]}
+			out[i] = Context{Filter: &filters[i], NumExamples: len(st.rows)}
+		}
 		return out
+	}
+	if params.MaxDisjunction == 0 || prop.MultiValued {
+		return nil
 	}
 	// Disjunction extension: no single shared value — consider the set
 	// of distinct values the examples take, if small enough.
-	distinct := make(map[int32]struct{})
-	for _, row := range exampleRows {
+	distinct := sc.codes[:0]
+	for _, row := range st.rows {
 		codes := prop.ValueCodes(row)
 		if len(codes) == 0 {
-			return out // an example lacks the property: no valid filter
+			return nil // an example lacks the property: no valid filter
 		}
-		distinct[codes[0]] = struct{}{}
+		distinct = append(distinct, codes[0])
 	}
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct)
+	sc.codes = distinct
 	if len(distinct) < 2 || len(distinct) > params.MaxDisjunction {
-		return out
+		return nil
 	}
-	vals := make([]string, 0, len(distinct))
-	for c := range distinct {
-		vals = append(vals, prop.DecodeValue(c))
+	prop.Dict().SortCodes(distinct)
+	vals := prop.Dict().Values()
+	values := make([]string, len(distinct))
+	for i, c := range distinct {
+		values[i] = vals[c]
 	}
-	sort.Strings(vals)
-	out = append(out, Context{
-		Filter:      &Filter{Kind: BasicCategorical, Basic: prop, Values: vals},
-		NumExamples: len(exampleRows),
-	})
-	return out
-}
-
-// decodeSorted decodes the keys of a code-keyed map and sorts them.
-func decodeSorted[V any](prop *adb.BasicProperty, m map[int32]V) []string {
-	out := make([]string, 0, len(m))
-	for c := range m {
-		out = append(out, prop.DecodeValue(c))
-	}
-	sort.Strings(out)
-	return out
+	return []Context{{
+		Filter:      &Filter{Kind: BasicCategorical, Basic: prop, Values: values},
+		NumExamples: len(st.rows),
+	}}
 }
 
 // numericContext emits the tightest-range context for a numeric basic
@@ -218,102 +262,101 @@ func numericContext(prop *adb.BasicProperty, exampleRows []int) (*Filter, bool) 
 	return &Filter{Kind: BasicNumeric, Basic: prop, Lo: lo, Hi: hi}, true
 }
 
+// sharedAssoc is one value every example so far is associated with: its
+// code, the minimum strength and normalized strength among them, and
+// the last example that had it.
+type sharedAssoc struct {
+	code     int32
+	seenBy   int32
+	minCount int
+	minFrac  float64
+}
+
+// compareCode orders a shared association against a value code.
+func (a sharedAssoc) compareCode(code int32) int { return int(a.code) - int(code) }
+
 // derivedContexts emits contexts for a derived property: one per value
 // that every example is associated with, at the minimum observed
 // strength θmin (§6.1.2 "Derived property"). Entity ids and
 // normalization degrees come precomputed from the shared example state.
+// The per-example (value code, strength) lists intersect the way
+// categoricalContexts' do — the first example's, sorted by code in the
+// scratch, then a binary search per pair of every further example — and
+// values decode to strings only when a filter is emitted.
 func derivedContexts(st *exampleState, prop *adb.DerivedProperty, params Params) []Context {
-	exampleRows := st.rows
 	var degree *adb.DerivedProperty
 	if params.NormalizeAssociation {
 		degree = st.info.DerivedByAttr(prop.Via + ":count")
 	}
 	degs := st.degreesFor(degree)
+	frac := func(i, count int) float64 {
+		if degs == nil || degs[i] <= 0 {
+			return 0
+		}
+		return float64(count) / degs[i]
+	}
 
-	type agg struct {
-		minCount int
-		minFrac  float64
-		seen     int
-	}
-	// Intersect the per-example association maps as value codes of the
-	// derived relation's dictionary — integer comparisons throughout;
-	// values decode to strings only when a filter is emitted.
-	shared := make(map[int32]*agg)
-	for i := range exampleRows {
-		counts := prop.CountsCodes(st.ids[i])
-		d := 0.0
-		if degs != nil {
-			d = degs[i]
-		}
-		for _, cc := range counts {
-			v, c := cc.Code, cc.Count
-			frac := 0.0
-			if d > 0 {
-				frac = float64(c) / d
+	sc := st.scratch()
+	defer st.release(sc)
+	shared := sc.aggs[:0]
+	for i, id := range st.ids {
+		sc.counts = prop.AppendCounts(sc.counts[:0], id)
+		if i == 0 {
+			for _, cc := range sc.counts {
+				shared = append(shared, sharedAssoc{code: cc.Code, minCount: cc.Count, minFrac: frac(0, cc.Count)})
 			}
-			if i == 0 {
-				shared[v] = &agg{minCount: c, minFrac: frac, seen: 1}
+			slices.SortFunc(shared, func(a, b sharedAssoc) int { return a.compareCode(b.code) })
+			continue
+		}
+		for _, cc := range sc.counts {
+			at, ok := slices.BinarySearchFunc(shared, cc.Code, sharedAssoc.compareCode)
+			if !ok {
 				continue
 			}
-			a, ok := shared[v]
-			if !ok || a.seen != i {
-				continue
-			}
-			a.seen++
-			if c < a.minCount {
-				a.minCount = c
-			}
-			if frac < a.minFrac {
-				a.minFrac = frac
+			a := &shared[at]
+			a.seenBy = int32(i)
+			a.minCount = min(a.minCount, cc.Count)
+			a.minFrac = min(a.minFrac, frac(i, cc.Count))
+		}
+		kept := 0
+		for _, a := range shared {
+			if a.seenBy == int32(i) {
+				shared[kept] = a
+				kept++
 			}
 		}
-		// Drop values not seen by this example.
-		for v, a := range shared {
-			if a.seen != i+1 {
-				delete(shared, v)
-			}
+		if shared = shared[:kept]; kept == 0 {
+			break
 		}
 	}
-	codes := make([]int32, 0, len(shared))
-	for c := range shared {
-		codes = append(codes, c)
+	sc.aggs = shared
+	if len(shared) == 0 {
+		return nil
 	}
-	sort.Slice(codes, func(i, j int) bool { return prop.DecodeValue(codes[i]) < prop.DecodeValue(codes[j]) })
-	var out []Context
-	for _, code := range codes {
-		a := shared[code]
-		f := &Filter{
-			Kind:   Derived,
-			Derivd: prop,
-			Values: []string{prop.DecodeValue(code)},
-			Theta:  a.minCount,
-		}
+	codes := sc.codes[:0]
+	for _, a := range shared {
+		codes = append(codes, a.code)
+	}
+	sc.codes = codes
+	prop.Dict().SortCodes(codes)
+	vals := prop.Dict().Values()
+	values := make([]string, len(codes))
+	filters := make([]Filter, len(codes))
+	out := make([]Context, len(codes))
+	for i, code := range codes {
+		at, _ := slices.BinarySearchFunc(shared, code, sharedAssoc.compareCode)
+		values[i] = vals[code]
+		f := &filters[i]
+		*f = Filter{Kind: Derived, Derivd: prop, Values: values[i : i+1 : i+1], Theta: shared[at].minCount}
 		// Normalization needs the companion degree property; derived
 		// properties without one (self-edge associations label their
 		// degree differently) keep the absolute threshold.
 		if params.NormalizeAssociation && degree != nil {
 			f.NormUse = true
-			f.ThetaN = a.minFrac
+			f.ThetaN = shared[at].minFrac
 			f.degree = degree
 		}
-		out = append(out, Context{Filter: f, NumExamples: len(exampleRows)})
-	}
-	return out
-}
-
-// dedupCodes removes duplicate codes, preserving first-appearance order.
-func dedupCodes(xs []int32) []int32 {
-	if len(xs) < 2 {
-		return xs
-	}
-	seen := make(map[int32]struct{}, len(xs))
-	out := make([]int32, 0, len(xs))
-	for _, x := range xs {
-		if _, dup := seen[x]; dup {
-			continue
-		}
-		seen[x] = struct{}{}
-		out = append(out, x)
+		out[i] = Context{Filter: f, NumExamples: len(st.rows)}
 	}
 	return out
 }

@@ -565,20 +565,20 @@ type CodeCount struct {
 	Count int
 }
 
-// CountsCodes returns the per-value association strengths of an entity
-// keyed by value code — the allocation-light variant of Counts used by
-// the abduction layer's code-based context discovery.
-func (p *DerivedProperty) CountsCodes(entityID int64) []CodeCount {
+// AppendCounts appends the per-value association strengths of an entity,
+// keyed by value code, to dst and returns it — the form of Counts the
+// abduction layer's code-based context discovery reads into a buffer it
+// reuses from example to example. A value appears once per entity.
+func (p *DerivedProperty) AppendCounts(dst []CodeCount, entityID int64) []CodeCount {
 	rows := p.byEntity.Rows(entityID)
 	if len(rows) == 0 {
-		return nil
+		return dst
 	}
-	out := make([]CodeCount, len(rows))
 	vcol, ccol := p.rel.Column("value"), p.rel.Column("count")
-	for i, r := range rows {
-		out[i] = CodeCount{Code: vcol.Code(int(r)), Count: int(ccol.Int64(int(r)))}
+	for _, r := range rows {
+		dst = append(dst, CodeCount{Code: vcol.Code(int(r)), Count: int(ccol.Int64(int(r)))})
 	}
-	return out
+	return dst
 }
 
 // Selectivity returns ψ(φ⟨Attr,v,θ⟩): the fraction of entities associated

@@ -64,8 +64,9 @@ type Stats struct {
 // The inverted index, the basic-property statistics and the
 // dictionaries' maps are not attributed yet.
 type ResidentBytes struct {
-	// Columns and DerivedColumns are the cell storage, dictionaries and
-	// update patches of the base and the derived relations.
+	// Columns and DerivedColumns are the cell storage, dictionaries
+	// (with the rank tables the read path has built over them so far)
+	// and update patches of the base and the derived relations.
 	Columns, DerivedColumns int64
 	// HashIndexBase and HashIndexTail are the flat bases and the tail
 	// maps of the materialized hash indexes; NumericIndex the sorted

@@ -104,7 +104,7 @@ func (sc *scorer) profile(row int) *rowProfile {
 	}
 	id := info.IDByRow(row)
 	for i, prop := range info.Derived {
-		ccs := prop.CountsCodes(id)
+		ccs := prop.AppendCounts(nil, id)
 		if len(ccs) == 0 {
 			continue
 		}

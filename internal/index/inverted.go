@@ -6,9 +6,12 @@
 package index
 
 import (
-	"sort"
+	"math"
+	"slices"
 	"strings"
 	"sync"
+	"unicode"
+	"unicode/utf8"
 
 	"squid/internal/relation"
 )
@@ -135,17 +138,79 @@ func RunBounded(n, workers int, fn func(i int)) {
 }
 
 // normalize canonicalizes a lookup string: lower-case, trimmed,
-// inner whitespace collapsed.
+// inner whitespace collapsed — strings.Join(strings.Fields(
+// strings.ToLower(s)), " "), byte for byte. A string already in that
+// form (the keys themselves, most dictionary values of a lower-case
+// column) is returned as it is; any other is rebuilt in one pass.
 func normalize(s string) string {
-	return strings.Join(strings.Fields(strings.ToLower(s)), " ")
+	i := normalPrefix(s)
+	if i == len(s) {
+		return s
+	}
+	return string(appendNormalized(make([]byte, 0, len(s)), s, i))
+}
+
+// normalPrefix returns how far s is in normal form already: len(s) when
+// all of it is, else an index normalization can resume from — before the
+// space the normal prefix ends on, if it does, which is then normalized
+// with what follows it.
+func normalPrefix(s string) int {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c >= utf8.RuneSelf || 'A' <= c && c <= 'Z' || '\t' <= c && c <= '\r':
+			if i > 0 && s[i-1] == ' ' {
+				return i - 1
+			}
+			return i
+		case c == ' ' && (i == 0 || i == len(s)-1 || s[i+1] == ' '):
+			return i
+		}
+	}
+	return len(s)
+}
+
+// appendNormalized appends the normal form of s, whose first from bytes
+// are in normal form already (normalPrefix), to dst.
+func appendNormalized(dst []byte, s string, from int) []byte {
+	start := len(dst)
+	dst = append(dst, s[:from]...)
+	sep := false
+	// Ranging decodes invalid UTF-8 to utf8.RuneError, which is written
+	// out as U+FFFD: what strings.ToLower makes of it.
+	for _, r := range s[from:] {
+		if unicode.IsSpace(r) {
+			sep = len(dst) > start
+			continue
+		}
+		if sep {
+			dst = append(dst, ' ')
+			sep = false
+		}
+		dst = utf8.AppendRune(dst, unicode.ToLower(r))
+	}
+	return dst
 }
 
 // Lookup returns all postings of the (normalized) value, with no epoch
 // filtering; single-writer offline consumers (tests, the αDB build) use
-// it. Online readers go through LookupBelow.
+// it. Online readers go through LookupBelow. A value that has to be
+// normalized first is normalized into a stack buffer the map is probed
+// with directly, so a lookup allocates nothing.
 func (inv *Inverted) Lookup(value string) []Posting {
+	var buf [64]byte
+	var key []byte
+	from := normalPrefix(value)
+	if from < len(value) {
+		key = appendNormalized(buf[:0], value, from)
+	}
 	inv.mu.RLock()
-	ps := inv.postings[normalize(value)]
+	var ps []Posting
+	if from == len(value) {
+		ps = inv.postings[value]
+	} else {
+		ps = inv.postings[string(key)]
+	}
 	inv.mu.RUnlock()
 	return ps
 }
@@ -209,44 +274,92 @@ type ColumnKey struct {
 // example tuples, sorted deterministically. For each pair it also reports
 // per-value row candidates (for disambiguation). A non-nil limit pins the
 // lookup to an epoch: rows appended after it are invisible.
+//
+// The rows are bucketed by a small column ordinal (no map, no key
+// hashing), two passes over the postings: one sizes the buckets, one
+// fills them.
 func (inv *Inverted) CommonColumns(values []string, limit RowLimit) []ColumnMatch {
 	if len(values) == 0 {
 		return nil
 	}
-	// For each value, the set of columns it appears in, plus its rows there.
-	type colRows map[ColumnKey][]int
-	perValue := make([]colRows, len(values))
-	for i, v := range values {
-		m := make(colRows)
-		for _, p := range inv.LookupBelow(v, limit) {
-			k := ColumnKey{p.Relation, p.Column}
-			m[k] = append(m[k], p.Row)
-		}
-		perValue[i] = m
+	// Only a column the first value occurs in can hold them all: those
+	// columns — a handful — get ordinals in posting order, each with the
+	// epoch's row limit of its relation.
+	type keyColumn struct {
+		ColumnKey
+		limit int
 	}
-	// Intersect column sets across values.
-	var out []ColumnMatch
-	for k, rows0 := range perValue[0] {
-		match := ColumnMatch{Key: k, Rows: make([][]int, len(values))}
-		match.Rows[0] = rows0
-		ok := true
-		for i := 1; i < len(values); i++ {
-			rows, has := perValue[i][k]
-			if !has {
-				ok = false
-				break
+	var keys []keyColumn
+	ordinal := func(p Posting) int {
+		for k := range keys {
+			if keys[k].Column == p.Column && keys[k].Relation == p.Relation {
+				return k
 			}
-			match.Rows[i] = rows
 		}
-		if ok {
-			out = append(out, match)
+		return -1
+	}
+	n := len(values)
+	postings := make([][]Posting, n)
+	for i, v := range values {
+		postings[i] = inv.Lookup(v)
+	}
+	for _, p := range postings[0] {
+		if ordinal(p) >= 0 {
+			continue
+		}
+		lim := math.MaxInt
+		if limit != nil {
+			lim = limit(p.Relation)
+		}
+		if p.Row < lim {
+			keys = append(keys, keyColumn{ColumnKey{p.Relation, p.Column}, lim})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key.Relation != out[j].Key.Relation {
-			return out[i].Key.Relation < out[j].Key.Relation
+	if len(keys) == 0 {
+		return nil
+	}
+	// visible reports the ordinal of a posting this lookup counts: in one
+	// of the key columns, at a row the epoch has.
+	visible := func(p Posting) (int, bool) {
+		k := ordinal(p)
+		return k, k >= 0 && p.Row < keys[k].limit
+	}
+	// sizes[k*n+i] counts the rows of value i in column k; a column some
+	// value misses is dead.
+	sizes := make([]int, len(keys)*n)
+	total := 0
+	for i, ps := range postings {
+		for _, p := range ps {
+			if k, ok := visible(p); ok {
+				sizes[k*n+i]++
+				total++
+			}
 		}
-		return out[i].Key.Column < out[j].Key.Column
+	}
+	// Every list is carved from one array, at its exact size.
+	rows := make([][]int, len(keys)*n)
+	backing := make([]int, total)
+	for j, size := range sizes {
+		rows[j], backing = backing[:0:size], backing[size:]
+	}
+	for i, ps := range postings {
+		for _, p := range ps {
+			if k, ok := visible(p); ok {
+				rows[k*n+i] = append(rows[k*n+i], p.Row)
+			}
+		}
+	}
+	var out []ColumnMatch
+	for k, key := range keys {
+		if !slices.Contains(sizes[k*n:(k+1)*n], 0) {
+			out = append(out, ColumnMatch{Key: key.ColumnKey, Rows: rows[k*n : (k+1)*n : (k+1)*n]})
+		}
+	}
+	slices.SortFunc(out, func(a, b ColumnMatch) int {
+		if c := strings.Compare(a.Key.Relation, b.Key.Relation); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Key.Column, b.Key.Column)
 	})
 	return out
 }

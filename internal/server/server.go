@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -80,6 +81,11 @@ type Server struct {
 	reqPrefix string
 	reqSeq    atomic.Uint64
 
+	// recorders keeps finished span recorders for reuse: every discover,
+	// execute and insert request records into one, and a recorder's span
+	// array (~61 KB) would otherwise be allocated and zeroed per request.
+	recorders sync.Pool
+
 	draining atomic.Bool
 
 	snapMu sync.Mutex // serializes snapshot writes
@@ -130,6 +136,7 @@ func New(sys *squid.System, cfg Config) *Server {
 		reqPrefix: hex.EncodeToString(prefix[:]),
 		stopSnap:  make(chan struct{}),
 	}
+	s.recorders.New = func() any { return trace.NewRecorder(0) }
 	s.route("POST /v1/discover", s.handleDiscover)
 	s.route("POST /v1/discover/batch", s.handleDiscoverBatch)
 	s.route("POST /v1/execute", s.handleExecute)
@@ -379,7 +386,7 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	defer s.adm.releaseAndObserve(start)
-	rec := trace.NewRecorder(0)
+	rec := s.recorder()
 	root := rec.Root(trace.PhaseDiscover, "")
 	disc, err := s.sys.DiscoverContext(trace.NewContext(ctx, root), req.Examples)
 	root.End()
@@ -404,14 +411,24 @@ func wantTrace(r *http.Request) bool {
 	return v == "1" || v == "true"
 }
 
+// recorder takes a span recorder from the pool, reset for one request;
+// observeTrace puts it back.
+func (s *Server) recorder() *trace.Recorder {
+	rec := s.recorders.Get().(*trace.Recorder)
+	rec.Reset()
+	return rec
+}
+
 // observeTrace finalizes a request's recorder and lands the trace
 // everywhere the serving layer exposes it: the slow-query log line (when
 // the wall time reaches the threshold), the System's trace ring
 // (/debug/traces), and — for discoveries — the per-phase latency
 // histograms on /metrics. Call it after the request's work has joined
-// and before writing the response, so an embedded trace is final.
+// and before writing the response, so an embedded trace is final. The
+// trace is a copy, so the recorder goes back to the pool here.
 func (s *Server) observeTrace(r *http.Request, rec *trace.Recorder, kind string) *trace.Trace {
 	t := rec.Finish(kind, requestIDFrom(r.Context()))
+	s.recorders.Put(rec)
 	if th := s.cfg.SlowQueryThreshold; th > 0 && t.Wall >= th {
 		t.Slow = true
 		phases := make(map[string]float64)
@@ -480,7 +497,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	defer s.adm.releaseAndObserve(start)
-	rec := trace.NewRecorder(0)
+	rec := s.recorder()
 	root := rec.Root(trace.PhaseExecute, "")
 	res, err := s.sys.ExecuteContext(trace.NewContext(ctx, root), q)
 	root.End()
@@ -580,7 +597,7 @@ func (s *Server) applyInserts(w http.ResponseWriter, r *http.Request, rows []Ins
 		ops = append(ops, squid.InsertOp{Rel: row.Rel, Vals: vals})
 	}
 	start := time.Now()
-	rec := trace.NewRecorder(0)
+	rec := s.recorder()
 	root := rec.Root(trace.PhaseInsert, "")
 	root.Add(trace.CounterRows, int64(len(ops)))
 	err := s.sys.InsertBatchContext(trace.NewContext(r.Context(), root), ops)
@@ -793,12 +810,13 @@ func (s *Server) discoverResponse(d *squid.Discovery, explain bool, wall time.Du
 		Original:   d.Original,
 		Joins:      joins,
 		Selections: sels,
+		Filters:    make([]string, len(d.Filters)),
 		Output:     d.Output,
 		Query:      FromEngineQuery(d.Plan()),
 		WallMS:     msOf(wall),
 	}
-	for _, f := range d.Filters {
-		resp.Filters = append(resp.Filters, f.String())
+	for i, f := range d.Filters {
+		resp.Filters[i] = f.String()
 	}
 	if explain {
 		resp.Explain = d.Explain()
@@ -807,11 +825,18 @@ func (s *Server) discoverResponse(d *squid.Discovery, explain bool, wall time.Du
 }
 
 // decodeBody decodes the JSON request body (capped at 8 MiB), writing
-// the 400 itself on malformed input.
+// the 400 itself on malformed input. The body is one JSON value: anything
+// but whitespace after it is malformed too, not ignored.
 func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
+	err := dec.Decode(into)
+	if err == nil {
+		if _, more := dec.Token(); more != io.EOF {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{
 			Error: "malformed request body: " + err.Error(), Code: "bad_request"})
 		return false

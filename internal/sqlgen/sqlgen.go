@@ -7,8 +7,9 @@
 package sqlgen
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
+	"strconv"
 	"strings"
 
 	"squid/internal/abduction"
@@ -21,57 +22,27 @@ import (
 // derived filters become predicates over the materialized derived
 // relations.
 func AlphaSQL(res *abduction.Result) string {
-	entity := res.Base.Entity
-	pk := res.EntityInfo().PK
-
-	from := []string{entity}
-	var where []string
-	seenRel := map[string]bool{entity: true}
-
-	// aliasFor returns the name to reference a relation by, adding it to
-	// FROM; repeated use of a multi-valued relation gets a fresh alias,
-	// since two value predicates on one instance would be unsatisfiable.
-	aliasFor := func(name string, needAlias bool) string {
-		if !seenRel[name] {
-			seenRel[name] = true
-			from = append(from, name)
-			return name
-		}
-		if !needAlias {
-			return name
-		}
-		alias := fmt.Sprintf("%s_%d", name, len(from))
-		from = append(from, fmt.Sprintf("%s AS %s", name, alias))
-		return alias
-	}
-
+	s := newStmt(res)
 	for _, f := range orderedFilters(res.Filters) {
 		switch f.Kind {
 		case abduction.BasicNumeric:
-			a := f.Basic.Access
-			where = append(where,
-				fmt.Sprintf("%s.%s >= %s", entity, a.Column, trimFloat(f.Lo)),
-				fmt.Sprintf("%s.%s <= %s", entity, a.Column, trimFloat(f.Hi)))
+			s.rangePreds(f)
 		case abduction.BasicCategorical:
-			where = append(where, basicCategoricalSQL(entity, pk, f, aliasFor)...)
+			s.basicCategorical(f)
 		case abduction.Derived:
-			alias := aliasFor(f.Derivd.RelName, true)
-			where = append(where,
-				fmt.Sprintf("%s.%s = %s.entity_id", entity, pk, alias),
-				fmt.Sprintf("%s.value = %s", alias, quote(f.Value())))
+			alias := s.aliasFor(f.Derivd.RelName, true)
+			s.join(s.from[0], s.pk, alias, "entity_id")
+			s.conjunct().col(alias, "value").str(" = ").quoted(f.Value())
+			s.conjunct().col(alias, "count").str(" >= ")
 			if f.NormUse {
-				where = append(where, fmt.Sprintf("%s.count >= %.3f * degree(%s.%s)", alias, f.ThetaN, entity, pk))
+				s.float(f.ThetaN, 'f', 3).str(" * degree(").col(s.from[0], s.pk).str(")")
 			} else {
-				where = append(where, fmt.Sprintf("%s.count >= %d", alias, f.Theta))
+				s.int(f.Theta)
 			}
 		}
 	}
-
 	var b strings.Builder
-	fmt.Fprintf(&b, "SELECT %s.%s\nFROM %s", entity, res.Base.Attr, strings.Join(from, ", "))
-	if len(where) > 0 {
-		fmt.Fprintf(&b, "\nWHERE %s", strings.Join(where, "\n  AND "))
-	}
+	s.writeTo(&b)
 	return b.String()
 }
 
@@ -80,178 +51,303 @@ func AlphaSQL(res *abduction.Result) string {
 // GROUP BY / HAVING count(*). Multiple derived filters render as an
 // INTERSECT of per-filter blocks, since each needs its own aggregation.
 func OriginalSQL(res *abduction.Result) string {
-	entity := res.Base.Entity
-	pk := res.EntityInfo().PK
-
-	var basics []*abduction.Filter
-	var deriveds []*abduction.Filter
-	for _, f := range orderedFilters(res.Filters) {
-		if f.Kind == abduction.Derived {
-			deriveds = append(deriveds, f)
-		} else {
-			basics = append(basics, f)
-		}
+	filters := orderedFilters(res.Filters)
+	// orderedFilters puts the basic filters first.
+	nBasic := 0
+	for nBasic < len(filters) && filters[nBasic].Kind != abduction.Derived {
+		nBasic++
 	}
+	basics, deriveds := filters[:nBasic], filters[nBasic:]
 
-	block := func(derived *abduction.Filter) string {
-		from := []string{entity}
-		var where []string
-		seenRel := map[string]bool{entity: true}
-		addRel := func(name string) bool {
-			if seenRel[name] {
-				return false
-			}
-			seenRel[name] = true
-			from = append(from, name)
-			return true
-		}
-		aliasFor := func(name string, needAlias bool) string {
-			if addRel(name) || !needAlias {
-				return name
-			}
-			alias := fmt.Sprintf("%s_%d", name, len(from))
-			from = append(from, fmt.Sprintf("%s AS %s", name, alias))
-			return alias
-		}
+	s := newStmt(res)
+	var b strings.Builder
+	block := func(basics []*abduction.Filter, derived *abduction.Filter) {
+		s.reset()
 		for _, f := range basics {
 			switch f.Kind {
 			case abduction.BasicNumeric:
-				where = append(where,
-					fmt.Sprintf("%s.%s >= %s", entity, f.Basic.Access.Column, trimFloat(f.Lo)),
-					fmt.Sprintf("%s.%s <= %s", entity, f.Basic.Access.Column, trimFloat(f.Hi)))
+				s.rangePreds(f)
 			case abduction.BasicCategorical:
-				where = append(where, basicCategoricalSQL(entity, pk, f, aliasFor)...)
+				s.basicCategorical(f)
 			}
 		}
-		var groupBy string
 		if derived != nil {
-			d := derived.Derivd
-			addRel(d.Fact1)
-			where = append(where, fmt.Sprintf("%s.%s = %s.%s", entity, pk, d.Fact1, d.Fact1EntityCol))
-			via := d.Via
-			switch d.Target.Type {
-			case adb.Degree:
-				// Count distinct associated entities; the join itself
-				// suffices.
-			case adb.Direct:
-				addRel(via)
-				where = append(where, fmt.Sprintf("%s.%s = %s.%s", d.Fact1, d.Fact1ViaCol, via, d.ViaPK))
-				where = append(where, fmt.Sprintf("%s.%s = %s", via, d.Target.Column, quote(derived.Value())))
-			case adb.FKDim:
-				addRel(via)
-				addRel(d.Target.Dim)
-				where = append(where,
-					fmt.Sprintf("%s.%s = %s.%s", d.Fact1, d.Fact1ViaCol, via, d.ViaPK),
-					fmt.Sprintf("%s.%s = %s.%s", via, d.Target.Column, d.Target.Dim, d.Target.DimPK),
-					fmt.Sprintf("%s.%s = %s", d.Target.Dim, d.Target.DimValueCol, quote(derived.Value())))
-			case adb.FactDim:
-				addRel(d.Target.Fact)
-				addRel(d.Target.Dim)
-				where = append(where,
-					fmt.Sprintf("%s.%s = %s.%s", d.Fact1, d.Fact1ViaCol, d.Target.Fact, d.Target.FactEntityCol),
-					fmt.Sprintf("%s.%s = %s.%s", d.Target.Fact, d.Target.FactDimCol, d.Target.Dim, d.Target.DimPK),
-					fmt.Sprintf("%s.%s = %s", d.Target.Dim, d.Target.DimValueCol, quote(derived.Value())))
-			}
-			theta := fmt.Sprintf("%d", derived.Theta)
+			s.derivedJoins(derived)
+		}
+		s.writeTo(&b)
+		if derived != nil {
+			b.WriteString("\nGROUP BY ")
+			b.WriteString(s.entity)
+			b.WriteByte('.')
+			b.WriteString(s.pk)
+			b.WriteString("\nHAVING count(*) >= ")
 			if derived.NormUse {
-				theta = fmt.Sprintf("%.3f * total(%s.%s)", derived.ThetaN, entity, pk)
+				var num [32]byte
+				b.Write(strconv.AppendFloat(num[:0], derived.ThetaN, 'f', 3, 64))
+				b.WriteString(" * total(")
+				b.WriteString(s.entity)
+				b.WriteByte('.')
+				b.WriteString(s.pk)
+				b.WriteByte(')')
+			} else {
+				b.WriteString(strconv.Itoa(derived.Theta))
 			}
-			groupBy = fmt.Sprintf("\nGROUP BY %s.%s\nHAVING count(*) >= %s", entity, pk, theta)
 		}
-		var b strings.Builder
-		fmt.Fprintf(&b, "SELECT %s.%s\nFROM %s", entity, res.Base.Attr, strings.Join(from, ", "))
-		if len(where) > 0 {
-			fmt.Fprintf(&b, "\nWHERE %s", strings.Join(where, "\n  AND "))
-		}
-		b.WriteString(groupBy)
-		return b.String()
 	}
 
 	if len(deriveds) == 0 {
-		return block(nil)
+		block(basics, nil)
 	}
-	blocks := make([]string, 0, len(deriveds))
 	for i, d := range deriveds {
 		if i == 0 {
-			blocks = append(blocks, block(d))
-		} else {
-			// Later blocks carry only the derived condition; basics are
-			// already enforced by the first block of the intersection.
-			saved := basics
-			basics = nil
-			blocks = append(blocks, block(d))
-			basics = saved
+			block(basics, d)
+			continue
 		}
+		// Later blocks carry only the derived condition; basics are
+		// already enforced by the first block of the intersection.
+		b.WriteString("\nINTERSECT\n")
+		block(nil, d)
 	}
-	return strings.Join(blocks, "\nINTERSECT\n")
+	return b.String()
 }
 
-// basicCategoricalSQL emits the predicate (and joins) for a basic
-// categorical filter, routing by access path. aliasFor registers a
-// relation in FROM and returns the name to use; multi-valued access
-// paths request a fresh alias on reuse so each filter constrains its
-// own join instance.
-func basicCategoricalSQL(entity, pk string, f *abduction.Filter, aliasFor func(name string, needAlias bool) string) []string {
-	a := f.Basic.Access
-	var out []string
-	valuePred := func(col string) string {
-		if len(f.Values) == 1 {
-			return fmt.Sprintf("%s = %s", col, quote(f.Values[0]))
-		}
-		quoted := make([]string, len(f.Values))
-		for i, v := range f.Values {
-			quoted[i] = quote(v)
-		}
-		return fmt.Sprintf("%s IN (%s)", col, strings.Join(quoted, ", "))
+// stmt accumulates one SELECT block. The FROM list and the WHERE
+// conjuncts grow together while the filters are walked (a filter's
+// access path brings its relations), so the conjuncts are appended to a
+// byte buffer as they come and writeTo lays the block out into the
+// statement's builder: no string is formatted or joined per clause.
+type stmt struct {
+	entity, pk, attr string
+	from             []fromItem
+	where            []byte
+	// The usual block fits these, so a statement's scratch is the one
+	// allocation of its stmt.
+	fromBuf  [6]fromItem
+	whereBuf [480]byte
+}
+
+// fromItem is one entry of the FROM list, which is also how a predicate
+// names it: by the relation's name, or as name_<alias> when a relation
+// is joined a second time.
+type fromItem struct {
+	name  string
+	alias int // 0 = none
+}
+
+func newStmt(res *abduction.Result) *stmt {
+	s := &stmt{entity: res.Base.Entity, pk: res.EntityInfo().PK, attr: res.Base.Attr}
+	s.from, s.where = s.fromBuf[:0], s.whereBuf[:0]
+	s.reset()
+	return s
+}
+
+// reset empties the block down to the entity relation.
+func (s *stmt) reset() {
+	s.from = append(s.from[:0], fromItem{name: s.entity})
+	s.where = s.where[:0]
+}
+
+// aliasFor returns the FROM item to reference a relation by, adding it
+// to FROM; repeated use of a multi-valued relation gets a fresh alias,
+// since two value predicates on one instance would be unsatisfiable.
+func (s *stmt) aliasFor(name string, needAlias bool) fromItem {
+	it := fromItem{name: name}
+	if !slices.Contains(s.from, it) {
+		s.from = append(s.from, it)
+		return it
 	}
+	if !needAlias {
+		return it
+	}
+	it.alias = len(s.from)
+	s.from = append(s.from, it)
+	return it
+}
+
+// conjunct starts the next WHERE conjunct.
+func (s *stmt) conjunct() *stmt {
+	if len(s.where) > 0 {
+		s.where = append(s.where, "\n  AND "...)
+	}
+	return s
+}
+
+func (s *stmt) str(x string) *stmt {
+	s.where = append(s.where, x...)
+	return s
+}
+
+// col appends it.col, naming the item by its alias when it has one.
+func (s *stmt) col(it fromItem, col string) *stmt {
+	s.where = append(s.where, it.name...)
+	if it.alias != 0 {
+		s.where = append(s.where, '_')
+		s.where = strconv.AppendInt(s.where, int64(it.alias), 10)
+	}
+	s.where = append(s.where, '.')
+	s.where = append(s.where, col...)
+	return s
+}
+
+// quoted appends v as a SQL string literal (a quote inside it doubled).
+func (s *stmt) quoted(v string) *stmt {
+	s.where = append(s.where, '\'')
+	for {
+		i := strings.IndexByte(v, '\'')
+		if i < 0 {
+			break
+		}
+		s.where = append(s.where, v[:i+1]...)
+		s.where = append(s.where, '\'')
+		v = v[i+1:]
+	}
+	s.where = append(s.where, v...)
+	s.where = append(s.where, '\'')
+	return s
+}
+
+func (s *stmt) int(n int) *stmt {
+	s.where = strconv.AppendInt(s.where, int64(n), 10)
+	return s
+}
+
+func (s *stmt) float(v float64, format byte, prec int) *stmt {
+	s.where = strconv.AppendFloat(s.where, v, format, prec, 64)
+	return s
+}
+
+// join adds the conjunct l.lcol = r.rcol.
+func (s *stmt) join(l fromItem, lcol string, r fromItem, rcol string) {
+	s.conjunct().col(l, lcol).str(" = ").col(r, rcol)
+}
+
+// valuePred adds the conjunct it.col = 'v', or it.col IN (...) for a
+// disjunctive filter.
+func (s *stmt) valuePred(it fromItem, col string, values []string) {
+	s.conjunct().col(it, col)
+	if len(values) == 1 {
+		s.str(" = ").quoted(values[0])
+		return
+	}
+	s.str(" IN (")
+	for i, v := range values {
+		if i > 0 {
+			s.str(", ")
+		}
+		s.quoted(v)
+	}
+	s.str(")")
+}
+
+// rangePreds adds the two bounds of a basic numeric filter.
+func (s *stmt) rangePreds(f *abduction.Filter) {
+	col := f.Basic.Access.Column
+	s.conjunct().col(s.from[0], col).str(" >= ").float(f.Lo, 'g', -1)
+	s.conjunct().col(s.from[0], col).str(" <= ").float(f.Hi, 'g', -1)
+}
+
+// basicCategorical adds the predicate (and joins) of a basic categorical
+// filter, routing by access path; multi-valued access paths request a
+// fresh alias on reuse so each filter constrains its own join instance.
+func (s *stmt) basicCategorical(f *abduction.Filter) {
+	a := f.Basic.Access
+	entity := s.from[0]
 	switch a.Type {
 	case adb.Direct:
-		out = append(out, valuePred(entity+"."+a.Column))
+		s.valuePred(entity, a.Column, f.Values)
 	case adb.FKDim:
-		dim := aliasFor(a.Dim, false)
-		out = append(out,
-			fmt.Sprintf("%s.%s = %s.%s", entity, a.Column, dim, a.DimPK),
-			valuePred(dim+"."+a.DimValueCol))
+		dim := s.aliasFor(a.Dim, false)
+		s.join(entity, a.Column, dim, a.DimPK)
+		s.valuePred(dim, a.DimValueCol, f.Values)
 	case adb.FactDim:
-		fact := aliasFor(a.Fact, true)
-		dim := aliasFor(a.Dim, true)
-		out = append(out,
-			fmt.Sprintf("%s.%s = %s.%s", entity, pk, fact, a.FactEntityCol),
-			fmt.Sprintf("%s.%s = %s.%s", fact, a.FactDimCol, dim, a.DimPK),
-			valuePred(dim+"."+a.DimValueCol))
+		fact := s.aliasFor(a.Fact, true)
+		dim := s.aliasFor(a.Dim, true)
+		s.join(entity, s.pk, fact, a.FactEntityCol)
+		s.join(fact, a.FactDimCol, dim, a.DimPK)
+		s.valuePred(dim, a.DimValueCol, f.Values)
 	case adb.AttrTable:
-		fact := aliasFor(a.Fact, true)
-		out = append(out,
-			fmt.Sprintf("%s.%s = %s.%s", entity, pk, fact, a.FactEntityCol),
-			valuePred(fact+"."+a.Column))
+		fact := s.aliasFor(a.Fact, true)
+		s.join(entity, s.pk, fact, a.FactEntityCol)
+		s.valuePred(fact, a.Column, f.Values)
 	}
-	return out
+}
+
+// derivedJoins expands a derived filter over the original schema: the
+// fact table to the associated entity, then the path to the aggregated
+// value. The count threshold is the block's HAVING clause.
+func (s *stmt) derivedJoins(f *abduction.Filter) {
+	d := f.Derivd
+	entity := s.from[0]
+	fact1 := s.aliasFor(d.Fact1, false)
+	s.join(entity, s.pk, fact1, d.Fact1EntityCol)
+	t := d.Target
+	switch t.Type {
+	case adb.Degree:
+		// Count distinct associated entities; the join itself
+		// suffices.
+	case adb.Direct:
+		via := s.aliasFor(d.Via, false)
+		s.join(fact1, d.Fact1ViaCol, via, d.ViaPK)
+		s.conjunct().col(via, t.Column).str(" = ").quoted(f.Value())
+	case adb.FKDim:
+		via := s.aliasFor(d.Via, false)
+		dim := s.aliasFor(t.Dim, false)
+		s.join(fact1, d.Fact1ViaCol, via, d.ViaPK)
+		s.join(via, t.Column, dim, t.DimPK)
+		s.conjunct().col(dim, t.DimValueCol).str(" = ").quoted(f.Value())
+	case adb.FactDim:
+		fact2 := s.aliasFor(t.Fact, false)
+		dim := s.aliasFor(t.Dim, false)
+		s.join(fact1, d.Fact1ViaCol, fact2, t.FactEntityCol)
+		s.join(fact2, t.FactDimCol, dim, t.DimPK)
+		s.conjunct().col(dim, t.DimValueCol).str(" = ").quoted(f.Value())
+	}
+}
+
+// writeTo lays the block out: SELECT, the FROM list, the conjuncts.
+func (s *stmt) writeTo(b *strings.Builder) {
+	n := len("SELECT .\nFROM \nWHERE ") + len(s.entity) + len(s.attr) + len(s.where)
+	for _, it := range s.from {
+		n += 2*len(it.name) + len(" AS _00, ")
+	}
+	b.Grow(n)
+	b.WriteString("SELECT ")
+	b.WriteString(s.entity)
+	b.WriteByte('.')
+	b.WriteString(s.attr)
+	b.WriteString("\nFROM ")
+	for i, it := range s.from {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(it.name)
+		if it.alias != 0 {
+			b.WriteString(" AS ")
+			b.WriteString(it.name)
+			b.WriteByte('_')
+			b.WriteString(strconv.Itoa(it.alias))
+		}
+	}
+	if len(s.where) > 0 {
+		b.WriteString("\nWHERE ")
+		b.Write(s.where)
+	}
 }
 
 // orderedFilters returns filters sorted for deterministic SQL: basics
 // first, then derived, alphabetical by attribute and value.
 func orderedFilters(fs []*abduction.Filter) []*abduction.Filter {
-	out := append([]*abduction.Filter(nil), fs...)
-	sort.SliceStable(out, func(i, j int) bool {
-		ki, kj := int(out[i].Kind), int(out[j].Kind)
-		if ki != kj {
-			return ki < kj
+	out := slices.Clone(fs)
+	slices.SortStableFunc(out, func(a, b *abduction.Filter) int {
+		if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
+			return c
 		}
-		if out[i].Attr() != out[j].Attr() {
-			return out[i].Attr() < out[j].Attr()
+		if c := strings.Compare(a.Attr(), b.Attr()); c != 0 {
+			return c
 		}
-		return out[i].Value() < out[j].Value()
+		return strings.Compare(a.Value(), b.Value())
 	})
 	return out
-}
-
-// quote renders a value as a SQL string literal (a quote inside it
-// doubled).
-func quote(v string) string { return relation.StringVal(v).SQLLiteral() }
-
-func trimFloat(v float64) string {
-	s := fmt.Sprintf("%g", v)
-	return s
 }
 
 // PredicateCount reports the number of join and selection predicates of

@@ -163,9 +163,10 @@ type spanData struct {
 // Recorder collects the spans of one request. Begin operations are
 // wait-free: a slot claim is one atomic increment into a preallocated
 // array, and overflow drops the span (counted) instead of growing.
-// Create one per traced request with NewRecorder, hand its root span to
-// the pipeline via NewContext, and call Finish after the request's work
-// has joined (all worker goroutines done) to extract the Trace.
+// Create one per traced request with NewRecorder (or Reset a finished
+// one), hand its root span to the pipeline via NewContext, and call
+// Finish after the request's work has joined (all worker goroutines
+// done) to extract the Trace.
 type Recorder struct {
 	start   time.Time
 	spans   []spanData
@@ -180,6 +181,19 @@ func NewRecorder(capacity int) *Recorder {
 		capacity = DefaultCapacity
 	}
 	return &Recorder{start: time.Now(), spans: make([]spanData, capacity)}
+}
+
+// Reset readies a recorder whose trace has been extracted (Finish copies
+// the spans out) for its next request, so a server can keep recorders in
+// a pool instead of allocating the span array per request: the slots the
+// last request used are cleared — and only those, the rest were never
+// written — the start is restamped and the drop count zeroed. No span of
+// the last request may still be in use.
+func (r *Recorder) Reset() {
+	clear(r.spans[:min(int(r.next.Load()), len(r.spans))])
+	r.next.Store(0)
+	r.dropped.Store(0)
+	r.start = time.Now()
 }
 
 // Root begins a top-level span.

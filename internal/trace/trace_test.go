@@ -129,6 +129,43 @@ func TestRecorderOverflowDrops(t *testing.T) {
 	}
 }
 
+// TestRecorderResetCarriesNothingOver reuses one recorder for a second,
+// smaller request, after one that overflowed it: the second trace holds
+// its own spans only — no label, counter, duration or drop count of the
+// first — and starts its clock at the reset.
+func TestRecorderResetCarriesNothingOver(t *testing.T) {
+	r := NewRecorder(3)
+	root := r.Root(PhaseInsert, "first")
+	root.Add(CounterRows, 64)
+	ap := root.Child(PhaseApply, "apply label")
+	ap.Add(CounterCacheStores, 9)
+	ap.End()
+	root.Child(PhasePublish, "kept").End()
+	root.Child(PhaseWALAppend, "dropped").End()
+	root.End()
+	if first := r.Finish("insert", "a"); len(first.Spans) != 3 || first.Dropped != 1 {
+		t.Fatalf("first trace: spans=%d dropped=%d, want 3/1", len(first.Spans), first.Dropped)
+	}
+	time.Sleep(2 * time.Millisecond)
+	reset := time.Now()
+	r.Reset()
+	root = r.Root(PhaseDiscover, "")
+	root.Child(PhaseResolve, "").End()
+	root.End()
+	second := r.Finish("discover", "b")
+	if got, want := second.Structure(), "discover\n  resolve\n"; got != want {
+		t.Errorf("second trace is\n%swant\n%s", got, want)
+	}
+	if second.Dropped != 0 || second.Start.Before(reset) || second.Wall > time.Since(reset) {
+		t.Errorf("second trace: dropped=%d start=%v wall=%v, want a trace that began at the reset", second.Dropped, second.Start, second.Wall)
+	}
+	// The third slot was the first request's alone; the reset left it
+	// clean for whoever claims it next.
+	if sd := r.spans[2]; sd.label != "" || sd.dur != 0 || sd.counters != [numCounters]int64{} {
+		t.Errorf("slot past the second request's spans still holds %+v", sd)
+	}
+}
+
 func TestContextRoundTrip(t *testing.T) {
 	r := NewRecorder(0)
 	root := r.Root(PhaseDiscover, "")
