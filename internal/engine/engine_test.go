@@ -2,6 +2,7 @@ package engine
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"squid/internal/relation"
@@ -327,6 +328,39 @@ func TestErrorPaths(t *testing.T) {
 	for i, q := range cases {
 		if _, err := ex.Execute(q); err == nil {
 			t.Errorf("case %d: expected error", i)
+		}
+	}
+}
+
+// TestBindRejectsQueriesWithoutAnAnswer: a query that selects nothing, a
+// HAVING with no GROUP BY to count, a negative HAVING and a range between
+// TEXT and a number are errors — not one empty row per tuple, a HAVING
+// silently dropped, or a panic inside Value.Less — while their valid
+// neighbours still execute.
+func TestBindRejectsQueriesWithoutAnAnswer(t *testing.T) {
+	ex := NewExecutor(academicsDB())
+	name := []ColRef{{"academics", "name"}}
+	cases := []struct {
+		q    *Query
+		want string // a fragment of the error; "" when the query is valid
+	}{
+		{&Query{From: []string{"academics"}}, "selects no column"},
+		{&Query{From: []string{"academics"}, Select: name, HavingCountGE: 3}, "without GROUP BY"},
+		{&Query{From: []string{"academics"}, Select: name, GroupBy: name, HavingCountGE: -1}, "negative"},
+		{&Query{From: []string{"academics"}, Select: name, HavingCountGE: -1}, "negative"},
+		{&Query{From: []string{"academics"}, Select: name, Preds: []Pred{{Rel: "academics", Col: "name", Op: OpGE, Val: relation.IntVal(5)}}}, "TEXT column"},
+		{&Query{From: []string{"academics"}, Select: name, Preds: []Pred{{Rel: "academics", Col: "id", Op: OpLT, Val: relation.StringVal("5")}}}, "INTEGER column"},
+		{&Query{From: []string{"academics"}, Select: name, Intersect: []*Query{{From: []string{"academics"}}}}, "selects no column"},
+		{&Query{From: []string{"academics"}, Select: name, GroupBy: name, HavingCountGE: 1}, ""},
+		{&Query{From: []string{"academics"}, Select: name, Preds: []Pred{{Rel: "academics", Col: "name", Op: OpEq, Val: relation.IntVal(5)}}}, ""},
+	}
+	for i, tc := range cases {
+		_, err := ex.Execute(tc.q)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("case %d: %v, want no error", i, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("case %d: error %v, want one saying %q", i, err, tc.want)
 		}
 	}
 }

@@ -30,7 +30,17 @@ import (
 // probes a hash index when the pool already holds one on the new
 // relation's join column, and never builds one: otherwise it hashes the
 // smaller side in a transient table and streams the other side's column
-// once. Predicates on a joined relation are verified per candidate row.
+// once, a block of typed keys at a time read straight from the column's
+// storage (keyBlocks), each key tested against the table's key range
+// and — when the range spans at most 64 values a key — a bitmap over
+// it, so that the hash table, the NULL bitmap and the predicates are
+// touched only for the cells whose key is present (streamJoin).
+//
+// Predicates are bound once per execution to their column's storage and
+// a typed comparator (rowPred) and verified per candidate row, a
+// relation's cheapest first, boxing no Value; they answer what
+// Pred.Matches answers, which stays the reference the tests compare
+// against.
 //
 // Row order is part of the contract: after the joins the tuples are
 // sorted by row id, From[0]'s first and then the other relations' in
@@ -69,10 +79,11 @@ func (e *Executor) Execute(q *Query) (*Result, error) {
 	return e.ExecuteCtx(context.Background(), q)
 }
 
-// ctxCheckRows is how many units of work — rows streamed, tuples probed,
-// tuples emitted — a join, filter or aggregation does between
-// cancellation checks: frequent enough that a pathological query aborts
-// promptly, rare enough to stay off the profile.
+// ctxCheckRows is how many units of work — tuples probed, tuples
+// emitted, rows hashed — a join, filter or aggregation does between
+// cancellation checks, and the size of the blocks a stream join reads
+// its column in, one check a block: frequent enough that a pathological
+// query aborts promptly, rare enough to stay off the profile.
 const ctxCheckRows = 4096
 
 // poller spreads ctx.Err() checks over a stage's work. It counts what a
@@ -160,8 +171,15 @@ type boundCol struct {
 }
 
 func (e *Executor) bind(q *Query) (*plan, error) {
-	if len(q.From) == 0 {
+	switch {
+	case len(q.From) == 0:
 		return nil, fmt.Errorf("engine: query has no FROM relations")
+	case len(q.Select) == 0:
+		return nil, fmt.Errorf("engine: query selects no column")
+	case q.HavingCountGE < 0:
+		return nil, fmt.Errorf("engine: HAVING count(*) >= %d is negative", q.HavingCountGE)
+	case q.HavingCountGE != 0 && len(q.GroupBy) == 0:
+		return nil, fmt.Errorf("engine: HAVING count(*) >= %d without GROUP BY", q.HavingCountGE)
 	}
 	pl := &plan{
 		q:     q,
@@ -189,7 +207,14 @@ func (e *Executor) bind(q *Query) (*plan, error) {
 		if col == nil {
 			return nil, fmt.Errorf("engine: predicate on unknown column %s.%s", p.Rel, p.Col)
 		}
-		pl.preds[i] = append(pl.preds[i], bindPred(p, col))
+		rp, err := bindPred(p, col)
+		if err != nil {
+			return nil, err
+		}
+		pl.preds[i] = append(pl.preds[i], rp)
+	}
+	for _, preds := range pl.preds {
+		slices.SortStableFunc(preds, func(a, b rowPred) int { return a.cost() - b.cost() })
 	}
 	for _, j := range q.Joins {
 		l, err := pl.col("join", ColRef{j.LeftRel, j.LeftCol})
@@ -232,65 +257,170 @@ func (pl *plan) col(clause string, c ColRef) (boundCol, error) {
 	return boundCol{pos, col}, nil
 }
 
-// rowPred is a predicate bound to its column. Equality and IN over a
-// TEXT column compare dictionary codes, resolved once per execution; an
-// IN of integers over an INTEGER column — a plan may carry a filter's
-// whole row set as keys (sqlgen.ToEngineQuery) — searches its operands
-// sorted; everything else evaluates Pred.Matches on the cell.
+// rowPred is a predicate bound once to its column's storage and to a
+// typed comparator, so verifying a row boxes no Value: it answers what
+// Pred.Matches answers on the cell, NULL cells never matching.
+//
+//   - INTEGER and DOUBLE cells compare as float64, as Value.Less and
+//     Value.Equal compare numbers — except an INTEGER cell against an
+//     integer operand of = or IN, which compares exactly: keys holds
+//     those operands sorted (a plan may carry a filter's whole row set
+//     as keys, sqlgen.ToEngineQuery) and flts the DOUBLE ones.
+//   - TEXT = and IN compare dictionary codes, resolved once per
+//     execution; a TEXT range compares the dictionary's strings.
+//   - An operand no cell can equal (another type, NULL, a string the
+//     dictionary never interned) is dropped from = and IN; a range over
+//     a NULL operand is the constant Value.Less makes it.
 type rowPred struct {
 	Pred
-	col    *relation.Column
-	byCode bool
-	codes  []int32
-	keys   []int64 // non-nil: the sorted operands of an integer IN
+	col   *relation.Column
+	nulls []bool
+
+	ints  []int64
+	patch map[int]int64 // non-nil: INTEGER cells overwritten over ints
+	cells []float64
+	codes []int32
+	strs  []string // the dictionary's values, for a TEXT range
+
+	keys []int64   // INTEGER = and IN: the integer operands, sorted
+	flts []float64 // numeric = and IN: the operands compared as float64
+	want []int32   // TEXT = and IN: the operands' codes
+	num  float64   // numeric range: the operand
+	// fixed is what a range over a NULL operand answers on every
+	// non-NULL cell: +1 matches, -1 does not, 0 is any other predicate.
+	fixed int8
 }
 
-func bindPred(p Pred, col *relation.Column) rowPred {
-	rp := rowPred{Pred: p, col: col}
-	if col.Type == relation.Int && p.Op == OpIn {
-		keys := make([]int64, 0, len(p.Vals))
-		for _, v := range p.Vals {
-			if !v.IsInt() {
-				return rp // 3.0 equals 3: Matches knows how
+// bindPred binds p to col. A range between TEXT and a number has no
+// answer (Value.Less does not order them) and is an error.
+func bindPred(p Pred, col *relation.Column) (rowPred, error) {
+	rp := rowPred{Pred: p, col: col, nulls: col.RawNulls()}
+	text := col.Type == relation.String
+	switch col.Type {
+	case relation.Int:
+		rp.ints, rp.patch = col.IntCells()
+	case relation.Float:
+		rp.cells = col.RawFloats()
+	default:
+		rp.codes = col.RawCodes()
+	}
+	if p.Op != OpEq && p.Op != OpIn {
+		switch {
+		case p.Val.IsNull():
+			// Value.Less: NULL sorts before every cell.
+			rp.fixed = -1
+			if p.Op == OpGE || p.Op == OpGT {
+				rp.fixed = 1
 			}
-			keys = append(keys, v.Int())
+		case p.Val.IsString() != text:
+			return rp, fmt.Errorf("engine: predicate %s compares a %s column with %s", p, col.Type, p.Val.SQLLiteral())
+		case text:
+			rp.strs = col.Dict().Values()
+		default:
+			rp.num = p.Val.Float()
 		}
-		slices.Sort(keys)
-		rp.keys = keys
-		return rp
+		return rp, nil
 	}
-	if col.Type != relation.String || (p.Op != OpEq && p.Op != OpIn) {
-		return rp
-	}
-	rp.byCode = true
 	vals := p.Vals
 	if p.Op == OpEq {
 		vals = []relation.Value{p.Val}
 	}
+	if col.Type == relation.Int {
+		rp.keys = make([]int64, 0, len(vals))
+	}
 	for _, v := range vals {
-		// A non-TEXT operand equals no TEXT cell; a string the
-		// dictionary never interned is in no row.
-		if v.IsString() {
+		switch {
+		case v.IsNull() || v.IsString() != text:
+		case text:
 			if code, ok := col.Dict().Lookup(v.Str()); ok {
-				rp.codes = append(rp.codes, code)
+				rp.want = append(rp.want, code)
 			}
+		case v.IsInt() && col.Type == relation.Int:
+			rp.keys = append(rp.keys, v.Int())
+		default:
+			rp.flts = append(rp.flts, v.Float()) // 3.0 equals 3
 		}
 	}
-	return rp
+	slices.Sort(rp.keys)
+	return rp, nil
+}
+
+// cost ranks a bound predicate by what one verification costs; a
+// relation's predicates run cheapest first.
+func (p *rowPred) cost() int {
+	switch {
+	case p.fixed != 0:
+		return 0
+	case p.strs != nil:
+		return 4 // a string comparison
+	case p.patch != nil:
+		return 3 // a map lookup before the comparison
+	case len(p.keys) > 1:
+		return 2 // a binary search
+	}
+	return 1
 }
 
 func (p *rowPred) matches(row int) bool {
-	if p.keys != nil {
-		if p.col.IsNull(row) {
-			return false
+	if p.nulls != nil && p.nulls[row] {
+		return false
+	}
+	if p.fixed != 0 {
+		return p.fixed > 0
+	}
+	switch p.col.Type {
+	case relation.Int:
+		v := p.ints[row]
+		if p.patch != nil {
+			if pv, ok := p.patch[row]; ok {
+				v = pv
+			}
 		}
-		_, ok := slices.BinarySearch(p.keys, p.col.Int64(row))
-		return ok
+		if p.keys != nil {
+			if _, ok := slices.BinarySearch(p.keys, v); ok {
+				return true
+			}
+		}
+		return p.compare(float64(v))
+	case relation.Float:
+		return p.compare(p.cells[row])
 	}
-	if !p.byCode {
-		return p.Matches(p.col.Get(row))
+	code := p.codes[row]
+	if p.strs == nil {
+		return slices.Contains(p.want, code)
 	}
-	return !p.col.IsNull(row) && slices.Contains(p.codes, p.col.Code(row))
+	return p.ordered(cmp.Compare(p.strs[code], p.Val.Str()))
+}
+
+// compare evaluates the predicate on a numeric cell as Value.Equal and
+// Value.Less do: in float64, so a NaN is below and above nothing.
+func (p *rowPred) compare(f float64) bool {
+	switch p.Op {
+	case OpGE:
+		return !(f < p.num)
+	case OpLE:
+		return !(p.num < f)
+	case OpGT:
+		return p.num < f
+	case OpLT:
+		return f < p.num
+	}
+	return slices.Contains(p.flts, f)
+}
+
+// ordered evaluates a range predicate on the sign of cell - operand.
+func (p *rowPred) ordered(c int) bool {
+	switch p.Op {
+	case OpGE:
+		return c >= 0
+	case OpLE:
+		return c <= 0
+	case OpGT:
+		return c > 0
+	case OpLT:
+		return c < 0
+	}
+	return false
 }
 
 func matchAll(preds []rowPred, row int) bool {
@@ -362,11 +492,9 @@ func (e *Executor) access(rel *relation.Relation, preds []rowPred) access {
 		p := &preds[i]
 		var lists [][]uint32
 		switch {
-		case p.Op == OpEq && p.col.Type == relation.Int && p.Val.IsInt():
-			lists = [][]uint32{e.idx.IntHash(rel, p.Col).Rows(p.Val.Int())}
 		case p.Op == OpEq && p.col.Type == relation.String && p.Val.IsString():
 			lists = [][]uint32{e.idx.StrHash(rel, p.Col).Rows(p.Val.Str())}
-		case p.keys != nil:
+		case p.keys != nil && len(p.flts) == 0:
 			h := e.idx.IntHash(rel, p.Col)
 			for _, k := range p.keys {
 				lists = append(lists, h.Rows(k))
@@ -478,17 +606,19 @@ func (e *Executor) bestRange(rel *relation.Relation, preds []rowPred, build bool
 // (string indexes are normalization-folded, so a posting list is a
 // superset); an indexable relation no point predicate reaches falls
 // back to a range's numeric index, building it, and then to a scan.
-func (e *Executor) scan(rel *relation.Relation, preds []rowPred, a access) []int {
+// cells is the number of rows scanned: 0 when an index supplied the
+// candidates.
+func (e *Executor) scan(rel *relation.Relation, preds []rowPred, a access) (rows []int, cells int) {
 	if a.exact {
-		return a.cands()
+		return a.cands(), rel.NumRows() // access scanned it
 	}
 	if a.cands == nil && rel.NumRows() >= indexMinRows {
 		_, a.cands = e.bestRange(rel, preds, true)
 	}
 	if a.cands != nil {
-		return among(preds, a.cands())
+		return among(preds, a.cands()), 0
 	}
-	return below(preds, rel.NumRows())
+	return below(preds, rel.NumRows()), rel.NumRows()
 }
 
 // tuples is the intermediate result: one row id per FROM relation (by
@@ -501,6 +631,13 @@ type tuples struct {
 func (t *tuples) len() int { return len(t.ids) / t.width }
 
 func (t *tuples) at(i int) []int { return t.ids[i*t.width : (i+1)*t.width] }
+
+// extended returns the empty tuples a join of t into a relation of est
+// estimated rows fills, their arena sized for the smaller of the two —
+// what a key-foreign-key join emits at most.
+func (t *tuples) extended(est int) tuples {
+	return tuples{width: t.width, ids: make([]int, 0, min(t.len(), est)*t.width)}
+}
 
 // emit appends src extended with row at position pos.
 func (t *tuples) emit(src []int, pos, row int) {
@@ -610,20 +747,24 @@ func (e *Executor) executeNoIntersect(ctx context.Context, q *Query) (*Result, e
 	}
 
 	// Stage spans are emitted in execution order, each with the estimate
-	// it was ordered by (est_rows) next to what it produced (rows).
+	// it was ordered by (est_rows) next to what it produced (rows) and,
+	// for a scan or a join, the cells it read without an index
+	// (cells_streamed).
 	sp := trace.SpanFrom(ctx)
-	endStage := func(s trace.Span, est, rows int) {
+	endStage := func(s trace.Span, est, cells, rows int) {
 		s.Add(trace.CounterEstRows, int64(est))
+		s.Add(trace.CounterCellsStreamed, int64(cells))
 		s.Add(trace.CounterRows, int64(rows))
 		s.End()
 	}
 	ss := stage(sp, "scan:", q.From[anchor])
-	t := tuples{width: len(q.From)}
+	rows, cells := e.scan(pl.rels[anchor], pl.preds[anchor], acc[anchor])
+	t := tuples{width: len(q.From), ids: make([]int, 0, len(rows)*len(q.From))}
 	blank := slices.Repeat([]int{-1}, t.width)
-	for _, row := range e.scan(pl.rels[anchor], pl.preds[anchor], acc[anchor]) {
+	for _, row := range rows {
 		t.emit(blank, anchor, row)
 	}
-	endStage(ss, acc[anchor].est, t.len())
+	endStage(ss, acc[anchor].est, cells, t.len())
 
 	for _, s := range steps {
 		if err := p.err(); err != nil {
@@ -631,8 +772,8 @@ func (e *Executor) executeNoIntersect(ctx context.Context, q *Query) (*Result, e
 		}
 		to := s.to.pos
 		js := stage(sp, "join:", q.From[to]) // FROM relations are unique, so join labels are too
-		t, err = e.extend(p, t, s, pl.rels[to], pl.preds[to], &acc[to])
-		endStage(js, acc[to].est, t.len())
+		t, cells, err = e.extend(p, t, s, pl.rels[to], pl.preds[to], &acc[to])
+		endStage(js, acc[to].est, cells, t.len())
 		if err != nil {
 			return nil, err
 		}
@@ -647,7 +788,7 @@ func (e *Executor) executeNoIntersect(ctx context.Context, q *Query) (*Result, e
 				break
 			}
 		}
-		endStage(cs, 0, t.len())
+		endStage(cs, 0, 0, t.len())
 		if err != nil {
 			return nil, err
 		}
@@ -662,19 +803,24 @@ func (e *Executor) executeNoIntersect(ctx context.Context, q *Query) (*Result, e
 
 	if q.HasAggregation() {
 		gs := stage(sp, "aggregate", "")
-		t, err = pl.aggregate(p, t)
-		endStage(gs, 0, t.len())
+		t, err = groupFirst(p, t, pl.groupBy, q.HavingCountGE)
+		endStage(gs, 0, 0, t.len())
 		if err != nil {
 			return nil, err
 		}
 	}
 
+	// DISTINCT keeps the first tuple of every distinct projection, so
+	// only the survivors are materialized.
 	ps := stage(sp, "project", "")
-	res := pl.project(t)
 	if q.Distinct {
-		res.distinct()
+		if t, err = groupFirst(p, t, pl.sel, 0); err != nil {
+			ps.End()
+			return nil, err
+		}
 	}
-	endStage(ps, 0, res.NumRows())
+	res := pl.project(t)
+	endStage(ps, 0, 0, res.NumRows())
 	return res, nil
 }
 
@@ -720,6 +866,18 @@ func keyCols(l, r *relation.Column) (lk, rk keyCol) {
 	return keyCol{l, kind, r.Dict()}, keyCol{r, kind, r.Dict()}
 }
 
+// floatKey is the word of a DOUBLE key. A NaN keeps its own bits, which
+// no table holds: key never hands one out.
+func floatKey(f float64) int64 {
+	if f == 0 {
+		f = 0 // -0 equals +0
+	}
+	return int64(math.Float64bits(f))
+}
+
+// key is the key of one cell: what builds a join's table and probes a
+// resident index, one row at a time. A streamed side is read through
+// keyBlocks instead.
 func (k keyCol) key(row int) (int64, bool) {
 	c := k.col
 	if c.IsNull(row) {
@@ -730,10 +888,7 @@ func (k keyCol) key(row int) (int64, bool) {
 		return c.Int64(row), true
 	case keyFloat:
 		f := c.Float64(row)
-		if f == 0 {
-			f = 0 // -0 equals +0
-		}
-		return int64(math.Float64bits(f)), f == f
+		return floatKey(f), f == f
 	case keyText:
 		if c.Dict() == k.into {
 			return int64(c.Code(row)), true
@@ -744,18 +899,148 @@ func (k keyCol) key(row int) (int64, bool) {
 	return 0, false
 }
 
-// extend joins the relation of step s into the tuples.
-func (e *Executor) extend(p *poller, t tuples, s step, rel *relation.Relation, preds []rowPred, a *access) (tuples, error) {
+// keyBlocks reads the streamed side of a join a block of keys at a
+// time, straight from the column's storage: the words keyCol.key would
+// return, without its per-cell NULL test, kind switch and patch test. A
+// cell that has no key yields a word no table holds (a NaN's bits, -1
+// for a string the other dictionary lacks) — except a NULL cell, which
+// yields the zero its storage holds (NoCode for TEXT): the caller tests
+// the NULL bitmap of the few cells whose word is in the table.
+type keyBlocks struct {
+	keyCol
+	// rows lists the side's rows in stream order; nil streams the first
+	// n rows of the column in row order.
+	rows []int
+	n    int
+	// ints is the INTEGER storage — nil while a patch overlays it, when
+	// cells are gathered through Column.Int64 instead.
+	ints  []int64
+	flts  []float64
+	codes []int32
+	// xlat translates this column's codes into the other dictionary's,
+	// a code at a time as the stream first meets it.
+	xlat []int32
+	// buf holds a gathered block; nil when blocks are views of ints.
+	buf []int64
+}
+
+// xlatUnknown marks a code keyBlocks.xlat has not translated yet.
+const xlatUnknown = -2
+
+// newKeyBlocks streams the cells of k at rows — every row below n when
+// rows is nil.
+func newKeyBlocks(k keyCol, rows []int, n int) *keyBlocks {
+	b := &keyBlocks{keyCol: k, rows: rows, n: n}
+	if rows != nil {
+		b.n = len(rows)
+	}
+	switch c := k.col; c.Type {
+	case relation.Int:
+		if ints, patch := c.IntCells(); patch == nil {
+			b.ints = ints
+		}
+	case relation.Float:
+		b.flts = c.RawFloats()
+	default:
+		b.codes = c.RawCodes()
+		if c.Dict() != k.into {
+			b.xlat = slices.Repeat([]int32{xlatUnknown}, c.Dict().Len())
+		}
+	}
+	if k.kind != keyInt || b.ints == nil || rows != nil {
+		b.buf = make([]int64, min(b.n, ctxCheckRows))
+	}
+	return b
+}
+
+// row is the row of the side's i-th cell.
+func (b *keyBlocks) row(i int) int {
+	if b.rows != nil {
+		return b.rows[i]
+	}
+	return i
+}
+
+// block returns the keys of cells [lo, hi) of the side, hi - lo at most
+// ctxCheckRows: a view of the storage for INTEGER keys streamed in row
+// order, gathered into the buffer otherwise. Valid until the next call.
+func (b *keyBlocks) block(lo, hi int) []int64 {
+	if b.buf == nil {
+		return b.ints[lo:hi]
+	}
+	buf, rows := b.buf[:hi-lo], b.rows
+	if rows != nil {
+		rows = rows[lo:hi]
+	}
+	switch b.kind {
+	case keyInt:
+		if b.ints == nil {
+			for i := range buf {
+				buf[i] = b.col.Int64(b.row(lo + i))
+			}
+		} else {
+			for i, r := range rows {
+				buf[i] = b.ints[r]
+			}
+		}
+	case keyFloat:
+		switch {
+		case b.flts == nil: // the INTEGER side of INTEGER ⋈ DOUBLE
+			for i := range buf {
+				buf[i] = floatKey(b.col.Float64(b.row(lo + i)))
+			}
+		case rows == nil:
+			for i, f := range b.flts[lo:hi] {
+				buf[i] = floatKey(f)
+			}
+		default:
+			for i, r := range rows {
+				buf[i] = floatKey(b.flts[r])
+			}
+		}
+	case keyText:
+		if rows == nil {
+			for i, c := range b.codes[lo:hi] {
+				buf[i] = b.textKey(c)
+			}
+		} else {
+			for i, r := range rows {
+				buf[i] = b.textKey(b.codes[r])
+			}
+		}
+	}
+	return buf
+}
+
+// textKey is the key of a TEXT cell holding code c.
+func (b *keyBlocks) textKey(c int32) int64 {
+	if b.xlat == nil || c < 0 {
+		return int64(c)
+	}
+	if b.xlat[c] == xlatUnknown {
+		b.xlat[c] = -1
+		if code, ok := b.into.Lookup(b.col.Dict().Value(c)); ok {
+			b.xlat[c] = code
+		}
+	}
+	return int64(b.xlat[c])
+}
+
+// extend joins the relation of step s into the tuples; cells is how
+// many cells of a column it streamed to do so, 0 when it probed an
+// index.
+func (e *Executor) extend(p *poller, t tuples, s step, rel *relation.Relation, preds []rowPred, a *access) (out tuples, cells int, err error) {
 	okey, nkey := keyCols(s.from.col, s.to.col)
 	if t.len() == 0 || okey.kind == keyNone {
-		return tuples{width: t.width}, nil
+		return tuples{width: t.width}, 0, nil
 	}
 	// A resident index on the new relation's join column answers each
 	// tuple in O(1) — unless the relation's own candidates are fewer
 	// than the tuples, when hashing those is less work.
 	if okey.kind == keyInt && t.len() <= a.est {
 		if h := e.idx.ResidentIntHash(rel, s.to.col.Name); h != nil {
-			return probeJoin(p, t, s, okey, h, preds)
+			out, err = probeJoin(p, t, s, okey, h, preds, a.est)
+			return out, 0, err
 		}
 	}
 	return streamJoin(p, t, s, okey, nkey, rel, preds, a)
@@ -763,8 +1048,8 @@ func (e *Executor) extend(p *poller, t tuples, s step, rel *relation.Relation, p
 
 // probeJoin extends every tuple with the rows a resident hash index
 // holds under its key, verifying the new relation's predicates per row.
-func probeJoin(p *poller, t tuples, s step, okey keyCol, h *index.IntHash, preds []rowPred) (tuples, error) {
-	out := tuples{width: t.width}
+func probeJoin(p *poller, t tuples, s step, okey keyCol, h *index.IntHash, preds []rowPred, est int) (tuples, error) {
+	out := t.extended(est)
 	for i, n := 0, t.len(); i < n; i++ {
 		if err := p.poll(); err != nil {
 			return out, err
@@ -789,14 +1074,23 @@ func probeJoin(p *poller, t tuples, s step, okey keyCol, h *index.IntHash, preds
 }
 
 // chains is the transient hash table of a join: key → the values added
-// under it, as lists threaded through two flat slices. lo and hi bound
-// the keys, so a streamed key outside them skips the map.
+// under it, as lists threaded through two flat slices, behind two
+// filters a streamed key passes before the map is touched: the keys'
+// range, and — when seal finds the range dense enough — one bit per
+// value of the range.
 type chains struct {
 	head   map[int64]int32
 	vals   []int
 	next   []int32
 	lo, hi int64
+	// span is hi - lo, exact in a uint64 even from MinInt64 to MaxInt64.
+	span uint64
+	bits []uint64 // nil: the range is too sparse for a bitmap
 }
+
+// bitmapSlotsPerKey is the widest key range, in values per distinct
+// key, that seal covers with a bitmap: one 8-byte word a key at most.
+const bitmapSlotsPerKey = 64
 
 func (c *chains) add(k int64, v int) {
 	prev, ok := c.head[k]
@@ -812,9 +1106,23 @@ func (c *chains) add(k int64, v int) {
 	c.next = append(c.next, prev)
 }
 
-// first returns the head of k's list, -1 when k was never added.
-func (c *chains) first(k int64) int32 {
-	if k < c.lo || k > c.hi {
+// seal ends the build: no add follows it, first may.
+func (c *chains) seal() {
+	c.span = uint64(c.hi) - uint64(c.lo)
+	if c.span/bitmapSlotsPerKey >= uint64(len(c.head)) {
+		return
+	}
+	c.bits = make([]uint64, c.span/64+1)
+	for k := range c.head {
+		d := uint64(k) - uint64(c.lo)
+		c.bits[d/64] |= 1 << (d % 64)
+	}
+}
+
+// first returns the head of the list of key k, which lies d above lo
+// and at most span above it; -1 when k was never added.
+func (c *chains) first(d uint64, k int64) int32 {
+	if c.bits != nil && c.bits[d/64]&(1<<(d%64)) == 0 {
 		return -1
 	}
 	if j, ok := c.head[k]; ok {
@@ -824,21 +1132,21 @@ func (c *chains) first(k int64) int32 {
 }
 
 // streamJoin extends the tuples with the matching surviving rows of rel
-// through a transient table over the smaller side: the tuples' keys
-// when they are fewer than the relation's candidate rows, which are
-// then streamed past the table once; the candidates' keys otherwise.
-func streamJoin(p *poller, t tuples, s step, okey, nkey keyCol, rel *relation.Relation, preds []rowPred, a *access) (tuples, error) {
-	out := tuples{width: t.width}
+// through a transient table over the smaller side — the tuples' keys
+// when they are fewer than the relation's candidate rows, the
+// candidates' keys otherwise, built a row at a time — past which the
+// other side streams once, a block of ctxCheckRows typed keys at a time
+// (keyBlocks): one loop for every key type, for a whole column, a
+// candidate list and the tuples alike. A streamed key is tested against
+// the table's range and bitmap (chains.first); the NULL bitmap, the
+// relation's predicates and the tuple arena are touched only for a cell
+// whose key the table holds. Cancellation is checked once a block and
+// once every ctxCheckRows tuples emitted. cells is the number of cells
+// streamed.
+func streamJoin(p *poller, t tuples, s step, okey, nkey keyCol, rel *relation.Relation, preds []rowPred, a *access) (out tuples, cells int, err error) {
+	out = tuples{width: t.width}
 	nt := t.len()
 	onTuples := nt <= a.est
-	c := chains{head: make(map[int64]int32, min(nt, a.est)), hi: -1}
-	if onTuples {
-		for i := 0; i < nt; i++ {
-			if k, ok := okey.key(t.at(i)[s.from.pos]); ok {
-				c.add(k, i)
-			}
-		}
-	}
 	// The relation's candidate rows: its access path's, or all of them.
 	var cands []int
 	n := rel.NumRows()
@@ -846,55 +1154,75 @@ func streamJoin(p *poller, t tuples, s step, okey, nkey keyCol, rel *relation.Re
 		cands = a.cands()
 		n = len(cands)
 	}
-	for i := 0; i < n; i++ {
-		if err := p.poll(); err != nil {
-			return out, err
+	c := chains{head: make(map[int64]int32, min(nt, a.est))}
+	var side *keyBlocks
+	if onTuples {
+		for i := 0; i < nt; i++ {
+			if err := p.poll(); err != nil {
+				return out, 0, err
+			}
+			if k, ok := okey.key(t.at(i)[s.from.pos]); ok {
+				c.add(k, i)
+			}
 		}
-		row := i
-		if cands != nil {
-			row = cands[i]
+		side = newKeyBlocks(nkey, cands, n)
+	} else {
+		from := make([]int, nt)
+		for i := range from {
+			from[i] = t.at(i)[s.from.pos]
 		}
-		k, ok := nkey.key(row)
-		if !ok {
-			continue
-		}
-		if !onTuples {
-			if a.exact || matchAll(preds, row) {
+		for i := 0; i < n; i++ {
+			if err := p.poll(); err != nil {
+				return out, 0, err
+			}
+			row := i
+			if cands != nil {
+				row = cands[i]
+			}
+			if k, ok := nkey.key(row); ok && (a.exact || matchAll(preds, row)) {
 				c.add(k, row)
 			}
-			continue
 		}
-		j := c.first(k)
-		if j < 0 || !a.exact && !matchAll(preds, row) {
-			continue
+		side = newKeyBlocks(okey, from, nt)
+	}
+	if len(c.vals) == 0 {
+		return out, 0, nil
+	}
+	c.seal()
+	out = t.extended(a.est)
+	base, verify := uint64(c.lo), onTuples && !a.exact
+	for lo := 0; lo < side.n; lo += ctxCheckRows {
+		if err := p.err(); err != nil {
+			return out, lo, err
 		}
-		for ; j >= 0; j = c.next[j] {
-			out.emit(t.at(c.vals[j]), s.to.pos, row)
-			if err := p.poll(); err != nil {
-				return out, err
+		hi := min(lo+ctxCheckRows, side.n)
+		for i, k := range side.block(lo, hi) {
+			// Most keys leave here: one below lo wraps past span.
+			d := uint64(k) - base
+			if d > c.span {
+				continue
+			}
+			j := c.first(d, k)
+			if j < 0 {
+				continue
+			}
+			row := side.row(lo + i)
+			if side.col.IsNull(row) || verify && !matchAll(preds, row) {
+				continue
+			}
+			for ; j >= 0; j = c.next[j] {
+				if onTuples {
+					out.emit(t.at(c.vals[j]), s.to.pos, row)
+				} else {
+					out.emit(t.at(lo+i), s.to.pos, c.vals[j])
+				}
+				if err := p.poll(); err != nil {
+					return out, hi, err
+				}
 			}
 		}
 	}
-	if onTuples {
-		return out, nil
-	}
-	for i := 0; i < nt; i++ {
-		if err := p.poll(); err != nil {
-			return out, err
-		}
-		src := t.at(i)
-		k, ok := okey.key(src[s.from.pos])
-		if !ok {
-			continue
-		}
-		for j := c.first(k); j >= 0; j = c.next[j] {
-			out.emit(src, s.to.pos, c.vals[j])
-			if err := p.poll(); err != nil {
-				return out, err
-			}
-		}
-	}
-	return out, nil
+	return out, side.n, nil
 }
 
 // filterEqual keeps the tuples whose two already-joined rows agree on
@@ -917,33 +1245,58 @@ func filterEqual(p *poller, t *tuples, j boundJoin) error {
 	return nil
 }
 
-// aggregate groups the tuples by the GroupBy columns, applies
-// HAVING count(*) ≥ N, and keeps each group's first tuple as its
-// representative; groups come out in first-seen order.
-func (pl *plan) aggregate(p *poller, t tuples) (tuples, error) {
+// groupFirst groups the tuples by the values of cols and keeps the first
+// tuple of every group of at least minCount, in first-seen order: GROUP
+// BY with HAVING count(*) ≥ minCount, the kept tuple the group's
+// representative — and DISTINCT, over the SELECT columns. A group is
+// keyed by the kind-tagged, length-prefixed encoding of its values
+// (appendKey), or, over a single TEXT column, by the dictionary code:
+// two cells of one column are equal exactly when their codes are, NULL
+// (NoCode) being a group of its own.
+func groupFirst(p *poller, t tuples, cols []boundCol, minCount int) (tuples, error) {
 	out := tuples{width: t.width}
-	groups := make(map[string]int) // key → index into reps/counts
-	var reps, counts []int
+	var reps, counts []int // per group: its first tuple, its size
+	group := func(i int) int {
+		g := len(reps)
+		reps, counts = append(reps, i), append(counts, 0)
+		return g
+	}
+	var byCode map[int32]int
+	var byKey map[string]int
 	var buf []byte
+	if len(cols) == 1 && cols[0].col.Type == relation.String {
+		byCode = make(map[int32]int, min(t.len(), cols[0].col.Dict().Len()+1))
+	} else {
+		byKey = make(map[string]int)
+	}
 	for i, n := 0, t.len(); i < n; i++ {
 		if err := p.poll(); err != nil {
 			return out, err
 		}
 		src := t.at(i)
-		buf = buf[:0]
-		for _, k := range pl.groupBy {
-			buf = appendKey(buf, k.col.Get(src[k.pos]))
-		}
-		g, ok := groups[string(buf)]
-		if !ok {
-			g = len(reps)
-			groups[string(buf)] = g
-			reps, counts = append(reps, i), append(counts, 0)
+		var g int
+		var ok bool
+		if byCode != nil {
+			code := cols[0].col.Code(src[cols[0].pos])
+			if g, ok = byCode[code]; !ok {
+				g = group(i)
+				byCode[code] = g
+			}
+		} else {
+			buf = buf[:0]
+			for _, k := range cols {
+				buf = appendKey(buf, k.col.Get(src[k.pos]))
+			}
+			if g, ok = byKey[string(buf)]; !ok {
+				g = group(i)
+				byKey[string(buf)] = g
+			}
 		}
 		counts[g]++
 	}
+	out.ids = make([]int, 0, len(reps)*t.width)
 	for g, i := range reps {
-		if counts[g] >= pl.q.HavingCountGE {
+		if counts[g] >= minCount {
 			out.ids = append(out.ids, t.at(i)...)
 		}
 	}

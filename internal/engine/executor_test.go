@@ -189,7 +189,10 @@ func TestCancelInsideHighFanOutJoin(t *testing.T) {
 // TestStageSpansFollowExecutionOrder pins what a traced execute shows:
 // the stage vocabulary, emitted in the order the stages ran — which is
 // the order the estimates chose, not FROM order — each scan and join
-// with its estimate next to its rows.
+// with its estimate next to its rows and the cells it read without an
+// index: a join that streamed items.id and one that probed the resident
+// index on it carry the same estimate, and only cells_streamed tells
+// them apart.
 func TestStageSpansFollowExecutionOrder(t *testing.T) {
 	db := pushdownDB(200)
 	q := &Query{
@@ -199,38 +202,91 @@ func TestStageSpansFollowExecutionOrder(t *testing.T) {
 		Select:  []ColRef{{"items", "id"}},
 		GroupBy: []ColRef{{"items", "cat"}},
 	}
-	rec := trace.NewRecorder(0)
-	root := rec.Root(trace.PhaseExecute, "test")
-	res, err := NewExecutor(db).ExecuteCtx(trace.NewContext(context.Background(), root), q)
-	root.End()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	counters := map[string]map[string]int64{}
-	tr := rec.Finish("execute", "test")
-	// The rendering /debug/traces and ?trace=1 serve keeps that order.
-	if s := tr.Structure(); strings.Index(s, "scan:tags") > strings.Index(s, "join:items") ||
-		strings.Index(s, "join:items") > strings.Index(s, "aggregate") {
-		t.Errorf("rendered trace lists the stages out of execution order:\n%s", s)
-	}
-	for _, sp := range tr.Spans {
-		if sp.Phase == trace.PhaseStage {
-			got = append(got, sp.Label)
-			counters[sp.Label] = sp.Counters
+	for _, tc := range []struct {
+		name     string
+		ex       *Executor
+		streamed int64 // cells of items.id the join reads
+	}{
+		{"fresh pool", NewExecutor(db), 200},
+		{"prebuilt indexes", NewExecutorWithIndexes(db, prebuiltIndexes(db)), 0},
+	} {
+		rec := trace.NewRecorder(0)
+		root := rec.Root(trace.PhaseExecute, "test")
+		res, err := tc.ex.ExecuteCtx(trace.NewContext(context.Background(), root), q)
+		root.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		counters := map[string]map[string]int64{}
+		tr := rec.Finish("execute", "test")
+		// The rendering /debug/traces and ?trace=1 serve keeps that order.
+		if s := tr.Structure(); strings.Index(s, "scan:tags") > strings.Index(s, "join:items") ||
+			strings.Index(s, "join:items") > strings.Index(s, "aggregate") {
+			t.Errorf("%s: rendered trace lists the stages out of execution order:\n%s", tc.name, s)
+		}
+		for _, sp := range tr.Spans {
+			if sp.Phase == trace.PhaseStage {
+				got = append(got, sp.Label)
+				counters[sp.Label] = sp.Counters
+			}
+		}
+		// tags carries the point predicate, so it anchors; items joins in.
+		if want := "scan:tags join:items aggregate project"; strings.Join(got, " ") != want {
+			t.Fatalf("%s: stage spans %v, want %q", tc.name, got, want)
+		}
+		// The scan verified a posting list: it read no column.
+		if c := counters["scan:tags"]; c["est_rows"] != 20 || c["rows"] != 20 || c["cells_streamed"] != 0 {
+			t.Errorf("%s: scan:tags counters %v, want est_rows=20 rows=20 and no cells_streamed", tc.name, c)
+		}
+		if c := counters["join:items"]; c["est_rows"] != 200 || c["rows"] != 20 || c["cells_streamed"] != tc.streamed {
+			t.Errorf("%s: join:items counters %v, want est_rows=200 rows=20 cells_streamed=%d", tc.name, c, tc.streamed)
+		}
+		if c := counters["project"]; c["rows"] != int64(res.NumRows()) {
+			t.Errorf("%s: project counters %v, want rows=%d", tc.name, c, res.NumRows())
 		}
 	}
-	// tags carries the point predicate, so it anchors; items joins in.
-	if want := "scan:tags join:items aggregate project"; strings.Join(got, " ") != want {
-		t.Fatalf("stage spans %v, want %q", got, want)
+}
+
+// TestCancelInsideStreamThatMatchesNothing cancels in the middle of a
+// million-cell stream none of whose keys the table holds: no tuple is
+// emitted, so only the per-block check can notice, and it does within
+// two blocks of the cancel.
+func TestCancelInsideStreamThatMatchesNothing(t *testing.T) {
+	const cells = 1_000_000
+	db := relation.NewDatabase("miss")
+	one := relation.New("one", relation.Col("id", relation.Int))
+	one.MustAppend(relation.IntVal(-1))
+	facts := relation.New("facts", relation.Col("one_id", relation.Int))
+	for i := 0; i < cells; i++ {
+		facts.MustAppend(relation.IntVal(int64(i)))
 	}
-	if c := counters["scan:tags"]; c["est_rows"] != 20 || c["rows"] != 20 {
-		t.Errorf("scan:tags counters %v, want est_rows=20 rows=20", c)
+	db.AddRelation(one)
+	db.AddRelation(facts)
+	q := &Query{
+		From:   []string{"one", "facts"},
+		Joins:  []Join{{"one", "id", "facts", "one_id"}},
+		Select: []ColRef{{"facts", "one_id"}},
 	}
-	if c := counters["join:items"]; c["est_rows"] != 200 || c["rows"] != 20 {
-		t.Errorf("join:items counters %v, want est_rows=200 rows=20", c)
+	// Err() calls one and two precede the scan and the join (the build
+	// over one tuple is below a poll); the third lets the first block
+	// through, the fourth is the cancel.
+	ctx := &cancelAfter{Context: context.Background(), n: 4}
+	rec := trace.NewRecorder(0)
+	root := rec.Root(trace.PhaseExecute, "test")
+	_, err := NewExecutor(db).ExecuteCtx(trace.NewContext(ctx, root), q)
+	root.End()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if c := counters["project"]; c["rows"] != int64(res.NumRows()) {
-		t.Errorf("project counters %v, want rows=%d", c, res.NumRows())
+	for _, sp := range rec.Finish("execute", "test").Spans {
+		if sp.Label != "join:facts" {
+			continue
+		}
+		if got := sp.Counters["cells_streamed"]; got <= 0 || got > 2*ctxCheckRows {
+			t.Errorf("the join streamed %d cells before honouring the cancel, want at most %d", got, 2*ctxCheckRows)
+		}
+		return
 	}
+	t.Fatal("no join:facts stage span")
 }

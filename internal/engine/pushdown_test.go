@@ -46,9 +46,13 @@ func pushdownDB(n int) *relation.Database {
 func filterRows(e *Executor, rel *relation.Relation, preds []Pred) []int {
 	bound := make([]rowPred, len(preds))
 	for i, p := range preds {
-		bound[i] = bindPred(p, rel.Column(p.Col))
+		var err error
+		if bound[i], err = bindPred(p, rel.Column(p.Col)); err != nil {
+			panic(err)
+		}
 	}
-	return e.scan(rel, bound, e.access(rel, bound))
+	rows, _ := e.scan(rel, bound, e.access(rel, bound))
+	return rows
 }
 
 // scanRows evaluates predicates by brute force, the oracle for the

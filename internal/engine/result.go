@@ -75,22 +75,6 @@ func (r *Result) Strings() []string {
 	return out
 }
 
-// distinct removes duplicate tuples, preserving first-seen order.
-func (r *Result) distinct() {
-	seen := make(map[string]struct{}, len(r.Rows))
-	var buf []byte
-	out := r.Rows[:0]
-	for _, row := range r.Rows {
-		buf = appendTupleKey(buf[:0], row)
-		if _, dup := seen[string(buf)]; dup {
-			continue
-		}
-		seen[string(buf)] = struct{}{}
-		out = append(out, row)
-	}
-	r.Rows = out
-}
-
 // intersect keeps only tuples also present in other.
 func (r *Result) intersect(other *Result) {
 	keep := other.TupleSet()

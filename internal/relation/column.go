@@ -352,6 +352,18 @@ func (c *Column) RawInts() []int64 {
 	return ints
 }
 
+// IntCells returns the INTEGER cells for reading in place: the storage
+// itself, never a copy, and the patch over it — cell row is patch[row]
+// where the patch holds the row and cells[row] everywhere else. patch is
+// nil unless an update clone has overwritten cells since the storage was
+// last copied. Both alias the column: do not mutate.
+func (c *Column) IntCells() (cells []int64, patch map[int]int64) {
+	if len(c.patch) == 0 {
+		return c.ints, nil
+	}
+	return c.ints, c.patch
+}
+
 // RawFloats returns the dense float cells (Float columns).
 func (c *Column) RawFloats() []float64 { return c.flts }
 

@@ -411,10 +411,21 @@ func TestUpdateCloneChain(t *testing.T) {
 			t.Fatalf("generation %d: %d cells, %d rows, want %d", g, c.Len(), gen.rel.NumRows(), len(gen.want))
 		}
 		raw := c.RawInts()
+		// IntCells hands out the storage itself, never a copy, and the
+		// patch only while it holds a cell.
+		cells, patch := c.IntCells()
+		if len(cells) != len(gen.want) || &cells[0] != &c.ints[0] || (patch == nil) != (len(c.patch) == 0) {
+			t.Fatalf("generation %d: IntCells returns %d cells (a copy: %v) and a patch of %d over a patch of %d",
+				g, len(cells), &cells[0] != &c.ints[0], len(patch), len(c.patch))
+		}
 		for row, v := range gen.want {
-			if c.Int64(row) != v || c.Get(row).Int() != v || c.Float64(row) != float64(v) || raw[row] != v {
-				t.Fatalf("generation %d row %d: Int64 %d, Get %v, Float64 %v, RawInts %d, want %d",
-					g, row, c.Int64(row), c.Get(row), c.Float64(row), raw[row], v)
+			cell, ok := patch[row]
+			if !ok {
+				cell = cells[row]
+			}
+			if c.Int64(row) != v || c.Get(row).Int() != v || c.Float64(row) != float64(v) || raw[row] != v || cell != v {
+				t.Fatalf("generation %d row %d: Int64 %d, Get %v, Float64 %v, RawInts %d, IntCells %d, want %d",
+					g, row, c.Int64(row), c.Get(row), c.Float64(row), raw[row], cell, v)
 			}
 		}
 		if with, without := c.ByteSize(), int64(8*c.Len()); with != without+MapBytes(len(c.patch), patchSlotBytes) {

@@ -76,6 +76,26 @@ func TestTrailingDataRejected(t *testing.T) {
 	}
 }
 
+// TestExecuteRejectsQueriesWithoutAnAnswer: a plan that selects nothing,
+// counts groups it never formed or orders TEXT against a number is 400
+// bad_query — not 200 with one empty row per academic, not the HAVING
+// dropped, not a 500 out of the panic handler.
+func TestExecuteRejectsQueriesWithoutAnAnswer(t *testing.T) {
+	ts := httptest.NewServer(New(newTestSystem(t), Config{}))
+	defer ts.Close()
+	for _, query := range []string{
+		`{"from":["academics"],"select":[]}`,
+		`{"from":["academics"],"select":[{"rel":"academics","col":"name"}],"having_count_ge":3}`,
+		`{"from":["academics"],"select":[{"rel":"academics","col":"name"}],"group_by":[{"rel":"academics","col":"name"}],"having_count_ge":-1}`,
+		`{"from":["academics"],"select":[{"rel":"academics","col":"name"}],"preds":[{"rel":"academics","col":"name","op":">=","value":5}]}`,
+	} {
+		code, answer := postRaw(t, ts.Client(), ts.URL+"/v1/execute", `{"query":`+query+`}`)
+		if code != http.StatusBadRequest || !strings.Contains(answer, `"code":"bad_query"`) {
+			t.Errorf("%s: status %d %s, want 400 bad_query", query, code, answer)
+		}
+	}
+}
+
 // TestDiscoverFiltersIsAlwaysAnArray pins the wire shape of a discovery
 // whose abduction selects no filter: "filters" is [] like "output", not
 // null, on /v1/discover and in every element of /v1/discover/batch.

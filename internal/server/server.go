@@ -308,7 +308,8 @@ type ExecuteResponse struct {
 	WallMS  float64  `json:"wall_ms"`
 	// Trace is the request's span tree, embedded when the client asked
 	// with ?trace=1: the executor's stages in the order they ran, each
-	// scan and join with its estimate (est_rows) next to its rows.
+	// scan and join with its estimate (est_rows) next to its rows and
+	// the cells it read without an index (cells_streamed).
 	Trace *trace.TraceJSON `json:"trace,omitempty"`
 }
 

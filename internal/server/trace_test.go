@@ -117,6 +117,24 @@ func TestExecuteTraceEmbedding(t *testing.T) {
 	if got := stages[len(stages)-1].Counters["rows"]; got != int64(traced.NumRows) {
 		t.Errorf("project stage counts %d rows, the response has %d", got, traced.NumRows)
 	}
+
+	// cells_streamed says which stage read a column without an index and
+	// how much of it: no index of the epoch covers research.aid, so the
+	// join streams every cell of it past the academics.
+	join := QueryJSON{
+		From:   []string{"academics", "research"},
+		Joins:  []JoinJSON{{LeftRel: "academics", LeftCol: "id", RightRel: "research", RightCol: "aid"}},
+		Select: []ColRefJSON{{Rel: "research", Col: "interest"}},
+	}
+	var joined ExecuteResponse
+	if code := postJSON(t, c, ts.URL+"/v1/execute?trace=1", ExecuteRequest{Query: join}, &joined); code != http.StatusOK {
+		t.Fatalf("execute?trace=1 of the join: status %d", code)
+	}
+	facts := int64(sys.ExecutableDB().Relation("research").NumRows())
+	stages = joined.Trace.Spans[0].Children
+	if len(stages) != 3 || stages[1].Label != "join:research" || stages[1].Counters["cells_streamed"] != facts {
+		t.Fatalf("want scan:academics, a join:research that streamed %d cells, project; got %+v", facts, stages)
+	}
 }
 
 func findSpan(spans []*trace.SpanJSON, phase string) (*trace.SpanJSON, bool) {

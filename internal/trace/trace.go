@@ -124,6 +124,9 @@ const (
 	// CounterEstRows records the row estimate an engine stage was
 	// ordered by, next to the CounterRows it then produced.
 	CounterEstRows
+	// CounterCellsStreamed counts the column cells an engine scan or
+	// join read without an index: 0 on a join that probed one.
+	CounterCellsStreamed
 
 	numCounters
 )
@@ -131,6 +134,7 @@ const (
 var counterNames = [numCounters]string{
 	"candidates", "properties", "contexts", "selected", "rows",
 	"cache_hits", "cache_misses", "cache_stores", "epoch_seq", "est_rows",
+	"cells_streamed",
 }
 
 // String returns the counter's wire name.

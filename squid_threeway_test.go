@@ -31,7 +31,7 @@ import (
 // awards) follow its own row before anything links to it, each
 // (person, movie) pair is cast once, and casts go to new movies until a
 // company link closes them (company → movie → castinfo → role would go
-// stale otherwise). Lifting that envelope is ROADMAP item 4a.
+// stale otherwise). Lifting that envelope is ROADMAP item 1.
 func randomIngest(t *testing.T, sys *System, rng *rand.Rand, publishes int) int {
 	t.Helper()
 	db := sys.AlphaDB().DB()
