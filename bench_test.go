@@ -223,13 +223,16 @@ func BenchmarkDiscovery(b *testing.B) {
 	}
 }
 
-// BenchmarkDiscoverPool measures a warm discovery the way the repository
-// benchmark's intent_warm workload draws them — examples sampled from an
-// intent's ground truth at the benchmark's 4x scale, Params.Workers 1,
-// memos hot — at the two ends of the response size: IQ9 at |E| = 5 (a
-// few dozen output values; context discovery and Algorithm 1 are the
-// cost) and IQ12 at |E| = 30 (about 1,450; materializing and ordering
-// the output is). ns/op, B/op and allocs/op are per discovery.
+// BenchmarkDiscoverPool measures a discovery the way the repository
+// benchmark's intent workloads draw them — examples sampled from an
+// intent's ground truth at the benchmark's 4x scale, Params.Workers 1 —
+// at the two ends of the response size: IQ9 at |E| = 5 (a few dozen
+// output values; context discovery and Algorithm 1 are the cost) and
+// IQ12 at |E| = 30 (about 1,450; materializing and ordering the output
+// is). Each is run warm, memos hot as in intent_warm, and cold, the
+// memos emptied before every discovery with the timer stopped, as in
+// intent_cold: the difference is the row sets the discovery builds.
+// ns/op, B/op and allocs/op are per discovery.
 func BenchmarkDiscoverPool(b *testing.B) {
 	cfg := datagen.DefaultIMDbConfig()
 	cfg.NumPersons *= 4
@@ -250,31 +253,43 @@ func BenchmarkDiscoverPool(b *testing.B) {
 		}
 	}
 	ctx := context.Background()
+	cache := sys.AlphaDB().SelectivityCache()
 	for _, arm := range []struct {
 		name, intent string
 		examples     int
 	}{{"small-output", "IQ9", 5}, {"large-output", "IQ12", 30}} {
-		b.Run(arm.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			draws := make([][]string, 16)
-			values := 0
-			for i := range draws {
-				draws[i] = metrics.Sample(rng, truths[arm.intent], arm.examples)
-				d, err := sys.DiscoverContext(ctx, draws[i]) // warms the memos
-				if err != nil {
-					b.Fatal(err)
-				}
-				values += len(d.Output)
+		rng := rand.New(rand.NewSource(1))
+		draws := make([][]string, 16)
+		values := 0
+		for i := range draws {
+			draws[i] = metrics.Sample(rng, truths[arm.intent], arm.examples)
+			d, err := sys.DiscoverContext(ctx, draws[i]) // warms the memos
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sys.DiscoverContext(ctx, draws[i%len(draws)]); err != nil {
-					b.Fatal(err)
-				}
+			values += len(d.Output)
+		}
+		for _, cold := range []bool{false, true} {
+			name := arm.name
+			if cold {
+				name += "/cold"
 			}
-			b.ReportMetric(float64(values)/float64(len(draws)), "values/op")
-		})
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if cold {
+						b.StopTimer()
+						cache.Invalidate()
+						b.StartTimer()
+					}
+					if _, err := sys.DiscoverContext(ctx, draws[i%len(draws)]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(values)/float64(len(draws)), "values/op")
+			})
+		}
 	}
 }
 

@@ -516,12 +516,20 @@ func (p *BasicProperty) buildCatStats(valsByRow [][]int32) {
 // buildNumStats adopts the per-row cells of a numeric property with
 // their presence bitset (64 rows a word) and derives the sorted
 // (value, row) index from the present ones — the one constructor of that
-// index, shared by the build and the snapshot load.
+// index, shared by the build and the snapshot load. A NaN cell (a CSV
+// load can carry one) is absent, as in appendNum: no order places it,
+// so the sorted index, a range context or a memo key must never hold
+// one.
 func (p *BasicProperty) buildNumStats(numByRow []float64, numHas []uint64) {
 	var vals []float64
 	var rows []int
 	for row, v := range numByRow {
-		if numHas[row>>6]>>(row&63)&1 != 0 {
+		switch {
+		case numHas[row>>6]>>(row&63)&1 == 0:
+		case v != v:
+			numByRow[row] = 0
+			numHas[row>>6] &^= 1 << (row & 63)
+		default:
 			vals = append(vals, v)
 			rows = append(rows, row)
 		}

@@ -371,12 +371,7 @@ func (eb *epochBuilder) postText(rel *relation.Relation, row int) {
 func (eb *epochBuilder) insertDirectValue(p *BasicProperty, rel *relation.Relation, row int) {
 	col := rel.Column(p.Access.Column)
 	if p.Kind == Numeric {
-		v, ok := 0.0, !col.IsNull(row)
-		if ok {
-			v = col.Float64(row)
-			p.numIdx = p.numIdx.Insert(v, row) // private clone: in-place is safe
-		}
-		p.appendNum(eb.gen, v, ok)
+		p.appendNum(eb.gen, col.Float64(row), !col.IsNull(row))
 		return
 	}
 	if col.IsNull(row) {

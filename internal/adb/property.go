@@ -188,8 +188,13 @@ func (p *BasicProperty) NumValue(row int) (float64, bool) {
 	return p.numByRow.At(row), true
 }
 
-// appendNum adds the numeric cell of a new last row.
+// appendNum adds the numeric cell of a new last row — to the sorted
+// index too when it is present, which a NaN is not (see buildNumStats).
+// The index is the writer's private clone, so the insert is in place.
 func (p *BasicProperty) appendNum(g *index.Gen, v float64, ok bool) {
+	if !ok || v != v {
+		v, ok = 0, false
+	}
 	row := p.numByRow.Len()
 	p.numByRow.Append(g, v)
 	if row&63 == 0 {
@@ -197,6 +202,7 @@ func (p *BasicProperty) appendNum(g *index.Gen, v float64, ok bool) {
 	}
 	if ok {
 		p.numHas.Set(g, row>>6, p.numHas.At(row>>6)|1<<(row&63))
+		p.numIdx = p.numIdx.Insert(v, row)
 	}
 }
 
@@ -315,17 +321,24 @@ func (p *BasicProperty) EntityRowsWithValue(v string) []int {
 // EntityRowSetWithAnyValue returns the union of the per-value posting
 // lists — the satisfying rows of a disjunctive IN filter — memoized
 // under the canonical disjunction key (a single value is a one-element
-// disjunction), with memo events attributed to sp. The returned set is
-// shared: do not mutate.
+// disjunction), with memo events attributed to sp. The set is sized by
+// the lists' total length, ψ's numerator when the values do not overlap
+// and an upper bound when they do. The returned set is shared: do not
+// mutate.
 func (p *BasicProperty) EntityRowSetWithAnyValue(values []string, sp trace.Span) *index.RowSet {
 	if len(values) == 0 {
-		return index.NewRowSet(0)
+		return index.NewRowSet(0, 0)
 	}
 	return p.memo.rowSet(SelKey{Value: disjunctionKey(values)}, sp, func() *index.RowSet {
-		s := index.NewRowSet(p.numEntities)
+		total := 0
+		for _, v := range values {
+			total += len(p.EntityRowsWithValue(v))
+		}
+		s := index.NewRowSet(p.numEntities, total)
 		for _, v := range values {
 			s.AddAll(p.EntityRowsWithValue(v))
 		}
+		sp.Add(trace.CounterCellsStreamed, int64(total))
 		return s
 	})
 }
@@ -348,34 +361,22 @@ func disjunctionKey(values []string) string {
 }
 
 // EntityRowSetInRange returns the entity rows whose numeric value lies
-// in [lo, hi]. Selective ranges are answered from the sorted value→row
-// index in O(log n + k); wide ranges (≥ ¼ of the entities) fall back to
-// the row-order scan. Both paths insert straight into the RowSet, so
-// neither pays a row-order re-sort. Memoized, with memo events
-// attributed to sp; do not mutate the returned set.
+// in [lo, hi], filled from the sorted value→row index into a set sized
+// by the range's O(log n) count (ψ's numerator). There is one arm at
+// every selectivity: into a dense set the index costs about a
+// nanosecond a member, in value order, and the row-order scan it
+// replaced costs more than that a row (BenchmarkRowSetFill, unsorted
+// against word), so the scan lost even at nine rows in ten. Memoized,
+// with memo events attributed to sp; do not mutate the returned set.
 func (p *BasicProperty) EntityRowSetInRange(lo, hi float64, sp trace.Span) *index.RowSet {
 	if p.numIdx == nil {
-		return index.NewRowSet(0)
+		return index.NewRowSet(0, 0)
 	}
 	return p.memo.rowSet(SelKey{Lo: lo, Hi: hi}, sp, func() *index.RowSet {
-		s := index.NewRowSet(p.numEntities)
-		if p.numIdx.CountRange(lo, hi)*4 < p.numEntities {
-			p.numIdx.AddRangeToSet(lo, hi, s)
-			return s
-		}
-		var has uint64
-		row := 0
-		for ci := 0; ci < p.numByRow.NumChunks(); ci++ {
-			for _, v := range p.numByRow.Chunk(ci) {
-				if row&63 == 0 {
-					has = p.numHas.At(row >> 6)
-				}
-				if has>>(row&63)&1 != 0 && v >= lo && v <= hi {
-					s.Add(row)
-				}
-				row++
-			}
-		}
+		count := p.numIdx.CountRange(lo, hi)
+		s := index.NewRowSet(p.numEntities, count)
+		p.numIdx.AddRangeToSet(lo, hi, s)
+		sp.Add(trace.CounterCellsStreamed, int64(count))
 		return s
 	})
 }
@@ -614,16 +615,22 @@ func (p *DerivedProperty) SelectivityOfCode(code int32, theta int) float64 {
 }
 
 // EntityRowSetWithStrength returns the entity rows associated with
-// value v at strength ≥ θ. Memoized, with memo events attributed to sp;
-// do not mutate the returned set.
+// value v at strength ≥ θ, in a set sized by the histogram's count
+// (ge[θ-1], ψ's numerator); a θ past the largest strength is the empty
+// set without a walk. Memoized, with memo events attributed to sp; do
+// not mutate the returned set.
 func (p *DerivedProperty) EntityRowSetWithStrength(v string, theta int, sp trace.Span) *index.RowSet {
 	return p.memo.rowSet(SelKey{Value: v, Theta: theta}, sp, func() *index.RowSet {
-		s := index.NewRowSet(p.numEntities)
 		code, ok := p.LookupCode(v)
 		cs := p.statsOf(code)
-		if !ok || cs == nil {
-			return s
+		if !ok || cs == nil || theta > cs.ge.Len() {
+			return index.NewRowSet(p.numEntities, 0)
 		}
+		count := cs.pairs.Len()
+		if theta >= 1 {
+			count = int(cs.ge.At(theta - 1))
+		}
+		s := index.NewRowSet(p.numEntities, count)
 		for ci := 0; ci < cs.pairs.NumChunks(); ci++ {
 			for _, vc := range cs.pairs.Chunk(ci) {
 				if int(vc.count) >= theta {
@@ -631,6 +638,7 @@ func (p *DerivedProperty) EntityRowSetWithStrength(v string, theta int, sp trace
 				}
 			}
 		}
+		sp.Add(trace.CounterCellsStreamed, int64(cs.pairs.Len()))
 		return s
 	})
 }
@@ -638,20 +646,21 @@ func (p *DerivedProperty) EntityRowSetWithStrength(v string, theta int, sp trace
 // EntityRowSetWithNormStrength returns the entity rows associated with
 // value v at normalized strength ≥ θn, where each row's strength is
 // divided by its degree (total association count) from the companion
-// degree property. Memoized, with memo events attributed to sp; do not
-// mutate the returned set.
+// degree property; the set is sized by the value's pair count, an upper
+// bound. Memoized, with memo events attributed to sp; do not mutate the
+// returned set.
 func (p *DerivedProperty) EntityRowSetWithNormStrength(v string, thetaN float64, degree *DerivedProperty, sp trace.Span) *index.RowSet {
 	if degree == nil {
 		// No denominator: nothing satisfies a normalized threshold.
-		return index.NewRowSet(0)
+		return index.NewRowSet(0, 0)
 	}
 	return p.memo.rowSet(SelKey{Value: v, Lo: thetaN, Theta: -1}, sp, func() *index.RowSet {
-		s := index.NewRowSet(p.numEntities)
 		code, ok := p.LookupCode(v)
 		cs := p.statsOf(code)
 		if !ok || cs == nil {
-			return s
+			return index.NewRowSet(p.numEntities, 0)
 		}
+		s := index.NewRowSet(p.numEntities, cs.pairs.Len())
 		for ci := 0; ci < cs.pairs.NumChunks(); ci++ {
 			for _, vc := range cs.pairs.Chunk(ci) {
 				if d := float64(degree.StrengthOf(int(vc.entityRow), degree.Via)); d > 0 && float64(vc.count)/d >= thetaN {
@@ -659,6 +668,7 @@ func (p *DerivedProperty) EntityRowSetWithNormStrength(v string, thetaN float64,
 				}
 			}
 		}
+		sp.Add(trace.CounterCellsStreamed, int64(cs.pairs.Len()))
 		return s
 	})
 }

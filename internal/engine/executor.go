@@ -527,7 +527,11 @@ func unionRows(lists [][]uint32, universe int) []int {
 	if len(lists) == 1 {
 		return widen(lists[0])
 	}
-	s := index.NewRowSet(universe)
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	s := index.NewRowSet(universe, total)
 	for _, l := range lists {
 		s.AddAll(widen(l))
 	}

@@ -262,7 +262,7 @@ func checkChainGen(t *testing.T, at string, got *chainGen, want *chainOracle) {
 			if n := got.nums.CountRange(lo, hi); n != len(rows) {
 				t.Errorf("%s: CountRange(%v,%v) = %d want %d", at, lo, hi, n, len(rows))
 			}
-			s := NewRowSet(0)
+			s := NewRowSet(0, 0)
 			got.nums.AddRangeToSet(lo, hi, s)
 			if r := s.ToSorted(); len(r)+len(rows) > 0 && !reflect.DeepEqual(r, rows) {
 				t.Errorf("%s: AddRangeToSet(%v,%v) = %v want %v", at, lo, hi, r, rows)

@@ -491,11 +491,13 @@ func (n *NumericRows) RowsInRange(lo, hi float64) []int {
 	return out
 }
 
-// AddRangeToSet adds every row whose value lies in [lo, hi] to the set.
-// The rows ride the value order, so they reach the set unsorted; the
-// bulk AddAll absorbs that in one sort instead of a per-row insertion
-// shuffle in the sparse form (and plain bit-sets in the dense form), so
-// the index path stays O(log n + k log k) with no O(k²) tail.
+// AddRangeToSet adds every row whose value lies in [lo, hi] to the set,
+// which the caller sized by CountRange. The rows ride the value order,
+// so they reach the set unsorted: a dense set takes them as plain bit
+// sets, about a nanosecond a member while its words stay cache-resident,
+// and a sparse one (at most two members per 64-row word of the
+// universe) sorts them once — O(log n + k) and O(log n + k log k), with
+// no per-row insertion shuffle and no growth.
 func (n *NumericRows) AddRangeToSet(lo, hi float64, s *RowSet) {
 	if hi < lo {
 		return

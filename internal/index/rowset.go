@@ -19,14 +19,16 @@ import (
 //
 // The algebra is form-aware: sparse×sparse intersects by galloping
 // (exponential-search) merge, sparse×dense probes the bitmap per member,
-// dense×dense runs the word-wise loop. Mutations adapt the form
-// automatically — a set densifies when it outgrows the sparse threshold
-// and sparsifies (releasing the large bitset) when an intersection
-// empties it out, so a once-large set does not stay large forever. At
-// million-row universes this is the difference between every cached
-// highly-selective filter costing ~125 KB and it costing a few dozen
-// bytes, and between AndWith scanning ~15.6k words and it galloping
-// through a handful of members.
+// dense×dense runs the word-wise loop. A set is built in the form its
+// expected cardinality picks (NewRowSet: every builder knows the count
+// from a statistic before it reads a row), so a fill neither grows nor
+// migrates; Compact re-picks the form from the actual contents when the
+// set is frozen; and an intersection that empties a dense set out
+// sparsifies it (releasing the large bitset), so a once-large set does
+// not stay large forever. At million-row universes this is the
+// difference between every cached highly-selective filter costing ~125
+// KB and it costing a few dozen bytes, and between AndWith scanning
+// ~15.6k words and it galloping through a handful of members.
 //
 // The zero value is an empty set. A RowSet is NOT safe for concurrent
 // mutation; the αDB selectivity cache hands out sets that are immutable
@@ -41,12 +43,12 @@ type RowSet struct {
 	// the set is sparse (possibly empty).
 	words  []uint64
 	sparse []uint32
-	// hintWords records the word span of the universe the set was
-	// created for (0 when unknown). It is pure accounting: the
-	// pre-adaptive representation allocated the full universe bitset up
-	// front, so DenseEquivalentBytes uses the hint to report what the
-	// same set cost before the adaptive form — never what it holds.
-	hintWords int
+	// universeWords is the word span of the universe the set was created
+	// for. A sparse set that outgrows the sparse limit of that span
+	// (not of the rows it happens to hold so far) densifies to it, and
+	// DenseEquivalentBytes reports it as what a dense-only
+	// representation would have allocated.
+	universeWords int
 }
 
 // sparseLimit returns the largest sparse cardinality for a set spanning
@@ -75,40 +77,37 @@ func (s *RowSet) spanWords() int {
 	return 0
 }
 
-// NewRowSet returns an empty set for rows in [0, universe). The universe
-// only bounds expectations — Add still grows the set past it — and an
-// adaptive set starts sparse regardless, so the parameter no longer
-// pre-allocates storage; it is kept as the accounting hint
-// DenseEquivalentBytes reports against.
-func NewRowSet(universe int) *RowSet {
-	return &RowSet{hintWords: (universe + 63) >> 6}
+// NewRowSet returns an empty set for rows in [0, universe) that is about
+// to receive at most count members, in the form that cardinality picks:
+// the dense words allocated once at the universe's span when count is
+// past the sparse limit, a sparse array of exactly that capacity
+// otherwise. A fill that keeps its promise therefore never grows,
+// migrates or re-sizes the set. Both numbers only bound expectations —
+// rows past the universe grow the set, members past count grow or
+// densify it — and Compact re-picks the form from what the set ended up
+// holding.
+func NewRowSet(universe, count int) *RowSet {
+	s := &RowSet{universeWords: (universe + 63) >> 6}
+	switch {
+	case count > sparseLimit(s.universeWords):
+		s.words = make([]uint64, s.universeWords)
+	case count > 0:
+		s.sparse = make([]uint32, 0, count)
+	}
+	return s
 }
 
 // RowSetFromSorted builds a set from an ascending row list (the αDB
 // posting-list format). Unsorted or duplicate input still produces the
-// correct set: the build sorts and deduplicates as needed and sizes the
-// dense form off the true maximum, not the last element.
+// correct set, sized off the true maximum, not the last element.
 func RowSetFromSorted(rows []int) *RowSet {
-	s := &RowSet{}
-	if len(rows) == 0 {
-		return s
-	}
-	sp := make([]uint32, 0, len(rows))
-	sorted := true
+	maxRow := -1
 	for _, r := range rows {
-		if r < 0 {
-			continue
-		}
-		if len(sp) > 0 && uint32(r) < sp[len(sp)-1] {
-			sorted = false
-		}
-		sp = append(sp, uint32(r))
+		maxRow = max(maxRow, r)
 	}
-	if !sorted {
-		slices.Sort(sp)
-	}
-	s.sparse = dedupSorted(sp)
-	s.maybeDensify()
+	s := NewRowSet(maxRow+1, len(rows))
+	s.AddAll(rows)
+	s.Compact() // duplicates overstate the count
 	return s
 }
 
@@ -123,16 +122,21 @@ func dedupSorted(sp []uint32) []uint32 {
 	return out
 }
 
-// maybeDensify flips a sparse set to the dense form when it exceeds the
-// sparse threshold for its span.
+// maybeDensify flips a sparse set that outgrew the sparse limit of its
+// universe (or of its span, once rows lie past the universe) to the
+// dense form.
 func (s *RowSet) maybeDensify() {
 	if s.words != nil {
 		return
 	}
-	w := s.spanWords()
-	if len(s.sparse) <= sparseLimit(w) {
-		return
+	if w := max(s.universeWords, s.spanWords()); len(s.sparse) > sparseLimit(w) {
+		s.densify(w)
 	}
+}
+
+// densify unconditionally converts a sparse set to w dense words, which
+// must cover its span.
+func (s *RowSet) densify(w int) {
 	s.words = make([]uint64, w)
 	for _, r := range s.sparse {
 		s.words[r>>6] |= 1 << (r & 63)
@@ -195,15 +199,20 @@ func (s *RowSet) grow(w int) {
 	}
 }
 
-// Add inserts one row.
+// Add inserts one row. The dense in-span case, what a builder filling a
+// pre-sized set hits on every row, is one unsigned compare (which a
+// negative row fails) and one OR.
 func (s *RowSet) Add(row int) {
+	if w := uint(row) >> 6; w < uint(len(s.words)) {
+		s.words[w] |= 1 << (uint(row) & 63)
+		return
+	}
 	if row < 0 {
 		return
 	}
 	if s.words != nil {
-		w := row >> 6
-		s.grow(w)
-		s.words[w] |= 1 << uint(row&63)
+		s.grow(row >> 6)
+		s.words[row>>6] |= 1 << uint(row&63)
 		return
 	}
 	r := uint32(row)
@@ -223,42 +232,45 @@ func (s *RowSet) Add(row int) {
 	s.maybeDensify()
 }
 
-// AddAll inserts every row of the list. Unsorted input pays one sort
-// over the combined set instead of a per-row insertion shuffle, so bulk
-// fills (posting unions, numeric-index ranges) stay O(k log k).
+// AddAll inserts every row of the list. Into the dense form it is one
+// pass of bit sets: the unsigned compare that bounds the word index also
+// rejects a negative row, and only a row past the span grows the set.
+// Into the sparse form it appends, and pays one sort and dedup over the
+// combined array only when the rows did not arrive strictly ascending
+// (a second posting list of a union, an index range in value order) —
+// never a per-row insertion shuffle.
 func (s *RowSet) AddAll(rows []int) {
-	if len(rows) == 0 {
-		return
-	}
 	if s.words != nil {
-		maxW := 0
+		words := s.words
 		for _, r := range rows {
-			if w := r >> 6; r >= 0 && w > maxW {
-				maxW = w
+			w := uint(r) >> 6
+			if w >= uint(len(words)) {
+				if r < 0 {
+					continue
+				}
+				s.grow(int(w))
+				words = s.words
 			}
-		}
-		s.grow(maxW)
-		for _, r := range rows {
-			if r >= 0 {
-				s.words[r>>6] |= 1 << uint(r&63)
-			}
+			words[w] |= 1 << (uint(r) & 63)
 		}
 		return
 	}
-	sorted := true
+	sp := s.sparse
+	ascending := true
 	for _, r := range rows {
 		if r < 0 {
 			continue
 		}
-		if n := len(s.sparse); n > 0 && uint32(r) <= s.sparse[n-1] {
-			sorted = false
+		if n := len(sp); n > 0 && uint32(r) <= sp[n-1] {
+			ascending = false
 		}
-		s.sparse = append(s.sparse, uint32(r))
+		sp = append(sp, uint32(r))
 	}
-	if !sorted {
-		slices.Sort(s.sparse)
+	if !ascending {
+		slices.Sort(sp)
+		sp = dedupSorted(sp)
 	}
-	s.sparse = dedupSorted(s.sparse)
+	s.sparse = sp
 	s.maybeDensify()
 }
 
@@ -299,7 +311,7 @@ func (s *RowSet) Clone() *RowSet {
 	if s == nil {
 		return &RowSet{}
 	}
-	c := &RowSet{hintWords: s.hintWords}
+	c := &RowSet{universeWords: s.universeWords}
 	if s.words != nil {
 		c.words = append([]uint64{}, s.words...)
 	} else if len(s.sparse) > 0 {
@@ -442,42 +454,38 @@ func (s *RowSet) ResidentBytes() int64 {
 	return int64(cap(s.words))*8 + int64(cap(s.sparse))*4
 }
 
-// DenseEquivalentBytes returns what the pre-adaptive representation
-// would occupy for this set — the baseline the adaptive form's memory
-// win is measured against. The old NewRowSet allocated the full
-// universe bitset up front, so a set carrying a universe hint reports
-// that; a set built without one (RowSetFromSorted) falls back to its
-// span.
+// DenseEquivalentBytes returns what a dense-only representation would
+// occupy for this set — the baseline the adaptive form's memory win is
+// measured against: the bitset of the universe the set was created for,
+// or of its span when that is wider (or no universe was given).
 func (s *RowSet) DenseEquivalentBytes() int64 {
 	if s == nil {
 		return 0
 	}
 	w := s.spanWords()
-	if s.hintWords > w {
-		w = s.hintWords
+	if s.universeWords > w {
+		w = s.universeWords
 	}
 	return int64(w) * 8
 }
 
 // Compact finalizes a set that is about to be frozen (the αDB cache
-// calls it before storing): the form is re-evaluated against the final
-// cardinality and span — a set that densified early during an
-// ascending build, while its span was still a fraction of its final
-// one, converts back to the cheaper sparse form — and the surviving
-// storage is reallocated to exactly fit, dropping append-growth slack
-// a frozen set would never use.
+// calls it before storing), and is the one place that picks a built
+// set's final form: dense exactly when the cardinality is past the
+// sparse limit of the span the members actually cover, whatever form
+// the expected count started it in — so the frozen set is a function of
+// its contents — with the surviving storage reallocated to exactly fit.
 func (s *RowSet) Compact() {
 	if s == nil {
 		return
 	}
 	if s.words != nil {
 		s.trimWords()
-		count := s.Count()
-		if count*4 < len(s.words)*8 {
+		if count := s.Count(); count <= sparseLimit(len(s.words)) {
 			s.sparsify(count)
 		}
-	} else if n := len(s.sparse); n > sparseLimit(s.spanWords()) {
-		s.maybeDensify()
+	} else if w := s.spanWords(); len(s.sparse) > sparseLimit(w) {
+		s.densify(w)
 	}
 	if s.words != nil {
 		if cap(s.words) > len(s.words) {

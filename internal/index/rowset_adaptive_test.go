@@ -20,10 +20,13 @@ const opUniverse = 1 << 12
 // sorted-unique invariant. Every op records the form (or, for the
 // binary op, the receiver×operand form pair) it ran on in seen, so
 // callers can prove which arms of the form-aware algebra a replay
-// reached.
+// reached. The receiver starts from the sized constructor — sparse or
+// dense by the first byte — and the sized op replaces it with a fresh
+// one whose expected count is honest, short or long of what it then
+// receives, so every later op also runs on sets that began in either
+// form at a wrong size.
 func applyOps(t *testing.T, data []byte, seen map[string]bool) {
 	t.Helper()
-	s := NewRowSet(opUniverse)
 	ref := map[int]bool{}
 	pos := 0
 	next := func() int {
@@ -68,8 +71,10 @@ func applyOps(t *testing.T, data []byte, seen map[string]bool) {
 		}
 		return RowSetFromSorted(rows), m
 	}
+	s := NewRowSet(opUniverse, next()%2*opUniverse)
+	seen["sized:"+s.Form()] = true
 	for pos < len(data) {
-		switch next() % 6 {
+		switch next() % 8 {
 		case 0:
 			r := nextRow()
 			seen["add:"+s.Form()] = true
@@ -113,6 +118,42 @@ func applyOps(t *testing.T, data []byte, seen map[string]bool) {
 			if got, want := s.Contains(r), ref[r]; got != want {
 				t.Fatalf("Contains(%d) = %v, want %v", r, got, want)
 			}
+		case 6:
+			// A builder's fill: the form picked from an expected count
+			// that is exact, half or double the rows that follow, filled
+			// in bulk or a row at a time.
+			rows := nextRows()
+			count := len(rows)
+			switch next() % 3 {
+			case 1:
+				count /= 2
+			case 2:
+				count *= 2
+			}
+			s = NewRowSet(opUniverse-next()%2*opUniverse/2, count)
+			seen["sized:"+s.Form()] = true
+			if next()%2 == 0 {
+				s.AddAll(rows)
+			} else {
+				for _, r := range rows {
+					s.Add(r)
+				}
+			}
+			clear(ref)
+			for _, r := range rows {
+				ref[r] = true
+			}
+		case 7:
+			// Freeze: the contents stay and the form becomes a function
+			// of them alone.
+			seen["compact:"+s.Form()] = true
+			s.Compact()
+			if dense := len(ref) > sparseLimit(s.spanWords()); dense != (s.Form() == "dense") {
+				t.Fatalf("compacted %d members over %d words to the %s form", len(ref), s.spanWords(), s.Form())
+			}
+			if s.ResidentBytes() != int64(len(s.words))*8+int64(len(s.sparse))*4 {
+				t.Fatalf("compacted set keeps slack: %d resident bytes", s.ResidentBytes())
+			}
 		}
 		checkOracle(t, s, ref)
 	}
@@ -147,10 +188,10 @@ func checkOracle(t *testing.T, s *RowSet, ref map[int]bool) {
 
 // TestRowSetRandomOpParity replays random op sequences, checking
 // against the map oracle at every step. This is the deterministic twin
-// of FuzzRowSetOps; it fails unless the sequences drove every op
-// through both forms and AndWith through all four receiver×operand
-// form pairs, so the dense algebra cannot silently drop out of
-// coverage.
+// of FuzzRowSetOps; it fails unless the sequences drove every op —
+// the sized constructor and the freeze included — through both forms
+// and AndWith through all four receiver×operand form pairs, so the
+// dense algebra cannot silently drop out of coverage.
 func TestRowSetRandomOpParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	seen := map[string]bool{}
@@ -161,7 +202,7 @@ func TestRowSetRandomOpParity(t *testing.T) {
 	}
 	forms := []string{"sparse", "dense"}
 	for _, f := range forms {
-		for _, op := range []string{"add", "addall", "clone", "contains"} {
+		for _, op := range []string{"sized", "add", "addall", "clone", "contains", "compact"} {
 			if !seen[op+":"+f] {
 				t.Errorf("no sequence ran %s on a %s set", op, f)
 			}
@@ -183,18 +224,40 @@ func rangeRows(lo, hi int) []int {
 	return out
 }
 
-// TestRowSetFormTransitions pins the adaptive thresholds: clustered
-// fills densify, draining intersections sparsify and release the
-// bitset.
+// TestRowSetFormTransitions pins where a form is decided: the expected
+// count picks it up front against the universe's sparse limit, a sparse
+// set that outgrows that limit densifies to the universe's span, Compact
+// re-picks against the span the members cover, and a draining
+// intersection sparsifies and releases the bitset.
 func TestRowSetFormTransitions(t *testing.T) {
-	s := NewRowSet(1 << 20)
-	if s.Form() != "sparse" {
-		t.Fatalf("fresh set form = %s", s.Form())
+	const universe = 1 << 20
+	limit := sparseLimit(universe >> 6)
+	if s := NewRowSet(universe, limit); s.Form() != "sparse" || cap(s.sparse) != limit {
+		t.Fatalf("a set sized at the limit: form %s, capacity %d", s.Form(), cap(s.sparse))
 	}
-	// 100 members in 2 words is far past the sparse break-even.
+	if s := NewRowSet(universe, limit+1); s.Form() != "dense" || len(s.words) != universe>>6 {
+		t.Fatalf("a set sized past the limit: form %s, %d words", s.Form(), len(s.words))
+	}
+	// 100 clustered members are far under the universe's limit: the fill
+	// leaves them sparse, and the freeze, which sees two words, does not.
+	s := NewRowSet(universe, 100)
 	s.AddAll(rangeRows(0, 100))
-	if s.Form() != "dense" {
-		t.Fatalf("clustered 100-member set form = %s, want dense", s.Form())
+	if s.Form() != "sparse" || cap(s.sparse) != 100 {
+		t.Fatalf("sized fill: form %s, capacity %d", s.Form(), cap(s.sparse))
+	}
+	s.Compact()
+	if s.Form() != "dense" || len(s.words) != 2 {
+		t.Fatalf("frozen clustered 100-member set: form %s, %d words", s.Form(), len(s.words))
+	}
+	// A fill that breaks its promise still ends in the right form: past
+	// the universe's limit the sparse start densifies, at the universe's
+	// span, once.
+	under := NewRowSet(universe, 0)
+	for r := 0; r <= limit; r++ {
+		under.Add(r)
+	}
+	if under.Form() != "dense" || len(under.words) != universe>>6 || under.Count() != limit+1 {
+		t.Fatalf("outgrown sparse set: form %s, %d words, %d members", under.Form(), len(under.words), under.Count())
 	}
 	// Intersecting down to 2 rows crosses the hysteresis and drops the
 	// bitset.
@@ -277,7 +340,7 @@ func TestRowSetAndWithShrinksStorage(t *testing.T) {
 
 	// Empty operand: storage released, early-exit signalled.
 	e := RowSetFromSorted(rangeRows(0, universe))
-	if e.AndWith(NewRowSet(0)) {
+	if e.AndWith(NewRowSet(0, 0)) {
 		t.Fatal("AndWith(empty) reported remaining rows")
 	}
 	if rb := e.ResidentBytes(); rb != 0 {

@@ -41,7 +41,7 @@ func TestRowSetRoundTrip(t *testing.T) {
 	if got := RowSetFromSorted(nil).ToSorted(); got != nil {
 		t.Errorf("empty round trip = %v, want nil", got)
 	}
-	if got := NewRowSet(100).ToSorted(); got != nil {
+	if got := NewRowSet(100, 0).ToSorted(); got != nil {
 		t.Errorf("fresh set ToSorted = %v, want nil", got)
 	}
 	cases := [][]int{
@@ -177,7 +177,7 @@ func TestAddRangeToSet(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		lo := float64(rng.Intn(60) - 5)
 		hi := lo + float64(rng.Intn(20))
-		s := NewRowSet(n)
+		s := NewRowSet(n, idx.CountRange(lo, hi))
 		idx.AddRangeToSet(lo, hi, s)
 		want := idx.RowsInRange(lo, hi)
 		got := s.ToSorted()
@@ -189,7 +189,7 @@ func TestAddRangeToSet(t *testing.T) {
 		}
 	}
 	// Inverted and out-of-domain ranges add nothing.
-	s := NewRowSet(n)
+	s := NewRowSet(n, 0)
 	idx.AddRangeToSet(10, 5, s)
 	idx.AddRangeToSet(1000, 2000, s)
 	if s.Count() != 0 {

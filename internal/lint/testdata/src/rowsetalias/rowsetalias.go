@@ -64,7 +64,7 @@ func readsAreFine(f *abduction.Filter) int {
 
 // A set built locally is owned by the caller.
 func freshSetIsPrivate() {
-	s := index.NewRowSet(64)
+	s := index.NewRowSet(64, 1)
 	s.Add(3)
 	s.AndWith(nil)
 }

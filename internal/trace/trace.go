@@ -124,8 +124,11 @@ const (
 	// CounterEstRows records the row estimate an engine stage was
 	// ordered by, next to the CounterRows it then produced.
 	CounterEstRows
-	// CounterCellsStreamed counts the column cells an engine scan or
-	// join read without an index: 0 on a join that probed one.
+	// CounterCellsStreamed counts what a stage read to build its
+	// result: the column cells an engine scan or join read without an
+	// index (0 on a join that probed one), and on a row-set build —
+	// a selectivity-cache miss — the postings, index members or
+	// (entity, strength) pairs it walked.
 	CounterCellsStreamed
 
 	numCounters

@@ -1,8 +1,14 @@
 package squid
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+
+	"squid/internal/abduction"
 )
 
 // academicsDB builds the Fig 1 database through the public API.
@@ -198,5 +204,102 @@ func TestDiscoverWithoutDisambiguation(t *testing.T) {
 	// No ambiguity in this fixture: identical outputs.
 	if strings.Join(d1.Output, ",") != strings.Join(d2.Output, ",") {
 		t.Error("disambiguation changed output on unambiguous data")
+	}
+}
+
+// TestNaNCellIsAbsentFromNumericStats pins what a NaN in a DOUBLE column
+// (a CSV load can carry one: strconv.ParseFloat accepts "NaN") is to a
+// numeric statistic: an absent cell, at build and on the insert path. No
+// order places a NaN, so one in the sorted value→row index left it
+// unsorted — ψ, the index range and the row-order scan disagreed — and
+// one in a first example gave numericContext lo = hi = NaN: a filter its
+// own examples fail (Definition 3.1) under a memo key that never
+// compares equal to itself, stored anew by every discovery.
+func TestNaNCellIsAbsentFromNumericStats(t *testing.T) {
+	const rows = 400
+	rng := rand.New(rand.NewSource(5))
+	reading := func(i int) Value {
+		switch {
+		case i%5 == 0:
+			return FloatVal(math.NaN())
+		case i%13 == 0:
+			return Null
+		}
+		return FloatVal(float64(rng.Intn(90)))
+	}
+	db := NewDatabase("sensors")
+	sensor := NewRelation("sensor", Col("id", Int), Col("name", String), Col("site", String), Col("reading", Float)).SetPrimaryKey("id")
+	for i := 0; i < rows/2; i++ {
+		sensor.MustAppend(IntVal(int64(i)), StringVal(fmt.Sprintf("Sensor %d", i)), StringVal(fmt.Sprintf("Site %d", i%4)), reading(i))
+	}
+	db.AddRelation(sensor)
+	db.MarkEntity("sensor")
+	sys, err := Build(db, DefaultBuildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The second half arrives through the insert path.
+	for i := rows / 2; i < rows; i++ {
+		if err := sys.InsertEntity("sensor", IntVal(int64(i)), StringVal(fmt.Sprintf("Sensor %d", i)), StringVal(fmt.Sprintf("Site %d", i%4)), reading(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ep := sys.AlphaDB().Snapshot()
+	info := ep.Entity("sensor")
+	prop := info.BasicByAttr("reading")
+	col := ep.DB.Relation("sensor").Column("reading")
+	for row := 0; row < rows; row++ {
+		if _, ok := prop.NumValue(row); ok != (!col.IsNull(row) && !math.IsNaN(col.Float64(row))) {
+			t.Fatalf("row %d: NumValue present = %v for cell %v", row, ok, col.Get(row))
+		}
+	}
+	// Index ≡ scan ≡ SatisfiedBy ≡ ψ, on ranges over and around the data.
+	for i := 0; i < 200; i++ {
+		lo := float64(rng.Intn(100) - 5)
+		hi := lo + float64(rng.Intn(40))
+		f := &Filter{Kind: abduction.BasicNumeric, Basic: prop, Lo: lo, Hi: hi}
+		var scan, satisfied []int
+		for row := 0; row < rows; row++ {
+			if v := col.Float64(row); !col.IsNull(row) && v >= lo && v <= hi {
+				scan = append(scan, row)
+			}
+			if f.SatisfiedBy(info, row) {
+				satisfied = append(satisfied, row)
+			}
+		}
+		got := f.RowSet().ToSorted()
+		if !slices.Equal(got, scan) || !slices.Equal(got, satisfied) {
+			t.Fatalf("[%g, %g]: index %d rows, scan %d, SatisfiedBy %d", lo, hi, len(got), len(scan), len(satisfied))
+		}
+		if psi := prop.RangeSelectivity(lo, hi); psi != float64(len(scan))/rows {
+			t.Fatalf("[%g, %g]: ψ = %g with %d of %d rows in range", lo, hi, psi, len(scan), rows)
+		}
+	}
+
+	// Sensors 0, 4 and 8 share a site; sensor 0 reads NaN. Every context
+	// the discovery weighs, kept or dropped, is a filter its examples
+	// satisfy, and materializing them all again stores nothing new.
+	examples := []string{"Sensor 0", "Sensor 4", "Sensor 8"}
+	cache := sys.AlphaDB().SelectivityCache()
+	var entries int
+	for i := 0; i < 100; i++ {
+		d, err := sys.Discover(examples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dec := range d.Result().Decisions {
+			set := dec.Filter.RowSet()
+			for _, row := range d.Result().ExampleRows {
+				if !dec.Filter.SatisfiedBy(info, row) || !set.Contains(row) {
+					t.Fatalf("context %v does not hold example row %d", dec.Filter, row)
+				}
+			}
+		}
+		if i == 0 {
+			entries = cache.Len()
+		} else if n := cache.Len(); n != entries {
+			t.Fatalf("discovery %d: %d memoized row sets, %d after the first", i+1, n, entries)
+		}
 	}
 }

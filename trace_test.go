@@ -96,7 +96,9 @@ func TestExecuteUntracedAddsNoAllocs(t *testing.T) {
 // The fixture's example set resolves to a single candidate base query;
 // with one candidate, no two worker units can race the same
 // selectivity-cache key, so even the hit/miss counters are
-// scheduling-independent.
+// scheduling-independent. At ρ = 0.2 it selects one filter, whose
+// rowset span misses the fresh system's memo and so says what the build
+// read: cells_streamed, the three postings of the filter's value.
 func TestTraceStructureDeterministicAcrossWorkers(t *testing.T) {
 	structureAt := func(workers int) string {
 		sys, err := Build(academicsDB(), DefaultBuildConfig())
@@ -105,6 +107,7 @@ func TestTraceStructureDeterministicAcrossWorkers(t *testing.T) {
 		}
 		p := sys.Params()
 		p.Workers = workers
+		p.Rho = 0.2
 		sys.SetParams(p)
 		rec := trace.NewRecorder(0)
 		root := rec.Root(trace.PhaseDiscover, "")
@@ -126,6 +129,9 @@ func TestTraceStructureDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if n := strings.Count(serial, "candidate "); n != 1 {
 		t.Fatalf("fixture resolved to %d candidates, the determinism check needs exactly 1:\n%s", n, serial)
+	}
+	if want := "rowset φ⟨interest,data management,⊥⟩ {cache_misses=1 cache_stores=1 cells_streamed=3 rows=3}"; !strings.Contains(serial, want) {
+		t.Fatalf("serial structure has no rowset span saying what its miss read, want %q:\n%s", want, serial)
 	}
 	for _, w := range []int{2, 4, 8} {
 		if got := structureAt(w); got != serial {
