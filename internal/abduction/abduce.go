@@ -118,17 +118,7 @@ func abduceForEntityCtx(ctx context.Context, pool *workPool, info *adb.EntityInf
 	// selected filter gets its own rowset span (labeled with the filter),
 	// so cache behavior is attributed per property.
 	rs := sp.Child(trace.PhaseRows, "")
-	err = pool.forEach(ctx, len(selected), func(i int) {
-		fsp := trace.Span{}
-		if rs.Active() {
-			fsp = rs.Child(trace.PhaseRowSet, selected[i].String())
-		}
-		set := selected[i].rowSetT(fsp)
-		if fsp.Active() {
-			fsp.Add(trace.CounterRows, int64(set.Count()))
-		}
-		fsp.End()
-	})
+	err = pool.forEach(ctx, len(selected), func(i int) { selected[i].RowSetUnder(rs) })
 	rs.End()
 	if err != nil {
 		return nil, err

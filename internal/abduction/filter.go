@@ -1,8 +1,9 @@
 package abduction
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"squid/internal/adb"
@@ -36,6 +37,13 @@ type Filter struct {
 	Theta   int      // association strength threshold (Derived, absolute)
 	ThetaN  float64  // normalized strength threshold (Derived, normalized mode)
 	NormUse bool     // whether ThetaN is in effect
+
+	// Unstored marks a filter whose operands a client wrote (an executed
+	// plan's) rather than a discovery found in the data: its row set is
+	// read from the property's memo when a discovery left it there, and
+	// otherwise built for this filter alone and dropped with it. Only
+	// operands the data holds may grow a memo.
+	Unstored bool
 
 	// degree is the companion degree property used to normalize
 	// association strengths (set only in normalized mode).
@@ -154,16 +162,17 @@ func (f *Filter) rowSetT(sp trace.Span) *index.RowSet {
 	if f.setOK {
 		return f.rowSet
 	}
+	store := !f.Unstored
 	switch f.Kind {
 	case BasicCategorical:
-		f.rowSet = f.Basic.EntityRowSetWithAnyValue(f.Values, sp)
+		f.rowSet = f.Basic.EntityRowSetWithAnyValue(f.Values, sp, store)
 	case BasicNumeric:
-		f.rowSet = f.Basic.EntityRowSetInRange(f.Lo, f.Hi, sp)
+		f.rowSet = f.Basic.EntityRowSetInRange(f.Lo, f.Hi, sp, store)
 	default:
 		if f.NormUse {
-			f.rowSet = f.Derivd.EntityRowSetWithNormStrength(f.Value(), f.ThetaN, f.degree, sp)
+			f.rowSet = f.Derivd.EntityRowSetWithNormStrength(f.Value(), f.ThetaN, f.degree, sp, store)
 		} else {
-			f.rowSet = f.Derivd.EntityRowSetWithStrength(f.Value(), f.Theta, sp)
+			f.rowSet = f.Derivd.EntityRowSetWithStrength(f.Value(), f.Theta, sp, store)
 		}
 	}
 	f.setOK = true
@@ -213,17 +222,25 @@ func (f *Filter) degreeOf(row int) float64 {
 	return float64(f.degree.StrengthOf(row, f.degree.Via))
 }
 
+// RowSetUnder is RowSet with the fetch recorded as a rowset span under
+// parent, labeled with the filter: the memo events, the cells a miss
+// streamed and the set's size are attributed per property. Untraced, it
+// neither builds the label nor counts the set.
+func (f *Filter) RowSetUnder(parent trace.Span) *index.RowSet {
+	if !parent.Active() {
+		return f.RowSet()
+	}
+	sp := parent.Child(trace.PhaseRowSet, f.String())
+	set := f.rowSetT(sp)
+	sp.Add(trace.CounterRows, int64(set.Count()))
+	sp.End()
+	return set
+}
+
 // IntersectRows intersects the satisfying-row sets of all filters,
 // starting from the full entity relation; it returns the output rows of
 // the abduced query Qϕ (used to measure precision/recall without a full
-// engine round trip). Each filter's row set is an adaptive RowSet from
-// the αDB cache. The cascade is seeded by cloning the most selective
-// filter's set — a clone preserves the form, so a highly-selective
-// sparse seed stays sparse the whole way down: ANDing against the
-// remaining sets gallops (sparse×sparse) or bitmap-probes
-// (sparse×dense) per member instead of scanning the universe's words,
-// and never allocates a bitset. Aborted the moment the accumulator
-// empties.
+// engine round trip).
 func IntersectRows(info *adb.EntityInfo, filters []*Filter) []int {
 	if len(filters) == 0 {
 		all := make([]int, info.NumRows)
@@ -232,17 +249,30 @@ func IntersectRows(info *adb.EntityInfo, filters []*Filter) []int {
 		}
 		return all
 	}
+	return IntersectRowSet(filters).ToSorted()
+}
+
+// IntersectRowSet intersects the satisfying-row sets of one or more
+// filters into a set of the caller's own. Each filter's row set is an
+// adaptive RowSet from the αDB cache. The cascade is seeded by cloning
+// the most selective filter's set — a clone preserves the form, so a
+// highly-selective sparse seed stays sparse the whole way down: ANDing
+// against the remaining sets gallops (sparse×sparse) or bitmap-probes
+// (sparse×dense) per member instead of scanning the universe's words,
+// and never allocates a bitset. Aborted the moment the accumulator
+// empties.
+func IntersectRowSet(filters []*Filter) *index.RowSet {
 	// Order filters by ascending selectivity so the working set shrinks
 	// fast.
-	fs := append([]*Filter(nil), filters...)
-	sort.Slice(fs, func(i, j int) bool { return fs[i].Selectivity() < fs[j].Selectivity() })
+	fs := slices.Clone(filters)
+	slices.SortFunc(fs, func(a, b *Filter) int { return cmp.Compare(a.Selectivity(), b.Selectivity()) })
 	acc := fs[0].RowSet().Clone() // detach from the shared αDB cache
 	for _, f := range fs[1:] {
 		if !acc.AndWith(f.RowSet()) {
-			return nil
+			break
 		}
 	}
-	return acc.ToSorted()
+	return acc
 }
 
 // effectiveStrength returns the filter's association strength on the

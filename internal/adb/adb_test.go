@@ -246,7 +246,7 @@ func TestDerivedPersonToGenre(t *testing.T) {
 	if got := ptg.MaxStrength("Comedy"); got != 3 {
 		t.Errorf("MaxStrength=%d", got)
 	}
-	rows := ptg.EntityRowSetWithStrength("Comedy", 2, trace.Span{}).ToSorted()
+	rows := ptg.EntityRowSetWithStrength("Comedy", 2, trace.Span{}, true).ToSorted()
 	if len(rows) != 1 || rows[0] != 0 {
 		t.Errorf("rows(Comedy,≥2)=%v", rows)
 	}

@@ -55,12 +55,18 @@ func newRowSetMemo(c *SelCache) *rowSetMemo {
 	return &rowSetMemo{cache: c, sets: make(map[SelKey]*index.RowSet)}
 }
 
-// rowSet returns the memoized set for key, computing and storing it on
-// a miss. Every memo event — hit, miss, store — bumps the matching
-// counter on sp in addition to the αDB-wide totals, so a trace can say
-// which phase paid for which cache behavior (the zero Span records
-// nothing). The returned set is shared: do not mutate (Clone first).
-func (m *rowSetMemo) rowSet(key SelKey, sp trace.Span, compute func() *index.RowSet) *index.RowSet {
+// rowSet returns the memoized set for key, computing it on a miss, and
+// storing what it computed when store is set. A caller whose key came
+// out of the data (a discovery: values, bounds and strengths the
+// examples exhibit) stores; one whose key a client wrote (an executed
+// plan) does not, so the memo grows only as fast as the data has
+// distinct operands — an unstored set is the caller's own, built and
+// dropped with the request. Every memo event — hit, miss, store — bumps
+// the matching counter on sp in addition to the αDB-wide totals, so a
+// trace can say which phase paid for which cache behavior (the zero Span
+// records nothing). A set that came from the memo is shared: do not
+// mutate (Clone first).
+func (m *rowSetMemo) rowSet(key SelKey, sp trace.Span, store bool, compute func() *index.RowSet) *index.RowSet {
 	m.mu.RLock()
 	set, ok := m.sets[key]
 	m.mu.RUnlock()
@@ -72,6 +78,9 @@ func (m *rowSetMemo) rowSet(key SelKey, sp trace.Span, compute func() *index.Row
 	m.cache.misses.Add(1)
 	sp.Add(trace.CounterCacheMisses, 1)
 	set = compute()
+	if !store {
+		return set
+	}
 	// The stored set is frozen from here on; drop the append-growth
 	// slack it accumulated while being computed.
 	set.Compact()

@@ -72,7 +72,7 @@ func TestEntityRowsCrossCheck(t *testing.T) {
 		if trial%2 == 0 {
 			span = float64(900 + rng.Intn(300))
 		}
-		got := weight.EntityRowSetInRange(lo, lo+span, trace.Span{}).ToSorted()
+		got := weight.EntityRowSetInRange(lo, lo+span, trace.Span{}, true).ToSorted()
 		want := naiveRange(lo, lo+span)
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 			t.Fatalf("EntityRowSetInRange(%v,%v): got %d rows, want %d (%v vs %v)",
@@ -107,7 +107,7 @@ func TestEntityRowsCrossCheck(t *testing.T) {
 		return out
 	}
 	for _, vals := range [][]string{{"a"}, {"a", "c"}, {"b", "d", "e"}, {"nope"}} {
-		got := class.EntityRowSetWithAnyValue(vals, trace.Span{}).ToSorted()
+		got := class.EntityRowSetWithAnyValue(vals, trace.Span{}, true).ToSorted()
 		want := naiveAny(vals)
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 			t.Fatalf("EntityRowSetWithAnyValue(%v): %v want %v", vals, got, want)
@@ -139,7 +139,7 @@ func TestDerivedStrengthCrossCheck(t *testing.T) {
 						want = append(want, row)
 					}
 				}
-				got := p.EntityRowSetWithStrength(v, theta, trace.Span{}).ToSorted()
+				got := p.EntityRowSetWithStrength(v, theta, trace.Span{}, true).ToSorted()
 				if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 					t.Errorf("%s: EntityRowSetWithStrength(%s,%d)=%v want %v", p.Attr, v, theta, got, want)
 				}
@@ -163,7 +163,7 @@ func TestSelectivityCacheInvalidation(t *testing.T) {
 	oldAge := oldInfo.BasicByAttr("age")
 	cache := a.SelectivityCache()
 
-	before := oldAge.EntityRowSetInRange(45, 65, trace.Span{}).ToSorted() // populate the cache
+	before := oldAge.EntityRowSetInRange(45, 65, trace.Span{}, true).ToSorted() // populate the cache
 	if cache.Len() == 0 {
 		t.Fatal("cache not populated by EntityRowSetInRange")
 	}
@@ -184,7 +184,7 @@ func TestSelectivityCacheInvalidation(t *testing.T) {
 	if age == oldAge {
 		t.Fatal("insert did not clone the touched property")
 	}
-	after := age.EntityRowSetInRange(45, 65, trace.Span{}).ToSorted()
+	after := age.EntityRowSetInRange(45, 65, trace.Span{}, true).ToSorted()
 	if len(after) != len(before)+1 {
 		t.Errorf("post-insert range rows = %d want %d", len(after), len(before)+1)
 	}
@@ -203,7 +203,7 @@ func TestSelectivityCacheInvalidation(t *testing.T) {
 	}
 	// The retired epoch's handle still answers pre-insert (snapshot
 	// isolation) from its own memo, which the new epoch cannot reach.
-	if got := oldAge.EntityRowSetInRange(45, 65, trace.Span{}).ToSorted(); len(got) != len(before) {
+	if got := oldAge.EntityRowSetInRange(45, 65, trace.Span{}, true).ToSorted(); len(got) != len(before) {
 		t.Errorf("retired epoch's row set changed: %d want %d", len(got), len(before))
 	}
 
@@ -212,7 +212,7 @@ func TestSelectivityCacheInvalidation(t *testing.T) {
 	if ptg == nil {
 		t.Fatal("movie:genre derived property missing")
 	}
-	preRows := ptg.EntityRowSetWithStrength("Drama", 1, trace.Span{}).ToSorted()
+	preRows := ptg.EntityRowSetWithStrength("Drama", 1, trace.Span{}, true).ToSorted()
 	// Person 3 appears in movie 13 (Drama) for the first time.
 	if err := a.InsertFact("castinfo", relation.IntVal(3), relation.IntVal(13)); err != nil {
 		t.Fatal(err)
@@ -221,14 +221,14 @@ func TestSelectivityCacheInvalidation(t *testing.T) {
 	if ptg2 == ptg {
 		t.Fatal("fact insert did not clone the derived property")
 	}
-	postRows := ptg2.EntityRowSetWithStrength("Drama", 1, trace.Span{}).ToSorted()
+	postRows := ptg2.EntityRowSetWithStrength("Drama", 1, trace.Span{}, true).ToSorted()
 	if len(postRows) != len(preRows)+1 {
 		t.Errorf("post-fact Drama rows = %v want one more than %v", postRows, preRows)
 	}
 	if !sort.IntsAreSorted(postRows) {
 		t.Errorf("post-fact rows not sorted: %v", postRows)
 	}
-	if got := ptg.EntityRowSetWithStrength("Drama", 1, trace.Span{}).ToSorted(); len(got) != len(preRows) {
+	if got := ptg.EntityRowSetWithStrength("Drama", 1, trace.Span{}, true).ToSorted(); len(got) != len(preRows) {
 		t.Errorf("retired derived row set changed: %v want %v", got, preRows)
 	}
 	rebuildAndCompare(t, a)
@@ -253,8 +253,8 @@ func TestPerPropertyInvalidation(t *testing.T) {
 	}
 	cache := a.SelectivityCache()
 
-	_ = age.EntityRowSetInRange(45, 65, trace.Span{})
-	yearRows := year.EntityRowSetInRange(2000, 2003, trace.Span{}).ToSorted()
+	_ = age.EntityRowSetInRange(45, 65, trace.Span{}, true)
+	yearRows := year.EntityRowSetInRange(2000, 2003, trace.Span{}, true).ToSorted()
 	if cache.Len() != 2 {
 		t.Fatalf("cache primed with %d entries, want 2", cache.Len())
 	}
@@ -278,7 +278,7 @@ func TestPerPropertyInvalidation(t *testing.T) {
 		t.Errorf("cache has %d entries after person insert, want only the movie entry", cache.Len())
 	}
 	h0, _ := cache.Metrics()
-	got := year2.EntityRowSetInRange(2000, 2003, trace.Span{}).ToSorted()
+	got := year2.EntityRowSetInRange(2000, 2003, trace.Span{}, true).ToSorted()
 	if h1, _ := cache.Metrics(); h1 != h0+1 {
 		t.Error("movie row set was not served from cache after a person insert")
 	}
@@ -291,12 +291,12 @@ func TestPerPropertyInvalidation(t *testing.T) {
 	// (and live cache entries), the derived movie:genre property is
 	// cloned and its entry evicted.
 	age2 := person2.BasicByAttr("age")
-	_ = age2.EntityRowSetInRange(45, 65, trace.Span{}) // prime person.age on the current epoch
+	_ = age2.EntityRowSetInRange(45, 65, trace.Span{}, true) // prime person.age on the current epoch
 	ptg := person2.DerivedByAttr("movie:genre")
 	if ptg == nil {
 		t.Fatal("movie:genre derived property missing")
 	}
-	_ = ptg.EntityRowSetWithStrength("Drama", 1, trace.Span{})
+	_ = ptg.EntityRowSetWithStrength("Drama", 1, trace.Span{}, true)
 	if cache.Len() != 3 {
 		t.Fatalf("cache primed with %d entries, want 3", cache.Len())
 	}
@@ -331,7 +331,7 @@ func TestRetiredEntriesNotServed(t *testing.T) {
 	}
 	cache := a.SelectivityCache()
 	retired := a.Entity("person").BasicByAttr("age")
-	pre := retired.EntityRowSetInRange(45, 65, trace.Span{})
+	pre := retired.EntityRowSetInRange(45, 65, trace.Span{}, true)
 	var collected atomic.Int32
 	runtime.SetFinalizer(retired, func(*BasicProperty) { collected.Add(1) })
 	runtime.SetFinalizer(retired.memo, func(*rowSetMemo) { collected.Add(1) })
@@ -351,7 +351,7 @@ func TestRetiredEntriesNotServed(t *testing.T) {
 	}
 	// The clone's lookup must recompute, never alias the retired entry.
 	_, m0 := cache.Metrics()
-	post := clone.EntityRowSetInRange(45, 65, trace.Span{})
+	post := clone.EntityRowSetInRange(45, 65, trace.Span{}, true)
 	if _, m1 := cache.Metrics(); m1 != m0+1 {
 		t.Error("clone was served from a memo it never filled")
 	}
@@ -361,13 +361,13 @@ func TestRetiredEntriesNotServed(t *testing.T) {
 	// A reader still pinned to the retired epoch keeps hitting the
 	// retired memo, and what it stores there stays out of Len.
 	h0, _ := cache.Metrics()
-	if again := retired.EntityRowSetInRange(45, 65, trace.Span{}); again != pre {
+	if again := retired.EntityRowSetInRange(45, 65, trace.Span{}, true); again != pre {
 		t.Error("retired property recomputed a set its memo holds")
 	}
 	if h1, _ := cache.Metrics(); h1 != h0+1 {
 		t.Error("retired property's lookup was not a hit")
 	}
-	_ = retired.EntityRowSetInRange(0, 200, trace.Span{})
+	_ = retired.EntityRowSetInRange(0, 200, trace.Span{}, true)
 	if cache.Len() != 1 {
 		t.Fatalf("Len = %d, want only the clone's entry", cache.Len())
 	}
@@ -417,8 +417,8 @@ func TestDisjunctionCacheKey(t *testing.T) {
 	if class == nil {
 		t.Fatal("class property missing")
 	}
-	r1 := class.EntityRowSetWithAnyValue([]string{"a\x00b", "c"}, trace.Span{}).ToSorted()
-	r2 := class.EntityRowSetWithAnyValue([]string{"a", "b\x00c"}, trace.Span{}).ToSorted()
+	r1 := class.EntityRowSetWithAnyValue([]string{"a\x00b", "c"}, trace.Span{}, true).ToSorted()
+	r2 := class.EntityRowSetWithAnyValue([]string{"a", "b\x00c"}, trace.Span{}, true).ToSorted()
 	if !reflect.DeepEqual(r1, []int{0, 1, 5}) {
 		t.Errorf(`rows of {"a\x00b","c"} = %v, want [0 1 5]`, r1)
 	}
@@ -429,7 +429,7 @@ func TestDisjunctionCacheKey(t *testing.T) {
 	// Order canonicalization: the reversed set must hit the same entry.
 	cache := a.SelectivityCache()
 	h0, _ := cache.Metrics()
-	r3 := class.EntityRowSetWithAnyValue([]string{"c", "a\x00b"}, trace.Span{}).ToSorted()
+	r3 := class.EntityRowSetWithAnyValue([]string{"c", "a\x00b"}, trace.Span{}, true).ToSorted()
 	if h1, _ := cache.Metrics(); h1 != h0+1 {
 		t.Error("reordered disjunction missed the cache")
 	}
@@ -448,8 +448,8 @@ func TestCacheMetrics(t *testing.T) {
 	age := a.Entity("person").BasicByAttr("age")
 	cache := a.SelectivityCache()
 	h0, m0 := cache.Metrics()
-	_ = age.EntityRowSetInRange(40, 70, trace.Span{})
-	_ = age.EntityRowSetInRange(40, 70, trace.Span{})
+	_ = age.EntityRowSetInRange(40, 70, trace.Span{}, true)
+	_ = age.EntityRowSetInRange(40, 70, trace.Span{}, true)
 	h1, m1 := cache.Metrics()
 	if m1 != m0+1 {
 		t.Errorf("misses %d -> %d, want one new miss", m0, m1)

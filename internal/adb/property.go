@@ -323,13 +323,14 @@ func (p *BasicProperty) EntityRowsWithValue(v string) []int {
 // under the canonical disjunction key (a single value is a one-element
 // disjunction), with memo events attributed to sp. The set is sized by
 // the lists' total length, ψ's numerator when the values do not overlap
-// and an upper bound when they do. The returned set is shared: do not
-// mutate.
-func (p *BasicProperty) EntityRowSetWithAnyValue(values []string, sp trace.Span) *index.RowSet {
+// and an upper bound when they do. A set the call had to build stays in
+// the memo when store is set (rowSetMemo.rowSet says who may). The
+// returned set is shared: do not mutate.
+func (p *BasicProperty) EntityRowSetWithAnyValue(values []string, sp trace.Span, store bool) *index.RowSet {
 	if len(values) == 0 {
 		return index.NewRowSet(0, 0)
 	}
-	return p.memo.rowSet(SelKey{Value: disjunctionKey(values)}, sp, func() *index.RowSet {
+	return p.memo.rowSet(SelKey{Value: disjunctionKey(values)}, sp, store, func() *index.RowSet {
 		total := 0
 		for _, v := range values {
 			total += len(p.EntityRowsWithValue(v))
@@ -366,13 +367,14 @@ func disjunctionKey(values []string) string {
 // every selectivity: into a dense set the index costs about a
 // nanosecond a member, in value order, and the row-order scan it
 // replaced costs more than that a row (BenchmarkRowSetFill, unsorted
-// against word), so the scan lost even at nine rows in ten. Memoized,
-// with memo events attributed to sp; do not mutate the returned set.
-func (p *BasicProperty) EntityRowSetInRange(lo, hi float64, sp trace.Span) *index.RowSet {
+// against word), so the scan lost even at nine rows in ten. Memoized
+// (kept on a miss when store is set), with memo events attributed to sp;
+// do not mutate the returned set.
+func (p *BasicProperty) EntityRowSetInRange(lo, hi float64, sp trace.Span, store bool) *index.RowSet {
 	if p.numIdx == nil {
 		return index.NewRowSet(0, 0)
 	}
-	return p.memo.rowSet(SelKey{Lo: lo, Hi: hi}, sp, func() *index.RowSet {
+	return p.memo.rowSet(SelKey{Lo: lo, Hi: hi}, sp, store, func() *index.RowSet {
 		count := p.numIdx.CountRange(lo, hi)
 		s := index.NewRowSet(p.numEntities, count)
 		p.numIdx.AddRangeToSet(lo, hi, s)
@@ -617,10 +619,10 @@ func (p *DerivedProperty) SelectivityOfCode(code int32, theta int) float64 {
 // EntityRowSetWithStrength returns the entity rows associated with
 // value v at strength ≥ θ, in a set sized by the histogram's count
 // (ge[θ-1], ψ's numerator); a θ past the largest strength is the empty
-// set without a walk. Memoized, with memo events attributed to sp; do
-// not mutate the returned set.
-func (p *DerivedProperty) EntityRowSetWithStrength(v string, theta int, sp trace.Span) *index.RowSet {
-	return p.memo.rowSet(SelKey{Value: v, Theta: theta}, sp, func() *index.RowSet {
+// set without a walk. Memoized (kept on a miss when store is set), with
+// memo events attributed to sp; do not mutate the returned set.
+func (p *DerivedProperty) EntityRowSetWithStrength(v string, theta int, sp trace.Span, store bool) *index.RowSet {
+	return p.memo.rowSet(SelKey{Value: v, Theta: theta}, sp, store, func() *index.RowSet {
 		code, ok := p.LookupCode(v)
 		cs := p.statsOf(code)
 		if !ok || cs == nil || theta > cs.ge.Len() {
@@ -647,14 +649,14 @@ func (p *DerivedProperty) EntityRowSetWithStrength(v string, theta int, sp trace
 // value v at normalized strength ≥ θn, where each row's strength is
 // divided by its degree (total association count) from the companion
 // degree property; the set is sized by the value's pair count, an upper
-// bound. Memoized, with memo events attributed to sp; do not mutate the
-// returned set.
-func (p *DerivedProperty) EntityRowSetWithNormStrength(v string, thetaN float64, degree *DerivedProperty, sp trace.Span) *index.RowSet {
+// bound. Memoized (kept on a miss when store is set), with memo events
+// attributed to sp; do not mutate the returned set.
+func (p *DerivedProperty) EntityRowSetWithNormStrength(v string, thetaN float64, degree *DerivedProperty, sp trace.Span, store bool) *index.RowSet {
 	if degree == nil {
 		// No denominator: nothing satisfies a normalized threshold.
 		return index.NewRowSet(0, 0)
 	}
-	return p.memo.rowSet(SelKey{Value: v, Lo: thetaN, Theta: -1}, sp, func() *index.RowSet {
+	return p.memo.rowSet(SelKey{Value: v, Lo: thetaN, Theta: -1}, sp, store, func() *index.RowSet {
 		code, ok := p.LookupCode(v)
 		cs := p.statsOf(code)
 		if !ok || cs == nil {

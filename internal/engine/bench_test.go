@@ -79,3 +79,47 @@ func BenchmarkStreamJoin(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDistinctText measures DISTINCT over one TEXT column of 128
+// tuples by how many codes the column's dictionary holds for each of
+// them: groupFirst as it chooses (the bitmap up to seenBitsPerTuple
+// codes a tuple, the map past it) beside firstByCode forced, so the arms
+// past the threshold show where zeroing a bit per code starts to cost
+// more than hashing the tuples — the crossover seenBitsPerTuple is set
+// under. Every value occurs twice among the tuples.
+func BenchmarkDistinctText(b *testing.B) {
+	const n = 128
+	for _, ratio := range []int{16, 256, 512, 1024, 2048} {
+		dict := n * ratio
+		rel := relation.New("r", relation.Col("s", relation.String))
+		for i := 0; i < dict; i++ {
+			rel.MustAppend(relation.StringVal(fmt.Sprintf("s%d", i)))
+		}
+		c := boundCol{col: rel.Column("s")}
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = i / 2 * ratio
+		}
+		arms := []struct {
+			name string
+			run  func(p *poller, t tuples) (tuples, error)
+		}{
+			{"groupFirst", func(p *poller, t tuples) (tuples, error) { return groupFirst(p, t, []boundCol{c}, 1) }},
+			{"firstByCode", func(p *poller, t tuples) (tuples, error) { return firstByCode(p, t, c, dict) }},
+		}
+		for _, a := range arms {
+			b.Run(fmt.Sprintf("%d codes a tuple/%s", ratio, a.name), func(b *testing.B) {
+				p := &poller{ctx: b.Context()}
+				buf := make([]int, n)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					copy(buf, ids) // firstByCode compacts in place
+					if out, err := a.run(p, tuples{width: 1, ids: buf}); err != nil || out.len() != n/2 {
+						b.Fatalf("kept %d of %d tuples, error %v", out.len(), n, err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/tuple")
+			})
+		}
+	}
+}

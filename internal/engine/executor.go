@@ -49,12 +49,39 @@ import (
 // indexes happen to be resident, nor on the order the query lists the
 // relations it joins to From[0].
 //
+// A Reducer, when one is attached, sees every SPJ block after it is
+// bound and before it is planned, and may answer part of it — filters
+// on From[0] that something outside the engine holds precomputed — as a
+// set of From[0]'s rows: the block that remains is what gets planned,
+// with the set as one more predicate on From[0] and as its access path.
+//
 // The index pool is concurrency-safe, so one executor can serve many
 // goroutines.
 type Executor struct {
-	db  *relation.Database
-	idx *index.IndexSet
+	db     *relation.Database
+	idx    *index.IndexSet
+	reduce Reducer
 }
+
+// Reduction is an SPJ block with some of its conditions on From[0]
+// already answered.
+type Reduction struct {
+	// Rest is the block that remains: the same From[0], Select and
+	// Distinct, without the relations, joins and predicates that Rows
+	// answers.
+	Rest *Query
+	// Rows holds the rows of From[0] that satisfy what was taken out of
+	// the block. The executor only reads it.
+	Rows *index.RowSet
+}
+
+// Reducer takes conditions out of one bound SPJ block (q.Intersect is
+// not its business: each branch is handed over on its own). It returns
+// nil when it takes nothing out. The tuples Rest produces over Rows, in
+// the executor's row order, must project to the Result.Rows of q: what
+// is removed may only be semi-joins of a DISTINCT block that selects
+// nothing from them. An error is a canceled context's.
+type Reducer func(ctx context.Context, q *Query) (*Reduction, error)
 
 // indexMinRows is the relation size below which a scan beats building or
 // probing a hash index.
@@ -70,6 +97,13 @@ func NewExecutor(db *relation.Database) *Executor {
 // offline indexes and stay consistent under incremental inserts).
 func NewExecutorWithIndexes(db *relation.Database, idx *index.IndexSet) *Executor {
 	return &Executor{db: db, idx: idx}
+}
+
+// WithReducer attaches r to the executor and returns it. Without one an
+// executor is the plain join pipeline.
+func (e *Executor) WithReducer(r Reducer) *Executor {
+	e.reduce = r
+	return e
 }
 
 // Execute runs the query and returns its projected tuples. DISTINCT and
@@ -140,8 +174,9 @@ func (e *Executor) ExecuteCtx(ctx context.Context, q *Query) (*Result, error) {
 }
 
 // stage begins the span of one executor stage (scan:<rel>, join:<rel>,
-// cycle-join, aggregate, project). Untraced, it neither builds the label
-// nor touches a recorder.
+// cycle-join, aggregate, project; a Reducer begins its own,
+// reduce:<rel>). Untraced, it neither builds the label nor touches a
+// recorder.
 func stage(sp trace.Span, kind, rel string) trace.Span {
 	if !sp.Active() {
 		return trace.Span{}
@@ -271,10 +306,14 @@ func (pl *plan) col(clause string, c ColRef) (boundCol, error) {
 //   - An operand no cell can equal (another type, NULL, a string the
 //     dictionary never interned) is dropped from = and IN; a range over
 //     a NULL operand is the constant Value.Less makes it.
+//
+// The rows a Reducer answered with are a predicate too, on no column:
+// membership in the set (member; every other field is zero).
 type rowPred struct {
 	Pred
-	col   *relation.Column
-	nulls []bool
+	col    *relation.Column
+	nulls  []bool
+	member *index.RowSet
 
 	ints  []int64
 	patch map[int]int64 // non-nil: INTEGER cells overwritten over ints
@@ -349,7 +388,7 @@ func bindPred(p Pred, col *relation.Column) (rowPred, error) {
 // relation's predicates run cheapest first.
 func (p *rowPred) cost() int {
 	switch {
-	case p.fixed != 0:
+	case p.fixed != 0 || p.member != nil:
 		return 0
 	case p.strs != nil:
 		return 4 // a string comparison
@@ -362,6 +401,9 @@ func (p *rowPred) cost() int {
 }
 
 func (p *rowPred) matches(row int) bool {
+	if p.member != nil {
+		return p.member.Contains(row)
+	}
 	if p.nulls != nil && p.nulls[row] {
 		return false
 	}
@@ -466,13 +508,17 @@ type access struct {
 	cands func() []int
 	// exact: cands are the surviving rows themselves.
 	exact bool
+	// scanned is the number of rows access read to find them: the size of
+	// a relation filtered on the spot, 0 otherwise.
+	scanned int
 }
 
 // access estimates rel's surviving rows without scanning a large
 // relation and without building a numeric index: a relation under
 // indexMinRows is filtered on the spot, a point predicate costs the
 // length of its posting list (its hash index is built on first use, as
-// it always was), a range counts only against a resident index.
+// it always was), a range counts only against a resident index, and the
+// rows a Reducer answered with are their own list.
 func (e *Executor) access(rel *relation.Relation, preds []rowPred) access {
 	n := rel.NumRows()
 	if len(preds) == 0 {
@@ -480,7 +526,7 @@ func (e *Executor) access(rel *relation.Relation, preds []rowPred) access {
 	}
 	if n < indexMinRows {
 		rows := below(preds, n)
-		return access{est: len(rows), cands: func() []int { return rows }, exact: true}
+		return access{est: len(rows), cands: func() []int { return rows }, exact: true, scanned: n}
 	}
 	a := access{est: n}
 	consider := func(count int, cands func() []int) {
@@ -492,6 +538,10 @@ func (e *Executor) access(rel *relation.Relation, preds []rowPred) access {
 		p := &preds[i]
 		var lists [][]uint32
 		switch {
+		case p.member != nil:
+			consider(p.member.Count(), p.member.ToSorted)
+			a.exact = len(preds) == 1
+			continue
 		case p.Op == OpEq && p.col.Type == relation.String && p.Val.IsString():
 			lists = [][]uint32{e.idx.StrHash(rel, p.Col).Rows(p.Val.Str())}
 		case p.keys != nil && len(p.flts) == 0:
@@ -614,7 +664,7 @@ func (e *Executor) bestRange(rel *relation.Relation, preds []rowPred, build bool
 // candidates.
 func (e *Executor) scan(rel *relation.Relation, preds []rowPred, a access) (rows []int, cells int) {
 	if a.exact {
-		return a.cands(), rel.NumRows() // access scanned it
+		return a.cands(), a.scanned
 	}
 	if a.cands == nil && rel.NumRows() >= indexMinRows {
 		_, a.cands = e.bestRange(rel, preds, true)
@@ -741,6 +791,19 @@ func (e *Executor) executeNoIntersect(ctx context.Context, q *Query) (*Result, e
 	if err := p.err(); err != nil {
 		return nil, err
 	}
+	if e.reduce != nil {
+		red, err := e.reduce(ctx, q)
+		if err != nil {
+			return nil, fmt.Errorf("engine: %w", err)
+		}
+		if red != nil {
+			q = red.Rest
+			if pl, err = e.bind(q); err != nil {
+				return nil, err
+			}
+			pl.preds[0] = slices.Insert(pl.preds[0], 0, rowPred{member: red.Rows})
+		}
+	}
 	acc := make([]access, len(pl.rels))
 	for i, rel := range pl.rels {
 		acc[i] = e.access(rel, pl.preds[i])
@@ -763,10 +826,15 @@ func (e *Executor) executeNoIntersect(ctx context.Context, q *Query) (*Result, e
 	}
 	ss := stage(sp, "scan:", q.From[anchor])
 	rows, cells := e.scan(pl.rels[anchor], pl.preds[anchor], acc[anchor])
-	t := tuples{width: len(q.From), ids: make([]int, 0, len(rows)*len(q.From))}
-	blank := slices.Repeat([]int{-1}, t.width)
-	for _, row := range rows {
-		t.emit(blank, anchor, row)
+	// The rows of a block's only relation are its tuples already (every
+	// access path returns a list of its own).
+	t := tuples{width: len(q.From), ids: rows}
+	if t.width > 1 {
+		t.ids = make([]int, 0, len(rows)*t.width)
+		blank := slices.Repeat([]int{-1}, t.width)
+		for _, row := range rows {
+			t.emit(blank, anchor, row)
+		}
 	}
 	endStage(ss, acc[anchor].est, cells, t.len())
 
@@ -798,12 +866,15 @@ func (e *Executor) executeNoIntersect(ctx context.Context, q *Query) (*Result, e
 		}
 	}
 
-	order := make([]int, t.width)
-	for i := range order {
-		order[i] = i
+	// A single relation's rows left its access path ascending.
+	if t.width > 1 {
+		order := make([]int, t.width)
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortFunc(order[1:], func(a, b int) int { return cmp.Compare(q.From[a], q.From[b]) })
+		t.sortBy(order)
 	}
-	slices.SortFunc(order[1:], func(a, b int) int { return cmp.Compare(q.From[a], q.From[b]) })
-	t.sortBy(order)
 
 	if q.HasAggregation() {
 		gs := stage(sp, "aggregate", "")
@@ -1256,8 +1327,15 @@ func filterEqual(p *poller, t *tuples, j boundJoin) error {
 // keyed by the kind-tagged, length-prefixed encoding of its values
 // (appendKey), or, over a single TEXT column, by the dictionary code:
 // two cells of one column are equal exactly when their codes are, NULL
-// (NoCode) being a group of its own.
+// (NoCode) being a group of its own. When every group is kept and the
+// dictionary is small beside the tuples, the codes seen are a bitmap and
+// the tuples are compacted in place (firstByCode).
 func groupFirst(p *poller, t tuples, cols []boundCol, minCount int) (tuples, error) {
+	if len(cols) == 1 && cols[0].col.Type == relation.String && minCount <= 1 {
+		if codes := cols[0].col.Dict().Len(); codes <= seenBitsPerTuple*t.len() {
+			return firstByCode(p, t, cols[0], codes)
+		}
+	}
 	out := tuples{width: t.width}
 	var reps, counts []int // per group: its first tuple, its size
 	group := func(i int) int {
@@ -1307,6 +1385,45 @@ func groupFirst(p *poller, t tuples, cols []boundCol, minCount int) (tuples, err
 	return out, nil
 }
 
+// seenBitsPerTuple is the largest dictionary, in codes per tuple, that
+// firstByCode covers with a bitmap. The map costs 40–50 ns a tuple
+// whatever the dictionary; the bitmap costs its zeroing, 6 ns a tuple at
+// 16 codes each, 17 at 256, 28 at 512, 48 at 1,024 and 125 at 2,048
+// (BenchmarkDistinctText): they cross near 900, and the bound sits well
+// under that.
+const seenBitsPerTuple = 256
+
+// firstByCode keeps the first tuple of every distinct code of the TEXT
+// column c, and the first whose cell is NULL, compacting t in place: one
+// bit a code of the dictionary, tested and set per tuple.
+func firstByCode(p *poller, t tuples, c boundCol, codes int) (tuples, error) {
+	cells := c.col.RawCodes()
+	seen := make([]uint64, codes/64+1)
+	sawNull := false
+	kept := t.ids[:0]
+	for i, n := 0, t.len(); i < n; i++ {
+		if err := p.poll(); err != nil {
+			return t, err
+		}
+		src := t.at(i)
+		if code := cells[src[c.pos]]; code == relation.NoCode {
+			if sawNull {
+				continue
+			}
+			sawNull = true
+		} else {
+			w, bit := &seen[code>>6], uint64(1)<<(code&63)
+			if *w&bit != 0 {
+				continue
+			}
+			*w |= bit
+		}
+		kept = append(kept, src...)
+	}
+	t.ids = kept
+	return t, nil
+}
+
 // project materializes the SELECT columns of every tuple.
 func (pl *plan) project(t tuples) *Result {
 	res := &Result{}
@@ -1315,14 +1432,25 @@ func (pl *plan) project(t tuples) *Result {
 	}
 	n, w := t.len(), len(pl.sel)
 	cells := make([]relation.Value, n*w)
+	for k, c := range pl.sel {
+		if c.col.Type == relation.String {
+			// A column of TEXT cells at a time: the dictionary's values
+			// and the codes are fetched once, not per cell.
+			codes, nulls, strs := c.col.RawCodes(), c.col.RawNulls(), c.col.Dict().Values()
+			for i := 0; i < n; i++ {
+				if row := t.ids[i*t.width+c.pos]; nulls == nil || !nulls[row] {
+					cells[i*w+k] = relation.StringVal(strs[codes[row]])
+				}
+			}
+			continue
+		}
+		for i := 0; i < n; i++ {
+			cells[i*w+k] = c.col.Get(t.ids[i*t.width+c.pos])
+		}
+	}
 	res.Rows = make([][]relation.Value, n)
 	for i := range res.Rows {
-		row := cells[i*w : (i+1)*w : (i+1)*w]
-		src := t.at(i)
-		for k, c := range pl.sel {
-			row[k] = c.col.Get(src[c.pos])
-		}
-		res.Rows[i] = row
+		res.Rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
 	}
 	return res
 }

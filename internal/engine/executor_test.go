@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -115,6 +116,51 @@ func TestTupleKeysDoNotCollide(t *testing.T) {
 	}
 	if n := len(res.TupleSet()); n != 4 {
 		t.Errorf("TupleSet has %d keys for 4 distinct rows", n)
+	}
+}
+
+// TestDistinctTextBothArms holds DISTINCT and GROUP BY over one TEXT
+// column to the nested-loop reference on both sides of
+// seenBitsPerTuple: a dictionary of 6,000 values under a handful of
+// tuples (the map), under a thousand (the bitmap, firstByCode), and with
+// a HAVING that needs counts (the map at any size). Values repeat, NULLs
+// among them, and the first of each must survive in row order.
+func TestDistinctTextBothArms(t *testing.T) {
+	const values = 6000
+	db := relation.NewDatabase("distinct")
+	r := relation.New("t", relation.Col("k", relation.Int), relation.Col("s", relation.String))
+	for i := 0; i < values; i++ {
+		r.MustAppend(relation.IntVal(int64(i)), relation.StringVal(fmt.Sprintf("s%d", i)))
+	}
+	// 1,200 more rows over 320 of those values, three times each, and a
+	// NULL every fifth row.
+	for i := 0; i < 1200; i++ {
+		v := relation.StringVal(fmt.Sprintf("s%d", i*7919%400))
+		if i%5 == 0 {
+			v = relation.Null
+		}
+		r.MustAppend(relation.IntVal(int64(values+i)), v)
+	}
+	db.AddRelation(r)
+	sel := []ColRef{{"t", "s"}}
+	from := func(k int) []Pred { return []Pred{{Rel: "t", Col: "k", Op: OpGE, Val: relation.IntVal(int64(k))}} }
+	for _, tc := range []struct {
+		name string
+		q    *Query
+		rows int
+	}{
+		{"map", &Query{From: []string{"t"}, Preds: from(values + 1188), Select: sel, Distinct: true}, 11},
+		{"bitmap", &Query{From: []string{"t"}, Preds: from(values - 100), Select: sel, Distinct: true}, 421},
+		{"bitmap, GROUP BY", &Query{From: []string{"t"}, Preds: from(values), Select: sel, GroupBy: sel}, 321},
+		{"map, HAVING", &Query{From: []string{"t"}, Preds: from(values + 200), Select: sel, GroupBy: sel, HavingCountGE: 3}, 161},
+	} {
+		n := len(referenceExecute(db, &Query{From: tc.q.From, Preds: tc.q.Preds, Select: sel}))
+		if bitmap := values+1 <= seenBitsPerTuple*n && tc.q.HavingCountGE <= 1; bitmap != strings.HasPrefix(tc.name, "bitmap") {
+			t.Fatalf("%s: %d tuples of a dictionary of %d do not take that arm", tc.name, n, values)
+		}
+		if got := checkDifferential(t, db, tc.q); len(got) != tc.rows {
+			t.Errorf("%s: %d rows, want %d", tc.name, len(got), tc.rows)
+		}
 	}
 }
 

@@ -441,7 +441,14 @@ func (s *RowSet) ToSorted() []int {
 		return nil
 	}
 	out := make([]int, 0, n)
-	s.Iterate(func(row int) bool { out = append(out, row); return true })
+	for _, r := range s.sparse {
+		out = append(out, int(r))
+	}
+	for wi, w := range s.words {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, wi<<6|bits.TrailingZeros64(w))
+		}
+	}
 	return out
 }
 

@@ -13,7 +13,7 @@ import (
 // --- positive cases: mutating a memo-aliasing set ---
 
 func chainedMutation(p *adb.DerivedProperty) {
-	p.EntityRowSetWithStrength("v", 1, trace.Span{}).AndWith(nil) // want "AndWith mutates a RowSet aliasing shared"
+	p.EntityRowSetWithStrength("v", 1, trace.Span{}, true).AndWith(nil) // want "AndWith mutates a RowSet aliasing shared"
 }
 
 func filterAlias(f *abduction.Filter) {
@@ -22,7 +22,7 @@ func filterAlias(f *abduction.Filter) {
 }
 
 func propertyAlias(p *adb.BasicProperty) {
-	s := p.EntityRowSetInRange(0, 10, trace.Span{})
+	s := p.EntityRowSetInRange(0, 10, trace.Span{}, true)
 	s.AddAll(nil) // want "AddAll mutates a RowSet aliasing shared"
 }
 
@@ -41,7 +41,7 @@ func sparseMemoBulkMutation(f *abduction.Filter) {
 }
 
 func disjunctionAlias(p *adb.BasicProperty) {
-	s := p.EntityRowSetWithAnyValue([]string{"a", "b"}, trace.Span{})
+	s := p.EntityRowSetWithAnyValue([]string{"a", "b"}, trace.Span{}, true)
 	s.AndWith(nil) // want "AndWith mutates a RowSet aliasing shared"
 }
 

@@ -76,6 +76,9 @@ type liveGauges struct {
 	epochPublishes   uint64
 	epochCombines    uint64
 
+	// Executed SPJ blocks by how much of each the row sets answered.
+	executeAll, executePart, executeNone uint64
+
 	// Epoch-chain GC health (always rendered).
 	epochRetired       int64
 	epochRetainedBytes int64
@@ -195,6 +198,12 @@ func (m *metrics) render(w *strings.Builder, live liveGauges) {
 		fmt.Fprintf(w, "# TYPE squid_selcache_hit_ratio gauge\n")
 		fmt.Fprintf(w, "squid_selcache_hit_ratio %g\n", float64(live.cacheHits)/float64(total))
 	}
+
+	fmt.Fprintf(w, "# HELP squid_execute_blocks_total SPJ blocks executed (a plan's root and each INTERSECT branch), by how much of each the αDB's row sets answered: all of its filters, part of them, or none (the join pipeline alone).\n")
+	fmt.Fprintf(w, "# TYPE squid_execute_blocks_total counter\n")
+	fmt.Fprintf(w, "squid_execute_blocks_total{reduced=\"all\"} %d\n", live.executeAll)
+	fmt.Fprintf(w, "squid_execute_blocks_total{reduced=\"part\"} %d\n", live.executePart)
+	fmt.Fprintf(w, "squid_execute_blocks_total{reduced=\"none\"} %d\n", live.executeNone)
 
 	fmt.Fprintf(w, "# HELP squid_epoch_seq Sequence number of the current αDB epoch.\n")
 	fmt.Fprintf(w, "# TYPE squid_epoch_seq gauge\n")

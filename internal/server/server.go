@@ -32,8 +32,10 @@ type Config struct {
 	// requests (0 = GOMAXPROCS). A /v1/discover/batch request occupies
 	// one slot but fans across the System's batch worker pool
 	// (System.SetBatchWorkers), so worst-case discovery parallelism is
-	// MaxInFlight × batch workers. Inserts are not gated: they
-	// serialize on the αDB write lock and are cheap.
+	// MaxInFlight × batch workers. Inserts are not gated: their only
+	// bounds are the per-relation writer locks of the αDB and the
+	// 4096-row batch cap, and under -wal-fsync=always an insert is not
+	// cheap (ROADMAP item 7b).
 	MaxInFlight int
 	// QueueDepth bounds how many admission waiters may queue behind the
 	// in-flight requests before new work is shed with 429
@@ -307,9 +309,12 @@ type ExecuteResponse struct {
 	NumRows int      `json:"num_rows"`
 	WallMS  float64  `json:"wall_ms"`
 	// Trace is the request's span tree, embedded when the client asked
-	// with ?trace=1: the executor's stages in the order they ran, each
-	// scan and join with its estimate (est_rows) next to its rows and
-	// the cells it read without an index (cells_streamed).
+	// with ?trace=1: the executor's stages in the order they ran — first,
+	// when filters of the plan were answered from the αDB's row sets, a
+	// reduce:<entity> stage with their number (filters) over one rowset
+	// span a filter — each scan and join with its estimate (est_rows)
+	// next to its rows and the cells it read without an index
+	// (cells_streamed).
 	Trace *trace.TraceJSON `json:"trace,omitempty"`
 }
 
@@ -690,6 +695,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	hits, misses, entries := s.sys.CacheMetrics()
 	epochSeq, epochAge, publishes, combines := s.sys.EpochMetrics()
 	retired, retainedBytes := s.sys.EpochGCMetrics()
+	execAll, execPart, execNone := s.sys.ExecuteBlockMetrics()
 	var walMetrics *wal.Metrics
 	if l := s.sys.WAL(); l != nil {
 		wm := l.Metrics()
@@ -708,6 +714,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		epochCombines:      combines,
 		epochRetired:       retired,
 		epochRetainedBytes: retainedBytes,
+		executeAll:         execAll,
+		executePart:        execPart,
+		executeNone:        execNone,
 		resident:           s.sys.ResidentBytes(),
 		wal:                walMetrics,
 	})

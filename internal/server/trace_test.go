@@ -74,16 +74,20 @@ func TestDiscoverTraceEmbedding(t *testing.T) {
 
 // TestExecuteTraceEmbedding asserts ?trace=1 on /v1/execute: the
 // executor's stages come back under the execute root in the order they
-// ran, scans and joins carrying est_rows next to rows, and the trace is
-// absent without the flag.
+// ran — a reduce stage first when the plan's filters were read from the
+// αDB's row sets — scans and joins carrying est_rows next to rows, the
+// trace is absent without the flag, and /debug/traces and /metrics say
+// which road answered.
 func TestExecuteTraceEmbedding(t *testing.T) {
 	sys := newTestSystem(t)
 	ts := httptest.NewServer(New(sys, Config{}))
 	defer ts.Close()
 	c := ts.Client()
 
+	// Two researchers whose shared interest the default parameters keep
+	// as a filter.
 	var disc DiscoverResponse
-	if code := postJSON(t, c, ts.URL+"/v1/discover", DiscoverRequest{Examples: exampleSet}, &disc); code != http.StatusOK {
+	if code := postJSON(t, c, ts.URL+"/v1/discover", DiscoverRequest{Examples: []string{"Sam Madden", "Joseph Hellerstein"}}, &disc); code != http.StatusOK {
 		t.Fatalf("discover: status %d", code)
 	}
 	var plain, traced ExecuteResponse
@@ -100,9 +104,16 @@ func TestExecuteTraceEmbedding(t *testing.T) {
 	if tr == nil || tr.Kind != "execute" || len(tr.Spans) != 1 {
 		t.Fatalf("want one execute trace with one root, got %+v", tr)
 	}
+	// The discovered plan is one attribute-table filter: the reduce stage
+	// answers it from the filter's row set (a memo hit, the discovery
+	// built it), and what is left is a scan of those academics.
 	stages := tr.Spans[0].Children
-	if len(stages) < 2 || !strings.HasPrefix(stages[0].Label, "scan:") || stages[len(stages)-1].Label != "project" {
-		t.Fatalf("stages should run from a scan to the projection, got %+v", stages)
+	if len(stages) != 3 || stages[0].Label != "reduce:academics" || stages[1].Label != "scan:academics" || stages[2].Label != "project" {
+		t.Fatalf("stages should run reduce, scan, project over academics, got %+v", stages)
+	}
+	if red := stages[0]; red.Counters["filters"] != 1 || red.Counters["rows"] != int64(traced.NumRows) ||
+		len(red.Children) != 1 || red.Children[0].Phase != "rowset" || red.Children[0].Counters["cache_hits"] != 1 {
+		t.Errorf("reduce stage %+v, want one filter read from its memoized row set", red)
 	}
 	for i, sp := range stages {
 		if i > 0 && sp.StartMS < stages[i-1].StartMS {
@@ -119,8 +130,10 @@ func TestExecuteTraceEmbedding(t *testing.T) {
 	}
 
 	// cells_streamed says which stage read a column without an index and
-	// how much of it: no index of the epoch covers research.aid, so the
-	// join streams every cell of it past the academics.
+	// how much of it: this join selects from research and is not
+	// DISTINCT, so no reduce stage touches it, and no index of the epoch
+	// covers research.aid: the join streams every cell of it past the
+	// academics.
 	join := QueryJSON{
 		From:   []string{"academics", "research"},
 		Joins:  []JoinJSON{{LeftRel: "academics", LeftCol: "id", RightRel: "research", RightCol: "aid"}},
@@ -134,6 +147,36 @@ func TestExecuteTraceEmbedding(t *testing.T) {
 	stages = joined.Trace.Spans[0].Children
 	if len(stages) != 3 || stages[1].Label != "join:research" || stages[1].Counters["cells_streamed"] != facts {
 		t.Fatalf("want scan:academics, a join:research that streamed %d cells, project; got %+v", facts, stages)
+	}
+
+	// Which road answered is on /debug/traces and /metrics too.
+	var recent DebugTracesResponse
+	if code := getJSON(t, c, ts.URL+"/debug/traces", &recent); code != http.StatusOK {
+		t.Fatalf("debug/traces: status %d", code)
+	}
+	reduced := 0
+	for _, tr := range recent.Traces {
+		if tr.Kind == "execute" && tr.Spans[0].Children[0].Label == "reduce:academics" {
+			reduced++
+		}
+	}
+	if reduced != 2 {
+		t.Errorf("/debug/traces shows %d executions with a reduce stage, want the plan's 2", reduced)
+	}
+	resp, err := c.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, needle := range []string{
+		`squid_execute_blocks_total{reduced="all"} 2`,
+		`squid_execute_blocks_total{reduced="part"} 0`,
+		`squid_execute_blocks_total{reduced="none"} 1`,
+	} {
+		if !strings.Contains(string(body), needle) {
+			t.Errorf("metrics exposition missing %q", needle)
+		}
 	}
 }
 

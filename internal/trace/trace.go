@@ -62,8 +62,8 @@ const (
 	PhaseIntersect
 	// PhaseExecute is the root of one engine plan execution.
 	PhaseExecute
-	// PhaseStage is one engine executor stage (scan, join, aggregate,
-	// project), labeled with the stage's relation.
+	// PhaseStage is one engine executor stage (reduce, scan, join,
+	// aggregate, project), labeled with the stage's relation.
 	PhaseStage
 	// PhaseInsert is the root of one insert request.
 	PhaseInsert
@@ -130,6 +130,9 @@ const (
 	// a selectivity-cache miss — the postings, index members or
 	// (entity, strength) pairs it walked.
 	CounterCellsStreamed
+	// CounterFilters counts the filter groups an executed block's
+	// reduce stage answered from the αDB's row sets instead of joining.
+	CounterFilters
 
 	numCounters
 )
@@ -137,7 +140,7 @@ const (
 var counterNames = [numCounters]string{
 	"candidates", "properties", "contexts", "selected", "rows",
 	"cache_hits", "cache_misses", "cache_stores", "epoch_seq", "est_rows",
-	"cells_streamed",
+	"cells_streamed", "filters",
 }
 
 // String returns the counter's wire name.

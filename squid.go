@@ -80,6 +80,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"squid/internal/abduction"
@@ -230,6 +231,10 @@ type System struct {
 	// wait-free and never backpressures the serving path.
 	tracesOnce sync.Once
 	traces     *trace.Ring
+
+	// execBlocks counts executed SPJ blocks by how much of each the
+	// αDB's row sets answered (ExecuteBlockMetrics).
+	execBlocks [3]atomic.Uint64
 }
 
 // traceRingSize is how many finished request traces the System retains
@@ -785,13 +790,24 @@ func (d *Discovery) Result() *abduction.Result { return d.result }
 func (s *System) ExecutableDB() *Database { return s.alpha.CombinedDB() }
 
 // Execute runs a logical query plan against the combined database of
-// the current epoch. The engine orders the joins itself: it anchors at
-// the relation its predicates make smallest and extends along the joins
-// towards the smallest relation next, probing the hash indexes the epoch
-// already holds (entity keys, the derived relations' entity_id), so a
-// discovered plan runs as key lookups however it lists its relations.
-// Executing builds the hash index of a point predicate's column on
-// first use and no other: joins never add to the epoch's index view.
+// the current epoch. Before a DISTINCT block whose From[0] is an entity
+// relation is planned, the filters in it that spell one of the entity's
+// semantic properties — the joins and predicates Plan lowers a
+// discovered filter to — are answered from the αDB's memoized row sets
+// (sqlgen.Reduce), so a discovered plan reads the sets its discovery
+// built and joins nothing; what is not recognized to the letter runs
+// through the engine over those rows. Executing reads the memos and
+// never adds to them: a set no discovery of the epoch has left there —
+// an insert cloned the property since, or a client wrote the plan — is
+// built for the one execution, so operands a client chooses cannot grow
+// resident memory. The engine orders the joins
+// itself: it anchors at the relation its predicates make smallest and
+// extends along the joins towards the smallest relation next, probing
+// the hash indexes the epoch already holds (entity keys, the derived
+// relations' entity_id). Executing builds the hash index of a point
+// predicate's column on first use and no other — none at all for a
+// predicate the row sets answered: joins never add to the epoch's index
+// view.
 // Rows come back in one canonical order — by row id, From[0]'s first,
 // then the other relations' in name order — so the result, DISTINCT's
 // surviving duplicate and GROUP BY's representative do not depend on
@@ -811,6 +827,33 @@ func (s *System) Execute(q *Query) (*ExecResult, error) {
 // error; match it with errors.Is.
 func (s *System) ExecuteContext(ctx context.Context, q *Query) (*ExecResult, error) {
 	ep := s.alpha.Snapshot()
-	exec := engine.NewExecutorWithIndexes(ep.CombinedDB(), ep.Indexes)
-	return exec.ExecuteCtx(ctx, q)
+	reduce := func(ctx context.Context, block *Query) (*engine.Reduction, error) {
+		red, err := sqlgen.Reduce(ctx, ep, block)
+		switch {
+		case err != nil: // canceled: no road answered the block
+		case red == nil:
+			s.execBlocks[blockNone].Add(1)
+		case len(red.Rest.From) == 1 && len(red.Rest.Preds) == 0 && len(red.Rest.Joins) == 0:
+			s.execBlocks[blockAll].Add(1)
+		default:
+			s.execBlocks[blockPart].Add(1)
+		}
+		return red, err
+	}
+	return engine.NewExecutorWithIndexes(ep.CombinedDB(), ep.Indexes).WithReducer(reduce).ExecuteCtx(ctx, q)
+}
+
+// How much of an executed SPJ block the αDB's row sets answered.
+const (
+	blockAll  = iota // all of it: only From[0] was left to read
+	blockPart        // some filter groups; the rest ran through the joins
+	blockNone        // nothing: the block ran as it was written
+)
+
+// ExecuteBlockMetrics counts the SPJ blocks (a plan's root and each of
+// its INTERSECT branches) executed since boot by how they were
+// answered: wholly from the αDB's row sets, partly, or by the join
+// pipeline alone. Three atomic loads; safe at any scrape frequency.
+func (s *System) ExecuteBlockMetrics() (all, part, none uint64) {
+	return s.execBlocks[blockAll].Load(), s.execBlocks[blockPart].Load(), s.execBlocks[blockNone].Load()
 }

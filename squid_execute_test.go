@@ -2,6 +2,7 @@ package squid
 
 import (
 	"cmp"
+	"context"
 	"reflect"
 	"slices"
 	"testing"
@@ -9,74 +10,148 @@ import (
 	"squid/internal/datagen"
 	"squid/internal/engine"
 	"squid/internal/index"
+	"squid/internal/trace"
 )
 
-// TestExecuteBuildsNoJoinIndexes is the heap_mb trap as a test:
-// executing the benchmark's three discovered plans builds the hash
-// indexes of their point predicates once (the executor always did) —
-// and an InsertBatch into castinfo carries those into the next epoch,
-// so executing the plans again builds nothing at all: no point index
-// over again, no hash index on a join column of castinfo, no sorted
-// numeric index on a derived relation's count column. A join uses an
-// index that is resident and never creates one.
+// TestExecuteBuildsNoJoinIndexes is the heap_mb trap as a test, in two
+// arms over the benchmark's three discovered plans.
+//
+// Through System.Execute the plans are answered from the αDB's row sets:
+// executing them, before an InsertBatch into castinfo and after it,
+// builds no index at all — not even the hash indexes of their point
+// predicates (movie.title, country.name, the derived value columns),
+// which the join pipeline builds on first use.
+//
+// Through the join pipeline alone, executing the plans builds those
+// point indexes once — and the batch carries them into the next epoch,
+// so executing the plans again builds nothing: no point index over
+// again, no hash index on a join column of castinfo, no sorted numeric
+// index on a derived relation's count column. A join uses an index that
+// is resident and never creates one.
 func TestExecuteBuildsNoJoinIndexes(t *testing.T) {
-	cfg := benchScale().IMDb
-	g := datagen.GenerateIMDb(cfg)
+	arms := []struct {
+		name       string
+		execute    func(*System, *Query) (*ExecResult, error)
+		buildsNone bool
+	}{
+		{"system", (*System).Execute, true},
+		{"join pipeline", unreduced, false},
+	}
+	for _, arm := range arms {
+		t.Run(arm.name, func(t *testing.T) {
+			cfg := benchScale().IMDb
+			g := datagen.GenerateIMDb(cfg)
+			sys, err := Build(g.DB, DefaultBuildConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans := discoveredPlans(t, sys, g)
+			discovered := sys.alpha.Snapshot().Indexes.NumIndexes()
+			for id, q := range plans {
+				if _, err := arm.execute(sys, q); err != nil {
+					t.Fatalf("%s: %v", id, err)
+				}
+			}
+			if built := sys.alpha.Snapshot().Indexes.NumIndexes() - discovered; arm.buildsNone && built != 0 {
+				t.Errorf("executing the plans built %d indexes: the row sets answer every point predicate", built)
+			} else if !arm.buildsNone && built == 0 {
+				t.Error("the join pipeline built no point-predicate index: the arm proves nothing")
+			}
+			if err := sys.InsertBatch(insertBenchBatch(cfg, 0)); err != nil {
+				t.Fatal(err)
+			}
+			ep := sys.alpha.Snapshot()
+			db := ep.CombinedDB()
+			before := ep.Indexes.NumIndexes()
+
+			type column struct{ rel, col string }
+			point := map[column]bool{}
+			var counts []column
+			for id, q := range plans {
+				for _, p := range q.Preds {
+					switch {
+					case p.Op == engine.OpEq || p.Op == engine.OpIn:
+						point[column{p.Rel, p.Col}] = true
+					case p.Col == "count":
+						counts = append(counts, column{p.Rel, p.Col})
+					}
+				}
+				res, err := arm.execute(sys, q)
+				if err != nil || res.NumRows() == 0 {
+					t.Fatalf("%s: empty result or error %v", id, err)
+				}
+			}
+			if sys.alpha.Snapshot() != ep {
+				t.Fatal("the epoch moved under the test")
+			}
+			if len(point) == 0 {
+				t.Fatal("no plan has a point predicate: the test proves nothing")
+			}
+			if after := ep.Indexes.NumIndexes(); after != before {
+				t.Errorf("executing the plans took the pool from %d to %d hash indexes: the batch dropped the index of one of the %d point-predicate columns", before, after, len(point))
+			}
+			if len(counts) == 0 {
+				t.Fatal("no plan ranges over a derived count column: the test proves nothing")
+			}
+			for _, c := range counts {
+				if ep.Indexes.ResidentNumeric(db.Relation(c.rel), c.col) != nil {
+					t.Errorf("a sorted numeric index on %s.%s is resident: the range was verified per row, nothing should have built it", c.rel, c.col)
+				}
+			}
+			cast := db.Relation("castinfo")
+			for _, c := range cast.Columns() {
+				if ep.Indexes.ResidentIntHash(cast, c.Name) != nil {
+					t.Errorf("a hash index on castinfo.%s is resident after executing the plans", c.Name)
+				}
+			}
+		})
+	}
+}
+
+// TestBenchmarkPlansReadRowSets: a traced execution of each of the
+// benchmark's three plans, warm, is one reduce stage over the plan's
+// filters — every row set a memo hit — a scan of the entity's candidate
+// rows and the projection: no join, and no cell streamed by any stage.
+func TestBenchmarkPlansReadRowSets(t *testing.T) {
+	g := datagen.GenerateIMDb(benchScale().IMDb)
 	sys, err := Build(g.DB, DefaultBuildConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	plans := discoveredPlans(t, sys, g)
-	for id, q := range plans {
+	for id, q := range discoveredPlans(t, sys, g) {
 		if _, err := sys.Execute(q); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-	}
-	if err := sys.InsertBatch(insertBenchBatch(cfg, 0)); err != nil {
-		t.Fatal(err)
-	}
-	ep := sys.alpha.Snapshot()
-	db := ep.CombinedDB()
-	before := ep.Indexes.NumIndexes()
-
-	type column struct{ rel, col string }
-	point := map[column]bool{}
-	var counts []column
-	for id, q := range plans {
-		for _, p := range q.Preds {
-			switch {
-			case p.Op == engine.OpEq || p.Op == engine.OpIn:
-				point[column{p.Rel, p.Col}] = true
-			case p.Col == "count":
-				counts = append(counts, column{p.Rel, p.Col})
+		rec := trace.NewRecorder(0)
+		root := rec.Root(trace.PhaseExecute, "")
+		res, err := sys.ExecuteContext(trace.NewContext(context.Background(), root), q)
+		root.End()
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		spans := rec.Finish("execute", id).JSON().Spans[0].Children
+		var labels []string
+		for _, sp := range spans {
+			labels = append(labels, sp.Label)
+			if sp.Counters["cells_streamed"] != 0 {
+				t.Errorf("%s: stage %s streamed %d cells", id, sp.Label, sp.Counters["cells_streamed"])
 			}
 		}
-		res, err := sys.Execute(q)
-		if err != nil || res.NumRows() == 0 {
-			t.Fatalf("%s: empty result or error %v", id, err)
+		entity := q.From[0]
+		if want := []string{"reduce:" + entity, "scan:" + entity, "project"}; !slices.Equal(labels, want) {
+			t.Fatalf("%s: stages %v, want %v", id, labels, want)
 		}
-	}
-	if sys.alpha.Snapshot() != ep {
-		t.Fatal("the epoch moved under the test")
-	}
-	if len(point) == 0 {
-		t.Fatal("no plan has a point predicate: the test proves nothing")
-	}
-	if after := ep.Indexes.NumIndexes(); after != before {
-		t.Errorf("executing the plans took the pool from %d to %d hash indexes: the batch dropped the index of one of the %d point-predicate columns", before, after, len(point))
-	}
-	if len(counts) == 0 {
-		t.Fatal("no plan ranges over a derived count column: the test proves nothing")
-	}
-	for _, c := range counts {
-		if ep.Indexes.ResidentNumeric(db.Relation(c.rel), c.col) != nil {
-			t.Errorf("a sorted numeric index on %s.%s is resident: the range was verified per row, nothing should have built it", c.rel, c.col)
+		reduce := spans[0]
+		if n := reduce.Counters["filters"]; n == 0 || n != int64(len(reduce.Children)) {
+			t.Errorf("%s: reduce lifted %d filters over %d rowset spans", id, n, len(reduce.Children))
 		}
-	}
-	cast := db.Relation("castinfo")
-	for _, c := range cast.Columns() {
-		if ep.Indexes.ResidentIntHash(cast, c.Name) != nil {
-			t.Errorf("a hash index on castinfo.%s is resident after executing the plans", c.Name)
+		for _, rs := range reduce.Children {
+			if rs.Phase != trace.PhaseRowSet.String() || rs.Counters["cache_hits"] != 1 || rs.Counters["cells_streamed"] != 0 {
+				t.Errorf("%s: %s %q %v, want a rowset span that hit its memo", id, rs.Phase, rs.Label, rs.Counters)
+			}
+		}
+		if got := spans[2].Counters["rows"]; got != int64(res.NumRows()) || reduce.Counters["rows"] < got {
+			t.Errorf("%s: reduce hands over %d rows, project returns %d of %d", id, reduce.Counters["rows"], got, res.NumRows())
 		}
 	}
 }

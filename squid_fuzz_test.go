@@ -34,6 +34,17 @@ func fuzzDB() *Database {
 	return db
 }
 
+// fuzzExampleSets are example sets over fuzzDB whose discoveries between
+// them select an attribute-table filter, a derived one and a numeric
+// range.
+var fuzzExampleSets = [][]string{
+	{"Dan Suciu", "Sam Madden"},
+	{"Sam Madden", "Joseph Hellerstein"},
+	{"Dan Suciu", "Sam Madden", "Joseph Hellerstein"},
+	{"Paper A", "Paper D"},
+	{"Paper B", "Paper F"},
+}
+
 // FuzzSnapshotDecode feeds Load bytes from outside the process. The
 // contract: Load returns an error, or a system on which a discovery and
 // an insert of each kind run — whatever they return, nothing panics. The

@@ -140,7 +140,7 @@ func compareAlphaDBs(t *testing.T, label string, got, want *adb.AlphaDB, rng *ra
 						t.Errorf("%s: ψ(%s) = %v want %v", at, v, gp.CategoricalSelectivity(v), wp.CategoricalSelectivity(v))
 					}
 					pair := []string{v, values[rng.Intn(len(values))]}
-					if !reflect.DeepEqual(gp.EntityRowSetWithAnyValue(pair, trace.Span{}).ToSorted(), wp.EntityRowSetWithAnyValue(pair, trace.Span{}).ToSorted()) {
+					if !reflect.DeepEqual(gp.EntityRowSetWithAnyValue(pair, trace.Span{}, true).ToSorted(), wp.EntityRowSetWithAnyValue(pair, trace.Span{}, true).ToSorted()) {
 						t.Errorf("%s: rows of %q diverged", at, pair)
 					}
 				}
@@ -164,7 +164,7 @@ func compareAlphaDBs(t *testing.T, label string, got, want *adb.AlphaDB, rng *ra
 				if gp.RangeSelectivity(lo, hi) != wp.RangeSelectivity(lo, hi) || gp.DomainCoverage(lo, hi) != wp.DomainCoverage(lo, hi) {
 					t.Errorf("%s: ψ/coverage of [%v,%v] diverged", at, lo, hi)
 				}
-				if !reflect.DeepEqual(gp.EntityRowSetInRange(lo, hi, trace.Span{}).ToSorted(), wp.EntityRowSetInRange(lo, hi, trace.Span{}).ToSorted()) {
+				if !reflect.DeepEqual(gp.EntityRowSetInRange(lo, hi, trace.Span{}, true).ToSorted(), wp.EntityRowSetInRange(lo, hi, trace.Span{}, true).ToSorted()) {
 					t.Errorf("%s: rows of [%v,%v] diverged", at, lo, hi)
 				}
 			}
@@ -185,7 +185,7 @@ func compareAlphaDBs(t *testing.T, label string, got, want *adb.AlphaDB, rng *ra
 					if gp.Selectivity(v, theta) != wp.Selectivity(v, theta) {
 						t.Errorf("%s: ψ(%s,%d) = %v want %v", at, v, theta, gp.Selectivity(v, theta), wp.Selectivity(v, theta))
 					}
-					if !reflect.DeepEqual(gp.EntityRowSetWithStrength(v, theta, trace.Span{}).ToSorted(), wp.EntityRowSetWithStrength(v, theta, trace.Span{}).ToSorted()) {
+					if !reflect.DeepEqual(gp.EntityRowSetWithStrength(v, theta, trace.Span{}, true).ToSorted(), wp.EntityRowSetWithStrength(v, theta, trace.Span{}, true).ToSorted()) {
 						t.Errorf("%s: rows of (%s,%d) diverged", at, v, theta)
 					}
 				}
