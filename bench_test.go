@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"squid/internal/adb"
@@ -366,6 +367,47 @@ func BenchmarkInsertBatch(b *testing.B) {
 		if err := sys.InsertBatch(insertBenchBatch(cfg, i)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestInsertBatchAllocBudget is the gate on the write path's garbage:
+// one publish of the repository benchmark's 64-row batch at bench scale,
+// as BenchmarkInsertBatch runs it, allocates under a committed budget,
+// so a whole posting list copied per fact, or a per-entity slice header
+// per chunk, cannot creep back unnoticed.
+//
+// Readings (go1.24, linux/amd64), the mean over the first 32 batches:
+// 2.01 MB at the parent of PR 25 (BenchmarkInsertBatch read 2.12–2.22
+// MB/op there, by run length), where a fact copied the whole posting
+// list of its value and every first write into a chunk copied 256 slice
+// headers; 1.70 MB with the flat 4-byte lists and a tail map a clone
+// copied whole, 1.68 MB with the tail's per-64-list words, of which a
+// publish copies the table and the words it writes into.
+// The budget, 1.85 MB, is under the parent's readings.
+func TestInsertBatchAllocBudget(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("allocation sizes under the race detector are not the production ones")
+	}
+	const budgetMB = 1.85
+	const batches = 32
+	cfg := benchScale().IMDb
+	sys, err := Build(datagen.GenerateIMDb(cfg).DB, DefaultBuildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 0; k < batches; k++ {
+		if err := sys.InsertBatch(insertBenchBatch(cfg, k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / batches / (1 << 20)
+	t.Logf("one 64-row publish allocates %.3f MB", mb)
+	if mb > budgetMB {
+		t.Errorf("one 64-row publish allocates %.3f MB, over the budget of %.1f MB", mb, budgetMB)
 	}
 }
 

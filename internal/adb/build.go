@@ -3,6 +3,7 @@ package adb
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -460,11 +461,11 @@ func (a *Epoch) keepCategorical(distinct, entities int) bool {
 	return true
 }
 
-// finishCategorical adopts the per-row code lists of a categorical
+// finishCategorical lays out the per-row code lists of a categorical
 // basic property, computes its per-code statistics and applies the
 // distinct-count guards.
-func (a *Epoch) finishCategorical(p *BasicProperty, valsByRow [][]int32) *BasicProperty {
-	p.buildCatStats(valsByRow)
+func (a *Epoch) finishCategorical(p *BasicProperty, pairs *codePairs) *BasicProperty {
+	p.buildCatStats(pairs.byRow(p.numEntities))
 	if !a.keepCategorical(p.numValues, p.numEntities) {
 		return nil
 	}
@@ -472,45 +473,82 @@ func (a *Epoch) finishCategorical(p *BasicProperty, valsByRow [][]int32) *BasicP
 	return p
 }
 
+// codePairs collects the (entity row, value code) pairs of a categorical
+// property in the order its source rows carry them.
+type codePairs struct {
+	rows  []uint32
+	codes []int32
+}
+
+// newCodePairs sizes the pairs for the source rows a build walks: at
+// most one pair a row.
+func newCodePairs(sourceRows int) *codePairs {
+	return &codePairs{rows: make([]uint32, 0, sourceRows), codes: make([]int32, 0, sourceRows)}
+}
+
+func (c *codePairs) add(row int, code int32) {
+	c.rows = append(c.rows, uint32(row))
+	c.codes = append(c.codes, code)
+}
+
+// byRow groups the pairs into per-row code lists by a stable counting
+// sort — a row's codes keep their source order, repeats included — laid
+// out at exact size in one offsets array and one code array.
+func (c *codePairs) byRow(numRows int) index.Jagged {
+	offs := make([]uint32, numRows+1)
+	for _, r := range c.rows {
+		offs[r+1]++
+	}
+	for i := 1; i <= numRows; i++ {
+		offs[i] += offs[i-1]
+	}
+	flat := make([]int32, len(c.codes))
+	next := slices.Clone(offs[:numRows])
+	for i, r := range c.rows {
+		flat[next[r]] = c.codes[i]
+		next[r]++
+	}
+	return index.JaggedOf(offs, flat)
+}
+
 // buildCatStats adopts valsByRow and derives catRows from it — the one
 // constructor of a categorical property's inverse, called by every build
 // path and by the snapshot load. It is a counting sort by code that
-// lists each (entity, code) pair once: the lists are cut at exact size
-// from one backing array as capacity-capped views, so a later append
-// copies a list out instead of clobbering its neighbor.
-func (p *BasicProperty) buildCatStats(valsByRow [][]int32) {
+// lists each (entity, code) pair once, ascending by row, in one offsets
+// array and one posting array sized exactly.
+func (p *BasicProperty) buildCatStats(valsByRow index.Jagged) {
+	codes := p.dict.Len()
 	// seen[c] is one past the last row counted for code c: rows ascend,
 	// so a code repeated within a row is the only way to meet it again.
-	seen := make([]int, p.dict.Len())
-	lens := make([]int, p.dict.Len())
-	total := 0
-	for row, codes := range valsByRow {
-		for _, c := range codes {
+	seen := make([]int, codes)
+	offs := make([]uint32, codes+1)
+	for row := range valsByRow.Len() {
+		for _, c := range valsByRow.At(row) {
 			if seen[c] != row+1 {
 				seen[c] = row + 1
-				lens[c]++
-				total++
+				offs[c+1]++
 			}
 		}
 	}
-	backing := make([]int, total)
-	catRows := make([][]int, len(lens))
-	off := 0
-	for c, n := range lens {
-		if n > 0 {
+	for c := 0; c < codes; c++ {
+		if offs[c+1] > 0 {
 			p.numValues++
-			catRows[c] = backing[off : off : off+n]
-			off += n
 		}
+		offs[c+1] += offs[c]
 	}
-	for row, codes := range valsByRow {
-		for _, c := range codes {
-			if rows := catRows[c]; len(rows) == 0 || rows[len(rows)-1] != row {
-				catRows[c] = append(rows, row)
+	flat := make([]uint32, offs[codes])
+	next := slices.Clone(offs[:codes])
+	clear(seen)
+	for row := range valsByRow.Len() {
+		for _, c := range valsByRow.At(row) {
+			if seen[c] != row+1 {
+				seen[c] = row + 1
+				flat[next[c]] = uint32(row)
+				next[c]++
 			}
 		}
 	}
-	p.valsByRow, p.catRows = index.ChunkedOf(valsByRow), index.ChunkedOf(catRows)
+	p.valsByRow, p.catRows = valsByRow, index.PostingsOf(offs, flat)
 }
 
 // buildNumStats adopts the per-row cells of a numeric property with
@@ -550,16 +588,13 @@ func (a *Epoch) buildDirectProperty(info *EntityInfo, col *relation.Column) *Bas
 	if col.Type == relation.String {
 		p.Kind = Categorical
 		p.dict = col.Dict()
-		valsByRow := make([][]int32, info.NumRows)
-		backing := make([]int32, info.NumRows)
+		pairs := newCodePairs(info.NumRows)
 		for row := 0; row < info.NumRows; row++ {
-			if col.IsNull(row) {
-				continue
+			if !col.IsNull(row) {
+				pairs.add(row, col.Code(row))
 			}
-			backing[row] = col.Code(row)
-			valsByRow[row] = backing[row : row+1 : row+1]
 		}
-		return a.finishCategorical(p, valsByRow)
+		return a.finishCategorical(p, pairs)
 	}
 	p.Kind = Numeric
 	numByRow := make([]float64, info.NumRows)
@@ -613,18 +648,16 @@ func (a *Epoch) buildFKDimProperty(info *EntityInfo, fk relation.ForeignKey) *Ba
 		numEntities: info.NumRows,
 		dict:        vc.Dict(),
 	}
-	valsByRow := make([][]int32, info.NumRows)
-	backing := make([]int32, info.NumRows)
+	pairs := newCodePairs(info.NumRows)
 	for row := 0; row < info.NumRows; row++ {
 		if fkc.IsNull(row) {
 			continue
 		}
 		if dimRow, ok := dimIdx.First(fkc.Int64(row)); ok && !vc.IsNull(dimRow) {
-			backing[row] = vc.Code(dimRow)
-			valsByRow[row] = backing[row : row+1 : row+1]
+			pairs.add(row, vc.Code(dimRow))
 		}
 	}
-	return a.finishCategorical(p, valsByRow)
+	return a.finishCategorical(p, pairs)
 }
 
 // buildAttrTableProperty creates a (multi-valued) basic property from an
@@ -646,16 +679,16 @@ func (a *Epoch) buildAttrTableProperty(info *EntityInfo, sideName string, fk rel
 		numEntities: info.NumRows,
 		dict:        col.Dict(),
 	}
-	valsByRow := make([][]int32, info.NumRows)
+	pairs := newCodePairs(side.NumRows())
 	for sr := 0; sr < side.NumRows(); sr++ {
 		if fkc.IsNull(sr) || col.IsNull(sr) {
 			continue
 		}
 		if row, ok := info.pkIndex.First(fkc.Int64(sr)); ok {
-			valsByRow[row] = append(valsByRow[row], col.Code(sr))
+			pairs.add(row, col.Code(sr))
 		}
 	}
-	return a.finishCategorical(p, valsByRow)
+	return a.finishCategorical(p, pairs)
 }
 
 // buildFactDimProperty creates a (multi-valued) basic property reached
@@ -685,7 +718,7 @@ func (a *Epoch) buildFactDimProperty(info *EntityInfo, factName string, fkToMe, 
 		numEntities: info.NumRows,
 		dict:        vc.Dict(),
 	}
-	valsByRow := make([][]int32, info.NumRows)
+	pairs := newCodePairs(fact.NumRows())
 	for fr := 0; fr < fact.NumRows(); fr++ {
 		if entCol.IsNull(fr) || dimFK.IsNull(fr) {
 			continue
@@ -698,7 +731,7 @@ func (a *Epoch) buildFactDimProperty(info *EntityInfo, factName string, fkToMe, 
 		if !ok || vc.IsNull(dimRow) {
 			continue
 		}
-		valsByRow[row] = append(valsByRow[row], vc.Code(dimRow))
+		pairs.add(row, vc.Code(dimRow))
 	}
-	return a.finishCategorical(p, valsByRow)
+	return a.finishCategorical(p, pairs)
 }

@@ -266,16 +266,20 @@ func (a *Epoch) buildEntityAssocProperty(info *EntityInfo, fact1 string, fkToMe,
 		numEntities: info.NumRows,
 		dict:        vc.Dict(),
 	}
-	valsByRow := make([][]int32, info.NumRows)
+	associations := 0
+	for _, viaRows := range adjacency {
+		associations += len(viaRows)
+	}
+	pairs := newCodePairs(associations)
 	for eRow, viaRows := range adjacency {
 		for _, vr := range viaRows {
 			if !vc.IsNull(vr) {
-				valsByRow[eRow] = append(valsByRow[eRow], vc.Code(vr))
+				pairs.add(eRow, vc.Code(vr))
 			}
 		}
 	}
 	// Bypass the cardinality guards: build stats directly.
-	p.buildCatStats(valsByRow)
+	p.buildCatStats(pairs.byRow(info.NumRows))
 	if p.numValues == 0 {
 		return nil
 	}

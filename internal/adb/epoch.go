@@ -23,8 +23,8 @@ import (
 // answer — selectivity, row sets, query output — reflects exactly the
 // state at publish time (snapshot isolation). Writers never mutate a
 // published epoch; they build the next one copy-on-write (copying only
-// the chunks of per-property statistics and the index tails the batch
-// writes into, structurally sharing everything else) and publish it
+// the chunks and tails of the per-property statistics and indexes the
+// batch writes into, structurally sharing everything else) and publish it
 // with one pointer swap. What is derived from a property lives on the
 // property: a cloned property starts with an empty row-set memo, an
 // untouched one carries its memo into the next epoch (see rowSetMemo),

@@ -2,6 +2,7 @@ package adb
 
 import (
 	"fmt"
+	"slices"
 
 	"squid/internal/index"
 	"squid/internal/relation"
@@ -13,11 +14,11 @@ import (
 // epoch writer. Instead of rebuilding the αDB (or mutating it under a
 // global lock), an insert batch builds the next epoch: it clones the
 // headers of the relations, per-property statistics, and index shards
-// the batch touches, copies only the chunks and index tails it writes
-// into (index.Chunked, index.IntHash), structurally shares everything
-// else with the base epoch, applies the per-row delta logic to the
-// private clones, and publishes the result with one atomic pointer swap
-// (AlphaDB.publish). Readers pinned to older epochs are never stalled
+// the batch touches, copies only the chunks and tails it writes into
+// (index.Chunked, index.IntHash, index.Jagged, index.Postings),
+// structurally shares everything else with the base epoch, applies the
+// per-row delta logic to the private clones, and publishes the result
+// with one atomic pointer swap (AlphaDB.publish). Readers pinned to older epochs are never stalled
 // and never observe a half-applied batch. Only inserts are supported
 // (append-only maintenance), which covers the common catalog-growth
 // workload; deletions still require a rebuild.
@@ -30,11 +31,14 @@ import (
 // epochBuilder accumulates one writer's copy-on-write changes against
 // a base epoch. Privatization is lazy and per-structure: the first
 // touch of a relation, property, or index shard clones its header;
-// the first write into a chunk of a per-row or per-code vector copies
-// that chunk (stamped with gen, so later touches in the same batch
-// mutate it in place). Inner row lists are shared with the base and
-// only ever appended past the base's lengths — mid-list insertions copy
-// the affected list out first.
+// the first write into a chunk of a chunked vector copies that chunk
+// (stamped with gen, so later touches in the same batch mutate it in
+// place); a layered structure — a hash or numeric index, a categorical
+// property's code lists and posting lists — copies its tail when the
+// property or shard is cloned and writes into that. Lists shared with
+// the base are only ever appended past the base's lengths: an entity
+// row gaining a code is copied into the tail first, and a posting list
+// keeps its new rows in the tail beside its base run.
 type epochBuilder struct {
 	base *Epoch
 	idx  *index.IndexDelta
@@ -341,7 +345,7 @@ func (eb *epochBuilder) insertEntity(entityRel string, vals []relation.Value) er
 			// FactDim/AttrTable properties gain values only via fact
 			// inserts; the new entity simply has none yet.
 			if p.Kind == Categorical {
-				p.valsByRow.Append(eb.gen, nil)
+				p.valsByRow.Append()
 			}
 		}
 	}
@@ -375,16 +379,15 @@ func (eb *epochBuilder) insertDirectValue(p *BasicProperty, rel *relation.Relati
 		return
 	}
 	if col.IsNull(row) {
-		p.valsByRow.Append(eb.gen, nil)
+		p.valsByRow.Append()
 		return
 	}
 	code := col.Code(row)
-	p.valsByRow.Append(eb.gen, []int32{code})
-	p.addCatRow(eb.gen, code, row)
+	p.valsByRow.Append(code)
+	p.addCatRow(code, row)
 }
 
 func (eb *epochBuilder) insertFKDimValue(p *BasicProperty, rel *relation.Relation, row int) {
-	var codes []int32
 	if fkc := rel.Column(p.Access.Column); !fkc.IsNull(row) {
 		// Dimension relations are never written; reading them (and their
 		// lazily built base indexes) needs no privatization.
@@ -392,13 +395,13 @@ func (eb *epochBuilder) insertFKDimValue(p *BasicProperty, rel *relation.Relatio
 		dimIdx := eb.idx.ReadIntHash(dim, p.Access.DimPK)
 		vc := dim.Column(p.Access.DimValueCol)
 		if dimRow, ok := dimIdx.First(fkc.Int64(row)); ok && !vc.IsNull(dimRow) {
-			codes = []int32{vc.Code(dimRow)}
+			code := vc.Code(dimRow)
+			p.valsByRow.Append(code)
+			p.addCatRow(code, row)
+			return
 		}
 	}
-	p.valsByRow.Append(eb.gen, codes)
-	if codes != nil {
-		p.addCatRow(eb.gen, codes[0], row)
-	}
+	p.valsByRow.Append()
 }
 
 // insertFact applies one fact-row insert to the builder's clones: only
@@ -469,23 +472,16 @@ func (eb *epochBuilder) insertFact(factRel string, vals []relation.Value) error 
 }
 
 // addValueAt records code for the existing entity at eRow (fact inserts
-// touch arbitrary entity rows). The per-entity code list is shared with
-// the base epoch, so it is copied out around the new code instead of
-// appended into backing whose tail position may alias another epoch's
-// view of the same row; the value's posting list gains the row unless
-// the entity already exhibits the value.
-func (p *BasicProperty) addValueAt(g *index.Gen, code int32, eRow int) {
-	codes := p.valsByRow.At(eRow)
-	next := make([]int32, len(codes)+1)
-	copy(next, codes)
-	next[len(codes)] = code
-	p.valsByRow.Set(g, eRow, next)
-	for _, existing := range codes {
-		if existing == code {
-			return // value already counted for this entity
-		}
+// touch arbitrary entity rows): the entity's code list gains it at the
+// end — the row's few codes are copied into the tail on its first touch
+// since the last fold — and the value's posting list gains the row
+// unless the entity already exhibits the value.
+func (p *BasicProperty) addValueAt(code int32, eRow int) {
+	had := slices.Contains(p.valsByRow.At(eRow), code)
+	p.valsByRow.Extend(eRow, code)
+	if !had {
+		p.addCatRow(code, eRow)
 	}
-	p.addCatRow(g, code, eRow)
 }
 
 func (eb *epochBuilder) insertFactDimValue(p *BasicProperty, fact *relation.Relation, factRow, eRow int) {
@@ -503,7 +499,7 @@ func (eb *epochBuilder) insertFactDimValue(p *BasicProperty, fact *relation.Rela
 	if !ok || vc.IsNull(dimRow) {
 		return
 	}
-	p.addValueAt(eb.gen, vc.Code(dimRow), eRow)
+	p.addValueAt(vc.Code(dimRow), eRow)
 }
 
 // insertAttrTableValue maintains an attribute-table basic property
@@ -513,7 +509,7 @@ func (eb *epochBuilder) insertAttrTableValue(p *BasicProperty, side *relation.Re
 	if col.IsNull(sideRow) {
 		return
 	}
-	p.addValueAt(eb.gen, col.Code(sideRow), eRow)
+	p.addValueAt(col.Code(sideRow), eRow)
 }
 
 // insertDerivedDelta bumps the derived counts of one entity for the new

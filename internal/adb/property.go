@@ -15,6 +15,7 @@ package adb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -98,12 +99,23 @@ type BasicProperty struct {
 	// values come from; every categorical statistic below is keyed by
 	// its int32 codes.
 	dict *relation.Dict
-	// catRows[code] lists the rows of the distinct entities exhibiting
-	// the value (ascending); its length is the value's entity count.
-	// numValues counts codes with a non-empty list — the property's
-	// distinct-value cardinality (the dictionary can hold values this
-	// property never exhibits).
-	catRows   index.Chunked[[]int]
+	// The categorical statistic is two flat 4-byte layouts, each an
+	// immutable base plus the tail this epoch's writers added since the
+	// last fold (index.Jagged, index.Postings): no slice header per
+	// entity or per value, and a fact insert copies at most one entity's
+	// few codes, never a value's posting list.
+	//
+	// valsByRow lists each entity row's value codes in the order the
+	// source rows carry them, repeats included, as the file stores them
+	// (single element for single-valued properties). catRows[code] is
+	// the set of rows of the distinct entities exhibiting the value — its
+	// size is the value's entity count, ψ's numerator; the base run is
+	// ascending, the rows added since the fold follow in insertion order,
+	// and every reader treats the two as one set. numValues counts codes
+	// with a non-empty list — the property's distinct-value cardinality
+	// (the dictionary can hold values this property never exhibits).
+	valsByRow index.Jagged
+	catRows   index.Postings
 	numValues int
 
 	// numIdx is the numeric statistic: the sorted (value, row) index
@@ -111,13 +123,10 @@ type BasicProperty struct {
 	// lookup in O(log n + k).
 	numIdx *index.NumericRows
 
-	// valsByRow caches per-entity value codes (always set for
-	// categorical properties; single element for single-valued ones);
-	// numByRow the raw numeric values, one cell per entity row, with
-	// numHas the presence bitset over them (64 rows a word).
-	valsByRow index.Chunked[[]int32]
-	numByRow  index.Chunked[float64]
-	numHas    index.Chunked[uint64]
+	// numByRow holds the raw numeric values, one cell per entity row,
+	// with numHas the presence bitset over them (64 rows a word).
+	numByRow index.Chunked[float64]
+	numHas   index.Chunked[uint64]
 
 	numEntities int
 	memo        *rowSetMemo
@@ -127,15 +136,15 @@ type BasicProperty struct {
 func (p *BasicProperty) NumEntities() int { return p.numEntities }
 
 // cloneForWrite returns a copy-on-write clone for one epoch's writer
-// generation g: the scalar statistics and the chunked vectors' headers
+// generation g: the scalar statistics and the numeric vectors' headers
 // are copied — the vectors copy a chunk table or a chunk when g first
 // writes into it, and share the rest with the retired epoch — the
-// numeric index clones its tail, and the memo starts empty (see
-// rowSetMemo). Inner row lists stay shared: appends past a retired
-// epoch's lengths are invisible to its readers, and in-place changes
-// always copy the list out first.
+// categorical lists and the numeric index clone their tails (or fold
+// them into a fresh base), and the memo starts empty (see rowSetMemo).
 func (p *BasicProperty) cloneForWrite(g *index.Gen) *BasicProperty {
 	q := *p
+	q.valsByRow = p.valsByRow.Clone(g)
+	q.catRows = p.catRows.Clone(g)
 	q.numIdx = p.numIdx.Clone(g)
 	q.memo = newRowSetMemo(p.memo.cache)
 	return &q
@@ -157,8 +166,10 @@ func (p *BasicProperty) LookupCode(v string) (int32, bool) {
 }
 
 // ValueCodes returns the categorical value codes of the entity at row
-// (nil when the entity has none). The slice is αDB-internal: do not
-// mutate.
+// (nil when the entity has none), in source order with repeats. The
+// slice is a view of αDB-internal storage — it allocates nothing, and
+// probes no map unless a write since the last fold touched the row: do
+// not mutate.
 func (p *BasicProperty) ValueCodes(row int) []int32 {
 	if p.Kind != Categorical {
 		return nil
@@ -206,45 +217,21 @@ func (p *BasicProperty) appendNum(g *index.Gen, v float64, ok bool) {
 	}
 }
 
-// rowsOf returns the posting list of a code (nil when out of range: the
-// dictionary can grow past the statistics under incremental inserts).
-func (p *BasicProperty) rowsOf(code int32) []int {
-	if int(code) < p.catRows.Len() {
-		return p.catRows.At(int(code))
-	}
-	return nil
-}
-
-// addCatRow records that the entity at row exhibits code, keeping the
-// posting list in row order. The per-code table grows to cover code
-// (incremental inserts can intern values the build never saw). A row
-// past the end is appended in place — the list is shared with retired
-// epochs, which never index past their own lengths — and a fact insert
-// touching an earlier entity row copies that one value's list out
-// around the new row, because shifting it would corrupt their view.
-func (p *BasicProperty) addCatRow(g *index.Gen, code int32, row int) {
-	for p.catRows.Len() <= int(code) {
-		p.catRows.Append(g, nil)
-	}
-	rows := p.catRows.At(int(code))
-	if len(rows) == 0 {
+// addCatRow records that the entity at row exhibits code, which it did
+// not before. The list gains the row in its tail (a row past the table
+// or in the middle of the list alike): nothing is copied but the tail
+// entry's growth.
+func (p *BasicProperty) addCatRow(code int32, row int) {
+	if p.catRows.Count(int(code)) == 0 {
 		p.numValues++
 	}
-	at := sort.SearchInts(rows, row)
-	switch {
-	case at == len(rows):
-		rows = append(rows, row)
-	case rows[at] == row:
-		return
-	default:
-		out := make([]int, len(rows)+1)
-		copy(out, rows[:at])
-		out[at] = row
-		copy(out[at+1:], rows[at:])
-		rows = out
-	}
-	p.catRows.Set(g, int(code), rows)
+	p.catRows.AddRow(int(code), uint32(row))
 }
+
+// Postings exposes the per-value posting lists for reading, the
+// categorical counterpart of NumericIndex. They are shared with every
+// epoch since the last fold: do not mutate (epochmutate enforces it).
+func (p *BasicProperty) Postings() *index.Postings { return &p.catRows }
 
 // CategoricalSelectivity returns ψ(φ⟨Attr,v,⊥⟩): the fraction of entities
 // exhibiting value v.
@@ -262,7 +249,7 @@ func (p *BasicProperty) SelectivityOfCode(code int32) float64 {
 	if p.numEntities == 0 {
 		return 0
 	}
-	return float64(len(p.rowsOf(code))) / float64(p.numEntities)
+	return float64(p.catRows.Count(int(code))) / float64(p.numEntities)
 }
 
 // RangeSelectivity returns ψ(φ⟨Attr,[lo,hi],⊥⟩) as a difference of
@@ -308,14 +295,36 @@ func (p *BasicProperty) CategoricalDomainCoverage(k int) float64 {
 	return cov
 }
 
-// EntityRowsWithValue returns the entity rows exhibiting categorical
-// value v (sorted ascending). The slice is αDB-internal: do not mutate.
-func (p *BasicProperty) EntityRowsWithValue(v string) []int {
+// postingsOf returns the posting list of value v as its ascending base
+// run and the rows added since the last fold.
+func (p *BasicProperty) postingsOf(v string) (base, tail []uint32) {
 	code, ok := p.LookupCode(v)
 	if !ok {
+		return nil, nil
+	}
+	return p.catRows.Rows(int(code))
+}
+
+// EntityRowsWithValue returns the entity rows exhibiting categorical
+// value v, ascending, in a fresh slice (nil when none) — for tests and
+// diagnostics: the read path unions the postings straight into a row
+// set (EntityRowSetWithAnyValue).
+func (p *BasicProperty) EntityRowsWithValue(v string) []int {
+	base, tail := p.postingsOf(v)
+	if len(base)+len(tail) == 0 {
 		return nil
 	}
-	return p.rowsOf(code)
+	out := make([]int, 0, len(base)+len(tail))
+	for _, r := range base {
+		out = append(out, int(r))
+	}
+	for _, r := range tail {
+		out = append(out, int(r))
+	}
+	if len(tail) > 0 {
+		slices.Sort(out)
+	}
+	return out
 }
 
 // EntityRowSetWithAnyValue returns the union of the per-value posting
@@ -323,9 +332,10 @@ func (p *BasicProperty) EntityRowsWithValue(v string) []int {
 // under the canonical disjunction key (a single value is a one-element
 // disjunction), with memo events attributed to sp. The set is sized by
 // the lists' total length, ψ's numerator when the values do not overlap
-// and an upper bound when they do. A set the call had to build stays in
-// the memo when store is set (rowSetMemo.rowSet says who may). The
-// returned set is shared: do not mutate.
+// and an upper bound when they do, and takes the 4-byte postings as
+// they are stored. A set the call had to build stays in the memo when
+// store is set (rowSetMemo.rowSet says who may). The returned set is
+// shared: do not mutate.
 func (p *BasicProperty) EntityRowSetWithAnyValue(values []string, sp trace.Span, store bool) *index.RowSet {
 	if len(values) == 0 {
 		return index.NewRowSet(0, 0)
@@ -333,11 +343,14 @@ func (p *BasicProperty) EntityRowSetWithAnyValue(values []string, sp trace.Span,
 	return p.memo.rowSet(SelKey{Value: disjunctionKey(values)}, sp, store, func() *index.RowSet {
 		total := 0
 		for _, v := range values {
-			total += len(p.EntityRowsWithValue(v))
+			base, tail := p.postingsOf(v)
+			total += len(base) + len(tail)
 		}
 		s := index.NewRowSet(p.numEntities, total)
 		for _, v := range values {
-			s.AddAll(p.EntityRowsWithValue(v))
+			base, tail := p.postingsOf(v)
+			s.AddAll(base)
+			s.AddAll(tail)
 		}
 		sp.Add(trace.CounterCellsStreamed, int64(total))
 		return s
@@ -390,17 +403,23 @@ func (p *BasicProperty) NumDistinct() int { return p.numValues }
 // DistinctValues returns the property's categorical domain, sorted.
 func (p *BasicProperty) DistinctValues() []string {
 	out := make([]string, 0, p.numValues)
-	code := int32(0)
-	for ci := 0; ci < p.catRows.NumChunks(); ci++ {
-		for _, rows := range p.catRows.Chunk(ci) {
-			if len(rows) > 0 {
-				out = append(out, p.dict.Value(code))
-			}
-			code++
+	for code := range p.catRows.Len() {
+		if p.catRows.Count(code) > 0 {
+			out = append(out, p.dict.Value(int32(code)))
 		}
 	}
 	sort.Strings(out)
 	return out
+}
+
+// statsBytes returns the bytes of the property's per-row and per-value
+// statistics, counted from lengths: the categorical lists' offsets,
+// codes, postings and tails, and the numeric per-row cells with their
+// presence bits.
+func (p *BasicProperty) statsBytes() int64 {
+	vb, vt := p.valsByRow.ResidentBytes()
+	cb, ct := p.catRows.ResidentBytes()
+	return vb + vt + cb + ct + p.numByRow.ByteSize() + p.numHas.ByteSize()
 }
 
 // NumericIndex exposes the sorted value index (nil for categorical).

@@ -270,12 +270,13 @@ func writeBasic(w *snapshot.Writer, p *BasicProperty) {
 	if p.Kind == Categorical {
 		// numValues is derived on load; the recorded one is a cross-check.
 		w.Int(p.numValues)
-		// The jagged per-row code lists flatten to a (lengths, payload)
-		// block pair: one contiguous read each on load, sliced back per
-		// row.
+		// The per-row code lists are a (lengths, payload) block pair:
+		// one contiguous read each on load, where the payload becomes the
+		// code array as it is.
 		vlens := make([]int, p.valsByRow.Len())
 		var vflat []int32
-		for row, codes := range p.valsByRow.All() {
+		for row := range vlens {
+			codes := p.valsByRow.At(row)
 			vlens[row] = len(codes)
 			vflat = append(vflat, codes...)
 		}
@@ -378,12 +379,12 @@ func readBasic(r *snapshot.Reader, a *Epoch, info *EntityInfo) *BasicProperty {
 		if r.Err() != nil {
 			return p
 		}
-		valsByRow, ok := sliceJaggedInt32s(vlens, codes)
+		offs, ok := offsetsOf(vlens, len(codes))
 		if !ok || len(vlens) != info.NumRows || !allBelow(codes, p.dict.Len()) {
 			r.Fail("property %s.%s: valsByRow payload mismatch or out of range", info.Relation, p.Attr)
 			return p
 		}
-		p.buildCatStats(valsByRow)
+		p.buildCatStats(index.JaggedOf(offs, codes))
 		if p.numValues != numValues {
 			r.Fail("property %s.%s: %d distinct values recorded, the rows hold %d", info.Relation, p.Attr, numValues, p.numValues)
 		}
@@ -419,23 +420,20 @@ func allBelow(codes []int32, limit int) bool {
 	return true
 }
 
-// sliceJaggedInt32s rebuilds a jagged [][]int32 from its flattened
-// (lengths, payload) form. Segments are capacity-capped slices of one
-// backing array, so later in-place appends (incremental maintenance)
-// copy out instead of clobbering the neighbor segment.
-func sliceJaggedInt32s(lens []int, flat []int32) ([][]int32, bool) {
-	out := make([][]int32, len(lens))
+// offsetsOf turns the per-row lengths of a (lengths, payload) block
+// into the row offsets over a payload of total elements; ok is false
+// unless every length is non-negative and they cut exactly the payload.
+func offsetsOf(lens []int, total int) (offs []uint32, ok bool) {
+	offs = make([]uint32, len(lens)+1)
 	off := 0
 	for i, n := range lens {
-		if n > len(flat)-off {
+		if n < 0 || n > total-off {
 			return nil, false
 		}
-		if n > 0 {
-			out[i] = flat[off : off+n : off+n]
-		}
 		off += n
+		offs[i+1] = uint32(off)
 	}
-	return out, off == len(flat)
+	return offs, off == total
 }
 
 func writeDerived(w *snapshot.Writer, p *DerivedProperty) {

@@ -69,18 +69,19 @@ func TestDecodeRejectsOutOfRangeBlocks(t *testing.T) {
 		damage  func(person *EntityInfo)
 	}{
 		{"valsByRow code past the dictionary", false, func(person *EntityInfo) {
-			person.BasicByAttr("gender").valsByRow.Set(nil, 0, []int32{far})
+			person.BasicByAttr("gender").valsByRow.Extend(0, far)
 		}},
 		{"valsByRow negative code", false, func(person *EntityInfo) {
-			person.BasicByAttr("gender").valsByRow.Set(nil, 0, []int32{-3})
+			person.BasicByAttr("gender").valsByRow.Extend(0, -3)
 		}},
 		{"valsByRow shorter than the relation", false, func(person *EntityInfo) {
 			p := person.BasicByAttr("gender")
-			var flat [][]int32
-			for _, codes := range p.valsByRow.All() {
-				flat = append(flat, codes)
+			offs, flat := []uint32{0}, []int32(nil)
+			for row := 0; row < p.valsByRow.Len()-1; row++ {
+				flat = append(flat, p.valsByRow.At(row)...)
+				offs = append(offs, uint32(len(flat)))
 			}
-			p.valsByRow = index.ChunkedOf(flat[:len(flat)-1])
+			p.valsByRow = index.JaggedOf(offs, flat)
 		}},
 		{"numValues the rows contradict", false, func(person *EntityInfo) {
 			person.BasicByAttr("gender").numValues++
@@ -152,9 +153,10 @@ func TestDecodeRejectsOutOfRangeBlocks(t *testing.T) {
 			}
 		}},
 		{"catRows row past the relation", true, func(person *EntityInfo) {
-			for _, rows := range person.BasicByAttr("gender").catRows.All() {
-				if len(rows) > 0 {
-					rows[0] = far
+			p := person.BasicByAttr("gender")
+			for code := range p.catRows.Len() {
+				if p.catRows.Count(code) > 0 {
+					p.catRows.AddRow(code, far)
 					return
 				}
 			}
@@ -162,9 +164,7 @@ func TestDecodeRejectsOutOfRangeBlocks(t *testing.T) {
 		}},
 		{"catRows code past the dictionary", true, func(person *EntityInfo) {
 			p := person.BasicByAttr("gender")
-			for i := p.dict.Len(); i > 0; i-- {
-				p.catRows.Append(nil, nil)
-			}
+			p.catRows.AddRow(2*p.dict.Len(), 0)
 		}},
 		{"numeric index row past the relation", true, func(person *EntityInfo) {
 			p := person.BasicByAttr("age")

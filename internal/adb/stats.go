@@ -61,8 +61,7 @@ type Stats struct {
 
 // ResidentBytes is the resident memory of one epoch by structure, each
 // figure counted from lengths and element widths rather than sampled.
-// The inverted index, the basic-property statistics and the
-// dictionaries' maps are not attributed yet.
+// The inverted index and the dictionaries' maps are not attributed yet.
 type ResidentBytes struct {
 	// Columns and DerivedColumns are the cell storage, dictionaries
 	// (with the rank tables the read path has built over them so far)
@@ -72,6 +71,11 @@ type ResidentBytes struct {
 	// maps of the materialized hash indexes; NumericIndex the sorted
 	// numeric indexes of the index pool.
 	HashIndexBase, HashIndexTail, NumericIndex int64
+	// BasicStats is the basic properties' per-row and per-value
+	// statistics: the categorical code lists and posting lists (offsets,
+	// codes, postings and their insert tails) and the numeric per-row
+	// cells with their presence bits.
+	BasicStats int64
 	// DerivedPairs is the derived properties' per-value pair lists and
 	// strength histograms.
 	DerivedPairs int64
@@ -86,6 +90,9 @@ func (a *Epoch) ResidentBytes() ResidentBytes {
 	r := ResidentBytes{Columns: a.DB.ByteSize(), DerivedColumns: a.DerivedDB.ByteSize()}
 	r.HashIndexBase, r.HashIndexTail, r.NumericIndex = a.Indexes.ResidentBytes()
 	for _, e := range a.Entities {
+		for _, p := range e.Basic {
+			r.BasicStats += p.statsBytes()
+		}
 		for _, p := range e.Derived {
 			r.DerivedPairs += p.PairBytes()
 		}
@@ -163,6 +170,7 @@ func (s Stats) String() string {
 	fmt.Fprintf(&b, "  Properties           %d basic, %d derived\n", s.NumBasicProps, s.NumDerivedProp)
 	fmt.Fprintf(&b, "  Hash indexes         %d, %s resident (%s of it insert tails); numeric indexes %s\n", s.NumHashIndexes,
 		humanBytes(s.Resident.HashIndexBase+s.Resident.HashIndexTail), humanBytes(s.Resident.HashIndexTail), humanBytes(s.Resident.NumericIndex))
+	fmt.Fprintf(&b, "  Basic statistics     %s\n", humanBytes(s.Resident.BasicStats))
 	fmt.Fprintf(&b, "  Derived pair lists   %s\n", humanBytes(s.Resident.DerivedPairs))
 	fmt.Fprintf(&b, "  Selectivity cache    %d entries (%d hits, %d misses)\n",
 		s.SelCacheEntries, s.SelCacheHits, s.SelCacheMisses)

@@ -583,7 +583,7 @@ func unionRows(lists [][]uint32, universe int) []int {
 	}
 	s := index.NewRowSet(universe, total)
 	for _, l := range lists {
-		s.AddAll(widen(l))
+		s.AddAll(l)
 	}
 	return s.ToSorted()
 }

@@ -503,9 +503,9 @@ func (n *NumericRows) AddRangeToSet(lo, hi float64, s *RowSet) {
 		return
 	}
 	from, to, tfrom, tto := n.spans(lo, hi)
-	s.AddAll(n.rows[from:to])
+	s.AddInts(n.rows[from:to])
 	if tfrom < tto {
-		s.AddAll(n.tailRows[tfrom:tto])
+		s.AddInts(n.tailRows[tfrom:tto])
 	}
 }
 

@@ -106,7 +106,7 @@ func RowSetFromSorted(rows []int) *RowSet {
 		maxRow = max(maxRow, r)
 	}
 	s := NewRowSet(maxRow+1, len(rows))
-	s.AddAll(rows)
+	s.AddInts(rows)
 	s.Compact() // duplicates overstate the count
 	return s
 }
@@ -232,14 +232,21 @@ func (s *RowSet) Add(row int) {
 	s.maybeDensify()
 }
 
-// AddAll inserts every row of the list. Into the dense form it is one
-// pass of bit sets: the unsigned compare that bounds the word index also
-// rejects a negative row, and only a row past the span grows the set.
-// Into the sparse form it appends, and pays one sort and dedup over the
-// combined array only when the rows did not arrive strictly ascending
-// (a second posting list of a union, an index range in value order) —
-// never a per-row insertion shuffle.
-func (s *RowSet) AddAll(rows []int) {
+// AddAll inserts every row of a 4-byte posting list (the αDB's and the
+// hash indexes' row width). Into the dense form it is one pass of bit
+// sets, and only a row past the span grows the set. Into the sparse form
+// it appends, and pays one sort and dedup over the combined array only
+// when the rows did not arrive strictly ascending (a second posting list
+// of a union, the rows a list gained since its last fold, an index range
+// in value order) — never a per-row insertion shuffle.
+func (s *RowSet) AddAll(rows []uint32) { addAll(s, rows) }
+
+// AddInts is AddAll over int rows; a negative row is skipped.
+func (s *RowSet) AddInts(rows []int) { addAll(s, rows) }
+
+// addAll is AddAll and AddInts: the unsigned compare that bounds the
+// word index also rejects a negative int row.
+func addAll[T int | uint32](s *RowSet, rows []T) {
 	if s.words != nil {
 		words := s.words
 		for _, r := range rows {

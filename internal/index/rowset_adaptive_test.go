@@ -83,7 +83,7 @@ func applyOps(t *testing.T, data []byte, seen map[string]bool) {
 		case 1:
 			rows := nextRows()
 			seen["addall:"+s.Form()] = true
-			s.AddAll(rows)
+			s.AddInts(rows)
 			for _, r := range rows {
 				ref[r] = true
 			}
@@ -133,7 +133,7 @@ func applyOps(t *testing.T, data []byte, seen map[string]bool) {
 			s = NewRowSet(opUniverse-next()%2*opUniverse/2, count)
 			seen["sized:"+s.Form()] = true
 			if next()%2 == 0 {
-				s.AddAll(rows)
+				s.AddInts(rows)
 			} else {
 				for _, r := range rows {
 					s.Add(r)
@@ -241,7 +241,7 @@ func TestRowSetFormTransitions(t *testing.T) {
 	// 100 clustered members are far under the universe's limit: the fill
 	// leaves them sparse, and the freeze, which sees two words, does not.
 	s := NewRowSet(universe, 100)
-	s.AddAll(rangeRows(0, 100))
+	s.AddInts(rangeRows(0, 100))
 	if s.Form() != "sparse" || cap(s.sparse) != 100 {
 		t.Fatalf("sized fill: form %s, capacity %d", s.Form(), cap(s.sparse))
 	}

@@ -146,13 +146,14 @@ func BenchmarkRowSetFill(b *testing.B) {
 			// The members are the rows whose cell is at most the pct-th
 			// percentile: about k of them.
 			hi := float64(pct) / 100
-			var sorted []int
+			var sorted []uint32
+			var unsorted []int
 			for row, v := range cells {
 				if v <= hi {
-					sorted = append(sorted, row)
+					sorted = append(sorted, uint32(row))
+					unsorted = append(unsorted, row)
 				}
 			}
-			unsorted := append([]int(nil), sorted...)
 			rng.Shuffle(len(unsorted), func(i, j int) { unsorted[i], unsorted[j] = unsorted[j], unsorted[i] })
 			targets := []struct {
 				name  string
@@ -163,7 +164,7 @@ func BenchmarkRowSetFill(b *testing.B) {
 				fill func(s *RowSet)
 			}{
 				{"sorted", func(s *RowSet) { s.AddAll(sorted) }},
-				{"unsorted", func(s *RowSet) { s.AddAll(unsorted) }},
+				{"unsorted", func(s *RowSet) { s.AddInts(unsorted) }},
 				{"word", func(s *RowSet) {
 					lo, span := floatKey(0), floatKey(hi)-floatKey(0)
 					for wi := range has {

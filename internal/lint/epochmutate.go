@@ -40,7 +40,12 @@ var epochReachMutators = map[string]bool{
 	"Drop":          true,
 	"Add":           true,
 	"AddAll":        true,
+	"AddInts":       true,
 	"AndWith":       true,
+	// A property's categorical statistics (index.Jagged and
+	// index.Postings): shared with every epoch since their last fold.
+	"Extend": true,
+	"AddRow": true,
 }
 
 // analyzerEpochMutate enforces the copy-on-write contract of

@@ -11,6 +11,7 @@ import (
 var rowSetMutators = map[string]bool{
 	"Add":     true,
 	"AddAll":  true,
+	"AddInts": true,
 	"AndWith": true,
 }
 

@@ -53,6 +53,19 @@ func insertIntoNumericShard(e *adb.Epoch) {
 	e.Indexes.Numeric(e.DB.Relation("movie"), "year").Insert(1995, 3) // want "Insert mutates state reachable from a published"
 }
 
+// A published property's categorical statistics share their base (and
+// their tail entries) with every epoch since the last fold: a posting
+// list gaining a row in place changes what every reader of those epochs
+// counts.
+func addPostingOfPublished(e *adb.Epoch) {
+	e.Entity("person").BasicByAttr("gender").Postings().AddRow(0, 7) // want "AddRow mutates state reachable from a published"
+}
+
+func addPostingViaLocal(e *adb.Epoch) {
+	posts := e.Entities["person"].BasicByAttr("country").Postings()
+	posts.AddRow(3, 7) // want "AddRow mutates state reachable from a published"
+}
+
 // --- negative cases ---
 
 // Clone detaches a shard (it copies the tail and shares the base); the
@@ -63,6 +76,13 @@ func cloneShardsThenInsert(e *adb.Epoch) {
 	h := e.Indexes.StrHash(movie, "title").Clone(nil)
 	h.Insert("Heat", 3)
 	e.Indexes.Numeric(movie, "year").Clone(nil).Insert(1995, 3)
+}
+
+// Clone detaches a property's posting lists the same way: the tail's
+// table is the clone's own, and a word is copied before it changes.
+func clonePostingsThenAdd(e *adb.Epoch) {
+	posts := e.Entity("person").BasicByAttr("gender").Postings().Clone(nil)
+	posts.AddRow(0, 7)
 }
 
 // A freshly constructed epoch is private until published; initializing

@@ -37,7 +37,12 @@ func aliasCopied(f *abduction.Filter) {
 // as dense ones, and the bulk mutators corrupt them just the same.
 func sparseMemoBulkMutation(f *abduction.Filter) {
 	s := f.RowSet()
-	s.AddAll([]int{1, 2}) // want "AddAll mutates a RowSet aliasing shared"
+	s.AddAll([]uint32{1, 2}) // want "AddAll mutates a RowSet aliasing shared"
+}
+
+func rangeAliasTakesInts(p *adb.BasicProperty) {
+	s := p.EntityRowSetInRange(0, 10, trace.Span{}, true)
+	s.AddInts([]int{4}) // want "AddInts mutates a RowSet aliasing shared"
 }
 
 func disjunctionAlias(p *adb.BasicProperty) {
@@ -73,6 +78,6 @@ func freshSetIsPrivate() {
 // never decides ownership.
 func freshSparseIsPrivate() {
 	s := index.RowSetFromSorted([]int{1, 2, 3})
-	s.AddAll([]int{9})
+	s.AddAll([]uint32{9})
 	s.AndWith(nil)
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"squid"
 	"squid/internal/trace"
 )
 
@@ -241,5 +242,68 @@ func TestPooledRecorderCarriesNothingOver(t *testing.T) {
 	}
 	if inserts == 0 {
 		t.Error("no insert trace in the ring")
+	}
+}
+
+// TestUnencodableResultIs500 loads a DOUBLE column holding NaN, +Inf
+// and -Inf through squid.LoadCSV and executes plans that select it:
+// JSON has no form for those values, so the answer must be a 500
+// unencodable_result carrying the encoder's message — not a 200 with an
+// empty body (what it was while the status line went out before the
+// encode), and not a null a client would read as SQL NULL. A plan that
+// selects only encodable cells of the same rows still answers 200, and
+// every answer's Content-Length is its exact size.
+func TestUnencodableResultIs500(t *testing.T) {
+	db := academicsDB()
+	readings, err := squid.LoadCSV("readings", strings.NewReader("id,v\n1,1.5\n2,NaN\n3,Inf\n4,-Inf\n"),
+		[]squid.CSVColumn{{Name: "id", Type: squid.Int}, {Name: "v", Type: squid.Float}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.AddRelation(readings)
+	sys, err := squid.Build(db, squid.DefaultBuildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(sys, Config{}))
+	defer ts.Close()
+	c := ts.Client()
+
+	execute := func(q QueryJSON) (*http.Response, []byte) {
+		t.Helper()
+		raw, err := json.Marshal(ExecuteRequest{Query: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c.Post(ts.URL+"/v1/execute", "application/json", strings.NewReader(string(raw)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.ContentLength != int64(len(body)) {
+			t.Errorf("Content-Length %d for a %d-byte body", resp.ContentLength, len(body))
+		}
+		return resp, body
+	}
+	for _, v := range []string{"NaN", "+Inf", "-Inf"} {
+		pred := PredJSON{Rel: "readings", Col: "id", Op: "=", Value: map[string]float64{"NaN": 2, "+Inf": 3, "-Inf": 4}[v]}
+		resp, body := execute(QueryJSON{From: []string{"readings"}, Preds: []PredJSON{pred},
+			Select: []ColRefJSON{{Rel: "readings", Col: "v"}}})
+		var e ErrorResponse
+		if err := json.Unmarshal(body, &e); err != nil {
+			t.Fatalf("%s: status %d, body %q is not an error envelope: %v", v, resp.StatusCode, body, err)
+		}
+		if resp.StatusCode != http.StatusInternalServerError || e.Code != "unencodable_result" || !strings.Contains(e.Error, "unsupported value") {
+			t.Errorf("%s: status %d body %q, want 500 unencodable_result with the encoder's message", v, resp.StatusCode, body)
+		}
+	}
+	resp, body := execute(QueryJSON{From: []string{"readings"}, Select: []ColRefJSON{{Rel: "readings", Col: "id"}}})
+	var exec ExecuteResponse
+	if err := json.Unmarshal(body, &exec); err != nil || resp.StatusCode != http.StatusOK || exec.NumRows != 4 {
+		t.Errorf("ids of the same rows: status %d, %d rows (%v), want 200 and 4", resp.StatusCode, exec.NumRows, err)
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -854,11 +855,35 @@ func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
 	return true
 }
 
+// respBufs recycles the buffers responses are encoded into, so encoding
+// before the status line adds no per-request garbage; a buffer a very
+// large response grew is left to the collector.
+var respBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON encodes body before it writes the status line, so the
+// status says whether the body could be encoded and Content-Length is
+// exact. A body that cannot be — a DOUBLE cell holding NaN or ±Inf has
+// no JSON form — is a 500 unencodable_result carrying the encoder's
+// message: never a 200 with an empty body, and never a null a client
+// would read as SQL NULL.
 func writeJSON(w http.ResponseWriter, code int, body any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := respBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= 1<<20 {
+			respBufs.Put(buf)
+		}
+	}()
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(body); err != nil {
+		buf.Reset()
+		code = http.StatusInternalServerError
+		_ = json.NewEncoder(buf).Encode(ErrorResponse{Error: "the result cannot be encoded as JSON: " + err.Error(), Code: "unencodable_result"})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(body)
+	_, _ = w.Write(buf.Bytes())
 }
 
 func msOf(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }

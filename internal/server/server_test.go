@@ -236,7 +236,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if stats.Name != "cs_academics" || stats.NumRelations != 2 {
 		t.Errorf("stats %+v", stats)
 	}
-	if rb := stats.ResidentBytes; rb["columns"] != stats.DBBytes || rb["hash_index"] <= 0 || rb["hash_index_tail"] > rb["hash_index"] {
+	if rb := stats.ResidentBytes; rb["columns"] != stats.DBBytes || rb["hash_index"] <= 0 || rb["hash_index_tail"] > rb["hash_index"] || rb["basic_stats"] <= 0 {
 		t.Errorf("stats resident_bytes %v (db_bytes %d)", rb, stats.DBBytes)
 	}
 	var health map[string]any
@@ -261,6 +261,7 @@ func TestServerEndToEnd(t *testing.T) {
 		`squid_resident_bytes{structure="derived_columns"}`,
 		fmt.Sprintf(`squid_resident_bytes{structure="hash_index"} %d`, stats.ResidentBytes["hash_index"]),
 		`squid_resident_bytes{structure="numeric_index"}`,
+		fmt.Sprintf(`squid_resident_bytes{structure="basic_stats"} %d`, stats.ResidentBytes["basic_stats"]),
 		`squid_resident_bytes{structure="derived_pairs"}`,
 		`squid_resident_bytes{structure="rowset_memos"}`,
 	} {
