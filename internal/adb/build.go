@@ -183,6 +183,7 @@ func buildEpoch(db *relation.Database, cfg Config) (*Epoch, error) {
 		DerivedDB: relation.NewDatabase(db.Name + "_alpha"),
 		cfg:       cfg,
 		selCache:  &SelCache{},
+		factIdx:   index.NewIndexSet(),
 	}
 
 	entities := db.EntityRelations()
@@ -245,6 +246,7 @@ func buildEpoch(db *relation.Database, cfg Config) (*Epoch, error) {
 		a.Entities[entities[i]] = eb.info
 	}
 	<-invDone
+	a.factIdx = nil
 	a.BuildTime = time.Since(start)
 	a.rowCounts = snapshotRowCounts(db)
 	return a, nil
@@ -461,51 +463,182 @@ func (a *Epoch) keepCategorical(distinct, entities int) bool {
 	return true
 }
 
-// finishCategorical lays out the per-row code lists of a categorical
-// basic property, computes its per-code statistics and applies the
-// distinct-count guards.
-func (a *Epoch) finishCategorical(p *BasicProperty, pairs *codePairs) *BasicProperty {
-	p.buildCatStats(pairs.byRow(p.numEntities))
-	if !a.keepCategorical(p.numValues, p.numEntities) {
+// source is what the per-row functions of a property read: the cold
+// build's database and index set (Epoch), or an insert batch's view of
+// them (epochBuilder), which sees the rows the batch appended.
+type source interface {
+	viewRel(name string) *relation.Relation
+	readHash(rel *relation.Relation, col string) *index.IntHash
+	isEntity(name string) bool
+}
+
+func (a *Epoch) viewRel(name string) *relation.Relation { return a.DB.Relation(name) }
+
+// readHash serves the build's point lookups. An index over a fact or
+// side table lives in a scratch set the finished build drops: the epoch
+// keeps only the key indexes of entity and dimension relations.
+func (a *Epoch) readHash(rel *relation.Relation, col string) *index.IntHash {
+	if a.DB.Kind(rel.Name) == relation.KindUnknown {
+		return a.factIdx.IntHash(rel, col)
+	}
+	return a.Indexes.IntHash(rel, col)
+}
+
+func (a *Epoch) isEntity(name string) bool { return a.DB.Kind(name) == relation.KindEntity }
+
+// pairReader is a categorical basic property's one derivation: pair
+// maps one row of its source relation — the entity relation for Direct
+// and FKDim paths, the fact or side table for FactDim and AttrTable — to
+// the entity row it describes and the value code it contributes. The
+// cold build folds it over every source row (buildCategorical), an
+// insert applies it to the rows it adds.
+type pairReader struct {
+	s   source
+	acc AccessPath
+	src *relation.Relation
+	// entCol names the entity in a fact or side row, resolved through pk;
+	// nil when the source row is the entity row.
+	entCol *relation.Column
+	pk     *index.IntHash
+	// col holds the value (Direct, AttrTable) or the key of the
+	// dimension row holding it (FKDim, FactDim), resolved through dimPK
+	// to that row's dimVal cell.
+	col, dimVal *relation.Column
+	dimPK       *index.IntHash
+	dict        *relation.Dict // the dictionary the codes index into
+	// assoc marks an entity-association property: it lists an
+	// associated entity once, however many fact rows link the pair.
+	assoc bool
+	links pairCheck
+}
+
+func (p *BasicProperty) pairs(s source) pairReader {
+	acc := p.Access
+	r := pairReader{s: s, acc: acc, src: s.viewRel(p.Entity)}
+	if acc.Type == FactDim || acc.Type == AttrTable {
+		ent := r.src
+		r.src = s.viewRel(acc.Fact)
+		r.entCol, r.pk = r.src.Column(acc.FactEntityCol), s.readHash(ent, ent.PrimaryKey)
+	}
+	if acc.Type == FactDim {
+		r.col, r.assoc = r.src.Column(acc.FactDimCol), s.isEntity(acc.Dim)
+		if r.assoc {
+			r.links = newPairCheck(s, r.src, acc.FactEntityCol, acc.FactDimCol)
+		}
+	} else {
+		r.col = r.src.Column(acc.Column)
+	}
+	r.dict = r.col.Dict()
+	if acc.Type == FKDim || acc.Type == FactDim {
+		dim := s.viewRel(acc.Dim)
+		r.dimPK, r.dimVal = s.readHash(dim, acc.DimPK), dim.Column(acc.DimValueCol)
+		r.dict = r.dimVal.Dict()
+	}
+	return r
+}
+
+// pair returns the entity row source row sr describes and the code it
+// contributes; ok is false when the row contributes nothing: a NULL or
+// dangling key, a NULL value, or a pair an earlier row linked.
+func (r *pairReader) pair(sr int) (eRow int, code int32, ok bool) {
+	eRow = sr
+	if r.entCol != nil {
+		if r.entCol.IsNull(sr) {
+			return 0, 0, false
+		}
+		if eRow, ok = r.pk.First(r.entCol.Int64(sr)); !ok {
+			return 0, 0, false
+		}
+	}
+	if r.col.IsNull(sr) {
+		return 0, 0, false
+	}
+	if r.dimVal == nil {
+		return eRow, r.col.Code(sr), true
+	}
+	d, ok := r.dimPK.First(r.col.Int64(sr))
+	if !ok || r.dimVal.IsNull(d) || r.assoc && !r.links.first(sr) {
+		return 0, 0, false
+	}
+	return eRow, r.dimVal.Code(d), true
+}
+
+// pairCheck tells whether a fact row is the first to link the pair of
+// ids it holds in two columns: a pair of entities associates once,
+// however many fact rows link it. It reads one hash index, over
+// whichever of the two columns comes first in the fact, so the checks
+// of both of the fact's entities share it.
+type pairCheck struct {
+	idx    *index.IntHash
+	ac, bc *relation.Column
+}
+
+func newPairCheck(s source, fact *relation.Relation, a, b string) pairCheck {
+	if fact.ColumnIndex(b) < fact.ColumnIndex(a) {
+		a, b = b, a
+	}
+	return pairCheck{s.readHash(fact, a), fact.Column(a), fact.Column(b)}
+}
+
+// first reports whether no row of the fact before fr links fr's pair.
+func (c pairCheck) first(fr int) bool {
+	id := c.bc.Int64(fr)
+	for _, r := range c.idx.Rows(c.ac.Int64(fr)) {
+		if int(r) >= fr {
+			break
+		}
+		if !c.bc.IsNull(int(r)) && c.bc.Int64(int(r)) == id {
+			return false
+		}
+	}
+	return true
+}
+
+// buildCategorical builds info's categorical property attr, reached by
+// acc (multi-valued through a fact or side table): it folds the path's
+// pairReader over its source relation, lays out the per-row code lists,
+// computes the per-code statistics and applies the distinct-count
+// guards, which an entity-association property bypasses: its domain is
+// the associated entity relation itself.
+func (a *Epoch) buildCategorical(info *EntityInfo, attr string, acc AccessPath) *BasicProperty {
+	p := &BasicProperty{
+		Entity: info.Relation, Attr: attr, Kind: Categorical, Access: acc,
+		MultiValued: acc.Type == FactDim || acc.Type == AttrTable,
+		numEntities: info.NumRows,
+	}
+	r := p.pairs(a)
+	p.dict = r.dict
+	n := r.src.NumRows()
+	rows, codes := make([]uint32, 0, n), make([]int32, 0, n)
+	for sr := range n {
+		if row, code, ok := r.pair(sr); ok {
+			rows, codes = append(rows, uint32(row)), append(codes, code)
+		}
+	}
+	p.buildCatStats(byRow(rows, codes, p.numEntities))
+	if p.numValues == 0 || !r.assoc && !a.keepCategorical(p.numValues, p.numEntities) {
 		return nil
 	}
 	p.memo = newRowSetMemo(a.selCache)
 	return p
 }
 
-// codePairs collects the (entity row, value code) pairs of a categorical
-// property in the order its source rows carry them.
-type codePairs struct {
-	rows  []uint32
-	codes []int32
-}
-
-// newCodePairs sizes the pairs for the source rows a build walks: at
-// most one pair a row.
-func newCodePairs(sourceRows int) *codePairs {
-	return &codePairs{rows: make([]uint32, 0, sourceRows), codes: make([]int32, 0, sourceRows)}
-}
-
-func (c *codePairs) add(row int, code int32) {
-	c.rows = append(c.rows, uint32(row))
-	c.codes = append(c.codes, code)
-}
-
-// byRow groups the pairs into per-row code lists by a stable counting
-// sort — a row's codes keep their source order, repeats included — laid
-// out at exact size in one offsets array and one code array.
-func (c *codePairs) byRow(numRows int) index.Jagged {
+// byRow groups (entity row, code) pairs into per-row code lists by a
+// stable counting sort — a row's codes keep their source order, repeats
+// included — laid out at exact size in one offsets array and one code
+// array.
+func byRow(rows []uint32, codes []int32, numRows int) index.Jagged {
 	offs := make([]uint32, numRows+1)
-	for _, r := range c.rows {
+	for _, r := range rows {
 		offs[r+1]++
 	}
 	for i := 1; i <= numRows; i++ {
 		offs[i] += offs[i-1]
 	}
-	flat := make([]int32, len(c.codes))
+	flat := make([]int32, len(codes))
 	next := slices.Clone(offs[:numRows])
-	for i, r := range c.rows {
-		flat[next[r]] = c.codes[i]
+	for i, r := range rows {
+		flat[next[r]] = codes[i]
 		next[r]++
 	}
 	return index.JaggedOf(offs, flat)
@@ -579,24 +712,11 @@ func (p *BasicProperty) buildNumStats(numByRow []float64, numHas []uint64) {
 // buildDirectProperty creates a basic property from a direct entity
 // column.
 func (a *Epoch) buildDirectProperty(info *EntityInfo, col *relation.Column) *BasicProperty {
-	p := &BasicProperty{
-		Entity:      info.Relation,
-		Attr:        col.Name,
-		Access:      AccessPath{Type: Direct, Column: col.Name},
-		numEntities: info.NumRows,
-	}
+	acc := AccessPath{Type: Direct, Column: col.Name}
 	if col.Type == relation.String {
-		p.Kind = Categorical
-		p.dict = col.Dict()
-		pairs := newCodePairs(info.NumRows)
-		for row := 0; row < info.NumRows; row++ {
-			if !col.IsNull(row) {
-				pairs.add(row, col.Code(row))
-			}
-		}
-		return a.finishCategorical(p, pairs)
+		return a.buildCategorical(info, col.Name, acc)
 	}
-	p.Kind = Numeric
+	p := &BasicProperty{Entity: info.Relation, Attr: col.Name, Kind: Numeric, Access: acc, numEntities: info.NumRows}
 	numByRow := make([]float64, info.NumRows)
 	numHas := make([]uint64, (info.NumRows+63)/64)
 	for row := 0; row < info.NumRows; row++ {
@@ -634,104 +754,34 @@ func (a *Epoch) buildFKDimProperty(info *EntityInfo, fk relation.ForeignKey) *Ba
 	if valCol == "" {
 		return nil
 	}
-	dimIdx := a.Indexes.IntHash(dim, fk.RefColumn)
-	vc := dim.Column(valCol)
-	fkc := info.rel.Column(fk.Column)
-	p := &BasicProperty{
-		Entity: info.Relation,
-		Attr:   dim.Name,
-		Kind:   Categorical,
-		Access: AccessPath{
-			Type: FKDim, Column: fk.Column,
-			Dim: dim.Name, DimPK: fk.RefColumn, DimValueCol: valCol,
-		},
-		numEntities: info.NumRows,
-		dict:        vc.Dict(),
-	}
-	pairs := newCodePairs(info.NumRows)
-	for row := 0; row < info.NumRows; row++ {
-		if fkc.IsNull(row) {
-			continue
-		}
-		if dimRow, ok := dimIdx.First(fkc.Int64(row)); ok && !vc.IsNull(dimRow) {
-			pairs.add(row, vc.Code(dimRow))
-		}
-	}
-	return a.finishCategorical(p, pairs)
+	return a.buildCategorical(info, dim.Name, AccessPath{
+		Type: FKDim, Column: fk.Column,
+		Dim: dim.Name, DimPK: fk.RefColumn, DimValueCol: valCol,
+	})
 }
 
 // buildAttrTableProperty creates a (multi-valued) basic property from an
 // attribute table: a side relation with a single FK to the entity and a
 // value column (research(aid, interest) in Fig 1 of the paper).
 func (a *Epoch) buildAttrTableProperty(info *EntityInfo, sideName string, fk relation.ForeignKey, col *relation.Column) *BasicProperty {
-	side := a.DB.Relation(sideName)
-	fkc := side.Column(fk.Column)
-	p := &BasicProperty{
-		Entity:      info.Relation,
-		Attr:        col.Name,
-		Kind:        Categorical,
-		MultiValued: true,
-		Access: AccessPath{
-			Type: AttrTable,
-			Fact: sideName, FactEntityCol: fk.Column,
-			Column: col.Name,
-		},
-		numEntities: info.NumRows,
-		dict:        col.Dict(),
-	}
-	pairs := newCodePairs(side.NumRows())
-	for sr := 0; sr < side.NumRows(); sr++ {
-		if fkc.IsNull(sr) || col.IsNull(sr) {
-			continue
-		}
-		if row, ok := info.pkIndex.First(fkc.Int64(sr)); ok {
-			pairs.add(row, col.Code(sr))
-		}
-	}
-	return a.finishCategorical(p, pairs)
+	return a.buildCategorical(info, col.Name, AccessPath{
+		Type: AttrTable,
+		Fact: sideName, FactEntityCol: fk.Column,
+		Column: col.Name,
+	})
 }
 
 // buildFactDimProperty creates a (multi-valued) basic property reached
 // through a fact table into a dimension relation.
 func (a *Epoch) buildFactDimProperty(info *EntityInfo, factName string, fkToMe, fkToDim relation.ForeignKey) *BasicProperty {
-	fact := a.DB.Relation(factName)
 	dim := a.DB.Relation(fkToDim.RefRelation)
 	valCol := a.dimValueColumn(dim)
 	if valCol == "" {
 		return nil
 	}
-	dimIdx := a.Indexes.IntHash(dim, fkToDim.RefColumn)
-	vc := dim.Column(valCol)
-	entCol := fact.Column(fkToMe.Column)
-	dimFK := fact.Column(fkToDim.Column)
-
-	p := &BasicProperty{
-		Entity:      info.Relation,
-		Attr:        dim.Name,
-		Kind:        Categorical,
-		MultiValued: true,
-		Access: AccessPath{
-			Type: FactDim,
-			Fact: factName, FactEntityCol: fkToMe.Column, FactDimCol: fkToDim.Column,
-			Dim: dim.Name, DimPK: fkToDim.RefColumn, DimValueCol: valCol,
-		},
-		numEntities: info.NumRows,
-		dict:        vc.Dict(),
-	}
-	pairs := newCodePairs(fact.NumRows())
-	for fr := 0; fr < fact.NumRows(); fr++ {
-		if entCol.IsNull(fr) || dimFK.IsNull(fr) {
-			continue
-		}
-		row, ok := info.pkIndex.First(entCol.Int64(fr))
-		if !ok {
-			continue
-		}
-		dimRow, ok := dimIdx.First(dimFK.Int64(fr))
-		if !ok || vc.IsNull(dimRow) {
-			continue
-		}
-		pairs.add(row, vc.Code(dimRow))
-	}
-	return a.finishCategorical(p, pairs)
+	return a.buildCategorical(info, dim.Name, AccessPath{
+		Type: FactDim,
+		Fact: factName, FactEntityCol: fkToMe.Column, FactDimCol: fkToDim.Column,
+		Dim: dim.Name, DimPK: fkToDim.RefColumn, DimValueCol: valCol,
+	})
 }

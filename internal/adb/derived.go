@@ -3,6 +3,7 @@ package adb
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"squid/internal/index"
@@ -32,63 +33,42 @@ func (a *Epoch) buildDerivedProperties(info *EntityInfo, fact1 string, fkToMe, f
 	if fkToVia.RefRelation == info.Relation {
 		viaLabel = via.Name + "_" + fkToVia.Column
 	}
-	fact := a.DB.Relation(fact1)
-	entCol := fact.Column(fkToMe.Column)
-	viaCol := fact.Column(fkToVia.Column)
-	viaIdx := a.Indexes.IntHash(via, fkToVia.RefColumn)
+	var basics []*BasicProperty
+	var out []*DerivedProperty
+	var builds []func() error
+	add := func(target AccessPath, attr string) {
+		out = append(out, a.newDerived(info, fact1, fkToMe, fkToVia, target, viaLabel+":"+attr))
+	}
+
+	// Degree property: number of associated entities. Its single
+	// pseudo-value is the associated relation's name.
+	add(AccessPath{Type: Degree}, "count")
 
 	// adjacency: entity row -> distinct associated via-rows. Multiple
 	// fact rows linking the same pair (e.g. an actor with several roles
 	// in one movie) count once, matching the DISTINCT semantics of the
 	// paper's Q6 per (person, movie) pair contribution.
+	fact := a.DB.Relation(fact1)
+	r := out[0].reader(a)
 	adjacency := make([][]int, info.NumRows)
-	for fr := 0; fr < fact.NumRows(); fr++ {
-		if entCol.IsNull(fr) || viaCol.IsNull(fr) {
-			continue
+	for fr := range fact.NumRows() {
+		if eRow, vRow, ok := r.link(fr); ok {
+			adjacency[eRow] = append(adjacency[eRow], vRow)
 		}
-		eRow, ok := info.pkIndex.First(entCol.Int64(fr))
-		if !ok {
-			continue
-		}
-		vRow, ok := viaIdx.First(viaCol.Int64(fr))
-		if !ok {
-			continue
-		}
-		adjacency[eRow] = append(adjacency[eRow], vRow)
 	}
 	for i, vs := range adjacency {
-		adjacency[i] = dedupInts(vs)
+		slices.Sort(vs)
+		adjacency[i] = slices.Compact(vs)
 	}
-
-	var basics []*BasicProperty
-	var out []*DerivedProperty
-	var builds []func() error
 
 	// Entity-association basic property: the set of associated entities
 	// themselves, identified by their display value (e.g. for person,
 	// the titles of the movies they appear in). This is what lets SQuID
 	// discover contexts such as "all examples appeared in Pulp Fiction"
-	// (IQ1/IQ2/IQ5/IQ6 of the paper's benchmark). Exempt from the
-	// distinct-cardinality guards: its domain is the associated entity
-	// relation itself.
-	if assoc := a.buildEntityAssocProperty(info, fact1, fkToMe, fkToVia, via, adjacency); assoc != nil {
+	// (IQ1/IQ2/IQ5/IQ6 of the paper's benchmark).
+	if assoc := a.buildEntityAssocProperty(info, fact1, fkToMe, fkToVia, via); assoc != nil {
 		basics = append(basics, assoc)
 	}
-
-	// Degree property: number of associated entities. Its single
-	// pseudo-value is the associated relation's name.
-	deg := a.newDerived(info, fact1, fkToMe, fkToVia, AccessPath{Type: Degree}, viaLabel+":count")
-	degCounts := func(vRows []int) map[int32]int {
-		if len(vRows) == 0 {
-			return nil
-		}
-		return map[int32]int{0: len(vRows)}
-	}
-	degDecode := func(int32) string { return via.Name }
-	out = append(out, deg)
-	builds = append(builds, func() error {
-		return a.materializeDerived(info, deg, adjacency, degCounts, degDecode)
-	})
 
 	// Depth-1: aggregate over the associated entity's direct
 	// categorical columns and FK-dimension attributes.
@@ -105,59 +85,20 @@ func (a *Epoch) buildDerivedProperties(info *EntityInfo, fact1 string, fkToMe, f
 				continue
 			}
 			dim := a.DB.Relation(fk.RefRelation)
-			valColName := a.dimValueColumn(dim)
-			if valColName == "" {
-				continue
+			if valColName := a.dimValueColumn(dim); valColName != "" {
+				add(AccessPath{
+					Type: FKDim, Column: fk.Column,
+					Dim: dim.Name, DimPK: fk.RefColumn, DimValueCol: valColName,
+				}, dim.Name)
 			}
-			dimIdx := a.Indexes.IntHash(dim, fk.RefColumn)
-			vc := dim.Column(valColName)
-			fkc := via.Column(fk.Column)
-			p := a.newDerived(info, fact1, fkToMe, fkToVia, AccessPath{
-				Type: FKDim, Column: fk.Column,
-				Dim: dim.Name, DimPK: fk.RefColumn, DimValueCol: valColName,
-			}, viaLabel+":"+dim.Name)
-			counts := func(vRows []int) map[int32]int {
-				m := make(map[int32]int)
-				for _, vr := range vRows {
-					if fkc.IsNull(vr) {
-						continue
-					}
-					if dr, ok := dimIdx.First(fkc.Int64(vr)); ok && !vc.IsNull(dr) {
-						m[vc.Code(dr)]++
-					}
-				}
-				return m
-			}
-			out = append(out, p)
-			builds = append(builds, func() error {
-				return a.materializeDerived(info, p, adjacency, counts, vc.Dict().Value)
-			})
 			continue
 		}
-		if col.Type != relation.String {
-			continue // numeric attributes of associated entities are
-			// not aggregated (see DESIGN.md: bucketed categorical
-			// columns such as decade stand in for them)
+		// Numeric attributes of associated entities are not aggregated
+		// (see DESIGN.md: bucketed categorical columns such as decade
+		// stand in for them).
+		if col.Type == relation.String && a.keepCategorical(col.DistinctCount(), via.NumRows()) {
+			add(AccessPath{Type: Direct, Column: col.Name}, col.Name)
 		}
-		if !a.keepCategorical(col.DistinctCount(), via.NumRows()) {
-			continue
-		}
-		c := col
-		p := a.newDerived(info, fact1, fkToMe, fkToVia, AccessPath{Type: Direct, Column: col.Name}, viaLabel+":"+col.Name)
-		counts := func(vRows []int) map[int32]int {
-			m := make(map[int32]int)
-			for _, vr := range vRows {
-				if c.IsNull(vr) {
-					continue
-				}
-				m[c.Code(vr)]++
-			}
-			return m
-		}
-		out = append(out, p)
-		builds = append(builds, func() error {
-			return a.materializeDerived(info, p, adjacency, counts, c.Dict().Value)
-		})
 	}
 
 	// Depth-2: aggregate over a second fact table from the associated
@@ -178,57 +119,97 @@ func (a *Epoch) buildDerivedProperties(info *EntityInfo, fact1 string, fkToMe, f
 						continue
 					}
 					dim := a.DB.Relation(fkToDim.RefRelation)
-					valColName := a.dimValueColumn(dim)
-					if valColName == "" {
-						continue
+					if valColName := a.dimValueColumn(dim); valColName != "" {
+						add(AccessPath{
+							Type: FactDim,
+							Fact: fact2Name, FactEntityCol: fkToVia2.Column, FactDimCol: fkToDim.Column,
+							Dim: dim.Name, DimPK: fkToDim.RefColumn, DimValueCol: valColName,
+						}, dim.Name)
 					}
-					vc := dim.Column(valColName)
-					p := a.newDerived(info, fact1, fkToMe, fkToVia, AccessPath{
-						Type: FactDim,
-						Fact: fact2Name, FactEntityCol: fkToVia2.Column, FactDimCol: fkToDim.Column,
-						Dim: dim.Name, DimPK: fkToDim.RefColumn, DimValueCol: valColName,
-					}, viaLabel+":"+dim.Name)
-					out = append(out, p)
-					builds = append(builds, func() error {
-						// via row -> dim value codes: the fact2 scan is
-						// the expensive part of a depth-2 walk, so it
-						// lives in the deferred build and runs on the
-						// second fan-out wave.
-						dimIdx := a.Indexes.IntHash(dim, fkToDim.RefColumn)
-						viaByPK := a.Indexes.IntHash(via, via.PrimaryKey)
-						viaVals := make([][]int32, via.NumRows())
-						v2 := fact2.Column(fkToVia2.Column)
-						d2 := fact2.Column(fkToDim.Column)
-						for fr := 0; fr < fact2.NumRows(); fr++ {
-							if v2.IsNull(fr) || d2.IsNull(fr) {
-								continue
-							}
-							vRow, ok := viaByPK.First(v2.Int64(fr))
-							if !ok {
-								continue
-							}
-							dr, ok := dimIdx.First(d2.Int64(fr))
-							if !ok || vc.IsNull(dr) {
-								continue
-							}
-							viaVals[vRow] = append(viaVals[vRow], vc.Code(dr))
-						}
-						counts := func(vRows []int) map[int32]int {
-							m := make(map[int32]int)
-							for _, vr := range vRows {
-								for _, code := range viaVals[vr] {
-									m[code]++
-								}
-							}
-							return m
-						}
-						return a.materializeDerived(info, p, adjacency, counts, vc.Dict().Value)
-					})
 				}
 			}
 		}
 	}
+	for _, p := range out {
+		builds = append(builds, func() error { return a.materializeDerived(info, p, adjacency) })
+	}
 	return basics, out, builds, nil
+}
+
+// derivedReader is a derived property's one derivation. link resolves
+// a first-fact row to the entity row and the via row it links; add
+// lists the source-dictionary codes one via row contributes: the
+// pseudo-value 0 (the via relation's name) for Degree, and otherwise
+// the codes the target — a basic-property path of the via entity —
+// gives the via row, one per second-fact row for FactDim. An entity's
+// strength for a value is the count of the value's code over the
+// contributions of its distinct via rows: the build sums them over the
+// adjacency, an insert adds one via row's for a new pair.
+type derivedReader struct {
+	entCol, viaCol *relation.Column
+	pk, viaPK      *index.IntHash
+	degree         string // Degree's pseudo-value; empty for a target
+	target         pairReader
+	// FactDim: the via rows' keys. The second fact's rows by via key are
+	// read on first use: an insert of a second-fact row never asks.
+	ids *relation.Column
+}
+
+func (p *DerivedProperty) reader(s source) derivedReader {
+	fact, ent, via := s.viewRel(p.Fact1), s.viewRel(p.Entity), s.viewRel(p.Via)
+	d := derivedReader{
+		entCol: fact.Column(p.Fact1EntityCol), viaCol: fact.Column(p.Fact1ViaCol),
+		pk: s.readHash(ent, ent.PrimaryKey), viaPK: s.readHash(via, p.ViaPK),
+	}
+	if p.Target.Type == Degree {
+		d.degree = p.Via
+		return d
+	}
+	d.target = (&BasicProperty{Entity: p.Via, Access: p.Target}).pairs(s)
+	if p.Target.Type == FactDim {
+		d.ids = via.Column(p.ViaPK)
+	}
+	return d
+}
+
+// link is ok false when a key is NULL or names no row.
+func (d *derivedReader) link(fr int) (eRow, vRow int, ok bool) {
+	if d.entCol.IsNull(fr) || d.viaCol.IsNull(fr) {
+		return 0, 0, false
+	}
+	if eRow, ok = d.pk.First(d.entCol.Int64(fr)); !ok {
+		return 0, 0, false
+	}
+	vRow, ok = d.viaPK.First(d.viaCol.Int64(fr))
+	return eRow, vRow, ok
+}
+
+// add appends the codes via row vRow contributes to dst.
+func (d *derivedReader) add(vRow int, dst []int32) []int32 {
+	switch {
+	case d.degree != "":
+		return append(dst, 0)
+	case d.ids == nil:
+		if _, code, ok := d.target.pair(vRow); ok {
+			dst = append(dst, code)
+		}
+	default:
+		t := &d.target
+		for _, r := range t.s.readHash(t.src, t.acc.FactEntityCol).Rows(d.ids.Int64(vRow)) {
+			if _, code, ok := d.target.pair(int(r)); ok {
+				dst = append(dst, code)
+			}
+		}
+	}
+	return dst
+}
+
+// decode returns the value a code stands for.
+func (d *derivedReader) decode(code int32) string {
+	if d.degree != "" {
+		return d.degree
+	}
+	return d.target.dict.Value(code)
 }
 
 // entityDisplayColumn resolves the display column of an entity relation
@@ -247,44 +228,16 @@ func (a *Epoch) entityDisplayColumn(ent *relation.Relation) string {
 
 // buildEntityAssocProperty creates the multi-valued basic property
 // holding the display values of the entities associated through fact1.
-func (a *Epoch) buildEntityAssocProperty(info *EntityInfo, fact1 string, fkToMe, fkToVia relation.ForeignKey, via *relation.Relation, adjacency [][]int) *BasicProperty {
+func (a *Epoch) buildEntityAssocProperty(info *EntityInfo, fact1 string, fkToMe, fkToVia relation.ForeignKey, via *relation.Relation) *BasicProperty {
 	valCol := a.entityDisplayColumn(via)
 	if valCol == "" {
 		return nil
 	}
-	vc := via.Column(valCol)
-	p := &BasicProperty{
-		Entity:      info.Relation,
-		Attr:        via.Name,
-		Kind:        Categorical,
-		MultiValued: true,
-		Access: AccessPath{
-			Type: FactDim,
-			Fact: fact1, FactEntityCol: fkToMe.Column, FactDimCol: fkToVia.Column,
-			Dim: via.Name, DimPK: via.PrimaryKey, DimValueCol: valCol,
-		},
-		numEntities: info.NumRows,
-		dict:        vc.Dict(),
-	}
-	associations := 0
-	for _, viaRows := range adjacency {
-		associations += len(viaRows)
-	}
-	pairs := newCodePairs(associations)
-	for eRow, viaRows := range adjacency {
-		for _, vr := range viaRows {
-			if !vc.IsNull(vr) {
-				pairs.add(eRow, vc.Code(vr))
-			}
-		}
-	}
-	// Bypass the cardinality guards: build stats directly.
-	p.buildCatStats(pairs.byRow(info.NumRows))
-	if p.numValues == 0 {
-		return nil
-	}
-	p.memo = newRowSetMemo(a.selCache)
-	return p
+	return a.buildCategorical(info, via.Name, AccessPath{
+		Type: FactDim,
+		Fact: fact1, FactEntityCol: fkToMe.Column, FactDimCol: fkToVia.Column,
+		Dim: via.Name, DimPK: via.PrimaryKey, DimValueCol: valCol,
+	})
 }
 
 // newDerived initializes a DerivedProperty shell. The relation name is
@@ -317,30 +270,38 @@ func sanitizeRelName(attr string) string {
 }
 
 // materializeDerived computes the (entity_id, value, count) rows of a
-// derived property using the adjacency and a per-entity count function
-// (keyed by source-dictionary codes, decoded only when a row is
-// emitted), stores the derived relation, and builds its statistics (the
-// in-Go equivalent of the paper's Q6 CREATE TABLE ... GROUP BY). The
-// relation and its entity index stay task-local until finishEntity
-// registers them.
-func (a *Epoch) materializeDerived(info *EntityInfo, p *DerivedProperty, adjacency [][]int, counts func(viaRows []int) map[int32]int, decode func(int32) string) error {
+// derived property — for each entity, the count of every code over the
+// contributions of its distinct via rows, tabulated once per via row and
+// decoded only when a row is emitted — stores the derived relation, and
+// builds its statistics (the in-Go equivalent of the paper's Q6 CREATE
+// TABLE ... GROUP BY). The relation and its entity index stay task-local
+// until finishEntity registers them.
+func (a *Epoch) materializeDerived(info *EntityInfo, p *DerivedProperty, adjacency [][]int) error {
+	c := p.reader(a)
+	via := a.DB.Relation(p.Via)
+	offs := make([]uint32, via.NumRows()+1)
+	var codes []int32
+	for vRow := range via.NumRows() {
+		codes = c.add(vRow, codes)
+		offs[vRow+1] = uint32(len(codes))
+	}
 	rel := relation.New(p.RelName,
 		relation.Col("entity_id", relation.Int),
 		relation.Col("value", relation.String),
 		relation.Col("count", relation.Int),
 	).AddForeignKey("entity_id", p.Entity, info.PK)
 	pkCol := info.rel.Column(info.PK)
+	m := make(map[int32]int)
 	for eRow, viaRows := range adjacency {
-		if len(viaRows) == 0 {
-			continue
-		}
-		m := counts(viaRows)
-		if len(m) == 0 {
-			continue
+		clear(m)
+		for _, vRow := range viaRows {
+			for _, code := range codes[offs[vRow]:offs[vRow+1]] {
+				m[code]++
+			}
 		}
 		id := pkCol.Int64(eRow)
-		for _, c := range sortedCodesByValue(m, decode) {
-			rel.MustAppend(relation.IntVal(id), relation.StringVal(decode(c)), relation.IntVal(int64(m[c])))
+		for _, code := range sortedCodesByValue(m, c.decode) {
+			rel.MustAppend(relation.IntVal(id), relation.StringVal(c.decode(code)), relation.IntVal(int64(m[code])))
 		}
 	}
 	p.rel = rel
@@ -432,21 +393,5 @@ func sortedCodesByValue(m map[int32]int, decode func(int32) string) []int32 {
 		out = append(out, c)
 	}
 	sort.Slice(out, func(i, j int) bool { return decode(out[i]) < decode(out[j]) })
-	return out
-}
-
-func dedupInts(xs []int) []int {
-	if len(xs) < 2 {
-		return xs
-	}
-	seen := make(map[int]struct{}, len(xs))
-	out := xs[:0]
-	for _, x := range xs {
-		if _, dup := seen[x]; dup {
-			continue
-		}
-		seen[x] = struct{}{}
-		out = append(out, x)
-	}
 	return out
 }

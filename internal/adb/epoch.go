@@ -2,7 +2,7 @@ package adb
 
 import (
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,6 +56,9 @@ type Epoch struct {
 
 	cfg      Config
 	selCache *SelCache
+	// factIdx holds the hash indexes over fact and side tables a build
+	// reads (see readHash); nil once the build is done.
+	factIdx *index.IndexSet
 
 	// seq is the epoch sequence number (0 for a fresh build/load);
 	// publishedAt is when the epoch became current.
@@ -122,17 +125,14 @@ type AlphaDB struct {
 
 	// publishMu serializes the (cheap) epoch publish step — the
 	// combiner. The expensive copy-on-write apply runs outside it,
-	// guarded only by the per-relation writer locks below.
+	// guarded only by the write-domain locks below.
 	publishMu sync.Mutex
-	// writeMu holds one writer lock per base relation; a write locks
-	// the sorted union of its relations' domains, so writers of
-	// disjoint relations never contend.
-	writeMu map[string]*sync.Mutex
-	// domains maps each writable relation to the relation names its
-	// inserts may read or write (the entity relations a fact
-	// references, second-hop fact tables of derived walks, ...),
-	// sorted. Entity relations map to themselves.
+	// domains maps each relation to the sorted names of its write
+	// domain: the relations its inserts may read or write. writeMu maps
+	// each relation to its domain's one writer lock, so writers of
+	// disjoint domains never contend.
 	domains map[string][]string
+	writeMu map[string]*sync.Mutex
 
 	// selCache carries the αDB-wide memo counters; cfg and BuildTime
 	// are build-time constants.
@@ -246,69 +246,60 @@ func (a *AlphaDB) EpochStats() EpochStats {
 }
 
 // initWriteDomains precomputes each relation's write domain and writer
-// lock. A fact insert reads and writes beyond its own relation: the
-// referenced entity relations (their property statistics), and — for
-// derived properties whose aggregation walks a second fact table — that
-// second fact table's rows. Everything else it touches (dimension
-// relations, the shared inverted index and dictionaries) is either
-// never written or internally synchronized.
+// lock. An insert reads and writes beyond its own relation — the
+// entities a fact row feeds, a derived property's via relation and
+// second fact, the facts that already name a new entity and everything
+// those feed — but never past a chain of foreign keys between entity
+// and fact relations: a relation's domain is its component under them.
+// Everything else a write touches (dimension relations, the shared
+// inverted index and dictionaries) is either never written or
+// internally synchronized.
 func (a *AlphaDB) initWriteDomains(e *Epoch) {
-	a.writeMu = make(map[string]*sync.Mutex, e.DB.NumRelations())
-	a.domains = make(map[string][]string, e.DB.NumRelations())
-	for _, name := range e.DB.RelationNames() {
-		a.writeMu[name] = &sync.Mutex{}
+	names := e.DB.RelationNames()
+	slices.Sort(names) // so every domain lists its members sorted
+	a.writeMu = make(map[string]*sync.Mutex, len(names))
+	a.domains = make(map[string][]string, len(names))
+	root := make(map[string]string, len(names))
+	find := func(n string) string {
+		for root[n] != n {
+			n = root[n]
+		}
+		return n
 	}
-	for _, name := range e.DB.RelationNames() {
-		if e.DB.Kind(name) != relation.KindUnknown {
-			// Entity relations form their own domain; property
-			// (dimension) relations are never written but get one for
-			// uniformity.
-			a.domains[name] = []string{name}
-			continue
-		}
-		set := map[string]bool{name: true}
-		rel := e.DB.Relation(name)
-		for _, fk := range rel.Foreign {
-			info := e.Entities[fk.RefRelation]
-			if info == nil {
-				continue
-			}
-			set[fk.RefRelation] = true
-			for _, p := range info.Derived {
-				if p.Fact1 == name && p.Target.Type == FactDim {
-					set[p.Target.Fact] = true
-				}
+	for _, n := range names {
+		root[n] = n
+		a.writeMu[n] = &sync.Mutex{}
+	}
+	for _, n := range names {
+		for _, fk := range e.DB.Relation(n).Foreign {
+			if e.DB.Kind(n) != relation.KindProperty && e.DB.Kind(fk.RefRelation) != relation.KindProperty {
+				root[find(n)] = find(fk.RefRelation)
 			}
 		}
-		keys := make([]string, 0, len(set))
-		for k := range set {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		a.domains[name] = keys
+	}
+	for _, n := range names {
+		a.domains[find(n)] = append(a.domains[find(n)], n)
+	}
+	// A domain's members share one writer lock: its first member's.
+	for _, n := range names {
+		a.domains[n] = a.domains[find(n)]
+		a.writeMu[n] = a.writeMu[a.domains[n][0]]
 	}
 }
 
-// lockDomains acquires the writer locks covering every given relation's
-// write domain, in global sorted order (deadlock-free), and returns the
-// unlock function. Unknown relation names contribute nothing — their
-// inserts fail before mutating anything.
+// lockDomains acquires the writer locks of every given relation's write
+// domain, in sorted order of the domains' first members (deadlock-free),
+// and returns the unlock function. Unknown relation names contribute
+// nothing — their inserts fail before mutating anything.
 func (a *AlphaDB) lockDomains(rels []string) func() {
-	set := make(map[string]bool)
+	var keys []string
 	for _, rel := range rels {
-		domain, ok := a.domains[rel]
-		if !ok {
-			continue
-		}
-		for _, k := range domain {
-			set[k] = true
+		if d, ok := a.domains[rel]; ok {
+			keys = append(keys, d[0])
 		}
 	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
 	for _, k := range keys {
 		a.writeMu[k].Lock()
 	}
@@ -325,7 +316,7 @@ func (a *AlphaDB) lockDomains(rels []string) func() {
 // over whatever epoch is current — the base it cloned from on the fast
 // path, or a newer epoch published by a concurrent disjoint writer, in
 // which case the merge combines both writers' changes (their domains
-// cannot overlap, the per-relation locks guarantee it). One atomic
+// cannot overlap, the domain locks guarantee it). One atomic
 // store publishes the result; retired epochs stay valid for the
 // readers still pinning them and are garbage collected when the last
 // such reader drops its pointer.

@@ -67,24 +67,46 @@ func TestEpochSnapshotIsolation(t *testing.T) {
 	rebuildAndCompare(t, a)
 }
 
+// buildStudioFixture is the fixture plus a studio entity no fact links
+// to the rest: a write domain disjoint from every other. (Person and
+// movie share one: a castinfo row may name either before it exists, and
+// the entity's insert then applies it to the other's properties.)
+func buildStudioFixture(t *testing.T) *AlphaDB {
+	t.Helper()
+	db := fixtureDB()
+	studio := relation.New("studio",
+		relation.Col("id", relation.Int),
+		relation.Col("name", relation.String),
+		relation.Col("city", relation.String),
+	).SetPrimaryKey("id")
+	for i, city := range []string{"Burbank", "Culver City", "Burbank"} {
+		studio.MustAppend(relation.IntVal(int64(i+1)), relation.StringVal(fmt.Sprintf("Studio %d", i+1)), relation.StringVal(city))
+	}
+	db.AddRelation(studio)
+	db.MarkEntity("studio")
+	a, err := Build(db, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 // TestDisjointInsertsDoNotBlock proves the per-relation writer
 // coordination: while the movie relation's writer lock is held, an
-// insert into person completes (disjoint domains — it would deadlock
+// insert into studio completes (disjoint domains — it would deadlock
 // the test otherwise), and the epoch combiner chains both writers'
 // publishes.
 func TestDisjointInsertsDoNotBlock(t *testing.T) {
-	a := buildFixture(t)
+	a := buildStudioFixture(t)
 	// Simulate an in-flight movie writer by holding its domain lock.
 	a.writeMu["movie"].Lock()
-	err := a.InsertEntity("person",
-		relation.IntVal(7), relation.StringVal("Unblocked Actor"),
-		relation.StringVal("Female"), relation.IntVal(41), relation.IntVal(2))
+	err := a.InsertEntity("studio", relation.IntVal(7), relation.StringVal("Unblocked Studio"), relation.StringVal("Burbank"))
 	a.writeMu["movie"].Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Entity("person").NumRows; got != 7 {
-		t.Errorf("person rows = %d want 7", got)
+	if got := a.Entity("studio").NumRows; got != 4 {
+		t.Errorf("studio rows = %d want 4", got)
 	}
 
 	// A castinfo fact references both person and movie: its domain must
@@ -103,14 +125,14 @@ func TestDisjointInsertsDoNotBlock(t *testing.T) {
 }
 
 // TestDisjointInsertBatchesParallel hammers disjoint-relation writers
-// concurrently (person vs movie entity inserts) with readers pinning
+// concurrently (person vs studio entity inserts) with readers pinning
 // epochs mid-flight; under -race it proves writers of disjoint
 // relations need no mutual serialization, and afterwards it checks the
 // combined chain: every batch published exactly one epoch, all rows
 // landed, and the incrementally maintained statistics match a fresh
 // rebuild.
 func TestDisjointInsertBatchesParallel(t *testing.T) {
-	a := buildFixture(t)
+	a := buildStudioFixture(t)
 	const perWriter = 24
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
@@ -134,9 +156,9 @@ func TestDisjointInsertBatchesParallel(t *testing.T) {
 		<-start
 		for i := 0; i < perWriter; i++ {
 			id := int64(500 + i)
-			if err := a.InsertBatch([]InsertOp{{Rel: "movie", Vals: []relation.Value{
+			if err := a.InsertBatch([]InsertOp{{Rel: "studio", Vals: []relation.Value{
 				relation.IntVal(id), relation.StringVal(fmt.Sprintf("Indie %d", id)),
-				relation.IntVal(1990 + int64(i))}}}); err != nil {
+				relation.StringVal("Burbank")}}}); err != nil {
 				errs[1] = err
 				return
 			}
@@ -176,8 +198,8 @@ func TestDisjointInsertBatchesParallel(t *testing.T) {
 	if got := a.Entity("person").NumRows; got != 6+perWriter {
 		t.Errorf("person rows = %d want %d", got, 6+perWriter)
 	}
-	if got := a.Entity("movie").NumRows; got != 6+perWriter {
-		t.Errorf("movie rows = %d want %d", got, 6+perWriter)
+	if got := a.Entity("studio").NumRows; got != 3+perWriter {
+		t.Errorf("studio rows = %d want %d", got, 3+perWriter)
 	}
 	es := a.EpochStats()
 	if es.Publishes != 2*perWriter {

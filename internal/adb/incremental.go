@@ -16,17 +16,25 @@ import (
 // headers of the relations, per-property statistics, and index shards
 // the batch touches, copies only the chunks and tails it writes into
 // (index.Chunked, index.IntHash, index.Jagged, index.Postings),
-// structurally shares everything else with the base epoch, applies the
-// per-row delta logic to the private clones, and publishes the result
-// with one atomic pointer swap (AlphaDB.publish). Readers pinned to older epochs are never stalled
-// and never observe a half-applied batch. Only inserts are supported
-// (append-only maintenance), which covers the common catalog-growth
-// workload; deletions still require a rebuild.
+// structurally shares everything else with the base epoch, and
+// publishes the result with one atomic pointer swap (AlphaDB.publish).
+// Readers pinned to older epochs are never stalled and never observe a
+// half-applied batch.
 //
-// Writers coordinate per relation: each insert locks only the write
-// domain of the relations it touches (AlphaDB.lockDomains), so inserts
-// into disjoint relations build their epochs in parallel and the
-// publish combiner merges them into one chain.
+// An insert derives nothing of its own: it applies the functions the
+// cold build folds over every row (pairReader, derivedReader) to the
+// rows it adds, so a maintained αDB is the one a cold build of the same
+// rows makes. Only inserts are supported, so every change adds: a new
+// fact row adds its pair to a basic property, its via row's
+// contribution to a derived one unless the pair was linked already, and
+// its value to every entity a first fact links to it when it is a
+// second fact; a new entity row applies the rows that named it before
+// it existed. Deletions still require a rebuild.
+//
+// Each insert locks the write domains of the relations it touches
+// (AlphaDB.lockDomains), so inserts into disjoint domains build their
+// epochs in parallel and the publish combiner merges them into one
+// chain.
 
 // epochBuilder accumulates one writer's copy-on-write changes against
 // a base epoch. Privatization is lazy and per-structure: the first
@@ -62,6 +70,17 @@ type epochBuilder struct {
 	// entity inserted later in the batch.
 	logRows bool
 	applied []AppliedRow
+
+	// bumped counts the (entity, value) strengths the batch raised.
+	bumped int
+	codes  []int32 // scratch for one via row's contribution
+	// entityNames lists the entity relations in a fixed order, the order
+	// a row applies to their properties in.
+	entityNames []string
+	// readers holds the batch's reader of every property it applied a
+	// row to. A reader holds columns and indexes of the batch's view,
+	// which only baseRel changes: it empties the map.
+	readers map[any]any
 }
 
 // AppliedRow is one row a publish applied: the target relation and the
@@ -83,9 +102,12 @@ func (eb *epochBuilder) noteApplied(rel string, vals []relation.Value) {
 	})
 }
 
-func newEpochBuilder(base *Epoch) *epochBuilder {
-	gen := new(index.Gen)
+// newEpochBuilder starts a writer on the current epoch, logging its
+// rows when a publish hook is attached.
+func (a *AlphaDB) newEpochBuilder() *epochBuilder {
+	gen, base := new(index.Gen), a.Snapshot()
 	return &epochBuilder{
+		logRows:     a.publishHook != nil,
 		base:        base,
 		idx:         index.NewIndexDelta(base.Indexes, gen),
 		gen:         gen,
@@ -94,6 +116,8 @@ func newEpochBuilder(base *Epoch) *epochBuilder {
 		entities:    make(map[string]*EntityInfo),
 		isPriv:      make(map[any]bool),
 		rowCounts:   make(map[string]int),
+		readers:     make(map[any]any),
+		entityNames: base.DB.EntityRelations(),
 	}
 }
 
@@ -115,12 +139,21 @@ func (eb *epochBuilder) baseRel(name string) *relation.Relation {
 	if r := eb.baseRels[name]; r != nil {
 		return r
 	}
-	r := eb.base.DB.Relation(name)
-	if r == nil {
-		return nil
-	}
-	r = r.CloneForWrite()
+	r := eb.base.DB.Relation(name).CloneForWrite()
 	eb.baseRels[name] = r
+	clear(eb.readers)
+	return r
+}
+
+// readerOf returns the batch's reader of property p, made by newReader
+// on first use.
+func readerOf[R any](eb *epochBuilder, p any, newReader func(source) R) *R {
+	r, ok := eb.readers[p].(*R)
+	if !ok {
+		r = new(R)
+		*r = newReader(eb)
+		eb.readers[p] = r
+	}
 	return r
 }
 
@@ -131,11 +164,7 @@ func (eb *epochBuilder) derivedRel(name string) *relation.Relation {
 	if r := eb.derivedRels[name]; r != nil {
 		return r
 	}
-	r := eb.base.DerivedDB.Relation(name)
-	if r == nil {
-		return nil
-	}
-	r = r.CloneForWrite()
+	r := eb.base.DerivedDB.Relation(name).CloneForWrite()
 	eb.gen.Copied += r.UpdateColumn("count")
 	eb.derivedRels[name] = r
 	return r
@@ -157,15 +186,20 @@ func (eb *epochBuilder) entity(name string) *EntityInfo {
 		return info
 	}
 	old := eb.base.Entities[name]
-	if old == nil {
-		return nil
-	}
 	q := *old
 	q.Basic = append([]*BasicProperty(nil), old.Basic...)
 	q.Derived = append([]*DerivedProperty(nil), old.Derived...)
 	eb.entities[name] = &q
 	return &q
 }
+
+// readHash serves the per-row functions' point lookups from the batch's
+// view (see index.IndexDelta.ReadIntHash).
+func (eb *epochBuilder) readHash(rel *relation.Relation, col string) *index.IntHash {
+	return eb.idx.ReadIntHash(rel, col)
+}
+
+func (eb *epochBuilder) isEntity(name string) bool { return eb.base.Entities[name] != nil }
 
 // viewEntity returns the batch's view of an entity (private clone or
 // base), for lookups that must see rows inserted earlier in the batch.
@@ -206,27 +240,26 @@ func (eb *epochBuilder) privDerived(info *EntityInfo, i int) *DerivedProperty {
 // next epoch with that entity's statistics maintained (the §9
 // dynamic-dataset extension). Safe to call concurrently with discovery
 // (readers are wait-free on their pinned epochs) and with inserts into
-// other relations (per-relation writer locks).
+// disjoint write domains.
 func (a *AlphaDB) InsertEntity(entityRel string, vals ...relation.Value) error {
-	unlock := a.lockDomains([]string{entityRel})
-	defer unlock()
-	eb := newEpochBuilder(a.Snapshot())
-	eb.logRows = a.publishHook != nil
-	err := eb.insertEntity(entityRel, vals)
-	a.publish(eb)
-	return err
+	return a.insertOne(entityRel, vals, (*epochBuilder).insertEntity)
 }
 
 // InsertFact appends a row to a fact relation and publishes the next
 // epoch with the affected derived relations and statistics maintained.
 // The fact relation must have been present at Build time. Safe to call
-// concurrently with discovery and with inserts into disjoint relations.
+// concurrently with discovery and with inserts into disjoint write
+// domains.
 func (a *AlphaDB) InsertFact(factRel string, vals ...relation.Value) error {
-	unlock := a.lockDomains([]string{factRel})
+	return a.insertOne(factRel, vals, (*epochBuilder).insertFact)
+}
+
+// insertOne applies one row and publishes it as one epoch.
+func (a *AlphaDB) insertOne(rel string, vals []relation.Value, apply func(*epochBuilder, string, []relation.Value) error) error {
+	unlock := a.lockDomains([]string{rel})
 	defer unlock()
-	eb := newEpochBuilder(a.Snapshot())
-	eb.logRows = a.publishHook != nil
-	err := eb.insertFact(factRel, vals)
+	eb := a.newEpochBuilder()
+	err := apply(eb, rel, vals)
 	a.publish(eb)
 	return err
 }
@@ -250,12 +283,12 @@ func (a *AlphaDB) InsertBatch(ops []InsertOp) error {
 	return a.InsertBatchT(ops, trace.Span{})
 }
 
-// InsertBatchT is InsertBatch with trace attribution: the per-relation
-// writer-lock acquisition is a publish_wait span (the time this batch
-// spent blocked behind other writers of its domains), the copy-on-write
-// apply loop is an apply span counting its rows, and the publish step
-// (with its WAL append) nests under publishT. The zero Span makes it
-// exactly InsertBatch.
+// InsertBatchT is InsertBatch with trace attribution: the write-domain
+// lock acquisition is a publish_wait span (the time this batch spent
+// blocked behind other writers of its domains), the copy-on-write apply
+// loop is an apply span counting its rows and the derived strengths it
+// raised (pairs_bumped), and the publish step (with its WAL append)
+// nests under publishT. The zero Span makes it exactly InsertBatch.
 func (a *AlphaDB) InsertBatchT(ops []InsertOp, sp trace.Span) error {
 	if len(ops) == 0 {
 		return nil
@@ -268,23 +301,21 @@ func (a *AlphaDB) InsertBatchT(ops []InsertOp, sp trace.Span) error {
 	unlock := a.lockDomains(rels)
 	ws.End()
 	defer unlock()
-	eb := newEpochBuilder(a.Snapshot())
-	eb.logRows = a.publishHook != nil
+	eb := a.newEpochBuilder()
 	as := sp.Child(trace.PhaseApply, "")
 	var firstErr error
 	for i, op := range ops {
-		var err error
+		apply := (*epochBuilder).insertFact
 		if eb.base.Entities[op.Rel] != nil {
-			err = eb.insertEntity(op.Rel, op.Vals)
-		} else {
-			err = eb.insertFact(op.Rel, op.Vals)
+			apply = (*epochBuilder).insertEntity
 		}
-		if err != nil {
+		if err := apply(eb, op.Rel, op.Vals); err != nil {
 			firstErr = fmt.Errorf("adb: batch insert %d into %q: %w", i, op.Rel, err)
 			break
 		}
 		as.Add(trace.CounterRows, 1)
 	}
+	as.Add(trace.CounterPairsBumped, int64(eb.bumped))
 	as.End()
 	a.publishT(eb, sp)
 	return firstErr
@@ -294,7 +325,7 @@ func (a *AlphaDB) InsertBatchT(ops []InsertOp, sp trace.Span) error {
 // every property of the entity shifts (the selectivity denominator |R|
 // grew), so all of them privatize — but only of this entity; other
 // relations' properties keep their identities and their cached row
-// sets.
+// sets unless a fact row already names the new entity.
 func (eb *epochBuilder) insertEntity(entityRel string, vals []relation.Value) error {
 	if eb.base.Entities[entityRel] == nil {
 		return fmt.Errorf("adb: %q is not an entity relation", entityRel)
@@ -332,28 +363,30 @@ func (eb *epochBuilder) insertEntity(entityRel string, vals []relation.Value) er
 	eb.idx.NoteAppend(rel, row)
 	info.pkIndex = eb.idx.ReadIntHash(rel, rel.PrimaryKey)
 
-	// Update basic-property statistics for the new row.
 	for i := range info.Basic {
 		p := eb.privBasic(info, i)
 		p.numEntities = info.NumRows
-		switch p.Access.Type {
-		case Direct:
-			eb.insertDirectValue(p, rel, row)
-		case FKDim:
-			eb.insertFKDimValue(p, rel, row)
-		default:
-			// FactDim/AttrTable properties gain values only via fact
-			// inserts; the new entity simply has none yet.
-			if p.Kind == Categorical {
+		switch {
+		case p.Kind == Numeric:
+			col := rel.Column(p.Access.Column)
+			p.appendNum(eb.gen, col.Float64(row), !col.IsNull(row))
+		case p.Access.Type == Direct || p.Access.Type == FKDim:
+			// The new row is the property's source row.
+			if _, code, ok := readerOf(eb, p, p.pairs).pair(row); ok {
+				p.valsByRow.Append(code)
+				p.addCatRow(code, row)
+			} else {
 				p.valsByRow.Append()
 			}
+		default:
+			// Fact and side rows reach the new list below.
+			p.valsByRow.Append()
 		}
 	}
 	for i := range info.Derived {
-		p := eb.privDerived(info, i)
-		p.numEntities = info.NumRows
+		eb.privDerived(info, i).numEntities = info.NumRows
 	}
-
+	eb.applyNaming(entityRel, row, pk.Int())
 	eb.postText(rel, row)
 	eb.noteApplied(entityRel, vals)
 	return nil
@@ -372,43 +405,10 @@ func (eb *epochBuilder) postText(rel *relation.Relation, row int) {
 	}
 }
 
-func (eb *epochBuilder) insertDirectValue(p *BasicProperty, rel *relation.Relation, row int) {
-	col := rel.Column(p.Access.Column)
-	if p.Kind == Numeric {
-		p.appendNum(eb.gen, col.Float64(row), !col.IsNull(row))
-		return
-	}
-	if col.IsNull(row) {
-		p.valsByRow.Append()
-		return
-	}
-	code := col.Code(row)
-	p.valsByRow.Append(code)
-	p.addCatRow(code, row)
-}
-
-func (eb *epochBuilder) insertFKDimValue(p *BasicProperty, rel *relation.Relation, row int) {
-	if fkc := rel.Column(p.Access.Column); !fkc.IsNull(row) {
-		// Dimension relations are never written; reading them (and their
-		// lazily built base indexes) needs no privatization.
-		dim := eb.base.DB.Relation(p.Access.Dim)
-		dimIdx := eb.idx.ReadIntHash(dim, p.Access.DimPK)
-		vc := dim.Column(p.Access.DimValueCol)
-		if dimRow, ok := dimIdx.First(fkc.Int64(row)); ok && !vc.IsNull(dimRow) {
-			code := vc.Code(dimRow)
-			p.valsByRow.Append(code)
-			p.addCatRow(code, row)
-			return
-		}
-	}
-	p.valsByRow.Append()
-}
-
 // insertFact applies one fact-row insert to the builder's clones: only
-// the properties routed through this fact table for the entities the
-// row references privatize — properties of unrelated relations (and
-// even direct properties of the referenced entities) keep their
-// identities and cached row sets.
+// the properties the row feeds, for the entities it reaches, privatize —
+// properties of unrelated relations (and even direct properties of the
+// referenced entities) keep their identities and cached row sets.
 func (eb *epochBuilder) insertFact(factRel string, vals []relation.Value) error {
 	if eb.base.DB.Relation(factRel) == nil {
 		return fmt.Errorf("adb: unknown fact relation %q", factRel)
@@ -429,164 +429,152 @@ func (eb *epochBuilder) insertFact(factRel string, vals []relation.Value) error 
 	row := fact.NumRows() - 1
 	eb.rowCounts[factRel] = fact.NumRows()
 	eb.idx.NoteAppend(fact, row)
-
-	for _, fk := range fact.Foreign {
-		if eb.base.Entities[fk.RefRelation] == nil {
-			continue
-		}
-		fkCol := fact.Column(fk.Column)
-		if fkCol.IsNull(row) {
-			continue
-		}
-		// Resolve through the batch's view, so a fact can reference an
-		// entity inserted earlier in the same batch.
-		eRow, ok := eb.viewEntity(fk.RefRelation).RowByID(fkCol.Int64(row))
-		if !ok {
-			continue
-		}
-		info := eb.entity(fk.RefRelation)
-		// Fact-dimension basic properties routed through this fact
-		// (including entity-association properties), and attribute-table
-		// properties when the "fact" is a single-FK side table.
-		for i := range info.Basic {
-			p := info.Basic[i]
-			switch {
-			case p.Access.Type == FactDim && p.Access.Fact == factRel && p.Access.FactEntityCol == fk.Column:
-				eb.insertFactDimValue(eb.privBasic(info, i), fact, row, eRow)
-			case p.Access.Type == AttrTable && p.Access.Fact == factRel && p.Access.FactEntityCol == fk.Column:
-				eb.insertAttrTableValue(eb.privBasic(info, i), fact, row, eRow)
-			}
-		}
-		// Derived properties whose first hop is this fact.
-		for i := range info.Derived {
-			if info.Derived[i].Fact1 != factRel || info.Derived[i].Fact1EntityCol != fk.Column {
-				continue
-			}
-			p := eb.privDerived(info, i)
-			eb.insertDerivedDelta(info, p, fact, row, eRow)
-		}
-	}
+	eb.applyFact(fact, row, nil)
 	eb.postText(fact, row)
 	eb.noteApplied(factRel, vals)
 	return nil
 }
 
-// addValueAt records code for the existing entity at eRow (fact inserts
-// touch arbitrary entity rows): the entity's code list gains it at the
-// end — the row's few codes are copied into the tail on its first touch
-// since the last fold — and the value's posting list gains the row
-// unless the entity already exhibits the value.
-func (p *BasicProperty) addValueAt(code int32, eRow int) {
-	had := slices.Contains(p.valsByRow.At(eRow), code)
-	p.valsByRow.Extend(eRow, code)
+// arrival is the entity row whose insert applies the fact rows that
+// already name it (see applyNaming).
+type arrival struct {
+	rel string
+	row int
+	id  int64
+}
+
+// applyNaming applies the fact and side rows that name a new entity row
+// — a fact may precede its entity, in one batch or across batches — in
+// row order, so the entity's code lists come out in source order.
+func (eb *epochBuilder) applyNaming(entityRel string, row int, id int64) {
+	at := &arrival{rel: entityRel, row: row, id: id}
+	for _, name := range eb.base.DB.RelationNames() {
+		if eb.base.DB.Kind(name) != relation.KindUnknown {
+			continue
+		}
+		fact := eb.viewRel(name)
+		var rows []uint32
+		for _, fk := range fact.Foreign {
+			if fk.RefRelation == entityRel {
+				rows = append(rows, eb.readHash(fact, fk.Column).Rows(id)...)
+			}
+		}
+		slices.Sort(rows)
+		for _, fr := range slices.Compact(rows) {
+			eb.applyFact(fact, int(fr), at)
+		}
+	}
+}
+
+// applyFact applies one fact or side row to the properties it feeds,
+// through the readers the build folds. A new row (at nil) applies
+// whole, and as a second-fact row too: it adds its value to every
+// entity the first fact links to its via row. An older row, applied
+// because the entity at arrived, applies only what involves that
+// entity: the rest applied when the row was inserted, or waits for an
+// entity still missing. Strengths only grow, so each addition is exact:
+// a new pair adds its via row's contribution, a repeated pair nothing.
+func (eb *epochBuilder) applyFact(fact *relation.Relation, fr int, at *arrival) {
+	for _, entity := range eb.entityNames {
+		view := eb.viewEntity(entity)
+		for i, p := range view.Basic {
+			if p.Access.Fact != fact.Name || (p.Access.Type != FactDim && p.Access.Type != AttrTable) {
+				continue
+			}
+			r := readerOf(eb, p, p.pairs)
+			eRow, code, ok := r.pair(fr)
+			if !ok {
+				continue
+			}
+			pos := -1
+			if at != nil && (at.rel != entity || at.row != eRow) {
+				// The arrival is the associated entity: its code goes where
+				// its row falls among the entity's source rows, in order.
+				if p.Access.Dim != at.rel || r.col.Int64(fr) != at.id {
+					continue
+				}
+				pos = 0
+				for _, sr := range eb.readHash(r.src, p.Access.FactEntityCol).Rows(r.entCol.Int64(fr)) {
+					if _, _, ok := r.pair(int(sr)); ok && int(sr) < fr {
+						pos++
+					}
+				}
+			}
+			eb.privBasic(eb.entity(entity), i).addCode(eRow, pos, code)
+		}
+		for i, p := range view.Derived {
+			switch {
+			case p.Fact1 == fact.Name:
+				r := readerOf(eb, p, p.reader)
+				eRow, vRow, ok := r.link(fr)
+				if !ok || at != nil && !(at.rel == entity && at.row == eRow) && !(at.rel == p.Via && at.row == vRow) ||
+					!newPairCheck(eb, fact, p.Fact1EntityCol, p.Fact1ViaCol).first(fr) {
+					continue
+				}
+				eb.codes = r.add(vRow, eb.codes[:0])
+				eb.addContrib(entity, i, []int{eRow}, r)
+			case at == nil && p.Target.Type == FactDim && p.Target.Fact == fact.Name:
+				r := readerOf(eb, p, p.reader)
+				vRow, code, ok := r.target.pair(fr)
+				if !ok {
+					continue
+				}
+				var linked []int
+				for _, lr := range eb.readHash(eb.viewRel(p.Fact1), p.Fact1ViaCol).Rows(r.ids.Int64(vRow)) {
+					if eRow, _, ok := r.link(int(lr)); ok && !slices.Contains(linked, eRow) {
+						linked = append(linked, eRow)
+					}
+				}
+				eb.codes = append(eb.codes[:0], code)
+				eb.addContrib(entity, i, linked, r)
+			}
+		}
+	}
+}
+
+// addCode puts code into the entity row's code list at position at (-1:
+// the end), and the row into the value's posting list unless the entity
+// already exhibits the value.
+func (p *BasicProperty) addCode(eRow, at int, code int32) {
+	list := p.valsByRow.At(eRow)
+	had := slices.Contains(list, code)
+	if at < 0 {
+		at = len(list)
+	}
+	p.valsByRow.Insert(eRow, at, code)
 	if !had {
 		p.addCatRow(code, eRow)
 	}
 }
 
-func (eb *epochBuilder) insertFactDimValue(p *BasicProperty, fact *relation.Relation, factRow, eRow int) {
-	dimFK := fact.Column(p.Access.FactDimCol)
-	if dimFK.IsNull(factRow) {
+// addContrib adds the codes in eb.codes to the strengths of each entity
+// row in the i-th derived property of entity.
+func (eb *epochBuilder) addContrib(entity string, i int, eRows []int, r *derivedReader) {
+	if len(eb.codes) == 0 || len(eRows) == 0 {
 		return
 	}
-	// The "dimension" of an entity-association property is itself an
-	// entity relation, which this batch may have appended to — resolve
-	// through the batch's view.
-	dim := eb.viewRel(p.Access.Dim)
-	dimIdx := eb.idx.ReadIntHash(dim, p.Access.DimPK)
-	vc := dim.Column(p.Access.DimValueCol)
-	dimRow, ok := dimIdx.First(dimFK.Int64(factRow))
-	if !ok || vc.IsNull(dimRow) {
-		return
-	}
-	p.addValueAt(vc.Code(dimRow), eRow)
-}
-
-// insertAttrTableValue maintains an attribute-table basic property
-// (research(aid, interest)-style) for one inserted side-table row.
-func (eb *epochBuilder) insertAttrTableValue(p *BasicProperty, side *relation.Relation, sideRow, eRow int) {
-	col := side.Column(p.Access.Column)
-	if col.IsNull(sideRow) {
-		return
-	}
-	p.addValueAt(col.Code(sideRow), eRow)
-}
-
-// insertDerivedDelta bumps the derived counts of one entity for the new
-// association. It resolves the associated entity and the aggregated
-// value(s) exactly as the batch builder does — reading via-entity and
-// second-hop fact state through the batch's view, which the write
-// domain locks pin — then adjusts the derived relation rows and the
-// per-value selectivity indexes on private clones.
-func (eb *epochBuilder) insertDerivedDelta(info *EntityInfo, p *DerivedProperty, fact *relation.Relation, factRow, eRow int) {
-	viaCol := fact.Column(p.Fact1ViaCol)
-	if viaCol.IsNull(factRow) {
-		return
-	}
-	via := eb.viewRel(p.Via)
-	viaIdx := eb.idx.ReadIntHash(via, p.ViaPK)
-	vRow, ok := viaIdx.First(viaCol.Int64(factRow))
-	if !ok {
-		return
-	}
-	var values []string
-	switch p.Target.Type {
-	case Degree:
-		values = []string{p.Via}
-	case Direct:
-		c := via.Column(p.Target.Column)
-		if !c.IsNull(vRow) {
-			values = []string{c.Str(vRow)}
+	info := eb.entity(entity)
+	p := eb.privDerived(info, i)
+	p.rel = eb.derivedRel(p.RelName)
+	p.byEntity = eb.idx.PrivateIntHash(p.rel, "entity_id")
+	for _, eRow := range eRows {
+		for _, code := range eb.codes {
+			eb.bump(p, info.IDByRow(eRow), eRow, r.decode(code))
 		}
-	case FKDim:
-		fkc := via.Column(p.Target.Column)
-		if !fkc.IsNull(vRow) {
-			dim := eb.base.DB.Relation(p.Target.Dim)
-			dimIdx := eb.idx.ReadIntHash(dim, p.Target.DimPK)
-			vc := dim.Column(p.Target.DimValueCol)
-			if dr, ok := dimIdx.First(fkc.Int64(vRow)); ok && !vc.IsNull(dr) {
-				values = []string{vc.Str(dr)}
-			}
-		}
-	case FactDim:
-		fact2 := eb.viewRel(p.Target.Fact)
-		dim := eb.base.DB.Relation(p.Target.Dim)
-		dimIdx := eb.idx.ReadIntHash(dim, p.Target.DimPK)
-		vc := dim.Column(p.Target.DimValueCol)
-		d2 := fact2.Column(p.Target.FactDimCol)
-		viaID := via.Column(p.ViaPK).Int64(vRow)
-		// The second-fact rows of this via-entity come from the hash
-		// index instead of a full fact2 scan.
-		for _, r := range eb.idx.ReadIntHash(fact2, p.Target.FactEntityCol).Rows(viaID) {
-			fr := int(r)
-			if d2.IsNull(fr) {
-				continue
-			}
-			if dr, ok := dimIdx.First(d2.Int64(fr)); ok && !vc.IsNull(dr) {
-				values = append(values, vc.Str(dr))
-			}
-		}
-	}
-	entityID := info.IDByRow(eRow)
-	for _, v := range values {
-		eb.bump(p, entityID, eRow, v)
 	}
 }
 
 // bump increments the (entity, value) association strength by one on
-// the writer's private clones: the derived relation (count cell
-// patched), its indexes (tails cloned), and the value's pair list and
-// histogram (one chunk of each copied on first touch).
+// the writer's private clones of the property, its derived relation
+// (count cell patched) and entity index (tail cloned), and the value's
+// pair list and histogram (one chunk of each copied on first touch).
 func (eb *epochBuilder) bump(p *DerivedProperty, entityID int64, eRow int, v string) {
-	rel := eb.derivedRel(p.RelName)
-	p.rel = rel
-	byEnt := eb.idx.PrivateIntHash(rel, "entity_id")
-	p.byEntity = byEnt
+	eb.bumped++
+	rel, byEnt := p.rel, p.byEntity
 	// Locate the existing derived row by comparing value codes.
 	vcol, ccol := rel.Column("value"), rel.Column("count")
 	code, known := vcol.Dict().Lookup(v)
-	old := 0
-	found := -1
+	old, found := 0, -1
 	if known {
 		for _, r := range byEnt.Rows(entityID) {
 			if vcol.Code(int(r)) == code {

@@ -69,10 +69,10 @@ func TestDecodeRejectsOutOfRangeBlocks(t *testing.T) {
 		damage  func(person *EntityInfo)
 	}{
 		{"valsByRow code past the dictionary", false, func(person *EntityInfo) {
-			person.BasicByAttr("gender").valsByRow.Extend(0, far)
+			person.BasicByAttr("gender").valsByRow.Insert(0, 1, far)
 		}},
 		{"valsByRow negative code", false, func(person *EntityInfo) {
-			person.BasicByAttr("gender").valsByRow.Extend(0, -3)
+			person.BasicByAttr("gender").valsByRow.Insert(0, 1, -3)
 		}},
 		{"valsByRow shorter than the relation", false, func(person *EntityInfo) {
 			p := person.BasicByAttr("gender")

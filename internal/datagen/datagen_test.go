@@ -2,6 +2,7 @@ package datagen
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"squid/internal/relation"
@@ -310,6 +311,25 @@ func TestVariantsPreserveDimensions(t *testing.T) {
 		}
 		if bs.Kind(dim) != relation.KindProperty {
 			t.Errorf("dimension %s lost its property annotation", dim)
+		}
+	}
+}
+
+// TestIMDbDeterministic generates one configuration twice and requires
+// the same rows in the same order in every relation: the genre, country
+// and keyword sets are emitted sorted, never in map order, so two
+// processes (and two snapshots of their data) agree byte for byte.
+func TestIMDbDeterministic(t *testing.T) {
+	a, b := GenerateIMDb(tinyIMDb()).DB, GenerateIMDb(tinyIMDb()).DB
+	for _, name := range a.RelationNames() {
+		ra, rb := a.Relation(name), b.Relation(name)
+		if ra.NumRows() != rb.NumRows() {
+			t.Fatalf("%s: %d rows, then %d", name, ra.NumRows(), rb.NumRows())
+		}
+		for i := 0; i < ra.NumRows(); i++ {
+			if !reflect.DeepEqual(ra.Row(i), rb.Row(i)) {
+				t.Fatalf("%s row %d: %v, then %v", name, i, ra.Row(i), rb.Row(i))
+			}
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package datagen
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 
 	"squid/internal/relation"
 )
@@ -207,7 +209,7 @@ func GenerateIMDb(cfg IMDbConfig) *IMDb {
 		for len(gs) < n {
 			gs[weightedPick(rng, genreW)] = struct{}{}
 		}
-		for g := range gs {
+		for _, g := range slices.Sorted(maps.Keys(gs)) {
 			movieGenres[m] = append(movieGenres[m], g)
 			mg.MustAppend(relation.IntVal(int64(m)), relation.IntVal(int64(g)))
 		}
@@ -248,7 +250,7 @@ func GenerateIMDb(cfg IMDbConfig) *IMDb {
 		if len(cs) == 0 {
 			cs[weightedPick(rng, countryW)] = struct{}{}
 		}
-		for c := range cs {
+		for _, c := range slices.Sorted(maps.Keys(cs)) {
 			movieCountries[m] = append(movieCountries[m], c)
 			mc.MustAppend(relation.IntVal(int64(m)), relation.IntVal(int64(c)))
 		}
@@ -278,7 +280,7 @@ func GenerateIMDb(cfg IMDbConfig) *IMDb {
 		for len(ks) < n {
 			ks[weightedPick(rng, kwW)] = struct{}{}
 		}
-		for k := range ks {
+		for _, k := range slices.Sorted(maps.Keys(ks)) {
 			mk.MustAppend(relation.IntVal(int64(m)), relation.IntVal(int64(k)))
 		}
 	}

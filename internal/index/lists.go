@@ -194,16 +194,19 @@ func (j *Jagged) Append(list ...int32) {
 	j.added += len(list)
 }
 
-// Extend appends x to list k. The first touch since the fold copies the
-// list into the tail — a row's few codes, never more.
-func (j *Jagged) Extend(k int, x int32) {
+// Insert puts x into list k at position i. The first touch since the
+// fold copies the list into the tail — a row's few codes, never more. A
+// tail entry's elements are shared with retired generations, which only
+// ever see a prefix of it: x past the end is appended, one before it
+// goes into a fresh copy.
+func (j *Jagged) Insert(k, i int, x int32) {
 	run, ok := j.tailRun(k)
-	if !ok {
+	if !ok || i < len(run) {
 		cur := j.At(k)
 		run = append(make([]int32, 0, len(cur)+1), cur...)
 		j.copied += len(cur)
 	}
-	j.setTail(k, append(run, x))
+	j.setTail(k, slices.Insert(run, i, x))
 	j.added++
 }
 

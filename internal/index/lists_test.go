@@ -107,7 +107,7 @@ func runListsChain(t *testing.T, ops []byte) listsStats {
 		if _, held := live.vals.tailRun(row); !held && row >= live.vals.baseLists() {
 			st.relocations++ // moves an appended row from the append area to the tail
 		}
-		live.vals.Extend(row, code)
+		live.vals.Insert(row, len(live.vals.At(row)), code)
 		model[row] = append(model[row], code)
 		if !had {
 			if int(code) >= live.posts.Len() {

@@ -133,6 +133,9 @@ const (
 	// CounterFilters counts the filter groups an executed block's
 	// reduce stage answered from the αDB's row sets instead of joining.
 	CounterFilters
+	// CounterPairsBumped counts the (entity, value) strengths of derived
+	// properties an insert batch raised, second-hop ones included.
+	CounterPairsBumped
 
 	numCounters
 )
@@ -140,7 +143,7 @@ const (
 var counterNames = [numCounters]string{
 	"candidates", "properties", "contexts", "selected", "rows",
 	"cache_hits", "cache_misses", "cache_stores", "epoch_seq", "est_rows",
-	"cells_streamed", "filters",
+	"cells_streamed", "filters", "pairs_bumped",
 }
 
 // String returns the counter's wire name.

@@ -52,9 +52,9 @@
 //     immutable, atomically published epochs — a discovery pins the
 //     current epoch with one pointer load and can never be stalled by
 //     a writer, while writers build the next epoch copy-on-write and
-//     publish it with one pointer swap. Writers into disjoint
-//     relations proceed in parallel (per-relation write locks); no
-//     external coordination is required anywhere.
+//     publish it with one pointer swap. Writers into disjoint write
+//     domains proceed in parallel (one lock a domain); no external
+//     coordination is required anywhere.
 //
 // Benchmarks: `go run ./benchmark -workload <name>` is the benchmark of
 // record (BENCHMARK.json is its contract, benchmark/README.md its
@@ -565,7 +565,7 @@ func (s *System) InsertEntity(rel string, vals ...Value) error {
 // InsertFact appends a row to a fact relation and publishes the next
 // αDB epoch with the affected derived relations and statistics
 // maintained. Safe to call concurrently with discovery and with
-// inserts into disjoint relations; only the properties routed through
+// inserts into disjoint write domains; only the properties routed through
 // that fact table for the referenced entities are cloned and
 // invalidated.
 func (s *System) InsertFact(rel string, vals ...Value) error {

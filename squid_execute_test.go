@@ -63,6 +63,13 @@ func TestExecuteBuildsNoJoinIndexes(t *testing.T) {
 			ep := sys.alpha.Snapshot()
 			db := ep.CombinedDB()
 			before := ep.Indexes.NumIndexes()
+			// The insert keeps the index its pair checks read resident;
+			// executing must add none beside it.
+			cast := db.Relation("castinfo")
+			ingested := map[string]bool{}
+			for _, c := range cast.Columns() {
+				ingested[c.Name] = ep.Indexes.ResidentIntHash(cast, c.Name) != nil
+			}
 
 			type column struct{ rel, col string }
 			point := map[column]bool{}
@@ -98,9 +105,8 @@ func TestExecuteBuildsNoJoinIndexes(t *testing.T) {
 					t.Errorf("a sorted numeric index on %s.%s is resident: the range was verified per row, nothing should have built it", c.rel, c.col)
 				}
 			}
-			cast := db.Relation("castinfo")
 			for _, c := range cast.Columns() {
-				if ep.Indexes.ResidentIntHash(cast, c.Name) != nil {
+				if !ingested[c.Name] && ep.Indexes.ResidentIntHash(cast, c.Name) != nil {
 					t.Errorf("a hash index on castinfo.%s is resident after executing the plans", c.Name)
 				}
 			}

@@ -3,6 +3,7 @@ package squid
 import (
 	"bytes"
 	"cmp"
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -14,71 +15,120 @@ import (
 	"squid/internal/benchqueries"
 	"squid/internal/datagen"
 	"squid/internal/index"
+	"squid/internal/iofault"
 	"squid/internal/metrics"
 	"squid/internal/relation"
 	"squid/internal/trace"
+	"squid/internal/wal"
 )
 
 // randomIngest publishes a seeded random sequence of mixed entity/fact
 // batches over the IMDb schema and returns the number of rows inserted.
-// Facts land on generator rows, on rows of earlier publishes and on
-// rows inserted earlier in their own batch.
-//
-// The sequence stays inside what incremental maintenance covers today:
-// an insert updates the properties routed through the inserted fact as
-// a first hop, so a fact table is only written while nothing reaches it
-// as a second hop. Concretely, a new entity's dimension facts (genres,
-// awards) follow its own row before anything links to it, each
-// (person, movie) pair is cast once, and casts go to new movies until a
-// company link closes them (company → movie → castinfo → role would go
-// stale otherwise). Lifting that envelope is ROADMAP item 1.
+// It draws from every fact and entity relation, on generator rows, on
+// rows of earlier publishes and on rows inserted earlier in their own
+// batch, and on purpose draws what a maintained αDB can get wrong:
+// repeated (person, movie) pairs; facts before their entity, in one
+// batch and across batches; genres, countries, keywords and awards for
+// entities that already have a cast; casts on movies that already have
+// a company and company links to movies that already have a cast.
 func randomIngest(t *testing.T, sys *System, rng *rand.Rand, publishes int) int {
 	t.Helper()
 	db := sys.AlphaDB().DB()
-	dim := func(rel string) Value { return IntVal(int64(rng.Intn(db.Relation(rel).NumRows()))) }
-	persons := make([]int64, db.Relation("person").NumRows())
-	for i := range persons {
-		persons[i] = int64(i)
+	pick := func(xs []int64) Value { return IntVal(xs[rng.Intn(len(xs))]) }
+	ids := func(rel string) []int64 {
+		c := db.Relation(rel).Column("id")
+		out := make([]int64, c.Len())
+		for i := range out {
+			out[i] = c.Int64(i)
+		}
+		return out
 	}
-	var open []int64 // new movies no company links to yet
-	cast := map[[2]int64]bool{}
+	persons, movies, companies := ids("person"), ids("movie"), ids("company")
+	dims := map[string][]int64{}
+	for _, d := range []string{"country", "language", "genre", "keyword", "role", "award"} {
+		dims[d] = ids(d)
+	}
+	dim := func(rel string) Value { return pick(dims[rel]) }
+	var cast [][2]int64
+	// pending holds entities whose ids facts may name before the entity
+	// row lands, in a later batch.
+	var pending []InsertOp
 	certificates := []string{"G", "PG", "R"}
 	nextID := int64(1_000_000)
 	rows := 0
 	for k := 0; k < publishes; k++ {
 		var ops []InsertOp
 		add := func(rel string, vals ...Value) { ops = append(ops, InsertOp{Rel: rel, Vals: vals}) }
+		castRow := func(p, m int64) {
+			cast = append(cast, [2]int64{p, m})
+			add("castinfo", IntVal(p), IntVal(m), dim("role"))
+		}
+		// newEntity reserves an id; its row lands now, after the facts
+		// drawn next in this batch, or in a later batch.
+		newEntity := func(op InsertOp, facts func(id int64)) {
+			id := op.Vals[0].Int()
+			facts(id)
+			if rng.Intn(2) == 0 {
+				ops = append(ops, op)
+			} else {
+				pending = append(pending, op)
+			}
+		}
 		for n := 8 + rng.Intn(24); len(ops) < n; {
-			switch op := rng.Intn(8); {
+			switch op := rng.Intn(12); {
 			case op == 0:
 				nextID++
 				gender := []string{"Male", "Female"}[rng.Intn(2)]
-				add("person", IntVal(nextID), StringVal(fmt.Sprintf("Threeway Person %d", nextID)),
-					StringVal(gender), IntVal(int64(1925+rng.Intn(90))), dim("country"))
-				for i := rng.Intn(3); i > 0; i-- {
-					add("persontoaward", IntVal(nextID), dim("award"))
-				}
+				newEntity(InsertOp{Rel: "person", Vals: []Value{IntVal(nextID), StringVal(fmt.Sprintf("Threeway Person %d", nextID)),
+					StringVal(gender), IntVal(int64(1925 + rng.Intn(90))), dim("country")}}, func(id int64) {
+					for i := rng.Intn(3); i > 0; i-- {
+						add("persontoaward", IntVal(id), dim("award"))
+					}
+					for i := rng.Intn(3); i > 0; i-- {
+						castRow(id, movies[rng.Intn(len(movies))])
+					}
+				})
 				persons = append(persons, nextID)
-			case op == 1 || len(open) == 0:
+			case op == 1:
 				nextID++
 				year := 1950 + rng.Intn(70)
-				add("movie", IntVal(nextID), StringVal(fmt.Sprintf("Threeway Movie %d", nextID)),
+				newEntity(InsertOp{Rel: "movie", Vals: []Value{IntVal(nextID), StringVal(fmt.Sprintf("Threeway Movie %d", nextID)),
 					IntVal(int64(year)), StringVal(fmt.Sprintf("%ds", year/10*10)),
-					StringVal(certificates[rng.Intn(len(certificates))]), dim("language"))
-				for i := 1 + rng.Intn(3); i > 0; i-- {
-					add("movietogenre", IntVal(nextID), dim("genre"))
-				}
-				open = append(open, nextID)
+					StringVal(certificates[rng.Intn(len(certificates))]), dim("language")}}, func(id int64) {
+					for i := 1 + rng.Intn(3); i > 0; i-- {
+						add("movietogenre", IntVal(id), dim("genre"))
+					}
+					if rng.Intn(2) == 0 {
+						add("movietocompany", IntVal(id), pick(companies))
+					}
+					for i := rng.Intn(3); i > 0; i-- {
+						castRow(persons[rng.Intn(len(persons))], id)
+					}
+				})
+				movies = append(movies, nextID)
 			case op == 2:
-				i := rng.Intn(len(open))
-				add("movietocompany", IntVal(open[i]), dim("company"))
-				open = append(open[:i], open[i+1:]...)
+				nextID++
+				newEntity(InsertOp{Rel: "company", Vals: []Value{IntVal(nextID), StringVal(fmt.Sprintf("Threeway Company %d", nextID%4)),
+					dim("country")}}, func(id int64) {
+					add("movietocompany", pick(movies), IntVal(id))
+				})
+				companies = append(companies, nextID)
+			case op == 3 && len(pending) > 0:
+				i := rng.Intn(len(pending))
+				ops = append(ops, pending[i])
+				pending = append(pending[:i], pending[i+1:]...)
+			case op == 4:
+				rel := []string{"movietogenre", "movietocountry", "movietokeyword"}[rng.Intn(3)]
+				add(rel, pick(movies), dim(rel[len("movieto"):]))
+			case op == 5:
+				add("persontoaward", pick(persons), dim("award"))
+			case op == 6:
+				add("movietocompany", pick(movies), pick(companies))
+			case op == 7 && len(cast) > 0:
+				pair := cast[rng.Intn(len(cast))]
+				castRow(pair[0], pair[1])
 			default:
-				pair := [2]int64{persons[rng.Intn(len(persons))], open[rng.Intn(len(open))]}
-				if !cast[pair] {
-					cast[pair] = true
-					add("castinfo", IntVal(pair[0]), IntVal(pair[1]), dim("role"))
-				}
+				castRow(persons[rng.Intn(len(persons))], movies[rng.Intn(len(movies))])
 			}
 		}
 		if err := sys.InsertBatch(ops); err != nil {
@@ -89,11 +139,70 @@ func randomIngest(t *testing.T, sys *System, rng *rand.Rand, publishes int) int 
 	return rows
 }
 
+// addLabels adds to db a component no IMDb relation reaches — a label
+// entity and its artists, an attribute table — so a label writer's
+// domain is disjoint from every IMDb writer's.
+func addLabels(db *relation.Database) {
+	label := relation.New("label",
+		relation.Col("id", relation.Int),
+		relation.Col("name", relation.String),
+		relation.Col("region", relation.String),
+	).SetPrimaryKey("id")
+	artists := relation.New("labeltoartist",
+		relation.Col("label_id", relation.Int),
+		relation.Col("artist", relation.String),
+	).AddForeignKey("label_id", "label", "id")
+	for i := int64(0); i < 8; i++ {
+		label.MustAppend(IntVal(i), StringVal(fmt.Sprintf("Label %d", i)), StringVal([]string{"North", "South", "East"}[i%3]))
+		artists.MustAppend(IntVal(i), StringVal(fmt.Sprintf("Artist %d", i%5)))
+	}
+	db.AddRelation(label)
+	db.MarkEntity("label")
+	db.AddRelation(artists)
+}
+
+// labelIngest publishes label batches until done is closed and the
+// publish combiner has merged a concurrent writer's epoch at least once.
+// An artist may name a label whose row lands later in its batch or in a
+// later one.
+func labelIngest(sys *System, rng *rand.Rand, done <-chan struct{}) error {
+	next := int64(100)
+	for k := 0; ; k++ {
+		select {
+		case <-done:
+			if sys.AlphaDB().EpochStats().Combines > 0 || k > 100_000 {
+				return nil
+			}
+		default:
+		}
+		var ops []InsertOp
+		artist := func(id int64) {
+			ops = append(ops, InsertOp{Rel: "labeltoartist", Vals: []Value{IntVal(id), StringVal(fmt.Sprintf("Artist %d", rng.Intn(7)))}})
+		}
+		switch rng.Intn(3) {
+		case 0:
+			artist(next + 1) // the label lands in the next batch
+			next++
+			ops = append(ops, InsertOp{Rel: "label", Vals: []Value{IntVal(next - 1), StringVal(fmt.Sprintf("Label %d", next%4)), StringVal("West")}})
+		case 1:
+			artist(next - 1)
+		default:
+			artist(int64(rng.Intn(int(next))))
+		}
+		if err := sys.InsertBatch(ops); err != nil {
+			return err
+		}
+	}
+}
+
 // compareAlphaDBs asserts two αDBs over the same rows answer every
-// property question identically: selectivities, domain coverage and
-// satisfying-row sets of every basic and derived property, and the
-// inverted-index postings (sorted: a build groups them by relation, an
-// insert appends them in arrival order) of every TEXT value.
+// property question identically: every entity's value codes of every
+// categorical property, in order and with repeats; selectivities,
+// domain coverage and satisfying-row sets of every basic and derived
+// property; every derived relation's (entity_id, value, count) rows as
+// a set (a build emits them by entity, an insert appends its own); and
+// the inverted-index postings (sorted: a build groups them by relation,
+// an insert appends them in arrival order) of every TEXT value.
 func compareAlphaDBs(t *testing.T, label string, got, want *adb.AlphaDB, rng *rand.Rand) {
 	t.Helper()
 	postings := func(a *adb.AlphaDB, v string) []index.Posting {
@@ -115,6 +224,16 @@ func compareAlphaDBs(t *testing.T, label string, got, want *adb.AlphaDB, rng *ra
 			}
 		}
 	}
+	derivedRows := func(p *adb.DerivedProperty) []string {
+		rel := p.Relation()
+		ids, vals, counts := rel.Column("entity_id"), rel.Column("value"), rel.Column("count")
+		out := make([]string, rel.NumRows())
+		for r := range out {
+			out[r] = fmt.Sprintf("%d|%s|%d", ids.Int64(r), vals.Str(r), counts.Int64(r))
+		}
+		slices.Sort(out)
+		return out
+	}
 	for name, w := range want.Snapshot().Entities {
 		g := got.Entity(name)
 		if g == nil || g.NumRows != w.NumRows || len(g.Basic) != len(w.Basic) || len(g.Derived) != len(w.Derived) {
@@ -127,6 +246,12 @@ func compareAlphaDBs(t *testing.T, label string, got, want *adb.AlphaDB, rng *ra
 				t.Fatalf("%s: property order diverged (%s)", at, gp.Attr)
 			}
 			if wp.Kind == adb.Categorical {
+				for row := range w.NumRows {
+					if gc, wc := gp.ValueCodes(row), wp.ValueCodes(row); !slices.Equal(gc, wc) {
+						t.Errorf("%s: row %d holds codes %v (%v) want %v (%v)", at, row, gc, gp.Values(row), wc, wp.Values(row))
+						break
+					}
+				}
 				values := wp.DistinctValues()
 				if !reflect.DeepEqual(gp.DistinctValues(), values) {
 					t.Errorf("%s: domains diverged", at)
@@ -175,6 +300,9 @@ func compareAlphaDBs(t *testing.T, label string, got, want *adb.AlphaDB, rng *ra
 			if gp.Attr != wp.Attr || !reflect.DeepEqual(gp.DistinctValues(), wp.DistinctValues()) {
 				t.Errorf("%s: derived domains diverged", at)
 				continue
+			}
+			if gr, wr := derivedRows(gp), derivedRows(wp); !slices.Equal(gr, wr) {
+				t.Errorf("%s: derived rows diverged: %d rows want %d", at, len(gr), len(wr))
 			}
 			for _, v := range wp.DistinctValues() {
 				if gp.MaxStrength(v) != wp.MaxStrength(v) {
@@ -228,17 +356,20 @@ func checkStrengthHistograms(t *testing.T, label string, a *adb.AlphaDB) {
 	}
 }
 
-// TestRandomIngestThreeWay is the three-roads-to-one-αDB oracle: after a
-// seeded random sequence of mixed insert batches, the incrementally
-// maintained epochs, a cold Build of the final database and a Save/Load
-// round trip must agree on every property statistic and row set, and
-// must explain every benchmark intent byte-identically. The small arm
-// stays inside one chunk of every vector and never folds an index tail;
-// the large arm is sized past the copy-on-write units of internal/index
-// (256-element chunks; a hash tail folds past max(64, base/8) keys):
-// three chunks of person rows, derived pair lists of several chunks
-// that take mid-list inserts (a split), and enough castinfo publishes
-// to fold the derived relations' entity-id indexes more than twice.
+// TestRandomIngestThreeWay is the four-roads-to-one-αDB oracle: after
+// a seeded random sequence of mixed insert batches, with a writer of a
+// disjoint component publishing beside it so the publish combiner
+// merges epochs, the incrementally maintained epochs, a cold Build of
+// the final database, a Save/Load round trip and a replay of the
+// write-ahead log onto the pre-ingest snapshot must agree on every
+// property statistic and row set, and must explain every benchmark
+// intent byte-identically. The small arm stays inside one chunk of
+// every vector and never folds an index tail; the large arm is sized
+// past the copy-on-write units of internal/index (256-element chunks; a
+// hash tail folds past max(64, base/8) keys): three chunks of person
+// rows, derived pair lists of several chunks that take mid-list inserts
+// (a split), and enough castinfo publishes to fold the derived
+// relations' entity-id indexes more than twice.
 func TestRandomIngestThreeWay(t *testing.T) {
 	t.Run("small", func(t *testing.T) {
 		threeWay(t, datagen.IMDbConfig{Seed: 11, NumPersons: 300, NumMovies: 150, NumCompany: 10}, 12)
@@ -250,14 +381,35 @@ func TestRandomIngestThreeWay(t *testing.T) {
 
 func threeWay(t *testing.T, cfg datagen.IMDbConfig, publishes int) {
 	g := datagen.GenerateIMDb(cfg)
+	addLabels(g.DB)
 	sys, err := Build(g.DB, DefaultBuildConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	var base bytes.Buffer
+	if err := sys.Save(&base); err != nil {
+		t.Fatal(err)
+	}
+	fs := iofault.NewMemFS()
+	l, _, err := wal.Open("wal", wal.Options{Policy: wal.PolicyNever, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.AttachWAL(l)
+
+	done, labelErr := make(chan struct{}), make(chan error, 1)
+	go func() { labelErr <- labelIngest(sys, rand.New(rand.NewSource(7)), done) }()
 	rng := rand.New(rand.NewSource(20190625))
 	rows := randomIngest(t, sys, rng, publishes)
-	if es := sys.AlphaDB().EpochStats(); rows < 200 || es.Publishes != uint64(publishes) {
-		t.Fatalf("sequence too small: %d rows over %d publishes", rows, es.Publishes)
+	close(done)
+	if err := <-labelErr; err != nil {
+		t.Fatal(err)
+	}
+	if es := sys.AlphaDB().EpochStats(); rows < 200 || es.Combines == 0 {
+		t.Fatalf("sequence too small: %d rows, %d combined publishes", rows, es.Combines)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	cold, err := Build(sys.AlphaDB().DB(), DefaultBuildConfig())
@@ -272,11 +424,22 @@ func threeWay(t *testing.T, cfg datagen.IMDbConfig, publishes int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareAlphaDBs(t, "incremental vs cold build", sys.AlphaDB(), cold.AlphaDB(), rand.New(rand.NewSource(1)))
-	compareAlphaDBs(t, "round trip vs cold build", loaded.AlphaDB(), cold.AlphaDB(), rand.New(rand.NewSource(1)))
-	checkStrengthHistograms(t, "incremental", sys.AlphaDB())
+	replayed, err := Load(&base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := replayed.RecoverWAL("wal", wal.Options{Policy: wal.PolicyNever, FS: fs}); err != nil {
+		t.Fatal(err)
+	}
+	roads := []struct {
+		name string
+		sys  *System
+	}{{"incremental", sys}, {"round trip", loaded}, {"wal replay", replayed}}
+	for _, road := range roads {
+		compareAlphaDBs(t, road.name+" vs cold build", road.sys.AlphaDB(), cold.AlphaDB(), rand.New(rand.NewSource(1)))
+		checkStrengthHistograms(t, road.name, road.sys.AlphaDB())
+	}
 	checkStrengthHistograms(t, "cold build", cold.AlphaDB())
-	checkStrengthHistograms(t, "round trip", loaded.AlphaDB())
 
 	explain := func(s *System, examples []string) string {
 		d, err := s.Discover(examples)
@@ -297,15 +460,80 @@ func threeWay(t *testing.T, cfg datagen.IMDbConfig, publishes int) {
 		intents++
 		examples := metrics.Sample(rng, truth, 5)
 		want := explain(cold, examples)
-		if got := explain(sys, examples); got != want {
-			t.Errorf("%s: incremental epochs explain differently from a cold build:\n%s\n--- cold ---\n%s", b.ID, got, want)
-		}
-		if got := explain(loaded, examples); got != want {
-			t.Errorf("%s: round trip explains differently from a cold build:\n%s\n--- cold ---\n%s", b.ID, got, want)
+		for _, road := range roads {
+			if got := explain(road.sys, examples); got != want {
+				t.Errorf("%s: %s explains differently from a cold build:\n%s\n--- cold ---\n%s", b.ID, road.name, got, want)
+			}
 		}
 	}
 	if intents < 8 {
 		t.Fatalf("only %d benchmark intents had enough ground truth", intents)
+	}
+}
+
+// TestIngestRepros pins three one-row inserts on which incremental
+// maintenance disagreed with a cold Build. In IMDb seed 11 at 300
+// persons, person 537 appears in 20 movies, movie 7 among them, and
+// movie 7 belongs to company 0, whose movie:role strengths sum to 1022.
+// The row castinfo(537, 7, role 0) is a second hop for company 0 (the
+// strength sum becomes 1023; maintenance that followed only first hops
+// left 1022) and a repeated pair for person 537 (movie:count stays 20;
+// counting fact rows instead of pairs read 21). Inserted before its
+// person's row, in one batch, a cast of a new person must still count
+// (movie:count 1, not 0). The insert's apply span counts the strengths
+// it raised (pairs_bumped): the shared row raises one, company 0's
+// second hop, as the repeated pair raises none.
+func TestIngestRepros(t *testing.T) {
+	cast := InsertOp{Rel: "castinfo", Vals: []Value{IntVal(537), IntVal(7), IntVal(0)}}
+	cases := []struct {
+		name         string
+		ops          []InsertOp
+		entity, attr string
+		id           int64
+		before, want int
+		bumped       int // the strengths the batch raised
+	}{
+		{"second hop", []InsertOp{cast}, "company", "movie:role", 0, 1022, 1023, 1},
+		{"repeated pair", []InsertOp{cast}, "person", "movie:count", 537, 20, 20, 1},
+		{"fact before its entity", []InsertOp{
+			{Rel: "castinfo", Vals: []Value{IntVal(9000), IntVal(7), IntVal(0)}},
+			{Rel: "person", Vals: []Value{IntVal(9000), StringVal("Late Arrival"), StringVal("Female"), IntVal(1980), IntVal(0)}},
+		}, "person", "movie:count", 9000, 0, 1, 15},
+	}
+	strength := func(s *System, c int) (n int) {
+		for _, v := range s.AlphaDB().Entity(cases[c].entity).DerivedByAttr(cases[c].attr).Counts(cases[c].id) {
+			n += v
+		}
+		return n
+	}
+	for c, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := datagen.GenerateIMDb(datagen.IMDbConfig{Seed: 11, NumPersons: 300, NumMovies: 150, NumCompany: 10})
+			sys, err := Build(g.DB, DefaultBuildConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := strength(sys, c); got != tc.before {
+				t.Fatalf("before the insert the strength is %d, want %d", got, tc.before)
+			}
+			rec := trace.NewRecorder(0)
+			root := rec.Root(trace.PhaseInsert, "")
+			if err := sys.InsertBatchContext(trace.NewContext(context.Background(), root), tc.ops); err != nil {
+				t.Fatal(err)
+			}
+			root.End()
+			if want := fmt.Sprintf("apply {pairs_bumped=%d rows=%d}", tc.bumped, len(tc.ops)); !strings.Contains(rec.Finish("insert", "").Structure(), want) {
+				t.Errorf("the insert's apply span is not %q", want)
+			}
+			cold, err := Build(sys.AlphaDB().DB(), DefaultBuildConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, cg := strength(sys, c), strength(cold, c); got != tc.want || cg != tc.want {
+				t.Errorf("strength after the insert is %d, a cold build's %d; want %d", got, cg, tc.want)
+			}
+			compareAlphaDBs(t, "incremental vs cold build", sys.AlphaDB(), cold.AlphaDB(), rand.New(rand.NewSource(1)))
+		})
 	}
 }
 
@@ -341,4 +569,172 @@ func TestInsertFactPostsText(t *testing.T) {
 	}
 	compareAlphaDBs(t, "incremental vs cold build", sys.AlphaDB(), cold.AlphaDB(), rand.New(rand.NewSource(1)))
 	compareAlphaDBs(t, "round trip vs cold build", loaded.AlphaDB(), cold.AlphaDB(), rand.New(rand.NewSource(1)))
+}
+
+// FuzzIngestMatchesBuild decodes bytes into insert batches over a small
+// IMDb database and requires the maintained αDB to match a cold Build of
+// the final database under compareAlphaDBs. Three bytes make a row: what
+// to insert and two operands. An operand below 240 names a generator row
+// of the relation; one from 240 names one of 16 ids outside them, which
+// an entity row of the sequence may insert before or after the facts
+// that name it. The database has more persons than the distinct-ratio
+// guard's floor and fewer movies and companies, so no insert moves a
+// guard: property discovery sees the same properties before and after.
+func FuzzIngestMatchesBuild(f *testing.F) {
+	g := datagen.GenerateIMDb(datagen.IMDbConfig{Seed: 3, NumPersons: 60, NumMovies: 20, NumCompany: 3})
+	built, err := Build(g.DB, DefaultBuildConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	var base bytes.Buffer
+	if err := built.Save(&base); err != nil {
+		f.Fatal(err)
+	}
+	ids := map[string][]int64{}
+	for _, rel := range []string{"person", "movie", "company", "country", "language", "genre", "keyword", "role", "award"} {
+		c := g.DB.Relation(rel).Column("id")
+		for i := 0; i < c.Len(); i++ {
+			ids[rel] = append(ids[rel], c.Int64(i))
+		}
+	}
+	id := func(rel string, x byte) Value {
+		if x >= 240 {
+			return IntVal(50_000 + int64(x%16))
+		}
+		return IntVal(ids[rel][int(x)%len(ids[rel])])
+	}
+	f.Add([]byte{0, 1, 2, 2, 2, 0, 1, 3, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sys, err := Load(bytes.NewReader(base.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inserted := map[[2]int64]bool{}
+		var ops []InsertOp
+		flush := func() {
+			if err := sys.InsertBatch(ops); err != nil {
+				t.Fatal(err)
+			}
+			ops = ops[:0]
+		}
+		add := func(rel string, vals ...Value) { ops = append(ops, InsertOp{Rel: rel, Vals: vals}) }
+		entity := func(kind int64, rel string, a byte, vals ...Value) {
+			key := IntVal(50_000 + int64(a%16))
+			if !inserted[[2]int64{kind, key.Int()}] {
+				inserted[[2]int64{kind, key.Int()}] = true
+				add(rel, append([]Value{key}, vals...)...)
+			}
+		}
+		for i := 0; i+2 < len(data) && i < 3*64; i += 3 {
+			a, b := data[i+1], data[i+2]
+			switch data[i] % 9 {
+			case 0:
+				add("castinfo", id("person", a), id("movie", b), id("role", a+b))
+			case 1:
+				add("movietogenre", id("movie", a), id("genre", b))
+			case 2:
+				add("movietocompany", id("movie", a), id("company", b))
+			case 3:
+				add("persontoaward", id("person", a), id("award", b))
+			case 4:
+				add("movietokeyword", id("movie", a), id("keyword", b))
+			case 5:
+				entity(0, "person", a, StringVal(fmt.Sprintf("Fuzz Person %d", a%16)),
+					StringVal([]string{"Male", "Female"}[b%2]), IntVal(1930+int64(b)), id("country", b))
+			case 6:
+				entity(1, "movie", a, StringVal(fmt.Sprintf("Fuzz Movie %d", a%16)),
+					IntVal(1950+int64(b%60)), StringVal(fmt.Sprintf("%ds", 1950+int64(b%60)/10*10)), StringVal("PG"), id("language", b))
+			case 7:
+				entity(2, "company", a, StringVal(fmt.Sprintf("Fuzz Company %d", a%4)), id("country", b))
+			default:
+				flush()
+			}
+		}
+		flush()
+		cold, err := Build(sys.AlphaDB().DB(), DefaultBuildConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareAlphaDBs(t, "incremental vs cold build", sys.AlphaDB(), cold.AlphaDB(), rand.New(rand.NewSource(1)))
+		checkStrengthHistograms(t, "incremental", sys.AlphaDB())
+	})
+}
+
+// TestSelfEdgeIngestMatchesBuild holds ingest to a cold Build where a
+// fact links an entity relation to itself (sequelof: movie → movie): a
+// new movie named on both sides of one row — a movie its own sequel —
+// applies that row once, the movie being both the entity and the
+// associated entity of every property the row feeds. Rows name movies
+// before and after they exist, repeat pairs, and add genres (a second
+// hop) to movies already linked.
+func TestSelfEdgeIngestMatchesBuild(t *testing.T) {
+	db := relation.NewDatabase("sequels")
+	movie := relation.New("movie",
+		relation.Col("id", relation.Int),
+		relation.Col("title", relation.String),
+		relation.Col("kind", relation.String),
+	).SetPrimaryKey("id")
+	genre := relation.New("genre", relation.Col("id", relation.Int), relation.Col("name", relation.String)).SetPrimaryKey("id")
+	for i, name := range []string{"Comedy", "Drama", "Horror"} {
+		genre.MustAppend(IntVal(int64(i)), StringVal(name))
+	}
+	sequel := relation.New("sequelof",
+		relation.Col("movie_id", relation.Int),
+		relation.Col("original_id", relation.Int),
+	).AddForeignKey("movie_id", "movie", "id").AddForeignKey("original_id", "movie", "id")
+	mg := relation.New("movietogenre",
+		relation.Col("movie_id", relation.Int),
+		relation.Col("genre_id", relation.Int),
+	).AddForeignKey("movie_id", "movie", "id").AddForeignKey("genre_id", "genre", "id")
+	rng := rand.New(rand.NewSource(5))
+	kinds := []string{"feature", "short"}
+	for i := int64(0); i < 60; i++ {
+		movie.MustAppend(IntVal(i), StringVal(fmt.Sprintf("Movie %d", i%20)), StringVal(kinds[i%2]))
+		mg.MustAppend(IntVal(i), IntVal(i%3))
+		sequel.MustAppend(IntVal(i), IntVal(int64(rng.Intn(60))))
+	}
+	for _, r := range []*relation.Relation{movie, genre, sequel, mg} {
+		db.AddRelation(r)
+	}
+	db.MarkEntity("movie")
+	db.MarkProperty("genre")
+	sys, err := Build(db, DefaultBuildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Ids 60..99 land in a random order, so rows name them before and
+	// after they exist.
+	next, inserted := int64(60), map[int64]bool{}
+	anyID := func() Value { return IntVal(int64(rng.Intn(100))) }
+	for k := 0; k < 40; k++ {
+		var ops []InsertOp
+		for n := 0; n < 6; n++ {
+			switch rng.Intn(5) {
+			case 0:
+				if id := next + int64(rng.Intn(4)); id < 100 && !inserted[id] {
+					inserted[id] = true
+					ops = append(ops, InsertOp{Rel: "movie", Vals: []Value{IntVal(id), StringVal(fmt.Sprintf("Movie %d", id%20)), StringVal(kinds[id%2])}})
+				}
+				for inserted[next] {
+					next++
+				}
+			case 1:
+				id := anyID()
+				ops = append(ops, InsertOp{Rel: "sequelof", Vals: []Value{id, id}})
+			case 2:
+				ops = append(ops, InsertOp{Rel: "movietogenre", Vals: []Value{anyID(), IntVal(int64(rng.Intn(3)))}})
+			default:
+				ops = append(ops, InsertOp{Rel: "sequelof", Vals: []Value{anyID(), anyID()}})
+			}
+		}
+		if err := sys.InsertBatch(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cold, err := Build(sys.AlphaDB().DB(), DefaultBuildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareAlphaDBs(t, "incremental vs cold build", sys.AlphaDB(), cold.AlphaDB(), rand.New(rand.NewSource(1)))
+	checkStrengthHistograms(t, "incremental", sys.AlphaDB())
 }
