@@ -315,21 +315,37 @@ func TestVariantsPreserveDimensions(t *testing.T) {
 	}
 }
 
-// TestIMDbDeterministic generates one configuration twice and requires
-// the same rows in the same order in every relation: the genre, country
-// and keyword sets are emitted sorted, never in map order, so two
+// TestIMDbDeterministic generates one configuration of each generator
+// twice and requires the same rows in the same order in every relation:
+// every set drawn into a map (IMDb's genres, countries and keywords,
+// DBLP's keywords) is emitted sorted, never in map order, so two
 // processes (and two snapshots of their data) agree byte for byte.
 func TestIMDbDeterministic(t *testing.T) {
-	a, b := GenerateIMDb(tinyIMDb()).DB, GenerateIMDb(tinyIMDb()).DB
-	for _, name := range a.RelationNames() {
-		ra, rb := a.Relation(name), b.Relation(name)
-		if ra.NumRows() != rb.NumRows() {
-			t.Fatalf("%s: %d rows, then %d", name, ra.NumRows(), rb.NumRows())
-		}
-		for i := 0; i < ra.NumRows(); i++ {
-			if !reflect.DeepEqual(ra.Row(i), rb.Row(i)) {
-				t.Fatalf("%s row %d: %v, then %v", name, i, ra.Row(i), rb.Row(i))
+	for _, tc := range []struct {
+		name     string
+		generate func() *relation.Database
+	}{
+		{"imdb", func() *relation.Database { return GenerateIMDb(tinyIMDb()).DB }},
+		{"dblp", func() *relation.Database {
+			return GenerateDBLP(DBLPConfig{Seed: 3, NumAuthor: 800, NumPubs: 1600}).DB
+		}},
+		{"adult", func() *relation.Database {
+			return GenerateAdult(AdultConfig{Seed: 5, NumRows: 1500, ScaleFactor: 1}).DB
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := tc.generate(), tc.generate()
+			for _, name := range a.RelationNames() {
+				ra, rb := a.Relation(name), b.Relation(name)
+				if ra.NumRows() != rb.NumRows() {
+					t.Fatalf("%s: %d rows, then %d", name, ra.NumRows(), rb.NumRows())
+				}
+				for i := 0; i < ra.NumRows(); i++ {
+					if !reflect.DeepEqual(ra.Row(i), rb.Row(i)) {
+						t.Fatalf("%s row %d: %v, then %v", name, i, ra.Row(i), rb.Row(i))
+					}
+				}
 			}
-		}
+		})
 	}
 }

@@ -2,7 +2,9 @@ package datagen
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"squid/internal/relation"
 )
@@ -163,7 +165,7 @@ func GenerateDBLP(cfg DBLPConfig) *DBLP {
 		for len(ks) < n {
 			ks[weightedPick(rng, kwW)] = struct{}{}
 		}
-		for k := range ks {
+		for _, k := range slices.Sorted(maps.Keys(ks)) {
 			ptk.MustAppend(relation.IntVal(int64(i)), relation.IntVal(int64(k)))
 		}
 	}

@@ -71,28 +71,24 @@ func selective(filters []*abduction.Filter) bool {
 	return false
 }
 
-// liftFilters is the inverse of branchBuilder.tryAdd: it finds in one
-// block the filters over From[0]'s properties that tryAdd's five shapes
-// spell, and returns them with the block that remains once they are
-// taken out. A block is touched only when taking a semi-join out of it
-// changes nothing the executor returns: it is DISTINCT, does not
-// aggregate, From[0] is an entity relation, and every other FROM
-// relation is joined, directly or not, to From[0] (a disconnected block
-// is the executor's error to report).
+// liftFilters is the inverse of ToEngineQuery: it finds in one block the
+// filters over From[0]'s properties that ToEngineQuery places, and
+// returns them with the block that remains once they are taken out. A
+// block is touched only when taking a semi-join out of it changes
+// nothing the executor returns: it is DISTINCT, does not aggregate,
+// From[0] is an entity relation, and every other FROM relation is
+// joined, directly or not, to From[0] (a disconnected block is the
+// executor's error to report).
 //
 // The FROM relations other than From[0] fall into the components the
 // joins among them connect. A component that SELECT does not read is a
-// filter when it matches a property's access path to the letter — its
-// relations, every join that touches it, every predicate on it:
-//
-//	FK dimension     entity.col = dim.pk, dim.value =/IN text
-//	fact dimension   entity.pk = fact.ecol, fact.dcol = dim.pk, dim.value =/IN text
-//	attribute table  entity.pk = fact.ecol, fact.col =/IN text
-//	derived          entity.pk = rel.entity_id, rel.value = text, rel.count >= integer
-//
-// and so are, among the predicates on From[0] itself, col =/IN text on
-// a direct categorical property and a pair col >= number, col <= number
-// on a direct numeric one. Anything else — a join or predicate more or
+// filter when it is a property's αDB lowering to the letter — its
+// relations, every join that touches it, every predicate on it — with
+// operands of the property's type: =/IN text on a categorical value
+// column, = text and >= integer on a derived relation's value and count.
+// So are, among the predicates on From[0] itself, col =/IN text on a
+// direct categorical property and a pair col >= number, col <= number on
+// a direct numeric one. Anything else — a join or predicate more or
 // less, an operand of another type, a value the property's dictionary
 // does not hold — stays in the block, for the join pipeline.
 func liftFilters(ep *adb.Epoch, q *engine.Query) ([]*abduction.Filter, *engine.Query) {
@@ -235,61 +231,66 @@ type lifter struct {
 	q    *engine.Query
 }
 
-// component returns the filter c spells, nil when it spells none.
+// component returns the filter c spells, nil when it spells none: the
+// first of the entity's properties whose αDB lowering c is, with c's
+// operands.
 func (l *lifter) component(c *component) *abduction.Filter {
-	q, entity, pk := l.q, l.info.Relation, l.info.PK
-	switch {
-	case len(c.rels) == 1 && len(c.joins) == 1 && len(c.preds) == 1:
-		rel, j, p := c.rels[0], q.Joins[c.joins[0]], q.Preds[c.preds[0]]
-		for _, bp := range l.info.Basic {
-			a := bp.Access
-			fkDim := a.Type == adb.FKDim && a.Dim == rel && p.Col == a.DimValueCol &&
-				joins(j, entity, a.Column, rel, a.DimPK)
-			attrTable := a.Type == adb.AttrTable && a.Fact == rel && p.Col == a.Column &&
-				joins(j, entity, pk, rel, a.FactEntityCol)
-			if fkDim || attrTable {
-				return categorical(bp, p)
-			}
+	entity, pk := l.info.Relation, l.info.PK
+	var lw lowered
+	for _, bp := range l.info.Basic {
+		lw.lower(&abduction.Filter{Kind: abduction.BasicCategorical, Basic: bp}, entity, pk, false)
+		if p, ok := l.spells(c, &lw); ok {
+			return categorical(bp, p[0])
 		}
-	case len(c.rels) == 2 && len(c.joins) == 2 && len(c.preds) == 1:
-		j0, j1, p := q.Joins[c.joins[0]], q.Joins[c.joins[1]], q.Preds[c.preds[0]]
-		for _, bp := range l.info.Basic {
-			a := bp.Access
-			if a.Type != adb.FactDim || !slices.Contains(c.rels, a.Fact) || !slices.Contains(c.rels, a.Dim) ||
-				p.Rel != a.Dim || p.Col != a.DimValueCol {
-				continue
-			}
-			toFact := func(j engine.Join) bool { return joins(j, entity, pk, a.Fact, a.FactEntityCol) }
-			toDim := func(j engine.Join) bool { return joins(j, a.Fact, a.FactDimCol, a.Dim, a.DimPK) }
-			if toFact(j0) && toDim(j1) || toFact(j1) && toDim(j0) {
-				return categorical(bp, p)
-			}
+	}
+	for _, dp := range l.info.Derived {
+		lw.lower(&abduction.Filter{Kind: abduction.Derived, Derivd: dp}, entity, pk, false)
+		p, ok := l.spells(c, &lw)
+		if !ok {
+			continue
 		}
-	case len(c.rels) == 1 && len(c.joins) == 1 && len(c.preds) == 2:
-		rel, j := c.rels[0], q.Joins[c.joins[0]]
-		value, count := q.Preds[c.preds[0]], q.Preds[c.preds[1]]
-		if value.Col == "count" {
-			value, count = count, value
-		}
-		if value.Col != "value" || value.Op != engine.OpEq || !value.Val.IsString() ||
-			count.Col != "count" || count.Op != engine.OpGE || !count.Val.IsInt() ||
-			!joins(j, entity, pk, rel, "entity_id") {
+		value, count := p[0], p[1]
+		if value.Op != engine.OpEq || !value.Val.IsString() || count.Op != engine.OpGE || !count.Val.IsInt() {
 			return nil
 		}
-		for _, dp := range l.info.Derived {
-			if dp.RelName != rel {
-				continue
-			}
-			if _, ok := dp.LookupCode(value.Val.Str()); !ok {
-				return nil
-			}
-			return &abduction.Filter{
-				Kind: abduction.Derived, Derivd: dp, Unstored: true,
-				Values: []string{value.Val.Str()}, Theta: int(count.Val.Int()),
-			}
+		if _, ok := dp.LookupCode(value.Val.Str()); !ok {
+			return nil
+		}
+		return &abduction.Filter{
+			Kind: abduction.Derived, Derivd: dp, Unstored: true,
+			Values: []string{value.Val.Str()}, Theta: int(count.Val.Int()),
 		}
 	}
 	return nil
+}
+
+// spells reports whether c is lowering lw to the letter and returns c's
+// predicates in lw's order. Every relation of a component is in one of
+// its joins, so c walks lw's relations when it has as many and each of
+// its joins is one of lw's, written either way round; each of lw's
+// predicates is on its own column.
+func (l *lifter) spells(c *component, lw *lowered) (preds [2]engine.Pred, ok bool) {
+	if len(c.rels) != lw.nRel-1 || len(c.joins) != lw.nJoin || len(c.preds) != lw.nPred {
+		return preds, false
+	}
+	var matched [len(lw.joins)]bool
+	for _, ji := range c.joins {
+		k := slices.IndexFunc(lw.joins[:lw.nJoin], func(w loweredJoin) bool {
+			return joins(l.q.Joins[ji], lw.rels[w.l], w.lcol, lw.rels[w.r], w.rcol)
+		})
+		if k < 0 || matched[k] {
+			return preds, false
+		}
+		matched[k] = true
+	}
+	for k, w := range lw.preds[:lw.nPred] {
+		i := slices.IndexFunc(c.preds, func(pi int) bool { return l.q.Preds[pi].Rel == lw.rels[w.rel] && l.q.Preds[pi].Col == w.col })
+		if i < 0 {
+			return preds, false
+		}
+		preds[k] = l.q.Preds[c.preds[i]]
+	}
+	return preds, true
 }
 
 // joins reports whether j is a.acol = b.bcol, written either way round.

@@ -2,7 +2,6 @@ package sqlgen
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -12,7 +11,6 @@ import (
 	"squid/internal/adb"
 	"squid/internal/benchqueries"
 	"squid/internal/datagen"
-	"squid/internal/disambig"
 	"squid/internal/engine"
 	"squid/internal/metrics"
 	"squid/internal/relation"
@@ -68,100 +66,69 @@ func sameFilter(a, b *abduction.Filter) bool {
 }
 
 // TestLiftFiltersInvertsToEngineQuery pins the matcher to the lowering:
-// over every discovery of a request pool on IMDb, DBLP, Adult and the
-// Fig 1 academics (the attribute-table shape) — default parameters,
-// disjunctions, normalized strengths — lifting the
+// over every discovery of the request pool (discoveryPool) lifting the
 // blocks of ToEngineQuery(res) recovers exactly the filters of
-// res.Filters that tryAdd placed as joins and predicates (same property,
-// values, bounds, θ), leaves of each block the entity relation and the
-// key lists of the filters tryAdd could not place, and intersects to the
-// rows abduction.IntersectRows gives for the placed filters. A filter
-// kind tryAdd learns to lower without liftFilters learning to read it
-// fails here instead of quietly running through the joins.
+// res.Filters that ToEngineQuery placed as joins and predicates (same
+// property, values, bounds, θ), leaves of each block the entity relation
+// and the key lists of the filters it could not place, and intersects to
+// the rows abduction.IntersectRows gives for the placed filters. A
+// filter kind lower learns to spell without liftFilters learning to read
+// it fails here instead of quietly running through the joins.
 func TestLiftFiltersInvertsToEngineQuery(t *testing.T) {
-	imdb := datagen.GenerateIMDb(datagen.IMDbConfig{Seed: 7, NumPersons: 1500, NumMovies: 600, NumCompany: 30})
-	dblp := datagen.GenerateDBLP(datagen.DBLPConfig{Seed: 3, NumAuthor: 800, NumPubs: 1600})
-	adult := datagen.GenerateAdult(datagen.AdultConfig{Seed: 5, NumRows: 1500, ScaleFactor: 1})
-	datasets := []struct {
-		name string
-		db   *relation.Database
-		sets [][]string
-	}{
-		{"imdb", imdb.DB, examplePool(t, imdb.DB, benchqueries.IMDbBenchmarks(imdb))},
-		{"dblp", dblp.DB, examplePool(t, dblp.DB, benchqueries.DBLPBenchmarks(dblp))},
-		{"adult", adult.DB, examplePool(t, adult.DB, benchqueries.AdultBenchmarks(adult, 11))},
-		{"academics", academicsDB(), [][]string{{"Dan Suciu", "Sam Madden"}, {"Sam Madden", "Joseph Hellerstein"}}},
-	}
-	disjunctive, normalized := abduction.DefaultParams(), abduction.DefaultParams()
-	disjunctive.MaxDisjunction = 3
-	normalized.NormalizeAssociation = true
-
 	kinds := map[abduction.FilterKind]int{}
 	paths := map[adb.PathType]int{}
 	unplaced, branches := 0, 0
-	for _, ds := range datasets {
-		alpha, err := adb.Build(ds.db, adb.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
+	for _, d := range discoveryPool(t, nil) {
+		at, ep, res := d.at, d.ep, d.res
+		info, pk := res.EntityInfo(), res.EntityInfo().PK
+		var placed []*abduction.Filter
+		for _, f := range res.Filters {
+			// ToEngineQuery's test for a filter it can place in some block.
+			var l lowered
+			if l.lower(f, res.Base.Entity, pk, false); !f.NormUse && l.fits([]string{res.Base.Entity}) {
+				placed = append(placed, f)
+				kinds[f.Kind]++
+				if f.Kind == abduction.BasicCategorical {
+					paths[f.Basic.Access.Type]++
+				}
+			}
 		}
-		ep := alpha.Snapshot()
-		for i, set := range ds.sets {
-			for _, params := range []abduction.Params{abduction.DefaultParams(), disjunctive, normalized} {
-				at := fmt.Sprintf("%s set %d", ds.name, i)
-				results, err := abduction.DiscoverCtx(context.Background(), ep, set, params, disambig.Resolve)
-				if err != nil {
-					continue
-				}
-				res := results[0]
-				info, pk := res.EntityInfo(), res.EntityInfo().PK
-				var placed []*abduction.Filter
-				for _, f := range res.Filters {
-					if newBranch(res.Base.Entity, res.Base.Attr).tryAdd(f, pk) {
-						placed = append(placed, f)
-						kinds[f.Kind]++
-						if f.Kind == abduction.BasicCategorical {
-							paths[f.Basic.Access.Type]++
-						}
-					}
-				}
-				unplaced += len(res.Filters) - len(placed)
+		unplaced += len(res.Filters) - len(placed)
 
-				q := ToEngineQuery(res)
-				branches += len(q.Intersect)
-				var lifted []*abduction.Filter
-				keyLists := 0
-				for _, block := range append([]*engine.Query{q}, q.Intersect...) {
-					filters, rest := liftFilters(ep, block)
-					lifted = append(lifted, filters...)
-					if rest == nil {
-						rest = block // nothing lifted: the block is what remains
-					}
-					if len(rest.From) != 1 || len(rest.Joins) != 0 {
-						t.Errorf("%s: lifting leaves FROM %v and joins %v of the block\n%v", at, rest.From, rest.Joins, block)
-					}
-					for _, p := range rest.Preds {
-						if p.Rel != res.Base.Entity || p.Col != pk || p.Op != engine.OpIn {
-							t.Errorf("%s: lifting leaves predicate %v", at, p)
-						}
-						keyLists++
-					}
+		q := ToEngineQuery(res)
+		branches += len(q.Intersect)
+		var lifted []*abduction.Filter
+		keyLists := 0
+		for _, block := range append([]*engine.Query{q}, q.Intersect...) {
+			filters, rest := liftFilters(ep, block)
+			lifted = append(lifted, filters...)
+			if rest == nil {
+				rest = block // nothing lifted: the block is what remains
+			}
+			if len(rest.From) != 1 || len(rest.Joins) != 0 {
+				t.Errorf("%s: lifting leaves FROM %v and joins %v of the block\n%v", at, rest.From, rest.Joins, block)
+			}
+			for _, p := range rest.Preds {
+				if p.Rel != res.Base.Entity || p.Col != pk || p.Op != engine.OpIn {
+					t.Errorf("%s: lifting leaves predicate %v", at, p)
 				}
-				if keyLists != len(res.Filters)-len(placed) {
-					t.Errorf("%s: %d key lists remain for %d filters tryAdd could not place", at, keyLists, len(res.Filters)-len(placed))
-				}
-				if len(lifted) != len(placed) {
-					t.Errorf("%s: lifted %d filters, tryAdd placed %d", at, len(lifted), len(placed))
-				}
-				for _, f := range placed {
-					if !slices.ContainsFunc(lifted, func(g *abduction.Filter) bool { return sameFilter(f, g) }) {
-						t.Errorf("%s: %v was lowered and not lifted back", at, f)
-					}
-				}
-				if len(lifted) > 0 {
-					if got, want := abduction.IntersectRowSet(lifted).ToSorted(), abduction.IntersectRows(info, placed); !reflect.DeepEqual(got, want) {
-						t.Errorf("%s: the lifted filters select %d rows, the placed ones %d", at, len(got), len(want))
-					}
-				}
+				keyLists++
+			}
+		}
+		if keyLists != len(res.Filters)-len(placed) {
+			t.Errorf("%s: %d key lists remain for %d filters ToEngineQuery could not place", at, keyLists, len(res.Filters)-len(placed))
+		}
+		if len(lifted) != len(placed) {
+			t.Errorf("%s: lifted %d filters, ToEngineQuery placed %d", at, len(lifted), len(placed))
+		}
+		for _, f := range placed {
+			if !slices.ContainsFunc(lifted, func(g *abduction.Filter) bool { return sameFilter(f, g) }) {
+				t.Errorf("%s: %v was lowered and not lifted back", at, f)
+			}
+		}
+		if len(lifted) > 0 {
+			if got, want := abduction.IntersectRowSet(lifted).ToSorted(), abduction.IntersectRows(info, placed); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: the lifted filters select %d rows, the placed ones %d", at, len(got), len(want))
 			}
 		}
 	}

@@ -3,7 +3,14 @@
 // the equivalent SPJAI form over the original schema with GROUP BY /
 // HAVING for derived filters (Q4). It also lowers abduced queries to
 // engine.Query plans so they can be executed for runtime comparisons
-// (Fig 11).
+// (Fig 11), and reads such plans back into filters (Reduce).
+//
+// One lowering, two printers, one plan: lower maps a filter's access path
+// to the relations it walks, the joins that tie them and its predicates.
+// AlphaSQL and OriginalSQL print those pieces through one alias-aware
+// block printer, ToEngineQuery places them in plan blocks, PredicateCount
+// counts them, and liftFilters matches a plan's components against them,
+// so no access path is spelled twice.
 package sqlgen
 
 import (
@@ -18,38 +25,151 @@ import (
 	"squid/internal/relation"
 )
 
+// lowered is what one filter adds to a block: the relations it walks,
+// the joins that tie them to the entity and to each other, and its
+// predicates, which every form writes after the joins. Joins and
+// predicates name a relation by its index in rels, whose first entry is
+// the block's entity relation. A caller refills one on its stack for
+// each filter: lowering allocates nothing.
+type lowered struct {
+	rels               [4]string
+	joins              [3]loweredJoin
+	preds              [2]loweredPred
+	nRel, nJoin, nPred int
+	// own asks for the filter's own instance of each relation it walks,
+	// even one the block already joins: two value predicates on one
+	// instance of a multi-valued relation are unsatisfiable, and a derived
+	// walk shares no row with the block's basic filters. A basic filter's
+	// FK dimension (one row per entity) is shared.
+	own bool
+}
+
+type loweredJoin struct {
+	l, r       int
+	lcol, rcol string
+}
+
+// loweredPred compares a relation's column with the operand of the
+// filter op names.
+type loweredPred struct {
+	rel int
+	col string
+	op  predOp
+}
+
+type predOp uint8
+
+const (
+	opValues predOp = iota // = v, or IN (...) for a disjunction
+	opLo                   // >= Lo
+	opHi                   // <= Hi
+	opCount                // >= θ, or θn of the entity's degree
+)
+
+// lower sets l to the pieces filter f, over the entity relation keyed by
+// pk, adds to a block. For a derived filter, walk picks its walk over the
+// original schema (Q4: fact1, then its target's access path; the
+// threshold is the block's HAVING) over its αDB form (Q5: the derived
+// relation's value and count). An access path starts at an anchor, a
+// relation and its key column: a basic filter's is the entity by its
+// primary key; a walk's is fact1 by its via column, with the via relation
+// joined in for the columns of a Direct or FKDim target.
+func (l *lowered) lower(f *abduction.Filter, entity, pk string, walk bool) {
+	l.own = walk || f.Kind == abduction.Derived || f.Basic.MultiValued
+	l.rels[0], l.nRel, l.nJoin, l.nPred = entity, 1, 0, 0
+	at, key := 0, pk
+	var a *adb.AccessPath
+	var via, viaPK string
+	if f.Kind != abduction.Derived {
+		a = &f.Basic.Access
+	} else if d := f.Derivd; walk {
+		a, at, key, via, viaPK = &d.Target, l.rel(d.Fact1), d.Fact1ViaCol, d.Via, d.ViaPK
+		l.join(0, pk, at, d.Fact1EntityCol)
+	}
+	switch {
+	case f.Kind == abduction.Derived && !walk:
+		rel := l.rel(f.Derivd.RelName)
+		l.join(0, pk, rel, "entity_id")
+		l.pred(rel, "value", opValues)
+		l.pred(rel, "count", opCount)
+	case f.Kind == abduction.BasicNumeric:
+		l.pred(0, a.Column, opLo)
+		l.pred(0, a.Column, opHi)
+	case a.Type == adb.Direct:
+		l.pred(l.row(at, key, via, viaPK), a.Column, opValues)
+	case a.Type == adb.FKDim:
+		row := l.row(at, key, via, viaPK)
+		dim := l.rel(a.Dim)
+		l.join(row, a.Column, dim, a.DimPK)
+		l.pred(dim, a.DimValueCol, opValues)
+	case a.Type == adb.FactDim:
+		fact, dim := l.rel(a.Fact), l.rel(a.Dim)
+		l.join(at, key, fact, a.FactEntityCol)
+		l.join(fact, a.FactDimCol, dim, a.DimPK)
+		l.pred(dim, a.DimValueCol, opValues)
+	case a.Type == adb.AttrTable:
+		fact := l.rel(a.Fact)
+		l.join(at, key, fact, a.FactEntityCol)
+		l.pred(fact, a.Column, opValues)
+	case a.Type == adb.Degree:
+		// Nothing: a walk's rows to fact1 are its count.
+	}
+}
+
+// row returns the relation holding the anchor row's columns: the anchor
+// itself, or the via relation joined to the anchor's key.
+func (l *lowered) row(at int, key, via, viaPK string) int {
+	if via == "" {
+		return at
+	}
+	v := l.rel(via)
+	l.join(at, key, v, viaPK)
+	return v
+}
+
+func (l *lowered) rel(name string) int {
+	l.rels[l.nRel] = name
+	l.nRel++
+	return l.nRel - 1
+}
+
+func (l *lowered) join(a int, acol string, b int, bcol string) {
+	l.joins[l.nJoin] = loweredJoin{l: a, lcol: acol, r: b, rcol: bcol}
+	l.nJoin++
+}
+
+func (l *lowered) pred(rel int, col string, op predOp) {
+	l.preds[l.nPred] = loweredPred{rel: rel, col: col, op: op}
+	l.nPred++
+}
+
+// fits reports whether l walks no relation of from.
+func (l *lowered) fits(from []string) bool {
+	return !slices.ContainsFunc(l.rels[1:l.nRel], func(r string) bool { return slices.Contains(from, r) })
+}
+
 // AlphaSQL renders the abduced query in the αDB SPJ form (paper Q5):
 // derived filters become predicates over the materialized derived
 // relations.
 func AlphaSQL(res *abduction.Result) string {
 	s := newStmt(res)
+	var l lowered
 	for _, f := range orderedFilters(res.Filters) {
-		switch f.Kind {
-		case abduction.BasicNumeric:
-			s.rangePreds(f)
-		case abduction.BasicCategorical:
-			s.basicCategorical(f)
-		case abduction.Derived:
-			alias := s.aliasFor(f.Derivd.RelName, true)
-			s.join(s.from[0], s.pk, alias, "entity_id")
-			s.conjunct().col(alias, "value").str(" = ").quoted(f.Value())
-			s.conjunct().col(alias, "count").str(" >= ")
-			if f.NormUse {
-				s.float(f.ThetaN, 'f', 3).str(" * degree(").col(s.from[0], s.pk).str(")")
-			} else {
-				s.int(f.Theta)
-			}
-		}
+		l.lower(f, s.entity, s.pk, false)
+		s.add(&l, f)
 	}
 	var b strings.Builder
-	s.writeTo(&b)
+	s.writeTo(&b, 1)
 	return b.String()
 }
 
 // OriginalSQL renders the abduced query in the original-schema SPJAI
-// form (paper Q4): derived filters expand to fact-table joins with
-// GROUP BY / HAVING count(*). Multiple derived filters render as an
-// INTERSECT of per-filter blocks, since each needs its own aggregation.
+// form (paper Q4): a derived filter walks the fact tables to its value
+// under GROUP BY / HAVING count(*), one block per derived filter, and the
+// blocks INTERSECT. The single-valued basic filters ride in the first
+// derived block; a multi-valued one (a fact or attribute table) would
+// multiply count(*) there, so those get a block of their own ahead of
+// the derived ones.
 func OriginalSQL(res *abduction.Result) string {
 	filters := orderedFilters(res.Filters)
 	// orderedFilters puts the basic filters first.
@@ -61,52 +181,41 @@ func OriginalSQL(res *abduction.Result) string {
 
 	s := newStmt(res)
 	var b strings.Builder
-	block := func(basics []*abduction.Filter, derived *abduction.Filter) {
+	// block prints one SELECT: the single- and/or the multi-valued basic
+	// filters, and derived's walk under GROUP BY / HAVING. It grows b for
+	// blocks blocks of its size.
+	block := func(single, multi bool, derived *abduction.Filter, blocks int) {
+		if b.Len() > 0 {
+			b.WriteString("\nINTERSECT\n")
+		}
 		s.reset()
+		var l lowered
 		for _, f := range basics {
-			switch f.Kind {
-			case abduction.BasicNumeric:
-				s.rangePreds(f)
-			case abduction.BasicCategorical:
-				s.basicCategorical(f)
+			if f.Basic.MultiValued && multi || !f.Basic.MultiValued && single {
+				l.lower(f, s.entity, s.pk, false)
+				s.add(&l, f)
 			}
 		}
 		if derived != nil {
-			s.derivedJoins(derived)
+			// The walk always joins, so the conjuncts are not empty.
+			l.lower(derived, s.entity, s.pk, true)
+			s.add(&l, derived)
+			s.str("\nGROUP BY ").col(s.from[0], s.pk).str("\nHAVING count(*) >= ").threshold(derived, "total")
 		}
-		s.writeTo(&b)
-		if derived != nil {
-			b.WriteString("\nGROUP BY ")
-			b.WriteString(s.entity)
-			b.WriteByte('.')
-			b.WriteString(s.pk)
-			b.WriteString("\nHAVING count(*) >= ")
-			if derived.NormUse {
-				var num [32]byte
-				b.Write(strconv.AppendFloat(num[:0], derived.ThetaN, 'f', 3, 64))
-				b.WriteString(" * total(")
-				b.WriteString(s.entity)
-				b.WriteByte('.')
-				b.WriteString(s.pk)
-				b.WriteByte(')')
-			} else {
-				b.WriteString(strconv.Itoa(derived.Theta))
-			}
-		}
+		s.writeTo(&b, blocks)
 	}
-
-	if len(deriveds) == 0 {
-		block(basics, nil)
+	switch {
+	case len(deriveds) == 0:
+		block(true, true, nil, 1)
+	case slices.ContainsFunc(basics, func(f *abduction.Filter) bool { return f.Basic.MultiValued }):
+		// The multi-valued basics' block grows b for the derived blocks
+		// that follow it too.
+		block(false, true, nil, 1+len(deriveds))
 	}
 	for i, d := range deriveds {
-		if i == 0 {
-			block(basics, d)
-			continue
-		}
 		// Later blocks carry only the derived condition; basics are
 		// already enforced by the first block of the intersection.
-		b.WriteString("\nINTERSECT\n")
-		block(nil, d)
+		block(i == 0, false, d, 1)
 	}
 	return b.String()
 }
@@ -148,20 +257,55 @@ func (s *stmt) reset() {
 }
 
 // aliasFor returns the FROM item to reference a relation by, adding it
-// to FROM; repeated use of a multi-valued relation gets a fresh alias,
-// since two value predicates on one instance would be unsatisfiable.
-func (s *stmt) aliasFor(name string, needAlias bool) fromItem {
+// to FROM; a filter that asks for its own instance of a relation the
+// block already joins gets a fresh alias.
+func (s *stmt) aliasFor(name string, own bool) fromItem {
 	it := fromItem{name: name}
 	if !slices.Contains(s.from, it) {
 		s.from = append(s.from, it)
 		return it
 	}
-	if !needAlias {
+	if !own {
 		return it
 	}
 	it.alias = len(s.from)
 	s.from = append(s.from, it)
 	return it
+}
+
+// add prints what l, filter f's lowering, adds to the block: each
+// relation it walks joins FROM, then its joins and predicates become
+// conjuncts over f's operands.
+func (s *stmt) add(l *lowered, f *abduction.Filter) {
+	items := [len(l.rels)]fromItem{s.from[0]}
+	for i := 1; i < l.nRel; i++ {
+		items[i] = s.aliasFor(l.rels[i], l.own)
+	}
+	for _, j := range l.joins[:l.nJoin] {
+		s.conjunct().col(items[j.l], j.lcol).str(" = ").col(items[j.r], j.rcol)
+	}
+	for _, p := range l.preds[:l.nPred] {
+		it := items[p.rel]
+		switch p.op {
+		case opValues:
+			s.valuePred(it, p.col, f.Values)
+		case opLo:
+			s.conjunct().col(it, p.col).str(" >= ").float(f.Lo, 'g', -1)
+		case opHi:
+			s.conjunct().col(it, p.col).str(" <= ").float(f.Hi, 'g', -1)
+		case opCount:
+			s.conjunct().col(it, p.col).str(" >= ").threshold(f, "degree")
+		}
+	}
+}
+
+// threshold appends derived filter f's strength threshold: θ, or θn
+// times fn of the entity.
+func (s *stmt) threshold(f *abduction.Filter, fn string) *stmt {
+	if !f.NormUse {
+		return s.int(f.Theta)
+	}
+	return s.float(f.ThetaN, 'f', 3).str(" * ").str(fn).str("(").col(s.from[0], s.pk).str(")")
 }
 
 // conjunct starts the next WHERE conjunct.
@@ -216,11 +360,6 @@ func (s *stmt) float(v float64, format byte, prec int) *stmt {
 	return s
 }
 
-// join adds the conjunct l.lcol = r.rcol.
-func (s *stmt) join(l fromItem, lcol string, r fromItem, rcol string) {
-	s.conjunct().col(l, lcol).str(" = ").col(r, rcol)
-}
-
 // valuePred adds the conjunct it.col = 'v', or it.col IN (...) for a
 // disjunctive filter.
 func (s *stmt) valuePred(it fromItem, col string, values []string) {
@@ -239,78 +378,14 @@ func (s *stmt) valuePred(it fromItem, col string, values []string) {
 	s.str(")")
 }
 
-// rangePreds adds the two bounds of a basic numeric filter.
-func (s *stmt) rangePreds(f *abduction.Filter) {
-	col := f.Basic.Access.Column
-	s.conjunct().col(s.from[0], col).str(" >= ").float(f.Lo, 'g', -1)
-	s.conjunct().col(s.from[0], col).str(" <= ").float(f.Hi, 'g', -1)
-}
-
-// basicCategorical adds the predicate (and joins) of a basic categorical
-// filter, routing by access path; multi-valued access paths request a
-// fresh alias on reuse so each filter constrains its own join instance.
-func (s *stmt) basicCategorical(f *abduction.Filter) {
-	a := f.Basic.Access
-	entity := s.from[0]
-	switch a.Type {
-	case adb.Direct:
-		s.valuePred(entity, a.Column, f.Values)
-	case adb.FKDim:
-		dim := s.aliasFor(a.Dim, false)
-		s.join(entity, a.Column, dim, a.DimPK)
-		s.valuePred(dim, a.DimValueCol, f.Values)
-	case adb.FactDim:
-		fact := s.aliasFor(a.Fact, true)
-		dim := s.aliasFor(a.Dim, true)
-		s.join(entity, s.pk, fact, a.FactEntityCol)
-		s.join(fact, a.FactDimCol, dim, a.DimPK)
-		s.valuePred(dim, a.DimValueCol, f.Values)
-	case adb.AttrTable:
-		fact := s.aliasFor(a.Fact, true)
-		s.join(entity, s.pk, fact, a.FactEntityCol)
-		s.valuePred(fact, a.Column, f.Values)
-	}
-}
-
-// derivedJoins expands a derived filter over the original schema: the
-// fact table to the associated entity, then the path to the aggregated
-// value. The count threshold is the block's HAVING clause.
-func (s *stmt) derivedJoins(f *abduction.Filter) {
-	d := f.Derivd
-	entity := s.from[0]
-	fact1 := s.aliasFor(d.Fact1, false)
-	s.join(entity, s.pk, fact1, d.Fact1EntityCol)
-	t := d.Target
-	switch t.Type {
-	case adb.Degree:
-		// Count distinct associated entities; the join itself
-		// suffices.
-	case adb.Direct:
-		via := s.aliasFor(d.Via, false)
-		s.join(fact1, d.Fact1ViaCol, via, d.ViaPK)
-		s.conjunct().col(via, t.Column).str(" = ").quoted(f.Value())
-	case adb.FKDim:
-		via := s.aliasFor(d.Via, false)
-		dim := s.aliasFor(t.Dim, false)
-		s.join(fact1, d.Fact1ViaCol, via, d.ViaPK)
-		s.join(via, t.Column, dim, t.DimPK)
-		s.conjunct().col(dim, t.DimValueCol).str(" = ").quoted(f.Value())
-	case adb.FactDim:
-		fact2 := s.aliasFor(t.Fact, false)
-		dim := s.aliasFor(t.Dim, false)
-		s.join(fact1, d.Fact1ViaCol, fact2, t.FactEntityCol)
-		s.join(fact2, t.FactDimCol, dim, t.DimPK)
-		s.conjunct().col(dim, t.DimValueCol).str(" = ").quoted(f.Value())
-	}
-}
-
-// writeTo lays the block out: SELECT, the FROM list, the conjuncts.
-func (s *stmt) writeTo(b *strings.Builder) {
+// writeTo lays the block out: SELECT, the FROM list, the conjuncts,
+// having grown b for blocks blocks of this one's size.
+func (s *stmt) writeTo(b *strings.Builder, blocks int) {
 	n := len("SELECT .\nFROM \nWHERE ") + len(s.entity) + len(s.attr) + len(s.where)
 	for _, it := range s.from {
 		n += 2*len(it.name) + len(" AS _00, ")
 	}
-	b.Grow(n)
+	b.Grow(n * blocks)
 	b.WriteString("SELECT ")
 	b.WriteString(s.entity)
 	b.WriteByte('.')
@@ -355,72 +430,86 @@ func orderedFilters(fs []*abduction.Filter) []*abduction.Filter {
 // Figs 14/15. Joins contributed by filter access paths are counted once
 // per distinct joined relation.
 func PredicateCount(res *abduction.Result) (joins, selections int) {
-	entity := res.Base.Entity
-	seenRel := map[string]bool{entity: true}
-	countRel := func(name string) {
-		if !seenRel[name] {
-			seenRel[name] = true
-			joins++
-		}
-	}
+	entity, pk := res.Base.Entity, res.EntityInfo().PK
+	var buf [16]string
+	seen := append(buf[:0], entity)
+	var l lowered
 	for _, f := range res.Filters {
-		switch f.Kind {
-		case abduction.BasicNumeric:
-			selections += 2
-		case abduction.BasicCategorical:
-			a := f.Basic.Access
-			switch a.Type {
-			case adb.FKDim:
-				countRel(a.Dim)
-			case adb.FactDim:
-				countRel(a.Fact)
-				countRel(a.Dim)
-			case adb.AttrTable:
-				countRel(a.Fact)
+		l.lower(f, entity, pk, false)
+		for _, r := range l.rels[1:l.nRel] {
+			if !slices.Contains(seen, r) {
+				seen = append(seen, r)
+				joins++
 			}
-			selections++
-		case abduction.Derived:
-			countRel(f.Derivd.RelName)
-			selections += 2 // value equality + count threshold
 		}
+		selections += l.nPred
 	}
 	return joins, selections
 }
 
 // ToEngineQuery lowers the abduced query to an executable engine plan
-// over the αDB's combined database (original + derived relations).
-// Filters that would need a second instance of an already-joined
-// relation become INTERSECT branches, preserving entity-set semantics;
-// a filter no join expresses — a normalized strength threshold, an
-// association that leads back into the entity relation itself — is
-// lowered to its own αDB row set, as a key IN (...) predicate.
+// over the αDB's combined database (original + derived relations). A
+// filter goes to the first block that joins none of the relations it
+// walks, and one that fits no block opens an INTERSECT branch,
+// preserving entity-set semantics; a filter no join expresses — a
+// normalized strength threshold, an association that leads back into the
+// entity relation itself — is lowered to its own αDB row set, as a key
+// IN (...) predicate.
 func ToEngineQuery(res *abduction.Result) *engine.Query {
-	entity := res.Base.Entity
-	pk := res.EntityInfo().PK
-	root := newBranch(entity, res.Base.Attr)
-
-	branches := []*branchBuilder{root}
-	for _, f := range orderedFilters(res.Filters) {
-		placed := false
-		for _, b := range branches {
-			if b.tryAdd(f, pk) {
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			if nb := newBranch(entity, res.Base.Attr); nb.tryAdd(f, pk) {
-				branches = append(branches, nb)
-			} else {
-				root.q.Preds = append(root.q.Preds, keyPred(res.EntityInfo(), f))
-			}
-		}
+	info, entity := res.EntityInfo(), res.Base.Entity
+	newBlock := func() *engine.Query {
+		return &engine.Query{From: []string{entity}, Select: []engine.ColRef{{Rel: entity, Col: res.Base.Attr}}, Distinct: true}
 	}
-	q := branches[0].q
-	for _, b := range branches[1:] {
-		q.Intersect = append(q.Intersect, b.q)
+	q := newBlock()
+	var l lowered
+	for _, f := range orderedFilters(res.Filters) {
+		l.lower(f, entity, info.PK, false)
+		if f.NormUse || !l.fits(q.From[:1]) {
+			q.Preds = append(q.Preds, keyPred(info, f))
+			continue
+		}
+		b := q
+		if !l.fits(q.From) {
+			i := slices.IndexFunc(q.Intersect, func(b *engine.Query) bool { return l.fits(b.From) })
+			if i < 0 {
+				i = len(q.Intersect)
+				q.Intersect = append(q.Intersect, newBlock())
+			}
+			b = q.Intersect[i]
+		}
+		l.place(b, f)
 	}
 	return q
+}
+
+// place adds l, filter f's lowering, to plan block q: its relations to
+// FROM, its joins, and its predicates over f's operands.
+func (l *lowered) place(q *engine.Query, f *abduction.Filter) {
+	q.From = append(q.From, l.rels[1:l.nRel]...)
+	for _, j := range l.joins[:l.nJoin] {
+		q.Joins = append(q.Joins, engine.Join{LeftRel: l.rels[j.l], LeftCol: j.lcol, RightRel: l.rels[j.r], RightCol: j.rcol})
+	}
+	for _, p := range l.preds[:l.nPred] {
+		pred := engine.Pred{Rel: l.rels[p.rel], Col: p.col, Op: engine.OpGE}
+		switch p.op {
+		case opValues:
+			if len(f.Values) == 1 {
+				pred.Op, pred.Val = engine.OpEq, relation.StringVal(f.Values[0])
+				break
+			}
+			pred.Op, pred.Vals = engine.OpIn, make([]relation.Value, len(f.Values))
+			for i, v := range f.Values {
+				pred.Vals[i] = relation.StringVal(v)
+			}
+		case opLo:
+			pred.Val = relation.FloatVal(f.Lo)
+		case opHi:
+			pred.Op, pred.Val = engine.OpLE, relation.FloatVal(f.Hi)
+		case opCount:
+			pred.Val = relation.IntVal(int64(f.Theta))
+		}
+		q.Preds = append(q.Preds, pred)
+	}
 }
 
 // keyPred is the filter as a predicate over the entity's primary key:
@@ -432,100 +521,4 @@ func keyPred(info *adb.EntityInfo, f *abduction.Filter) engine.Pred {
 		keys[i] = relation.IntVal(info.IDByRow(row))
 	}
 	return engine.Pred{Rel: info.Relation, Col: info.PK, Op: engine.OpIn, Vals: keys}
-}
-
-// branchBuilder accumulates one SPJ block; a filter that needs a relation
-// the block already uses (with a different condition) is rejected and
-// goes to a new block.
-type branchBuilder struct {
-	q    *engine.Query
-	used map[string]bool
-}
-
-func newBranch(entity, attr string) *branchBuilder {
-	return &branchBuilder{
-		q: &engine.Query{
-			From:     []string{entity},
-			Select:   []engine.ColRef{{Rel: entity, Col: attr}},
-			Distinct: true,
-		},
-		used: map[string]bool{entity: true},
-	}
-}
-
-// tryAdd attempts to add the filter's joins and predicates to the block.
-func (b *branchBuilder) tryAdd(f *abduction.Filter, pk string) bool {
-	entity := b.q.From[0]
-	switch f.Kind {
-	case abduction.BasicNumeric:
-		col := f.Basic.Access.Column
-		b.q.Preds = append(b.q.Preds,
-			engine.Pred{Rel: entity, Col: col, Op: engine.OpGE, Val: relation.FloatVal(f.Lo)},
-			engine.Pred{Rel: entity, Col: col, Op: engine.OpLE, Val: relation.FloatVal(f.Hi)})
-		return true
-	case abduction.BasicCategorical:
-		a := f.Basic.Access
-		pred := func(rel, col string) engine.Pred {
-			if len(f.Values) == 1 {
-				return engine.Pred{Rel: rel, Col: col, Op: engine.OpEq, Val: relation.StringVal(f.Values[0])}
-			}
-			vals := make([]relation.Value, len(f.Values))
-			for i, v := range f.Values {
-				vals[i] = relation.StringVal(v)
-			}
-			return engine.Pred{Rel: rel, Col: col, Op: engine.OpIn, Vals: vals}
-		}
-		switch a.Type {
-		case adb.Direct:
-			b.q.Preds = append(b.q.Preds, pred(entity, a.Column))
-			return true
-		case adb.FKDim:
-			if b.used[a.Dim] {
-				return false
-			}
-			b.addRel(a.Dim)
-			b.q.Joins = append(b.q.Joins, engine.Join{LeftRel: entity, LeftCol: a.Column, RightRel: a.Dim, RightCol: a.DimPK})
-			b.q.Preds = append(b.q.Preds, pred(a.Dim, a.DimValueCol))
-			return true
-		case adb.FactDim:
-			if b.used[a.Fact] || b.used[a.Dim] {
-				return false
-			}
-			b.addRel(a.Fact)
-			b.addRel(a.Dim)
-			b.q.Joins = append(b.q.Joins,
-				engine.Join{LeftRel: entity, LeftCol: pk, RightRel: a.Fact, RightCol: a.FactEntityCol},
-				engine.Join{LeftRel: a.Fact, LeftCol: a.FactDimCol, RightRel: a.Dim, RightCol: a.DimPK})
-			b.q.Preds = append(b.q.Preds, pred(a.Dim, a.DimValueCol))
-			return true
-		case adb.AttrTable:
-			if b.used[a.Fact] {
-				return false
-			}
-			b.addRel(a.Fact)
-			b.q.Joins = append(b.q.Joins, engine.Join{LeftRel: entity, LeftCol: pk, RightRel: a.Fact, RightCol: a.FactEntityCol})
-			b.q.Preds = append(b.q.Preds, pred(a.Fact, a.Column))
-			return true
-		}
-		return false
-	case abduction.Derived:
-		rel := f.Derivd.RelName
-		if f.NormUse || b.used[rel] {
-			// A normalized threshold is not expressible as a count
-			// predicate: ToEngineQuery lowers it to the filter's row set.
-			return false
-		}
-		b.addRel(rel)
-		b.q.Joins = append(b.q.Joins, engine.Join{LeftRel: entity, LeftCol: pk, RightRel: rel, RightCol: "entity_id"})
-		b.q.Preds = append(b.q.Preds,
-			engine.Pred{Rel: rel, Col: "value", Op: engine.OpEq, Val: relation.StringVal(f.Value())},
-			engine.Pred{Rel: rel, Col: "count", Op: engine.OpGE, Val: relation.IntVal(int64(f.Theta))})
-		return true
-	}
-	return false
-}
-
-func (b *branchBuilder) addRel(name string) {
-	b.used[name] = true
-	b.q.From = append(b.q.From, name)
 }
