@@ -1,0 +1,210 @@
+package squid
+
+import (
+	"bytes"
+	"context"
+	"runtime"
+	"testing"
+
+	"squid/internal/datagen"
+)
+
+// TestBudgets is the gate on what the read path, the write path and a
+// warm boot cost, pinned as counts rather than clocks: each row of the
+// table is one quantity measured on one fixture, its ceiling, and why
+// the ceiling sits there, so moving a budget edits one line. Every
+// fixture is the bench-scale IMDb (benchScale: 2,500 persons, 1,000
+// movies, 50 companies). The readings behind the ceilings, all go1.24 on
+// linux/amd64:
+//
+//   - A warm discovery of 30 comedians (Params.Workers 1, 201 output
+//     values, 2 filters): 861 mallocs and 82.6 KB at the parent of PR 20
+//     (per-example Go maps in context discovery and the inverted lookup,
+//     fmt.Sprintf per SQL clause, sort.Strings over the output); 156
+//     mallocs and 23.0 KB with the intersections on sorted scratch, the
+//     output ordered by dictionary rank and the SQL in one buffer.
+//   - What a cold one — the first after a boot, and the first to touch
+//     a property after a publish — allocates beyond a warm one: the row
+//     sets it builds, each allocated at the size its statistic gave and
+//     once more, exactly, if freezing re-picks its form. 28 mallocs and
+//     3.2 KB at the parent of PR 23, 6 and 1.4 KB with the sized
+//     constructor. The fixture's sets are small enough that the warm path
+//     is nine tenths of a cold reading, so the gate is on the difference.
+//   - One publish of the repository benchmark's 64-row batch, the mean
+//     over 32 batches: 2.01 MB at the parent of PR 25 (a fact copied the
+//     whole posting list of its value, a first write into a chunk copied
+//     256 slice headers); 1.68 MB with flat 4-byte lists and per-64-list
+//     tail words; 1.79 MB once an insert raises second-hop strengths and
+//     keeps the hash index over castinfo.person_id resident.
+//   - What Load adds to the heap per base-relation row: 374 B before
+//     PR 18's flat hash-index bases and 8-byte derived pairs, 254 after,
+//     224 with PR 25's flat categorical statistics.
+func TestBudgets(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("allocation and heap sizes under the race detector are not the production ones")
+	}
+	warm := &measurement{run: func(t *testing.T) map[string]float64 {
+		mallocs, kb := discoveryAllocs(t, false)
+		return map[string]float64{"mallocs": mallocs, "KB": kb}
+	}}
+	coldOverWarm := &measurement{run: func(t *testing.T) map[string]float64 {
+		mallocs, kb := discoveryAllocs(t, true)
+		return map[string]float64{"mallocs": mallocs - warm.read(t, "mallocs"), "KB": kb - warm.read(t, "KB")}
+	}}
+	insert := &measurement{run: insertBatchAlloc}
+	load := &measurement{run: loadHeap}
+
+	budgets := []struct {
+		name     string
+		fixture  *measurement
+		quantity string
+		limit    float64
+		reason   string
+	}{
+		{"WarmDiscoverMallocs", warm, "mallocs", 200, "under 60% of PR 20's parent (516 of its 861), 156 measured after it"},
+		{"WarmDiscoverKB", warm, "KB", 30, "under 60% of PR 20's parent (49.5 of its 82.6 KB), 23.0 measured after it"},
+		{"ColdDiscoverMallocs", coldOverWarm, "mallocs", 10, "no grow, sort, dedup, densify or compact copy of a row set (28 at PR 23's parent, 6 after)"},
+		{"ColdDiscoverKB", coldOverWarm, "KB", 2, "each row set sized once from its statistic (3.2 KB at PR 23's parent, 1.4 after)"},
+		{"InsertBatchMB", insert, "MB", 1.85, "no posting list copied per fact nor slice headers per chunk (2.01 MB at PR 25's parent, 1.79 now)"},
+		{"LoadBytesPerRow", load, "B/row", 235, "5% above the 224 B/row of PR 25's flat categorical statistics"},
+	}
+	for _, b := range budgets {
+		t.Run(b.name, func(t *testing.T) {
+			got := b.fixture.read(t, b.quantity)
+			t.Logf("%.2f %s against a budget of %g: %s", got, b.quantity, b.limit, b.reason)
+			if got > b.limit {
+				t.Errorf("%.2f %s, over the budget of %g (%s)", got, b.quantity, b.limit, b.reason)
+			}
+		})
+	}
+}
+
+// A measurement runs one fixture once and reports its quantities by
+// name; the rows of the budget table that read it share the run.
+type measurement struct {
+	run func(t *testing.T) map[string]float64
+	got map[string]float64
+}
+
+func (m *measurement) read(t *testing.T, quantity string) float64 {
+	t.Helper()
+	if m.got == nil {
+		m.got = m.run(t)
+	}
+	return m.got[quantity]
+}
+
+// uniqueComedians returns the names of n of the generated comedians
+// whose name no other person has, so a discovery over them resolves
+// without disambiguation.
+func uniqueComedians(tb testing.TB, g *datagen.IMDb, n int) []string {
+	tb.Helper()
+	person := g.DB.Relation("person")
+	count := map[string]int{}
+	for row := 0; row < person.NumRows(); row++ {
+		count[person.Get(row, "name").Str()]++
+	}
+	var names []string
+	for _, id := range g.Comedians {
+		if name := person.Get(int(id), "name").Str(); count[name] == 1 && len(names) < n {
+			names = append(names, name)
+		}
+	}
+	if len(names) < n {
+		tb.Fatalf("fixture has %d comedians of unique name, want %d", len(names), n)
+	}
+	return names
+}
+
+// discoveryAllocs returns the mallocs and KB one discovery of 30
+// comedians allocates on the bench-scale IMDb fixture (Params.Workers 1),
+// averaged over 100: warm, with the row-set memos, the rank tables and
+// every lazy index in place, or cold, with the memos emptied before each
+// discovery (the emptying allocates nothing).
+func discoveryAllocs(t *testing.T, cold bool) (mallocs, kb float64) {
+	t.Helper()
+	g := datagen.GenerateIMDb(benchScale().IMDb)
+	sys, err := Build(g.DB, DefaultBuildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := sys.Params()
+	p.Workers = 1
+	sys.SetParams(p)
+	examples := uniqueComedians(t, g, 30)
+	ctx := context.Background()
+	cache := sys.AlphaDB().SelectivityCache()
+	const runs = 100
+	var before, after runtime.MemStats
+	for i := -3; i < runs; i++ {
+		if i == 0 {
+			runtime.ReadMemStats(&before)
+		}
+		if cold {
+			cache.Invalidate()
+		}
+		if _, err := sys.DiscoverContext(ctx, examples); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
+}
+
+// insertBatchAlloc reports the MB one publish of the repository
+// benchmark's 64-row batch allocates, copy-on-write clones included, as
+// BenchmarkInsertBatch runs it: the mean over the first 32 batches.
+func insertBatchAlloc(t *testing.T) map[string]float64 {
+	const batches = 32
+	cfg := benchScale().IMDb
+	sys, err := Build(datagen.GenerateIMDb(cfg).DB, DefaultBuildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 0; k < batches; k++ {
+		if err := sys.InsertBatchContext(context.Background(), insertBenchBatch(cfg, k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return map[string]float64{"MB": float64(after.TotalAlloc-before.TotalAlloc) / batches / (1 << 20)}
+}
+
+// loadHeap reports what Load of the fixture's snapshot adds to the heap
+// per base-relation row: a structure that quietly re-inflates — a
+// per-key slice header, a map where an array would do — shows here long
+// before it shows in the benchmark's heap_mb.
+func loadHeap(t *testing.T) map[string]float64 {
+	var buf bytes.Buffer
+	{
+		sys, err := Build(datagen.GenerateIMDb(benchScale().IMDb).DB, DefaultBuildConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	sys, err := Load(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grew := heap() - before
+	rows := sys.alpha.Snapshot().DB.TotalRows()
+	// The snapshot bytes stay live across both readings: freed between
+	// them, they would be subtracted from what Load added.
+	runtime.KeepAlive(&buf)
+	runtime.KeepAlive(sys)
+	return map[string]float64{"B/row": float64(grew) / float64(rows)}
+}

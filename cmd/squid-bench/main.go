@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -34,14 +35,14 @@ func main() {
 	// to a binary.
 	fmt.Fprintln(os.Stderr, "squid-bench:", buildinfo.Get().String())
 
-	if code := run(os.Stdout, *exp, *scale, *list); code != 0 {
+	if code := run(context.Background(), os.Stdout, *exp, *scale, *list); code != 0 {
 		os.Exit(code)
 	}
 }
 
 // run dispatches the selected experiment, writing its tables to out, and
 // returns the process exit code (0 ok, 2 usage).
-func run(out io.Writer, exp, scale string, list bool) int {
+func run(ctx context.Context, out io.Writer, exp, scale string, list bool) int {
 	if list || exp == "" {
 		fmt.Fprintln(out, "available experiments:")
 		for _, r := range experiments.Registry() {
@@ -66,7 +67,7 @@ func run(out io.Writer, exp, scale string, list bool) int {
 	}
 
 	if exp == "all" {
-		experiments.RunAll(suite, out)
+		experiments.RunAll(ctx, suite, out)
 		return 0
 	}
 	runner, ok := experiments.Lookup(exp)
@@ -74,6 +75,6 @@ func run(out io.Writer, exp, scale string, list bool) int {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", exp)
 		return 2
 	}
-	runner.Run(suite, out)
+	runner.Run(ctx, suite, out)
 	return 0
 }

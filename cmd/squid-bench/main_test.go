@@ -23,7 +23,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"paper figure", "fig18", "test", false, 0},
 	}
 	for _, c := range cases {
-		if got := run(io.Discard, c.exp, c.scale, c.list); got != c.want {
+		if got := run(t.Context(), io.Discard, c.exp, c.scale, c.list); got != c.want {
 			t.Errorf("%s: run(%q, %q, %v) = %d, want %d", c.name, c.exp, c.scale, c.list, got, c.want)
 		}
 	}

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -60,7 +61,7 @@ func main() {
 	sys.SetParams(params)
 
 	start := time.Now()
-	disc, err := sys.Discover(examples)
+	disc, err := sys.DiscoverContext(context.Background(), examples)
 	if err != nil {
 		switch {
 		case errors.Is(err, squid.ErrNoEntities):

@@ -1,6 +1,7 @@
 package squid_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -52,7 +53,7 @@ func Example() {
 	params.Rho = 0.2
 	sys.SetParams(params)
 
-	disc, err := sys.Discover([]string{"Dan Suciu", "Sam Madden", "Joseph Hellerstein"})
+	disc, err := sys.DiscoverContext(context.Background(), []string{"Dan Suciu", "Sam Madden", "Joseph Hellerstein"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,13 +27,14 @@ func main() {
 
 	// Pick three of the Fig 22-style benchmark queries as hidden
 	// queries.
-	bench := benchqueries.AdultBenchmarks(g, 20190625)
+	ctx := context.Background()
+	bench := benchqueries.AdultBenchmarks(ctx, g, 20190625)
 	for _, b := range bench[:3] {
 		truth, err := benchqueries.GroundTruth(g.DB, b)
 		if err != nil {
 			log.Fatal(err)
 		}
-		disc, err := sys.Discover(truth) // closed world: full output
+		disc, err := sys.DiscoverContext(ctx, truth) // closed world: full output
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,7 +35,7 @@ func main() {
 			break
 		}
 		examples := study.List[:n]
-		disc, err := sys.Discover(examples)
+		disc, err := sys.DiscoverContext(context.Background(), examples)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -57,10 +58,11 @@ func main() {
 	params := squid.DefaultParams()
 	params.Rho = 0.25
 	sys.SetParams(params)
+	ctx := context.Background()
 
 	// 1. Discover the nordic-crime intent from two examples spanning the
 	// year range, so a third matching show remains in the output.
-	disc, err := sys.Discover([]string{"Northern Lights", "Glass Fjord"})
+	disc, err := sys.DiscoverContext(ctx, []string{"Northern Lights", "Glass Fjord"})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,20 +74,19 @@ func main() {
 	recs := disc.RecommendExamples(2)
 	fmt.Println("\nsuggested next examples:", recs)
 
-	// 3. The catalog grows — no rebuild needed.
-	if err := sys.InsertEntity("show",
-		squid.IntVal(100), squid.StringVal("Frozen Coast"), squid.IntVal(2018)); err != nil {
-		log.Fatal(err)
-	}
+	// 3. The catalog grows — no rebuild needed: the show and its tags
+	// arrive as one batch, published as one epoch.
+	newShow := []squid.InsertOp{{Rel: "show", Vals: []squid.Value{
+		squid.IntVal(100), squid.StringVal("Frozen Coast"), squid.IntVal(2018)}}}
 	for _, tg := range []string{"crime", "nordic"} {
-		if err := sys.InsertFact("tags",
-			squid.IntVal(100), squid.StringVal(tg)); err != nil {
-			log.Fatal(err)
-		}
+		newShow = append(newShow, squid.InsertOp{Rel: "tags", Vals: []squid.Value{squid.IntVal(100), squid.StringVal(tg)}})
+	}
+	if err := sys.InsertBatchContext(ctx, newShow); err != nil {
+		log.Fatal(err)
 	}
 
 	// 4. The same intent now includes the freshly inserted show.
-	disc2, err := sys.Discover([]string{"Northern Lights", "Glass Fjord"})
+	disc2, err := sys.DiscoverContext(ctx, []string{"Northern Lights", "Glass Fjord"})
 	if err != nil {
 		log.Fatal(err)
 	}

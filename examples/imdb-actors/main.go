@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,7 +41,7 @@ func main() {
 		{"strong/action actors (ET1)", strong},
 	} {
 		fmt.Printf("=== examples: %v (%s)\n", scenario.examples, scenario.label)
-		disc, err := sys.Discover(scenario.examples)
+		disc, err := sys.DiscoverContext(context.Background(), scenario.examples)
 		if err != nil {
 			log.Fatal(err)
 		}

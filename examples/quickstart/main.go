@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -61,7 +62,7 @@ func main() {
 	sys.SetParams(params)
 
 	examples := []string{"Dan Suciu", "Sam Madden", "Joseph Hellerstein"}
-	disc, err := sys.Discover(examples)
+	disc, err := sys.DiscoverContext(context.Background(), examples)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // Typed sentinel errors of the online phase; callers match them with
 // errors.Is to distinguish bad input from genuine lookup misses.
 var (
-	// ErrNoExamples reports that Discover was called with an empty
+	// ErrNoExamples reports that DiscoverCtx was called with an empty
 	// example set.
 	ErrNoExamples = errors.New("no examples provided")
 	// ErrNoEntities reports that no entity attribute of the database
@@ -139,11 +139,11 @@ func abduceForEntityCtx(ctx context.Context, pool *workPool, info *adb.EntityInf
 	}, nil
 }
 
-// Discover maps raw example strings to candidate entity columns via the
-// inverted index, resolves ambiguity with the provided resolver, abduces
-// a query per candidate base query, and returns the results ranked by
-// posterior score (best first). It returns an error when no entity
-// column contains all examples.
+// DiscoverCtx maps raw example strings to candidate entity columns via
+// the inverted index, resolves ambiguity with the provided resolver,
+// abduces a query per candidate base query, and returns the results
+// ranked by posterior score (best first). It returns an error when no
+// entity column contains all examples.
 //
 // The resolver decides which candidate row each ambiguous example maps
 // to; pass nil to take the first candidate (disambiguation lives in
@@ -154,16 +154,11 @@ func abduceForEntityCtx(ctx context.Context, pool *workPool, info *adb.EntityInf
 // lock is taken, concurrent writers can never stall the abduction, and
 // every lookup — example resolution, selectivity, row sets — answers
 // from exactly the state the epoch was published with.
-func Discover(a *adb.Epoch, examples []string, params Params, resolver Resolver) ([]*Result, error) {
-	//lint:ignore ctxpoll non-cancellable convenience wrapper; DiscoverCtx is the ctx-threading entry point
-	return DiscoverCtx(context.Background(), a, examples, params, resolver)
-}
-
-// DiscoverCtx is Discover with cooperative cancellation: ctx.Err() is
-// checked between candidate base queries and, inside each abduction,
-// between candidate-filter evaluations, so canceling the context makes
-// even a single long discovery return promptly with ctx's error (wrapped;
-// match it with errors.Is).
+//
+// ctx.Err() is checked between candidate base queries and, inside each
+// abduction, between candidate-filter evaluations, so canceling the
+// context makes even a single long discovery return promptly with
+// ctx's error (wrapped; match it with errors.Is).
 //
 // Params.Workers > 1 (or 0 on a multi-core machine) fans the candidate
 // base queries — and, inside each, the per-property context walks and

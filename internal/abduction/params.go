@@ -49,7 +49,7 @@ type Params struct {
 	// Workers bounds the intra-discovery parallelism: candidate base
 	// queries, per-property context walks, and candidate-filter
 	// selectivity computations fan out over up to this many goroutines
-	// within a single Discover call. 0 (the default) means GOMAXPROCS;
+	// within a single DiscoverCtx call. 0 (the default) means GOMAXPROCS;
 	// 1 forces the serial path. Results are byte-identical to serial at
 	// every setting — the knob trades latency for CPU, never output.
 	// Workers is a runtime knob, not part of the abduction model, so

@@ -7,7 +7,7 @@ import (
 	"sync/atomic"
 )
 
-// workPool bounds the intra-discovery parallelism of one Discover call:
+// workPool bounds the intra-discovery parallelism of one DiscoverCtx call:
 // the candidate-base-query fan-out, the per-property context walks, and
 // the candidate-filter selectivity prefetch all draw helper goroutines
 // from one shared semaphore, so nested forEach calls can never

@@ -8,6 +8,7 @@ import (
 
 	"squid/internal/adb"
 	"squid/internal/relation"
+	"squid/internal/trace"
 )
 
 // buildersDB generates the statistics the four row-set builders read, at
@@ -220,7 +221,7 @@ func TestRowSetBuildersMatchScan(t *testing.T) {
 	}
 	for len(ops) > 0 {
 		k := min(len(ops), 50)
-		if err := alpha.InsertBatch(ops[:k]); err != nil {
+		if err := alpha.InsertBatch(ops[:k], trace.Span{}); err != nil {
 			t.Fatal(err)
 		}
 		ops = ops[k:]

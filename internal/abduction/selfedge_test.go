@@ -1,6 +1,7 @@
 package abduction
 
 import (
+	"context"
 	"testing"
 
 	"squid/internal/adb"
@@ -50,7 +51,7 @@ func TestNormalizedSelfEdgeNoDegree(t *testing.T) {
 	// derived contexts over the self-edge exist; with normalization on
 	// and no matching plain degree attribute this used to panic inside
 	// RowSet.
-	results, err := Discover(a.Snapshot(), []string{"MB", "MD"}, params, nil)
+	results, err := DiscoverCtx(context.Background(), a.Snapshot(), []string{"MB", "MD"}, params, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,7 +130,7 @@ func TestDiscoverEndToEnd(t *testing.T) {
 	a := fig1DB(t)
 	params := DefaultParams()
 	params.Rho = 0.2
-	results, err := Discover(a.Snapshot(), []string{"Dan Suciu", "Sam Madden", "Joseph Hellerstein"}, params, nil)
+	results, err := DiscoverCtx(context.Background(), a.Snapshot(), []string{"Dan Suciu", "Sam Madden", "Joseph Hellerstein"}, params, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,14 +155,14 @@ func TestDiscoverEndToEnd(t *testing.T) {
 
 func TestDiscoverErrors(t *testing.T) {
 	a := fig1DB(t)
-	if _, err := Discover(a.Snapshot(), nil, DefaultParams(), nil); err == nil {
+	if _, err := DiscoverCtx(context.Background(), a.Snapshot(), nil, DefaultParams(), nil); err == nil {
 		t.Error("no examples must error")
 	}
-	if _, err := Discover(a.Snapshot(), []string{"No Such Person"}, DefaultParams(), nil); err == nil {
+	if _, err := DiscoverCtx(context.Background(), a.Snapshot(), []string{"No Such Person"}, DefaultParams(), nil); err == nil {
 		t.Error("unmatched example must error")
 	}
 	// Values that exist but only in a non-entity column.
-	if _, err := Discover(a.Snapshot(), []string{"algorithms", "data mining"}, DefaultParams(), nil); err == nil {
+	if _, err := DiscoverCtx(context.Background(), a.Snapshot(), []string{"algorithms", "data mining"}, DefaultParams(), nil); err == nil {
 		t.Error("matches outside entity relations must error")
 	}
 }
@@ -181,7 +181,7 @@ func TestDiscoverUsesResolver(t *testing.T) {
 		return out
 	}
 	// No ambiguity in this fixture: resolver must NOT be called.
-	if _, err := Discover(a.Snapshot(), []string{"Dan Suciu", "Sam Madden"}, DefaultParams(), resolver); err != nil {
+	if _, err := DiscoverCtx(context.Background(), a.Snapshot(), []string{"Dan Suciu", "Sam Madden"}, DefaultParams(), resolver); err != nil {
 		t.Fatal(err)
 	}
 	if called {

@@ -170,14 +170,12 @@ func TestSelectivityCacheInvalidation(t *testing.T) {
 
 	// Insert a 50-year-old: the cached [45,65] row set belongs to the
 	// retired epoch now.
-	err = a.InsertEntity("person",
-		relation.IntVal(7), relation.StringVal("New Actor"),
-		relation.StringVal("Male"), relation.IntVal(50), relation.IntVal(1))
+	err = a.InsertBatch([]InsertOp{{Rel: "person", Vals: []relation.Value{relation.IntVal(7), relation.StringVal("New Actor"), relation.StringVal("Male"), relation.IntVal(50), relation.IntVal(1)}}}, trace.Span{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cache.Len() != 0 {
-		t.Errorf("InsertEntity left %d retired cache entries", cache.Len())
+		t.Errorf("the entity insert left %d retired cache entries", cache.Len())
 	}
 	info := a.Entity("person")
 	age := info.BasicByAttr("age")
@@ -214,7 +212,7 @@ func TestSelectivityCacheInvalidation(t *testing.T) {
 	}
 	preRows := ptg.EntityRowSetWithStrength("Drama", 1, trace.Span{}, true).ToSorted()
 	// Person 3 appears in movie 13 (Drama) for the first time.
-	if err := a.InsertFact("castinfo", relation.IntVal(3), relation.IntVal(13)); err != nil {
+	if err := a.InsertBatch([]InsertOp{{Rel: "castinfo", Vals: []relation.Value{relation.IntVal(3), relation.IntVal(13)}}}, trace.Span{}); err != nil {
 		t.Fatal(err)
 	}
 	ptg2 := a.Entity("person").DerivedByAttr("movie:genre")
@@ -260,9 +258,7 @@ func TestPerPropertyInvalidation(t *testing.T) {
 	}
 
 	// Insert into person: only person's properties are republished.
-	err = a.InsertEntity("person",
-		relation.IntVal(7), relation.StringVal("New Actor"),
-		relation.StringVal("Male"), relation.IntVal(50), relation.IntVal(1))
+	err = a.InsertBatch([]InsertOp{{Rel: "person", Vals: []relation.Value{relation.IntVal(7), relation.StringVal("New Actor"), relation.StringVal("Male"), relation.IntVal(50), relation.IntVal(1)}}}, trace.Span{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +296,7 @@ func TestPerPropertyInvalidation(t *testing.T) {
 	if cache.Len() != 3 {
 		t.Fatalf("cache primed with %d entries, want 3", cache.Len())
 	}
-	if err := a.InsertFact("castinfo", relation.IntVal(3), relation.IntVal(13)); err != nil {
+	if err := a.InsertBatch([]InsertOp{{Rel: "castinfo", Vals: []relation.Value{relation.IntVal(3), relation.IntVal(13)}}}, trace.Span{}); err != nil {
 		t.Fatal(err)
 	}
 	person3 := a.Entity("person")
@@ -336,9 +332,7 @@ func TestRetiredEntriesNotServed(t *testing.T) {
 	runtime.SetFinalizer(retired, func(*BasicProperty) { collected.Add(1) })
 	runtime.SetFinalizer(retired.memo, func(*rowSetMemo) { collected.Add(1) })
 
-	err = a.InsertEntity("person",
-		relation.IntVal(7), relation.StringVal("New Actor"),
-		relation.StringVal("Male"), relation.IntVal(50), relation.IntVal(1))
+	err = a.InsertBatch([]InsertOp{{Rel: "person", Vals: []relation.Value{relation.IntVal(7), relation.StringVal("New Actor"), relation.StringVal("Male"), relation.IntVal(50), relation.IntVal(1)}}}, trace.Span{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,14 +112,14 @@ func snapshotRowCounts(db *relation.Database) map[string]int {
 // Reads are wait-free: Snapshot returns the current *Epoch via an
 // atomic pointer load, and all read surfaces (Entity, CombinedDB,
 // ComputeStats, Encode, and squid.System's discovery and execution
-// paths) operate on one pinned epoch. Writes (InsertEntity, InsertFact,
-// InsertBatch) coordinate per relation: a writer locks only the write
-// domain of the relations its batch touches — inserts into disjoint
-// relations build their copy-on-write epochs in parallel — and the
-// publish step combines concurrent writers' epochs into one chain
-// (each publish is a single pointer swap; a writer that finds the
-// current epoch moved past its base rebases its disjoint changes onto
-// the newer epoch instead of serializing the whole apply).
+// paths) operate on one pinned epoch. Writes (InsertBatch) coordinate
+// per relation: a writer locks only the write domain of the relations
+// its batch touches — inserts into disjoint relations build their
+// copy-on-write epochs in parallel — and the publish step combines
+// concurrent writers' epochs into one chain (each publish is a single
+// pointer swap; a writer that finds the current epoch moved past its
+// base rebases its disjoint changes onto the newer epoch instead of
+// serializing the whole apply).
 type AlphaDB struct {
 	cur atomic.Pointer[Epoch]
 
@@ -319,16 +319,11 @@ func (a *AlphaDB) lockDomains(rels []string) func() {
 // cannot overlap, the domain locks guarantee it). One atomic
 // store publishes the result; retired epochs stay valid for the
 // readers still pinning them and are garbage collected when the last
-// such reader drops its pointer.
-func (a *AlphaDB) publish(eb *epochBuilder) {
-	a.publishT(eb, trace.Span{})
-}
-
-// publishT is publish with trace attribution: the whole combiner step
-// is one publish span (carrying the new epoch's sequence number), and
+// such reader drops its pointer. The whole combiner step is one
+// publish span of sp (carrying the new epoch's sequence number), and
 // the WAL append — the publish's only I/O — is a nested wal_append
 // span counting the rows it logged.
-func (a *AlphaDB) publishT(eb *epochBuilder, sp trace.Span) {
+func (a *AlphaDB) publish(eb *epochBuilder, sp trace.Span) {
 	if !eb.dirty() {
 		return
 	}

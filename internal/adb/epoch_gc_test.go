@@ -7,6 +7,7 @@ import (
 
 	"squid/internal/datagen"
 	"squid/internal/relation"
+	"squid/internal/trace"
 )
 
 // TestEpochGCTelemetry checks the retired-epoch accounting: a publish
@@ -25,7 +26,7 @@ func TestEpochGCTelemetry(t *testing.T) {
 		{Rel: "person", Vals: []relation.Value{
 			relation.IntVal(8), relation.StringVal("Gauge Probe"),
 			relation.StringVal("Male"), relation.IntVal(40), relation.IntVal(1)}},
-	})
+	}, trace.Span{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestOneFactPublishRetainsWhatItCopies(t *testing.T) {
 			}
 		}
 		pinned := a.Snapshot()
-		if err := a.InsertFact("castinfo", relation.IntVal(17), relation.IntVal(23), relation.IntVal(1)); err != nil {
+		if err := a.InsertBatch([]InsertOp{{Rel: "castinfo", Vals: []relation.Value{relation.IntVal(17), relation.IntVal(23), relation.IntVal(1)}}}, trace.Span{}); err != nil {
 			t.Fatal(err)
 		}
 		es := a.EpochStats()

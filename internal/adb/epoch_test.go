@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"squid/internal/relation"
+	"squid/internal/trace"
 )
 
 // TestEpochSnapshotIsolation is the acceptance check of the
@@ -28,7 +29,7 @@ func TestEpochSnapshotIsolation(t *testing.T) {
 			relation.IntVal(7), relation.StringVal("Fresh Face"),
 			relation.StringVal("Male"), relation.IntVal(33), relation.IntVal(1)}},
 		{Rel: "castinfo", Vals: []relation.Value{relation.IntVal(7), relation.IntVal(13)}},
-	})
+	}, trace.Span{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestDisjointInsertsDoNotBlock(t *testing.T) {
 	a := buildStudioFixture(t)
 	// Simulate an in-flight movie writer by holding its domain lock.
 	a.writeMu["movie"].Lock()
-	err := a.InsertEntity("studio", relation.IntVal(7), relation.StringVal("Unblocked Studio"), relation.StringVal("Burbank"))
+	err := a.InsertBatch([]InsertOp{{Rel: "studio", Vals: []relation.Value{relation.IntVal(7), relation.StringVal("Unblocked Studio"), relation.StringVal("Burbank")}}}, trace.Span{})
 	a.writeMu["movie"].Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +146,7 @@ func TestDisjointInsertBatchesParallel(t *testing.T) {
 			id := int64(100 + i)
 			if err := a.InsertBatch([]InsertOp{{Rel: "person", Vals: []relation.Value{
 				relation.IntVal(id), relation.StringVal(fmt.Sprintf("Person %d", id)),
-				relation.StringVal("Female"), relation.IntVal(30 + int64(i)), relation.IntVal(1)}}}); err != nil {
+				relation.StringVal("Female"), relation.IntVal(30 + int64(i)), relation.IntVal(1)}}}, trace.Span{}); err != nil {
 				errs[0] = err
 				return
 			}
@@ -158,7 +159,7 @@ func TestDisjointInsertBatchesParallel(t *testing.T) {
 			id := int64(500 + i)
 			if err := a.InsertBatch([]InsertOp{{Rel: "studio", Vals: []relation.Value{
 				relation.IntVal(id), relation.StringVal(fmt.Sprintf("Indie %d", id)),
-				relation.StringVal("Burbank")}}}); err != nil {
+				relation.StringVal("Burbank")}}}, trace.Span{}); err != nil {
 				errs[1] = err
 				return
 			}
@@ -222,16 +223,14 @@ func TestRejectedInsertPublishesNothing(t *testing.T) {
 	pub0 := a.EpochStats().Publishes
 
 	// Type mismatch mid-row: castinfo is (int, int).
-	if err := a.InsertFact("castinfo", relation.IntVal(3), relation.StringVal("oops")); err == nil {
+	if err := a.InsertBatch([]InsertOp{{Rel: "castinfo", Vals: []relation.Value{relation.IntVal(3), relation.StringVal("oops")}}}, trace.Span{}); err == nil {
 		t.Fatal("type-mismatched fact insert must fail")
 	}
 	// Arity mismatch and duplicate key on the entity path.
-	if err := a.InsertEntity("person", relation.IntVal(8)); err == nil {
+	if err := a.InsertBatch([]InsertOp{{Rel: "person", Vals: []relation.Value{relation.IntVal(8)}}}, trace.Span{}); err == nil {
 		t.Fatal("arity-mismatched entity insert must fail")
 	}
-	if err := a.InsertEntity("person",
-		relation.IntVal(1), relation.StringVal("Dup"),
-		relation.StringVal("Male"), relation.IntVal(40), relation.IntVal(1)); err == nil {
+	if err := a.InsertBatch([]InsertOp{{Rel: "person", Vals: []relation.Value{relation.IntVal(1), relation.StringVal("Dup"), relation.StringVal("Male"), relation.IntVal(40), relation.IntVal(1)}}}, trace.Span{}); err == nil {
 		t.Fatal("duplicate-key entity insert must fail")
 	}
 	if es := a.EpochStats(); es.Seq != seq0 || es.Publishes != pub0 {
@@ -242,7 +241,7 @@ func TestRejectedInsertPublishesNothing(t *testing.T) {
 	// A valid fact insert after the rejected one must land unshifted:
 	// person 3 (row 2) gains Drama movie 13, and the fact row decodes
 	// to exactly the values inserted.
-	if err := a.InsertFact("castinfo", relation.IntVal(3), relation.IntVal(13)); err != nil {
+	if err := a.InsertBatch([]InsertOp{{Rel: "castinfo", Vals: []relation.Value{relation.IntVal(3), relation.IntVal(13)}}}, trace.Span{}); err != nil {
 		t.Fatal(err)
 	}
 	ep := a.Snapshot()

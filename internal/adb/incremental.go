@@ -236,34 +236,6 @@ func (eb *epochBuilder) privDerived(info *EntityInfo, i int) *DerivedProperty {
 	return q
 }
 
-// InsertEntity appends a row to an entity relation and publishes the
-// next epoch with that entity's statistics maintained (the §9
-// dynamic-dataset extension). Safe to call concurrently with discovery
-// (readers are wait-free on their pinned epochs) and with inserts into
-// disjoint write domains.
-func (a *AlphaDB) InsertEntity(entityRel string, vals ...relation.Value) error {
-	return a.insertOne(entityRel, vals, (*epochBuilder).insertEntity)
-}
-
-// InsertFact appends a row to a fact relation and publishes the next
-// epoch with the affected derived relations and statistics maintained.
-// The fact relation must have been present at Build time. Safe to call
-// concurrently with discovery and with inserts into disjoint write
-// domains.
-func (a *AlphaDB) InsertFact(factRel string, vals ...relation.Value) error {
-	return a.insertOne(factRel, vals, (*epochBuilder).insertFact)
-}
-
-// insertOne applies one row and publishes it as one epoch.
-func (a *AlphaDB) insertOne(rel string, vals []relation.Value, apply func(*epochBuilder, string, []relation.Value) error) error {
-	unlock := a.lockDomains([]string{rel})
-	defer unlock()
-	eb := a.newEpochBuilder()
-	err := apply(eb, rel, vals)
-	a.publish(eb)
-	return err
-}
-
 // InsertOp describes one row of an InsertBatch: the target relation
 // (entity or fact, dispatched automatically) and its values.
 type InsertOp struct {
@@ -272,24 +244,24 @@ type InsertOp struct {
 }
 
 // InsertBatch appends many rows — entity and fact rows may be mixed —
-// into one copy-on-write epoch, amortizing the structure clones and
-// the publish over the whole batch: the touched relations' statistics
-// are cloned once per batch, not once per row, and readers observe the
-// batch atomically (all rows or, before the publish, none). Rows apply
-// in order; on the first failure the batch stops, already-applied rows
-// are still published (append-only maintenance has no rollback), and
-// the error reports the failing row's index.
-func (a *AlphaDB) InsertBatch(ops []InsertOp) error {
-	return a.InsertBatchT(ops, trace.Span{})
-}
-
-// InsertBatchT is InsertBatch with trace attribution: the write-domain
-// lock acquisition is a publish_wait span (the time this batch spent
-// blocked behind other writers of its domains), the copy-on-write apply
-// loop is an apply span counting its rows and the derived strengths it
-// raised (pairs_bumped), and the publish step (with its WAL append)
-// nests under publishT. The zero Span makes it exactly InsertBatch.
-func (a *AlphaDB) InsertBatchT(ops []InsertOp, sp trace.Span) error {
+// into one copy-on-write epoch (the §9 dynamic-dataset extension),
+// amortizing the structure clones and the publish over the whole batch:
+// the touched relations' statistics are cloned once per batch, not once
+// per row, and readers observe the batch atomically (all rows or,
+// before the publish, none). Safe to call concurrently with discovery
+// (readers are wait-free on their pinned epochs) and with inserts into
+// disjoint write domains. Rows apply in order; on the first failure the
+// batch stops, already-applied rows are still published (append-only
+// maintenance has no rollback), and the error reports the failing row's
+// index.
+//
+// sp attributes the work: the write-domain lock acquisition is a
+// publish_wait span (the time this batch spent blocked behind other
+// writers of its domains), the copy-on-write apply loop is an apply
+// span counting its rows and the derived strengths it raised
+// (pairs_bumped), and the publish step (with its WAL append) nests
+// under publish. The zero Span records nothing.
+func (a *AlphaDB) InsertBatch(ops []InsertOp, sp trace.Span) error {
 	if len(ops) == 0 {
 		return nil
 	}
@@ -317,7 +289,7 @@ func (a *AlphaDB) InsertBatchT(ops []InsertOp, sp trace.Span) error {
 	}
 	as.Add(trace.CounterPairsBumped, int64(eb.bumped))
 	as.End()
-	a.publishT(eb, sp)
+	a.publish(eb, sp)
 	return firstErr
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"squid/internal/relation"
+	"squid/internal/trace"
 )
 
 // rebuildAndCompare rebuilds the αDB from scratch and checks that the
@@ -67,9 +68,7 @@ func rebuildAndCompare(t *testing.T, a *AlphaDB) {
 func TestInsertEntityMaintainsStats(t *testing.T) {
 	a := buildFixture(t)
 	// Insert a new Canadian male person aged 45.
-	err := a.InsertEntity("person",
-		relation.IntVal(100), relation.StringVal("New Actor"),
-		relation.StringVal("Male"), relation.IntVal(45), relation.IntVal(2))
+	err := a.InsertBatch([]InsertOp{{Rel: "person", Vals: []relation.Value{relation.IntVal(100), relation.StringVal("New Actor"), relation.StringVal("Male"), relation.IntVal(45), relation.IntVal(2)}}}, trace.Span{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,19 +92,17 @@ func TestInsertEntityMaintainsStats(t *testing.T) {
 
 func TestInsertEntityErrors(t *testing.T) {
 	a := buildFixture(t)
-	if err := a.InsertEntity("castinfo", relation.IntVal(1), relation.IntVal(2)); err == nil {
+	// InsertBatch routes a row by its relation; the entity path still
+	// checks the kind itself.
+	if err := a.newEpochBuilder().insertEntity("castinfo", []relation.Value{relation.IntVal(1), relation.IntVal(2)}); err == nil {
 		t.Error("insert into non-entity must fail")
 	}
 	// Duplicate primary key.
-	if err := a.InsertEntity("person",
-		relation.IntVal(1), relation.StringVal("Dup"),
-		relation.StringVal("Male"), relation.IntVal(40), relation.IntVal(1)); err == nil {
+	if err := a.InsertBatch([]InsertOp{{Rel: "person", Vals: []relation.Value{relation.IntVal(1), relation.StringVal("Dup"), relation.StringVal("Male"), relation.IntVal(40), relation.IntVal(1)}}}, trace.Span{}); err == nil {
 		t.Error("duplicate PK must fail")
 	}
 	// NULL primary key.
-	if err := a.InsertEntity("person",
-		relation.Null, relation.StringVal("x"),
-		relation.StringVal("Male"), relation.IntVal(40), relation.IntVal(1)); err == nil {
+	if err := a.InsertBatch([]InsertOp{{Rel: "person", Vals: []relation.Value{relation.Null, relation.StringVal("x"), relation.StringVal("Male"), relation.IntVal(40), relation.IntVal(1)}}}, trace.Span{}); err == nil {
 		t.Error("NULL PK must fail")
 	}
 }
@@ -116,7 +113,7 @@ func TestInsertFactMaintainsDerived(t *testing.T) {
 	before := oldPtg.Counts(3)["Comedy"] // person 3 had 1 comedy (movie 10)
 
 	// Person 3 also appears in movie 11 (Comedy).
-	if err := a.InsertFact("castinfo", relation.IntVal(3), relation.IntVal(11)); err != nil {
+	if err := a.InsertBatch([]InsertOp{{Rel: "castinfo", Vals: []relation.Value{relation.IntVal(3), relation.IntVal(11)}}}, trace.Span{}); err != nil {
 		t.Fatal(err)
 	}
 	// Handles are epoch-pinned: the current epoch sees the new fact,
@@ -148,7 +145,7 @@ func TestInsertFactMaintainsDerived(t *testing.T) {
 func TestInsertFactNewValue(t *testing.T) {
 	a := buildFixture(t)
 	// Person 1 (only comedies) now appears in drama movie 13.
-	if err := a.InsertFact("castinfo", relation.IntVal(1), relation.IntVal(13)); err != nil {
+	if err := a.InsertBatch([]InsertOp{{Rel: "castinfo", Vals: []relation.Value{relation.IntVal(1), relation.IntVal(13)}}}, trace.Span{}); err != nil {
 		t.Fatal(err)
 	}
 	ptg := a.Entity("person").DerivedByAttr("movie:genre")
@@ -162,13 +159,11 @@ func TestInsertFactForNewEntity(t *testing.T) {
 	// Insert an entity then connect it with facts: the full dynamic
 	// workflow.
 	a := buildFixture(t)
-	if err := a.InsertEntity("person",
-		relation.IntVal(50), relation.StringVal("Rising Star"),
-		relation.StringVal("Female"), relation.IntVal(30), relation.IntVal(1)); err != nil {
+	if err := a.InsertBatch([]InsertOp{{Rel: "person", Vals: []relation.Value{relation.IntVal(50), relation.StringVal("Rising Star"), relation.StringVal("Female"), relation.IntVal(30), relation.IntVal(1)}}}, trace.Span{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, movieID := range []int64{10, 11, 12} {
-		if err := a.InsertFact("castinfo", relation.IntVal(50), relation.IntVal(movieID)); err != nil {
+		if err := a.InsertBatch([]InsertOp{{Rel: "castinfo", Vals: []relation.Value{relation.IntVal(50), relation.IntVal(movieID)}}}, trace.Span{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -186,14 +181,14 @@ func TestInsertFactForNewEntity(t *testing.T) {
 
 func TestInsertFactErrors(t *testing.T) {
 	a := buildFixture(t)
-	if err := a.InsertFact("person", relation.IntVal(1)); err == nil {
+	if err := a.newEpochBuilder().insertFact("person", []relation.Value{relation.IntVal(1)}); err == nil {
 		t.Error("insert into entity relation as fact must fail")
 	}
-	if err := a.InsertFact("nope", relation.IntVal(1)); err == nil {
+	if err := a.InsertBatch([]InsertOp{{Rel: "nope", Vals: []relation.Value{relation.IntVal(1)}}}, trace.Span{}); err == nil {
 		t.Error("unknown relation must fail")
 	}
 	// Wrong arity.
-	if err := a.InsertFact("castinfo", relation.IntVal(1)); err == nil {
+	if err := a.InsertBatch([]InsertOp{{Rel: "castinfo", Vals: []relation.Value{relation.IntVal(1)}}}, trace.Span{}); err == nil {
 		t.Error("arity mismatch must fail")
 	}
 }

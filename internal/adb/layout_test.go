@@ -9,6 +9,7 @@ import (
 
 	"squid/internal/datagen"
 	"squid/internal/relation"
+	"squid/internal/trace"
 )
 
 // TestCategoricalLayoutMatchesScan holds every categorical property's
@@ -124,7 +125,7 @@ func layoutIngest(t *testing.T, a *AlphaDB, rng *rand.Rand, batches int) (valFol
 			}
 		}
 		before, width := bases(), tables()
-		if err := a.InsertBatch(ops); err != nil {
+		if err := a.InsertBatch(ops, trace.Span{}); err != nil {
 			t.Fatalf("batch %d: %v", k, err)
 		}
 		for key, b := range bases() {

@@ -1,6 +1,7 @@
 package pulearn
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -68,12 +69,12 @@ func TestFig16aShape(t *testing.T) {
 	X, feats := Featurize(info)
 	nameCol := info.Rel().Column("name")
 
-	bench := benchqueries.AdultBenchmarks(g, 42)
+	bench := benchqueries.AdultBenchmarks(context.Background(), g, 42)
 	// Use the largest-output query for stable statistics.
 	var best benchqueries.Benchmark
 	bestCard := 0
 	for _, b := range bench {
-		c, err := benchqueries.Cardinality(g.DB, b)
+		c, err := benchqueries.Cardinality(context.Background(), g.DB, b)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package talos
 
 import (
+	"context"
 	"testing"
 
 	"squid/internal/adb"
@@ -25,7 +26,7 @@ func buildAdult(t *testing.T, rows int) (*datagen.Adult, *adb.AlphaDB) {
 func TestAdultQRE(t *testing.T) {
 	g, alpha := buildAdult(t, 1500)
 	info := alpha.Entity("adult")
-	bench := benchqueries.AdultBenchmarks(g, 42)[:4]
+	bench := benchqueries.AdultBenchmarks(context.Background(), g, 42)[:4]
 	for _, b := range bench {
 		truth, err := benchqueries.GroundTruth(g.DB, b)
 		if err != nil {

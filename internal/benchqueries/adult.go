@@ -1,6 +1,7 @@
 package benchqueries
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -15,7 +16,7 @@ import (
 // categorical attributes and narrow ranges on numeric ones. Values are
 // drawn from the generated data so every query is satisfiable. Queries
 // with empty results are re-drawn.
-func AdultBenchmarks(g *datagen.Adult, seed int64) []Benchmark {
+func AdultBenchmarks(ctx context.Context, g *datagen.Adult, seed int64) []Benchmark {
 	rng := rand.New(rand.NewSource(seed))
 	adult := g.DB.Relation("adult")
 	exec := engine.NewExecutor(g.DB)
@@ -55,7 +56,7 @@ func AdultBenchmarks(g *datagen.Adult, seed int64) []Benchmark {
 				)
 			}
 		}
-		res, err := exec.Execute(q)
+		res, err := exec.ExecuteCtx(ctx, q)
 		if err != nil || res.NumRows() < 5 {
 			continue // re-draw: too selective to sample examples from
 		}

@@ -1,6 +1,7 @@
 package benchqueries
 
 import (
+	"context"
 	"testing"
 
 	"squid/internal/datagen"
@@ -22,7 +23,7 @@ func TestIMDbBenchmarksExecutable(t *testing.T) {
 	}
 	nonEmpty := 0
 	for _, b := range bs {
-		card, err := Cardinality(g.DB, b)
+		card, err := Cardinality(context.Background(), g.DB, b)
 		if err != nil {
 			t.Errorf("%s: %v", b.ID, err)
 			continue
@@ -47,7 +48,7 @@ func TestIMDbPlantedCardinalities(t *testing.T) {
 		byID[b.ID] = b
 	}
 	// IQ1: blockbuster cast ≈ 110.
-	card, err := Cardinality(g.DB, byID["IQ1"])
+	card, err := Cardinality(context.Background(), g.DB, byID["IQ1"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestIMDbPlantedCardinalities(t *testing.T) {
 	}
 	// IQ2: the 20 planted trilogy actors (generic casting can add a
 	// coincidental member or two).
-	card, err = Cardinality(g.DB, byID["IQ2"])
+	card, err = Cardinality(context.Background(), g.DB, byID["IQ2"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestIMDbPlantedCardinalities(t *testing.T) {
 		t.Errorf("IQ2 cardinality=%d want ≈20", card)
 	}
 	// IQ5: the duo's 12 shared movies.
-	card, err = Cardinality(g.DB, byID["IQ5"])
+	card, err = Cardinality(context.Background(), g.DB, byID["IQ5"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestIMDbPlantedCardinalities(t *testing.T) {
 		t.Errorf("IQ5 cardinality=%d want ≥12", card)
 	}
 	// IQ6: the 36 directed movies.
-	card, err = Cardinality(g.DB, byID["IQ6"])
+	card, err = Cardinality(context.Background(), g.DB, byID["IQ6"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestIMDbPlantedCardinalities(t *testing.T) {
 		t.Errorf("IQ6 cardinality=%d want 36", card)
 	}
 	// IQ7: all genres.
-	card, err = Cardinality(g.DB, byID["IQ7"])
+	card, err = Cardinality(context.Background(), g.DB, byID["IQ7"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestDBLPBenchmarksExecutable(t *testing.T) {
 		t.Fatalf("benchmarks=%d want 5", len(bs))
 	}
 	for _, b := range bs {
-		card, err := Cardinality(g.DB, b)
+		card, err := Cardinality(context.Background(), g.DB, b)
 		if err != nil {
 			t.Errorf("%s: %v", b.ID, err)
 			continue
@@ -116,7 +117,7 @@ func TestDBLPPlantedCardinalities(t *testing.T) {
 		byID[b.ID] = b
 	}
 	// DQ4: exactly the 15 trio publications.
-	card, err := Cardinality(g.DB, byID["DQ4"])
+	card, err := Cardinality(context.Background(), g.DB, byID["DQ4"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestDBLPPlantedCardinalities(t *testing.T) {
 		t.Errorf("DQ4 cardinality=%d want 15", card)
 	}
 	// DQ1: at least the 20 planted dual-affiliation authors.
-	card, err = Cardinality(g.DB, byID["DQ1"])
+	card, err = Cardinality(context.Background(), g.DB, byID["DQ1"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestDBLPPlantedCardinalities(t *testing.T) {
 		t.Errorf("DQ1 cardinality=%d want ≥20", card)
 	}
 	// DQ2: the 30 prolific researchers dominate.
-	card, err = Cardinality(g.DB, byID["DQ2"])
+	card, err = Cardinality(context.Background(), g.DB, byID["DQ2"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestDBLPPlantedCardinalities(t *testing.T) {
 
 func TestAdultBenchmarks(t *testing.T) {
 	g := datagen.GenerateAdult(datagen.AdultConfig{Seed: 5, NumRows: 2000, ScaleFactor: 1})
-	bs := AdultBenchmarks(g, 42)
+	bs := AdultBenchmarks(context.Background(), g, 42)
 	if len(bs) != 20 {
 		t.Fatalf("benchmarks=%d want 20", len(bs))
 	}
@@ -151,7 +152,7 @@ func TestAdultBenchmarks(t *testing.T) {
 		if b.NumSelections < 2 {
 			t.Errorf("%s: only %d predicates", b.ID, b.NumSelections)
 		}
-		card, err := Cardinality(g.DB, b)
+		card, err := Cardinality(context.Background(), g.DB, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +161,7 @@ func TestAdultBenchmarks(t *testing.T) {
 		}
 	}
 	// Determinism.
-	again := AdultBenchmarks(g, 42)
+	again := AdultBenchmarks(context.Background(), g, 42)
 	for i := range bs {
 		if bs[i].NumSelections != again[i].NumSelections {
 			t.Fatal("benchmark generation not deterministic")
@@ -171,7 +172,7 @@ func TestAdultBenchmarks(t *testing.T) {
 func TestGroundTruthMatchesCardinality(t *testing.T) {
 	g := tinyIMDb()
 	for _, b := range IMDbBenchmarks(g)[:4] {
-		card, err := Cardinality(g.DB, b)
+		card, err := Cardinality(context.Background(), g.DB, b)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ const maxCombinations = 200000
 // Resolve picks one row per example from the ambiguity candidates,
 // maximizing the pairwise semantic similarity of the chosen rows. It has
 // the abduction.Resolver signature so the public API can plug it into
-// Discover.
+// DiscoverCtx.
 func Resolve(info *adb.EntityInfo, candidates [][]int, params abduction.Params) []int {
 	if len(candidates) == 0 {
 		return nil

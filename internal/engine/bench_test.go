@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -71,7 +72,7 @@ func BenchmarkStreamJoin(b *testing.B) {
 			ex := NewExecutor(db)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if res, err := ex.Execute(q); err != nil || res.NumRows() != 1 {
+				if res, err := ex.ExecuteCtx(context.Background(), q); err != nil || res.NumRows() != 1 {
 					b.Fatalf("want the one planted match, got %v rows, error %v", res.NumRows(), err)
 				}
 			}

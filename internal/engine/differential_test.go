@@ -2,6 +2,7 @@ package engine
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -213,7 +214,7 @@ func checkDifferential(t *testing.T, db *relation.Database, q *Query) [][]relati
 	permutations(v.From[1:], func([]string) {
 		permutations(v.Joins, func([]Join) {
 			for _, ex := range []*Executor{NewExecutor(db), warm} {
-				got, err := ex.Execute(v)
+				got, err := ex.ExecuteCtx(context.Background(), v)
 				if err != nil {
 					t.Fatalf("%s: %v", describe(v), err)
 				}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -107,7 +108,7 @@ func TestProjectOnly(t *testing.T) {
 		From:   []string{"academics"},
 		Select: []ColRef{{"academics", "name"}},
 	}
-	res, err := ex.Execute(q)
+	res, err := ex.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestPaperQ2(t *testing.T) {
 			{"academics", "name"},
 		},
 	}
-	res, err := ex.Execute(q)
+	res, err := ex.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +153,11 @@ func TestPredicateOps(t *testing.T) {
 
 	count := func(preds ...Pred) int {
 		q := &Query{From: []string{"person"}, Preds: preds, Select: []ColRef{{"person", "id"}}}
-		n, err := ex.Count(q)
+		res, err := ex.ExecuteCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return n
+		return res.NumRows()
 	}
 	if got := count(Pred{Rel: "person", Col: "age", Op: OpEq, Val: relation.IntVal(60)}); got != 2 {
 		t.Errorf("eq: %d", got)
@@ -191,11 +192,11 @@ func TestNullsNeverMatch(t *testing.T) {
 			Preds:  []Pred{{Rel: "x", Col: "v", Op: op, Val: relation.IntVal(1)}},
 			Select: []ColRef{{"x", "v"}},
 		}
-		n, err := ex.Count(q)
+		res, err := ex.ExecuteCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n != 1 {
+		if n := res.NumRows(); n != 1 {
 			t.Errorf("op %v matched NULL: n=%d", op, n)
 		}
 	}
@@ -219,7 +220,7 @@ func TestPaperQ4Aggregation(t *testing.T) {
 			HavingCountGE: minCount,
 		}
 	}
-	res, err := ex.Execute(mkQuery(2))
+	res, err := ex.ExecuteCtx(context.Background(), mkQuery(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestPaperQ4Aggregation(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("≥2 comedies: got %v want %v", got, want)
 	}
-	res3, err := ex.Execute(mkQuery(3))
+	res3, err := ex.ExecuteCtx(context.Background(), mkQuery(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestDistinct(t *testing.T) {
 		Select:   []ColRef{{"research", "interest"}},
 		Distinct: true,
 	}
-	res, err := ex.Execute(q)
+	res, err := ex.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestIntersection(t *testing.T) {
 	distSys.Preds[0].Val = relation.StringVal("distributed systems")
 	q := dataMgmt.Clone()
 	q.Intersect = []*Query{distSys}
-	res, err := ex.Execute(q)
+	res, err := ex.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestDisconnectedJoinGraph(t *testing.T) {
 		From:   []string{"person", "genre"},
 		Select: []ColRef{{"person", "name"}},
 	}
-	if _, err := ex.Execute(q); err == nil {
+	if _, err := ex.ExecuteCtx(context.Background(), q); err == nil {
 		t.Error("disconnected join graph must error")
 	}
 }
@@ -326,7 +327,7 @@ func TestErrorPaths(t *testing.T) {
 		{From: []string{"academics"}, GroupBy: []ColRef{{"academics", "missing"}}, Select: []ColRef{{"academics", "name"}}},
 	}
 	for i, q := range cases {
-		if _, err := ex.Execute(q); err == nil {
+		if _, err := ex.ExecuteCtx(context.Background(), q); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
@@ -355,7 +356,7 @@ func TestBindRejectsQueriesWithoutAnAnswer(t *testing.T) {
 		{&Query{From: []string{"academics"}, Select: name, Preds: []Pred{{Rel: "academics", Col: "name", Op: OpEq, Val: relation.IntVal(5)}}}, ""},
 	}
 	for i, tc := range cases {
-		_, err := ex.Execute(tc.q)
+		_, err := ex.ExecuteCtx(context.Background(), tc.q)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("case %d: %v, want no error", i, err)
@@ -386,7 +387,7 @@ func TestCyclicJoinCondition(t *testing.T) {
 		},
 		Select: []ColRef{{"a", "id"}},
 	}
-	res, err := ex.Execute(q)
+	res, err := ex.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +465,7 @@ func TestGroupByRepresentativeProjection(t *testing.T) {
 		GroupBy:       []ColRef{{"person", "id"}},
 		HavingCountGE: 1,
 	}
-	res, err := ex.Execute(q)
+	res, err := ex.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

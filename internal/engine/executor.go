@@ -106,13 +106,6 @@ func (e *Executor) WithReducer(r Reducer) *Executor {
 	return e
 }
 
-// Execute runs the query and returns its projected tuples. DISTINCT and
-// intersection are applied after projection.
-func (e *Executor) Execute(q *Query) (*Result, error) {
-	//lint:ignore ctxpoll non-cancellable convenience wrapper; ExecuteCtx is the ctx-threading entry point
-	return e.ExecuteCtx(context.Background(), q)
-}
-
 // ctxCheckRows is how many units of work — tuples probed, tuples
 // emitted, rows hashed — a join, filter or aggregation does between
 // cancellation checks, and the size of the blocks a stream join reads
@@ -143,7 +136,8 @@ func (p *poller) err() error {
 	return nil
 }
 
-// ExecuteCtx is Execute with cooperative cancellation: ctx.Err() is
+// ExecuteCtx runs the query and returns its projected tuples. DISTINCT
+// and intersection are applied after projection. ctx.Err() is
 // consulted between pipeline stages, between intersect branches, and
 // every few thousand rows read or emitted inside joins and aggregation,
 // so a canceled or deadline-expired context aborts even a pathological
@@ -1453,13 +1447,4 @@ func (pl *plan) project(t tuples) *Result {
 		res.Rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
 	}
 	return res
-}
-
-// Count executes the query and returns only the result cardinality.
-func (e *Executor) Count(q *Query) (int, error) {
-	res, err := e.Execute(q)
-	if err != nil {
-		return 0, err
-	}
-	return res.NumRows(), nil
 }

@@ -99,7 +99,7 @@ func TestTupleKeysDoNotCollide(t *testing.T) {
 		q    *Query
 		rows int
 	}{"DISTINCT": {distinct, 4}, "GROUP BY": {grouped, 4}, "INTERSECT": {intersected, 1}} {
-		res, err := NewExecutor(db).Execute(tc.q)
+		res, err := NewExecutor(db).ExecuteCtx(context.Background(), tc.q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestTupleKeysDoNotCollide(t *testing.T) {
 			t.Fatalf("%s: the reference returns %d rows, want %d", name, len(want), tc.rows)
 		}
 	}
-	res, err := NewExecutor(db).Execute(&Query{From: []string{"t"}, Select: sel})
+	res, err := NewExecutor(db).ExecuteCtx(context.Background(), &Query{From: []string{"t"}, Select: sel})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -33,8 +34,8 @@ func FuzzExecutePlan(f *testing.F) {
 		if err != nil {
 			return
 		}
-		fresh, err := engine.NewExecutor(db).Execute(q)
-		pooled, perr := sys.Execute(q)
+		fresh, err := engine.NewExecutor(db).ExecuteCtx(context.Background(), q)
+		pooled, perr := sys.ExecuteContext(context.Background(), q)
 		if (err == nil) != (perr == nil) {
 			t.Fatalf("a fresh pool answers error %v, the αDB's pool %v", err, perr)
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sort"
@@ -259,7 +260,7 @@ func TestExecuteReversedRange(t *testing.T) {
 		},
 		Select: []ColRef{{Rel: "measures", Col: "id"}},
 	}
-	res, err := NewExecutor(db).Execute(q)
+	res, err := NewExecutor(db).ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +322,7 @@ func TestExecutePushdownJoin(t *testing.T) {
 		Select:   []ColRef{{Rel: "items", Col: "id"}},
 		Distinct: true,
 	}
-	res, err := NewExecutor(db).Execute(q)
+	res, err := NewExecutor(db).ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +354,7 @@ func TestExecutorSharedPoolConcurrent(t *testing.T) {
 		Preds:  []Pred{{Rel: "items", Col: "cat", Op: OpEq, Val: relation.StringVal("beta")}},
 		Select: []ColRef{{Rel: "items", Col: "id"}},
 	}
-	want, err := e.Execute(q)
+	want, err := e.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +364,7 @@ func TestExecutorSharedPoolConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				res, err := e.Execute(q)
+				res, err := e.ExecuteCtx(context.Background(), q)
 				if err != nil {
 					t.Errorf("execute: %v", err)
 					return

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -85,7 +86,7 @@ func TestAggregationMatchesManualCount(t *testing.T) {
 			GroupBy:       []ColRef{{"e", "id"}},
 			HavingCountGE: threshold,
 		}
-		res, err := NewExecutor(db).Execute(q)
+		res, err := NewExecutor(db).ExecuteCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -85,7 +86,7 @@ func TestThreeWayJoinMatchesReference(t *testing.T) {
 			Preds:  preds,
 			Select: []ColRef{{Rel: "e", Col: "v"}, {Rel: "d", Col: "v"}},
 		}
-		res, err := NewExecutor(db).Execute(q)
+		res, err := NewExecutor(db).ExecuteCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -128,7 +129,7 @@ func TestGroupByHavingOnStarJoin(t *testing.T) {
 			GroupBy:       []ColRef{{Rel: "e", Col: "id"}},
 			HavingCountGE: threshold,
 		}
-		res, err := NewExecutor(db).Execute(q)
+		res, err := NewExecutor(db).ExecuteCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"squid/internal/adb"
 	"squid/internal/benchqueries"
+	"squid/internal/disambig"
 	"squid/internal/metrics"
 )
 
@@ -24,7 +26,7 @@ type AblationRow struct {
 // direction). Queries whose intent lives behind a two-fact-table path
 // (funny actors: person→castinfo→movie→movietogenre→genre) collapse at
 // depth 1; shallow intents are unaffected.
-func (s *Suite) AblationDepth() []AblationRow {
+func (s *Suite) AblationDepth(ctx context.Context) []AblationRow {
 	g, _ := s.IMDb()
 	var rows []AblationRow
 	n := 10
@@ -47,7 +49,7 @@ func (s *Suite) AblationDepth() []AblationRow {
 		for run := 0; run < s.Scale.Runs; run++ {
 			rng := s.sampler("abl-depth", run)
 			examples := metrics.Sample(rng, comedianNames, n)
-			d := runSQuID(alpha, examples, params)
+			d := runSQuID(ctx, alpha, examples, params, disambig.Resolve)
 			fs = append(fs, scoreAgainst(d, comedianNames).FScore)
 		}
 		rows = append(rows, AblationRow{
@@ -64,7 +66,7 @@ func (s *Suite) AblationDepth() []AblationRow {
 // disjunctive categorical filters (footnote 7): an intent spanning two
 // genres (Horror OR Mystery movies) is only expressible with the
 // extension.
-func (s *Suite) AblationDisjunction() []AblationRow {
+func (s *Suite) AblationDisjunction(ctx context.Context) []AblationRow {
 	g, alpha := s.IMDb()
 	// Intent: movies whose certificate is G or PG (a two-value
 	// disjunction over a direct attribute).
@@ -86,7 +88,7 @@ func (s *Suite) AblationDisjunction() []AblationRow {
 		for run := 0; run < s.Scale.Runs; run++ {
 			rng := s.sampler("abl-disj", run)
 			examples := metrics.Sample(rng, truth, n)
-			d := runSQuID(alpha, examples, params)
+			d := runSQuID(ctx, alpha, examples, params, disambig.Resolve)
 			fs = append(fs, scoreAgainst(d, truth).FScore)
 		}
 		rows = append(rows, AblationRow{
@@ -101,7 +103,7 @@ func (s *Suite) AblationDisjunction() []AblationRow {
 
 // AblationNormalization compares absolute vs normalized association
 // strength on the funny-actors case study (the Fig 13(a) tuning).
-func (s *Suite) AblationNormalization() []AblationRow {
+func (s *Suite) AblationNormalization(ctx context.Context) []AblationRow {
 	imdb, alpha := s.IMDb()
 	cs := benchqueries.FunnyActors(imdb, s.Scale.Seed)
 	var rows []AblationRow
@@ -116,7 +118,7 @@ func (s *Suite) AblationNormalization() []AblationRow {
 		for run := 0; run < s.Scale.Runs; run++ {
 			rng := s.sampler("abl-norm", run)
 			examples := metrics.Sample(rng, cs.List, n)
-			d := runSQuID(alpha, examples, params)
+			d := runSQuID(ctx, alpha, examples, params, disambig.Resolve)
 			if d.Err != nil || d.Result == nil {
 				fs = append(fs, 0)
 				continue
@@ -135,11 +137,11 @@ func (s *Suite) AblationNormalization() []AblationRow {
 }
 
 // Ablations runs all ablation studies.
-func (s *Suite) Ablations() []AblationRow {
+func (s *Suite) Ablations(ctx context.Context) []AblationRow {
 	var rows []AblationRow
-	rows = append(rows, s.AblationDepth()...)
-	rows = append(rows, s.AblationDisjunction()...)
-	rows = append(rows, s.AblationNormalization()...)
+	rows = append(rows, s.AblationDepth(ctx)...)
+	rows = append(rows, s.AblationDisjunction(ctx)...)
+	rows = append(rows, s.AblationNormalization(ctx)...)
 	return rows
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -10,7 +11,7 @@ import (
 var testSuite = NewSuite(TestScale())
 
 func TestFig9a(t *testing.T) {
-	rows := testSuite.Fig9a()
+	rows := testSuite.Fig9a(context.Background())
 	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -32,7 +33,7 @@ func TestFig9a(t *testing.T) {
 }
 
 func TestFig10AccuracyImproves(t *testing.T) {
-	rows := testSuite.Fig10()
+	rows := testSuite.Fig10(context.Background())
 	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -66,7 +67,7 @@ func mean(xs []float64) float64 {
 }
 
 func TestFig11(t *testing.T) {
-	rows := testSuite.Fig11()
+	rows := testSuite.Fig11(context.Background())
 	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -78,7 +79,7 @@ func TestFig11(t *testing.T) {
 }
 
 func TestFig12DisambiguationHelps(t *testing.T) {
-	rows := testSuite.Fig12()
+	rows := testSuite.Fig12(context.Background())
 	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -99,7 +100,7 @@ func TestFig12DisambiguationHelps(t *testing.T) {
 }
 
 func TestFig13CaseStudies(t *testing.T) {
-	rows := testSuite.Fig13()
+	rows := testSuite.Fig13(context.Background())
 	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -126,7 +127,7 @@ func TestFig13CaseStudies(t *testing.T) {
 }
 
 func TestFig14AdultQRE(t *testing.T) {
-	rows := testSuite.Fig14()
+	rows := testSuite.Fig14(context.Background())
 	if len(rows) != 20 {
 		t.Fatalf("rows=%d want 20", len(rows))
 	}
@@ -168,7 +169,7 @@ func TestFig16b(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scaling experiment")
 	}
-	rows := testSuite.Fig16b()
+	rows := testSuite.Fig16b(context.Background())
 	if len(rows) != 4 {
 		t.Fatalf("rows=%d", len(rows))
 	}
@@ -196,7 +197,7 @@ func TestFig18StatsAndTables(t *testing.T) {
 		t.Errorf("variant sizes wrong: base=%d bs=%d bd=%d", base.DBBytes, bs.DBBytes, bd.DBBytes)
 	}
 
-	for _, tbl := range []BenchmarkTable{testSuite.Fig19(), testSuite.Fig20(), testSuite.Fig22()} {
+	for _, tbl := range []BenchmarkTable{testSuite.Fig19(context.Background()), testSuite.Fig20(context.Background()), testSuite.Fig22(context.Background())} {
 		if len(tbl.Rows) == 0 {
 			t.Errorf("%s: empty table", tbl.Dataset)
 		}
@@ -212,11 +213,11 @@ func TestSweepsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parameter sweeps")
 	}
-	f25 := testSuite.Fig25()
+	f25 := testSuite.Fig25(context.Background())
 	if len(f25) == 0 {
 		t.Fatal("tauA sweep empty")
 	}
-	f26 := testSuite.Fig26()
+	f26 := testSuite.Fig26(context.Background())
 	if len(f26) == 0 {
 		t.Fatal("tauS sweep empty")
 	}
@@ -235,7 +236,7 @@ func TestAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation studies")
 	}
-	rows := testSuite.Ablations()
+	rows := testSuite.Ablations(context.Background())
 	if len(rows) != 6 {
 		t.Fatalf("ablation rows=%d want 6", len(rows))
 	}

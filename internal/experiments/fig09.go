@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"squid/internal/adb"
 	"squid/internal/benchqueries"
 	"squid/internal/datagen"
+	"squid/internal/disambig"
 	"squid/internal/metrics"
 )
 
@@ -22,18 +24,18 @@ type Fig9aRow struct {
 // Fig9a measures average query discovery time against the number of
 // examples on the IMDb and DBLP datasets, averaged over the benchmark
 // queries — the paper's finding is linear growth in |E|.
-func (s *Suite) Fig9a() []Fig9aRow {
+func (s *Suite) Fig9a(ctx context.Context) []Fig9aRow {
 	var rows []Fig9aRow
 	imdb, imdbAlpha := s.IMDb()
-	rows = append(rows, s.timeCurve("IMDb", imdbAlpha, benchTruths(imdb.DB, benchqueries.IMDbBenchmarks(imdb)))...)
+	rows = append(rows, s.timeCurve(ctx, "IMDb", imdbAlpha, benchTruths(imdb.DB, benchqueries.IMDbBenchmarks(imdb)))...)
 	dblp, dblpAlpha := s.DBLP()
-	rows = append(rows, s.timeCurve("DBLP", dblpAlpha, benchTruths(dblp.DB, benchqueries.DBLPBenchmarks(dblp)))...)
+	rows = append(rows, s.timeCurve(ctx, "DBLP", dblpAlpha, benchTruths(dblp.DB, benchqueries.DBLPBenchmarks(dblp)))...)
 	return rows
 }
 
 // timeCurve averages discovery time over benchmarks and runs for each
 // example-set size.
-func (s *Suite) timeCurve(dataset string, alpha *adb.AlphaDB, bts []benchTruth) []Fig9aRow {
+func (s *Suite) timeCurve(ctx context.Context, dataset string, alpha *adb.AlphaDB, bts []benchTruth) []Fig9aRow {
 	var rows []Fig9aRow
 	params := defaultParams()
 	for _, n := range s.Scale.ExampleSizes {
@@ -45,7 +47,7 @@ func (s *Suite) timeCurve(dataset string, alpha *adb.AlphaDB, bts []benchTruth) 
 			for run := 0; run < s.Scale.Runs; run++ {
 				rng := s.sampler(dataset+bt.Bench.ID, run)
 				examples := metrics.Sample(rng, bt.Truth, n)
-				d := runSQuID(alpha, examples, params)
+				d := runSQuID(ctx, alpha, examples, params, disambig.Resolve)
 				times = append(times, float64(d.Time))
 			}
 		}
@@ -81,7 +83,7 @@ type Fig9bRow struct {
 // dataset size (logarithmically, thanks to index point lookups), and
 // bd-IMDb is slower than bs-IMDb because denser associations produce
 // more derived properties.
-func (s *Suite) Fig9b() []Fig9bRow {
+func (s *Suite) Fig9b(ctx context.Context) []Fig9bRow {
 	base, _ := s.IMDb()
 
 	smCfg := s.Scale.IMDb
@@ -105,7 +107,7 @@ func (s *Suite) Fig9b() []Fig9bRow {
 		alpha := mustBuild(v.db)
 		bench := benchqueries.IMDbBenchmarks(v.gen)
 		bts := benchTruths(v.db, bench)
-		for _, point := range s.timeCurve(v.name, alpha, bts) {
+		for _, point := range s.timeCurve(ctx, v.name, alpha, bts) {
 			rows = append(rows, Fig9bRow{
 				Variant:     v.name,
 				DBRows:      v.db.TotalRows(),

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"squid/internal/benchqueries"
+	"squid/internal/disambig"
 	"squid/internal/metrics"
 )
 
@@ -23,16 +25,16 @@ type Fig10Row struct {
 // Fig10 measures precision, recall, and f-score against the number of
 // examples for every IMDb and DBLP benchmark query, sampling examples
 // from the ground-truth output (10 runs in the paper; Scale.Runs here).
-func (s *Suite) Fig10() []Fig10Row {
+func (s *Suite) Fig10(ctx context.Context) []Fig10Row {
 	var rows []Fig10Row
 	imdb, imdbAlpha := s.IMDb()
-	rows = append(rows, s.accuracyCurves("IMDb", imdbAlpha, benchTruths(imdb.DB, benchqueries.IMDbBenchmarks(imdb)))...)
+	rows = append(rows, s.accuracyCurves(ctx, "IMDb", imdbAlpha, benchTruths(imdb.DB, benchqueries.IMDbBenchmarks(imdb)))...)
 	dblp, dblpAlpha := s.DBLP()
-	rows = append(rows, s.accuracyCurves("DBLP", dblpAlpha, benchTruths(dblp.DB, benchqueries.DBLPBenchmarks(dblp)))...)
+	rows = append(rows, s.accuracyCurves(ctx, "DBLP", dblpAlpha, benchTruths(dblp.DB, benchqueries.DBLPBenchmarks(dblp)))...)
 	return rows
 }
 
-func (s *Suite) accuracyCurves(dataset string, alpha *alphaDB, bts []benchTruth) []Fig10Row {
+func (s *Suite) accuracyCurves(ctx context.Context, dataset string, alpha *alphaDB, bts []benchTruth) []Fig10Row {
 	var rows []Fig10Row
 	params := defaultParams()
 	for _, bt := range bts {
@@ -44,7 +46,7 @@ func (s *Suite) accuracyCurves(dataset string, alpha *alphaDB, bts []benchTruth)
 			for run := 0; run < s.Scale.Runs; run++ {
 				rng := s.sampler("fig10"+dataset+bt.Bench.ID, run)
 				examples := metrics.Sample(rng, bt.Truth, n)
-				d := runSQuID(alpha, examples, params)
+				d := runSQuID(ctx, alpha, examples, params, disambig.Resolve)
 				prfs = append(prfs, scoreAgainst(d, bt.Truth))
 			}
 			rows = append(rows, Fig10Row{

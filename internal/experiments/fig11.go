@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
 
 	"squid/internal/benchqueries"
+	"squid/internal/disambig"
 	"squid/internal/engine"
 	"squid/internal/metrics"
 	"squid/internal/sqlgen"
@@ -25,16 +27,16 @@ type Fig11Row struct {
 // combined αDB database) and compares runtimes — the paper's finding is
 // that abduced queries are rarely slower, often faster thanks to the
 // precomputed derived relations.
-func (s *Suite) Fig11() []Fig11Row {
+func (s *Suite) Fig11(ctx context.Context) []Fig11Row {
 	var rows []Fig11Row
 	imdb, imdbAlpha := s.IMDb()
-	rows = append(rows, s.runtimeRows("IMDb", imdb.DB, imdbAlpha, benchqueries.IMDbBenchmarks(imdb))...)
+	rows = append(rows, s.runtimeRows(ctx, "IMDb", imdb.DB, imdbAlpha, benchqueries.IMDbBenchmarks(imdb))...)
 	dblp, dblpAlpha := s.DBLP()
-	rows = append(rows, s.runtimeRows("DBLP", dblp.DB, dblpAlpha, benchqueries.DBLPBenchmarks(dblp))...)
+	rows = append(rows, s.runtimeRows(ctx, "DBLP", dblp.DB, dblpAlpha, benchqueries.DBLPBenchmarks(dblp))...)
 	return rows
 }
 
-func (s *Suite) runtimeRows(dataset string, db *relationDatabase, alpha *alphaDB, bench []benchqueries.Benchmark) []Fig11Row {
+func (s *Suite) runtimeRows(ctx context.Context, dataset string, db *relationDatabase, alpha *alphaDB, bench []benchqueries.Benchmark) []Fig11Row {
 	var rows []Fig11Row
 	params := defaultParams()
 	combined := alpha.CombinedDB()
@@ -47,14 +49,14 @@ func (s *Suite) runtimeRows(dataset string, db *relationDatabase, alpha *alphaDB
 		}
 		rng := s.sampler("fig11"+dataset+bt.Bench.ID, 0)
 		examples := metrics.Sample(rng, bt.Truth, n)
-		d := runSQuID(alpha, examples, params)
+		d := runSQuID(ctx, alpha, examples, params, disambig.Resolve)
 		if d.Err != nil || d.Result == nil {
 			continue
 		}
 		plan := sqlgen.ToEngineQuery(d.Result)
 
-		actual := timeQuery(origExec, bt.Bench.Query)
-		abduced := timeQuery(combExec, plan)
+		actual := timeQuery(ctx, origExec, bt.Bench.Query)
+		abduced := timeQuery(ctx, combExec, plan)
 		if actual < 0 || abduced < 0 {
 			continue
 		}
@@ -70,11 +72,11 @@ func (s *Suite) runtimeRows(dataset string, db *relationDatabase, alpha *alphaDB
 
 // timeQuery executes the plan a few times and returns the best wall
 // time (-1 on error).
-func timeQuery(exec *engine.Executor, q *engine.Query) time.Duration {
+func timeQuery(ctx context.Context, exec *engine.Executor, q *engine.Query) time.Duration {
 	best := time.Duration(-1)
 	for i := 0; i < 3; i++ {
 		start := time.Now()
-		if _, err := exec.Execute(q); err != nil {
+		if _, err := exec.ExecuteCtx(ctx, q); err != nil {
 			return -1
 		}
 		if t := time.Since(start); best < 0 || t < best {

@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
 	"sort"
 
-	"squid/internal/abduction"
+	"squid/internal/disambig"
 	"squid/internal/metrics"
 )
 
@@ -26,7 +27,7 @@ type Fig12Row struct {
 // films of which only one is a 2000s Sci-Fi. Examples are drawn to
 // include ambiguous values; the paper's finding — disambiguation never
 // hurts and can significantly improve accuracy — reproduces here.
-func (s *Suite) Fig12() []Fig12Row {
+func (s *Suite) Fig12(ctx context.Context) []Fig12Row {
 	imdb, alpha := s.IMDb()
 	var rows []Fig12Row
 
@@ -38,7 +39,7 @@ func (s *Suite) Fig12() []Fig12Row {
 	}
 	sort.Strings(comedianNames)
 	ambiguous := append([]string(nil), imdb.AmbiguousNames...)
-	rows = append(rows, s.disambiguationCurve("funny-actors", comedianNames, ambiguous, comedianNames, alpha)...)
+	rows = append(rows, s.disambiguationCurve(ctx, "funny-actors", comedianNames, ambiguous, comedianNames, alpha)...)
 
 	// Intent 2: 2000s Sci-Fi movies (ambiguous title).
 	movie := imdb.DB.Relation("movie")
@@ -52,14 +53,14 @@ func (s *Suite) Fig12() []Fig12Row {
 		}
 	}
 	sort.Strings(scifiTitles)
-	rows = append(rows, s.disambiguationCurve("scifi-2000s", scifiTitles, []string{imdb.AmbiguousTitle}, scifiTitles, alpha)...)
+	rows = append(rows, s.disambiguationCurve(ctx, "scifi-2000s", scifiTitles, []string{imdb.AmbiguousTitle}, scifiTitles, alpha)...)
 
 	return rows
 }
 
 // disambiguationCurve samples example sets that always include some
 // ambiguous values and scores discovery with and without the resolver.
-func (s *Suite) disambiguationCurve(intent string, pool, ambiguous, truth []string, alpha *alphaDB) []Fig12Row {
+func (s *Suite) disambiguationCurve(ctx context.Context, intent string, pool, ambiguous, truth []string, alpha *alphaDB) []Fig12Row {
 	var rows []Fig12Row
 	params := defaultParams()
 	params.NormalizeAssociation = intent == "funny-actors"
@@ -72,11 +73,10 @@ func (s *Suite) disambiguationCurve(intent string, pool, ambiguous, truth []stri
 			rng := s.sampler("fig12"+intent, run)
 			examples := sampleWithAmbiguous(rng, pool, ambiguous, n)
 
-			d := runSQuID(alpha, examples, params)
+			d := runSQuID(ctx, alpha, examples, params, disambig.Resolve)
 			with = append(with, scoreAgainst(d, truth).FScore)
 
-			startNoDA := abduction.Resolver(nil)
-			dNo := runSQuIDWithResolver(alpha, examples, params, startNoDA)
+			dNo := runSQuID(ctx, alpha, examples, params, nil)
 			without = append(without, scoreAgainst(dNo, truth).FScore)
 		}
 		rows = append(rows, Fig12Row{
@@ -115,16 +115,6 @@ func sampleWithAmbiguous(rng *rand.Rand, pool, ambiguous []string, n int) []stri
 	out := append(forced, metrics.Sample(rng, rest, n-len(forced))...)
 	sort.Strings(out)
 	return out
-}
-
-// runSQuIDWithResolver is runSQuID with an explicit resolver (nil =
-// first-match, the "w/o DA" configuration).
-func runSQuIDWithResolver(alpha *alphaDB, examples []string, params abductionParams, r abduction.Resolver) Discovery {
-	results, err := abduction.Discover(alpha.Snapshot(), examples, params, r)
-	if err != nil {
-		return Discovery{Err: err}
-	}
-	return Discovery{Result: results[0]}
 }
 
 // printFig12 renders the Fig 12 comparison.

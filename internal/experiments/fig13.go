@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"squid/internal/benchqueries"
+	"squid/internal/disambig"
 	"squid/internal/metrics"
 )
 
@@ -23,7 +25,7 @@ type Fig13Row struct {
 // reproduces: precision stays low (lists are biased, the data contains
 // matching entities absent from the list), while recall rises quickly
 // as the abduced query converges to the intent.
-func (s *Suite) Fig13() []Fig13Row {
+func (s *Suite) Fig13(ctx context.Context) []Fig13Row {
 	var rows []Fig13Row
 	imdb, imdbAlpha := s.IMDb()
 	dblp, dblpAlpha := s.DBLP()
@@ -47,7 +49,7 @@ func (s *Suite) Fig13() []Fig13Row {
 			for run := 0; run < s.Scale.Runs; run++ {
 				rng := s.sampler("fig13"+st.cs.ID, run)
 				examples := metrics.Sample(rng, st.cs.List, n)
-				d := runSQuID(st.alpha, examples, params)
+				d := runSQuID(ctx, st.alpha, examples, params, disambig.Resolve)
 				if d.Err != nil || d.Result == nil {
 					prfs = append(prfs, metrics.PRF{})
 					continue

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"squid/internal/adb"
 	"squid/internal/baselines/talos"
 	"squid/internal/benchqueries"
+	"squid/internal/disambig"
 	"squid/internal/metrics"
 	"squid/internal/sqlgen"
 )
@@ -37,30 +39,30 @@ type QRERow struct {
 // output of each of the 20 benchmark queries; the paper's findings are
 // perfect f-scores for both, far fewer predicates for SQuID, and a
 // runtime crossover against input cardinality.
-func (s *Suite) Fig14() []QRERow {
+func (s *Suite) Fig14(ctx context.Context) []QRERow {
 	g, alpha := s.Adult()
-	bench := benchqueries.AdultBenchmarks(g, s.Scale.Seed)
-	rows := s.qreRows("Adult", g.DB, alpha, "adult", "name", bench)
+	bench := benchqueries.AdultBenchmarks(ctx, g, s.Scale.Seed)
+	rows := s.qreRows(ctx, "Adult", g.DB, alpha, "adult", "name", bench)
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Cardinality < rows[j].Cardinality })
 	return rows
 }
 
 // Fig15a runs the IMDb QRE comparison (16 benchmarks).
-func (s *Suite) Fig15a() []QRERow {
+func (s *Suite) Fig15a(ctx context.Context) []QRERow {
 	g, alpha := s.IMDb()
-	return s.qreRows("IMDb", g.DB, alpha, "", "", benchqueries.IMDbBenchmarks(g))
+	return s.qreRows(ctx, "IMDb", g.DB, alpha, "", "", benchqueries.IMDbBenchmarks(g))
 }
 
 // Fig15b runs the DBLP QRE comparison (5 benchmarks).
-func (s *Suite) Fig15b() []QRERow {
+func (s *Suite) Fig15b(ctx context.Context) []QRERow {
 	g, alpha := s.DBLP()
-	return s.qreRows("DBLP", g.DB, alpha, "", "", benchqueries.DBLPBenchmarks(g))
+	return s.qreRows(ctx, "DBLP", g.DB, alpha, "", "", benchqueries.DBLPBenchmarks(g))
 }
 
 // qreRows executes the closed-world comparison. When entityOverride is
 // empty, the TALOS entity/attribute are inferred from the benchmark's
 // projection (its Select column).
-func (s *Suite) qreRows(dataset string, db *relationDatabase, alpha *adb.AlphaDB, entityOverride, attrOverride string, bench []benchqueries.Benchmark) []QRERow {
+func (s *Suite) qreRows(ctx context.Context, dataset string, db *relationDatabase, alpha *adb.AlphaDB, entityOverride, attrOverride string, bench []benchqueries.Benchmark) []QRERow {
 	var rows []QRERow
 	for _, bt := range benchTruths(db, bench) {
 		entity, attr := entityOverride, attrOverride
@@ -71,7 +73,7 @@ func (s *Suite) qreRows(dataset string, db *relationDatabase, alpha *adb.AlphaDB
 		info := alpha.Entity(entity)
 
 		// SQuID in QRE mode: the full output is the example set.
-		d := runSQuID(alpha, bt.Truth, abduction.QREParams())
+		d := runSQuID(ctx, alpha, bt.Truth, abduction.QREParams(), disambig.Resolve)
 		row := QRERow{
 			Dataset:     dataset,
 			QueryID:     bt.Bench.ID,

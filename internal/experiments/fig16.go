@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"squid/internal/baselines/pulearn"
 	"squid/internal/benchqueries"
 	"squid/internal/datagen"
+	"squid/internal/disambig"
 	"squid/internal/metrics"
 )
 
@@ -26,13 +28,13 @@ type Fig16aRow struct {
 // PU-learning needs a large fraction (>70% in the paper) of the query
 // output as labeled examples to approach SQuID, which stays robust even
 // with few examples.
-func (s *Suite) Fig16a() []Fig16aRow {
+func (s *Suite) Fig16a(ctx context.Context) []Fig16aRow {
 	g, alpha := s.Adult()
 	info := alpha.Entity("adult")
 	X, feats := pulearn.Featurize(info)
 	nameCol := info.Rel().Column("name")
 
-	bench := benchqueries.AdultBenchmarks(g, s.Scale.Seed)
+	bench := benchqueries.AdultBenchmarks(ctx, g, s.Scale.Seed)
 	bts := benchTruths(g.DB, bench)
 
 	fractions := []float64{0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1.0}
@@ -55,7 +57,7 @@ func (s *Suite) Fig16a() []Fig16aRow {
 			}
 
 			// SQuID with the same examples.
-			d := runSQuID(alpha, labeledVals, abduction.DefaultParams())
+			d := runSQuID(ctx, alpha, labeledVals, abduction.DefaultParams(), disambig.Resolve)
 			squid = append(squid, scoreAgainst(d, bt.Truth))
 
 			// PU-learning, both estimators.
@@ -123,7 +125,7 @@ type Fig16bRow struct {
 // linearly with the data, while SQuID's abduction time stays largely
 // flat because it consults the αDB's compressed statistics rather than
 // the unlabeled data.
-func (s *Suite) Fig16b() []Fig16bRow {
+func (s *Suite) Fig16b(ctx context.Context) []Fig16bRow {
 	var rows []Fig16bRow
 	for _, sf := range []int{1, 4, 7, 10} {
 		cfg := s.Scale.Adult
@@ -137,7 +139,7 @@ func (s *Suite) Fig16b() []Fig16bRow {
 		X, feats := pulearn.Featurize(info)
 		nameCol := info.Rel().Column("name")
 
-		bench := benchqueries.AdultBenchmarks(g, s.Scale.Seed)
+		bench := benchqueries.AdultBenchmarks(ctx, g, s.Scale.Seed)
 		bts := benchTruths(g.DB, bench)
 		if len(bts) > 5 {
 			bts = bts[:5]
@@ -159,7 +161,7 @@ func (s *Suite) Fig16b() []Fig16bRow {
 				labeledVals = append(labeledVals, nameCol.Str(posRows[i]))
 			}
 
-			d := runSQuID(alpha, labeledVals, abduction.DefaultParams())
+			d := runSQuID(ctx, alpha, labeledVals, abduction.DefaultParams(), disambig.Resolve)
 			squidTimes = append(squidTimes, float64(d.Time))
 
 			res := pulearn.Learn(X, feats, labeled, pulearn.DefaultConfig(pulearn.DecisionTree))

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -62,27 +63,27 @@ type BenchmarkTableRow struct {
 }
 
 // Fig19 builds the IMDb benchmark inventory.
-func (s *Suite) Fig19() BenchmarkTable {
+func (s *Suite) Fig19(ctx context.Context) BenchmarkTable {
 	g, _ := s.IMDb()
-	return buildTable("IMDb (Fig 19)", g.DB, benchqueries.IMDbBenchmarks(g))
+	return buildTable(ctx, "IMDb (Fig 19)", g.DB, benchqueries.IMDbBenchmarks(g))
 }
 
 // Fig20 builds the DBLP benchmark inventory.
-func (s *Suite) Fig20() BenchmarkTable {
+func (s *Suite) Fig20(ctx context.Context) BenchmarkTable {
 	g, _ := s.DBLP()
-	return buildTable("DBLP (Fig 20)", g.DB, benchqueries.DBLPBenchmarks(g))
+	return buildTable(ctx, "DBLP (Fig 20)", g.DB, benchqueries.DBLPBenchmarks(g))
 }
 
 // Fig22 builds the Adult benchmark inventory.
-func (s *Suite) Fig22() BenchmarkTable {
+func (s *Suite) Fig22(ctx context.Context) BenchmarkTable {
 	g, _ := s.Adult()
-	return buildTable("Adult (Fig 22)", g.DB, benchqueries.AdultBenchmarks(g, s.Scale.Seed))
+	return buildTable(ctx, "Adult (Fig 22)", g.DB, benchqueries.AdultBenchmarks(ctx, g, s.Scale.Seed))
 }
 
-func buildTable(name string, db *relationDatabase, bench []benchqueries.Benchmark) BenchmarkTable {
+func buildTable(ctx context.Context, name string, db *relationDatabase, bench []benchqueries.Benchmark) BenchmarkTable {
 	t := BenchmarkTable{Dataset: name}
 	for _, b := range bench {
-		card, err := benchqueries.Cardinality(db, b)
+		card, err := benchqueries.Cardinality(ctx, db, b)
 		if err != nil {
 			card = -1
 		}

@@ -11,6 +11,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -19,7 +20,6 @@ import (
 	"squid/internal/adb"
 	"squid/internal/benchqueries"
 	"squid/internal/datagen"
-	"squid/internal/disambig"
 	"squid/internal/metrics"
 	"squid/internal/relation"
 )
@@ -122,11 +122,13 @@ type Discovery struct {
 }
 
 // runSQuID executes the full online pipeline (entity lookup,
-// disambiguation, context discovery, abduction) on example strings and
-// measures its wall time — the "query discovery time" of §7.1.
-func runSQuID(alpha *adb.AlphaDB, examples []string, params abduction.Params) Discovery {
+// disambiguation with r — nil takes the first match, the "w/o DA"
+// configuration of Fig 12 — context discovery, abduction) on example
+// strings and measures its wall time — the "query discovery time" of
+// §7.1.
+func runSQuID(ctx context.Context, alpha *adb.AlphaDB, examples []string, params abduction.Params, r abduction.Resolver) Discovery {
 	start := time.Now()
-	results, err := abduction.Discover(alpha.Snapshot(), examples, params, disambig.Resolve)
+	results, err := abduction.DiscoverCtx(ctx, alpha.Snapshot(), examples, params, r)
 	elapsed := time.Since(start)
 	if err != nil {
 		return Discovery{Err: err, Time: elapsed}

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"squid/internal/abduction"
 	"squid/internal/benchqueries"
+	"squid/internal/disambig"
 	"squid/internal/metrics"
 )
 
@@ -38,7 +40,7 @@ func (s *Suite) sweepTruths(ids ...string) []benchTruth {
 }
 
 // runSweep scores one parameter configuration across queries and sizes.
-func (s *Suite) runSweep(param, setting string, bts []benchTruth, params abduction.Params) []SweepRow {
+func (s *Suite) runSweep(ctx context.Context, param, setting string, bts []benchTruth, params abduction.Params) []SweepRow {
 	_, alpha := s.IMDb()
 	var rows []SweepRow
 	for _, bt := range bts {
@@ -50,7 +52,7 @@ func (s *Suite) runSweep(param, setting string, bts []benchTruth, params abducti
 			for run := 0; run < s.Scale.Runs; run++ {
 				rng := s.sampler("sweep"+param+setting+bt.Bench.ID, run)
 				examples := metrics.Sample(rng, bt.Truth, n)
-				d := runSQuID(alpha, examples, params)
+				d := runSQuID(ctx, alpha, examples, params, disambig.Resolve)
 				fs = append(fs, scoreAgainst(d, bt.Truth).FScore)
 			}
 			rows = append(rows, SweepRow{
@@ -68,25 +70,25 @@ func (s *Suite) runSweep(param, setting string, bts []benchTruth, params abducti
 // Fig23 sweeps the base filter prior ρ ∈ {0.5, 0.1, 0.01} over IQ2,
 // IQ3, IQ4, IQ11, IQ16 — low ρ favors recall, high ρ precision; the
 // moderate default wins on average (Appendix E).
-func (s *Suite) Fig23() []SweepRow {
+func (s *Suite) Fig23(ctx context.Context) []SweepRow {
 	bts := s.sweepTruths("IQ2", "IQ3", "IQ4", "IQ11", "IQ16")
 	var rows []SweepRow
 	for _, rho := range []float64{0.5, 0.1, 0.01} {
 		p := abduction.DefaultParams()
 		p.Rho = rho
-		rows = append(rows, s.runSweep("rho", fmt.Sprintf("%.2f", rho), bts, p)...)
+		rows = append(rows, s.runSweep(ctx, "rho", fmt.Sprintf("%.2f", rho), bts, p)...)
 	}
 	return rows
 }
 
 // Fig24 sweeps the domain-coverage penalty γ ∈ {10, 5, 2, 0}.
-func (s *Suite) Fig24() []SweepRow {
+func (s *Suite) Fig24(ctx context.Context) []SweepRow {
 	bts := s.sweepTruths("IQ2", "IQ3", "IQ4", "IQ11", "IQ16")
 	var rows []SweepRow
 	for _, gamma := range []float64{10, 5, 2, 0} {
 		p := abduction.DefaultParams()
 		p.Gamma = gamma
-		rows = append(rows, s.runSweep("gamma", fmt.Sprintf("%g", gamma), bts, p)...)
+		rows = append(rows, s.runSweep(ctx, "gamma", fmt.Sprintf("%g", gamma), bts, p)...)
 	}
 	return rows
 }
@@ -94,13 +96,13 @@ func (s *Suite) Fig24() []SweepRow {
 // Fig25 sweeps the association-strength threshold τa ∈ {0, 5} on IQ5:
 // with few examples a high τa drops weakly-associated coincidental
 // filters.
-func (s *Suite) Fig25() []SweepRow {
+func (s *Suite) Fig25(ctx context.Context) []SweepRow {
 	bts := s.sweepTruths("IQ5")
 	var rows []SweepRow
 	for _, tauA := range []int{0, 5} {
 		p := abduction.DefaultParams()
 		p.TauA = tauA
-		rows = append(rows, s.runSweep("tauA", fmt.Sprintf("%d", tauA), bts, p)...)
+		rows = append(rows, s.runSweep(ctx, "tauA", fmt.Sprintf("%d", tauA), bts, p)...)
 	}
 	return rows
 }
@@ -108,7 +110,7 @@ func (s *Suite) Fig25() []SweepRow {
 // Fig26 sweeps the skewness threshold τs ∈ {N/A, 0, 2, 4} on IQ1: the
 // outlier impact λ prunes unintended derived filters (the certificate
 // family in the paper's account).
-func (s *Suite) Fig26() []SweepRow {
+func (s *Suite) Fig26(ctx context.Context) []SweepRow {
 	bts := s.sweepTruths("IQ1")
 	var rows []SweepRow
 	settings := []struct {
@@ -125,7 +127,7 @@ func (s *Suite) Fig26() []SweepRow {
 		p := abduction.DefaultParams()
 		p.TauS = st.tauS
 		p.DisableOutlier = st.disable
-		rows = append(rows, s.runSweep("tauS", st.name, bts, p)...)
+		rows = append(rows, s.runSweep(ctx, "tauS", st.name, bts, p)...)
 	}
 	return rows
 }

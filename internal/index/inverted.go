@@ -108,7 +108,8 @@ func invertRelation(name string, rel *relation.Relation) map[string][]Posting {
 
 // RunBounded executes fn(0..n-1) over a worker pool of the given size
 // (≤ 1 means inline). It is the minimal fan-out primitive shared by the
-// parallel inverted-index build and the αDB's parallel offline phase.
+// parallel inverted-index build, the αDB's parallel offline phase and
+// squid.System.DiscoverBatch.
 func RunBounded(n, workers int, fn func(i int)) {
 	if workers > n {
 		workers = n

@@ -18,10 +18,10 @@ var QzDeadVar = "unused" // want "exported identifier QzDeadVar is used by no ot
 
 // --- negative cases ---
 
-// "Discover" appears throughout the module's test files, so the
+// "DiscoverContext" appears throughout the module's test files, so the
 // TestIdents signal keeps it; QzReachable is exempt because it is
-// structurally reachable from Discover's result type.
-func Discover() *QzReachable { return nil }
+// structurally reachable from DiscoverContext's result type.
+func DiscoverContext() *QzReachable { return nil }
 
 type QzReachable struct{ Hits int }
 

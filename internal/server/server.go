@@ -470,7 +470,7 @@ func (s *Server) handleDiscoverBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	defer s.adm.releaseAndObserve(start)
-	results, errs := s.sys.DiscoverBatchDetailed(ctx, req.Sets)
+	results, errs := s.sys.DiscoverBatch(ctx, req.Sets)
 	wall := time.Since(start)
 	resp := BatchDiscoverResponse{
 		Results: make([]*DiscoverResponse, len(results)),

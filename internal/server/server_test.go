@@ -125,7 +125,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if code := postJSON(t, c, ts.URL+"/v1/discover", DiscoverRequest{Examples: exampleSet, Explain: true}, &disc); code != http.StatusOK {
 		t.Fatalf("discover: status %d", code)
 	}
-	want, err := sys.Discover(exampleSet)
+	want, err := sys.DiscoverContext(context.Background(), exampleSet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rewarmed, err := loaded.Discover(exampleSet)
+	rewarmed, err := loaded.DiscoverContext(context.Background(), exampleSet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -628,7 +628,7 @@ func TestDrainSnapshotCapturesFinalEpoch(t *testing.T) {
 	}
 	// Both acknowledged writes must be answerable from the warm boot:
 	// the new scholar resolves and carries the post-drain interest.
-	disc, err := restored.Discover([]string{"Dan Suciu", "Sam Madden", "Pre Drain"})
+	disc, err := restored.DiscoverContext(context.Background(), []string{"Dan Suciu", "Sam Madden", "Pre Drain"})
 	if err != nil {
 		t.Fatalf("restored discovery: %v", err)
 	}
@@ -893,11 +893,11 @@ func TestServerSnapshotCheckpointsWAL(t *testing.T) {
 	}
 
 	// The rebooted system answers identically to the live one.
-	want, err := sys.Discover(exampleSet)
+	want, err := sys.DiscoverContext(context.Background(), exampleSet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sys2.Discover(exampleSet)
+	got, err := sys2.DiscoverContext(context.Background(), exampleSet)
 	if err != nil {
 		t.Fatalf("discovery after reboot: %v", err)
 	}

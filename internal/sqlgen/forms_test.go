@@ -46,7 +46,7 @@ func discoveryPool(t *testing.T, prepare func(*relation.Database) *relation.Data
 	}{
 		{"imdb", imdb.DB, examplePool(t, imdb.DB, benchqueries.IMDbBenchmarks(imdb))},
 		{"dblp", dblp.DB, examplePool(t, dblp.DB, benchqueries.DBLPBenchmarks(dblp))},
-		{"adult", adult.DB, examplePool(t, adult.DB, benchqueries.AdultBenchmarks(adult, 11))},
+		{"adult", adult.DB, examplePool(t, adult.DB, benchqueries.AdultBenchmarks(context.Background(), adult, 11))},
 		{"academics", academicsDB(), [][]string{{"Dan Suciu", "Sam Madden"}, {"Sam Madden", "Joseph Hellerstein"}}},
 	}
 	disjunctive, normalized := abduction.DefaultParams(), abduction.DefaultParams()

@@ -35,7 +35,7 @@ func executeOriginal(t *testing.T, db *relation.Database, pk, sql string) []int6
 			q.Intersect = append(q.Intersect, b)
 		}
 	}
-	res, err := engine.NewExecutor(view).Execute(q)
+	res, err := engine.NewExecutor(view).ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, sql)
 	}
@@ -315,7 +315,7 @@ func executeWalk(t *testing.T, db *relation.Database, info *adb.EntityInfo, f *a
 	key := engine.ColRef{Rel: info.Relation, Col: info.PK}
 	q := &engine.Query{From: []string{info.Relation}, Select: []engine.ColRef{key}, GroupBy: []engine.ColRef{key}, HavingCountGE: f.Theta}
 	l.place(q, f)
-	got, err := engine.NewExecutor(db).Execute(q)
+	got, err := engine.NewExecutor(db).ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatalf("%s: %v", f, err)
 	}

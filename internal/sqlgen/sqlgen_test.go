@@ -103,7 +103,7 @@ func abduceComedians(t *testing.T, alpha *adb.AlphaDB) *abduction.Result {
 	t.Helper()
 	params := abduction.DefaultParams()
 	params.TauA = 4
-	results, err := abduction.Discover(alpha.Snapshot(), []string{"Eddie Murphy", "Jim Carrey", "Robin Williams"}, params, nil)
+	results, err := abduction.DiscoverCtx(context.Background(), alpha.Snapshot(), []string{"Eddie Murphy", "Jim Carrey", "Robin Williams"}, params, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestEngineQueryMatchesIntersectRows(t *testing.T) {
 
 	q := ToEngineQuery(res)
 	exec := engine.NewExecutor(alpha.CombinedDB())
-	got, err := exec.Execute(q)
+	got, err := exec.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatalf("engine execution failed: %v\nquery: %+v", err, q)
 	}
@@ -261,7 +261,7 @@ func TestSameDerivedRelationTwiceUsesAlias(t *testing.T) {
 		t.Errorf("expected 1 intersect branch, got %d", len(q.Intersect))
 	}
 	// And execution must equal the αDB row-set evaluation.
-	got, err := engine.NewExecutor(alpha.CombinedDB()).Execute(q)
+	got, err := engine.NewExecutor(alpha.CombinedDB()).ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

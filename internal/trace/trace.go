@@ -11,7 +11,7 @@
 //   - Disabled is free. A zero Span (no recorder) is the library
 //     default; every method on it is a nil-check and a return, the
 //     context plumbing stores nothing, and an allocation benchmark
-//     asserts the whole Discover path adds 0 allocs/op without a
+//     asserts the whole DiscoverContext path adds 0 allocs/op without a
 //     recorder.
 //   - Enabled is wait-free. Begin claims a preallocated slot with one
 //     atomic increment; counters are atomic adds; no span operation

@@ -11,7 +11,7 @@ import (
 // TestDisabledSpanIsFree asserts the whole disabled-path API — context
 // miss, Child, Add, End, NewContext on a zero Span — performs zero
 // allocations. This is the package-local half of the contract; the
-// repo-level benchmark asserts the same through the full Discover path.
+// repo-level benchmark asserts the same through the full DiscoverContext path.
 func TestDisabledSpanIsFree(t *testing.T) {
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(1000, func() {

@@ -18,9 +18,10 @@
 //     relations such as persontogenre(person_id, genre_id, count), and
 //     precomputes selectivity statistics and an inverted column index.
 //
-//   - Online, Discover maps examples to entities, derives their semantic
-//     contexts, and runs the linear-time abduction algorithm (Algorithm 1,
-//     optimal per Theorem 1) to select the filters of the intended query.
+//   - Online, DiscoverContext maps examples to entities, derives their
+//     semantic contexts, and runs the linear-time abduction algorithm
+//     (Algorithm 1, optimal per Theorem 1) to select the filters of the
+//     intended query.
 //
 // # Online pipeline architecture
 //
@@ -46,15 +47,14 @@
 //   - Filter row sets intersect as adaptive sparse/dense row sets,
 //     seeded by the most selective filter.
 //   - DiscoverBatch fans independent example sets across a bounded
-//     worker pool over the shared αDB. Writes (InsertEntity,
-//     InsertFact, InsertBatch) are safe to run concurrently with
-//     discovery and are wait-free for readers: the αDB is a chain of
-//     immutable, atomically published epochs — a discovery pins the
-//     current epoch with one pointer load and can never be stalled by
-//     a writer, while writers build the next epoch copy-on-write and
-//     publish it with one pointer swap. Writers into disjoint write
-//     domains proceed in parallel (one lock a domain); no external
-//     coordination is required anywhere.
+//     worker pool over the shared αDB. Writes (InsertBatchContext) are
+//     safe to run concurrently with discovery and are wait-free for
+//     readers: the αDB is a chain of immutable, atomically published
+//     epochs — a discovery pins the current epoch with one pointer load
+//     and can never be stalled by a writer, while writers build the next
+//     epoch copy-on-write and publish it with one pointer swap. Writers
+//     into disjoint write domains proceed in parallel (one lock a
+//     domain); no external coordination is required anywhere.
 //
 // Benchmarks: `go run ./benchmark -workload <name>` is the benchmark of
 // record (BENCHMARK.json is its contract, benchmark/README.md its
@@ -67,7 +67,7 @@
 //	db := squid.NewDatabase("cs_academics")
 //	... // add relations, mark entities/properties
 //	sys, err := squid.Build(db, squid.DefaultBuildConfig())
-//	disc, err := sys.Discover([]string{"Dan Suciu", "Sam Madden"})
+//	disc, err := sys.DiscoverContext(ctx, []string{"Dan Suciu", "Sam Madden"})
 //	fmt.Println(disc.SQL)       // SPJ query over the αDB
 //	fmt.Println(disc.Original)  // equivalent SPJAI query over the schema
 package squid
@@ -77,6 +77,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -87,6 +88,7 @@ import (
 	"squid/internal/adb"
 	"squid/internal/disambig"
 	"squid/internal/engine"
+	"squid/internal/index"
 	"squid/internal/relation"
 	"squid/internal/snapshot"
 	"squid/internal/sqlgen"
@@ -96,7 +98,8 @@ import (
 
 // Typed sentinel errors of the online phase, matched with errors.Is.
 var (
-	// ErrNoExamples reports that Discover was called with no examples.
+	// ErrNoExamples reports that DiscoverContext was called with no
+	// examples.
 	ErrNoExamples = abduction.ErrNoExamples
 	// ErrNoEntities reports that no entity attribute contains every
 	// example value, so no query intent can be abduced.
@@ -185,20 +188,19 @@ type CSVColumn = relation.CSVColumn
 //
 // Discovery and ingest are safe for concurrent use, and readers are
 // wait-free. The αDB behind a System is a chain of immutable epochs
-// published through an atomic pointer: every read surface (Discover,
-// DiscoverContext, DiscoverAll, DiscoverBatch, Execute, Stats, Save)
-// pins the current epoch with one pointer load and runs to completion
-// against that consistent state — no lock, so a writer can never stall
-// a discovery mid-flight and a long discovery never stalls a writer.
-// Writes (InsertEntity, InsertFact, InsertBatch) build the next epoch
-// copy-on-write: they clone only the relations, property statistics,
-// and index shards the batch touches, share everything else
-// structurally with the previous epoch, and publish with one pointer
-// swap. Writers coordinate per relation — inserts into disjoint
-// relations proceed in parallel, and concurrent publishes are combined
-// into one chain — so a discovery in flight when an insert lands
-// answers from the pre-insert epoch (snapshot isolation) and the next
-// one sees the new rows.
+// published through an atomic pointer: every read surface
+// (DiscoverContext, DiscoverBatch, ExecuteContext, Stats, Save) pins the
+// current epoch with one pointer load and runs to completion against
+// that consistent state — no lock, so a writer can never stall a
+// discovery mid-flight and a long discovery never stalls a writer.
+// Writes (InsertBatchContext) build the next epoch copy-on-write: they
+// clone only the relations, property statistics, and index shards the
+// batch touches, share everything else structurally with the previous
+// epoch, and publish with one pointer swap. Writers coordinate per
+// relation — inserts into disjoint relations proceed in parallel, and
+// concurrent publishes are combined into one chain — so a discovery in
+// flight when an insert lands answers from the pre-insert epoch
+// (snapshot isolation) and the next one sees the new rows.
 //
 // Epoch lifecycle and memory: a retired epoch stays reachable only
 // through the readers still pinning it (and through whatever its
@@ -287,8 +289,8 @@ func (s *System) Save(w io.Writer) error {
 // Load restores a System from a snapshot written by Save, rebuilding
 // every index with the constructor Build uses. The restored system is
 // fully operational: discovery answers are identical to the saved
-// system's, and incremental inserts (InsertEntity/InsertFact) maintain
-// it exactly like a freshly built one. The stream is untrusted: damage
+// system's, and incremental inserts (InsertBatchContext) maintain it
+// exactly like a freshly built one. The stream is untrusted: damage
 // returns an error, a version mismatch one matching ErrSnapshotVersion.
 func Load(r io.Reader) (*System, error) {
 	sr := snapshot.NewReader(r)
@@ -321,8 +323,11 @@ func writeParams(w *snapshot.Writer, p Params) {
 	w.Int(p.MaxDisjunction)
 }
 
+// readParams reads what writeParams wrote and rejects what no model
+// holds: one non-finite float or a ρ outside [0, 1] makes every include
+// score meaningless, so each discovery would silently select no filter.
 func readParams(r *snapshot.Reader) Params {
-	return Params{
+	p := Params{
 		Rho:                  r.Float(),
 		Gamma:                r.Float(),
 		Eta:                  r.Float(),
@@ -334,6 +339,18 @@ func readParams(r *snapshot.Reader) Params {
 		TauANorm:             r.Float(),
 		MaxDisjunction:       r.Int(),
 	}
+	for _, f := range []float64{p.Rho, p.Gamma, p.Eta, p.TauS, p.OutlierK, p.TauANorm} {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			r.Fail("non-finite parameter %v", f)
+		}
+	}
+	if p.Rho < 0 || p.Rho > 1 {
+		r.Fail("base prior ρ = %v outside [0, 1]", p.Rho)
+	}
+	if p.TauA < 0 || p.MaxDisjunction < 0 {
+		r.Fail("negative τa %d or MaxDisjunction %d", p.TauA, p.MaxDisjunction)
+	}
+	return p
 }
 
 // SetParams replaces the discovery parameters (see Params). Not
@@ -462,7 +479,7 @@ func (s *System) RecoverWAL(path string, opts wal.Options) (WALRecovery, error) 
 		}
 		// One InsertBatch publishes exactly one epoch, so the replayed
 		// chain reproduces the logged sequence numbers exactly.
-		if err := s.alpha.InsertBatch(ops); err != nil {
+		if err := s.alpha.InsertBatch(ops, trace.Span{}); err != nil {
 			l.Close()
 			return info, fmt.Errorf("squid: wal replay: record seq %d: %w", rec.Seq, err)
 		}
@@ -512,100 +529,68 @@ type Discovery struct {
 	result *abduction.Result
 }
 
-// Discover runs the online phase on the given example values with
-// entity disambiguation enabled (§6.1.1). It returns the highest-scoring
-// discovery across candidate base queries.
-func (s *System) Discover(examples []string) (*Discovery, error) {
-	//lint:ignore ctxpoll non-cancellable convenience wrapper; DiscoverContext is the ctx-threading entry point
-	return s.discoverCtx(context.Background(), examples, disambig.Resolve)
-}
-
-// DiscoverContext is Discover with cooperative cancellation: ctx.Err()
-// is consulted inside the abduction itself — between candidate base
+// DiscoverContext runs the online phase on the given example values
+// with entity disambiguation enabled (§6.1.1) and returns the
+// highest-scoring discovery across candidate base queries. ctx.Err() is
+// consulted inside the abduction itself — between candidate base
 // queries and between candidate-filter evaluations — so canceling the
 // context (or hitting its deadline) makes even one long discovery return
 // promptly. The returned error wraps ctx's error and matches it with
 // errors.Is. Writers are never blocked behind abandoned work — readers
 // hold no lock at all.
 func (s *System) DiscoverContext(ctx context.Context, examples []string) (*Discovery, error) {
-	return s.discoverCtx(ctx, examples, disambig.Resolve)
-}
-
-// DiscoverAll returns every candidate discovery (one per base query the
-// examples structurally match), ranked by posterior score. The first
-// element equals Discover's result.
-func (s *System) DiscoverAll(examples []string) ([]*Discovery, error) {
-	// Pin one epoch across discovery and result materialization:
-	// writers publish past it without ever stalling this reader.
-	results, err := abduction.Discover(s.alpha.Snapshot(), examples, s.params, disambig.Resolve)
+	// Pin one epoch across discovery and result materialization (the
+	// output values and the SQL text read relation columns): the whole
+	// read path — example resolution, statistics, output rows — answers
+	// from this immutable state, wait-free.
+	ep := s.alpha.Snapshot()
+	// A traced discovery records which epoch it pinned: latency
+	// attribution needs to know what state the request ran against.
+	trace.SpanFrom(ctx).Add(trace.CounterEpochSeq, int64(ep.Seq()))
+	results, err := abduction.DiscoverCtx(ctx, ep, examples, s.params, disambig.Resolve)
 	if err != nil {
 		return nil, fmt.Errorf("squid: %w", err)
 	}
-	out := make([]*Discovery, 0, len(results))
-	for _, res := range results {
-		out = append(out, s.wrap(res))
-	}
-	return out, nil
+	res := results[0]
+	return &Discovery{
+		Entity:    res.Base.Entity,
+		Attribute: res.Base.Attr,
+		SQL:       sqlgen.AlphaSQL(res),
+		Original:  sqlgen.OriginalSQL(res),
+		Filters:   res.Filters,
+		Decisions: res.Decisions,
+		Output:    res.OutputValues(),
+		result:    res,
+	}, nil
 }
 
-// InsertEntity appends a row to an entity relation and publishes the
-// next αDB epoch with that entity incrementally maintained (the §9
-// dynamic-dataset extension). Safe to call concurrently with discovery
-// (readers are wait-free on their pinned epochs) and with inserts into
-// other relations; only the inserted entity's own properties are
-// cloned (their row-set memos start empty), every other property keeps
-// its memo.
-func (s *System) InsertEntity(rel string, vals ...Value) error {
-	if err := s.alpha.InsertEntity(rel, vals...); err != nil {
-		return err
-	}
-	return s.walBarrier()
-}
-
-// InsertFact appends a row to a fact relation and publishes the next
-// αDB epoch with the affected derived relations and statistics
-// maintained. Safe to call concurrently with discovery and with
-// inserts into disjoint write domains; only the properties routed through
-// that fact table for the referenced entities are cloned and
-// invalidated.
-func (s *System) InsertFact(rel string, vals ...Value) error {
-	if err := s.alpha.InsertFact(rel, vals...); err != nil {
-		return err
-	}
-	return s.walBarrier()
-}
-
-// InsertOp describes one row of an InsertBatch: the target relation
-// (entity or fact, dispatched automatically) and its values.
+// InsertOp describes one row of an InsertBatchContext: the target
+// relation (entity or fact, dispatched automatically) and its values.
 type InsertOp = adb.InsertOp
 
-// InsertBatch appends many rows — entity and fact rows may be mixed —
-// into one copy-on-write epoch, amortizing the structure clones and
-// the publish over the whole batch; concurrent discoveries are never
-// blocked and observe the batch atomically. Batches into disjoint
-// relations proceed in parallel. Rows apply in order; on the first
-// failure the batch stops, already-applied rows stay (and publish),
-// and the error reports the failing row's index. A partially applied
-// batch skips the WAL durability barrier (the caller was told the
-// batch failed); its surviving rows are logged and ride along with the
-// next acknowledged write's barrier or the background flush.
-func (s *System) InsertBatch(ops []InsertOp) error {
-	if err := s.alpha.InsertBatch(ops); err != nil {
-		return err
-	}
-	return s.walBarrier()
-}
-
-// InsertBatchContext is InsertBatch with trace attribution: when ctx
-// carries a trace span (trace.NewContext), the lock wait, the
+// InsertBatchContext appends many rows — entity and fact rows may be
+// mixed — into one copy-on-write epoch (the §9 dynamic-dataset
+// extension), amortizing the structure clones and the publish over the
+// whole batch; concurrent discoveries are never blocked and observe the
+// batch atomically. Only the properties the rows shift are cloned
+// (their row-set memos start empty); every other property keeps its
+// memo. Batches into disjoint write domains proceed in parallel. Rows
+// apply in order; on the first failure the batch stops, already-applied
+// rows stay (and publish), and the error reports the failing row's
+// index. A partially applied batch skips the WAL durability barrier
+// (the caller was told the batch failed); its surviving rows are logged
+// and ride along with the next acknowledged write's barrier or the
+// background flush.
+//
+// When ctx carries a trace span (trace.NewContext), the lock wait, the
 // copy-on-write apply, the epoch publish with its WAL append, and the
 // WAL durability barrier each record a typed child span. ctx is used
 // only for the span — an insert batch is not abortable mid-apply
 // (append-only maintenance has no rollback), so cancellation is not
-// consulted. Without a span it behaves exactly like InsertBatch.
+// consulted.
 func (s *System) InsertBatchContext(ctx context.Context, ops []InsertOp) error {
 	sp := trace.SpanFrom(ctx)
-	if err := s.alpha.InsertBatchT(ops, sp); err != nil {
+	if err := s.alpha.InsertBatch(ops, sp); err != nil {
 		return err
 	}
 	bs := sp.Child(trace.PhaseWALBarrier, "")
@@ -623,121 +608,32 @@ func (s *System) SetBatchWorkers(n int) { s.batchWorkers = n }
 // concurrently over the shared αDB: example sets fan out across a
 // bounded worker pool (SetBatchWorkers; default GOMAXPROCS), and
 // similar intents reuse each other's memoized selectivity row sets.
-// Inserts may run concurrently; each set pins the epoch current at its
-// dispatch (sets dispatched after an insert publishes see its rows).
+// Inserts may run concurrently; each set pins the epoch current when it
+// starts (sets started after an insert publishes see its rows).
 //
-// The returned slice is parallel to exampleSets; entries whose
-// discovery failed are nil, and the error is the join of the per-set
-// failures wrapped with their index (errors.Is still matches the
-// sentinels, e.g. ErrNoEntities). When ctx is canceled, undispatched
-// sets stay nil, in-flight sets abort at their next cancellation check
-// (the abduction consults ctx between candidate evaluations, see
-// DiscoverContext), both are recorded as ctx's error, and the joined
-// error also matches ctx.Err(); sets that finished before the
-// cancellation keep their results either way.
-func (s *System) DiscoverBatch(ctx context.Context, exampleSets [][]string) ([]*Discovery, error) {
-	out, errs := s.DiscoverBatchDetailed(ctx, exampleSets)
-	var failed []error
-	for i, err := range errs {
-		if err != nil {
-			failed = append(failed, fmt.Errorf("example set %d: %w", i, err))
-		}
-	}
-	return out, errors.Join(failed...)
-}
-
-// DiscoverBatchDetailed is DiscoverBatch returning the per-set errors
-// as a slice parallel to exampleSets instead of one joined error:
-// callers that relay failures individually (the HTTP batch endpoint)
-// get each set's cause without parsing error text. A set canceled by
-// ctx — whether undispatched or aborted in flight — reports ctx's bare
-// error.
-func (s *System) DiscoverBatchDetailed(ctx context.Context, exampleSets [][]string) ([]*Discovery, []error) {
+// Both slices are parallel to exampleSets: each set's discovery, or nil
+// and its error (errors.Is matches the sentinels, e.g. ErrNoEntities).
+// When ctx is canceled, sets not yet started skip their discovery,
+// in-flight sets abort at their next cancellation check (see
+// DiscoverContext), and both report ctx's bare error; sets that
+// finished before the cancellation keep their results.
+func (s *System) DiscoverBatch(ctx context.Context, exampleSets [][]string) ([]*Discovery, []error) {
 	out := make([]*Discovery, len(exampleSets))
 	errs := make([]error, len(exampleSets))
-	if len(exampleSets) == 0 {
-		return out, errs
-	}
 	workers := s.batchWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(exampleSets) {
-		workers = len(exampleSets)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				out[i], errs[i] = s.discoverCtx(ctx, exampleSets[i], disambig.Resolve)
-			}
-		}()
-	}
-	dispatched := len(exampleSets)
-dispatch:
-	for i := range exampleSets {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			dispatched = i
-			break dispatch
+	index.RunBounded(len(exampleSets), workers, func(i int) {
+		if errs[i] = ctx.Err(); errs[i] != nil {
+			return
 		}
-	}
-	close(jobs)
-	wg.Wait()
-	for i, err := range errs {
-		switch {
-		case err != nil:
-			// A discovery aborted by the batch's own cancellation is
-			// reported as ctx's bare error, exactly like an undispatched
-			// set: the caller sees one uniform cancellation shape.
-			if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
-				errs[i] = cerr
-			}
-		case i >= dispatched:
-			errs[i] = ctx.Err()
+		out[i], errs[i] = s.DiscoverContext(ctx, exampleSets[i])
+		if cerr := ctx.Err(); cerr != nil && errors.Is(errs[i], cerr) {
+			errs[i] = cerr // one cancellation shape, started or not
 		}
-	}
+	})
 	return out, errs
-}
-
-// DiscoverWithoutDisambiguation runs discovery with ambiguity resolved
-// arbitrarily (first match); used by the Fig 12 ablation.
-func (s *System) DiscoverWithoutDisambiguation(examples []string) (*Discovery, error) {
-	//lint:ignore ctxpoll non-cancellable ablation wrapper; discoverCtx threads the real context
-	return s.discoverCtx(context.Background(), examples, nil)
-}
-
-func (s *System) discoverCtx(ctx context.Context, examples []string, resolver abduction.Resolver) (*Discovery, error) {
-	// Pin one epoch across discovery and result materialization (wrap
-	// reads relation columns for OutputValues and SQL rendering): the
-	// whole read path — example resolution, statistics, output rows —
-	// answers from this immutable state, wait-free.
-	ep := s.alpha.Snapshot()
-	// A traced discovery records which epoch it pinned: latency
-	// attribution needs to know what state the request ran against.
-	trace.SpanFrom(ctx).Add(trace.CounterEpochSeq, int64(ep.Seq()))
-	results, err := abduction.DiscoverCtx(ctx, ep, examples, s.params, resolver)
-	if err != nil {
-		return nil, fmt.Errorf("squid: %w", err)
-	}
-	return s.wrap(results[0]), nil
-}
-
-func (s *System) wrap(res *abduction.Result) *Discovery {
-	return &Discovery{
-		Entity:    res.Base.Entity,
-		Attribute: res.Base.Attr,
-		SQL:       sqlgen.AlphaSQL(res),
-		Original:  sqlgen.OriginalSQL(res),
-		Filters:   res.Filters,
-		Decisions: res.Decisions,
-		Output:    res.OutputValues(),
-		result:    res,
-	}
 }
 
 // Explain renders the full abduction reasoning of the discovery as a
@@ -789,42 +685,38 @@ func (d *Discovery) Result() *abduction.Result { return d.result }
 // against which Plan() queries run.
 func (s *System) ExecutableDB() *Database { return s.alpha.CombinedDB() }
 
-// Execute runs a logical query plan against the combined database of
-// the current epoch. Before a DISTINCT block whose From[0] is an entity
-// relation is planned, the filters in it that spell one of the entity's
-// semantic properties — the joins and predicates Plan lowers a
-// discovered filter to — are answered from the αDB's memoized row sets
-// (sqlgen.Reduce), so a discovered plan reads the sets its discovery
-// built and joins nothing; what is not recognized to the letter runs
-// through the engine over those rows. Executing reads the memos and
-// never adds to them: a set no discovery of the epoch has left there —
-// an insert cloned the property since, or a client wrote the plan — is
-// built for the one execution, so operands a client chooses cannot grow
-// resident memory. The engine orders the joins
-// itself: it anchors at the relation its predicates make smallest and
-// extends along the joins towards the smallest relation next, probing
-// the hash indexes the epoch already holds (entity keys, the derived
-// relations' entity_id). Executing builds the hash index of a point
-// predicate's column on first use and no other — none at all for a
-// predicate the row sets answered: joins never add to the epoch's index
-// view.
-// Rows come back in one canonical order — by row id, From[0]'s first,
-// then the other relations' in name order — so the result, DISTINCT's
-// surviving duplicate and GROUP BY's representative do not depend on
-// the order chosen or on which indexes are resident. Execution is
-// wait-free with respect to inserts: it pins one epoch and can never
-// be stalled by (or stall) a writer.
-func (s *System) Execute(q *Query) (*ExecResult, error) {
-	//lint:ignore ctxpoll non-cancellable convenience wrapper; ExecuteContext is the ctx-threading entry point
-	return s.ExecuteContext(context.Background(), q)
-}
-
-// ExecuteContext is Execute with cooperative cancellation: the engine
-// consults ctx between pipeline stages and every few thousand rows
-// read or emitted inside joins, so a canceled or deadline-expired
-// context aborts even a pathological query instead of pinning an
-// admission slot behind runaway work. The returned error wraps ctx's
-// error; match it with errors.Is.
+// ExecuteContext runs a logical query plan against the combined
+// database of the current epoch. Before a DISTINCT block whose From[0]
+// is an entity relation is planned, the filters in it that spell one of
+// the entity's semantic properties — the joins and predicates Plan
+// lowers a discovered filter to — are answered from the αDB's memoized
+// row sets (sqlgen.Reduce), so a discovered plan reads the sets its
+// discovery built and joins nothing; what is not recognized to the
+// letter runs through the engine over those rows. Executing reads the
+// memos and never adds to them: a set no discovery of the epoch has
+// left there — an insert cloned the property since, or a client wrote
+// the plan — is built for the one execution, so operands a client
+// chooses cannot grow resident memory.
+//
+// The engine orders the joins itself: it anchors at the relation its
+// predicates make smallest and extends along the joins towards the
+// smallest relation next, probing the hash indexes the epoch already
+// holds (entity keys, the derived relations' entity_id). Executing
+// builds the hash index of a point predicate's column on first use and
+// no other — none at all for a predicate the row sets answered: joins
+// never add to the epoch's index view. Rows come back in one canonical
+// order — by row id, From[0]'s first, then the other relations' in name
+// order — so the result, DISTINCT's surviving duplicate and GROUP BY's
+// representative do not depend on the order chosen or on which indexes
+// are resident.
+//
+// Execution is wait-free with respect to inserts: it pins one epoch and
+// can never be stalled by (or stall) a writer. The engine consults ctx
+// between pipeline stages and every few thousand rows read or emitted
+// inside joins, so a canceled or deadline-expired context aborts even a
+// pathological query instead of pinning an admission slot behind
+// runaway work. The returned error wraps ctx's error; match it with
+// errors.Is.
 func (s *System) ExecuteContext(ctx context.Context, q *Query) (*ExecResult, error) {
 	ep := s.alpha.Snapshot()
 	reduce := func(ctx context.Context, block *Query) (*engine.Reduction, error) {

@@ -3,9 +3,7 @@ package squid
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -20,20 +18,17 @@ func TestDiscoverBatchMatchesSerial(t *testing.T) {
 		{"Thomas Cormen", "James Kurose"},
 		{"Dan Suciu", "Jiawei Han"},
 	}
-	batch, err := sys.DiscoverBatch(context.Background(), sets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(sets) {
-		t.Fatalf("batch returned %d results want %d", len(batch), len(sets))
+	batch, errs := sys.DiscoverBatch(context.Background(), sets)
+	if len(batch) != len(sets) || len(errs) != len(sets) {
+		t.Fatalf("batch returned %d results and %d errors want %d", len(batch), len(errs), len(sets))
 	}
 	for i, set := range sets {
-		serial, err := sys.Discover(set)
+		serial, err := sys.DiscoverContext(context.Background(), set)
 		if err != nil {
 			t.Fatalf("serial discover %d: %v", i, err)
 		}
-		if batch[i] == nil {
-			t.Fatalf("batch result %d is nil", i)
+		if batch[i] == nil || errs[i] != nil {
+			t.Fatalf("batch result %d is nil (error %v)", i, errs[i])
 		}
 		if batch[i].SQL != serial.SQL {
 			t.Errorf("set %d: batch SQL %q != serial %q", i, batch[i].SQL, serial.SQL)
@@ -54,15 +49,15 @@ func TestDiscoverBatchPartialFailure(t *testing.T) {
 		{"No Such Person", "Equally Missing"},
 		{},
 	}
-	results, err := sys.DiscoverBatch(context.Background(), sets)
-	if err == nil {
-		t.Fatal("expected a joined error for the failing sets")
+	results, errs := sys.DiscoverBatch(context.Background(), sets)
+	if errs[0] != nil {
+		t.Errorf("healthy set failed: %v", errs[0])
 	}
-	if !errors.Is(err, ErrNoEntities) {
-		t.Errorf("joined error does not match ErrNoEntities: %v", err)
+	if !errors.Is(errs[1], ErrNoEntities) {
+		t.Errorf("set 1's error does not match ErrNoEntities: %v", errs[1])
 	}
-	if !errors.Is(err, ErrNoExamples) {
-		t.Errorf("joined error does not match ErrNoExamples: %v", err)
+	if !errors.Is(errs[2], ErrNoExamples) {
+		t.Errorf("set 2's error does not match ErrNoExamples: %v", errs[2])
 	}
 	if results[0] == nil || results[0].Entity != "academics" {
 		t.Error("healthy set did not produce a discovery")
@@ -77,8 +72,8 @@ func TestDiscoverBatchEmptyAndCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := sys.DiscoverBatch(context.Background(), nil); err != nil || len(res) != 0 {
-		t.Errorf("empty batch: res=%v err=%v", res, err)
+	if res, errs := sys.DiscoverBatch(context.Background(), nil); len(errs) != 0 || len(res) != 0 {
+		t.Errorf("empty batch: res=%v errs=%v", res, errs)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -86,15 +81,17 @@ func TestDiscoverBatchEmptyAndCancel(t *testing.T) {
 	for i := range sets {
 		sets[i] = []string{"Dan Suciu", "Sam Madden"}
 	}
-	if _, err := sys.DiscoverBatch(ctx, sets); !errors.Is(err, context.Canceled) {
-		t.Errorf("canceled batch returned %v", err)
+	res, errs := sys.DiscoverBatch(ctx, sets)
+	for i := range sets {
+		if res[i] != nil || errs[i] != context.Canceled {
+			t.Fatalf("set %d of a canceled batch returned %v, %v", i, res[i], errs[i])
+		}
 	}
 }
 
 // TestDiscoverBatchCancellationSemantics pins the documented contract
 // under cancellation: every set either completed (non-nil result, no
-// failure recorded) or was never dispatched (nil result, its index
-// reported with ctx.Err()); the joined error matches ctx.Err(). The
+// error) or was canceled (nil result, its error ctx's bare error). The
 // example sets are all valid, so cancellation is the only failure mode.
 func TestDiscoverBatchCancellationSemantics(t *testing.T) {
 	sys, err := Build(academicsDB(), DefaultBuildConfig())
@@ -110,29 +107,19 @@ func TestDiscoverBatchCancellationSemantics(t *testing.T) {
 		if cancelMidFlight != nil {
 			go cancelMidFlight()
 		}
-		res, err := sys.DiscoverBatch(ctx, sets)
-		if len(res) != len(sets) {
-			t.Fatalf("got %d results want %d", len(res), len(sets))
+		res, errs := sys.DiscoverBatch(ctx, sets)
+		if len(res) != len(sets) || len(errs) != len(sets) {
+			t.Fatalf("got %d results and %d errors want %d", len(res), len(errs), len(sets))
 		}
-		if err == nil {
-			// The whole batch outran the cancellation; nothing to check.
-			for i, d := range res {
-				if d == nil {
-					t.Errorf("set %d nil without any error", i)
-				}
-			}
-			return
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("joined error does not match ctx.Err(): %v", err)
-		}
-		msg := err.Error()
 		for i, d := range res {
-			reported := strings.Contains(msg, fmt.Sprintf("example set %d: %s", i, context.Canceled))
-			if d == nil && !reported {
+			canceled := errs[i] == context.Canceled
+			if errs[i] != nil && !canceled {
+				t.Errorf("set %d: error %v is not ctx's bare error", i, errs[i])
+			}
+			if d == nil && !canceled {
 				t.Errorf("set %d: nil result but not reported as canceled", i)
 			}
-			if d != nil && reported {
+			if d != nil && canceled {
 				t.Errorf("set %d: completed but reported as canceled", i)
 			}
 		}
@@ -168,7 +155,7 @@ func TestFilterStatsPinnedAcrossInsert(t *testing.T) {
 		}
 		return nil
 	}
-	disc, err := sys.Discover(examples)
+	disc, err := sys.DiscoverContext(context.Background(), examples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +167,7 @@ func TestFilterStatsPinnedAcrossInsert(t *testing.T) {
 	psiBefore := f.Selectivity()
 
 	// Thomas Cormen (id 100, row 0) picks up the interest.
-	if err := sys.InsertFact("research", IntVal(100), StringVal("data management")); err != nil {
+	if err := sys.InsertBatchContext(context.Background(), []InsertOp{{Rel: "research", Vals: []Value{IntVal(100), StringVal("data management")}}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.RowSet().ToSorted(); len(got) != before {
@@ -191,7 +178,7 @@ func TestFilterStatsPinnedAcrossInsert(t *testing.T) {
 	}
 
 	// A fresh discovery pins the post-insert epoch and sees the new row.
-	disc2, err := sys.Discover(examples)
+	disc2, err := sys.DiscoverContext(context.Background(), examples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +210,7 @@ func TestDiscoverBatchHammer(t *testing.T) {
 		{"Dan Suciu", "Joseph Hellerstein"},
 		{"Jiawei Han", "Dan Suciu"},
 	}
-	want, err := sys.Discover(sets[0])
+	want, err := sys.DiscoverContext(context.Background(), sets[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,17 +221,19 @@ func TestDiscoverBatchHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for iter := 0; iter < 10; iter++ {
-				res, err := sys.DiscoverBatch(context.Background(), sets)
-				if err != nil {
-					t.Errorf("batch failed: %v", err)
-					return
+				res, errs := sys.DiscoverBatch(context.Background(), sets)
+				for i, err := range errs {
+					if err != nil {
+						t.Errorf("batch set %d failed: %v", i, err)
+						return
+					}
 				}
 				if res[0] == nil || res[0].SQL != want.SQL {
 					t.Error("concurrent batch diverged from serial result")
 					return
 				}
 				// Exercise the shared engine executor concurrently too.
-				if _, err := sys.Execute(res[0].Plan()); err != nil {
+				if _, err := sys.ExecuteContext(context.Background(), res[0].Plan()); err != nil {
 					t.Errorf("execute failed: %v", err)
 					return
 				}

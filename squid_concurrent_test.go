@@ -9,8 +9,8 @@ import (
 )
 
 // TestInsertBatchMatchesSequential checks that a mixed entity/fact
-// InsertBatch leaves the system in exactly the state of the equivalent
-// single-row insert sequence, and that a failing row reports its index
+// batch leaves the system in exactly the state of the equivalent
+// sequence of one-row batches, and that a failing row reports its index
 // while the rows before it stay applied.
 func TestInsertBatchMatchesSequential(t *testing.T) {
 	batched, err := Build(academicsDB(), DefaultBuildConfig())
@@ -26,25 +26,20 @@ func TestInsertBatchMatchesSequential(t *testing.T) {
 		{Rel: "research", Vals: []Value{IntVal(106), StringVal("data management")}},
 		{Rel: "research", Vals: []Value{IntVal(100), StringVal("distributed systems")}},
 	}
-	if err := batched.InsertBatch(ops); err != nil {
+	if err := batched.InsertBatchContext(context.Background(), ops); err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range ops {
-		if op.Rel == "academics" {
-			err = serial.InsertEntity(op.Rel, op.Vals...)
-		} else {
-			err = serial.InsertFact(op.Rel, op.Vals...)
-		}
-		if err != nil {
+	for i := range ops {
+		if err := serial.InsertBatchContext(context.Background(), ops[i:i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	examples := []string{"Dan Suciu", "Sam Madden", "Mike Stonebraker"}
-	db, err := batched.Discover(examples)
+	db, err := batched.DiscoverContext(context.Background(), examples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := serial.Discover(examples)
+	ds, err := serial.DiscoverContext(context.Background(), examples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +49,7 @@ func TestInsertBatchMatchesSequential(t *testing.T) {
 
 	// A failing row stops the batch, reports its index, and keeps the
 	// rows already applied.
-	err = batched.InsertBatch([]InsertOp{
+	err = batched.InsertBatchContext(context.Background(), []InsertOp{
 		{Rel: "research", Vals: []Value{IntVal(101), StringVal("systems")}},
 		{Rel: "academics", Vals: []Value{IntVal(106), StringVal("Duplicate")}},
 		{Rel: "research", Vals: []Value{IntVal(102), StringVal("never applied")}},
@@ -73,7 +68,7 @@ func TestInsertBatchMatchesSequential(t *testing.T) {
 }
 
 // TestConcurrentDiscoveryAndIngest interleaves DiscoverBatch with
-// single-row and batched inserts over one shared System; under -race it
+// one-row and two-row insert batches over one shared System; under -race it
 // proves the write path needs no external serialization with discovery,
 // and afterwards it checks discovery answers from the post-ingest
 // statistics.
@@ -88,7 +83,7 @@ func TestConcurrentDiscoveryAndIngest(t *testing.T) {
 		{"Thomas Cormen", "James Kurose"},
 		{"Jiawei Han", "Dan Suciu"},
 	}
-	baseline, err := sys.Discover([]string{"Dan Suciu", "Sam Madden"})
+	baseline, err := sys.DiscoverContext(context.Background(), []string{"Dan Suciu", "Sam Madden"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,19 +100,15 @@ func TestConcurrentDiscoveryAndIngest(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				res, err := sys.DiscoverBatch(context.Background(), sets)
-				if err != nil {
-					t.Errorf("batch during ingest: %v", err)
-					return
-				}
+				res, errs := sys.DiscoverBatch(context.Background(), sets)
 				for j, d := range res {
 					if d == nil {
-						t.Errorf("set %d returned nil without error", j)
+						t.Errorf("set %d during ingest: %v", j, errs[j])
 						return
 					}
 				}
 				// Exercise the engine read path under ingest too.
-				if _, err := sys.Execute(res[0].Plan()); err != nil {
+				if _, err := sys.ExecuteContext(context.Background(), res[0].Plan()); err != nil {
 					t.Errorf("execute during ingest: %v", err)
 					return
 				}
@@ -131,13 +122,13 @@ func TestConcurrentDiscoveryAndIngest(t *testing.T) {
 		for i := 0; i < writerOps; i++ {
 			switch i % 3 {
 			case 0:
-				if err := sys.InsertEntity("academics", IntVal(id), StringVal(fmt.Sprintf("Scholar %d", id))); err != nil {
+				if err := sys.InsertBatchContext(context.Background(), []InsertOp{{Rel: "academics", Vals: []Value{IntVal(id), StringVal(fmt.Sprintf("Scholar %d", id))}}}); err != nil {
 					t.Errorf("insert entity: %v", err)
 					return
 				}
 				id++
 			case 1:
-				if err := sys.InsertFact("research", IntVal(100+int64(i%6)), StringVal("systems")); err != nil {
+				if err := sys.InsertBatchContext(context.Background(), []InsertOp{{Rel: "research", Vals: []Value{IntVal(100 + int64(i%6)), StringVal("systems")}}}); err != nil {
 					t.Errorf("insert fact: %v", err)
 					return
 				}
@@ -147,7 +138,7 @@ func TestConcurrentDiscoveryAndIngest(t *testing.T) {
 					{Rel: "research", Vals: []Value{IntVal(id), StringVal("data management")}},
 				}
 				id++
-				if err := sys.InsertBatch(ops); err != nil {
+				if err := sys.InsertBatchContext(context.Background(), ops); err != nil {
 					t.Errorf("insert batch: %v", err)
 					return
 				}
@@ -157,7 +148,7 @@ func TestConcurrentDiscoveryAndIngest(t *testing.T) {
 	wg.Wait()
 
 	// The ingested data-management scholars widen the intent's output.
-	after, err := sys.Discover([]string{"Dan Suciu", "Sam Madden"})
+	after, err := sys.DiscoverContext(context.Background(), []string{"Dan Suciu", "Sam Madden"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,8 +46,8 @@ func TestDiscoverContextCancellation(t *testing.T) {
 		examples = append(examples, person.Column("name").Get(row).Str())
 	}
 
-	// Baseline: with a live context the ctx-aware path matches Discover,
-	// and one discovery consults the context several times (that is what
+	// Baseline: a discovery under a counting context matches one under
+	// context.Background(), and it consults the context several times (that is what
 	// makes mid-discovery cancellation prompt).
 	probe := &countdownCtx{Context: context.Background()}
 	probe.budget.Store(1 << 20)
@@ -55,12 +55,12 @@ func TestDiscoverContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := sys.Discover(examples)
+	serial, err := sys.DiscoverContext(context.Background(), examples)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if disc.SQL != serial.SQL {
-		t.Errorf("DiscoverContext SQL %q != Discover %q", disc.SQL, serial.SQL)
+		t.Errorf("SQL under the counting context %q != under context.Background() %q", disc.SQL, serial.SQL)
 	}
 	checks := 1<<20 - probe.budget.Load()
 	if checks < 3 {
@@ -100,7 +100,7 @@ func TestDiscoverContextCancellation(t *testing.T) {
 	if _, err := sys.ExecuteContext(ctx, plan); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-canceled execute returned %v, want context.Canceled", err)
 	}
-	if res, err := sys.Execute(plan); err != nil || res.NumRows() == 0 {
+	if res, err := sys.ExecuteContext(context.Background(), plan); err != nil || res.NumRows() == 0 {
 		t.Errorf("plain execute after cancellation tests: rows=%v err=%v", res, err)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // TestExecuteBuildsNoJoinIndexes is the heap_mb trap as a test, in two
 // arms over the benchmark's three discovered plans.
 //
-// Through System.Execute the plans are answered from the αDB's row sets:
+// Through System.ExecuteContext the plans are answered from the αDB's row sets:
 // executing them, before an InsertBatch into castinfo and after it,
 // builds no index at all — not even the hash indexes of their point
 // predicates (movie.title, country.name, the derived value columns),
@@ -31,10 +31,10 @@ import (
 func TestExecuteBuildsNoJoinIndexes(t *testing.T) {
 	arms := []struct {
 		name       string
-		execute    func(*System, *Query) (*ExecResult, error)
+		execute    func(*System, context.Context, *Query) (*ExecResult, error)
 		buildsNone bool
 	}{
-		{"system", (*System).Execute, true},
+		{"system", (*System).ExecuteContext, true},
 		{"join pipeline", unreduced, false},
 	}
 	for _, arm := range arms {
@@ -48,7 +48,7 @@ func TestExecuteBuildsNoJoinIndexes(t *testing.T) {
 			plans := discoveredPlans(t, sys, g)
 			discovered := sys.alpha.Snapshot().Indexes.NumIndexes()
 			for id, q := range plans {
-				if _, err := arm.execute(sys, q); err != nil {
+				if _, err := arm.execute(sys, context.Background(), q); err != nil {
 					t.Fatalf("%s: %v", id, err)
 				}
 			}
@@ -57,7 +57,7 @@ func TestExecuteBuildsNoJoinIndexes(t *testing.T) {
 			} else if !arm.buildsNone && built == 0 {
 				t.Error("the join pipeline built no point-predicate index: the arm proves nothing")
 			}
-			if err := sys.InsertBatch(insertBenchBatch(cfg, 0)); err != nil {
+			if err := sys.InsertBatchContext(context.Background(), insertBenchBatch(cfg, 0)); err != nil {
 				t.Fatal(err)
 			}
 			ep := sys.alpha.Snapshot()
@@ -83,7 +83,7 @@ func TestExecuteBuildsNoJoinIndexes(t *testing.T) {
 						counts = append(counts, column{p.Rel, p.Col})
 					}
 				}
-				res, err := arm.execute(sys, q)
+				res, err := arm.execute(sys, context.Background(), q)
 				if err != nil || res.NumRows() == 0 {
 					t.Fatalf("%s: empty result or error %v", id, err)
 				}
@@ -125,7 +125,7 @@ func TestBenchmarkPlansReadRowSets(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, q := range discoveredPlans(t, sys, g) {
-		if _, err := sys.Execute(q); err != nil {
+		if _, err := sys.ExecuteContext(context.Background(), q); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 		rec := trace.NewRecorder(0)
@@ -182,7 +182,7 @@ func TestInsertKeepsDerivedValueIndex(t *testing.T) {
 	}
 	base.Indexes.StrHash(rel, "value")
 	for k := 0; k < 3; k++ {
-		if err := sys.InsertBatch(insertBenchBatch(cfg, k)); err != nil {
+		if err := sys.InsertBatchContext(context.Background(), insertBenchBatch(cfg, k)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,14 +221,14 @@ func TestExecuteMatchesOutputNormalized(t *testing.T) {
 	params := DefaultParams()
 	params.NormalizeAssociation = true
 	sys.SetParams(params)
-	d, err := sys.Discover(exampleNames(t, sys, g, 8))
+	d, err := sys.DiscoverContext(context.Background(), exampleNames(t, sys, g, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !slices.ContainsFunc(d.Filters, func(f *Filter) bool { return f.NormUse }) {
 		t.Fatal("no normalized filter was abduced: the test proves nothing")
 	}
-	res, err := sys.Execute(d.Plan())
+	res, err := sys.ExecuteContext(context.Background(), d.Plan())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestPlansMatchNestedLoopAfterInserts(t *testing.T) {
 	}
 	plans := discoveredPlans(t, sys, g)
 	for k := 0; k < 24; k++ {
-		if err := sys.InsertBatch(insertBenchBatch(cfg, k)); err != nil {
+		if err := sys.InsertBatchContext(context.Background(), insertBenchBatch(cfg, k)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -341,7 +341,7 @@ func TestPlansMatchNestedLoopAfterInserts(t *testing.T) {
 				patched++
 			}
 		}
-		res, err := sys.Execute(q)
+		res, err := sys.ExecuteContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}

@@ -2,6 +2,7 @@ package squid
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -68,10 +69,14 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_, _ = sys.Discover([]string{"Dan Suciu", "Sam Madden"})
-		_ = sys.InsertEntity("academics", IntVal(900), StringVal("Fuzz Researcher"))
-		_ = sys.InsertFact("research", IntVal(900), StringVal("fuzzing"))
-		_ = sys.InsertFact("wrote", IntVal(900), IntVal(3))
-		_, _ = sys.Discover([]string{"Fuzz Researcher", "Dan Suciu"})
+		_, _ = sys.DiscoverContext(context.Background(), []string{"Dan Suciu", "Sam Madden"})
+		for _, op := range []InsertOp{
+			{Rel: "academics", Vals: []Value{IntVal(900), StringVal("Fuzz Researcher")}},
+			{Rel: "research", Vals: []Value{IntVal(900), StringVal("fuzzing")}},
+			{Rel: "wrote", Vals: []Value{IntVal(900), IntVal(3)}},
+		} {
+			_ = sys.InsertBatchContext(context.Background(), []InsertOp{op})
+		}
+		_, _ = sys.DiscoverContext(context.Background(), []string{"Fuzz Researcher", "Dan Suciu"})
 	})
 }

@@ -1,6 +1,7 @@
 package squid
 
 import (
+	"context"
 	"testing"
 
 	"squid/internal/datagen"
@@ -11,9 +12,9 @@ import (
 // SQL forms, every Algorithm 1 decision) plus the projected output.
 func discoverExplain(t *testing.T, sys *System, examples []string) string {
 	t.Helper()
-	d, err := sys.Discover(examples)
+	d, err := sys.DiscoverContext(context.Background(), examples)
 	if err != nil {
-		t.Fatalf("Discover(%v): %v", examples, err)
+		t.Fatalf("DiscoverContext(%v): %v", examples, err)
 	}
 	fp := d.Explain()
 	for _, v := range d.Output {
@@ -107,7 +108,7 @@ func TestWorkersParamZeroAndNegative(t *testing.T) {
 		p := sys.Params()
 		p.Workers = w
 		sys.SetParams(p)
-		d, err := sys.Discover([]string{"Dan Suciu", "Sam Madden"})
+		d, err := sys.DiscoverContext(context.Background(), []string{"Dan Suciu", "Sam Madden"})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}

@@ -1,6 +1,7 @@
 package squid_test
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -27,7 +28,7 @@ func fuzzPlans(tb testing.TB, sys *squid.System) map[string][]byte {
 	for pi, params := range []squid.Params{squid.DefaultParams(), squid.QREParams()} {
 		sys.SetParams(params)
 		for si, set := range squid.FuzzExampleSets {
-			d, err := sys.Discover(set)
+			d, err := sys.DiscoverContext(context.Background(), set)
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -41,7 +42,7 @@ func fuzzPlans(tb testing.TB, sys *squid.System) map[string][]byte {
 	return plans
 }
 
-// FuzzExecuteReduced holds System.Execute — the join pipeline behind the
+// FuzzExecuteReduced holds System.ExecuteContext — the join pipeline behind the
 // reduce stage — to the join pipeline alone, from the bytes of a POST
 // /v1/execute body on: JSON → server.QueryJSON → ToEngineQuery → both
 // executors over fuzzDB's epoch must return the same rows in the same
@@ -69,8 +70,8 @@ func FuzzExecuteReduced(f *testing.F) {
 		if err != nil {
 			return
 		}
-		got, err := sys.Execute(q)
-		want, werr := plain.Execute(q)
+		got, err := sys.ExecuteContext(context.Background(), q)
+		want, werr := plain.ExecuteCtx(context.Background(), q)
 		if err != nil || werr != nil {
 			if err == nil || werr == nil || err.Error() != werr.Error() {
 				t.Fatalf("%s\nExecute answers error %v, the join pipeline %v", data, err, werr)

@@ -16,11 +16,12 @@ import (
 )
 
 // unreduced executes q on the join pipeline alone, over the epoch and
-// the index pool System.Execute would use: the reference every reduced
-// execution is held to.
-func unreduced(sys *System, q *Query) (*ExecResult, error) {
+// the index pool System.ExecuteContext would use: the reference every
+// reduced execution is held to. It has the method expression's shape,
+// so an arm of a test can hold either.
+func unreduced(sys *System, ctx context.Context, q *Query) (*ExecResult, error) {
 	ep := sys.alpha.Snapshot()
-	return engine.NewExecutorWithIndexes(ep.CombinedDB(), ep.Indexes).ExecuteCtx(context.Background(), q)
+	return engine.NewExecutorWithIndexes(ep.CombinedDB(), ep.Indexes).ExecuteCtx(ctx, q)
 }
 
 // mutation is a plan a discovery did not write, derived from one it did.
@@ -118,7 +119,7 @@ func examplePool(t *testing.T, db *Database, benches []benchqueries.Benchmark) [
 // normalized strengths, whose filters a plan carries as a key list, and
 // the optimistic QRE preset, whose plans carry the most filters —
 // has its plan, and every planMutations rewrite of it, executed by
-// System.Execute and by the join pipeline alone over the same epoch:
+// System.ExecuteContext and by the join pipeline alone over the same epoch:
 // the rows must be identical, order included, or the errors must read
 // the same. Plans small enough are held to nested loops as well. The
 // pool runs fresh, with the row-set memos emptied before every
@@ -137,7 +138,7 @@ func TestExecuteReducedMatchesUnreduced(t *testing.T) {
 	}{
 		{"imdb", imdb.DB, examplePool(t, imdb.DB, benchqueries.IMDbBenchmarks(imdb)), true},
 		{"dblp", dblp.DB, examplePool(t, dblp.DB, benchqueries.DBLPBenchmarks(dblp)), false},
-		{"adult", adult.DB, examplePool(t, adult.DB, benchqueries.AdultBenchmarks(adult, 11)), false},
+		{"adult", adult.DB, examplePool(t, adult.DB, benchqueries.AdultBenchmarks(context.Background(), adult, 11)), false},
 		{"academics", fuzzDB(), fuzzExampleSets, false},
 	}
 	disjunctive, normalized := DefaultParams(), DefaultParams()
@@ -161,8 +162,8 @@ func TestExecuteReducedMatchesUnreduced(t *testing.T) {
 			if cold {
 				sys.alpha.SelectivityCache().Invalidate()
 			}
-			got, err := sys.Execute(q)
-			want, werr := unreduced(sys, q)
+			got, err := sys.ExecuteContext(context.Background(), q)
+			want, werr := unreduced(sys, context.Background(), q)
 			if err != nil || werr != nil {
 				if err == nil || werr == nil || err.Error() != werr.Error() {
 					t.Errorf("%s: Execute answers error %v, the join pipeline %v", at, err, werr)
@@ -181,7 +182,7 @@ func TestExecuteReducedMatchesUnreduced(t *testing.T) {
 					if i%stride != 0 {
 						continue
 					}
-					d, err := sys.Discover(set)
+					d, err := sys.DiscoverContext(context.Background(), set)
 					if err != nil {
 						continue
 					}
@@ -193,7 +194,7 @@ func TestExecuteReducedMatchesUnreduced(t *testing.T) {
 						if len(plan.From) > 1 {
 							nestedJoins++
 						}
-						res, err := sys.Execute(plan)
+						res, err := sys.ExecuteContext(context.Background(), plan)
 						if err != nil {
 							t.Fatalf("%s: %v", at, err)
 						}
@@ -238,8 +239,8 @@ func TestExecuteStoresNoRowSets(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, set := range examplePool(t, g.DB, benchqueries.IMDbBenchmarks(g))[:8] {
-		if d, err := sys.Discover(set); err == nil {
-			if _, err := sys.Execute(d.Plan()); err != nil {
+		if d, err := sys.DiscoverContext(context.Background(), set); err == nil {
+			if _, err := sys.ExecuteContext(context.Background(), d.Plan()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -278,7 +279,7 @@ func TestExecuteStoresNoRowSets(t *testing.T) {
 			Select:   []engine.ColRef{{Rel: "person", Col: "name"}},
 			Distinct: true,
 		}
-		if _, err := sys.Execute(q); err != nil {
+		if _, err := sys.ExecuteContext(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}

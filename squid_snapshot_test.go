@@ -2,8 +2,9 @@ package squid
 
 import (
 	"bytes"
+	"context"
 	"errors"
-	"runtime"
+	"math"
 	"testing"
 
 	"squid/internal/datagen"
@@ -47,7 +48,7 @@ func exampleNames(t *testing.T, sys *System, g *datagen.IMDb, k int) []string {
 // discovery, byte-exactly.
 func discoveryFingerprint(t *testing.T, sys *System, examples []string) string {
 	t.Helper()
-	disc, err := sys.Discover(examples)
+	disc, err := sys.DiscoverContext(context.Background(), examples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,14 +107,11 @@ func TestSnapshotRoundTripAfterInsert(t *testing.T) {
 	// Apply identical inserts to both systems: a new person, a new
 	// movie, and facts linking the person into existing structure.
 	insert := func(s *System) {
-		if err := s.InsertEntity("person",
-			IntVal(900001), StringVal("Roundtrip Actor"), StringVal("Male"), IntVal(1980), IntVal(1)); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.InsertFact("castinfo", IntVal(900001), IntVal(1), IntVal(1)); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.InsertFact("castinfo", IntVal(900001), IntVal(2), IntVal(1)); err != nil {
+		if err := s.InsertBatchContext(context.Background(), []InsertOp{
+			{Rel: "person", Vals: []Value{IntVal(900001), StringVal("Roundtrip Actor"), StringVal("Male"), IntVal(1980), IntVal(1)}},
+			{Rel: "castinfo", Vals: []Value{IntVal(900001), IntVal(1), IntVal(1)}},
+			{Rel: "castinfo", Vals: []Value{IntVal(900001), IntVal(2), IntVal(1)}},
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -128,7 +126,7 @@ func TestSnapshotRoundTripAfterInsert(t *testing.T) {
 
 	// The inserted entity must be discoverable on both systems.
 	for name, s := range map[string]*System{"built": sys, "loaded": loaded} {
-		if _, err := s.Discover([]string{"Roundtrip Actor"}); err != nil {
+		if _, err := s.DiscoverContext(context.Background(), []string{"Roundtrip Actor"}); err != nil {
 			t.Errorf("%s system cannot discover inserted entity: %v", name, err)
 		}
 	}
@@ -159,49 +157,54 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestLoadHeapPerRow is the resident-memory guard: what Load of the
-// bench-scale fixture adds to the heap, per base-relation row, stays
-// under a budget set 5% above what PR 25 measured (224 B/row; the flat
-// 4-byte categorical statistics took it there from 254, the flat
-// hash-index bases and 8-byte derived pairs of PR 18 from 374). A
-// structure that quietly re-inflates — a per-key slice header, a map
-// where an array would do — fails here long before it shows in the
-// benchmark's heap_mb.
-func TestLoadHeapPerRow(t *testing.T) {
-	if raceDetectorEnabled {
-		t.Skip("heap sizes under the race detector are not the production ones")
-	}
-	const budget = 235 // B/row
-	var buf bytes.Buffer
-	{
-		sys, err := Build(datagen.GenerateIMDb(benchScale().IMDb).DB, DefaultBuildConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	before := heap()
-	sys, err := Load(bytes.NewReader(buf.Bytes()))
+// TestLoadRejectsDamagedParams: the snapshot carries no checksum, so
+// the discovery parameters Load reads are checked where they are read.
+// One damaged field — a non-finite float, a base prior ρ outside [0, 1],
+// a negative τa or MaxDisjunction — is an error from Load, not a system
+// whose every include score is NaN and whose every discovery silently
+// selects no filter. Each case writes one damaged field; the bounds
+// themselves still load.
+func TestLoadRejectsDamagedParams(t *testing.T) {
+	sys, err := Build(academicsDB(), DefaultBuildConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	grew := heap() - before
-	rows := sys.alpha.Snapshot().DB.TotalRows()
-	perRow := float64(grew) / float64(rows)
-	t.Logf("Load of %d rows (%d-byte snapshot) grew the heap by %d bytes: %.0f B/row", rows, buf.Len(), grew, perRow)
-	if perRow > budget {
-		t.Errorf("heap after Load is %.0f B/row, budget %d", perRow, budget)
+	cases := []struct {
+		name   string
+		damage func(*Params)
+		ok     bool
+	}{
+		{"rho NaN", func(p *Params) { p.Rho = math.NaN() }, false},
+		{"rho below 0", func(p *Params) { p.Rho = -0.1 }, false},
+		{"rho above 1", func(p *Params) { p.Rho = 1.5 }, false},
+		{"gamma +Inf", func(p *Params) { p.Gamma = math.Inf(1) }, false},
+		{"eta NaN", func(p *Params) { p.Eta = math.NaN() }, false},
+		{"tauA negative", func(p *Params) { p.TauA = -1 }, false},
+		{"tauS -Inf", func(p *Params) { p.TauS = math.Inf(-1) }, false},
+		{"outlierK NaN", func(p *Params) { p.OutlierK = math.NaN() }, false},
+		{"tauANorm +Inf", func(p *Params) { p.TauANorm = math.Inf(1) }, false},
+		{"maxDisjunction negative", func(p *Params) { p.MaxDisjunction = -2 }, false},
+		{"rho 0", func(p *Params) { p.Rho = 0 }, true},
+		{"rho 1", func(p *Params) { p.Rho = 1 }, true},
 	}
-	runtime.KeepAlive(sys)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := DefaultParams()
+			tc.damage(&p)
+			sys.SetParams(p)
+			var buf bytes.Buffer
+			if err := sys.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Load(&buf)
+			if tc.ok && err != nil {
+				t.Errorf("Load = %v, want a system", err)
+			}
+			if !tc.ok && err == nil {
+				t.Errorf("Load accepted %+v", p)
+			}
+		})
+	}
 }
 
 // TestSnapshotBytesPerRow is the file-size guard beside the heap one:

@@ -1,6 +1,7 @@
 package squid
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"squid/internal/abduction"
+	"squid/internal/sqlgen"
 )
 
 // academicsDB builds the Fig 1 database through the public API.
@@ -56,7 +58,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Error("SetParams/Params round trip")
 	}
 
-	disc, err := sys.Discover([]string{"Dan Suciu", "Sam Madden", "Joseph Hellerstein"})
+	disc, err := sys.DiscoverContext(context.Background(), []string{"Dan Suciu", "Sam Madden", "Joseph Hellerstein"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +77,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// The engine plan must reproduce the αDB row-set output.
-	res, err := sys.Execute(disc.Plan())
+	res, err := sys.ExecuteContext(context.Background(), disc.Plan())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +91,10 @@ func TestPublicAPIErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Discover(nil); err == nil {
+	if _, err := sys.DiscoverContext(context.Background(), nil); err == nil {
 		t.Error("empty examples must error")
 	}
-	if _, err := sys.Discover([]string{"Nobody Here"}); err == nil {
+	if _, err := sys.DiscoverContext(context.Background(), []string{"Nobody Here"}); err == nil {
 		t.Error("unknown example must error")
 	}
 	// Database with no entity annotations fails the offline phase.
@@ -125,7 +127,7 @@ func TestRecommendExamples(t *testing.T) {
 	params := DefaultParams()
 	params.Rho = 0.2
 	sys.SetParams(params)
-	disc, err := sys.Discover([]string{"Dan Suciu", "Sam Madden"})
+	disc, err := sys.DiscoverContext(context.Background(), []string{"Dan Suciu", "Sam Madden"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,24 +139,42 @@ func TestRecommendExamples(t *testing.T) {
 	}
 }
 
+// TestDiscoverAllRanked: the abduction ranks one result per candidate
+// base query by posterior score, best first, and DiscoverContext answers
+// with the first. A second entity relation holding the same names makes
+// the examples match two base queries.
 func TestDiscoverAllRanked(t *testing.T) {
-	sys, err := Build(academicsDB(), DefaultBuildConfig())
+	db := academicsDB()
+	speakers := NewRelation("speakers", Col("id", Int), Col("name", String)).SetPrimaryKey("id")
+	for i, n := range []string{"Dan Suciu", "Sam Madden", "Ada Lovelace"} {
+		speakers.MustAppend(IntVal(int64(i)), StringVal(n))
+	}
+	db.AddRelation(speakers)
+	db.MarkEntity("speakers")
+	sys, err := Build(db, DefaultBuildConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := sys.DiscoverAll([]string{"Dan Suciu", "Sam Madden"})
+	examples := []string{"Dan Suciu", "Sam Madden"}
+	all, err := abduction.DiscoverCtx(context.Background(), sys.AlphaDB().Snapshot(), examples, sys.Params(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) == 0 {
-		t.Fatal("no candidates")
+	if len(all) < 2 {
+		t.Fatalf("%d candidates, want one per entity relation holding the names", len(all))
 	}
-	single, err := sys.Discover([]string{"Dan Suciu", "Sam Madden"})
+	for i := 1; i < len(all); i++ {
+		if all[i].Score > all[i-1].Score {
+			t.Errorf("result %d scores %v above result %d's %v", i, all[i].Score, i-1, all[i-1].Score)
+		}
+	}
+	single, err := sys.DiscoverContext(context.Background(), examples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if all[0].SQL != single.SQL {
-		t.Error("DiscoverAll[0] must equal Discover")
+	if single.Result().Base != all[0].Base || single.Result().Score != all[0].Score || single.SQL != sqlgen.AlphaSQL(all[0]) {
+		t.Errorf("DiscoverContext answered %s.%s (score %v), want the first-ranked %s.%s (score %v)",
+			single.Entity, single.Attribute, single.Result().Score, all[0].Base.Entity, all[0].Base.Attr, all[0].Score)
 	}
 }
 
@@ -164,16 +184,16 @@ func TestFacadeIncrementalMaintenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A new data-management researcher arrives.
-	if err := sys.InsertEntity("academics", IntVal(200), StringVal("New Researcher")); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.InsertFact("research", IntVal(200), StringVal("data management")); err != nil {
+	if err := sys.InsertBatchContext(context.Background(), []InsertOp{
+		{Rel: "academics", Vals: []Value{IntVal(200), StringVal("New Researcher")}},
+		{Rel: "research", Vals: []Value{IntVal(200), StringVal("data management")}},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	params := DefaultParams()
 	params.Rho = 0.2
 	sys.SetParams(params)
-	disc, err := sys.Discover([]string{"Dan Suciu", "Sam Madden", "Joseph Hellerstein"})
+	disc, err := sys.DiscoverContext(context.Background(), []string{"Dan Suciu", "Sam Madden", "Joseph Hellerstein"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,16 +213,17 @@ func TestDiscoverWithoutDisambiguation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, err := sys.Discover([]string{"Dan Suciu", "Sam Madden"})
+	d1, err := sys.DiscoverContext(context.Background(), []string{"Dan Suciu", "Sam Madden"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := sys.DiscoverWithoutDisambiguation([]string{"Dan Suciu", "Sam Madden"})
+	// A nil resolver takes the first candidate row of every example.
+	d2, err := abduction.DiscoverCtx(context.Background(), sys.AlphaDB().Snapshot(), []string{"Dan Suciu", "Sam Madden"}, sys.Params(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// No ambiguity in this fixture: identical outputs.
-	if strings.Join(d1.Output, ",") != strings.Join(d2.Output, ",") {
+	if strings.Join(d1.Output, ",") != strings.Join(d2[0].OutputValues(), ",") {
 		t.Error("disambiguation changed output on unambiguous data")
 	}
 }
@@ -240,7 +261,8 @@ func TestNaNCellIsAbsentFromNumericStats(t *testing.T) {
 	}
 	// The second half arrives through the insert path.
 	for i := rows / 2; i < rows; i++ {
-		if err := sys.InsertEntity("sensor", IntVal(int64(i)), StringVal(fmt.Sprintf("Sensor %d", i)), StringVal(fmt.Sprintf("Site %d", i%4)), reading(i)); err != nil {
+		vals := []Value{IntVal(int64(i)), StringVal(fmt.Sprintf("Sensor %d", i)), StringVal(fmt.Sprintf("Site %d", i%4)), reading(i)}
+		if err := sys.InsertBatchContext(context.Background(), []InsertOp{{Rel: "sensor", Vals: vals}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -284,7 +306,7 @@ func TestNaNCellIsAbsentFromNumericStats(t *testing.T) {
 	cache := sys.AlphaDB().SelectivityCache()
 	var entries int
 	for i := 0; i < 100; i++ {
-		d, err := sys.Discover(examples)
+		d, err := sys.DiscoverContext(context.Background(), examples)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package squid
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -19,7 +20,7 @@ import (
 var walProbe = []string{"Dan Suciu", "Sam Madden", "Joseph Hellerstein"}
 
 // walWorkload is the deterministic ingest script of the recovery
-// tests: every batch is one InsertBatch call, hence one published
+// tests: every batch is one InsertBatchContext call, hence one published
 // epoch and one WAL record. Batches mix entity and fact rows
 // (including facts referencing a same-batch entity) and shift the
 // probe's "data management" cohort, so each prefix of the workload has
@@ -43,7 +44,7 @@ func walWorkload() [][]InsertOp {
 
 func walFingerprint(t *testing.T, sys *System) string {
 	t.Helper()
-	disc, err := sys.Discover(walProbe)
+	disc, err := sys.DiscoverContext(context.Background(), walProbe)
 	if err != nil {
 		t.Fatalf("probe discovery: %v", err)
 	}
@@ -69,7 +70,7 @@ func walReference(t *testing.T, fs *iofault.MemFS, policy wal.SyncPolicy) (sigs 
 	sys.AttachWAL(l)
 	sigs = []string{walFingerprint(t, sys)}
 	for i, batch := range walWorkload() {
-		if err := sys.InsertBatch(batch); err != nil {
+		if err := sys.InsertBatchContext(context.Background(), batch); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 		sigs = append(sigs, walFingerprint(t, sys))
@@ -204,7 +205,7 @@ func TestWALAckedNeverLost(t *testing.T) {
 			}
 			sys.AttachWAL(l)
 			for _, batch := range walWorkload() {
-				if err := sys.InsertBatch(batch); err != nil {
+				if err := sys.InsertBatchContext(context.Background(), batch); err != nil {
 					return // not acknowledged
 				}
 				acked++
@@ -251,7 +252,7 @@ func TestWALSnapshotAnchor(t *testing.T) {
 	const snapAfter = 2
 	var snap bytes.Buffer
 	for i, batch := range batches {
-		if err := sys.InsertBatch(batch); err != nil {
+		if err := sys.InsertBatchContext(context.Background(), batch); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 		if i+1 == snapAfter {
@@ -282,9 +283,9 @@ func TestWALSnapshotAnchor(t *testing.T) {
 	}
 }
 
-// TestWALSingleRowInserts checks that the InsertEntity/InsertFact
-// paths log and fence exactly like InsertBatch: one record per call,
-// full round trip across a reboot.
+// TestWALSingleRowInserts checks that one-row batches, an entity row
+// and then a fact row, log and fence like any batch: one record per
+// call, full round trip across a reboot.
 func TestWALSingleRowInserts(t *testing.T) {
 	fs := iofault.NewMemFS()
 	sys, err := Build(academicsDB(), DefaultBuildConfig())
@@ -296,11 +297,13 @@ func TestWALSingleRowInserts(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.AttachWAL(l)
-	if err := sys.InsertEntity("academics", IntVal(106), StringVal("Grace Hopper")); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.InsertFact("research", IntVal(106), StringVal("data management")); err != nil {
-		t.Fatal(err)
+	for _, op := range []InsertOp{
+		{Rel: "academics", Vals: []Value{IntVal(106), StringVal("Grace Hopper")}},
+		{Rel: "research", Vals: []Value{IntVal(106), StringVal("data management")}},
+	} {
+		if err := sys.InsertBatchContext(context.Background(), []InsertOp{op}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	want := walFingerprint(t, sys)
 	if got := l.Metrics().Records; got != 2 {
@@ -340,16 +343,92 @@ func TestWALSyncFailureRefusesAck(t *testing.T) {
 	}
 	sys.AttachWAL(l)
 	fs.FailSyncs(1)
-	err = sys.InsertEntity("academics", IntVal(106), StringVal("Grace Hopper"))
+	err = sys.InsertBatchContext(context.Background(), []InsertOp{{Rel: "academics", Vals: []Value{IntVal(106), StringVal("Grace Hopper")}}})
 	if !errors.Is(err, ErrWALSync) {
 		t.Fatalf("insert with failing fsync = %v, want ErrWALSync", err)
 	}
 	// Poisoned: the next insert refuses too, even though fsync works
 	// again — durability of the earlier rows is still unproven.
-	if err := sys.InsertEntity("academics", IntVal(107), StringVal("Barbara Liskov")); !errors.Is(err, ErrWALSync) {
+	if err := sys.InsertBatchContext(context.Background(), []InsertOp{{Rel: "academics", Vals: []Value{IntVal(107), StringVal("Barbara Liskov")}}}); !errors.Is(err, ErrWALSync) {
 		t.Fatalf("insert after poison = %v, want ErrWALSync", err)
 	}
 	if !l.Metrics().Failed {
 		t.Error("log not marked failed")
 	}
+}
+
+// walSegment returns the live segment a WAL attached to a fresh fuzzDB
+// system holds after the walWorkload batches: what Append writes.
+func walSegment(tb testing.TB) []byte {
+	tb.Helper()
+	sys, err := Build(fuzzDB(), DefaultBuildConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fs := iofault.NewMemFS()
+	l, _, err := wal.Open("wal", wal.Options{Policy: wal.PolicyNever, FS: fs})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sys.AttachWAL(l)
+	for i, batch := range walWorkload() {
+		if err := sys.InsertBatchContext(context.Background(), batch); err != nil {
+			tb.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	seg, _ := fs.Bytes("wal")
+	return seg
+}
+
+// FuzzWALRecover feeds WAL recovery a live segment from outside the
+// process. wal.Open returns an error, or records whose sequence numbers
+// strictly increase and a segment cut to the valid prefix of the input:
+// its length plus TruncatedBytes is the input's length, except that an
+// input without a whole header leaves a fresh one. RecoverWAL of the
+// same bytes onto a fuzzDB system returns an error or succeeds; nothing
+// panics. The committed corpus (testdata/fuzz/FuzzWALRecover) is the
+// walSegment, the same segment cut in half and with one bit flipped; the
+// live segment is added as well, so the fuzzer starts from a valid log
+// even after the format moves past the corpus.
+func FuzzWALRecover(f *testing.F) {
+	f.Add(walSegment(f))
+	empty := iofault.NewMemFS()
+	l, _, err := wal.Open("wal", wal.Options{Policy: wal.PolicyNever, FS: empty})
+	if err != nil {
+		f.Fatal(err)
+	}
+	l.Close()
+	fresh, _ := empty.Bytes("wal")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fs := iofault.NewMemFS()
+		fs.SetFile("wal", data)
+		if l, res, err := wal.Open("wal", wal.Options{Policy: wal.PolicyNever, FS: fs}); err == nil {
+			l.Close()
+			for i := 1; i < len(res.Records); i++ {
+				if res.Records[i].Seq <= res.Records[i-1].Seq {
+					t.Fatalf("record %d has seq %d after %d", i, res.Records[i].Seq, res.Records[i-1].Seq)
+				}
+			}
+			seg, _ := fs.Bytes("wal")
+			kept := int64(len(data)) - res.TruncatedBytes
+			if kept == 0 && !bytes.Equal(seg, fresh) {
+				t.Fatalf("nothing of %d bytes kept, yet the segment is not a fresh header: %q", len(data), seg)
+			}
+			if kept != 0 && (int64(len(seg)) != kept || !bytes.Equal(seg, data[:kept])) {
+				t.Fatalf("%d bytes in, %d truncated, but the segment holds %d bytes that are not the input's prefix", len(data), res.TruncatedBytes, len(seg))
+			}
+		}
+		sys, err := Build(fuzzDB(), DefaultBuildConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		replay := iofault.NewMemFS()
+		replay.SetFile("wal", data)
+		if _, err := sys.RecoverWAL("wal", wal.Options{Policy: wal.PolicyNever, FS: replay}); err == nil {
+			sys.WAL().Close()
+		}
+	})
 }

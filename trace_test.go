@@ -12,7 +12,7 @@ import (
 var traceExamples = []string{"Dan Suciu", "Sam Madden", "Joseph Hellerstein"}
 
 // TestDiscoverUntracedAddsNoAllocs pins the tracing contract's "disabled
-// is free" half at the Discover level: threading a context that never
+// is free" half at the DiscoverContext level: threading a context that never
 // saw a recorder (or saw only the zero Span, which NewContext drops)
 // through the whole pipeline allocates exactly as much as the plain
 // path — the instrumentation is inert without a recorder.
