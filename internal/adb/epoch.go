@@ -1,8 +1,8 @@
 package adb
 
 import (
+	"maps"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,27 +112,15 @@ func snapshotRowCounts(db *relation.Database) map[string]int {
 // Reads are wait-free: Snapshot returns the current *Epoch via an
 // atomic pointer load, and all read surfaces (Entity, CombinedDB,
 // ComputeStats, Encode, and squid.System's discovery and execution
-// paths) operate on one pinned epoch. Writes (InsertBatch) coordinate
-// per relation: a writer locks only the write domain of the relations
-// its batch touches — inserts into disjoint relations build their
-// copy-on-write epochs in parallel — and the publish step combines
-// concurrent writers' epochs into one chain (each publish is a single
-// pointer swap; a writer that finds the current epoch moved past its
-// base rebases its disjoint changes onto the newer epoch instead of
-// serializing the whole apply).
+// paths) operate on one pinned epoch. Writes (InsertBatch) run one at a
+// time: a writer holds writeMu from loading its base epoch through the
+// publish and the publish hook, so every publish extends the epoch its
+// builder started from (each publish is a single pointer swap).
 type AlphaDB struct {
 	cur atomic.Pointer[Epoch]
 
-	// publishMu serializes the (cheap) epoch publish step — the
-	// combiner. The expensive copy-on-write apply runs outside it,
-	// guarded only by the write-domain locks below.
-	publishMu sync.Mutex
-	// domains maps each relation to the sorted names of its write
-	// domain: the relations its inserts may read or write. writeMu maps
-	// each relation to its domain's one writer lock, so writers of
-	// disjoint domains never contend.
-	domains map[string][]string
-	writeMu map[string]*sync.Mutex
+	// writeMu admits one writer at a time, for the whole of its batch.
+	writeMu sync.Mutex
 
 	// selCache carries the αDB-wide memo counters; cfg and BuildTime
 	// are build-time constants.
@@ -142,7 +130,6 @@ type AlphaDB struct {
 	BuildTime time.Duration
 
 	publishes atomic.Uint64
-	combines  atomic.Uint64
 
 	// retired / retainedBytes gauge the epoch chain's garbage: epochs
 	// replaced by a publish but not yet collected (readers may still pin
@@ -152,7 +139,7 @@ type AlphaDB struct {
 	retired       atomic.Int64
 	retainedBytes atomic.Int64
 
-	// publishHook, when set, observes every publish under publishMu —
+	// publishHook, when set, observes every publish under writeMu —
 	// after the epoch became current, in publish (= sequence) order —
 	// with the rows the publish applied. It is the write-ahead log's
 	// append point. Set it once, before the handle is shared.
@@ -181,7 +168,6 @@ func newAlphaDB(e *Epoch) *AlphaDB {
 	//lint:ignore epochmutate pre-publication initialization: the epoch is not yet shared (published by cur.Store below)
 	e.publishedAt = time.Now()
 	a.cur.Store(e)
-	a.initWriteDomains(e)
 	return a
 }
 
@@ -215,14 +201,15 @@ func (a *AlphaDB) SelectivityCache() *SelCache { return a.selCache }
 func (a *AlphaDB) Config() Config { return a.cfg }
 
 // EpochStats reports the epoch chain's health: the current sequence
-// number, when it was published, and the cumulative publish/combine
-// counters (a combine is a publish that rebased onto an epoch another
-// writer published concurrently).
+// number, when it was published, and the cumulative publish counter.
 type EpochStats struct {
 	Seq         uint64
 	PublishedAt time.Time
 	Publishes   uint64
-	Combines    uint64
+	// Combines is always 0: writers run one at a time, so no publish
+	// merges another writer's epoch. It stays only for the benchmark's
+	// adb.epoch_combines line (ROADMAP item 4 deletes both).
+	Combines uint64
 	// Retired counts epochs replaced by a publish but not yet garbage
 	// collected (readers may still pin them); RetainedBytes is what
 	// those epochs keep alive on their own: the bytes the publishes
@@ -239,90 +226,20 @@ func (a *AlphaDB) EpochStats() EpochStats {
 		Seq:           e.seq,
 		PublishedAt:   e.publishedAt,
 		Publishes:     a.publishes.Load(),
-		Combines:      a.combines.Load(),
 		Retired:       a.retired.Load(),
 		RetainedBytes: a.retainedBytes.Load(),
 	}
 }
 
-// initWriteDomains precomputes each relation's write domain and writer
-// lock. An insert reads and writes beyond its own relation — the
-// entities a fact row feeds, a derived property's via relation and
-// second fact, the facts that already name a new entity and everything
-// those feed — but never past a chain of foreign keys between entity
-// and fact relations: a relation's domain is its component under them.
-// Everything else a write touches (dimension relations, the shared
-// inverted index and dictionaries) is either never written or
-// internally synchronized.
-func (a *AlphaDB) initWriteDomains(e *Epoch) {
-	names := e.DB.RelationNames()
-	slices.Sort(names) // so every domain lists its members sorted
-	a.writeMu = make(map[string]*sync.Mutex, len(names))
-	a.domains = make(map[string][]string, len(names))
-	root := make(map[string]string, len(names))
-	find := func(n string) string {
-		for root[n] != n {
-			n = root[n]
-		}
-		return n
-	}
-	for _, n := range names {
-		root[n] = n
-		a.writeMu[n] = &sync.Mutex{}
-	}
-	for _, n := range names {
-		for _, fk := range e.DB.Relation(n).Foreign {
-			if e.DB.Kind(n) != relation.KindProperty && e.DB.Kind(fk.RefRelation) != relation.KindProperty {
-				root[find(n)] = find(fk.RefRelation)
-			}
-		}
-	}
-	for _, n := range names {
-		a.domains[find(n)] = append(a.domains[find(n)], n)
-	}
-	// A domain's members share one writer lock: its first member's.
-	for _, n := range names {
-		a.domains[n] = a.domains[find(n)]
-		a.writeMu[n] = a.writeMu[a.domains[n][0]]
-	}
-}
-
-// lockDomains acquires the writer locks of every given relation's write
-// domain, in sorted order of the domains' first members (deadlock-free),
-// and returns the unlock function. Unknown relation names contribute
-// nothing — their inserts fail before mutating anything.
-func (a *AlphaDB) lockDomains(rels []string) func() {
-	var keys []string
-	for _, rel := range rels {
-		if d, ok := a.domains[rel]; ok {
-			keys = append(keys, d[0])
-		}
-	}
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
-	for _, k := range keys {
-		a.writeMu[k].Lock()
-	}
-	return func() {
-		for i := len(keys) - 1; i >= 0; i-- {
-			a.writeMu[keys[i]].Unlock()
-		}
-	}
-}
-
 // publish makes the builder's copy-on-write changes the current epoch.
-// It is the epoch combiner: under publishMu (held only for the cheap
-// merge, never the apply), the builder's per-relation deltas are laid
-// over whatever epoch is current — the base it cloned from on the fast
-// path, or a newer epoch published by a concurrent disjoint writer, in
-// which case the merge combines both writers' changes (their domains
-// cannot overlap, the domain locks guarantee it). One atomic
-// store publishes the result; retired epochs stay valid for the
+// The caller holds writeMu, so the current epoch is still the base the
+// builder cloned from: the builder's deltas are laid over it, and one
+// atomic store publishes the result. Retired epochs stay valid for the
 // readers still pinning them and are garbage collected when the last
-// such reader drops its pointer. The whole combiner step is one
-// publish span of sp (carrying the new epoch's sequence number), and
-// the WAL append — the publish's only I/O — is a nested wal_append
-// span counting the rows it logged.
+// such reader drops its pointer. The step is one publish span of sp
+// (carrying the new epoch's sequence number), and the WAL append — the
+// publish's only I/O — is a nested wal_append span counting the rows it
+// logged.
 func (a *AlphaDB) publish(eb *epochBuilder, sp trace.Span) {
 	if !eb.dirty() {
 		return
@@ -330,26 +247,14 @@ func (a *AlphaDB) publish(eb *epochBuilder, sp trace.Span) {
 	ps := sp.Child(trace.PhasePublish, "")
 	defer ps.End()
 	eb.finalize()
-	a.publishMu.Lock()
-	defer a.publishMu.Unlock()
-	cur := a.cur.Load()
-	if cur != eb.base {
-		a.combines.Add(1)
+	cur := eb.base
+	if a.cur.Load() != cur {
+		panic("adb: publish without the write lock")
 	}
-	entities := make(map[string]*EntityInfo, len(cur.Entities))
-	for name, info := range cur.Entities {
-		entities[name] = info
-	}
-	for name, info := range eb.entities {
-		entities[name] = info
-	}
-	rowCounts := make(map[string]int, len(cur.rowCounts))
-	for name, n := range cur.rowCounts {
-		rowCounts[name] = n
-	}
-	for name, n := range eb.rowCounts {
-		rowCounts[name] = n
-	}
+	entities := maps.Clone(cur.Entities)
+	maps.Copy(entities, eb.entities)
+	rowCounts := maps.Clone(cur.rowCounts)
+	maps.Copy(rowCounts, eb.rowCounts)
 	next := &Epoch{
 		DB:          cur.DB.CloneWith(eb.baseRels),
 		Inverted:    cur.Inverted,
@@ -385,7 +290,7 @@ func (a *AlphaDB) publish(eb *epochBuilder, sp trace.Span) {
 
 	if a.publishHook != nil {
 		ws := ps.Child(trace.PhaseWALAppend, "")
-		// Under publishMu: hook (WAL append) order equals publish order,
+		// Under writeMu: hook (WAL append) order equals publish order,
 		// so the log IS the epoch chain's history.
 		a.publishHook(next.seq, eb.applied)
 		ws.Add(trace.CounterRows, int64(len(eb.applied)))

@@ -69,9 +69,8 @@ func TestEpochSnapshotIsolation(t *testing.T) {
 }
 
 // buildStudioFixture is the fixture plus a studio entity no fact links
-// to the rest: a write domain disjoint from every other. (Person and
-// movie share one: a castinfo row may name either before it exists, and
-// the entity's insert then applies it to the other's properties.)
+// to the rest, so two writers can insert into relations that share
+// nothing.
 func buildStudioFixture(t *testing.T) *AlphaDB {
 	t.Helper()
 	db := fixtureDB()
@@ -92,47 +91,13 @@ func buildStudioFixture(t *testing.T) *AlphaDB {
 	return a
 }
 
-// TestDisjointInsertsDoNotBlock proves the per-relation writer
-// coordination: while the movie relation's writer lock is held, an
-// insert into studio completes (disjoint domains — it would deadlock
-// the test otherwise), and the epoch combiner chains both writers'
-// publishes.
-func TestDisjointInsertsDoNotBlock(t *testing.T) {
-	a := buildStudioFixture(t)
-	// Simulate an in-flight movie writer by holding its domain lock.
-	a.writeMu["movie"].Lock()
-	err := a.InsertBatch([]InsertOp{{Rel: "studio", Vals: []relation.Value{relation.IntVal(7), relation.StringVal("Unblocked Studio"), relation.StringVal("Burbank")}}}, trace.Span{})
-	a.writeMu["movie"].Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Entity("studio").NumRows; got != 4 {
-		t.Errorf("studio rows = %d want 4", got)
-	}
-
-	// A castinfo fact references both person and movie: its domain must
-	// cover them (and the second-hop movietogenre fact of the derived
-	// genre walk), so it conflicts with writers of either entity.
-	domain := a.domains["castinfo"]
-	want := map[string]bool{"castinfo": true, "person": true, "movie": true, "movietogenre": true}
-	if len(domain) != len(want) {
-		t.Fatalf("castinfo domain = %v want %v", domain, want)
-	}
-	for _, k := range domain {
-		if !want[k] {
-			t.Fatalf("castinfo domain = %v want %v", domain, want)
-		}
-	}
-}
-
-// TestDisjointInsertBatchesParallel hammers disjoint-relation writers
-// concurrently (person vs studio entity inserts) with readers pinning
-// epochs mid-flight; under -race it proves writers of disjoint
-// relations need no mutual serialization, and afterwards it checks the
-// combined chain: every batch published exactly one epoch, all rows
-// landed, and the incrementally maintained statistics match a fresh
-// rebuild.
-func TestDisjointInsertBatchesParallel(t *testing.T) {
+// TestConcurrentInsertBatchesSerialize runs two writers concurrently
+// (person vs studio entity inserts) with a reader pinning epochs
+// mid-flight; under -race it proves the write lock serializes them, and
+// afterwards it checks the chain: every batch published exactly one
+// epoch, all rows landed, and the incrementally maintained statistics
+// match a fresh rebuild.
+func TestConcurrentInsertBatchesSerialize(t *testing.T) {
 	a := buildStudioFixture(t)
 	const perWriter = 24
 	var wg sync.WaitGroup
@@ -165,10 +130,11 @@ func TestDisjointInsertBatchesParallel(t *testing.T) {
 			}
 		}
 	}()
-	// Readers pin epochs concurrently; their view must always be a
+	// A reader pins epochs concurrently; its view must always be a
 	// prefix-consistent snapshot (never a torn row count).
 	stop := make(chan struct{})
 	var rwg sync.WaitGroup
+	var readErr error
 	rwg.Add(1)
 	go func() {
 		defer rwg.Done()
@@ -181,7 +147,7 @@ func TestDisjointInsertBatchesParallel(t *testing.T) {
 			ep := a.Snapshot()
 			info := ep.Entity("person")
 			if info.NumRows != info.Rel().NumRows() {
-				errs = append(errs, fmt.Errorf("torn epoch: info %d rel %d", info.NumRows, info.Rel().NumRows()))
+				readErr = fmt.Errorf("torn epoch: info %d rel %d", info.NumRows, info.Rel().NumRows())
 				return
 			}
 		}
@@ -190,7 +156,7 @@ func TestDisjointInsertBatchesParallel(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	rwg.Wait()
-	for _, err := range errs {
+	for _, err := range append(errs, readErr) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,12 +168,8 @@ func TestDisjointInsertBatchesParallel(t *testing.T) {
 	if got := a.Entity("studio").NumRows; got != 3+perWriter {
 		t.Errorf("studio rows = %d want %d", got, 3+perWriter)
 	}
-	es := a.EpochStats()
-	if es.Publishes != 2*perWriter {
-		t.Errorf("publishes = %d want %d (one per batch)", es.Publishes, 2*perWriter)
-	}
-	if es.Seq != 2*perWriter {
-		t.Errorf("seq = %d want %d", es.Seq, 2*perWriter)
+	if es := a.EpochStats(); es.Publishes != 2*perWriter || es.Seq != 2*perWriter {
+		t.Errorf("publishes = %d, seq = %d, want %d each (one per batch)", es.Publishes, es.Seq, 2*perWriter)
 	}
 	rebuildAndCompare(t, a)
 }

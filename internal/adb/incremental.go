@@ -31,10 +31,8 @@ import (
 // second fact; a new entity row applies the rows that named it before
 // it existed. Deletions still require a rebuild.
 //
-// Each insert locks the write domains of the relations it touches
-// (AlphaDB.lockDomains), so inserts into disjoint domains build their
-// epochs in parallel and the publish combiner merges them into one
-// chain.
+// Writers run one at a time (AlphaDB.writeMu), so every publish extends
+// the epoch its builder started from.
 
 // epochBuilder accumulates one writer's copy-on-write changes against
 // a base epoch. Privatization is lazy and per-structure: the first
@@ -249,30 +247,27 @@ type InsertOp struct {
 // the touched relations' statistics are cloned once per batch, not once
 // per row, and readers observe the batch atomically (all rows or,
 // before the publish, none). Safe to call concurrently with discovery
-// (readers are wait-free on their pinned epochs) and with inserts into
-// disjoint write domains. Rows apply in order; on the first failure the
-// batch stops, already-applied rows are still published (append-only
-// maintenance has no rollback), and the error reports the failing row's
-// index.
+// (readers are wait-free on their pinned epochs) and with other inserts,
+// which wait: one batch at a time holds the write lock, from loading its
+// base epoch through the publish and its WAL append. Rows apply in
+// order; on the first failure the batch stops, already-applied rows are
+// still published (append-only maintenance has no rollback), and the
+// error reports the failing row's index.
 //
-// sp attributes the work: the write-domain lock acquisition is a
-// publish_wait span (the time this batch spent blocked behind other
-// writers of its domains), the copy-on-write apply loop is an apply
-// span counting its rows and the derived strengths it raised
-// (pairs_bumped), and the publish step (with its WAL append) nests
-// under publish. The zero Span records nothing.
+// sp attributes the work: the write-lock acquisition is a publish_wait
+// span (the time this batch spent blocked behind other writers), the
+// copy-on-write apply loop is an apply span counting its rows and the
+// derived strengths it raised (pairs_bumped), and the publish step
+// (with its WAL append) nests under publish. The zero Span records
+// nothing.
 func (a *AlphaDB) InsertBatch(ops []InsertOp, sp trace.Span) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	rels := make([]string, len(ops))
-	for i, op := range ops {
-		rels[i] = op.Rel
-	}
 	ws := sp.Child(trace.PhasePublishWait, "")
-	unlock := a.lockDomains(rels)
+	a.writeMu.Lock()
 	ws.End()
-	defer unlock()
+	defer a.writeMu.Unlock()
 	eb := a.newEpochBuilder()
 	as := sp.Child(trace.PhaseApply, "")
 	var firstErr error

@@ -44,12 +44,10 @@ type Stats struct {
 	Resident ResidentBytes
 
 	// Epoch-chain health: the pinned epoch's sequence number and age,
-	// plus the cumulative publish/combine counters (a combine is a
-	// publish that merged a concurrent disjoint writer's epoch).
+	// plus the cumulative publish counter.
 	EpochSeq       uint64
 	EpochAgeSec    float64
 	EpochPublishes uint64
-	EpochCombines  uint64
 
 	// Epoch-chain GC telemetry: retired epochs not yet collected and
 	// the bytes they keep alive on their own (what the publishes that
@@ -114,14 +112,13 @@ func (a *AlphaDB) ComputeStats() Stats {
 	ep := a.Snapshot()
 	s := ep.ComputeStats()
 	s.EpochPublishes = a.publishes.Load()
-	s.EpochCombines = a.combines.Load()
 	s.EpochRetired = a.retired.Load()
 	s.EpochRetainedBytes = a.retainedBytes.Load()
 	return s
 }
 
 // ComputeStats gathers the Fig 18 statistics of this epoch. The
-// publish/combine counters live on the handle (AlphaDB.ComputeStats
+// publish counters live on the handle (AlphaDB.ComputeStats
 // fills them); here they stay zero.
 func (a *Epoch) ComputeStats() Stats {
 	res := a.ResidentBytes()

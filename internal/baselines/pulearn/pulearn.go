@@ -4,7 +4,7 @@
 // classifier g to distinguish labeled from unlabeled rows, estimate the
 // label frequency c = E[g(x) | labeled] on a positive holdout, and
 // classify x as positive when g(x)/c ≥ 0.5. Base estimators are the
-// from-scratch decision tree and random forest of internal/ml.
+// from-scratch decision tree and random forest of internal/baselines/ml.
 package pulearn
 
 import (
@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"squid/internal/adb"
-	"squid/internal/ml"
+	"squid/internal/baselines/ml"
 )
 
 // Estimator selects the base classifier.

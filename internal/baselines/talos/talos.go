@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"squid/internal/adb"
-	"squid/internal/ml"
+	"squid/internal/baselines/ml"
 )
 
 // Result is the outcome of one reverse-engineering run.

@@ -246,9 +246,10 @@ func filterPostings(ps []Posting, limit RowLimit) []Posting {
 }
 
 // Insert adds one posting incrementally (αDB maintenance on inserts).
-// Concurrent writers of disjoint relations serialize here briefly; the
-// posting becomes visible to epoch-pinned readers only once an epoch
-// whose row count covers it is published.
+// The lock orders the append against concurrent lookups (writers are
+// already serialized by the αDB's write lock); the posting becomes
+// visible to epoch-pinned readers only once an epoch whose row count
+// covers it is published.
 func (inv *Inverted) Insert(value string, p Posting) {
 	key := normalize(value)
 	inv.mu.Lock()

@@ -13,8 +13,6 @@
 //     forbidden outside main packages and tests (ctxpoll),
 //   - a written file must be Sync()ed before the rename that makes it
 //     visible (syncrename),
-//   - per-relation writer locks are acquired in sorted-name order
-//     (lockorder),
 //   - a span begun with Root/Child is End()ed or handed off (spanend),
 //
 // plus two hygiene passes: struct-copies of lock-bearing types
@@ -71,7 +69,6 @@ func Analyzers() []*Analyzer {
 		analyzerRowSetAlias(),
 		analyzerCtxPoll(),
 		analyzerSyncRename(),
-		analyzerLockOrder(),
 		analyzerMutexCopy(),
 		analyzerUnusedExport(),
 		analyzerSpanEnd(),

@@ -165,10 +165,6 @@ func TestSyncRenameFixture(t *testing.T) {
 	checkFixture(t, "syncrename", "fixtures/syncrename", []string{"syncrename"})
 }
 
-func TestLockOrderFixture(t *testing.T) {
-	checkFixture(t, "lockorder", "fixtures/lockorder", []string{"lockorder"})
-}
-
 func TestMutexCopyFixture(t *testing.T) {
 	checkFixture(t, "mutexcopy", "fixtures/mutexcopy", []string{"mutexcopy"})
 }
@@ -205,7 +201,7 @@ func TestModuleClean(t *testing.T) {
 // comma-separated names; the README table lists them in this order).
 func TestAnalyzerNamesStable(t *testing.T) {
 	got := strings.Join(AnalyzerNames(), ",")
-	const want = "epochmutate,rowsetalias,ctxpoll,syncrename,lockorder,mutexcopy,unusedexport,spanend"
+	const want = "epochmutate,rowsetalias,ctxpoll,syncrename,mutexcopy,unusedexport,spanend"
 	if got != want {
 		t.Fatalf("AnalyzerNames() = %s, want %s", got, want)
 	}

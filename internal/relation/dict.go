@@ -24,7 +24,7 @@ import (
 // copy-on-write epochs instead of cloned. Decoding takes no lock: the
 // values are published as an immutable prefix behind one atomic pointer
 // (Value, Values and Len are one load and an index), and Intern — which
-// the owning relation's writer lock serializes — appends past every
+// the αDB's one write lock serializes — appends past every
 // published prefix and republishes. Codes are stable forever — an epoch
 // that was published when the dictionary held n values only ever stores
 // codes < n in its columns and statistics, so readers of a retired epoch
@@ -86,7 +86,7 @@ func newDict() *Dict {
 
 // Intern returns the code of v, assigning the next dense code on first
 // appearance. Callers must serialize Intern with other Interns of the
-// same dictionary (the αDB's per-relation writer locks do).
+// same dictionary (the αDB's write lock does).
 func (d *Dict) Intern(v string) int32 {
 	d.mu.RLock()
 	id, ok := d.ids[v]

@@ -74,7 +74,6 @@ type liveGauges struct {
 	epochSeq         uint64
 	epochAgeSec      float64
 	epochPublishes   uint64
-	epochCombines    uint64
 
 	// Executed SPJ blocks by how much of each the row sets answered.
 	executeAll, executePart, executeNone uint64
@@ -214,9 +213,6 @@ func (m *metrics) render(w *strings.Builder, live liveGauges) {
 	fmt.Fprintf(w, "# HELP squid_epoch_publishes_total Copy-on-write epoch publishes since boot (one per insert batch).\n")
 	fmt.Fprintf(w, "# TYPE squid_epoch_publishes_total counter\n")
 	fmt.Fprintf(w, "squid_epoch_publishes_total %d\n", live.epochPublishes)
-	fmt.Fprintf(w, "# HELP squid_epoch_combines_total Publishes that merged a concurrent disjoint writer's epoch at the combiner.\n")
-	fmt.Fprintf(w, "# TYPE squid_epoch_combines_total counter\n")
-	fmt.Fprintf(w, "squid_epoch_combines_total %d\n", live.epochCombines)
 	fmt.Fprintf(w, "# HELP squid_epoch_retired Retired epochs not yet garbage-collected (readers or leaked discoveries pin them).\n")
 	fmt.Fprintf(w, "# TYPE squid_epoch_retired gauge\n")
 	fmt.Fprintf(w, "squid_epoch_retired %d\n", live.epochRetired)

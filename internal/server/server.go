@@ -34,9 +34,9 @@ type Config struct {
 	// one slot but fans across the System's batch worker pool
 	// (System.SetBatchWorkers), so worst-case discovery parallelism is
 	// MaxInFlight × batch workers. Inserts are not gated: their only
-	// bounds are the per-relation writer locks of the αDB and the
-	// 4096-row batch cap, and under -wal-fsync=always an insert is not
-	// cheap (ROADMAP item 7b).
+	// bounds are the αDB's one write lock and the 4096-row batch cap,
+	// and under -wal-fsync=always an insert is not cheap (ROADMAP item
+	// 7b).
 	MaxInFlight int
 	// QueueDepth bounds how many admission waiters may queue behind the
 	// in-flight requests before new work is shed with 429
@@ -365,7 +365,6 @@ type StatsResponse struct {
 	EpochSeq         uint64         `json:"epoch_seq"`
 	EpochAgeSec      float64        `json:"epoch_age_sec"`
 	EpochPublishes   uint64         `json:"epoch_publishes"`
-	EpochCombines    uint64         `json:"epoch_combines"`
 	RelationCards    []RelCard      `json:"relation_cards"`
 	// ResidentBytes attributes the epoch's memory by structure, under
 	// the names squid_resident_bytes uses on /metrics, plus the insert
@@ -665,7 +664,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		EpochSeq:         st.EpochSeq,
 		EpochAgeSec:      st.EpochAgeSec,
 		EpochPublishes:   st.EpochPublishes,
-		EpochCombines:    st.EpochCombines,
 		ResidentBytes:    map[string]int64{"hash_index_tail": st.Resident.HashIndexTail},
 	}
 	for _, rs := range residentSeries(st.Resident) {
@@ -694,7 +692,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// resident-byte attribution, one pass over structure headers; never
 	// the full Stats computation.
 	hits, misses, entries := s.sys.CacheMetrics()
-	epochSeq, epochAge, publishes, combines := s.sys.EpochMetrics()
+	epochSeq, epochAge, publishes := s.sys.EpochMetrics()
 	retired, retainedBytes := s.sys.EpochGCMetrics()
 	execAll, execPart, execNone := s.sys.ExecuteBlockMetrics()
 	var walMetrics *wal.Metrics
@@ -712,7 +710,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		epochSeq:           epochSeq,
 		epochAgeSec:        epochAge.Seconds(),
 		epochPublishes:     publishes,
-		epochCombines:      combines,
 		epochRetired:       retired,
 		epochRetainedBytes: retainedBytes,
 		executeAll:         execAll,

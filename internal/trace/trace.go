@@ -67,12 +67,12 @@ const (
 	PhaseStage
 	// PhaseInsert is the root of one insert request.
 	PhaseInsert
-	// PhasePublishWait is time spent waiting on per-relation writer
-	// locks before a copy-on-write apply may start.
+	// PhasePublishWait is time spent waiting on the αDB's write lock
+	// before a copy-on-write apply may start.
 	PhasePublishWait
 	// PhaseApply is the copy-on-write apply of an insert batch.
 	PhaseApply
-	// PhasePublish is the epoch publish (the combiner critical section).
+	// PhasePublish is the epoch publish: the new epoch's pointer swap.
 	PhasePublish
 	// PhaseWALAppend is the write-ahead-log append inside the publish.
 	PhaseWALAppend

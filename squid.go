@@ -53,8 +53,8 @@
 //     epochs — a discovery pins the current epoch with one pointer load
 //     and can never be stalled by a writer, while writers build the next
 //     epoch copy-on-write and publish it with one pointer swap. Writers
-//     into disjoint write domains proceed in parallel (one lock a
-//     domain); no external coordination is required anywhere.
+//     run one at a time behind one lock; no external coordination is
+//     required anywhere.
 //
 // Benchmarks: `go run ./benchmark -workload <name>` is the benchmark of
 // record (BENCHMARK.json is its contract, benchmark/README.md its
@@ -196,9 +196,8 @@ type CSVColumn = relation.CSVColumn
 // Writes (InsertBatchContext) build the next epoch copy-on-write: they
 // clone only the relations, property statistics, and index shards the
 // batch touches, share everything else structurally with the previous
-// epoch, and publish with one pointer swap. Writers coordinate per
-// relation — inserts into disjoint relations proceed in parallel, and
-// concurrent publishes are combined into one chain — so a discovery in
+// epoch, and publish with one pointer swap. Writers run one at a time,
+// each publish extending the epoch the last one made, so a discovery in
 // flight when an insert lands answers from the pre-insert epoch
 // (snapshot isolation) and the next one sees the new rows.
 //
@@ -378,11 +377,11 @@ func (s *System) CacheMetrics() (hits, misses uint64, entries int) {
 
 // EpochMetrics reports the αDB epoch chain's health for monitoring:
 // the current epoch's sequence number, its age (time since the last
-// publish), and the cumulative publish/combine counters. One atomic
-// load; safe at any scrape frequency.
-func (s *System) EpochMetrics() (seq uint64, age time.Duration, publishes, combines uint64) {
+// publish), and the cumulative publish counter. One atomic load; safe
+// at any scrape frequency.
+func (s *System) EpochMetrics() (seq uint64, age time.Duration, publishes uint64) {
 	es := s.alpha.EpochStats()
-	return es.Seq, time.Since(es.PublishedAt), es.Publishes, es.Combines
+	return es.Seq, time.Since(es.PublishedAt), es.Publishes
 }
 
 // EpochGCMetrics reports the epoch chain's garbage-collection health:
@@ -574,10 +573,12 @@ type InsertOp = adb.InsertOp
 // whole batch; concurrent discoveries are never blocked and observe the
 // batch atomically. Only the properties the rows shift are cloned
 // (their row-set memos start empty); every other property keeps its
-// memo. Batches into disjoint write domains proceed in parallel. Rows
-// apply in order; on the first failure the batch stops, already-applied
-// rows stay (and publish), and the error reports the failing row's
-// index. A partially applied batch skips the WAL durability barrier
+// memo. Batches run one at a time; the WAL durability barrier runs
+// after the write lock is released, so concurrent batches still share
+// a group-commit fsync. Rows apply in order; on the first failure the
+// batch stops, already-applied rows stay (and publish), and the error
+// reports the failing row's index. A partially applied batch skips the
+// WAL durability barrier
 // (the caller was told the batch failed); its surviving rows are logged
 // and ride along with the next acknowledged write's barrier or the
 // background flush.

@@ -211,7 +211,7 @@ func TestExecuteReducedMatchesUnreduced(t *testing.T) {
 		pass("fresh", false)
 		pass("cold", true)
 		if ds.ingest {
-			randomIngest(t, sys, rand.New(rand.NewSource(3)), 6)
+			randomIngest(t, sys, rand.New(rand.NewSource(3)), 6, nil)
 			pass("ingested", false)
 		}
 		a, p, n := sys.ExecuteBlockMetrics()

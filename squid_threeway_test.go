@@ -31,7 +31,8 @@ import (
 // batch and across batches; genres, countries, keywords and awards for
 // entities that already have a cast; casts on movies that already have
 // a company and company links to movies that already have a cast.
-func randomIngest(t *testing.T, sys *System, rng *rand.Rand, publishes int) int {
+// after, when set, runs after each publish k.
+func randomIngest(t *testing.T, sys *System, rng *rand.Rand, publishes int, after func(k int)) int {
 	t.Helper()
 	db := sys.AlphaDB().DB()
 	pick := func(xs []int64) Value { return IntVal(xs[rng.Intn(len(xs))]) }
@@ -135,13 +136,16 @@ func randomIngest(t *testing.T, sys *System, rng *rand.Rand, publishes int) int 
 			t.Fatalf("publish %d: %v", k, err)
 		}
 		rows += len(ops)
+		if after != nil {
+			after(k)
+		}
 	}
 	return rows
 }
 
 // addLabels adds to db a component no IMDb relation reaches — a label
-// entity and its artists, an attribute table — so a label writer's
-// domain is disjoint from every IMDb writer's.
+// entity and its artists, an attribute table — for a second writer to
+// insert into beside the IMDb one.
 func addLabels(db *relation.Database) {
 	label := relation.New("label",
 		relation.Col("id", relation.Int),
@@ -161,18 +165,46 @@ func addLabels(db *relation.Database) {
 	db.AddRelation(artists)
 }
 
-// labelIngest publishes label batches until done is closed and the
-// publish combiner has merged a concurrent writer's epoch at least once.
+// publishedSeq inserts ops as one batch and returns the sequence number
+// of the epoch it published, read off the batch's publish span.
+func publishedSeq(sys *System, ops []InsertOp) (uint64, error) {
+	rec := trace.NewRecorder(0)
+	root := rec.Root(trace.PhaseInsert, "")
+	err := sys.InsertBatchContext(trace.NewContext(context.Background(), root), ops)
+	root.End()
+	for _, sp := range rec.Finish("insert", "").Spans {
+		if sp.Phase == trace.PhasePublish {
+			return uint64(sp.Counters[trace.CounterEpochSeq.String()]), err
+		}
+	}
+	return 0, err
+}
+
+// labelIngest publishes label batches beside another writer that starts
+// after seq0, until a label publish lies strictly between two of the
+// other writer's publishes, so the log interleaves the two writers. It
+// closes followed at its first publish after one of the other writer's,
+// and stops once a later publish of the other writer lies between, or
+// fails if done is closed (the other writer finished) before one does.
 // An artist may name a label whose row lands later in its batch or in a
 // later one.
-func labelIngest(sys *System, rng *rand.Rand, done <-chan struct{}) error {
+func labelIngest(sys *System, rng *rand.Rand, seq0 uint64, followed chan<- struct{}, done <-chan struct{}) error {
 	next := int64(100)
-	for k := 0; ; k++ {
+	// before is how many of the other writer's publishes preceded the
+	// first label publish that followed one of them (0 until then).
+	var before uint64
+	defer func() {
+		if before == 0 { // failed first: release the other writer
+			close(followed)
+		}
+	}()
+	for labels := uint64(0); ; labels++ {
 		select {
 		case <-done:
-			if sys.AlphaDB().EpochStats().Combines > 0 || k > 100_000 {
-				return nil
+			if others := sys.AlphaDB().EpochStats().Seq - seq0 - labels; before == 0 || others == before {
+				return fmt.Errorf("no label publish between two others in %d label publishes", labels)
 			}
+			return nil
 		default:
 		}
 		var ops []InsertOp
@@ -189,8 +221,16 @@ func labelIngest(sys *System, rng *rand.Rand, done <-chan struct{}) error {
 		default:
 			artist(int64(rng.Intn(int(next))))
 		}
-		if err := sys.InsertBatchContext(context.Background(), ops); err != nil {
+		seq, err := publishedSeq(sys, ops)
+		if err != nil {
 			return err
+		}
+		switch others := seq - seq0 - labels - 1; {
+		case before == 0 && others > 0:
+			before = others
+			close(followed)
+		case before > 0 && others > before:
+			return nil
 		}
 	}
 }
@@ -357,9 +397,9 @@ func checkStrengthHistograms(t *testing.T, label string, a *adb.AlphaDB) {
 }
 
 // TestRandomIngestThreeWay is the four-roads-to-one-αDB oracle: after
-// a seeded random sequence of mixed insert batches, with a writer of a
-// disjoint component publishing beside it so the publish combiner
-// merges epochs, the incrementally maintained epochs, a cold Build of
+// a seeded random sequence of mixed insert batches, with a writer of
+// another component publishing between its batches, the incrementally
+// maintained epochs, a cold Build of
 // the final database, a Save/Load round trip and a replay of the
 // write-ahead log onto the pre-ingest snapshot must agree on every
 // property statistic and row set, and must explain every benchmark
@@ -397,16 +437,23 @@ func threeWay(t *testing.T, cfg datagen.IMDbConfig, publishes int) {
 	}
 	sys.AttachWAL(l)
 
-	done, labelErr := make(chan struct{}), make(chan error, 1)
-	go func() { labelErr <- labelIngest(sys, rand.New(rand.NewSource(7)), done) }()
+	// The IMDb writer waits after its first publish until a label publish
+	// follows it, so one lands before its second even on one CPU.
+	followed, done, labelErr := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	seq0 := sys.AlphaDB().EpochStats().Seq
+	go func() { labelErr <- labelIngest(sys, rand.New(rand.NewSource(7)), seq0, followed, done) }()
 	rng := rand.New(rand.NewSource(20190625))
-	rows := randomIngest(t, sys, rng, publishes)
+	rows := randomIngest(t, sys, rng, publishes, func(k int) {
+		if k == 0 {
+			<-followed
+		}
+	})
 	close(done)
 	if err := <-labelErr; err != nil {
 		t.Fatal(err)
 	}
-	if es := sys.AlphaDB().EpochStats(); rows < 200 || es.Combines == 0 {
-		t.Fatalf("sequence too small: %d rows, %d combined publishes", rows, es.Combines)
+	if rows < 200 {
+		t.Fatalf("sequence too small: %d rows", rows)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
