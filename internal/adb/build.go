@@ -35,8 +35,8 @@ type Config struct {
 	// relation name (e.g. free-text columns).
 	ExcludeColumns map[string][]string
 	// Workers bounds the offline build's worker pool: basic-property
-	// stats, derived-property walks, inverted-index shards, and
-	// IndexSet warming fan out across this many goroutines. 0 means
+	// stats, derived-property walks, inverted-index shards, and the
+	// resident hash indexes fan out across this many goroutines. 0 means
 	// GOMAXPROCS; 1 forces a serial build. Output is deterministic
 	// regardless of the worker count.
 	Workers int
@@ -179,11 +179,10 @@ func buildEpoch(db *relation.Database, cfg Config) (*Epoch, error) {
 	a := &Epoch{
 		DB:        db,
 		Entities:  make(map[string]*EntityInfo),
-		Indexes:   index.NewIndexSet(),
+		Indexes:   residentIndexes(db, workers),
 		DerivedDB: relation.NewDatabase(db.Name + "_alpha"),
 		cfg:       cfg,
 		selCache:  &SelCache{},
-		factIdx:   index.NewIndexSet(),
 	}
 
 	entities := db.EntityRelations()
@@ -201,7 +200,7 @@ func buildEpoch(db *relation.Database, cfg Config) (*Epoch, error) {
 	}()
 	defer func() { <-invDone }()
 
-	// Phase 1: scaffold every entity (PK index warming).
+	// Phase 1: scaffold every entity.
 	builds := make([]*entityBuild, len(entities))
 	errs := make([]error, len(entities))
 	index.RunBounded(len(entities), workers, func(i int) {
@@ -246,14 +245,47 @@ func buildEpoch(db *relation.Database, cfg Config) (*Epoch, error) {
 		a.Entities[entities[i]] = eb.info
 	}
 	<-invDone
-	a.factIdx = nil
 	a.BuildTime = time.Since(start)
-	a.rowCounts = snapshotRowCounts(db)
 	return a, nil
 }
 
+// residentIndexes builds the hash indexes every epoch holds from the
+// start — the integer primary key of every relation that is not a fact,
+// and every foreign-key column of a fact relation — fanned over workers.
+// Build and Load both run it before anything reads the set, so the
+// per-row functions of the build and of every insert find their key
+// lookups resident.
+func residentIndexes(db *relation.Database, workers int) *index.IndexSet {
+	var keys []index.ColumnKey
+	for _, name := range db.RelationNames() {
+		rel := db.Relation(name)
+		if db.Kind(name) != relation.KindUnknown {
+			if intColumn(rel, rel.PrimaryKey) {
+				keys = append(keys, index.ColumnKey{Relation: name, Column: rel.PrimaryKey})
+			}
+			continue
+		}
+		for _, fk := range rel.Foreign {
+			if intColumn(rel, fk.Column) {
+				keys = append(keys, index.ColumnKey{Relation: name, Column: fk.Column})
+			}
+		}
+	}
+	built := make([]*index.IntHash, len(keys))
+	index.RunBounded(len(keys), workers, func(i int) {
+		built[i] = index.BuildIntHash(db.Relation(keys[i].Relation), keys[i].Column)
+	})
+	set := index.NewIndexSet()
+	for i, key := range keys {
+		set.AdoptIntHash(key.Relation, key.Column, built[i])
+	}
+	return set
+}
+
 // EphemeralEntity builds a property-less EntityInfo for a non-entity
-// relation with an integer primary key. It backs the dimension-fallback
+// relation with an integer primary key, over the resident primary-key
+// index (a fact relation's key, never resident, is indexed for the
+// call). It backs the dimension-fallback
 // path of query discovery: when examples only match a dimension relation
 // (all movie genres, IQ7 of the paper), the abduced query is the plain
 // projection over that relation with no filters.
@@ -283,8 +315,8 @@ func (a *Epoch) CombinedDB() *relation.Database {
 
 // scaffoldEntity validates that a relation can serve as an entity (an
 // integer primary key) and builds its property-less lookup scaffold;
-// safe to run in parallel across entities (the shared IndexSet
-// serializes builds).
+// safe to run in parallel across entities (it only reads the resident
+// set).
 func (a *Epoch) scaffoldEntity(name string) (*EntityInfo, error) {
 	rel := a.DB.Relation(name)
 	if rel == nil {
@@ -301,14 +333,14 @@ func (a *Epoch) scaffoldEntity(name string) (*EntityInfo, error) {
 		PK:       rel.PrimaryKey,
 		NumRows:  rel.NumRows(),
 		rel:      rel,
-		pkIndex:  a.Indexes.IntHash(rel, rel.PrimaryKey),
+		pkIndex:  a.readHash(rel, rel.PrimaryKey),
 	}, nil
 }
 
 // planEntity enumerates the property-discovery tasks of one entity in
 // the same order the sequential builder visited them, reserving one
 // result slot per task. Tasks only read base relations and the
-// concurrency-safe IndexSet, so they run freely in parallel.
+// resident index set, so they run freely in parallel.
 func (a *Epoch) planEntity(eb *entityBuild) []func() {
 	info := eb.info
 	name := info.Relation
@@ -434,7 +466,7 @@ func (a *Epoch) finishEntity(eb *entityBuild) error {
 
 // registerDerived gives a worker-built derived relation its final unique
 // name, adds it to the derived database, and adopts its entity index
-// into the shared pool. Called sequentially in enumeration order, so
+// into the resident set. Called sequentially in enumeration order, so
 // collision suffixes are deterministic.
 func (a *Epoch) registerDerived(p *DerivedProperty) {
 	base := p.RelName
@@ -474,14 +506,15 @@ type source interface {
 
 func (a *Epoch) viewRel(name string) *relation.Relation { return a.DB.Relation(name) }
 
-// readHash serves the build's point lookups. An index over a fact or
-// side table lives in a scratch set the finished build drops: the epoch
-// keeps only the key indexes of entity and dimension relations.
+// readHash serves the build's point lookups from the resident set
+// (residentIndexes); a key the set lacks — a foreign key that names a
+// column other than its relation's primary key — is indexed for the
+// caller alone.
 func (a *Epoch) readHash(rel *relation.Relation, col string) *index.IntHash {
-	if a.DB.Kind(rel.Name) == relation.KindUnknown {
-		return a.factIdx.IntHash(rel, col)
+	if h := a.Indexes.ResidentIntHash(rel, col); h != nil {
+		return h
 	}
-	return a.Indexes.IntHash(rel, col)
+	return index.BuildIntHash(rel, col)
 }
 
 func (a *Epoch) isEntity(name string) bool { return a.DB.Kind(name) == relation.KindEntity }

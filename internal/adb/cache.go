@@ -47,8 +47,12 @@ type SelKey struct {
 // across the publish.
 type rowSetMemo struct {
 	cache *SelCache // αDB-wide hit/miss totals
-	mu    sync.RWMutex
-	sets  map[SelKey]*index.RowSet
+	// mu stays a lock, not a copy-on-store map behind an atomic pointer:
+	// on the benchmark's 4x pool a warm discovery stores nothing and a
+	// cold one 2.8 sets, so it is uncontended, and a copy-on-store map
+	// would copy the memo on every store.
+	mu   sync.RWMutex
+	sets map[SelKey]*index.RowSet
 }
 
 func newRowSetMemo(c *SelCache) *rowSetMemo {

@@ -14,8 +14,7 @@ import (
 
 // Epoch is one immutable, atomically published state of the αDB: the
 // base and derived databases, per-entity semantic properties with their
-// statistics, the per-epoch index view, and the per-relation row counts
-// that pin the shared inverted index and dictionaries to this state.
+// statistics, the inverted index and the resident hash indexes.
 //
 // Readers (discovery, engine execution, stats, snapshot encode) load
 // the current epoch once with AlphaDB.Snapshot and run wait-free
@@ -30,22 +29,24 @@ import (
 // untouched one carries its memo into the next epoch (see rowSetMemo),
 // so publishing has nothing to evict.
 //
-// Two structures are shared across epochs instead of cloned, because
-// they are append-only with stable identities: the column dictionaries
-// (codes never change meaning; an epoch only references codes that
-// existed at its publish) and the inverted index (postings carry row
-// numbers, and epoch-pinned lookups filter by the epoch's row counts).
-// Both are internally synchronized for the duration of a map insert,
-// never for the duration of a discovery.
+// The column dictionaries are the one structure shared across epochs
+// instead of cloned: they are append-only with stable codes (a code
+// never changes meaning, and an epoch only references codes that
+// existed at its publish). Everything else an epoch holds is its own
+// or shared copy-on-write, so it answers exactly as of its publish.
 type Epoch struct {
-	DB       *relation.Database
+	DB *relation.Database
+	// Inverted maps every TEXT value of the base relations to its
+	// postings (entity lookup, §5 of the paper): this epoch's rows,
+	// exactly.
 	Inverted *index.Inverted
 	Entities map[string]*EntityInfo
 
-	// Indexes is this epoch's hash-index view over base and derived
-	// relations: every point lookup of the online phase (dimension
-	// resolution, engine predicate pushdown) is served from here.
-	// Indexes are immutable once visible; cold ones build lazily.
+	// Indexes is this epoch's resident hash indexes over base and
+	// derived relations (see index.IndexSet): the key lookups of the
+	// online phase and of the writer, and the joins the engine probes.
+	// The set is fixed once published: a reader that needs an index it
+	// lacks builds a private one.
 	Indexes *index.IndexSet
 
 	// DerivedDB holds the materialized derived relations (Fig 18's
@@ -56,18 +57,11 @@ type Epoch struct {
 
 	cfg      Config
 	selCache *SelCache
-	// factIdx holds the hash indexes over fact and side tables a build
-	// reads (see readHash); nil once the build is done.
-	factIdx *index.IndexSet
 
 	// seq is the epoch sequence number (0 for a fresh build/load);
 	// publishedAt is when the epoch became current.
 	seq         uint64
 	publishedAt time.Time
-	// rowCounts snapshots every base relation's row count at publish:
-	// the filter that pins shared inverted-index lookups (and snapshot
-	// encodes) to this epoch.
-	rowCounts map[string]int
 
 	combinedOnce sync.Once
 	combined     *relation.Database
@@ -82,28 +76,15 @@ func (a *Epoch) Entity(name string) *EntityInfo { return a.Entities[name] }
 // Config returns the build configuration.
 func (a *Epoch) Config() Config { return a.cfg }
 
-// rowLimit bounds shared inverted-index reads to this epoch's rows.
-func (a *Epoch) rowLimit(rel string) int { return a.rowCounts[rel] }
-
 // CommonColumns resolves example values to candidate (relation, column)
-// matches through the shared inverted index, pinned to this epoch: rows
-// appended after the epoch was published are invisible.
+// matches through this epoch's inverted index.
 func (a *Epoch) CommonColumns(values []string) []index.ColumnMatch {
-	return a.Inverted.CommonColumns(values, a.rowLimit)
+	return a.Inverted.CommonColumns(values)
 }
 
-// InvertedLookup returns the epoch-pinned postings of one value.
+// InvertedLookup returns the postings of one value in this epoch.
 func (a *Epoch) InvertedLookup(value string) []index.Posting {
-	return a.Inverted.LookupBelow(value, a.rowLimit)
-}
-
-// snapshotRowCounts records every base relation's current row count.
-func snapshotRowCounts(db *relation.Database) map[string]int {
-	counts := make(map[string]int, db.NumRelations())
-	for _, name := range db.RelationNames() {
-		counts[name] = db.Relation(name).NumRows()
-	}
-	return counts
+	return a.Inverted.Lookup(value)
 }
 
 // AlphaDB is the abduction-ready database handle: it owns the chain of
@@ -161,10 +142,6 @@ func newAlphaDB(e *Epoch) *AlphaDB {
 		BuildTime: e.BuildTime,
 	}
 	a.selCache.db = a
-	if e.rowCounts == nil {
-		//lint:ignore epochmutate pre-publication initialization: the epoch is not yet shared (published by cur.Store below)
-		e.rowCounts = snapshotRowCounts(e.DB)
-	}
 	//lint:ignore epochmutate pre-publication initialization: the epoch is not yet shared (published by cur.Store below)
 	e.publishedAt = time.Now()
 	a.cur.Store(e)
@@ -253,11 +230,13 @@ func (a *AlphaDB) publish(eb *epochBuilder, sp trace.Span) {
 	}
 	entities := maps.Clone(cur.Entities)
 	maps.Copy(entities, eb.entities)
-	rowCounts := maps.Clone(cur.rowCounts)
-	maps.Copy(rowCounts, eb.rowCounts)
+	inv := cur.Inverted
+	if eb.inv != nil {
+		inv = eb.inv
+	}
 	next := &Epoch{
 		DB:          cur.DB.CloneWith(eb.baseRels),
-		Inverted:    cur.Inverted,
+		Inverted:    inv,
 		Entities:    entities,
 		Indexes:     eb.idx.MergeInto(cur.Indexes),
 		DerivedDB:   cur.DerivedDB.CloneWith(eb.derivedRels),
@@ -266,7 +245,6 @@ func (a *AlphaDB) publish(eb *epochBuilder, sp trace.Span) {
 		selCache:    cur.selCache,
 		seq:         cur.seq + 1,
 		publishedAt: time.Now(),
-		rowCounts:   rowCounts,
 	}
 	a.cur.Store(next)
 	a.publishes.Add(1)
@@ -274,9 +252,9 @@ func (a *AlphaDB) publish(eb *epochBuilder, sp trace.Span) {
 
 	// GC telemetry: cur just retired. Everything the builder did not
 	// copy, cur shares with next; what it did copy — chunks and chunk
-	// tables, index tails and folded bases, the patches of the derived
-	// count columns — has an original of about the same size that only
-	// cur still references.
+	// tables, index and inverted-index tails and folded bases, the
+	// patches of the derived count columns — has an original of about
+	// the same size that only cur still references.
 	// Charge cur that, and let a finalizer credit it back once no reader
 	// pins it — the gap between publishes and finalizations is exactly
 	// the chain's uncollected garbage.

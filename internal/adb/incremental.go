@@ -13,9 +13,10 @@ import (
 // efficient αDB maintenance for dynamic datasets — as a copy-on-write
 // epoch writer. Instead of rebuilding the αDB (or mutating it under a
 // global lock), an insert batch builds the next epoch: it clones the
-// headers of the relations, per-property statistics, and index shards
-// the batch touches, copies only the chunks and tails it writes into
-// (index.Chunked, index.IntHash, index.Jagged, index.Postings),
+// headers of the relations, per-property statistics, and indexes the
+// batch touches, copies only the chunks and tails it writes into
+// (index.Chunked, index.IntHash, index.Jagged, index.Postings,
+// index.Inverted),
 // structurally shares everything else with the base epoch, and
 // publishes the result with one atomic pointer swap (AlphaDB.publish).
 // Readers pinned to older epochs are never stalled and never observe a
@@ -36,8 +37,8 @@ import (
 
 // epochBuilder accumulates one writer's copy-on-write changes against
 // a base epoch. Privatization is lazy and per-structure: the first
-// touch of a relation, property, or index shard clones its header;
-// the first write into a chunk of a chunked vector copies that chunk
+// touch of a relation, property, index or the inverted index clones its
+// header; the first write into a chunk of a chunked vector copies that chunk
 // (stamped with gen, so later touches in the same batch mutate it in
 // place); a layered structure — a hash or numeric index, a categorical
 // property's code lists and posting lists — copies its tail when the
@@ -48,6 +49,9 @@ import (
 type epochBuilder struct {
 	base *Epoch
 	idx  *index.IndexDelta
+	// inv is the writer's clone of the inverted index, made on the
+	// batch's first TEXT cell; nil while the batch posted none.
+	inv *index.Inverted
 	// gen is this writer's generation: it stamps every chunk and table
 	// the builder copies, and tallies the bytes copied (chunks, index
 	// tails and folds, updated columns) — what the epoch this publish
@@ -58,7 +62,6 @@ type epochBuilder struct {
 	derivedRels map[string]*relation.Relation // privatized derived relations
 	entities    map[string]*EntityInfo        // privatized entity infos
 	isPriv      map[any]bool                  // clones created by this builder
-	rowCounts   map[string]int                // updated base-relation row counts
 
 	// logRows, when set (a publish hook is attached), makes the builder
 	// record every successfully applied row in apply order — the epoch
@@ -113,7 +116,6 @@ func (a *AlphaDB) newEpochBuilder() *epochBuilder {
 		derivedRels: make(map[string]*relation.Relation),
 		entities:    make(map[string]*EntityInfo),
 		isPriv:      make(map[any]bool),
-		rowCounts:   make(map[string]int),
 		readers:     make(map[any]any),
 		entityNames: base.DB.EntityRelations(),
 	}
@@ -324,8 +326,7 @@ func (eb *epochBuilder) insertEntity(entityRel string, vals []relation.Value) er
 	}
 	row := rel.NumRows() - 1
 	info.NumRows = rel.NumRows()
-	eb.rowCounts[entityRel] = rel.NumRows()
-	// Privatize and maintain every materialized index of this relation
+	// Privatize and maintain every resident index of this relation
 	// (including the primary-key index) for the new row.
 	eb.idx.NoteAppend(rel, row)
 	info.pkIndex = eb.idx.ReadIntHash(rel, rel.PrimaryKey)
@@ -360,14 +361,15 @@ func (eb *epochBuilder) insertEntity(entityRel string, vals []relation.Value) er
 }
 
 // postText posts the TEXT cells of a row just appended to rel to the
-// shared inverted index, as BuildInvertedParallel indexes every TEXT
-// column of every relation. The postings become visible to epoch-pinned
-// readers only once the publish raises the relation's row count past
-// the row.
+// writer's clone of the inverted index, as BuildInvertedParallel indexes
+// every TEXT column of every relation.
 func (eb *epochBuilder) postText(rel *relation.Relation, row int) {
 	for _, col := range rel.Columns() {
 		if col.Type == relation.String && !col.IsNull(row) {
-			eb.base.Inverted.Insert(col.Str(row), index.Posting{Relation: rel.Name, Column: col.Name, Row: row})
+			if eb.inv == nil {
+				eb.inv = eb.base.Inverted.Clone(eb.gen)
+			}
+			eb.inv.Insert(rel.Name, col.Name, col.Str(row), row)
 		}
 	}
 }
@@ -394,7 +396,6 @@ func (eb *epochBuilder) insertFact(factRel string, vals []relation.Value) error 
 		return err
 	}
 	row := fact.NumRows() - 1
-	eb.rowCounts[factRel] = fact.NumRows()
 	eb.idx.NoteAppend(fact, row)
 	eb.applyFact(fact, row, nil)
 	eb.postText(fact, row)

@@ -115,7 +115,7 @@ type BasicProperty struct {
 	// with a non-empty list — the property's distinct-value cardinality
 	// (the dictionary can hold values this property never exhibits).
 	valsByRow index.Jagged
-	catRows   index.Postings
+	catRows   index.Postings[uint32]
 	numValues int
 
 	// numIdx is the numeric statistic: the sorted (value, row) index
@@ -231,7 +231,7 @@ func (p *BasicProperty) addCatRow(code int32, row int) {
 // Postings exposes the per-value posting lists for reading, the
 // categorical counterpart of NumericIndex. They are shared with every
 // epoch since the last fold: do not mutate (epochmutate enforces it).
-func (p *BasicProperty) Postings() *index.Postings { return &p.catRows }
+func (p *BasicProperty) Postings() *index.Postings[uint32] { return &p.catRows }
 
 // CategoricalSelectivity returns ψ(φ⟨Attr,v,⊥⟩): the fraction of entities
 // exhibiting value v.

@@ -64,7 +64,7 @@ func (a *Epoch) Encode(w *snapshot.Writer) {
 // header. The restored state shares nothing with the stream; every
 // inverse of the stored data is rebuilt by the function buildEpoch
 // builds it with (BuildInvertedParallel, buildCatStats, buildNumStats,
-// buildPairs, the IndexSet's hash indexes), and the result is published
+// buildPairs, residentIndexes), and the result is published
 // under the sequence number the snapshot recorded, so the epoch chain
 // continues where it left off.
 func Decode(r *snapshot.Reader) (*AlphaDB, error) {
@@ -84,7 +84,7 @@ func Decode(r *snapshot.Reader) (*AlphaDB, error) {
 	a := &Epoch{
 		DB:        db,
 		Entities:  make(map[string]*EntityInfo),
-		Indexes:   index.NewIndexSet(),
+		Indexes:   residentIndexes(db, cfg.workers()),
 		DerivedDB: derived,
 		BuildTime: buildTime,
 		cfg:       cfg,
@@ -121,7 +121,6 @@ func Decode(r *snapshot.Reader) (*AlphaDB, error) {
 		}
 	}
 	<-invDone
-	a.rowCounts = snapshotRowCounts(db)
 	return newAlphaDB(a), nil
 }
 
@@ -487,7 +486,8 @@ func readDerived(r *snapshot.Reader, a *Epoch, info *EntityInfo) *DerivedPropert
 		return p
 	}
 	p.rel = rel
-	p.byEntity = a.Indexes.IntHash(rel, "entity_id")
+	p.byEntity = index.BuildIntHash(rel, "entity_id")
+	a.Indexes.AdoptIntHash(rel.Name, "entity_id", p.byEntity)
 	if err := a.buildPairs(info, p); err != nil {
 		r.Fail("%v", err)
 	}

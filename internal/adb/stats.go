@@ -22,8 +22,8 @@ type Stats struct {
 	NumBasicProps  int
 	NumDerivedProp int
 
-	// Online-pipeline surfaces: materialized hash indexes in the shared
-	// pool and the selectivity-cache health counters.
+	// Online-pipeline surfaces: the epoch's resident hash indexes and
+	// the selectivity-cache health counters.
 	NumHashIndexes  int
 	SelCacheEntries int
 	SelCacheHits    uint64
@@ -59,16 +59,18 @@ type Stats struct {
 
 // ResidentBytes is the resident memory of one epoch by structure, each
 // figure counted from lengths and element widths rather than sampled.
-// The inverted index and the dictionaries' maps are not attributed yet.
+// The dictionaries' maps are not attributed yet.
 type ResidentBytes struct {
 	// Columns and DerivedColumns are the cell storage, dictionaries
 	// (with the rank tables the read path has built over them so far)
 	// and update patches of the base and the derived relations.
 	Columns, DerivedColumns int64
 	// HashIndexBase and HashIndexTail are the flat bases and the tail
-	// maps of the materialized hash indexes; NumericIndex the sorted
-	// numeric indexes of the index pool.
-	HashIndexBase, HashIndexTail, NumericIndex int64
+	// maps of the resident hash indexes.
+	HashIndexBase, HashIndexTail int64
+	// Inverted is the inverted index: its key maps and its posting
+	// lists, base and tail.
+	Inverted int64
 	// BasicStats is the basic properties' per-row and per-value
 	// statistics: the categorical code lists and posting lists (offsets,
 	// codes, postings and their insert tails) and the numeric per-row
@@ -85,8 +87,8 @@ type ResidentBytes struct {
 // over index and property headers and the dictionaries, never over
 // rows.
 func (a *Epoch) ResidentBytes() ResidentBytes {
-	r := ResidentBytes{Columns: a.DB.ByteSize(), DerivedColumns: a.DerivedDB.ByteSize()}
-	r.HashIndexBase, r.HashIndexTail, r.NumericIndex = a.Indexes.ResidentBytes()
+	r := ResidentBytes{Columns: a.DB.ByteSize(), DerivedColumns: a.DerivedDB.ByteSize(), Inverted: a.Inverted.ResidentBytes()}
+	r.HashIndexBase, r.HashIndexTail = a.Indexes.ResidentBytes()
 	for _, e := range a.Entities {
 		for _, p := range e.Basic {
 			r.BasicStats += p.statsBytes()
@@ -165,8 +167,9 @@ func (s Stats) String() string {
 		humanBytes(s.PrecomputedSize), s.NumDerivedRels, s.DerivedRows)
 	fmt.Fprintf(&b, "  Precomputation time  %v\n", s.BuildTime.Round(time.Millisecond))
 	fmt.Fprintf(&b, "  Properties           %d basic, %d derived\n", s.NumBasicProps, s.NumDerivedProp)
-	fmt.Fprintf(&b, "  Hash indexes         %d, %s resident (%s of it insert tails); numeric indexes %s\n", s.NumHashIndexes,
-		humanBytes(s.Resident.HashIndexBase+s.Resident.HashIndexTail), humanBytes(s.Resident.HashIndexTail), humanBytes(s.Resident.NumericIndex))
+	fmt.Fprintf(&b, "  Hash indexes         %d, %s resident (%s of it insert tails)\n", s.NumHashIndexes,
+		humanBytes(s.Resident.HashIndexBase+s.Resident.HashIndexTail), humanBytes(s.Resident.HashIndexTail))
+	fmt.Fprintf(&b, "  Inverted index       %s\n", humanBytes(s.Resident.Inverted))
 	fmt.Fprintf(&b, "  Basic statistics     %s\n", humanBytes(s.Resident.BasicStats))
 	fmt.Fprintf(&b, "  Derived pair lists   %s\n", humanBytes(s.Resident.DerivedPairs))
 	fmt.Fprintf(&b, "  Selectivity cache    %d entries (%d hits, %d misses)\n",

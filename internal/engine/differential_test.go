@@ -162,21 +162,15 @@ func containsTuple(rows [][]relation.Value, row []relation.Value) bool {
 	return slices.ContainsFunc(rows, func(r []relation.Value) bool { return tupleEqual(r, row) })
 }
 
-// prebuiltIndexes returns a pool holding every index the database can
-// have: the other end of the residency spectrum from a fresh pool.
+// prebuiltIndexes returns a set holding a hash index on every integer
+// column: the other end of the residency spectrum from an empty set.
 func prebuiltIndexes(db *relation.Database) *index.IndexSet {
 	pool := index.NewIndexSet()
 	for _, name := range db.RelationNames() {
 		rel := db.Relation(name)
 		for _, c := range rel.Columns() {
-			switch c.Type {
-			case relation.Int:
-				pool.IntHash(rel, c.Name)
-				pool.Numeric(rel, c.Name)
-			case relation.Float:
-				pool.Numeric(rel, c.Name)
-			case relation.String:
-				pool.StrHash(rel, c.Name)
+			if c.Type == relation.Int {
+				pool.AdoptIntHash(name, c.Name, index.BuildIntHash(rel, c.Name))
 			}
 		}
 	}

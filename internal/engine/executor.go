@@ -17,9 +17,9 @@ import (
 //
 // Ordering. Every FROM relation gets an estimate of its surviving rows:
 // the exact count for a relation small enough to scan, otherwise the
-// shortest posting list among its point predicates (= and IN, answered
-// from the shared hash-index pool) and the O(log n) count of any range
-// whose sorted numeric index is already resident. Execution anchors at
+// shortest posting list among its point predicates (= and IN, read from
+// a resident hash index or counted in one pass over the column). A
+// range does not narrow the estimate. Execution anchors at
 // the smallest estimate and extends greedily along connected joins
 // towards the smallest relation next, so a discovered plan runs as a
 // chain of key lookups whatever order it lists its relations in.
@@ -27,7 +27,7 @@ import (
 // Joins compare typed keys under Value.Equal's rules — int64 for
 // INTEGER⋈INTEGER, float64 when a DOUBLE is involved, strings for
 // TEXT⋈TEXT; TEXT never equals a number and NULL never joins. A join
-// probes a hash index when the pool already holds one on the new
+// probes a hash index when the resident set holds one on the new
 // relation's join column, and never builds one: otherwise it hashes the
 // smaller side in a transient table and streams the other side's column
 // once, a block of typed keys at a time read straight from the column's
@@ -55,8 +55,11 @@ import (
 // set of From[0]'s rows: the block that remains is what gets planned,
 // with the set as one more predicate on From[0] and as its access path.
 //
-// The index pool is concurrency-safe, so one executor can serve many
-// goroutines.
+// The executor only reads its resident index set, which is fixed once
+// its epoch is published: a point predicate on a column the set does not
+// index gets a posting list built for its block alone (rowPred.postings),
+// and nothing an execution builds is stored, so one executor can serve
+// many goroutines.
 type Executor struct {
 	db     *relation.Database
 	idx    *index.IndexSet
@@ -87,14 +90,14 @@ type Reducer func(ctx context.Context, q *Query) (*Reduction, error)
 // probing a hash index.
 const indexMinRows = 64
 
-// NewExecutor creates an executor over db with a private index pool.
+// NewExecutor creates an executor over db with no resident index.
 func NewExecutor(db *relation.Database) *Executor {
 	return NewExecutorWithIndexes(db, index.NewIndexSet())
 }
 
-// NewExecutorWithIndexes creates an executor sharing an existing index
-// pool (the αDB hands its own pool over, so engine lookups reuse the
-// offline indexes and stay consistent under incremental inserts).
+// NewExecutorWithIndexes creates an executor over db that reads the
+// resident hash indexes idx (an αDB epoch hands over its own set, which
+// matches the epoch's relations).
 func NewExecutorWithIndexes(db *relation.Database, idx *index.IndexSet) *Executor {
 	return &Executor{db: db, idx: idx}
 }
@@ -459,6 +462,42 @@ func (p *rowPred) ordered(c int) bool {
 	return false
 }
 
+// postings counts the rows of [0, n) that satisfy a point predicate in
+// one pass over its column, and returns the count with a function that
+// lists them, ascending, in a second: the posting list a hash index over
+// the column would hold for the predicate's operands, built for the one
+// block that needs it when the epoch holds no such index — and listed
+// only if the block reads it.
+func (p *rowPred) postings(n int) (int, func() []int) {
+	count := 0
+	switch {
+	case p.codes != nil && len(p.want) == 0:
+		// No cell holds a value the dictionary lacks.
+	case p.codes != nil && len(p.want) == 1 && p.nulls == nil:
+		w := p.want[0]
+		for _, c := range p.codes[:n] {
+			if c == w {
+				count++
+			}
+		}
+	default:
+		for row := range n {
+			if p.matches(row) {
+				count++
+			}
+		}
+	}
+	return count, func() []int {
+		rows := make([]int, 0, count)
+		for row := range n {
+			if p.matches(row) {
+				rows = append(rows, row)
+			}
+		}
+		return rows
+	}
+}
+
 func matchAll(preds []rowPred, row int) bool {
 	for i := range preds {
 		if !preds[i].matches(row) {
@@ -508,12 +547,12 @@ type access struct {
 }
 
 // access estimates rel's surviving rows without scanning a large
-// relation and without building a numeric index: a relation under
-// indexMinRows is filtered on the spot, a point predicate costs the
-// length of its posting list (its hash index is built on first use, as
-// it always was), a range counts only against a resident index, and the
-// rows a Reducer answered with are their own list.
-func (e *Executor) access(rel *relation.Relation, preds []rowPred) access {
+// relation: a relation under indexMinRows is filtered on the spot, a
+// point predicate costs the length of its posting list — read from the
+// resident hash index, or built for this block when the epoch holds none
+// on its column, counted in builds — and the rows a Reducer answered
+// with are their own list. A range does not narrow the estimate.
+func (e *Executor) access(rel *relation.Relation, preds []rowPred, builds *int) access {
 	n := rel.NumRows()
 	if len(preds) == 0 {
 		return access{est: n}
@@ -530,43 +569,33 @@ func (e *Executor) access(rel *relation.Relation, preds []rowPred) access {
 	}
 	for i := range preds {
 		p := &preds[i]
-		var lists [][]uint32
-		switch {
-		case p.member != nil:
+		if p.member != nil {
 			consider(p.member.Count(), p.member.ToSorted)
 			a.exact = len(preds) == 1
 			continue
-		case p.Op == OpEq && p.col.Type == relation.String && p.Val.IsString():
-			lists = [][]uint32{e.idx.StrHash(rel, p.Col).Rows(p.Val.Str())}
-		case p.keys != nil && len(p.flts) == 0:
-			h := e.idx.IntHash(rel, p.Col)
-			for _, k := range p.keys {
-				lists = append(lists, h.Rows(k))
-			}
-		case p.Op == OpIn && p.col.Type == relation.String:
-			h := e.idx.StrHash(rel, p.Col)
-			for _, v := range p.Vals {
-				if v.IsString() {
-					lists = append(lists, h.Rows(v.Str()))
-				}
-			}
-		default:
+		}
+		text := p.col.Type == relation.String && (p.Op == OpEq || p.Op == OpIn)
+		if !text && (p.keys == nil || len(p.flts) != 0) {
 			continue
 		}
-		total := 0
-		for _, l := range lists {
-			total += len(l)
+		if h := e.idx.ResidentIntHash(rel, p.Col); h != nil && !text {
+			lists := make([][]uint32, len(p.keys))
+			total := 0
+			for j, k := range p.keys {
+				lists[j] = h.Rows(k)
+				total += len(lists[j])
+			}
+			consider(total, func() []int { return unionRows(lists, n) })
+			continue
 		}
-		consider(total, func() []int { return unionRows(lists, n) })
-	}
-	if count, cands := e.bestRange(rel, preds, false); cands != nil {
-		consider(count, cands)
+		*builds++
+		consider(p.postings(n))
 	}
 	return a
 }
 
 // unionRows merges posting lists into one ascending, duplicate-free row
-// list (an IN may name one value twice, or two that normalize alike).
+// list (an IN may name one key twice).
 func unionRows(lists [][]uint32, universe int) []int {
 	if len(lists) == 1 {
 		return widen(lists[0])
@@ -592,76 +621,14 @@ func widen(list []uint32) []int {
 	return rows
 }
 
-// bestRange returns the most selective range access path: the sorted
-// numeric index of a ranged column, by its O(log n) count; cands is nil
-// when there is none. Range predicates combine per column: age >= 50
-// AND age <= 90 is one [50, 90] probe, the engine-level form of BETWEEN.
-// With build false only resident indexes count; build is for an anchor
-// that has no other access path, where sorting the column once beats
-// scanning it on every execution.
-func (e *Executor) bestRange(rel *relation.Relation, preds []rowPred, build bool) (count int, cands func() []int) {
-	type bounds struct {
-		col    string
-		lo, hi float64
-	}
-	var ranges []bounds
-	for i := range preds {
-		p := &preds[i]
-		if p.Op != OpGE && p.Op != OpLE && p.Op != OpGT && p.Op != OpLT ||
-			p.col.Type == relation.String || p.Val.IsNull() || p.Val.IsString() {
-			continue
-		}
-		k := slices.IndexFunc(ranges, func(b bounds) bool { return b.col == p.Col })
-		if k < 0 {
-			k = len(ranges)
-			ranges = append(ranges, bounds{p.Col, math.Inf(-1), math.Inf(1)})
-		}
-		b := &ranges[k]
-		// The sorted index answers closed intervals; strict bounds
-		// shift to the adjacent representable float, which is exact
-		// for the float64 values the index stores.
-		v := p.Val.Float()
-		switch p.Op {
-		case OpGT:
-			v = math.Nextafter(v, math.Inf(1))
-			fallthrough
-		case OpGE:
-			b.lo = max(b.lo, v)
-		case OpLT:
-			v = math.Nextafter(v, math.Inf(-1))
-			fallthrough
-		case OpLE:
-			b.hi = min(b.hi, v)
-		}
-	}
-	for _, b := range ranges {
-		n := e.idx.ResidentNumeric(rel, b.col)
-		if n == nil && build {
-			n = e.idx.Numeric(rel, b.col)
-		}
-		if n == nil {
-			continue
-		}
-		if c := n.CountRange(b.lo, b.hi); cands == nil || c < count {
-			count, cands = c, func() []int { return n.RowsInRange(b.lo, b.hi) }
-		}
-	}
-	return count, cands
-}
-
 // scan returns the rows of rel that satisfy all preds, ascending: the
 // anchor's stage. Candidates come from a's access path and are verified
-// (string indexes are normalization-folded, so a posting list is a
-// superset); an indexable relation no point predicate reaches falls
-// back to a range's numeric index, building it, and then to a scan.
-// cells is the number of rows scanned: 0 when an index supplied the
-// candidates.
-func (e *Executor) scan(rel *relation.Relation, preds []rowPred, a access) (rows []int, cells int) {
+// against the other predicates; a relation no point predicate reaches
+// is scanned. cells is the number of rows scanned: 0 when a posting list
+// supplied the candidates.
+func scan(rel *relation.Relation, preds []rowPred, a access) (rows []int, cells int) {
 	if a.exact {
 		return a.cands(), a.scanned
-	}
-	if a.cands == nil && rel.NumRows() >= indexMinRows {
-		_, a.cands = e.bestRange(rel, preds, true)
 	}
 	if a.cands != nil {
 		return among(preds, a.cands()), 0
@@ -799,8 +766,9 @@ func (e *Executor) executeNoIntersect(ctx context.Context, q *Query) (*Result, e
 		}
 	}
 	acc := make([]access, len(pl.rels))
+	builds := 0
 	for i, rel := range pl.rels {
-		acc[i] = e.access(rel, pl.preds[i])
+		acc[i] = e.access(rel, pl.preds[i], &builds)
 	}
 	anchor, steps, cycles, err := pl.joinOrder(acc)
 	if err != nil {
@@ -810,7 +778,8 @@ func (e *Executor) executeNoIntersect(ctx context.Context, q *Query) (*Result, e
 	// Stage spans are emitted in execution order, each with the estimate
 	// it was ordered by (est_rows) next to what it produced (rows) and,
 	// for a scan or a join, the cells it read without an index
-	// (cells_streamed).
+	// (cells_streamed). The scan also carries the posting lists the block
+	// built (index_builds): joins build none.
 	sp := trace.SpanFrom(ctx)
 	endStage := func(s trace.Span, est, cells, rows int) {
 		s.Add(trace.CounterEstRows, int64(est))
@@ -819,7 +788,8 @@ func (e *Executor) executeNoIntersect(ctx context.Context, q *Query) (*Result, e
 		s.End()
 	}
 	ss := stage(sp, "scan:", q.From[anchor])
-	rows, cells := e.scan(pl.rels[anchor], pl.preds[anchor], acc[anchor])
+	rows, cells := scan(pl.rels[anchor], pl.preds[anchor], acc[anchor])
+	ss.Add(trace.CounterIndexBuilds, int64(builds))
 	// The rows of a block's only relation are its tuples already (every
 	// access path returns a list of its own).
 	t := tuples{width: len(q.From), ids: rows}

@@ -52,7 +52,8 @@ func filterRows(e *Executor, rel *relation.Relation, preds []Pred) []int {
 			panic(err)
 		}
 	}
-	rows, _ := e.scan(rel, bound, e.access(rel, bound))
+	builds := 0
+	rows, _ := scan(rel, bound, e.access(rel, bound, &builds))
 	return rows
 }
 
@@ -269,10 +270,10 @@ func TestExecuteReversedRange(t *testing.T) {
 	}
 }
 
-// TestRangePushdownAfterAppend verifies the sorted numeric index stays
-// consistent when rows are appended the way the αDB appends them: onto a
-// copy-on-write clone of the relation, with an IndexDelta maintaining
-// the touched shards and the merge producing the next view.
+// TestRangePushdownAfterAppend verifies a range reads exactly its
+// epoch's rows when rows are appended the way the αDB appends them: onto
+// a copy-on-write clone of the relation, with an IndexDelta producing
+// the next epoch's set.
 func TestRangePushdownAfterAppend(t *testing.T) {
 	db := pushdownDB(200)
 	pool := index.NewIndexSet()

@@ -52,7 +52,7 @@ func TestInvertedLookup(t *testing.T) {
 func TestCommonColumns(t *testing.T) {
 	inv := BuildInvertedParallel(testDB(), 1)
 	// Both names only co-occur in person.name.
-	matches := inv.CommonColumns([]string{"Tom Cruise", "Clint Eastwood"}, nil)
+	matches := inv.CommonColumns([]string{"Tom Cruise", "Clint Eastwood"})
 	if len(matches) != 1 {
 		t.Fatalf("matches=%v", matches)
 	}
@@ -66,7 +66,7 @@ func TestCommonColumns(t *testing.T) {
 
 func TestCommonColumnsAmbiguity(t *testing.T) {
 	inv := BuildInvertedParallel(testDB(), 1)
-	matches := inv.CommonColumns([]string{"Titanic", "Pulp Fiction"}, nil)
+	matches := inv.CommonColumns([]string{"Titanic", "Pulp Fiction"})
 	if len(matches) != 1 || matches[0].Key != (ColumnKey{"movie", "title"}) {
 		t.Fatalf("matches=%v", matches)
 	}
@@ -80,13 +80,13 @@ func TestCommonColumnsAmbiguity(t *testing.T) {
 
 func TestCommonColumnsNoMatch(t *testing.T) {
 	inv := BuildInvertedParallel(testDB(), 1)
-	if got := inv.CommonColumns([]string{"Tom Cruise", "Pulp Fiction"}, nil); got != nil {
+	if got := inv.CommonColumns([]string{"Tom Cruise", "Pulp Fiction"}); got != nil {
 		t.Errorf("expected no common column, got %v", got)
 	}
-	if got := inv.CommonColumns(nil, nil); got != nil {
+	if got := inv.CommonColumns(nil); got != nil {
 		t.Error("empty input must give nil")
 	}
-	if got := inv.CommonColumns([]string{"unknown value"}, nil); got != nil {
+	if got := inv.CommonColumns([]string{"unknown value"}); got != nil {
 		t.Errorf("unknown value must give nil, got %v", got)
 	}
 }

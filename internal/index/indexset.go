@@ -1,289 +1,143 @@
 package index
 
 import (
+	"maps"
 	"sort"
-	"sync"
 
 	"squid/internal/relation"
 )
 
-// IndexSet is a registry of hash indexes keyed by (relation, column).
-// It is the per-epoch index view of the online pipeline: every point
-// lookup that used to rebuild an ad-hoc hash map (dimension resolution
-// during incremental maintenance, point-predicate pushdown in the
-// engine) instead asks the set, which builds each index at most once
-// and serves all later lookups from the shared copy.
-//
-// Epoch semantics: each published αDB epoch owns one IndexSet view.
-// The indexes themselves are immutable once visible to readers; a
-// copy-on-write writer accumulates privatized shard clones in an
-// IndexDelta and the publish step merges them into the next epoch's
-// view (MergeInto), structurally sharing every untouched index and the
-// base layer of every touched one. The internal lock only serializes the
-// lazy first build of a cold index (double-checked locking), so readers
-// of warm indexes never block.
+// IndexSet is an epoch's resident hash indexes, keyed by (relation,
+// column): the integer primary key of every relation that is not a fact
+// and every foreign-key column of a fact relation (Build and Load build
+// both before anything reads them), the entity_id column of every
+// derived relation, and any index a writer built for itself and
+// published since. Once its epoch is published the set is fixed: it has
+// no lock and no method that builds, and a reader that needs an index
+// the set lacks builds a private one for itself (the engine does, per
+// execution). A writer changes the set only through an IndexDelta, whose
+// MergeInto makes the next epoch's set.
 type IndexSet struct {
-	mu   sync.RWMutex
 	ints map[ColumnKey]*IntHash
-	strs map[ColumnKey]*StrHash
-	nums map[ColumnKey]*NumericRows
 }
 
 // NewIndexSet creates an empty index set.
 func NewIndexSet() *IndexSet {
-	return &IndexSet{
-		ints: make(map[ColumnKey]*IntHash),
-		strs: make(map[ColumnKey]*StrHash),
-		nums: make(map[ColumnKey]*NumericRows),
-	}
+	return &IndexSet{ints: make(map[ColumnKey]*IntHash)}
 }
 
-// IntHash returns the shared hash index over the named integer column of
-// rel, building it on first use.
-func (s *IndexSet) IntHash(rel *relation.Relation, col string) *IntHash {
-	key := ColumnKey{rel.Name, col}
-	s.mu.RLock()
-	h := s.ints[key]
-	s.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if h = s.ints[key]; h == nil {
-		h = BuildIntHash(rel, col)
-		s.ints[key] = h
-	}
-	return h
-}
-
-// StrHash returns the shared hash index over the named string column of
-// rel, building it on first use.
-func (s *IndexSet) StrHash(rel *relation.Relation, col string) *StrHash {
-	key := ColumnKey{rel.Name, col}
-	s.mu.RLock()
-	h := s.strs[key]
-	s.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if h = s.strs[key]; h == nil {
-		h = BuildStrHash(rel, col)
-		s.strs[key] = h
-	}
-	return h
-}
-
-// Numeric returns the shared sorted value→row index over the named
-// numeric (Int or Float) column of rel, building it on first use; it
-// backs the engine's range-predicate pushdown.
-func (s *IndexSet) Numeric(rel *relation.Relation, col string) *NumericRows {
-	key := ColumnKey{rel.Name, col}
-	s.mu.RLock()
-	n := s.nums[key]
-	s.mu.RUnlock()
-	if n != nil {
-		return n
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n = s.nums[key]; n == nil {
-		n = buildNumericRowsFromColumn(rel.Column(col))
-		s.nums[key] = n
-	}
-	return n
-}
-
-// AdoptIntHash registers a pre-built hash index under (relName, col),
-// replacing any existing entry. The parallel αDB build constructs derived
-// -relation indexes worker-locally and adopts them into the shared pool
-// once the relation's final name is fixed.
+// AdoptIntHash registers a built hash index under (relName, col),
+// replacing any existing entry. Only the builder of an epoch that is not
+// yet published may call it: Build and Load adopt the resident indexes
+// they build, derived relations' included.
 func (s *IndexSet) AdoptIntHash(relName, col string, h *IntHash) {
-	s.mu.Lock()
 	s.ints[ColumnKey{relName, col}] = h
-	s.mu.Unlock()
 }
 
 // ResidentIntHash returns the hash index over the named integer column
-// if this view already holds one and nil otherwise; unlike IntHash it
-// never builds. The engine probes a join column's index only when one
-// is resident, so executing a query cannot grow the epoch's index pool
-// by its joins.
+// of rel if the set holds one, and nil otherwise.
 func (s *IndexSet) ResidentIntHash(rel *relation.Relation, col string) *IntHash {
-	h, _, _ := s.peek(ColumnKey{rel.Name, col})
-	return h
+	return s.ints[ColumnKey{rel.Name, col}]
 }
 
-// ResidentNumeric is ResidentIntHash for the sorted value→row index.
-func (s *IndexSet) ResidentNumeric(rel *relation.Relation, col string) *NumericRows {
-	_, _, n := s.peek(ColumnKey{rel.Name, col})
-	return n
-}
+// NumIndexes reports how many hash indexes the set holds.
+func (s *IndexSet) NumIndexes() int { return len(s.ints) }
 
-// peek returns the materialized indexes at key without building.
-func (s *IndexSet) peek(key ColumnKey) (*IntHash, *StrHash, *NumericRows) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.ints[key], s.strs[key], s.nums[key]
-}
-
-// NumIndexes reports how many hash indexes have been materialized.
-func (s *IndexSet) NumIndexes() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.ints) + len(s.strs)
-}
-
-// ResidentBytes reports what the materialized indexes hold, counted
-// from their lengths and element widths: the hash indexes' flat bases,
-// their tails, and the sorted numeric indexes.
-func (s *IndexSet) ResidentBytes() (hashBase, hashTail, numeric int64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+// ResidentBytes reports what the indexes hold, counted from their
+// lengths and element widths: the flat bases and the tails.
+func (s *IndexSet) ResidentBytes() (base, tail int64) {
 	for _, h := range s.ints {
 		b, t := h.residentBytes()
-		hashBase, hashTail = hashBase+b, hashTail+t
+		base, tail = base+b, tail+t
 	}
-	for _, h := range s.strs {
-		b, t := h.residentBytes()
-		hashBase, hashTail = hashBase+b, hashTail+t
-	}
-	for _, n := range s.nums {
-		numeric += 16 * int64(len(n.vals)+cap(n.tailVals))
-	}
-	return hashBase, hashTail, numeric
+	return base, tail
 }
 
 // IndexDelta accumulates one copy-on-write writer's index changes
-// against a base epoch's IndexSet: the first touch of a shard clones it
-// (a copy of its tail — the keys inserted since its last fold — never
-// of the index), later touches mutate the private clone in place, and
-// MergeInto swaps the clones into the next epoch's view. Reads during
-// the apply see the private clone when one exists and the immutable
-// base otherwise, so a batch observes its own earlier rows.
+// against a base epoch's IndexSet: the first write into a resident index
+// clones it (a copy of its tail — the keys inserted since its last fold
+// — never of the index), later writes mutate the private clone in place,
+// and MergeInto lays the clones over the base set. An index the base
+// lacks is built privately from the writer's relation. Reads during the
+// apply see the private clone when one exists and the immutable base
+// otherwise, so a batch observes its own earlier rows.
 type IndexDelta struct {
 	base    *IndexSet
 	ints    map[ColumnKey]*IntHash
-	strs    map[ColumnKey]*StrHash
-	nums    map[ColumnKey]*NumericRows
 	dropped map[ColumnKey]bool
-	touched map[string]bool // relations whose rows this writer changed
-	gen     *Gen            // the writer's generation: charged for every shard clone
+	gen     *Gen // the writer's generation: charged for every clone
 }
 
-// NewIndexDelta starts an empty delta over the base epoch's view for
-// the writer generation g.
+// NewIndexDelta starts an empty delta over the base epoch's set for the
+// writer generation g.
 func NewIndexDelta(base *IndexSet, g *Gen) *IndexDelta {
 	return &IndexDelta{
 		base:    base,
 		gen:     g,
 		ints:    make(map[ColumnKey]*IntHash),
-		strs:    make(map[ColumnKey]*StrHash),
-		nums:    make(map[ColumnKey]*NumericRows),
 		dropped: make(map[ColumnKey]bool),
-		touched: make(map[string]bool),
 	}
 }
 
-// ReadIntHash serves a point-lookup during the apply: the private
-// clone when the writer already touched the shard; the base view for
-// an untouched relation (lazily building there is safe — rel aliases
-// the base's own relation then). For a relation this writer already
-// appended to, a missing shard is built privately from the writer's
-// relation instead: building into the base view from the private clone
-// would leak post-batch rows into the retired epoch, and a base-built
-// index would miss the batch's own rows.
+// resident returns the base set's index at key unless this writer
+// dropped it.
+func (d *IndexDelta) resident(key ColumnKey) *IntHash {
+	if d.dropped[key] {
+		return nil
+	}
+	return d.base.ints[key]
+}
+
+// ReadIntHash serves a point lookup during the apply: the private clone
+// when the writer holds one, the base's index otherwise — which misses
+// no row of the batch, since NoteAppend clones every resident index of a
+// relation it appends to. An index neither holds is built privately
+// (PrivateIntHash).
 func (d *IndexDelta) ReadIntHash(rel *relation.Relation, col string) *IntHash {
 	key := ColumnKey{rel.Name, col}
 	if h := d.ints[key]; h != nil {
 		return h
 	}
-	if !d.touched[rel.Name] && !d.dropped[key] {
-		return d.base.IntHash(rel, col)
+	if h := d.resident(key); h != nil {
+		return h
 	}
-	h := BuildIntHash(rel, col)
+	return d.PrivateIntHash(rel, col)
+}
+
+// PrivateIntHash returns the writer's own (rel, col) hash index, for a
+// writer about to change rel: the clone of the resident one, or — when
+// the base lacks it or this writer dropped it — one built fresh from the
+// writer's relation.
+func (d *IndexDelta) PrivateIntHash(rel *relation.Relation, col string) *IntHash {
+	key := ColumnKey{rel.Name, col}
+	if h := d.ints[key]; h != nil {
+		return h
+	}
+	h := d.resident(key)
+	if h != nil {
+		h = h.Clone(d.gen)
+	} else {
+		h = BuildIntHash(rel, col)
+	}
 	d.ints[key] = h
 	return h
 }
 
-// touch marks rel as changed by this writer. On the first touch no row
-// has been appended yet, so every index of rel resident in the base
-// view is complete: all of them are adopted (tail-cloned) there, and the
-// publish merge carries them into the next epoch. An index that appears
-// in the base view later was lazily built by a concurrent base-epoch
-// reader and may miss this batch's rows — it is left uncovered, so the
-// merge drops it and the next epoch rebuilds it lazily from the
-// post-batch relation.
-func (d *IndexDelta) touch(rel *relation.Relation) {
-	if d.touched[rel.Name] {
-		return
-	}
-	d.touched[rel.Name] = true
-	for _, col := range rel.Columns() {
-		key := ColumnKey{rel.Name, col.Name}
-		if d.dropped[key] {
-			// A dropped index stays dropped: cloning the base's copy
-			// now would resurrect the pre-mutation state.
-			continue
-		}
-		bi, bs, bn := d.base.peek(key)
-		if bi != nil && d.ints[key] == nil {
-			d.ints[key] = bi.Clone(d.gen)
-		}
-		if bs != nil && d.strs[key] == nil {
-			d.strs[key] = bs.Clone(d.gen)
-		}
-		if bn != nil && d.nums[key] == nil {
-			d.nums[key] = bn.Clone(d.gen)
-		}
-	}
-}
-
-// PrivateIntHash returns the writer's private clone of the (rel, col)
-// hash index, for a writer about to change rel: the first touch adopts
-// every resident index of rel (see touch); an index the base never
-// materialized — or that this writer dropped — is built fresh from the
-// writer's relation (never lazily into the base view, see ReadIntHash).
-func (d *IndexDelta) PrivateIntHash(rel *relation.Relation, col string) *IntHash {
-	d.touch(rel)
-	key := ColumnKey{rel.Name, col}
-	h := d.ints[key]
-	if h == nil {
-		h = BuildIntHash(rel, col)
-		d.ints[key] = h
-	}
-	return h
-}
-
-// NoteAppend maintains every index of rel this writer holds — adopted
-// from the base view on the first touch (see touch) or built privately
-// since — for the row that was just appended.
+// NoteAppend maintains every index of rel this writer holds or the base
+// holds for the row that was just appended.
 func (d *IndexDelta) NoteAppend(rel *relation.Relation, row int) {
-	d.touch(rel)
 	for _, col := range rel.Columns() {
-		if col.IsNull(row) {
+		if col.Type != relation.Int || col.IsNull(row) {
 			continue
 		}
 		key := ColumnKey{rel.Name, col.Name}
-		switch col.Type {
-		case relation.Int:
-			if h := d.ints[key]; h != nil {
-				h.Insert(col.Int64(row), row)
-			}
-		case relation.String:
-			if h := d.strs[key]; h != nil {
-				h.Insert(col.Str(row), row)
-			}
-		}
-		if n := d.nums[key]; n != nil {
-			d.nums[key] = n.Insert(col.Float64(row), row)
+		if d.ints[key] != nil || d.resident(key) != nil {
+			d.PrivateIntHash(rel, col.Name).Insert(col.Int64(row), row)
 		}
 	}
 }
 
-// Drop discards the indexes of one column in the next epoch (a cell of
+// Drop discards the index of one column in the next epoch (a cell of
 // that column was overwritten on the writer's private relation). The
 // relation's other indexes are unaffected: a cells-only update touches
 // no other column.
@@ -291,48 +145,20 @@ func (d *IndexDelta) Drop(relName, col string) {
 	key := ColumnKey{relName, col}
 	d.dropped[key] = true
 	delete(d.ints, key)
-	delete(d.strs, key)
-	delete(d.nums, key)
 }
 
 // MergeInto builds the next epoch's IndexSet from the current one plus
-// this delta: privatized shards replace their base entries, dropped
-// keys vanish, and — crucially — any index of a touched relation that
-// the delta does not cover is omitted rather than inherited, because a
-// reader may have lazily built it from the pre-append rows concurrently
-// (it rebuilds lazily from the new relation on first use). Everything
-// else is shared structurally.
+// this delta: every base entry the delta did not drop, with the writer's
+// clones and private builds laid over them. Everything else is shared
+// structurally.
 func (d *IndexDelta) MergeInto(cur *IndexSet) *IndexSet {
-	keep := func(key ColumnKey) bool {
-		return !d.dropped[key] && !d.touched[key.Relation]
-	}
-	next := NewIndexSet()
-	cur.mu.RLock()
+	next := &IndexSet{ints: make(map[ColumnKey]*IntHash, len(cur.ints)+len(d.ints))}
 	for key, h := range cur.ints {
-		if keep(key) {
+		if !d.dropped[key] {
 			next.ints[key] = h
 		}
 	}
-	for key, h := range cur.strs {
-		if keep(key) {
-			next.strs[key] = h
-		}
-	}
-	for key, n := range cur.nums {
-		if keep(key) {
-			next.nums[key] = n
-		}
-	}
-	cur.mu.RUnlock()
-	for key, h := range d.ints {
-		next.ints[key] = h
-	}
-	for key, h := range d.strs {
-		next.strs[key] = h
-	}
-	for key, n := range d.nums {
-		next.nums[key] = n
-	}
+	maps.Copy(next.ints, d.ints)
 	return next
 }
 
@@ -353,24 +179,6 @@ type NumericRows struct {
 	// sorted by value; private to this generation.
 	tailVals []float64
 	tailRows []int
-}
-
-// buildNumericRowsFromColumn indexes the non-NULL cells of a numeric
-// column (Int cells are widened to float64).
-func buildNumericRowsFromColumn(c *relation.Column) *NumericRows {
-	n := &NumericRows{}
-	if c == nil || c.Type == relation.String {
-		return n
-	}
-	for row := 0; row < c.Len(); row++ {
-		if c.IsNull(row) {
-			continue
-		}
-		n.vals = append(n.vals, c.Float64(row))
-		n.rows = append(n.rows, row)
-	}
-	n.sortPairs(0, len(n.vals))
-	return n
 }
 
 // BuildNumericRows builds the index from parallel value/row slices

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 
 	"squid/internal/relation"
@@ -22,55 +21,46 @@ func testRelation(n int) *relation.Relation {
 	return rel
 }
 
-func TestIndexSetLazyBuildAndReuse(t *testing.T) {
+// TestIndexSetResidentLookup: the set answers with the index it
+// adopted, and with nil for one it does not hold — it never builds.
+func TestIndexSetResidentLookup(t *testing.T) {
 	rel := testRelation(100)
 	set := NewIndexSet()
-	if set.NumIndexes() != 0 {
+	if set.NumIndexes() != 0 || set.ResidentIntHash(rel, "id") != nil {
 		t.Fatalf("fresh set has %d indexes", set.NumIndexes())
 	}
-	h1 := set.IntHash(rel, "id")
-	h2 := set.IntHash(rel, "id")
-	if h1 != h2 {
-		t.Error("IntHash not reused")
+	h := BuildIntHash(rel, "id")
+	set.AdoptIntHash(rel.Name, "id", h)
+	if set.ResidentIntHash(rel, "id") != h || set.NumIndexes() != 1 {
+		t.Errorf("the set does not hold the index it adopted (%d indexes)", set.NumIndexes())
 	}
-	if set.NumIndexes() != 1 {
-		t.Errorf("NumIndexes=%d want 1", set.NumIndexes())
-	}
-	want := BuildIntHash(rel, "id")
-	for v := int64(0); v < 20; v++ {
-		if !reflect.DeepEqual(h1.Rows(v), want.Rows(v)) {
-			t.Errorf("IntHash.Rows(%d) = %v want %v", v, h1.Rows(v), want.Rows(v))
-		}
-	}
-	s1 := set.StrHash(rel, "tag")
-	if s2 := set.StrHash(rel, "tag"); s1 != s2 {
-		t.Error("StrHash not reused")
-	}
-	if !reflect.DeepEqual(s1.Rows("RED"), BuildStrHash(rel, "tag").Rows("red")) {
-		t.Error("StrHash normalization lookup broken")
+	if set.ResidentIntHash(rel, "tag") != nil || set.NumIndexes() != 1 {
+		t.Error("a lookup of a column the set lacks built an index")
 	}
 }
 
 // TestIndexDeltaNoteAppend drives the copy-on-write maintenance path:
-// appends noted on a delta land in the merged view's indexes, and the
-// base view's shards — still serving the retired epoch — never move.
+// appends noted on a delta land in the merged set's indexes, an index
+// the base lacks is built from the writer's relation, and the base
+// set's indexes — still serving the retired epoch — never move.
 func TestIndexDeltaNoteAppend(t *testing.T) {
 	rel := testRelation(50)
 	base := NewIndexSet()
-	baseInt := base.IntHash(rel, "id")
-	baseStr := base.StrHash(rel, "tag")
-	baseNum := base.Numeric(rel, "id")
+	baseInt := BuildIntHash(rel, "id")
+	base.AdoptIntHash(rel.Name, "id", baseInt)
 
 	next := rel.CloneForWrite()
 	delta := NewIndexDelta(base, nil)
+	if delta.ReadIntHash(next, "id") != baseInt {
+		t.Error("a read before any append did not serve the base's index")
+	}
 	next.MustAppend(relation.IntVal(99), relation.StringVal("purple"))
 	delta.NoteAppend(next, next.NumRows()-1)
 	merged := delta.MergeInto(base)
 
-	ih, _, nh := merged.peek(ColumnKey{"t", "id"})
-	_, sh, _ := merged.peek(ColumnKey{"t", "tag"})
-	if ih == nil || sh == nil || nh == nil {
-		t.Fatal("merged view lost a maintained index")
+	ih := merged.ResidentIntHash(next, "id")
+	if ih == nil || ih == baseInt {
+		t.Fatal("merged set lost the maintained index")
 	}
 	wantInt := BuildIntHash(next, "id")
 	for v := int64(0); v < 100; v++ {
@@ -78,25 +68,29 @@ func TestIndexDeltaNoteAppend(t *testing.T) {
 			t.Errorf("after append, Rows(%d) = %v want %v", v, ih.Rows(v), wantInt.Rows(v))
 		}
 	}
-	if got, want := sh.Rows("purple"), BuildStrHash(next, "tag").Rows("purple"); !reflect.DeepEqual(got, want) {
-		t.Errorf("after append, Rows(purple) = %v want %v", got, want)
+	if len(baseInt.Rows(99)) != 0 || base.NumIndexes() != 1 {
+		t.Error("append leaked into the base set")
 	}
-	if nh.Len() != 51 || nh.Max() != 99 || nh.Min() != 0 {
-		t.Errorf("numeric index after append: len=%d min=%v max=%v", nh.Len(), nh.Min(), nh.Max())
+
+	other := relation.New("u", relation.Col("k", relation.Int))
+	other.MustAppend(relation.IntVal(4))
+	built := NewIndexDelta(merged, nil)
+	if h := built.ReadIntHash(other, "k"); h.Rows(4) == nil {
+		t.Errorf("the private build misses the relation's row: %v", h.Rows(4))
 	}
-	if len(baseInt.Rows(99)) != 0 || len(baseStr.Rows("purple")) != 0 || baseNum.Len() != 50 {
-		t.Error("append leaked into the base view's shards")
+	if next := built.MergeInto(merged); next.NumIndexes() != 2 || merged.NumIndexes() != 1 {
+		t.Errorf("the writer's build published %d indexes over the base's %d", next.NumIndexes(), merged.NumIndexes())
 	}
 }
 
-// TestIndexDeltaDrop: a dropped column's indexes are absent from the
-// merged view (and rebuild lazily from the writer's relation), while
-// the base view keeps its own.
+// TestIndexDeltaDrop: a dropped column's index is absent from the merged
+// set (and a writer that needs it again builds it from its own
+// relation), while the base set keeps its own.
 func TestIndexDeltaDrop(t *testing.T) {
 	rel := testRelation(50)
 	base := NewIndexSet()
-	base.IntHash(rel, "id")
-	base.StrHash(rel, "tag")
+	base.AdoptIntHash(rel.Name, "id", BuildIntHash(rel, "id"))
+	base.AdoptIntHash(rel.Name, "other", BuildIntHash(rel, "id"))
 
 	next := rel.CloneForWrite()
 	next.UpdateColumn("id")
@@ -106,60 +100,19 @@ func TestIndexDeltaDrop(t *testing.T) {
 	}
 	delta.Drop("t", "id")
 	merged := delta.MergeInto(base)
-	if ih, _, _ := merged.peek(ColumnKey{"t", "id"}); ih != nil {
+	if merged.ResidentIntHash(next, "id") != nil {
 		t.Error("dropped index survived the merge")
 	}
 	// A cells-only update touches no other column: its index is
 	// inherited, not rebuilt.
-	if _, sh, _ := merged.peek(ColumnKey{"t", "tag"}); sh == nil {
-		t.Error("dropping id's index lost the untouched tag index")
+	if merged.ResidentIntHash(next, "other") != base.ResidentIntHash(rel, "other") {
+		t.Error("dropping id's index lost the untouched index")
 	}
 	if base.NumIndexes() != 2 {
-		t.Errorf("drop touched the base view: NumIndexes=%d want 2", base.NumIndexes())
+		t.Errorf("drop touched the base set: NumIndexes=%d want 2", base.NumIndexes())
 	}
-	if got, want := merged.IntHash(next, "id").Rows(5), BuildIntHash(next, "id").Rows(5); !reflect.DeepEqual(got, want) {
+	if got, want := delta.ReadIntHash(next, "id").Rows(5), BuildIntHash(next, "id").Rows(5); !reflect.DeepEqual(got, want) {
 		t.Errorf("rebuilt Rows(5) = %v want %v", got, want)
-	}
-}
-
-// TestNumericRowsSkipsNulls: NULL cells are not indexed, and Min/Max
-// report the extremes of what is.
-func TestNumericRowsSkipsNulls(t *testing.T) {
-	r := relation.New("t", relation.Col("x", relation.Int))
-	r.MustAppend(relation.IntVal(7))
-	r.MustAppend(relation.Null)
-	r.MustAppend(relation.IntVal(3))
-	n := NewIndexSet().Numeric(r, "x")
-	if n.Len() != 2 || n.Min() != 3 || n.Max() != 7 {
-		t.Errorf("len=%d min=%v max=%v, want 2/3/7", n.Len(), n.Min(), n.Max())
-	}
-	empty := &NumericRows{}
-	if empty.Min() != 0 || empty.Max() != 0 {
-		t.Error("empty index must report 0 extremes")
-	}
-}
-
-// TestIndexSetConcurrent hammers lazy builds from many goroutines; run
-// under -race it proves the double-checked locking is sound.
-func TestIndexSetConcurrent(t *testing.T) {
-	rel := testRelation(500)
-	set := NewIndexSet()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 200; i++ {
-				v := rng.Int63n(20)
-				_ = set.IntHash(rel, "id").Rows(v)
-				_ = set.StrHash(rel, "tag").Rows("green")
-			}
-		}(int64(g))
-	}
-	wg.Wait()
-	if set.NumIndexes() != 2 {
-		t.Errorf("NumIndexes=%d want 2", set.NumIndexes())
 	}
 }
 
@@ -206,6 +159,9 @@ func TestNumericRowsVsNaive(t *testing.T) {
 }
 
 func TestNumericRowsInsert(t *testing.T) {
+	if empty := (&NumericRows{}); empty.Min() != 0 || empty.Max() != 0 {
+		t.Error("empty index must report 0 extremes")
+	}
 	var idx *NumericRows
 	idx = idx.Insert(5, 0) // nil receiver allocates
 	idx = idx.Insert(2, 1)

@@ -1,4 +1,4 @@
-// Package index provides the indexing substrate SQuID relies on: a global
+// Package index provides the indexing substrate SQuID relies on: an
 // inverted column index over all text attributes (used for entity lookup,
 // §5 of the paper), hash indexes for key/foreign-key point lookups during
 // abduction, and sorted column indexes used for numeric selectivity
@@ -6,7 +6,7 @@
 package index
 
 import (
-	"math"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -17,77 +17,95 @@ import (
 )
 
 // Posting locates one occurrence of a text value: relation, column, row.
+// It is the decoded form Lookup returns; the index itself stores a
+// posting as one 8-byte (text-column ordinal, row) pair.
 type Posting struct {
 	Relation string
 	Column   string
 	Row      int
 }
 
-// RowLimit bounds an epoch-pinned inverted-index read: postings with
-// Row ≥ limit(Relation) belong to rows appended after the reader's
-// epoch was published and are filtered out, so a discovery never
-// resolves examples to rows it cannot otherwise see.
-type RowLimit func(relName string) int
-
-// Inverted is the global inverted column index: it maps every distinct
-// text value (case-folded) appearing in any indexed column to its
-// postings. SQuID consults it to map user-provided example strings to
-// candidate entities.
+// Inverted is one epoch's inverted column index: it maps every distinct
+// text value (normalized) of every TEXT column of the base relations to
+// its postings. SQuID consults it to map user-provided example strings
+// to candidate entities.
 //
-// Concurrency: the index is append-only and internally synchronized,
-// and — like the column dictionaries — it is shared across copy-on-write
-// epochs instead of cloned (cloning the whole posting map per insert
-// batch would dwarf the batch itself). Epoch isolation is restored at
-// read time: postings carry monotonically growing row numbers, so a
-// reader pinned to an epoch filters with the epoch's per-relation row
-// counts (RowLimit) and observes exactly the postings that existed when
-// its epoch was published.
+// It is laid out and layered like every other per-epoch structure: the
+// key map is an immutable base shared since the last fold plus a tail of
+// the keys inserts added since, and the posting lists are a
+// Postings[uint64] of (text-column ordinal, row) pairs — 8 bytes a
+// posting — with a flat base and a writer-owned tail. An epoch holds
+// exactly its own postings, so a reader takes no lock and filters
+// nothing; a writer clones the index once per batch (Clone), posts the
+// batch's cells into the clone and publishes it with its epoch.
 type Inverted struct {
-	mu       sync.RWMutex
-	postings map[string][]Posting
+	// cols names the text columns by ordinal: every TEXT column of every
+	// relation, in relation order, then column order.
+	cols []ColumnKey
+	// keys maps a normalized value to its list ordinal; tail holds the
+	// values inserts added since the fold (nil when none).
+	keys, tail map[string]uint32
+	lists      Postings[uint64]
 }
+
+// posting packs a text-column ordinal and a row into one list element:
+// the order of the packed words is (column, row), the order of a build.
+func posting(col uint32, row int) uint64 { return uint64(col)<<32 | uint64(uint32(row)) }
 
 // BuildInvertedParallel builds the inverted index — the αDB build and
 // the snapshot load both call it — with per-relation shards fanned over
-// a bounded worker pool, then merges the shards in relation order, so
-// the posting lists are byte-identical to a serial build. Columns are
-// dictionary-encoded: each distinct value is normalized once per column,
-// and the per-row work is a code lookup. The merged lists are laid out
-// at exact size in one backing array; each key's list is a
-// capacity-capped view, so a later Insert copies the list out instead of
-// clobbering its neighbor.
+// a bounded worker pool. Columns are dictionary-encoded: each distinct
+// value is normalized once per column, and the per-row work is a code
+// lookup. The shards are then numbered, sized and placed into one flat
+// array in relation order, so every list comes out ascending.
 func BuildInvertedParallel(db *relation.Database, workers int) *Inverted {
 	names := db.RelationNames()
-	shards := make([]map[string][]Posting, len(names))
+	inv := &Inverted{keys: make(map[string]uint32)}
+	first := make([]uint32, len(names))
+	for i, name := range names {
+		first[i] = uint32(len(inv.cols))
+		for _, col := range db.Relation(name).Columns() {
+			if col.Type == relation.String {
+				inv.cols = append(inv.cols, ColumnKey{name, col.Name})
+			}
+		}
+	}
+	shards := make([]map[string][]uint64, len(names))
 	RunBounded(len(names), workers, func(i int) {
-		shards[i] = invertRelation(names[i], db.Relation(names[i]))
+		shards[i] = invertRelation(first[i], db.Relation(names[i]))
 	})
-	sizes := make(map[string]int)
-	total := 0
+	offs := []uint32{0}
 	for _, shard := range shards {
 		for key, ps := range shard {
-			sizes[key] += len(ps)
-			total += len(ps)
+			k, ok := inv.keys[key]
+			if !ok {
+				k = uint32(len(offs) - 1)
+				inv.keys[key] = k
+				offs = append(offs, 0)
+			}
+			offs[k+1] += uint32(len(ps))
 		}
 	}
-	backing := make([]Posting, total)
-	inv := &Inverted{postings: make(map[string][]Posting, len(sizes))}
-	off := 0
-	for key, n := range sizes {
-		inv.postings[key] = backing[off : off : off+n]
-		off += n
+	for k := 1; k < len(offs); k++ {
+		offs[k] += offs[k-1]
 	}
+	flat := make([]uint64, offs[len(offs)-1])
+	next := slices.Clone(offs[:len(offs)-1])
 	for _, shard := range shards {
 		for key, ps := range shard {
-			inv.postings[key] = append(inv.postings[key], ps...)
+			k := inv.keys[key]
+			next[k] += uint32(copy(flat[next[k]:], ps))
 		}
 	}
+	inv.lists = PostingsOf(offs, flat)
 	return inv
 }
 
-// invertRelation builds the posting shard of one relation.
-func invertRelation(name string, rel *relation.Relation) map[string][]Posting {
-	shard := make(map[string][]Posting)
+// invertRelation builds the posting shard of one relation, whose first
+// text column has ordinal first.
+func invertRelation(first uint32, rel *relation.Relation) map[string][]uint64 {
+	shard := make(map[string][]uint64)
+	ord := first
 	for _, col := range rel.Columns() {
 		if col.Type != relation.String {
 			continue
@@ -98,10 +116,9 @@ func invertRelation(name string, rel *relation.Relation) map[string][]Posting {
 				continue
 			}
 			key := norm[col.Code(row)]
-			shard[key] = append(shard[key], Posting{
-				Relation: name, Column: col.Name, Row: row,
-			})
+			shard[key] = append(shard[key], posting(ord, row))
 		}
+		ord++
 	}
 	return shard
 }
@@ -193,76 +210,95 @@ func appendNormalized(dst []byte, s string, from int) []byte {
 	return dst
 }
 
-// Lookup returns all postings of the (normalized) value, with no epoch
-// filtering; single-writer offline consumers (tests, the αDB build) use
-// it. Online readers go through LookupBelow. A value that has to be
-// normalized first is normalized into a stack buffer the map is probed
-// with directly, so a lookup allocates nothing.
-func (inv *Inverted) Lookup(value string) []Posting {
-	var buf [64]byte
-	var key []byte
-	from := normalPrefix(value)
-	if from < len(value) {
-		key = appendNormalized(buf[:0], value, from)
-	}
-	inv.mu.RLock()
-	var ps []Posting
-	if from == len(value) {
-		ps = inv.postings[value]
+// list returns the list ordinal of the (normalized) value, -1 when the
+// index does not hold it. A value that has to be normalized first is
+// normalized into a stack buffer the maps are probed with directly, so a
+// lookup allocates nothing.
+func (inv *Inverted) list(value string) int {
+	var k uint32
+	var ok bool
+	if from := normalPrefix(value); from == len(value) {
+		if k, ok = inv.keys[value]; !ok && len(inv.tail) != 0 {
+			k, ok = inv.tail[value]
+		}
 	} else {
-		ps = inv.postings[string(key)]
-	}
-	inv.mu.RUnlock()
-	return ps
-}
-
-// LookupBelow returns the postings of the value whose rows existed in
-// the caller's epoch (Row < limit(Relation)). Posting lists are
-// append-only, so the prefix below the limit is immutable and the
-// result needs no copy unless filtering actually drops entries.
-func (inv *Inverted) LookupBelow(value string, limit RowLimit) []Posting {
-	return filterPostings(inv.Lookup(value), limit)
-}
-
-func filterPostings(ps []Posting, limit RowLimit) []Posting {
-	if limit == nil {
-		return ps
-	}
-	for i, p := range ps {
-		if p.Row >= limit(p.Relation) {
-			// First filtered posting: copy the surviving prefix and
-			// sieve the rest (appends from different relations may
-			// interleave, so later postings can still qualify).
-			out := append([]Posting(nil), ps[:i]...)
-			for _, q := range ps[i+1:] {
-				if q.Row < limit(q.Relation) {
-					out = append(out, q)
-				}
-			}
-			return out
+		var buf [64]byte
+		key := appendNormalized(buf[:0], value, from)
+		if k, ok = inv.keys[string(key)]; !ok && len(inv.tail) != 0 {
+			k, ok = inv.tail[string(key)]
 		}
 	}
-	return ps
+	if !ok {
+		return -1
+	}
+	return int(k)
 }
 
-// Insert adds one posting incrementally (αDB maintenance on inserts).
-// The lock orders the append against concurrent lookups (writers are
-// already serialized by the αDB's write lock); the posting becomes
-// visible to epoch-pinned readers only once an epoch whose row count
-// covers it is published.
-func (inv *Inverted) Insert(value string, p Posting) {
+// Lookup returns the postings of the (normalized) value, decoded.
+func (inv *Inverted) Lookup(value string) []Posting {
+	base, tail := inv.lists.Rows(inv.list(value))
+	out := make([]Posting, 0, len(base)+len(tail))
+	for _, run := range [2][]uint64{base, tail} {
+		for _, p := range run {
+			c := inv.cols[p>>32]
+			out = append(out, Posting{Relation: c.Relation, Column: c.Column, Row: int(uint32(p))})
+		}
+	}
+	return out
+}
+
+// Insert posts the TEXT cell value of relation rel's column col at row
+// (αDB maintenance on inserts, into the writer's clone).
+func (inv *Inverted) Insert(rel, col, value string, row int) {
+	c := slices.Index(inv.cols, ColumnKey{rel, col})
+	if c < 0 {
+		panic("index: " + rel + "." + col + " is not an indexed text column")
+	}
 	key := normalize(value)
-	inv.mu.Lock()
-	inv.postings[key] = append(inv.postings[key], p)
-	inv.mu.Unlock()
+	k, ok := inv.keys[key]
+	if !ok {
+		if k, ok = inv.tail[key]; !ok {
+			k = uint32(inv.lists.Len())
+			if inv.tail == nil {
+				inv.tail = make(map[string]uint32)
+			}
+			inv.tail[key] = k
+		}
+	}
+	inv.lists.AddRow(int(k), posting(uint32(c), row))
+}
+
+// Clone returns a copy-on-write clone for one writer generation: the
+// posting lists clone as Postings do, and the key map's tail is copied —
+// or, once it holds more than 1/foldDiv of the base's keys, folded with
+// the base into a fresh base. What it copies is charged to g.
+func (inv *Inverted) Clone(g *Gen) *Inverted {
+	q := &Inverted{cols: inv.cols, keys: inv.keys, lists: inv.lists.Clone(g)}
+	slot := elemSize[string]() + 4
+	switch n := len(inv.tail); {
+	case n >= foldMin && n*foldDiv > len(inv.keys):
+		q.keys = make(map[string]uint32, len(inv.keys)+n)
+		maps.Copy(q.keys, inv.keys)
+		maps.Copy(q.keys, inv.tail)
+		g.charge(int(relation.MapBytes(len(q.keys), slot)))
+	case n > 0:
+		q.tail = maps.Clone(inv.tail)
+		g.charge(int(relation.MapBytes(n, slot)))
+	}
+	return q
 }
 
 // NumKeys returns the number of distinct indexed values.
-func (inv *Inverted) NumKeys() int {
-	inv.mu.RLock()
-	n := len(inv.postings)
-	inv.mu.RUnlock()
-	return n
+func (inv *Inverted) NumKeys() int { return len(inv.keys) + len(inv.tail) }
+
+// ResidentBytes returns what the index holds, counted from lengths: the
+// key maps (a key string is the dictionary's own where the value was in
+// normal form already, and is not counted) and the posting lists, base
+// and tail.
+func (inv *Inverted) ResidentBytes() int64 {
+	base, tail := inv.lists.ResidentBytes()
+	slot := elemSize[string]() + 4
+	return base + tail + relation.MapBytes(len(inv.keys), slot) + relation.MapBytes(len(inv.tail), slot)
 }
 
 // ColumnKey identifies a (relation, column) pair.
@@ -274,87 +310,72 @@ type ColumnKey struct {
 // CommonColumns returns the (relation, column) pairs that contain ALL of
 // the given values, i.e. the candidate projection attributes for a set of
 // example tuples, sorted deterministically. For each pair it also reports
-// per-value row candidates (for disambiguation). A non-nil limit pins the
-// lookup to an epoch: rows appended after it are invisible.
+// per-value row candidates (for disambiguation).
 //
-// The rows are bucketed by a small column ordinal (no map, no key
-// hashing), two passes over the postings: one sizes the buckets, one
-// fills them.
-func (inv *Inverted) CommonColumns(values []string, limit RowLimit) []ColumnMatch {
-	if len(values) == 0 {
+// The rows are bucketed by a small slot per column (no map, no key
+// hashing, one ordinal compared a posting), two passes over the
+// postings: one sizes the buckets, one fills them.
+func (inv *Inverted) CommonColumns(values []string) []ColumnMatch {
+	n := len(values)
+	if n == 0 {
 		return nil
+	}
+	// The list of each value, and its base and tail runs: Rows(-1) is
+	// empty.
+	lists := make([]int32, n)
+	for i, v := range values {
+		lists[i] = int32(inv.list(v))
+	}
+	runs := func(i int) [2][]uint64 {
+		base, tail := inv.lists.Rows(int(lists[i]))
+		return [2][]uint64{base, tail}
 	}
 	// Only a column the first value occurs in can hold them all: those
-	// columns — a handful — get ordinals in posting order, each with the
-	// epoch's row limit of its relation.
-	type keyColumn struct {
-		ColumnKey
-		limit int
-	}
-	var keys []keyColumn
-	ordinal := func(p Posting) int {
-		for k := range keys {
-			if keys[k].Column == p.Column && keys[k].Relation == p.Relation {
-				return k
+	// columns — a handful — get slots in posting order.
+	var cols []uint32
+	for _, run := range runs(0) {
+		for _, p := range run {
+			if !slices.Contains(cols, uint32(p>>32)) {
+				cols = append(cols, uint32(p>>32))
 			}
 		}
-		return -1
 	}
-	n := len(values)
-	postings := make([][]Posting, n)
-	for i, v := range values {
-		postings[i] = inv.Lookup(v)
-	}
-	for _, p := range postings[0] {
-		if ordinal(p) >= 0 {
-			continue
-		}
-		lim := math.MaxInt
-		if limit != nil {
-			lim = limit(p.Relation)
-		}
-		if p.Row < lim {
-			keys = append(keys, keyColumn{ColumnKey{p.Relation, p.Column}, lim})
-		}
-	}
-	if len(keys) == 0 {
+	if len(cols) == 0 {
 		return nil
-	}
-	// visible reports the ordinal of a posting this lookup counts: in one
-	// of the key columns, at a row the epoch has.
-	visible := func(p Posting) (int, bool) {
-		k := ordinal(p)
-		return k, k >= 0 && p.Row < keys[k].limit
 	}
 	// sizes[k*n+i] counts the rows of value i in column k; a column some
 	// value misses is dead.
-	sizes := make([]int, len(keys)*n)
+	sizes := make([]int, len(cols)*n)
 	total := 0
-	for i, ps := range postings {
-		for _, p := range ps {
-			if k, ok := visible(p); ok {
-				sizes[k*n+i]++
-				total++
+	for i := range lists {
+		for _, run := range runs(i) {
+			for _, p := range run {
+				if k := slices.Index(cols, uint32(p>>32)); k >= 0 {
+					sizes[k*n+i]++
+					total++
+				}
 			}
 		}
 	}
 	// Every list is carved from one array, at its exact size.
-	rows := make([][]int, len(keys)*n)
+	rows := make([][]int, len(cols)*n)
 	backing := make([]int, total)
 	for j, size := range sizes {
 		rows[j], backing = backing[:0:size], backing[size:]
 	}
-	for i, ps := range postings {
-		for _, p := range ps {
-			if k, ok := visible(p); ok {
-				rows[k*n+i] = append(rows[k*n+i], p.Row)
+	for i := range lists {
+		for _, run := range runs(i) {
+			for _, p := range run {
+				if k := slices.Index(cols, uint32(p>>32)); k >= 0 {
+					rows[k*n+i] = append(rows[k*n+i], int(uint32(p)))
+				}
 			}
 		}
 	}
 	var out []ColumnMatch
-	for k, key := range keys {
+	for k, c := range cols {
 		if !slices.Contains(sizes[k*n:(k+1)*n], 0) {
-			out = append(out, ColumnMatch{Key: key.ColumnKey, Rows: rows[k*n : (k+1)*n : (k+1)*n]})
+			out = append(out, ColumnMatch{Key: inv.cols[c], Rows: rows[k*n : (k+1)*n : (k+1)*n]})
 		}
 	}
 	slices.SortFunc(out, func(a, b ColumnMatch) int {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -46,22 +47,23 @@ func TestNormalizeMatchesReference(t *testing.T) {
 }
 
 // TestLookupNormalizesWithoutAllocating pins the read path's shape: a
-// lookup of a value that is not in normal form probes the map with a key
-// built on the stack.
+// lookup of a value that is not in normal form probes the maps with a
+// key built on the stack, and reads views of the posting lists.
 func TestLookupNormalizesWithoutAllocating(t *testing.T) {
 	inv := BuildInvertedParallel(testDB(), 1)
 	if got := inv.Lookup(" TOM   cruise\t"); len(got) != 1 || got[0].Row != 0 {
 		t.Fatalf("Lookup = %v, want the one posting", got)
 	}
-	if n := testing.AllocsPerRun(100, func() { inv.Lookup(" TOM   cruise\t") }); n != 0 {
-		t.Errorf("Lookup allocates %.0f times, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { inv.lists.Rows(inv.list(" TOM   cruise\t")) }); n != 0 {
+		t.Errorf("a lookup allocates %.0f times, want 0", n)
 	}
 }
 
-// commonColumnsByMap is CommonColumns as it was before the buckets were
-// keyed by column ordinal — a map[ColumnKey][]int per value — kept as
-// the oracle of TestCommonColumnsMatchesMapOracle.
-func commonColumnsByMap(inv *Inverted, values []string, limit RowLimit) []ColumnMatch {
+// commonColumnsByScan is CommonColumns the slow way, the oracle of
+// TestCommonColumnsMatchesMapOracle: every TEXT cell of the relations
+// normalized and compared, the rows of each value bucketed by a
+// map[ColumnKey][]int.
+func commonColumnsByScan(rels []*relation.Relation, values []string) []ColumnMatch {
 	if len(values) == 0 {
 		return nil
 	}
@@ -69,9 +71,15 @@ func commonColumnsByMap(inv *Inverted, values []string, limit RowLimit) []Column
 	perValue := make([]colRows, len(values))
 	for i, v := range values {
 		m := make(colRows)
-		for _, p := range inv.LookupBelow(v, limit) {
-			k := ColumnKey{p.Relation, p.Column}
-			m[k] = append(m[k], p.Row)
+		for _, r := range rels {
+			for _, col := range r.Columns() {
+				for row := 0; row < r.NumRows(); row++ {
+					if !col.IsNull(row) && normalize(col.Str(row)) == normalize(v) {
+						k := ColumnKey{r.Name, col.Name}
+						m[k] = append(m[k], row)
+					}
+				}
+			}
 		}
 		perValue[i] = m
 	}
@@ -101,17 +109,32 @@ func commonColumnsByMap(inv *Inverted, values []string, limit RowLimit) []Column
 	return out
 }
 
-// TestCommonColumnsMatchesMapOracle draws value sets over a generated
-// database — a few relations of a few TEXT columns over a small
-// vocabulary, so values repeat within a column, across columns and
-// across relations, and incremental inserts interleave the posting
-// lists — and holds the ordinal-bucketed lookup to the map
-// implementation, with and without an epoch row limit.
+// TestCommonColumnsMatchesMapOracle grows a chain of epochs over a
+// generated database — a few relations of a few TEXT columns over a
+// small vocabulary in varying case and spacing, so values repeat within
+// a column, across columns and across relations — the way the αDB's
+// writer does: each generation clones the previous index and relations,
+// appends rows and posts their cells, past the folds of both the key
+// map and the posting lists. It then holds every generation, the oldest
+// pinned ones included, to a scan of its own relations.
 func TestCommonColumnsMatchesMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	vocab := make([]string, 12)
 	for i := range vocab {
 		vocab[i] = fmt.Sprintf("Value %d", i)
+	}
+	fresh := 0
+	word := func(inserted bool) relation.Value {
+		switch {
+		case rng.Intn(8) == 0:
+			return relation.Null
+		case inserted && rng.Intn(2) == 0:
+			fresh++
+			return relation.StringVal(fmt.Sprintf("Fresh %d", fresh))
+		case rng.Intn(3) == 0:
+			return relation.StringVal(strings.ToUpper(vocab[rng.Intn(len(vocab))]) + " ")
+		}
+		return relation.StringVal(vocab[rng.Intn(len(vocab))])
 	}
 	db := relation.NewDatabase("gen")
 	rels := []*relation.Relation{
@@ -119,52 +142,74 @@ func TestCommonColumnsMatchesMapOracle(t *testing.T) {
 		relation.New("r1", relation.Col("a", relation.String)),
 		relation.New("r2", relation.Col("x", relation.String), relation.Col("y", relation.String), relation.Col("z", relation.String)),
 	}
-	word := func() relation.Value {
-		if rng.Intn(8) == 0 {
-			return relation.Null
-		}
-		return relation.StringVal(vocab[rng.Intn(len(vocab))])
-	}
 	for _, r := range rels {
 		for row := 0; row < 30; row++ {
 			vals := make([]relation.Value, r.NumCols())
 			for i := range vals {
-				vals[i] = word()
+				vals[i] = word(false)
 			}
 			r.MustAppend(vals...)
 		}
 		db.AddRelation(r)
 	}
-	inv := BuildInvertedParallel(db, 2)
-	// Incremental postings, interleaved across relations and columns.
-	next := map[string]int{"r0": 30, "r1": 30, "r2": 30}
-	for i := 0; i < 60; i++ {
-		r := rels[rng.Intn(len(rels))]
-		col := r.Columns()[rng.Intn(r.NumCols())]
-		inv.Insert(vocab[rng.Intn(len(vocab))], Posting{Relation: r.Name, Column: col.Name, Row: next[r.Name]})
-		next[r.Name]++
+	type generation struct {
+		inv  *Inverted
+		rels []*relation.Relation
 	}
-	limits := []RowLimit{
-		nil,
-		func(string) int { return 30 },
-		func(rel string) int { return map[string]int{"r0": 5, "r1": 40, "r2": 0}[rel] },
-	}
-	for trial := 0; trial < 2000; trial++ {
-		values := make([]string, 1+rng.Intn(4))
-		for i := range values {
-			values[i] = vocab[rng.Intn(len(vocab))]
-			if rng.Intn(10) == 0 {
-				values[i] = "no such value"
+	gens := []generation{{BuildInvertedParallel(db, 2), rels}}
+	keyFolds, listFolds := 0, 0
+	for len(gens) < 40 {
+		prev := gens[len(gens)-1]
+		next := generation{prev.inv.Clone(new(Gen)), slices.Clone(prev.rels)}
+		if len(prev.inv.tail) > 0 && len(next.inv.tail) == 0 {
+			keyFolds++
+		}
+		if prev.inv.lists.added > 0 && next.inv.lists.added == 0 {
+			listFolds++
+		}
+		for i := rng.Intn(4); i >= 0; i-- {
+			j := rng.Intn(len(rels))
+			if next.rels[j] == prev.rels[j] {
+				next.rels[j] = prev.rels[j].CloneForWrite()
+			}
+			r := next.rels[j]
+			vals := make([]relation.Value, r.NumCols())
+			for c := range vals {
+				vals[c] = word(true)
+			}
+			r.MustAppend(vals...)
+			row := r.NumRows() - 1
+			for _, col := range r.Columns() {
+				if !col.IsNull(row) {
+					next.inv.Insert(r.Name, col.Name, col.Str(row), row)
+				}
 			}
 		}
-		limit := limits[trial%len(limits)]
-		got, want := inv.CommonColumns(values, limit), commonColumnsByMap(inv, values, limit)
+		gens = append(gens, next)
+	}
+	if keyFolds == 0 || listFolds == 0 {
+		t.Fatalf("the chain folded the key map %d times and the lists %d times: it proves too little", keyFolds, listFolds)
+	}
+	for trial := 0; trial < 1500; trial++ {
+		values := make([]string, 1+rng.Intn(4))
+		for i := range values {
+			switch rng.Intn(10) {
+			case 0:
+				values[i] = "no such value"
+			case 1, 2:
+				values[i] = fmt.Sprintf(" fresh  %d", 1+rng.Intn(fresh))
+			default:
+				values[i] = vocab[rng.Intn(len(vocab))]
+			}
+		}
+		g := rng.Intn(len(gens))
+		got, want := gens[g].inv.CommonColumns(values), commonColumnsByScan(gens[g].rels, values)
 		if len(got) != len(want) {
-			t.Fatalf("CommonColumns(%q) found %d columns, the oracle %d", values, len(got), len(want))
+			t.Fatalf("generation %d: CommonColumns(%q) found %d columns, the scan %d", g, values, len(got), len(want))
 		}
 		for i := range want {
 			if got[i].Key != want[i].Key || !reflect.DeepEqual(got[i].Rows, want[i].Rows) {
-				t.Fatalf("CommonColumns(%q) match %d = %v, the oracle %v", values, i, got[i], want[i])
+				t.Fatalf("generation %d: CommonColumns(%q) match %d = %v, the scan %v", g, values, i, got[i], want[i])
 			}
 		}
 	}

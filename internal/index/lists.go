@@ -8,12 +8,13 @@ import (
 
 // Jagged and Postings are the two halves of a categorical statistic: the
 // value codes of each entity row (Jagged) and the entity rows of each
-// value code (Postings). Both are vectors of lists of 4-byte elements,
-// layered the way the hash indexes are (hash.go):
+// value code (Postings[uint32]); Postings[uint64] is also the inverted
+// index's posting lists. All are vectors of lists of 4- or 8-byte
+// elements, layered the way the hash indexes are (hash.go):
 //
 //   - an immutable base shared by every epoch since the last fold: list k
 //     is flat[offs[k]:offs[k+1]] — one 4-byte offset a list and one
-//     4-byte element a member, no slice header, no per-list allocation;
+//     element a member, no slice header, no per-list allocation;
 //   - a tail holding the entries of the lists inserts touched since the
 //     fold, as a table with one word per 64 lists (tailWord): a bitset
 //     of the lists the tail holds and their entries in list order. Reading
@@ -31,7 +32,7 @@ import (
 // into a fresh base instead, so the base is paid for amortized
 // O(foldDiv) per inserted element, never per publish. What a clone, a
 // word copy or a fold copies is charged to the writer's Gen.
-type lists[T int32 | uint32] struct {
+type lists[T int32 | uint32 | uint64] struct {
 	// offs has one entry per base list plus one; nil for an empty base.
 	offs []uint32
 	flat []T
@@ -49,7 +50,7 @@ type lists[T int32 | uint32] struct {
 
 // tailWord is one word of the tail's table: held has bit i set when the
 // tail holds list 64w+i, whose entry is runs[popcount of held below i].
-type tailWord[T int32 | uint32] struct {
+type tailWord[T int32 | uint32 | uint64] struct {
 	owner *Gen
 	held  uint64
 	runs  [][]T
@@ -125,8 +126,9 @@ func (l *lists[T]) cloneTail(g *Gen) lists[T] {
 // and the tail's table, words, entry headers and the elements inserts
 // added.
 func (l *lists[T]) residentBytes() (base, tail int64) {
-	base = 4 * int64(len(l.offs)+len(l.flat))
-	tail = 8*int64(len(l.tail)) + 4*int64(l.added)
+	size := int64(elemSize[T]())
+	base = 4*int64(len(l.offs)) + size*int64(len(l.flat))
+	tail = 8*int64(len(l.tail)) + size*int64(l.added)
 	for _, t := range l.tail {
 		if t != nil {
 			tail += int64(unsafe.Sizeof(*t)) + int64(len(t.runs)*elemSize[[]T]())
@@ -246,30 +248,31 @@ func (j *Jagged) ResidentBytes() (base, tail int64) {
 	return base, tail + 4*int64(len(j.appOffs)+j.copied)
 }
 
-// Postings is the entity rows of each value code. A list is a set: its
-// base run is ascending, and its tail entry holds only the rows added
-// since the fold, in insertion order — so an insert copies nothing but
-// a tail entry's growth, and every reader (Rows, Count, the fold)
-// treats the pair as a set; the fold sorts it back into one ascending
-// run.
-type Postings struct {
-	lists[uint32]
+// Postings is a vector of sets: the entity rows of each value code
+// (uint32), or the (text-column ordinal, row) pairs of each inverted
+// index key (uint64). A list's base run is ascending, and its tail entry
+// holds only the members added since the fold, in insertion order — so
+// an insert copies nothing but a tail entry's growth, and every reader
+// (Rows, Count, the fold) treats the pair as a set; the fold sorts it
+// back into one ascending run.
+type Postings[T uint32 | uint64] struct {
+	lists[T]
 }
 
 // PostingsOf adopts the per-list offsets and the ascending runs they
 // cut (build and snapshot decode); do not mutate either.
-func PostingsOf(offs, flat []uint32) Postings {
-	return Postings{lists[uint32]{offs: offs, flat: flat, n: max(len(offs)-1, 0)}}
+func PostingsOf[T uint32 | uint64](offs []uint32, flat []T) Postings[T] {
+	return Postings[T]{lists[T]{offs: offs, flat: flat, n: max(len(offs)-1, 0)}}
 }
 
 // Len returns the number of lists: one past the largest code holding
 // any row.
-func (p *Postings) Len() int { return p.n }
+func (p *Postings[T]) Len() int { return p.n }
 
-// Rows returns list k as its ascending base run and the rows added
+// Rows returns list k as its ascending base run and the members added
 // since the fold (both nil past the table). The views are shared
 // storage: do not mutate.
-func (p *Postings) Rows(k int) (base, tail []uint32) {
+func (p *Postings[T]) Rows(k int) (base, tail []T) {
 	if uint(k) >= uint(p.n) {
 		return nil, nil
 	}
@@ -281,34 +284,34 @@ func (p *Postings) Rows(k int) (base, tail []uint32) {
 }
 
 // Count returns the size of list k.
-func (p *Postings) Count(k int) int {
+func (p *Postings[T]) Count(k int) int {
 	base, tail := p.Rows(k)
 	return len(base) + len(tail)
 }
 
-// AddRow adds row, which the list must not hold yet, to list k; the
+// AddRow adds x, which the list must not hold yet, to list k; the
 // table grows to cover k.
-func (p *Postings) AddRow(k int, row uint32) {
+func (p *Postings[T]) AddRow(k int, x T) {
 	p.n = max(p.n, k+1)
 	run, _ := p.tailRun(k)
-	p.setTail(k, append(run, row))
+	p.setTail(k, append(run, x))
 	p.added++
 }
 
 // Clone returns a copy-on-write clone for one writer generation (see
 // Jagged.Clone).
-func (p *Postings) Clone(g *Gen) Postings {
+func (p *Postings[T]) Clone(g *Gen) Postings[T] {
 	if !p.shouldFold() {
-		return Postings{p.cloneTail(g)}
+		return Postings[T]{p.cloneTail(g)}
 	}
 	return p.fold(g)
 }
 
 // fold lays every list out ascending in a fresh base with an empty
 // tail.
-func (p *Postings) fold(g *Gen) Postings {
+func (p *Postings[T]) fold(g *Gen) Postings[T] {
 	offs := make([]uint32, p.n+1)
-	flat := make([]uint32, 0, len(p.flat)+p.added)
+	flat := make([]T, 0, len(p.flat)+p.added)
 	for k := range p.n {
 		base, tail := p.Rows(k)
 		flat = append(append(flat, base...), tail...)
@@ -317,7 +320,7 @@ func (p *Postings) fold(g *Gen) Postings {
 		}
 		offs[k+1] = uint32(len(flat))
 	}
-	g.charge(4 * (len(offs) + len(flat)))
+	g.charge(4*len(offs) + elemSize[T]()*len(flat))
 	out := PostingsOf(offs, flat)
 	out.gen = g
 	return out
@@ -325,4 +328,4 @@ func (p *Postings) fold(g *Gen) Postings {
 
 // ResidentBytes returns the bytes of the base and of the tail, counted
 // from lengths.
-func (p *Postings) ResidentBytes() (base, tail int64) { return p.residentBytes() }
+func (p *Postings[T]) ResidentBytes() (base, tail int64) { return p.residentBytes() }

@@ -7,22 +7,31 @@ import (
 	"testing"
 )
 
-// The epoch-isolation contract of the categorical statistics, driven
-// like runCloneChain drives the hash indexes: a writer clones the newest
-// generation of a (Jagged, Postings) pair, inserts the way the αDB's
-// writer does — a new entity row with its codes, a code added in the
-// middle of an existing row's list, a code past the posting table — and
-// every retired generation must keep answering exactly the lists it was
-// retired with, although tail entries and the append area are shared
-// along the chain and grown past their lengths in place, and folds
-// replace the base under later generations. The oracle is the per-row
-// code lists; the posting lists are derived from them.
+// The epoch-isolation contract of the categorical statistics and of the
+// inverted index's posting lists, driven like runCloneChain drives the
+// hash indexes: a writer clones the newest generation of a (Jagged,
+// Postings) pair, inserts the way the αDB's writer does — a new entity
+// row with its codes, a code added in the middle of an existing row's
+// list, a code past the posting table — and every retired generation
+// must keep answering exactly the lists it was retired with, although
+// tail entries and the append area are shared along the chain and grown
+// past their lengths in place, and folds replace the base under later
+// generations. The oracle is the per-row code lists; the posting lists
+// are derived from them. The 8-byte instantiation the inverted index
+// uses rides along: wide holds each row as a (column ordinal, row) pair,
+// widePosting(row), in the same lists.
 
-// listsGen is one generation of the pair.
+// listsGen is one generation of the pair, and of the 8-byte lists.
 type listsGen struct {
 	vals  Jagged
-	posts Postings
+	posts Postings[uint32]
+	wide  Postings[uint64]
 }
+
+// widePosting packs row with a column ordinal drawn from it, so the
+// pairs of one list sort by column before row, as the inverted index's
+// do.
+func widePosting(row uint32) uint64 { return posting(row%3, int(row)) }
 
 // listsOracle is one generation's per-row code lists.
 type listsOracle [][]int32
@@ -74,12 +83,23 @@ func listsBase() (*listsGen, listsOracle) {
 		flat = append(flat, model[row]...)
 		offs = append(offs, uint32(len(flat)))
 	}
-	poffs, pflat := []uint32{0}, []uint32(nil)
+	poffs, pflat, wflat := []uint32{0}, []uint32(nil), []uint64(nil)
 	for _, rows := range model.postings(listsBaseCodes) {
 		pflat = append(pflat, rows...)
 		poffs = append(poffs, uint32(len(pflat)))
+		wflat = append(wflat, wideSorted(rows)...)
 	}
-	return &listsGen{vals: JaggedOf(offs, flat), posts: PostingsOf(poffs, pflat)}, model
+	return &listsGen{vals: JaggedOf(offs, flat), posts: PostingsOf(poffs, pflat), wide: PostingsOf(poffs, wflat)}, model
+}
+
+// wideSorted returns the 8-byte postings of rows, ascending.
+func wideSorted(rows []uint32) []uint64 {
+	out := make([]uint64, len(rows))
+	for i, r := range rows {
+		out[i] = widePosting(r)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // runListsChain replays ops and fails t on the first divergence between
@@ -114,16 +134,17 @@ func runListsChain(t *testing.T, ops []byte) listsStats {
 				st.pastTable++
 			}
 			live.posts.AddRow(int(code), uint32(row))
+			live.wide.AddRow(int(code), widePosting(uint32(row)))
 		}
 	}
 	publish := func(fold bool) {
 		retired, models = append(retired, live), append(models, model.clone())
 		prev, g := live, new(Gen)
 		if fold {
-			live = &listsGen{vals: prev.vals.fold(g), posts: prev.posts.fold(g)}
+			live = &listsGen{vals: prev.vals.fold(g), posts: prev.posts.fold(g), wide: prev.wide.fold(g)}
 			st.forcedFolds++
 		} else {
-			live = &listsGen{vals: prev.vals.Clone(g), posts: prev.posts.Clone(g)}
+			live = &listsGen{vals: prev.vals.Clone(g), posts: prev.posts.Clone(g), wide: prev.wide.Clone(g)}
 		}
 		valFolded := prev.vals.added > 0 && live.vals.added == 0
 		postFolded := prev.posts.added > 0 && live.posts.added == 0
@@ -156,6 +177,7 @@ func runListsChain(t *testing.T, ops []byte) listsStats {
 						st.pastTable++
 					}
 					live.posts.AddRow(int(c), uint32(row))
+					live.wide.AddRow(int(c), widePosting(uint32(row)))
 				}
 			}
 		case 1, 2: // a code in the middle of an existing row's list
@@ -217,6 +239,12 @@ func checkListsGen(t *testing.T, at string, got *listsGen, want listsOracle) {
 		set := slices.Sorted(slices.Values(append(slices.Clone(base), tail...)))
 		if got.posts.Count(code) != len(rows) || !slices.Equal(set, rows) {
 			t.Errorf("%s: code %d: Rows = %v + %v (Count %d) want the set %v", at, code, base, tail, got.posts.Count(code), rows)
+			return
+		}
+		wbase, wtail := got.wide.Rows(code)
+		wide := slices.Sorted(slices.Values(append(slices.Clone(wbase), wtail...)))
+		if !slices.IsSorted(wbase) || got.wide.Count(code) != len(rows) || !slices.Equal(wide, wideSorted(rows)) {
+			t.Errorf("%s: code %d: 8-byte Rows = %v + %v want the set %v", at, code, wbase, wtail, wideSorted(rows))
 			return
 		}
 	}

@@ -7,143 +7,6 @@ import (
 	"strings"
 )
 
-// analyzerMutexCopy flags copies of values whose type (transitively)
-// contains a sync.Mutex, sync.RWMutex, sync.Once, sync.WaitGroup,
-// sync.Cond, or any sync/atomic type — the classic epoch-struct
-// foot-gun: a copied AlphaDB shares dictionary state but forks its
-// atomic.Pointer epoch chain and lock table, which go vet's copylocks
-// misses for the atomic fields (they have no Lock method). Flagged
-// shapes: by-value parameters and receivers, and assignments that copy
-// an existing value (x := *p, x := y, x := s.field).
-func analyzerMutexCopy() *Analyzer {
-	return &Analyzer{
-		Name: "mutexcopy",
-		Doc:  "no struct-copy of a type containing a sync.Mutex / sync.Once / atomic.* field (pass a pointer)",
-		Run:  runMutexCopy,
-	}
-}
-
-// lockPath returns a dotted path to a lock-bearing field inside t, or
-// "" when t carries no lock state. seen guards recursive types.
-func lockPath(t types.Type, seen map[types.Type]bool) string {
-	if t == nil || seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if n := namedFrom(t); n != nil && n.Obj() != nil && n.Obj().Pkg() != nil {
-		switch n.Obj().Pkg().Path() {
-		case "sync":
-			switch n.Obj().Name() {
-			case "Mutex", "RWMutex", "Once", "WaitGroup", "Cond", "Map", "Pool":
-				return n.Obj().Name()
-			}
-		case "sync/atomic":
-			return "atomic." + n.Obj().Name()
-		}
-	}
-	// Only by-value containment propagates the hazard.
-	if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-		return ""
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			f := u.Field(i)
-			if p := lockPath(f.Type(), seen); p != "" {
-				return f.Name() + "." + p
-			}
-		}
-	case *types.Array:
-		if p := lockPath(u.Elem(), seen); p != "" {
-			return "[i]." + p
-		}
-	}
-	return ""
-}
-
-// copiesValue reports whether the expression reads an existing value
-// (so assigning it copies): identifiers, field selections, index
-// expressions, and pointer dereferences. Composite literals and call
-// results are fresh values, not copies.
-func copiesValue(e ast.Expr) bool {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return x.Name != "nil"
-	case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		return true
-	}
-	return false
-}
-
-func runMutexCopy(prog *Program, pkg *Package, report func(ast.Node, string)) {
-	check := func(n ast.Node, t types.Type, what string) {
-		if t == nil {
-			return
-		}
-		if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-			return
-		}
-		if p := lockPath(t, map[types.Type]bool{}); p != "" {
-			report(n, fmt.Sprintf("%s copies lock state (%s via %s): pass a pointer", what, t.String(), p))
-		}
-	}
-
-	for _, fd := range pkg.funcDecls() {
-		if fd.Recv != nil {
-			for _, field := range fd.Recv.List {
-				check(field.Type, pkg.typeOf(field.Type), fmt.Sprintf("value receiver of %s", fd.Name.Name))
-			}
-		}
-		if fd.Type.Params != nil {
-			for _, field := range fd.Type.Params.List {
-				check(field.Type, pkg.typeOf(field.Type), fmt.Sprintf("by-value parameter of %s", fd.Name.Name))
-			}
-		}
-	}
-
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch st := n.(type) {
-			case *ast.AssignStmt:
-				if len(st.Lhs) != len(st.Rhs) {
-					return true
-				}
-				for i, rhs := range st.Rhs {
-					if !copiesValue(rhs) {
-						continue
-					}
-					if id, ok := ast.Unparen(st.Lhs[i]).(*ast.Ident); ok && id.Name == "_" {
-						continue
-					}
-					check(rhs, pkg.typeOf(rhs), "assignment")
-				}
-			case *ast.ValueSpec:
-				for _, v := range st.Values {
-					if copiesValue(v) {
-						check(v, pkg.typeOf(v), "assignment")
-					}
-				}
-			case *ast.RangeStmt:
-				if st.Value == nil {
-					return true
-				}
-				// A := range clause defines its value ident, so its type
-				// lives in Defs, not Types.
-				t := pkg.typeOf(st.Value)
-				if t == nil {
-					if id, ok := ast.Unparen(st.Value).(*ast.Ident); ok {
-						if obj := pkg.objOf(id); obj != nil {
-							t = obj.Type()
-						}
-					}
-				}
-				check(st.Value, t, "range value")
-			}
-			return true
-		})
-	}
-}
-
 // analyzerUnusedExport flags exported package-level identifiers in
 // internal/ packages that no other package of the module references
 // and no _test.go file mentions: dead public surface that widens the

@@ -15,10 +15,9 @@
 //     visible (syncrename),
 //   - a span begun with Root/Child is End()ed or handed off (spanend),
 //
-// plus two hygiene passes: struct-copies of lock-bearing types
-// (mutexcopy — the classic epoch-struct foot-gun, including
-// atomic.Pointer fields go vet's copylocks misses) and exported
-// identifiers in internal/ packages nothing uses (unusedexport).
+// plus one hygiene pass: exported identifiers in internal/ packages
+// nothing uses (unusedexport). Copies of lock-bearing values, atomic
+// ones included, are go vet's copylocks check.
 //
 // Intentional exceptions are declared in the diff, never silently:
 //
@@ -69,7 +68,6 @@ func Analyzers() []*Analyzer {
 		analyzerRowSetAlias(),
 		analyzerCtxPoll(),
 		analyzerSyncRename(),
-		analyzerMutexCopy(),
 		analyzerUnusedExport(),
 		analyzerSpanEnd(),
 	}

@@ -165,10 +165,6 @@ func TestSyncRenameFixture(t *testing.T) {
 	checkFixture(t, "syncrename", "fixtures/syncrename", []string{"syncrename"})
 }
 
-func TestMutexCopyFixture(t *testing.T) {
-	checkFixture(t, "mutexcopy", "fixtures/mutexcopy", []string{"mutexcopy"})
-}
-
 func TestSpanEndFixture(t *testing.T) {
 	checkFixture(t, "spanend", "fixtures/spanend", []string{"spanend"})
 }
@@ -201,7 +197,7 @@ func TestModuleClean(t *testing.T) {
 // comma-separated names; the README table lists them in this order).
 func TestAnalyzerNamesStable(t *testing.T) {
 	got := strings.Join(AnalyzerNames(), ",")
-	const want = "epochmutate,rowsetalias,ctxpoll,syncrename,mutexcopy,unusedexport,spanend"
+	const want = "epochmutate,rowsetalias,ctxpoll,syncrename,unusedexport,spanend"
 	if got != want {
 		t.Fatalf("AnalyzerNames() = %s, want %s", got, want)
 	}

@@ -38,19 +38,21 @@ func assignIndexes(e *adb.Epoch) {
 	e.Indexes = nil // want "assignment to field Indexes of a published"
 }
 
-// An index shard of a published epoch's view is as immutable as the
-// epoch: the layered indexes share their base with every later epoch.
-func insertIntoIntShard(e *adb.Epoch) {
-	e.Indexes.IntHash(e.DB.Relation("movie"), "id").Insert(7, 3) // want "Insert mutates state reachable from a published"
+// A resident index of a published epoch is as immutable as the epoch:
+// the layered indexes share their base with every later epoch.
+func insertIntoResidentIndex(e *adb.Epoch) {
+	e.Indexes.ResidentIntHash(e.DB.Relation("movie"), "id").Insert(7, 3) // want "Insert mutates state reachable from a published"
 }
 
-func insertIntoStrShard(e *adb.Epoch) {
-	h := e.Indexes.StrHash(e.DB.Relation("movie"), "title")
-	h.Insert("Heat", 3) // want "Insert mutates state reachable from a published"
+func insertIntoResidentIndexViaLocal(e *adb.Epoch) {
+	h := e.Indexes.ResidentIntHash(e.DB.Relation("movie"), "id")
+	h.Insert(7, 3) // want "Insert mutates state reachable from a published"
 }
 
-func insertIntoNumericShard(e *adb.Epoch) {
-	e.Indexes.Numeric(e.DB.Relation("movie"), "year").Insert(1995, 3) // want "Insert mutates state reachable from a published"
+// So is the epoch's inverted index: a posting added in place would show
+// in every epoch that shares the list.
+func postIntoInverted(e *adb.Epoch) {
+	e.Inverted.Insert("movie", "title", "Heat", 3) // want "Insert mutates state reachable from a published"
 }
 
 // A published property's categorical statistics share their base (and
@@ -68,14 +70,12 @@ func addPostingViaLocal(e *adb.Epoch) {
 
 // --- negative cases ---
 
-// Clone detaches a shard (it copies the tail and shares the base); the
+// Clone detaches an index (it copies the tail and shares the base); the
 // writer's inserts stay in its private generation.
-func cloneShardsThenInsert(e *adb.Epoch) {
-	movie := e.DB.Relation("movie")
-	e.Indexes.IntHash(movie, "id").Clone(nil).Insert(7, 3)
-	h := e.Indexes.StrHash(movie, "title").Clone(nil)
-	h.Insert("Heat", 3)
-	e.Indexes.Numeric(movie, "year").Clone(nil).Insert(1995, 3)
+func cloneIndexesThenInsert(e *adb.Epoch) {
+	e.Indexes.ResidentIntHash(e.DB.Relation("movie"), "id").Clone(nil).Insert(7, 3)
+	inv := e.Inverted.Clone(nil)
+	inv.Insert("movie", "title", "Heat", 3)
 }
 
 // Clone detaches a property's posting lists the same way: the tail's

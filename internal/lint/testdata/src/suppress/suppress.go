@@ -6,17 +6,9 @@
 // line.
 package suppress
 
-import (
-	"context"
-	"sync"
-)
+import "context"
 
 func sink(ctx context.Context) {}
-
-type guarded struct {
-	mu sync.Mutex
-	n  int
-}
 
 // --- well-formed suppressions: no diagnostics anywhere below ---
 
@@ -29,9 +21,8 @@ func trailing() {
 	sink(context.TODO()) //lint:ignore ctxpoll fixture exercises the trailing-comment suppression path
 }
 
-func commaList(p *guarded) int {
-	g := *p //lint:ignore mutexcopy,ctxpoll fixture exercises the comma-separated analyzer list
-	return g.n
+func commaList() {
+	sink(context.Background()) //lint:ignore epochmutate,ctxpoll fixture exercises the comma-separated analyzer list
 }
 
 // --- malformed directives are findings of pseudo-analyzer "suppress" ---

@@ -220,7 +220,7 @@ func (m *metrics) render(w *strings.Builder, live liveGauges) {
 	fmt.Fprintf(w, "# TYPE squid_epoch_retained_bytes gauge\n")
 	fmt.Fprintf(w, "squid_epoch_retained_bytes %d\n", live.epochRetainedBytes)
 
-	fmt.Fprintf(w, "# HELP squid_resident_bytes Resident memory of the current αDB epoch by structure, counted from lengths and element widths (the inverted index and dictionary maps are not attributed).\n")
+	fmt.Fprintf(w, "# HELP squid_resident_bytes Resident memory of the current αDB epoch by structure, counted from lengths and element widths (the dictionary maps are not attributed).\n")
 	fmt.Fprintf(w, "# TYPE squid_resident_bytes gauge\n")
 	for _, s := range residentSeries(live.resident) {
 		fmt.Fprintf(w, "squid_resident_bytes{structure=%q} %d\n", s.structure, s.bytes)
@@ -304,7 +304,7 @@ func residentSeries(r squid.ResidentBytes) []residentGauge {
 		{"columns", r.Columns},
 		{"derived_columns", r.DerivedColumns},
 		{"hash_index", r.HashIndexBase + r.HashIndexTail},
-		{"numeric_index", r.NumericIndex},
+		{"inverted", r.Inverted},
 		{"basic_stats", r.BasicStats},
 		{"derived_pairs", r.DerivedPairs},
 		{"rowset_memos", r.RowSetMemos},

@@ -260,7 +260,7 @@ func TestServerEndToEnd(t *testing.T) {
 		fmt.Sprintf(`squid_resident_bytes{structure="columns"} %d`, stats.DBBytes),
 		`squid_resident_bytes{structure="derived_columns"}`,
 		fmt.Sprintf(`squid_resident_bytes{structure="hash_index"} %d`, stats.ResidentBytes["hash_index"]),
-		`squid_resident_bytes{structure="numeric_index"}`,
+		fmt.Sprintf(`squid_resident_bytes{structure="inverted"} %d`, stats.ResidentBytes["inverted"]),
 		fmt.Sprintf(`squid_resident_bytes{structure="basic_stats"} %d`, stats.ResidentBytes["basic_stats"]),
 		`squid_resident_bytes{structure="derived_pairs"}`,
 		`squid_resident_bytes{structure="rowset_memos"}`,

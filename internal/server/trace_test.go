@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -131,9 +132,9 @@ func TestExecuteTraceEmbedding(t *testing.T) {
 
 	// cells_streamed says which stage read a column without an index and
 	// how much of it: this join selects from research and is not
-	// DISTINCT, so no reduce stage touches it, and no index of the epoch
-	// covers research.aid: the join streams every cell of it past the
-	// academics.
+	// DISTINCT, so no reduce stage touches it, and it probes the epoch's
+	// resident index over research.aid, a fact's foreign key: it streams
+	// no cell and emits every research row.
 	join := QueryJSON{
 		From:   []string{"academics", "research"},
 		Joins:  []JoinJSON{{LeftRel: "academics", LeftCol: "id", RightRel: "research", RightCol: "aid"}},
@@ -145,8 +146,12 @@ func TestExecuteTraceEmbedding(t *testing.T) {
 	}
 	facts := int64(sys.ExecutableDB().Relation("research").NumRows())
 	stages = joined.Trace.Spans[0].Children
-	if len(stages) != 3 || stages[1].Label != "join:research" || stages[1].Counters["cells_streamed"] != facts {
-		t.Fatalf("want scan:academics, a join:research that streamed %d cells, project; got %+v", facts, stages)
+	if len(stages) != 3 || stages[1].Label != "join:research" || stages[1].Counters["cells_streamed"] != 0 || stages[1].Counters["rows"] != facts {
+		var got []string
+		for _, sp := range stages {
+			got = append(got, fmt.Sprintf("%s %v", sp.Label, sp.Counters))
+		}
+		t.Fatalf("want scan:academics, a join:research that probed an index for %d rows, project; got %q", facts, got)
 	}
 
 	// Which road answered is on /debug/traces and /metrics too.

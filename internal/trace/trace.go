@@ -136,6 +136,10 @@ const (
 	// CounterPairsBumped counts the (entity, value) strengths of derived
 	// properties an insert batch raised, second-hop ones included.
 	CounterPairsBumped
+	// CounterIndexBuilds counts the private indexes an engine block
+	// built because the epoch holds none on a column it needed (on the
+	// block's scan stage; the builds are dropped with the execution).
+	CounterIndexBuilds
 
 	numCounters
 )
@@ -143,7 +147,7 @@ const (
 var counterNames = [numCounters]string{
 	"candidates", "properties", "contexts", "selected", "rows",
 	"cache_hits", "cache_misses", "cache_stores", "epoch_seq", "est_rows",
-	"cells_streamed", "filters", "pairs_bumped",
+	"cells_streamed", "filters", "pairs_bumped", "index_builds",
 }
 
 // String returns the counter's wire name.

@@ -8,26 +8,26 @@ import (
 	"testing"
 
 	"squid/internal/datagen"
-	"squid/internal/engine"
 	"squid/internal/index"
 	"squid/internal/trace"
 )
 
 // TestExecuteBuildsNoJoinIndexes is the heap_mb trap as a test, in two
-// arms over the benchmark's three discovered plans.
+// arms over the benchmark's three discovered plans, counted by the
+// index_builds counter of a traced execution.
 //
-// Through System.ExecuteContext the plans are answered from the αDB's row sets:
-// executing them, before an InsertBatch into castinfo and after it,
-// builds no index at all — not even the hash indexes of their point
-// predicates (movie.title, country.name, the derived value columns),
-// which the join pipeline builds on first use.
+// Through System.ExecuteContext the plans are answered from the αDB's
+// row sets: executing them, before an InsertBatch into castinfo and
+// after it, builds no index at all — not even the hash indexes of their
+// point predicates (movie.title, country.name, the derived value
+// columns), which the join pipeline needs.
 //
-// Through the join pipeline alone, executing the plans builds those
-// point indexes once — and the batch carries them into the next epoch,
-// so executing the plans again builds nothing: no point index over
-// again, no hash index on a join column of castinfo, no sorted numeric
-// index on a derived relation's count column. A join uses an index that
-// is resident and never creates one.
+// Through the join pipeline alone, every execution builds those point
+// indexes for itself — the epoch holds none, and an execution stores
+// nothing — so every call builds more than zero, after the insert too.
+// In both arms the epoch's resident set never changes size under an
+// execution: a join uses an index that is resident and never creates
+// one.
 func TestExecuteBuildsNoJoinIndexes(t *testing.T) {
 	arms := []struct {
 		name       string
@@ -46,72 +46,48 @@ func TestExecuteBuildsNoJoinIndexes(t *testing.T) {
 				t.Fatal(err)
 			}
 			plans := discoveredPlans(t, sys, g)
-			discovered := sys.alpha.Snapshot().Indexes.NumIndexes()
-			for id, q := range plans {
-				if _, err := arm.execute(sys, context.Background(), q); err != nil {
-					t.Fatalf("%s: %v", id, err)
+			executeAll := func(when string) {
+				t.Helper()
+				ep := sys.alpha.Snapshot()
+				resident := ep.Indexes.NumIndexes()
+				for id, q := range plans {
+					rec := trace.NewRecorder(0)
+					root := rec.Root(trace.PhaseExecute, "")
+					res, err := arm.execute(sys, trace.NewContext(context.Background(), root), q)
+					root.End()
+					if err != nil || res.NumRows() == 0 {
+						t.Fatalf("%s, %s: empty result or error %v", when, id, err)
+					}
+					built := indexBuilds(rec.Finish("execute", id).JSON().Spans)
+					if arm.buildsNone && built != 0 {
+						t.Errorf("%s, %s: executing built %d indexes: the row sets answer every point predicate", when, id, built)
+					} else if !arm.buildsNone && built == 0 {
+						t.Errorf("%s, %s: the join pipeline built no point-predicate index: the arm proves nothing", when, id)
+					}
+				}
+				if sys.alpha.Snapshot() != ep {
+					t.Fatalf("%s: the epoch moved under the test", when)
+				}
+				if after := ep.Indexes.NumIndexes(); after != resident {
+					t.Errorf("%s: executing the plans took the resident set from %d to %d hash indexes", when, resident, after)
 				}
 			}
-			if built := sys.alpha.Snapshot().Indexes.NumIndexes() - discovered; arm.buildsNone && built != 0 {
-				t.Errorf("executing the plans built %d indexes: the row sets answer every point predicate", built)
-			} else if !arm.buildsNone && built == 0 {
-				t.Error("the join pipeline built no point-predicate index: the arm proves nothing")
-			}
+			executeAll("before the insert")
 			if err := sys.InsertBatchContext(context.Background(), insertBenchBatch(cfg, 0)); err != nil {
 				t.Fatal(err)
 			}
-			ep := sys.alpha.Snapshot()
-			db := ep.CombinedDB()
-			before := ep.Indexes.NumIndexes()
-			// The insert keeps the index its pair checks read resident;
-			// executing must add none beside it.
-			cast := db.Relation("castinfo")
-			ingested := map[string]bool{}
-			for _, c := range cast.Columns() {
-				ingested[c.Name] = ep.Indexes.ResidentIntHash(cast, c.Name) != nil
-			}
-
-			type column struct{ rel, col string }
-			point := map[column]bool{}
-			var counts []column
-			for id, q := range plans {
-				for _, p := range q.Preds {
-					switch {
-					case p.Op == engine.OpEq || p.Op == engine.OpIn:
-						point[column{p.Rel, p.Col}] = true
-					case p.Col == "count":
-						counts = append(counts, column{p.Rel, p.Col})
-					}
-				}
-				res, err := arm.execute(sys, context.Background(), q)
-				if err != nil || res.NumRows() == 0 {
-					t.Fatalf("%s: empty result or error %v", id, err)
-				}
-			}
-			if sys.alpha.Snapshot() != ep {
-				t.Fatal("the epoch moved under the test")
-			}
-			if len(point) == 0 {
-				t.Fatal("no plan has a point predicate: the test proves nothing")
-			}
-			if after := ep.Indexes.NumIndexes(); after != before {
-				t.Errorf("executing the plans took the pool from %d to %d hash indexes: the batch dropped the index of one of the %d point-predicate columns", before, after, len(point))
-			}
-			if len(counts) == 0 {
-				t.Fatal("no plan ranges over a derived count column: the test proves nothing")
-			}
-			for _, c := range counts {
-				if ep.Indexes.ResidentNumeric(db.Relation(c.rel), c.col) != nil {
-					t.Errorf("a sorted numeric index on %s.%s is resident: the range was verified per row, nothing should have built it", c.rel, c.col)
-				}
-			}
-			for _, c := range cast.Columns() {
-				if !ingested[c.Name] && ep.Indexes.ResidentIntHash(cast, c.Name) != nil {
-					t.Errorf("a hash index on castinfo.%s is resident after executing the plans", c.Name)
-				}
-			}
+			executeAll("after the insert")
 		})
 	}
+}
+
+// indexBuilds sums the index_builds counters of a span tree.
+func indexBuilds(spans []*trace.SpanJSON) int64 {
+	var n int64
+	for _, sp := range spans {
+		n += sp.Counters[trace.CounterIndexBuilds.String()] + indexBuilds(sp.Children)
+	}
+	return n
 }
 
 // TestBenchmarkPlansReadRowSets: a traced execution of each of the
@@ -162,13 +138,13 @@ func TestBenchmarkPlansReadRowSets(t *testing.T) {
 	}
 }
 
-// TestInsertKeepsDerivedValueIndex: a batch that bumps the counts of a
-// derived relation (and appends rows to it) carries the relation's
-// value hash index into the next epoch — adopted on the writer's first
-// touch and maintained row by row — instead of dropping it for the
-// plans to rebuild; and the carried index answers every key as an index
-// built fresh from the new epoch's relation does.
-func TestInsertKeepsDerivedValueIndex(t *testing.T) {
+// TestInsertKeepsDerivedEntityIndex: a batch that bumps the counts of a
+// derived relation and appends rows to it carries the relation's
+// resident entity_id hash index into the next epoch — cloned on the
+// writer's first write and maintained row by row — and the carried
+// index answers every key as an index built fresh from the new epoch's
+// relation does.
+func TestInsertKeepsDerivedEntityIndex(t *testing.T) {
 	cfg := benchScale().IMDb
 	sys, err := Build(datagen.GenerateIMDb(cfg).DB, DefaultBuildConfig())
 	if err != nil {
@@ -180,7 +156,9 @@ func TestInsertKeepsDerivedValueIndex(t *testing.T) {
 	if rel == nil {
 		t.Fatalf("no derived relation %q", relName)
 	}
-	base.Indexes.StrHash(rel, "value")
+	if base.Indexes.ResidentIntHash(rel, "entity_id") == nil {
+		t.Fatalf("%s.entity_id is not resident after the build", relName)
+	}
 	for k := 0; k < 3; k++ {
 		if err := sys.InsertBatchContext(context.Background(), insertBenchBatch(cfg, k)); err != nil {
 			t.Fatal(err)
@@ -191,18 +169,21 @@ func TestInsertKeepsDerivedValueIndex(t *testing.T) {
 	if next == rel || next.NumRows() <= rel.NumRows() {
 		t.Fatalf("the batches did not reach %s (%d rows before, %d after)", relName, rel.NumRows(), next.NumRows())
 	}
-	resident := ep.Indexes.NumIndexes()
-	h := ep.Indexes.StrHash(next, "value")
-	if ep.Indexes.NumIndexes() != resident {
-		t.Fatalf("%s.value was not resident in the new epoch: the lookup built it", relName)
+	if ep.Indexes.NumIndexes() != base.Indexes.NumIndexes() {
+		t.Errorf("the batches took the resident set from %d to %d indexes", base.Indexes.NumIndexes(), ep.Indexes.NumIndexes())
 	}
-	fresh := index.BuildStrHash(next, "value")
+	h := ep.Indexes.ResidentIntHash(next, "entity_id")
+	if h == nil || h == base.Indexes.ResidentIntHash(rel, "entity_id") {
+		t.Fatalf("%s.entity_id was not carried into the new epoch as the writer's clone", relName)
+	}
+	fresh := index.BuildIntHash(next, "entity_id")
 	if h.NumKeys() != fresh.NumKeys() {
 		t.Errorf("carried index has %d keys, a fresh one %d", h.NumKeys(), fresh.NumKeys())
 	}
-	for _, v := range next.Column("value").Dict().Values() {
-		if got, want := h.Rows(v), fresh.Rows(v); !reflect.DeepEqual(got, want) {
-			t.Errorf("Rows(%q) = %v, a fresh index answers %v", v, got, want)
+	ids := next.Column("entity_id")
+	for r := 0; r < next.NumRows(); r++ {
+		if got, want := h.Rows(ids.Int64(r)), fresh.Rows(ids.Int64(r)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Rows(%d) = %v, a fresh index answers %v", ids.Int64(r), got, want)
 		}
 	}
 }
