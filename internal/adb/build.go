@@ -616,12 +616,15 @@ func newPairCheck(s source, fact *relation.Relation, a, b string) pairCheck {
 // first reports whether no row of the fact before fr links fr's pair.
 func (c pairCheck) first(fr int) bool {
 	id := c.bc.Int64(fr)
-	for _, r := range c.idx.Rows(c.ac.Int64(fr)) {
-		if int(r) >= fr {
-			break
-		}
-		if !c.bc.IsNull(int(r)) && c.bc.Int64(int(r)) == id {
-			return false
+	base, tail := c.idx.Rows(c.ac.Int64(fr))
+	for _, run := range [2][]uint32{base, tail} {
+		for _, r := range run {
+			if int(r) >= fr {
+				return true
+			}
+			if !c.bc.IsNull(int(r)) && c.bc.Int64(int(r)) == id {
+				return false
+			}
 		}
 	}
 	return true

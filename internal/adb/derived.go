@@ -195,9 +195,12 @@ func (d *derivedReader) add(vRow int, dst []int32) []int32 {
 		}
 	default:
 		t := &d.target
-		for _, r := range t.s.readHash(t.src, t.acc.FactEntityCol).Rows(d.ids.Int64(vRow)) {
-			if _, code, ok := d.target.pair(int(r)); ok {
-				dst = append(dst, code)
+		base, tail := t.s.readHash(t.src, t.acc.FactEntityCol).Rows(d.ids.Int64(vRow))
+		for _, run := range [2][]uint32{base, tail} {
+			for _, r := range run {
+				if _, code, ok := t.pair(int(r)); ok {
+					dst = append(dst, code)
+				}
 			}
 		}
 	}

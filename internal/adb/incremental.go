@@ -258,8 +258,9 @@ type InsertOp struct {
 //
 // sp attributes the work: the write-lock acquisition is a publish_wait
 // span (the time this batch spent blocked behind other writers), the
-// copy-on-write apply loop is an apply span counting its rows and the
-// derived strengths it raised (pairs_bumped), and the publish step
+// copy-on-write apply loop is an apply span counting its rows, the
+// derived strengths it raised (pairs_bumped) and the bytes it copied out
+// of storage the base epoch shares (copied_bytes), and the publish step
 // (with its WAL append) nests under publish. The zero Span records
 // nothing.
 func (a *AlphaDB) InsertBatch(ops []InsertOp, sp trace.Span) error {
@@ -285,6 +286,7 @@ func (a *AlphaDB) InsertBatch(ops []InsertOp, sp trace.Span) error {
 		as.Add(trace.CounterRows, 1)
 	}
 	as.Add(trace.CounterPairsBumped, int64(eb.bumped))
+	as.Add(trace.CounterCopiedBytes, eb.gen.Copied)
 	as.End()
 	a.publish(eb, sp)
 	return firstErr
@@ -424,7 +426,8 @@ func (eb *epochBuilder) applyNaming(entityRel string, row int, id int64) {
 		var rows []uint32
 		for _, fk := range fact.Foreign {
 			if fk.RefRelation == entityRel {
-				rows = append(rows, eb.readHash(fact, fk.Column).Rows(id)...)
+				base, tail := eb.readHash(fact, fk.Column).Rows(id)
+				rows = append(append(rows, base...), tail...)
 			}
 		}
 		slices.Sort(rows)
@@ -462,9 +465,12 @@ func (eb *epochBuilder) applyFact(fact *relation.Relation, fr int, at *arrival) 
 					continue
 				}
 				pos = 0
-				for _, sr := range eb.readHash(r.src, p.Access.FactEntityCol).Rows(r.entCol.Int64(fr)) {
-					if _, _, ok := r.pair(int(sr)); ok && int(sr) < fr {
-						pos++
+				base, tail := eb.readHash(r.src, p.Access.FactEntityCol).Rows(r.entCol.Int64(fr))
+				for _, run := range [2][]uint32{base, tail} {
+					for _, sr := range run {
+						if _, _, ok := r.pair(int(sr)); ok && int(sr) < fr {
+							pos++
+						}
 					}
 				}
 			}
@@ -488,9 +494,12 @@ func (eb *epochBuilder) applyFact(fact *relation.Relation, fr int, at *arrival) 
 					continue
 				}
 				var linked []int
-				for _, lr := range eb.readHash(eb.viewRel(p.Fact1), p.Fact1ViaCol).Rows(r.ids.Int64(vRow)) {
-					if eRow, _, ok := r.link(int(lr)); ok && !slices.Contains(linked, eRow) {
-						linked = append(linked, eRow)
+				base, tail := eb.readHash(eb.viewRel(p.Fact1), p.Fact1ViaCol).Rows(r.ids.Int64(vRow))
+				for _, run := range [2][]uint32{base, tail} {
+					for _, lr := range run {
+						if eRow, _, ok := r.link(int(lr)); ok && !slices.Contains(linked, eRow) {
+							linked = append(linked, eRow)
+						}
 					}
 				}
 				eb.codes = append(eb.codes[:0], code)
@@ -544,11 +553,15 @@ func (eb *epochBuilder) bump(p *DerivedProperty, entityID int64, eRow int, v str
 	code, known := vcol.Dict().Lookup(v)
 	old, found := 0, -1
 	if known {
-		for _, r := range byEnt.Rows(entityID) {
-			if vcol.Code(int(r)) == code {
-				found = int(r)
-				old = int(ccol.Int64(found))
-				break
+		base, tail := byEnt.Rows(entityID)
+	find:
+		for _, run := range [2][]uint32{base, tail} {
+			for _, r := range run {
+				if vcol.Code(int(r)) == code {
+					found = int(r)
+					old = int(ccol.Int64(found))
+					break find
+				}
 			}
 		}
 	}

@@ -569,14 +569,16 @@ func (p *DerivedProperty) statsOf(code int32) *codeStats {
 // Counts returns the per-value association strengths of the entity at
 // the given row of the entity relation.
 func (p *DerivedProperty) Counts(entityID int64) map[string]int {
-	rows := p.byEntity.Rows(entityID)
-	if len(rows) == 0 {
+	base, tail := p.byEntity.Rows(entityID)
+	if len(base)+len(tail) == 0 {
 		return nil
 	}
-	out := make(map[string]int, len(rows))
+	out := make(map[string]int, len(base)+len(tail))
 	vcol, ccol := p.rel.Column("value"), p.rel.Column("count")
-	for _, r := range rows {
-		out[vcol.Str(int(r))] = int(ccol.Int64(int(r)))
+	for _, run := range [2][]uint32{base, tail} {
+		for _, r := range run {
+			out[vcol.Str(int(r))] = int(ccol.Int64(int(r)))
+		}
 	}
 	return out
 }
@@ -592,13 +594,15 @@ type CodeCount struct {
 // abduction layer's code-based context discovery reads into a buffer it
 // reuses from example to example. A value appears once per entity.
 func (p *DerivedProperty) AppendCounts(dst []CodeCount, entityID int64) []CodeCount {
-	rows := p.byEntity.Rows(entityID)
-	if len(rows) == 0 {
+	base, tail := p.byEntity.Rows(entityID)
+	if len(base)+len(tail) == 0 {
 		return dst
 	}
 	vcol, ccol := p.rel.Column("value"), p.rel.Column("count")
-	for _, r := range rows {
-		dst = append(dst, CodeCount{Code: vcol.Code(int(r)), Count: int(ccol.Int64(int(r)))})
+	for _, run := range [2][]uint32{base, tail} {
+		for _, r := range run {
+			dst = append(dst, CodeCount{Code: vcol.Code(int(r)), Count: int(ccol.Int64(int(r)))})
+		}
 	}
 	return dst
 }

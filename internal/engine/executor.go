@@ -579,13 +579,14 @@ func (e *Executor) access(rel *relation.Relation, preds []rowPred, builds *int) 
 			continue
 		}
 		if h := e.idx.ResidentIntHash(rel, p.Col); h != nil && !text {
-			lists := make([][]uint32, len(p.keys))
+			runs := make([][]uint32, 0, 2*len(p.keys))
 			total := 0
-			for j, k := range p.keys {
-				lists[j] = h.Rows(k)
-				total += len(lists[j])
+			for _, k := range p.keys {
+				base, tail := h.Rows(k)
+				runs = append(runs, base, tail)
+				total += len(base) + len(tail)
 			}
-			consider(total, func() []int { return unionRows(lists, n) })
+			consider(total, func() []int { return unionRows(runs, n) })
 			continue
 		}
 		*builds++
@@ -594,29 +595,30 @@ func (e *Executor) access(rel *relation.Relation, preds []rowPred, builds *int) 
 	return a
 }
 
-// unionRows merges posting lists into one ascending, duplicate-free row
-// list (an IN may name one key twice).
-func unionRows(lists [][]uint32, universe int) []int {
-	if len(lists) == 1 {
-		return widen(lists[0])
+// unionRows merges ascending posting runs into one ascending,
+// duplicate-free row list in the executor's row width: runs that follow
+// one another — one key's base run and tail — are concatenated, and
+// others (an IN may name one key twice) go through a row set.
+func unionRows(runs [][]uint32, universe int) []int {
+	total, last, ordered := 0, -1, true
+	for _, run := range runs {
+		if len(run) > 0 {
+			ordered = ordered && int(run[0]) > last
+			total, last = total+len(run), int(run[len(run)-1])
+		}
 	}
-	total := 0
-	for _, l := range lists {
-		total += len(l)
+	if !ordered {
+		s := index.NewRowSet(universe, total)
+		for _, run := range runs {
+			s.AddAll(run)
+		}
+		return s.ToSorted()
 	}
-	s := index.NewRowSet(universe, total)
-	for _, l := range lists {
-		s.AddAll(l)
-	}
-	return s.ToSorted()
-}
-
-// widen copies an index's uint32 posting list into the executor's row
-// width.
-func widen(list []uint32) []int {
-	rows := make([]int, len(list))
-	for i, r := range list {
-		rows[i] = int(r)
+	rows := make([]int, 0, total)
+	for _, run := range runs {
+		for _, r := range run {
+			rows = append(rows, int(r))
+		}
 	}
 	return rows
 }
@@ -1098,14 +1100,17 @@ func probeJoin(p *poller, t tuples, s step, okey keyCol, h *index.IntHash, preds
 		if !ok {
 			continue
 		}
-		for _, r := range h.Rows(k) {
-			row := int(r)
-			if !matchAll(preds, row) {
-				continue
-			}
-			out.emit(src, s.to.pos, row)
-			if err := p.poll(); err != nil {
-				return out, err
+		base, tail := h.Rows(k)
+		for _, run := range [2][]uint32{base, tail} {
+			for _, r := range run {
+				row := int(r)
+				if !matchAll(preds, row) {
+					continue
+				}
+				out.emit(src, s.to.pos, row)
+				if err := p.poll(); err != nil {
+					return out, err
+				}
 			}
 		}
 	}

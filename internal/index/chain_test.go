@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -11,20 +12,19 @@ import (
 // The epoch-isolation contract of the layered indexes and the chunked
 // vector: a writer clones the newest generation, mutates only its clone,
 // and every retired generation keeps answering exactly the state it was
-// retired in — although tail lists, base layers, chunk tables and
-// chunks are shared along the whole chain and appends land past a
-// retired generation's lengths in the same backing arrays. The driver
-// below replays an op stream against the real structures and one plain
-// map/slice oracle per generation, and compares every generation at the
-// end. The integer keys come in three regions — a small one, a near one
-// that bursts fill in until the index is dense, and a far one on both
-// sides of zero that makes it sparse for good — so a run folds the
-// IntHash base out of and into both of its forms.
+// retired in — although key tables, tail entries, base layers, chunk
+// tables and chunks are shared along the whole chain and appends land
+// past a retired generation's lengths in the same backing arrays. The
+// driver below replays an op stream against the real structures and one
+// plain map/slice oracle per generation, and compares every generation
+// at the end. The integer keys come in three regions — a small one, a
+// near one that bursts fill in until the index is dense, and a far one
+// on both sides of zero that makes it sparse for good — so a run folds
+// the IntHash out of and into both of its forms.
 
 // chainGen is one generation of every structure under test.
 type chainGen struct {
 	ints *IntHash
-	strs *StrHash
 	nums *NumericRows
 	pos  Chunked[int] // positional: Append, Set
 	srt  Chunked[int] // sorted: InsertAt in order
@@ -33,7 +33,6 @@ type chainGen struct {
 // chainOracle is the plain-data model of one generation.
 type chainOracle struct {
 	ints map[int64][]uint32
-	strs map[string][]uint32
 	vals []float64 // numeric pairs in insertion order
 	rows []int
 	pos  []int
@@ -43,7 +42,6 @@ type chainOracle struct {
 func (o *chainOracle) clone() *chainOracle {
 	q := &chainOracle{
 		ints: make(map[int64][]uint32, len(o.ints)),
-		strs: make(map[string][]uint32, len(o.strs)),
 		vals: append([]float64(nil), o.vals...),
 		rows: append([]int(nil), o.rows...),
 		pos:  append([]int(nil), o.pos...),
@@ -52,33 +50,30 @@ func (o *chainOracle) clone() *chainOracle {
 	for k, v := range o.ints {
 		q.ints[k] = append([]uint32(nil), v...)
 	}
-	for k, v := range o.strs {
-		q.strs[k] = append([]uint32(nil), v...)
-	}
 	return q
 }
 
 // chainStats is what a run exercised.
 type chainStats struct {
 	generations, hashFolds, numFolds, splits, sharedAppends int
-	// The IntHash base: generations published in each form, folds out
-	// of each, folds that changed the form, and retired generations
-	// compared with their oracle after their successor had folded the
-	// base they share away.
+	// The IntHash: generations published in each form, folds out of
+	// each, folds that changed the form, and retired generations compared
+	// with their oracle after their successor had folded the base they
+	// share away.
 	denseGens, sparseGens, foldsOutOfDense, foldsOutOfSparse int
 	denseToSparse, sparseToDense, readAfterFold              int
 }
 
-func strKey(k int64) string { return fmt.Sprintf("key %d", k) }
-
-// burstBase places a burst of 40 fresh keys: an even b in one of 32
-// adjacent slots above the small keys (filled in, the range is dense),
-// an odd b far away on either side of zero.
-func burstBase(b int) int64 {
+// burstBase places a burst of 40 keys: an even b in one of 32 adjacent
+// slots that start above the small keys and move one slot up with each
+// of the near bursts placed before it (filled in, the range is dense,
+// and it keeps growing past the window), an odd b far away on either
+// side of zero.
+func burstBase(b, near int) int64 {
 	slot := int64(b >> 1)
 	switch {
 	case b&1 == 0:
-		return 48 + 40*(slot%32)
+		return 48 + 40*(slot%32+int64(near))
 	case slot&1 == 0:
 		return 1<<40 + 3000*slot
 	default:
@@ -92,12 +87,12 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 	t.Helper()
 	var st chainStats
 	g := new(Gen)
-	live := &chainGen{ints: &IntHash{}, strs: &StrHash{}, nums: &NumericRows{}}
-	model := &chainOracle{ints: map[int64][]uint32{}, strs: map[string][]uint32{}}
+	live := &chainGen{ints: &IntHash{}, nums: &NumericRows{}}
+	model := &chainOracle{ints: map[int64][]uint32{}}
 	var retired []*chainGen
 	var models []*chainOracle
 	var foldedAway []bool // retired[i]'s successor folded
-	nextRow := 0
+	nextRow, near := 0, 0
 
 	next := func() int {
 		if len(ops) == 0 {
@@ -109,9 +104,7 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 	}
 	insertKey := func(k int64) {
 		live.ints.Insert(k, nextRow)
-		live.strs.Insert(strKey(k), nextRow)
 		model.ints[k] = append(model.ints[k], uint32(nextRow))
-		model.strs[normalize(strKey(k))] = append(model.strs[normalize(strKey(k))], uint32(nextRow))
 		v := float64(k % 17)
 		live.nums = live.nums.Insert(v, nextRow)
 		model.vals, model.rows = append(model.vals, v), append(model.rows, nextRow)
@@ -137,8 +130,10 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 		switch op := next() % 8; op {
 		case 0, 1: // insert into a small key space: posting lists grow
 			insertKey(int64(next() % 48))
-		case 2: // a burst of fresh keys: tails grow towards a fold
-			base := burstBase(next())
+		case 2: // a burst of keys: tails grow towards a fold
+			b := next()
+			base := burstBase(b, near)
+			near += 1 - b&1
 			for i := int64(0); i < 40; i++ {
 				insertKey(base + i)
 			}
@@ -165,28 +160,28 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 			prev := live
 			g = new(Gen)
 			live = &chainGen{
-				ints: prev.ints.Clone(g), strs: prev.strs.Clone(g), nums: prev.nums.Clone(g),
+				ints: prev.ints.Clone(g), nums: prev.nums.Clone(g),
 				pos: prev.pos, srt: prev.srt,
 			}
-			folded := len(prev.ints.tail) > 0 && len(live.ints.tail) == 0
+			folded := len(prev.ints.ords.tail) > 0 && len(live.ints.ords.tail) == 0
 			foldedAway = append(foldedAway, folded)
 			switch {
-			case prev.ints.offs != nil:
+			case prev.ints.width > 0:
 				st.denseGens++
-			case len(prev.ints.post) > 0:
+			case len(prev.ints.ords.base) > 0:
 				st.sparseGens++
 			}
 			if folded {
 				st.hashFolds++
 				switch {
-				case prev.ints.offs != nil:
+				case prev.ints.width > 0:
 					st.foldsOutOfDense++
-					if live.ints.offs == nil {
+					if live.ints.width == 0 {
 						st.denseToSparse++
 					}
-				case len(prev.ints.post) > 0:
+				case len(prev.ints.ords.base) > 0:
 					st.foldsOutOfSparse++
-					if live.ints.offs != nil {
+					if live.ints.width > 0 {
 						st.sparseToDense++
 					}
 				}
@@ -215,18 +210,15 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 
 func checkChainGen(t *testing.T, at string, got *chainGen, want *chainOracle) {
 	t.Helper()
-	if got.ints.NumKeys() != len(want.ints) || got.strs.NumKeys() != len(want.strs) {
-		t.Errorf("%s: NumKeys = %d/%d want %d/%d", at, got.ints.NumKeys(), got.strs.NumKeys(), len(want.ints), len(want.strs))
+	if got.ints.NumKeys() != len(want.ints) {
+		t.Errorf("%s: NumKeys = %d want %d", at, got.ints.NumKeys(), len(want.ints))
 	}
 	for k, rows := range want.ints {
-		if r := got.ints.Rows(k); !reflect.DeepEqual(r, rows) {
+		if r := slices.Concat(got.ints.Rows(k)); !reflect.DeepEqual(r, rows) {
 			t.Errorf("%s: IntHash.Rows(%d) = %v want %v", at, k, r, rows)
 		}
 		if first, ok := got.ints.First(k); !ok || first != int(rows[0]) {
 			t.Errorf("%s: IntHash.First(%d) = %d, %v want %d", at, k, first, ok, rows[0])
-		}
-		if r := got.strs.Rows(strKey(k)); !reflect.DeepEqual(r, want.strs[normalize(strKey(k))]) {
-			t.Errorf("%s: StrHash.Rows(%q) = %v want %v", at, strKey(k), r, want.strs[normalize(strKey(k))])
 		}
 	}
 	// Keys a later generation inserted must stay absent here, and so
@@ -234,7 +226,7 @@ func checkChainGen(t *testing.T, at string, got *chainGen, want *chainOracle) {
 	// table, below its first slot, above its last.
 	absent := func(k int64) {
 		if _, has := want.ints[k]; !has {
-			if _, ok := got.ints.First(k); ok || got.ints.Rows(k) != nil || got.strs.Rows(strKey(k)) != nil {
+			if _, ok := got.ints.First(k); ok || slices.Concat(got.ints.Rows(k)) != nil {
 				t.Errorf("%s: absent key %d is visible", at, k)
 			}
 		}
@@ -347,10 +339,11 @@ func chainOps(rng *rand.Rand, generations int) []byte {
 // TestCloneChainIsolation drives 60 generations per seed and insists the
 // run crossed what the isolation argument is about: hash and numeric
 // tails folded more than once; the integer index was published in both
-// base forms, folded out of each, and retired generations were read
-// after their successors had folded; a sorted list split a chunk; and a
-// partially filled last chunk was appended through a clone while a
-// retired generation still read it.
+// forms, folded out of each at least twice and from each into the
+// other, and retired generations were read after their successors had
+// folded; a sorted list split a chunk; and a partially filled last chunk
+// was appended through a clone while a retired generation still read
+// it.
 func TestCloneChainIsolation(t *testing.T) {
 	seeds := int64(2)
 	if testing.Short() {
@@ -362,7 +355,7 @@ func TestCloneChainIsolation(t *testing.T) {
 		if st.generations != 60 || st.hashFolds < 2 || st.numFolds < 2 || st.splits == 0 || st.sharedAppends == 0 {
 			t.Errorf("seed %d exercised too little: %+v", seed, st)
 		}
-		if st.denseGens == 0 || st.sparseGens == 0 || st.foldsOutOfDense == 0 || st.foldsOutOfSparse == 0 ||
+		if st.denseGens == 0 || st.sparseGens == 0 || st.foldsOutOfDense < 2 || st.foldsOutOfSparse < 2 ||
 			st.denseToSparse == 0 || st.sparseToDense == 0 || st.readAfterFold < 2 {
 			t.Errorf("seed %d did not fold through both base forms: %+v", seed, st)
 		}

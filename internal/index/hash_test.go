@@ -1,7 +1,6 @@
 package index
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -34,8 +33,9 @@ func cellsOf(keys ...int64) []*int64 {
 }
 
 // checkIntHash compares h with a plain map built from the cells: every
-// key's rows (ascending), NumKeys, First, and the absent keys around
-// every present one — below the smallest, above the largest, in a gap.
+// key's rows (base ++ tail, ascending), NumKeys, First, and the absent
+// keys around every present one — below the smallest, above the
+// largest, in a gap.
 func checkIntHash(t *testing.T, h *IntHash, cells []*int64) {
 	t.Helper()
 	want := map[int64][]uint32{}
@@ -48,7 +48,7 @@ func checkIntHash(t *testing.T, h *IntHash, cells []*int64) {
 		t.Errorf("NumKeys = %d want %d", h.NumKeys(), len(want))
 	}
 	for k, rows := range want {
-		got := h.Rows(k)
+		got := slices.Concat(h.Rows(k))
 		if !reflect.DeepEqual(got, rows) || !slices.IsSorted(got) {
 			t.Errorf("Rows(%d) = %v want %v", k, got, rows)
 		}
@@ -59,14 +59,14 @@ func checkIntHash(t *testing.T, h *IntHash, cells []*int64) {
 			if _, has := want[absent]; has {
 				continue
 			}
-			if _, ok := h.First(absent); ok || h.Rows(absent) != nil {
-				t.Errorf("absent key %d (beside %d) answers %v", absent, k, h.Rows(absent))
+			if _, ok := h.First(absent); ok || slices.Concat(h.Rows(absent)) != nil {
+				t.Errorf("absent key %d (beside %d) answers %v", absent, k, slices.Concat(h.Rows(absent)))
 			}
 		}
 	}
 	for _, absent := range []int64{math.MinInt64, math.MaxInt64, 0} {
-		if _, has := want[absent]; !has && h.Rows(absent) != nil {
-			t.Errorf("absent key %d answers %v", absent, h.Rows(absent))
+		if _, has := want[absent]; !has && slices.Concat(h.Rows(absent)) != nil {
+			t.Errorf("absent key %d answers %v", absent, slices.Concat(h.Rows(absent)))
 		}
 	}
 }
@@ -120,10 +120,10 @@ func TestBuildIntHashParity(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			h := BuildIntHash(intColumn(c.cells), "k")
 			checkIntHash(t, h, c.cells)
-			if dense := h.offs != nil; dense != c.dense {
-				t.Errorf("dense form = %v want %v (keys %d over [%d, %d])", dense, c.dense, h.keys, h.lo, h.hi)
+			if dense := h.width > 0; dense != c.dense {
+				t.Errorf("dense form = %v want %v (keys %d over a window of %d from %d)", dense, c.dense, h.keys, h.width, h.lo)
 			}
-			if h.offs != nil && h.spans != nil {
+			if h.width > 0 && h.ords.base != nil {
 				t.Error("both base forms are populated")
 			}
 			// Exact sizes: one posting a non-NULL row, nothing spare.
@@ -133,8 +133,8 @@ func TestBuildIntHashParity(t *testing.T) {
 					rows++
 				}
 			}
-			if len(h.post) != rows || cap(h.post) != rows {
-				t.Errorf("posting array holds %d (cap %d) for %d rows", len(h.post), cap(h.post), rows)
+			if flat := h.lists.flat; len(flat) != rows || cap(flat) != rows {
+				t.Errorf("posting array holds %d (cap %d) for %d rows", len(flat), cap(flat), rows)
 			}
 		})
 	}
@@ -149,7 +149,7 @@ func TestIntHashExtremeKeys(t *testing.T) {
 		cells = append(cells, cellsOf(k)[0], nil, cellsOf(k)[0], nil)
 	}
 	h := BuildIntHash(intColumn(cells), "k")
-	if h.offs != nil {
+	if h.width > 0 {
 		t.Fatal("four keys spanning all of int64 took the dense form")
 	}
 	checkIntHash(t, h, cells)
@@ -166,8 +166,8 @@ func TestIntHashExtremeKeys(t *testing.T) {
 		add(math.MinInt64 + i)
 	}
 	folded := live.Clone(new(Gen))
-	if len(folded.tail) != 0 || folded.offs != nil {
-		t.Fatalf("fold left a tail of %d keys or chose the dense form", len(folded.tail))
+	if len(folded.ords.tail) != 0 || folded.width > 0 {
+		t.Fatalf("fold left a tail of %d keys or chose the dense form", len(folded.ords.tail))
 	}
 	checkIntHash(t, live, inserted)
 	checkIntHash(t, folded, inserted)
@@ -176,7 +176,7 @@ func TestIntHashExtremeKeys(t *testing.T) {
 	// not wrap into the table.
 	top := cellsOf(math.MaxInt64-2, math.MaxInt64-1, math.MaxInt64, math.MaxInt64-2)
 	d := BuildIntHash(intColumn(top), "k")
-	if d.offs == nil {
+	if d.width == 0 {
 		t.Fatal("three adjacent keys did not take the dense form")
 	}
 	checkIntHash(t, d, top)
@@ -184,56 +184,9 @@ func TestIntHashExtremeKeys(t *testing.T) {
 	checkIntHash(t, BuildIntHash(intColumn(bottom), "k"), bottom)
 }
 
-// TestBuildStrHashParity: values that normalize alike share one key,
-// whichever dictionary code a row carries; NULLs are skipped.
-func TestBuildStrHashParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	spellings := []string{"Pulp Fiction", "pulp  fiction", " PULP FICTION ", "Titanic", "titanic", "Heat", "Alien", "alien "}
-	for _, tc := range []struct {
-		name string
-		rows int
-		null float64
-	}{{"collisions", 400, 0}, {"with nulls", 400, 0.3}, {"empty", 0, 0}, {"all null", 30, 1}} {
-		t.Run(tc.name, func(t *testing.T) {
-			rel := relation.New("t", relation.Col("s", relation.String))
-			want := map[string][]uint32{}
-			for row := 0; row < tc.rows; row++ {
-				if rng.Float64() < tc.null {
-					rel.MustAppend(relation.Null)
-					continue
-				}
-				v := spellings[rng.Intn(len(spellings))]
-				if rng.Intn(4) == 0 {
-					v = fmt.Sprintf("movie %d", rng.Intn(60))
-				}
-				rel.MustAppend(relation.StringVal(v))
-				want[normalize(v)] = append(want[normalize(v)], uint32(row))
-			}
-			h := BuildStrHash(rel, "s")
-			if h.NumKeys() != len(want) {
-				t.Errorf("NumKeys = %d want %d", h.NumKeys(), len(want))
-			}
-			total := 0
-			for k, rows := range want {
-				total += len(rows)
-				if got := h.Rows(k); !reflect.DeepEqual(got, rows) {
-					t.Errorf("Rows(%q) = %v want %v", k, got, rows)
-				}
-			}
-			if len(h.post) != total || cap(h.post) != total {
-				t.Errorf("posting array holds %d (cap %d) for %d rows", len(h.post), cap(h.post), total)
-			}
-			if h.Rows("no such movie") != nil {
-				t.Error("absent key answers rows")
-			}
-		})
-	}
-}
-
 // TestResidentBytesMatchHeap: what IndexSet.ResidentBytes reports for
-// the integer hash indexes, plus what the string ones count themselves,
-// is what building them added to the heap, within 10% — the figure is
-// counted from lengths and widths, not sampled.
+// the hash indexes is what building them added to the heap, within 10% —
+// the figure is counted from lengths and widths, not sampled.
 func TestResidentBytesMatchHeap(t *testing.T) {
 	const rows = 60_000
 	rng := rand.New(rand.NewSource(5))
@@ -242,14 +195,11 @@ func TestResidentBytesMatchHeap(t *testing.T) {
 		relation.Col("entity_id", relation.Int), // clustered runs: dense
 		relation.Col("fk", relation.Int),        // shuffled: dense
 		relation.Col("wide", relation.Int),      // sparse
-		relation.Col("tag", relation.String),    // low-cardinality text
-		relation.Col("name", relation.String),   // high-cardinality text
 	)
 	for i := 0; i < rows; i++ {
 		rel.MustAppend(
 			relation.IntVal(int64(i)), relation.IntVal(int64(i/6)), relation.IntVal(int64(rng.Intn(rows/4))),
-			relation.IntVal(rng.Int63()), relation.StringVal(fmt.Sprintf("tag %d", rng.Intn(40))),
-			relation.StringVal(fmt.Sprintf("Name %d", rng.Intn(rows/2))),
+			relation.IntVal(rng.Int63()),
 		)
 	}
 	heap := func() uint64 {
@@ -260,22 +210,13 @@ func TestResidentBytesMatchHeap(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	set := NewIndexSet()
-	var strs []*StrHash
 	before := heap()
 	for _, c := range rel.Columns() {
-		if c.Type == relation.Int {
-			set.AdoptIntHash(rel.Name, c.Name, BuildIntHash(rel, c.Name))
-		} else {
-			strs = append(strs, BuildStrHash(rel, c.Name))
-		}
+		set.AdoptIntHash(rel.Name, c.Name, BuildIntHash(rel, c.Name))
 	}
 	grew := int64(heap() - before)
 	base, tail := set.ResidentBytes()
-	for _, h := range strs {
-		b, t := h.residentBytes()
-		base, tail = base+b, tail+t
-	}
-	t.Logf("building %d hash indexes over %d rows grew the heap by %d bytes; ResidentBytes reports %d", set.NumIndexes()+len(strs), rows, grew, base+tail)
+	t.Logf("building %d hash indexes over %d rows grew the heap by %d bytes; ResidentBytes reports %d", set.NumIndexes(), rows, grew, base+tail)
 	if tail != 0 {
 		t.Errorf("freshly built indexes report %d tail bytes", tail)
 	}
@@ -283,6 +224,5 @@ func TestResidentBytesMatchHeap(t *testing.T) {
 		t.Errorf("reported %d bytes, the heap grew by %d: off by %.1f%%", base, grew, 100*diff)
 	}
 	runtime.KeepAlive(set)
-	runtime.KeepAlive(strs)
 	runtime.KeepAlive(rel)
 }

@@ -55,12 +55,13 @@ func (s *IndexSet) ResidentBytes() (base, tail int64) {
 
 // IndexDelta accumulates one copy-on-write writer's index changes
 // against a base epoch's IndexSet: the first write into a resident index
-// clones it (a copy of its tail — the keys inserted since its last fold
-// — never of the index), later writes mutate the private clone in place,
-// and MergeInto lays the clones over the base set. An index the base
-// lacks is built privately from the writer's relation. Reads during the
-// apply see the private clone when one exists and the immutable base
-// otherwise, so a batch observes its own earlier rows.
+// clones it (a copy of its key table's tail — the keys added since its
+// last fold — and one pointer per 64 lists, never of the index), later
+// writes mutate the private clone in place, and MergeInto lays the
+// clones over the base set. An index the base lacks is built privately
+// from the writer's relation. Reads during the apply see the private
+// clone when one exists and the immutable base otherwise, so a batch
+// observes its own earlier rows.
 type IndexDelta struct {
 	base    *IndexSet
 	ints    map[ColumnKey]*IntHash

@@ -3,6 +3,7 @@ package index
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -64,19 +65,19 @@ func TestIndexDeltaNoteAppend(t *testing.T) {
 	}
 	wantInt := BuildIntHash(next, "id")
 	for v := int64(0); v < 100; v++ {
-		if !reflect.DeepEqual(ih.Rows(v), wantInt.Rows(v)) {
-			t.Errorf("after append, Rows(%d) = %v want %v", v, ih.Rows(v), wantInt.Rows(v))
+		if got, want := slices.Concat(ih.Rows(v)), slices.Concat(wantInt.Rows(v)); !reflect.DeepEqual(got, want) {
+			t.Errorf("after append, Rows(%d) = %v want %v", v, got, want)
 		}
 	}
-	if len(baseInt.Rows(99)) != 0 || base.NumIndexes() != 1 {
+	if _, ok := baseInt.First(99); ok || base.NumIndexes() != 1 {
 		t.Error("append leaked into the base set")
 	}
 
 	other := relation.New("u", relation.Col("k", relation.Int))
 	other.MustAppend(relation.IntVal(4))
 	built := NewIndexDelta(merged, nil)
-	if h := built.ReadIntHash(other, "k"); h.Rows(4) == nil {
-		t.Errorf("the private build misses the relation's row: %v", h.Rows(4))
+	if _, ok := built.ReadIntHash(other, "k").First(4); !ok {
+		t.Error("the private build misses the relation's row")
 	}
 	if next := built.MergeInto(merged); next.NumIndexes() != 2 || merged.NumIndexes() != 1 {
 		t.Errorf("the writer's build published %d indexes over the base's %d", next.NumIndexes(), merged.NumIndexes())
@@ -111,7 +112,7 @@ func TestIndexDeltaDrop(t *testing.T) {
 	if base.NumIndexes() != 2 {
 		t.Errorf("drop touched the base set: NumIndexes=%d want 2", base.NumIndexes())
 	}
-	if got, want := delta.ReadIntHash(next, "id").Rows(5), BuildIntHash(next, "id").Rows(5); !reflect.DeepEqual(got, want) {
+	if got, want := slices.Concat(delta.ReadIntHash(next, "id").Rows(5)), slices.Concat(BuildIntHash(next, "id").Rows(5)); !reflect.DeepEqual(got, want) {
 		t.Errorf("rebuilt Rows(5) = %v want %v", got, want)
 	}
 }

@@ -6,7 +6,6 @@
 package index
 
 import (
-	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -30,22 +29,19 @@ type Posting struct {
 // its postings. SQuID consults it to map user-provided example strings
 // to candidate entities.
 //
-// It is laid out and layered like every other per-epoch structure: the
-// key map is an immutable base shared since the last fold plus a tail of
-// the keys inserts added since, and the posting lists are a
-// Postings[uint64] of (text-column ordinal, row) pairs — 8 bytes a
-// posting — with a flat base and a writer-owned tail. An epoch holds
-// exactly its own postings, so a reader takes no lock and filters
-// nothing; a writer clones the index once per batch (Clone), posts the
-// batch's cells into the clone and publishes it with its epoch.
+// It is a key table over posting lists, as a hash index is (hash.go):
+// the key table maps a normalized value to its list ordinal, and the
+// lists are a Postings[uint64] of (text-column ordinal, row) pairs — 8
+// bytes a posting. An epoch holds exactly its own postings, so a reader
+// takes no lock and filters nothing; a writer clones the index once per
+// batch (Clone), posts the batch's cells into the clone and publishes it
+// with its epoch.
 type Inverted struct {
 	// cols names the text columns by ordinal: every TEXT column of every
 	// relation, in relation order, then column order.
-	cols []ColumnKey
-	// keys maps a normalized value to its list ordinal; tail holds the
-	// values inserts added since the fold (nil when none).
-	keys, tail map[string]uint32
-	lists      Postings[uint64]
+	cols  []ColumnKey
+	keys  keyTable[string]
+	lists Postings[uint64]
 }
 
 // posting packs a text-column ordinal and a row into one list element:
@@ -60,7 +56,7 @@ func posting(col uint32, row int) uint64 { return uint64(col)<<32 | uint64(uint3
 // array in relation order, so every list comes out ascending.
 func BuildInvertedParallel(db *relation.Database, workers int) *Inverted {
 	names := db.RelationNames()
-	inv := &Inverted{keys: make(map[string]uint32)}
+	inv := &Inverted{keys: keyTable[string]{base: make(map[string]uint32)}}
 	first := make([]uint32, len(names))
 	for i, name := range names {
 		first[i] = uint32(len(inv.cols))
@@ -77,10 +73,10 @@ func BuildInvertedParallel(db *relation.Database, workers int) *Inverted {
 	offs := []uint32{0}
 	for _, shard := range shards {
 		for key, ps := range shard {
-			k, ok := inv.keys[key]
+			k, ok := inv.keys.base[key]
 			if !ok {
 				k = uint32(len(offs) - 1)
-				inv.keys[key] = k
+				inv.keys.base[key] = k
 				offs = append(offs, 0)
 			}
 			offs[k+1] += uint32(len(ps))
@@ -93,7 +89,7 @@ func BuildInvertedParallel(db *relation.Database, workers int) *Inverted {
 	next := slices.Clone(offs[:len(offs)-1])
 	for _, shard := range shards {
 		for key, ps := range shard {
-			k := inv.keys[key]
+			k := inv.keys.base[key]
 			next[k] += uint32(copy(flat[next[k]:], ps))
 		}
 	}
@@ -121,6 +117,16 @@ func invertRelation(first uint32, rel *relation.Relation) map[string][]uint64 {
 		ord++
 	}
 	return shard
+}
+
+// normalizedDict precomputes normalize for every dictionary code.
+func normalizedDict(d *relation.Dict) []string {
+	vals := d.Values()
+	norm := make([]string, len(vals))
+	for i, v := range vals {
+		norm[i] = normalize(v)
+	}
+	return norm
 }
 
 // RunBounded executes fn(0..n-1) over a worker pool of the given size
@@ -218,14 +224,12 @@ func (inv *Inverted) list(value string) int {
 	var k uint32
 	var ok bool
 	if from := normalPrefix(value); from == len(value) {
-		if k, ok = inv.keys[value]; !ok && len(inv.tail) != 0 {
-			k, ok = inv.tail[value]
-		}
+		k, ok = inv.keys.get(value)
 	} else {
 		var buf [64]byte
 		key := appendNormalized(buf[:0], value, from)
-		if k, ok = inv.keys[string(key)]; !ok && len(inv.tail) != 0 {
-			k, ok = inv.tail[string(key)]
+		if k, ok = inv.keys.base[string(key)]; !ok && len(inv.keys.tail) != 0 {
+			k, ok = inv.keys.tail[string(key)]
 		}
 	}
 	if !ok {
@@ -255,41 +259,23 @@ func (inv *Inverted) Insert(rel, col, value string, row int) {
 		panic("index: " + rel + "." + col + " is not an indexed text column")
 	}
 	key := normalize(value)
-	k, ok := inv.keys[key]
+	k, ok := inv.keys.get(key)
 	if !ok {
-		if k, ok = inv.tail[key]; !ok {
-			k = uint32(inv.lists.Len())
-			if inv.tail == nil {
-				inv.tail = make(map[string]uint32)
-			}
-			inv.tail[key] = k
-		}
+		k = uint32(inv.lists.Len())
+		inv.keys.add(key, k)
 	}
 	inv.lists.AddRow(int(k), posting(uint32(c), row))
 }
 
 // Clone returns a copy-on-write clone for one writer generation: the
-// posting lists clone as Postings do, and the key map's tail is copied —
-// or, once it holds more than 1/foldDiv of the base's keys, folded with
-// the base into a fresh base. What it copies is charged to g.
+// posting lists clone as Postings do, and the key table as keyTable
+// does. What it copies is charged to g.
 func (inv *Inverted) Clone(g *Gen) *Inverted {
-	q := &Inverted{cols: inv.cols, keys: inv.keys, lists: inv.lists.Clone(g)}
-	slot := elemSize[string]() + 4
-	switch n := len(inv.tail); {
-	case n >= foldMin && n*foldDiv > len(inv.keys):
-		q.keys = make(map[string]uint32, len(inv.keys)+n)
-		maps.Copy(q.keys, inv.keys)
-		maps.Copy(q.keys, inv.tail)
-		g.charge(int(relation.MapBytes(len(q.keys), slot)))
-	case n > 0:
-		q.tail = maps.Clone(inv.tail)
-		g.charge(int(relation.MapBytes(n, slot)))
-	}
-	return q
+	return &Inverted{cols: inv.cols, keys: inv.keys.clone(g, len(inv.keys.base)), lists: inv.lists.Clone(g)}
 }
 
 // NumKeys returns the number of distinct indexed values.
-func (inv *Inverted) NumKeys() int { return len(inv.keys) + len(inv.tail) }
+func (inv *Inverted) NumKeys() int { return len(inv.keys.base) + len(inv.keys.tail) }
 
 // ResidentBytes returns what the index holds, counted from lengths: the
 // key maps (a key string is the dictionary's own where the value was in
@@ -297,8 +283,8 @@ func (inv *Inverted) NumKeys() int { return len(inv.keys) + len(inv.tail) }
 // and tail.
 func (inv *Inverted) ResidentBytes() int64 {
 	base, tail := inv.lists.ResidentBytes()
-	slot := elemSize[string]() + 4
-	return base + tail + relation.MapBytes(len(inv.keys), slot) + relation.MapBytes(len(inv.tail), slot)
+	kb, kt := inv.keys.residentBytes()
+	return base + tail + kb + kt
 }
 
 // ColumnKey identifies a (relation, column) pair.

@@ -161,7 +161,7 @@ func TestCommonColumnsMatchesMapOracle(t *testing.T) {
 	for len(gens) < 40 {
 		prev := gens[len(gens)-1]
 		next := generation{prev.inv.Clone(new(Gen)), slices.Clone(prev.rels)}
-		if len(prev.inv.tail) > 0 && len(next.inv.tail) == 0 {
+		if len(prev.inv.keys.tail) > 0 && len(next.inv.keys.tail) == 0 {
 			keyFolds++
 		}
 		if prev.inv.lists.added > 0 && next.inv.lists.added == 0 {

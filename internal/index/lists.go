@@ -8,9 +8,10 @@ import (
 
 // Jagged and Postings are the two halves of a categorical statistic: the
 // value codes of each entity row (Jagged) and the entity rows of each
-// value code (Postings[uint32]); Postings[uint64] is also the inverted
-// index's posting lists. All are vectors of lists of 4- or 8-byte
-// elements, layered the way the hash indexes are (hash.go):
+// value code (Postings[uint32]); Postings[uint32] is also every hash
+// index's posting lists, and Postings[uint64] the inverted index's. All
+// are vectors of lists of 4- or 8-byte elements, in the one list
+// layering of the package:
 //
 //   - an immutable base shared by every epoch since the last fold: list k
 //     is flat[offs[k]:offs[k+1]] — one 4-byte offset a list and one

@@ -140,6 +140,10 @@ const (
 	// built because the epoch holds none on a column it needed (on the
 	// block's scan stage; the builds are dropped with the execution).
 	CounterIndexBuilds
+	// CounterCopiedBytes counts the bytes an insert batch copied out of
+	// storage it shares with the epoch it retires — chunks, chunk tables,
+	// index tails and folds, count patches (index.Gen.Copied).
+	CounterCopiedBytes
 
 	numCounters
 )
@@ -148,6 +152,7 @@ var counterNames = [numCounters]string{
 	"candidates", "properties", "contexts", "selected", "rows",
 	"cache_hits", "cache_misses", "cache_stores", "epoch_seq", "est_rows",
 	"cells_streamed", "filters", "pairs_bumped", "index_builds",
+	"copied_bytes",
 }
 
 // String returns the counter's wire name.

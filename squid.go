@@ -29,11 +29,12 @@
 // so discovery cost tracks the number of candidate filters rather than
 // the data size (the paper's Fig 16b scalability claim):
 //
-//   - An IndexSet (internal/index) is each epoch's view of the hash
-//     and sorted indexes over every base and derived relation, built
-//     once and immutable once visible; an insert clones the shards it
-//     touches and the next epoch's view shares the rest. Dimension
-//     lookups, αDB maintenance, and the engine's predicate pushdown all
+//   - An IndexSet (internal/index) is each epoch's resident hash
+//     indexes: every non-fact relation's integer key, every fact foreign
+//     key and every derived entity_id, built before anything reads them
+//     and fixed once visible; an insert clones the indexes it writes
+//     into and the next epoch's set shares the rest. Dimension lookups,
+//     αDB maintenance, and the engine's joins and point predicates all
 //     read it.
 //   - Each property answers selectivity and satisfying-row questions
 //     from precomputed postings and a sorted value→row index, and
@@ -702,14 +703,14 @@ func (s *System) ExecutableDB() *Database { return s.alpha.CombinedDB() }
 // The engine orders the joins itself: it anchors at the relation its
 // predicates make smallest and extends along the joins towards the
 // smallest relation next, probing the hash indexes the epoch already
-// holds (entity keys, the derived relations' entity_id). Executing
-// builds the hash index of a point predicate's column on first use and
-// no other — none at all for a predicate the row sets answered: joins
-// never add to the epoch's index view. Rows come back in one canonical
-// order — by row id, From[0]'s first, then the other relations' in name
-// order — so the result, DISTINCT's surviving duplicate and GROUP BY's
-// representative do not depend on the order chosen or on which indexes
-// are resident.
+// holds (entity keys, the derived relations' entity_id). A point
+// predicate on a column the epoch does not index gets a posting list
+// built for its block alone, and the execution stores nothing: no
+// execution adds to the epoch's resident indexes. Rows come back in one
+// canonical order — by row id, From[0]'s first, then the other
+// relations' in name order — so the result, DISTINCT's surviving
+// duplicate and GROUP BY's representative do not depend on the order
+// chosen or on which indexes are resident.
 //
 // Execution is wait-free with respect to inserts: it pins one epoch and
 // can never be stalled by (or stall) a writer. The engine consults ctx
