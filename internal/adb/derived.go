@@ -273,12 +273,21 @@ func sanitizeRelName(attr string) string {
 }
 
 // materializeDerived computes the (entity_id, value, count) rows of a
-// derived property — for each entity, the count of every code over the
-// contributions of its distinct via rows, tabulated once per via row and
-// decoded only when a row is emitted — stores the derived relation, and
-// builds its statistics (the in-Go equivalent of the paper's Q6 CREATE
-// TABLE ... GROUP BY). The relation and its entity index stay task-local
-// until finishEntity registers them.
+// derived property — for each entity, the count of every value over the
+// contributions of its distinct via rows — stores the derived relation,
+// and builds its statistics (the in-Go equivalent of the paper's Q6
+// CREATE TABLE ... GROUP BY). The tabulation never leaves code space:
+// each via row's contributions are listed once as source-dictionary
+// codes, an entity's counts are summed in a dense counter indexed by
+// code, and only the codes it touched are ordered — by the source
+// dictionary's rank table, which is the order of their values, no two
+// codes of one dictionary sharing one — and cleared. A source code is
+// translated to the derived value dictionary on its first emission, so
+// the rows come in entity-row order and then value order, the
+// dictionary holds its values in first-emission order, and the columns
+// grow as appending row by row would have grown them, so the first
+// insert finds the same spare capacity to append into. The relation and
+// its entity index stay task-local until finishEntity registers them.
 func (a *Epoch) materializeDerived(info *EntityInfo, p *DerivedProperty, adjacency [][]int) error {
 	c := p.reader(a)
 	via := a.DB.Relation(p.Via)
@@ -288,28 +297,53 @@ func (a *Epoch) materializeDerived(info *EntityInfo, p *DerivedProperty, adjacen
 		codes = c.add(vRow, codes)
 		offs[vRow+1] = uint32(len(codes))
 	}
-	rel := relation.New(p.RelName,
-		relation.Col("entity_id", relation.Int),
-		relation.Col("value", relation.String),
-		relation.Col("count", relation.Int),
-	).AddForeignKey("entity_id", p.Entity, info.PK)
+	n := 0
+	if len(codes) > 0 {
+		n = int(slices.Max(codes)) + 1
+	}
+	// count is indexed by source code; derived holds a source code's
+	// derived code plus one, zero until the code is first emitted.
+	count, derived := make([]int32, n), make([]int32, n)
+	var touched []int32
+	var ids, counts []int64
+	var vals []int32
+	var dict []string
 	pkCol := info.rel.Column(info.PK)
-	m := make(map[int32]int)
 	for eRow, viaRows := range adjacency {
-		clear(m)
+		touched = touched[:0]
 		for _, vRow := range viaRows {
 			for _, code := range codes[offs[vRow]:offs[vRow+1]] {
-				m[code]++
+				if count[code] == 0 {
+					touched = append(touched, code)
+				}
+				count[code]++
 			}
 		}
+		// The degree property's one pseudo-code needs no order.
+		if len(touched) > 1 {
+			c.target.dict.SortCodes(touched)
+		}
 		id := pkCol.Int64(eRow)
-		for _, code := range sortedCodesByValue(m, c.decode) {
-			rel.MustAppend(relation.IntVal(id), relation.StringVal(c.decode(code)), relation.IntVal(int64(m[code])))
+		for _, code := range touched {
+			if derived[code] == 0 {
+				dict = append(dict, c.decode(code))
+				derived[code] = int32(len(dict))
+			}
+			ids = append(ids, id)
+			vals = append(vals, derived[code]-1)
+			counts = append(counts, int64(count[code]))
+			count[code] = 0
 		}
 	}
-	p.rel = rel
+	p.rel = relation.Restore(p.RelName, "",
+		[]relation.ForeignKey{{Column: "entity_id", RefRelation: p.Entity, RefColumn: info.PK}},
+		[]*relation.Column{
+			relation.RestoreIntColumn("entity_id", ids, nil),
+			relation.RestoreStringColumn("value", vals, relation.RestoreDict(dict), nil),
+			relation.RestoreIntColumn("count", counts, nil),
+		}, len(ids))
 	p.memo = newRowSetMemo(a.selCache)
-	p.byEntity = index.BuildIntHash(rel, "entity_id")
+	p.byEntity = index.BuildIntHash(p.rel, "entity_id")
 	return a.buildPairs(info, p)
 }
 
@@ -385,16 +419,4 @@ func sortedPairs(pairs index.Chunked[valCount]) (index.Chunked[valCount], bool) 
 		out.Append(nil, vc)
 	}
 	return out, true
-}
-
-// sortedCodesByValue orders a code→count map by the decoded value
-// string, preserving the deterministic value-sorted row order of the
-// materialized derived relations.
-func sortedCodesByValue(m map[int32]int, decode func(int32) string) []int32 {
-	out := make([]int32, 0, len(m))
-	for c := range m {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return decode(out[i]) < decode(out[j]) })
-	return out
 }

@@ -1,0 +1,246 @@
+package adb
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+
+	"squid/internal/datagen"
+	"squid/internal/relation"
+)
+
+// TestMaterializedDerivedMatchesReference holds every derived relation
+// a cold Build emits to a reference materialization in its plainest
+// form: a map of value → strength per entity, the values of each entity
+// in sort.Strings order, and the value dictionary in the order the rows
+// first name its values. Save writes the rows and the
+// dictionary in exactly those orders, so a snapshot's bytes depend on
+// both; the comparison is row by row and code by code. The generated
+// schemas carry every shape the tabulation has a case for, and the test
+// fails if one of them stops occurring.
+func TestMaterializedDerivedMatchesReference(t *testing.T) {
+	var seen shapes
+	for seed := int64(1); seed <= 8; seed++ {
+		a, err := Build(derivedOracleDB(rand.New(rand.NewSource(seed))), DefaultConfig())
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		checkDerivedReference(t, a, &seen)
+	}
+	g := datagen.GenerateIMDb(datagen.IMDbConfig{Seed: 5, NumPersons: 300, NumMovies: 120, NumCompany: 10})
+	a, err := Build(g.DB, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDerivedReference(t, a, &seen)
+	for name, ok := range map[string]bool{
+		"a fact row with a NULL key":             seen.nullKey,
+		"an (entity, via) pair linked twice":     seen.repeatedPair,
+		"a degree property":                      seen.degree,
+		"a second-hop (FactDim) property":        seen.factDim,
+		"a self-edge":                            seen.selfEdge,
+		"an entity with no association":          seen.unassociated,
+		"an entity with two values to order":     seen.multiValued,
+		"a value dictionary out of string order": seen.unsortedDict,
+	} {
+		if !ok {
+			t.Errorf("no fixture has %s", name)
+		}
+	}
+}
+
+// shapes records which cases of the tabulation the fixtures reached.
+type shapes struct {
+	nullKey, repeatedPair, degree, factDim, selfEdge, unassociated, multiValued, unsortedDict bool
+}
+
+type derivedRow struct {
+	id    int64
+	value string
+	count int64
+}
+
+func checkDerivedReference(t *testing.T, a *AlphaDB, seen *shapes) {
+	t.Helper()
+	ep := a.Snapshot()
+	for _, name := range ep.DB.RelationNames() {
+		fact := ep.DB.Relation(name)
+		for _, fk := range fact.Foreign {
+			col := fact.Column(fk.Column)
+			for r := range fact.NumRows() {
+				seen.nullKey = seen.nullKey || col.IsNull(r)
+			}
+		}
+	}
+	for _, entity := range ep.DB.EntityRelations() {
+		info := ep.Entity(entity)
+		for _, p := range info.Derived {
+			want, wantDict := referenceDerived(ep, info, p, seen)
+			ecol, vcol, ccol := p.rel.Column("entity_id"), p.rel.Column("value"), p.rel.Column("count")
+			if p.rel.NumRows() != len(want) {
+				t.Errorf("%s: %d rows, the reference has %d", p.RelName, p.rel.NumRows(), len(want))
+				continue
+			}
+			for r, w := range want {
+				if ecol.IsNull(r) || vcol.IsNull(r) || ccol.IsNull(r) {
+					t.Fatalf("%s row %d: NULL cell", p.RelName, r)
+				}
+				if got := (derivedRow{ecol.Int64(r), vcol.Dict().Value(vcol.Code(r)), ccol.Int64(r)}); got != w {
+					t.Fatalf("%s row %d: %+v, the reference has %+v", p.RelName, r, got, w)
+				}
+			}
+			got := vcol.Dict().Values()
+			if len(got) != len(wantDict) {
+				t.Fatalf("%s: dictionary of %d values, the reference has %d", p.RelName, len(got), len(wantDict))
+			}
+			for code, v := range wantDict {
+				if got[code] != v {
+					t.Fatalf("%s: code %d is %q, the reference's is %q", p.RelName, code, got[code], v)
+				}
+			}
+			seen.degree = seen.degree || p.Target.Type == Degree
+			seen.factDim = seen.factDim || p.Target.Type == FactDim && len(want) > 0
+			seen.selfEdge = seen.selfEdge || p.Via == p.Entity && len(want) > 0
+			seen.unsortedDict = seen.unsortedDict || !sort.StringsAreSorted(wantDict)
+		}
+	}
+}
+
+// referenceDerived tabulates derived property p the plain way: the
+// distinct via rows of each entity, a map from value to strength over
+// their contributions, and the entity's values in sort.Strings order.
+func referenceDerived(ep *Epoch, info *EntityInfo, p *DerivedProperty, seen *shapes) (rows []derivedRow, dict []string) {
+	d := p.reader(ep)
+	fact := ep.DB.Relation(p.Fact1)
+	vias := make([]map[int]bool, info.NumRows)
+	for fr := range fact.NumRows() {
+		eRow, vRow, ok := d.link(fr)
+		if !ok {
+			continue
+		}
+		if vias[eRow] == nil {
+			vias[eRow] = map[int]bool{}
+		}
+		seen.repeatedPair = seen.repeatedPair || vias[eRow][vRow]
+		vias[eRow][vRow] = true
+	}
+	inDict := map[string]bool{}
+	for eRow, rowsOf := range vias {
+		strength := map[string]int64{}
+		for vRow := range rowsOf {
+			for _, code := range d.add(vRow, nil) {
+				strength[d.decode(code)]++
+			}
+		}
+		values := make([]string, 0, len(strength))
+		for v := range strength {
+			values = append(values, v)
+		}
+		sort.Strings(values)
+		seen.unassociated = seen.unassociated || len(values) == 0
+		seen.multiValued = seen.multiValued || len(values) > 1
+		for _, v := range values {
+			rows = append(rows, derivedRow{info.IDByRow(eRow), v, strength[v]})
+			if !inDict[v] {
+				inDict[v] = true
+				dict = append(dict, v)
+			}
+		}
+	}
+	return rows, dict
+}
+
+// derivedOracleDB generates a small schema with every shape a derived
+// property is tabulated over: persons and movies (entities, sparse and
+// shuffled keys), a country and a genre dimension, castinfo between
+// persons and movies with NULL and dangling keys and repeated pairs,
+// movietogenre as the second hop, sequelof as a self-edge, and persons
+// and movies no fact names. Values are drawn from a pool whose first
+// appearance is not its string order, so code order, rank order and
+// first-emission order all differ.
+func derivedOracleDB(rng *rand.Rand) *relation.Database {
+	pool := []string{"zulu", "Alpha", "alpha", "mike", "Mike", "b", "ab", "a", "échelle", "Zulu", "kilo", "delta"}
+	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+	pick := func(n int) relation.Value { return relation.StringVal(pool[rng.Intn(n)]) }
+	db := relation.NewDatabase("derived_oracle")
+
+	dim := func(name string, n int) {
+		rel := relation.New(name, relation.Col("id", relation.Int), relation.Col("name", relation.String)).SetPrimaryKey("id")
+		for i := range n {
+			rel.MustAppend(relation.IntVal(int64(100+i)), relation.StringVal(pool[(i*5+len(name))%len(pool)]))
+		}
+		db.AddRelation(rel)
+		db.MarkProperty(name)
+	}
+	dim("country", 5+rng.Intn(5))
+	dim("genre", 3+rng.Intn(8))
+	countries, genres := db.Relation("country").NumRows(), db.Relation("genre").NumRows()
+	// maybe returns a NULL one time in ten.
+	maybe := func(v relation.Value) relation.Value {
+		if rng.Intn(10) == 0 {
+			return relation.Null
+		}
+		return v
+	}
+
+	nPersons, nMovies := 60+rng.Intn(60), 50+rng.Intn(30)
+	person := relation.New("person",
+		relation.Col("id", relation.Int),
+		relation.Col("name", relation.String),
+		relation.Col("gender", relation.String),
+		relation.Col("country_id", relation.Int),
+	).SetPrimaryKey("id").AddForeignKey("country_id", "country", "id")
+	personID := func(i int) int64 { return int64(1000 + 7*i) }
+	for i := range nPersons {
+		person.MustAppend(relation.IntVal(personID(i)), relation.StringVal("person "+string(rune('A'+i%26))+string(rune('a'+i/26))),
+			maybe(pick(3)), maybe(relation.IntVal(int64(100+rng.Intn(countries)))))
+	}
+	db.AddRelation(person)
+	db.MarkEntity("person")
+
+	movie := relation.New("movie",
+		relation.Col("id", relation.Int),
+		relation.Col("title", relation.String),
+		relation.Col("kind", relation.String),
+		relation.Col("country_id", relation.Int),
+	).SetPrimaryKey("id").AddForeignKey("country_id", "country", "id")
+	movieIDs := rng.Perm(nMovies)
+	for i := range nMovies {
+		movie.MustAppend(relation.IntVal(int64(movieIDs[i])), relation.StringVal("movie "+string(rune('A'+i%26))+string(rune('a'+i/26))),
+			maybe(pick(6)), maybe(relation.IntVal(int64(100+rng.Intn(countries)))))
+	}
+	db.AddRelation(movie)
+	db.MarkEntity("movie")
+
+	// fact fills a two-key fact: keys drawn from the first three quarters
+	// of each side (the rest is never named), a NULL or dangling key
+	// now and then, and a quarter of the rows repeating an earlier pair.
+	fact := func(name, aCol, aRel, bCol, bRel string, aKey, bKey func(int) int64, na, nb, rows int) {
+		rel := relation.New(name, relation.Col(aCol, relation.Int), relation.Col(bCol, relation.Int)).
+			AddForeignKey(aCol, aRel, "id").AddForeignKey(bCol, bRel, "id")
+		for r := range rows {
+			if r > 0 && rng.Intn(4) == 0 {
+				prev := rng.Intn(r)
+				rel.MustAppend(rel.Get(prev, aCol), rel.Get(prev, bCol))
+				continue
+			}
+			av, bv := relation.IntVal(aKey(rng.Intn(na*3/4))), relation.IntVal(bKey(rng.Intn(nb*3/4)))
+			switch rng.Intn(20) {
+			case 0:
+				av = relation.Null
+			case 1:
+				bv = relation.Null
+			case 2:
+				av = relation.IntVal(-1)
+			}
+			rel.MustAppend(av, bv)
+		}
+		db.AddRelation(rel)
+	}
+	movieID := func(i int) int64 { return int64(movieIDs[i]) }
+	dimID := func(i int) int64 { return int64(100 + i) }
+	fact("castinfo", "person_id", "person", "movie_id", "movie", personID, movieID, nPersons, nMovies, 4*nPersons)
+	fact("movietogenre", "movie_id", "movie", "genre_id", "genre", movieID, dimID, nMovies, genres*4/3+1, 2*nMovies)
+	fact("sequelof", "movie_id", "movie", "original_id", "movie", movieID, movieID, nMovies, nMovies, nMovies/2)
+	return db
+}
