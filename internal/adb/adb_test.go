@@ -350,8 +350,8 @@ func TestSelectivityBounds(t *testing.T) {
 					}
 				}
 			} else {
-				idx := b.NumericIndex()
-				if s := b.RangeSelectivity(idx.Min(), idx.Max()); s <= 0 || s > 1 {
+				lo, hi, _ := b.NumRange()
+				if s := b.RangeSelectivity(lo, hi); s <= 0 || s > 1 {
 					t.Errorf("%s full-range ψ=%v", b, s)
 				}
 			}

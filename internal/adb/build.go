@@ -1,6 +1,7 @@
 package adb
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -720,29 +721,29 @@ func (p *BasicProperty) buildCatStats(valsByRow index.Jagged) {
 	p.valsByRow, p.catRows = valsByRow, index.PostingsOf(offs, flat)
 }
 
-// buildNumStats adopts the per-row cells of a numeric property with
-// their presence bitset (64 rows a word) and derives the sorted
-// (value, row) index from the present ones — the one constructor of that
-// index, shared by the build and the snapshot load. A NaN cell (a CSV
-// load can carry one) is absent, as in appendNum: no order places it,
-// so the sorted index, a range context or a memo key must never hold
-// one.
-func (p *BasicProperty) buildNumStats(numByRow []float64, numHas []uint64) {
-	var vals []float64
-	var rows []int
-	for row, v := range numByRow {
-		switch {
-		case numHas[row>>6]>>(row&63)&1 == 0:
-		case v != v:
-			numByRow[row] = 0
-			numHas[row>>6] &^= 1 << (row & 63)
-		default:
-			vals = append(vals, v)
-			rows = append(rows, row)
+// buildNumStats points a numeric property at its column and derives
+// the order from it: the rows that hold a value (numCell), sorted by
+// value — the one constructor of the order, shared by the build and the
+// snapshot load. It sorts (value, row) pairs in a scratch slice and
+// keeps the rows: a sort that compares through column reads costs about
+// twice as much. Ties land in any order.
+func (p *BasicProperty) buildNumStats(col *relation.Column) {
+	type cell struct {
+		v   float64
+		row uint32
+	}
+	cells := make([]cell, 0, col.Len())
+	for row := range col.Len() {
+		if v, ok := numCell(col, row); ok {
+			cells = append(cells, cell{v, uint32(row)})
 		}
 	}
-	p.numByRow, p.numHas = index.ChunkedOf(numByRow), index.ChunkedOf(numHas)
-	p.numIdx = index.BuildNumericRows(vals, rows)
+	slices.SortFunc(cells, func(a, b cell) int { return cmp.Compare(a.v, b.v) })
+	rows := make([]uint32, len(cells))
+	for i, c := range cells {
+		rows[i] = c.row
+	}
+	p.col, p.order = col, index.ChunkedOf(rows)
 }
 
 // buildDirectProperty creates a basic property from a direct entity
@@ -753,16 +754,8 @@ func (a *Epoch) buildDirectProperty(info *EntityInfo, col *relation.Column) *Bas
 		return a.buildCategorical(info, col.Name, acc)
 	}
 	p := &BasicProperty{Entity: info.Relation, Attr: col.Name, Kind: Numeric, Access: acc, numEntities: info.NumRows}
-	numByRow := make([]float64, info.NumRows)
-	numHas := make([]uint64, (info.NumRows+63)/64)
-	for row := 0; row < info.NumRows; row++ {
-		if !col.IsNull(row) {
-			numByRow[row] = col.Float64(row)
-			numHas[row>>6] |= 1 << (row & 63)
-		}
-	}
-	p.buildNumStats(numByRow, numHas)
-	if p.numIdx.Len() == 0 {
+	p.buildNumStats(col)
+	if p.order.Len() == 0 {
 		return nil
 	}
 	p.memo = newRowSetMemo(a.selCache)

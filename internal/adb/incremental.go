@@ -40,8 +40,8 @@ import (
 // touch of a relation, property, index or the inverted index clones its
 // header; the first write into a chunk of a chunked vector copies that chunk
 // (stamped with gen, so later touches in the same batch mutate it in
-// place); a layered structure — a hash or numeric index, a categorical
-// property's code lists and posting lists — copies its tail when the
+// place); a layered structure — a hash index, a categorical property's
+// code lists and posting lists — copies its tail when the
 // property or shard is cloned and writes into that. Lists shared with
 // the base are only ever appended past the base's lengths: an entity
 // row gaining a code is copied into the tail first, and a posting list
@@ -338,8 +338,7 @@ func (eb *epochBuilder) insertEntity(entityRel string, vals []relation.Value) er
 		p.numEntities = info.NumRows
 		switch {
 		case p.Kind == Numeric:
-			col := rel.Column(p.Access.Column)
-			p.appendNum(eb.gen, col.Float64(row), !col.IsNull(row))
+			p.insertNum(eb.gen, rel.Column(p.Access.Column), row)
 		case p.Access.Type == Direct || p.Access.Type == FKDim:
 			// The new row is the property's source row.
 			if _, code, ok := readerOf(eb, p, p.pairs).pair(row); ok {
@@ -567,7 +566,6 @@ func (eb *epochBuilder) bump(p *DerivedProperty, entityID int64, eRow int, v str
 	}
 	if found >= 0 {
 		_ = ccol.Set(found, relation.IntVal(int64(old+1)))
-		eb.idx.Drop(rel.Name, "count")
 	} else {
 		rel.MustAppend(relation.IntVal(entityID), relation.StringVal(v), relation.IntVal(1))
 		code = vcol.Code(rel.NumRows() - 1)

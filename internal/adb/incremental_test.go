@@ -37,8 +37,8 @@ func rebuildAndCompare(t *testing.T, a *AlphaDB) {
 						t.Errorf("%s.%s ψ(%s)=%v incremental vs %v rebuilt", name, p.Attr, v, got, want)
 					}
 				}
-			} else if fp.NumericIndex() != nil && p.NumericIndex() != nil {
-				lo, hi := fp.NumericIndex().Min(), fp.NumericIndex().Max()
+			} else {
+				lo, hi, _ := fp.NumRange()
 				if got, want := p.RangeSelectivity(lo, hi), fp.RangeSelectivity(lo, hi); math.Abs(got-want) > 1e-9 {
 					t.Errorf("%s.%s full-range ψ=%v vs %v", name, p.Attr, got, want)
 				}

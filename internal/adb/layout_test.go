@@ -265,3 +265,33 @@ func scanCodes(ep *Epoch, info *EntityInfo, p *BasicProperty) [][]int32 {
 	}
 	return out
 }
+
+// TestResidentBytesCountsNumericOrder: on an entity whose only property
+// is numeric, BasicStats is the numeric order and nothing else — before
+// and after an insert that splits one of its chunks.
+func TestResidentBytesCountsNumericOrder(t *testing.T) {
+	db := relation.NewDatabase("readings")
+	rel := relation.New("reading", relation.Col("id", relation.Int), relation.Col("value", relation.Float)).SetPrimaryKey("id")
+	for i := range 600 {
+		rel.MustAppend(relation.IntVal(int64(i)), relation.FloatVal(float64(i%97)))
+	}
+	db.AddRelation(rel)
+	db.MarkEntity("reading")
+	a, err := Build(db, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := range 2 {
+		ep := a.Snapshot()
+		basic := ep.Entity("reading").Basic
+		if len(basic) != 1 || basic[0].Kind != Numeric {
+			t.Fatalf("step %d: want one numeric property, got %v", step, basic)
+		}
+		if got, want := ep.ResidentBytes().BasicStats, basic[0].order.ByteSize(); got != want || want == 0 {
+			t.Errorf("step %d: BasicStats = %d, the numeric order holds %d", step, got, want)
+		}
+		if err := a.InsertBatch([]InsertOp{{Rel: "reading", Vals: []relation.Value{relation.IntVal(int64(1000 + step)), relation.FloatVal(40)}}}, trace.Span{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

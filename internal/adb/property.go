@@ -118,15 +118,14 @@ type BasicProperty struct {
 	catRows   index.Postings[uint32]
 	numValues int
 
-	// numIdx is the numeric statistic: the sorted (value, row) index
-	// answers prefix selectivity in O(log n) and range-filter row
-	// lookup in O(log n + k).
-	numIdx *index.NumericRows
-
-	// numByRow holds the raw numeric values, one cell per entity row,
-	// with numHas the presence bitset over them (64 rows a word).
-	numByRow index.Chunked[float64]
-	numHas   index.Chunked[uint64]
+	// The numeric statistic is the column itself — every numeric
+	// property is Direct, and col is this epoch's column of the entity
+	// relation — plus order, the rows that hold a value sorted by value:
+	// ψ of a range is two binary searches, its rows are runs of the
+	// order. A cell holds a value when it is neither NULL nor NaN (see
+	// numCell). The order within one value is unspecified.
+	col   *relation.Column
+	order index.Chunked[uint32]
 
 	numEntities int
 	memo        *rowSetMemo
@@ -136,16 +135,15 @@ type BasicProperty struct {
 func (p *BasicProperty) NumEntities() int { return p.numEntities }
 
 // cloneForWrite returns a copy-on-write clone for one epoch's writer
-// generation g: the scalar statistics and the numeric vectors' headers
-// are copied — the vectors copy a chunk table or a chunk when g first
-// writes into it, and share the rest with the retired epoch — the
-// categorical lists and the numeric index clone their tails (or fold
-// them into a fresh base), and the memo starts empty (see rowSetMemo).
+// generation g: the scalar statistics and the numeric order's header
+// are copied — the order copies its chunk table or a chunk when g first
+// writes into it, and shares the rest with the retired epoch — the
+// categorical lists clone their tails (or fold them into a fresh base),
+// and the memo starts empty (see rowSetMemo).
 func (p *BasicProperty) cloneForWrite(g *index.Gen) *BasicProperty {
 	q := *p
 	q.valsByRow = p.valsByRow.Clone(g)
 	q.catRows = p.catRows.Clone(g)
-	q.numIdx = p.numIdx.Clone(g)
 	q.memo = newRowSetMemo(p.memo.cache)
 	return &q
 }
@@ -191,30 +189,66 @@ func (p *BasicProperty) Values(row int) []string {
 	return out
 }
 
-// NumValue returns the numeric value of the entity at row.
-func (p *BasicProperty) NumValue(row int) (float64, bool) {
-	if p.Kind != Numeric || p.numHas.At(row>>6)>>(row&63)&1 == 0 {
+// numCell returns the cell of a numeric column at row and whether it
+// holds a value: neither NULL nor NaN. No order places a NaN, so the
+// order, a range context or a memo key must never hold one (a CSV load
+// can carry one).
+func numCell(col *relation.Column, row int) (float64, bool) {
+	if col.IsNull(row) {
 		return 0, false
 	}
-	return p.numByRow.At(row), true
+	if v := col.Float64(row); v == v {
+		return v, true
+	}
+	return 0, false
 }
 
-// appendNum adds the numeric cell of a new last row — to the sorted
-// index too when it is present, which a NaN is not (see buildNumStats).
-// The index is the writer's private clone, so the insert is in place.
-func (p *BasicProperty) appendNum(g *index.Gen, v float64, ok bool) {
-	if !ok || v != v {
-		v, ok = 0, false
+// NumValue returns the numeric value of the entity at row.
+func (p *BasicProperty) NumValue(row int) (float64, bool) {
+	if p.Kind != Numeric {
+		return 0, false
 	}
-	row := p.numByRow.Len()
-	p.numByRow.Append(g, v)
-	if row&63 == 0 {
-		p.numHas.Append(g, 0)
+	return numCell(p.col, row)
+}
+
+// insertNum re-points the property at the writer's column and places
+// its new row, when the row holds a value, after the equal values of
+// the order — the writer's generation copies the one chunk it touches.
+func (p *BasicProperty) insertNum(g *index.Gen, col *relation.Column, row int) {
+	p.col = col
+	v, ok := numCell(col, row)
+	if !ok {
+		return
 	}
-	if ok {
-		p.numHas.Set(g, row>>6, p.numHas.At(row>>6)|1<<(row&63))
-		p.numIdx = p.numIdx.Insert(v, row)
+	ci, off := p.order.Search(func(r uint32) bool { return col.Float64(int(r)) > v })
+	p.order.InsertAt(g, ci, off, uint32(row))
+}
+
+// inRange locates the rows of the order whose value lies in [lo, hi]:
+// they run from offset from of chunk ci to offset to of chunk cj, n of
+// them.
+func (p *BasicProperty) inRange(lo, hi float64) (ci, from, cj, to, n int) {
+	if !(lo <= hi) || p.order.Len() == 0 {
+		return 0, 0, 0, 0, 0
 	}
+	ci, from = p.order.Search(func(r uint32) bool { return p.col.Float64(int(r)) >= lo })
+	cj, to = p.order.Search(func(r uint32) bool { return p.col.Float64(int(r)) > hi })
+	n = to - from
+	for c := ci; c < cj; c++ {
+		n += len(p.order.Chunk(c))
+	}
+	return ci, from, cj, to, n
+}
+
+// NumRange returns the smallest and the largest value of a numeric
+// property and the number of rows holding a value (zeros when none
+// does).
+func (p *BasicProperty) NumRange() (lo, hi float64, n int) {
+	if n = p.order.Len(); n == 0 {
+		return 0, 0, 0
+	}
+	first, last := p.order.Chunk(0), p.order.Chunk(p.order.NumChunks()-1)
+	return p.col.Float64(int(first[0])), p.col.Float64(int(last[len(last)-1])), n
 }
 
 // addCatRow records that the entity at row exhibits code, which it did
@@ -228,9 +262,9 @@ func (p *BasicProperty) addCatRow(code int32, row int) {
 	p.catRows.AddRow(int(code), uint32(row))
 }
 
-// Postings exposes the per-value posting lists for reading, the
-// categorical counterpart of NumericIndex. They are shared with every
-// epoch since the last fold: do not mutate (epochmutate enforces it).
+// Postings exposes the per-value posting lists for reading. They are
+// shared with every epoch since the last fold: do not mutate
+// (epochmutate enforces it).
 func (p *BasicProperty) Postings() *index.Postings[uint32] { return &p.catRows }
 
 // CategoricalSelectivity returns ψ(φ⟨Attr,v,⊥⟩): the fraction of entities
@@ -253,22 +287,20 @@ func (p *BasicProperty) SelectivityOfCode(code int32) float64 {
 }
 
 // RangeSelectivity returns ψ(φ⟨Attr,[lo,hi],⊥⟩) as a difference of
-// prefix counts over the sorted index (§5 smart selectivity
-// computation).
+// positions in the value order (§5 smart selectivity computation).
 func (p *BasicProperty) RangeSelectivity(lo, hi float64) float64 {
-	if p.numEntities == 0 || p.numIdx == nil {
+	if p.numEntities == 0 {
 		return 0
 	}
-	return float64(p.numIdx.CountRange(lo, hi)) / float64(p.numEntities)
+	_, _, _, _, n := p.inRange(lo, hi)
+	return float64(n) / float64(p.numEntities)
 }
 
 // DomainCoverage returns the fraction of the attribute's observed domain
 // covered by [lo, hi] (Appendix A).
 func (p *BasicProperty) DomainCoverage(lo, hi float64) float64 {
-	if p.numIdx == nil {
-		return 1
-	}
-	span := p.numIdx.Max() - p.numIdx.Min()
+	least, most, _ := p.NumRange()
+	span := most - least
 	if span <= 0 {
 		return 1
 	}
@@ -375,23 +407,29 @@ func disjunctionKey(values []string) string {
 }
 
 // EntityRowSetInRange returns the entity rows whose numeric value lies
-// in [lo, hi], filled from the sorted value→row index into a set sized
-// by the range's O(log n) count (ψ's numerator). There is one arm at
-// every selectivity: into a dense set the index costs about a
-// nanosecond a member, in value order, and the row-order scan it
-// replaced costs more than that a row (BenchmarkRowSetFill, unsorted
-// against word), so the scan lost even at nine rows in ten. Memoized
-// (kept on a miss when store is set), with memo events attributed to sp;
-// do not mutate the returned set.
+// in [lo, hi]: the runs of the value order between two binary searches,
+// into a set sized by their count (ψ's numerator). There is one arm at
+// every selectivity: into a dense set the runs cost about a nanosecond
+// a member, in value order, and the row-order scan they replaced costs
+// more than that a row (BenchmarkRowSetFill, unsorted against word), so
+// the scan lost even at nine rows in ten. Memoized (kept on a miss when
+// store is set), with memo events attributed to sp; do not mutate the
+// returned set.
 func (p *BasicProperty) EntityRowSetInRange(lo, hi float64, sp trace.Span, store bool) *index.RowSet {
-	if p.numIdx == nil {
-		return index.NewRowSet(0, 0)
-	}
 	return p.memo.rowSet(SelKey{Lo: lo, Hi: hi}, sp, store, func() *index.RowSet {
-		count := p.numIdx.CountRange(lo, hi)
-		s := index.NewRowSet(p.numEntities, count)
-		p.numIdx.AddRangeToSet(lo, hi, s)
-		sp.Add(trace.CounterCellsStreamed, int64(count))
+		ci, from, cj, to, n := p.inRange(lo, hi)
+		s := index.NewRowSet(p.numEntities, n)
+		for c := ci; n > 0 && c <= cj; c++ {
+			run := p.order.Chunk(c)
+			if c == cj {
+				run = run[:to]
+			}
+			if c == ci {
+				run = run[from:]
+			}
+			s.AddAll(run)
+		}
+		sp.Add(trace.CounterCellsStreamed, int64(n))
 		return s
 	})
 }
@@ -414,16 +452,12 @@ func (p *BasicProperty) DistinctValues() []string {
 
 // statsBytes returns the bytes of the property's per-row and per-value
 // statistics, counted from lengths: the categorical lists' offsets,
-// codes, postings and tails, and the numeric per-row cells with their
-// presence bits.
+// codes, postings and tails, and the numeric value order.
 func (p *BasicProperty) statsBytes() int64 {
 	vb, vt := p.valsByRow.ResidentBytes()
 	cb, ct := p.catRows.ResidentBytes()
-	return vb + vt + cb + ct + p.numByRow.ByteSize() + p.numHas.ByteSize()
+	return vb + vt + cb + ct + p.order.ByteSize()
 }
-
-// NumericIndex exposes the sorted value index (nil for categorical).
-func (p *BasicProperty) NumericIndex() *index.NumericRows { return p.numIdx }
 
 // String renders the property for diagnostics.
 func (p *BasicProperty) String() string {

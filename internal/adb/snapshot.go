@@ -13,10 +13,10 @@ import (
 // codec of internal/snapshot. A snapshot stores each fact once: the base
 // and derived databases (with their column dictionaries), the property
 // descriptors, and the per-entity forward statistics — a categorical
-// property's value codes per row, a numeric property's cells with their
-// presence bits. Every inverse — the inverted entity-lookup index, the
+// property's value codes per row (a numeric property's values are its
+// column's cells). Every inverse — the inverted entity-lookup index, the
 // per-value posting lists, the derived pair lists with their strength
-// histograms, the sorted numeric indexes, the hash indexes — is rebuilt
+// histograms, the numeric value orders, the hash indexes — is rebuilt
 // at load by the constructor the cold build uses, so a loaded αDB equals
 // a built one by construction and a warm boot costs one sequential read
 // plus O(n) counting sorts instead of the full precomputation. The
@@ -110,6 +110,17 @@ func Decode(r *snapshot.Reader) (*AlphaDB, error) {
 	}
 	if r.Err() != nil {
 		return nil, r.Err()
+	}
+	// An insert walks every relation the schema marks as an entity and
+	// reads its entry: the entries are exactly the marked relations.
+	marked := db.EntityRelations()
+	for _, name := range marked {
+		if a.Entities[name] == nil {
+			return nil, r.Fail("entity relation %q has no entity entry", name)
+		}
+	}
+	if len(a.Entities) != len(marked) {
+		return nil, r.Fail("%d entity entries for %d entity relations", len(a.Entities), len(marked))
 	}
 	// A fact insert reads the entity key through every foreign key that
 	// references an entity relation.
@@ -281,18 +292,9 @@ func writeBasic(w *snapshot.Writer, p *BasicProperty) {
 		}
 		w.Ints(vlens)
 		w.Int32s(vflat)
-		return
 	}
-	// Numeric: the per-row cells (absent ones hold 0) with their presence
-	// bitmap.
-	present := make([]bool, p.numByRow.Len())
-	vals := make([]float64, 0, p.numByRow.Len())
-	for row, v := range p.numByRow.All() {
-		vals = append(vals, v)
-		_, present[row] = p.NumValue(row)
-	}
-	w.Bools(present)
-	w.Floats(vals)
+	// A numeric property's values are its column's cells: the
+	// descriptor is all there is to write.
 }
 
 // column returns the column of rel with that name and type, or nil;
@@ -389,22 +391,7 @@ func readBasic(r *snapshot.Reader, a *Epoch, info *EntityInfo) *BasicProperty {
 		}
 		return p
 	}
-	present := r.Bools()
-	vals := r.Floats()
-	if r.Err() != nil {
-		return p
-	}
-	if len(present) != info.NumRows || len(vals) != info.NumRows {
-		r.Fail("property %s.%s: %d presence bits and %d cells for %d rows", info.Relation, p.Attr, len(present), len(vals), info.NumRows)
-		return p
-	}
-	numHas := make([]uint64, (len(present)+63)/64)
-	for row, ok := range present {
-		if ok {
-			numHas[row>>6] |= 1 << (row & 63)
-		}
-	}
-	p.buildNumStats(vals, numHas)
+	p.buildNumStats(src)
 	return p
 }
 

@@ -38,7 +38,7 @@ func statsFingerprint(a *AlphaDB) string {
 }
 
 // TestDecodeRejectsOutOfRangeBlocks damages, one case at a time, what a
-// v5 snapshot still trusts — a value code past the dictionary or
+// v6 snapshot still trusts — a value code past the dictionary or
 // negative, per-row blocks shorter than the relation, a distinct-value
 // count the rows contradict, a property path that does not resolve
 // against the schema, and the cells of a derived relation that buildPairs
@@ -46,8 +46,8 @@ func statsFingerprint(a *AlphaDB) string {
 // association can have, an (entity, value) listed twice, a NULL) — and
 // expects Decode to fail: unchecked, every one of these loads
 // cleanly and panics or answers wrongly later, inside a discovery. The
-// rebuilt cases damage what v5 no longer stores — a posting list, a
-// numeric index, a pair list, the row order of a derived relation — and
+// rebuilt cases damage what v6 does not store — a posting list, a
+// numeric value order, a pair list, the row order of a derived relation — and
 // expect the opposite: the damage cannot reach the file, so the loaded
 // αDB answers as the undamaged fixture does.
 func TestDecodeRejectsOutOfRangeBlocks(t *testing.T) {
@@ -85,14 +85,6 @@ func TestDecodeRejectsOutOfRangeBlocks(t *testing.T) {
 		}},
 		{"numValues the rows contradict", false, func(person *EntityInfo) {
 			person.BasicByAttr("gender").numValues++
-		}},
-		{"numeric cells shorter than the relation", false, func(person *EntityInfo) {
-			p := person.BasicByAttr("age")
-			var flat []float64
-			for _, v := range p.numByRow.All() {
-				flat = append(flat, v)
-			}
-			p.numByRow = index.ChunkedOf(flat[:len(flat)-1])
 		}},
 		{"access path onto a column of the other kind", false, func(person *EntityInfo) {
 			// An insert would read the INTEGER column's cells as codes.
@@ -168,7 +160,7 @@ func TestDecodeRejectsOutOfRangeBlocks(t *testing.T) {
 		}},
 		{"numeric index row past the relation", true, func(person *EntityInfo) {
 			p := person.BasicByAttr("age")
-			p.numIdx = p.numIdx.Insert(55, far)
+			p.order.Append(nil, far)
 		}},
 	}
 	for _, c := range cases {
@@ -186,5 +178,19 @@ func TestDecodeRejectsOutOfRangeBlocks(t *testing.T) {
 					statsFingerprint(loaded), statsFingerprint(clean))
 			}
 		})
+	}
+}
+
+// TestDecodeRejectsMissingEntityEntry: a file whose entity entries
+// differ from the relations its schema marks as entities fails the
+// load. Loaded, it panicked at the first fact insert, which walks every
+// marked relation and reads its entry.
+func TestDecodeRejectsMissingEntityEntry(t *testing.T) {
+	for _, drop := range []string{"person", "movie"} {
+		a := buildFixture(t)
+		delete(a.Snapshot().Entities, drop)
+		if _, err := roundTrip(t, a); err == nil {
+			t.Errorf("a file without the %s entry loaded", drop)
+		}
 	}
 }

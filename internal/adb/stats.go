@@ -73,8 +73,9 @@ type ResidentBytes struct {
 	Inverted int64
 	// BasicStats is the basic properties' per-row and per-value
 	// statistics: the categorical code lists and posting lists (offsets,
-	// codes, postings and their insert tails) and the numeric per-row
-	// cells with their presence bits.
+	// codes, postings and their insert tails) and the numeric value
+	// orders (a numeric property's values are its column's cells,
+	// counted under Columns).
 	BasicStats int64
 	// DerivedPairs is the derived properties' per-value pair lists and
 	// strength histograms.

@@ -277,8 +277,8 @@ func (sc *scorer) pairSimilarity(a, b int) float64 {
 			if !aok || !bok {
 				continue
 			}
-			idx := p.NumericIndex()
-			span := idx.Max() - idx.Min()
+			lo, hi, _ := p.NumRange()
+			span := hi - lo
 			if span <= 0 {
 				continue
 			}

@@ -25,7 +25,6 @@ import (
 // chainGen is one generation of every structure under test.
 type chainGen struct {
 	ints *IntHash
-	nums *NumericRows
 	pos  Chunked[int] // positional: Append, Set
 	srt  Chunked[int] // sorted: InsertAt in order
 }
@@ -33,8 +32,6 @@ type chainGen struct {
 // chainOracle is the plain-data model of one generation.
 type chainOracle struct {
 	ints map[int64][]uint32
-	vals []float64 // numeric pairs in insertion order
-	rows []int
 	pos  []int
 	srt  []int // kept sorted
 }
@@ -42,8 +39,6 @@ type chainOracle struct {
 func (o *chainOracle) clone() *chainOracle {
 	q := &chainOracle{
 		ints: make(map[int64][]uint32, len(o.ints)),
-		vals: append([]float64(nil), o.vals...),
-		rows: append([]int(nil), o.rows...),
 		pos:  append([]int(nil), o.pos...),
 		srt:  append([]int(nil), o.srt...),
 	}
@@ -55,7 +50,7 @@ func (o *chainOracle) clone() *chainOracle {
 
 // chainStats is what a run exercised.
 type chainStats struct {
-	generations, hashFolds, numFolds, splits, sharedAppends int
+	generations, hashFolds, splits, sharedAppends int
 	// The IntHash: generations published in each form, folds out of
 	// each, folds that changed the form, and retired generations compared
 	// with their oracle after their successor had folded the base they
@@ -87,7 +82,7 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 	t.Helper()
 	var st chainStats
 	g := new(Gen)
-	live := &chainGen{ints: &IntHash{}, nums: &NumericRows{}}
+	live := &chainGen{ints: &IntHash{}}
 	model := &chainOracle{ints: map[int64][]uint32{}}
 	var retired []*chainGen
 	var models []*chainOracle
@@ -105,9 +100,6 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 	insertKey := func(k int64) {
 		live.ints.Insert(k, nextRow)
 		model.ints[k] = append(model.ints[k], uint32(nextRow))
-		v := float64(k % 17)
-		live.nums = live.nums.Insert(v, nextRow)
-		model.vals, model.rows = append(model.vals, v), append(model.rows, nextRow)
 		nextRow++
 	}
 	insertSorted := func(x int) {
@@ -160,8 +152,8 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 			prev := live
 			g = new(Gen)
 			live = &chainGen{
-				ints: prev.ints.Clone(g), nums: prev.nums.Clone(g),
-				pos: prev.pos, srt: prev.srt,
+				ints: prev.ints.Clone(g),
+				pos:  prev.pos, srt: prev.srt,
 			}
 			folded := len(prev.ints.ords.tail) > 0 && len(live.ints.ords.tail) == 0
 			foldedAway = append(foldedAway, folded)
@@ -185,9 +177,6 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 						st.sparseToDense++
 					}
 				}
-			}
-			if len(prev.nums.tailVals) > 0 && len(live.nums.tailVals) == 0 {
-				st.numFolds++
 			}
 			st.generations++
 		}
@@ -237,45 +226,6 @@ func checkChainGen(t *testing.T, at string, got *chainGen, want *chainOracle) {
 	for k := range want.ints {
 		absent(k - 1)
 		absent(k + 1)
-	}
-
-	if got.nums.Len() != len(want.vals) {
-		t.Errorf("%s: NumericRows.Len = %d want %d", at, got.nums.Len(), len(want.vals))
-	}
-	for lo := -1.0; lo < 18; lo += 5 {
-		for _, hi := range []float64{lo - 1, lo, lo + 2.5, 40} {
-			var rows []int
-			for i, v := range want.vals {
-				if v >= lo && v <= hi {
-					rows = append(rows, want.rows[i])
-				}
-			}
-			sort.Ints(rows)
-			if n := got.nums.CountRange(lo, hi); n != len(rows) {
-				t.Errorf("%s: CountRange(%v,%v) = %d want %d", at, lo, hi, n, len(rows))
-			}
-			s := NewRowSet(0, 0)
-			got.nums.AddRangeToSet(lo, hi, s)
-			if r := s.ToSorted(); len(r)+len(rows) > 0 && !reflect.DeepEqual(r, rows) {
-				t.Errorf("%s: AddRangeToSet(%v,%v) = %v want %v", at, lo, hi, r, rows)
-			}
-			if r := got.nums.RowsInRange(lo, hi); len(r)+len(rows) > 0 && !reflect.DeepEqual(r, rows) {
-				t.Errorf("%s: RowsInRange(%v,%v) = %v want %v", at, lo, hi, r, rows)
-			}
-		}
-	}
-	if len(want.vals) > 0 {
-		lo, hi := want.vals[0], want.vals[0]
-		for _, v := range want.vals {
-			lo, hi = min(lo, v), max(hi, v)
-		}
-		if got.nums.Min() != lo || got.nums.Max() != hi {
-			t.Errorf("%s: Min/Max = %v/%v want %v/%v", at, got.nums.Min(), got.nums.Max(), lo, hi)
-		}
-		vals, rows := got.nums.merged()
-		if !sort.Float64sAreSorted(vals) || len(rows) != len(want.rows) {
-			t.Errorf("%s: merged pairs unsorted or short (%d pairs)", at, len(rows))
-		}
 	}
 
 	checkChunked(t, at+": positional vector", &got.pos, want.pos)
@@ -337,8 +287,8 @@ func chainOps(rng *rand.Rand, generations int) []byte {
 }
 
 // TestCloneChainIsolation drives 60 generations per seed and insists the
-// run crossed what the isolation argument is about: hash and numeric
-// tails folded more than once; the integer index was published in both
+// run crossed what the isolation argument is about: hash tails folded
+// more than once; the integer index was published in both
 // forms, folded out of each at least twice and from each into the
 // other, and retired generations were read after their successors had
 // folded; a sorted list split a chunk; and a partially filled last chunk
@@ -352,7 +302,7 @@ func TestCloneChainIsolation(t *testing.T) {
 	for seed := int64(1); seed <= seeds; seed++ {
 		st := runCloneChain(t, chainOps(rand.New(rand.NewSource(seed)), 60))
 		t.Logf("seed %d: %+v", seed, st)
-		if st.generations != 60 || st.hashFolds < 2 || st.numFolds < 2 || st.splits == 0 || st.sharedAppends == 0 {
+		if st.generations != 60 || st.hashFolds < 2 || st.splits == 0 || st.sharedAppends == 0 {
 			t.Errorf("seed %d exercised too little: %+v", seed, st)
 		}
 		if st.denseGens == 0 || st.sparseGens == 0 || st.foldsOutOfDense < 2 || st.foldsOutOfSparse < 2 ||

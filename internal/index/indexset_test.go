@@ -1,10 +1,8 @@
 package index
 
 import (
-	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 
 	"squid/internal/relation"
@@ -81,98 +79,6 @@ func TestIndexDeltaNoteAppend(t *testing.T) {
 	}
 	if next := built.MergeInto(merged); next.NumIndexes() != 2 || merged.NumIndexes() != 1 {
 		t.Errorf("the writer's build published %d indexes over the base's %d", next.NumIndexes(), merged.NumIndexes())
-	}
-}
-
-// TestIndexDeltaDrop: a dropped column's index is absent from the merged
-// set (and a writer that needs it again builds it from its own
-// relation), while the base set keeps its own.
-func TestIndexDeltaDrop(t *testing.T) {
-	rel := testRelation(50)
-	base := NewIndexSet()
-	base.AdoptIntHash(rel.Name, "id", BuildIntHash(rel, "id"))
-	base.AdoptIntHash(rel.Name, "other", BuildIntHash(rel, "id"))
-
-	next := rel.CloneForWrite()
-	next.UpdateColumn("id")
-	delta := NewIndexDelta(base, nil)
-	if err := next.Column("id").Set(0, relation.IntVal(5)); err != nil {
-		t.Fatal(err)
-	}
-	delta.Drop("t", "id")
-	merged := delta.MergeInto(base)
-	if merged.ResidentIntHash(next, "id") != nil {
-		t.Error("dropped index survived the merge")
-	}
-	// A cells-only update touches no other column: its index is
-	// inherited, not rebuilt.
-	if merged.ResidentIntHash(next, "other") != base.ResidentIntHash(rel, "other") {
-		t.Error("dropping id's index lost the untouched index")
-	}
-	if base.NumIndexes() != 2 {
-		t.Errorf("drop touched the base set: NumIndexes=%d want 2", base.NumIndexes())
-	}
-	if got, want := slices.Concat(delta.ReadIntHash(next, "id").Rows(5)), slices.Concat(BuildIntHash(next, "id").Rows(5)); !reflect.DeepEqual(got, want) {
-		t.Errorf("rebuilt Rows(5) = %v want %v", got, want)
-	}
-}
-
-func TestNumericRowsVsNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	const n = 300
-	vals := make([]float64, n)
-	rows := make([]int, n)
-	for i := range vals {
-		vals[i] = float64(rng.Intn(50))
-		rows[i] = i
-	}
-	idx := BuildNumericRows(vals, rows)
-	if idx.Len() != n {
-		t.Fatalf("Len=%d want %d", idx.Len(), n)
-	}
-	naive := func(lo, hi float64) []int {
-		var out []int
-		for i, v := range vals {
-			if v >= lo && v <= hi {
-				out = append(out, rows[i])
-			}
-		}
-		return out
-	}
-	for trial := 0; trial < 100; trial++ {
-		lo := float64(rng.Intn(60) - 5)
-		hi := lo + float64(rng.Intn(30))
-		got, want := idx.RowsInRange(lo, hi), naive(lo, hi)
-		if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
-			t.Fatalf("RowsInRange(%v,%v) = %v want %v", lo, hi, got, want)
-		}
-		if !sort.IntsAreSorted(got) {
-			t.Fatalf("RowsInRange(%v,%v) not sorted: %v", lo, hi, got)
-		}
-		if c := idx.CountRange(lo, hi); c != len(want) {
-			t.Fatalf("CountRange(%v,%v) = %d want %d", lo, hi, c, len(want))
-		}
-	}
-	// Inverted bounds.
-	if r := idx.RowsInRange(10, 5); r != nil {
-		t.Errorf("inverted range returned %v", r)
-	}
-}
-
-func TestNumericRowsInsert(t *testing.T) {
-	if empty := (&NumericRows{}); empty.Min() != 0 || empty.Max() != 0 {
-		t.Error("empty index must report 0 extremes")
-	}
-	var idx *NumericRows
-	idx = idx.Insert(5, 0) // nil receiver allocates
-	idx = idx.Insert(2, 1)
-	idx = idx.Insert(8, 2)
-	idx = idx.Insert(5, 3)
-	if got := idx.RowsInRange(5, 5); !reflect.DeepEqual(got, []int{0, 3}) {
-		t.Errorf("RowsInRange(5,5) = %v want [0 3]", got)
-	}
-	if got := idx.CountRange(2, 8); got != 4 {
-		t.Errorf("CountRange(2,8) = %d want 4", got)
 	}
 }
 

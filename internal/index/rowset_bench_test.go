@@ -121,8 +121,8 @@ func scanWord(cells []float64, lo, span uint64) uint64 {
 
 // BenchmarkRowSetFill measures what it costs to put k members into an
 // empty set, in ns a member, for each way a builder can fill one: sorted
-// (a posting list, ascending rows), unsorted (a numeric-index range,
-// rows in value order) and word (scanWord over the whole column under
+// (a posting list, ascending rows), unsorted (a numeric range, rows
+// in value order) and word (scanWord over the whole column under
 // its presence bitset — its cost follows the universe, not k) — into a
 // set that starts sparse and one that starts dense, at 1%, 10%, 50% and
 // 90% of a 32k-row universe (its 4 KB bitset stays in L1) and a 1M-row

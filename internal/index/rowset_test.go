@@ -162,37 +162,3 @@ func TestRowSetIterate(t *testing.T) {
 		t.Fatalf("early stop visited %v", first)
 	}
 }
-
-// TestAddRangeToSet checks the bitset range path against RowsInRange.
-func TestAddRangeToSet(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 300
-	vals := make([]float64, n)
-	rows := make([]int, n)
-	for i := range vals {
-		vals[i] = float64(rng.Intn(50))
-		rows[i] = i
-	}
-	idx := BuildNumericRows(vals, rows)
-	for i := 0; i < 50; i++ {
-		lo := float64(rng.Intn(60) - 5)
-		hi := lo + float64(rng.Intn(20))
-		s := NewRowSet(n, idx.CountRange(lo, hi))
-		idx.AddRangeToSet(lo, hi, s)
-		want := idx.RowsInRange(lo, hi)
-		got := s.ToSorted()
-		if len(want) == 0 {
-			want = nil
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("AddRangeToSet(%g,%g) = %v, want %v", lo, hi, got, want)
-		}
-	}
-	// Inverted and out-of-domain ranges add nothing.
-	s := NewRowSet(n, 0)
-	idx.AddRangeToSet(10, 5, s)
-	idx.AddRangeToSet(1000, 2000, s)
-	if s.Count() != 0 {
-		t.Fatalf("empty ranges added %d rows", s.Count())
-	}
-}

@@ -8,8 +8,9 @@ import (
 )
 
 // analyzerUnusedExport flags exported package-level identifiers in
-// internal/ packages that no other package of the module references
-// and no _test.go file mentions: dead public surface that widens the
+// internal/ packages, the root package and the commands under cmd/ that
+// no other package of the module references and no _test.go file
+// mentions: dead public surface that widens the
 // contract the other analyzers must police. An exported method is
 // flagged when no selector anywhere in the module (tests included)
 // names it and no interface the module can see declares it — interface
@@ -18,13 +19,13 @@ import (
 func analyzerUnusedExport() *Analyzer {
 	return &Analyzer{
 		Name: "unusedexport",
-		Doc:  "exported identifiers in internal/ must be used by another package or a test — otherwise unexport or remove them",
+		Doc:  "exported identifiers in internal/, the root package and cmd/ must be used by another package or a test — otherwise unexport or remove them",
 		Run:  runUnusedExport,
 	}
 }
 
 func runUnusedExport(prog *Program, pkg *Package, report func(ast.Node, string)) {
-	if !strings.Contains(pkg.Path, "/internal/") {
+	if !strings.Contains(pkg.Path, "/internal/") && pkg.Path != prog.ModulePath && !strings.HasPrefix(pkg.Path, prog.ModulePath+"/cmd/") {
 		return
 	}
 	used := prog.crossPackageUses()
@@ -148,7 +149,8 @@ func addInterfaceMethods(t types.Type, into map[string]bool) {
 // result type of a cross-used function, a field type of a cross-used
 // struct, and so on, transitively. Such a type is part of the contract
 // even when no other package ever names it (p.SelectivityCache()
-// returning *SelCache uses SelCache without naming it).
+// returning *SelCache uses SelCache without naming it). An alias is
+// reached like a named type, and so is the type it stands for.
 func reachableFromAPI(pkg *Package, crossUsed map[types.Object]bool, testIdents map[string]bool) map[types.Object]bool {
 	reach := map[types.Object]bool{}
 	seen := map[types.Type]bool{}
@@ -159,6 +161,13 @@ func reachableFromAPI(pkg *Package, crossUsed map[types.Object]bool, testIdents 
 			return
 		}
 		seen[t] = true
+		if a, ok := t.(*types.Alias); ok {
+			if obj := a.Obj(); obj.Pkg() == pkg.Types {
+				reach[obj] = true
+			}
+			visitType(a.Rhs())
+			return
+		}
 		if n, ok := t.(*types.Named); ok {
 			obj := n.Obj()
 			if obj != nil && obj.Pkg() == pkg.Types {

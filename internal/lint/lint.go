@@ -15,8 +15,8 @@
 //     visible (syncrename),
 //   - a span begun with Root/Child is End()ed or handed off (spanend),
 //
-// plus one hygiene pass: exported identifiers in internal/ packages
-// nothing uses (unusedexport). Copies of lock-bearing values, atomic
+// plus one hygiene pass: exported identifiers in internal/ packages,
+// the root package and cmd/ that nothing uses (unusedexport). Copies of lock-bearing values, atomic
 // ones included, are go vet's copylocks check.
 //
 // Intentional exceptions are declared in the diff, never silently:

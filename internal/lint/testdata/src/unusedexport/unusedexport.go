@@ -16,6 +16,8 @@ const QzDeadConst = 42 // want "exported identifier QzDeadConst is used by no ot
 
 var QzDeadVar = "unused" // want "exported identifier QzDeadVar is used by no other package"
 
+type QzDeadAlias = QzOrphan // want "exported identifier QzDeadAlias is used by no other package"
+
 // --- negative cases ---
 
 // "DiscoverContext" appears throughout the module's test files, so the
@@ -24,6 +26,14 @@ var QzDeadVar = "unused" // want "exported identifier QzDeadVar is used by no ot
 func DiscoverContext() *QzReachable { return nil }
 
 type QzReachable struct{ Hits int }
+
+// "ExecuteContext" appears in the module's test files too; its parameter
+// is an alias, which is reachable, and so is the type it stands for.
+func ExecuteContext(QzOptions) {}
+
+type QzOptions = QzAliased
+
+type QzAliased struct{ Rows int }
 
 // --- methods ---
 

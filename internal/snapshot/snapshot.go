@@ -5,13 +5,14 @@
 // Stored: the epoch sequence number, the build configuration, the base
 // database and the materialized derived relations (schemas, column
 // storage, per-column string dictionaries), the property descriptors,
-// and the per-entity forward statistics of the basic properties (value
-// codes per row; numeric cells with their presence bits).
+// and the per-entity forward statistics of the categorical basic
+// properties (value codes per row; a numeric property's values are its
+// column's cells).
 //
 // Derived at load, by the constructors the cold build uses: the inverted
 // entity-lookup index, the per-value posting lists, the derived
 // properties' (entity, strength) pair lists and strength histograms, the
-// sorted numeric indexes and every hash index — each a counting sort or
+// numeric value orders and every hash index — each a counting sort or
 // a sort over what is stored, so none of them can disagree with it.
 //
 // # Version-compatibility policy
@@ -52,8 +53,9 @@ const Magic = "SQAS"
 // cells as one flat per-row block beside its presence bitmap; v5 dropped
 // every inverse of the stored data (the inverted index, the per-value
 // posting lists, the derived pair lists, the sorted numeric indexes),
-// which load now derives.
-const Version = 5
+// which load now derives; v6 dropped a numeric property's cells and
+// presence bitmap, which load reads from the entity column they copied.
+const Version = 6
 
 // ErrVersion reports a snapshot whose format version does not match
 // this build's Version.

@@ -341,7 +341,7 @@ func categorical(bp *adb.BasicProperty, p engine.Pred) *abduction.Filter {
 // on a direct numeric property. The executor compares as Value.Less
 // does, which puts a NaN cell inside every range, and the property's
 // statistics leave a NaN cell out: a DOUBLE column is lifted only when
-// the sorted index holds every row of it.
+// every row of it holds a value.
 func (l *lifter) numeric(lo, hi engine.Pred) *abduction.Filter {
 	bp := l.direct(lo.Col, adb.Numeric)
 	if bp == nil {
@@ -352,7 +352,7 @@ func (l *lifter) numeric(lo, hi engine.Pred) *abduction.Filter {
 			return nil
 		}
 	}
-	if l.info.Rel().Column(lo.Col).Type != relation.Int && bp.NumericIndex().Len() != bp.NumEntities() {
+	if _, _, n := bp.NumRange(); l.info.Rel().Column(lo.Col).Type != relation.Int && n != bp.NumEntities() {
 		return nil
 	}
 	return &abduction.Filter{Kind: abduction.BasicNumeric, Basic: bp, Unstored: true, Lo: lo.Val.Float(), Hi: hi.Val.Float()}

@@ -37,7 +37,7 @@
 //     αDB maintenance, and the engine's joins and point predicates all
 //     read it.
 //   - Each property answers selectivity and satisfying-row questions
-//     from precomputed postings and a sorted value→row index, and
+//     from precomputed postings and a value-sorted row order, and
 //     memoizes the row sets it computes, shared across discoveries.
 //     The property owns its memo: an insert republishes only the
 //     properties whose statistics it shifted, as clones with empty
@@ -397,7 +397,7 @@ func (s *System) EpochGCMetrics() (retired, retainedBytes int64) {
 }
 
 // ResidentBytes attributes the current epoch's memory by structure
-// (columns, hash and numeric indexes, derived pair lists, row-set
+// (columns, hash indexes, basic statistics, derived pair lists, row-set
 // memos), each counted from lengths and element widths. One pass over
 // index and property headers and the dictionaries — cheaper than Stats,
 // never proportional to the rows.

@@ -27,7 +27,8 @@ import (
 // nothing — so every call builds more than zero, after the insert too.
 // In both arms the epoch's resident set never changes size under an
 // execution: a join uses an index that is resident and never creates
-// one.
+// one. No epoch holds an index over a derived count column, whose cells
+// an insert overwrites.
 func TestExecuteBuildsNoJoinIndexes(t *testing.T) {
 	arms := []struct {
 		name       string
@@ -70,6 +71,13 @@ func TestExecuteBuildsNoJoinIndexes(t *testing.T) {
 				}
 				if after := ep.Indexes.NumIndexes(); after != resident {
 					t.Errorf("%s: executing the plans took the resident set from %d to %d hash indexes", when, resident, after)
+				}
+				// An insert overwrites derived count cells in place: no
+				// epoch may hold an index over that column.
+				for _, name := range ep.DerivedDB.RelationNames() {
+					if ep.Indexes.ResidentIntHash(ep.DerivedDB.Relation(name), "count") != nil {
+						t.Errorf("%s: the epoch holds an index over %s.count", when, name)
+					}
 				}
 			}
 			executeAll("before the insert")

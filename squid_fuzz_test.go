@@ -49,9 +49,10 @@ var fuzzExampleSets = [][]string{
 // FuzzSnapshotDecode feeds Load bytes from outside the process. The
 // contract: Load returns an error, or a system on which a discovery and
 // an insert of each kind run — whatever they return, nothing panics. The
-// committed corpus (testdata/fuzz/FuzzSnapshotDecode) is a valid v5
+// committed corpus (testdata/fuzz/FuzzSnapshotDecode) is a valid v6
 // stream of fuzzDB, the same stream cut at ¼, ½, ¾ and one byte short,
-// and with one bit flipped at each of eight evenly spaced offsets; the
+// and with the low bit flipped at each of the eight offsets (2i+1)/16 of
+// its length; the
 // live stream is added as well, so the fuzzer starts from a loadable
 // input even after the format moves past the corpus.
 func FuzzSnapshotDecode(f *testing.F) {

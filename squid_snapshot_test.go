@@ -144,7 +144,7 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 	}
 	b := buf.Bytes()
 	// The version varint lives right after the 4-byte magic.
-	for _, v := range []byte{b[4] + 1, 4, 3, 2} {
+	for _, v := range []byte{b[4] + 1, 5, 4, 3, 2} {
 		b[4] = v
 		if _, err := Load(bytes.NewReader(b)); !errors.Is(err, ErrSnapshotVersion) {
 			t.Errorf("Load of a version-%d snapshot = %v, want ErrSnapshotVersion", v, err)
@@ -209,12 +209,13 @@ func TestLoadRejectsDamagedParams(t *testing.T) {
 
 // TestSnapshotBytesPerRow is the file-size guard beside the heap one:
 // what Save of the bench-scale fixture writes, per base-relation row,
-// stays under a budget set about 8% above format v5 (106 B/row; v4, which
-// still stored every inverse beside the data it inverts, wrote 148). A
-// block that creeps back into the format fails here before it reaches
-// the benchmark's snapshot_mb.
+// stays under a budget set about 8% above format v6 (105 B/row; v5,
+// which still stored a numeric property's cells beside its column,
+// wrote 106, and v4, which stored every inverse beside the data it
+// inverts, 148). A block that creeps back into the format fails here
+// before it reaches the benchmark's snapshot_mb.
 func TestSnapshotBytesPerRow(t *testing.T) {
-	const budget = 115 // B/row
+	const budget = 113 // B/row
 	sys, err := Build(datagen.GenerateIMDb(benchScale().IMDb).DB, DefaultBuildConfig())
 	if err != nil {
 		t.Fatal(err)

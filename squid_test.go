@@ -1,6 +1,7 @@
 package squid
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"squid/internal/abduction"
+	"squid/internal/adb"
 	"squid/internal/sqlgen"
 )
 
@@ -231,11 +233,17 @@ func TestDiscoverWithoutDisambiguation(t *testing.T) {
 // TestNaNCellIsAbsentFromNumericStats pins what a NaN in a DOUBLE column
 // (a CSV load can carry one: strconv.ParseFloat accepts "NaN") is to a
 // numeric statistic: an absent cell, at build and on the insert path. No
-// order places a NaN, so one in the sorted value→row index left it
-// unsorted — ψ, the index range and the row-order scan disagreed — and
-// one in a first example gave numericContext lo = hi = NaN: a filter its
-// own examples fail (Definition 3.1) under a memo key that never
-// compares equal to itself, stored anew by every discovery.
+// order places a NaN, so one in the sorted value order left it unsorted
+// — ψ, the order's runs and the row-order scan disagreed — and one in a
+// first example gave numericContext lo = hi = NaN: a filter its own
+// examples fail (Definition 3.1) under a memo key that never compares
+// equal to itself, stored anew by every discovery.
+//
+// Beside the NaN the DOUBLE column holds ties, ±Inf and both zeros, and
+// an INTEGER column with NULLs and negative ties sits next to it. Half
+// the rows arrive through several publishes, and every epoch — the
+// retired ones after their successors wrote, and the one Save/Load
+// restores — is held to a scan of its own columns.
 func TestNaNCellIsAbsentFromNumericStats(t *testing.T) {
 	const rows = 400
 	rng := rand.New(rand.NewSource(5))
@@ -245,13 +253,30 @@ func TestNaNCellIsAbsentFromNumericStats(t *testing.T) {
 			return FloatVal(math.NaN())
 		case i%13 == 0:
 			return Null
+		case i%17 == 0:
+			return FloatVal(math.Inf(1))
+		case i%19 == 0:
+			return FloatVal(math.Inf(-1))
+		case i%23 == 0:
+			return FloatVal(math.Copysign(0, -1))
+		case i%29 == 0:
+			return FloatVal(0)
 		}
 		return FloatVal(float64(rng.Intn(90)))
 	}
+	level := func(i int) Value {
+		if i%11 == 0 {
+			return Null
+		}
+		return IntVal(int64(rng.Intn(50) - 25))
+	}
+	row := func(i int) []Value {
+		return []Value{IntVal(int64(i)), StringVal(fmt.Sprintf("Sensor %d", i)), StringVal(fmt.Sprintf("Site %d", i%4)), reading(i), level(i)}
+	}
 	db := NewDatabase("sensors")
-	sensor := NewRelation("sensor", Col("id", Int), Col("name", String), Col("site", String), Col("reading", Float)).SetPrimaryKey("id")
+	sensor := NewRelation("sensor", Col("id", Int), Col("name", String), Col("site", String), Col("reading", Float), Col("level", Int)).SetPrimaryKey("id")
 	for i := 0; i < rows/2; i++ {
-		sensor.MustAppend(IntVal(int64(i)), StringVal(fmt.Sprintf("Sensor %d", i)), StringVal(fmt.Sprintf("Site %d", i%4)), reading(i))
+		sensor.MustAppend(row(i)...)
 	}
 	db.AddRelation(sensor)
 	db.MarkEntity("sensor")
@@ -259,46 +284,82 @@ func TestNaNCellIsAbsentFromNumericStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The second half arrives through the insert path.
-	for i := rows / 2; i < rows; i++ {
-		vals := []Value{IntVal(int64(i)), StringVal(fmt.Sprintf("Sensor %d", i)), StringVal(fmt.Sprintf("Site %d", i%4)), reading(i)}
-		if err := sys.InsertBatchContext(context.Background(), []InsertOp{{Rel: "sensor", Vals: vals}}); err != nil {
+	epochs := []*adb.Epoch{sys.AlphaDB().Snapshot()}
+	// The second half arrives through the insert path, in batches of
+	// growing size: one publish each.
+	for i, n := rows/2, 1; i < rows; i, n = i+n, n+7 {
+		var batch []InsertOp
+		for j := i; j < min(i+n, rows); j++ {
+			batch = append(batch, InsertOp{Rel: "sensor", Vals: row(j)})
+		}
+		if err := sys.InsertBatchContext(context.Background(), batch); err != nil {
 			t.Fatal(err)
+		}
+		epochs = append(epochs, sys.AlphaDB().Snapshot())
+	}
+	var buf bytes.Buffer
+	if err := sys.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epochs = append(epochs, loaded.AlphaDB().Snapshot())
+
+	inf := math.Inf(1)
+	bounds := [][2]float64{{-inf, inf}, {inf, inf}, {-inf, -inf}, {0, 0}, {math.Copysign(0, -1), 0}, {-inf, 0}, {0, inf}, {-25, -25}, {3, 3}}
+	for i := 0; i < 150; i++ {
+		lo := float64(rng.Intn(100) - 30)
+		bounds = append(bounds, [2]float64{lo, lo + float64(rng.Intn(40))})
+	}
+	for e, ep := range epochs {
+		info := ep.Entity("sensor")
+		n := info.NumRows
+		for _, attr := range []string{"reading", "level"} {
+			at := fmt.Sprintf("epoch %d of %d (%d rows), %s", e, len(epochs), n, attr)
+			prop := info.BasicByAttr(attr)
+			col := ep.DB.Relation("sensor").Column(attr)
+			least, most, present := math.Inf(1), math.Inf(-1), 0
+			for row := 0; row < n; row++ {
+				v := col.Float64(row)
+				has := !col.IsNull(row) && !math.IsNaN(v)
+				if _, ok := prop.NumValue(row); ok != has {
+					t.Fatalf("%s: row %d: NumValue present = %v for cell %v", at, row, ok, col.Get(row))
+				}
+				if has {
+					least, most, present = min(least, v), max(most, v), present+1
+				}
+			}
+			if lo, hi, k := prop.NumRange(); lo != least || hi != most || k != present {
+				t.Fatalf("%s: NumRange = %v, %v, %d; the scan finds %v, %v, %d", at, lo, hi, k, least, most, present)
+			}
+			// Order ≡ scan ≡ SatisfiedBy ≡ ψ, on ranges over and around the data.
+			for _, b := range bounds {
+				lo, hi := b[0], b[1]
+				f := &Filter{Kind: abduction.BasicNumeric, Basic: prop, Lo: lo, Hi: hi}
+				var scan, satisfied []int
+				for row := 0; row < n; row++ {
+					if v := col.Float64(row); !col.IsNull(row) && v >= lo && v <= hi {
+						scan = append(scan, row)
+					}
+					if f.SatisfiedBy(info, row) {
+						satisfied = append(satisfied, row)
+					}
+				}
+				got := f.RowSet().ToSorted()
+				if !slices.Equal(got, scan) || !slices.Equal(got, satisfied) {
+					t.Fatalf("%s, [%g, %g]: the order's runs %d rows, scan %d, SatisfiedBy %d", at, lo, hi, len(got), len(scan), len(satisfied))
+				}
+				if psi := prop.RangeSelectivity(lo, hi); psi != float64(len(scan))/float64(n) {
+					t.Fatalf("%s, [%g, %g]: ψ = %g with %d of %d rows in range", at, lo, hi, psi, len(scan), n)
+				}
+			}
 		}
 	}
 
 	ep := sys.AlphaDB().Snapshot()
 	info := ep.Entity("sensor")
-	prop := info.BasicByAttr("reading")
-	col := ep.DB.Relation("sensor").Column("reading")
-	for row := 0; row < rows; row++ {
-		if _, ok := prop.NumValue(row); ok != (!col.IsNull(row) && !math.IsNaN(col.Float64(row))) {
-			t.Fatalf("row %d: NumValue present = %v for cell %v", row, ok, col.Get(row))
-		}
-	}
-	// Index ≡ scan ≡ SatisfiedBy ≡ ψ, on ranges over and around the data.
-	for i := 0; i < 200; i++ {
-		lo := float64(rng.Intn(100) - 5)
-		hi := lo + float64(rng.Intn(40))
-		f := &Filter{Kind: abduction.BasicNumeric, Basic: prop, Lo: lo, Hi: hi}
-		var scan, satisfied []int
-		for row := 0; row < rows; row++ {
-			if v := col.Float64(row); !col.IsNull(row) && v >= lo && v <= hi {
-				scan = append(scan, row)
-			}
-			if f.SatisfiedBy(info, row) {
-				satisfied = append(satisfied, row)
-			}
-		}
-		got := f.RowSet().ToSorted()
-		if !slices.Equal(got, scan) || !slices.Equal(got, satisfied) {
-			t.Fatalf("[%g, %g]: index %d rows, scan %d, SatisfiedBy %d", lo, hi, len(got), len(scan), len(satisfied))
-		}
-		if psi := prop.RangeSelectivity(lo, hi); psi != float64(len(scan))/rows {
-			t.Fatalf("[%g, %g]: ψ = %g with %d of %d rows in range", lo, hi, psi, len(scan), rows)
-		}
-	}
-
 	// Sensors 0, 4 and 8 share a site; sensor 0 reads NaN. Every context
 	// the discovery weighs, kept or dropped, is a filter its examples
 	// satisfy, and materializing them all again stores nothing new.

@@ -312,17 +312,16 @@ func compareAlphaDBs(t *testing.T, label string, got, want *adb.AlphaDB, rng *ra
 				}
 				continue
 			}
-			gi, wi := gp.NumericIndex(), wp.NumericIndex()
-			if gi.Len() != wi.Len() || gi.Min() != wi.Min() || gi.Max() != wi.Max() {
-				t.Errorf("%s: numeric index len/min/max %d/%v/%v want %d/%v/%v", at,
-					gi.Len(), gi.Min(), gi.Max(), wi.Len(), wi.Min(), wi.Max())
+			glo, ghi, gn := gp.NumRange()
+			wlo, whi, wn := wp.NumRange()
+			if gn != wn || glo != wlo || ghi != whi {
+				t.Errorf("%s: numeric order len/min/max %d/%v/%v want %d/%v/%v", at, gn, glo, ghi, wn, wlo, whi)
 				continue
 			}
-			span := wi.Max() - wi.Min()
+			span := whi - wlo
 			for trial := 0; trial < 12; trial++ {
-				// Full range first, then narrow (index path) and wide
-				// (row-scan path) sub-ranges.
-				lo, hi := wi.Min(), wi.Max()
+				// Full range first, then narrow and wide sub-ranges.
+				lo, hi := wlo, whi
 				if trial > 0 {
 					lo += float64(rng.Intn(int(span) + 1))
 					hi = lo + float64(rng.Intn(int(span)+1))/float64(1+trial%3)
