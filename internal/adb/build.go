@@ -143,16 +143,11 @@ type entityBuild struct {
 	results []taskResult
 }
 
-// taskResult is the output of one property-discovery task. Derived
-// groups additionally emit second-wave build closures (one per derived
-// property, parallel to subErrs) so per-property materializations fan
-// out instead of serializing inside the group task.
+// taskResult is the output of one property-discovery task: derived
+// properties come out as descriptors, which deriveAll materializes.
 type taskResult struct {
 	basics   []*BasicProperty
 	deriveds []*DerivedProperty
-	subs     []func() error
-	subErrs  []error
-	err      error
 }
 
 // Build constructs the abduction-ready database for db. Construction
@@ -168,7 +163,11 @@ func Build(db *relation.Database, cfg Config) (*AlphaDB, error) {
 	return newAlphaDB(e), nil
 }
 
-// buildEpoch runs the offline phase and assembles the initial epoch.
+// buildEpoch runs the offline phase and assembles the initial epoch:
+// the resident hash indexes, then (beside the inverted index) a scaffold
+// per entity, one task per candidate property, assembly in enumeration
+// order, and the derived relations in one materialization wave
+// (deriveAll), which Decode runs too.
 func buildEpoch(db *relation.Database, cfg Config) (*Epoch, error) {
 	start := time.Now()
 	if cfg.MaxFactDepth == 0 {
@@ -208,10 +207,11 @@ func buildEpoch(db *relation.Database, cfg Config) (*Epoch, error) {
 		info, err := a.scaffoldEntity(entities[i])
 		builds[i], errs[i] = &entityBuild{info: info}, err
 	})
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
 			return nil, err
 		}
+		a.Entities[entities[i]] = builds[i].info
 	}
 
 	// Phase 2: enumerate property tasks (cheap, sequential), then fan
@@ -222,29 +222,17 @@ func buildEpoch(db *relation.Database, cfg Config) (*Epoch, error) {
 	}
 	index.RunBounded(len(tasks), workers, func(i int) { tasks[i]() })
 
-	// Phase 2b: derived groups emitted per-property build closures;
-	// fan those out as a second wave so one heavyweight fact pair
-	// (castinfo) does not serialize its materializations.
-	var subs []func()
-	for _, eb := range builds {
-		for ri := range eb.results {
-			res := &eb.results[ri]
-			res.subErrs = make([]error, len(res.subs))
-			for si, sub := range res.subs {
-				subs = append(subs, func() { res.subErrs[si] = sub() })
-			}
-		}
-	}
-	index.RunBounded(len(subs), workers, func(i int) { subs[i]() })
-
 	// Phase 3: assemble deterministically in entity order, replaying
-	// task results in enumeration order.
-	for i, eb := range builds {
-		if err := a.finishEntity(eb); err != nil {
-			return nil, err
+	// task results in enumeration order, and materialize the derived
+	// properties in one wave, registered in that order.
+	var derived []*DerivedProperty
+	for _, eb := range builds {
+		for _, res := range eb.results {
+			derived = append(derived, res.deriveds...)
 		}
-		a.Entities[entities[i]] = eb.info
+		a.finishEntity(eb)
 	}
+	a.deriveAll(derived)
 	<-invDone
 	a.BuildTime = time.Since(start)
 	return a, nil
@@ -429,7 +417,7 @@ func (a *Epoch) planEntity(eb *entityBuild) []func() {
 					addBasic(func() *BasicProperty { return a.buildFactDimProperty(info, factName, fkToMe, other) })
 				case relation.KindEntity:
 					addTask(func(res *taskResult) {
-						res.basics, res.deriveds, res.subs, res.err = a.buildDerivedProperties(info, factName, fkToMe, other)
+						res.basics, res.deriveds = a.buildDerivedProperties(info, factName, fkToMe, other)
 					})
 				}
 			}
@@ -439,46 +427,32 @@ func (a *Epoch) planEntity(eb *entityBuild) []func() {
 }
 
 // finishEntity assembles one entity's task results in enumeration order,
-// registers its derived relations under collision-free names, sorts the
-// property lists, and builds the name→property maps.
-func (a *Epoch) finishEntity(eb *entityBuild) error {
+// sorts the property lists, and builds the name→property maps.
+func (a *Epoch) finishEntity(eb *entityBuild) {
 	info := eb.info
-	for i := range eb.results {
-		res := &eb.results[i]
-		if res.err != nil {
-			return res.err
-		}
-		for _, err := range res.subErrs {
-			if err != nil {
-				return err
-			}
-		}
+	for _, res := range eb.results {
 		info.Basic = append(info.Basic, res.basics...)
 		info.Derived = append(info.Derived, res.deriveds...)
-		for _, p := range res.deriveds {
-			a.registerDerived(p)
-		}
 	}
 	sort.SliceStable(info.Basic, func(i, j int) bool { return info.Basic[i].Attr < info.Basic[j].Attr })
 	sort.SliceStable(info.Derived, func(i, j int) bool { return info.Derived[i].Attr < info.Derived[j].Attr })
 	info.buildAttrMaps()
-	return nil
 }
 
-// registerDerived gives a worker-built derived relation its final unique
-// name, adds it to the derived database, and adopts its entity index
-// into the resident set. Called sequentially in enumeration order, so
-// collision suffixes are deterministic.
+// registerDerived gives a materialized derived relation its final name —
+// the first of base, base_2, base_3, ... that neither another derived
+// relation nor a base relation holds — adds it to the derived database,
+// and adopts its entity index into the resident set. Called in
+// registration order, so the suffixes are deterministic; a loaded name
+// was checked unique and free (Decode), so it stays as stored.
 func (a *Epoch) registerDerived(p *DerivedProperty) {
 	base := p.RelName
-	name := base
-	for i := 2; a.DerivedDB.Relation(name) != nil; i++ {
-		name = fmt.Sprintf("%s_%d", base, i)
+	for i := 2; a.DerivedDB.Relation(p.RelName) != nil || a.DB.Relation(p.RelName) != nil; i++ {
+		p.RelName = fmt.Sprintf("%s_%d", base, i)
 	}
-	p.RelName = name
-	p.rel.Name = name
+	p.rel.Name = p.RelName
 	a.DerivedDB.AddRelation(p.rel)
-	a.Indexes.AdoptIntHash(name, "entity_id", p.byEntity)
+	a.Indexes.AdoptIntHash(p.RelName, "entity_id", p.byEntity)
 }
 
 // keepCategorical applies the distinct-count guards that exclude

@@ -1,10 +1,7 @@
 package adb
 
 import (
-	"fmt"
-	"math"
 	"slices"
-	"sort"
 
 	"squid/internal/index"
 	"squid/internal/relation"
@@ -15,17 +12,13 @@ import (
 // (fkToVia.RefRelation): the degree property, aggregates over the
 // associated entity's direct categorical and FK-dimension attributes
 // (depth 1), and aggregates over second-fact dimension attributes such
-// as persontogenre (depth 2). It computes the shared adjacency and the
-// entity-association basic property inline, but returns the per-property
-// materializations as deferred build closures (parallel to the returned
-// derived shells) so the second fan-out wave runs them concurrently —
-// one fact pair can dominate the offline phase otherwise. Everything
-// built here is task-local; finishEntity registers the derived relations
-// and indexes after the parallel phase.
-func (a *Epoch) buildDerivedProperties(info *EntityInfo, fact1 string, fkToMe, fkToVia relation.ForeignKey) ([]*BasicProperty, []*DerivedProperty, []func() error, error) {
+// as persontogenre (depth 2). It builds the entity-association basic
+// property and returns the derived properties as descriptors: deriveAll
+// materializes them after the parallel phase, one wave for every entity.
+func (a *Epoch) buildDerivedProperties(info *EntityInfo, fact1 string, fkToMe, fkToVia relation.ForeignKey) ([]*BasicProperty, []*DerivedProperty) {
 	via := a.DB.Relation(fkToVia.RefRelation)
 	if via.PrimaryKey == "" || via.Column(via.PrimaryKey).Type != relation.Int {
-		return nil, nil, nil, nil
+		return nil, nil
 	}
 	// Label the association; self edges (movie→sequelof→movie) qualify
 	// the label with the FK column so the two directions stay distinct.
@@ -35,7 +28,6 @@ func (a *Epoch) buildDerivedProperties(info *EntityInfo, fact1 string, fkToMe, f
 	}
 	var basics []*BasicProperty
 	var out []*DerivedProperty
-	var builds []func() error
 	add := func(target AccessPath, attr string) {
 		out = append(out, a.newDerived(info, fact1, fkToMe, fkToVia, target, viaLabel+":"+attr))
 	}
@@ -43,23 +35,6 @@ func (a *Epoch) buildDerivedProperties(info *EntityInfo, fact1 string, fkToMe, f
 	// Degree property: number of associated entities. Its single
 	// pseudo-value is the associated relation's name.
 	add(AccessPath{Type: Degree}, "count")
-
-	// adjacency: entity row -> distinct associated via-rows. Multiple
-	// fact rows linking the same pair (e.g. an actor with several roles
-	// in one movie) count once, matching the DISTINCT semantics of the
-	// paper's Q6 per (person, movie) pair contribution.
-	fact := a.DB.Relation(fact1)
-	r := out[0].reader(a)
-	adjacency := make([][]int, info.NumRows)
-	for fr := range fact.NumRows() {
-		if eRow, vRow, ok := r.link(fr); ok {
-			adjacency[eRow] = append(adjacency[eRow], vRow)
-		}
-	}
-	for i, vs := range adjacency {
-		slices.Sort(vs)
-		adjacency[i] = slices.Compact(vs)
-	}
 
 	// Entity-association basic property: the set of associated entities
 	// themselves, identified by their display value (e.g. for person,
@@ -130,10 +105,7 @@ func (a *Epoch) buildDerivedProperties(info *EntityInfo, fact1 string, fkToMe, f
 			}
 		}
 	}
-	for _, p := range out {
-		builds = append(builds, func() error { return a.materializeDerived(info, p, adjacency) })
-	}
-	return basics, out, builds, nil
+	return basics, out
 }
 
 // derivedReader is a derived property's one derivation. link resolves
@@ -272,23 +244,79 @@ func sanitizeRelName(attr string) string {
 	return string(out)
 }
 
+// deriveAll materializes the derived properties of one epoch — the
+// cold build's and the snapshot load's, so a loaded relation is a built
+// one byte for byte — and registers them in the order given. It is one
+// wave over the workers: the properties are grouped by the first-fact
+// link they walk, each group's adjacency is built once, and then every
+// property is materialized over its group's.
+func (a *Epoch) deriveAll(derived []*DerivedProperty) {
+	type link struct{ entity, fact, entCol, viaCol, via, viaPK string }
+	groups := make(map[link]int)
+	var firsts []*DerivedProperty
+	groupOf := make([]int, len(derived))
+	for i, p := range derived {
+		k := link{p.Entity, p.Fact1, p.Fact1EntityCol, p.Fact1ViaCol, p.Via, p.ViaPK}
+		g, ok := groups[k]
+		if !ok {
+			g = len(firsts)
+			groups[k] = g
+			firsts = append(firsts, p)
+		}
+		groupOf[i] = g
+	}
+	workers := a.cfg.workers()
+	adjacency := make([][][]int, len(firsts))
+	index.RunBounded(len(firsts), workers, func(g int) { adjacency[g] = a.adjacencyOf(firsts[g]) })
+	index.RunBounded(len(derived), workers, func(i int) { a.materializeDerived(derived[i], adjacency[groupOf[i]]) })
+	for _, p := range derived {
+		a.registerDerived(p)
+	}
+}
+
+// adjacencyOf lists, for every row of p's entity, the distinct via rows
+// the first fact links it to, ascending. Several fact rows linking one
+// pair (an actor with several roles in one movie) count once, matching
+// the DISTINCT semantics of the paper's Q6 per (person, movie) pair.
+func (a *Epoch) adjacencyOf(p *DerivedProperty) [][]int {
+	r := p.reader(a)
+	adjacency := make([][]int, a.Entities[p.Entity].NumRows)
+	fact := a.DB.Relation(p.Fact1)
+	for fr := range fact.NumRows() {
+		if eRow, vRow, ok := r.link(fr); ok {
+			adjacency[eRow] = append(adjacency[eRow], vRow)
+		}
+	}
+	for i, vs := range adjacency {
+		slices.Sort(vs)
+		adjacency[i] = slices.Compact(vs)
+	}
+	return adjacency
+}
+
 // materializeDerived computes the (entity_id, value, count) rows of a
 // derived property — for each entity, the count of every value over the
 // contributions of its distinct via rows — stores the derived relation,
 // and builds its statistics (the in-Go equivalent of the paper's Q6
-// CREATE TABLE ... GROUP BY). The tabulation never leaves code space:
-// each via row's contributions are listed once as source-dictionary
-// codes, an entity's counts are summed in a dense counter indexed by
-// code, and only the codes it touched are ordered — by the source
-// dictionary's rank table, which is the order of their values, no two
-// codes of one dictionary sharing one — and cleared. A source code is
-// translated to the derived value dictionary on its first emission, so
-// the rows come in entity-row order and then value order, the
-// dictionary holds its values in first-emission order, and the columns
-// grow as appending row by row would have grown them, so the first
-// insert finds the same spare capacity to append into. The relation and
-// its entity index stay task-local until finishEntity registers them.
-func (a *Epoch) materializeDerived(info *EntityInfo, p *DerivedProperty, adjacency [][]int) error {
+// CREATE TABLE ... GROUP BY). The build and the snapshot load both run
+// it (deriveAll): the file holds no derived relation. The tabulation
+// never leaves code space: each via row's contributions are listed once
+// as source-dictionary codes, an entity's counts are summed in a dense
+// counter indexed by code, and only the codes it touched are ordered —
+// by the source dictionary's rank table, which is the order of their
+// values, no two codes of one dictionary sharing one — and cleared. A
+// source code is translated to the derived value dictionary on its
+// first emission, so the rows come in entity-row order and then value
+// order, the dictionary holds its values in first-emission order, and
+// the columns grow as appending row by row would have grown them, so
+// the first insert finds the same spare capacity to append into. Each
+// row's (entity row, strength) pair is appended to its value's pair
+// list as the row is emitted, so every list is in entity-row order; a
+// chunk of a list is its own allocation, so a chunk an insert later
+// replaces is freed on its own instead of being pinned by its
+// neighbors' array. The relation and its entity index stay local until
+// deriveAll registers them.
+func (a *Epoch) materializeDerived(p *DerivedProperty, adjacency [][]int) {
 	c := p.reader(a)
 	via := a.DB.Relation(p.Via)
 	offs := make([]uint32, via.NumRows()+1)
@@ -308,6 +336,8 @@ func (a *Epoch) materializeDerived(info *EntityInfo, p *DerivedProperty, adjacen
 	var ids, counts []int64
 	var vals []int32
 	var dict []string
+	var pairs []index.Chunked[valCount]
+	info := a.Entities[p.Entity]
 	pkCol := info.rel.Column(info.PK)
 	for eRow, viaRows := range adjacency {
 		touched = touched[:0]
@@ -327,11 +357,14 @@ func (a *Epoch) materializeDerived(info *EntityInfo, p *DerivedProperty, adjacen
 		for _, code := range touched {
 			if derived[code] == 0 {
 				dict = append(dict, c.decode(code))
+				pairs = append(pairs, index.Chunked[valCount]{})
 				derived[code] = int32(len(dict))
 			}
+			d := derived[code] - 1
 			ids = append(ids, id)
-			vals = append(vals, derived[code]-1)
+			vals = append(vals, d)
 			counts = append(counts, int64(count[code]))
+			pairs[d].Append(nil, valCount{entityRow: uint32(eRow), count: uint32(count[code])})
 			count[code] = 0
 		}
 	}
@@ -344,79 +377,9 @@ func (a *Epoch) materializeDerived(info *EntityInfo, p *DerivedProperty, adjacen
 		}, len(ids))
 	p.memo = newRowSetMemo(a.selCache)
 	p.byEntity = index.BuildIntHash(p.rel, "entity_id")
-	return a.buildPairs(info, p)
-}
-
-// buildPairs derives a derived property's per-value statistics — every
-// value's (entity row, strength) pair list and its histogram — from the
-// rows of its derived relation. It is their one constructor:
-// materializeDerived runs it over the relation it just emitted, Decode
-// over one read from a file, which is why the cells are checked here —
-// NULL, an entity_id no entity has, a strength no association can have,
-// an (entity, value) listed twice. Every chunk of a pair list is its own
-// allocation, so a chunk an insert later replaces is freed on its own
-// instead of being pinned by its neighbors' array.
-func (a *Epoch) buildPairs(info *EntityInfo, p *DerivedProperty) error {
-	ecol, vcol, ccol := p.rel.Column("entity_id"), p.rel.Column("value"), p.rel.Column("count")
-	// A strength counts fact rows, so the database's row count bounds
-	// it — and with it the histogram a damaged count could ask for. Pairs
-	// are 32 bits wide.
-	maxCount := int64(min(a.DB.TotalRows(), math.MaxUint32))
-	var pairs []index.Chunked[valCount]
-	// Rows arrive in entity order from a build; inserts append theirs at
-	// the end of the relation, and the lists they touched are sorted below.
-	var unsorted []bool
-	for r := 0; r < p.rel.NumRows(); r++ {
-		if ecol.IsNull(r) || vcol.IsNull(r) || ccol.IsNull(r) {
-			return fmt.Errorf("adb: derived relation %q: NULL cell in row %d", p.RelName, r)
-		}
-		eRow, ok := info.pkIndex.First(ecol.Int64(r))
-		if !ok {
-			return fmt.Errorf("adb: derived relation %q: row %d names entity %d, which %q does not hold", p.RelName, r, ecol.Int64(r), info.Relation)
-		}
-		cnt := ccol.Int64(r)
-		if cnt < 1 || cnt > maxCount {
-			return fmt.Errorf("adb: derived relation %q: strength %d in row %d out of range", p.RelName, cnt, r)
-		}
-		code := int(vcol.Code(r))
-		for len(pairs) <= code {
-			pairs = append(pairs, index.Chunked[valCount]{})
-			unsorted = append(unsorted, false)
-		}
-		if n := pairs[code].Len(); n > 0 && int(pairs[code].At(n-1).entityRow) >= eRow {
-			unsorted[code] = true
-		}
-		pairs[code].Append(nil, valCount{entityRow: uint32(eRow), count: uint32(cnt)})
+	stats := make([]codeStats, len(pairs))
+	for d := range pairs {
+		stats[d] = newCodeStats(pairs[d])
 	}
-	codes := make([]codeStats, len(pairs))
-	for code := range pairs {
-		if unsorted[code] {
-			var ok bool
-			if pairs[code], ok = sortedPairs(pairs[code]); !ok {
-				return fmt.Errorf("adb: derived relation %q: an entity lists value %q twice", p.RelName, vcol.Dict().Value(int32(code)))
-			}
-		}
-		codes[code] = newCodeStats(pairs[code])
-	}
-	p.codes = index.ChunkedOf(codes)
-	return nil
-}
-
-// sortedPairs rebuilds a pair list in entity-row order — the invariant
-// behind StrengthOfCode's binary search — and reports whether every
-// entity appears in it once.
-func sortedPairs(pairs index.Chunked[valCount]) (index.Chunked[valCount], bool) {
-	flat := make([]valCount, 0, pairs.Len())
-	for _, vc := range pairs.All() {
-		flat = append(flat, vc)
-	}
-	sort.Slice(flat, func(i, j int) bool { return flat[i].entityRow < flat[j].entityRow })
-	var out index.Chunked[valCount]
-	for i, vc := range flat {
-		if i > 0 && flat[i-1].entityRow == vc.entityRow {
-			return out, false
-		}
-		out.Append(nil, vc)
-	}
-	return out, true
+	p.codes = index.ChunkedOf(stats)
 }

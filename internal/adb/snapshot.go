@@ -10,25 +10,32 @@ import (
 )
 
 // This file persists and restores the αDB through the versioned binary
-// codec of internal/snapshot. A snapshot stores each fact once: the base
-// and derived databases (with their column dictionaries), the property
+// codec of internal/snapshot. A snapshot stores facts, each once: the
+// base database (with its column dictionaries), the property
 // descriptors, and the per-entity forward statistics — a categorical
 // property's value codes per row (a numeric property's values are its
-// column's cells). Every inverse — the inverted entity-lookup index, the
-// per-value posting lists, the derived pair lists with their strength
-// histograms, the numeric value orders, the hash indexes — is rebuilt
-// at load by the constructor the cold build uses, so a loaded αDB equals
-// a built one by construction and a warm boot costs one sequential read
-// plus O(n) counting sorts instead of the full precomputation. The
-// row-set memos restart empty, and restored systems support incremental
-// inserts exactly like freshly built ones. The file is bytes from
-// outside the process: what it still carries is checked where it is
-// read — value codes against their dictionary, access paths against the
-// schema, derived cells in buildPairs — so a damaged snapshot fails Load
+// column's cells) — and ends with a CRC32 trailer over every byte before
+// it. The derived relations are counts over the base facts, so the file
+// holds only their descriptors: Decode materializes them with deriveAll,
+// the cold build's own wave, under the names the file records. Every
+// inverse — the inverted entity-lookup index, the per-value posting
+// lists, the derived pair lists with their strength histograms, the
+// numeric value orders, the hash indexes — is rebuilt at load by the
+// constructor the cold build uses, so a loaded αDB equals a built one by
+// construction. After inserts a load also restores the cold build's
+// derived row order and value codes, which incremental maintenance
+// appends to instead. The row-set memos restart empty, and restored
+// systems support incremental inserts exactly like freshly built ones.
+// The file is bytes from outside the process: the trailer turns a
+// flipped bit or a cut into an error, and what the file carries is
+// checked where it is read — value codes against their dictionary,
+// access paths against the schema, derived relation names against each
+// other and the base relations — so a damaged snapshot fails Load
 // instead of panicking inside a later discovery.
 
-// Encode writes the current epoch to a snapshot stream (the caller
-// owns the header; see squid.System.Save). The epoch is pinned at call
+// Encode writes the current epoch to a snapshot stream and closes it
+// with the CRC32 trailer (the caller owns the header; see
+// squid.System.Save). The epoch is pinned at call
 // time, so the snapshot captures every write acknowledged before the
 // call — a drain that publishes its final batch and then encodes loses
 // nothing — while inserts landing mid-encode are cleanly absent.
@@ -47,7 +54,6 @@ func (a *Epoch) Encode(w *snapshot.Writer) {
 	writeConfig(w, a.cfg)
 	w.Varint(int64(a.BuildTime))
 	snapshot.WriteDatabase(w, a.DB)
-	snapshot.WriteDatabase(w, a.DerivedDB)
 
 	names := make([]string, 0, len(a.Entities))
 	for name := range a.Entities {
@@ -58,34 +64,31 @@ func (a *Epoch) Encode(w *snapshot.Writer) {
 	for _, name := range names {
 		writeEntity(w, a.Entities[name])
 	}
+	w.Trailer()
 }
 
 // Decode restores an αDB from a snapshot stream positioned after the
-// header. The restored state shares nothing with the stream; every
-// inverse of the stored data is rebuilt by the function buildEpoch
-// builds it with (BuildInvertedParallel, buildCatStats, buildNumStats,
-// buildPairs, residentIndexes), and the result is published
-// under the sequence number the snapshot recorded, so the epoch chain
-// continues where it left off.
+// header. It checks the trailer once it has read everything else, before
+// it derives anything. The restored state shares nothing with the
+// stream; the derived relations and every inverse of the stored data are
+// rebuilt by the functions buildEpoch builds them with
+// (BuildInvertedParallel, buildCatStats, buildNumStats, deriveAll,
+// residentIndexes), and the result is published under the sequence
+// number the snapshot recorded, so the epoch chain continues where it
+// left off.
 func Decode(r *snapshot.Reader) (*AlphaDB, error) {
 	seq := r.Uvarint()
 	cfg := readConfig(r)
 	buildTime := time.Duration(r.Varint())
 	db := snapshot.ReadDatabase(r)
-	derived := snapshot.ReadDatabase(r)
 	if r.Err() != nil {
 		return nil, r.Err()
-	}
-	for _, name := range derived.RelationNames() {
-		if db.Relation(name) != nil {
-			return nil, r.Fail("derived relation %q shadows a base relation", name)
-		}
 	}
 	a := &Epoch{
 		DB:        db,
 		Entities:  make(map[string]*EntityInfo),
 		Indexes:   residentIndexes(db, cfg.workers()),
-		DerivedDB: derived,
+		DerivedDB: relation.NewDatabase(db.Name + "_alpha"),
 		BuildTime: buildTime,
 		cfg:       cfg,
 		selCache:  &SelCache{},
@@ -100,6 +103,7 @@ func Decode(r *snapshot.Reader) (*AlphaDB, error) {
 		close(invDone)
 	}()
 	defer func() { <-invDone }()
+	var derived []*DerivedProperty
 	n := r.Len()
 	for i := 0; i < n && r.Err() == nil; i++ {
 		info := readEntity(r, a)
@@ -107,7 +111,11 @@ func Decode(r *snapshot.Reader) (*AlphaDB, error) {
 			break
 		}
 		a.Entities[info.Relation] = info
+		derived = append(derived, info.Derived...)
 	}
+	// The stream ends here: nothing is derived from bytes its checksum
+	// does not vouch for.
+	r.Trailer()
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
@@ -131,6 +139,16 @@ func Decode(r *snapshot.Reader) (*AlphaDB, error) {
 			}
 		}
 	}
+	// A derived relation is registered under its stored name, which the
+	// execution engine and the Q5 text read beside the base relations.
+	names := make(map[string]bool, len(derived))
+	for _, p := range derived {
+		if names[p.RelName] || db.Relation(p.RelName) != nil {
+			return nil, r.Fail("derived relation name %q repeats or shadows a base relation", p.RelName)
+		}
+		names[p.RelName] = true
+	}
+	a.deriveAll(derived)
 	<-invDone
 	return newAlphaDB(a), nil
 }
@@ -447,7 +465,6 @@ func readDerived(r *snapshot.Reader, a *Epoch, info *EntityInfo) *DerivedPropert
 	p.Target = readAccess(r)
 	p.RelName = r.String()
 	p.numEntities = r.Int()
-	p.memo = newRowSetMemo(a.selCache)
 	if r.Err() != nil {
 		return p
 	}
@@ -455,28 +472,23 @@ func readDerived(r *snapshot.Reader, a *Epoch, info *EntityInfo) *DerivedPropert
 		r.Fail("derived property %s.%s: %d entities recorded for a %d-row relation", info.Relation, p.Attr, p.numEntities, info.NumRows)
 		return p
 	}
+	// The path must be one the build takes: the associated entity's
+	// primary key, and a degree or a TEXT value of the associated entity.
 	via, fact1 := a.DB.Relation(p.Via), a.DB.Relation(p.Fact1)
-	resolves := intColumn(via, p.ViaPK) && intColumn(fact1, p.Fact1EntityCol) && intColumn(fact1, p.Fact1ViaCol)
-	if resolves && p.Target.Type != Degree {
-		// Only TEXT values of the associated entity are aggregated.
-		src := a.sourceColumn(via, p.Target)
-		resolves = src != nil && src.Type == relation.String
+	resolves := via != nil && p.ViaPK == via.PrimaryKey && intColumn(via, p.ViaPK) &&
+		intColumn(fact1, p.Fact1EntityCol) && intColumn(fact1, p.Fact1ViaCol)
+	switch p.Target.Type {
+	case Degree:
+	case Direct, FKDim, FactDim:
+		if resolves {
+			src := a.sourceColumn(via, p.Target)
+			resolves = src != nil && src.Type == relation.String
+		}
+	default:
+		resolves = false
 	}
 	if !resolves {
 		r.Fail("derived property %s.%s: association path does not resolve against the schema", info.Relation, p.Attr)
-		return p
-	}
-	rel := a.DerivedDB.Relation(p.RelName)
-	if !intColumn(rel, "entity_id") || !intColumn(rel, "count") || column(rel, "value", relation.String) == nil {
-		r.Fail("derived property %s.%s: no derived relation %q with (entity_id, value, count) columns",
-			info.Relation, p.Attr, p.RelName)
-		return p
-	}
-	p.rel = rel
-	p.byEntity = index.BuildIntHash(rel, "entity_id")
-	a.Indexes.AdoptIntHash(rel.Name, "entity_id", p.byEntity)
-	if err := a.buildPairs(info, p); err != nil {
-		r.Fail("%v", err)
 	}
 	return p
 }

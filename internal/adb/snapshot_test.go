@@ -38,18 +38,17 @@ func statsFingerprint(a *AlphaDB) string {
 }
 
 // TestDecodeRejectsOutOfRangeBlocks damages, one case at a time, what a
-// v6 snapshot still trusts — a value code past the dictionary or
+// v7 snapshot still trusts — a value code past the dictionary or
 // negative, per-row blocks shorter than the relation, a distinct-value
 // count the rows contradict, a property path that does not resolve
-// against the schema, and the cells of a derived relation that buildPairs
-// turns into pair lists (an entity_id no entity has, a strength no
-// association can have, an (entity, value) listed twice, a NULL) — and
-// expects Decode to fail: unchecked, every one of these loads
-// cleanly and panics or answers wrongly later, inside a discovery. The
-// rebuilt cases damage what v6 does not store — a posting list, a
-// numeric value order, a pair list, the row order of a derived relation — and
-// expect the opposite: the damage cannot reach the file, so the loaded
-// αDB answers as the undamaged fixture does.
+// against the schema, a derived relation name that repeats or shadows a
+// base relation — and expects Decode to fail: unchecked, every one of
+// these loads cleanly and panics or answers wrongly later, inside a
+// discovery. The rebuilt cases damage what v7 does not store — a posting
+// list, a numeric value order, a pair list, the cells and the row order
+// of a derived relation — and expect the opposite: the damage cannot
+// reach the file, so the loaded αDB answers as the undamaged fixture
+// does.
 func TestDecodeRejectsOutOfRangeBlocks(t *testing.T) {
 	clean, err := roundTrip(t, buildFixture(t))
 	if err != nil {
@@ -96,43 +95,47 @@ func TestDecodeRejectsOutOfRangeBlocks(t *testing.T) {
 		{"derived path through a column the schema lacks", false, func(person *EntityInfo) {
 			person.DerivedByAttr("movie:genre").Fact1ViaCol = "nowhere"
 		}},
-		{"derived relation the file lacks", false, func(person *EntityInfo) {
-			person.DerivedByAttr("movie:genre").RelName = "nowhere"
+		{"derived key other than the associated entity's", false, func(person *EntityInfo) {
+			person.DerivedByAttr("movie:genre").ViaPK = "year"
 		}},
-		{"pair row past the relation", false, func(person *EntityInfo) {
-			// A pair's row is resolved from entity_id: no entity has this one.
-			setCell(person, 1, "entity_id", relation.IntVal(far))
+		{"derived target through an attribute table", false, func(person *EntityInfo) {
+			// Load would read every movie row as a row of country.
+			person.DerivedByAttr("movie:genre").Target = AccessPath{Type: AttrTable, Fact: "country", FactEntityCol: "id", Column: "name"}
 		}},
-		{"pair row at the 32-bit edge", false, func(person *EntityInfo) {
-			// Pair rows are 32 bits wide in memory: an id narrowed before
-			// it is resolved would wrap onto entity 1.
-			setCell(person, 1, "entity_id", relation.IntVal(1<<32|1))
+		{"derived relation name repeated", false, func(person *EntityInfo) {
+			person.DerivedByAttr("movie:genre").RelName = person.DerivedByAttr("movie:count").RelName
 		}},
-		{"pair row repeated", false, func(person *EntityInfo) {
-			setCell(person, 2, "entity_id", relation.IntVal(1))
-		}},
-		{"pair cell NULL", false, func(person *EntityInfo) {
-			setCell(person, 0, "count", relation.Null)
-		}},
-		{"pair count zero", false, func(person *EntityInfo) {
-			setCell(person, 0, "count", relation.IntVal(0))
-		}},
-		{"pair count negative", false, func(person *EntityInfo) {
-			setCell(person, 0, "count", relation.IntVal(-1))
-		}},
-		{"pair count past the database", false, func(person *EntityInfo) {
-			// The histogram is sized by the largest count: unchecked, one
-			// damaged cell asks for gigabytes.
-			setCell(person, 0, "count", relation.IntVal(1<<31))
-		}},
-		{"pair count at the 32-bit edge", false, func(person *EntityInfo) {
-			setCell(person, 0, "count", relation.IntVal(math.MaxUint32))
+		{"derived relation name shadows a base relation", false, func(person *EntityInfo) {
+			person.DerivedByAttr("movie:genre").RelName = "movie"
 		}},
 
+		{"pair row past the relation", true, func(person *EntityInfo) {
+			setCell(person, 1, "entity_id", relation.IntVal(far))
+		}},
+		{"pair row at the 32-bit edge", true, func(person *EntityInfo) {
+			setCell(person, 1, "entity_id", relation.IntVal(1<<32|1))
+		}},
+		{"pair row repeated", true, func(person *EntityInfo) {
+			setCell(person, 2, "entity_id", relation.IntVal(1))
+		}},
+		{"pair cell NULL", true, func(person *EntityInfo) {
+			setCell(person, 0, "count", relation.Null)
+		}},
+		{"pair count zero", true, func(person *EntityInfo) {
+			setCell(person, 0, "count", relation.IntVal(0))
+		}},
+		{"pair count negative", true, func(person *EntityInfo) {
+			setCell(person, 0, "count", relation.IntVal(-1))
+		}},
+		{"pair count past the database", true, func(person *EntityInfo) {
+			setCell(person, 0, "count", relation.IntVal(1<<31))
+		}},
+		{"pair count at the 32-bit edge", true, func(person *EntityInfo) {
+			setCell(person, 0, "count", relation.IntVal(math.MaxUint32))
+		}},
 		{"pair rows out of order", true, func(person *EntityInfo) {
 			// What an insert leaves behind: a value's rows out of entity
-			// order in the relation. StrengthOfCode binary-searches the
-			// list, so load sorts it.
+			// order in the relation. Load emits them in entity order again.
 			setCell(person, 0, "entity_id", relation.IntVal(3))
 			setCell(person, 0, "count", relation.IntVal(1))
 			setCell(person, 2, "entity_id", relation.IntVal(1))

@@ -19,18 +19,25 @@ import (
 // tuples are then put in the executor's canonical order with a plain
 // sort of their row ids — From[0]'s first, the other relations' in name
 // order. Equality is Value.Equal (NULL never joins); DISTINCT,
-// INTERSECT and GROUP BY compare whole tuples by linear search.
+// INTERSECT by value and GROUP BY compare whole tuples by linear search.
 func referenceExecute(db *relation.Database, q *Query) [][]relation.Value {
 	budget := math.MaxInt
 	rows, _ := referenceWithin(db, q, &budget)
 	return rows
 }
 
-// referenceWithin is referenceExecute on a budget of steps — a row a
-// loop binds, a tuple a linear search passes — for callers that do not
-// choose their queries (FuzzExecutePlan): ok is false when the budget
-// ran out first.
-func referenceWithin(db *relation.Database, q *Query, budget *int) (rows [][]relation.Value, ok bool) {
+// referenceMeets is the rule under which an INTERSECT branch meets its
+// block on From[0]'s rows rather than on projected values: one From[0],
+// no aggregation on either side, no branch of the branch's own.
+func referenceMeets(q, sub *Query) bool {
+	return sub.From[0] == q.From[0] && !q.HasAggregation() && !sub.HasAggregation() && len(sub.Intersect) == 0
+}
+
+// referenceTuples binds q's FROM relations by nested loops in the order
+// listed and returns the row-id tuples that satisfy its predicates and
+// joins, less those whose From[0] row a branch meeting q on rows holds
+// in none of its own tuples; ok is false when the budget ran out first.
+func referenceTuples(db *relation.Database, q *Query, budget *int) (tuples [][]int, ok bool) {
 	spend := func(n int) bool {
 		*budget -= n
 		return *budget >= 0
@@ -61,7 +68,6 @@ func referenceWithin(db *relation.Database, q *Query, budget *int) (rows [][]rel
 		}
 		return true
 	}
-	var tuples [][]int
 	var walk func(depth int)
 	walk = func(depth int) {
 		if depth == len(q.From) {
@@ -78,6 +84,40 @@ func referenceWithin(db *relation.Database, q *Query, budget *int) (rows [][]rel
 	if *budget < 0 {
 		return nil, false
 	}
+	for _, sub := range q.Intersect {
+		if !referenceMeets(q, sub) {
+			continue
+		}
+		held, ok := referenceTuples(db, sub, budget)
+		if !ok || !spend(len(tuples)*len(held)) {
+			return nil, false
+		}
+		tuples = slices.DeleteFunc(tuples, func(t []int) bool {
+			return !slices.ContainsFunc(held, func(h []int) bool { return h[0] == t[0] })
+		})
+	}
+	return tuples, true
+}
+
+// referenceWithin is referenceExecute on a budget of steps — a row a
+// loop binds, a tuple a linear search passes — for callers that do not
+// choose their queries (FuzzExecutePlan): ok is false when the budget
+// ran out first.
+func referenceWithin(db *relation.Database, q *Query, budget *int) (rows [][]relation.Value, ok bool) {
+	spend := func(n int) bool {
+		*budget -= n
+		return *budget >= 0
+	}
+	tuples, ok := referenceTuples(db, q, budget)
+	if !ok {
+		return nil, false
+	}
+	pos := map[string]int{}
+	for i, name := range q.From {
+		pos[name] = i
+	}
+	ids := make([]int, len(q.From))
+	cell := func(rel, col string) relation.Value { return db.Relation(rel).Get(ids[pos[rel]], col) }
 	order := make([]int, len(q.From))
 	for i := range order {
 		order[i] = i
@@ -139,6 +179,9 @@ func referenceWithin(db *relation.Database, q *Query, budget *int) (rows [][]rel
 		rows = out
 	}
 	for _, sub := range q.Intersect {
+		if referenceMeets(q, sub) {
+			continue
+		}
 		other, ok := referenceWithin(db, sub, budget)
 		if !ok || !spend(len(rows)*len(other)) {
 			return nil, false

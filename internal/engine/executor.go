@@ -140,27 +140,52 @@ func (p *poller) err() error {
 }
 
 // ExecuteCtx runs the query and returns its projected tuples. DISTINCT
-// and intersection are applied after projection. ctx.Err() is
-// consulted between pipeline stages, between intersect branches, and
-// every few thousand rows read or emitted inside joins and aggregation,
-// so a canceled or deadline-expired context aborts even a pathological
-// query (and releases whatever lock the caller executes under) instead
-// of running to completion. The returned error wraps ctx's error;
-// match it with errors.Is.
+// and intersection are applied after projection, except that a branch
+// meeting q on rows (meetsOnRows) restricts q's From[0] before q runs.
+// ctx.Err() is consulted between pipeline stages, between intersect
+// branches, and every few thousand rows read or emitted inside joins and
+// aggregation, so a canceled or deadline-expired context aborts even a
+// pathological query (and releases whatever lock the caller executes
+// under) instead of running to completion. The returned error wraps
+// ctx's error; match it with errors.Is.
 func (e *Executor) ExecuteCtx(ctx context.Context, q *Query) (*Result, error) {
-	res, err := e.executeNoIntersect(ctx, q)
+	sp := trace.SpanFrom(ctx)
+	// Each intersect branch executes under its own stage span, so its
+	// scan/join stages nest there instead of mixing with the parent's.
+	branch := func(i int) (context.Context, trace.Span) {
+		if !sp.Active() {
+			return ctx, trace.Span{}
+		}
+		isp := sp.Child(trace.PhaseStage, "intersect:"+strconv.Itoa(i))
+		return trace.NewContext(ctx, isp), isp
+	}
+	var within *index.RowSet
+	for i, sub := range q.Intersect {
+		if !meetsOnRows(q, sub) {
+			continue
+		}
+		bctx, isp := branch(i)
+		rows, err := e.anchorRows(bctx, sub)
+		isp.End()
+		if err != nil {
+			return nil, err
+		}
+		if within == nil {
+			within = rows
+		} else {
+			within.AndWith(rows)
+		}
+	}
+	res, err := e.executeBlock(ctx, q, within)
 	if err != nil {
 		return nil, err
 	}
-	sp := trace.SpanFrom(ctx)
 	for i, sub := range q.Intersect {
-		// Each intersect branch executes under its own stage span, so its
-		// scan/join stages nest there instead of mixing with the parent's.
-		isp := trace.Span{}
-		if sp.Active() {
-			isp = sp.Child(trace.PhaseStage, "intersect:"+strconv.Itoa(i))
+		if meetsOnRows(q, sub) {
+			continue
 		}
-		subRes, err := e.ExecuteCtx(trace.NewContext(ctx, isp), sub)
+		bctx, isp := branch(i)
+		subRes, err := e.ExecuteCtx(bctx, sub)
 		isp.End()
 		if err != nil {
 			return nil, err
@@ -168,6 +193,35 @@ func (e *Executor) ExecuteCtx(ctx context.Context, q *Query) (*Result, error) {
 		res.intersect(subRes)
 	}
 	return res, nil
+}
+
+// meetsOnRows reports whether INTERSECT branch sub meets q on the row
+// ids of From[0] instead of on projected values: both blocks start at
+// one relation, neither aggregates and sub intersects nothing itself.
+// Such a branch admits a set of that relation's rows — one entity row
+// under several aliases in the printed SQL — and q keeps only the tuples
+// whose From[0] row every such branch admits. Two entities that share a
+// projected value then stay apart.
+func meetsOnRows(q, sub *Query) bool {
+	return len(q.From) > 0 && len(sub.From) > 0 && sub.From[0] == q.From[0] &&
+		!q.HasAggregation() && !sub.HasAggregation() && len(sub.Intersect) == 0
+}
+
+// anchorRows runs the joins and predicates of block q and returns the
+// rows of its From[0] that some joined tuple holds.
+func (e *Executor) anchorRows(ctx context.Context, q *Query) (*index.RowSet, error) {
+	_, t, err := e.join(ctx, q, nil)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]int, 0, t.len())
+	for i := range t.len() {
+		// Tuples come sorted by From[0]'s row first.
+		if r := t.at(i)[0]; len(rows) == 0 || rows[len(rows)-1] != r {
+			rows = append(rows, r)
+		}
+	}
+	return index.RowSetFromSorted(rows), nil
 }
 
 // stage begins the span of one executor stage (scan:<rel>, join:<rel>,
@@ -744,28 +798,76 @@ func (pl *plan) joinOrder(acc []access) (anchor int, steps []step, cycles []boun
 	return anchor, steps, pending, nil
 }
 
-// executeNoIntersect evaluates the SPJA core of the query.
-func (e *Executor) executeNoIntersect(ctx context.Context, q *Query) (*Result, error) {
-	pl, err := e.bind(q)
+// executeBlock evaluates the SPJA core of the query, its From[0]
+// restricted to within when that is not nil.
+func (e *Executor) executeBlock(ctx context.Context, q *Query, within *index.RowSet) (*Result, error) {
+	pl, t, err := e.join(ctx, q, within)
 	if err != nil {
 		return nil, err
 	}
+	sp := trace.SpanFrom(ctx)
+	p := &poller{ctx: ctx}
+	if pl.q.HasAggregation() {
+		gs := stage(sp, "aggregate", "")
+		t, err = groupFirst(p, t, pl.groupBy, pl.q.HavingCountGE)
+		endStage(gs, 0, 0, t.len())
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	// DISTINCT keeps the first tuple of every distinct projection, so
+	// only the survivors are materialized.
+	ps := stage(sp, "project", "")
+	if pl.q.Distinct {
+		if t, err = groupFirst(p, t, pl.sel, 0); err != nil {
+			ps.End()
+			return nil, err
+		}
+	}
+	res := pl.project(t)
+	endStage(ps, 0, 0, res.NumRows())
+	return res, nil
+}
+
+// endStage closes a stage span with the estimate it was ordered by
+// (est_rows) next to what it produced (rows) and, for a scan or a join,
+// the cells it read without an index (cells_streamed).
+func endStage(s trace.Span, est, cells, rows int) {
+	s.Add(trace.CounterEstRows, int64(est))
+	s.Add(trace.CounterCellsStreamed, int64(cells))
+	s.Add(trace.CounterRows, int64(rows))
+	s.End()
+}
+
+// join binds q, lets the Reducer take what it answers out of it,
+// restricts From[0] to within when that is not nil, and runs the scan,
+// the joins and the cycle conditions: the joined tuples in canonical
+// order, with the plan they were bound by.
+func (e *Executor) join(ctx context.Context, q *Query, within *index.RowSet) (*plan, tuples, error) {
+	pl, err := e.bind(q)
+	if err != nil {
+		return nil, tuples{}, err
+	}
 	p := &poller{ctx: ctx}
 	if err := p.err(); err != nil {
-		return nil, err
+		return nil, tuples{}, err
 	}
 	if e.reduce != nil {
 		red, err := e.reduce(ctx, q)
 		if err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
+			return nil, tuples{}, fmt.Errorf("engine: %w", err)
 		}
 		if red != nil {
 			q = red.Rest
 			if pl, err = e.bind(q); err != nil {
-				return nil, err
+				return nil, tuples{}, err
 			}
 			pl.preds[0] = slices.Insert(pl.preds[0], 0, rowPred{member: red.Rows})
 		}
+	}
+	if within != nil {
+		pl.preds[0] = slices.Insert(pl.preds[0], 0, rowPred{member: within})
 	}
 	acc := make([]access, len(pl.rels))
 	builds := 0
@@ -774,21 +876,13 @@ func (e *Executor) executeNoIntersect(ctx context.Context, q *Query) (*Result, e
 	}
 	anchor, steps, cycles, err := pl.joinOrder(acc)
 	if err != nil {
-		return nil, err
+		return nil, tuples{}, err
 	}
 
-	// Stage spans are emitted in execution order, each with the estimate
-	// it was ordered by (est_rows) next to what it produced (rows) and,
-	// for a scan or a join, the cells it read without an index
-	// (cells_streamed). The scan also carries the posting lists the block
-	// built (index_builds): joins build none.
+	// Stage spans are emitted in execution order (endStage). The scan
+	// also carries the posting lists the block built (index_builds):
+	// joins build none.
 	sp := trace.SpanFrom(ctx)
-	endStage := func(s trace.Span, est, cells, rows int) {
-		s.Add(trace.CounterEstRows, int64(est))
-		s.Add(trace.CounterCellsStreamed, int64(cells))
-		s.Add(trace.CounterRows, int64(rows))
-		s.End()
-	}
 	ss := stage(sp, "scan:", q.From[anchor])
 	rows, cells := scan(pl.rels[anchor], pl.preds[anchor], acc[anchor])
 	ss.Add(trace.CounterIndexBuilds, int64(builds))
@@ -806,14 +900,14 @@ func (e *Executor) executeNoIntersect(ctx context.Context, q *Query) (*Result, e
 
 	for _, s := range steps {
 		if err := p.err(); err != nil {
-			return nil, err
+			return nil, tuples{}, err
 		}
 		to := s.to.pos
 		js := stage(sp, "join:", q.From[to]) // FROM relations are unique, so join labels are too
 		t, cells, err = e.extend(p, t, s, pl.rels[to], pl.preds[to], &acc[to])
 		endStage(js, acc[to].est, cells, t.len())
 		if err != nil {
-			return nil, err
+			return nil, tuples{}, err
 		}
 	}
 
@@ -828,7 +922,7 @@ func (e *Executor) executeNoIntersect(ctx context.Context, q *Query) (*Result, e
 		}
 		endStage(cs, 0, 0, t.len())
 		if err != nil {
-			return nil, err
+			return nil, tuples{}, err
 		}
 	}
 
@@ -842,27 +936,7 @@ func (e *Executor) executeNoIntersect(ctx context.Context, q *Query) (*Result, e
 		t.sortBy(order)
 	}
 
-	if q.HasAggregation() {
-		gs := stage(sp, "aggregate", "")
-		t, err = groupFirst(p, t, pl.groupBy, q.HavingCountGE)
-		endStage(gs, 0, 0, t.len())
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// DISTINCT keeps the first tuple of every distinct projection, so
-	// only the survivors are materialized.
-	ps := stage(sp, "project", "")
-	if q.Distinct {
-		if t, err = groupFirst(p, t, pl.sel, 0); err != nil {
-			ps.End()
-			return nil, err
-		}
-	}
-	res := pl.project(t)
-	endStage(ps, 0, 0, res.NumRows())
-	return res, nil
+	return pl, t, nil
 }
 
 // keyKind is the type two join columns are compared in.

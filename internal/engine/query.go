@@ -146,8 +146,12 @@ type Query struct {
 	// HavingCountGE keeps only groups with at least this many rows
 	// (0 means no HAVING filter).
 	HavingCountGE int
-	// Intersect, when non-empty, intersects this query's projected
-	// tuples with each listed query's tuples (the I in SPJAI).
+	// Intersect, when non-empty, intersects this query with each listed
+	// query (the I in SPJAI). A branch with this query's From[0] where
+	// neither aggregates and the branch has no Intersect of its own meets
+	// it on From[0]'s rows: the query keeps the tuples whose From[0] row
+	// the branch's joins and predicates admit. Any other branch
+	// intersects the projected tuples by value.
 	Intersect []*Query
 }
 

@@ -1,19 +1,20 @@
 // Package snapshot implements the versioned binary format that persists
 // an abduction-ready database to disk, so a warm boot is O(read) instead
-// of O(rebuild). A snapshot stores each fact once.
+// of O(rebuild). A snapshot stores each fact once, and only facts.
 //
 // Stored: the epoch sequence number, the build configuration, the base
-// database and the materialized derived relations (schemas, column
-// storage, per-column string dictionaries), the property descriptors,
-// and the per-entity forward statistics of the categorical basic
-// properties (value codes per row; a numeric property's values are its
-// column's cells).
+// database (schemas, column storage, per-column string dictionaries),
+// the property descriptors, the per-entity forward statistics of the
+// categorical basic properties (value codes per row; a numeric
+// property's values are its column's cells), and a CRC32 trailer over
+// every byte before it.
 //
-// Derived at load, by the constructors the cold build uses: the inverted
-// entity-lookup index, the per-value posting lists, the derived
-// properties' (entity, strength) pair lists and strength histograms, the
-// numeric value orders and every hash index — each a counting sort or
-// a sort over what is stored, so none of them can disagree with it.
+// Derived at load, by the constructors the cold build uses: the derived
+// relations (each a count over the base facts, materialized from its
+// stored descriptor under its stored name), their (entity, strength)
+// pair lists and strength histograms, the inverted entity-lookup index,
+// the per-value posting lists, the numeric value orders and every hash
+// index — so none of them can disagree with the facts they come from.
 //
 // # Version-compatibility policy
 //
@@ -34,6 +35,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"slices"
@@ -54,8 +56,10 @@ const Magic = "SQAS"
 // every inverse of the stored data (the inverted index, the per-value
 // posting lists, the derived pair lists, the sorted numeric indexes),
 // which load now derives; v6 dropped a numeric property's cells and
-// presence bitmap, which load reads from the entity column they copied.
-const Version = 6
+// presence bitmap, which load reads from the entity column they copied;
+// v7 dropped the derived relations, which load materializes from the
+// base database, and added the CRC32 trailer.
+const Version = 7
 
 // ErrVersion reports a snapshot whose format version does not match
 // this build's Version.
@@ -74,6 +78,7 @@ const maxLen = 1 << 28
 type Writer struct {
 	w       *bufio.Writer
 	err     error
+	crc     uint32 // CRC32 (IEEE) of every byte written
 	buf     [binary.MaxVarintLen64]byte
 	scratch []byte
 }
@@ -105,7 +110,16 @@ func (w *Writer) raw(b []byte) {
 	if w.err != nil {
 		return
 	}
+	w.crc = crc32.Update(w.crc, crc32.IEEETable, b)
 	_, w.err = w.w.Write(b)
+}
+
+// Trailer writes the CRC32 (IEEE) of every byte written before it, four
+// bytes little-endian: the last field of a snapshot.
+func (w *Writer) Trailer() {
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], w.crc)
+	w.raw(b[:])
 }
 
 // Uvarint writes an unsigned varint.
@@ -241,9 +255,30 @@ func (w *Writer) Bools(xs []bool) {
 
 // Reader decodes snapshot primitives with a sticky error.
 type Reader struct {
-	r       *bufio.Reader
+	r       *crcReader
 	err     error
 	scratch []byte
+}
+
+// crcReader keeps the CRC32 (IEEE) of the bytes the Reader consumed —
+// not of what bufio read ahead.
+type crcReader struct {
+	*bufio.Reader
+	crc uint32
+}
+
+func (c *crcReader) Read(p []byte) (int, error) {
+	n, err := c.Reader.Read(p)
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
+	return n, err
+}
+
+func (c *crcReader) ReadByte() (byte, error) {
+	b, err := c.Reader.ReadByte()
+	if err == nil {
+		c.crc = crc32.Update(c.crc, crc32.IEEETable, []byte{b})
+	}
+	return b, err
 }
 
 // take reads n bytes into the reusable scratch buffer; the returned
@@ -266,7 +301,19 @@ func (r *Reader) take(n int) []byte {
 
 // NewReader creates a buffered snapshot reader over r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReaderSize(r, 1<<16)}
+	return &Reader{r: &crcReader{Reader: bufio.NewReaderSize(r, 1<<16)}}
+}
+
+// Trailer reads what Writer.Trailer wrote and fails the stream unless it
+// is the CRC32 of every byte read before it: a flipped bit or a cut
+// anywhere in the stream is an error here, whatever it decoded to.
+func (r *Reader) Trailer() {
+	want := r.r.crc
+	var b [4]byte
+	r.read(b[:])
+	if r.err == nil && binary.LittleEndian.Uint32(b[:]) != want {
+		r.Fail("checksum mismatch: the stream is damaged")
+	}
 }
 
 // Err returns the first error encountered.

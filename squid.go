@@ -269,12 +269,13 @@ func Build(db *Database, cfg BuildConfig) (*System, error) {
 // cannot read; rebuild from the source database and save again.
 var ErrSnapshotVersion = snapshot.ErrVersion
 
-// Save persists the system — the base and derived databases with their
-// dictionaries, the property descriptors with their per-entity
-// statistics, and the discovery parameters — to the versioned binary
-// snapshot format (internal/snapshot). Each fact is stored once: every
-// index over it is derived again by Load, so a warm boot is one
-// sequential read plus O(n) rebuilds instead of the full precomputation.
+// Save persists the system — the base database with its dictionaries,
+// the property descriptors with their per-entity statistics, and the
+// discovery parameters — to the versioned binary snapshot format
+// (internal/snapshot), closed by a CRC32 trailer. Each fact is stored
+// once and nothing derived is: Load materializes the derived relations
+// and every index again, so a warm boot is one sequential read plus the
+// build's derivation pass instead of the full precomputation.
 func (s *System) Save(w io.Writer) error {
 	sw := snapshot.NewWriter(w)
 	sw.Header()
@@ -287,11 +288,14 @@ func (s *System) Save(w io.Writer) error {
 }
 
 // Load restores a System from a snapshot written by Save, rebuilding
-// every index with the constructor Build uses. The restored system is
-// fully operational: discovery answers are identical to the saved
-// system's, and incremental inserts (InsertBatchContext) maintain it
-// exactly like a freshly built one. The stream is untrusted: damage
-// returns an error, a version mismatch one matching ErrSnapshotVersion.
+// the derived relations and every index with the functions Build uses.
+// The restored system is fully operational: discovery answers are
+// identical to the saved system's, and incremental inserts
+// (InsertBatchContext) maintain it exactly like a freshly built one. A
+// derived relation's contents survive the round trip, but after inserts
+// its row ids and value codes come back in cold-build order. The stream
+// is untrusted: damage returns an error (a flipped bit or a cut fails
+// the checksum), a version mismatch one matching ErrSnapshotVersion.
 func Load(r io.Reader) (*System, error) {
 	sr := snapshot.NewReader(r)
 	sr.Header()

@@ -3,6 +3,13 @@ package squid
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -48,11 +55,14 @@ var fuzzExampleSets = [][]string{
 
 // FuzzSnapshotDecode feeds Load bytes from outside the process. The
 // contract: Load returns an error, or a system on which a discovery and
-// an insert of each kind run — whatever they return, nothing panics. The
-// committed corpus (testdata/fuzz/FuzzSnapshotDecode) is a valid v6
-// stream of fuzzDB, the same stream cut at ¼, ½, ¾ and one byte short,
-// and with the low bit flipped at each of the eight offsets (2i+1)/16 of
-// its length; the
+// an insert of each kind run — whatever they return, nothing panics. A
+// flipped bit or a cut is an error: the CRC32 trailer covers every byte
+// (TestSnapshotCorpusDamageFailsLoad), so each input is also loaded with
+// its trailer recomputed, which a hand-edited file can carry. The
+// committed corpus
+// (testdata/fuzz/FuzzSnapshotDecode) is a valid v7 stream of fuzzDB, the
+// same stream cut at ¼, ½, ¾ and one byte short, and with the low bit
+// flipped at each of the eight offsets (2i+1)/16 of its length; the
 // live stream is added as well, so the fuzzer starts from a loadable
 // input even after the format moves past the corpus.
 func FuzzSnapshotDecode(f *testing.F) {
@@ -66,18 +76,64 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sys, err := Load(bytes.NewReader(data))
-		if err != nil {
-			return
+		// The bytes load as they are and resealed — the last four replaced
+		// by the CRC32 of the rest, as a hand-edited file re-checksummed
+		// would be — so what the trailer guards stays reachable.
+		inputs := [][]byte{data}
+		if n := len(data) - 4; n >= 0 {
+			inputs = append(inputs, binary.LittleEndian.AppendUint32(slices.Clone(data[:n]), crc32.ChecksumIEEE(data[:n])))
 		}
-		_, _ = sys.DiscoverContext(context.Background(), []string{"Dan Suciu", "Sam Madden"})
-		for _, op := range []InsertOp{
-			{Rel: "academics", Vals: []Value{IntVal(900), StringVal("Fuzz Researcher")}},
-			{Rel: "research", Vals: []Value{IntVal(900), StringVal("fuzzing")}},
-			{Rel: "wrote", Vals: []Value{IntVal(900), IntVal(3)}},
-		} {
-			_ = sys.InsertBatchContext(context.Background(), []InsertOp{op})
+		for _, in := range inputs {
+			sys, err := Load(bytes.NewReader(in))
+			if err != nil {
+				continue
+			}
+			_, _ = sys.DiscoverContext(context.Background(), []string{"Dan Suciu", "Sam Madden"})
+			for _, op := range []InsertOp{
+				{Rel: "academics", Vals: []Value{IntVal(900), StringVal("Fuzz Researcher")}},
+				{Rel: "research", Vals: []Value{IntVal(900), StringVal("fuzzing")}},
+				{Rel: "wrote", Vals: []Value{IntVal(900), IntVal(3)}},
+			} {
+				_ = sys.InsertBatchContext(context.Background(), []InsertOp{op})
+			}
+			_, _ = sys.DiscoverContext(context.Background(), []string{"Fuzz Researcher", "Dan Suciu"})
 		}
-		_, _ = sys.DiscoverContext(context.Background(), []string{"Fuzz Researcher", "Dan Suciu"})
 	})
+}
+
+// TestSnapshotCorpusDamageFailsLoad holds the committed FuzzSnapshotDecode
+// corpus to the trailer's contract: the valid stream loads, and every
+// flip-* and cut-* entry is an error from Load.
+func TestSnapshotCorpusDamageFailsLoad(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzSnapshotDecode")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := 0
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, arg, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		quoted, ok := strings.CutPrefix(arg, "[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+		if !ok || err != nil {
+			t.Fatalf("%s: not a []byte corpus entry", e.Name())
+		}
+		_, err = Load(strings.NewReader(data))
+		switch {
+		case e.Name() == "valid" && err != nil:
+			t.Errorf("valid: %v", err)
+		case strings.HasPrefix(e.Name(), "flip-") || strings.HasPrefix(e.Name(), "cut-"):
+			damaged++
+			if err == nil {
+				t.Errorf("%s loaded", e.Name())
+			}
+		}
+	}
+	if damaged != 12 {
+		t.Errorf("%d flip-* and cut-* entries, want 12", damaged)
+	}
 }

@@ -13,6 +13,7 @@ import (
 	"squid/internal/engine"
 	"squid/internal/experiments"
 	"squid/internal/metrics"
+	"squid/internal/relation"
 )
 
 // unreduced executes q on the join pipeline alone, over the epoch and
@@ -112,10 +113,58 @@ func examplePool(t *testing.T, db *Database, benches []benchqueries.Benchmark) [
 	return sets
 }
 
+// addNameTwins appends to every entity relation of db with an INTEGER
+// key and a TEXT column up to n twins: each takes its first TEXT cell
+// from one entity and every other cell, and the facts that name it,
+// from another. Two entities then share a projected value while only
+// one satisfies what the other does — what an INTERSECT that met on
+// values instead of on entity rows answered wrongly.
+func addNameTwins(db *Database, n int) {
+	for _, name := range db.EntityRelations() {
+		rel := db.Relation(name)
+		pk, text := rel.ColumnIndex(rel.PrimaryKey), -1
+		for i, c := range rel.Columns() {
+			if c.Type == String {
+				text = i
+				break
+			}
+		}
+		rows := rel.NumRows()
+		if pk < 0 || rel.Columns()[pk].Type != Int || text < 0 || rows < 2*n {
+			continue
+		}
+		next := int64(0)
+		for r := range rows {
+			next = max(next, rel.Row(r)[pk].Int()+1)
+		}
+		for i := range n {
+			twin, like := rel.Row(rows-1-i), rel.Row(rows - 1 - i)[pk]
+			twin[pk], twin[text] = IntVal(next+int64(i)), rel.Row(i)[text]
+			rel.MustAppend(twin...)
+			for _, factName := range db.RelationNames() {
+				fact := db.Relation(factName)
+				for _, fk := range fact.Foreign {
+					if fk.RefRelation != name || db.Kind(factName) != relation.KindUnknown {
+						continue
+					}
+					col := fact.ColumnIndex(fk.Column)
+					for r := range fact.NumRows() {
+						if row := fact.Row(r); row[col].Equal(like) {
+							row[col] = twin[pk]
+							fact.MustAppend(row...)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestExecuteReducedMatchesUnreduced is the independent check on the
 // executor's reduce stage. Every discovery of a request pool over IMDb,
 // DBLP, Adult and fuzzDB (the attribute-table shape, a relation under
-// indexMinRows) — default parameters, with disjunctions, with
+// indexMinRows), each given entities whose names collide (addNameTwins)
+// — default parameters, with disjunctions, with
 // normalized strengths, whose filters a plan carries as a key list, and
 // the optimistic QRE preset, whose plans carry the most filters —
 // has its plan, and every planMutations rewrite of it, executed by
@@ -130,6 +179,10 @@ func TestExecuteReducedMatchesUnreduced(t *testing.T) {
 	imdb := datagen.GenerateIMDb(scale.IMDb)
 	dblp := datagen.GenerateDBLP(scale.DBLP)
 	adult := datagen.GenerateAdult(scale.Adult)
+	academics := fuzzDB()
+	for _, db := range []*Database{imdb.DB, dblp.DB, adult.DB, academics} {
+		addNameTwins(db, 12)
+	}
 	datasets := []struct {
 		name   string
 		db     *Database
@@ -139,7 +192,7 @@ func TestExecuteReducedMatchesUnreduced(t *testing.T) {
 		{"imdb", imdb.DB, examplePool(t, imdb.DB, benchqueries.IMDbBenchmarks(imdb)), true},
 		{"dblp", dblp.DB, examplePool(t, dblp.DB, benchqueries.DBLPBenchmarks(dblp)), false},
 		{"adult", adult.DB, examplePool(t, adult.DB, benchqueries.AdultBenchmarks(context.Background(), adult, 11)), false},
-		{"academics", fuzzDB(), fuzzExampleSets, false},
+		{"academics", academics, fuzzExampleSets, false},
 	}
 	disjunctive, normalized := DefaultParams(), DefaultParams()
 	disjunctive.MaxDisjunction = 3
@@ -189,6 +242,7 @@ func TestExecuteReducedMatchesUnreduced(t *testing.T) {
 					plan := d.Plan()
 					at := fmt.Sprintf("%s/%s/set %d", ds.name, state, i)
 					compare(at, plan, cold)
+					checkExecutedPlan(t, at, sys, d)
 					if len(plan.Intersect) == 0 && nestedLoopSteps(db, plan) < 3_000_000 {
 						nested++
 						if len(plan.From) > 1 {

@@ -132,6 +132,40 @@ func TestSnapshotRoundTripAfterInsert(t *testing.T) {
 	}
 }
 
+// TestSnapshotSaveLoadSaveIdentical: a loaded system saves to the bytes
+// it was loaded from — fresh, and after inserts, whose derived rows the
+// load puts back in cold-build order without changing what the file
+// holds.
+func TestSnapshotSaveLoadSaveIdentical(t *testing.T) {
+	sys, _ := snapshotSystem(t)
+	save := func(s *System) []byte {
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, state := range []string{"fresh", "after inserts"} {
+		if state == "after inserts" {
+			if err := sys.InsertBatchContext(context.Background(), []InsertOp{
+				{Rel: "person", Vals: []Value{IntVal(900002), StringVal("Resaved Actor"), StringVal("Female"), IntVal(1975), IntVal(1)}},
+				{Rel: "castinfo", Vals: []Value{IntVal(900002), IntVal(1), IntVal(1)}},
+				{Rel: "castinfo", Vals: []Value{IntVal(1), IntVal(2), IntVal(1)}},
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		first := save(sys)
+		loaded, err := Load(bytes.NewReader(first))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if second := save(loaded); !bytes.Equal(first, second) {
+			t.Errorf("%s: Save → Load → Save wrote %d bytes, then %d different ones", state, len(first), len(second))
+		}
+	}
+}
+
 // TestSnapshotVersionMismatch asserts the strict version policy: a
 // stream with a newer or an older version (v4, the format that still
 // stored every inverse beside the data it inverts, v3 and v2 before it)
@@ -209,13 +243,14 @@ func TestLoadRejectsDamagedParams(t *testing.T) {
 
 // TestSnapshotBytesPerRow is the file-size guard beside the heap one:
 // what Save of the bench-scale fixture writes, per base-relation row,
-// stays under a budget set about 8% above format v6 (105 B/row; v5,
-// which still stored a numeric property's cells beside its column,
-// wrote 106, and v4, which stored every inverse beside the data it
+// stays under a budget set about 8% above format v7 (41 B/row; v6,
+// which still stored the derived relations the base facts determine,
+// wrote 105, v5, which also stored a numeric property's cells beside its
+// column, 106, and v4, which stored every inverse beside the data it
 // inverts, 148). A block that creeps back into the format fails here
 // before it reaches the benchmark's snapshot_mb.
 func TestSnapshotBytesPerRow(t *testing.T) {
-	const budget = 113 // B/row
+	const budget = 44 // B/row
 	sys, err := Build(datagen.GenerateIMDb(benchScale().IMDb).DB, DefaultBuildConfig())
 	if err != nil {
 		t.Fatal(err)
