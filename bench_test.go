@@ -227,8 +227,8 @@ func BenchmarkDiscovery(b *testing.B) {
 // intent_cold: the difference is the row sets the discovery builds. The
 // warm arms run on a fresh Build; the inserted arms run warm on the
 // state the benchmark discovers in (afterInserts: Save, Load and 24
-// insert batches), where the derived count columns read through their
-// patches and the indexes through their tails. ns/op, B/op and
+// insert batches), where the derived count columns read from chunks the
+// batches overwrote and the indexes through their tails. ns/op, B/op and
 // allocs/op are per discovery.
 func BenchmarkDiscoverPool(b *testing.B) {
 	g, cfg := benchmarkScaleIMDb()
@@ -427,7 +427,8 @@ func benchmarkScaleIMDb() (*datagen.IMDb, datagen.IMDbConfig) {
 // afterInserts returns built in the state the repository benchmark's
 // reads meet it: through Save and Load as the benchmark boots, then 24
 // insert batches of the benchmark's shape — three insert blocks — so the
-// derived count columns carry patches and the hash indexes carry tails.
+// derived count columns hold chunks the batches overwrote and the hash
+// indexes carry tails.
 func afterInserts(tb testing.TB, built *System, cfg datagen.IMDbConfig) *System {
 	tb.Helper()
 	var snap bytes.Buffer

@@ -69,61 +69,83 @@ func meanStd(vals []float64) (mean, std float64) {
 	return mean, math.Sqrt(m2 / (n - 1))
 }
 
-// lambdaImpacts computes the outlier impact λ(φ) for every filter
-// (Appendix B). Basic filters always get λ = 1. Derived filters are
-// grouped into families sharing the same attribute; a family's
-// association-strength distribution Θ_A must be skewed beyond τs AND the
-// filter's θ must be an outlier ((θ − mean) > k·s) for λ = 1. Families
-// with fewer than 3 members treat every element as an outlier (and the
-// skewness test as passed), per the appendix.
-func lambdaImpacts(filters []*Filter, params Params) map[*Filter]float64 {
-	out := make(map[*Filter]float64, len(filters))
+// lambdaImpacts computes the outlier impact λ(φ) of every filter
+// (Appendix B), indexed like filters. Basic filters always get λ = 1.
+// Derived filters are grouped into families sharing the same attribute;
+// a family's association-strength distribution Θ_A must be skewed
+// beyond τs AND the filter's θ must be an outlier ((θ − mean) > k·s)
+// for λ = 1. Families with fewer than 3 members treat every element as
+// an outlier (and the skewness test as passed), per the appendix. A
+// family's strengths are read in filter order, so the sums behind its
+// statistics are the same whatever else the filters hold.
+func lambdaImpacts(filters []*Filter, params Params) []float64 {
+	out := make([]float64, len(filters))
 	if params.DisableOutlier {
-		for _, f := range filters {
-			out[f] = 1
+		for i := range out {
+			out[i] = 1
 		}
 		return out
 	}
-	// Group derived filters by family (same derived property).
-	type family struct {
-		members   []*Filter
-		strengths []float64
-	}
-	families := make(map[string]*family)
-	for _, f := range filters {
+	// head[i] is the first filter of derived filter i's family: the one
+	// before it when that one shares the family (a property's contexts
+	// come together), else an earlier head that does, else i itself.
+	head := make([]int32, len(filters))
+	for i, f := range filters {
 		if f.Kind != Derived {
-			out[f] = 1
+			out[i] = 1
 			continue
 		}
-		key := f.Derivd.Entity + "\x00" + f.Derivd.Attr
-		fam := families[key]
-		if fam == nil {
-			fam = &family{}
-			families[key] = fam
+		head[i] = int32(i)
+		if i > 0 && filters[i-1].Kind == Derived && sameFamily(filters[i-1], f) {
+			head[i] = head[i-1]
+			continue
 		}
-		fam.members = append(fam.members, f)
-		fam.strengths = append(fam.strengths, f.effectiveStrength())
+		for j := range i {
+			if filters[j].Kind == Derived && head[j] == int32(j) && sameFamily(filters[j], f) {
+				head[i] = int32(j)
+				break
+			}
+		}
 	}
-	for _, fam := range families {
-		if len(fam.members) < 3 {
+	var strengths []float64
+	for h, f := range filters {
+		if f.Kind != Derived || head[h] != int32(h) {
+			continue
+		}
+		strengths = strengths[:0]
+		for i := h; i < len(filters); i++ {
+			if filters[i].Kind == Derived && head[i] == int32(h) {
+				strengths = append(strengths, filters[i].effectiveStrength())
+			}
+		}
+		if len(strengths) < 3 {
 			// Skewness undefined: assume all elements are outliers.
-			for _, f := range fam.members {
-				out[f] = 1
+			for i := h; i < len(filters); i++ {
+				if filters[i].Kind == Derived && head[i] == int32(h) {
+					out[i] = 1
+				}
 			}
 			continue
 		}
-		skew, ok := skewness(fam.strengths)
-		mean, std := meanStd(fam.strengths)
-		for _, f := range fam.members {
-			isOutlier := std > 0 && (f.effectiveStrength()-mean) > params.OutlierK*std
+		skew, ok := skewness(strengths)
+		mean, std := meanStd(strengths)
+		for i := h; i < len(filters); i++ {
+			if filters[i].Kind != Derived || head[i] != int32(h) {
+				continue
+			}
+			isOutlier := std > 0 && (filters[i].effectiveStrength()-mean) > params.OutlierK*std
 			if ok && skew > params.TauS && isOutlier {
-				out[f] = 1
-			} else {
-				out[f] = 0
+				out[i] = 1
 			}
 		}
 	}
 	return out
+}
+
+// sameFamily reports whether two derived filters constrain the same
+// attribute of the same entity.
+func sameFamily(a, b *Filter) bool {
+	return a.Derivd == b.Derivd || a.Derivd.Entity == b.Derivd.Entity && a.Derivd.Attr == b.Derivd.Attr
 }
 
 // alphaImpact computes the association-strength impact α(φ) (§4.2.2):
@@ -182,7 +204,7 @@ func abduceCtx(ctx context.Context, pool *workPool, contexts []Context, params P
 	as.Add(trace.CounterContexts, int64(len(contexts)))
 	decisions := make([]FilterDecision, 0, len(contexts))
 	var selected []*Filter
-	for _, c := range contexts {
+	for i, c := range contexts {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
@@ -190,7 +212,7 @@ func abduceCtx(ctx context.Context, pool *workPool, contexts []Context, params P
 		psi := f.Selectivity()
 		delta := params.deltaImpact(f.DomainCoverage())
 		alpha := alphaImpact(f, params)
-		lambda := lambdas[f]
+		lambda := lambdas[i]
 		prior := params.Rho * delta * alpha * lambda
 
 		include := prior // Pr*(x|φ) = 1

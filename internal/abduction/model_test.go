@@ -70,11 +70,11 @@ func TestFig8CaseA(t *testing.T) {
 	params.OutlierK = 1
 	fs := mkDerivedFilters(t, []int{30, 25, 3, 2, 1})
 	lambdas := lambdaImpacts(fs, params)
-	if lambdas[fs[0]] != 1 {
-		t.Errorf("λ(Comedy,30)=%v want 1", lambdas[fs[0]])
+	if lambdas[0] != 1 {
+		t.Errorf("λ(Comedy,30)=%v want 1", lambdas[0])
 	}
-	if lambdas[fs[2]] != 0 || lambdas[fs[3]] != 0 || lambdas[fs[4]] != 0 {
-		t.Errorf("low filters must get λ=0: %v %v %v", lambdas[fs[2]], lambdas[fs[3]], lambdas[fs[4]])
+	if lambdas[2] != 0 || lambdas[3] != 0 || lambdas[4] != 0 {
+		t.Errorf("low filters must get λ=0: %v %v %v", lambdas[2], lambdas[3], lambdas[4])
 	}
 }
 
@@ -83,9 +83,9 @@ func TestFig8CaseA(t *testing.T) {
 func TestFig8CaseB(t *testing.T) {
 	fs := mkDerivedFilters(t, []int{12, 10, 10, 9, 9})
 	lambdas := lambdaImpacts(fs, DefaultParams())
-	for i, f := range fs {
-		if lambdas[f] != 0 {
-			t.Errorf("filter %d: λ=%v want 0 (flat family)", i, lambdas[f])
+	for i := range fs {
+		if lambdas[i] != 0 {
+			t.Errorf("filter %d: λ=%v want 0 (flat family)", i, lambdas[i])
 		}
 	}
 }
@@ -94,8 +94,42 @@ func TestLambdaSmallFamilyAllOutliers(t *testing.T) {
 	// n < 3: skewness undefined, all elements treated as outliers.
 	fs := mkDerivedFilters(t, []int{7, 3})
 	lambdas := lambdaImpacts(fs, DefaultParams())
-	if lambdas[fs[0]] != 1 || lambdas[fs[1]] != 1 {
-		t.Errorf("small family must have λ=1: %v %v", lambdas[fs[0]], lambdas[fs[1]])
+	if lambdas[0] != 1 || lambdas[1] != 1 {
+		t.Errorf("small family must have λ=1: %v %v", lambdas[0], lambdas[1])
+	}
+}
+
+// TestLambdaInterleavedFamilies: λ groups filters by family wherever
+// they sit in the list. Case A's family interleaved with Case B's and
+// with a basic filter decides as each family does alone.
+func TestLambdaInterleavedFamilies(t *testing.T) {
+	params := DefaultParams()
+	params.TauS = 0.5
+	params.OutlierK = 1
+	caseA := mkDerivedFilters(t, []int{30, 25, 3, 2, 1})
+	caseB := mkDerivedFilters(t, []int{12, 10, 10, 9, 9})
+	degree := actorsDB(t, 30, 20, 9).Entity("person").DerivedByAttr("movie:count")
+	if degree == nil {
+		t.Fatal("fixture missing a second derived property")
+	}
+	for _, f := range caseB {
+		f.Derivd = degree
+	}
+	basic := &Filter{Kind: BasicCategorical, Basic: fig6DB(t).Entity("person").BasicByAttr("gender"), Values: []string{"Male"}}
+	var fs []*Filter
+	for i := range caseA {
+		fs = append(fs, caseA[i], caseB[i])
+	}
+	fs = append(fs, basic)
+	got := lambdaImpacts(fs, params)
+	wantA, wantB := lambdaImpacts(caseA, params), lambdaImpacts(caseB, params)
+	for i := range caseA {
+		if got[2*i] != wantA[i] || got[2*i+1] != wantB[i] {
+			t.Errorf("member %d: λ %v and %v interleaved, %v and %v alone", i, got[2*i], got[2*i+1], wantA[i], wantB[i])
+		}
+	}
+	if got[len(fs)-1] != 1 || wantA[0] != 1 || wantA[4] != 0 {
+		t.Errorf("basic λ = %v, Case A alone %v", got[len(fs)-1], wantA)
 	}
 }
 
@@ -104,8 +138,8 @@ func TestLambdaBasicAlwaysOne(t *testing.T) {
 	prop := a.Entity("person").BasicByAttr("gender")
 	f := &Filter{Kind: BasicCategorical, Basic: prop, Values: []string{"Male"}}
 	lambdas := lambdaImpacts([]*Filter{f}, DefaultParams())
-	if lambdas[f] != 1 {
-		t.Errorf("basic λ=%v", lambdas[f])
+	if lambdas[0] != 1 {
+		t.Errorf("basic λ=%v", lambdas[0])
 	}
 }
 
@@ -114,8 +148,8 @@ func TestLambdaDisabled(t *testing.T) {
 	params.DisableOutlier = true
 	fs := mkDerivedFilters(t, []int{12, 10, 10, 9, 9})
 	lambdas := lambdaImpacts(fs, params)
-	for _, f := range fs {
-		if lambdas[f] != 1 {
+	for i := range fs {
+		if lambdas[i] != 1 {
 			t.Error("τs=N/A must force λ=1")
 		}
 	}

@@ -717,7 +717,7 @@ func (p *BasicProperty) buildNumStats(col *relation.Column) {
 	for i, c := range cells {
 		rows[i] = c.row
 	}
-	p.col, p.order = col, index.ChunkedOf(rows)
+	p.col, p.order = col, relation.ChunkedOf(rows)
 }
 
 // buildDirectProperty creates a basic property from a direct entity

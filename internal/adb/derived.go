@@ -308,14 +308,18 @@ func (a *Epoch) adjacencyOf(p *DerivedProperty) [][]int {
 // source code is translated to the derived value dictionary on its
 // first emission, so the rows come in entity-row order and then value
 // order, the dictionary holds its values in first-emission order, and
-// the columns grow as appending row by row would have grown them, so
-// the first insert finds the same spare capacity to append into. Each
-// row's (entity row, strength) pair is appended to its value's pair
-// list as the row is emitted, so every list is in entity-row order; a
-// chunk of a list is its own allocation, so a chunk an insert later
-// replaces is freed on its own instead of being pinned by its
-// neighbors' array. The relation and its entity index stay local until
-// deriveAll registers them.
+// the entity_id and value columns grow as appending row by row would
+// have grown them, so the first insert finds the same spare capacity to
+// append into. The count column is 4-byte cells in chunks
+// (relation.RestoreChunkedColumn), which an insert overwrites a chunk
+// at a time, and the entity index stores offsets only: the rows come in
+// key order (index.IntHash). Each row's (entity row, strength) pair is
+// appended to its value's pair list as the row is emitted, so every
+// list is in entity-row order. A chunk of a pair list or of the count
+// column is its own allocation, so a chunk an insert later replaces is
+// freed on its own instead of being pinned by its neighbors' array. The
+// relation and its entity index stay local until deriveAll registers
+// them.
 func (a *Epoch) materializeDerived(p *DerivedProperty, adjacency [][]int) {
 	c := p.reader(a)
 	via := a.DB.Relation(p.Via)
@@ -333,10 +337,11 @@ func (a *Epoch) materializeDerived(p *DerivedProperty, adjacency [][]int) {
 	// derived code plus one, zero until the code is first emitted.
 	count, derived := make([]int32, n), make([]int32, n)
 	var touched []int32
-	var ids, counts []int64
+	var ids []int64
 	var vals []int32
+	var counts relation.Chunked[uint32]
 	var dict []string
-	var pairs []index.Chunked[valCount]
+	var pairs []relation.Chunked[valCount]
 	info := a.Entities[p.Entity]
 	pkCol := info.rel.Column(info.PK)
 	for eRow, viaRows := range adjacency {
@@ -357,13 +362,13 @@ func (a *Epoch) materializeDerived(p *DerivedProperty, adjacency [][]int) {
 		for _, code := range touched {
 			if derived[code] == 0 {
 				dict = append(dict, c.decode(code))
-				pairs = append(pairs, index.Chunked[valCount]{})
+				pairs = append(pairs, relation.Chunked[valCount]{})
 				derived[code] = int32(len(dict))
 			}
 			d := derived[code] - 1
 			ids = append(ids, id)
 			vals = append(vals, d)
-			counts = append(counts, int64(count[code]))
+			counts.Append(nil, uint32(count[code]))
 			pairs[d].Append(nil, valCount{entityRow: uint32(eRow), count: uint32(count[code])})
 			count[code] = 0
 		}
@@ -373,7 +378,7 @@ func (a *Epoch) materializeDerived(p *DerivedProperty, adjacency [][]int) {
 		[]*relation.Column{
 			relation.RestoreIntColumn("entity_id", ids, nil),
 			relation.RestoreStringColumn("value", vals, relation.RestoreDict(dict), nil),
-			relation.RestoreIntColumn("count", counts, nil),
+			relation.RestoreChunkedColumn("count", counts, nil),
 		}, len(ids))
 	p.memo = newRowSetMemo(a.selCache)
 	p.byEntity = index.BuildIntHash(p.rel, "entity_id")
@@ -381,5 +386,5 @@ func (a *Epoch) materializeDerived(p *DerivedProperty, adjacency [][]int) {
 	for d := range pairs {
 		stats[d] = newCodeStats(pairs[d])
 	}
-	p.codes = index.ChunkedOf(stats)
+	p.codes = relation.ChunkedOf(stats)
 }

@@ -191,7 +191,7 @@ type EpochStats struct {
 	// collected (readers may still pin them); RetainedBytes is what
 	// those epochs keep alive on their own: the bytes the publishes
 	// that retired them copied instead of sharing (chunks, index tails
-	// and folds, count-column patches).
+	// and folds, count-column chunks).
 	Retired       int64
 	RetainedBytes int64
 }
@@ -252,8 +252,8 @@ func (a *AlphaDB) publish(eb *epochBuilder, sp trace.Span) {
 
 	// GC telemetry: cur just retired. Everything the builder did not
 	// copy, cur shares with next; what it did copy — chunks and chunk
-	// tables, index and inverted-index tails and folded bases, the
-	// patches of the derived count columns — has an original of about
+	// tables (the derived count columns' among them), index and
+	// inverted-index tails and folded bases — has an original of about
 	// the same size that only cur still references.
 	// Charge cur that, and let a finalizer credit it back once no reader
 	// pins it — the gap between publishes and finalizations is exactly

@@ -15,10 +15,10 @@ import (
 // global lock), an insert batch builds the next epoch: it clones the
 // headers of the relations, per-property statistics, and indexes the
 // batch touches, copies only the chunks and tails it writes into
-// (index.Chunked, index.IntHash, index.Jagged, index.Postings,
-// index.Inverted),
-// structurally shares everything else with the base epoch, and
-// publishes the result with one atomic pointer swap (AlphaDB.publish).
+// (relation.Chunked, index.IntHash, index.Jagged, index.Postings,
+// index.Inverted), structurally shares everything else with the base
+// epoch, and publishes the result with one atomic pointer swap
+// (AlphaDB.publish).
 // Readers pinned to older epochs are never stalled and never observe a
 // half-applied batch.
 //
@@ -56,7 +56,7 @@ type epochBuilder struct {
 	// the builder copies, and tallies the bytes copied (chunks, index
 	// tails and folds, updated columns) — what the epoch this publish
 	// retires keeps alive on its own.
-	gen *index.Gen
+	gen *relation.Gen
 
 	baseRels    map[string]*relation.Relation // privatized base relations
 	derivedRels map[string]*relation.Relation // privatized derived relations
@@ -106,7 +106,7 @@ func (eb *epochBuilder) noteApplied(rel string, vals []relation.Value) {
 // newEpochBuilder starts a writer on the current epoch, logging its
 // rows when a publish hook is attached.
 func (a *AlphaDB) newEpochBuilder() *epochBuilder {
-	gen, base := new(index.Gen), a.Snapshot()
+	gen, base := new(relation.Gen), a.Snapshot()
 	return &epochBuilder{
 		logRows:     a.publishHook != nil,
 		base:        base,
@@ -158,14 +158,15 @@ func readerOf[R any](eb *epochBuilder, p any, newReader func(source) R) *R {
 }
 
 // derivedRel privatizes a derived relation; bumps overwrite existing
-// cells of the count column, which land in the clone's patch (see
-// relation.Column.CloneForUpdate) — the storage itself stays shared.
+// cells of the count column through the writer's generation, which
+// copies a chunk of the column on its first write into it (see
+// relation.Column.CloneForUpdate) — the rest stays shared.
 func (eb *epochBuilder) derivedRel(name string) *relation.Relation {
 	if r := eb.derivedRels[name]; r != nil {
 		return r
 	}
 	r := eb.base.DerivedDB.Relation(name).CloneForWrite()
-	eb.gen.Copied += r.UpdateColumn("count")
+	r.UpdateColumn("count", eb.gen)
 	eb.derivedRels[name] = r
 	return r
 }
@@ -542,13 +543,14 @@ func (eb *epochBuilder) addContrib(entity string, i int, eRows []int, r *derived
 
 // bump increments the (entity, value) association strength by one on
 // the writer's private clones of the property, its derived relation
-// (count cell patched) and entity index (tail cloned), and the value's
-// pair list and histogram (one chunk of each copied on first touch).
+// (one chunk of the count column copied on first touch) and entity
+// index (tail cloned), and the value's pair list and histogram (one
+// chunk of each copied on first touch).
 func (eb *epochBuilder) bump(p *DerivedProperty, entityID int64, eRow int, v string) {
 	eb.bumped++
 	rel, byEnt := p.rel, p.byEntity
 	// Locate the existing derived row by comparing value codes.
-	vcol, ccol := rel.Column("value"), rel.Column("count")
+	vcol, ccol := p.columns()
 	code, known := vcol.Dict().Lookup(v)
 	old, found := 0, -1
 	if known {

@@ -125,7 +125,7 @@ type BasicProperty struct {
 	// order. A cell holds a value when it is neither NULL nor NaN (see
 	// numCell). The order within one value is unspecified.
 	col   *relation.Column
-	order index.Chunked[uint32]
+	order relation.Chunked[uint32]
 
 	numEntities int
 	memo        *rowSetMemo
@@ -140,7 +140,7 @@ func (p *BasicProperty) NumEntities() int { return p.numEntities }
 // writes into it, and shares the rest with the retired epoch — the
 // categorical lists clone their tails (or fold them into a fresh base),
 // and the memo starts empty (see rowSetMemo).
-func (p *BasicProperty) cloneForWrite(g *index.Gen) *BasicProperty {
+func (p *BasicProperty) cloneForWrite(g *relation.Gen) *BasicProperty {
 	q := *p
 	q.valsByRow = p.valsByRow.Clone(g)
 	q.catRows = p.catRows.Clone(g)
@@ -214,7 +214,7 @@ func (p *BasicProperty) NumValue(row int) (float64, bool) {
 // insertNum re-points the property at the writer's column and places
 // its new row, when the row holds a value, after the equal values of
 // the order — the writer's generation copies the one chunk it touches.
-func (p *BasicProperty) insertNum(g *index.Gen, col *relation.Column, row int) {
+func (p *BasicProperty) insertNum(g *relation.Gen, col *relation.Column, row int) {
 	p.col = col
 	v, ok := numCell(col, row)
 	if !ok {
@@ -499,7 +499,7 @@ type DerivedProperty struct {
 	rel      *relation.Relation
 	byEntity *index.IntHash
 	// codes[code] holds the statistics of one value (see codeStats).
-	codes       index.Chunked[codeStats]
+	codes       relation.Chunked[codeStats]
 	numEntities int
 	memo        *rowSetMemo
 }
@@ -510,17 +510,17 @@ type codeStats struct {
 	// entity row — the invariant behind the O(log n) StrengthOf lookup
 	// and the merge-intersection of the abduction layer. The builder
 	// emits rows in order; incremental bumps insert in place.
-	pairs index.Chunked[valCount]
+	pairs relation.Chunked[valCount]
 	// ge is the strength histogram in suffix-count form: ge[θ-1] is
 	// the number of entities associated at strength ≥ θ, so its length
 	// is the largest strength, ψ(φ⟨Attr,v,θ⟩) is one read, and a bump
 	// from c to c+1 is ge[c]++. It is derived from pairs at build and
 	// load, never stored.
-	ge index.Chunked[int32]
+	ge relation.Chunked[int32]
 }
 
 // newCodeStats derives the histogram of a finished pair list.
-func newCodeStats(pairs index.Chunked[valCount]) codeStats {
+func newCodeStats(pairs relation.Chunked[valCount]) codeStats {
 	maxCount := 0
 	for ci := 0; ci < pairs.NumChunks(); ci++ {
 		for _, vc := range pairs.Chunk(ci) {
@@ -536,7 +536,7 @@ func newCodeStats(pairs index.Chunked[valCount]) codeStats {
 	for i := maxCount - 2; i >= 0; i-- {
 		ge[i] += ge[i+1]
 	}
-	return codeStats{pairs: pairs, ge: index.ChunkedOf(ge)}
+	return codeStats{pairs: pairs, ge: relation.ChunkedOf(ge)}
 }
 
 // find locates entity row in the pair list: the chunk and offset where
@@ -578,9 +578,23 @@ func (p *DerivedProperty) cloneForWrite() *DerivedProperty {
 // Relation returns the materialized derived relation.
 func (p *DerivedProperty) Relation() *relation.Relation { return p.rel }
 
+// The columns of a derived relation, by position: (entity_id, value,
+// count).
+const (
+	derivedValueCol = 1
+	derivedCountCol = 2
+)
+
+// columns returns the derived relation's value and count columns by
+// position, without a lookup by name.
+func (p *DerivedProperty) columns() (value, count *relation.Column) {
+	cols := p.rel.Columns()
+	return cols[derivedValueCol], cols[derivedCountCol]
+}
+
 // valueDict returns the dictionary of the derived relation's value
 // column, which keys every per-value statistic.
-func (p *DerivedProperty) valueDict() *relation.Dict { return p.rel.Column("value").Dict() }
+func (p *DerivedProperty) valueDict() *relation.Dict { return p.rel.Columns()[derivedValueCol].Dict() }
 
 // Dict returns the value dictionary the property's codes index into.
 func (p *DerivedProperty) Dict() *relation.Dict { return p.valueDict() }
@@ -608,7 +622,7 @@ func (p *DerivedProperty) Counts(entityID int64) map[string]int {
 		return nil
 	}
 	out := make(map[string]int, len(base)+len(tail))
-	vcol, ccol := p.rel.Column("value"), p.rel.Column("count")
+	vcol, ccol := p.columns()
 	for _, run := range [2][]uint32{base, tail} {
 		for _, r := range run {
 			out[vcol.Str(int(r))] = int(ccol.Int64(int(r)))
@@ -632,7 +646,7 @@ func (p *DerivedProperty) AppendCounts(dst []CodeCount, entityID int64) []CodeCo
 	if len(base)+len(tail) == 0 {
 		return dst
 	}
-	vcol, ccol := p.rel.Column("value"), p.rel.Column("count")
+	vcol, ccol := p.columns()
 	for _, run := range [2][]uint32{base, tail} {
 		for _, r := range run {
 			dst = append(dst, CodeCount{Code: vcol.Code(int(r)), Count: int(ccol.Int64(int(r)))})

@@ -3,6 +3,7 @@ package adb
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -125,7 +126,17 @@ func TestDecodeRejectsOutOfRangeBlocks(t *testing.T) {
 			setCell(person, 0, "count", relation.IntVal(0))
 		}},
 		{"pair count negative", true, func(person *EntityInfo) {
-			setCell(person, 0, "count", relation.IntVal(-1))
+			// No chunked count cell holds one: the damage is a flat
+			// column in the count column's place.
+			p := person.DerivedByAttr("movie:genre")
+			cols := slices.Clone(p.rel.Columns())
+			counts := make([]int64, p.rel.NumRows())
+			for row := range counts {
+				counts[row] = cols[derivedCountCol].Int64(row)
+			}
+			counts[0] = -1
+			cols[derivedCountCol] = relation.RestoreIntColumn("count", counts, nil)
+			p.rel = relation.Restore(p.rel.Name, "", p.rel.Foreign, cols, p.rel.NumRows())
 		}},
 		{"pair count past the database", true, func(person *EntityInfo) {
 			setCell(person, 0, "count", relation.IntVal(1<<31))

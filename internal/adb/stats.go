@@ -51,8 +51,7 @@ type Stats struct {
 
 	// Epoch-chain GC telemetry: retired epochs not yet collected and
 	// the bytes they keep alive on their own (what the publishes that
-	// retired them copied: chunks, index tails and folds, count-column
-	// patches).
+	// retired them copied: chunks, index tails and folds).
 	EpochRetired       int64
 	EpochRetainedBytes int64
 }
@@ -61,12 +60,14 @@ type Stats struct {
 // figure counted from lengths and element widths rather than sampled.
 // The dictionaries' maps are not attributed yet.
 type ResidentBytes struct {
-	// Columns and DerivedColumns are the cell storage, dictionaries
-	// (with the rank tables the read path has built over them so far)
-	// and update patches of the base and the derived relations.
+	// Columns and DerivedColumns are the cell storage (a derived count
+	// column's 4-byte cells and chunk table) and dictionaries (with the
+	// rank tables the read path has built over them so far) of the base
+	// and the derived relations.
 	Columns, DerivedColumns int64
-	// HashIndexBase and HashIndexTail are the flat bases and the tail
-	// maps of the resident hash indexes.
+	// HashIndexBase and HashIndexTail are the flat bases (a key-ordered
+	// base's offsets, and the identity vector its rows read once) and
+	// the tail maps of the resident hash indexes.
 	HashIndexBase, HashIndexTail int64
 	// Inverted is the inverted index: its key maps and its posting
 	// lists, base and tail.

@@ -454,10 +454,13 @@ type kernelShape struct {
 	// oneDict makes r0.s and r1.s share a dictionary, so TEXT ⋈ TEXT
 	// compares codes without translating them.
 	oneDict bool
-	// patch is how many cells of k and v an update clone overwrites:
-	// under the fold they stay in the patch, past it a second clone
-	// folds them into fresh storage and a few more land on top.
-	patch int
+	// chunked names the INTEGER columns of r0 and r1 stored as 4-byte
+	// cells in chunks, which the executor reads through Int64 rather
+	// than in place; update is how many rows of r0 an update clone
+	// overwrites in them (five of r1's), and a second clone a few more
+	// on top, once update passes the chunks of r0.
+	chunked []string
+	update  int
 }
 
 // kernelRows is r0's size: two whole blocks and a short third.
@@ -473,7 +476,7 @@ var kernelShapes = []kernelShape{
 		}
 		return k
 	}},
-	{name: "sparse keys, one dictionary, patched under the fold", oneDict: true, patch: 40, key: func(rng *rand.Rand, hit bool) int64 {
+	{name: "sparse keys, one dictionary, chunked keys and values", oneDict: true, chunked: []string{"k", "v"}, update: 40, key: func(rng *rand.Rand, hit bool) int64 {
 		// A key every thousand: no bitmap, range test and hash only.
 		k := 1000 * int64(rng.Intn(30))
 		if !hit {
@@ -481,7 +484,7 @@ var kernelShapes = []kernelShape{
 		}
 		return k
 	}},
-	{name: "negative keys, patched past the fold", patch: kernelRows/64 + 80, key: func(rng *rand.Rand, hit bool) int64 {
+	{name: "negative keys, chunked values overwritten twice", chunked: []string{"v"}, update: kernelRows/64 + 80, key: func(rng *rand.Rand, hit bool) int64 {
 		k := -10 - 3*int64(rng.Intn(20))
 		if !hit {
 			k = -80 + int64(rng.Intn(90))*3 + 1
@@ -566,25 +569,47 @@ func genKernelDatabase(rng *rand.Rand, sh kernelShape) *relation.Database {
 		cols[r1.ColumnIndex("s")] = relation.RestoreStringColumn("s", codes, dict, old.RawNulls())
 		db = db.CloneWith(map[string]*relation.Relation{"r1": relation.Restore("r1", "", nil, cols, r1.NumRows())})
 	}
-	if sh.patch > 0 {
-		// An update clone moves keys and predicate cells of r0 and r1,
-		// NULLs among them, matches made and unmade.
-		overwrite := func(name string, cells int) {
-			r := db.Relation(name).CloneForWrite()
-			r.UpdateColumn("k")
-			r.UpdateColumn("v")
-			for ; cells > 0; cells-- {
-				row := rng.Intn(r.NumRows())
-				must(r.Column("k").Set(row, orNull(relation.IntVal(sh.key(rng, rng.Intn(2) == 0)))))
-				must(r.Column("v").Set(row, orNull(relation.IntVal(int64(rng.Intn(10))))))
+	if sh.chunked == nil {
+		return db
+	}
+	for _, name := range []string{"r0", "r1"} {
+		r := db.Relation(name)
+		cols := slices.Clone(r.Columns())
+		for _, c := range sh.chunked {
+			old := r.Column(c)
+			cells := make([]uint32, r.NumRows())
+			for row := range cells {
+				if !old.IsNull(row) {
+					cells[row] = uint32(old.Int64(row))
+				}
 			}
-			db = db.CloneWith(map[string]*relation.Relation{name: r})
+			cols[r.ColumnIndex(c)] = relation.RestoreChunkedColumn(c, relation.ChunkedOf(cells), slices.Clone(old.RawNulls()))
 		}
-		overwrite("r0", sh.patch)
-		overwrite("r1", 5)
-		if sh.patch > kernelRows/64 {
-			overwrite("r0", 7) // the clone folds the first patch, these stay on top
+		db = db.CloneWith(map[string]*relation.Relation{name: relation.Restore(name, "", nil, cols, r.NumRows())})
+	}
+	// An update clone moves keys and predicate cells of r0 and r1,
+	// NULLs among them, matches made and unmade.
+	overwrite := func(name string, cells int) {
+		r, g := db.Relation(name).CloneForWrite(), new(relation.Gen)
+		for _, c := range sh.chunked {
+			r.UpdateColumn(c, g)
 		}
+		for ; cells > 0; cells-- {
+			row := rng.Intn(r.NumRows())
+			for _, c := range sh.chunked {
+				v := int64(rng.Intn(10))
+				if c == "k" {
+					v = sh.key(rng, rng.Intn(2) == 0)
+				}
+				must(r.Column(c).Set(row, orNull(relation.IntVal(v))))
+			}
+		}
+		db = db.CloneWith(map[string]*relation.Relation{name: r})
+	}
+	overwrite("r0", sh.update)
+	overwrite("r1", 5)
+	if sh.update > kernelRows/64 {
+		overwrite("r0", 7) // over chunks the first clone copied and shares
 	}
 	return db
 }
@@ -657,7 +682,7 @@ func kernelQueries() []*Query {
 func TestDifferentialKernels(t *testing.T) {
 	shapes := kernelShapes
 	if testing.Short() {
-		shapes = shapes[1:3] // no bitmap, a patch under and one past the fold
+		shapes = shapes[1:3] // no bitmap, both chunked shapes
 	}
 	for i, sh := range shapes {
 		db := genKernelDatabase(rand.New(rand.NewSource(int64(2200+i))), sh)

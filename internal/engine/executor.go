@@ -366,8 +366,7 @@ type rowPred struct {
 	nulls  []bool
 	member *index.RowSet
 
-	ints  []int64
-	patch map[int]int64 // non-nil: INTEGER cells overwritten over ints
+	ints  []int64 // nil for a chunked INTEGER column: read through Int64
 	cells []float64
 	codes []int32
 	strs  []string // the dictionary's values, for a TEXT range
@@ -388,7 +387,7 @@ func bindPred(p Pred, col *relation.Column) (rowPred, error) {
 	text := col.Type == relation.String
 	switch col.Type {
 	case relation.Int:
-		rp.ints, rp.patch = col.IntCells()
+		rp.ints = col.RawInts()
 	case relation.Float:
 		rp.cells = col.RawFloats()
 	default:
@@ -443,8 +442,6 @@ func (p *rowPred) cost() int {
 		return 0
 	case p.strs != nil:
 		return 4 // a string comparison
-	case p.patch != nil:
-		return 3 // a map lookup before the comparison
 	case len(p.keys) > 1:
 		return 2 // a binary search
 	}
@@ -463,11 +460,11 @@ func (p *rowPred) matches(row int) bool {
 	}
 	switch p.col.Type {
 	case relation.Int:
-		v := p.ints[row]
-		if p.patch != nil {
-			if pv, ok := p.patch[row]; ok {
-				v = pv
-			}
+		var v int64
+		if p.ints != nil {
+			v = p.ints[row]
+		} else {
+			v = p.col.Int64(row)
 		}
 		if p.keys != nil {
 			if _, ok := slices.BinarySearch(p.keys, v); ok {
@@ -1016,7 +1013,7 @@ func (k keyCol) key(row int) (int64, bool) {
 
 // keyBlocks reads the streamed side of a join a block of keys at a
 // time, straight from the column's storage: the words keyCol.key would
-// return, without its per-cell NULL test, kind switch and patch test. A
+// return, without its per-cell NULL test and kind switch. A
 // cell that has no key yields a word no table holds (a NaN's bits, -1
 // for a string the other dictionary lacks) — except a NULL cell, which
 // yields the zero its storage holds (NoCode for TEXT): the caller tests
@@ -1027,7 +1024,7 @@ type keyBlocks struct {
 	// n rows of the column in row order.
 	rows []int
 	n    int
-	// ints is the INTEGER storage — nil while a patch overlays it, when
+	// ints is the INTEGER storage — nil for a chunked column, whose
 	// cells are gathered through Column.Int64 instead.
 	ints  []int64
 	flts  []float64
@@ -1051,9 +1048,7 @@ func newKeyBlocks(k keyCol, rows []int, n int) *keyBlocks {
 	}
 	switch c := k.col; c.Type {
 	case relation.Int:
-		if ints, patch := c.IntCells(); patch == nil {
-			b.ints = ints
-		}
+		b.ints = c.RawInts()
 	case relation.Float:
 		b.flts = c.RawFloats()
 	default:

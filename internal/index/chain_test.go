@@ -5,58 +5,62 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
+
+	"squid/internal/relation"
 )
 
-// The epoch-isolation contract of the layered indexes and the chunked
-// vector: a writer clones the newest generation, mutates only its clone,
-// and every retired generation keeps answering exactly the state it was
-// retired in — although key tables, tail entries, base layers, chunk
-// tables and chunks are shared along the whole chain and appends land
-// past a retired generation's lengths in the same backing arrays. The
-// driver below replays an op stream against the real structures and one
-// plain map/slice oracle per generation, and compares every generation
-// at the end. The integer keys come in three regions — a small one, a
-// near one that bursts fill in until the index is dense, and a far one
-// on both sides of zero that makes it sparse for good — so a run folds
-// the IntHash out of and into both of its forms.
+// The epoch-isolation contract of the hash index: a writer clones the
+// newest generation, mutates only its clone, and every retired
+// generation keeps answering exactly the state it was retired in —
+// although key tables, tail entries and base layers are shared along
+// the whole chain and appends land past a retired generation's lengths
+// in the same backing arrays. The driver below replays an op stream
+// against two indexes and one plain map oracle per index and
+// generation, and compares every generation at the end.
+//
+// The first index starts empty. Its integer keys come in three regions
+// — a small one, a near one that bursts fill in until the index is
+// dense, and a far one on both sides of zero that makes it sparse for
+// good — so a run folds it out of and into both of its forms. The
+// second starts key-ordered, built over a sorted column: inserts in key
+// order keep it so through its folds, and one out of order makes the
+// next fold store its rows for good.
 
-// chainGen is one generation of every structure under test.
+// chainGen is one generation of both indexes.
 type chainGen struct {
-	ints *IntHash
-	pos  Chunked[int] // positional: Append, Set
-	srt  Chunked[int] // sorted: InsertAt in order
+	ints, ord *IntHash
 }
 
 // chainOracle is the plain-data model of one generation.
 type chainOracle struct {
-	ints map[int64][]uint32
-	pos  []int
-	srt  []int // kept sorted
+	ints, ord map[int64][]uint32
 }
 
-func (o *chainOracle) clone() *chainOracle {
-	q := &chainOracle{
-		ints: make(map[int64][]uint32, len(o.ints)),
-		pos:  append([]int(nil), o.pos...),
-		srt:  append([]int(nil), o.srt...),
-	}
-	for k, v := range o.ints {
-		q.ints[k] = append([]uint32(nil), v...)
+func cloneRows(m map[int64][]uint32) map[int64][]uint32 {
+	q := make(map[int64][]uint32, len(m))
+	for k, v := range m {
+		q[k] = slices.Clone(v)
 	}
 	return q
 }
 
+func (o *chainOracle) clone() *chainOracle {
+	return &chainOracle{ints: cloneRows(o.ints), ord: cloneRows(o.ord)}
+}
+
 // chainStats is what a run exercised.
 type chainStats struct {
-	generations, hashFolds, splits, sharedAppends int
-	// The IntHash: generations published in each form, folds out of
+	generations, hashFolds int
+	// The first index: generations published in each form, folds out of
 	// each, folds that changed the form, and retired generations compared
 	// with their oracle after their successor had folded the base they
 	// share away.
 	denseGens, sparseGens, foldsOutOfDense, foldsOutOfSparse int
 	denseToSparse, sparseToDense, readAfterFold              int
+	// The second: generations published key-ordered, and folds of a
+	// key-ordered base that kept the form or stored the rows.
+	orderedGens, orderKept, orderBroken int
 }
 
 // burstBase places a burst of 40 keys: an even b in one of 32 adjacent
@@ -76,18 +80,38 @@ func burstBase(b, near int) int64 {
 	}
 }
 
+// orderedBase is the second index's first generation: 256 rows, four to
+// each of the keys 0 to 63, in key order.
+func orderedBase(t *testing.T) (*IntHash, map[int64][]uint32) {
+	t.Helper()
+	keys := make([]int64, 256)
+	want := map[int64][]uint32{}
+	for row := range keys {
+		keys[row] = int64(row / 4)
+		want[keys[row]] = append(want[keys[row]], uint32(row))
+	}
+	h := BuildIntHash(intColumn(cellsOf(keys...)), "k")
+	if !h.ordered || h.lists.flat != nil {
+		t.Fatalf("a sorted column without NULLs built a base that stores its rows")
+	}
+	return h, want
+}
+
 // runCloneChain replays ops and fails t on the first divergence between
-// any generation and its oracle.
+// any generation and its oracle, or on any change to the identity
+// vector.
 func runCloneChain(t *testing.T, ops []byte) chainStats {
 	t.Helper()
 	var st chainStats
-	g := new(Gen)
-	live := &chainGen{ints: &IntHash{}}
-	model := &chainOracle{ints: map[int64][]uint32{}}
+	ord, ordWant := orderedBase(t)
+	live := &chainGen{ints: &IntHash{}, ord: ord}
+	model := &chainOracle{ints: map[int64][]uint32{}, ord: ordWant}
 	var retired []*chainGen
 	var models []*chainOracle
 	var foldedAway []bool // retired[i]'s successor folded
 	nextRow, near := 0, 0
+	ordRow, ordMax := 256, int64(63)
+	identities := [][]uint32{*identity.Load()}
 
 	next := func() int {
 		if len(ops) == 0 {
@@ -102,20 +126,11 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 		model.ints[k] = append(model.ints[k], uint32(nextRow))
 		nextRow++
 	}
-	insertSorted := func(x int) {
-		ci, off := live.srt.Search(func(y int) bool { return y >= x })
-		live.srt.InsertAt(g, ci, off, x)
-		at := sort.SearchInts(model.srt, x)
-		model.srt = append(model.srt, 0)
-		copy(model.srt[at+1:], model.srt[at:])
-		model.srt[at] = x
-	}
-	appendPos := func(x int) {
-		if n := live.pos.NumChunks(); n > 0 && live.pos.chunks[n-1].owner != g && len(live.pos.Chunk(n-1)) < cap(live.pos.Chunk(n-1)) {
-			st.sharedAppends++ // grows a chunk a retired generation still reads
-		}
-		live.pos.Append(g, x)
-		model.pos = append(model.pos, x)
+	insertOrd := func(k int64) {
+		live.ord.Insert(k, ordRow)
+		model.ord[k] = append(model.ord[k], uint32(ordRow))
+		ordRow++
+		ordMax = max(ordMax, k)
 	}
 
 	for len(ops) > 0 {
@@ -129,32 +144,23 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 			for i := int64(0); i < 40; i++ {
 				insertKey(base + i)
 			}
-		case 3:
-			appendPos(next())
-		case 4:
-			if n := len(model.pos); n > 0 {
-				i, x := (next()<<8|next())%n, next()
-				live.pos.Set(g, i, x)
-				model.pos[i] = x
-			}
-		case 5:
-			insertSorted(next()<<8 | next())
-		case 6: // a run of sorted inserts: chunks fill and split
-			x := next() << 8
-			for i := 0; i < 96; i++ {
-				insertSorted(x + 3*i)
-			}
+		case 3: // in key order: under the largest key or the next
+			insertOrd(ordMax + int64(next()%2))
+		case 4: // out of key order unless it draws the largest key
+			insertOrd(int64(next()) % (ordMax + 1))
+		case 5: // a run of rows in key order: the lists fold
 			for i := 0; i < 24; i++ {
-				appendPos(i)
+				insertOrd(ordMax + int64(i%2))
+			}
+		case 6: // new keys in ascending order: the key table folds
+			for i := 0; i < 40; i++ {
+				insertOrd(ordMax + 1)
 			}
 		case 7: // publish: retire the live generation, clone the next
 			retired, models = append(retired, live), append(models, model.clone())
 			prev := live
-			g = new(Gen)
-			live = &chainGen{
-				ints: prev.ints.Clone(g),
-				pos:  prev.pos, srt: prev.srt,
-			}
+			g := new(relation.Gen)
+			live = &chainGen{ints: prev.ints.Clone(g), ord: prev.ord.Clone(g)}
 			folded := len(prev.ints.ords.tail) > 0 && len(live.ints.ords.tail) == 0
 			foldedAway = append(foldedAway, folded)
 			switch {
@@ -178,15 +184,27 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 					}
 				}
 			}
+			if prev.ord.ordered {
+				st.orderedGens++
+				if &live.ord.lists.offs[0] != &prev.ord.lists.offs[0] { // folded
+					if live.ord.ordered {
+						st.orderKept++
+					} else {
+						st.orderBroken++
+					}
+				}
+			}
+			if cur := *identity.Load(); &cur[0] != &identities[len(identities)-1][0] {
+				identities = append(identities, cur)
+			}
 			st.generations++
 		}
 	}
-	if live.srt.ragged {
-		st.splits++
-	}
 	retired, models = append(retired, live), append(models, model)
 	for i := range retired {
-		checkChainGen(t, fmt.Sprintf("generation %d of %d", i, len(retired)), retired[i], models[i])
+		at := fmt.Sprintf("generation %d of %d", i, len(retired))
+		checkChainHash(t, at+": empty-start index", retired[i].ints, models[i].ints)
+		checkChainHash(t, at+": key-ordered index", retired[i].ord, models[i].ord)
 		if t.Failed() {
 			t.FailNow()
 		}
@@ -194,28 +212,38 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 			st.readAfterFold++
 		}
 	}
+	for _, v := range identities {
+		for i, x := range v {
+			if x != uint32(i) {
+				t.Fatalf("the identity vector holds %d at %d", x, i)
+			}
+		}
+	}
 	return st
 }
 
-func checkChainGen(t *testing.T, at string, got *chainGen, want *chainOracle) {
+func checkChainHash(t *testing.T, at string, got *IntHash, want map[int64][]uint32) {
 	t.Helper()
-	if got.ints.NumKeys() != len(want.ints) {
-		t.Errorf("%s: NumKeys = %d want %d", at, got.ints.NumKeys(), len(want.ints))
+	if got.NumKeys() != len(want) {
+		t.Errorf("%s: NumKeys = %d want %d", at, got.NumKeys(), len(want))
 	}
-	for k, rows := range want.ints {
-		if r := slices.Concat(got.ints.Rows(k)); !reflect.DeepEqual(r, rows) {
-			t.Errorf("%s: IntHash.Rows(%d) = %v want %v", at, k, r, rows)
+	if got.ordered && got.lists.flat != nil {
+		t.Errorf("%s: a key-ordered base stores %d rows", at, len(got.lists.flat))
+	}
+	for k, rows := range want {
+		if r := slices.Concat(got.Rows(k)); !reflect.DeepEqual(r, rows) {
+			t.Errorf("%s: Rows(%d) = %v want %v", at, k, r, rows)
 		}
-		if first, ok := got.ints.First(k); !ok || first != int(rows[0]) {
-			t.Errorf("%s: IntHash.First(%d) = %d, %v want %d", at, k, first, ok, rows[0])
+		if first, ok := got.First(k); !ok || first != int(rows[0]) {
+			t.Errorf("%s: First(%d) = %d, %v want %d", at, k, first, ok, rows[0])
 		}
 	}
 	// Keys a later generation inserted must stay absent here, and so
 	// must the neighbors of every present key: in a gap of the dense
 	// table, below its first slot, above its last.
 	absent := func(k int64) {
-		if _, has := want.ints[k]; !has {
-			if _, ok := got.ints.First(k); ok || slices.Concat(got.ints.Rows(k)) != nil {
+		if _, has := want[k]; !has {
+			if _, ok := got.First(k); ok || slices.Concat(got.Rows(k)) != nil {
 				t.Errorf("%s: absent key %d is visible", at, k)
 			}
 		}
@@ -223,54 +251,28 @@ func checkChainGen(t *testing.T, at string, got *chainGen, want *chainOracle) {
 	for k := int64(0); k < 64; k++ {
 		absent(k)
 	}
-	for k := range want.ints {
+	for k := range want {
 		absent(k - 1)
 		absent(k + 1)
-	}
-
-	checkChunked(t, at+": positional vector", &got.pos, want.pos)
-	checkChunked(t, at+": sorted vector", &got.srt, want.srt)
-}
-
-func checkChunked(t *testing.T, at string, got *Chunked[int], want []int) {
-	t.Helper()
-	if got.Len() != len(want) {
-		t.Errorf("%s: Len = %d want %d", at, got.Len(), len(want))
-		return
-	}
-	var flat []int
-	for ci := 0; ci < got.NumChunks(); ci++ {
-		c := got.Chunk(ci)
-		if len(c) == 0 || len(c) > chunkCap {
-			t.Errorf("%s: chunk %d holds %d elements", at, ci, len(c))
-		}
-		flat = append(flat, c...)
-	}
-	if len(want) > 0 && !reflect.DeepEqual(flat, want) {
-		t.Errorf("%s: chunks hold %v want %v", at, flat, want)
-		return
-	}
-	// At walks the chunks of a ragged vector: sample it.
-	for i := 0; i < len(want); i += 1 + len(want)/64 {
-		if got.At(i) != want[i] || *got.Ref(i) != want[i] {
-			t.Errorf("%s: At(%d) = %d want %d", at, i, got.At(i), want[i])
-			return
-		}
 	}
 }
 
 // chainOps draws an op stream of exactly generations publishes, each
 // op followed by the arguments runCloneChain reads for it. Bursts stay
-// near for the first two thirds of it, so the integer index has the
-// time to fill in and turn dense before a far burst makes it sparse
-// for good.
+// near for the first two thirds of it, so the first index has the time
+// to fill in and turn dense before a far burst makes it sparse for
+// good; the second takes its rows in key order for the first half, so
+// it folds key-ordered before a row out of order breaks the order.
 func chainOps(rng *rand.Rand, generations int) []byte {
-	args := [8]int{1, 1, 1, 1, 3, 2, 1, 0}
+	args := [8]int{1, 1, 1, 1, 1, 0, 0, 0}
 	var ops []byte
 	for published := 0; published < generations; {
 		op := byte(rng.Intn(8))
 		if op == 7 && rng.Intn(2) == 0 {
 			continue // a dozen writes per generation
+		}
+		if op == 4 && 2*published < generations {
+			op = 3
 		}
 		if op == 7 {
 			published++
@@ -288,12 +290,11 @@ func chainOps(rng *rand.Rand, generations int) []byte {
 
 // TestCloneChainIsolation drives 60 generations per seed and insists the
 // run crossed what the isolation argument is about: hash tails folded
-// more than once; the integer index was published in both
-// forms, folded out of each at least twice and from each into the
-// other, and retired generations were read after their successors had
-// folded; a sorted list split a chunk; and a partially filled last chunk
-// was appended through a clone while a retired generation still read
-// it.
+// more than once; the first index was published in both forms, folded
+// out of each at least twice and from each into the other, and retired
+// generations were read after their successors had folded; the second
+// was published key-ordered and folded both into the same form and out
+// of it.
 func TestCloneChainIsolation(t *testing.T) {
 	seeds := int64(2)
 	if testing.Short() {
@@ -302,12 +303,15 @@ func TestCloneChainIsolation(t *testing.T) {
 	for seed := int64(1); seed <= seeds; seed++ {
 		st := runCloneChain(t, chainOps(rand.New(rand.NewSource(seed)), 60))
 		t.Logf("seed %d: %+v", seed, st)
-		if st.generations != 60 || st.hashFolds < 2 || st.splits == 0 || st.sharedAppends == 0 {
+		if st.generations != 60 || st.hashFolds < 2 {
 			t.Errorf("seed %d exercised too little: %+v", seed, st)
 		}
 		if st.denseGens == 0 || st.sparseGens == 0 || st.foldsOutOfDense < 2 || st.foldsOutOfSparse < 2 ||
 			st.denseToSparse == 0 || st.sparseToDense == 0 || st.readAfterFold < 2 {
 			t.Errorf("seed %d did not fold through both base forms: %+v", seed, st)
+		}
+		if st.orderedGens == 0 || st.orderKept == 0 || st.orderBroken == 0 {
+			t.Errorf("seed %d did not fold a key-ordered base both ways: %+v", seed, st)
 		}
 	}
 }
@@ -323,46 +327,4 @@ func FuzzHashCloneChain(f *testing.F) {
 		}
 		runCloneChain(t, ops)
 	})
-}
-
-// TestChunkedSplitAndAppend pins the two chunk-boundary behaviors on
-// their own: an in-order insert into a full chunk splits it for the
-// writer only, and an append through a clone grows the shared last
-// chunk in place without the retired header seeing it.
-func TestChunkedSplitAndAppend(t *testing.T) {
-	var flat []int
-	for i := 0; i < 2*chunkCap; i++ {
-		flat = append(flat, 2*i)
-	}
-	old := ChunkedOf(flat)
-	next, g := old, new(Gen)
-	ci, off := next.Search(func(y int) bool { return y >= 101 })
-	next.InsertAt(g, ci, off, 101)
-	if old.NumChunks() != 2 || old.Len() != 2*chunkCap || old.ragged {
-		t.Fatalf("split leaked into the retired vector: %d chunks, %d elements", old.NumChunks(), old.Len())
-	}
-	if next.NumChunks() != 3 || !next.ragged || next.At(51) != 101 || next.At(52) != 102 {
-		t.Fatalf("split vector: %d chunks, At(51)=%d", next.NumChunks(), next.At(51))
-	}
-	if want := int64(chunkCap*8 + 2*32); g.Copied != want {
-		t.Errorf("split copied %d bytes, want one chunk and the table (%d)", g.Copied, want)
-	}
-
-	var v Chunked[int]
-	for i := 0; i < chunkCap+10; i++ {
-		v.Append(nil, i)
-	}
-	retiredV := v
-	g2 := new(Gen)
-	v.Append(g2, -1)
-	if retiredV.Len() != chunkCap+10 || len(retiredV.Chunk(1)) != 10 {
-		t.Fatalf("append through a clone changed the retired vector")
-	}
-	if v.At(chunkCap+10) != -1 || &v.Chunk(1)[0] != &retiredV.Chunk(1)[0] {
-		t.Errorf("append copied the shared last chunk instead of growing it in place")
-	}
-	v.Set(g2, chunkCap+3, -7)
-	if retiredV.At(chunkCap+3) != chunkCap+3 || v.At(chunkCap+3) != -7 {
-		t.Errorf("Set through a clone reached the retired vector")
-	}
 }

@@ -1,9 +1,12 @@
 package index
 
 import (
+	"cmp"
 	"maps"
 	"math"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"squid/internal/relation"
 )
@@ -66,17 +69,17 @@ func (t *keyTable[K]) due(baseKeys int) bool {
 // clone returns the table of a writer's clone: the base shared and the
 // tail copied — or, once due, merged with the base into a fresh one.
 // What it copies is charged to g.
-func (t *keyTable[K]) clone(g *Gen, baseKeys int) keyTable[K] {
+func (t *keyTable[K]) clone(g *relation.Gen, baseKeys int) keyTable[K] {
 	slot := elemSize[keySlot[K]]()
 	switch n := len(t.tail); {
 	case t.due(baseKeys):
 		base := make(map[K]uint32, len(t.base)+n)
 		maps.Copy(base, t.base)
 		maps.Copy(base, t.tail)
-		g.charge(int(relation.MapBytes(len(base), slot)))
+		g.Charge(int(relation.MapBytes(len(base), slot)))
 		return keyTable[K]{base: base}
 	case n > 0:
-		g.charge(int(relation.MapBytes(n, slot)))
+		g.Charge(int(relation.MapBytes(n, slot)))
 		return keyTable[K]{base: t.base, tail: maps.Clone(t.tail)}
 	}
 	return *t
@@ -130,11 +133,19 @@ func groupRows(ords []uint32, numKeys int) (post, offs []uint32) {
 //     either form the keys added since the fold that fall outside the
 //     window, with ordinals handed out past it.
 //
+// A base in key order — every row indexed, and the rows of each key
+// following those of every smaller key, as an entity's primary key and
+// a derived relation's entity_id are stored — holds its offsets and no
+// rows: list k's base run is rows offs[k] to offs[k+1]-1, served as a
+// view of the identity vector, so Rows answers as it does for any base.
+//
 // An insert appends its row to the key's list and copies nothing of the
 // base. Clone copies the key table's tail and clones the lists, which
 // fold on their own and keep their ordinals; once the key table's tail
-// passes the fold rule, Clone lays window, table and lists out afresh
-// instead, in the form the widened key range now takes.
+// passes the fold rule, or the lists' tails pass it over a key-ordered
+// base, Clone lays window, table and lists out afresh instead, in the
+// form the widened key range now takes, key-ordered again when the rows
+// still are.
 type IntHash struct {
 	lo    int64
 	width uint64
@@ -142,6 +153,48 @@ type IntHash struct {
 	lists Postings[uint32]
 	// keys counts the distinct keys.
 	keys int
+	// ordered marks a base in key order: lists.flat is nil.
+	ordered bool
+}
+
+// identity is the process-wide identity vector, (*identity)[i] = i: the
+// rows of every key-ordered base. It is never written after it is
+// published; growIdentity replaces it with a longer one, and a view of
+// an older one stays valid for as long as a reader holds it.
+var (
+	identity   atomic.Pointer[[]uint32]
+	identityMu sync.Mutex
+)
+
+// growIdentity makes the identity vector cover rows [0, n), growing it
+// by at least a quarter so a base that keeps growing replaces it
+// rarely.
+func growIdentity(n int) {
+	if cur := identity.Load(); cur != nil && len(*cur) >= n {
+		return
+	}
+	identityMu.Lock()
+	defer identityMu.Unlock()
+	cur := identity.Load()
+	if cur != nil {
+		if len(*cur) >= n {
+			return
+		}
+		n = max(n, len(*cur)+len(*cur)/4)
+	}
+	v := make([]uint32, n)
+	for i := range v {
+		v[i] = uint32(i)
+	}
+	identity.Store(&v)
+}
+
+// identityBytes returns the bytes of the identity vector.
+func identityBytes() int64 {
+	if cur := identity.Load(); cur != nil {
+		return 4 * int64(len(*cur))
+	}
+	return 0
 }
 
 // isDense reports whether keys keys spanning [lo, hi] take the window.
@@ -152,11 +205,14 @@ func isDense(lo, hi int64, keys int) bool {
 	return rng < 1<<31 && rng < denseSlack*uint64(keys)
 }
 
-// BuildIntHash indexes the named integer column of rel in two counting
-// passes: the posting array and its offsets are allocated once at their
-// exact sizes (no per-key slice, no append slack), and rows stay
-// ascending within a key. Warm boots rebuild every hash index through
-// this path.
+// BuildIntHash indexes the named integer column of rel. Its first pass
+// reads the key range and whether the column is in key order (no NULL,
+// never decreasing); such a column gets a key-ordered base, its offsets
+// counted in one more pass and no row stored. Any other takes two
+// counting passes: the posting array and its offsets are allocated once
+// at their exact sizes (no per-key slice, no append slack), and rows
+// stay ascending within a key. Warm boots rebuild every hash index
+// through this path.
 func BuildIntHash(rel *relation.Relation, col string) *IntHash {
 	c := rel.Column(col)
 	if c == nil || c.Type != relation.Int {
@@ -164,9 +220,10 @@ func BuildIntHash(rel *relation.Relation, col string) *IntHash {
 	}
 	n := c.Len()
 	var lo, hi int64
-	rows := 0
+	rows, runs, ordered := 0, 0, true
 	for i := 0; i < n; i++ {
 		if c.IsNull(i) {
+			ordered = false
 			continue
 		}
 		v := c.Int64(i)
@@ -176,10 +233,17 @@ func BuildIntHash(rel *relation.Relation, col string) *IntHash {
 		if rows == 0 || v > hi {
 			hi = v
 		}
+		if rows > 0 && v != c.Int64(i-1) {
+			runs++
+			ordered = ordered && v > c.Int64(i-1)
+		}
 		rows++
 	}
 	if rows == 0 {
 		return &IntHash{}
+	}
+	if ordered {
+		return buildOrdered(c, lo, hi, runs+1)
 	}
 	ords := make([]uint32, n)
 	// A range no wider than denseSlack slots a row is cheap to count
@@ -227,6 +291,38 @@ func BuildIntHash(rel *relation.Relation, col string) *IntHash {
 	return &IntHash{ords: keyTable[int64]{base: ids}, lists: PostingsOf(offs, post), keys: len(ids)}
 }
 
+// buildOrdered indexes a column in key order holding keys keys in
+// [lo, hi]: a key's rows are one run, so the base is the runs' offsets,
+// counted into the window or numbered run by run into the key table.
+func buildOrdered(c *relation.Column, lo, hi int64, keys int) *IntHash {
+	n := c.Len()
+	growIdentity(n)
+	h := &IntHash{keys: keys, ordered: true}
+	var offs []uint32
+	if isDense(lo, hi, keys) {
+		h.lo, h.width = lo, uint64(hi)-uint64(lo)+1
+		offs = make([]uint32, h.width+1)
+		for i := 0; i < n; i++ {
+			offs[uint64(c.Int64(i))-uint64(lo)+1]++
+		}
+		for i := 1; i < len(offs); i++ {
+			offs[i] += offs[i-1]
+		}
+	} else {
+		h.ords.base = make(map[int64]uint32, keys)
+		offs = make([]uint32, 0, keys+1)
+		for i := 0; i < n; i++ {
+			if v := c.Int64(i); i == 0 || v != c.Int64(i-1) {
+				h.ords.base[v] = uint32(len(offs))
+				offs = append(offs, uint32(i))
+			}
+		}
+		offs = append(offs, uint32(n))
+	}
+	h.lists = PostingsOf[uint32](offs, nil)
+	return h
+}
+
 // ord returns v's list ordinal and whether the index has one for it.
 func (h *IntHash) ord(v int64) (int, bool) {
 	if i := uint64(v) - uint64(h.lo); i < h.width {
@@ -238,16 +334,24 @@ func (h *IntHash) ord(v int64) (int, bool) {
 
 // Rows returns the rows holding value v as the ascending base run and
 // the rows inserted since the fold, all newer than the base's (both nil
-// if absent). The views are shared storage: do not mutate. It reads the
-// lists as Postings.Rows does, without its range check: every ordinal
-// ord returns has a list.
+// if absent). The views are shared storage: do not mutate.
 func (h *IntHash) Rows(v int64) (base, tail []uint32) {
 	o, ok := h.ord(v)
 	if !ok {
 		return nil, nil
 	}
+	return h.rows(o)
+}
+
+// rows returns list o as Rows does. It reads the lists as Postings.Rows
+// does, without its range check: every ordinal ord returns has a list.
+func (h *IntHash) rows(o int) (base, tail []uint32) {
 	if o < h.lists.baseLists() {
-		base = h.lists.baseRun(o)
+		if !h.ordered {
+			base = h.lists.baseRun(o)
+		} else if a, b := h.lists.offs[o], h.lists.offs[o+1]; a != b {
+			base = (*identity.Load())[a:b:b]
+		}
 	}
 	tail, _ = h.lists.tailRun(o)
 	return base, tail
@@ -286,12 +390,13 @@ func (h *IntHash) Insert(v int64, row int) {
 // Clone returns a copy-on-write clone for one writer generation: the
 // window, the key table's base and the lists' base are shared, the key
 // table's tail is copied and the lists clone as Postings do — or, past
-// the key table's fold rule, everything is laid out afresh (fold).
-// Appends on the clone write only past the lengths the original holds,
-// so readers of the original never observe them.
-func (h *IntHash) Clone(g *Gen) *IntHash {
+// the key table's fold rule or a key-ordered base's lists' one,
+// everything is laid out afresh (fold). Appends on the clone write only
+// past the lengths the original holds, so readers of the original never
+// observe them.
+func (h *IntHash) Clone(g *relation.Gen) *IntHash {
 	baseKeys := h.keys - len(h.ords.tail)
-	if h.ords.due(baseKeys) {
+	if h.ords.due(baseKeys) || h.ordered && h.lists.shouldFold() {
 		return h.fold(g)
 	}
 	q := *h
@@ -317,64 +422,83 @@ func (h *IntHash) each(yield func(k int64, o int)) {
 
 // fold lays every key and list out in a fresh base, in the form isDense
 // picks for the key range, with empty tails; what it allocates is
-// charged to g. A list's base run and tail stay in order: every row the
-// tail holds is newer than the base's.
-func (h *IntHash) fold(g *Gen) *IntHash {
-	var lo, hi int64
-	seen := false
-	h.each(func(k int64, _ int) {
-		if !seen || k < lo {
-			lo = k
-		}
-		if !seen || k > hi {
-			hi = k
-		}
-		seen = true
-	})
-	// to[o] is the new ordinal of list o, noKey for an empty window slot.
-	to := make([]uint32, h.lists.Len())
-	for i := range to {
-		to[i] = noKey
+// charged to g. Keys take their new ordinals in ascending order, so the
+// base is key-ordered again, storing no rows, when the rows of each key
+// still follow those of the one before. A list's base run and tail stay
+// in order: every row the tail holds is newer than the base's.
+func (h *IntHash) fold(g *relation.Gen) *IntHash {
+	type keyList struct {
+		k int64
+		o int
 	}
+	keys := make([]keyList, 0, h.keys)
+	h.each(func(k int64, o int) { keys = append(keys, keyList{k, o}) })
+	slices.SortFunc(keys, func(a, b keyList) int { return cmp.Compare(a.k, b.k) })
 	q := &IntHash{keys: h.keys}
-	n := h.keys
-	if isDense(lo, hi, h.keys) {
-		q.lo, q.width = lo, uint64(hi)-uint64(lo)+1
+	n := len(keys)
+	// slot is the new ordinal of the i-th smallest key.
+	slot := func(i int) int { return i }
+	if n > 0 && isDense(keys[0].k, keys[n-1].k, n) {
+		q.lo, q.width = keys[0].k, uint64(keys[n-1].k)-uint64(keys[0].k)+1
 		n = int(q.width)
-		h.each(func(k int64, o int) { to[o] = uint32(uint64(k) - uint64(lo)) })
+		slot = func(i int) int { return int(uint64(keys[i].k) - uint64(q.lo)) }
 	} else {
 		q.ords.base = make(map[int64]uint32, h.keys)
-		h.each(func(k int64, o int) {
-			to[o] = uint32(len(q.ords.base))
-			q.ords.base[k] = to[o]
-		})
-	}
-	offs := make([]uint32, n+1)
-	for o, t := range to {
-		if t != noKey {
-			offs[t+1] = uint32(h.lists.Count(o))
+		for i, kl := range keys {
+			q.ords.base[kl.k] = uint32(i)
 		}
 	}
-	for i := 1; i <= n; i++ {
-		offs[i] += offs[i-1]
+	offs := make([]uint32, n+1)
+	rows, next := uint32(0), 0
+	ordered := true
+	for i, kl := range keys {
+		for t := slot(i); next <= t; next++ {
+			offs[next] = rows
+		}
+		base, tail := h.rows(kl.o)
+		first, last := bounds(base, tail)
+		count := uint32(len(base) + len(tail))
+		ordered = ordered && first == rows && last == rows+count-1
+		rows += count
 	}
-	flat := make([]uint32, offs[n])
-	for o, t := range to {
-		if t != noKey {
-			base, tail := h.lists.Rows(o)
-			at := offs[t] + uint32(copy(flat[offs[t]:], base))
+	for ; next <= n; next++ {
+		offs[next] = rows
+	}
+	var flat []uint32
+	if ordered {
+		growIdentity(int(rows))
+	} else {
+		flat = make([]uint32, rows)
+		for i, kl := range keys {
+			base, tail := h.rows(kl.o)
+			at := offs[slot(i)] + uint32(copy(flat[offs[slot(i)]:], base))
 			copy(flat[at:], tail)
 		}
 	}
-	q.lists = PostingsOf(offs, flat)
+	q.lists, q.ordered = PostingsOf(offs, flat), ordered
 	q.lists.gen = g
 	keyBytes, _ := q.ords.residentBytes()
-	g.charge(4*(len(offs)+len(flat)) + int(keyBytes))
+	g.Charge(4*(len(offs)+len(flat)) + int(keyBytes))
 	return q
 }
 
+// bounds returns the first and the last row of a non-empty list whose
+// base run and tail are ascending, every tail row newer than the base's:
+// the list is a run of consecutive rows exactly when last-first+1 is its
+// length.
+func bounds(base, tail []uint32) (first, last uint32) {
+	switch {
+	case len(base) == 0:
+		return tail[0], tail[len(tail)-1]
+	case len(tail) == 0:
+		return base[0], base[len(base)-1]
+	}
+	return base[0], tail[len(tail)-1]
+}
+
 // residentBytes returns the bytes of the base and of the tail: the key
-// table's maps and the lists'.
+// table's maps and the lists'. A key-ordered base's rows are the
+// identity vector, which IndexSet counts once.
 func (h *IntHash) residentBytes() (base, tail int64) {
 	base, tail = h.lists.ResidentBytes()
 	kb, kt := h.ords.residentBytes()

@@ -147,7 +147,7 @@ func TestFirstTouchCopiesNoBaseRun(t *testing.T) {
 	cycles := func(key int64) uint64 {
 		return allocated(func() {
 			for i := 0; i < 1000; i++ {
-				built.Clone(new(Gen)).Insert(key, rel.NumRows())
+				built.Clone(new(relation.Gen)).Insert(key, rel.NumRows())
 			}
 		})
 	}
@@ -157,12 +157,38 @@ func TestFirstTouchCopiesNoBaseRun(t *testing.T) {
 	}
 }
 
+// TestKeyOrderedBasesShareOneIdentity: key-ordered bases hold no
+// vector of their own. Built in growing sizes, each past the identity
+// vector's length, every one answers Rows with views of the one vector
+// live now, so the vectors the growth replaced are garbage.
+func TestKeyOrderedBasesShareOneIdentity(t *testing.T) {
+	var built []*IntHash
+	for _, n := range []int{1000, 1 << 15, 1 << 17} {
+		rel := relation.New("t", relation.Col("k", relation.Int))
+		for row := range n {
+			rel.MustAppend(relation.IntVal(int64(row / 3)))
+		}
+		built = append(built, BuildIntHash(rel, "k"))
+	}
+	cur := *identity.Load()
+	for i, h := range built {
+		k := int64(h.NumKeys() - 1)
+		base, _ := h.Rows(k)
+		if !h.ordered || len(base) == 0 || &base[0] != &cur[base[0]] {
+			t.Errorf("index %d: ordered %v, the rows of its last key are not a view of the live identity vector", i, h.ordered)
+		}
+	}
+}
+
 // TestBuildIntHashPresizesByRuns: on a derived relation's clustered
-// entity ids (every key a run of rows) the base costs what it indexes —
-// four bytes a row and four a slot of the key range, under a third of
-// the map of per-key lists it replaces — and the build allocates little
-// beyond it: an oversized base layer is shared by every epoch and never
-// shrinks.
+// entity ids (every key a run of rows, in key order) the base is its
+// offsets alone — four bytes a slot of the key range, no row stored —
+// and the build allocates nothing else once the identity vector covers
+// the rows. With one row out of key order the base stores its rows and
+// costs what it indexes — four bytes a row and four a slot, under a
+// third of the map of per-key lists it replaces — and the build
+// allocates little beyond it: an oversized base layer is shared by
+// every epoch and never shrinks.
 func TestBuildIntHashPresizesByRuns(t *testing.T) {
 	const keys, run = 4000, 7
 	rel := relation.New("derived", relation.Col("entity_id", relation.Int), relation.Col("count", relation.Int))
@@ -171,6 +197,7 @@ func TestBuildIntHashPresizesByRuns(t *testing.T) {
 			rel.MustAppend(relation.IntVal(int64(3*k)), relation.IntVal(1))
 		}
 	}
+	growIdentity(rel.NumRows())
 	var h *IntHash
 	built := allocated(func() { h = BuildIntHash(rel, "entity_id") })
 	three, four := slices.Concat(h.Rows(3)), slices.Concat(h.Rows(4))
@@ -178,6 +205,25 @@ func TestBuildIntHashPresizesByRuns(t *testing.T) {
 		t.Fatalf("index has %d keys, Rows(3) = %v, Rows(4) = %v", h.NumKeys(), three, four)
 	}
 	base, tail := h.residentBytes()
+	if want := int64(4 * (3*(keys-1) + 2)); !h.ordered || h.width == 0 || tail != 0 || base != want {
+		t.Errorf("key-ordered base takes %d bytes (ordered: %v, dense: %v, tail %d), want its %d bytes of offsets", base, h.ordered, h.width > 0, tail, want)
+	}
+	if built > uint64(base)+uint64(base)/8 {
+		t.Errorf("BuildIntHash allocated %d bytes for a %d-byte key-ordered index", built, base)
+	}
+
+	// The first key's last row moves to the end of the relation.
+	ids := make([]int64, rel.NumRows())
+	for row := range ids {
+		ids[row] = rel.Column("entity_id").Int64(row)
+	}
+	ids = append(append(ids[:run-1:run-1], ids[run:]...), 0)
+	stored := relation.Restore("derived", "", nil, []*relation.Column{relation.RestoreIntColumn("entity_id", ids, nil)}, len(ids))
+	built = allocated(func() { h = BuildIntHash(stored, "entity_id") })
+	if first := slices.Concat(h.Rows(0)); h.ordered || len(first) != run || first[run-1] != uint32(len(ids)-1) {
+		t.Fatalf("out of key order: ordered %v, Rows(0) = %v", h.ordered, first)
+	}
+	base, tail = h.residentBytes()
 	if want := int64(4*keys*run + 4*(3*keys)); h.width == 0 || tail != 0 || base > want {
 		t.Errorf("base takes %d bytes (dense: %v, tail %d), want at most %d", base, h.width > 0, tail, want)
 	}

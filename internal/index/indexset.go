@@ -43,11 +43,17 @@ func (s *IndexSet) ResidentIntHash(rel *relation.Relation, col string) *IntHash 
 func (s *IndexSet) NumIndexes() int { return len(s.ints) }
 
 // ResidentBytes reports what the indexes hold, counted from their
-// lengths and element widths: the flat bases and the tails.
+// lengths and element widths: the flat bases and the tails, and the
+// identity vector once when a base is key-ordered.
 func (s *IndexSet) ResidentBytes() (base, tail int64) {
+	ordered := false
 	for _, h := range s.ints {
 		b, t := h.residentBytes()
 		base, tail = base+b, tail+t
+		ordered = ordered || h.ordered
+	}
+	if ordered {
+		base += identityBytes()
 	}
 	return base, tail
 }
@@ -64,12 +70,12 @@ func (s *IndexSet) ResidentBytes() (base, tail int64) {
 type IndexDelta struct {
 	base *IndexSet
 	ints map[ColumnKey]*IntHash
-	gen  *Gen // the writer's generation: charged for every clone
+	gen  *relation.Gen // the writer's generation: charged for every clone
 }
 
 // NewIndexDelta starts an empty delta over the base epoch's set for the
 // writer generation g.
-func NewIndexDelta(base *IndexSet, g *Gen) *IndexDelta {
+func NewIndexDelta(base *IndexSet, g *relation.Gen) *IndexDelta {
 	return &IndexDelta{base: base, gen: g, ints: make(map[ColumnKey]*IntHash)}
 }
 

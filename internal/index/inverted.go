@@ -270,7 +270,7 @@ func (inv *Inverted) Insert(rel, col, value string, row int) {
 // Clone returns a copy-on-write clone for one writer generation: the
 // posting lists clone as Postings do, and the key table as keyTable
 // does. What it copies is charged to g.
-func (inv *Inverted) Clone(g *Gen) *Inverted {
+func (inv *Inverted) Clone(g *relation.Gen) *Inverted {
 	return &Inverted{cols: inv.cols, keys: inv.keys.clone(g, len(inv.keys.base)), lists: inv.lists.Clone(g)}
 }
 

@@ -160,7 +160,7 @@ func TestCommonColumnsMatchesMapOracle(t *testing.T) {
 	keyFolds, listFolds := 0, 0
 	for len(gens) < 40 {
 		prev := gens[len(gens)-1]
-		next := generation{prev.inv.Clone(new(Gen)), slices.Clone(prev.rels)}
+		next := generation{prev.inv.Clone(new(relation.Gen)), slices.Clone(prev.rels)}
 		if len(prev.inv.keys.tail) > 0 && len(next.inv.keys.tail) == 0 {
 			keyFolds++
 		}

@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"slices"
 	"unsafe"
+
+	"squid/internal/relation"
 )
 
 // Jagged and Postings are the two halves of a categorical statistic: the
@@ -15,7 +17,10 @@ import (
 //
 //   - an immutable base shared by every epoch since the last fold: list k
 //     is flat[offs[k]:offs[k+1]] — one 4-byte offset a list and one
-//     element a member, no slice header, no per-list allocation;
+//     element a member, no slice header, no per-list allocation. A hash
+//     index whose base is in key order stores no flat at all: its list k
+//     is the rows offs[k] to offs[k+1]-1 (IntHash), and only the
+//     offsets are read here;
 //   - a tail holding the entries of the lists inserts touched since the
 //     fold, as a table with one word per 64 lists (tailWord): a bitset
 //     of the lists the tail holds and their entries in list order. Reading
@@ -25,14 +30,18 @@ import (
 // a word on its generation's first write into it (at most 64 entry
 // headers), so a publish pays for the words it touched, never for the
 // tail it inherited. The entries stay shared and only ever grow past the
-// lengths a retired generation holds (Chunked.Append says why that is
-// invisible to it). Once inserts since the fold added more than
+// lengths a retired generation holds (relation.Chunked.Append says why
+// that is invisible to it). Once inserts since the fold added more than
 // 1/foldDiv of the base's elements — counted in elements, not lists: a
 // five-value property touches all five of its lists in every batch, and
 // a threshold in lists would never fold it — Clone folds base and tail
 // into a fresh base instead, so the base is paid for amortized
 // O(foldDiv) per inserted element, never per publish. What a clone, a
-// word copy or a fold copies is charged to the writer's Gen.
+// word copy or a fold copies is charged to the writer's relation.Gen.
+// The generation and the chunked vector, the package's other
+// copy-on-write storage, live in package relation, below this one, so a
+// relation's columns are stamped by the same writer (a derived count
+// column is a relation.Chunked of 4-byte cells).
 type lists[T int32 | uint32 | uint64] struct {
 	// offs has one entry per base list plus one; nil for an empty base.
 	offs []uint32
@@ -42,7 +51,7 @@ type lists[T int32 | uint32 | uint64] struct {
 	tail []*tailWord[T]
 	// gen is the writer generation that owns the table; a word another
 	// generation owns is copied before it changes.
-	gen *Gen
+	gen *relation.Gen
 	// n counts the lists, the base's and those added since the fold;
 	// added the elements inserts added since the fold (the fold
 	// threshold's numerator).
@@ -52,12 +61,22 @@ type lists[T int32 | uint32 | uint64] struct {
 // tailWord is one word of the tail's table: held has bit i set when the
 // tail holds list 64w+i, whose entry is runs[popcount of held below i].
 type tailWord[T int32 | uint32 | uint64] struct {
-	owner *Gen
+	owner *relation.Gen
 	held  uint64
 	runs  [][]T
 }
 
 func (l *lists[T]) baseLists() int { return max(len(l.offs)-1, 0) }
+
+// baseElems returns the number of elements the base's lists hold, read
+// from the offsets: a key-ordered hash index stores no elements (see
+// IntHash).
+func (l *lists[T]) baseElems() int {
+	if len(l.offs) == 0 {
+		return 0
+	}
+	return int(l.offs[len(l.offs)-1])
+}
 
 // baseRun returns base list k (nil when empty), capped so an append can
 // never reach the next list.
@@ -93,7 +112,7 @@ func (l *lists[T]) setTail(k int, run []T) {
 		t = &tailWord[T]{owner: l.gen}
 		l.tail[w] = t
 	case t.owner != l.gen:
-		l.gen.charge(len(t.runs) * elemSize[[]T]())
+		l.gen.Charge(len(t.runs) * elemSize[[]T]())
 		t = &tailWord[T]{owner: l.gen, held: t.held, runs: append(make([][]T, 0, len(t.runs)+1), t.runs...)}
 		l.tail[w] = t
 	}
@@ -108,17 +127,17 @@ func (l *lists[T]) setTail(k int, run []T) {
 }
 
 func (l *lists[T]) shouldFold() bool {
-	return l.added >= foldMin && l.added*foldDiv > len(l.flat)
+	return l.added >= foldMin && l.added*foldDiv > l.baseElems()
 }
 
 // cloneTail returns a clone for generation g sharing the base, the tail
 // words and their entries, with its own copy of the table, charged to g.
-func (l *lists[T]) cloneTail(g *Gen) lists[T] {
+func (l *lists[T]) cloneTail(g *relation.Gen) lists[T] {
 	q := *l
 	q.gen = g
 	if l.tail != nil {
 		q.tail = slices.Clone(l.tail)
-		g.charge(8 * len(q.tail))
+		g.Charge(8 * len(q.tail))
 	}
 	return q
 }
@@ -217,7 +236,7 @@ func (j *Jagged) Insert(k, i int, x int32) {
 // base, the append area and the tail's words are shared, the tail's
 // table copied — or, past the fold threshold, every list is laid out in
 // a fresh base.
-func (j *Jagged) Clone(g *Gen) Jagged {
+func (j *Jagged) Clone(g *relation.Gen) Jagged {
 	if !j.shouldFold() {
 		return Jagged{lists: j.cloneTail(g), appOffs: j.appOffs, app: j.app, copied: j.copied}
 	}
@@ -225,7 +244,7 @@ func (j *Jagged) Clone(g *Gen) Jagged {
 }
 
 // fold lays every list out in a fresh base with an empty tail.
-func (j *Jagged) fold(g *Gen) Jagged {
+func (j *Jagged) fold(g *relation.Gen) Jagged {
 	offs := make([]uint32, j.n+1)
 	total := 0
 	for k := range j.n {
@@ -236,7 +255,7 @@ func (j *Jagged) fold(g *Gen) Jagged {
 	for k := range j.n {
 		flat = append(flat, j.At(k)...)
 	}
-	g.charge(4 * (len(offs) + len(flat)))
+	g.Charge(4 * (len(offs) + len(flat)))
 	out := JaggedOf(offs, flat)
 	out.gen = g
 	return out
@@ -284,10 +303,18 @@ func (p *Postings[T]) Rows(k int) (base, tail []T) {
 	return base, tail
 }
 
-// Count returns the size of list k.
+// Count returns the size of list k, reading the base's length from the
+// offsets.
 func (p *Postings[T]) Count(k int) int {
-	base, tail := p.Rows(k)
-	return len(base) + len(tail)
+	if uint(k) >= uint(p.n) {
+		return 0
+	}
+	n := 0
+	if k < p.baseLists() {
+		n = int(p.offs[k+1] - p.offs[k])
+	}
+	tail, _ := p.tailRun(k)
+	return n + len(tail)
 }
 
 // AddRow adds x, which the list must not hold yet, to list k; the
@@ -301,7 +328,7 @@ func (p *Postings[T]) AddRow(k int, x T) {
 
 // Clone returns a copy-on-write clone for one writer generation (see
 // Jagged.Clone).
-func (p *Postings[T]) Clone(g *Gen) Postings[T] {
+func (p *Postings[T]) Clone(g *relation.Gen) Postings[T] {
 	if !p.shouldFold() {
 		return Postings[T]{p.cloneTail(g)}
 	}
@@ -310,9 +337,9 @@ func (p *Postings[T]) Clone(g *Gen) Postings[T] {
 
 // fold lays every list out ascending in a fresh base with an empty
 // tail.
-func (p *Postings[T]) fold(g *Gen) Postings[T] {
+func (p *Postings[T]) fold(g *relation.Gen) Postings[T] {
 	offs := make([]uint32, p.n+1)
-	flat := make([]T, 0, len(p.flat)+p.added)
+	flat := make([]T, 0, p.baseElems()+p.added)
 	for k := range p.n {
 		base, tail := p.Rows(k)
 		flat = append(append(flat, base...), tail...)
@@ -321,7 +348,7 @@ func (p *Postings[T]) fold(g *Gen) Postings[T] {
 		}
 		offs[k+1] = uint32(len(flat))
 	}
-	g.charge(4*len(offs) + elemSize[T]()*len(flat))
+	g.Charge(4*len(offs) + elemSize[T]()*len(flat))
 	out := PostingsOf(offs, flat)
 	out.gen = g
 	return out
@@ -330,3 +357,8 @@ func (p *Postings[T]) fold(g *Gen) Postings[T] {
 // ResidentBytes returns the bytes of the base and of the tail, counted
 // from lengths.
 func (p *Postings[T]) ResidentBytes() (base, tail int64) { return p.residentBytes() }
+
+func elemSize[T any]() int {
+	var z T
+	return int(unsafe.Sizeof(z))
+}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"squid/internal/relation"
 )
 
 // The epoch-isolation contract of the categorical statistics and of the
@@ -139,7 +141,7 @@ func runListsChain(t *testing.T, ops []byte) listsStats {
 	}
 	publish := func(fold bool) {
 		retired, models = append(retired, live), append(models, model.clone())
-		prev, g := live, new(Gen)
+		prev, g := live, new(relation.Gen)
 		if fold {
 			live = &listsGen{vals: prev.vals.fold(g), posts: prev.posts.fold(g), wide: prev.wide.fold(g)}
 			st.forcedFolds++

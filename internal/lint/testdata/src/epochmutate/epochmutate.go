@@ -31,7 +31,7 @@ func mutateReachableViaLocal(e *adb.Epoch) {
 // published relation that is a mutation, on a CloneForWrite clone the
 // write path's own step.
 func updateColumnOfPublished(e *adb.Epoch) {
-	e.DerivedDB.Relation("persontogenre").UpdateColumn("count") // want "UpdateColumn mutates state reachable from a published"
+	e.DerivedDB.Relation("persontogenre").UpdateColumn("count", new(relation.Gen)) // want "UpdateColumn mutates state reachable from a published"
 }
 
 func assignIndexes(e *adb.Epoch) {
@@ -98,7 +98,7 @@ func freshConstruction() *adb.Epoch {
 func cloneThenMutate(e *adb.Epoch) {
 	r := e.DB.Relation("movie").CloneForWrite()
 	r.MustAppend()
-	r.UpdateColumn("id")
+	r.UpdateColumn("id", new(relation.Gen))
 }
 
 // Reads never trip the analyzer.

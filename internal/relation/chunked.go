@@ -1,4 +1,4 @@
-package index
+package relation
 
 import (
 	"iter"
@@ -27,7 +27,11 @@ type Gen struct {
 	Copied int64
 }
 
-func (g *Gen) charge(bytes int) {
+// Charge adds bytes copied out of shared storage to the tally; the nil
+// Gen copies nothing and keeps none. Every copy-on-write structure
+// charges its writer's Gen: the chunked vectors here, and the index
+// package's key tables and lists.
+func (g *Gen) Charge(bytes int) {
 	if g != nil {
 		g.Copied += int64(bytes)
 	}
@@ -116,7 +120,7 @@ func (v *Chunked[T]) locate(i int) (ci, off int) {
 		}
 		i -= n
 	}
-	panic("index: Chunked index out of range")
+	panic("relation: Chunked index out of range")
 }
 
 // At returns element i.
@@ -140,7 +144,7 @@ func elemSize[T any]() int {
 // ownTable copies the chunk table on the generation's first write.
 func (v *Chunked[T]) ownTable(g *Gen) {
 	if v.owner != g {
-		g.charge(len(v.chunks) * int(unsafe.Sizeof(chunk[T]{})))
+		g.Charge(len(v.chunks) * int(unsafe.Sizeof(chunk[T]{})))
 		v.chunks = append(make([]chunk[T], 0, len(v.chunks)+1), v.chunks...)
 		v.owner = g
 	}
@@ -158,7 +162,7 @@ func (v *Chunked[T]) ownChunk(g *Gen, ci int) *chunk[T] {
 		}
 		data := make([]T, len(c.data), size)
 		copy(data, c.data)
-		g.charge(len(data) * elemSize[T]())
+		g.Charge(len(data) * elemSize[T]())
 		c.data, c.owner = data, g
 	}
 	return c
@@ -236,7 +240,7 @@ func (v *Chunked[T]) InsertAt(g *Gen, ci, off int, x T) {
 	c := &v.chunks[ci]
 	old := c.data
 	if c.owner != g {
-		g.charge(len(old) * elemSize[T]())
+		g.Charge(len(old) * elemSize[T]())
 	}
 	data := make([]T, 0, len(old)+1)
 	data = append(append(append(data, old[:off]...), x), old[off:]...)

@@ -1,6 +1,9 @@
 package relation
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Column is a typed column of a relation, stored densely with a NULL
 // bitmap. Integer and float columns store raw 64-bit values; TEXT columns
@@ -8,37 +11,30 @@ import "fmt"
 // so the dense storage is four bytes per row regardless of string length
 // and scans compare codes instead of strings.
 //
-// Cell storage is flat and, across copy-on-write epochs, shared: a clone
-// copies the header. An update clone (CloneForUpdate) may still
-// overwrite INTEGER cells — they land in a small patch map that every
-// integer read consults first — and the patch folds into fresh storage
-// once it covers more than 1/patchFoldDiv of the column.
+// Cell storage is, across copy-on-write epochs, shared: a clone copies
+// the header. It is flat, except for an INTEGER column whose cells are
+// small counts overwritten in place by later epochs (a derived
+// relation's count column): that one is stored as 4-byte cells in a
+// Chunked vector (chunked), and its update clone (CloneForUpdate)
+// overwrites a cell by copying the cell's chunk once per writer
+// generation.
 type Column struct {
 	Name string
 	Type ColType
+	// chunked marks an INTEGER column whose cells are in small, not
+	// ints; it sits beside ints, which every other integer read loads.
+	chunked bool
 
 	ints  []int64
 	flts  []float64
 	codes []int32
 	dict  *Dict
 	nulls []bool // nil when the column has no NULLs so far
-	// patch holds the INTEGER cells overwritten through an update clone
-	// since the storage was last copied, by row. Non-nil marks an update
-	// clone: its Set never writes the shared storage.
-	patch map[int]int64
+	small Chunked[uint32]
+	// gen is the writer generation of an update clone: it writes
+	// through gen, and never the storage it shares.
+	gen *Gen
 }
-
-const (
-	// patchFoldDiv and patchFoldMin are the patch's fold rule, the same
-	// one the index tails follow: an update clone copies a patch of up
-	// to 1/patchFoldDiv of the column (and any patch under
-	// patchFoldMin cells) and copies the column instead past that, so
-	// a publish pays amortized O(patchFoldDiv) per overwritten cell.
-	patchFoldDiv = 64
-	patchFoldMin = 64
-	// patchSlotBytes is one patch entry: an int key and an int64 cell.
-	patchSlotBytes = 16
-)
 
 // NewColumn creates an empty column.
 func NewColumn(name string, t ColType) *Column {
@@ -51,10 +47,12 @@ func NewColumn(name string, t ColType) *Column {
 
 // Len returns the number of stored cells.
 func (c *Column) Len() int {
-	switch c.Type {
-	case Int:
+	switch {
+	case c.chunked:
+		return c.small.Len()
+	case c.Type == Int:
 		return len(c.ints)
-	case Float:
+	case c.Type == Float:
 		return len(c.flts)
 	default:
 		return len(c.codes)
@@ -68,10 +66,12 @@ func (c *Column) Append(v Value) error {
 	if v.IsNull() {
 		c.ensureNulls()
 		c.nulls = append(c.nulls, true)
-		switch c.Type {
-		case Int:
+		switch {
+		case c.chunked:
+			c.small.Append(c.gen, 0)
+		case c.Type == Int:
 			c.ints = append(c.ints, 0)
-		case Float:
+		case c.Type == Float:
 			c.flts = append(c.flts, 0)
 		default:
 			c.codes = append(c.codes, NoCode)
@@ -83,10 +83,14 @@ func (c *Column) Append(v Value) error {
 	}
 	switch c.Type {
 	case Int:
-		if v.kind != kindInt {
-			return fmt.Errorf("relation: column %q is INTEGER, got %s", c.Name, v.kindName())
+		if err := c.checkStorable(v); err != nil {
+			return err
 		}
-		c.ints = append(c.ints, v.i)
+		if c.chunked {
+			c.small.Append(c.gen, uint32(v.i))
+		} else {
+			c.ints = append(c.ints, v.i)
+		}
 	case Float:
 		switch v.kind {
 		case kindFloat:
@@ -116,6 +120,9 @@ func (c *Column) checkStorable(v Value) error {
 	case Int:
 		if v.kind != kindInt {
 			return fmt.Errorf("relation: column %q is INTEGER, got %s", c.Name, v.kindName())
+		}
+		if c.chunked && uint64(v.i) > math.MaxUint32 {
+			return fmt.Errorf("relation: column %q holds 4-byte counts, got %d", c.Name, v.i)
 		}
 	case Float:
 		if v.kind != kindFloat && v.kind != kindInt {
@@ -159,16 +166,8 @@ func (c *Column) Get(row int) Value {
 // Int64 returns the raw integer at row without Value boxing. The caller
 // must know the column type and that the cell is non-NULL.
 func (c *Column) Int64(row int) int64 {
-	if len(c.patch) != 0 {
-		return c.patched(row)
-	}
-	return c.ints[row]
-}
-
-// patched reads an integer cell through the patch.
-func (c *Column) patched(row int) int64 {
-	if v, ok := c.patch[row]; ok {
-		return v
+	if c.chunked {
+		return int64(c.small.At(row))
 	}
 	return c.ints[row]
 }
@@ -208,12 +207,13 @@ func (c *Column) DistinctCount() int {
 	return len(seen)
 }
 
-// Set overwrites the cell at row. On an update clone only INTEGER cells
-// can be overwritten (they go to the patch); the storage of the other
-// types is shared with the column it was cloned from.
+// Set overwrites the cell at row. On an update clone only the cells of
+// a chunked column can be overwritten (through the clone's generation);
+// the storage of the others is shared with the column it was cloned
+// from.
 func (c *Column) Set(row int, v Value) error {
-	if c.patch != nil && c.Type != Int {
-		return fmt.Errorf("relation: column %q: an update clone overwrites INTEGER cells only", c.Name)
+	if c.gen != nil && !c.chunked {
+		return fmt.Errorf("relation: column %q: an update clone overwrites chunked INTEGER cells only", c.Name)
 	}
 	if v.IsNull() {
 		c.ensureNulls()
@@ -228,11 +228,11 @@ func (c *Column) Set(row int, v Value) error {
 	}
 	switch c.Type {
 	case Int:
-		if v.kind != kindInt {
-			return fmt.Errorf("relation: column %q is INTEGER, got %s", c.Name, v.kindName())
+		if err := c.checkStorable(v); err != nil {
+			return err
 		}
-		if c.patch != nil {
-			c.patch[row] = v.i
+		if c.chunked {
+			c.small.Set(c.gen, row, uint32(v.i))
 		} else {
 			c.ints[row] = v.i
 		}
@@ -248,13 +248,16 @@ func (c *Column) Set(row int, v Value) error {
 }
 
 // ByteSize estimates the in-memory footprint of the column in bytes; used
-// for the Fig 18 dataset-statistics table.
+// for the Fig 18 dataset-statistics table. A chunked column counts 4
+// bytes a cell and its chunk table.
 func (c *Column) ByteSize() int64 {
 	var n int64
-	switch c.Type {
-	case Int:
+	switch {
+	case c.chunked:
+		n = c.small.ByteSize()
+	case c.Type == Int:
 		n = int64(len(c.ints)) * 8
-	case Float:
+	case c.Type == Float:
 		n = int64(len(c.flts)) * 8
 	default:
 		n = int64(len(c.codes))*4 + c.dict.ByteSize()
@@ -262,15 +265,7 @@ func (c *Column) ByteSize() int64 {
 	if c.nulls != nil {
 		n += int64(len(c.nulls))
 	}
-	return n + c.patchBytes()
-}
-
-// patchBytes is the footprint of the patch map.
-func (c *Column) patchBytes() int64 {
-	if c.patch == nil {
-		return 0
-	}
-	return MapBytes(len(c.patch), patchSlotBytes)
+	return n
 }
 
 // MapBytes estimates the heap bytes of a Go map holding n entries of
@@ -302,67 +297,28 @@ func (c *Column) CloneForAppend() *Column {
 	return &q
 }
 
-// CloneForUpdate is CloneForAppend for a column whose existing INTEGER
-// cells the copy-on-write writer will overwrite (the derived relations'
-// count column): the cell storage stays shared, overwrites land in the
-// clone's patch, and readers of the original never observe them. The
-// clone copies the receiver's patch — or, once the patch passes
-// patchFoldMin cells and 1/patchFoldDiv of the column, folds it into a
-// fresh copy of the storage and starts an empty one. The null bitmap,
-// which Set toggles in place, is copied when there is one. copied is
-// the bytes the clone allocated instead of sharing.
-func (c *Column) CloneForUpdate() (q *Column, copied int64) {
-	q = c.CloneForAppend()
+// CloneForUpdate is CloneForAppend for a chunked column whose cells the
+// copy-on-write writer of generation g will overwrite (the derived
+// relations' count column): the chunks stay shared, a write copies its
+// chunk (and the chunk table) once for g, and readers of the original
+// never observe it. The null bitmap, which Set toggles in place, is
+// copied when there is one, and charged to g.
+func (c *Column) CloneForUpdate(g *Gen) *Column {
+	q := c.CloneForAppend()
+	q.gen = g
 	if c.nulls != nil {
 		q.nulls = append([]bool(nil), c.nulls...)
-		copied += int64(len(q.nulls))
+		g.Charge(len(q.nulls))
 	}
-	if n := len(c.patch); n >= patchFoldMin && n*patchFoldDiv > len(c.ints) {
-		// Headroom for the rows the same writers append, so the fresh
-		// storage is not copied again by the first of them.
-		q.ints = make([]int64, len(c.ints), len(c.ints)+len(c.ints)/patchFoldDiv)
-		copy(q.ints, c.ints)
-		for row, v := range c.patch {
-			q.ints[row] = v
-		}
-		q.patch = make(map[int]int64)
-		return q, copied + int64(cap(q.ints))*8
-	}
-	q.patch = make(map[int]int64, len(c.patch)+1)
-	for row, v := range c.patch {
-		q.patch[row] = v
-	}
-	return q, copied + q.patchBytes()
+	return q
 }
 
-// Raw accessors for snapshot serialization. The returned slices alias
-// column storage: do not mutate.
+// Raw accessors for snapshot serialization and in-place scans. The
+// returned slices alias column storage: do not mutate.
 
-// RawInts returns the dense integer cells (Int columns): the storage
-// itself while the patch is empty, a copy with the patch applied
-// otherwise.
-func (c *Column) RawInts() []int64 {
-	if len(c.patch) == 0 {
-		return c.ints
-	}
-	ints := append([]int64(nil), c.ints...)
-	for row, v := range c.patch {
-		ints[row] = v
-	}
-	return ints
-}
-
-// IntCells returns the INTEGER cells for reading in place: the storage
-// itself, never a copy, and the patch over it — cell row is patch[row]
-// where the patch holds the row and cells[row] everywhere else. patch is
-// nil unless an update clone has overwritten cells since the storage was
-// last copied. Both alias the column: do not mutate.
-func (c *Column) IntCells() (cells []int64, patch map[int]int64) {
-	if len(c.patch) == 0 {
-		return c.ints, nil
-	}
-	return c.ints, c.patch
-}
+// RawInts returns the dense integer cells (Int columns); nil for a
+// chunked column, which is read through Int64.
+func (c *Column) RawInts() []int64 { return c.ints }
 
 // RawFloats returns the dense float cells (Float columns).
 func (c *Column) RawFloats() []float64 { return c.flts }
@@ -377,6 +333,12 @@ func (c *Column) RawNulls() []bool { return c.nulls }
 // load). The slices are adopted, not copied.
 func RestoreIntColumn(name string, ints []int64, nulls []bool) *Column {
 	return &Column{Name: name, Type: Int, ints: ints, nulls: nulls}
+}
+
+// RestoreChunkedColumn makes an INTEGER column over 4-byte cells in
+// chunks (see Column). The vector is adopted, not copied.
+func RestoreChunkedColumn(name string, cells Chunked[uint32], nulls []bool) *Column {
+	return &Column{Name: name, Type: Int, small: cells, chunked: true, nulls: nulls}
 }
 
 // RestoreFloatColumn rebuilds a Float column from raw storage.

@@ -90,14 +90,12 @@ func (r *Relation) CloneForWrite() *Relation {
 	return &q
 }
 
-// UpdateColumn makes the named INTEGER column of a CloneForWrite clone
-// overwritable (see Column.CloneForUpdate) and returns the bytes that
-// copied.
-func (r *Relation) UpdateColumn(name string) int64 {
+// UpdateColumn makes the named chunked column of a CloneForWrite clone
+// overwritable by the writer of generation g (see Column.CloneForUpdate),
+// which it charges for what the clone copies.
+func (r *Relation) UpdateColumn(name string, g *Gen) {
 	i := r.colIdx[name]
-	q, copied := r.cols[i].CloneForUpdate()
-	r.cols[i] = q
-	return copied
+	r.cols[i] = r.cols[i].CloneForUpdate(g)
 }
 
 // NumRows returns the number of rows.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueKinds(t *testing.T) {
@@ -346,17 +347,23 @@ func TestNullBackfill(t *testing.T) {
 	}
 }
 
-// TestUpdateCloneChain drives Set through a chain of update clones — a
-// growing patch, a fold into fresh storage, appends after the fold — and
-// checks that the original and every earlier clone still read their own
-// cells through every integer accessor, although all of them share cell
-// storage.
+// TestUpdateCloneChain drives Set through a chain of update clones of a
+// chunked count column — overwrites, appends, overwrites of appended
+// rows — and checks that the original and every earlier clone still
+// read their own cells through every integer accessor, although all of
+// them share chunks, and that a write charges its generation one chunk
+// (and the chunk table) the first time the generation writes into it,
+// and nothing after.
 func TestUpdateCloneChain(t *testing.T) {
 	const rows = 4096
-	orig := New("derived", Col("entity_id", Int), Col("count", Int))
-	for i := 0; i < rows; i++ {
-		orig.MustAppend(IntVal(int64(i)), IntVal(1))
+	ids, counts := make([]int64, rows), make([]uint32, rows)
+	for i := range ids {
+		ids[i], counts[i] = int64(i), 1
 	}
+	orig := Restore("derived", "", nil, []*Column{
+		RestoreIntColumn("entity_id", ids, nil),
+		RestoreChunkedColumn("count", ChunkedOf(counts), nil),
+	}, rows)
 	type generation struct {
 		rel  *Relation
 		want []int64 // the count column as this generation must read it
@@ -367,77 +374,81 @@ func TestUpdateCloneChain(t *testing.T) {
 	}
 	chain := []generation{{orig, append([]int64(nil), want...)}}
 	rng := rand.New(rand.NewSource(18))
-	patched, folds := false, 0
-	for g := 0; g < 40; g++ {
-		prev := chain[len(chain)-1].rel
-		next := prev.CloneForWrite()
-		copied := next.UpdateColumn("count")
+	for gen := 0; gen < 40; gen++ {
+		next := chain[len(chain)-1].rel.CloneForWrite()
+		g := new(Gen)
+		next.UpdateColumn("count", g)
 		count := next.Column("count")
-		folded := len(prev.Column("count").patch) > 0 && len(count.patch) == 0
-		if folded {
-			folds++
-			if copied < int64(8*len(want)) {
-				t.Errorf("generation %d folded %d cells but reports %d bytes copied", g, len(want), copied)
+		touched := map[int]bool{}
+		set := func(row int, v int64) {
+			t.Helper()
+			ci := row / chunkCap
+			charge := int64(0)
+			if !touched[ci] {
+				charge = int64(4 * len(count.small.Chunk(ci)))
+				if len(touched) == 0 {
+					charge += int64(count.small.NumChunks()) * int64(unsafe.Sizeof(chunk[uint32]{}))
+				}
+				touched[ci] = true
 			}
-		} else if copied > int64(8*len(want))/4 {
-			t.Errorf("generation %d copied %d bytes without folding a %d-cell column", g, copied, len(want))
+			before := g.Copied
+			if err := count.Set(row, IntVal(v)); err != nil {
+				t.Fatal(err)
+			}
+			if got := g.Copied - before; got != charge {
+				t.Fatalf("generation %d: a write into chunk %d charged %d bytes, want %d", gen, ci, got, charge)
+			}
+			want[row] = v
 		}
 		for i := 0; i < 8; i++ { // overwrite
 			row := rng.Intn(len(want))
-			want[row]++
-			if err := count.Set(row, IntVal(want[row])); err != nil {
-				t.Fatal(err)
-			}
+			set(row, want[row]+1)
 		}
-		patched = patched || len(count.patch) > 8
-		if g%3 == 0 { // and append, then overwrite the appended row too
+		if gen%3 == 0 { // and append, then overwrite the appended row too
 			next.MustAppend(IntVal(int64(len(want))), IntVal(1))
 			want = append(want, 1)
-			if g%6 == 0 {
-				want[len(want)-1] = 7
+			if gen%6 == 0 { // into a chunk the append may have copied already
 				if err := count.Set(len(want)-1, IntVal(7)); err != nil {
 					t.Fatal(err)
 				}
+				want[len(want)-1] = 7
 			}
 		}
 		chain = append(chain, generation{next, append([]int64(nil), want...)})
 	}
-	if !patched || folds < 2 {
-		t.Fatalf("the chain exercised too little: patch grew past one generation: %v, folds: %d", patched, folds)
-	}
-	for g, gen := range chain {
-		c := gen.rel.Column("count")
-		if c.Len() != len(gen.want) || gen.rel.NumRows() != len(gen.want) {
-			t.Fatalf("generation %d: %d cells, %d rows, want %d", g, c.Len(), gen.rel.NumRows(), len(gen.want))
+	for gen, g := range chain {
+		c := g.rel.Column("count")
+		if c.Len() != len(g.want) || g.rel.NumRows() != len(g.want) || c.RawInts() != nil {
+			t.Fatalf("generation %d: %d cells, %d rows, flat cells %v, want %d chunked", gen, c.Len(), g.rel.NumRows(), c.RawInts() != nil, len(g.want))
 		}
-		raw := c.RawInts()
-		// IntCells hands out the storage itself, never a copy, and the
-		// patch only while it holds a cell.
-		cells, patch := c.IntCells()
-		if len(cells) != len(gen.want) || &cells[0] != &c.ints[0] || (patch == nil) != (len(c.patch) == 0) {
-			t.Fatalf("generation %d: IntCells returns %d cells (a copy: %v) and a patch of %d over a patch of %d",
-				g, len(cells), &cells[0] != &c.ints[0], len(patch), len(c.patch))
-		}
-		for row, v := range gen.want {
-			cell, ok := patch[row]
-			if !ok {
-				cell = cells[row]
-			}
-			if c.Int64(row) != v || c.Get(row).Int() != v || c.Float64(row) != float64(v) || raw[row] != v || cell != v {
-				t.Fatalf("generation %d row %d: Int64 %d, Get %v, Float64 %v, RawInts %d, IntCells %d, want %d",
-					g, row, c.Int64(row), c.Get(row), c.Float64(row), raw[row], cell, v)
+		for row, v := range g.want {
+			if c.Int64(row) != v || c.Get(row).Int() != v || c.Float64(row) != float64(v) {
+				t.Fatalf("generation %d row %d: Int64 %d, Get %v, Float64 %v, want %d",
+					gen, row, c.Int64(row), c.Get(row), c.Float64(row), v)
 			}
 		}
-		if with, without := c.ByteSize(), int64(8*c.Len()); with != without+MapBytes(len(c.patch), patchSlotBytes) {
-			t.Errorf("generation %d: ByteSize %d does not count the %d-cell patch over %d bytes of cells", g, with, len(c.patch), without)
+		if got, want := c.ByteSize(), int64(4*c.Len())+int64(c.small.NumChunks())*int64(unsafe.Sizeof(chunk[uint32]{})); got != want {
+			t.Errorf("generation %d: ByteSize %d, want 4 bytes a cell and the chunk table (%d)", gen, got, want)
 		}
 	}
-	// Only INTEGER cells of an update clone can be overwritten.
+	// An update clone overwrites the cells of a chunked column only, and
+	// those within 4 bytes.
+	clone := orig.CloneForWrite()
+	clone.UpdateColumn("count", new(Gen))
+	clone.UpdateColumn("entity_id", new(Gen))
+	if err := clone.Column("entity_id").Set(0, IntVal(9)); err == nil || orig.Column("entity_id").Int64(0) != 0 {
+		t.Errorf("Set on a flat update clone: err = %v, the original reads %d", err, orig.Column("entity_id").Int64(0))
+	}
+	for _, v := range []int64{-1, 1 << 32} {
+		if err := clone.Column("count").Set(0, IntVal(v)); err == nil {
+			t.Errorf("Set(%d) on a chunked column succeeded", v)
+		}
+	}
 	text := New("t", Col("s", String))
 	text.MustAppend(StringVal("a"))
-	clone := text.CloneForWrite()
-	clone.UpdateColumn("s")
-	if err := clone.Column("s").Set(0, StringVal("b")); err == nil || text.Column("s").Str(0) != "a" {
+	tclone := text.CloneForWrite()
+	tclone.UpdateColumn("s", new(Gen))
+	if err := tclone.Column("s").Set(0, StringVal("b")); err == nil || text.Column("s").Str(0) != "a" {
 		t.Errorf("Set on a TEXT update clone: err = %v, the original reads %q", err, text.Column("s").Str(0))
 	}
 }

@@ -216,7 +216,7 @@ func (m *metrics) render(w *strings.Builder, live liveGauges) {
 	fmt.Fprintf(w, "# HELP squid_epoch_retired Retired epochs not yet garbage-collected (readers or leaked discoveries pin them).\n")
 	fmt.Fprintf(w, "# TYPE squid_epoch_retired gauge\n")
 	fmt.Fprintf(w, "squid_epoch_retired %d\n", live.epochRetired)
-	fmt.Fprintf(w, "# HELP squid_epoch_retained_bytes Bytes retired epochs keep alive on their own: what the publishes that retired them copied (chunks, index tails and folds, count-column patches).\n")
+	fmt.Fprintf(w, "# HELP squid_epoch_retained_bytes Bytes retired epochs keep alive on their own: what the publishes that retired them copied (chunks, index tails and folds).\n")
 	fmt.Fprintf(w, "# TYPE squid_epoch_retained_bytes gauge\n")
 	fmt.Fprintf(w, "squid_epoch_retained_bytes %d\n", live.epochRetainedBytes)
 

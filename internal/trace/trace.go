@@ -142,7 +142,7 @@ const (
 	CounterIndexBuilds
 	// CounterCopiedBytes counts the bytes an insert batch copied out of
 	// storage it shares with the epoch it retires — chunks, chunk tables,
-	// index tails and folds, count patches (index.Gen.Copied).
+	// index tails and folds, count chunks (relation.Gen.Copied).
 	CounterCopiedBytes
 
 	numCounters
