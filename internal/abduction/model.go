@@ -86,9 +86,8 @@ func lambdaImpacts(filters []*Filter, params Params) []float64 {
 		}
 		return out
 	}
-	// head[i] is the first filter of derived filter i's family: the one
-	// before it when that one shares the family (a property's contexts
-	// come together), else an earlier head that does, else i itself.
+	// head[i] is the first filter of derived filter i's family: an
+	// earlier head of the same family, else i itself.
 	head := make([]int32, len(filters))
 	for i, f := range filters {
 		if f.Kind != Derived {
@@ -96,10 +95,6 @@ func lambdaImpacts(filters []*Filter, params Params) []float64 {
 			continue
 		}
 		head[i] = int32(i)
-		if i > 0 && filters[i-1].Kind == Derived && sameFamily(filters[i-1], f) {
-			head[i] = head[i-1]
-			continue
-		}
 		for j := range i {
 			if filters[j].Kind == Derived && head[j] == int32(j) && sameFamily(filters[j], f) {
 				head[i] = int32(j)

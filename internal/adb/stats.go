@@ -66,8 +66,9 @@ type ResidentBytes struct {
 	// and the derived relations.
 	Columns, DerivedColumns int64
 	// HashIndexBase and HashIndexTail are the flat bases (a key-ordered
-	// base's offsets, and the identity vector its rows read once) and
-	// the tail maps of the resident hash indexes.
+	// base's offsets, and once the span of the process-wide identity
+	// vector those bases read) and the tail maps of the resident hash
+	// indexes.
 	HashIndexBase, HashIndexTail int64
 	// Inverted is the inverted index: its key maps and its posting
 	// lists, base and tail.

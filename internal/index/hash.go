@@ -189,14 +189,6 @@ func growIdentity(n int) {
 	identity.Store(&v)
 }
 
-// identityBytes returns the bytes of the identity vector.
-func identityBytes() int64 {
-	if cur := identity.Load(); cur != nil {
-		return 4 * int64(len(*cur))
-	}
-	return 0
-}
-
 // isDense reports whether keys keys spanning [lo, hi] take the window.
 // The range is computed unsigned, so keys near both int64 extremes
 // cannot wrap it.
@@ -498,7 +490,7 @@ func bounds(base, tail []uint32) (first, last uint32) {
 
 // residentBytes returns the bytes of the base and of the tail: the key
 // table's maps and the lists'. A key-ordered base's rows are the
-// identity vector, which IndexSet counts once.
+// identity vector, which IndexSet counts once, by the span it reads.
 func (h *IntHash) residentBytes() (base, tail int64) {
 	base, tail = h.lists.ResidentBytes()
 	kb, kt := h.ords.residentBytes()

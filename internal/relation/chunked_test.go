@@ -3,7 +3,7 @@ package relation
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -118,17 +118,18 @@ func checkChunked(t *testing.T, at string, got *Chunked[int], want []int) {
 		t.Errorf("%s: Len = %d want %d", at, got.Len(), len(want))
 		return
 	}
-	var flat []int
+	rest := want
 	for ci := 0; ci < got.NumChunks(); ci++ {
 		c := got.Chunk(ci)
-		if len(c) == 0 || len(c) > chunkCap {
+		if len(c) == 0 || len(c) > chunkCap || len(c) > len(rest) {
 			t.Errorf("%s: chunk %d holds %d elements", at, ci, len(c))
+			return
 		}
-		flat = append(flat, c...)
-	}
-	if len(want) > 0 && !reflect.DeepEqual(flat, want) {
-		t.Errorf("%s: chunks hold %v want %v", at, flat, want)
-		return
+		if !slices.Equal(c, rest[:len(c)]) {
+			t.Errorf("%s: chunk %d holds %v want %v", at, ci, c, rest[:len(c)])
+			return
+		}
+		rest = rest[len(c):]
 	}
 	// At walks the chunks of a ragged vector: sample it.
 	for i := 0; i < len(want); i += 1 + len(want)/64 {
@@ -139,33 +140,52 @@ func checkChunked(t *testing.T, at string, got *Chunked[int], want []int) {
 	}
 }
 
+// chunkedOps draws an op stream of the given number of publishes,
+// about a dozen writes per generation.
+func chunkedOps(rng *rand.Rand, publishes int) []byte {
+	var ops []byte
+	for published := 0; published < publishes; {
+		op := byte(rng.Intn(5))
+		if op == 4 && rng.Intn(3) != 0 {
+			continue
+		}
+		if op == 4 {
+			published++
+		}
+		ops = append(ops, op)
+		for i := 0; i < [5]int{1, 3, 2, 1, 0}[op]; i++ {
+			ops = append(ops, byte(rng.Intn(256)))
+		}
+	}
+	return ops
+}
+
 // TestChunkedCloneChain drives 60 generations per seed and insists the
 // run split a chunk of the sorted vector and appended to a partially
 // filled last chunk through a clone while a retired generation still
 // read it.
 func TestChunkedCloneChain(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var ops []byte
-		for published := 0; published < 60; {
-			op := byte(rng.Intn(5))
-			if op == 4 && rng.Intn(3) != 0 {
-				continue // a dozen writes per generation
-			}
-			if op == 4 {
-				published++
-			}
-			ops = append(ops, op)
-			for i := 0; i < [5]int{1, 3, 2, 1, 0}[op]; i++ {
-				ops = append(ops, byte(rng.Intn(256)))
-			}
-		}
-		st := runChunkedChain(t, ops)
+		st := runChunkedChain(t, chunkedOps(rand.New(rand.NewSource(seed)), 60))
 		t.Logf("seed %d: %+v", seed, st)
 		if st.generations != 60 || st.splits == 0 || st.sharedAppends == 0 {
 			t.Errorf("seed %d exercised too little: %+v", seed, st)
 		}
 	}
+}
+
+// FuzzChunkedCloneChain lets the fuzzer pick the interleaving.
+func FuzzChunkedCloneChain(f *testing.F) {
+	for seed := int64(1); seed <= 2; seed++ {
+		f.Add(chunkedOps(rand.New(rand.NewSource(seed)), 60))
+	}
+	f.Add([]byte{3, 1, 4, 0, 9, 1, 0, 5, 7, 4, 3, 2, 0, 0, 9, 4})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 4096 {
+			ops = ops[:4096]
+		}
+		runChunkedChain(t, ops)
+	})
 }
 
 // TestChunkedSplitAndAppend pins the two chunk-boundary behaviors on

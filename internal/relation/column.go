@@ -291,9 +291,12 @@ func MapBytes(n, slotBytes int) int64 {
 // reallocated array), so readers of the original — which never index
 // past their own length — are unaffected. Only the single in-flight
 // writer of the owning relation may append; epochs form a linear chain,
-// so each storage index is written at most once.
+// so each storage index is written at most once. The clone carries no
+// writer Gen, even when the receiver was an update clone: only
+// CloneForUpdate makes a chunked column's cells overwritable.
 func (c *Column) CloneForAppend() *Column {
 	q := *c
+	q.gen = nil
 	return &q
 }
 

@@ -376,6 +376,9 @@ func TestUpdateCloneChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for gen := 0; gen < 40; gen++ {
 		next := chain[len(chain)-1].rel.CloneForWrite()
+		if next.Column("count").gen != nil {
+			t.Fatalf("generation %d: CloneForWrite kept the retired writer's Gen", gen)
+		}
 		g := new(Gen)
 		next.UpdateColumn("count", g)
 		count := next.Column("count")
