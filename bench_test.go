@@ -218,11 +218,10 @@ func BenchmarkDiscovery(b *testing.B) {
 
 // BenchmarkDiscoverPool measures a discovery the way the repository
 // benchmark's intent workloads draw them — examples sampled from an
-// intent's ground truth at the benchmark's 4x scale, Params.Workers 1 —
-// at the two ends of the response size: IQ9 at |E| = 5 (a few dozen
-// output values; context discovery and Algorithm 1 are the cost) and
-// IQ12 at |E| = 30 (about 1,450; materializing and ordering the output
-// is). Each is run warm, memos hot as in intent_warm, and cold, the
+// intent's ground truth at the benchmark's 4x scale — at the two ends of
+// the response size: IQ9 at |E| = 5 (a few dozen output values; context
+// discovery and Algorithm 1 are the cost) and IQ12 at |E| = 30 (about
+// 1,450; materializing and ordering the output is). Each is run warm, memos hot as in intent_warm, and cold, the
 // memos emptied before every discovery with the timer stopped, as in
 // intent_cold: the difference is the row sets the discovery builds. The
 // warm arms run on a fresh Build; the inserted arms run warm on the
@@ -237,11 +236,6 @@ func BenchmarkDiscoverPool(b *testing.B) {
 		b.Fatal(err)
 	}
 	inserted := afterInserts(b, sys, cfg)
-	for _, s := range []*System{sys, inserted} {
-		p := s.Params()
-		p.Workers = 1
-		s.SetParams(p)
-	}
 	truths := map[string][]string{}
 	for _, q := range benchqueries.IMDbBenchmarks(g) {
 		if truths[q.ID], err = benchqueries.GroundTruth(g.DB, q); err != nil {

@@ -17,7 +17,7 @@ import (
 // movies, 50 companies). The readings behind the ceilings, all go1.24 on
 // linux/amd64:
 //
-//   - A warm discovery of 30 comedians (Params.Workers 1, 201 output
+//   - A warm discovery of 30 comedians (one goroutine, 201 output
 //     values, 2 filters): 861 mallocs and 82.6 KB at the parent of PR 20
 //     (per-example Go maps in context discovery and the inverted lookup,
 //     fmt.Sprintf per SQL clause, sort.Strings over the output); 156
@@ -25,7 +25,9 @@ import (
 //     output ordered by dictionary rank and the SQL in one buffer; 153.0
 //     and 22.1 KB with the outlier impacts grouped in a Go map under a
 //     concatenated key string per filter, 95.0 and 20.45 KB with them in
-//     a slice indexed like the filters.
+//     a slice indexed like the filters; 81.0 and 19.89 KB once a
+//     discovery runs serially, without a worker pool, a scratch free
+//     list or a per-property context slice.
 //   - What a cold one — the first after a boot, and the first to touch
 //     a property after a publish — allocates beyond a warm one: the row
 //     sets it builds, each allocated at the size its statistic gave and
@@ -78,8 +80,8 @@ func TestBudgets(t *testing.T) {
 		limit    float64
 		reason   string
 	}{
-		{"WarmDiscoverMallocs", warm, "mallocs", 100, "5% above the 95.0 of outlier impacts in a slice (153.0 with a map of families)"},
-		{"WarmDiscoverKB", warm, "KB", 21.5, "5% above the 20.45 KB of outlier impacts in a slice (22.1 with a map of families)"},
+		{"WarmDiscoverMallocs", warm, "mallocs", 85, "5% above the 81.0 of a serial discovery (95.0 with the worker pool and its scratch free list)"},
+		{"WarmDiscoverKB", warm, "KB", 20.9, "5% above the 19.89 KB of a serial discovery (20.45 with the worker pool and its scratch free list)"},
 		{"ColdDiscoverMallocs", coldOverWarm, "mallocs", 10, "no grow, sort, dedup, densify or compact copy of a row set (28 at PR 23's parent, 6 after)"},
 		{"ColdDiscoverKB", coldOverWarm, "KB", 2, "each row set sized once from its statistic (3.2 KB at PR 23's parent, 1.4 after)"},
 		{"BuildMallocsPerRow", build, "mallocs/row", 1.83, "5% above the 1.74 of derived relations tabulated in code space (3.59 with a map per entity, a string sort and a boxed append per row)"},
@@ -135,8 +137,7 @@ func uniqueComedians(tb testing.TB, g *datagen.IMDb, n int) []string {
 }
 
 // discoveryAllocs returns the mallocs and KB one discovery of 30
-// comedians allocates on the bench-scale IMDb fixture (Params.Workers 1),
-// averaged over 100: warm, with the row-set memos, the rank tables and
+// comedians allocates on the bench-scale IMDb fixture, averaged over 100: warm, with the row-set memos, the rank tables and
 // every lazy index in place, or cold, with the memos emptied before each
 // discovery (the emptying allocates nothing).
 func discoveryAllocs(t *testing.T, cold bool) (mallocs, kb float64) {
@@ -146,9 +147,6 @@ func discoveryAllocs(t *testing.T, cold bool) (mallocs, kb float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := sys.Params()
-	p.Workers = 1
-	sys.SetParams(p)
 	examples := uniqueComedians(t, g, 30)
 	ctx := context.Background()
 	cache := sys.AlphaDB().SelectivityCache()

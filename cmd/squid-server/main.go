@@ -76,8 +76,7 @@ func main() {
 		snapInterval = flag.Duration("snapshot-interval", 0, "periodic snapshot re-save interval (0 = only on demand and on drain)")
 		maxInFlight  = flag.Int("max-inflight", 0, "max concurrently running discovery/execute requests (0 = GOMAXPROCS)")
 		queueDepth   = flag.Int("queue-depth", 0, "admission waiters beyond max-inflight before shedding 429s (0 = 4x max-inflight)")
-		batchWorkers = flag.Int("batch-workers", 0, "worker pool per /v1/discover/batch request (0 = GOMAXPROCS); worst-case discovery parallelism is max-inflight x batch-workers")
-		discWorkers  = flag.Int("discover-workers", 1, "intra-discovery worker pool (Params.Workers): goroutines spent inside one discovery; 1 = serial, 0 = GOMAXPROCS. Raise for low-latency single discoveries, keep 1 when max-inflight already saturates the cores")
+		workers      = flag.Int("batch-workers", 0, "example sets one /v1/discover/batch request discovers at once (Params.Workers; 0 = GOMAXPROCS); worst-case discovery parallelism is max-inflight x batch-workers")
 		timeout      = flag.Duration("timeout", 30*time.Second, "per-request deadline (0 = none)")
 		drainWait    = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 		qre          = flag.Bool("qre", false, "use the optimistic QRE parameter preset (§7.5)")
@@ -136,16 +135,9 @@ func main() {
 		sys.SetParams(squid.QREParams())
 	}
 	{
-		// Applied unconditionally: the library default (0 = GOMAXPROCS)
-		// suits a single-user process, but a server saturating its cores
-		// with concurrent requests wants serial discoveries unless the
-		// operator opts in.
 		p := sys.Params()
-		p.Workers = *discWorkers
+		p.Workers = *workers
 		sys.SetParams(p)
-	}
-	if *batchWorkers > 0 {
-		sys.SetBatchWorkers(*batchWorkers)
 	}
 
 	reqTimeout := *timeout

@@ -82,27 +82,24 @@ func (r *Result) OutputValues() []string {
 // abduceForEntityCtx runs the full online pipeline for examples already
 // resolved to rows of one entity relation: context discovery, Algorithm
 // 1, and output computation. ctx is consulted between candidate-filter
-// evaluations and before the output-row intersection, so a canceled
-// context aborts a long abduction mid-flight instead of after the fact;
-// the pool (bounded by Params.Workers) fans the per-property context
-// walks and the selectivity prefetch out without oversubscribing the
-// discovery-wide budget.
+// evaluations and before each selected filter's row set, so a canceled
+// context aborts a long abduction mid-flight instead of after the fact.
 //
 // sp is the candidate's trace span (or the zero Span): each pipeline
 // phase — context discovery, selectivity prefetch, Algorithm 1, row-set
 // prefetch, intersection — nests one child span under it, so a traced
 // discovery attributes its time phase by phase. Span structure depends
-// only on the candidate's data, never on worker scheduling.
-func abduceForEntityCtx(ctx context.Context, pool *workPool, info *adb.EntityInfo, base BaseQuery, exampleRows []int, params Params, sp trace.Span) (*Result, error) {
+// only on the candidate's data.
+func abduceForEntityCtx(ctx context.Context, info *adb.EntityInfo, base BaseQuery, exampleRows []int, params Params, sp trace.Span) (*Result, error) {
 	cs := sp.Child(trace.PhaseContexts, "")
-	contexts, err := discoverContextsCtx(ctx, pool, info, exampleRows, params)
+	contexts, err := discoverContextsCtx(ctx, info, exampleRows, params)
 	cs.Add(trace.CounterProperties, int64(len(info.Basic)+len(info.Derived)))
 	cs.Add(trace.CounterContexts, int64(len(contexts)))
 	cs.End()
 	if err != nil {
 		return nil, err
 	}
-	decisions, selected, err := abduceCtx(ctx, pool, contexts, params, sp)
+	decisions, selected, err := abduceCtx(ctx, contexts, params, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -113,16 +110,18 @@ func abduceForEntityCtx(ctx context.Context, pool *workPool, info *adb.EntityInf
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Prefetch the selected filters' row bitsets in parallel; the
-	// intersection cascade itself is word ops and stays serial. Each
-	// selected filter gets its own rowset span (labeled with the filter),
-	// so cache behavior is attributed per property.
+	// Fetch the selected filters' row bitsets before the intersection
+	// cascade. Each selected filter gets its own rowset span (labeled
+	// with the filter), so cache behavior is attributed per property.
 	rs := sp.Child(trace.PhaseRows, "")
-	err = pool.forEach(ctx, len(selected), func(i int) { selected[i].RowSetUnder(rs) })
-	rs.End()
-	if err != nil {
-		return nil, err
+	for _, f := range selected {
+		if err := ctx.Err(); err != nil {
+			rs.End()
+			return nil, err
+		}
+		f.RowSetUnder(rs)
 	}
+	rs.End()
 	is := sp.Child(trace.PhaseIntersect, "")
 	output := IntersectRows(info, selected)
 	is.Add(trace.CounterSelected, int64(len(selected)))
@@ -155,17 +154,13 @@ func abduceForEntityCtx(ctx context.Context, pool *workPool, info *adb.EntityInf
 // every lookup — example resolution, selectivity, row sets — answers
 // from exactly the state the epoch was published with.
 //
-// ctx.Err() is checked between candidate base queries and, inside each
-// abduction, between candidate-filter evaluations, so canceling the
-// context makes even a single long discovery return promptly with
-// ctx's error (wrapped; match it with errors.Is).
-//
-// Params.Workers > 1 (or 0 on a multi-core machine) fans the candidate
-// base queries — and, inside each, the per-property context walks and
-// selectivity computations — over a bounded worker pool. Candidates
-// land in enumeration-order slots and the per-filter math is untouched,
-// so the results are byte-identical to the serial path at every worker
-// count; only the wall-clock changes.
+// The discovery runs on its caller's goroutine. ctx.Err() is checked
+// before every candidate base query and, inside each abduction, before
+// every property walk, selectivity, decision and row set, so canceling
+// the context makes even a single long discovery return promptly with
+// ctx's error (wrapped; match it with errors.Is). Callers that want
+// many discoveries at once fan them out themselves (squid's
+// System.DiscoverBatch).
 func DiscoverCtx(ctx context.Context, a *adb.Epoch, examples []string, params Params, resolver Resolver) ([]*Result, error) {
 	if len(examples) == 0 {
 		return nil, fmt.Errorf("abduction: %w", ErrNoExamples)
@@ -175,37 +170,29 @@ func DiscoverCtx(ctx context.Context, a *adb.Epoch, examples []string, params Pa
 	matches := a.CommonColumns(examples)
 	res.Add(trace.CounterCandidates, int64(len(matches)))
 	res.End()
-	pool := newWorkPool(params.Workers)
-	slots := make([]*Result, len(matches))
-	errs := make([]error, len(matches))
-	ferr := pool.forEach(ctx, len(matches), func(i int) {
-		m := matches[i]
+	var results []*Result
+	for _, m := range matches {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("abduction: %w", err)
+		}
 		info := a.Entity(m.Key.Relation)
 		if info == nil {
-			return // match in a non-entity relation (e.g. dimension)
+			continue // match in a non-entity relation (e.g. dimension)
 		}
 		rows := resolveRows(info, m, resolver, params)
 		if rows == nil {
-			return
+			continue
 		}
 		cand := trace.Span{}
 		if sp.Active() {
 			cand = sp.Child(trace.PhaseCandidate, m.Key.Relation+"."+m.Key.Column)
 		}
-		slots[i], errs[i] = abduceForEntityCtx(ctx, pool, info, BaseQuery{Entity: m.Key.Relation, Attr: m.Key.Column}, rows, params, cand)
+		r, err := abduceForEntityCtx(ctx, info, BaseQuery{Entity: m.Key.Relation, Attr: m.Key.Column}, rows, params, cand)
 		cand.End()
-	})
-	if ferr != nil {
-		return nil, fmt.Errorf("abduction: %w", ferr)
-	}
-	var results []*Result
-	for i, res := range slots {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("abduction: %w", errs[i])
+		if err != nil {
+			return nil, fmt.Errorf("abduction: %w", err)
 		}
-		if res != nil {
-			results = append(results, res)
-		}
+		results = append(results, r)
 	}
 	if len(results) == 0 {
 		// Dimension fallback (IQ7-style intents): the examples match a

@@ -3,7 +3,6 @@ package abduction
 import (
 	"context"
 	"slices"
-	"sync"
 
 	"squid/internal/adb"
 )
@@ -33,53 +32,38 @@ type Context struct {
 // (the paper's optional footnote-7 extension).
 func DiscoverContexts(info *adb.EntityInfo, exampleRows []int, params Params) []Context {
 	//lint:ignore ctxpoll non-cancellable convenience wrapper over discoverContextsCtx
-	out, _ := discoverContextsCtx(context.Background(), nil, info, exampleRows, params)
+	out, _ := discoverContextsCtx(context.Background(), info, exampleRows, params)
 	return out
 }
 
-// discoverContextsCtx is DiscoverContexts with cooperative cancellation
-// and a worker pool: every basic and derived property is an independent
-// unit of work, fanned over the pool, and each unit's contexts land in
-// an enumeration-order slot — the concatenation is exactly the serial
-// walk's output, property by property, so parallelism never reorders
-// the candidate filter set. Each property's own context list is sorted
-// internally (by value), so output bytes are identical at any worker
-// count.
-func discoverContextsCtx(ctx context.Context, pool *workPool, info *adb.EntityInfo, exampleRows []int, params Params) ([]Context, error) {
+// discoverContextsCtx is DiscoverContexts with cooperative cancellation:
+// ctx is checked before every basic and derived property's walk. The
+// contexts come out property by property, basic properties first, each
+// property's own contexts sorted by value.
+func discoverContextsCtx(ctx context.Context, info *adb.EntityInfo, exampleRows []int, params Params) ([]Context, error) {
 	if len(exampleRows) == 0 {
 		return nil, nil
 	}
 	st := newExampleState(info, exampleRows, params)
-	nb := len(info.Basic)
-	perProp := make([][]Context, nb+len(info.Derived))
-	err := pool.forEach(ctx, len(perProp), func(i int) {
-		if i < nb {
-			prop := info.Basic[i]
-			switch prop.Kind {
-			case adb.Categorical:
-				perProp[i] = categoricalContexts(st, prop, params)
-			case adb.Numeric:
-				if f, ok := numericContext(prop, exampleRows); ok {
-					perProp[i] = []Context{{Filter: f, NumExamples: len(exampleRows)}}
-				}
-			}
-		} else {
-			perProp[i] = derivedContexts(st, info.Derived[i-nb], params)
+	var out []Context
+	for _, prop := range info.Basic {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-	})
-	if err != nil {
-		return nil, err
+		switch prop.Kind {
+		case adb.Categorical:
+			out = categoricalContexts(out, st, prop, params)
+		case adb.Numeric:
+			if f, ok := numericContext(prop, exampleRows); ok {
+				out = append(out, Context{Filter: f, NumExamples: len(exampleRows)})
+			}
+		}
 	}
-	total := 0
-	for _, cs := range perProp {
-		total += len(cs)
-	}
-	if total == 0 {
-		return nil, nil
-	}
-	out := make([]Context, 0, total)
-	for _, cs := range perProp {
-		out = append(out, cs...)
+	for _, prop := range info.Derived {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		out = derivedContexts(out, st, prop, params)
 	}
 	return out, nil
 }
@@ -88,22 +72,16 @@ func discoverContextsCtx(ctx context.Context, pool *workPool, info *adb.EntityIn
 // discovery: entity ids resolved once, per-degree-property normalization
 // denominators computed once and reused by every derived property
 // sharing that association (instead of re-deriving them per property as
-// the scan-based pipeline did), and the intersection scratch the
-// property units take turns with.
+// the scan-based pipeline did), and the intersection scratch every
+// property walk reuses.
 type exampleState struct {
 	info *adb.EntityInfo
 	rows []int
 	ids  []int64
-	// mu guards degrees and free: property units run concurrently under
-	// the discovery pool and share both.
-	mu sync.Mutex
 	// degrees memoizes, per degree property, the per-example total
 	// association counts.
 	degrees map[*adb.DerivedProperty][]float64
-	// free holds the scratch no unit is using: one on the serial path,
-	// reused by every property of the discovery, at most one per worker
-	// otherwise.
-	free []*ctxScratch
+	sc      ctxScratch
 }
 
 // ctxScratch is the reusable working memory of one property's context
@@ -127,33 +105,12 @@ func newExampleState(info *adb.EntityInfo, exampleRows []int, params Params) *ex
 	return st
 }
 
-// scratch hands a unit its working memory; the unit returns it with
-// release when its contexts are built.
-func (st *exampleState) scratch() *ctxScratch {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if n := len(st.free); n > 0 {
-		sc := st.free[n-1]
-		st.free = st.free[:n-1]
-		return sc
-	}
-	return &ctxScratch{}
-}
-
-func (st *exampleState) release(sc *ctxScratch) {
-	st.mu.Lock()
-	st.free = append(st.free, sc)
-	st.mu.Unlock()
-}
-
 // degreesFor returns the per-example degree (total association count)
 // vector for the given degree property, computing it once.
 func (st *exampleState) degreesFor(degree *adb.DerivedProperty) []float64 {
 	if degree == nil {
 		return nil
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	if d, ok := st.degrees[degree]; ok {
 		return d
 	}
@@ -165,17 +122,16 @@ func (st *exampleState) degreesFor(degree *adb.DerivedProperty) []float64 {
 	return d
 }
 
-// categoricalContexts emits shared-value contexts for a categorical
-// basic property. The value sets intersect as dictionary codes with no
-// map and no per-value object: the first example's codes, sorted and
-// deduplicated in the scratch, are the shared set; every further example
-// stamps the shared codes it holds (a binary search per code of its
-// list, so a row of hundreds of codes stays linear in the row) and the
-// unstamped ones are dropped. Codes decode to strings only when a filter
-// is emitted, in the dictionary's rank order.
-func categoricalContexts(st *exampleState, prop *adb.BasicProperty, params Params) []Context {
-	sc := st.scratch()
-	defer st.release(sc)
+// categoricalContexts appends the shared-value contexts of a categorical
+// basic property to out. The value sets intersect as dictionary codes
+// with no map and no per-value object: the first example's codes, sorted
+// and deduplicated in the scratch, are the shared set; every further
+// example stamps the shared codes it holds (a binary search per code of
+// its list, so a row of hundreds of codes stays linear in the row) and
+// the unstamped ones are dropped. Codes decode to strings only when a
+// filter is emitted, in the dictionary's rank order.
+func categoricalContexts(out []Context, st *exampleState, prop *adb.BasicProperty, params Params) []Context {
+	sc := &st.sc
 	shared := append(sc.codes[:0], prop.ValueCodes(st.rows[0])...)
 	slices.Sort(shared)
 	shared = slices.Compact(shared)
@@ -203,16 +159,15 @@ func categoricalContexts(st *exampleState, prop *adb.BasicProperty, params Param
 		vals := prop.Dict().Values()
 		values := make([]string, len(shared))
 		filters := make([]Filter, len(shared))
-		out := make([]Context, len(shared))
 		for i, c := range shared {
 			values[i] = vals[c]
 			filters[i] = Filter{Kind: BasicCategorical, Basic: prop, Values: values[i : i+1 : i+1]}
-			out[i] = Context{Filter: &filters[i], NumExamples: len(st.rows)}
+			out = append(out, Context{Filter: &filters[i], NumExamples: len(st.rows)})
 		}
 		return out
 	}
 	if params.MaxDisjunction == 0 || prop.MultiValued {
-		return nil
+		return out
 	}
 	// Disjunction extension: no single shared value — consider the set
 	// of distinct values the examples take, if small enough.
@@ -220,7 +175,7 @@ func categoricalContexts(st *exampleState, prop *adb.BasicProperty, params Param
 	for _, row := range st.rows {
 		codes := prop.ValueCodes(row)
 		if len(codes) == 0 {
-			return nil // an example lacks the property: no valid filter
+			return out // an example lacks the property: no valid filter
 		}
 		distinct = append(distinct, codes[0])
 	}
@@ -228,7 +183,7 @@ func categoricalContexts(st *exampleState, prop *adb.BasicProperty, params Param
 	distinct = slices.Compact(distinct)
 	sc.codes = distinct
 	if len(distinct) < 2 || len(distinct) > params.MaxDisjunction {
-		return nil
+		return out
 	}
 	prop.Dict().SortCodes(distinct)
 	vals := prop.Dict().Values()
@@ -236,10 +191,10 @@ func categoricalContexts(st *exampleState, prop *adb.BasicProperty, params Param
 	for i, c := range distinct {
 		values[i] = vals[c]
 	}
-	return []Context{{
+	return append(out, Context{
 		Filter:      &Filter{Kind: BasicCategorical, Basic: prop, Values: values},
 		NumExamples: len(st.rows),
-	}}
+	})
 }
 
 // numericContext emits the tightest-range context for a numeric basic
@@ -275,15 +230,15 @@ type sharedAssoc struct {
 // compareCode orders a shared association against a value code.
 func (a sharedAssoc) compareCode(code int32) int { return int(a.code) - int(code) }
 
-// derivedContexts emits contexts for a derived property: one per value
-// that every example is associated with, at the minimum observed
-// strength θmin (§6.1.2 "Derived property"). Entity ids and
+// derivedContexts appends the contexts of a derived property to out: one
+// per value that every example is associated with, at the minimum
+// observed strength θmin (§6.1.2 "Derived property"). Entity ids and
 // normalization degrees come precomputed from the shared example state.
 // The per-example (value code, strength) lists intersect the way
 // categoricalContexts' do — the first example's, sorted by code in the
 // scratch, then a binary search per pair of every further example — and
 // values decode to strings only when a filter is emitted.
-func derivedContexts(st *exampleState, prop *adb.DerivedProperty, params Params) []Context {
+func derivedContexts(out []Context, st *exampleState, prop *adb.DerivedProperty, params Params) []Context {
 	var degree *adb.DerivedProperty
 	if params.NormalizeAssociation {
 		degree = st.info.DerivedByAttr(prop.Via + ":count")
@@ -296,8 +251,7 @@ func derivedContexts(st *exampleState, prop *adb.DerivedProperty, params Params)
 		return float64(count) / degs[i]
 	}
 
-	sc := st.scratch()
-	defer st.release(sc)
+	sc := &st.sc
 	shared := sc.aggs[:0]
 	for i, id := range st.ids {
 		sc.counts = prop.AppendCounts(sc.counts[:0], id)
@@ -331,7 +285,7 @@ func derivedContexts(st *exampleState, prop *adb.DerivedProperty, params Params)
 	}
 	sc.aggs = shared
 	if len(shared) == 0 {
-		return nil
+		return out
 	}
 	codes := sc.codes[:0]
 	for _, a := range shared {
@@ -342,7 +296,6 @@ func derivedContexts(st *exampleState, prop *adb.DerivedProperty, params Params)
 	vals := prop.Dict().Values()
 	values := make([]string, len(codes))
 	filters := make([]Filter, len(codes))
-	out := make([]Context, len(codes))
 	for i, code := range codes {
 		at, _ := slices.BinarySearchFunc(shared, code, sharedAssoc.compareCode)
 		values[i] = vals[code]
@@ -356,7 +309,7 @@ func derivedContexts(st *exampleState, prop *adb.DerivedProperty, params Params)
 			f.ThetaN = shared[at].minFrac
 			f.degree = degree
 		}
-		out[i] = Context{Filter: f, NumExamples: len(st.rows)}
+		out = append(out, Context{Filter: f, NumExamples: len(st.rows)})
 	}
 	return out
 }

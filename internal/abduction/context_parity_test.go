@@ -300,21 +300,18 @@ func TestContextIntersectionMatchesMapOracle(t *testing.T) {
 			if prop.Kind != adb.Categorical {
 				continue
 			}
-			got, want := categoricalContexts(st, prop, params), categoricalContextsByMap(prop, rows, params)
+			got, want := categoricalContexts(nil, st, prop, params), categoricalContextsByMap(prop, rows, params)
 			if err := sameContexts(got, want); err != nil {
 				t.Fatalf("trial %d, rows %v, %s: %v", trial, rows, prop, err)
 			}
 			nonEmpty += len(want)
 		}
 		for _, prop := range info.Derived {
-			got, want := derivedContexts(st, prop, params), derivedContextsByMap(oracle, prop, params)
+			got, want := derivedContexts(nil, st, prop, params), derivedContextsByMap(oracle, prop, params)
 			if err := sameContexts(got, want); err != nil {
 				t.Fatalf("trial %d, rows %v, %s (normalize %v): %v", trial, rows, prop, params.NormalizeAssociation, err)
 			}
 			nonEmpty += len(want)
-		}
-		if len(st.free) != 1 {
-			t.Fatalf("trial %d: %d scratches after a serial walk, want the one every property reused", trial, len(st.free))
 		}
 	}
 	if nonEmpty < 1000 {

@@ -54,11 +54,9 @@ type Filter struct {
 	// pointer (copy-on-write inserts publish clones under fresh
 	// identities), so the memos can never go stale — the generation
 	// re-pinning machinery the locked αDB needed is gone. A Filter
-	// belongs to one discovery; the intra-discovery worker pool touches
-	// each filter from at most one goroutine per phase, with a
-	// WaitGroup barrier before the next phase reads the memos, so they
-	// need no locking. Cross-discovery reuse happens one layer down in
-	// the properties' own row-set memos.
+	// belongs to one discovery, which runs on one goroutine, so the
+	// memos need no locking. Cross-discovery reuse happens one layer
+	// down in the properties' own row-set memos.
 	selVal float64
 	selOK  bool
 	rowSet *index.RowSet

@@ -164,21 +164,14 @@ func alphaImpact(f *Filter, params Params) float64 {
 // abduceCtx runs Algorithm 1: for each minimal valid filter decide
 // independently whether including it increases the query posterior
 // (Equation 5), returning the decisions and the selected filter set.
-// Ties drop the filter (Occam's razor, Appendix C). ctx is checked
-// between candidate evaluations: each iteration computes the filter's
-// selectivity (the expensive step of Algorithm 1), so consulting ctx
-// here is what makes a single long discovery abort promptly instead of
-// only between requests.
+// Ties drop the filter (Occam's razor, Appendix C).
 //
-// The selectivities are prefetched over the worker pool first — each
-// filter is touched by exactly one unit, and the pool's barrier
-// publishes the per-filter memos to this goroutine — so the decision
-// loop that follows consults them at memo-read cost. The loop itself
-// stays serial: the per-filter decisions are Theorem 1's independent
-// maximization steps, pure float math after the prefetch, and keeping
-// them on one goroutine keeps the decision order (and the cancellation
-// checkpoints the tests count) identical to the serial path.
-func abduceCtx(ctx context.Context, pool *workPool, contexts []Context, params Params, sp trace.Span) ([]FilterDecision, []*Filter, error) {
+// The selectivities (the expensive step of Algorithm 1) are computed
+// first, in their own trace span, so the decision loop that follows
+// reads them at memo cost. ctx is checked before every selectivity and
+// every decision, which is what makes a single long discovery abort
+// promptly instead of only between requests.
+func abduceCtx(ctx context.Context, contexts []Context, params Params, sp trace.Span) ([]FilterDecision, []*Filter, error) {
 	filters := make([]*Filter, len(contexts))
 	for i, c := range contexts {
 		filters[i] = c.Filter
@@ -186,13 +179,16 @@ func abduceCtx(ctx context.Context, pool *workPool, contexts []Context, params P
 	lambdas := lambdaImpacts(filters, params)
 
 	// The selectivity prefetch is the candidate's cache-heavy phase; its
-	// span collects the hit/miss/store counters the worker units bump.
+	// span collects the hit/miss/store counters of the lookups.
 	ss := sp.Child(trace.PhaseSelectivity, "")
-	err := pool.forEach(ctx, len(filters), func(i int) { filters[i].selectivityT(ss) })
-	ss.End()
-	if err != nil {
-		return nil, nil, err
+	for _, f := range filters {
+		if err := ctx.Err(); err != nil {
+			ss.End()
+			return nil, nil, err
+		}
+		f.selectivityT(ss)
 	}
+	ss.End()
 
 	as := sp.Child(trace.PhaseAbduce, "")
 	defer as.End()

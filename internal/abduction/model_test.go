@@ -209,7 +209,7 @@ func TestExample21Abduction(t *testing.T) {
 	// not yet included; with four examples exclude=0.9·0.0625≈0.056 →
 	// included. This mirrors the paper's "more examples → more
 	// confidence" behavior.
-	_, selected, err := abduceCtx(context.Background(), nil, contexts, DefaultParams(), trace.Span{})
+	_, selected, err := abduceCtx(context.Background(), contexts, DefaultParams(), trace.Span{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestExample21Abduction(t *testing.T) {
 	// use a slightly higher prior to include.
 	params := DefaultParams()
 	params.Rho = 0.2
-	_, selected4, err := abduceCtx(context.Background(), nil, contexts4, params, trace.Span{})
+	_, selected4, err := abduceCtx(context.Background(), contexts4, params, trace.Span{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestAbduceDecisionRule(t *testing.T) {
 	a := fig6DB(t)
 	info := a.Entity("person")
 	contexts := DiscoverContexts(info, []int{0, 1, 2}, DefaultParams()) // all males
-	decisions, _, err := abduceCtx(context.Background(), nil, contexts, DefaultParams(), trace.Span{})
+	decisions, _, err := abduceCtx(context.Background(), contexts, DefaultParams(), trace.Span{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestTieDropsFilter(t *testing.T) {
 	// Solve ρ = (1−ρ)·ψ^|E| for ψ=0.5, |E|=3: ρ = 0.125/1.125 = 1/9.
 	params := DefaultParams()
 	params.Rho = 1.0 / 9.0
-	decisions, selected, err := abduceCtx(context.Background(), nil, []Context{*g}, params, trace.Span{})
+	decisions, selected, err := abduceCtx(context.Background(), []Context{*g}, params, trace.Span{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,14 +46,11 @@ type Params struct {
 	// (attribute IN (v1..vk)) up to k values; 0 disables them
 	// (footnote 7 of the paper: optional disjunction support).
 	MaxDisjunction int
-	// Workers bounds the intra-discovery parallelism: candidate base
-	// queries, per-property context walks, and candidate-filter
-	// selectivity computations fan out over up to this many goroutines
-	// within a single DiscoverCtx call. 0 (the default) means GOMAXPROCS;
-	// 1 forces the serial path. Results are byte-identical to serial at
-	// every setting — the knob trades latency for CPU, never output.
-	// Workers is a runtime knob, not part of the abduction model, so
-	// snapshots do not persist it.
+	// Workers bounds how many example sets squid's System.DiscoverBatch
+	// discovers at once; 0 (the default) or less means GOMAXPROCS. One
+	// discovery always runs serially on its caller's goroutine, so the
+	// knob never changes an answer. Workers is a runtime knob, not part
+	// of the abduction model, so snapshots do not persist it.
 	Workers int
 }
 

@@ -30,7 +30,7 @@ func TestAbduceDecisionArithmetic(t *testing.T) {
 			Filter:      &Filter{Kind: BasicCategorical, Basic: gender, Values: []string{"Male"}},
 			NumExamples: numExamples,
 		}
-		decisions, selected, err := abduceCtx(context.Background(), nil, []Context{ctx}, params, trace.Span{})
+		decisions, selected, err := abduceCtx(context.Background(), []Context{ctx}, params, trace.Span{})
 		if err != nil {
 			return false
 		}
@@ -155,11 +155,11 @@ func TestExampleOrderInvariance(t *testing.T) {
 	info := a.Entity("person")
 	rows := []int{1, 4, 9, 13}
 	perm := []int{13, 1, 9, 4}
-	r1, err := abduceForEntityCtx(context.Background(), newWorkPool(DefaultParams().Workers), info, BaseQuery{"person", "name"}, rows, DefaultParams(), trace.Span{})
+	r1, err := abduceForEntityCtx(context.Background(), info, BaseQuery{"person", "name"}, rows, DefaultParams(), trace.Span{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := abduceForEntityCtx(context.Background(), newWorkPool(DefaultParams().Workers), info, BaseQuery{"person", "name"}, perm, DefaultParams(), trace.Span{})
+	r2, err := abduceForEntityCtx(context.Background(), info, BaseQuery{"person", "name"}, perm, DefaultParams(), trace.Span{})
 	if err != nil {
 		t.Fatal(err)
 	}

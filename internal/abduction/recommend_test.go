@@ -11,7 +11,7 @@ func TestRecommendExamples(t *testing.T) {
 	a := actorsDB(t, 200, 60, 23)
 	info := a.Entity("person")
 	examples := []int{0, 3, 7}
-	res, err := abduceForEntityCtx(context.Background(), newWorkPool(DefaultParams().Workers), info, BaseQuery{"person", "name"}, examples, DefaultParams(), trace.Span{})
+	res, err := abduceForEntityCtx(context.Background(), info, BaseQuery{"person", "name"}, examples, DefaultParams(), trace.Span{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestRecommendExamplesDegenerate(t *testing.T) {
 	}
 	a := actorsDB(t, 100, 40, 29)
 	info := a.Entity("person")
-	res, err := abduceForEntityCtx(context.Background(), newWorkPool(DefaultParams().Workers), info, BaseQuery{"person", "name"}, []int{0, 1}, DefaultParams(), trace.Span{})
+	res, err := abduceForEntityCtx(context.Background(), info, BaseQuery{"person", "name"}, []int{0, 1}, DefaultParams(), trace.Span{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestRecommendationPrunesCandidates(t *testing.T) {
 	a := actorsDB(t, 200, 60, 31)
 	info := a.Entity("person")
 	examples := []int{0, 3}
-	res, err := abduceForEntityCtx(context.Background(), newWorkPool(DefaultParams().Workers), info, BaseQuery{"person", "name"}, examples, DefaultParams(), trace.Span{})
+	res, err := abduceForEntityCtx(context.Background(), info, BaseQuery{"person", "name"}, examples, DefaultParams(), trace.Span{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestRecommendationPrunesCandidates(t *testing.T) {
 	if recRow < 0 {
 		t.Fatal("recommended value not resolvable")
 	}
-	res2, err := abduceForEntityCtx(context.Background(), newWorkPool(DefaultParams().Workers), info, BaseQuery{"person", "name"}, append(examples, recRow), DefaultParams(), trace.Span{})
+	res2, err := abduceForEntityCtx(context.Background(), info, BaseQuery{"person", "name"}, append(examples, recRow), DefaultParams(), trace.Span{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestTheorem1OptimalityBruteForce(t *testing.T) {
 		if len(contexts) > 14 {
 			contexts = contexts[:14]
 		}
-		decisions, selected, err := abduceCtx(context.Background(), nil, contexts, params, trace.Span{})
+		decisions, selected, err := abduceCtx(context.Background(), contexts, params, trace.Span{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestAbduceExample13(t *testing.T) {
 	info := a.Entity("person")
 	// First 20 persons are comedians; sample 5 of them.
 	examples := []int{0, 3, 7, 11, 15}
-	res, err := abduceForEntityCtx(context.Background(), newWorkPool(DefaultParams().Workers), info, BaseQuery{"person", "name"}, examples, DefaultParams(), trace.Span{})
+	res, err := abduceForEntityCtx(context.Background(), info, BaseQuery{"person", "name"}, examples, DefaultParams(), trace.Span{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +196,11 @@ func TestQREParamsKeepMoreFilters(t *testing.T) {
 	a := actorsDB(t, 150, 60, 17)
 	info := a.Entity("person")
 	examples := []int{0, 1, 2, 4, 5}
-	def, err := abduceForEntityCtx(context.Background(), newWorkPool(DefaultParams().Workers), info, BaseQuery{"person", "name"}, examples, DefaultParams(), trace.Span{})
+	def, err := abduceForEntityCtx(context.Background(), info, BaseQuery{"person", "name"}, examples, DefaultParams(), trace.Span{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	qre, err := abduceForEntityCtx(context.Background(), newWorkPool(QREParams().Workers), info, BaseQuery{"person", "name"}, examples, QREParams(), trace.Span{})
+	qre, err := abduceForEntityCtx(context.Background(), info, BaseQuery{"person", "name"}, examples, QREParams(), trace.Span{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestMoreExamplesNeverAddCoincidentalFilters(t *testing.T) {
 		truth[i] = true
 	}
 	precisionAt := func(examples []int) float64 {
-		res, err := abduceForEntityCtx(context.Background(), newWorkPool(DefaultParams().Workers), info, BaseQuery{"person", "name"}, examples, DefaultParams(), trace.Span{})
+		res, err := abduceForEntityCtx(context.Background(), info, BaseQuery{"person", "name"}, examples, DefaultParams(), trace.Span{})
 		if err != nil {
 			t.Fatal(err)
 		}

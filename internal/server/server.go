@@ -31,9 +31,9 @@ import (
 type Config struct {
 	// MaxInFlight bounds concurrently running discovery/execute
 	// requests (0 = GOMAXPROCS). A /v1/discover/batch request occupies
-	// one slot but fans across the System's batch worker pool
-	// (System.SetBatchWorkers), so worst-case discovery parallelism is
-	// MaxInFlight × batch workers. Inserts are not gated: their only
+	// one slot but discovers up to Params.Workers of its sets at once
+	// (System.DiscoverBatch), so worst-case discovery parallelism is
+	// MaxInFlight × Params.Workers. Inserts are not gated: their only
 	// bounds are the αDB's one write lock and the 4096-row batch cap,
 	// and under -wal-fsync=always an insert is not cheap (ROADMAP item
 	// 7b).
@@ -283,8 +283,8 @@ type DiscoverResponse struct {
 	Trace *trace.TraceJSON `json:"trace,omitempty"`
 }
 
-// BatchDiscoverRequest asks for many independent discoveries, fanned
-// across System.DiscoverBatch's worker pool.
+// BatchDiscoverRequest asks for many independent discoveries, run
+// Params.Workers at a time by System.DiscoverBatch.
 type BatchDiscoverRequest struct {
 	Sets    [][]string `json:"sets"`
 	Explain bool       `json:"explain,omitempty"`

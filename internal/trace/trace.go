@@ -15,12 +15,12 @@
 //     recorder.
 //   - Enabled is wait-free. Begin claims a preallocated slot with one
 //     atomic increment; counters are atomic adds; no span operation
-//     takes a lock or blocks another goroutine — instrumentation can
-//     ride the intra-discovery worker pool without serializing it.
+//     takes a lock or blocks another goroutine — the discoveries of one
+//     traced batch record under one root without serializing each other.
 //   - Structure is deterministic. Span structure (phases, nesting,
-//     labels, counters) is byte-identical across Params.Workers
-//     settings; only durations vary. Structure renders exactly that
-//     duration-free form, and a test asserts the byte identity.
+//     labels, counters) depends only on what a request reads; only
+//     durations and span begin order vary. Structure renders exactly
+//     that duration-free form, and a test pins it.
 //
 // A span that outlives its recorder's capacity is dropped (counted in
 // Trace.Dropped), never reallocated: overflow degrades visibility, not
@@ -433,10 +433,9 @@ func (t *Trace) children() (kids [][]int32, roots []int32) {
 
 // Structure renders the duration-free form of the trace: phases,
 // labels, nesting, and counters, with siblings in (phase, label) order
-// and counters in name order. It is byte-identical across
-// Params.Workers settings — the determinism contract the tests assert —
-// because worker scheduling can only reorder span begin order, never
-// the structure.
+// and counters in name order. Goroutine scheduling (a traced
+// DiscoverBatch records its sets concurrently) can reorder span begin
+// order, never the structure, so the rendering does not vary with it.
 func (t *Trace) Structure() string {
 	kids, roots := t.children()
 	var b strings.Builder

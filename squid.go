@@ -47,8 +47,9 @@
 //     counters plus inspection of the current epoch's memos).
 //   - Filter row sets intersect as adaptive sparse/dense row sets,
 //     seeded by the most selective filter.
-//   - DiscoverBatch fans independent example sets across a bounded
-//     worker pool over the shared αDB. Writes (InsertBatchContext) are
+//   - A discovery runs serially on its caller's goroutine; DiscoverBatch
+//     runs up to Params.Workers example sets at once over the shared
+//     αDB. Writes (InsertBatchContext) are
 //     safe to run concurrently with discovery and are wait-free for
 //     readers: the αDB is a chain of immutable, atomically published
 //     epochs — a discovery pins the current epoch with one pointer load
@@ -210,7 +211,7 @@ type CSVColumn = relation.CSVColumn
 // discoveries in flight, not by write volume.
 //
 // One surface stays outside the epoch protocol: the configuration
-// setters (SetParams, SetBatchWorkers) must be called before the
+// setter (SetParams) must be called before the
 // System is shared across goroutines. A returned Discovery (and its
 // Filters) is permanently pinned to the epoch it ran against —
 // introspecting it after later inserts keeps answering from its own
@@ -218,9 +219,6 @@ type CSVColumn = relation.CSVColumn
 type System struct {
 	alpha  *adb.AlphaDB
 	params Params
-
-	// batchWorkers bounds DiscoverBatch's worker pool (0 = GOMAXPROCS).
-	batchWorkers int
 
 	// wal, when attached, receives every published epoch's row deltas
 	// (appended under the publish lock, so log order is publish order)
@@ -605,15 +603,11 @@ func (s *System) InsertBatchContext(ctx context.Context, ops []InsertOp) error {
 	return err
 }
 
-// SetBatchWorkers bounds the DiscoverBatch worker pool; n ≤ 0 restores
-// the default (GOMAXPROCS). Not synchronized: call before sharing the
-// System across goroutines.
-func (s *System) SetBatchWorkers(n int) { s.batchWorkers = n }
-
 // DiscoverBatch runs the online phase for many independent example sets
-// concurrently over the shared αDB: example sets fan out across a
-// bounded worker pool (SetBatchWorkers; default GOMAXPROCS), and
-// similar intents reuse each other's memoized selectivity row sets.
+// concurrently over the shared αDB: up to Params.Workers sets (default
+// GOMAXPROCS) are discovered at once, each serially on its own
+// goroutine, and similar intents reuse each other's memoized
+// selectivity row sets.
 // Inserts may run concurrently; each set pins the epoch current when it
 // starts (sets started after an insert publishes see its rows).
 //
@@ -626,7 +620,7 @@ func (s *System) SetBatchWorkers(n int) { s.batchWorkers = n }
 func (s *System) DiscoverBatch(ctx context.Context, exampleSets [][]string) ([]*Discovery, []error) {
 	out := make([]*Discovery, len(exampleSets))
 	errs := make([]error, len(exampleSets))
-	workers := s.batchWorkers
+	workers := s.params.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

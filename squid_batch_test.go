@@ -3,39 +3,99 @@ package squid
 import (
 	"context"
 	"errors"
-	"reflect"
 	"sync"
 	"testing"
+
+	"squid/internal/datagen"
 )
 
+// discoverFingerprint renders a discovery to the byte form the
+// determinism test compares: the full Explain block (base query, both
+// SQL forms, every Algorithm 1 decision) plus the projected output.
+func discoverFingerprint(d *Discovery) string {
+	fp := d.Explain()
+	for _, v := range d.Output {
+		fp += v + "\n"
+	}
+	return fp
+}
+
+// TestDiscoverBatchMatchesSerial pins the one fan-out's correctness
+// contract: Params.Workers changes how many example sets DiscoverBatch
+// runs at once, never an answer. At every worker count — 0 and -1 mean
+// GOMAXPROCS — each set's Explain and Output are byte-identical to a
+// lone DiscoverContext, on the academics fixture and on a generated
+// IMDb with enough properties to make every discovery do real work.
+// The selectivity cache is emptied before every run, so each does the
+// full abduction rather than reading memos another run left. Under
+// -race this is the determinism check of the batch fan-out.
 func TestDiscoverBatchMatchesSerial(t *testing.T) {
-	sys, err := Build(academicsDB(), DefaultBuildConfig())
+	type workload struct {
+		name string
+		sys  *System
+		sets [][]string
+	}
+	acad, err := Build(academicsDB(), DefaultBuildConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sets := [][]string{
-		{"Dan Suciu", "Sam Madden", "Joseph Hellerstein"},
-		{"Thomas Cormen", "James Kurose"},
-		{"Dan Suciu", "Jiawei Han"},
+	g := datagen.GenerateIMDb(datagen.IMDbConfig{Seed: 7, NumPersons: 600, NumMovies: 250, NumCompany: 12})
+	imdb, err := Build(g.DB, DefaultBuildConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	batch, errs := sys.DiscoverBatch(context.Background(), sets)
-	if len(batch) != len(sets) || len(errs) != len(sets) {
-		t.Fatalf("batch returned %d results and %d errors want %d", len(batch), len(errs), len(sets))
+	names := g.DB.Relation("person").Column("name")
+	var comedians []string
+	for _, id := range g.Comedians[:5] {
+		row, ok := imdb.AlphaDB().Entity("person").RowByID(id)
+		if !ok {
+			t.Fatalf("comedian id %d missing from αDB", id)
+		}
+		comedians = append(comedians, names.Get(row).Str())
 	}
-	for i, set := range sets {
-		serial, err := sys.DiscoverContext(context.Background(), set)
-		if err != nil {
-			t.Fatalf("serial discover %d: %v", i, err)
-		}
-		if batch[i] == nil || errs[i] != nil {
-			t.Fatalf("batch result %d is nil (error %v)", i, errs[i])
-		}
-		if batch[i].SQL != serial.SQL {
-			t.Errorf("set %d: batch SQL %q != serial %q", i, batch[i].SQL, serial.SQL)
-		}
-		if !reflect.DeepEqual(batch[i].Output, serial.Output) {
-			t.Errorf("set %d: outputs diverge", i)
-		}
+	loads := []workload{
+		{"academics", acad, [][]string{
+			{"Dan Suciu", "Sam Madden", "Joseph Hellerstein"},
+			{"Thomas Cormen", "James Kurose"},
+			{"Dan Suciu", "Jiawei Han"},
+			{"Thomas Cormen", "Jiawei Han"},
+		}},
+		{"imdb", imdb, [][]string{
+			comedians,
+			{names.Get(0).Str(), names.Get(1).Str(), names.Get(2).Str()},
+		}},
+	}
+	for _, load := range loads {
+		t.Run(load.name, func(t *testing.T) {
+			cache := load.sys.AlphaDB().SelectivityCache()
+			reference := make([]string, len(load.sets))
+			for i, set := range load.sets {
+				cache.Invalidate()
+				d, err := load.sys.DiscoverContext(context.Background(), set)
+				if err != nil {
+					t.Fatalf("lone discover %d: %v", i, err)
+				}
+				reference[i] = discoverFingerprint(d)
+			}
+			for _, w := range []int{1, 2, 8, 0, -1} {
+				p := load.sys.Params()
+				p.Workers = w
+				load.sys.SetParams(p)
+				cache.Invalidate()
+				batch, errs := load.sys.DiscoverBatch(context.Background(), load.sets)
+				if len(batch) != len(load.sets) || len(errs) != len(load.sets) {
+					t.Fatalf("workers=%d: batch returned %d results and %d errors want %d", w, len(batch), len(errs), len(load.sets))
+				}
+				for i := range load.sets {
+					if batch[i] == nil || errs[i] != nil {
+						t.Fatalf("workers=%d: batch result %d is nil (error %v)", w, i, errs[i])
+					}
+					if got := discoverFingerprint(batch[i]); got != reference[i] {
+						t.Errorf("workers=%d set=%d diverges from a lone discovery:\n--- lone ---\n%s\n--- batch ---\n%s", w, i, reference[i], got)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -98,7 +158,9 @@ func TestDiscoverBatchCancellationSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.SetBatchWorkers(2)
+	p := sys.Params()
+	p.Workers = 2
+	sys.SetParams(p)
 	check := func(t *testing.T, ctx context.Context, cancelMidFlight func()) {
 		sets := make([][]string, 48)
 		for i := range sets {
@@ -203,7 +265,9 @@ func TestDiscoverBatchHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.SetBatchWorkers(4)
+	p := sys.Params()
+	p.Workers = 4
+	sys.SetParams(p)
 	sets := [][]string{
 		{"Dan Suciu", "Sam Madden", "Joseph Hellerstein"},
 		{"Thomas Cormen", "James Kurose"},

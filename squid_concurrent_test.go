@@ -77,7 +77,9 @@ func TestConcurrentDiscoveryAndIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.SetBatchWorkers(4)
+	p := sys.Params()
+	p.Workers = 4
+	sys.SetParams(p)
 	sets := [][]string{
 		{"Dan Suciu", "Sam Madden", "Joseph Hellerstein"},
 		{"Thomas Cormen", "James Kurose"},

@@ -48,32 +48,49 @@ func TestDiscoverContextCancellation(t *testing.T) {
 
 	// Baseline: a discovery under a counting context matches one under
 	// context.Background(), and it consults the context several times (that is what
-	// makes mid-discovery cancellation prompt).
-	probe := &countdownCtx{Context: context.Background()}
-	probe.budget.Store(1 << 20)
-	disc, err := sys.DiscoverContext(probe, examples)
-	if err != nil {
-		t.Fatal(err)
+	// makes mid-discovery cancellation prompt). A discovery is serial, so
+	// it consults ctx the same number of times, N, on every run.
+	countChecks := func() int64 {
+		t.Helper()
+		probe := &countdownCtx{Context: context.Background()}
+		probe.budget.Store(1 << 20)
+		disc, err := sys.DiscoverContext(probe, examples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial, err := sys.DiscoverContext(context.Background(), examples); err != nil {
+			t.Fatal(err)
+		} else if disc.SQL != serial.SQL {
+			t.Errorf("SQL under the counting context %q != under context.Background() %q", disc.SQL, serial.SQL)
+		}
+		return 1<<20 - probe.budget.Load()
+	}
+	checks := countChecks()
+	if again := countChecks(); again != checks {
+		t.Fatalf("two discoveries consulted ctx %d and %d times; a serial discovery's checkpoints are fixed", checks, again)
+	}
+	t.Logf("one discovery consults ctx %d times", checks)
+	if checks < 3 {
+		t.Fatalf("one discovery consulted ctx only %d times; cancellation would not be prompt", checks)
 	}
 	serial, err := sys.DiscoverContext(context.Background(), examples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if disc.SQL != serial.SQL {
-		t.Errorf("SQL under the counting context %q != under context.Background() %q", disc.SQL, serial.SQL)
-	}
-	checks := 1<<20 - probe.budget.Load()
-	if checks < 3 {
-		t.Fatalf("one discovery consulted ctx only %d times; cancellation would not be prompt", checks)
-	}
 
-	// Cancel mid-discovery: allow exactly one candidate evaluation, then
-	// trip. The discovery must abort with ctx's error instead of
-	// finishing the remaining candidates.
-	mid := &countdownCtx{Context: context.Background()}
-	mid.budget.Store(1)
-	if _, err := sys.DiscoverContext(mid, examples); !errors.Is(err, context.Canceled) {
-		t.Errorf("mid-discovery cancellation returned %v, want context.Canceled", err)
+	// Cancel at every checkpoint: with budget k the first k checks pass
+	// and check k+1 trips. Each must abort with ctx's error and no
+	// Discovery, and consult ctx no more after the check that tripped: a
+	// checkpoint that ignored its error would run on to the next one.
+	for k := int64(0); k < checks; k++ {
+		mid := &countdownCtx{Context: context.Background()}
+		mid.budget.Store(k)
+		if d, err := sys.DiscoverContext(mid, examples); !errors.Is(err, context.Canceled) || d != nil {
+			t.Errorf("cancellation at checkpoint %d of %d returned (%v, %v), want (nil, context.Canceled)", k, checks, d, err)
+		}
+		if after := -mid.budget.Load() - 1; after != 0 {
+			t.Errorf("cancellation at checkpoint %d of %d: ctx consulted %d more times after it tripped", k, checks, after)
+		}
 	}
 
 	// Pre-canceled context: returns promptly with the context's error.

@@ -87,56 +87,40 @@ func TestExecuteUntracedAddsNoAllocs(t *testing.T) {
 	}
 }
 
-// TestTraceStructureDeterministicAcrossWorkers pins the tracing
-// contract's determinism half: the duration-free span structure (phase
-// names, nesting, labels, counters) of a traced discovery is
-// byte-identical at every Params.Workers setting. Each worker count
-// gets a fresh system, so cache counters start from the same state.
-//
-// The fixture's example set resolves to a single candidate base query;
-// with one candidate, no two worker units can race the same
-// selectivity-cache key, so even the hit/miss counters are
-// scheduling-independent. At ρ = 0.2 it selects one filter, whose
-// rowset span misses the fresh system's memo and so says what the build
-// read: cells_streamed, the three postings of the filter's value.
-func TestTraceStructureDeterministicAcrossWorkers(t *testing.T) {
-	structureAt := func(workers int) string {
-		sys, err := Build(academicsDB(), DefaultBuildConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := sys.Params()
-		p.Workers = workers
-		p.Rho = 0.2
-		sys.SetParams(p)
-		rec := trace.NewRecorder(0)
-		root := rec.Root(trace.PhaseDiscover, "")
-		ctx := trace.NewContext(context.Background(), root)
-		if _, err := sys.DiscoverContext(ctx, traceExamples); err != nil {
-			t.Fatal(err)
-		}
-		root.End()
-		tr := rec.Finish("discover", "")
-		if tr.Dropped != 0 {
-			t.Fatalf("workers=%d dropped %d spans", workers, tr.Dropped)
-		}
-		return tr.Structure()
+// TestTraceStructure pins the duration-free span structure (phase
+// names, nesting, labels, counters) of a traced discovery on a fresh
+// system. The fixture's example set resolves to a single candidate base
+// query. At ρ = 0.2 it selects one filter, whose rowset span misses the
+// fresh system's memo and so says what the build read: cells_streamed,
+// the three postings of the filter's value.
+func TestTraceStructure(t *testing.T) {
+	sys, err := Build(academicsDB(), DefaultBuildConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	serial := structureAt(1)
-	if !strings.Contains(serial, "candidate academics.name") {
-		t.Fatalf("serial structure missing the single candidate span:\n%s", serial)
+	p := sys.Params()
+	p.Rho = 0.2
+	sys.SetParams(p)
+	rec := trace.NewRecorder(0)
+	root := rec.Root(trace.PhaseDiscover, "")
+	ctx := trace.NewContext(context.Background(), root)
+	if _, err := sys.DiscoverContext(ctx, traceExamples); err != nil {
+		t.Fatal(err)
 	}
-	if n := strings.Count(serial, "candidate "); n != 1 {
-		t.Fatalf("fixture resolved to %d candidates, the determinism check needs exactly 1:\n%s", n, serial)
+	root.End()
+	tr := rec.Finish("discover", "")
+	if tr.Dropped != 0 {
+		t.Fatalf("dropped %d spans", tr.Dropped)
 	}
-	if want := "rowset φ⟨interest,data management,⊥⟩ {cache_misses=1 cache_stores=1 cells_streamed=3 rows=3}"; !strings.Contains(serial, want) {
-		t.Fatalf("serial structure has no rowset span saying what its miss read, want %q:\n%s", want, serial)
+	structure := tr.Structure()
+	if !strings.Contains(structure, "candidate academics.name") {
+		t.Fatalf("structure missing the single candidate span:\n%s", structure)
 	}
-	for _, w := range []int{2, 4, 8} {
-		if got := structureAt(w); got != serial {
-			t.Errorf("workers=%d span structure diverges from serial:\n--- serial ---\n%s--- workers=%d ---\n%s", w, serial, w, got)
-		}
+	if n := strings.Count(structure, "candidate "); n != 1 {
+		t.Fatalf("fixture resolved to %d candidates, want exactly 1:\n%s", n, structure)
+	}
+	if want := "rowset φ⟨interest,data management,⊥⟩ {cache_misses=1 cache_stores=1 cells_streamed=3 rows=3}"; !strings.Contains(structure, want) {
+		t.Fatalf("structure has no rowset span saying what its miss read, want %q:\n%s", want, structure)
 	}
 }
 
