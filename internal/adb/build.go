@@ -39,7 +39,8 @@ type Config struct {
 	// stats, derived-property walks, inverted-index shards, and the
 	// resident hash indexes fan out across this many goroutines. 0 means
 	// GOMAXPROCS; 1 forces a serial build. Output is deterministic
-	// regardless of the worker count.
+	// regardless of the worker count. It is a setting of the running
+	// process: a snapshot does not record it, and a loaded αDB reports 0.
 	Workers int
 }
 
@@ -307,7 +308,19 @@ func (a *Epoch) CombinedDB() *relation.Database {
 // safe to run in parallel across entities (it only reads the resident
 // set).
 func (a *Epoch) scaffoldEntity(name string) (*EntityInfo, error) {
-	rel := a.DB.Relation(name)
+	info, err := entityInfo(a.DB, name)
+	if err != nil {
+		return nil, err
+	}
+	info.pkIndex = a.readHash(info.rel, info.PK)
+	return info, nil
+}
+
+// entityInfo is scaffoldEntity without the primary-key index: what a
+// snapshot load checks before its trailer passes, when nothing may be
+// derived yet.
+func entityInfo(db *relation.Database, name string) (*EntityInfo, error) {
+	rel := db.Relation(name)
 	if rel == nil {
 		return nil, fmt.Errorf("adb: no relation %q", name)
 	}
@@ -322,7 +335,6 @@ func (a *Epoch) scaffoldEntity(name string) (*EntityInfo, error) {
 		PK:       rel.PrimaryKey,
 		NumRows:  rel.NumRows(),
 		rel:      rel,
-		pkIndex:  a.readHash(rel, rel.PrimaryKey),
 	}, nil
 }
 
@@ -498,8 +510,8 @@ func (a *Epoch) isEntity(name string) bool { return a.DB.Kind(name) == relation.
 // maps one row of its source relation — the entity relation for Direct
 // and FKDim paths, the fact or side table for FactDim and AttrTable — to
 // the entity row it describes and the value code it contributes. The
-// cold build folds it over every source row (buildCategorical), an
-// insert applies it to the rows it adds.
+// cold build and the snapshot load fold it over every source row
+// (foldCategorical), an insert applies it to the rows it adds.
 type pairReader struct {
 	s   source
 	acc AccessPath
@@ -606,18 +618,30 @@ func (c pairCheck) first(fr int) bool {
 }
 
 // buildCategorical builds info's categorical property attr, reached by
-// acc (multi-valued through a fact or side table): it folds the path's
-// pairReader over its source relation, lays out the per-row code lists,
-// computes the per-code statistics and applies the distinct-count
-// guards, which an entity-association property bypasses: its domain is
-// the associated entity relation itself.
+// acc (multi-valued through a fact or side table): foldCategorical, then
+// the distinct-count guards, which an entity-association property
+// bypasses: its domain is the associated entity relation itself.
 func (a *Epoch) buildCategorical(info *EntityInfo, attr string, acc AccessPath) *BasicProperty {
 	p := &BasicProperty{
 		Entity: info.Relation, Attr: attr, Kind: Categorical, Access: acc,
 		MultiValued: acc.Type == FactDim || acc.Type == AttrTable,
 		numEntities: info.NumRows,
 	}
-	r := p.pairs(a)
+	assoc := p.foldCategorical(a)
+	if p.numValues == 0 || !assoc && !a.keepCategorical(p.numValues, p.numEntities) {
+		return nil
+	}
+	p.memo = newRowSetMemo(a.selCache)
+	return p
+}
+
+// foldCategorical derives a categorical property's statistics from the
+// facts: it folds the path's pairReader over its source relation, lays
+// out the per-row code lists and computes the per-code statistics — the
+// one derivation, shared by the cold build and the snapshot load. It
+// reports whether the property is an entity association.
+func (p *BasicProperty) foldCategorical(s source) (assoc bool) {
+	r := p.pairs(s)
 	p.dict = r.dict
 	n := r.src.NumRows()
 	rows, codes := make([]uint32, 0, n), make([]int32, 0, n)
@@ -627,11 +651,7 @@ func (a *Epoch) buildCategorical(info *EntityInfo, attr string, acc AccessPath) 
 		}
 	}
 	p.buildCatStats(byRow(rows, codes, p.numEntities))
-	if p.numValues == 0 || !r.assoc && !a.keepCategorical(p.numValues, p.numEntities) {
-		return nil
-	}
-	p.memo = newRowSetMemo(a.selCache)
-	return p
+	return r.assoc
 }
 
 // byRow groups (entity row, code) pairs into per-row code lists by a
@@ -656,10 +676,9 @@ func byRow(rows []uint32, codes []int32, numRows int) index.Jagged {
 }
 
 // buildCatStats adopts valsByRow and derives catRows from it — the one
-// constructor of a categorical property's inverse, called by every build
-// path and by the snapshot load. It is a counting sort by code that
-// lists each (entity, code) pair once, ascending by row, in one offsets
-// array and one posting array sized exactly.
+// constructor of a categorical property's inverse. It is a counting sort
+// by code that lists each (entity, code) pair once, ascending by row, in
+// one offsets array and one posting array sized exactly.
 func (p *BasicProperty) buildCatStats(valsByRow index.Jagged) {
 	codes := p.dict.Len()
 	// seen[c] is one past the last row counted for code c: rows ascend,

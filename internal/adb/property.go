@@ -106,7 +106,7 @@ type BasicProperty struct {
 	// few codes, never a value's posting list.
 	//
 	// valsByRow lists each entity row's value codes in the order the
-	// source rows carry them, repeats included, as the file stores them
+	// source rows carry them, repeats included, as the fold emits them
 	// (single element for single-valued properties). catRows[code] is
 	// the set of rows of the distinct entities exhibiting the value — its
 	// size is the value's entity count, ψ's numerator; the base run is

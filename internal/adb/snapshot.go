@@ -11,27 +11,27 @@ import (
 
 // This file persists and restores the αDB through the versioned binary
 // codec of internal/snapshot. A snapshot stores facts, each once: the
-// base database (with its column dictionaries), the property
-// descriptors, and the per-entity forward statistics — a categorical
-// property's value codes per row (a numeric property's values are its
-// column's cells) — and ends with a CRC32 trailer over every byte before
-// it. The derived relations are counts over the base facts, so the file
-// holds only their descriptors: Decode materializes them with deriveAll,
-// the cold build's own wave, under the names the file records. Every
-// inverse — the inverted entity-lookup index, the per-value posting
-// lists, the derived pair lists with their strength histograms, the
-// numeric value orders, the hash indexes — is rebuilt at load by the
-// constructor the cold build uses, so a loaded αDB equals a built one by
-// construction. After inserts a load also restores the cold build's
-// derived row order and value codes, which incremental maintenance
-// appends to instead. The row-set memos restart empty, and restored
-// systems support incremental inserts exactly like freshly built ones.
-// The file is bytes from outside the process: the trailer turns a
-// flipped bit or a cut into an error, and what the file carries is
-// checked where it is read — value codes against their dictionary,
-// access paths against the schema, derived relation names against each
-// other and the base relations — so a damaged snapshot fails Load
-// instead of panicking inside a later discovery.
+// base database (with its column dictionaries), the build configuration
+// and the property descriptors, and it ends with a CRC32 trailer over
+// every byte before it. Every statistic is a function of the base facts,
+// so the file holds none: Decode parses and checks the descriptors,
+// verifies the trailer, and only then derives every statistic with the
+// function the cold build calls for it — foldCategorical for a
+// categorical property's per-row codes and posting lists, buildNumStats
+// for a numeric property's value order, deriveAll for the derived
+// relations with their pair lists and histograms (under the names the
+// file records), BuildInvertedParallel for the entity-lookup index and
+// residentIndexes for the hash indexes — so a loaded αDB equals a built
+// one by construction. After inserts a load also restores the cold
+// build's derived row order and value codes, which incremental
+// maintenance appends to instead. The row-set memos restart empty, and
+// restored systems support incremental inserts exactly like freshly
+// built ones. The file is bytes from outside the process: the trailer
+// turns a flipped bit or a cut into an error, and what the file carries
+// is checked where it is read — access paths against the schema, derived
+// relation names against each other and the base relations — so a
+// damaged snapshot fails Load instead of panicking inside a later
+// discovery.
 
 // Encode writes the current epoch to a snapshot stream and closes it
 // with the CRC32 trailer (the caller owns the header; see
@@ -42,9 +42,9 @@ import (
 func (a *AlphaDB) Encode(w *snapshot.Writer) { a.Snapshot().Encode(w) }
 
 // Encode writes this epoch to a snapshot stream: one immutable state,
-// wait-free with respect to concurrent writers. Only forward data is
-// written (see the file comment); the shared append-only inverted index
-// is not, so rows a racing writer appended cannot reach the stream.
+// wait-free with respect to concurrent writers. Only facts are written
+// (see the file comment), so rows a racing writer appended to a shared
+// structure cannot reach the stream.
 func (a *Epoch) Encode(w *snapshot.Writer) {
 	// The epoch sequence anchors write-ahead-log replay: a booting
 	// system skips log records the snapshot already covers (seq ≤ this)
@@ -68,14 +68,14 @@ func (a *Epoch) Encode(w *snapshot.Writer) {
 }
 
 // Decode restores an αDB from a snapshot stream positioned after the
-// header. It checks the trailer once it has read everything else, before
-// it derives anything. The restored state shares nothing with the
-// stream; the derived relations and every inverse of the stored data are
-// rebuilt by the functions buildEpoch builds them with
-// (BuildInvertedParallel, buildCatStats, buildNumStats, deriveAll,
-// residentIndexes), and the result is published under the sequence
-// number the snapshot recorded, so the epoch chain continues where it
-// left off.
+// header. It reads and checks everything the file holds, then the
+// trailer, and derives nothing before the trailer passes: the hash
+// indexes, the inverted index, every basic property's statistics
+// (deriveBasic) and the derived relations (deriveAll) are built by the
+// functions buildEpoch builds them with, fanned over the loading
+// process's own workers. The restored state shares nothing with the
+// stream, and it is published under the sequence number the snapshot
+// recorded, so the epoch chain continues where it left off.
 func Decode(r *snapshot.Reader) (*AlphaDB, error) {
 	seq := r.Uvarint()
 	cfg := readConfig(r)
@@ -87,22 +87,13 @@ func Decode(r *snapshot.Reader) (*AlphaDB, error) {
 	a := &Epoch{
 		DB:        db,
 		Entities:  make(map[string]*EntityInfo),
-		Indexes:   residentIndexes(db, cfg.workers()),
 		DerivedDB: relation.NewDatabase(db.Name + "_alpha"),
 		BuildTime: buildTime,
 		cfg:       cfg,
 		selCache:  &SelCache{},
 		seq:       seq,
 	}
-	// The inverted index reads only the base database: it builds beside
-	// the rest of the decode, as buildEpoch builds it beside property
-	// discovery. The deferred receive also covers the error returns.
-	invDone := make(chan struct{})
-	go func() {
-		a.Inverted = index.BuildInvertedParallel(db, cfg.workers())
-		close(invDone)
-	}()
-	defer func() { <-invDone }()
+	var basic []*BasicProperty
 	var derived []*DerivedProperty
 	n := r.Len()
 	for i := 0; i < n && r.Err() == nil; i++ {
@@ -111,6 +102,7 @@ func Decode(r *snapshot.Reader) (*AlphaDB, error) {
 			break
 		}
 		a.Entities[info.Relation] = info
+		basic = append(basic, info.Basic...)
 		derived = append(derived, info.Derived...)
 	}
 	// The stream ends here: nothing is derived from bytes its checksum
@@ -148,16 +140,44 @@ func Decode(r *snapshot.Reader) (*AlphaDB, error) {
 		}
 		names[p.RelName] = true
 	}
+
+	// The derive wave. The inverted index reads only the base database:
+	// it builds beside the rest, as buildEpoch builds it beside property
+	// discovery.
+	workers := cfg.workers()
+	a.Indexes = residentIndexes(db, workers)
+	invDone := make(chan struct{})
+	go func() {
+		a.Inverted = index.BuildInvertedParallel(db, workers)
+		close(invDone)
+	}()
+	for _, info := range a.Entities {
+		info.pkIndex = a.readHash(info.rel, info.PK)
+	}
+	index.RunBounded(len(basic), workers, func(i int) { a.deriveBasic(basic[i]) })
 	a.deriveAll(derived)
 	<-invDone
 	return newAlphaDB(a), nil
 }
 
+// deriveBasic builds a loaded basic property's statistics with the
+// function the cold build calls for its kind. A numeric property's path
+// is always Direct: every other path ends at a TEXT column (readBasic).
+func (a *Epoch) deriveBasic(p *BasicProperty) {
+	if p.Kind == Numeric {
+		p.buildNumStats(a.DB.Relation(p.Entity).Column(p.Access.Column))
+		return
+	}
+	p.foldCategorical(a)
+}
+
+// writeConfig writes what the build configuration decides about the
+// αDB. Workers is left out: it is how many goroutines the building
+// process used, and a loaded αDB fans out over its own GOMAXPROCS.
 func writeConfig(w *snapshot.Writer, cfg Config) {
 	w.Int(cfg.MaxFactDepth)
 	w.Int(cfg.MaxCatDistinct)
 	w.Float(cfg.MaxCatRatio)
-	w.Int(cfg.Workers)
 	writeStringMap(w, cfg.PropertyValueColumn)
 	writeStringMap(w, cfg.DisplayColumn)
 	keys := sortedKeys(cfg.ExcludeColumns)
@@ -173,7 +193,6 @@ func readConfig(r *snapshot.Reader) Config {
 		MaxFactDepth:   r.Int(),
 		MaxCatDistinct: r.Int(),
 		MaxCatRatio:    r.Float(),
-		Workers:        r.Int(),
 	}
 	cfg.PropertyValueColumn = readStringMap(r)
 	cfg.DisplayColumn = readStringMap(r)
@@ -261,7 +280,7 @@ func readEntity(r *snapshot.Reader, a *Epoch) *EntityInfo {
 	if r.Err() != nil {
 		return nil
 	}
-	info, err := a.scaffoldEntity(name)
+	info, err := entityInfo(a.DB, name)
 	if err != nil {
 		r.Fail("%v", err)
 		return nil
@@ -295,24 +314,6 @@ func writeBasic(w *snapshot.Writer, p *BasicProperty) {
 	writeAccess(w, p.Access)
 	w.Bool(p.MultiValued)
 	w.Int(p.numEntities)
-	if p.Kind == Categorical {
-		// numValues is derived on load; the recorded one is a cross-check.
-		w.Int(p.numValues)
-		// The per-row code lists are a (lengths, payload) block pair:
-		// one contiguous read each on load, where the payload becomes the
-		// code array as it is.
-		vlens := make([]int, p.valsByRow.Len())
-		var vflat []int32
-		for row := range vlens {
-			codes := p.valsByRow.At(row)
-			vlens[row] = len(codes)
-			vflat = append(vflat, codes...)
-		}
-		w.Ints(vlens)
-		w.Int32s(vflat)
-	}
-	// A numeric property's values are its column's cells: the
-	// descriptor is all there is to write.
 }
 
 // column returns the column of rel with that name and type, or nil;
@@ -369,6 +370,9 @@ func (a *Epoch) sourceColumn(from *relation.Relation, access AccessPath) *relati
 	return column(dim, access.DimValueCol, relation.String)
 }
 
+// readBasic reads a basic property's descriptor and checks it against
+// the restored schema; its statistics are derived once the whole stream
+// has passed its trailer (deriveBasic).
 func readBasic(r *snapshot.Reader, a *Epoch, info *EntityInfo) *BasicProperty {
 	p := &BasicProperty{
 		Entity: info.Relation,
@@ -389,55 +393,8 @@ func readBasic(r *snapshot.Reader, a *Epoch, info *EntityInfo) *BasicProperty {
 	src := a.sourceColumn(info.rel, p.Access)
 	if src == nil || p.Kind > Numeric || (p.Kind == Categorical) != (src.Type == relation.String) {
 		r.Fail("property %s.%s: access path does not resolve to a column of its kind", info.Relation, p.Attr)
-		return p
 	}
-	if p.Kind == Categorical {
-		p.dict = src.Dict()
-		numValues := r.Int()
-		vlens, codes := r.Ints(), r.Int32s()
-		if r.Err() != nil {
-			return p
-		}
-		offs, ok := offsetsOf(vlens, len(codes))
-		if !ok || len(vlens) != info.NumRows || !allBelow(codes, p.dict.Len()) {
-			r.Fail("property %s.%s: valsByRow payload mismatch or out of range", info.Relation, p.Attr)
-			return p
-		}
-		p.buildCatStats(index.JaggedOf(offs, codes))
-		if p.numValues != numValues {
-			r.Fail("property %s.%s: %d distinct values recorded, the rows hold %d", info.Relation, p.Attr, numValues, p.numValues)
-		}
-		return p
-	}
-	p.buildNumStats(src)
 	return p
-}
-
-// allBelow reports whether every code lies in [0, limit) — the range
-// check on value codes adopted from a file.
-func allBelow(codes []int32, limit int) bool {
-	for _, c := range codes {
-		if c < 0 || int(c) >= limit {
-			return false
-		}
-	}
-	return true
-}
-
-// offsetsOf turns the per-row lengths of a (lengths, payload) block
-// into the row offsets over a payload of total elements; ok is false
-// unless every length is non-negative and they cut exactly the payload.
-func offsetsOf(lens []int, total int) (offs []uint32, ok bool) {
-	offs = make([]uint32, len(lens)+1)
-	off := 0
-	for i, n := range lens {
-		if n < 0 || n > total-off {
-			return nil, false
-		}
-		off += n
-		offs[i+1] = uint32(off)
-	}
-	return offs, off == total
 }
 
 func writeDerived(w *snapshot.Writer, p *DerivedProperty) {

@@ -39,17 +39,16 @@ func statsFingerprint(a *AlphaDB) string {
 }
 
 // TestDecodeRejectsOutOfRangeBlocks damages, one case at a time, what a
-// v7 snapshot still trusts — a value code past the dictionary or
-// negative, per-row blocks shorter than the relation, a distinct-value
-// count the rows contradict, a property path that does not resolve
+// v8 snapshot still trusts — a property path that does not resolve
 // against the schema, a derived relation name that repeats or shadows a
 // base relation — and expects Decode to fail: unchecked, every one of
 // these loads cleanly and panics or answers wrongly later, inside a
-// discovery. The rebuilt cases damage what v7 does not store — a posting
-// list, a numeric value order, a pair list, the cells and the row order
-// of a derived relation — and expect the opposite: the damage cannot
-// reach the file, so the loaded αDB answers as the undamaged fixture
-// does.
+// discovery. The rebuilt cases damage what v8 does not store — a
+// categorical property's per-row codes or distinct-value count, a
+// posting list, a numeric value order, a pair list, the cells and the
+// row order of a derived relation — and expect the opposite: the damage
+// cannot reach the file, so the loaded αDB answers as the undamaged
+// fixture does.
 func TestDecodeRejectsOutOfRangeBlocks(t *testing.T) {
 	clean, err := roundTrip(t, buildFixture(t))
 	if err != nil {
@@ -68,24 +67,6 @@ func TestDecodeRejectsOutOfRangeBlocks(t *testing.T) {
 		rebuilt bool
 		damage  func(person *EntityInfo)
 	}{
-		{"valsByRow code past the dictionary", false, func(person *EntityInfo) {
-			person.BasicByAttr("gender").valsByRow.Insert(0, 1, far)
-		}},
-		{"valsByRow negative code", false, func(person *EntityInfo) {
-			person.BasicByAttr("gender").valsByRow.Insert(0, 1, -3)
-		}},
-		{"valsByRow shorter than the relation", false, func(person *EntityInfo) {
-			p := person.BasicByAttr("gender")
-			offs, flat := []uint32{0}, []int32(nil)
-			for row := 0; row < p.valsByRow.Len()-1; row++ {
-				flat = append(flat, p.valsByRow.At(row)...)
-				offs = append(offs, uint32(len(flat)))
-			}
-			p.valsByRow = index.JaggedOf(offs, flat)
-		}},
-		{"numValues the rows contradict", false, func(person *EntityInfo) {
-			person.BasicByAttr("gender").numValues++
-		}},
 		{"access path onto a column of the other kind", false, func(person *EntityInfo) {
 			// An insert would read the INTEGER column's cells as codes.
 			person.BasicByAttr("gender").Access.Column = "age"
@@ -110,6 +91,24 @@ func TestDecodeRejectsOutOfRangeBlocks(t *testing.T) {
 			person.DerivedByAttr("movie:genre").RelName = "movie"
 		}},
 
+		{"valsByRow code past the dictionary", true, func(person *EntityInfo) {
+			person.BasicByAttr("gender").valsByRow.Insert(0, 1, far)
+		}},
+		{"valsByRow negative code", true, func(person *EntityInfo) {
+			person.BasicByAttr("gender").valsByRow.Insert(0, 1, -3)
+		}},
+		{"valsByRow shorter than the relation", true, func(person *EntityInfo) {
+			p := person.BasicByAttr("gender")
+			offs, flat := []uint32{0}, []int32(nil)
+			for row := 0; row < p.valsByRow.Len()-1; row++ {
+				flat = append(flat, p.valsByRow.At(row)...)
+				offs = append(offs, uint32(len(flat)))
+			}
+			p.valsByRow = index.JaggedOf(offs, flat)
+		}},
+		{"numValues the rows contradict", true, func(person *EntityInfo) {
+			person.BasicByAttr("gender").numValues++
+		}},
 		{"pair row past the relation", true, func(person *EntityInfo) {
 			setCell(person, 1, "entity_id", relation.IntVal(far))
 		}},

@@ -178,7 +178,7 @@ type Jagged struct {
 }
 
 // JaggedOf adopts the per-list offsets (one per list plus one, from 0)
-// and the elements they cut (build and snapshot decode); do not mutate
+// and the elements they cut (the build and its folds); do not mutate
 // either.
 func JaggedOf(offs []uint32, flat []int32) Jagged {
 	return Jagged{lists: lists[int32]{offs: offs, flat: flat, n: max(len(offs)-1, 0)}}
@@ -280,7 +280,7 @@ type Postings[T uint32 | uint64] struct {
 }
 
 // PostingsOf adopts the per-list offsets and the ascending runs they
-// cut (build and snapshot decode); do not mutate either.
+// cut (the build and its folds); do not mutate either.
 func PostingsOf[T uint32 | uint64](offs []uint32, flat []T) Postings[T] {
 	return Postings[T]{lists[T]{offs: offs, flat: flat, n: max(len(offs)-1, 0)}}
 }

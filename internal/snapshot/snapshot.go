@@ -1,19 +1,18 @@
 // Package snapshot implements the versioned binary format that persists
-// an abduction-ready database to disk, so a warm boot is O(read) instead
-// of O(rebuild). A snapshot stores each fact once, and only facts.
+// an abduction-ready database to disk. A snapshot stores each fact once,
+// and only facts.
 //
-// Stored: the epoch sequence number, the build configuration, the base
-// database (schemas, column storage, per-column string dictionaries),
-// the property descriptors, the per-entity forward statistics of the
-// categorical basic properties (value codes per row; a numeric
-// property's values are its column's cells), and a CRC32 trailer over
-// every byte before it.
+// Stored: the epoch sequence number, the build configuration (less the
+// building process's worker count), the base database (schemas, column
+// storage, per-column string dictionaries), the property descriptors,
+// and a CRC32 trailer over every byte before it.
 //
-// Derived at load, by the constructors the cold build uses: the derived
-// relations (each a count over the base facts, materialized from its
-// stored descriptor under its stored name), their (entity, strength)
-// pair lists and strength histograms, the inverted entity-lookup index,
-// the per-value posting lists, the numeric value orders and every hash
+// Derived at load, once the trailer has passed, by the constructors the
+// cold build uses: the categorical properties' per-row value codes and
+// posting lists, the numeric value orders, the derived relations (each
+// a count over the base facts, materialized from its stored descriptor
+// under its stored name) with their (entity, strength) pair lists and
+// strength histograms, the inverted entity-lookup index and every hash
 // index — so none of them can disagree with the facts they come from.
 //
 // # Version-compatibility policy
@@ -58,8 +57,10 @@ const Magic = "SQAS"
 // which load now derives; v6 dropped a numeric property's cells and
 // presence bitmap, which load reads from the entity column they copied;
 // v7 dropped the derived relations, which load materializes from the
-// base database, and added the CRC32 trailer.
-const Version = 7
+// base database, and added the CRC32 trailer; v8 dropped the categorical
+// properties' per-row value codes, which load folds from the base
+// database, and the building process's worker count.
+const Version = 8
 
 // ErrVersion reports a snapshot whose format version does not match
 // this build's Version.
@@ -165,29 +166,6 @@ func (w *Writer) Strings(xs []string) {
 	for _, x := range xs {
 		w.String(x)
 	}
-}
-
-// Ints writes a non-negative int slice as one fixed-width uint32 block
-// (row numbers, counts, and lengths all fit; fixed-width decodes with a
-// straight 4-byte loop). Negative or oversized values poison the
-// writer — use Varint for unbounded payloads.
-func (w *Writer) Ints(xs []int) {
-	w.Uvarint(uint64(len(xs)))
-	if len(xs) == 0 {
-		return
-	}
-	buf := w.scratch[:0]
-	for _, x := range xs {
-		if x < 0 || x > math.MaxUint32 {
-			if w.err == nil {
-				w.err = fmt.Errorf("snapshot: Ints value %d outside uint32 range", x)
-			}
-			return
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
-	}
-	w.scratch = buf
-	w.raw(buf)
 }
 
 // Floats writes a float slice as one fixed-width block.
@@ -418,23 +396,6 @@ func (r *Reader) Strings() []string {
 	var out []string
 	for i := 0; i < n && r.err == nil; i++ {
 		out = append(out, r.String())
-	}
-	return out
-}
-
-// Ints reads a fixed-width uint32 block.
-func (r *Reader) Ints() []int {
-	n := r.Len()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	buf := r.take(n * 4)
-	if r.err != nil {
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(binary.LittleEndian.Uint32(buf[i*4:]))
 	}
 	return out
 }

@@ -3,6 +3,8 @@ package squid
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -20,21 +22,19 @@ func discoverFingerprint(d *Discovery) string {
 	return fp
 }
 
-// TestDiscoverBatchMatchesSerial pins the one fan-out's correctness
-// contract: Params.Workers changes how many example sets DiscoverBatch
-// runs at once, never an answer. At every worker count — 0 and -1 mean
-// GOMAXPROCS — each set's Explain and Output are byte-identical to a
-// lone DiscoverContext, on the academics fixture and on a generated
-// IMDb with enough properties to make every discovery do real work.
-// The selectivity cache is emptied before every run, so each does the
-// full abduction rather than reading memos another run left. Under
-// -race this is the determinism check of the batch fan-out.
-func TestDiscoverBatchMatchesSerial(t *testing.T) {
-	type workload struct {
-		name string
-		sys  *System
-		sets [][]string
-	}
+// batchWorkload is a system and the example sets the determinism tests
+// discover on it.
+type batchWorkload struct {
+	name string
+	sys  *System
+	sets [][]string
+}
+
+// batchWorkloads builds the two fixtures of the determinism tests: the
+// academics database, and a generated IMDb with enough properties to
+// make every discovery do real work.
+func batchWorkloads(t *testing.T) []batchWorkload {
+	t.Helper()
 	acad, err := Build(academicsDB(), DefaultBuildConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestDiscoverBatchMatchesSerial(t *testing.T) {
 		}
 		comedians = append(comedians, names.Get(row).Str())
 	}
-	loads := []workload{
+	return []batchWorkload{
 		{"academics", acad, [][]string{
 			{"Dan Suciu", "Sam Madden", "Joseph Hellerstein"},
 			{"Thomas Cormen", "James Kurose"},
@@ -65,7 +65,19 @@ func TestDiscoverBatchMatchesSerial(t *testing.T) {
 			{names.Get(0).Str(), names.Get(1).Str(), names.Get(2).Str()},
 		}},
 	}
-	for _, load := range loads {
+}
+
+// TestDiscoverBatchMatchesSerial pins the one fan-out's correctness
+// contract: Params.Workers changes how many example sets DiscoverBatch
+// runs at once, never an answer. At every worker count — 0 and -1 mean
+// GOMAXPROCS — each set's Explain and Output are byte-identical to a
+// lone DiscoverContext, on the academics fixture and on a generated
+// IMDb with enough properties to make every discovery do real work.
+// The selectivity cache is emptied before every run, so each does the
+// full abduction rather than reading memos another run left. Under
+// -race this is the determinism check of the batch fan-out.
+func TestDiscoverBatchMatchesSerial(t *testing.T) {
+	for _, load := range batchWorkloads(t) {
 		t.Run(load.name, func(t *testing.T) {
 			cache := load.sys.AlphaDB().SelectivityCache()
 			reference := make([]string, len(load.sets))
@@ -97,6 +109,63 @@ func TestDiscoverBatchMatchesSerial(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestExampleOrderByteIdentical pins a metamorphic relation of the
+// paper's model: the examples are a set, so no permutation of them may
+// change a discovery's Explain or Output by a byte. Every set of the
+// determinism fixtures is discovered in all its orders up to four
+// examples, and in five seeded shuffles past that, each against the
+// order as written, with the selectivity cache emptied before every
+// discovery.
+func TestExampleOrderByteIdentical(t *testing.T) {
+	for _, load := range batchWorkloads(t) {
+		t.Run(load.name, func(t *testing.T) {
+			cache := load.sys.AlphaDB().SelectivityCache()
+			discover := func(set []string) string {
+				cache.Invalidate()
+				d, err := load.sys.DiscoverContext(context.Background(), set)
+				if err != nil {
+					t.Fatalf("discover %q: %v", set, err)
+				}
+				return discoverFingerprint(d)
+			}
+			rng := rand.New(rand.NewSource(1))
+			for i, set := range load.sets {
+				want := discover(set)
+				var orders [][]string
+				if len(set) <= 4 {
+					orders = permutations(set)
+				} else {
+					for range 5 {
+						order := slices.Clone(set)
+						rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+						orders = append(orders, order)
+					}
+				}
+				for _, order := range orders {
+					if got := discover(order); got != want {
+						t.Errorf("set %d in order %q diverges from %q:\n--- as written ---\n%s\n--- permuted ---\n%s", i, order, set, want, got)
+					}
+				}
+			}
+		})
+	}
+}
+
+// permutations returns every ordering of xs.
+func permutations(xs []string) [][]string {
+	if len(xs) <= 1 {
+		return [][]string{slices.Clone(xs)}
+	}
+	var out [][]string
+	for i := range xs {
+		rest := append(slices.Clone(xs[:i]), xs[i+1:]...)
+		for _, p := range permutations(rest) {
+			out = append(out, append([]string{xs[i]}, p...))
+		}
+	}
+	return out
 }
 
 func TestDiscoverBatchPartialFailure(t *testing.T) {

@@ -60,7 +60,7 @@ var fuzzExampleSets = [][]string{
 // (TestSnapshotCorpusDamageFailsLoad), so each input is also loaded with
 // its trailer recomputed, which a hand-edited file can carry. The
 // committed corpus
-// (testdata/fuzz/FuzzSnapshotDecode) is a valid v7 stream of fuzzDB, the
+// (testdata/fuzz/FuzzSnapshotDecode) is a valid v8 stream of fuzzDB, the
 // same stream cut at ¼, ½, ¾ and one byte short, and with the low bit
 // flipped at each of the eight offsets (2i+1)/16 of its length; the
 // live stream is added as well, so the fuzzer starts from a loadable

@@ -61,9 +61,17 @@ func discoveryFingerprint(t *testing.T, sys *System, examples []string) string {
 
 // TestSnapshotRoundTrip saves a built system, loads it back, and asserts
 // the discovery result and Explain output are byte-identical — the
-// warm-boot contract of the snapshot format.
+// warm-boot contract of the snapshot format. The system is built
+// serially; the worker count is a setting of the building process, so
+// the loaded one reports none and fans out over its own GOMAXPROCS.
 func TestSnapshotRoundTrip(t *testing.T) {
-	sys, g := snapshotSystem(t)
+	g := datagen.GenerateIMDb(datagen.IMDbConfig{Seed: 11, NumPersons: 300, NumMovies: 150, NumCompany: 10})
+	cfg := DefaultBuildConfig()
+	cfg.Workers = 1
+	sys, err := Build(g.DB, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	examples := exampleNames(t, sys, g, 8)
 	before := discoveryFingerprint(t, sys, examples)
 
@@ -78,6 +86,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	after := discoveryFingerprint(t, loaded, examples)
 	if before != after {
 		t.Errorf("discovery diverged across snapshot round trip:\n--- before ---\n%s\n--- after ---\n%s", before, after)
+	}
+	if got := loaded.AlphaDB().Config().Workers; got != 0 {
+		t.Errorf("loaded Config().Workers = %d, want 0: the file records no worker count", got)
 	}
 
 	// Statistics surfaces must agree too.
@@ -243,14 +254,15 @@ func TestLoadRejectsDamagedParams(t *testing.T) {
 
 // TestSnapshotBytesPerRow is the file-size guard beside the heap one:
 // what Save of the bench-scale fixture writes, per base-relation row,
-// stays under a budget set about 8% above format v7 (41 B/row; v6,
-// which still stored the derived relations the base facts determine,
-// wrote 105, v5, which also stored a numeric property's cells beside its
-// column, 106, and v4, which stored every inverse beside the data it
-// inverts, 148). A block that creeps back into the format fails here
-// before it reaches the benchmark's snapshot_mb.
+// stays under a budget set about 8% above format v8 (26 B/row). The
+// formats before it stored something the base facts determine: v7 the
+// categorical properties' per-row value codes (41), v6 also the derived
+// relations (105), v5 also a numeric property's cells beside its column
+// (106), and v4 every inverse beside the data it inverts (148). A block
+// that creeps back into the format fails here before it reaches the
+// benchmark's snapshot_mb.
 func TestSnapshotBytesPerRow(t *testing.T) {
-	const budget = 44 // B/row
+	const budget = 28 // B/row
 	sys, err := Build(datagen.GenerateIMDb(benchScale().IMDb).DB, DefaultBuildConfig())
 	if err != nil {
 		t.Fatal(err)
