@@ -46,7 +46,8 @@ import (
 //     clones the epoch's inverted index; 1.69 MB once a hash index is a
 //     key table over posting lists: an insert under a key copies none of
 //     its rows, and the lists fold by the rows inserts added, not by the
-//     keys they touched.
+//     keys they touched; 1.52 MB once a categorical property keeps no
+//     per-row code lists to clone and fold.
 //   - One cold Build, per base-relation row: 3.59 mallocs and 599 B with
 //     a Go map per entity, a sort of decoded strings and a boxed append
 //     per derived row; 1.74 mallocs and 545 B with the derived relations
@@ -56,7 +57,9 @@ import (
 //     224 with PR 25's flat categorical statistics, 217 with 8-byte
 //     inverted-index postings in one array (40 B each before) beside the
 //     resident fact foreign-key indexes, 190 with 4-byte derived counts
-//     in chunks and key-ordered hash indexes that store offsets only.
+//     in chunks and key-ordered hash indexes that store offsets only,
+//     173 once a categorical property walks its access path for an
+//     entity's codes instead of keeping them per row.
 func TestBudgets(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("allocation and heap sizes under the race detector are not the production ones")
@@ -85,8 +88,8 @@ func TestBudgets(t *testing.T) {
 		{"ColdDiscoverMallocs", coldOverWarm, "mallocs", 10, "no grow, sort, dedup, densify or compact copy of a row set (28 at PR 23's parent, 6 after)"},
 		{"ColdDiscoverKB", coldOverWarm, "KB", 2, "each row set sized once from its statistic (3.2 KB at PR 23's parent, 1.4 after)"},
 		{"BuildMallocsPerRow", build, "mallocs/row", 1.83, "5% above the 1.74 of derived relations tabulated in code space (3.59 with a map per entity, a string sort and a boxed append per row)"},
-		{"InsertBatchMB", insert, "MB", 1.78, "5% above the 1.69 MB of hash indexes that copy no posting list per touched key (2.01 MB before flat 4-byte lists, 1.84 before the key table)"},
-		{"LoadBytesPerRow", load, "B/row", 200, "5% above the 190 B/row of chunked 4-byte derived counts and key-ordered hash indexes (217 before)"},
+		{"InsertBatchMB", insert, "MB", 1.60, "5% above the 1.52 MB of categorical properties that keep no per-row code lists (1.69 MB before, 2.01 before flat 4-byte lists, 1.84 before the key table)"},
+		{"LoadBytesPerRow", load, "B/row", 182, "5% above the 173 B/row of categorical properties that walk their access paths (190 with per-row code lists, 217 before chunked derived counts)"},
 	}
 	for _, b := range budgets {
 		t.Run(b.name, func(t *testing.T) {

@@ -78,6 +78,9 @@ type exampleState struct {
 	info *adb.EntityInfo
 	rows []int
 	ids  []int64
+	// byRow lists the examples' indexes in row order: probes of one
+	// posting list in row order walk it forward.
+	byRow []int
 	// degrees memoizes, per degree property, the per-example total
 	// association counts.
 	degrees map[*adb.DerivedProperty][]float64
@@ -88,7 +91,7 @@ type exampleState struct {
 // intersection (see categoricalContexts and derivedContexts).
 type ctxScratch struct {
 	codes  []int32
-	seenBy []int32
+	reads  []int // per example, the rows its walk reads (SourceRows)
 	counts []adb.CodeCount
 	aggs   []sharedAssoc
 }
@@ -96,9 +99,11 @@ type ctxScratch struct {
 func newExampleState(info *adb.EntityInfo, exampleRows []int, params Params) *exampleState {
 	st := &exampleState{info: info, rows: exampleRows}
 	st.ids = make([]int64, len(exampleRows))
+	st.byRow = make([]int, len(exampleRows))
 	for i, row := range exampleRows {
-		st.ids[i] = info.IDByRow(row)
+		st.ids[i], st.byRow[i] = info.IDByRow(row), i
 	}
+	slices.SortFunc(st.byRow, func(a, b int) int { return exampleRows[a] - exampleRows[b] })
 	if params.NormalizeAssociation {
 		st.degrees = make(map[*adb.DerivedProperty][]float64)
 	}
@@ -124,36 +129,51 @@ func (st *exampleState) degreesFor(degree *adb.DerivedProperty) []float64 {
 
 // categoricalContexts appends the shared-value contexts of a categorical
 // basic property to out. The value sets intersect as dictionary codes
-// with no map and no per-value object: the first example's codes, sorted
-// and deduplicated in the scratch, are the shared set; every further
-// example stamps the shared codes it holds (a binary search per code of
-// its list, so a row of hundreds of codes stays linear in the row) and
-// the unstamped ones are dropped. Codes decode to strings only when a
-// filter is emitted, in the dictionary's rank order.
+// with no map and no per-value object. The example whose walk reads the
+// fewest rows seeds the shared set with its codes, sorted and
+// deduplicated in the scratch; every other example, in row order, then
+// drops the shared codes it lacks, by whichever reads less: a walk of its
+// own codes (a binary search each), or a probe of each shared code's
+// posting list — an entity linked to hundreds of others costs hundreds
+// of reads to walk, and probes in row order move forward through a
+// list. Codes decode to strings only when a filter is emitted, in the
+// dictionary's rank order.
 func categoricalContexts(out []Context, st *exampleState, prop *adb.BasicProperty, params Params) []Context {
 	sc := &st.sc
-	shared := append(sc.codes[:0], prop.ValueCodes(st.rows[0])...)
+	reads, seed := slices.Grow(sc.reads[:0], len(st.rows)), 0
+	for i, row := range st.rows {
+		if reads = append(reads, prop.SourceRows(row)); reads[i] < reads[seed] {
+			seed = i
+		}
+	}
+	sc.reads = reads
+	shared := prop.AppendValueCodes(sc.codes[:0], st.rows[seed])
 	slices.Sort(shared)
 	shared = slices.Compact(shared)
-	seenBy := append(sc.seenBy[:0], make([]int32, len(shared))...)
-	for i := 1; i < len(st.rows) && len(shared) > 0; i++ {
-		for _, c := range prop.ValueCodes(st.rows[i]) {
-			if at, ok := slices.BinarySearch(shared, c); ok {
-				seenBy[at] = int32(i)
-			}
+	posts := prop.Postings()
+	for _, i := range st.byRow {
+		if len(shared) == 0 {
+			break
 		}
-		// The stamps are not moved along with the codes: every stamp
-		// is at most i, so none can pass for example i+1's.
-		kept := 0
-		for at, c := range shared {
-			if seenBy[at] == int32(i) {
-				shared[kept] = c
-				kept++
-			}
+		if i == seed {
+			continue
 		}
-		shared = shared[:kept]
+		row := st.rows[i]
+		if reads[i] > len(shared) {
+			shared = slices.DeleteFunc(shared, func(c int32) bool { return !posts.Contains(int(c), uint32(row)) })
+			continue
+		}
+		// The example's codes go into the scratch past the shared ones.
+		buf := prop.AppendValueCodes(shared, row)
+		codes := buf[len(shared):]
+		shared = buf[:len(shared)]
+		slices.Sort(codes)
+		shared = slices.DeleteFunc(shared, func(c int32) bool {
+			_, ok := slices.BinarySearch(codes, c)
+			return !ok
+		})
 	}
-	sc.codes, sc.seenBy = shared, seenBy
+	sc.codes = shared
 	if len(shared) > 0 {
 		prop.Dict().SortCodes(shared)
 		vals := prop.Dict().Values()
@@ -173,11 +193,12 @@ func categoricalContexts(out []Context, st *exampleState, prop *adb.BasicPropert
 	// of distinct values the examples take, if small enough.
 	distinct := sc.codes[:0]
 	for _, row := range st.rows {
-		codes := prop.ValueCodes(row)
-		if len(codes) == 0 {
+		// The row's codes go past the distinct ones; its first stays.
+		buf := prop.AppendValueCodes(distinct, row)
+		if len(buf) == len(distinct) {
 			return out // an example lacks the property: no valid filter
 		}
-		distinct = append(distinct, codes[0])
+		distinct = buf[:len(distinct)+1]
 	}
 	slices.Sort(distinct)
 	distinct = slices.Compact(distinct)

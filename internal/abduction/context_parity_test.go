@@ -18,14 +18,14 @@ import (
 
 func categoricalContextsByMap(prop *adb.BasicProperty, exampleRows []int, params Params) []Context {
 	shared := make(map[int32]int)
-	for _, c := range dedupCodesByMap(prop.ValueCodes(exampleRows[0])) {
+	for _, c := range dedupCodesByMap(prop.AppendValueCodes(nil, exampleRows[0])) {
 		shared[c] = 1
 	}
 	for _, row := range exampleRows[1:] {
 		if len(shared) == 0 {
 			break
 		}
-		for _, c := range dedupCodesByMap(prop.ValueCodes(row)) {
+		for _, c := range dedupCodesByMap(prop.AppendValueCodes(nil, row)) {
 			if n, ok := shared[c]; ok && n == 1 {
 				shared[c] = 2
 			}
@@ -50,7 +50,7 @@ func categoricalContextsByMap(prop *adb.BasicProperty, exampleRows []int, params
 	}
 	distinct := make(map[int32]struct{})
 	for _, row := range exampleRows {
-		codes := prop.ValueCodes(row)
+		codes := prop.AppendValueCodes(nil, row)
 		if len(codes) == 0 {
 			return out
 		}
@@ -266,7 +266,7 @@ func TestContextIntersectionMatchesMapOracle(t *testing.T) {
 	longest, repeats := 0, false
 	for row := 0; row < info.NumRows; row++ {
 		for _, p := range info.Basic {
-			codes := p.ValueCodes(row)
+			codes := p.AppendValueCodes(nil, row)
 			longest = max(longest, len(codes))
 			sorted := slices.Clone(codes)
 			slices.Sort(sorted)

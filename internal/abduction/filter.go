@@ -178,11 +178,13 @@ func (f *Filter) rowSetT(sp trace.Span) *index.RowSet {
 }
 
 // SatisfiedBy reports whether the entity at row satisfies the filter.
-// Categorical membership compares dictionary codes, not strings.
+// Categorical membership compares dictionary codes, not strings, read
+// into a scratch on the stack.
 func (f *Filter) SatisfiedBy(info *adb.EntityInfo, row int) bool {
 	switch f.Kind {
 	case BasicCategorical:
-		codes := f.Basic.ValueCodes(row)
+		var scratch [64]int32
+		codes := f.Basic.AppendValueCodes(scratch[:0], row)
 		for _, want := range f.Values {
 			wc, ok := f.Basic.LookupCode(want)
 			if !ok {

@@ -130,7 +130,7 @@ func TestBasicDirectProperties(t *testing.T) {
 	if got := gender.CategoricalSelectivity("Male"); got != 0.5 {
 		t.Errorf("ψ(gender=Male)=%v want 0.5", got)
 	}
-	if got := gender.Values(0); len(got) != 1 || got[0] != "Male" {
+	if got := values(gender, 0); len(got) != 1 || got[0] != "Male" {
 		t.Errorf("Values(0)=%v", got)
 	}
 	age := p.BasicByAttr("age")
@@ -190,7 +190,7 @@ func TestBasicFKDimProperty(t *testing.T) {
 	if got := country.CategoricalSelectivity("Canada"); math.Abs(got-2.0/6.0) > 1e-9 {
 		t.Errorf("ψ(country=Canada)=%v", got)
 	}
-	if got := country.Values(4); len(got) != 1 || got[0] != "Canada" {
+	if got := values(country, 4); len(got) != 1 || got[0] != "Canada" {
 		t.Errorf("Values(4)=%v", got)
 	}
 	rows := country.EntityRowsWithValue("Canada")
@@ -208,7 +208,7 @@ func TestBasicFactDimProperty(t *testing.T) {
 	if got := genre.CategoricalSelectivity("Comedy"); math.Abs(got-3.0/6.0) > 1e-9 {
 		t.Errorf("ψ(genre=Comedy)=%v want 0.5", got)
 	}
-	if got := genre.Values(0); len(got) != 1 || got[0] != "Comedy" {
+	if got := values(genre, 0); len(got) != 1 || got[0] != "Comedy" {
 		t.Errorf("Values(movie 10)=%v", got)
 	}
 }
@@ -409,6 +409,16 @@ func attrNames(e *EntityInfo) []string {
 	}
 	for _, d := range e.Derived {
 		out = append(out, "derived:"+d.Attr)
+	}
+	return out
+}
+
+// values decodes the categorical values of the entity at row, in the
+// order AppendValueCodes walks them.
+func values(p *BasicProperty, row int) []string {
+	var out []string
+	for _, c := range p.AppendValueCodes(nil, row) {
+		out = append(out, p.DecodeValue(c))
 	}
 	return out
 }

@@ -506,20 +506,22 @@ func (a *Epoch) readHash(rel *relation.Relation, col string) *index.IntHash {
 
 func (a *Epoch) isEntity(name string) bool { return a.DB.Kind(name) == relation.KindEntity }
 
-// pairReader is a categorical basic property's one derivation: pair
+// pairReader is a categorical basic property's one derivation, and its
+// access path resolved against one epoch's relations and indexes: pair
 // maps one row of its source relation — the entity relation for Direct
 // and FKDim paths, the fact or side table for FactDim and AttrTable — to
-// the entity row it describes and the value code it contributes. The
-// cold build and the snapshot load fold it over every source row
-// (foldCategorical), an insert applies it to the rows it adds.
+// the entity row it describes and the value code it contributes, and
+// appendCodes reads that map in reverse, from an entity row to its
+// codes. The cold build and the snapshot load fold pair over every
+// source row (foldCategorical), an insert applies it to the rows it
+// adds, and the property keeps the reader for appendCodes.
 type pairReader struct {
-	s   source
-	acc AccessPath
 	src *relation.Relation
 	// entCol names the entity in a fact or side row, resolved through pk;
-	// nil when the source row is the entity row.
-	entCol *relation.Column
-	pk     *index.IntHash
+	// nil when the source row is the entity row. ids is the entity's key
+	// column and byEntity the source's rows by entCol: the way back.
+	entCol, ids  *relation.Column
+	pk, byEntity *index.IntHash
 	// col holds the value (Direct, AttrTable) or the key of the
 	// dimension row holding it (FKDim, FactDim), resolved through dimPK
 	// to that row's dimVal cell.
@@ -534,11 +536,12 @@ type pairReader struct {
 
 func (p *BasicProperty) pairs(s source) pairReader {
 	acc := p.Access
-	r := pairReader{s: s, acc: acc, src: s.viewRel(p.Entity)}
+	r := pairReader{src: s.viewRel(p.Entity)}
 	if acc.Type == FactDim || acc.Type == AttrTable {
 		ent := r.src
 		r.src = s.viewRel(acc.Fact)
-		r.entCol, r.pk = r.src.Column(acc.FactEntityCol), s.readHash(ent, ent.PrimaryKey)
+		r.entCol, r.ids = r.src.Column(acc.FactEntityCol), ent.Column(ent.PrimaryKey)
+		r.pk, r.byEntity = s.readHash(ent, ent.PrimaryKey), s.readHash(r.src, acc.FactEntityCol)
 	}
 	if acc.Type == FactDim {
 		r.col, r.assoc = r.src.Column(acc.FactDimCol), s.isEntity(acc.Dim)
@@ -570,17 +573,125 @@ func (r *pairReader) pair(sr int) (eRow int, code int32, ok bool) {
 			return 0, 0, false
 		}
 	}
+	if code, _, ok = r.value(sr); !ok || r.assoc && !r.links.first(sr) {
+		return 0, 0, false
+	}
+	return eRow, code, true
+}
+
+// value returns the code source row sr contributes and, on a path
+// through a dimension, the dimension row holding it; ok is false for a
+// NULL value or a dangling key.
+func (r *pairReader) value(sr int) (code int32, d int, ok bool) {
 	if r.col.IsNull(sr) {
 		return 0, 0, false
 	}
 	if r.dimVal == nil {
-		return eRow, r.col.Code(sr), true
+		return r.col.Code(sr), sr, true
 	}
-	d, ok := r.dimPK.First(r.col.Int64(sr))
-	if !ok || r.dimVal.IsNull(d) || r.assoc && !r.links.first(sr) {
+	if d, ok = r.dimPK.First(r.col.Int64(sr)); !ok || r.dimVal.IsNull(d) {
 		return 0, 0, false
 	}
-	return eRow, r.dimVal.Code(d), true
+	return r.dimVal.Code(d), d, true
+}
+
+// appendCodes appends to dst the codes the fold of pair gives entity row
+// eRow, in source-row order with repeats: the entity row's own pair, or
+// the pairs of the source rows byEntity lists under the entity's key —
+// ascending, since rows are only appended — when its key resolves to
+// eRow through pk. It allocates nothing once dst has room.
+func (r *pairReader) appendCodes(dst []int32, eRow int) []int32 {
+	if r.entCol == nil {
+		if code, _, ok := r.value(eRow); ok {
+			dst = append(dst, code)
+		}
+		return dst
+	}
+	if r.ids.IsNull(eRow) {
+		return dst
+	}
+	id := r.ids.Int64(eRow)
+	if first, ok := r.pk.First(id); !ok || first != eRow {
+		return dst // a repeated key: the fold gives the pairs to its first row
+	}
+	start := len(dst)
+	base, tail := r.byEntity.Rows(id)
+	room := len(base) + len(tail)
+	if r.assoc {
+		room *= 3 // firstVia works past the codes
+	}
+	dst = slices.Grow(dst, room)
+	for _, run := range [2][]uint32{base, tail} {
+		for _, sr := range run {
+			switch code, d, ok := r.value(int(sr)); {
+			case !ok:
+			case r.assoc:
+				dst = append(dst, int32(d)) // a via row, coded by firstVia
+			default:
+				dst = append(dst, code)
+			}
+		}
+	}
+	if r.assoc {
+		dst = r.firstVia(dst, start)
+	}
+	return dst
+}
+
+// sourceRows returns how many source rows appendCodes reads for entity
+// row eRow: one for the entity row itself, or the rows byEntity lists
+// under its key.
+func (r *pairReader) sourceRows(eRow int) int {
+	if r.entCol == nil {
+		return 1
+	}
+	if r.ids.IsNull(eRow) {
+		return 0
+	}
+	base, tail := r.byEntity.Rows(r.ids.Int64(eRow))
+	return len(base) + len(tail)
+}
+
+// firstVia keeps the first occurrence of each via row in dst[start:] and
+// turns it into its code: an entity association lists an associated
+// entity once however many fact rows link the pair, as pairCheck makes
+// the fold do. Two via rows can share a display value (name twins), so
+// the test is on rows, not codes. Past dst's end it sorts a copy of the
+// rows and lists the rows that repeat, each with a flag its first
+// occurrence sets: k log k for k rows, and no allocation once dst has
+// room.
+func (r *pairReader) firstVia(dst []int32, start int) []int32 {
+	k := len(dst) - start
+	if k > 1 {
+		dst = append(dst, dst[start:start+k]...)
+		sorted := dst[start+k:]
+		slices.Sort(sorted)
+		for i := 1; i < k; i++ {
+			if d := sorted[i]; d == sorted[i-1] && (len(dst) == start+2*k || dst[len(dst)-1] != d) {
+				dst = append(dst, d)
+			}
+		}
+		if u := len(dst) - start - 2*k; u > 0 {
+			dst = append(dst, make([]int32, u)...)
+			rows, reps, seen := dst[start:start+k], dst[start+2*k:start+2*k+u], dst[start+2*k+u:]
+			for i, d := range rows {
+				if j, ok := slices.BinarySearch(reps, d); ok {
+					if seen[j] != 0 {
+						rows[i] = -1 // a later link of the pair
+					}
+					seen[j] = 1
+				}
+			}
+		}
+	}
+	n := start
+	for _, d := range dst[start : start+k] {
+		if d >= 0 {
+			dst[n] = r.dimVal.Code(int(d))
+			n++
+		}
+	}
+	return dst[:n]
 }
 
 // pairCheck tells whether a fact row is the first to link the pair of
@@ -636,13 +747,15 @@ func (a *Epoch) buildCategorical(info *EntityInfo, attr string, acc AccessPath) 
 }
 
 // foldCategorical derives a categorical property's statistics from the
-// facts: it folds the path's pairReader over its source relation, lays
-// out the per-row code lists and computes the per-code statistics — the
-// one derivation, shared by the cold build and the snapshot load. It
-// reports whether the property is an entity association.
+// facts: it folds the path's pairReader over its source relation, groups
+// the pairs by entity row and computes the per-code statistics from
+// them, and keeps the reader, which answers an entity row's codes from
+// then on — the one derivation, shared by the cold build and the
+// snapshot load. It reports whether the property is an entity
+// association.
 func (p *BasicProperty) foldCategorical(s source) (assoc bool) {
 	r := p.pairs(s)
-	p.dict = r.dict
+	p.dict, p.path = r.dict, r
 	n := r.src.NumRows()
 	rows, codes := make([]uint32, 0, n), make([]int32, 0, n)
 	for sr := range n {
@@ -654,64 +767,64 @@ func (p *BasicProperty) foldCategorical(s source) (assoc bool) {
 	return r.assoc
 }
 
-// byRow groups (entity row, code) pairs into per-row code lists by a
-// stable counting sort — a row's codes keep their source order, repeats
-// included — laid out at exact size in one offsets array and one code
-// array.
-func byRow(rows []uint32, codes []int32, numRows int) index.Jagged {
-	offs := make([]uint32, numRows+1)
+// byRow groups (entity row, code) pairs by row with a stable counting
+// sort — a row's codes keep their source order, repeats included — at
+// exact size: row r's codes are flat[offs[r]:offs[r+1]].
+func byRow(rows []uint32, codes []int32, numRows int) (offs []uint32, flat []int32) {
+	offs = make([]uint32, numRows+1)
 	for _, r := range rows {
 		offs[r+1]++
 	}
 	for i := 1; i <= numRows; i++ {
 		offs[i] += offs[i-1]
 	}
-	flat := make([]int32, len(codes))
+	flat = make([]int32, len(codes))
 	next := slices.Clone(offs[:numRows])
 	for i, r := range rows {
 		flat[next[r]] = codes[i]
 		next[r]++
 	}
-	return index.JaggedOf(offs, flat)
+	return offs, flat
 }
 
-// buildCatStats adopts valsByRow and derives catRows from it — the one
-// constructor of a categorical property's inverse. It is a counting sort
-// by code that lists each (entity, code) pair once, ascending by row, in
-// one offsets array and one posting array sized exactly.
-func (p *BasicProperty) buildCatStats(valsByRow index.Jagged) {
+// buildCatStats derives catRows from the pairs grouped by row (byRow) —
+// the one constructor of a categorical property's posting lists. It is
+// a counting sort by code that lists each (entity, code) pair once,
+// ascending by row, in one offsets array and one posting array sized
+// exactly. The grouping is dropped after it.
+func (p *BasicProperty) buildCatStats(offs []uint32, flat []int32) {
 	codes := p.dict.Len()
 	// seen[c] is one past the last row counted for code c: rows ascend,
 	// so a code repeated within a row is the only way to meet it again.
 	seen := make([]int, codes)
-	offs := make([]uint32, codes+1)
-	for row := range valsByRow.Len() {
-		for _, c := range valsByRow.At(row) {
+	pOffs := make([]uint32, codes+1)
+	for row := range len(offs) - 1 {
+		for _, c := range flat[offs[row]:offs[row+1]] {
 			if seen[c] != row+1 {
 				seen[c] = row + 1
-				offs[c+1]++
+				pOffs[c+1]++
 			}
 		}
 	}
 	for c := 0; c < codes; c++ {
-		if offs[c+1] > 0 {
+		if pOffs[c+1] > 0 {
 			p.numValues++
 		}
-		offs[c+1] += offs[c]
+		pOffs[c+1] += pOffs[c]
 	}
-	flat := make([]uint32, offs[codes])
-	next := slices.Clone(offs[:codes])
+	posts := make([]uint32, pOffs[codes])
+	next := slices.Clone(pOffs[:codes])
 	clear(seen)
-	for row := range valsByRow.Len() {
-		for _, c := range valsByRow.At(row) {
+	for row := range len(offs) - 1 {
+		for _, c := range flat[offs[row]:offs[row+1]] {
 			if seen[c] != row+1 {
 				seen[c] = row + 1
-				flat[next[c]] = uint32(row)
+				posts[next[c]] = uint32(row)
 				next[c]++
 			}
 		}
 	}
-	p.valsByRow, p.catRows = valsByRow, index.PostingsOf(offs, flat)
+	p.catRows = index.PostingsOf(pOffs, posts)
 }
 
 // buildNumStats points a numeric property at its column and derives

@@ -90,7 +90,7 @@ func TestEntityRowsCrossCheck(t *testing.T) {
 	naiveAny := func(vals []string) []int {
 		var out []int
 		for row := 0; row < n; row++ {
-			for _, have := range class.Values(row) {
+			for _, have := range values(class, row) {
 				matched := false
 				for _, want := range vals {
 					if have == want {

@@ -113,18 +113,16 @@ func (a *Epoch) buildDerivedProperties(info *EntityInfo, fact1 string, fkToMe, f
 // lists the source-dictionary codes one via row contributes: the
 // pseudo-value 0 (the via relation's name) for Degree, and otherwise
 // the codes the target — a basic-property path of the via entity —
-// gives the via row, one per second-fact row for FactDim. An entity's
-// strength for a value is the count of the value's code over the
-// contributions of its distinct via rows: the build sums them over the
-// adjacency, an insert adds one via row's for a new pair.
+// gives the via row (pairReader.appendCodes), one per second-fact row
+// for FactDim. An entity's strength for a value is the count of the
+// value's code over the contributions of its distinct via rows: the
+// build sums them over the adjacency, an insert adds one via row's for
+// a new pair.
 type derivedReader struct {
 	entCol, viaCol *relation.Column
 	pk, viaPK      *index.IntHash
 	degree         string // Degree's pseudo-value; empty for a target
 	target         pairReader
-	// FactDim: the via rows' keys. The second fact's rows by via key are
-	// read on first use: an insert of a second-fact row never asks.
-	ids *relation.Column
 }
 
 func (p *DerivedProperty) reader(s source) derivedReader {
@@ -138,9 +136,6 @@ func (p *DerivedProperty) reader(s source) derivedReader {
 		return d
 	}
 	d.target = (&BasicProperty{Entity: p.Via, Access: p.Target}).pairs(s)
-	if p.Target.Type == FactDim {
-		d.ids = via.Column(p.ViaPK)
-	}
 	return d
 }
 
@@ -158,25 +153,10 @@ func (d *derivedReader) link(fr int) (eRow, vRow int, ok bool) {
 
 // add appends the codes via row vRow contributes to dst.
 func (d *derivedReader) add(vRow int, dst []int32) []int32 {
-	switch {
-	case d.degree != "":
+	if d.degree != "" {
 		return append(dst, 0)
-	case d.ids == nil:
-		if _, code, ok := d.target.pair(vRow); ok {
-			dst = append(dst, code)
-		}
-	default:
-		t := &d.target
-		base, tail := t.s.readHash(t.src, t.acc.FactEntityCol).Rows(d.ids.Int64(vRow))
-		for _, run := range [2][]uint32{base, tail} {
-			for _, r := range run {
-				if _, code, ok := t.pair(int(r)); ok {
-					dst = append(dst, code)
-				}
-			}
-		}
 	}
-	return dst
+	return d.target.appendCodes(dst, vRow)
 }
 
 // decode returns the value a code stands for.

@@ -15,10 +15,9 @@ import (
 // global lock), an insert batch builds the next epoch: it clones the
 // headers of the relations, per-property statistics, and indexes the
 // batch touches, copies only the chunks and tails it writes into
-// (relation.Chunked, index.IntHash, index.Jagged, index.Postings,
-// index.Inverted), structurally shares everything else with the base
-// epoch, and publishes the result with one atomic pointer swap
-// (AlphaDB.publish).
+// (relation.Chunked, index.IntHash, index.Postings, index.Inverted),
+// structurally shares everything else with the base epoch, and
+// publishes the result with one atomic pointer swap (AlphaDB.publish).
 // Readers pinned to older epochs are never stalled and never observe a
 // half-applied batch.
 //
@@ -30,7 +29,10 @@ import (
 // contribution to a derived one unless the pair was linked already, and
 // its value to every entity a first fact links to it when it is a
 // second fact; a new entity row applies the rows that named it before
-// it existed. Deletions still require a rebuild.
+// it existed. A categorical property keeps no per-row codes to
+// maintain: its path reads them from the relations and indexes, and
+// the writer re-points it at its batch's final ones. Deletions still
+// require a rebuild.
 //
 // Writers run one at a time (AlphaDB.writeMu), so every publish extends
 // the epoch its builder started from.
@@ -41,11 +43,10 @@ import (
 // header; the first write into a chunk of a chunked vector copies that chunk
 // (stamped with gen, so later touches in the same batch mutate it in
 // place); a layered structure — a hash index, a categorical property's
-// code lists and posting lists — copies its tail when the
-// property or shard is cloned and writes into that. Lists shared with
-// the base are only ever appended past the base's lengths: an entity
-// row gaining a code is copied into the tail first, and a posting list
-// keeps its new rows in the tail beside its base run.
+// posting lists — copies its tail when the property or shard is cloned
+// and writes into that. Lists shared with the base are only ever
+// appended past the base's lengths: a posting list keeps its new rows
+// in the tail beside its base run.
 type epochBuilder struct {
 	base *Epoch
 	idx  *index.IndexDelta
@@ -126,10 +127,20 @@ func (eb *epochBuilder) dirty() bool {
 	return len(eb.baseRels) > 0 || len(eb.derivedRels) > 0 || len(eb.entities) > 0
 }
 
-// finalize rebuilds the attribute maps of privatized entities (their
-// clones still index the base's property pointers) before publish.
+// finalize re-points the path of every categorical property the batch
+// cloned at the batch's final relations and indexes, and rebuilds the
+// attribute maps of privatized entities (their clones still index the
+// base's property pointers) before publish. A property the batch did
+// not clone keeps the path of an earlier epoch: an insert that changes
+// an entity's codes clones the property, so the rows that path reads
+// give the codes they gave.
 func (eb *epochBuilder) finalize() {
 	for _, info := range eb.entities {
+		for _, p := range info.Basic {
+			if eb.isPriv[p] && p.Kind == Categorical {
+				p.path = p.pairs(eb)
+			}
+		}
 		info.buildAttrMaps()
 	}
 }
@@ -341,16 +352,11 @@ func (eb *epochBuilder) insertEntity(entityRel string, vals []relation.Value) er
 		case p.Kind == Numeric:
 			p.insertNum(eb.gen, rel.Column(p.Access.Column), row)
 		case p.Access.Type == Direct || p.Access.Type == FKDim:
-			// The new row is the property's source row.
+			// The new row is the property's source row; fact and side
+			// rows reach it below.
 			if _, code, ok := readerOf(eb, p, p.pairs).pair(row); ok {
-				p.valsByRow.Append(code)
 				p.addCatRow(code, row)
-			} else {
-				p.valsByRow.Append()
 			}
-		default:
-			// Fact and side rows reach the new list below.
-			p.valsByRow.Append()
 		}
 	}
 	for i := range info.Derived {
@@ -415,7 +421,7 @@ type arrival struct {
 
 // applyNaming applies the fact and side rows that name a new entity row
 // — a fact may precede its entity, in one batch or across batches — in
-// row order, so the entity's code lists come out in source order.
+// row order.
 func (eb *epochBuilder) applyNaming(entityRel string, row int, id int64) {
 	at := &arrival{rel: entityRel, row: row, id: id}
 	for _, name := range eb.base.DB.RelationNames() {
@@ -454,27 +460,17 @@ func (eb *epochBuilder) applyFact(fact *relation.Relation, fr int, at *arrival) 
 			}
 			r := readerOf(eb, p, p.pairs)
 			eRow, code, ok := r.pair(fr)
-			if !ok {
+			// An older row applies only for the arrival it names: its
+			// entity, or the associated entity of an association.
+			if !ok || at != nil && (at.rel != entity || at.row != eRow) && (p.Access.Dim != at.rel || r.col.Int64(fr) != at.id) {
 				continue
 			}
-			pos := -1
-			if at != nil && (at.rel != entity || at.row != eRow) {
-				// The arrival is the associated entity: its code goes where
-				// its row falls among the entity's source rows, in order.
-				if p.Access.Dim != at.rel || r.col.Int64(fr) != at.id {
-					continue
-				}
-				pos = 0
-				base, tail := eb.readHash(r.src, p.Access.FactEntityCol).Rows(r.entCol.Int64(fr))
-				for _, run := range [2][]uint32{base, tail} {
-					for _, sr := range run {
-						if _, _, ok := r.pair(int(sr)); ok && int(sr) < fr {
-							pos++
-						}
-					}
-				}
+			// The row changes the entity's codes, so the property is
+			// cloned even when the entity already exhibits the value.
+			q := eb.privBasic(eb.entity(entity), i)
+			if !q.catRows.Contains(int(code), uint32(eRow)) {
+				q.addCatRow(code, eRow)
 			}
-			eb.privBasic(eb.entity(entity), i).addCode(eRow, pos, code)
 		}
 		for i, p := range view.Derived {
 			switch {
@@ -494,7 +490,7 @@ func (eb *epochBuilder) applyFact(fact *relation.Relation, fr int, at *arrival) 
 					continue
 				}
 				var linked []int
-				base, tail := eb.readHash(eb.viewRel(p.Fact1), p.Fact1ViaCol).Rows(r.ids.Int64(vRow))
+				base, tail := eb.readHash(eb.viewRel(p.Fact1), p.Fact1ViaCol).Rows(r.target.ids.Int64(vRow))
 				for _, run := range [2][]uint32{base, tail} {
 					for _, lr := range run {
 						if eRow, _, ok := r.link(int(lr)); ok && !slices.Contains(linked, eRow) {
@@ -506,21 +502,6 @@ func (eb *epochBuilder) applyFact(fact *relation.Relation, fr int, at *arrival) 
 				eb.addContrib(entity, i, linked, r)
 			}
 		}
-	}
-}
-
-// addCode puts code into the entity row's code list at position at (-1:
-// the end), and the row into the value's posting list unless the entity
-// already exhibits the value.
-func (p *BasicProperty) addCode(eRow, at int, code int32) {
-	list := p.valsByRow.At(eRow)
-	had := slices.Contains(list, code)
-	if at < 0 {
-		at = len(list)
-	}
-	p.valsByRow.Insert(eRow, at, code)
-	if !had {
-		p.addCatRow(code, eRow)
 	}
 }
 

@@ -130,7 +130,7 @@ func TestInsertFactMaintainsDerived(t *testing.T) {
 	movieProp := info.BasicByAttr("movie")
 	if movieProp != nil {
 		found := false
-		for _, v := range movieProp.Values(2) { // person 3 is row 2
+		for _, v := range values(movieProp, 2) { // person 3 is row 2
 			if v == "MovieB" {
 				found = true
 			}

@@ -12,15 +12,17 @@ import (
 	"squid/internal/trace"
 )
 
-// TestCategoricalLayoutMatchesScan holds every categorical property's
-// flat layout to a scan of the relations it summarizes, on every road a
-// statistic reaches memory by: Build, Save/Load, and a random ingest
-// that gives existing entities new values in the middle of their lists,
-// interns values past the posting tables (new movies and persons
-// referenced by later facts), and runs long enough to fold both the code
-// lists and the posting lists — then Save/Load of that state. The scan
-// knows nothing of codes lists, posting lists, tails or folds: it walks
-// the access path over relation rows.
+// TestCategoricalLayoutMatchesScan holds every categorical property to
+// a scan of the relations it summarizes, on every road a statistic
+// reaches memory by: Build, Save/Load, every publish of a random ingest
+// that gives existing entities new values, interns values past the
+// posting tables (new movies and persons referenced by later facts),
+// links entities a batch appended only in the next batch (so the
+// properties the first batch left alone answer through the path of an
+// earlier epoch), casts a person in two movies of one title, and runs
+// long enough to fold the posting lists — then Save/Load of that state.
+// The scan knows nothing of paths, posting lists, tails or folds: it
+// walks the access path over relation rows.
 func TestCategoricalLayoutMatchesScan(t *testing.T) {
 	g := datagen.GenerateIMDb(datagen.IMDbConfig{Seed: 11, NumPersons: 400, NumMovies: 150, NumCompany: 12})
 	a, err := Build(g.DB, DefaultConfig())
@@ -34,13 +36,20 @@ func TestCategoricalLayoutMatchesScan(t *testing.T) {
 	}
 	checkLayout(t, "build, save, load", loaded)
 
-	valFolds, postFolds, pastTable := layoutIngest(t, a, rand.New(rand.NewSource(3)), 40)
-	t.Logf("ingest: %d code-list folds, %d posting-list folds, %d values past the table", valFolds, postFolds, pastTable)
-	if valFolds == 0 || postFolds == 0 || pastTable == 0 {
-		t.Errorf("the ingest folded code lists %d times and posting lists %d times, and put %d values past the table: each must happen",
-			valFolds, postFolds, pastTable)
+	postFolds, pastTable := layoutIngest(t, a, rand.New(rand.NewSource(3)), 40)
+	t.Logf("ingest: %d posting-list folds, %d values past the table", postFolds, pastTable)
+	if postFolds == 0 || pastTable == 0 {
+		t.Errorf("the ingest folded posting lists %d times and put %d values past the table: each must happen", postFolds, pastTable)
 	}
-	checkLayout(t, "ingest", a)
+	twins := 0
+	person := a.Entity("person")
+	for row := range person.NumRows {
+		codes := person.BasicByAttr("movie").AppendValueCodes(nil, row)
+		twins += boolInt(len(slices.Compact(slices.Sorted(slices.Values(codes)))) < len(codes))
+	}
+	if twins == 0 {
+		t.Error("no person holds one movie title twice")
+	}
 	loaded, err = roundTrip(t, a)
 	if err != nil {
 		t.Fatal(err)
@@ -51,10 +60,14 @@ func TestCategoricalLayoutMatchesScan(t *testing.T) {
 // layoutIngest publishes batches of castinfo facts between existing and
 // new persons and movies (never a (person, movie) pair twice: a repeated
 // pair is ROADMAP item 1's open bug), new persons with their awards and
-// new movies with their genres, and counts the publishes that folded a
-// categorical layout — a fold is the only thing that changes a base —
-// and the values a batch added past its property's posting table.
-func layoutIngest(t *testing.T, a *AlphaDB, rng *rand.Rand, batches int) (valFolds, postFolds, pastTable int) {
+// new movies with their genres, and every fifth batch new persons and
+// movies alone — one movie named after an existing one — which the next
+// batch casts and gives genres and companies, the original movie of the
+// twin included. It checks the layout after every publish, and counts
+// the publishes that folded a posting list — a fold is the only thing
+// that changes a base — and the values a batch added past its
+// property's posting table.
+func layoutIngest(t *testing.T, a *AlphaDB, rng *rand.Rand, batches int) (postFolds, pastTable int) {
 	t.Helper()
 	db := a.DB()
 	dim := func(rel string) relation.Value { return relation.IntVal(int64(rng.Intn(db.Relation(rel).NumRows()))) }
@@ -71,15 +84,12 @@ func layoutIngest(t *testing.T, a *AlphaDB, rng *rand.Rand, batches int) (valFol
 	for r := 0; r < ci.NumRows(); r++ {
 		cast[[2]int64{ci.Column("person_id").Int64(r), ci.Column("movie_id").Int64(r)}] = true
 	}
-	type base struct{ vals, posts int64 }
-	bases := func() map[string]base {
-		out := map[string]base{}
+	bases := func() map[string]int64 {
+		out := map[string]int64{}
 		for name, info := range a.Snapshot().Entities {
 			for _, p := range info.Basic {
 				if p.Kind == Categorical {
-					vb, _ := p.valsByRow.ResidentBytes()
-					pb, _ := p.catRows.ResidentBytes()
-					out[name+"."+p.Attr] = base{vb, pb}
+					out[name+"."+p.Attr], _ = p.catRows.ResidentBytes()
 				}
 			}
 		}
@@ -95,32 +105,62 @@ func layoutIngest(t *testing.T, a *AlphaDB, rng *rand.Rand, batches int) (valFol
 		return out
 	}
 	nextID := int64(1_000_000)
+	var late []InsertOp // the links of the entities the last batch appended
 	for k := 0; k < batches; k++ {
 		var ops []InsertOp
 		add := func(rel string, vals ...relation.Value) { ops = append(ops, InsertOp{Rel: rel, Vals: vals}) }
-		for n := 24 + rng.Intn(24); len(ops) < n; {
-			switch op := rng.Intn(10); {
-			case op == 0:
-				nextID++
-				add("person", relation.IntVal(nextID), relation.StringVal(fmt.Sprintf("Layout Person %d", nextID)),
-					relation.StringVal([]string{"Male", "Female"}[rng.Intn(2)]), relation.IntVal(int64(1925+rng.Intn(90))), dim("country"))
-				for i := rng.Intn(3); i > 0; i-- {
-					add("persontoaward", relation.IntVal(nextID), dim("award"))
-				}
-				persons = append(persons, nextID)
-			case op == 1:
-				nextID++
-				year := 1950 + rng.Intn(70)
-				add("movie", relation.IntVal(nextID), relation.StringVal(fmt.Sprintf("Layout Movie %d", nextID)),
-					relation.IntVal(int64(year)), relation.StringVal(fmt.Sprintf("%ds", year/10*10)),
-					relation.StringVal([]string{"G", "PG", "R"}[rng.Intn(3)]), dim("language"))
-				add("movietogenre", relation.IntVal(nextID), dim("genre"))
-				movies = append(movies, nextID)
-			default:
-				pair := [2]int64{persons[rng.Intn(len(persons))], movies[rng.Intn(len(movies))]}
-				if !cast[pair] {
-					cast[pair] = true
-					add("castinfo", relation.IntVal(pair[0]), relation.IntVal(pair[1]), dim("role"))
+		castRow := func(p, m int64) {
+			if !cast[[2]int64{p, m}] {
+				cast[[2]int64{p, m}] = true
+				add("castinfo", relation.IntVal(p), relation.IntVal(m), dim("role"))
+			}
+		}
+		newPerson := func() int64 {
+			nextID++
+			add("person", relation.IntVal(nextID), relation.StringVal(fmt.Sprintf("Layout Person %d", nextID)),
+				relation.StringVal([]string{"Male", "Female"}[rng.Intn(2)]), relation.IntVal(int64(1925+rng.Intn(90))), dim("country"))
+			persons = append(persons, nextID)
+			return nextID
+		}
+		newMovie := func(title string) int64 {
+			nextID++
+			year := 1950 + rng.Intn(70)
+			add("movie", relation.IntVal(nextID), relation.StringVal(title),
+				relation.IntVal(int64(year)), relation.StringVal(fmt.Sprintf("%ds", year/10*10)),
+				relation.StringVal([]string{"G", "PG", "R"}[rng.Intn(3)]), dim("language"))
+			movies = append(movies, nextID)
+			return nextID
+		}
+		ops, late = late, nil
+		if k%5 == 2 {
+			// Appended now, linked in the next batch.
+			p, m := newPerson(), newMovie(fmt.Sprintf("Layout Movie %d", nextID+1))
+			base := db.Relation("movie") // the generator's movies, whose ids are their rows
+			orig := int64(rng.Intn(base.NumRows()))
+			twin := newMovie(base.Column("title").Str(int(orig)))
+			late = []InsertOp{
+				{Rel: "castinfo", Vals: []relation.Value{relation.IntVal(p), relation.IntVal(m), dim("role")}},
+				{Rel: "castinfo", Vals: []relation.Value{relation.IntVal(p), relation.IntVal(twin), dim("role")}},
+				{Rel: "castinfo", Vals: []relation.Value{relation.IntVal(p), relation.IntVal(orig), dim("role")}},
+				{Rel: "movietogenre", Vals: []relation.Value{relation.IntVal(m), dim("genre")}},
+				{Rel: "movietocompany", Vals: []relation.Value{relation.IntVal(twin), dim("company")}},
+			}
+			for _, op := range late[:3] {
+				cast[[2]int64{op.Vals[0].Int(), op.Vals[1].Int()}] = true
+			}
+		} else {
+			for n := len(ops) + 24 + rng.Intn(24); len(ops) < n; {
+				switch op := rng.Intn(10); {
+				case op == 0:
+					id := newPerson()
+					for i := rng.Intn(3); i > 0; i-- {
+						add("persontoaward", relation.IntVal(id), dim("award"))
+					}
+				case op == 1:
+					id := newMovie(fmt.Sprintf("Layout Movie %d", nextID+1))
+					add("movietogenre", relation.IntVal(id), dim("genre"))
+				default:
+					castRow(persons[rng.Intn(len(persons))], movies[rng.Intn(len(movies))])
 				}
 			}
 		}
@@ -128,15 +168,15 @@ func layoutIngest(t *testing.T, a *AlphaDB, rng *rand.Rand, batches int) (valFol
 		if err := a.InsertBatch(ops, trace.Span{}); err != nil {
 			t.Fatalf("batch %d: %v", k, err)
 		}
+		checkLayout(t, fmt.Sprintf("ingest batch %d", k), a)
 		for key, b := range bases() {
-			valFolds += boolInt(b.vals != before[key].vals)
-			postFolds += boolInt(b.posts != before[key].posts)
+			postFolds += boolInt(b != before[key])
 		}
 		for key, n := range tables() {
 			pastTable += boolInt(n > width[key])
 		}
 	}
-	return valFolds, postFolds, pastTable
+	return postFolds, pastTable
 }
 
 func boolInt(b bool) int {
@@ -147,12 +187,14 @@ func boolInt(b bool) int {
 }
 
 // checkLayout compares every categorical property of the current epoch
-// with scanCodes: each row's codes in order with their repeats (the file
-// stores both), and per value the satisfying rows as a set, ψ, the
-// distinct-value count and the domain.
+// with scanCodes and with the build's fold of its pairs over the epoch's
+// relations: each row's codes in order with their repeats, which the
+// path walks without an allocation, and per value the satisfying rows
+// as a set, ψ, the distinct-value count and the domain.
 func checkLayout(t *testing.T, road string, a *AlphaDB) {
 	t.Helper()
 	ep := a.Snapshot()
+	var scratch []int32
 	for _, name := range sortedKeys(ep.Entities) {
 		info := ep.Entities[name]
 		for _, p := range info.Basic {
@@ -161,19 +203,32 @@ func checkLayout(t *testing.T, road string, a *AlphaDB) {
 			}
 			at := fmt.Sprintf("%s: %s.%s", road, name, p.Attr)
 			want := scanCodes(ep, info, p)
-			if p.valsByRow.Len() != info.NumRows {
-				t.Fatalf("%s: %d code lists for %d rows", at, p.valsByRow.Len(), info.NumRows)
+			fold := make([][]int32, info.NumRows)
+			r := p.pairs(ep)
+			for sr := range r.src.NumRows() {
+				if row, code, ok := r.pair(sr); ok {
+					fold[row] = append(fold[row], code)
+				}
 			}
 			rows := map[int32][]int{}
 			for row, codes := range want {
-				if have := p.ValueCodes(row); !slices.Equal(have, codes) || (have == nil) != (len(codes) == 0) {
-					t.Fatalf("%s: ValueCodes(%d) = %v, the scan reads %v", at, row, have, codes)
+				scratch = p.AppendValueCodes(scratch[:0], row)
+				if !slices.Equal(scratch, codes) || !slices.Equal(fold[row], codes) {
+					t.Fatalf("%s: row %d: the walk reads %v, the fold %v, the scan %v", at, row, scratch, fold[row], codes)
 				}
 				for i, c := range codes {
 					if !slices.Contains(codes[:i], c) {
 						rows[c] = append(rows[c], row)
 					}
 				}
+			}
+			walkAll := func() {
+				for row := range info.NumRows {
+					scratch = p.AppendValueCodes(scratch[:0], row)
+				}
+			}
+			if allocs := testing.AllocsPerRun(1, walkAll); allocs != 0 && !raceDetectorEnabled {
+				t.Fatalf("%s: walking every row allocates %v times", at, allocs)
 			}
 			var domain []string
 			for code := int32(0); int(code) <= p.dict.Len(); code++ {

@@ -99,22 +99,23 @@ type BasicProperty struct {
 	// values come from; every categorical statistic below is keyed by
 	// its int32 codes.
 	dict *relation.Dict
-	// The categorical statistic is two flat 4-byte layouts, each an
-	// immutable base plus the tail this epoch's writers added since the
-	// last fold (index.Jagged, index.Postings): no slice header per
-	// entity or per value, and a fact insert copies at most one entity's
-	// few codes, never a value's posting list.
-	//
-	// valsByRow lists each entity row's value codes in the order the
-	// source rows carry them, repeats included, as the fold emits them
-	// (single element for single-valued properties). catRows[code] is
-	// the set of rows of the distinct entities exhibiting the value — its
-	// size is the value's entity count, ψ's numerator; the base run is
-	// ascending, the rows added since the fold follow in insertion order,
-	// and every reader treats the two as one set. numValues counts codes
-	// with a non-empty list — the property's distinct-value cardinality
-	// (the dictionary can hold values this property never exhibits).
-	valsByRow index.Jagged
+	// path is the categorical property's access path resolved against
+	// the relations and resident hash indexes of its epoch: it answers
+	// an entity row's codes (AppendValueCodes) by walking them, so no
+	// per-row copy of the base data is kept. Build and Load resolve it
+	// once; a writer re-points every property it clones at its publish.
+	path pairReader
+	// catRows is the categorical statistic: catRows[code] is the set of
+	// rows of the distinct entities exhibiting the value — its size is
+	// the value's entity count, ψ's numerator — one flat 4-byte layout,
+	// an immutable base plus the rows this epoch's writers added since
+	// the last fold (index.Postings): no slice header per value, and a
+	// fact insert never copies a value's posting list. The base run is
+	// ascending, the rows added since the fold follow in insertion
+	// order, and every reader treats the two as one set. numValues
+	// counts codes with a non-empty list — the property's distinct-value
+	// cardinality (the dictionary can hold values this property never
+	// exhibits).
 	catRows   index.Postings[uint32]
 	numValues int
 
@@ -138,11 +139,11 @@ func (p *BasicProperty) NumEntities() int { return p.numEntities }
 // generation g: the scalar statistics and the numeric order's header
 // are copied — the order copies its chunk table or a chunk when g first
 // writes into it, and shares the rest with the retired epoch — the
-// categorical lists clone their tails (or fold them into a fresh base),
-// and the memo starts empty (see rowSetMemo).
+// posting lists clone their tail (or fold it into a fresh base), the
+// path still reads the base epoch until the writer re-points it, and
+// the memo starts empty (see rowSetMemo).
 func (p *BasicProperty) cloneForWrite(g *relation.Gen) *BasicProperty {
 	q := *p
-	q.valsByRow = p.valsByRow.Clone(g)
 	q.catRows = p.catRows.Clone(g)
 	q.memo = newRowSetMemo(p.memo.cache)
 	return &q
@@ -163,31 +164,24 @@ func (p *BasicProperty) LookupCode(v string) (int32, bool) {
 	return p.dict.Lookup(v)
 }
 
-// ValueCodes returns the categorical value codes of the entity at row
-// (nil when the entity has none), in source order with repeats. The
-// slice is a view of αDB-internal storage — it allocates nothing, and
-// probes no map unless a write since the last fold touched the row: do
-// not mutate.
-func (p *BasicProperty) ValueCodes(row int) []int32 {
+// AppendValueCodes appends the categorical value codes of the entity at
+// row to dst and returns it (nothing when the entity has none): the
+// codes the build's fold gives the row, in source order with repeats,
+// read by walking the access path over the relations and resident
+// indexes of the property's epoch. It allocates nothing once dst has
+// room, so a caller passes the same scratch from row to row.
+func (p *BasicProperty) AppendValueCodes(dst []int32, row int) []int32 {
 	if p.Kind != Categorical {
-		return nil
+		return dst
 	}
-	return p.valsByRow.At(row)
+	return p.path.appendCodes(dst, row)
 }
 
-// Values returns the categorical values of the entity at row (nil when
-// the entity has none).
-func (p *BasicProperty) Values(row int) []string {
-	codes := p.ValueCodes(row)
-	if codes == nil {
-		return nil
-	}
-	out := make([]string, len(codes))
-	for i, c := range codes {
-		out[i] = p.dict.Value(c)
-	}
-	return out
-}
+// SourceRows returns how many rows of the relations AppendValueCodes
+// reads for the entity at row of a categorical property: an upper bound
+// on its codes, and what a caller weighs a walk by against probing the
+// posting lists.
+func (p *BasicProperty) SourceRows(row int) int { return p.path.sourceRows(row) }
 
 // numCell returns the cell of a numeric column at row and whether it
 // holds a value: neither NULL nor NaN. No order places a NaN, so the
@@ -450,13 +444,12 @@ func (p *BasicProperty) DistinctValues() []string {
 	return out
 }
 
-// statsBytes returns the bytes of the property's per-row and per-value
-// statistics, counted from lengths: the categorical lists' offsets,
-// codes, postings and tails, and the numeric value order.
+// statsBytes returns the bytes of the property's per-value statistics,
+// counted from lengths: the posting lists' offsets, rows and tails, and
+// the numeric value order.
 func (p *BasicProperty) statsBytes() int64 {
-	vb, vt := p.valsByRow.ResidentBytes()
 	cb, ct := p.catRows.ResidentBytes()
-	return vb + vt + cb + ct + p.order.ByteSize()
+	return cb + ct + p.order.ByteSize()
 }
 
 // String renders the property for diagnostics.

@@ -17,7 +17,7 @@ import (
 // so the file holds none: Decode parses and checks the descriptors,
 // verifies the trailer, and only then derives every statistic with the
 // function the cold build calls for it — foldCategorical for a
-// categorical property's per-row codes and posting lists, buildNumStats
+// categorical property's posting lists and resolved path, buildNumStats
 // for a numeric property's value order, deriveAll for the derived
 // relations with their pair lists and histograms (under the names the
 // file records), BuildInvertedParallel for the entity-lookup index and

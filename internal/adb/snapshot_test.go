@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"squid/internal/index"
 	"squid/internal/relation"
 	"squid/internal/snapshot"
 )
@@ -44,8 +43,7 @@ func statsFingerprint(a *AlphaDB) string {
 // base relation — and expects Decode to fail: unchecked, every one of
 // these loads cleanly and panics or answers wrongly later, inside a
 // discovery. The rebuilt cases damage what v8 does not store — a
-// categorical property's per-row codes or distinct-value count, a
-// posting list, a numeric value order, a pair list, the cells and the
+// categorical property's distinct-value count, a posting list, a numeric value order, a pair list, the cells and the
 // row order of a derived relation — and expect the opposite: the damage
 // cannot reach the file, so the loaded αDB answers as the undamaged
 // fixture does.
@@ -91,21 +89,6 @@ func TestDecodeRejectsOutOfRangeBlocks(t *testing.T) {
 			person.DerivedByAttr("movie:genre").RelName = "movie"
 		}},
 
-		{"valsByRow code past the dictionary", true, func(person *EntityInfo) {
-			person.BasicByAttr("gender").valsByRow.Insert(0, 1, far)
-		}},
-		{"valsByRow negative code", true, func(person *EntityInfo) {
-			person.BasicByAttr("gender").valsByRow.Insert(0, 1, -3)
-		}},
-		{"valsByRow shorter than the relation", true, func(person *EntityInfo) {
-			p := person.BasicByAttr("gender")
-			offs, flat := []uint32{0}, []int32(nil)
-			for row := 0; row < p.valsByRow.Len()-1; row++ {
-				flat = append(flat, p.valsByRow.At(row)...)
-				offs = append(offs, uint32(len(flat)))
-			}
-			p.valsByRow = index.JaggedOf(offs, flat)
-		}},
 		{"numValues the rows contradict", true, func(person *EntityInfo) {
 			person.BasicByAttr("gender").numValues++
 		}},

@@ -73,11 +73,12 @@ type ResidentBytes struct {
 	// Inverted is the inverted index: its key maps and its posting
 	// lists, base and tail.
 	Inverted int64
-	// BasicStats is the basic properties' per-row and per-value
-	// statistics: the categorical code lists and posting lists (offsets,
-	// codes, postings and their insert tails) and the numeric value
-	// orders (a numeric property's values are its column's cells,
-	// counted under Columns).
+	// BasicStats is the basic properties' per-value statistics: the
+	// categorical posting lists (offsets, postings and their insert
+	// tails) and the numeric value orders. An entity's own values are
+	// its relations' cells, counted under Columns: a categorical
+	// property walks its access path to them, a numeric one reads its
+	// column.
 	BasicStats int64
 	// DerivedPairs is the derived properties' per-value pair lists and
 	// strength histograms.

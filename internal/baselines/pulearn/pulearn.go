@@ -148,6 +148,7 @@ func Featurize(info *adb.EntityInfo) ([][]float64, []ml.Feature) {
 		codes = append(codes, map[int32]float64{})
 	}
 	X := make([][]float64, info.NumRows)
+	var vals []int32 // one property's codes of the row
 	for row := 0; row < info.NumRows; row++ {
 		x := make([]float64, len(props))
 		for i, p := range props {
@@ -161,7 +162,7 @@ func Featurize(info *adb.EntityInfo) ([][]float64, []ml.Feature) {
 			}
 			// Dictionary codes stand in for the strings: same dense
 			// feature coding, no per-row decode.
-			vals := p.ValueCodes(row)
+			vals = p.AppendValueCodes(vals[:0], row)
 			if len(vals) == 0 {
 				x[i] = ml.MissingCat
 				continue

@@ -156,6 +156,7 @@ func denormalize(info *adb.EntityInfo, maxRows int) *denormTable {
 	// Build rows entity by entity, expanding multi-valued properties
 	// while the budget allows.
 	budgetExceeded := false
+	var vals []int32 // one property's codes of the entity
 	for entityRow := 0; entityRow < info.NumRows; entityRow++ {
 		rows := [][]float64{make([]float64, len(props))}
 		for i, p := range props {
@@ -170,7 +171,7 @@ func denormalize(info *adb.EntityInfo, maxRows int) *denormTable {
 					r[i] = cell
 				}
 			case !p.MultiValued:
-				vals := p.ValueCodes(entityRow)
+				vals = p.AppendValueCodes(vals[:0], entityRow)
 				cell := float64(ml.MissingCat)
 				if len(vals) > 0 {
 					cell = encode(i, vals[0])
@@ -179,7 +180,7 @@ func denormalize(info *adb.EntityInfo, maxRows int) *denormTable {
 					r[i] = cell
 				}
 			default:
-				vals := p.ValueCodes(entityRow)
+				vals = p.AppendValueCodes(vals[:0], entityRow)
 				if len(vals) == 0 {
 					for _, r := range rows {
 						r[i] = ml.MissingCat
@@ -220,9 +221,11 @@ func denormalize(info *adb.EntityInfo, maxRows int) *denormTable {
 // a multi-valued property (sampled).
 func avgMultiplicity(p *adb.BasicProperty, info *adb.EntityInfo) float64 {
 	n, total := 0, 0
+	var vals []int32
 	step := info.NumRows/200 + 1
 	for row := 0; row < info.NumRows; row += step {
-		total += len(p.ValueCodes(row))
+		vals = p.AppendValueCodes(vals[:0], row)
+		total += len(vals)
 		n++
 	}
 	if n == 0 {

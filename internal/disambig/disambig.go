@@ -52,6 +52,7 @@ type scorer struct {
 	self  map[int]float64
 	pairs map[[2]int]float64
 	rows  map[int]*rowProfile
+	codes []int32 // one row's codes of one property (AppendValueCodes)
 }
 
 // rowProfile caches one candidate row's property values, fetched from
@@ -92,7 +93,8 @@ func (sc *scorer) profile(row int) *rowProfile {
 		if prop.Kind != adb.Categorical {
 			continue
 		}
-		codes := prop.ValueCodes(row)
+		sc.codes = prop.AppendValueCodes(sc.codes[:0], row)
+		codes := sc.codes
 		if len(codes) == 0 {
 			continue
 		}

@@ -12,11 +12,12 @@ import (
 )
 
 const (
-	// foldDiv and foldMin are the fold rule of every layered structure:
-	// a tail folds into a fresh base once it holds at least foldMin
-	// entries and more than 1/foldDiv of the base — so the base is paid
-	// for amortized O(foldDiv) per inserted entry, never per publish, and
-	// a tail over a small or empty base does not fold on every clone.
+	// foldDiv and foldMin are the fold rule (foldDue) of every layered
+	// structure of the package: a key table's tail and a Postings tail
+	// fold into a fresh base once they hold at least foldMin entries and
+	// more than 1/foldDiv of the base — so the base is paid for amortized
+	// O(foldDiv) per inserted entry, never per publish, and a tail over a
+	// small or empty base does not fold on every clone.
 	foldDiv = 32
 	foldMin = 64
 	// denseSlack is the most window slots a key may cost: at 4 bytes an
@@ -26,6 +27,10 @@ const (
 	// noKey is the ordinal of a row the index skips (a NULL cell).
 	noKey = math.MaxUint32
 )
+
+// foldDue reports whether a tail of added entries over a base of base
+// entries has passed the fold rule.
+func foldDue(added, base int) bool { return added >= foldMin && added*foldDiv > base }
 
 // keyTable maps a key to its list ordinal, for IntHash and Inverted: an
 // immutable base shared by every epoch since the last fold, and a tail
@@ -61,10 +66,7 @@ func (t *keyTable[K]) add(k K, o uint32) {
 // due reports whether the tail has passed the fold rule, weighed
 // against the baseKeys keys the index holds outside the tail (a hash
 // index counts its dense window's keys there).
-func (t *keyTable[K]) due(baseKeys int) bool {
-	n := len(t.tail)
-	return n >= foldMin && n*foldDiv > baseKeys
-}
+func (t *keyTable[K]) due(baseKeys int) bool { return foldDue(len(t.tail), baseKeys) }
 
 // clone returns the table of a writer's clone: the base shared and the
 // tail copied — or, once due, merged with the base into a fresh one.

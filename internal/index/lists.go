@@ -8,12 +8,11 @@ import (
 	"squid/internal/relation"
 )
 
-// Jagged and Postings are the two halves of a categorical statistic: the
-// value codes of each entity row (Jagged) and the entity rows of each
-// value code (Postings[uint32]); Postings[uint32] is also every hash
-// index's posting lists, and Postings[uint64] the inverted index's. All
-// are vectors of lists of 4- or 8-byte elements, in the one list
-// layering of the package:
+// Postings is the one list layering of the package: the entity rows of
+// each value code of a categorical statistic and every hash index's
+// posting lists (Postings[uint32]), and the inverted index's
+// (Postings[uint64]). Each is a vector of lists of 4- or 8-byte
+// elements:
 //
 //   - an immutable base shared by every epoch since the last fold: list k
 //     is flat[offs[k]:offs[k+1]] — one 4-byte offset a list and one
@@ -42,7 +41,7 @@ import (
 // copy-on-write storage, live in package relation, below this one, so a
 // relation's columns are stamped by the same writer (a derived count
 // column is a relation.Chunked of 4-byte cells).
-type lists[T int32 | uint32 | uint64] struct {
+type lists[T uint32 | uint64] struct {
 	// offs has one entry per base list plus one; nil for an empty base.
 	offs []uint32
 	flat []T
@@ -60,7 +59,7 @@ type lists[T int32 | uint32 | uint64] struct {
 
 // tailWord is one word of the tail's table: held has bit i set when the
 // tail holds list 64w+i, whose entry is runs[popcount of held below i].
-type tailWord[T int32 | uint32 | uint64] struct {
+type tailWord[T uint32 | uint64] struct {
 	owner *relation.Gen
 	held  uint64
 	runs  [][]T
@@ -126,9 +125,7 @@ func (l *lists[T]) setTail(k int, run []T) {
 	t.runs = slices.Insert(t.runs, i, run)
 }
 
-func (l *lists[T]) shouldFold() bool {
-	return l.added >= foldMin && l.added*foldDiv > l.baseElems()
-}
+func (l *lists[T]) shouldFold() bool { return foldDue(l.added, l.baseElems()) }
 
 // cloneTail returns a clone for generation g sharing the base, the tail
 // words and their entries, with its own copy of the table, charged to g.
@@ -155,117 +152,6 @@ func (l *lists[T]) residentBytes() (base, tail int64) {
 		}
 	}
 	return base, tail
-}
-
-// Jagged is the value codes of each entity row, in the order the
-// source rows carry them, repeats included. A tail entry is a row's
-// whole list, copied out of the base on the row's first touch since the
-// fold, so At is always one contiguous view. Rows appended since the
-// fold sit in an append area (app, appOffs) that grows past the lengths
-// retired generations hold and needs no tail entry; a row there that
-// gains a code moves to the tail like a base row. The fold threshold counts the
-// codes inserts added, not the ones a first touch copies: a copy is
-// bounded by the list it moves, once per fold, and counting it would
-// fold a property of long lists (a movie's cast) on nearly every batch.
-type Jagged struct {
-	lists[int32]
-	// appOffs[i] and appOffs[i+1] bound appended list baseLists()+i in
-	// app; nil while nothing was appended since the fold.
-	appOffs []uint32
-	app     []int32
-	// copied counts the codes first touches copied into the tail.
-	copied int
-}
-
-// JaggedOf adopts the per-list offsets (one per list plus one, from 0)
-// and the elements they cut (the build and its folds); do not mutate
-// either.
-func JaggedOf(offs []uint32, flat []int32) Jagged {
-	return Jagged{lists: lists[int32]{offs: offs, flat: flat, n: max(len(offs)-1, 0)}}
-}
-
-// Len returns the number of lists.
-func (j *Jagged) Len() int { return j.n }
-
-// At returns list k (nil when empty). The view is shared storage: do
-// not mutate. It allocates nothing, and reads a tail entry only for a
-// list the tail holds.
-func (j *Jagged) At(k int) []int32 {
-	if run, ok := j.tailRun(k); ok {
-		return run
-	}
-	b := j.baseLists()
-	if k < b {
-		return j.baseRun(k)
-	}
-	a, e := j.appOffs[k-b], j.appOffs[k-b+1]
-	if a == e {
-		return nil
-	}
-	return j.app[a:e:e]
-}
-
-// Append adds a list (copied) at the end.
-func (j *Jagged) Append(list ...int32) {
-	if j.appOffs == nil {
-		j.appOffs = make([]uint32, 1, 64)
-	}
-	j.app = append(j.app, list...)
-	j.appOffs = append(j.appOffs, uint32(len(j.app)))
-	j.n++
-	j.added += len(list)
-}
-
-// Insert puts x into list k at position i. The first touch since the
-// fold copies the list into the tail — a row's few codes, never more. A
-// tail entry's elements are shared with retired generations, which only
-// ever see a prefix of it: x past the end is appended, one before it
-// goes into a fresh copy.
-func (j *Jagged) Insert(k, i int, x int32) {
-	run, ok := j.tailRun(k)
-	if !ok || i < len(run) {
-		cur := j.At(k)
-		run = append(make([]int32, 0, len(cur)+1), cur...)
-		j.copied += len(cur)
-	}
-	j.setTail(k, slices.Insert(run, i, x))
-	j.added++
-}
-
-// Clone returns a copy-on-write clone for one writer generation: the
-// base, the append area and the tail's words are shared, the tail's
-// table copied — or, past the fold threshold, every list is laid out in
-// a fresh base.
-func (j *Jagged) Clone(g *relation.Gen) Jagged {
-	if !j.shouldFold() {
-		return Jagged{lists: j.cloneTail(g), appOffs: j.appOffs, app: j.app, copied: j.copied}
-	}
-	return j.fold(g)
-}
-
-// fold lays every list out in a fresh base with an empty tail.
-func (j *Jagged) fold(g *relation.Gen) Jagged {
-	offs := make([]uint32, j.n+1)
-	total := 0
-	for k := range j.n {
-		total += len(j.At(k))
-		offs[k+1] = uint32(total)
-	}
-	flat := make([]int32, 0, total)
-	for k := range j.n {
-		flat = append(flat, j.At(k)...)
-	}
-	g.Charge(4 * (len(offs) + len(flat)))
-	out := JaggedOf(offs, flat)
-	out.gen = g
-	return out
-}
-
-// ResidentBytes returns the bytes of the base and of the tail (append
-// area and copied codes included), counted from lengths.
-func (j *Jagged) ResidentBytes() (base, tail int64) {
-	base, tail = j.residentBytes()
-	return base, tail + 4*int64(len(j.appOffs)+j.copied)
 }
 
 // Postings is a vector of sets: the entity rows of each value code
@@ -317,6 +203,14 @@ func (p *Postings[T]) Count(k int) int {
 	return n + len(tail)
 }
 
+// Contains reports whether list k holds x: a binary search of the base
+// run and a scan of the members added since the fold.
+func (p *Postings[T]) Contains(k int, x T) bool {
+	base, tail := p.Rows(k)
+	_, found := slices.BinarySearch(base, x)
+	return found || slices.Contains(tail, x)
+}
+
 // AddRow adds x, which the list must not hold yet, to list k; the
 // table grows to cover k.
 func (p *Postings[T]) AddRow(k int, x T) {
@@ -326,8 +220,9 @@ func (p *Postings[T]) AddRow(k int, x T) {
 	p.added++
 }
 
-// Clone returns a copy-on-write clone for one writer generation (see
-// Jagged.Clone).
+// Clone returns a copy-on-write clone for one writer generation: the
+// base and the tail's words are shared, the tail's table copied — or,
+// past the fold rule, every list is laid out ascending in a fresh base.
 func (p *Postings[T]) Clone(g *relation.Gen) Postings[T] {
 	if !p.shouldFold() {
 		return Postings[T]{p.cloneTail(g)}

@@ -9,23 +9,21 @@ import (
 	"squid/internal/relation"
 )
 
-// The epoch-isolation contract of the categorical statistics and of the
-// inverted index's posting lists, driven like runCloneChain drives the
-// hash indexes: a writer clones the newest generation of a (Jagged,
-// Postings) pair, inserts the way the αDB's writer does — a new entity
-// row with its codes, a code added in the middle of an existing row's
-// list, a code past the posting table — and every retired generation
-// must keep answering exactly the lists it was retired with, although
-// tail entries and the append area are shared along the chain and grown
-// past their lengths in place, and folds replace the base under later
-// generations. The oracle is the per-row code lists; the posting lists
-// are derived from them. The 8-byte instantiation the inverted index
-// uses rides along: wide holds each row as a (column ordinal, row) pair,
-// widePosting(row), in the same lists.
+// The epoch-isolation contract of the posting lists — a categorical
+// statistic's and every hash index's Postings[uint32], the inverted
+// index's Postings[uint64] — driven like runCloneChain drives the hash
+// indexes: a writer clones the newest generation, inserts the way the
+// αDB's writer does — a new entity row with its codes, an existing row
+// gaining a code (it lands in the tail after larger rows), a code past
+// the posting table — and every retired generation must keep answering
+// exactly the sets it was retired with, although tail entries are shared
+// along the chain and grown past their lengths in place, and folds
+// replace the base under later generations. The oracle is the set of
+// rows of each code. The 8-byte lists hold each row as a (column
+// ordinal, row) pair, widePosting(row), in the same lists.
 
-// listsGen is one generation of the pair, and of the 8-byte lists.
+// listsGen is one generation of the 4- and the 8-byte lists.
 type listsGen struct {
-	vals  Jagged
 	posts Postings[uint32]
 	wide  Postings[uint64]
 }
@@ -35,35 +33,30 @@ type listsGen struct {
 // do.
 func widePosting(row uint32) uint64 { return posting(row%3, int(row)) }
 
-// listsOracle is one generation's per-row code lists.
-type listsOracle [][]int32
+// listsOracle is one generation's rows of each code, ascending.
+type listsOracle [][]uint32
 
 func (o listsOracle) clone() listsOracle {
 	q := make(listsOracle, len(o))
-	for i, codes := range o {
-		q[i] = slices.Clone(codes)
+	for code, rows := range o {
+		q[code] = slices.Clone(rows)
 	}
 	return q
 }
 
-// postings derives the rows of each code, ascending, over codes codes.
-func (o listsOracle) postings(codes int) [][]uint32 {
-	out := make([][]uint32, codes)
-	for row, list := range o {
-		for _, c := range list {
-			if rows := out[c]; len(rows) == 0 || rows[len(rows)-1] != uint32(row) {
-				out[c] = append(rows, uint32(row))
-			}
-		}
+// add gives row the code and reports whether the row lacked it.
+func (o listsOracle) add(code int32, row uint32) bool {
+	i, found := slices.BinarySearch(o[code], row)
+	if !found {
+		o[code] = slices.Insert(o[code], i, row)
 	}
-	return out
+	return !found
 }
 
 // listsStats is what a run exercised.
 type listsStats struct {
-	generations, valFolds, postFolds, forcedFolds    int
-	midInserts, relocations, pastTable, sharedGrowth int
-	readAfterFold                                    int
+	generations, postFolds, forcedFolds, readAfterFold int
+	midInserts, pastTable                              int
 }
 
 const (
@@ -76,22 +69,19 @@ const (
 // below listsBaseCodes, laid out as the αDB's build lays them out.
 func listsBase() (*listsGen, listsOracle) {
 	rng := rand.New(rand.NewSource(5))
-	model := make(listsOracle, listsBaseRows)
-	offs, flat := []uint32{0}, []int32(nil)
-	for row := range model {
+	model := make(listsOracle, listsCodes)
+	for row := range listsBaseRows {
 		for i := rng.Intn(4); i > 0; i-- {
-			model[row] = append(model[row], int32(rng.Intn(listsBaseCodes)))
+			model.add(int32(rng.Intn(listsBaseCodes)), uint32(row))
 		}
-		flat = append(flat, model[row]...)
-		offs = append(offs, uint32(len(flat)))
 	}
-	poffs, pflat, wflat := []uint32{0}, []uint32(nil), []uint64(nil)
-	for _, rows := range model.postings(listsBaseCodes) {
-		pflat = append(pflat, rows...)
-		poffs = append(poffs, uint32(len(pflat)))
+	offs, flat, wflat := []uint32{0}, []uint32(nil), []uint64(nil)
+	for _, rows := range model[:listsBaseCodes] {
+		flat = append(flat, rows...)
+		offs = append(offs, uint32(len(flat)))
 		wflat = append(wflat, wideSorted(rows)...)
 	}
-	return &listsGen{vals: JaggedOf(offs, flat), posts: PostingsOf(poffs, pflat), wide: PostingsOf(poffs, wflat)}, model
+	return &listsGen{posts: PostingsOf(offs, flat), wide: PostingsOf(offs, wflat)}, model
 }
 
 // wideSorted returns the 8-byte postings of rows, ascending.
@@ -110,6 +100,7 @@ func runListsChain(t *testing.T, ops []byte) listsStats {
 	t.Helper()
 	var st listsStats
 	live, model := listsBase()
+	rows := listsBaseRows
 	var retired []*listsGen
 	var models []listsOracle
 	var foldedAway []bool // retired[i]'s successor folded a base it shares
@@ -121,75 +112,51 @@ func runListsChain(t *testing.T, ops []byte) listsStats {
 		ops = ops[1:]
 		return int(b)
 	}
-	// add gives row the code, as the αDB's writer does: the row's list
-	// gains it at the end, the code's posting list gains the row unless
-	// the row already held the code.
+	// add gives row the code, as the αDB's writer does: the code's list
+	// gains the row unless the row already held the code.
 	add := func(row int, code int32) {
-		had := slices.Contains(model[row], code)
-		if _, held := live.vals.tailRun(row); !held && row >= live.vals.baseLists() {
-			st.relocations++ // moves an appended row from the append area to the tail
+		held := model[code]
+		larger := len(held) > 0 && held[len(held)-1] > uint32(row)
+		if !model.add(code, uint32(row)) {
+			return
 		}
-		live.vals.Insert(row, len(live.vals.At(row)), code)
-		model[row] = append(model[row], code)
-		if !had {
-			if int(code) >= live.posts.Len() {
-				st.pastTable++
-			}
-			live.posts.AddRow(int(code), uint32(row))
-			live.wide.AddRow(int(code), widePosting(uint32(row)))
+		if larger {
+			st.midInserts++ // lands in the tail after a larger row
 		}
+		if int(code) >= live.posts.Len() {
+			st.pastTable++
+		}
+		live.posts.AddRow(int(code), uint32(row))
+		live.wide.AddRow(int(code), widePosting(uint32(row)))
 	}
 	publish := func(fold bool) {
 		retired, models = append(retired, live), append(models, model.clone())
 		prev, g := live, new(relation.Gen)
 		if fold {
-			live = &listsGen{vals: prev.vals.fold(g), posts: prev.posts.fold(g), wide: prev.wide.fold(g)}
+			live = &listsGen{posts: prev.posts.fold(g), wide: prev.wide.fold(g)}
 			st.forcedFolds++
 		} else {
-			live = &listsGen{vals: prev.vals.Clone(g), posts: prev.posts.Clone(g), wide: prev.wide.Clone(g)}
+			live = &listsGen{posts: prev.posts.Clone(g), wide: prev.wide.Clone(g)}
 		}
-		valFolded := prev.vals.added > 0 && live.vals.added == 0
-		postFolded := prev.posts.added > 0 && live.posts.added == 0
-		if !fold && valFolded {
-			st.valFolds++
-		}
-		if !fold && postFolded {
+		folded := prev.posts.added > 0 && live.posts.added == 0
+		if !fold && folded {
 			st.postFolds++
 		}
-		foldedAway = append(foldedAway, valFolded || postFolded)
+		foldedAway = append(foldedAway, folded)
 		st.generations++
 	}
 	for len(ops) > 0 {
 		switch op := next() % 6; op {
 		case 0: // a new entity row with zero to three codes
-			row := len(model)
-			codes := make([]int32, next()%4)
-			for i := range codes {
-				codes[i] = int32(next() % listsCodes)
+			for i := next() % 4; i > 0; i-- {
+				add(rows, int32(next()%listsCodes))
 			}
-			if last := len(retired) - 1; last >= 0 && len(retired[last].vals.appOffs) > 0 && len(live.vals.appOffs) > 0 &&
-				&retired[last].vals.appOffs[0] == &live.vals.appOffs[0] && len(live.vals.appOffs) < cap(live.vals.appOffs) {
-				st.sharedGrowth++ // grows in place an append area a retired generation reads
-			}
-			live.vals.Append(codes...)
-			model = append(model, codes)
-			for i, c := range codes {
-				if !slices.Contains(codes[:i], c) {
-					if int(c) >= live.posts.Len() {
-						st.pastTable++
-					}
-					live.posts.AddRow(int(c), uint32(row))
-					live.wide.AddRow(int(c), widePosting(uint32(row)))
-				}
-			}
-		case 1, 2: // a code in the middle of an existing row's list
-			row := (next()<<8 | next()) % len(model)
-			add(row, int32(next()%listsCodes))
-			st.midInserts++
+			rows++
+		case 1, 2: // an existing row gains a code
+			add((next()<<8|next())%rows, int32(next()%listsCodes))
 		case 3: // a burst of them: the tail passes the fold threshold
 			for i := 0; i < 24; i++ {
-				add((next()<<8|next())%len(model), int32(next()%listsCodes))
-				st.midInserts++
+				add((next()<<8|next())%rows, int32(next()%listsCodes))
 			}
 		case 4:
 			publish(false)
@@ -212,24 +179,13 @@ func runListsChain(t *testing.T, ops []byte) listsStats {
 
 func checkListsGen(t *testing.T, at string, got *listsGen, want listsOracle) {
 	t.Helper()
-	if got.vals.Len() != len(want) {
-		t.Errorf("%s: Jagged.Len = %d want %d", at, got.vals.Len(), len(want))
-		return
-	}
-	for row, codes := range want {
-		if have := got.vals.At(row); !slices.Equal(have, codes) || (len(codes) == 0) != (have == nil) {
-			t.Errorf("%s: At(%d) = %v want %v", at, row, have, codes)
-			return
-		}
-	}
-	posts := want.postings(listsCodes)
 	if got.posts.Len() > listsCodes {
 		t.Errorf("%s: Postings.Len = %d past every code drawn", at, got.posts.Len())
 	}
 	for code := -1; code <= listsCodes; code++ {
 		var rows []uint32
 		if code >= 0 && code < listsCodes {
-			rows = posts[code]
+			rows = want[code]
 		}
 		if code >= got.posts.Len() && len(rows) > 0 {
 			t.Errorf("%s: code %d holds rows past Postings.Len %d", at, code, got.posts.Len())
@@ -243,6 +199,20 @@ func checkListsGen(t *testing.T, at string, got *listsGen, want listsOracle) {
 			t.Errorf("%s: code %d: Rows = %v + %v (Count %d) want the set %v", at, code, base, tail, got.posts.Count(code), rows)
 			return
 		}
+		absent := uint32(0)
+		for _, r := range rows {
+			if !got.posts.Contains(code, r) {
+				t.Errorf("%s: code %d: Contains(%d) = false for a member", at, code, r)
+				return
+			}
+			if r == absent {
+				absent++
+			}
+		}
+		if got.posts.Contains(code, absent) {
+			t.Errorf("%s: code %d: Contains(%d) = true for a row the set lacks", at, code, absent)
+			return
+		}
 		wbase, wtail := got.wide.Rows(code)
 		wide := slices.Sorted(slices.Values(append(slices.Clone(wbase), wtail...)))
 		if !slices.IsSorted(wbase) || got.wide.Count(code) != len(rows) || !slices.Equal(wide, wideSorted(rows)) {
@@ -250,8 +220,8 @@ func checkListsGen(t *testing.T, at string, got *listsGen, want listsOracle) {
 			return
 		}
 	}
-	if vb, vt := got.vals.ResidentBytes(); vb != 4*int64(len(got.vals.offs)+len(got.vals.flat)) || vt < 4*int64(got.vals.added+got.vals.copied) {
-		t.Errorf("%s: Jagged.ResidentBytes = %d, %d with %d codes added and %d copied", at, vb, vt, got.vals.added, got.vals.copied)
+	if pb, pt := got.posts.ResidentBytes(); pb != 4*int64(len(got.posts.offs)+len(got.posts.flat)) || pt < 4*int64(got.posts.added) {
+		t.Errorf("%s: Postings.ResidentBytes = %d, %d with %d rows added", at, pb, pt, got.posts.added)
 	}
 }
 
@@ -282,12 +252,10 @@ func listsOps(rng *rand.Rand, generations int) []byte {
 }
 
 // TestListsCloneChain drives 60 generations per seed and insists the
-// run crossed what the isolation argument is about: both layouts folded
-// on their threshold more than once and on demand at least once;
-// retired generations were read after their successors had folded; rows
-// gained codes in the middle of the lists, codes landed past the posting
-// table, appended rows moved to the tail, and an append area shared with
-// a retired generation grew in place.
+// run crossed what the isolation argument is about: the lists folded on
+// their threshold more than once and on demand at least once; retired
+// generations were read after their successors had folded; rows landed
+// in a tail after larger rows, and codes landed past the posting table.
 func TestListsCloneChain(t *testing.T) {
 	seeds := int64(2)
 	if testing.Short() {
@@ -296,8 +264,8 @@ func TestListsCloneChain(t *testing.T) {
 	for seed := int64(1); seed <= seeds; seed++ {
 		st := runListsChain(t, listsOps(rand.New(rand.NewSource(seed)), 60))
 		t.Logf("seed %d: %+v", seed, st)
-		if st.generations != 60 || st.valFolds < 2 || st.postFolds < 2 || st.forcedFolds == 0 || st.readAfterFold < 2 ||
-			st.midInserts == 0 || st.pastTable == 0 || st.relocations == 0 || st.sharedGrowth == 0 {
+		if st.generations != 60 || st.postFolds < 2 || st.forcedFolds == 0 || st.readAfterFold < 2 ||
+			st.midInserts == 0 || st.pastTable == 0 {
 			t.Errorf("seed %d exercised too little: %+v", seed, st)
 		}
 	}
@@ -307,7 +275,7 @@ func TestListsCloneChain(t *testing.T) {
 func FuzzListsCloneChain(f *testing.F) {
 	f.Add(listsOps(rand.New(rand.NewSource(7)), 8))
 	f.Add([]byte{0, 3, 1, 2, 3, 1, 0, 9, 5, 0, 2, 0, 1, 17, 4, 5, 3, 1, 0, 1, 33, 4})
-	f.Add(listsOps(rand.New(rand.NewSource(1)), 60)) // folds both layouts
+	f.Add(listsOps(rand.New(rand.NewSource(1)), 60)) // folds
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]

@@ -42,9 +42,8 @@ var epochReachMutators = map[string]bool{
 	"AddAll":        true,
 	"AddInts":       true,
 	"AndWith":       true,
-	// A property's categorical statistics (index.Postings; index.Jagged
-	// mutates through Append and Insert): shared with every epoch since
-	// their last fold.
+	// A property's posting lists (index.Postings): shared with every
+	// epoch since their last fold.
 	"AddRow": true,
 }
 

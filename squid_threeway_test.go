@@ -238,7 +238,8 @@ func labelIngest(sys *System, rng *rand.Rand, seq0 uint64, followed chan<- struc
 
 // compareAlphaDBs asserts two αDBs over the same rows answer every
 // property question identically: every entity's value codes of every
-// categorical property, in order and with repeats; selectivities,
+// categorical property, in order and with repeats, each in its posting
+// lists (checkCategoricalCodes); selectivities,
 // domain coverage and satisfying-row sets of every basic and derived
 // property; every derived relation's (entity_id, value, count) rows as
 // a set (a build emits them by entity, an insert appends its own); and
@@ -275,6 +276,7 @@ func compareAlphaDBs(t *testing.T, label string, got, want *adb.AlphaDB, rng *ra
 		slices.Sort(out)
 		return out
 	}
+	checkCategoricalCodes(t, label, got.Snapshot(), want.Snapshot())
 	for name, w := range want.Snapshot().Entities {
 		g := got.Entity(name)
 		if g == nil || g.NumRows != w.NumRows || len(g.Basic) != len(w.Basic) || len(g.Derived) != len(w.Derived) {
@@ -287,12 +289,6 @@ func compareAlphaDBs(t *testing.T, label string, got, want *adb.AlphaDB, rng *ra
 				t.Fatalf("%s: property order diverged (%s)", at, gp.Attr)
 			}
 			if wp.Kind == adb.Categorical {
-				for row := range w.NumRows {
-					if gc, wc := gp.ValueCodes(row), wp.ValueCodes(row); !slices.Equal(gc, wc) {
-						t.Errorf("%s: row %d holds codes %v (%v) want %v (%v)", at, row, gc, gp.Values(row), wc, wp.Values(row))
-						break
-					}
-				}
 				values := wp.DistinctValues()
 				if !reflect.DeepEqual(gp.DistinctValues(), values) {
 					t.Errorf("%s: domains diverged", at)
@@ -495,6 +491,13 @@ func threeWay(t *testing.T, cfg datagen.IMDbConfig, publishes int) {
 		if k == 0 {
 			<-followed
 		}
+		// Every publish's paths walk what a cold build of its rows folds.
+		ep := sys.AlphaDB().Snapshot()
+		cold, err := Build(ep.DB, DefaultBuildConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCategoricalCodes(t, fmt.Sprintf("publish %d vs cold build", k), ep, cold.AlphaDB().Snapshot())
 	})
 	close(done)
 	if err := <-labelErr; err != nil {
@@ -569,6 +572,51 @@ func threeWay(t *testing.T, cfg datagen.IMDbConfig, publishes int) {
 	}
 	if intents < 8 {
 		t.Fatalf("only %d benchmark intents had enough ground truth", intents)
+	}
+}
+
+// checkCategoricalCodes holds every categorical property of got to
+// want's, row by row — the codes its path walks, in order with repeats —
+// and to got's own posting lists: a row's distinct codes are exactly the
+// codes whose list holds the row.
+func checkCategoricalCodes(t *testing.T, label string, got, want *adb.Epoch) {
+	t.Helper()
+	var gc, wc []int32
+	for name, w := range want.Entities {
+		g := got.Entity(name)
+		if g == nil || g.NumRows != w.NumRows || len(g.Basic) != len(w.Basic) {
+			t.Fatalf("%s: entity %s shape diverged", label, name)
+		}
+		for i, wp := range w.Basic {
+			gp := g.Basic[i]
+			if wp.Kind != adb.Categorical || gp.Attr != wp.Attr {
+				continue
+			}
+			at := fmt.Sprintf("%s: %s.%s", label, name, wp.Attr)
+			members, posts := 0, gp.Postings()
+			for row := range w.NumRows {
+				gc, wc = gp.AppendValueCodes(gc[:0], row), wp.AppendValueCodes(wc[:0], row)
+				if !slices.Equal(gc, wc) {
+					t.Errorf("%s: row %d holds codes %v want %v", at, row, gc, wc)
+					break
+				}
+				for j, c := range gc {
+					if slices.Contains(gc[:j], c) {
+						continue
+					}
+					members++
+					if !posts.Contains(int(c), uint32(row)) {
+						t.Errorf("%s: row %d holds code %d, whose posting list lacks the row", at, row, c)
+					}
+				}
+			}
+			for code := range posts.Len() {
+				members -= posts.Count(code)
+			}
+			if members != 0 {
+				t.Errorf("%s: the posting lists hold %d rows more than the rows' codes name", at, -members)
+			}
+		}
 	}
 }
 
