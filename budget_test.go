@@ -87,9 +87,9 @@ func TestBudgets(t *testing.T) {
 		{"WarmDiscoverKB", warm, "KB", 20.9, "5% above the 19.89 KB of a serial discovery (20.45 with the worker pool and its scratch free list)"},
 		{"ColdDiscoverMallocs", coldOverWarm, "mallocs", 10, "no grow, sort, dedup, densify or compact copy of a row set (28 at PR 23's parent, 6 after)"},
 		{"ColdDiscoverKB", coldOverWarm, "KB", 2, "each row set sized once from its statistic (3.2 KB at PR 23's parent, 1.4 after)"},
-		{"BuildMallocsPerRow", build, "mallocs/row", 1.83, "5% above the 1.74 of derived relations tabulated in code space (3.59 with a map per entity, a string sort and a boxed append per row)"},
-		{"InsertBatchMB", insert, "MB", 1.60, "5% above the 1.52 MB of categorical properties that keep no per-row code lists (1.69 MB before, 2.01 before flat 4-byte lists, 1.84 before the key table)"},
-		{"LoadBytesPerRow", load, "B/row", 182, "5% above the 173 B/row of categorical properties that walk their access paths (190 with per-row code lists, 217 before chunked derived counts)"},
+		{"BuildMallocsPerRow", build, "mallocs/row", 1.14, "5% above the 1.09 of derived properties that are their pair lists (1.74 with the derived relations stored, 3.59 with a map per entity, a string sort and a boxed append per row)"},
+		{"InsertBatchMB", insert, "MB", 1.28, "5% above the 1.22 MB of derived properties that are their pair lists (1.52 MB with the derived relations stored, 1.69 with per-row code lists, 2.01 before flat 4-byte lists, 1.84 before the key table)"},
+		{"LoadBytesPerRow", load, "B/row", 117, "5% above the 111.5 B/row of derived properties that are their pair lists (173 with the derived relations stored, 190 with per-row code lists, 217 before chunked derived counts)"},
 	}
 	for _, b := range budgets {
 		t.Run(b.name, func(t *testing.T) {

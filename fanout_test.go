@@ -15,18 +15,19 @@ import (
 // added to a movie with 10,000 cast is a second hop for every one of
 // them: it raises the movie:genre strength of each of the 10,000
 // persons (and of the movie's companies), so the one-row batch changes
-// 10,000 count cells or adds their rows. An apply span reports the
+// 10,000 pairs of a pair list or adds them. An apply span reports the
 // bytes its batch copied out of storage the base epoch shares
 // (copied_bytes, the writer's Gen.Copied) and the strengths it raised
 // (pairs_bumped). The pinned ratio is the copied bytes of the fan-out's
 // publish and of the one after it, per strength raised: storage that
-// defers its copy — a patch of overwritten cells, a tail of appended
-// rows — pays it when the next writer clones or folds it. The bound is
-// about 10% above the 40.8 bytes a cell measured with 4-byte count
-// chunks (56.9 with the count patch they replaced, 2.1 of them in the
-// fan-out's own publish).
+// defers its copy — a tail of appended rows — pays it when the next
+// writer clones or folds it. The bound is about 10% above the 6.8 bytes
+// a cell measured since a bump writes only the pair list and the
+// histogram (40.8 with the derived relations' 4-byte count chunks, 56.9
+// with the count patch they replaced, 2.1 of them in the fan-out's own
+// publish).
 func TestFanOutCopiesPerCellChanged(t *testing.T) {
-	const movie, bound = 7, 45.0
+	const movie, bound = 7, 7.5
 	cfg := datagen.IMDbConfig{Seed: 3, NumPersons: 10_000, NumMovies: 400, NumCompany: 20}
 	g := datagen.GenerateIMDb(cfg)
 	for p := range cfg.NumPersons {

@@ -109,7 +109,7 @@ func derivedContextsByMap(st *exampleState, prop *adb.DerivedProperty, params Pa
 	}
 	shared := make(map[int32]*agg)
 	for i := range exampleRows {
-		counts := prop.AppendCounts(nil, st.ids[i])
+		counts, _ := prop.AppendCounts(nil, nil, exampleRows[i])
 		d := 0.0
 		if degs != nil {
 			d = degs[i]

@@ -125,8 +125,8 @@ func TestDerivedContextThetaMin(t *testing.T) {
 		t.Fatal("persontogenre missing")
 	}
 	// Pick two comedians with known distinct comedy counts.
-	c0 := ptg.Counts(0)["Comedy"]
-	c1 := ptg.Counts(1)["Comedy"]
+	c0 := ptg.StrengthOf(0, "Comedy")
+	c1 := ptg.StrengthOf(1, "Comedy")
 	contexts := DiscoverContexts(info, []int{0, 1}, DefaultParams())
 	var derived *Context
 	for i := range contexts {

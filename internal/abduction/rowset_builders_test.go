@@ -197,7 +197,7 @@ func TestRowSetBuildersMatchScan(t *testing.T) {
 			}
 			for _, thetaN := range []float64{0.05, 0.2, 0.5, 1} {
 				f := &Filter{Kind: Derived, Derivd: decade, Values: []string{v}, ThetaN: thetaN, NormUse: true, degree: degree}
-				check("norm-strength", f, len(decade.ValueEntries(v)))
+				check("norm-strength", f, int(decade.Selectivity(v, 1)*float64(n)+0.5))
 			}
 		}
 		check("strength", &Filter{Kind: Derived, Derivd: decade, Values: []string{"no such decade"}, Theta: 1}, 0)

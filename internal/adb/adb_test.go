@@ -223,12 +223,12 @@ func TestDerivedPersonToGenre(t *testing.T) {
 		t.Errorf("RelName=%q", ptg.RelName)
 	}
 	// Person 1: 3 comedies (duplicate castinfo row for movie 10 counts once).
-	counts := ptg.Counts(1)
+	counts := countsOf(ptg, 1)
 	if counts["Comedy"] != 3 {
 		t.Errorf("person 1 comedy count=%d want 3 (dedup)", counts["Comedy"])
 	}
 	// Person 2: 2 dramas.
-	if got := ptg.Counts(2); got["Drama"] != 2 {
+	if got := countsOf(ptg, 2); got["Drama"] != 2 {
 		t.Errorf("person 2 drama count=%v", got)
 	}
 	// ψ(genre=Comedy, θ=3) = 1/6 (only person 1).
@@ -258,7 +258,7 @@ func TestDerivedDegree(t *testing.T) {
 	if deg == nil {
 		t.Fatalf("degree property missing; have %v", attrNames(p))
 	}
-	if got := deg.Counts(1); got["movie"] != 3 {
+	if got := countsOf(deg, 1); got["movie"] != 3 {
 		t.Errorf("person 1 degree=%v", got)
 	}
 	// 3 of 6 persons appear in ≥1 movie.
@@ -289,8 +289,8 @@ func TestDomainCoverage(t *testing.T) {
 func TestCombinedDBContainsDerived(t *testing.T) {
 	a := buildFixture(t)
 	c := a.CombinedDB()
-	if c.Relation("persontomovie_genre") == nil {
-		t.Error("combined DB must include derived relations")
+	if c.View("persontomovie_genre") == nil || c.Relation("persontomovie_genre") != nil {
+		t.Error("combined DB must name each derived relation as a view")
 	}
 	if c.Relation("person") == nil {
 		t.Error("combined DB must include original relations")

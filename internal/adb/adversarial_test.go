@@ -53,7 +53,7 @@ func TestSelfReferencingFact(t *testing.T) {
 	}
 	counted := false
 	for _, deg := range []*DerivedProperty{degA, degB} {
-		if got := deg.Counts(0); got["movie"] == 2 {
+		if got := countsOf(deg, 0); got["movie"] == 2 {
 			counted = true
 		}
 	}

@@ -167,7 +167,7 @@ func Build(db *relation.Database, cfg Config) (*AlphaDB, error) {
 // buildEpoch runs the offline phase and assembles the initial epoch:
 // the resident hash indexes, then (beside the inverted index) a scaffold
 // per entity, one task per candidate property, assembly in enumeration
-// order, and the derived relations in one materialization wave
+// order, and the derived properties in one materialization wave
 // (deriveAll), which Decode runs too.
 func buildEpoch(db *relation.Database, cfg Config) (*Epoch, error) {
 	start := time.Now()
@@ -178,12 +178,11 @@ func buildEpoch(db *relation.Database, cfg Config) (*Epoch, error) {
 	}
 	workers := cfg.workers()
 	a := &Epoch{
-		DB:        db,
-		Entities:  make(map[string]*EntityInfo),
-		Indexes:   residentIndexes(db, workers),
-		DerivedDB: relation.NewDatabase(db.Name + "_alpha"),
-		cfg:       cfg,
-		selCache:  &SelCache{},
+		DB:       db,
+		Entities: make(map[string]*EntityInfo),
+		Indexes:  residentIndexes(db, workers),
+		cfg:      cfg,
+		selCache: &SelCache{},
 	}
 
 	entities := db.EntityRelations()
@@ -234,6 +233,7 @@ func buildEpoch(db *relation.Database, cfg Config) (*Epoch, error) {
 		a.finishEntity(eb)
 	}
 	a.deriveAll(derived)
+	a.names = a.nameTable()
 	<-invDone
 	a.BuildTime = time.Since(start)
 	return a, nil
@@ -284,23 +284,29 @@ func (a *Epoch) EphemeralEntity(name string) *EntityInfo {
 	return info
 }
 
-// CombinedDB returns a database containing both the original and the
-// derived relations, so the execution engine can run αDB-form SPJ queries
-// (Q5 of the paper) directly. It is assembled once per epoch and
-// memoized — all executors over this epoch share one instance.
-func (a *Epoch) CombinedDB() *relation.Database {
-	a.combinedOnce.Do(func() {
-		combined := relation.NewDatabase(a.DB.Name + "_combined")
-		for _, n := range a.DB.RelationNames() {
-			combined.AddRelation(a.DB.Relation(n))
+// CombinedDB returns the database the execution engine runs αDB-form
+// SPJ queries (Q5 of the paper) against: the base relations, and each
+// derived relation under its name as a view over its property's pair
+// lists, whose rows an execution builds for
+// itself. Resolving a name costs a map read: the table is built with
+// the epoch (nameTable), and all executors over it share it.
+func (a *Epoch) CombinedDB() *relation.Database { return a.names }
+
+// nameTable builds the epoch's CombinedDB: a clone of the base
+// database's name table, and one view a derived property, the entities
+// in name order, whose rows come from the property's pair lists and the
+// entities' keys in this epoch (viewRows).
+func (a *Epoch) nameTable() *relation.Database {
+	db := a.DB.CloneWith(nil)
+	for _, name := range a.DB.EntityRelations() {
+		info := a.Entities[name]
+		for _, p := range info.Derived {
+			db.AddView(&relation.View{Schema: p.schema, Point: "value", Rows: func(codes []int32) *relation.Relation {
+				return p.viewRows(info, codes)
+			}})
 		}
-		for _, n := range a.DerivedDB.RelationNames() {
-			combined.AddRelation(a.DerivedDB.Relation(n))
-		}
-		//lint:ignore epochmutate single-assignment memoization under combinedOnce; every reader observes the same value
-		a.combined = combined
-	})
-	return a.combined
+	}
+	return db
 }
 
 // scaffoldEntity validates that a relation can serve as an entity (an
@@ -449,22 +455,6 @@ func (a *Epoch) finishEntity(eb *entityBuild) {
 	sort.SliceStable(info.Basic, func(i, j int) bool { return info.Basic[i].Attr < info.Basic[j].Attr })
 	sort.SliceStable(info.Derived, func(i, j int) bool { return info.Derived[i].Attr < info.Derived[j].Attr })
 	info.buildAttrMaps()
-}
-
-// registerDerived gives a materialized derived relation its final name —
-// the first of base, base_2, base_3, ... that neither another derived
-// relation nor a base relation holds — adds it to the derived database,
-// and adopts its entity index into the resident set. Called in
-// registration order, so the suffixes are deterministic; a loaded name
-// was checked unique and free (Decode), so it stays as stored.
-func (a *Epoch) registerDerived(p *DerivedProperty) {
-	base := p.RelName
-	for i := 2; a.DerivedDB.Relation(p.RelName) != nil || a.DB.Relation(p.RelName) != nil; i++ {
-		p.RelName = fmt.Sprintf("%s_%d", base, i)
-	}
-	p.rel.Name = p.RelName
-	a.DerivedDB.AddRelation(p.rel)
-	a.Indexes.AdoptIntHash(p.RelName, "entity_id", p.byEntity)
 }
 
 // keepCategorical applies the distinct-count guards that exclude

@@ -127,7 +127,7 @@ func TestDerivedStrengthCrossCheck(t *testing.T) {
 	for _, p := range info.Derived {
 		for _, v := range p.DistinctValues() {
 			for row := 0; row < info.NumRows; row++ {
-				want := p.Counts(info.IDByRow(row))[v]
+				want := countsOf(p, info.IDByRow(row))[v]
 				if got := p.StrengthOf(row, v); got != want {
 					t.Errorf("%s: StrengthOf(%d,%s)=%d want %d", p.Attr, row, v, got, want)
 				}
@@ -135,7 +135,7 @@ func TestDerivedStrengthCrossCheck(t *testing.T) {
 			for theta := 1; theta <= p.MaxStrength(v); theta++ {
 				var want []int
 				for row := 0; row < info.NumRows; row++ {
-					if p.Counts(info.IDByRow(row))[v] >= theta {
+					if countsOf(p, info.IDByRow(row))[v] >= theta {
 						want = append(want, row)
 					}
 				}

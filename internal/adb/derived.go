@@ -1,6 +1,7 @@
 package adb
 
 import (
+	"fmt"
 	"slices"
 
 	"squid/internal/index"
@@ -108,34 +109,35 @@ func (a *Epoch) buildDerivedProperties(info *EntityInfo, fact1 string, fkToMe, f
 	return basics, out
 }
 
-// derivedReader is a derived property's one derivation. link resolves
-// a first-fact row to the entity row and the via row it links; add
-// lists the source-dictionary codes one via row contributes: the
-// pseudo-value 0 (the via relation's name) for Degree, and otherwise
-// the codes the target — a basic-property path of the via entity —
-// gives the via row (pairReader.appendCodes), one per second-fact row
-// for FactDim. An entity's strength for a value is the count of the
-// value's code over the contributions of its distinct via rows: the
-// build sums them over the adjacency, an insert adds one via row's for
-// a new pair.
+// derivedReader is a derived property's one derivation, resolved
+// against one epoch's relations and indexes. link resolves a first-fact
+// row to the entity row and the via row it links; add lists the
+// source-dictionary codes one via row contributes: the pseudo-value 0
+// (the via relation's name) for Degree, and otherwise the codes the
+// target — a basic-property path of the via entity — gives the via row
+// (pairReader.appendCodes), one per second-fact row for FactDim. An
+// entity's strength for a value is the count of the value's code over
+// the contributions of its distinct via rows: the build sums them over
+// the adjacency, an insert adds one via row's for a new pair, and
+// AppendCounts sums them for one entity, reaching its first-fact rows
+// through byEntity.
 type derivedReader struct {
-	entCol, viaCol *relation.Column
-	pk, viaPK      *index.IntHash
-	degree         string // Degree's pseudo-value; empty for a target
-	target         pairReader
+	entCol, viaCol, ids *relation.Column
+	pk, viaPK, byEntity *index.IntHash
+	degree              bool
+	target              pairReader
 }
 
 func (p *DerivedProperty) reader(s source) derivedReader {
 	fact, ent, via := s.viewRel(p.Fact1), s.viewRel(p.Entity), s.viewRel(p.Via)
 	d := derivedReader{
-		entCol: fact.Column(p.Fact1EntityCol), viaCol: fact.Column(p.Fact1ViaCol),
-		pk: s.readHash(ent, ent.PrimaryKey), viaPK: s.readHash(via, p.ViaPK),
+		entCol: fact.Column(p.Fact1EntityCol), viaCol: fact.Column(p.Fact1ViaCol), ids: ent.Column(ent.PrimaryKey),
+		pk: s.readHash(ent, ent.PrimaryKey), viaPK: s.readHash(via, p.ViaPK), byEntity: s.readHash(fact, p.Fact1EntityCol),
+		degree: p.Target.Type == Degree,
 	}
-	if p.Target.Type == Degree {
-		d.degree = p.Via
-		return d
+	if !d.degree {
+		d.target = (&BasicProperty{Entity: p.Via, Access: p.Target}).pairs(s)
 	}
-	d.target = (&BasicProperty{Entity: p.Via, Access: p.Target}).pairs(s)
 	return d
 }
 
@@ -153,18 +155,21 @@ func (d *derivedReader) link(fr int) (eRow, vRow int, ok bool) {
 
 // add appends the codes via row vRow contributes to dst.
 func (d *derivedReader) add(vRow int, dst []int32) []int32 {
-	if d.degree != "" {
+	if d.degree {
 		return append(dst, 0)
 	}
 	return d.target.appendCodes(dst, vRow)
 }
 
-// decode returns the value a code stands for.
-func (d *derivedReader) decode(code int32) string {
-	if d.degree != "" {
-		return d.degree
+// factRows returns the first-fact rows that name entity row eRow's key
+// when the key resolves to eRow: a repeated key's rows link its first
+// row, as link resolves them.
+func (d *derivedReader) factRows(eRow int) (base, tail []uint32) {
+	id := d.ids.Int64(eRow)
+	if first, ok := d.pk.First(id); d.ids.IsNull(eRow) || !ok || first != eRow {
+		return nil, nil
 	}
-	return d.target.dict.Value(code)
+	return d.byEntity.Rows(id)
 }
 
 // entityDisplayColumn resolves the display column of an entity relation
@@ -196,8 +201,7 @@ func (a *Epoch) buildEntityAssocProperty(info *EntityInfo, fact1 string, fkToMe,
 }
 
 // newDerived initializes a DerivedProperty shell. The relation name is
-// tentative — finishEntity resolves collisions when it registers the
-// materialized relation into the derived database.
+// tentative: deriveAll resolves collisions.
 func (a *Epoch) newDerived(info *EntityInfo, fact1 string, fkToMe, fkToVia relation.ForeignKey, target AccessPath, attr string) *DerivedProperty {
 	return &DerivedProperty{
 		Entity:         info.Relation,
@@ -224,18 +228,26 @@ func sanitizeRelName(attr string) string {
 	return string(out)
 }
 
-// deriveAll materializes the derived properties of one epoch — the
-// cold build's and the snapshot load's, so a loaded relation is a built
-// one byte for byte — and registers them in the order given. It is one
-// wave over the workers: the properties are grouped by the first-fact
-// link they walk, each group's adjacency is built once, and then every
-// property is materialized over its group's.
+// deriveAll derives the properties of one epoch — the cold build's and
+// the snapshot load's, so a loaded property is a built one byte for
+// byte. It names their relations in the order given, the first of base,
+// base_2, base_3, ... that neither an earlier one nor a base relation
+// holds (a loaded name was checked unique and free, Decode, so it stays
+// as stored), then runs one wave over the workers: the properties are
+// grouped by the first-fact link they walk, each group's adjacency is
+// built once, and then every property is materialized over its group's.
 func (a *Epoch) deriveAll(derived []*DerivedProperty) {
 	type link struct{ entity, fact, entCol, viaCol, via, viaPK string }
 	groups := make(map[link]int)
 	var firsts []*DerivedProperty
 	groupOf := make([]int, len(derived))
+	taken := make(map[string]bool, len(derived))
 	for i, p := range derived {
+		base := p.RelName
+		for n := 2; taken[p.RelName] || a.DB.Relation(p.RelName) != nil; n++ {
+			p.RelName = fmt.Sprintf("%s_%d", base, n)
+		}
+		taken[p.RelName] = true
 		k := link{p.Entity, p.Fact1, p.Fact1EntityCol, p.Fact1ViaCol, p.Via, p.ViaPK}
 		g, ok := groups[k]
 		if !ok {
@@ -249,9 +261,6 @@ func (a *Epoch) deriveAll(derived []*DerivedProperty) {
 	adjacency := make([][][]int, len(firsts))
 	index.RunBounded(len(firsts), workers, func(g int) { adjacency[g] = a.adjacencyOf(firsts[g]) })
 	index.RunBounded(len(derived), workers, func(i int) { a.materializeDerived(derived[i], adjacency[groupOf[i]]) })
-	for _, p := range derived {
-		a.registerDerived(p)
-	}
 }
 
 // adjacencyOf lists, for every row of p's entity, the distinct via rows
@@ -274,34 +283,26 @@ func (a *Epoch) adjacencyOf(p *DerivedProperty) [][]int {
 	return adjacency
 }
 
-// materializeDerived computes the (entity_id, value, count) rows of a
-// derived property — for each entity, the count of every value over the
-// contributions of its distinct via rows — stores the derived relation,
-// and builds its statistics (the in-Go equivalent of the paper's Q6
-// CREATE TABLE ... GROUP BY). The build and the snapshot load both run
-// it (deriveAll): the file holds no derived relation. The tabulation
-// never leaves code space: each via row's contributions are listed once
-// as source-dictionary codes, an entity's counts are summed in a dense
-// counter indexed by code, and only the codes it touched are ordered —
-// by the source dictionary's rank table, which is the order of their
-// values, no two codes of one dictionary sharing one — and cleared. A
-// source code is translated to the derived value dictionary on its
-// first emission, so the rows come in entity-row order and then value
-// order, the dictionary holds its values in first-emission order, and
-// the entity_id and value columns grow as appending row by row would
-// have grown them, so the first insert finds the same spare capacity to
-// append into. The count column is 4-byte cells in chunks
-// (relation.RestoreChunkedColumn), which an insert overwrites a chunk
-// at a time, and the entity index stores offsets only: the rows come in
-// key order (index.IntHash). Each row's (entity row, strength) pair is
-// appended to its value's pair list as the row is emitted, so every
-// list is in entity-row order. A chunk of a pair list or of the count
-// column is its own allocation, so a chunk an insert later replaces is
-// freed on its own instead of being pinned by its neighbors' array. The
-// relation and its entity index stay local until deriveAll registers
-// them.
+// materializeDerived derives a property's statistics from its
+// adjacency — for each entity, the count of every value over the
+// contributions of its distinct via rows, the in-Go equivalent of the
+// paper's Q6 CREATE TABLE ... GROUP BY — and keeps its reader, which
+// answers one entity's counts from then on (AppendCounts). The build
+// and the snapshot load both run it (deriveAll). The tabulation never
+// leaves code space: each via row's contributions are listed once as
+// source-dictionary codes, and an entity's counts are summed in a dense
+// counter indexed by code, each code's (entity row, strength) pair
+// appended to the code's list, so every list is in entity-row order. The
+// codes are the source dictionary's, so no value is translated; Degree's
+// one pseudo-code indexes a dictionary of its own. A chunk of a pair
+// list is its own allocation, so a chunk an insert later replaces is
+// freed on its own instead of being pinned by its neighbors' array.
 func (a *Epoch) materializeDerived(p *DerivedProperty, adjacency [][]int) {
 	c := p.reader(a)
+	p.walk, p.dict = c, c.target.dict
+	if c.degree {
+		p.dict = relation.RestoreDict([]string{p.Via})
+	}
 	via := a.DB.Relation(p.Via)
 	offs := make([]uint32, via.NumRows()+1)
 	var codes []int32
@@ -313,17 +314,9 @@ func (a *Epoch) materializeDerived(p *DerivedProperty, adjacency [][]int) {
 	if len(codes) > 0 {
 		n = int(slices.Max(codes)) + 1
 	}
-	// count is indexed by source code; derived holds a source code's
-	// derived code plus one, zero until the code is first emitted.
-	count, derived := make([]int32, n), make([]int32, n)
+	count := make([]int32, n)
 	var touched []int32
-	var ids []int64
-	var vals []int32
-	var counts relation.Chunked[uint32]
-	var dict []string
-	var pairs []relation.Chunked[valCount]
-	info := a.Entities[p.Entity]
-	pkCol := info.rel.Column(info.PK)
+	pairs := make([]relation.Chunked[valCount], n)
 	for eRow, viaRows := range adjacency {
 		touched = touched[:0]
 		for _, vRow := range viaRows {
@@ -334,37 +327,18 @@ func (a *Epoch) materializeDerived(p *DerivedProperty, adjacency [][]int) {
 				count[code]++
 			}
 		}
-		// The degree property's one pseudo-code needs no order.
-		if len(touched) > 1 {
-			c.target.dict.SortCodes(touched)
-		}
-		id := pkCol.Int64(eRow)
 		for _, code := range touched {
-			if derived[code] == 0 {
-				dict = append(dict, c.decode(code))
-				pairs = append(pairs, relation.Chunked[valCount]{})
-				derived[code] = int32(len(dict))
-			}
-			d := derived[code] - 1
-			ids = append(ids, id)
-			vals = append(vals, d)
-			counts.Append(nil, uint32(count[code]))
-			pairs[d].Append(nil, valCount{entityRow: uint32(eRow), count: uint32(count[code])})
+			pairs[code].Append(nil, valCount{entityRow: uint32(eRow), count: uint32(count[code])})
 			count[code] = 0
 		}
 	}
-	p.rel = relation.Restore(p.RelName, "",
-		[]relation.ForeignKey{{Column: "entity_id", RefRelation: p.Entity, RefColumn: info.PK}},
-		[]*relation.Column{
-			relation.RestoreIntColumn("entity_id", ids, nil),
-			relation.RestoreStringColumn("value", vals, relation.RestoreDict(dict), nil),
-			relation.RestoreChunkedColumn("count", counts, nil),
-		}, len(ids))
-	p.memo = newRowSetMemo(a.selCache)
-	p.byEntity = index.BuildIntHash(p.rel, "entity_id")
-	stats := make([]codeStats, len(pairs))
-	for d := range pairs {
-		stats[d] = newCodeStats(pairs[d])
+	stats := make([]codeStats, n)
+	for code := range pairs {
+		if pairs[code].Len() > 0 {
+			stats[code] = newCodeStats(pairs[code])
+		}
 	}
 	p.codes = relation.ChunkedOf(stats)
+	p.memo = newRowSetMemo(a.selCache)
+	p.schema = p.viewRows(a.Entities[p.Entity], []int32{})
 }

@@ -1,7 +1,9 @@
 package adb
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -10,12 +12,11 @@ import (
 )
 
 // TestMaterializedDerivedMatchesReference holds every derived relation
-// a cold Build emits to a reference materialization in its plainest
-// form: a map of value → strength per entity, the values of each entity
-// in sort.Strings order, and the value dictionary in the order the rows
-// first name its values. Save writes the rows and the
-// dictionary in exactly those orders, so a snapshot's bytes depend on
-// both; the comparison is row by row and code by code. The generated
+// of a cold Build — the view the engine reads over the property's pair
+// lists — to a reference materialization in its plainest form: a map of
+// value → strength per entity, the values of each entity in
+// sort.Strings order; the comparison is row by row. Every entity's walk
+// (AppendCounts) must give the reference's strengths too. The generated
 // schemas carry every shape the tabulation has a case for, and the test
 // fails if one of them stops occurring.
 func TestMaterializedDerivedMatchesReference(t *testing.T) {
@@ -75,41 +76,62 @@ func checkDerivedReference(t *testing.T, a *AlphaDB, seen *shapes) {
 	for _, entity := range ep.DB.EntityRelations() {
 		info := ep.Entity(entity)
 		for _, p := range info.Derived {
-			want, wantDict := referenceDerived(ep, info, p, seen)
-			ecol, vcol, ccol := p.rel.Column("entity_id"), p.rel.Column("value"), p.rel.Column("count")
-			if p.rel.NumRows() != len(want) {
-				t.Errorf("%s: %d rows, the reference has %d", p.RelName, p.rel.NumRows(), len(want))
+			want := referenceDerived(ep, info, p, seen)
+			view := ep.CombinedDB().View(p.RelName).Rows(nil)
+			ecol, vcol, ccol := view.Column("entity_id"), view.Column("value"), view.Column("count")
+			if view.NumRows() != len(want) {
+				t.Errorf("%s: %d rows, the reference has %d", p.RelName, view.NumRows(), len(want))
 				continue
 			}
 			for r, w := range want {
 				if ecol.IsNull(r) || vcol.IsNull(r) || ccol.IsNull(r) {
 					t.Fatalf("%s row %d: NULL cell", p.RelName, r)
 				}
-				if got := (derivedRow{ecol.Int64(r), vcol.Dict().Value(vcol.Code(r)), ccol.Int64(r)}); got != w {
+				if got := (derivedRow{ecol.Int64(r), vcol.Str(r), ccol.Int64(r)}); got != w {
 					t.Fatalf("%s row %d: %+v, the reference has %+v", p.RelName, r, got, w)
 				}
 			}
-			got := vcol.Dict().Values()
-			if len(got) != len(wantDict) {
-				t.Fatalf("%s: dictionary of %d values, the reference has %d", p.RelName, len(got), len(wantDict))
-			}
-			for code, v := range wantDict {
-				if got[code] != v {
-					t.Fatalf("%s: code %d is %q, the reference's is %q", p.RelName, code, got[code], v)
+			var walked []derivedRow
+			for row := range info.NumRows {
+				counts := countsOf(p, info.IDByRow(row))
+				values := slices.Sorted(maps.Keys(counts))
+				for _, v := range values {
+					walked = append(walked, derivedRow{info.IDByRow(row), v, int64(counts[v])})
 				}
+			}
+			if !slices.Equal(walked, want) {
+				t.Errorf("%s: the walks give %d strengths, the reference %d, or other ones", p.RelName, len(walked), len(want))
 			}
 			seen.degree = seen.degree || p.Target.Type == Degree
 			seen.factDim = seen.factDim || p.Target.Type == FactDim && len(want) > 0
 			seen.selfEdge = seen.selfEdge || p.Via == p.Entity && len(want) > 0
-			seen.unsortedDict = seen.unsortedDict || !sort.StringsAreSorted(wantDict)
+			seen.unsortedDict = seen.unsortedDict || !sort.StringsAreSorted(p.Dict().Values())
 		}
 	}
+}
+
+// countsOf reads the strengths of the entity with key id through its
+// walk (AppendCounts), by value; nil when it has none.
+func countsOf(p *DerivedProperty, id int64) map[string]int {
+	row, ok := p.walk.pk.First(id)
+	if !ok {
+		return nil
+	}
+	ccs, _ := p.AppendCounts(nil, nil, row)
+	if len(ccs) == 0 {
+		return nil
+	}
+	out := make(map[string]int, len(ccs))
+	for _, cc := range ccs {
+		out[p.DecodeValue(cc.Code)] = cc.Count
+	}
+	return out
 }
 
 // referenceDerived tabulates derived property p the plain way: the
 // distinct via rows of each entity, a map from value to strength over
 // their contributions, and the entity's values in sort.Strings order.
-func referenceDerived(ep *Epoch, info *EntityInfo, p *DerivedProperty, seen *shapes) (rows []derivedRow, dict []string) {
+func referenceDerived(ep *Epoch, info *EntityInfo, p *DerivedProperty, seen *shapes) (rows []derivedRow) {
 	d := p.reader(ep)
 	fact := ep.DB.Relation(p.Fact1)
 	vias := make([]map[int]bool, info.NumRows)
@@ -124,12 +146,11 @@ func referenceDerived(ep *Epoch, info *EntityInfo, p *DerivedProperty, seen *sha
 		seen.repeatedPair = seen.repeatedPair || vias[eRow][vRow]
 		vias[eRow][vRow] = true
 	}
-	inDict := map[string]bool{}
 	for eRow, rowsOf := range vias {
 		strength := map[string]int64{}
 		for vRow := range rowsOf {
 			for _, code := range d.add(vRow, nil) {
-				strength[d.decode(code)]++
+				strength[p.DecodeValue(code)]++
 			}
 		}
 		values := make([]string, 0, len(strength))
@@ -141,13 +162,9 @@ func referenceDerived(ep *Epoch, info *EntityInfo, p *DerivedProperty, seen *sha
 		seen.multiValued = seen.multiValued || len(values) > 1
 		for _, v := range values {
 			rows = append(rows, derivedRow{info.IDByRow(eRow), v, strength[v]})
-			if !inDict[v] {
-				inDict[v] = true
-				dict = append(dict, v)
-			}
 		}
 	}
-	return rows, dict
+	return rows
 }
 
 // derivedOracleDB generates a small schema with every shape a derived
@@ -243,4 +260,59 @@ func derivedOracleDB(rng *rand.Rand) *relation.Database {
 	fact("movietogenre", "movie_id", "movie", "genre_id", "genre", movieID, dimID, nMovies, genres*4/3+1, 2*nMovies)
 	fact("sequelof", "movie_id", "movie", "original_id", "movie", movieID, movieID, nMovies, nMovies, nMovies/2)
 	return db
+}
+
+// TestPairFindMatchesSearch holds codeStats.find, which interpolates
+// within a chunk picked from the chunk table, to the plain binary
+// search of the pair list (Chunked.Search) for every row up to the
+// entity count, over lists built whole and grown by inserts that split
+// their chunks: uniform, clustered at either end, and sparse.
+func TestPairFindMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const entities = 5000
+	for trial := 0; trial < 24; trial++ {
+		var rows []uint32
+		for r := range uint32(entities) {
+			switch trial % 4 {
+			case 0:
+				if rng.Intn(3) == 0 {
+					rows = append(rows, r)
+				}
+			case 1:
+				if r < 400 || rng.Intn(50) == 0 {
+					rows = append(rows, r)
+				}
+			case 2:
+				if r > entities-300 || rng.Intn(40) == 0 {
+					rows = append(rows, r)
+				}
+			case 3:
+				if rng.Intn(400) == 0 {
+					rows = append(rows, r)
+				}
+			}
+		}
+		built, inserted := rows[:len(rows)/2], rows[len(rows)/2:]
+		var pairs []valCount
+		for _, r := range built {
+			pairs = append(pairs, valCount{entityRow: r, count: 1})
+		}
+		cs := codeStats{pairs: relation.ChunkedOf(pairs)}
+		rng.Shuffle(len(inserted), func(i, j int) { inserted[i], inserted[j] = inserted[j], inserted[i] })
+		g := new(relation.Gen)
+		for _, r := range inserted {
+			ci, off, found := cs.find(int(r), entities)
+			if found {
+				t.Fatalf("trial %d: row %d found before its insert", trial, r)
+			}
+			cs.pairs.InsertAt(g, ci, off, valCount{entityRow: r, count: 1})
+		}
+		for row := range entities + 1 {
+			ci, off, found := cs.find(row, entities)
+			wci, woff := cs.pairs.Search(func(vc valCount) bool { return int(vc.entityRow) >= row })
+			if ci != wci || off != woff || found != slices.Contains(rows, uint32(row)) {
+				t.Fatalf("trial %d: find(%d) = (%d, %d, %v), the search gives (%d, %d)", trial, row, ci, off, found, wci, woff)
+			}
+		}
+	}
 }

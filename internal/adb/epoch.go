@@ -13,8 +13,8 @@ import (
 )
 
 // Epoch is one immutable, atomically published state of the αDB: the
-// base and derived databases, per-entity semantic properties with their
-// statistics, the inverted index and the resident hash indexes.
+// base database, per-entity semantic properties with their statistics,
+// the inverted index and the resident hash indexes.
 //
 // Readers (discovery, engine execution, stats, snapshot encode) load
 // the current epoch once with AlphaDB.Snapshot and run wait-free
@@ -42,16 +42,13 @@ type Epoch struct {
 	Inverted *index.Inverted
 	Entities map[string]*EntityInfo
 
-	// Indexes is this epoch's resident hash indexes over base and
-	// derived relations (see index.IndexSet): the key lookups of the
-	// online phase and of the writer, and the joins the engine probes.
-	// The set is fixed once published: a reader that needs an index it
-	// lacks builds a private one.
+	// Indexes is this epoch's resident hash indexes over base relations
+	// (see index.IndexSet): the key lookups of the online phase and of
+	// the writer, and the joins the engine probes. The set is fixed once
+	// published: a reader that needs an index it lacks builds a private
+	// one.
 	Indexes *index.IndexSet
 
-	// DerivedDB holds the materialized derived relations (Fig 18's
-	// "precomputed DB size" reports its footprint).
-	DerivedDB *relation.Database
 	// BuildTime is the offline precomputation wall time.
 	BuildTime time.Duration
 
@@ -63,8 +60,8 @@ type Epoch struct {
 	seq         uint64
 	publishedAt time.Time
 
-	combinedOnce sync.Once
-	combined     *relation.Database
+	// names is CombinedDB, built with the epoch.
+	names *relation.Database
 }
 
 // Seq returns the epoch sequence number.
@@ -191,7 +188,7 @@ type EpochStats struct {
 	// collected (readers may still pin them); RetainedBytes is what
 	// those epochs keep alive on their own: the bytes the publishes
 	// that retired them copied instead of sharing (chunks, index tails
-	// and folds, count-column chunks).
+	// and folds).
 	Retired       int64
 	RetainedBytes int64
 }
@@ -239,22 +236,21 @@ func (a *AlphaDB) publish(eb *epochBuilder, sp trace.Span) {
 		Inverted:    inv,
 		Entities:    entities,
 		Indexes:     eb.idx.MergeInto(cur.Indexes),
-		DerivedDB:   cur.DerivedDB.CloneWith(eb.derivedRels),
 		BuildTime:   cur.BuildTime,
 		cfg:         cur.cfg,
 		selCache:    cur.selCache,
 		seq:         cur.seq + 1,
 		publishedAt: time.Now(),
 	}
+	next.names = next.nameTable()
 	a.cur.Store(next)
 	a.publishes.Add(1)
 	ps.Add(trace.CounterEpochSeq, int64(next.seq))
 
 	// GC telemetry: cur just retired. Everything the builder did not
 	// copy, cur shares with next; what it did copy — chunks and chunk
-	// tables (the derived count columns' among them), index and
-	// inverted-index tails and folded bases — has an original of about
-	// the same size that only cur still references.
+	// tables, index and inverted-index tails and folded bases — has an
+	// original of about the same size that only cur still references.
 	// Charge cur that, and let a finalizer credit it back once no reader
 	// pins it — the gap between publishes and finalizations is exactly
 	// the chain's uncollected garbage.

@@ -63,12 +63,12 @@ func TestEpochGCTelemetry(t *testing.T) {
 }
 
 // TestOneFactPublishRetainsWhatItCopies: the retired-epoch gauge charges
-// what the publish actually copied — a chunk of each per-row and
-// per-code vector the fact reaches, the index tails, and the patches of
-// the derived relations' count columns — not the size of every relation
-// it touched, nor the count columns themselves (their storage is
-// shared), and credits it back once the readers are gone. All of it fits
-// 256 KB on the small fixture and at eight times the rows alike.
+// what the publish actually copied — a chunk of each per-code vector
+// and pair list the fact reaches, and the index tails — not the size of
+// every relation it touched, nor the pair lists themselves (their
+// storage is shared), and credits it back once the readers are gone.
+// All of it fits 256 KB on the small fixture and at eight times the
+// rows alike.
 func TestOneFactPublishRetainsWhatItCopies(t *testing.T) {
 	for _, cfg := range []datagen.IMDbConfig{
 		{Seed: 11, NumPersons: 300, NumMovies: 150, NumCompany: 10},
@@ -78,11 +78,11 @@ func TestOneFactPublishRetainsWhatItCopies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var countCols int64
+		var pairs int64
 		for _, info := range a.Snapshot().Entities {
 			for _, p := range info.Derived {
 				if p.Fact1 == "castinfo" {
-					countCols += p.rel.Column("count").ByteSize()
+					pairs += p.PairBytes()
 				}
 			}
 		}
@@ -91,12 +91,12 @@ func TestOneFactPublishRetainsWhatItCopies(t *testing.T) {
 			t.Fatal(err)
 		}
 		es := a.EpochStats()
-		t.Logf("%d persons: a one-fact publish retains %d bytes; the count columns it reaches hold %d", cfg.NumPersons, es.RetainedBytes, countCols)
+		t.Logf("%d persons: a one-fact publish retains %d bytes; the pair lists it reaches hold %d", cfg.NumPersons, es.RetainedBytes, pairs)
 		if es.Retired != 1 || es.RetainedBytes <= 0 {
 			t.Fatalf("retired = %d, retained = %d bytes", es.Retired, es.RetainedBytes)
 		}
-		if limit := min(countCols, 256<<10); es.RetainedBytes > limit {
-			t.Errorf("%d persons: one fact retains %d bytes, want under %d (the count columns are %d)", cfg.NumPersons, es.RetainedBytes, limit, countCols)
+		if limit := min(pairs, 256<<10); es.RetainedBytes > limit {
+			t.Errorf("%d persons: one fact retains %d bytes, want under %d (the pair lists are %d)", cfg.NumPersons, es.RetainedBytes, limit, pairs)
 		}
 		runtime.KeepAlive(pinned)
 		pinned = nil

@@ -62,7 +62,7 @@ func TestEpochSnapshotIsolation(t *testing.T) {
 	if n := len(post.InvertedLookup("fresh face")); n != 1 {
 		t.Errorf("post epoch postings = %d want 1", n)
 	}
-	if got := post.Entity("person").DerivedByAttr("movie:genre").Counts(7)["Drama"]; got != 1 {
+	if got := countsOf(post.Entity("person").DerivedByAttr("movie:genre"), 7)["Drama"]; got != 1 {
 		t.Errorf("post epoch derived count = %d want 1", got)
 	}
 	rebuildAndCompare(t, a)
@@ -212,7 +212,7 @@ func TestRejectedInsertPublishesNothing(t *testing.T) {
 	if p, m := fact.Column("person_id").Int64(last), fact.Column("movie_id").Int64(last); p != 3 || m != 13 {
 		t.Errorf("fact row shifted: got (%d,%d) want (3,13)", p, m)
 	}
-	if got := ep.Entity("person").DerivedByAttr("movie:genre").Counts(3)["Drama"]; got != 1 {
+	if got := countsOf(ep.Entity("person").DerivedByAttr("movie:genre"), 3)["Drama"]; got != 1 {
 		t.Errorf("derived Drama count = %d want 1", got)
 	}
 	rebuildAndCompare(t, a)

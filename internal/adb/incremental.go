@@ -59,10 +59,9 @@ type epochBuilder struct {
 	// retires keeps alive on its own.
 	gen *relation.Gen
 
-	baseRels    map[string]*relation.Relation // privatized base relations
-	derivedRels map[string]*relation.Relation // privatized derived relations
-	entities    map[string]*EntityInfo        // privatized entity infos
-	isPriv      map[any]bool                  // clones created by this builder
+	baseRels map[string]*relation.Relation // privatized base relations
+	entities map[string]*EntityInfo        // privatized entity infos
+	isPriv   map[any]bool                  // clones created by this builder
 
 	// logRows, when set (a publish hook is attached), makes the builder
 	// record every successfully applied row in apply order — the epoch
@@ -114,7 +113,6 @@ func (a *AlphaDB) newEpochBuilder() *epochBuilder {
 		idx:         index.NewIndexDelta(base.Indexes, gen),
 		gen:         gen,
 		baseRels:    make(map[string]*relation.Relation),
-		derivedRels: make(map[string]*relation.Relation),
 		entities:    make(map[string]*EntityInfo),
 		isPriv:      make(map[any]bool),
 		readers:     make(map[any]any),
@@ -124,21 +122,27 @@ func (a *AlphaDB) newEpochBuilder() *epochBuilder {
 
 // dirty reports whether the builder changed anything worth publishing.
 func (eb *epochBuilder) dirty() bool {
-	return len(eb.baseRels) > 0 || len(eb.derivedRels) > 0 || len(eb.entities) > 0
+	return len(eb.baseRels) > 0 || len(eb.entities) > 0
 }
 
-// finalize re-points the path of every categorical property the batch
-// cloned at the batch's final relations and indexes, and rebuilds the
-// attribute maps of privatized entities (their clones still index the
-// base's property pointers) before publish. A property the batch did
-// not clone keeps the path of an earlier epoch: an insert that changes
-// an entity's codes clones the property, so the rows that path reads
-// give the codes they gave.
+// finalize re-points the path of every categorical property and the
+// walk of every derived property the batch cloned at the batch's final
+// relations and indexes, and rebuilds the attribute maps of privatized
+// entities (their clones still index the base's property pointers)
+// before publish. A property the batch did not clone keeps the reader
+// of an earlier epoch: an insert that changes an entity's codes or
+// strengths clones the property, so the rows that reader reads give
+// what they gave.
 func (eb *epochBuilder) finalize() {
 	for _, info := range eb.entities {
 		for _, p := range info.Basic {
 			if eb.isPriv[p] && p.Kind == Categorical {
 				p.path = p.pairs(eb)
+			}
+		}
+		for _, p := range info.Derived {
+			if eb.isPriv[p] {
+				p.walk = p.reader(eb)
 			}
 		}
 		info.buildAttrMaps()
@@ -165,20 +169,6 @@ func readerOf[R any](eb *epochBuilder, p any, newReader func(source) R) *R {
 		*r = newReader(eb)
 		eb.readers[p] = r
 	}
-	return r
-}
-
-// derivedRel privatizes a derived relation; bumps overwrite existing
-// cells of the count column through the writer's generation, which
-// copies a chunk of the column on its first write into it (see
-// relation.Column.CloneForUpdate) — the rest stays shared.
-func (eb *epochBuilder) derivedRel(name string) *relation.Relation {
-	if r := eb.derivedRels[name]; r != nil {
-		return r
-	}
-	r := eb.base.DerivedDB.Relation(name).CloneForWrite()
-	r.UpdateColumn("count", eb.gen)
-	eb.derivedRels[name] = r
 	return r
 }
 
@@ -482,7 +472,7 @@ func (eb *epochBuilder) applyFact(fact *relation.Relation, fr int, at *arrival) 
 					continue
 				}
 				eb.codes = r.add(vRow, eb.codes[:0])
-				eb.addContrib(entity, i, []int{eRow}, r)
+				eb.addContrib(entity, i, []int{eRow})
 			case at == nil && p.Target.Type == FactDim && p.Target.Fact == fact.Name:
 				r := readerOf(eb, p, p.reader)
 				vRow, code, ok := r.target.pair(fr)
@@ -499,7 +489,7 @@ func (eb *epochBuilder) applyFact(fact *relation.Relation, fr int, at *arrival) 
 					}
 				}
 				eb.codes = append(eb.codes[:0], code)
-				eb.addContrib(entity, i, linked, r)
+				eb.addContrib(entity, i, linked)
 			}
 		}
 	}
@@ -507,53 +497,23 @@ func (eb *epochBuilder) applyFact(fact *relation.Relation, fr int, at *arrival) 
 
 // addContrib adds the codes in eb.codes to the strengths of each entity
 // row in the i-th derived property of entity.
-func (eb *epochBuilder) addContrib(entity string, i int, eRows []int, r *derivedReader) {
+func (eb *epochBuilder) addContrib(entity string, i int, eRows []int) {
 	if len(eb.codes) == 0 || len(eRows) == 0 {
 		return
 	}
-	info := eb.entity(entity)
-	p := eb.privDerived(info, i)
-	p.rel = eb.derivedRel(p.RelName)
-	p.byEntity = eb.idx.PrivateIntHash(p.rel, "entity_id")
+	p := eb.privDerived(eb.entity(entity), i)
 	for _, eRow := range eRows {
 		for _, code := range eb.codes {
-			eb.bump(p, info.IDByRow(eRow), eRow, r.decode(code))
+			eb.bump(p, eRow, code)
 		}
 	}
 }
 
 // bump increments the (entity, value) association strength by one on
-// the writer's private clones of the property, its derived relation
-// (one chunk of the count column copied on first touch) and entity
-// index (tail cloned), and the value's pair list and histogram (one
-// chunk of each copied on first touch).
-func (eb *epochBuilder) bump(p *DerivedProperty, entityID int64, eRow int, v string) {
+// the writer's private clone of the property: the value's pair list and
+// histogram, one chunk of each copied on first touch.
+func (eb *epochBuilder) bump(p *DerivedProperty, eRow int, code int32) {
 	eb.bumped++
-	rel, byEnt := p.rel, p.byEntity
-	// Locate the existing derived row by comparing value codes.
-	vcol, ccol := p.columns()
-	code, known := vcol.Dict().Lookup(v)
-	old, found := 0, -1
-	if known {
-		base, tail := byEnt.Rows(entityID)
-	find:
-		for _, run := range [2][]uint32{base, tail} {
-			for _, r := range run {
-				if vcol.Code(int(r)) == code {
-					found = int(r)
-					old = int(ccol.Int64(found))
-					break find
-				}
-			}
-		}
-	}
-	if found >= 0 {
-		_ = ccol.Set(found, relation.IntVal(int64(old+1)))
-	} else {
-		rel.MustAppend(relation.IntVal(entityID), relation.StringVal(v), relation.IntVal(1))
-		code = vcol.Code(rel.NumRows() - 1)
-		eb.idx.NoteAppend(rel, rel.NumRows()-1)
-	}
 	g := eb.gen
 	for p.codes.Len() <= int(code) {
 		p.codes.Append(g, codeStats{})
@@ -561,11 +521,13 @@ func (eb *epochBuilder) bump(p *DerivedProperty, entityID int64, eRow int, v str
 	cs := p.codes.At(int(code))
 	// Pair list: insert in entity-row order (the invariant behind
 	// StrengthOf's binary search and merge intersection).
-	pair := valCount{entityRow: uint32(eRow), count: uint32(old + 1)}
-	if ci, off, has := cs.find(eRow); has {
-		cs.pairs.SetAt(g, ci, off, pair)
+	ci, off, has := cs.find(eRow, p.numEntities)
+	old := 0
+	if has {
+		old = int(cs.pairs.Chunk(ci)[off].count)
+		cs.pairs.SetAt(g, ci, off, valCount{entityRow: uint32(eRow), count: uint32(old + 1)})
 	} else {
-		cs.pairs.InsertAt(g, ci, off, pair)
+		cs.pairs.InsertAt(g, ci, off, valCount{entityRow: uint32(eRow), count: 1})
 	}
 	// Histogram: one more entity at strength ≥ old+1.
 	for cs.ge.Len() <= old {

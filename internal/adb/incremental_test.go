@@ -110,7 +110,7 @@ func TestInsertEntityErrors(t *testing.T) {
 func TestInsertFactMaintainsDerived(t *testing.T) {
 	a := buildFixture(t)
 	oldPtg := a.Entity("person").DerivedByAttr("movie:genre")
-	before := oldPtg.Counts(3)["Comedy"] // person 3 had 1 comedy (movie 10)
+	before := countsOf(oldPtg, 3)["Comedy"] // person 3 had 1 comedy (movie 10)
 
 	// Person 3 also appears in movie 11 (Comedy).
 	if err := a.InsertBatch([]InsertOp{{Rel: "castinfo", Vals: []relation.Value{relation.IntVal(3), relation.IntVal(11)}}}, trace.Span{}); err != nil {
@@ -119,11 +119,11 @@ func TestInsertFactMaintainsDerived(t *testing.T) {
 	// Handles are epoch-pinned: the current epoch sees the new fact,
 	// the pre-insert handle keeps its snapshot.
 	info := a.Entity("person")
-	after := info.DerivedByAttr("movie:genre").Counts(3)["Comedy"]
+	after := countsOf(info.DerivedByAttr("movie:genre"), 3)["Comedy"]
 	if after != before+1 {
 		t.Errorf("comedy count %d -> %d, want +1", before, after)
 	}
-	if got := oldPtg.Counts(3)["Comedy"]; got != before {
+	if got := countsOf(oldPtg, 3)["Comedy"]; got != before {
 		t.Errorf("retired epoch's count moved: %d want %d", got, before)
 	}
 	// The entity-association property gained the new title.
@@ -149,7 +149,7 @@ func TestInsertFactNewValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	ptg := a.Entity("person").DerivedByAttr("movie:genre")
-	if got := ptg.Counts(1)["Drama"]; got != 1 {
+	if got := countsOf(ptg, 1)["Drama"]; got != 1 {
 		t.Errorf("new drama association=%d want 1", got)
 	}
 	rebuildAndCompare(t, a)
@@ -169,11 +169,11 @@ func TestInsertFactForNewEntity(t *testing.T) {
 	}
 	info := a.Entity("person")
 	ptg := info.DerivedByAttr("movie:genre")
-	if got := ptg.Counts(50)["Comedy"]; got != 3 {
+	if got := countsOf(ptg, 50)["Comedy"]; got != 3 {
 		t.Errorf("new entity's comedy count=%d want 3", got)
 	}
 	deg := info.DerivedByAttr("movie:count")
-	if got := deg.Counts(50)["movie"]; got != 3 {
+	if got := countsOf(deg, 50)["movie"]; got != 3 {
 		t.Errorf("degree=%d want 3", got)
 	}
 	rebuildAndCompare(t, a)

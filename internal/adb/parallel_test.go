@@ -28,15 +28,18 @@ func alphaFingerprint(a *AlphaDB) string {
 		for _, p := range info.Derived {
 			out += fmt.Sprintf("  derived %s rel=%s via=%s target=%+v\n", p.Attr, p.RelName, p.Via, p.Target)
 			for _, v := range p.DistinctValues() {
-				out += fmt.Sprintf("    %q -> %v max=%d\n", v, p.ValueEntries(v), p.MaxStrength(v))
+				out += fmt.Sprintf("    %q -> %v max=%d\n", v, p.Selectivity(v, 1), p.MaxStrength(v))
 			}
 		}
 	}
-	for _, name := range a.Snapshot().DerivedDB.RelationNames() {
-		rel := a.Snapshot().DerivedDB.Relation(name)
-		out += fmt.Sprintf("derivedrel %s rows=%d\n", name, rel.NumRows())
-		for i := 0; i < rel.NumRows(); i++ {
-			out += fmt.Sprintf("  %v\n", rel.Row(i))
+	ep := a.Snapshot()
+	for _, name := range ep.DB.EntityRelations() {
+		for _, p := range ep.Entity(name).Derived {
+			rel := ep.CombinedDB().View(p.RelName).Rows(nil)
+			out += fmt.Sprintf("derivedrel %s rows=%d\n", p.RelName, rel.NumRows())
+			for i := 0; i < rel.NumRows(); i++ {
+				out += fmt.Sprintf("  %v\n", rel.Row(i))
+			}
 		}
 	}
 	return out

@@ -1,9 +1,10 @@
 // Package adb implements SQuID's offline module: it turns a relational
 // database plus administrator metadata (which relations are entities,
 // which are direct properties) into an abduction-ready database (αDB).
-// The αDB discovers fact tables from key-foreign-key edges, materializes
-// derived relations such as persontogenre(person_id, genre_id, count)
-// (Fig 5 / query Q6 of the paper), precomputes selectivity statistics for
+// The αDB discovers fact tables from key-foreign-key edges, derives
+// relations such as persontogenre(person_id, genre_id, count) (Fig 5 /
+// query Q6 of the paper) as per-value pair lists, which the engine reads
+// as views, precomputes selectivity statistics for
 // every basic and derived semantic property, and builds the inverted
 // column index used for entity lookup (§5).
 //
@@ -465,9 +466,10 @@ type valCount struct {
 
 // DerivedProperty is an aggregate over a basic property of an associated
 // entity (§3.1): e.g. for person, the number of Comedy movies they
-// appear in. It is materialized as a derived relation
-// (entity_id, value, count) in the αDB. Per-value statistics are keyed
-// by the codes of the derived relation's value-column dictionary.
+// appear in. It is the paper's derived relation (entity_id, value,
+// count) held as its per-value pair lists; the engine reads the
+// relation as a view over them (View). Per-value statistics are keyed
+// by the codes of the dictionary the values come from.
 type DerivedProperty struct {
 	Entity string
 	// Via is the associated entity relation (movie for persontogenre).
@@ -485,16 +487,25 @@ type DerivedProperty struct {
 	// Target describes how the aggregated value is reached from Via
 	// (Direct column, FKDim, FactDim, or Degree).
 	Target AccessPath
-	// RelName is the materialized derived relation name, e.g.
-	// "persontogenre".
+	// RelName is the derived relation's name, e.g. "persontogenre".
 	RelName string
 
-	rel      *relation.Relation
-	byEntity *index.IntHash
+	// dict is the dictionary the codes index into: the target's source
+	// column's, shared with the base relations, or for Degree one of
+	// the property's own holding Via's name.
+	dict *relation.Dict
+	// walk is the property's reader resolved against its epoch: it
+	// answers an entity row's strengths (AppendCounts) by walking its
+	// first-fact rows. Build and Load resolve it once; a writer
+	// re-points every property it clones at its publish.
+	walk derivedReader
 	// codes[code] holds the statistics of one value (see codeStats).
 	codes       relation.Chunked[codeStats]
 	numEntities int
 	memo        *rowSetMemo
+	// schema is the derived relation's columns and keys with no row
+	// (View.Schema).
+	schema *relation.Relation
 }
 
 // codeStats is what a derived property knows about one value code.
@@ -532,15 +543,45 @@ func newCodeStats(pairs relation.Chunked[valCount]) codeStats {
 	return codeStats{pairs: pairs, ge: relation.ChunkedOf(ge)}
 }
 
-// find locates entity row in the pair list: the chunk and offset where
-// its pair is (found) or belongs (not found).
-func (cs *codeStats) find(row int) (ci, off int, found bool) {
-	ci, off = cs.pairs.Search(func(vc valCount) bool { return int(vc.entityRow) >= row })
-	if ci < cs.pairs.NumChunks() {
-		c := cs.pairs.Chunk(ci)
-		found = off < len(c) && int(c[off].entityRow) == row
+// find locates entity row in the pair list, whose rows lie below
+// entities: the chunk and offset where its pair is (found) or belongs
+// (not found). A list's rows spread about evenly, so find starts where
+// the row's rank would put it and steps to the exact place: to the last
+// chunk whose first row is at most row, read from the chunk table alone,
+// then within the chunk from the rank between its first row and the
+// next chunk's. A probe reads about one line of pairs, where a binary
+// search over the chunks' last rows and then within one read a dozen.
+// Derived contexts probe a pair list per example and shared value.
+func (cs *codeStats) find(row, entities int) (ci, off int, found bool) {
+	r, n := uint32(row), cs.pairs.NumChunks()
+	if n == 0 || cs.pairs.First(0).entityRow > r {
+		return 0, 0, false
 	}
-	return ci, off, found
+	for ci = min(n-1, row*n/max(entities, 1)); cs.pairs.First(ci).entityRow > r; ci-- {
+	}
+	for ci+1 < n && cs.pairs.First(ci+1).entityRow <= r {
+		ci++
+	}
+	c, lo, hi := cs.pairs.Chunk(ci), cs.pairs.First(ci).entityRow, uint32(entities)
+	if ci+1 < n {
+		hi = cs.pairs.First(ci + 1).entityRow
+	}
+	if r > lo && hi > lo {
+		off = min(len(c)-1, int(uint64(r-lo)*uint64(len(c))/uint64(hi-lo)))
+	}
+	for off > 0 && c[off-1].entityRow >= r {
+		off--
+	}
+	for off < len(c) && c[off].entityRow < r {
+		off++
+	}
+	if off < len(c) {
+		return ci, off, c[off].entityRow == r
+	}
+	if ci+1 < n {
+		return ci + 1, 0, false
+	}
+	return ci, off, false
 }
 
 // NumEntities returns |R| for the owning entity relation.
@@ -560,43 +601,22 @@ func (p *DerivedProperty) PairBytes() int64 {
 // cloneForWrite returns a copy-on-write clone for one epoch's writer
 // (see BasicProperty.cloneForWrite): the per-code table, every pair
 // list and every histogram are chunked vectors that copy what the
-// writer's generation touches; relation and entity index are re-pointed
-// by the writer when it privatizes them; the memo starts empty.
+// writer's generation touches; the walk still reads the base epoch
+// until the writer re-points it; the memo starts empty.
 func (p *DerivedProperty) cloneForWrite() *DerivedProperty {
 	q := *p
 	q.memo = newRowSetMemo(p.memo.cache)
 	return &q
 }
 
-// Relation returns the materialized derived relation.
-func (p *DerivedProperty) Relation() *relation.Relation { return p.rel }
-
-// The columns of a derived relation, by position: (entity_id, value,
-// count).
-const (
-	derivedValueCol = 1
-	derivedCountCol = 2
-)
-
-// columns returns the derived relation's value and count columns by
-// position, without a lookup by name.
-func (p *DerivedProperty) columns() (value, count *relation.Column) {
-	cols := p.rel.Columns()
-	return cols[derivedValueCol], cols[derivedCountCol]
-}
-
-// valueDict returns the dictionary of the derived relation's value
-// column, which keys every per-value statistic.
-func (p *DerivedProperty) valueDict() *relation.Dict { return p.rel.Columns()[derivedValueCol].Dict() }
-
 // Dict returns the value dictionary the property's codes index into.
-func (p *DerivedProperty) Dict() *relation.Dict { return p.valueDict() }
+func (p *DerivedProperty) Dict() *relation.Dict { return p.dict }
 
 // DecodeValue decodes a value code to its string.
-func (p *DerivedProperty) DecodeValue(code int32) string { return p.valueDict().Value(code) }
+func (p *DerivedProperty) DecodeValue(code int32) string { return p.dict.Value(code) }
 
 // LookupCode returns the code of a derived value and whether it exists.
-func (p *DerivedProperty) LookupCode(v string) (int32, bool) { return p.valueDict().Lookup(v) }
+func (p *DerivedProperty) LookupCode(v string) (int32, bool) { return p.dict.Lookup(v) }
 
 // statsOf returns the statistics of a code for reading (nil when the
 // code is past the table: the dictionary can grow ahead of it).
@@ -607,45 +627,55 @@ func (p *DerivedProperty) statsOf(code int32) *codeStats {
 	return nil
 }
 
-// Counts returns the per-value association strengths of the entity at
-// the given row of the entity relation.
-func (p *DerivedProperty) Counts(entityID int64) map[string]int {
-	base, tail := p.byEntity.Rows(entityID)
-	if len(base)+len(tail) == 0 {
-		return nil
-	}
-	out := make(map[string]int, len(base)+len(tail))
-	vcol, ccol := p.columns()
-	for _, run := range [2][]uint32{base, tail} {
-		for _, r := range run {
-			out[vcol.Str(int(r))] = int(ccol.Int64(int(r)))
-		}
-	}
-	return out
-}
-
 // CodeCount pairs a value code with an association strength.
 type CodeCount struct {
 	Code  int32
 	Count int
 }
 
-// AppendCounts appends the per-value association strengths of an entity,
-// keyed by value code, to dst and returns it — the form of Counts the
-// abduction layer's code-based context discovery reads into a buffer it
-// reuses from example to example. A value appears once per entity.
-func (p *DerivedProperty) AppendCounts(dst []CodeCount, entityID int64) []CodeCount {
-	base, tail := p.byEntity.Rows(entityID)
-	if len(base)+len(tail) == 0 {
-		return dst
-	}
-	vcol, ccol := p.columns()
+// AppendCounts appends the per-value association strengths of the
+// entity at row to dst, ascending by value code, one a value, and
+// returns it: exactly what the build's adjacencyOf and materializeDerived
+// give the row — its distinct via rows, walked through the relations and
+// resident indexes of the property's epoch, their contributions counted.
+// sc is the walk's working memory (the via rows, then their codes,
+// sorted and counted in runs), returned grown: a caller that passes both
+// back from row to row allocates nothing once they have room.
+func (p *DerivedProperty) AppendCounts(dst []CodeCount, sc []int32, row int) ([]CodeCount, []int32) {
+	d := &p.walk
+	sc = sc[:0]
+	base, tail := d.factRows(row)
 	for _, run := range [2][]uint32{base, tail} {
-		for _, r := range run {
-			dst = append(dst, CodeCount{Code: vcol.Code(int(r)), Count: int(ccol.Int64(int(r)))})
+		for _, fr := range run {
+			if _, vRow, ok := d.link(int(fr)); ok {
+				sc = append(sc, int32(vRow))
+			}
 		}
 	}
-	return dst
+	slices.Sort(sc)
+	sc = slices.Compact(sc)
+	vias := len(sc)
+	for i := range vias {
+		sc = d.add(int(sc[i]), sc)
+	}
+	codes := sc[vias:]
+	slices.Sort(codes)
+	for i, c := range codes {
+		if i > 0 && c == codes[i-1] {
+			dst[len(dst)-1].Count++
+		} else {
+			dst = append(dst, CodeCount{Code: c, Count: 1})
+		}
+	}
+	return dst, sc
+}
+
+// SourceRows returns how many first-fact rows AppendCounts reads for
+// the entity at row: what a caller weighs a walk by against probing the
+// pair lists.
+func (p *DerivedProperty) SourceRows(row int) int {
+	base, tail := p.walk.factRows(row)
+	return len(base) + len(tail)
 }
 
 // Selectivity returns ψ(φ⟨Attr,v,θ⟩): the fraction of entities associated
@@ -747,7 +777,7 @@ func (p *DerivedProperty) StrengthOfCode(row int, code int32) int {
 	if cs == nil {
 		return 0
 	}
-	if ci, off, found := cs.find(row); found {
+	if ci, off, found := cs.find(row, p.numEntities); found {
 		return int(cs.pairs.Chunk(ci)[off].count)
 	}
 	return 0
@@ -761,29 +791,6 @@ func (p *DerivedProperty) StrengthOf(row int, v string) int {
 		return 0
 	}
 	return p.StrengthOfCode(row, code)
-}
-
-// ValEntry pairs an entity row with its association strength.
-type ValEntry struct {
-	Row   int
-	Count int
-}
-
-// ValueEntries returns every (entity row, strength) pair for value v;
-// the abduction layer uses it for normalized association strength.
-func (p *DerivedProperty) ValueEntries(v string) []ValEntry {
-	code, ok := p.LookupCode(v)
-	cs := p.statsOf(code)
-	if !ok || cs == nil {
-		return nil
-	}
-	out := make([]ValEntry, 0, cs.pairs.Len())
-	for ci := 0; ci < cs.pairs.NumChunks(); ci++ {
-		for _, vc := range cs.pairs.Chunk(ci) {
-			out = append(out, ValEntry{Row: int(vc.entityRow), Count: int(vc.count)})
-		}
-	}
-	return out
 }
 
 // MaxStrength returns the largest association strength observed for v.
@@ -801,11 +808,73 @@ func (p *DerivedProperty) DistinctValues() []string {
 	var out []string
 	for code := 0; code < p.codes.Len(); code++ {
 		if p.codes.Ref(code).pairs.Len() > 0 {
-			out = append(out, p.valueDict().Value(int32(code)))
+			out = append(out, p.dict.Value(int32(code)))
 		}
 	}
 	sort.Strings(out)
 	return out
+}
+
+// viewRows lists the derived relation (entity_id, value, count) from
+// the pair lists in the cold build's order — entity row, then the
+// value's rank — all of its rows when codes is nil, else those of the
+// given values: none is the schema. One value's rows are its pair list
+// as it stands; several values' are placed in rank order by a counting
+// sort on the entity row. info holds the entities' keys.
+func (p *DerivedProperty) viewRows(info *EntityInfo, codes []int32) *relation.Relation {
+	if codes == nil {
+		for code := range p.codes.Len() {
+			codes = append(codes, int32(code))
+		}
+	} else {
+		codes = slices.Clone(codes)
+		slices.Sort(codes)
+		codes = slices.Compact(codes)
+	}
+	n := 0
+	codes = slices.DeleteFunc(codes, func(c int32) bool {
+		cs := p.statsOf(c)
+		if cs == nil {
+			return true
+		}
+		n += cs.pairs.Len()
+		return cs.pairs.Len() == 0
+	})
+	p.dict.SortCodes(codes)
+	// offs[r] is the next slot of entity row r's rows.
+	var offs []int
+	if len(codes) > 1 {
+		offs = make([]int, p.numEntities+1)
+		for _, code := range codes {
+			for _, vc := range p.statsOf(code).pairs.All() {
+				offs[vc.entityRow+1]++
+			}
+		}
+		for r := range p.numEntities {
+			offs[r+1] += offs[r]
+		}
+	}
+	ids, vals, counts := make([]int64, n), make([]int32, n), make([]int64, n)
+	pk := info.rel.Column(info.PK)
+	at := 0
+	for _, code := range codes {
+		for _, vc := range p.statsOf(code).pairs.All() {
+			i := at
+			if offs != nil {
+				i = offs[vc.entityRow]
+				offs[vc.entityRow]++
+			}
+			ids[i], vals[i], counts[i] = pk.Int64(int(vc.entityRow)), code, int64(vc.count)
+			at++
+		}
+	}
+	return relation.Restore(p.RelName, "",
+		[]relation.ForeignKey{{Column: "entity_id", RefRelation: p.Entity, RefColumn: info.PK}},
+		[]*relation.Column{
+			relation.RestoreIntColumn("entity_id", ids, nil),
+			relation.RestoreStringColumn("value", vals, p.dict, nil),
+			relation.RestoreIntColumn("count", counts, nil),
+		}, n)
 }
 
 // String renders the property for diagnostics.

@@ -71,7 +71,7 @@ func (a *Epoch) Encode(w *snapshot.Writer) {
 // header. It reads and checks everything the file holds, then the
 // trailer, and derives nothing before the trailer passes: the hash
 // indexes, the inverted index, every basic property's statistics
-// (deriveBasic) and the derived relations (deriveAll) are built by the
+// (deriveBasic) and the derived properties (deriveAll) are built by the
 // functions buildEpoch builds them with, fanned over the loading
 // process's own workers. The restored state shares nothing with the
 // stream, and it is published under the sequence number the snapshot
@@ -87,7 +87,6 @@ func Decode(r *snapshot.Reader) (*AlphaDB, error) {
 	a := &Epoch{
 		DB:        db,
 		Entities:  make(map[string]*EntityInfo),
-		DerivedDB: relation.NewDatabase(db.Name + "_alpha"),
 		BuildTime: buildTime,
 		cfg:       cfg,
 		selCache:  &SelCache{},
@@ -156,6 +155,7 @@ func Decode(r *snapshot.Reader) (*AlphaDB, error) {
 	}
 	index.RunBounded(len(basic), workers, func(i int) { a.deriveBasic(basic[i]) })
 	a.deriveAll(derived)
+	a.names = a.nameTable()
 	<-invDone
 	return newAlphaDB(a), nil
 }

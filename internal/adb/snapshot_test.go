@@ -3,11 +3,9 @@ package adb
 import (
 	"bytes"
 	"math"
-	"slices"
 	"strings"
 	"testing"
 
-	"squid/internal/relation"
 	"squid/internal/snapshot"
 )
 
@@ -43,8 +41,9 @@ func statsFingerprint(a *AlphaDB) string {
 // base relation — and expects Decode to fail: unchecked, every one of
 // these loads cleanly and panics or answers wrongly later, inside a
 // discovery. The rebuilt cases damage what v8 does not store — a
-// categorical property's distinct-value count, a posting list, a numeric value order, a pair list, the cells and the
-// row order of a derived relation — and expect the opposite: the damage
+// categorical property's distinct-value count, a posting list, a
+// numeric value order, a derived property's pairs and their order —
+// and expect the opposite: the damage
 // cannot reach the file, so the loaded αDB answers as the undamaged
 // fixture does.
 func TestDecodeRejectsOutOfRangeBlocks(t *testing.T) {
@@ -53,12 +52,16 @@ func TestDecodeRejectsOutOfRangeBlocks(t *testing.T) {
 		t.Fatalf("undamaged fixture does not round-trip: %v", err)
 	}
 	const far = 1 << 20
-	// setCell overwrites one cell of person's movie:genre relation, whose
-	// rows are (1, Comedy, 3), (2, Drama, 2), (3, Comedy, 1).
-	setCell := func(person *EntityInfo, row int, col string, v relation.Value) {
-		if err := person.DerivedByAttr("movie:genre").rel.Column(col).Set(row, v); err != nil {
-			t.Fatal(err)
-		}
+	// setPair overwrites one pair of person's movie:genre property, whose
+	// relation rows are (1, Comedy, 3), (2, Drama, 2), (3, Comedy, 1):
+	// the first pair of Comedy's list, Drama's, and Comedy's second.
+	setPair := func(person *EntityInfo, row int, damage func(*valCount)) {
+		p := person.DerivedByAttr("movie:genre")
+		code, _ := p.LookupCode([]string{"Comedy", "Drama", "Comedy"}[row])
+		cs := p.codes.Ref(int(code))
+		vc := cs.pairs.At(row / 2)
+		damage(&vc)
+		cs.pairs.SetAt(nil, 0, row/2, vc)
 	}
 	cases := []struct {
 		name    string
@@ -93,50 +96,38 @@ func TestDecodeRejectsOutOfRangeBlocks(t *testing.T) {
 			person.BasicByAttr("gender").numValues++
 		}},
 		{"pair row past the relation", true, func(person *EntityInfo) {
-			setCell(person, 1, "entity_id", relation.IntVal(far))
+			setPair(person, 1, func(vc *valCount) { vc.entityRow = far })
 		}},
 		{"pair row at the 32-bit edge", true, func(person *EntityInfo) {
-			setCell(person, 1, "entity_id", relation.IntVal(1<<32|1))
+			setPair(person, 1, func(vc *valCount) { vc.entityRow = math.MaxUint32 })
 		}},
 		{"pair row repeated", true, func(person *EntityInfo) {
-			setCell(person, 2, "entity_id", relation.IntVal(1))
+			setPair(person, 2, func(vc *valCount) { vc.entityRow = 0 })
 		}},
 		{"pair cell NULL", true, func(person *EntityInfo) {
-			setCell(person, 0, "count", relation.Null)
+			setPair(person, 0, func(vc *valCount) { *vc = valCount{} })
 		}},
 		{"pair count zero", true, func(person *EntityInfo) {
-			setCell(person, 0, "count", relation.IntVal(0))
+			setPair(person, 0, func(vc *valCount) { vc.count = 0 })
 		}},
 		{"pair count negative", true, func(person *EntityInfo) {
-			// No chunked count cell holds one: the damage is a flat
-			// column in the count column's place.
-			p := person.DerivedByAttr("movie:genre")
-			cols := slices.Clone(p.rel.Columns())
-			counts := make([]int64, p.rel.NumRows())
-			for row := range counts {
-				counts[row] = cols[derivedCountCol].Int64(row)
-			}
-			counts[0] = -1
-			cols[derivedCountCol] = relation.RestoreIntColumn("count", counts, nil)
-			p.rel = relation.Restore(p.rel.Name, "", p.rel.Foreign, cols, p.rel.NumRows())
+			setPair(person, 0, func(vc *valCount) { vc.count = uint32(math.MaxUint32) }) // int32 -1
 		}},
 		{"pair count past the database", true, func(person *EntityInfo) {
-			setCell(person, 0, "count", relation.IntVal(1<<31))
+			setPair(person, 0, func(vc *valCount) { vc.count = 1 << 31 })
 		}},
 		{"pair count at the 32-bit edge", true, func(person *EntityInfo) {
-			setCell(person, 0, "count", relation.IntVal(math.MaxUint32))
+			setPair(person, 0, func(vc *valCount) { vc.count = math.MaxUint32 - 1 })
 		}},
 		{"pair rows out of order", true, func(person *EntityInfo) {
-			// What an insert leaves behind: a value's rows out of entity
-			// order in the relation. Load emits them in entity order again.
-			setCell(person, 0, "entity_id", relation.IntVal(3))
-			setCell(person, 0, "count", relation.IntVal(1))
-			setCell(person, 2, "entity_id", relation.IntVal(1))
-			setCell(person, 2, "count", relation.IntVal(3))
+			// Comedy's list out of entity order: Load lists it in order
+			// again.
+			setPair(person, 0, func(vc *valCount) { *vc = valCount{entityRow: 2, count: 1} })
+			setPair(person, 2, func(vc *valCount) { *vc = valCount{entityRow: 0, count: 3} })
 		}},
 		{"pair list code past the dictionary", true, func(person *EntityInfo) {
 			p := person.DerivedByAttr("movie:genre")
-			for n := p.valueDict().Len(); p.codes.Len() <= n; {
+			for n := p.dict.Len(); p.codes.Len() <= n; {
 				p.codes.Append(nil, codeStats{})
 			}
 		}},

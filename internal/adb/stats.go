@@ -60,11 +60,9 @@ type Stats struct {
 // figure counted from lengths and element widths rather than sampled.
 // The dictionaries' maps are not attributed yet.
 type ResidentBytes struct {
-	// Columns and DerivedColumns are the cell storage (a derived count
-	// column's 4-byte cells and chunk table) and dictionaries (with the
-	// rank tables the read path has built over them so far) of the base
-	// and the derived relations.
-	Columns, DerivedColumns int64
+	// Columns is the cell storage and dictionaries (with the rank tables
+	// the read path has built over them so far) of the base relations.
+	Columns int64
 	// HashIndexBase and HashIndexTail are the flat bases (a key-ordered
 	// base's offsets, and once the span of the process-wide identity
 	// vector those bases read) and the tail maps of the resident hash
@@ -81,7 +79,8 @@ type ResidentBytes struct {
 	// column.
 	BasicStats int64
 	// DerivedPairs is the derived properties' per-value pair lists and
-	// strength histograms.
+	// strength histograms: the derived relations, which the engine reads
+	// as views over them.
 	DerivedPairs int64
 	// RowSetMemos is the memoized satisfying-row sets.
 	RowSetMemos int64
@@ -91,7 +90,7 @@ type ResidentBytes struct {
 // over index and property headers and the dictionaries, never over
 // rows.
 func (a *Epoch) ResidentBytes() ResidentBytes {
-	r := ResidentBytes{Columns: a.DB.ByteSize(), DerivedColumns: a.DerivedDB.ByteSize(), Inverted: a.Inverted.ResidentBytes()}
+	r := ResidentBytes{Columns: a.DB.ByteSize(), Inverted: a.Inverted.ResidentBytes()}
 	r.HashIndexBase, r.HashIndexTail = a.Indexes.ResidentBytes()
 	for _, e := range a.Entities {
 		for _, p := range e.Basic {
@@ -132,15 +131,11 @@ func (a *Epoch) ComputeStats() Stats {
 		Name:            a.DB.Name,
 		DBBytes:         res.Columns,
 		NumRelations:    a.DB.NumRelations(),
-		PrecomputedSize: res.DerivedColumns,
+		PrecomputedSize: res.DerivedPairs,
 		Resident:        res,
 		BuildTime:       a.BuildTime,
-		NumDerivedRels:  a.DerivedDB.NumRelations(),
 		EpochSeq:        a.seq,
 		EpochAgeSec:     time.Since(a.publishedAt).Seconds(),
-	}
-	for _, n := range a.DerivedDB.RelationNames() {
-		s.DerivedRows += a.DerivedDB.Relation(n).NumRows()
 	}
 	for _, n := range a.DB.RelationNames() {
 		s.RelationCards = append(s.RelationCards, RelCard{n, a.DB.Relation(n).NumRows()})
@@ -152,7 +147,13 @@ func (a *Epoch) ComputeStats() Stats {
 	for _, e := range a.Entities {
 		s.NumBasicProps += len(e.Basic)
 		s.NumDerivedProp += len(e.Derived)
+		for _, p := range e.Derived {
+			for _, cs := range p.codes.All() {
+				s.DerivedRows += cs.pairs.Len()
+			}
+		}
 	}
+	s.NumDerivedRels = s.NumDerivedProp
 	s.NumHashIndexes = a.Indexes.NumIndexes()
 	s.SelCacheEntries = a.selCache.Len()
 	s.SelCacheHits, s.SelCacheMisses = a.selCache.Metrics()

@@ -52,7 +52,10 @@ type scorer struct {
 	self  map[int]float64
 	pairs map[[2]int]float64
 	rows  map[int]*rowProfile
-	codes []int32 // one row's codes of one property (AppendValueCodes)
+	// codes holds one row's codes of one property (AppendValueCodes),
+	// or a derived walk's working memory; counts a row's strengths.
+	codes  []int32
+	counts []adb.CodeCount
 }
 
 // rowProfile caches one candidate row's property values, fetched from
@@ -104,14 +107,13 @@ func (sc *scorer) profile(row int) *rowProfile {
 		}
 		p.catVals[i] = set
 	}
-	id := info.IDByRow(row)
 	for i, prop := range info.Derived {
-		ccs := prop.AppendCounts(nil, id)
-		if len(ccs) == 0 {
+		sc.counts, sc.codes = prop.AppendCounts(sc.counts[:0], sc.codes, row)
+		if len(sc.counts) == 0 {
 			continue
 		}
-		m := make(map[int32]int, len(ccs))
-		for _, cc := range ccs {
+		m := make(map[int32]int, len(sc.counts))
+		for _, cc := range sc.counts {
 			m[cc.Code] = cc.Count
 		}
 		p.counts[i] = m

@@ -33,6 +33,19 @@ func referenceMeets(q, sub *Query) bool {
 	return sub.From[0] == q.From[0] && !q.HasAggregation() && !sub.HasAggregation() && len(sub.Intersect) == 0
 }
 
+// referenceRelations resolves q's FROM names in db, a view's every row
+// built.
+func referenceRelations(db *relation.Database, q *Query) map[string]*relation.Relation {
+	rels := make(map[string]*relation.Relation, len(q.From))
+	for _, name := range q.From {
+		rels[name] = db.Relation(name)
+		if v := db.View(name); v != nil {
+			rels[name] = v.Rows(nil)
+		}
+	}
+	return rels
+}
+
 // referenceTuples binds q's FROM relations by nested loops in the order
 // listed and returns the row-id tuples that satisfy its predicates and
 // joins, less those whose From[0] row a branch meeting q on rows holds
@@ -42,12 +55,12 @@ func referenceTuples(db *relation.Database, q *Query, budget *int) (tuples [][]i
 		*budget -= n
 		return *budget >= 0
 	}
-	pos := map[string]int{}
+	pos, rels := map[string]int{}, referenceRelations(db, q)
 	for i, name := range q.From {
 		pos[name] = i
 	}
 	ids := make([]int, len(q.From))
-	cell := func(rel, col string) relation.Value { return db.Relation(rel).Get(ids[pos[rel]], col) }
+	cell := func(rel, col string) relation.Value { return rels[rel].Get(ids[pos[rel]], col) }
 	// holds checks what binding From[depth] decides: its predicates and
 	// the joins between it and a relation bound before it.
 	holds := func(depth int) bool {
@@ -74,7 +87,7 @@ func referenceTuples(db *relation.Database, q *Query, budget *int) (tuples [][]i
 			tuples = append(tuples, slices.Clone(ids))
 			return
 		}
-		for row := 0; row < db.Relation(q.From[depth]).NumRows() && spend(1); row++ {
+		for row := 0; row < rels[q.From[depth]].NumRows() && spend(1); row++ {
 			if ids[depth] = row; holds(depth) {
 				walk(depth + 1)
 			}
@@ -112,12 +125,12 @@ func referenceWithin(db *relation.Database, q *Query, budget *int) (rows [][]rel
 	if !ok {
 		return nil, false
 	}
-	pos := map[string]int{}
+	pos, rels := map[string]int{}, referenceRelations(db, q)
 	for i, name := range q.From {
 		pos[name] = i
 	}
 	ids := make([]int, len(q.From))
-	cell := func(rel, col string) relation.Value { return db.Relation(rel).Get(ids[pos[rel]], col) }
+	cell := func(rel, col string) relation.Value { return rels[rel].Get(ids[pos[rel]], col) }
 	order := make([]int, len(q.From))
 	for i := range order {
 		order[i] = i
@@ -454,13 +467,6 @@ type kernelShape struct {
 	// oneDict makes r0.s and r1.s share a dictionary, so TEXT ⋈ TEXT
 	// compares codes without translating them.
 	oneDict bool
-	// chunked names the INTEGER columns of r0 and r1 stored as 4-byte
-	// cells in chunks, which the executor reads through Int64 rather
-	// than in place; update is how many rows of r0 an update clone
-	// overwrites in them (five of r1's), and a second clone a few more
-	// on top, once update passes the chunks of r0.
-	chunked []string
-	update  int
 }
 
 // kernelRows is r0's size: two whole blocks and a short third.
@@ -476,7 +482,7 @@ var kernelShapes = []kernelShape{
 		}
 		return k
 	}},
-	{name: "sparse keys, one dictionary, chunked keys and values", oneDict: true, chunked: []string{"k", "v"}, update: 40, key: func(rng *rand.Rand, hit bool) int64 {
+	{name: "sparse keys, one dictionary", oneDict: true, key: func(rng *rand.Rand, hit bool) int64 {
 		// A key every thousand: no bitmap, range test and hash only.
 		k := 1000 * int64(rng.Intn(30))
 		if !hit {
@@ -484,7 +490,7 @@ var kernelShapes = []kernelShape{
 		}
 		return k
 	}},
-	{name: "negative keys, chunked values overwritten twice", chunked: []string{"v"}, update: kernelRows/64 + 80, key: func(rng *rand.Rand, hit bool) int64 {
+	{name: "negative keys", key: func(rng *rand.Rand, hit bool) int64 {
 		k := -10 - 3*int64(rng.Intn(20))
 		if !hit {
 			k = -80 + int64(rng.Intn(90))*3 + 1
@@ -569,55 +575,7 @@ func genKernelDatabase(rng *rand.Rand, sh kernelShape) *relation.Database {
 		cols[r1.ColumnIndex("s")] = relation.RestoreStringColumn("s", codes, dict, old.RawNulls())
 		db = db.CloneWith(map[string]*relation.Relation{"r1": relation.Restore("r1", "", nil, cols, r1.NumRows())})
 	}
-	if sh.chunked == nil {
-		return db
-	}
-	for _, name := range []string{"r0", "r1"} {
-		r := db.Relation(name)
-		cols := slices.Clone(r.Columns())
-		for _, c := range sh.chunked {
-			old := r.Column(c)
-			cells := make([]uint32, r.NumRows())
-			for row := range cells {
-				if !old.IsNull(row) {
-					cells[row] = uint32(old.Int64(row))
-				}
-			}
-			cols[r.ColumnIndex(c)] = relation.RestoreChunkedColumn(c, relation.ChunkedOf(cells), slices.Clone(old.RawNulls()))
-		}
-		db = db.CloneWith(map[string]*relation.Relation{name: relation.Restore(name, "", nil, cols, r.NumRows())})
-	}
-	// An update clone moves keys and predicate cells of r0 and r1,
-	// NULLs among them, matches made and unmade.
-	overwrite := func(name string, cells int) {
-		r, g := db.Relation(name).CloneForWrite(), new(relation.Gen)
-		for _, c := range sh.chunked {
-			r.UpdateColumn(c, g)
-		}
-		for ; cells > 0; cells-- {
-			row := rng.Intn(r.NumRows())
-			for _, c := range sh.chunked {
-				v := int64(rng.Intn(10))
-				if c == "k" {
-					v = sh.key(rng, rng.Intn(2) == 0)
-				}
-				must(r.Column(c).Set(row, orNull(relation.IntVal(v))))
-			}
-		}
-		db = db.CloneWith(map[string]*relation.Relation{name: r})
-	}
-	overwrite("r0", sh.update)
-	overwrite("r1", 5)
-	if sh.update > kernelRows/64 {
-		overwrite("r0", 7) // over chunks the first clone copied and shares
-	}
 	return db
-}
-
-func must(err error) {
-	if err != nil {
-		panic(err)
-	}
 }
 
 // kernelQueries are the queries every shape answers: r1 ⋈ r0 over every
@@ -682,7 +640,7 @@ func kernelQueries() []*Query {
 func TestDifferentialKernels(t *testing.T) {
 	shapes := kernelShapes
 	if testing.Short() {
-		shapes = shapes[1:3] // no bitmap, both chunked shapes
+		shapes = shapes[1:3] // no bitmap: sparse and negative keys
 	}
 	for i, sh := range shapes {
 		db := genKernelDatabase(rand.New(rand.NewSource(int64(2200+i))), sh)

@@ -58,8 +58,9 @@ import (
 // The executor only reads its resident index set, which is fixed once
 // its epoch is published: a point predicate on a column the set does not
 // index gets a posting list built for its block alone (rowPred.postings),
-// and nothing an execution builds is stored, so one executor can serve
-// many goroutines.
+// a view's rows are built for the block that reads it once the Reducer
+// has taken its part (buildViews), and nothing an execution builds
+// is stored, so one executor can serve many goroutines.
 type Executor struct {
 	db     *relation.Database
 	idx    *index.IndexSet
@@ -210,7 +211,7 @@ func meetsOnRows(q, sub *Query) bool {
 // anchorRows runs the joins and predicates of block q and returns the
 // rows of its From[0] that some joined tuple holds.
 func (e *Executor) anchorRows(ctx context.Context, q *Query) (*index.RowSet, error) {
-	_, t, err := e.join(ctx, q, nil)
+	_, t, err := e.join(ctx, q, nil, true)
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +257,10 @@ type boundCol struct {
 	col *relation.Column
 }
 
-func (e *Executor) bind(q *Query) (*plan, error) {
+// bind resolves q against the database, a FROM name through built when
+// that holds it: the rows of a view built for the block. A view not yet
+// built binds to its schema, which holds no row.
+func (e *Executor) bind(q *Query, built map[string]*relation.Relation) (*plan, error) {
 	switch {
 	case len(q.From) == 0:
 		return nil, fmt.Errorf("engine: query has no FROM relations")
@@ -274,7 +278,13 @@ func (e *Executor) bind(q *Query) (*plan, error) {
 		preds: make([][]rowPred, len(q.From)),
 	}
 	for i, name := range q.From {
-		r := e.db.Relation(name)
+		r := built[name]
+		if r == nil {
+			r = e.db.Relation(name)
+		}
+		if v := e.db.View(name); r == nil && v != nil {
+			r = v.Schema
+		}
 		if r == nil {
 			return nil, fmt.Errorf("engine: unknown relation %q", name)
 		}
@@ -366,7 +376,7 @@ type rowPred struct {
 	nulls  []bool
 	member *index.RowSet
 
-	ints  []int64 // nil for a chunked INTEGER column: read through Int64
+	ints  []int64
 	cells []float64
 	codes []int32
 	strs  []string // the dictionary's values, for a TEXT range
@@ -460,12 +470,7 @@ func (p *rowPred) matches(row int) bool {
 	}
 	switch p.col.Type {
 	case relation.Int:
-		var v int64
-		if p.ints != nil {
-			v = p.ints[row]
-		} else {
-			v = p.col.Int64(row)
-		}
+		v := p.ints[row]
 		if p.keys != nil {
 			if _, ok := slices.BinarySearch(p.keys, v); ok {
 				return true
@@ -578,6 +583,33 @@ func below(preds []rowPred, n int) []int {
 		}
 	}
 	return out
+}
+
+// buildViews builds, for this block alone, the rows of the views it
+// reads: a view with an = or IN predicate on its Point column lists the
+// rows of those values only, unless it is From[0] and rowIDs is set —
+// row ids another block meets on are the ids of every row. It returns
+// them by name, nil when the block reads no view, and their number.
+func (e *Executor) buildViews(pl *plan, rowIDs bool) (built map[string]*relation.Relation, rows int) {
+	for i, name := range pl.q.From {
+		v := e.db.View(name)
+		if v == nil {
+			continue
+		}
+		var codes []int32
+		for _, p := range pl.preds[i] {
+			if (i > 0 || !rowIDs) && p.Col == v.Point && (p.Op == OpEq || p.Op == OpIn) {
+				codes = append(make([]int32, 0, len(p.want)), p.want...)
+				break
+			}
+		}
+		if built == nil {
+			built = make(map[string]*relation.Relation)
+		}
+		built[name] = v.Rows(codes)
+		rows += built[name].NumRows()
+	}
+	return built, rows
 }
 
 // access is how one FROM relation's surviving rows are reached, and how
@@ -798,7 +830,7 @@ func (pl *plan) joinOrder(acc []access) (anchor int, steps []step, cycles []boun
 // executeBlock evaluates the SPJA core of the query, its From[0]
 // restricted to within when that is not nil.
 func (e *Executor) executeBlock(ctx context.Context, q *Query, within *index.RowSet) (*Result, error) {
-	pl, t, err := e.join(ctx, q, within)
+	pl, t, err := e.join(ctx, q, within, within != nil)
 	if err != nil {
 		return nil, err
 	}
@@ -837,12 +869,14 @@ func endStage(s trace.Span, est, cells, rows int) {
 	s.End()
 }
 
-// join binds q, lets the Reducer take what it answers out of it,
-// restricts From[0] to within when that is not nil, and runs the scan,
-// the joins and the cycle conditions: the joined tuples in canonical
-// order, with the plan they were bound by.
-func (e *Executor) join(ctx context.Context, q *Query, within *index.RowSet) (*plan, tuples, error) {
-	pl, err := e.bind(q)
+// join binds q, lets the Reducer take what it answers out of it, builds
+// the rows of the views that remain, restricts From[0] to within when
+// that is not nil, and runs the scan, the joins and the cycle
+// conditions: the joined tuples in canonical order, with the plan they
+// were bound by. rowIDs says From[0]'s row ids meet another block's
+// (meetsOnRows), so a view there lists every row.
+func (e *Executor) join(ctx context.Context, q *Query, within *index.RowSet, rowIDs bool) (*plan, tuples, error) {
+	pl, err := e.bind(q, nil)
 	if err != nil {
 		return nil, tuples{}, err
 	}
@@ -850,18 +884,27 @@ func (e *Executor) join(ctx context.Context, q *Query, within *index.RowSet) (*p
 	if err := p.err(); err != nil {
 		return nil, tuples{}, err
 	}
+	var reduced *index.RowSet
 	if e.reduce != nil {
 		red, err := e.reduce(ctx, q)
 		if err != nil {
 			return nil, tuples{}, fmt.Errorf("engine: %w", err)
 		}
 		if red != nil {
-			q = red.Rest
-			if pl, err = e.bind(q); err != nil {
+			q, reduced = red.Rest, red.Rows
+			if pl, err = e.bind(q, nil); err != nil {
 				return nil, tuples{}, err
 			}
-			pl.preds[0] = slices.Insert(pl.preds[0], 0, rowPred{member: red.Rows})
 		}
+	}
+	built, viewRows := e.buildViews(pl, rowIDs)
+	if built != nil {
+		if pl, err = e.bind(q, built); err != nil {
+			return nil, tuples{}, err
+		}
+	}
+	if reduced != nil {
+		pl.preds[0] = slices.Insert(pl.preds[0], 0, rowPred{member: reduced})
 	}
 	if within != nil {
 		pl.preds[0] = slices.Insert(pl.preds[0], 0, rowPred{member: within})
@@ -877,12 +920,13 @@ func (e *Executor) join(ctx context.Context, q *Query, within *index.RowSet) (*p
 	}
 
 	// Stage spans are emitted in execution order (endStage). The scan
-	// also carries the posting lists the block built (index_builds):
-	// joins build none.
+	// also carries the posting lists the block built (index_builds) and
+	// the rows of the views it built (view_rows): joins build neither.
 	sp := trace.SpanFrom(ctx)
 	ss := stage(sp, "scan:", q.From[anchor])
 	rows, cells := scan(pl.rels[anchor], pl.preds[anchor], acc[anchor])
 	ss.Add(trace.CounterIndexBuilds, int64(builds))
+	ss.Add(trace.CounterViewRows, int64(viewRows))
 	// The rows of a block's only relation are its tuples already (every
 	// access path returns a list of its own).
 	t := tuples{width: len(q.From), ids: rows}
@@ -1022,10 +1066,8 @@ type keyBlocks struct {
 	keyCol
 	// rows lists the side's rows in stream order; nil streams the first
 	// n rows of the column in row order.
-	rows []int
-	n    int
-	// ints is the INTEGER storage — nil for a chunked column, whose
-	// cells are gathered through Column.Int64 instead.
+	rows  []int
+	n     int
 	ints  []int64
 	flts  []float64
 	codes []int32
@@ -1057,7 +1099,7 @@ func newKeyBlocks(k keyCol, rows []int, n int) *keyBlocks {
 			b.xlat = slices.Repeat([]int32{xlatUnknown}, c.Dict().Len())
 		}
 	}
-	if k.kind != keyInt || b.ints == nil || rows != nil {
+	if k.kind != keyInt || rows != nil {
 		b.buf = make([]int64, min(b.n, ctxCheckRows))
 	}
 	return b
@@ -1084,14 +1126,8 @@ func (b *keyBlocks) block(lo, hi int) []int64 {
 	}
 	switch b.kind {
 	case keyInt:
-		if b.ints == nil {
-			for i := range buf {
-				buf[i] = b.col.Int64(b.row(lo + i))
-			}
-		} else {
-			for i, r := range rows {
-				buf[i] = b.ints[r]
-			}
+		for i, r := range rows {
+			buf[i] = b.ints[r]
 		}
 	case keyFloat:
 		switch {

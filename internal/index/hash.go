@@ -130,15 +130,14 @@ func groupRows(ords []uint32, numKeys int) (post, offs []uint32) {
 //   - a dense window [lo, lo+width) fixed at build or fold: key k's
 //     ordinal is k−lo, found with one unsigned compare and no hash. It is
 //     taken when the key range is at most denseSlack slots a key, which
-//     every primary-key, foreign-key and derived entity_id column is;
+//     every primary-key and foreign-key column is;
 //   - the key table: in the sparse form (width 0) every key, and in
 //     either form the keys added since the fold that fall outside the
 //     window, with ordinals handed out past it.
 //
 // A base in key order — every row indexed, and the rows of each key
-// following those of every smaller key, as an entity's primary key and
-// a derived relation's entity_id are stored — holds its offsets and no
-// rows: list k's base run is rows offs[k] to offs[k+1]-1, served as a
+// following those of every smaller key, as an entity's primary key is
+// stored — holds its offsets and no rows: list k's base run is rows offs[k] to offs[k+1]-1, served as a
 // view of the identity vector, so Rows answers as it does for any base.
 //
 // An insert appends its row to the key's list and copies nothing of the

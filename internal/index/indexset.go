@@ -9,9 +9,8 @@ import (
 // IndexSet is an epoch's resident hash indexes, keyed by (relation,
 // column): the integer primary key of every relation that is not a fact
 // and every foreign-key column of a fact relation (Build and Load build
-// both before anything reads them), the entity_id column of every
-// derived relation, and any index a writer built for itself and
-// published since. Once its epoch is published the set is fixed: it has
+// both before anything reads them), and any index a writer built for
+// itself and published since. Once its epoch is published the set is fixed: it has
 // no lock and no method that builds, and a reader that needs an index
 // the set lacks builds a private one for itself (the engine does, per
 // execution). A writer changes the set only through an IndexDelta, whose
@@ -28,7 +27,7 @@ func NewIndexSet() *IndexSet {
 // AdoptIntHash registers a built hash index under (relName, col),
 // replacing any existing entry. Only the builder of an epoch that is not
 // yet published may call it: Build and Load adopt the resident indexes
-// they build, derived relations' included.
+// they build.
 func (s *IndexSet) AdoptIntHash(relName, col string, h *IntHash) {
 	s.ints[ColumnKey{relName, col}] = h
 }
@@ -84,7 +83,7 @@ func NewIndexDelta(base *IndexSet, g *relation.Gen) *IndexDelta {
 // when the writer holds one, the base's index otherwise — which misses
 // no row of the batch, since NoteAppend clones every resident index of a
 // relation it appends to. An index neither holds is built privately
-// (PrivateIntHash).
+// from the writer's relation.
 func (d *IndexDelta) ReadIntHash(rel *relation.Relation, col string) *IntHash {
 	key := ColumnKey{rel.Name, col}
 	if h := d.ints[key]; h != nil {
@@ -93,37 +92,27 @@ func (d *IndexDelta) ReadIntHash(rel *relation.Relation, col string) *IntHash {
 	if h := d.base.ints[key]; h != nil {
 		return h
 	}
-	return d.PrivateIntHash(rel, col)
-}
-
-// PrivateIntHash returns the writer's own (rel, col) hash index, for a
-// writer about to change rel: the clone of the resident one, or — when
-// the base lacks it — one built fresh from the writer's relation.
-func (d *IndexDelta) PrivateIntHash(rel *relation.Relation, col string) *IntHash {
-	key := ColumnKey{rel.Name, col}
-	if h := d.ints[key]; h != nil {
-		return h
-	}
-	h := d.base.ints[key]
-	if h != nil {
-		h = h.Clone(d.gen)
-	} else {
-		h = BuildIntHash(rel, col)
-	}
+	h := BuildIntHash(rel, col)
 	d.ints[key] = h
 	return h
 }
 
 // NoteAppend maintains every index of rel this writer holds or the base
-// holds for the row that was just appended.
+// holds for the row that was just appended, cloning a base index on its
+// first write.
 func (d *IndexDelta) NoteAppend(rel *relation.Relation, row int) {
 	for _, col := range rel.Columns() {
 		if col.Type != relation.Int || col.IsNull(row) {
 			continue
 		}
 		key := ColumnKey{rel.Name, col.Name}
-		if d.ints[key] != nil || d.base.ints[key] != nil {
-			d.PrivateIntHash(rel, col.Name).Insert(col.Int64(row), row)
+		h := d.ints[key]
+		if h == nil && d.base.ints[key] != nil {
+			h = d.base.ints[key].Clone(d.gen)
+			d.ints[key] = h
+		}
+		if h != nil {
+			h.Insert(col.Int64(row), row)
 		}
 	}
 }

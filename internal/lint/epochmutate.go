@@ -15,11 +15,9 @@ const (
 // cloneEscapes are the sanctioned escape hatches: a value that flowed
 // through one of these calls is a private copy the caller may mutate.
 var cloneEscapes = map[string]bool{
-	"CloneForWrite":  true,
-	"CloneForAppend": true,
-	"CloneForUpdate": true,
-	"CloneWith":      true,
-	"Clone":          true,
+	"CloneForWrite": true,
+	"CloneWith":     true,
+	"Clone":         true,
 }
 
 // epochReachMutators are method names that mutate relation/column/
@@ -34,7 +32,6 @@ var epochReachMutators = map[string]bool{
 	"Insert":        true,
 	"InsertAt":      true,
 	"SetPrimaryKey": true,
-	"UpdateColumn":  true,
 	"AddForeignKey": true,
 	"NoteAppend":    true,
 	"Drop":          true,
@@ -51,14 +48,14 @@ var epochReachMutators = map[string]bool{
 // internal/adb: an Epoch is immutable once published. No assignment to
 // an Epoch's fields and no mutation of relations, columns, index
 // shards, or row sets reachable from one is allowed outside the
-// epochBuilder/publish path; CloneForWrite/CloneForAppend/IndexDelta
+// epochBuilder/publish path; CloneForWrite/IndexDelta
 // are the sanctioned escape hatches. Epochs freshly constructed in the
 // same function (&adb.Epoch{...}) are still private and may be
 // initialized.
 func analyzerEpochMutate() *Analyzer {
 	return &Analyzer{
 		Name: "epochmutate",
-		Doc:  "no mutation of a published *adb.Epoch or state reachable from one (clone first: CloneForWrite/CloneForAppend/IndexDelta)",
+		Doc:  "no mutation of a published *adb.Epoch or state reachable from one (clone first: CloneForWrite/IndexDelta)",
 		Run:  runEpochMutate,
 	}
 }
@@ -188,7 +185,7 @@ func checkEpochMutateFunc(pkg *Package, fd *ast.FuncDecl, report func(ast.Node, 
 				return true
 			}
 			if epochRooted(sel.X) {
-				report(st, fmt.Sprintf("%s mutates state reachable from a published *adb.Epoch (clone first: CloneForWrite/CloneForAppend/Clone)", sel.Sel.Name))
+				report(st, fmt.Sprintf("%s mutates state reachable from a published *adb.Epoch (clone first: CloneForWrite/Clone)", sel.Sel.Name))
 			}
 		}
 		return true

@@ -40,6 +40,9 @@ func (g *Gen) Charge(bytes int) {
 type chunk[T any] struct {
 	owner *Gen
 	data  []T
+	// first is data[0], kept in the table: a search of a sorted list
+	// picks its chunk from the table alone (First).
+	first T
 }
 
 // Chunked is a vector stored as chunks of at most chunkCap elements,
@@ -73,7 +76,7 @@ func ChunkedOf[T any](flat []T) Chunked[T] {
 	v.chunks = make([]chunk[T], 0, (len(flat)+chunkCap-1)/chunkCap)
 	for off := 0; off < len(flat); off += chunkCap {
 		end := min(off+chunkCap, len(flat))
-		v.chunks = append(v.chunks, chunk[T]{data: flat[off:end:end]})
+		v.chunks = append(v.chunks, chunk[T]{data: flat[off:end:end], first: flat[off]})
 	}
 	return v
 }
@@ -92,6 +95,10 @@ func (v *Chunked[T]) NumChunks() int { return len(v.chunks) }
 
 // Chunk returns the ci-th chunk for reading; do not mutate.
 func (v *Chunked[T]) Chunk(ci int) []T { return v.chunks[ci].data }
+
+// First returns the first element of the ci-th chunk, read from the
+// chunk table.
+func (v *Chunked[T]) First(ci int) T { return v.chunks[ci].first }
 
 // All iterates the elements in order with their indexes.
 func (v *Chunked[T]) All() iter.Seq2[int, T] {
@@ -177,7 +184,11 @@ func (v *Chunked[T]) Set(g *Gen, i int, x T) {
 // SetAt overwrites the element at offset off of chunk ci.
 func (v *Chunked[T]) SetAt(g *Gen, ci, off int, x T) {
 	v.ownTable(g)
-	v.ownChunk(g, ci).data[off] = x
+	c := v.ownChunk(g, ci)
+	c.data[off] = x
+	if off == 0 {
+		c.first = x
+	}
 }
 
 // Append adds x at the end. Growing the last chunk into its spare
@@ -201,7 +212,7 @@ func (v *Chunked[T]) Append(g *Gen, x T) {
 		c.data = append(c.data, x)
 		return
 	}
-	v.chunks = append(v.chunks, chunk[T]{owner: g, data: append(make([]T, 0, chunkCap), x)})
+	v.chunks = append(v.chunks, chunk[T]{owner: g, data: append(make([]T, 0, chunkCap), x), first: x})
 }
 
 // Search returns the position of the first element of a sorted vector
@@ -234,7 +245,7 @@ func (v *Chunked[T]) InsertAt(g *Gen, ci, off int, x T) {
 	v.ownTable(g)
 	v.n++
 	if len(v.chunks) == 0 || ci == len(v.chunks)-1 && off == chunkCap {
-		v.chunks = append(v.chunks, chunk[T]{owner: g, data: []T{x}})
+		v.chunks = append(v.chunks, chunk[T]{owner: g, data: []T{x}, first: x})
 		return
 	}
 	c := &v.chunks[ci]
@@ -245,14 +256,14 @@ func (v *Chunked[T]) InsertAt(g *Gen, ci, off int, x T) {
 	data := make([]T, 0, len(old)+1)
 	data = append(append(append(data, old[:off]...), x), old[off:]...)
 	if len(old) < chunkCap {
-		c.data, c.owner = data, g
+		c.data, c.owner, c.first = data, g, data[0]
 		return
 	}
 	// Split: the chunkCap+1 elements become two chunks of half each,
 	// separately allocated so either can be freed on its own.
 	half := len(data) / 2
-	c.data, c.owner = slices.Clone(data[:half]), g
-	right := chunk[T]{owner: g, data: slices.Clone(data[half:])}
+	c.data, c.owner, c.first = slices.Clone(data[:half]), g, data[0]
+	right := chunk[T]{owner: g, data: slices.Clone(data[half:]), first: data[half]}
 	v.chunks = slices.Insert(v.chunks, ci+1, right)
 	v.ragged = true
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // The epoch-isolation contract of the chunked vector: a writer clones
@@ -125,8 +126,8 @@ func checkChunked(t *testing.T, at string, got *Chunked[int], want []int) {
 			t.Errorf("%s: chunk %d holds %d elements", at, ci, len(c))
 			return
 		}
-		if !slices.Equal(c, rest[:len(c)]) {
-			t.Errorf("%s: chunk %d holds %v want %v", at, ci, c, rest[:len(c)])
+		if !slices.Equal(c, rest[:len(c)]) || got.First(ci) != c[0] {
+			t.Errorf("%s: chunk %d holds %v want %v, its table entry's first %d", at, ci, c, rest[:len(c)], got.First(ci))
 			return
 		}
 		rest = rest[len(c):]
@@ -207,7 +208,7 @@ func TestChunkedSplitAndAppend(t *testing.T) {
 	if next.NumChunks() != 3 || !next.ragged || next.At(51) != 101 || next.At(52) != 102 {
 		t.Fatalf("split vector: %d chunks, At(51)=%d", next.NumChunks(), next.At(51))
 	}
-	if want := int64(chunkCap*8 + 2*32); g.Copied != want {
+	if want := int64(chunkCap*8) + 2*int64(unsafe.Sizeof(chunk[int]{})); g.Copied != want {
 		t.Errorf("split copied %d bytes, want one chunk and the table (%d)", g.Copied, want)
 	}
 

@@ -1,9 +1,6 @@
 package relation
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Column is a typed column of a relation, stored densely with a NULL
 // bitmap. Integer and float columns store raw 64-bit values; TEXT columns
@@ -11,29 +8,17 @@ import (
 // so the dense storage is four bytes per row regardless of string length
 // and scans compare codes instead of strings.
 //
-// Cell storage is, across copy-on-write epochs, shared: a clone copies
-// the header. It is flat, except for an INTEGER column whose cells are
-// small counts overwritten in place by later epochs (a derived
-// relation's count column): that one is stored as 4-byte cells in a
-// Chunked vector (chunked), and its update clone (CloneForUpdate)
-// overwrites a cell by copying the cell's chunk once per writer
-// generation.
+// Cell storage is flat and, across copy-on-write epochs, shared: a
+// clone copies the header.
 type Column struct {
 	Name string
 	Type ColType
-	// chunked marks an INTEGER column whose cells are in small, not
-	// ints; it sits beside ints, which every other integer read loads.
-	chunked bool
 
 	ints  []int64
 	flts  []float64
 	codes []int32
 	dict  *Dict
 	nulls []bool // nil when the column has no NULLs so far
-	small Chunked[uint32]
-	// gen is the writer generation of an update clone: it writes
-	// through gen, and never the storage it shares.
-	gen *Gen
 }
 
 // NewColumn creates an empty column.
@@ -47,12 +32,10 @@ func NewColumn(name string, t ColType) *Column {
 
 // Len returns the number of stored cells.
 func (c *Column) Len() int {
-	switch {
-	case c.chunked:
-		return c.small.Len()
-	case c.Type == Int:
+	switch c.Type {
+	case Int:
 		return len(c.ints)
-	case c.Type == Float:
+	case Float:
 		return len(c.flts)
 	default:
 		return len(c.codes)
@@ -66,12 +49,10 @@ func (c *Column) Append(v Value) error {
 	if v.IsNull() {
 		c.ensureNulls()
 		c.nulls = append(c.nulls, true)
-		switch {
-		case c.chunked:
-			c.small.Append(c.gen, 0)
-		case c.Type == Int:
+		switch c.Type {
+		case Int:
 			c.ints = append(c.ints, 0)
-		case c.Type == Float:
+		case Float:
 			c.flts = append(c.flts, 0)
 		default:
 			c.codes = append(c.codes, NoCode)
@@ -86,11 +67,7 @@ func (c *Column) Append(v Value) error {
 		if err := c.checkStorable(v); err != nil {
 			return err
 		}
-		if c.chunked {
-			c.small.Append(c.gen, uint32(v.i))
-		} else {
-			c.ints = append(c.ints, v.i)
-		}
+		c.ints = append(c.ints, v.i)
 	case Float:
 		switch v.kind {
 		case kindFloat:
@@ -120,9 +97,6 @@ func (c *Column) checkStorable(v Value) error {
 	case Int:
 		if v.kind != kindInt {
 			return fmt.Errorf("relation: column %q is INTEGER, got %s", c.Name, v.kindName())
-		}
-		if c.chunked && uint64(v.i) > math.MaxUint32 {
-			return fmt.Errorf("relation: column %q holds 4-byte counts, got %d", c.Name, v.i)
 		}
 	case Float:
 		if v.kind != kindFloat && v.kind != kindInt {
@@ -165,12 +139,7 @@ func (c *Column) Get(row int) Value {
 
 // Int64 returns the raw integer at row without Value boxing. The caller
 // must know the column type and that the cell is non-NULL.
-func (c *Column) Int64(row int) int64 {
-	if c.chunked {
-		return int64(c.small.At(row))
-	}
-	return c.ints[row]
-}
+func (c *Column) Int64(row int) int64 { return c.ints[row] }
 
 // Float64 returns the raw float at row.
 func (c *Column) Float64(row int) float64 {
@@ -207,14 +176,8 @@ func (c *Column) DistinctCount() int {
 	return len(seen)
 }
 
-// Set overwrites the cell at row. On an update clone only the cells of
-// a chunked column can be overwritten (through the clone's generation);
-// the storage of the others is shared with the column it was cloned
-// from.
+// Set overwrites the cell at row.
 func (c *Column) Set(row int, v Value) error {
-	if c.gen != nil && !c.chunked {
-		return fmt.Errorf("relation: column %q: an update clone overwrites chunked INTEGER cells only", c.Name)
-	}
 	if v.IsNull() {
 		c.ensureNulls()
 		c.nulls[row] = true
@@ -231,11 +194,7 @@ func (c *Column) Set(row int, v Value) error {
 		if err := c.checkStorable(v); err != nil {
 			return err
 		}
-		if c.chunked {
-			c.small.Set(c.gen, row, uint32(v.i))
-		} else {
-			c.ints[row] = v.i
-		}
+		c.ints[row] = v.i
 	case Float:
 		c.flts[row] = v.Float()
 	case String:
@@ -248,16 +207,13 @@ func (c *Column) Set(row int, v Value) error {
 }
 
 // ByteSize estimates the in-memory footprint of the column in bytes; used
-// for the Fig 18 dataset-statistics table. A chunked column counts 4
-// bytes a cell and its chunk table.
+// for the Fig 18 dataset-statistics table.
 func (c *Column) ByteSize() int64 {
 	var n int64
-	switch {
-	case c.chunked:
-		n = c.small.ByteSize()
-	case c.Type == Int:
+	switch c.Type {
+	case Int:
 		n = int64(len(c.ints)) * 8
-	case c.Type == Float:
+	case Float:
 		n = int64(len(c.flts)) * 8
 	default:
 		n = int64(len(c.codes))*4 + c.dict.ByteSize()
@@ -284,43 +240,10 @@ func MapBytes(n, slotBytes int) int64 {
 	return int64(slots) * int64(slotBytes+1)
 }
 
-// CloneForAppend returns a copy-on-write clone for append-only epoch
-// maintenance: the clone shares the cell storage and the dictionary with
-// the receiver, so it is O(1). Appends on the clone write only at
-// indices ≥ the receiver's length (into shared spare capacity or a
-// reallocated array), so readers of the original — which never index
-// past their own length — are unaffected. Only the single in-flight
-// writer of the owning relation may append; epochs form a linear chain,
-// so each storage index is written at most once. The clone carries no
-// writer Gen, even when the receiver was an update clone: only
-// CloneForUpdate makes a chunked column's cells overwritable.
-func (c *Column) CloneForAppend() *Column {
-	q := *c
-	q.gen = nil
-	return &q
-}
-
-// CloneForUpdate is CloneForAppend for a chunked column whose cells the
-// copy-on-write writer of generation g will overwrite (the derived
-// relations' count column): the chunks stay shared, a write copies its
-// chunk (and the chunk table) once for g, and readers of the original
-// never observe it. The null bitmap, which Set toggles in place, is
-// copied when there is one, and charged to g.
-func (c *Column) CloneForUpdate(g *Gen) *Column {
-	q := c.CloneForAppend()
-	q.gen = g
-	if c.nulls != nil {
-		q.nulls = append([]bool(nil), c.nulls...)
-		g.Charge(len(q.nulls))
-	}
-	return q
-}
-
 // Raw accessors for snapshot serialization and in-place scans. The
 // returned slices alias column storage: do not mutate.
 
-// RawInts returns the dense integer cells (Int columns); nil for a
-// chunked column, which is read through Int64.
+// RawInts returns the dense integer cells (Int columns).
 func (c *Column) RawInts() []int64 { return c.ints }
 
 // RawFloats returns the dense float cells (Float columns).
@@ -336,12 +259,6 @@ func (c *Column) RawNulls() []bool { return c.nulls }
 // load). The slices are adopted, not copied.
 func RestoreIntColumn(name string, ints []int64, nulls []bool) *Column {
 	return &Column{Name: name, Type: Int, ints: ints, nulls: nulls}
-}
-
-// RestoreChunkedColumn makes an INTEGER column over 4-byte cells in
-// chunks (see Column). The vector is adopted, not copied.
-func RestoreChunkedColumn(name string, cells Chunked[uint32], nulls []bool) *Column {
-	return &Column{Name: name, Type: Int, small: cells, chunked: true, nulls: nulls}
 }
 
 // RestoreFloatColumn rebuilds a Float column from raw storage.

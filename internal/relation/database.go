@@ -25,12 +25,30 @@ const (
 )
 
 // Database is a named collection of relations plus the administrator
-// metadata SQuID's offline module consumes.
+// metadata SQuID's offline module consumes. It can also name views,
+// which store no row (see View).
 type Database struct {
 	Name      string
 	relations map[string]*Relation
 	order     []string // insertion order for deterministic iteration
 	kinds     map[string]EntityKind
+	views     map[string]*View
+}
+
+// View is a relation whose rows are not stored: they are built, for the
+// one reader that asks, from structures that hold the same facts (an
+// αDB's derived relations, from their properties' pair lists). Nothing
+// the view builds is kept.
+type View struct {
+	// Schema is the view's name, columns and keys, holding no row: all
+	// a query binds to.
+	Schema *Relation
+	// Point names the TEXT column Rows can restrict the rows to.
+	Point string
+	// Rows builds the view's rows: every row when codes is nil, else the
+	// rows whose Point cell holds one of codes (codes of that column's
+	// dictionary). The rows come in one order, which a restriction keeps.
+	Rows func(codes []int32) *Relation
 }
 
 // NewDatabase creates an empty database.
@@ -52,8 +70,20 @@ func (d *Database) AddRelation(r *Relation) *Relation {
 	return r
 }
 
-// Relation returns the named relation or nil.
+// Relation returns the named relation or nil (nil for a view).
 func (d *Database) Relation(name string) *Relation { return d.relations[name] }
+
+// AddView registers a view under its schema's name, which no relation
+// holds.
+func (d *Database) AddView(v *View) {
+	if d.views == nil {
+		d.views = make(map[string]*View)
+	}
+	d.views[v.Schema.Name] = v
+}
+
+// View returns the named view or nil.
+func (d *Database) View(name string) *View { return d.views[name] }
 
 // RelationNames returns relation names in insertion order.
 func (d *Database) RelationNames() []string {

@@ -76,26 +76,21 @@ func Restore(name, primaryKey string, fks []ForeignKey, cols []*Column, numRows 
 }
 
 // CloneForWrite returns a copy-on-write clone of the relation for one
-// epoch's writer: column headers are copied (appends on the clone never
-// disturb readers of the original — see Column.CloneForAppend) and the
-// column-name index and key metadata are shared. A writer that will
-// also overwrite existing cells of a column (Set) calls UpdateColumn on
-// the clone first.
+// epoch's writer, in O(columns): the column headers are copied, and the
+// cell storage, the dictionaries, the column-name index and the key
+// metadata are shared. Appends on the clone write only past the
+// original's length (into shared spare capacity or a reallocated
+// array), which no reader of the original indexes; one writer at a time
+// appends, and epochs form a linear chain, so each storage index is
+// written at most once.
 func (r *Relation) CloneForWrite() *Relation {
 	q := *r
 	q.cols = make([]*Column, len(r.cols))
 	for i, c := range r.cols {
-		q.cols[i] = c.CloneForAppend()
+		col := *c
+		q.cols[i] = &col
 	}
 	return &q
-}
-
-// UpdateColumn makes the named chunked column of a CloneForWrite clone
-// overwritable by the writer of generation g (see Column.CloneForUpdate),
-// which it charges for what the clone copies.
-func (r *Relation) UpdateColumn(name string, g *Gen) {
-	i := r.colIdx[name]
-	r.cols[i] = r.cols[i].CloneForUpdate(g)
 }
 
 // NumRows returns the number of rows.

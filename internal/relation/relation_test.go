@@ -1,10 +1,8 @@
 package relation
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
-	"unsafe"
 )
 
 func TestValueKinds(t *testing.T) {
@@ -344,114 +342,5 @@ func TestNullBackfill(t *testing.T) {
 	}
 	if c.Len() != 4 {
 		t.Error("len wrong")
-	}
-}
-
-// TestUpdateCloneChain drives Set through a chain of update clones of a
-// chunked count column — overwrites, appends, overwrites of appended
-// rows — and checks that the original and every earlier clone still
-// read their own cells through every integer accessor, although all of
-// them share chunks, and that a write charges its generation one chunk
-// (and the chunk table) the first time the generation writes into it,
-// and nothing after.
-func TestUpdateCloneChain(t *testing.T) {
-	const rows = 4096
-	ids, counts := make([]int64, rows), make([]uint32, rows)
-	for i := range ids {
-		ids[i], counts[i] = int64(i), 1
-	}
-	orig := Restore("derived", "", nil, []*Column{
-		RestoreIntColumn("entity_id", ids, nil),
-		RestoreChunkedColumn("count", ChunkedOf(counts), nil),
-	}, rows)
-	type generation struct {
-		rel  *Relation
-		want []int64 // the count column as this generation must read it
-	}
-	want := make([]int64, rows)
-	for i := range want {
-		want[i] = 1
-	}
-	chain := []generation{{orig, append([]int64(nil), want...)}}
-	rng := rand.New(rand.NewSource(18))
-	for gen := 0; gen < 40; gen++ {
-		next := chain[len(chain)-1].rel.CloneForWrite()
-		if next.Column("count").gen != nil {
-			t.Fatalf("generation %d: CloneForWrite kept the retired writer's Gen", gen)
-		}
-		g := new(Gen)
-		next.UpdateColumn("count", g)
-		count := next.Column("count")
-		touched := map[int]bool{}
-		set := func(row int, v int64) {
-			t.Helper()
-			ci := row / chunkCap
-			charge := int64(0)
-			if !touched[ci] {
-				charge = int64(4 * len(count.small.Chunk(ci)))
-				if len(touched) == 0 {
-					charge += int64(count.small.NumChunks()) * int64(unsafe.Sizeof(chunk[uint32]{}))
-				}
-				touched[ci] = true
-			}
-			before := g.Copied
-			if err := count.Set(row, IntVal(v)); err != nil {
-				t.Fatal(err)
-			}
-			if got := g.Copied - before; got != charge {
-				t.Fatalf("generation %d: a write into chunk %d charged %d bytes, want %d", gen, ci, got, charge)
-			}
-			want[row] = v
-		}
-		for i := 0; i < 8; i++ { // overwrite
-			row := rng.Intn(len(want))
-			set(row, want[row]+1)
-		}
-		if gen%3 == 0 { // and append, then overwrite the appended row too
-			next.MustAppend(IntVal(int64(len(want))), IntVal(1))
-			want = append(want, 1)
-			if gen%6 == 0 { // into a chunk the append may have copied already
-				if err := count.Set(len(want)-1, IntVal(7)); err != nil {
-					t.Fatal(err)
-				}
-				want[len(want)-1] = 7
-			}
-		}
-		chain = append(chain, generation{next, append([]int64(nil), want...)})
-	}
-	for gen, g := range chain {
-		c := g.rel.Column("count")
-		if c.Len() != len(g.want) || g.rel.NumRows() != len(g.want) || c.RawInts() != nil {
-			t.Fatalf("generation %d: %d cells, %d rows, flat cells %v, want %d chunked", gen, c.Len(), g.rel.NumRows(), c.RawInts() != nil, len(g.want))
-		}
-		for row, v := range g.want {
-			if c.Int64(row) != v || c.Get(row).Int() != v || c.Float64(row) != float64(v) {
-				t.Fatalf("generation %d row %d: Int64 %d, Get %v, Float64 %v, want %d",
-					gen, row, c.Int64(row), c.Get(row), c.Float64(row), v)
-			}
-		}
-		if got, want := c.ByteSize(), int64(4*c.Len())+int64(c.small.NumChunks())*int64(unsafe.Sizeof(chunk[uint32]{})); got != want {
-			t.Errorf("generation %d: ByteSize %d, want 4 bytes a cell and the chunk table (%d)", gen, got, want)
-		}
-	}
-	// An update clone overwrites the cells of a chunked column only, and
-	// those within 4 bytes.
-	clone := orig.CloneForWrite()
-	clone.UpdateColumn("count", new(Gen))
-	clone.UpdateColumn("entity_id", new(Gen))
-	if err := clone.Column("entity_id").Set(0, IntVal(9)); err == nil || orig.Column("entity_id").Int64(0) != 0 {
-		t.Errorf("Set on a flat update clone: err = %v, the original reads %d", err, orig.Column("entity_id").Int64(0))
-	}
-	for _, v := range []int64{-1, 1 << 32} {
-		if err := clone.Column("count").Set(0, IntVal(v)); err == nil {
-			t.Errorf("Set(%d) on a chunked column succeeded", v)
-		}
-	}
-	text := New("t", Col("s", String))
-	text.MustAppend(StringVal("a"))
-	tclone := text.CloneForWrite()
-	tclone.UpdateColumn("s", new(Gen))
-	if err := tclone.Column("s").Set(0, StringVal("b")); err == nil || text.Column("s").Str(0) != "a" {
-		t.Errorf("Set on a TEXT update clone: err = %v, the original reads %q", err, text.Column("s").Str(0))
 	}
 }

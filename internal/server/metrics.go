@@ -302,7 +302,6 @@ type residentGauge struct {
 func residentSeries(r squid.ResidentBytes) []residentGauge {
 	return []residentGauge{
 		{"columns", r.Columns},
-		{"derived_columns", r.DerivedColumns},
 		{"hash_index", r.HashIndexBase + r.HashIndexTail},
 		{"inverted", r.Inverted},
 		{"basic_stats", r.BasicStats},

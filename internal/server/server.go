@@ -36,7 +36,7 @@ type Config struct {
 	// MaxInFlight × Params.Workers. Inserts are not gated: their only
 	// bounds are the αDB's one write lock and the 4096-row batch cap,
 	// and under -wal-fsync=always an insert is not cheap (ROADMAP item
-	// 7b).
+	// 11(a)).
 	MaxInFlight int
 	// QueueDepth bounds how many admission waiters may queue behind the
 	// in-flight requests before new work is shed with 429

@@ -9,9 +9,9 @@
 //
 // Derived at load, once the trailer has passed, by the constructors the
 // cold build uses: the categorical properties' per-row value codes and
-// posting lists, the numeric value orders, the derived relations (each
-// a count over the base facts, materialized from its stored descriptor
-// under its stored name) with their (entity, strength) pair lists and
+// posting lists, the numeric value orders, the derived properties (each
+// a count over the base facts, derived from its stored descriptor, its
+// relation named as stored) as their (entity, strength) pair lists and
 // strength histograms, the inverted entity-lookup index and every hash
 // index — so none of them can disagree with the facts they come from.
 //

@@ -142,8 +142,12 @@ const (
 	CounterIndexBuilds
 	// CounterCopiedBytes counts the bytes an insert batch copied out of
 	// storage it shares with the epoch it retires — chunks, chunk tables,
-	// index tails and folds, count chunks (relation.Gen.Copied).
+	// index tails and folds (relation.Gen.Copied).
 	CounterCopiedBytes
+	// CounterViewRows counts the rows an engine block built for the
+	// views it reads (a derived relation, from its property's pair
+	// lists; on the block's scan stage, dropped with the execution).
+	CounterViewRows
 
 	numCounters
 )
@@ -152,7 +156,7 @@ var counterNames = [numCounters]string{
 	"candidates", "properties", "contexts", "selected", "rows",
 	"cache_hits", "cache_misses", "cache_stores", "epoch_seq", "est_rows",
 	"cells_streamed", "filters", "pairs_bumped", "index_builds",
-	"copied_bytes",
+	"copied_bytes", "view_rows",
 }
 
 // String returns the counter's wire name.

@@ -30,9 +30,9 @@
 // the data size (the paper's Fig 16b scalability claim):
 //
 //   - An IndexSet (internal/index) is each epoch's resident hash
-//     indexes: every non-fact relation's integer key, every fact foreign
-//     key and every derived entity_id, built before anything reads them
-//     and fixed once visible; an insert clones the indexes it writes
+//     indexes: every non-fact relation's integer key and every fact
+//     foreign key, built before anything reads them and fixed once
+//     visible; an insert clones the indexes it writes
 //     into and the next epoch's set shares the rest. Dimension lookups,
 //     αDB maintenance, and the engine's joins and point predicates all
 //     read it.
@@ -271,8 +271,8 @@ var ErrSnapshotVersion = snapshot.ErrVersion
 // the property descriptors with their per-entity statistics, and the
 // discovery parameters — to the versioned binary snapshot format
 // (internal/snapshot), closed by a CRC32 trailer. Each fact is stored
-// once and nothing derived is: Load materializes the derived relations
-// and every index again, so a warm boot is one sequential read plus the
+// once and nothing derived is: Load derives the derived properties'
+// pair lists and every index again, so a warm boot is one sequential read plus the
 // build's derivation pass instead of the full precomputation.
 func (s *System) Save(w io.Writer) error {
 	sw := snapshot.NewWriter(w)
@@ -286,12 +286,11 @@ func (s *System) Save(w io.Writer) error {
 }
 
 // Load restores a System from a snapshot written by Save, rebuilding
-// the derived relations and every index with the functions Build uses.
+// the derived properties and every index with the functions Build uses.
 // The restored system is fully operational: discovery answers are
 // identical to the saved system's, and incremental inserts
-// (InsertBatchContext) maintain it exactly like a freshly built one. A
-// derived relation's contents survive the round trip, but after inserts
-// its row ids and value codes come back in cold-build order. The stream
+// (InsertBatchContext) maintain it exactly like a freshly built one. The
+// stream
 // is untrusted: damage returns an error (a flipped bit or a cut fails
 // the checksum), a version mismatch one matching ErrSnapshotVersion.
 func Load(r io.Reader) (*System, error) {
@@ -681,8 +680,10 @@ func (d *Discovery) Plan() *Query { return sqlgen.ToEngineQuery(d.result) }
 // Result exposes the raw abduction result for experiment harnesses.
 func (d *Discovery) Result() *abduction.Result { return d.result }
 
-// ExecutableDB returns the database (original + derived relations)
-// against which Plan() queries run.
+// ExecutableDB returns the database against which Plan() queries run:
+// the original relations, and each derived relation as a view over its
+// property's pair lists (Database.View), whose rows an execution builds
+// for itself.
 func (s *System) ExecutableDB() *Database { return s.alpha.CombinedDB() }
 
 // ExecuteContext runs a logical query plan against the combined
@@ -701,10 +702,12 @@ func (s *System) ExecutableDB() *Database { return s.alpha.CombinedDB() }
 // The engine orders the joins itself: it anchors at the relation its
 // predicates make smallest and extends along the joins towards the
 // smallest relation next, probing the hash indexes the epoch already
-// holds (entity keys, the derived relations' entity_id). A point
-// predicate on a column the epoch does not index gets a posting list
-// built for its block alone, and the execution stores nothing: no
-// execution adds to the epoch's resident indexes. Rows come back in one
+// holds (entity keys, fact foreign keys). A point predicate on a column
+// the epoch does not index gets a posting list built for its block
+// alone; a derived relation the row sets did not answer is a view whose
+// rows are built for the block — only a value's pair list under a point
+// predicate on value — and the execution stores nothing: no execution
+// adds to the epoch's resident indexes. Rows come back in one
 // canonical order — by row id, From[0]'s first, then the other
 // relations' in name order — so the result, DISTINCT's surviving
 // duplicate and GROUP BY's representative do not depend on the order

@@ -7,28 +7,29 @@ import (
 	"slices"
 	"testing"
 
+	"squid/internal/adb"
 	"squid/internal/datagen"
-	"squid/internal/index"
+	"squid/internal/engine"
 	"squid/internal/trace"
 )
 
 // TestExecuteBuildsNoJoinIndexes is the heap_mb trap as a test, in two
 // arms over the benchmark's three discovered plans, counted by the
-// index_builds counter of a traced execution.
+// index_builds and view_rows counters of a traced execution.
 //
 // Through System.ExecuteContext the plans are answered from the αDB's
 // row sets: executing them, before an InsertBatch into castinfo and
 // after it, builds no index at all — not even the hash indexes of their
 // point predicates (movie.title, country.name, the derived value
-// columns), which the join pipeline needs.
+// columns), which the join pipeline needs — and no row of a derived
+// view.
 //
 // Through the join pipeline alone, every execution builds those point
 // indexes for itself — the epoch holds none, and an execution stores
 // nothing — so every call builds more than zero, after the insert too.
 // In both arms the epoch's resident set never changes size under an
 // execution: a join uses an index that is resident and never creates
-// one. No epoch holds an index over a derived count column, whose cells
-// an insert overwrites.
+// one. No epoch holds an index over a derived relation: it is a view.
 func TestExecuteBuildsNoJoinIndexes(t *testing.T) {
 	arms := []struct {
 		name       string
@@ -59,9 +60,12 @@ func TestExecuteBuildsNoJoinIndexes(t *testing.T) {
 					if err != nil || res.NumRows() == 0 {
 						t.Fatalf("%s, %s: empty result or error %v", when, id, err)
 					}
-					built := indexBuilds(rec.Finish("execute", id).JSON().Spans)
+					spans := rec.Finish("execute", id).JSON().Spans
+					built := sumCounter(spans, trace.CounterIndexBuilds)
 					if arm.buildsNone && built != 0 {
 						t.Errorf("%s, %s: executing built %d indexes: the row sets answer every point predicate", when, id, built)
+					} else if viewRows := sumCounter(spans, trace.CounterViewRows); arm.buildsNone && viewRows != 0 {
+						t.Errorf("%s, %s: executing built %d rows of derived views: the row sets answer every derived filter", when, id, viewRows)
 					} else if !arm.buildsNone && built == 0 {
 						t.Errorf("%s, %s: the join pipeline built no point-predicate index: the arm proves nothing", when, id)
 					}
@@ -72,11 +76,15 @@ func TestExecuteBuildsNoJoinIndexes(t *testing.T) {
 				if after := ep.Indexes.NumIndexes(); after != resident {
 					t.Errorf("%s: executing the plans took the resident set from %d to %d hash indexes", when, resident, after)
 				}
-				// An insert overwrites derived count cells in place: no
-				// epoch may hold an index over that column.
-				for _, name := range ep.DerivedDB.RelationNames() {
-					if ep.Indexes.ResidentIntHash(ep.DerivedDB.Relation(name), "count") != nil {
-						t.Errorf("%s: the epoch holds an index over %s.count", when, name)
+				// A derived relation is a view: the epoch holds no index
+				// over one.
+				for _, info := range ep.Entities {
+					for _, p := range info.Derived {
+						for _, col := range []string{"entity_id", "value", "count"} {
+							if ep.Indexes.ResidentIntHash(ep.CombinedDB().View(p.RelName).Schema, col) != nil {
+								t.Errorf("%s: the epoch holds an index over %s.%s", when, p.RelName, col)
+							}
+						}
 					}
 				}
 			}
@@ -89,13 +97,81 @@ func TestExecuteBuildsNoJoinIndexes(t *testing.T) {
 	}
 }
 
-// indexBuilds sums the index_builds counters of a span tree.
-func indexBuilds(spans []*trace.SpanJSON) int64 {
+// sumCounter sums counter c over a span tree.
+func sumCounter(spans []*trace.SpanJSON, c trace.Counter) int64 {
 	var n int64
 	for _, sp := range spans {
-		n += sp.Counters[trace.CounterIndexBuilds.String()] + indexBuilds(sp.Children)
+		n += sp.Counters[c.String()] + sumCounter(sp.Children, c)
 	}
 	return n
+}
+
+// TestDerivedViewRows executes hand-written blocks over a derived
+// relation, which the engine reads as a view over its property's pair
+// lists, and counts the rows the view built (view_rows on the scan
+// stage): a point predicate on value builds that value's pair list and
+// no other row, O(ψ); a block without one builds every row. A block that
+// meets an INTERSECT branch on its From[0] row ids reads the ids of the
+// whole view, so rows of two values never meet, and rows of one value
+// meet themselves. Each answer is the one the nested loops over the
+// whole view give.
+func TestDerivedViewRows(t *testing.T) {
+	g := datagen.GenerateIMDb(datagen.IMDbConfig{Seed: 7, NumPersons: 600, NumMovies: 250, NumCompany: 10})
+	sys, err := Build(g.DB, DefaultBuildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := sys.AlphaDB().Entity("person").DerivedByAttr("movie:genre")
+	values := p.DistinctValues()
+	if len(values) < 2 {
+		t.Fatal("fixture has fewer than two genres")
+	}
+	rel := p.RelName
+	all := relationOf(sys.ExecutableDB(), rel).NumRows()
+	block := func(v string) *Query {
+		q := &Query{From: []string{rel}, Select: []engine.ColRef{{Rel: rel, Col: "entity_id"}, {Rel: rel, Col: "count"}}}
+		if v != "" {
+			q.Preds = []engine.Pred{{Rel: rel, Col: "value", Op: engine.OpEq, Val: StringVal(v)}}
+		}
+		return q
+	}
+	execute := func(q *Query) (*ExecResult, int64) {
+		t.Helper()
+		rec := trace.NewRecorder(0)
+		root := rec.Root(trace.PhaseExecute, "")
+		res, err := sys.ExecuteContext(trace.NewContext(context.Background(), root), q)
+		root.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, sumCounter(rec.Finish("execute", rel).JSON().Spans, trace.CounterViewRows)
+	}
+	for _, v := range append(values[:2:2], "") {
+		q := block(v)
+		res, built := execute(q)
+		want := all
+		if v != "" {
+			want = p.EntityRowSetWithStrength(v, 1, trace.Span{}, false).Count()
+		}
+		if built != int64(want) || res.NumRows() != want {
+			t.Errorf("value %q: the view built %d rows and returned %d, want the %d of its pair lists", v, built, res.NumRows(), want)
+		}
+		if rows := nestedLoopRows(t, sys.ExecutableDB(), q); !reflect.DeepEqual(res.Rows, rows) {
+			t.Errorf("value %q: %d rows, the nested loops %d", v, res.NumRows(), len(rows))
+		}
+	}
+	for _, other := range values[:2] {
+		q := block(values[0])
+		q.Intersect = []*Query{block(other)}
+		res, built := execute(q)
+		want := p.EntityRowSetWithStrength(values[0], 1, trace.Span{}, false).Count()
+		if other != values[0] {
+			want = 0
+		}
+		if res.NumRows() != want || built < int64(all) {
+			t.Errorf("%s meeting %s on rows: %d rows from %d built, want %d rows from the whole view", values[0], other, res.NumRows(), built, want)
+		}
+	}
 }
 
 // TestBenchmarkPlansReadRowSets: a traced execution of each of the
@@ -146,56 +222,6 @@ func TestBenchmarkPlansReadRowSets(t *testing.T) {
 	}
 }
 
-// TestInsertKeepsDerivedEntityIndex: a batch that bumps the counts of a
-// derived relation and appends rows to it carries the relation's
-// resident entity_id hash index into the next epoch — cloned on the
-// writer's first write and maintained row by row — and the carried
-// index answers every key as an index built fresh from the new epoch's
-// relation does.
-func TestInsertKeepsDerivedEntityIndex(t *testing.T) {
-	cfg := benchScale().IMDb
-	sys, err := Build(datagen.GenerateIMDb(cfg).DB, DefaultBuildConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const relName = "persontomovie_genre"
-	base := sys.alpha.Snapshot()
-	rel := base.DerivedDB.Relation(relName)
-	if rel == nil {
-		t.Fatalf("no derived relation %q", relName)
-	}
-	if base.Indexes.ResidentIntHash(rel, "entity_id") == nil {
-		t.Fatalf("%s.entity_id is not resident after the build", relName)
-	}
-	for k := 0; k < 3; k++ {
-		if err := sys.InsertBatchContext(context.Background(), insertBenchBatch(cfg, k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ep := sys.alpha.Snapshot()
-	next := ep.DerivedDB.Relation(relName)
-	if next == rel || next.NumRows() <= rel.NumRows() {
-		t.Fatalf("the batches did not reach %s (%d rows before, %d after)", relName, rel.NumRows(), next.NumRows())
-	}
-	if ep.Indexes.NumIndexes() != base.Indexes.NumIndexes() {
-		t.Errorf("the batches took the resident set from %d to %d indexes", base.Indexes.NumIndexes(), ep.Indexes.NumIndexes())
-	}
-	h := ep.Indexes.ResidentIntHash(next, "entity_id")
-	if h == nil || h == base.Indexes.ResidentIntHash(rel, "entity_id") {
-		t.Fatalf("%s.entity_id was not carried into the new epoch as the writer's clone", relName)
-	}
-	fresh := index.BuildIntHash(next, "entity_id")
-	if h.NumKeys() != fresh.NumKeys() {
-		t.Errorf("carried index has %d keys, a fresh one %d", h.NumKeys(), fresh.NumKeys())
-	}
-	ids := next.Column("entity_id")
-	for r := 0; r < next.NumRows(); r++ {
-		if got, want := slices.Concat(h.Rows(ids.Int64(r))), slices.Concat(fresh.Rows(ids.Int64(r))); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Rows(%d) = %v, a fresh index answers %v", ids.Int64(r), got, want)
-		}
-	}
-}
-
 // TestExecuteMatchesOutputNormalized: executing the plan of a discovery
 // returns the discovery's output also when a filter's strength threshold
 // is normalized by the entity's degree. No join of the plan expresses
@@ -227,6 +253,15 @@ func TestExecuteMatchesOutputNormalized(t *testing.T) {
 	}
 }
 
+// relationOf returns the named relation of db, a view's every row
+// built.
+func relationOf(db *Database, name string) *Relation {
+	if v := db.View(name); v != nil {
+		return v.Rows(nil)
+	}
+	return db.Relation(name)
+}
+
 // nestedLoopRows evaluates a select-project-join plan, DISTINCT or not,
 // the slow way: nested loops over the FROM relations in the order
 // listed, Pred.Matches and Value.Equal on boxed cells read through
@@ -239,11 +274,12 @@ func nestedLoopRows(t *testing.T, db *Database, q *Query) [][]Value {
 		t.Fatal("nestedLoopRows covers SPJ plans: this one groups or intersects")
 	}
 	pos := map[string]int{}
+	rels := make([]*Relation, len(q.From))
 	for i, name := range q.From {
-		pos[name] = i
+		pos[name], rels[i] = i, relationOf(db, name)
 	}
 	ids := make([]int, len(q.From))
-	cell := func(rel, col string) Value { return db.Relation(rel).Get(ids[pos[rel]], col) }
+	cell := func(rel, col string) Value { return rels[pos[rel]].Get(ids[pos[rel]], col) }
 	var tuples [][]int
 	var walk func(depth int)
 	walk = func(depth int) {
@@ -252,7 +288,7 @@ func nestedLoopRows(t *testing.T, db *Database, q *Query) [][]Value {
 			return
 		}
 	rows:
-		for ids[depth] = 0; ids[depth] < db.Relation(q.From[depth]).NumRows(); ids[depth]++ {
+		for ids[depth] = 0; ids[depth] < rels[depth].NumRows(); ids[depth]++ {
 			for _, p := range q.Preds {
 				if pos[p.Rel] == depth && !p.Matches(cell(p.Rel, p.Col)) {
 					continue rows
@@ -300,8 +336,8 @@ func nestedLoopRows(t *testing.T, db *Database, q *Query) [][]Value {
 
 // TestPlansMatchNestedLoopAfterInserts executes the three plans of the
 // benchmark's execute block in the state the block meets them — after 24
-// insert batches of the benchmark's shape, so derived count columns are
-// read from chunks the batches overwrote, hash indexes carry tails
+// insert batches of the benchmark's shape, so derived views are built
+// from pair lists the batches bumped, hash indexes carry tails
 // and castinfo has grown past what the plans were discovered on — and
 // requires the rows, in order, that nested loops over the same epoch
 // return. The scale is a small one at which the discovered plans keep
@@ -314,18 +350,28 @@ func TestPlansMatchNestedLoopAfterInserts(t *testing.T) {
 		t.Fatal(err)
 	}
 	plans := discoveredPlans(t, sys, g)
-	before := sys.ExecutableDB()
+	before := sys.alpha.Snapshot()
 	for k := 0; k < 24; k++ {
 		if err := sys.InsertBatchContext(context.Background(), insertBenchBatch(cfg, k)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	db := sys.ExecutableDB()
+	derived := func(ep *adb.Epoch, rel string) *adb.DerivedProperty {
+		for _, info := range ep.Entities {
+			for _, p := range info.Derived {
+				if p.RelName == rel {
+					return p
+				}
+			}
+		}
+		return nil
+	}
 	bumped := 0
 	for id, q := range plans {
 		for _, p := range q.Preds {
-			if p.Col == "count" && db.Relation(p.Rel).Column(p.Col) != before.Relation(p.Rel).Column(p.Col) {
-				bumped++ // a batch cloned the column to overwrite its cells
+			if p.Col == "count" && derived(sys.alpha.Snapshot(), p.Rel) != derived(before, p.Rel) {
+				bumped++ // a batch cloned the property to bump its pairs
 			}
 		}
 		res, err := sys.ExecuteContext(context.Background(), q)
@@ -341,6 +387,6 @@ func TestPlansMatchNestedLoopAfterInserts(t *testing.T) {
 		}
 	}
 	if bumped == 0 {
-		t.Error("no count column a plan ranges over was overwritten by a batch: the test proves less than it says")
+		t.Error("no derived property a plan ranges over was bumped by a batch: the test proves less than it says")
 	}
 }

@@ -117,7 +117,7 @@ func TestResidentBytesCountRankTables(t *testing.T) {
 	if got, want := after.Columns-before.Columns, int64(8*names); got != want {
 		t.Errorf("Columns grew by %d bytes over the first ordered output, want the rank table's %d", got, want)
 	}
-	if after.DerivedColumns != before.DerivedColumns {
-		t.Errorf("DerivedColumns moved from %d to %d with no derived value ordered", before.DerivedColumns, after.DerivedColumns)
+	if after.DerivedPairs != before.DerivedPairs {
+		t.Errorf("DerivedPairs moved from %d to %d with no derived value ordered", before.DerivedPairs, after.DerivedPairs)
 	}
 }

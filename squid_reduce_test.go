@@ -71,7 +71,7 @@ func planMutations(db *Database, q *Query) []mutation {
 	add("group-by", func(m *Query) { m.GroupBy = []engine.ColRef{{Rel: entity, Col: pk}} })
 	if len(q.From) > 1 {
 		add("select-from-dimension", func(m *Query) {
-			m.Select = []engine.ColRef{{Rel: m.From[1], Col: db.Relation(m.From[1]).Columns()[0].Name}}
+			m.Select = []engine.ColRef{{Rel: m.From[1], Col: relationOf(db, m.From[1]).Columns()[0].Name}}
 		})
 	}
 	add("intersect-branches", func(m *Query) {
@@ -349,9 +349,10 @@ func TestExecuteStoresNoRowSets(t *testing.T) {
 // nestedLoopSteps bounds what nestedLoopRows would spend on q: every row
 // of From[0] against every row of each other relation.
 func nestedLoopSteps(db *Database, q *Query) int {
-	steps := db.Relation(q.From[0]).NumRows()
+	n := relationOf(db, q.From[0]).NumRows()
+	steps := n
 	for _, rel := range q.From[1:] {
-		steps += db.Relation(q.From[0]).NumRows() * db.Relation(rel).NumRows()
+		steps += n * relationOf(db, rel).NumRows()
 	}
 	return steps
 }
