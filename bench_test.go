@@ -303,8 +303,9 @@ func BenchmarkAppendixF4AlphaDB(b *testing.B) {
 		}
 	})
 	b.Run("alphaDB-selectivity", func(b *testing.B) {
+		comedy, _ := ptg.LookupCode("Comedy")
 		for i := 0; i < b.N; i++ {
-			_ = ptg.Selectivity("Comedy", 5)
+			_ = ptg.SelectivityOfCode(comedy, 5)
 		}
 	})
 }

@@ -92,7 +92,7 @@ func (r *Result) OutputValues() []string {
 // only on the candidate's data.
 func abduceForEntityCtx(ctx context.Context, info *adb.EntityInfo, base BaseQuery, exampleRows []int, params Params, sp trace.Span) (*Result, error) {
 	cs := sp.Child(trace.PhaseContexts, "")
-	contexts, err := discoverContextsCtx(ctx, info, exampleRows, params)
+	contexts, err := discoverContextsCtx(ctx, info, exampleRows, params, cs)
 	cs.Add(trace.CounterProperties, int64(len(info.Basic)+len(info.Derived)))
 	cs.Add(trace.CounterContexts, int64(len(contexts)))
 	cs.End()

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"squid/internal/adb"
+	"squid/internal/trace"
 )
 
 // Context is a semantic context x = (p, |E|): a semantic property
@@ -32,19 +33,24 @@ type Context struct {
 // (the paper's optional footnote-7 extension).
 func DiscoverContexts(info *adb.EntityInfo, exampleRows []int, params Params) []Context {
 	//lint:ignore ctxpoll non-cancellable convenience wrapper over discoverContextsCtx
-	out, _ := discoverContextsCtx(context.Background(), info, exampleRows, params)
+	out, _ := discoverContextsCtx(context.Background(), info, exampleRows, params, trace.Span{})
 	return out
 }
 
 // discoverContextsCtx is DiscoverContexts with cooperative cancellation:
 // ctx is checked before every basic and derived property's walk. The
 // contexts come out property by property, basic properties first, each
-// property's own contexts sorted by value.
-func discoverContextsCtx(ctx context.Context, info *adb.EntityInfo, exampleRows []int, params Params) ([]Context, error) {
+// property's own contexts sorted by value. The rows the walks read and
+// the probes made in their place are counted on sp.
+func discoverContextsCtx(ctx context.Context, info *adb.EntityInfo, exampleRows []int, params Params, sp trace.Span) ([]Context, error) {
 	if len(exampleRows) == 0 {
 		return nil, nil
 	}
 	st := newExampleState(info, exampleRows, params)
+	defer func() {
+		sp.Add(trace.CounterRowsWalked, int64(st.walked))
+		sp.Add(trace.CounterProbes, int64(st.probes))
+	}()
 	var out []Context
 	for _, prop := range info.Basic {
 		if err := ctx.Err(); err != nil {
@@ -88,6 +94,9 @@ type exampleState struct {
 	link [2]string
 	seed int
 	sc   ctxScratch
+	// walked counts the source rows the walks read, probes the posting-
+	// and pair-list probes made in their place.
+	walked, probes int
 }
 
 // ctxScratch is the reusable working memory of one property's context
@@ -124,7 +133,7 @@ func (st *exampleState) degreesFor(degree *adb.DerivedProperty) []float64 {
 	}
 	d := make([]float64, len(st.rows))
 	for i, row := range st.rows {
-		d[i] = float64(degree.StrengthOf(row, degree.Via))
+		d[i] = float64(degree.Degree(row))
 	}
 	st.degrees[degree] = d
 	return d
@@ -159,6 +168,7 @@ func categoricalContexts(out []Context, st *exampleState, prop *adb.BasicPropert
 	sc := &st.sc
 	reads, seed := st.walks(prop.SourceRows)
 	shared := prop.AppendValueCodes(sc.codes[:0], st.rows[seed])
+	st.walked += reads[seed]
 	slices.Sort(shared)
 	shared = slices.Compact(shared)
 	posts := prop.Postings()
@@ -171,10 +181,12 @@ func categoricalContexts(out []Context, st *exampleState, prop *adb.BasicPropert
 		}
 		row := st.rows[i]
 		if reads[i] > len(shared) {
+			st.probes += len(shared)
 			shared = slices.DeleteFunc(shared, func(c int32) bool { return !posts.Contains(int(c), uint32(row)) })
 			continue
 		}
 		// The example's codes go into the scratch past the shared ones.
+		st.walked += reads[i]
 		buf := prop.AppendValueCodes(shared, row)
 		codes := buf[len(shared):]
 		shared = buf[:len(shared)]
@@ -188,12 +200,12 @@ func categoricalContexts(out []Context, st *exampleState, prop *adb.BasicPropert
 	if len(shared) > 0 {
 		prop.Dict().SortCodes(shared)
 		vals := prop.Dict().Values()
-		values := make([]string, len(shared))
 		filters := make([]Filter, len(shared))
 		for i, c := range shared {
-			values[i] = vals[c]
-			filters[i] = Filter{Kind: BasicCategorical, Basic: prop, Values: values[i : i+1 : i+1]}
-			out = append(out, Context{Filter: &filters[i], NumExamples: len(st.rows)})
+			f := &filters[i]
+			f.Kind, f.Basic = BasicCategorical, prop
+			f.onValue(vals, c)
+			out = append(out, Context{Filter: f, NumExamples: len(st.rows)})
 		}
 		return out
 	}
@@ -203,8 +215,9 @@ func categoricalContexts(out []Context, st *exampleState, prop *adb.BasicPropert
 	// Disjunction extension: no single shared value — consider the set
 	// of distinct values the examples take, if small enough.
 	distinct := sc.codes[:0]
-	for _, row := range st.rows {
+	for i, row := range st.rows {
 		// The row's codes go past the distinct ones; its first stays.
+		st.walked += reads[i]
 		buf := prop.AppendValueCodes(distinct, row)
 		if len(buf) == len(distinct) {
 			return out // an example lacks the property: no valid filter
@@ -224,7 +237,7 @@ func categoricalContexts(out []Context, st *exampleState, prop *adb.BasicPropert
 		values[i] = vals[c]
 	}
 	return append(out, Context{
-		Filter:      &Filter{Kind: BasicCategorical, Basic: prop, Values: values},
+		Filter:      &Filter{Kind: BasicCategorical, Basic: prop, Values: values, codes: slices.Clone(distinct)},
 		NumExamples: len(st.rows),
 	})
 }
@@ -304,12 +317,14 @@ func derivedContexts(out []Context, st *exampleState, prop *adb.DerivedProperty,
 	reads, seed := sc.reads, st.seed
 	shared := sc.aggs[:0]
 	if values := prop.Dict().Len(); 2*reads[seed] > values {
+		st.probes += values
 		for code := range int32(values) {
 			if count := prop.StrengthOfCode(st.rows[seed], code); count > 0 {
 				shared = append(shared, sharedAssoc{code: code, minCount: count, minFrac: frac(seed, count)})
 			}
 		}
 	} else {
+		st.walked += reads[seed]
 		sc.counts, sc.codes = prop.AppendCounts(sc.counts[:0], sc.codes, st.rows[seed])
 		for _, cc := range sc.counts {
 			shared = append(shared, sharedAssoc{code: cc.Code, minCount: cc.Count, minFrac: frac(seed, cc.Count)})
@@ -319,6 +334,7 @@ func derivedContexts(out []Context, st *exampleState, prop *adb.DerivedProperty,
 values:
 	for _, a := range shared {
 		for _, i := range sc.probers {
+			st.probes++
 			count := prop.StrengthOfCode(st.rows[i], a.code)
 			if count == 0 {
 				continue values
@@ -340,13 +356,12 @@ values:
 	sc.codes = codes
 	prop.Dict().SortCodes(codes)
 	vals := prop.Dict().Values()
-	values := make([]string, len(codes))
 	filters := make([]Filter, len(codes))
 	for i, code := range codes {
 		at, _ := slices.BinarySearchFunc(shared, code, sharedAssoc.compareCode)
-		values[i] = vals[code]
 		f := &filters[i]
-		*f = Filter{Kind: Derived, Derivd: prop, Values: values[i : i+1 : i+1], Theta: shared[at].minCount}
+		f.Kind, f.Derivd, f.Theta = Derived, prop, shared[at].minCount
+		f.onValue(vals, code)
 		// Normalization needs the companion degree property; derived
 		// properties without one (self-edge associations label their
 		// degree differently) keep the absolute threshold.

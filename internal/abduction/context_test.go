@@ -125,8 +125,9 @@ func TestDerivedContextThetaMin(t *testing.T) {
 		t.Fatal("persontogenre missing")
 	}
 	// Pick two comedians with known distinct comedy counts.
-	c0 := ptg.StrengthOf(0, "Comedy")
-	c1 := ptg.StrengthOf(1, "Comedy")
+	comedy, _ := ptg.LookupCode("Comedy")
+	c0 := ptg.StrengthOfCode(0, comedy)
+	c1 := ptg.StrengthOfCode(1, comedy)
 	contexts := DiscoverContexts(info, []int{0, 1}, DefaultParams())
 	var derived *Context
 	for i := range contexts {

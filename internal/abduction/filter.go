@@ -8,6 +8,7 @@ import (
 
 	"squid/internal/adb"
 	"squid/internal/index"
+	"squid/internal/relation"
 	"squid/internal/trace"
 )
 
@@ -45,10 +46,6 @@ type Filter struct {
 	// operands the data holds may grow a memo.
 	Unstored bool
 
-	// degree is the companion degree property used to normalize
-	// association strengths (set only in normalized mode).
-	degree *adb.DerivedProperty
-
 	// Per-filter memos. A filter references properties of one immutable
 	// αDB epoch, whose statistics never change for the lifetime of the
 	// pointer (copy-on-write inserts publish clones under fresh
@@ -57,10 +54,61 @@ type Filter struct {
 	// belongs to one discovery, which runs on one goroutine, so the
 	// memos need no locking. Cross-discovery reuse happens one layer
 	// down in the properties' own row-set memos.
+	selOK, setOK bool
+	// one holds the code of a single value, which codes then views. It
+	// and the flags share a word with the ones above.
+	one    [1]int32
 	selVal float64
-	selOK  bool
 	rowSet *index.RowSet
-	setOK  bool
+
+	// degree is the companion degree property used to normalize
+	// association strengths (set only in normalized mode).
+	degree *adb.DerivedProperty
+
+	// codes are the dictionary codes of Values, in order (NoCode for a
+	// value the dictionary lacks): the context that found the values
+	// keeps their codes, and a filter built from strings (a client's
+	// plan) looks them up on first use. Selectivity, the row-set build
+	// and SatisfiedBy read codes, never a string.
+	codes []int32
+}
+
+// onValue makes f a filter on the value of code, read in place from
+// vals, the dictionary's immutable prefix.
+func (f *Filter) onValue(vals []string, code int32) {
+	f.Values, f.one[0] = vals[code:code+1:code+1], code
+	f.codes = f.one[:]
+}
+
+// valueCodes returns the codes of Values, looking them up on first use.
+func (f *Filter) valueCodes() []int32 {
+	if f.codes == nil && f.Kind != BasicNumeric {
+		f.codes = f.one[:]
+		if len(f.Values) != 1 {
+			f.codes = make([]int32, len(f.Values))
+		}
+		for i, v := range f.Values {
+			var ok bool
+			if f.Kind == Derived {
+				f.codes[i], ok = f.Derivd.LookupCode(v)
+			} else {
+				f.codes[i], ok = f.Basic.LookupCode(v)
+			}
+			if !ok {
+				f.codes[i] = relation.NoCode
+			}
+		}
+	}
+	return f.codes
+}
+
+// code returns the code of the single value (the first for
+// disjunctions), NoCode when there is none.
+func (f *Filter) code() int32 {
+	if codes := f.valueCodes(); len(codes) > 0 {
+		return codes[0]
+	}
+	return relation.NoCode
 }
 
 // Attr returns the display attribute name.
@@ -111,7 +159,7 @@ func (f *Filter) selectivityT(sp trace.Span) float64 {
 	switch f.Kind {
 	case BasicCategorical:
 		if len(f.Values) == 1 {
-			f.selVal = f.Basic.CategoricalSelectivity(f.Values[0])
+			f.selVal = f.Basic.SelectivityOfCode(f.code())
 		} else {
 			// Disjunction: count entities holding any value. For
 			// multi-valued attributes the per-value sets can overlap,
@@ -125,7 +173,7 @@ func (f *Filter) selectivityT(sp trace.Span) float64 {
 		if f.NormUse {
 			f.selVal = float64(f.rowSetT(sp).Count()) / float64(max(1, f.Derivd.NumEntities()))
 		} else {
-			f.selVal = f.Derivd.Selectivity(f.Value(), f.Theta)
+			f.selVal = f.Derivd.SelectivityOfCode(f.code(), f.Theta)
 		}
 	}
 	f.selOK = true
@@ -163,14 +211,14 @@ func (f *Filter) rowSetT(sp trace.Span) *index.RowSet {
 	store := !f.Unstored
 	switch f.Kind {
 	case BasicCategorical:
-		f.rowSet = f.Basic.EntityRowSetWithAnyValue(f.Values, sp, store)
+		f.rowSet = f.Basic.EntityRowSetWithAnyCode(f.valueCodes(), sp, store)
 	case BasicNumeric:
 		f.rowSet = f.Basic.EntityRowSetInRange(f.Lo, f.Hi, sp, store)
 	default:
 		if f.NormUse {
-			f.rowSet = f.Derivd.EntityRowSetWithNormStrength(f.Value(), f.ThetaN, f.degree, sp, store)
+			f.rowSet = f.Derivd.EntityRowSetWithNormStrength(f.code(), f.ThetaN, f.degree, sp, store)
 		} else {
-			f.rowSet = f.Derivd.EntityRowSetWithStrength(f.Value(), f.Theta, sp, store)
+			f.rowSet = f.Derivd.EntityRowSetWithStrength(f.code(), f.Theta, sp, store)
 		}
 	}
 	f.setOK = true
@@ -185,15 +233,9 @@ func (f *Filter) SatisfiedBy(info *adb.EntityInfo, row int) bool {
 	case BasicCategorical:
 		var scratch [64]int32
 		codes := f.Basic.AppendValueCodes(scratch[:0], row)
-		for _, want := range f.Values {
-			wc, ok := f.Basic.LookupCode(want)
-			if !ok {
-				continue
-			}
-			for _, c := range codes {
-				if c == wc {
-					return true
-				}
+		for _, want := range f.valueCodes() {
+			if want != relation.NoCode && slices.Contains(codes, want) {
+				return true
 			}
 		}
 		return false
@@ -201,7 +243,7 @@ func (f *Filter) SatisfiedBy(info *adb.EntityInfo, row int) bool {
 		v, ok := f.Basic.NumValue(row)
 		return ok && v >= f.Lo && v <= f.Hi
 	default:
-		c := f.Derivd.StrengthOf(row, f.Value())
+		c := f.Derivd.StrengthOfCode(row, f.code())
 		if f.NormUse {
 			d := f.degreeOf(row)
 			return d > 0 && float64(c)/d >= f.ThetaN
@@ -217,9 +259,7 @@ func (f *Filter) degreeOf(row int) float64 {
 	if f.degree == nil {
 		return 0
 	}
-	// The degree property has a single pseudo-value named after the
-	// associated entity relation.
-	return float64(f.degree.StrengthOf(row, f.degree.Via))
+	return float64(f.degree.Degree(row))
 }
 
 // RowSetUnder is RowSet with the fetch recorded as a rowset span under

@@ -191,13 +191,16 @@ func TestRowSetBuildersMatchScan(t *testing.T) {
 			t.Fatal("no movie:decade or movie:count property")
 		}
 		for _, v := range decade.DistinctValues() {
-			for theta := 1; theta <= decade.MaxStrength(v)+1; theta++ {
+			code, _ := decade.LookupCode(v)
+			// Every θ up to one past the largest strength, where ψ reads 0.
+			for theta, psi := 1, 1.0; psi > 0; theta++ {
+				psi = decade.SelectivityOfCode(code, theta)
 				f := &Filter{Kind: Derived, Derivd: decade, Values: []string{v}, Theta: theta}
-				check("strength", f, int(decade.Selectivity(v, theta)*float64(n)+0.5))
+				check("strength", f, int(psi*float64(n)+0.5))
 			}
 			for _, thetaN := range []float64{0.05, 0.2, 0.5, 1} {
 				f := &Filter{Kind: Derived, Derivd: decade, Values: []string{v}, ThetaN: thetaN, NormUse: true, degree: degree}
-				check("norm-strength", f, int(decade.Selectivity(v, 1)*float64(n)+0.5))
+				check("norm-strength", f, int(decade.SelectivityOfCode(code, 1)*float64(n)+0.5))
 			}
 		}
 		check("strength", &Filter{Kind: Derived, Derivd: decade, Values: []string{"no such decade"}, Theta: 1}, 0)

@@ -127,7 +127,7 @@ func TestBasicDirectProperties(t *testing.T) {
 	if gender == nil || gender.Kind != Categorical {
 		t.Fatal("gender property missing")
 	}
-	if got := gender.CategoricalSelectivity("Male"); got != 0.5 {
+	if got := gender.SelectivityOfCode(gender.code("Male")); got != 0.5 {
 		t.Errorf("ψ(gender=Male)=%v want 0.5", got)
 	}
 	if got := values(gender, 0); len(got) != 1 || got[0] != "Male" {
@@ -187,13 +187,13 @@ func TestBasicFKDimProperty(t *testing.T) {
 	if country.Access.Type != FKDim || country.Access.Dim != "country" {
 		t.Errorf("access=%+v", country.Access)
 	}
-	if got := country.CategoricalSelectivity("Canada"); math.Abs(got-2.0/6.0) > 1e-9 {
+	if got := country.SelectivityOfCode(country.code("Canada")); math.Abs(got-2.0/6.0) > 1e-9 {
 		t.Errorf("ψ(country=Canada)=%v", got)
 	}
 	if got := values(country, 4); len(got) != 1 || got[0] != "Canada" {
 		t.Errorf("Values(4)=%v", got)
 	}
-	rows := country.EntityRowsWithValue("Canada")
+	rows := country.EntityRowSetWithAnyCode(country.codesOf("Canada"), trace.Span{}, false).ToSorted()
 	if len(rows) != 2 || rows[0] != 4 || rows[1] != 5 {
 		t.Errorf("rows=%v", rows)
 	}
@@ -205,7 +205,7 @@ func TestBasicFactDimProperty(t *testing.T) {
 	if genre == nil || !genre.MultiValued {
 		t.Fatal("movie genre fact-dim property missing or not multi-valued")
 	}
-	if got := genre.CategoricalSelectivity("Comedy"); math.Abs(got-3.0/6.0) > 1e-9 {
+	if got := genre.SelectivityOfCode(genre.code("Comedy")); math.Abs(got-3.0/6.0) > 1e-9 {
 		t.Errorf("ψ(genre=Comedy)=%v want 0.5", got)
 	}
 	if got := values(genre, 0); len(got) != 1 || got[0] != "Comedy" {
@@ -232,21 +232,21 @@ func TestDerivedPersonToGenre(t *testing.T) {
 		t.Errorf("person 2 drama count=%v", got)
 	}
 	// ψ(genre=Comedy, θ=3) = 1/6 (only person 1).
-	if got := ptg.Selectivity("Comedy", 3); math.Abs(got-1.0/6.0) > 1e-9 {
+	if got := ptg.SelectivityOfCode(ptg.code("Comedy"), 3); math.Abs(got-1.0/6.0) > 1e-9 {
 		t.Errorf("ψ(Comedy,3)=%v", got)
 	}
 	// ψ(genre=Comedy, θ=1) = 2/6 (persons 1 and 3).
-	if got := ptg.Selectivity("Comedy", 1); math.Abs(got-2.0/6.0) > 1e-9 {
+	if got := ptg.SelectivityOfCode(ptg.code("Comedy"), 1); math.Abs(got-2.0/6.0) > 1e-9 {
 		t.Errorf("ψ(Comedy,1)=%v", got)
 	}
 	// θ=0 is satisfied by everyone.
-	if got := ptg.Selectivity("Comedy", 0); got != 1 {
+	if got := ptg.SelectivityOfCode(ptg.code("Comedy"), 0); got != 1 {
 		t.Errorf("ψ(Comedy,0)=%v", got)
 	}
-	if got := ptg.MaxStrength("Comedy"); got != 3 {
-		t.Errorf("MaxStrength=%d", got)
+	if got := ptg.maxStrength(ptg.code("Comedy")); got != 3 {
+		t.Errorf("max strength %d", got)
 	}
-	rows := ptg.EntityRowSetWithStrength("Comedy", 2, trace.Span{}, true).ToSorted()
+	rows := ptg.EntityRowSetWithStrength(ptg.code("Comedy"), 2, trace.Span{}, true).ToSorted()
 	if len(rows) != 1 || rows[0] != 0 {
 		t.Errorf("rows(Comedy,≥2)=%v", rows)
 	}
@@ -262,7 +262,7 @@ func TestDerivedDegree(t *testing.T) {
 		t.Errorf("person 1 degree=%v", got)
 	}
 	// 3 of 6 persons appear in ≥1 movie.
-	if got := deg.Selectivity("movie", 1); math.Abs(got-0.5) > 1e-9 {
+	if got := deg.SelectivityOfCode(deg.code("movie"), 1); math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("ψ(degree≥1)=%v", got)
 	}
 }
@@ -345,7 +345,7 @@ func TestSelectivityBounds(t *testing.T) {
 		for _, b := range e.Basic {
 			if b.Kind == Categorical {
 				for _, v := range b.DistinctValues() {
-					if s := b.CategoricalSelectivity(v); s < 0 || s > 1 {
+					if s := b.SelectivityOfCode(b.code(v)); s < 0 || s > 1 {
 						t.Errorf("%s ψ(%s)=%v out of range", b, v, s)
 					}
 				}
@@ -358,8 +358,8 @@ func TestSelectivityBounds(t *testing.T) {
 		}
 		for _, d := range e.Derived {
 			for _, v := range d.DistinctValues() {
-				for theta := 0; theta <= d.MaxStrength(v)+1; theta++ {
-					if s := d.Selectivity(v, theta); s < 0 || s > 1 {
+				for theta := 0; theta <= d.maxStrength(d.code(v))+1; theta++ {
+					if s := d.SelectivityOfCode(d.code(v), theta); s < 0 || s > 1 {
 						t.Errorf("%s ψ(%s,%d)=%v out of range", d, v, theta, s)
 					}
 				}
@@ -374,8 +374,8 @@ func TestDerivedSelectivityMonotoneInTheta(t *testing.T) {
 		for _, d := range e.Derived {
 			for _, v := range d.DistinctValues() {
 				prev := 2.0
-				for theta := 1; theta <= d.MaxStrength(v)+2; theta++ {
-					s := d.Selectivity(v, theta)
+				for theta := 1; theta <= d.maxStrength(d.code(v))+2; theta++ {
+					s := d.SelectivityOfCode(d.code(v), theta)
 					if s > prev {
 						t.Errorf("%s ψ(%s,θ) not monotone at θ=%d: %v > %v", d, v, theta, s, prev)
 					}

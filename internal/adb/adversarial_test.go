@@ -101,7 +101,7 @@ func TestDanglingForeignKeys(t *testing.T) {
 	if p == nil {
 		t.Fatal("fact-dim property missing")
 	}
-	if got := p.CategoricalSelectivity("Comedy"); got != 0.5 {
+	if got := p.SelectivityOfCode(p.code("Comedy")); got != 0.5 {
 		t.Errorf("dangling rows must be skipped: ψ=%v want 0.5", got)
 	}
 }
@@ -132,7 +132,7 @@ func TestEmptyRelations(t *testing.T) {
 	// Selectivity on empty statistics must not divide by zero.
 	for _, p := range info.Basic {
 		if p.Kind == Categorical {
-			if s := p.CategoricalSelectivity("x"); s != 0 {
+			if s := p.SelectivityOfCode(p.code("x")); s != 0 {
 				t.Errorf("empty ψ=%v", s)
 			}
 		}

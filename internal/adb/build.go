@@ -177,6 +177,9 @@ func buildEpoch(db *relation.Database, cfg Config) (*Epoch, error) {
 		cfg.Workers = workers
 	}
 	workers := cfg.workers()
+	// The epoch's dictionaries answer Lookup and Intern from their rank
+	// tables; the maps of the load that filled them go.
+	db.Seal()
 	a := &Epoch{
 		DB:       db,
 		Entities: make(map[string]*EntityInfo),

@@ -107,10 +107,10 @@ func TestEntityRowsCrossCheck(t *testing.T) {
 		return out
 	}
 	for _, vals := range [][]string{{"a"}, {"a", "c"}, {"b", "d", "e"}, {"nope"}} {
-		got := class.EntityRowSetWithAnyValue(vals, trace.Span{}, true).ToSorted()
+		got := class.EntityRowSetWithAnyCode(class.codesOf(vals...), trace.Span{}, true).ToSorted()
 		want := naiveAny(vals)
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-			t.Fatalf("EntityRowSetWithAnyValue(%v): %v want %v", vals, got, want)
+			t.Fatalf("EntityRowSetWithAnyCode(%v): %v want %v", vals, got, want)
 		}
 	}
 }
@@ -128,18 +128,18 @@ func TestDerivedStrengthCrossCheck(t *testing.T) {
 		for _, v := range p.DistinctValues() {
 			for row := 0; row < info.NumRows; row++ {
 				want := countsOf(p, info.IDByRow(row))[v]
-				if got := p.StrengthOf(row, v); got != want {
-					t.Errorf("%s: StrengthOf(%d,%s)=%d want %d", p.Attr, row, v, got, want)
+				if got := p.StrengthOfCode(row, p.code(v)); got != want {
+					t.Errorf("%s: StrengthOfCode(%d,%s)=%d want %d", p.Attr, row, v, got, want)
 				}
 			}
-			for theta := 1; theta <= p.MaxStrength(v); theta++ {
+			for theta := 1; theta <= p.maxStrength(p.code(v)); theta++ {
 				var want []int
 				for row := 0; row < info.NumRows; row++ {
 					if countsOf(p, info.IDByRow(row))[v] >= theta {
 						want = append(want, row)
 					}
 				}
-				got := p.EntityRowSetWithStrength(v, theta, trace.Span{}, true).ToSorted()
+				got := p.EntityRowSetWithStrength(p.code(v), theta, trace.Span{}, true).ToSorted()
 				if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 					t.Errorf("%s: EntityRowSetWithStrength(%s,%d)=%v want %v", p.Attr, v, theta, got, want)
 				}
@@ -210,7 +210,7 @@ func TestSelectivityCacheInvalidation(t *testing.T) {
 	if ptg == nil {
 		t.Fatal("movie:genre derived property missing")
 	}
-	preRows := ptg.EntityRowSetWithStrength("Drama", 1, trace.Span{}, true).ToSorted()
+	preRows := ptg.EntityRowSetWithStrength(ptg.code("Drama"), 1, trace.Span{}, true).ToSorted()
 	// Person 3 appears in movie 13 (Drama) for the first time.
 	if err := a.InsertBatch([]InsertOp{{Rel: "castinfo", Vals: []relation.Value{relation.IntVal(3), relation.IntVal(13)}}}, trace.Span{}); err != nil {
 		t.Fatal(err)
@@ -219,14 +219,14 @@ func TestSelectivityCacheInvalidation(t *testing.T) {
 	if ptg2 == ptg {
 		t.Fatal("fact insert did not clone the derived property")
 	}
-	postRows := ptg2.EntityRowSetWithStrength("Drama", 1, trace.Span{}, true).ToSorted()
+	postRows := ptg2.EntityRowSetWithStrength(ptg2.code("Drama"), 1, trace.Span{}, true).ToSorted()
 	if len(postRows) != len(preRows)+1 {
 		t.Errorf("post-fact Drama rows = %v want one more than %v", postRows, preRows)
 	}
 	if !sort.IntsAreSorted(postRows) {
 		t.Errorf("post-fact rows not sorted: %v", postRows)
 	}
-	if got := ptg.EntityRowSetWithStrength("Drama", 1, trace.Span{}, true).ToSorted(); len(got) != len(preRows) {
+	if got := ptg.EntityRowSetWithStrength(ptg.code("Drama"), 1, trace.Span{}, true).ToSorted(); len(got) != len(preRows) {
 		t.Errorf("retired derived row set changed: %v want %v", got, preRows)
 	}
 	rebuildAndCompare(t, a)
@@ -292,7 +292,7 @@ func TestPerPropertyInvalidation(t *testing.T) {
 	if ptg == nil {
 		t.Fatal("movie:genre derived property missing")
 	}
-	_ = ptg.EntityRowSetWithStrength("Drama", 1, trace.Span{}, true)
+	_ = ptg.EntityRowSetWithStrength(ptg.code("Drama"), 1, trace.Span{}, true)
 	if cache.Len() != 3 {
 		t.Fatalf("cache primed with %d entries, want 3", cache.Len())
 	}
@@ -411,8 +411,8 @@ func TestDisjunctionCacheKey(t *testing.T) {
 	if class == nil {
 		t.Fatal("class property missing")
 	}
-	r1 := class.EntityRowSetWithAnyValue([]string{"a\x00b", "c"}, trace.Span{}, true).ToSorted()
-	r2 := class.EntityRowSetWithAnyValue([]string{"a", "b\x00c"}, trace.Span{}, true).ToSorted()
+	r1 := class.EntityRowSetWithAnyCode(class.codesOf([]string{"a\x00b", "c"}...), trace.Span{}, true).ToSorted()
+	r2 := class.EntityRowSetWithAnyCode(class.codesOf([]string{"a", "b\x00c"}...), trace.Span{}, true).ToSorted()
 	if !reflect.DeepEqual(r1, []int{0, 1, 5}) {
 		t.Errorf(`rows of {"a\x00b","c"} = %v, want [0 1 5]`, r1)
 	}
@@ -423,7 +423,7 @@ func TestDisjunctionCacheKey(t *testing.T) {
 	// Order canonicalization: the reversed set must hit the same entry.
 	cache := a.SelectivityCache()
 	h0, _ := cache.Metrics()
-	r3 := class.EntityRowSetWithAnyValue([]string{"c", "a\x00b"}, trace.Span{}, true).ToSorted()
+	r3 := class.EntityRowSetWithAnyCode(class.codesOf([]string{"c", "a\x00b"}...), trace.Span{}, true).ToSorted()
 	if h1, _ := cache.Metrics(); h1 != h0+1 {
 		t.Error("reordered disjunction missed the cache")
 	}
@@ -451,4 +451,41 @@ func TestCacheMetrics(t *testing.T) {
 	if h1 != h0+1 {
 		t.Errorf("hits %d -> %d, want one new hit", h0, h1)
 	}
+}
+
+// code returns the code of v in the property's dictionary, NoCode when
+// it lacks v.
+func (p *DerivedProperty) code(v string) int32 {
+	if code, ok := p.LookupCode(v); ok {
+		return code
+	}
+	return relation.NoCode
+}
+
+// maxStrength returns the largest strength of the value of code, 0
+// when no entity is associated with it.
+func (p *DerivedProperty) maxStrength(code int32) int {
+	if cs := p.statsOf(code); cs != nil {
+		return cs.ge.Len()
+	}
+	return 0
+}
+
+// code returns the code of v in the property's dictionary, NoCode when
+// it lacks v.
+func (p *BasicProperty) code(v string) int32 {
+	if code, ok := p.LookupCode(v); ok {
+		return code
+	}
+	return relation.NoCode
+}
+
+// codesOf returns the codes of values in the property's dictionary,
+// NoCode for one it lacks.
+func (p *BasicProperty) codesOf(values ...string) []int32 {
+	codes := make([]int32, len(values))
+	for i, v := range values {
+		codes[i] = p.code(v)
+	}
+	return codes
 }

@@ -182,7 +182,7 @@ type EpochStats struct {
 	Publishes   uint64
 	// Combines is always 0: writers run one at a time, so no publish
 	// merges another writer's epoch. It stays only for the benchmark's
-	// adb.epoch_combines line (ROADMAP item 4 deletes both).
+	// adb.epoch_combines line (ROADMAP item 5(b) deletes both).
 	Combines uint64
 	// Retired counts epochs replaced by a publish but not yet garbage
 	// collected (readers may still pin them); RetainedBytes is what

@@ -18,7 +18,7 @@ func TestEpochSnapshotIsolation(t *testing.T) {
 	a := buildFixture(t)
 	pre := a.Snapshot()
 	preRows := pre.Entity("person").NumRows
-	preSel := pre.Entity("person").BasicByAttr("gender").CategoricalSelectivity("Male")
+	preSel := pre.Entity("person").BasicByAttr("gender").SelectivityOfCode(pre.Entity("person").BasicByAttr("gender").code("Male"))
 	if n := len(pre.InvertedLookup("fresh face")); n != 0 {
 		t.Fatalf("pre epoch already sees %d postings", n)
 	}
@@ -45,7 +45,7 @@ func TestEpochSnapshotIsolation(t *testing.T) {
 	if got := pre.Entity("person").Rel().NumRows(); got != preRows {
 		t.Errorf("pre epoch relation rows moved: %d want %d", got, preRows)
 	}
-	if got := pre.Entity("person").BasicByAttr("gender").CategoricalSelectivity("Male"); got != preSel {
+	if got := pre.Entity("person").BasicByAttr("gender").SelectivityOfCode(pre.Entity("person").BasicByAttr("gender").code("Male")); got != preSel {
 		t.Errorf("pre epoch ψ(Male) moved: %v want %v", got, preSel)
 	}
 	if n := len(pre.InvertedLookup("fresh face")); n != 0 {

@@ -33,7 +33,7 @@ func rebuildAndCompare(t *testing.T, a *AlphaDB) {
 			}
 			if p.Kind == Categorical {
 				for _, v := range fp.DistinctValues() {
-					if got, want := p.CategoricalSelectivity(v), fp.CategoricalSelectivity(v); math.Abs(got-want) > 1e-9 {
+					if got, want := p.SelectivityOfCode(p.code(v)), fp.SelectivityOfCode(fp.code(v)); math.Abs(got-want) > 1e-9 {
 						t.Errorf("%s.%s ψ(%s)=%v incremental vs %v rebuilt", name, p.Attr, v, got, want)
 					}
 				}
@@ -55,8 +55,8 @@ func rebuildAndCompare(t *testing.T, a *AlphaDB) {
 				continue
 			}
 			for _, v := range fp.DistinctValues() {
-				for theta := 1; theta <= fp.MaxStrength(v); theta++ {
-					if got, want := p.Selectivity(v, theta), fp.Selectivity(v, theta); math.Abs(got-want) > 1e-9 {
+				for theta := 1; theta <= fp.maxStrength(fp.code(v)); theta++ {
+					if got, want := p.SelectivityOfCode(p.code(v), theta), fp.SelectivityOfCode(fp.code(v), theta); math.Abs(got-want) > 1e-9 {
 						t.Errorf("%s.%s ψ(%s,%d)=%v incremental vs %v rebuilt", name, p.Attr, v, theta, got, want)
 					}
 				}
@@ -80,7 +80,7 @@ func TestInsertEntityMaintainsStats(t *testing.T) {
 		t.Errorf("new entity not resolvable: %d %v", row, ok)
 	}
 	// ψ(gender=Male) is now 4/7.
-	if got := info.BasicByAttr("gender").CategoricalSelectivity("Male"); math.Abs(got-4.0/7.0) > 1e-9 {
+	if got := info.BasicByAttr("gender").SelectivityOfCode(info.BasicByAttr("gender").code("Male")); math.Abs(got-4.0/7.0) > 1e-9 {
 		t.Errorf("ψ(Male)=%v want 4/7", got)
 	}
 	// The new name is findable via the inverted index.

@@ -239,8 +239,8 @@ func checkLayout(t *testing.T, road string, a *AlphaDB) {
 				if int(code) == p.dict.Len() {
 					break
 				}
-				if have := p.EntityRowsWithValue(p.dict.Value(code)); !slices.Equal(have, set) {
-					t.Fatalf("%s: EntityRowsWithValue(%q) = %v, the scan finds %v", at, p.dict.Value(code), have, set)
+				if have := p.EntityRowSetWithAnyCode([]int32{code}, trace.Span{}, false).ToSorted(); !slices.Equal(have, set) {
+					t.Fatalf("%s: the row set of %q = %v, the scan finds %v", at, p.dict.Value(code), have, set)
 				}
 				if len(set) > 0 {
 					domain = append(domain, p.dict.Value(code))

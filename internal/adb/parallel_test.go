@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"squid/internal/relation"
+	"squid/internal/trace"
 )
 
 // alphaFingerprint captures everything discovery-visible about an αDB:
@@ -22,13 +23,13 @@ func alphaFingerprint(a *AlphaDB) string {
 			out += fmt.Sprintf("  basic %s kind=%d multi=%v access=%+v distinct=%d vals=%v\n",
 				p.Attr, p.Kind, p.MultiValued, p.Access, p.NumDistinct(), p.DistinctValues())
 			for _, v := range p.DistinctValues() {
-				out += fmt.Sprintf("    %q -> %v\n", v, p.EntityRowsWithValue(v))
+				out += fmt.Sprintf("    %q -> %v\n", v, p.EntityRowSetWithAnyCode([]int32{p.code(v)}, trace.Span{}, false).ToSorted())
 			}
 		}
 		for _, p := range info.Derived {
 			out += fmt.Sprintf("  derived %s rel=%s via=%s target=%+v\n", p.Attr, p.RelName, p.Via, p.Target)
 			for _, v := range p.DistinctValues() {
-				out += fmt.Sprintf("    %q -> %v max=%d\n", v, p.Selectivity(v, 1), p.MaxStrength(v))
+				out += fmt.Sprintf("    %q -> %v max=%d\n", v, p.SelectivityOfCode(p.code(v), 1), p.maxStrength(p.code(v)))
 			}
 		}
 	}

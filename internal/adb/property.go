@@ -262,18 +262,8 @@ func (p *BasicProperty) addCatRow(code int32, row int) {
 // (epochmutate enforces it).
 func (p *BasicProperty) Postings() *index.Postings[uint32] { return &p.catRows }
 
-// CategoricalSelectivity returns ψ(φ⟨Attr,v,⊥⟩): the fraction of entities
-// exhibiting value v.
-func (p *BasicProperty) CategoricalSelectivity(v string) float64 {
-	code, ok := p.LookupCode(v)
-	if !ok {
-		return 0
-	}
-	return p.SelectivityOfCode(code)
-}
-
-// SelectivityOfCode returns ψ(φ⟨Attr,v,⊥⟩) for a value code — the
-// string-free fast path of the disambiguation scorer.
+// SelectivityOfCode returns ψ(φ⟨Attr,v,⊥⟩), the fraction of entities
+// exhibiting the value of code (0 for NoCode).
 func (p *BasicProperty) SelectivityOfCode(code int32) float64 {
 	if p.numEntities == 0 {
 		return 0
@@ -322,60 +312,28 @@ func (p *BasicProperty) CategoricalDomainCoverage(k int) float64 {
 	return cov
 }
 
-// postingsOf returns the posting list of value v as its ascending base
-// run and the rows added since the last fold.
-func (p *BasicProperty) postingsOf(v string) (base, tail []uint32) {
-	code, ok := p.LookupCode(v)
-	if !ok {
-		return nil, nil
-	}
-	return p.catRows.Rows(int(code))
-}
-
-// EntityRowsWithValue returns the entity rows exhibiting categorical
-// value v, ascending, in a fresh slice (nil when none) — for tests and
-// diagnostics: the read path unions the postings straight into a row
-// set (EntityRowSetWithAnyValue).
-func (p *BasicProperty) EntityRowsWithValue(v string) []int {
-	base, tail := p.postingsOf(v)
-	if len(base)+len(tail) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(base)+len(tail))
-	for _, r := range base {
-		out = append(out, int(r))
-	}
-	for _, r := range tail {
-		out = append(out, int(r))
-	}
-	if len(tail) > 0 {
-		slices.Sort(out)
-	}
-	return out
-}
-
-// EntityRowSetWithAnyValue returns the union of the per-value posting
-// lists — the satisfying rows of a disjunctive IN filter — memoized
-// under the canonical disjunction key (a single value is a one-element
-// disjunction), with memo events attributed to sp. The set is sized by
-// the lists' total length, ψ's numerator when the values do not overlap
-// and an upper bound when they do, and takes the 4-byte postings as
-// they are stored. A set the call had to build stays in the memo when
-// store is set (rowSetMemo.rowSet says who may). The returned set is
-// shared: do not mutate.
-func (p *BasicProperty) EntityRowSetWithAnyValue(values []string, sp trace.Span, store bool) *index.RowSet {
-	if len(values) == 0 {
+// EntityRowSetWithAnyCode returns the union of the posting lists of
+// the value codes (NoCode names no value) — the satisfying rows of a
+// disjunctive IN filter — memoized under the canonical disjunction key
+// of their values (a single value is a one-element disjunction), with
+// memo events attributed to sp. The set is sized by the lists' total
+// length, ψ's numerator when the values do not overlap and an upper
+// bound when they do, and takes the 4-byte postings as they are stored.
+// A set the call had to build stays in the memo when store is set
+// (rowSetMemo.rowSet says who may). The returned set is shared: do not
+// mutate.
+func (p *BasicProperty) EntityRowSetWithAnyCode(codes []int32, sp trace.Span, store bool) *index.RowSet {
+	if len(codes) == 0 {
 		return index.NewRowSet(0, 0)
 	}
-	return p.memo.rowSet(SelKey{Value: disjunctionKey(values)}, sp, store, func() *index.RowSet {
+	return p.memo.rowSet(SelKey{Value: disjunctionKey(p.dict, codes)}, sp, store, func() *index.RowSet {
 		total := 0
-		for _, v := range values {
-			base, tail := p.postingsOf(v)
-			total += len(base) + len(tail)
+		for _, c := range codes {
+			total += p.catRows.Count(int(c))
 		}
 		s := index.NewRowSet(p.numEntities, total)
-		for _, v := range values {
-			base, tail := p.postingsOf(v)
+		for _, c := range codes {
+			base, tail := p.catRows.Rows(int(c))
 			s.AddAll(base)
 			s.AddAll(tail)
 		}
@@ -384,13 +342,19 @@ func (p *BasicProperty) EntityRowSetWithAnyValue(values []string, sp trace.Span,
 	})
 }
 
-// disjunctionKey canonicalizes a disjunctive value set into a
-// collision-free cache key: the values are sorted, so {a,b} and {b,a}
+// disjunctionKey canonicalizes the values of a disjunctive code set into
+// a collision-free cache key: the values are sorted, so {a,b} and {b,a}
 // share one entry, and each is length-prefixed, so no joiner byte can
 // alias — values containing NUL (or any other separator) cannot
 // collide the way a plain '\x00' join did.
-func disjunctionKey(values []string) string {
-	sorted := append([]string(nil), values...)
+func disjunctionKey(dict *relation.Dict, codes []int32) string {
+	vals := dict.Values()
+	sorted := make([]string, 0, len(codes))
+	for _, c := range codes {
+		if c != relation.NoCode {
+			sorted = append(sorted, vals[c])
+		}
+	}
 	sort.Strings(sorted)
 	var b strings.Builder
 	for _, v := range sorted {
@@ -618,10 +582,10 @@ func (p *DerivedProperty) DecodeValue(code int32) string { return p.dict.Value(c
 // LookupCode returns the code of a derived value and whether it exists.
 func (p *DerivedProperty) LookupCode(v string) (int32, bool) { return p.dict.Lookup(v) }
 
-// statsOf returns the statistics of a code for reading (nil when the
-// code is past the table: the dictionary can grow ahead of it).
+// statsOf returns the statistics of a code for reading (nil for NoCode
+// and past the table: the dictionary can grow ahead of it).
 func (p *DerivedProperty) statsOf(code int32) *codeStats {
-	if int(code) < p.codes.Len() {
+	if uint(code) < uint(p.codes.Len()) {
 		return p.codes.Ref(int(code))
 	}
 	return nil
@@ -678,24 +642,9 @@ func (p *DerivedProperty) SourceRows(row int) int {
 	return len(base) + len(tail)
 }
 
-// Selectivity returns ψ(φ⟨Attr,v,θ⟩): the fraction of entities associated
-// with value v at strength ≥ θ. Entities with no association count as 0.
-func (p *DerivedProperty) Selectivity(v string, theta int) float64 {
-	if p.numEntities == 0 {
-		return 0
-	}
-	if theta <= 0 {
-		return 1
-	}
-	code, ok := p.LookupCode(v)
-	if !ok {
-		return 0
-	}
-	return p.SelectivityOfCode(code, theta)
-}
-
-// SelectivityOfCode returns ψ(φ⟨Attr,v,θ⟩) for a value code — the
-// string-free fast path of the disambiguation scorer.
+// SelectivityOfCode returns ψ(φ⟨Attr,v,θ⟩): the fraction of entities
+// associated with the value of code at strength ≥ θ (0 for NoCode).
+// Entities with no association count as 0.
 func (p *DerivedProperty) SelectivityOfCode(code int32, theta int) float64 {
 	if p.numEntities == 0 {
 		return 0
@@ -711,15 +660,18 @@ func (p *DerivedProperty) SelectivityOfCode(code int32, theta int) float64 {
 }
 
 // EntityRowSetWithStrength returns the entity rows associated with
-// value v at strength ≥ θ, in a set sized by the histogram's count
-// (ge[θ-1], ψ's numerator); a θ past the largest strength is the empty
-// set without a walk. Memoized (kept on a miss when store is set), with
-// memo events attributed to sp; do not mutate the returned set.
-func (p *DerivedProperty) EntityRowSetWithStrength(v string, theta int, sp trace.Span, store bool) *index.RowSet {
-	return p.memo.rowSet(SelKey{Value: v, Theta: theta}, sp, store, func() *index.RowSet {
-		code, ok := p.LookupCode(v)
+// the value of code at strength ≥ θ, in a set sized by the histogram's
+// count (ge[θ-1], ψ's numerator); a θ past the largest strength, or
+// NoCode, is the empty set without a walk. Memoized under the value
+// (kept on a miss when store is set), with memo events attributed to
+// sp; do not mutate the returned set.
+func (p *DerivedProperty) EntityRowSetWithStrength(code int32, theta int, sp trace.Span, store bool) *index.RowSet {
+	if code == relation.NoCode {
+		return index.NewRowSet(p.numEntities, 0)
+	}
+	return p.memo.rowSet(SelKey{Value: p.dict.Value(code), Theta: theta}, sp, store, func() *index.RowSet {
 		cs := p.statsOf(code)
-		if !ok || cs == nil || theta > cs.ge.Len() {
+		if cs == nil || theta > cs.ge.Len() {
 			return index.NewRowSet(p.numEntities, 0)
 		}
 		count := cs.pairs.Len()
@@ -740,26 +692,29 @@ func (p *DerivedProperty) EntityRowSetWithStrength(v string, theta int, sp trace
 }
 
 // EntityRowSetWithNormStrength returns the entity rows associated with
-// value v at normalized strength ≥ θn, where each row's strength is
-// divided by its degree (total association count) from the companion
-// degree property; the set is sized by the value's pair count, an upper
-// bound. Memoized (kept on a miss when store is set), with memo events
-// attributed to sp; do not mutate the returned set.
-func (p *DerivedProperty) EntityRowSetWithNormStrength(v string, thetaN float64, degree *DerivedProperty, sp trace.Span, store bool) *index.RowSet {
+// the value of code at normalized strength ≥ θn, where each row's
+// strength is divided by its degree (total association count) from the
+// companion degree property; the set is sized by the value's pair
+// count, an upper bound. Memoized under the value (kept on a miss when
+// store is set), with memo events attributed to sp; do not mutate the
+// returned set.
+func (p *DerivedProperty) EntityRowSetWithNormStrength(code int32, thetaN float64, degree *DerivedProperty, sp trace.Span, store bool) *index.RowSet {
 	if degree == nil {
 		// No denominator: nothing satisfies a normalized threshold.
 		return index.NewRowSet(0, 0)
 	}
-	return p.memo.rowSet(SelKey{Value: v, Lo: thetaN, Theta: -1}, sp, store, func() *index.RowSet {
-		code, ok := p.LookupCode(v)
+	if code == relation.NoCode {
+		return index.NewRowSet(p.numEntities, 0)
+	}
+	return p.memo.rowSet(SelKey{Value: p.dict.Value(code), Lo: thetaN, Theta: -1}, sp, store, func() *index.RowSet {
 		cs := p.statsOf(code)
-		if !ok || cs == nil {
+		if cs == nil {
 			return index.NewRowSet(p.numEntities, 0)
 		}
 		s := index.NewRowSet(p.numEntities, cs.pairs.Len())
 		for ci := 0; ci < cs.pairs.NumChunks(); ci++ {
 			for _, vc := range cs.pairs.Chunk(ci) {
-				if d := float64(degree.StrengthOf(int(vc.entityRow), degree.Via)); d > 0 && float64(vc.count)/d >= thetaN {
+				if d := float64(degree.Degree(int(vc.entityRow))); d > 0 && float64(vc.count)/d >= thetaN {
 					s.Add(int(vc.entityRow))
 				}
 			}
@@ -783,25 +738,10 @@ func (p *DerivedProperty) StrengthOfCode(row int, code int32) int {
 	return 0
 }
 
-// StrengthOf returns the association strength of the entity at row for
-// value v (0 when unassociated).
-func (p *DerivedProperty) StrengthOf(row int, v string) int {
-	code, ok := p.LookupCode(v)
-	if !ok {
-		return 0
-	}
-	return p.StrengthOfCode(row, code)
-}
-
-// MaxStrength returns the largest association strength observed for v.
-func (p *DerivedProperty) MaxStrength(v string) int {
-	code, ok := p.LookupCode(v)
-	cs := p.statsOf(code)
-	if !ok || cs == nil {
-		return 0
-	}
-	return cs.ge.Len()
-}
+// Degree returns the strength of the entity at row under a Degree
+// property — its number of associated entities — read from the
+// property's one value, code 0.
+func (p *DerivedProperty) Degree(row int) int { return p.StrengthOfCode(row, 0) }
 
 // DistinctValues returns the derived value domain, sorted.
 func (p *DerivedProperty) DistinctValues() []string {

@@ -58,11 +58,14 @@ type Stats struct {
 
 // ResidentBytes is the resident memory of one epoch by structure, each
 // figure counted from lengths and element widths rather than sampled.
-// The dictionaries' maps are not attributed yet.
 type ResidentBytes struct {
-	// Columns is the cell storage and dictionaries (with the rank tables
-	// the read path has built over them so far) of the base relations.
+	// Columns is the cell storage of the base relations: cells and NULL
+	// bitmaps.
 	Columns int64
+	// Dicts is the dictionaries of the base relations' TEXT columns:
+	// their values and the rank tables built over them so far
+	// (relation.Dict.ByteSize).
+	Dicts int64
 	// HashIndexBase and HashIndexTail are the flat bases (a key-ordered
 	// base's offsets, and once the span of the process-wide identity
 	// vector those bases read) and the tail maps of the resident hash
@@ -90,7 +93,15 @@ type ResidentBytes struct {
 // over index and property headers and the dictionaries, never over
 // rows.
 func (a *Epoch) ResidentBytes() ResidentBytes {
-	r := ResidentBytes{Columns: a.DB.ByteSize(), Inverted: a.Inverted.ResidentBytes()}
+	r := ResidentBytes{Inverted: a.Inverted.ResidentBytes()}
+	for _, name := range a.DB.RelationNames() {
+		for _, col := range a.DB.Relation(name).Columns() {
+			r.Columns += col.CellBytes()
+			if d := col.Dict(); d != nil {
+				r.Dicts += d.ByteSize()
+			}
+		}
+	}
 	r.HashIndexBase, r.HashIndexTail = a.Indexes.ResidentBytes()
 	for _, e := range a.Entities {
 		for _, p := range e.Basic {
@@ -129,7 +140,7 @@ func (a *Epoch) ComputeStats() Stats {
 	res := a.ResidentBytes()
 	s := Stats{
 		Name:            a.DB.Name,
-		DBBytes:         res.Columns,
+		DBBytes:         res.Columns + res.Dicts,
 		NumRelations:    a.DB.NumRelations(),
 		PrecomputedSize: res.DerivedPairs,
 		Resident:        res,

@@ -385,6 +385,9 @@ type rowPred struct {
 	flts []float64 // numeric = and IN: the operands compared as float64
 	want []int32   // TEXT = and IN: the operands' codes
 	num  float64   // numeric range: the operand
+	// applied marks the = or IN a view was built for (buildViews): every
+	// row of the relation satisfies it.
+	applied bool
 	// fixed is what a range over a NULL operand answers on every
 	// non-NULL cell: +1 matches, -1 does not, 0 is any other predicate.
 	fixed int8
@@ -597,11 +600,8 @@ func (e *Executor) buildViews(pl *plan, rowIDs bool) (built map[string]*relation
 			continue
 		}
 		var codes []int32
-		for _, p := range pl.preds[i] {
-			if (i > 0 || !rowIDs) && p.Col == v.Point && (p.Op == OpEq || p.Op == OpIn) {
-				codes = append(make([]int32, 0, len(p.want)), p.want...)
-				break
-			}
+		if j := pointPred(pl, i, v, rowIDs); j >= 0 {
+			codes = append(make([]int32, 0, len(pl.preds[i][j].want)), pl.preds[i][j].want...)
 		}
 		if built == nil {
 			built = make(map[string]*relation.Relation)
@@ -610,6 +610,30 @@ func (e *Executor) buildViews(pl *plan, rowIDs bool) (built map[string]*relation
 		rows += built[name].NumRows()
 	}
 	return built, rows
+}
+
+// pointPred returns the index among FROM position i's predicates of the
+// = or IN on view v's Point column that buildViews restricts v's rows
+// to, -1 when there is none.
+func pointPred(pl *plan, i int, v *relation.View, rowIDs bool) int {
+	if i == 0 && rowIDs {
+		return -1
+	}
+	return slices.IndexFunc(pl.preds[i], func(p rowPred) bool {
+		return p.Col == v.Point && (p.Op == OpEq || p.Op == OpIn)
+	})
+}
+
+// markApplied marks, in a plan bound to the views buildViews built, the
+// predicate each was restricted to.
+func (e *Executor) markApplied(pl *plan, rowIDs bool) {
+	for i, name := range pl.q.From {
+		if v := e.db.View(name); v != nil {
+			if j := pointPred(pl, i, v, rowIDs); j >= 0 {
+				pl.preds[i][j].applied = true
+			}
+		}
+	}
 }
 
 // access is how one FROM relation's surviving rows are reached, and how
@@ -630,15 +654,20 @@ type access struct {
 }
 
 // access estimates rel's surviving rows without scanning a large
-// relation: a relation under indexMinRows is filtered on the spot, a
-// point predicate costs the length of its posting list — read from the
-// resident hash index, or built for this block when the epoch holds none
-// on its column, counted in builds — and the rows a Reducer answered
-// with are their own list. A range does not narrow the estimate.
+// relation: a view built for its predicates is its rows, a relation
+// under indexMinRows is filtered on the spot, a point predicate costs
+// the length of its posting list — read from the resident hash index,
+// or built for this block when the epoch holds none on its column,
+// counted in builds — and the rows a Reducer answered with are their
+// own list. A range does not narrow the estimate, nor does a predicate
+// a view was built for.
 func (e *Executor) access(rel *relation.Relation, preds []rowPred, builds *int) access {
 	n := rel.NumRows()
 	if len(preds) == 0 {
 		return access{est: n}
+	}
+	if !slices.ContainsFunc(preds, func(p rowPred) bool { return !p.applied }) {
+		return access{est: n, cands: func() []int { return below(nil, n) }, exact: true}
 	}
 	if n < indexMinRows {
 		rows := below(preds, n)
@@ -658,7 +687,7 @@ func (e *Executor) access(rel *relation.Relation, preds []rowPred, builds *int) 
 			continue
 		}
 		text := p.col.Type == relation.String && (p.Op == OpEq || p.Op == OpIn)
-		if !text && (p.keys == nil || len(p.flts) != 0) {
+		if p.applied || !text && (p.keys == nil || len(p.flts) != 0) {
 			continue
 		}
 		if h := e.idx.ResidentIntHash(rel, p.Col); h != nil && !text {
@@ -902,6 +931,7 @@ func (e *Executor) join(ctx context.Context, q *Query, within *index.RowSet, row
 		if pl, err = e.bind(q, built); err != nil {
 			return nil, tuples{}, err
 		}
+		e.markApplied(pl, rowIDs)
 	}
 	if reduced != nil {
 		pl.preds[0] = slices.Insert(pl.preds[0], 0, rowPred{member: reduced})

@@ -203,12 +203,53 @@ func (p *Postings[T]) Count(k int) int {
 	return n + len(tail)
 }
 
-// Contains reports whether list k holds x: a binary search of the base
-// run and a scan of the members added since the fold.
+// Contains reports whether list k holds x: a search of the base run
+// (searchRun) and a scan of the members added since the fold.
 func (p *Postings[T]) Contains(k int, x T) bool {
 	base, tail := p.Rows(k)
-	_, found := slices.BinarySearch(base, x)
-	return found || slices.Contains(tail, x)
+	return searchRun(base, x) || slices.Contains(tail, x)
+}
+
+// searchRun reports whether the ascending, duplicate-free run holds x.
+// The members of a list spread about evenly over their range, so the
+// search starts where x's share of the range puts it, gallops from
+// there toward x in doubling steps and binary-searches the last step:
+// a read or two near the guess, O(log n) at worst.
+func searchRun[T uint32 | uint64](run []T, x T) bool {
+	n := len(run)
+	if n == 0 || x < run[0] || x > run[n-1] {
+		return false
+	}
+	// g = (x-first)·(n-1)/(last-first), in 128 bits: the quotient is at
+	// most n-1, so it fits.
+	g := 0
+	if span := uint64(run[n-1] - run[0]); span > 0 {
+		hi, lo := bits.Mul64(uint64(x-run[0]), uint64(n-1))
+		q, _ := bits.Div64(hi, lo, span)
+		g = int(q)
+	}
+	// x, when present, lies in run[lo:hi].
+	lo, hi := g, g+1
+	switch {
+	case run[g] == x:
+		return true
+	case run[g] < x:
+		for step := 1; hi < n && run[hi] < x; step *= 2 {
+			lo, hi = hi+1, min(hi+1+step, n)
+		}
+		if hi < n {
+			hi++
+		}
+	default:
+		for step := 1; lo > 0 && run[lo-1] > x; step *= 2 {
+			lo, hi = max(lo-1-step, 0), lo-1
+		}
+		if lo > 0 {
+			lo--
+		}
+	}
+	_, found := slices.BinarySearch(run[lo:hi], x)
+	return found
 }
 
 // AddRow adds x, which the list must not hold yet, to list k; the

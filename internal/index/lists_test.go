@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -282,4 +283,93 @@ func FuzzListsCloneChain(f *testing.F) {
 		}
 		runListsChain(t, ops)
 	})
+}
+
+// TestSearchRunMatchesBinarySearch holds Contains' base-run search to
+// slices.BinarySearch on duplicate-free ascending runs of both widths:
+// uniform over their range, skewed (a dense cluster and a long sparse
+// tail, where the first guess lands far off), and spread up to the
+// width's largest value, where (x-first)·(n-1) overflows 64 bits.
+func TestSearchRunMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 2, 3, 17, 500, 4000} {
+		for _, shape := range []string{"uniform", "skewed", "extreme"} {
+			checkSearchRun(t, shape, drawRun[uint32](rng, n, shape, math.MaxUint32), rng)
+			checkSearchRun(t, shape, drawRun[uint64](rng, n, shape, math.MaxUint64), rng)
+		}
+	}
+}
+
+// drawRun draws n distinct values of the shape below top, ascending.
+func drawRun[T uint32 | uint64](rng *rand.Rand, n int, shape string, top T) []T {
+	seen := map[T]bool{}
+	run := make([]T, 0, n)
+	for len(run) < n {
+		var v T
+		switch shape {
+		case "uniform":
+			v = T(rng.Int63n(int64(8 * n)))
+		case "skewed":
+			v = T(rng.Int63n(int64(n)))
+			if rng.Intn(8) == 0 {
+				v = T(rng.Int63n(1<<30) * int64(n))
+			}
+		default:
+			v = top - T(rng.Uint64()>>1)
+			if rng.Intn(2) == 0 {
+				v = T(rng.Uint64() >> 1)
+			}
+		}
+		if !seen[v] {
+			seen[v] = true
+			run = append(run, v)
+		}
+	}
+	slices.Sort(run)
+	return run
+}
+
+func checkSearchRun[T uint32 | uint64](t *testing.T, shape string, run []T, rng *rand.Rand) {
+	t.Helper()
+	probes := []T{0, ^T(0)}
+	for i, v := range run {
+		probes = append(probes, v, v-1, v+1)
+		if i > 0 {
+			probes = append(probes, run[i-1]+(v-run[i-1])/2)
+		}
+	}
+	for range 200 {
+		probes = append(probes, T(rng.Uint64()))
+	}
+	for _, x := range probes {
+		_, want := slices.BinarySearch(run, x)
+		if got := searchRun(run, x); got != want {
+			t.Fatalf("%s run of %d (%T): searchRun(%d) = %v, binary search %v", shape, len(run), x, x, got, want)
+		}
+	}
+}
+
+// BenchmarkSearchRun prices Contains' base-run search against
+// slices.BinarySearch on a run of 16k members probed for members in
+// random order: uniform over the range (the first guess lands on or
+// next to the member) and skewed (it lands far off).
+func BenchmarkSearchRun(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	for _, shape := range []string{"uniform", "skewed"} {
+		run := drawRun[uint32](rng, 1<<14, shape, math.MaxUint32)
+		probes := make([]uint32, 1024)
+		for i := range probes {
+			probes[i] = run[rng.Intn(len(run))]
+		}
+		b.Run(shape+"/interpolation", func(b *testing.B) {
+			for i := 0; b.Loop(); i++ {
+				searchRun(run, probes[i%len(probes)])
+			}
+		})
+		b.Run(shape+"/binary", func(b *testing.B) {
+			for i := 0; b.Loop(); i++ {
+				slices.BinarySearch(run, probes[i%len(probes)])
+			}
+		})
+	}
 }

@@ -13,7 +13,7 @@ import (
 // --- positive cases: mutating a memo-aliasing set ---
 
 func chainedMutation(p *adb.DerivedProperty) {
-	p.EntityRowSetWithStrength("v", 1, trace.Span{}, true).AndWith(nil) // want "AndWith mutates a RowSet aliasing shared"
+	p.EntityRowSetWithStrength(0, 1, trace.Span{}, true).AndWith(nil) // want "AndWith mutates a RowSet aliasing shared"
 }
 
 func filterAlias(f *abduction.Filter) {
@@ -46,7 +46,7 @@ func rangeAliasTakesInts(p *adb.BasicProperty) {
 }
 
 func disjunctionAlias(p *adb.BasicProperty) {
-	s := p.EntityRowSetWithAnyValue([]string{"a", "b"}, trace.Span{}, true)
+	s := p.EntityRowSetWithAnyCode([]int32{0, 1}, trace.Span{}, true)
 	s.AndWith(nil) // want "AndWith mutates a RowSet aliasing shared"
 }
 

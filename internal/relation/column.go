@@ -206,18 +206,20 @@ func (c *Column) Set(row int, v Value) error {
 	return nil
 }
 
-// ByteSize estimates the in-memory footprint of the column in bytes; used
-// for the Fig 18 dataset-statistics table.
+// ByteSize returns the in-memory footprint of the column in bytes, its
+// dictionary included; used for the Fig 18 dataset-statistics table.
 func (c *Column) ByteSize() int64 {
-	var n int64
-	switch c.Type {
-	case Int:
-		n = int64(len(c.ints)) * 8
-	case Float:
-		n = int64(len(c.flts)) * 8
-	default:
-		n = int64(len(c.codes))*4 + c.dict.ByteSize()
+	n := c.CellBytes()
+	if c.dict != nil {
+		n += c.dict.ByteSize()
 	}
+	return n
+}
+
+// CellBytes returns the bytes of the column's cells and NULL bitmap,
+// without the dictionary of a TEXT column.
+func (c *Column) CellBytes() int64 {
+	n := int64(len(c.ints))*8 + int64(len(c.flts))*8 + int64(len(c.codes))*4
 	if c.nulls != nil {
 		n += int64(len(c.nulls))
 	}

@@ -20,43 +20,55 @@ import (
 // snapshot that serializes the dictionary in code order restores the exact
 // same encoding.
 //
-// Concurrency: a Dict is append-only and deliberately shared across
-// copy-on-write epochs instead of cloned. Decoding takes no lock: the
-// values are published as an immutable prefix behind one atomic pointer
-// (Value, Values and Len are one load and an index), and Intern — which
-// the αDB's one write lock serializes — appends past every
-// published prefix and republishes. Codes are stable forever — an epoch
-// that was published when the dictionary held n values only ever stores
-// codes < n in its columns and statistics, so readers of a retired epoch
-// decode exactly the values they saw at publish time even while a writer
-// interns new ones. Only the reverse map (Lookup, Intern) is behind the
-// internal lock.
+// One ordered index: the dictionary keeps its values once, in code
+// order, and a rank table (rank[code] and its inverse, order: the codes
+// in string order) built on first use over the codes [0, n) there were.
+// Lookup is a binary search of order plus a scan of the codes interned
+// since the table was built; SortCodes replaces codes by their ranks
+// and sorts integers. Interning a value never changes the relative
+// order of the existing ones, so a reader searches or sorts by the one
+// table pointer it loaded, whatever is interned or rebuilt meanwhile,
+// and the table is rebuilt once the codes past it are more than
+// 1/rankFoldDiv of the dictionary — the fold rule of the index tails —
+// or more than rankTailMax, which bounds the scan whatever the size.
+// A bulk load (a CSV load, a generator, rows appended before a system
+// is built) interns through a map of its own until Seal drops it: no
+// built or loaded system holds one.
 //
-// Order: the dictionary is order-preserving on demand. SortCodes orders
-// codes by the string order of their values through a rank table
-// (rank[code] and its inverse) that is built on first use, never stored —
-// it is an inverse of the values — and covers the codes [0, n) it was
-// built over. Interning a value never changes the relative order of the
-// existing ones, so a reader sorts by the one table pointer it loaded,
-// whatever is interned or rebuilt meanwhile; codes ≥ n (interned since)
-// are placed by string comparison, and the table is rebuilt by a merge
-// once they pass 1/rankFoldDiv of the dictionary — the fold rule of the
-// index tails. A reader of a retired epoch holds codes below its epoch's
-// n only, and any table, older or newer, orders them the same way.
+// Concurrency: a Dict is append-only and deliberately shared across
+// copy-on-write epochs instead of cloned: the values are published as
+// an immutable prefix behind one atomic pointer (Value, Values and Len
+// are one load and an index), the rank table behind another, and
+// Intern — which the αDB's one write lock serializes — appends past
+// every published prefix and republishes. A reader takes no lock while
+// the table keeps up; one that finds it trailing rebuilds it, or waits
+// for the reader already rebuilding it.
+// Codes are stable forever — an epoch that was published when the
+// dictionary held n values only ever stores codes < n in its columns
+// and statistics, so readers of a retired epoch decode exactly the
+// values they saw at publish time even while a writer interns new
+// ones.
 type Dict struct {
-	mu sync.RWMutex
-	// vals is the writer's slice (under mu); view is its published
-	// prefix, len == cap, so no reader can append into the writer's
-	// spare capacity.
+	// vals is the writer's slice; view publishes its prefix, len == cap,
+	// so no reader can append into the writer's spare capacity.
 	vals []string
-	view atomic.Pointer[[]string]
-	ids  map[string]int32
+	view atomic.Pointer[dictView]
+	// bulk maps the values to their codes during a bulk load; only
+	// Intern reads or writes it, and Seal drops it.
+	bulk atomic.Pointer[map[string]int32]
 
-	// ranks is the current rank table (nil until the first SortCodes of
-	// two codes or more); buildMu makes its rebuild single-flight
-	// without ever blocking a reader (TryLock).
+	// ranks is the current rank table (nil until the first Lookup, or
+	// SortCodes of two codes or more); buildMu makes its rebuild
+	// single-flight.
 	ranks   atomic.Pointer[rankTable]
 	buildMu sync.Mutex
+}
+
+// dictView is a published prefix of the values and the spare capacity
+// of the writer's slice behind it (what ByteSize counts as the tail).
+type dictView struct {
+	vals  []string
+	spare int
 }
 
 // rankTable orders the codes [0, len(rank)): rank[code] is the position
@@ -67,11 +79,19 @@ type rankTable struct {
 	order []int32
 }
 
-// rankFoldDiv is the rank table's fold rule: it is rebuilt once the
-// codes interned since it was built are more than 1/rankFoldDiv of the
-// dictionary, so a rebuild's O(n) merge is amortized O(rankFoldDiv) per
-// interned value.
-const rankFoldDiv = 32
+// rankFoldDiv and rankTailMax are the rank table's fold rule: it is
+// rebuilt once the codes interned since it was built are more than
+// 1/rankFoldDiv of the dictionary or more than rankTailMax, so a
+// Lookup scans at most min(n/rankFoldDiv, rankTailMax) codes past its
+// binary search. A rebuild places the new codes by binary search and
+// copies the n old ones, so up to 32k values it costs O(rankFoldDiv)
+// copies per interned value, and past that O(n/rankTailMax): at a
+// million values, a scan of at most 1024 codes and about a thousand
+// copies amortized.
+const (
+	rankFoldDiv = 32
+	rankTailMax = 1024
+)
 
 var noRanks = &rankTable{}
 
@@ -79,45 +99,76 @@ var noRanks = &rankTable{}
 // dictionary entry.
 const NoCode int32 = -1
 
-// newDict creates an empty dictionary.
+// newDict creates an empty dictionary in bulk-load mode.
 func newDict() *Dict {
-	return &Dict{ids: make(map[string]int32)}
+	d := &Dict{}
+	bulk := make(map[string]int32)
+	d.bulk.Store(&bulk)
+	return d
 }
 
 // Intern returns the code of v, assigning the next dense code on first
-// appearance. Callers must serialize Intern with other Interns of the
-// same dictionary (the αDB's write lock does).
+// appearance: a bulk load finds v in its map, any other caller by
+// Lookup. Callers must serialize Intern with other Interns of the same
+// dictionary (the αDB's write lock does).
 func (d *Dict) Intern(v string) int32 {
-	d.mu.RLock()
-	id, ok := d.ids[v]
-	d.mu.RUnlock()
-	if ok {
+	if bulk := d.bulk.Load(); bulk != nil {
+		if id, ok := (*bulk)[v]; ok {
+			return id
+		}
+		id := d.add(v)
+		(*bulk)[v] = id
 		return id
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if id, ok = d.ids[v]; ok {
+	if id, ok := d.Lookup(v); ok {
 		return id
 	}
-	id = int32(len(d.vals))
+	return d.add(v)
+}
+
+// add appends v, which the dictionary lacks, and publishes it.
+func (d *Dict) add(v string) int32 {
+	id := int32(len(d.vals))
 	d.vals = append(d.vals, v)
-	d.ids[v] = id
 	d.publish()
 	return id
 }
 
 // publish makes the writer's values visible to the lock-free readers.
 func (d *Dict) publish() {
-	view := d.vals[:len(d.vals):len(d.vals)]
-	d.view.Store(&view)
+	n := len(d.vals)
+	d.view.Store(&dictView{vals: d.vals[:n:n], spare: cap(d.vals) - n})
 }
 
-// Lookup returns the code of v without interning, and whether v is known.
+// Seal ends a bulk load: it drops the load's map, so the dictionary
+// holds its values once, and a later Intern searches as Lookup does.
+// Building a system seals its database's dictionaries.
+func (d *Dict) Seal() { d.bulk.Store(nil) }
+
+// Bulk reports whether the dictionary is in a bulk load: whether it
+// holds the load's map beside its values.
+func (d *Dict) Bulk() bool { return d.bulk.Load() != nil }
+
+// Lookup returns the code of v without interning, and whether v is
+// known: a binary search of the rank table, then a scan of the codes
+// interned since it was built.
 func (d *Dict) Lookup(v string) (int32, bool) {
-	d.mu.RLock()
-	id, ok := d.ids[v]
-	d.mu.RUnlock()
-	return id, ok
+	t, vals := d.rankTable()
+	return t.lookup(vals, v)
+}
+
+// lookup finds v among vals, which cover at least the codes t ranks.
+func (t *rankTable) lookup(vals []string, v string) (int32, bool) {
+	r, found := slices.BinarySearchFunc(t.order, v, func(c int32, v string) int { return strings.Compare(vals[c], v) })
+	if found {
+		return t.order[r], true
+	}
+	for c := len(t.order); c < len(vals); c++ {
+		if vals[c] == v {
+			return int32(c), true
+		}
+	}
+	return 0, false
 }
 
 // Value decodes a code back to its string.
@@ -131,7 +182,7 @@ func (d *Dict) Len() int { return len(d.Values()) }
 // valid while writers keep interning. Do not mutate.
 func (d *Dict) Values() []string {
 	if v := d.view.Load(); v != nil {
-		return *v
+		return v.vals
 	}
 	return nil
 }
@@ -165,9 +216,7 @@ func (t *rankTable) sortCodes(vals []string, codes []int32) {
 			m++
 			continue
 		}
-		v := vals[c]
-		before := sort.Search(len(t.order), func(r int) bool { return vals[t.order[r]] > v })
-		tail = append(tail, tailCode{before: int32(before), code: c})
+		tail = append(tail, tailCode{before: int32(t.before(vals, 0, vals[c])), code: c})
 	}
 	sortRanks(codes[:m], len(t.rank))
 	slices.SortFunc(tail, func(a, b tailCode) int {
@@ -188,6 +237,12 @@ func (t *rankTable) sortCodes(vals []string, codes []int32) {
 			i--
 		}
 	}
+}
+
+// before returns the first rank at or past from whose value sorts after
+// v.
+func (t *rankTable) before(vals []string, from int, v string) int {
+	return from + sort.Search(len(t.order)-from, func(r int) bool { return vals[t.order[from+r]] > v })
 }
 
 // tailCode is a code the rank table does not cover, with the rank its
@@ -231,16 +286,16 @@ func sortRanks(ranks []int32, n int) {
 	}
 }
 
-// rankTable returns the rank table to sort by and a view of the values
-// that covers at least the codes it ranks. When the table trails the
-// dictionary by more than the fold rule allows, the caller rebuilds it —
-// unless another reader already is: then it sorts by the table there is
-// (possibly none, which is every code placed by string comparison), so
-// no reader ever waits for one.
+// rankTable returns the rank table to search or sort by and a view of
+// the values that covers at least the codes it ranks. When the table
+// trails the dictionary by more than the fold rule allows, the caller
+// rebuilds it, or waits for the caller already rebuilding it, so no
+// search scans past the fold rule's bound.
 func (d *Dict) rankTable() (*rankTable, []string) {
 	// The values are loaded after the table, so they cover what it ranks.
 	t, vals := d.loadRanks(), d.Values()
-	if t.trails(vals) && d.buildMu.TryLock() {
+	if t.trails(vals) {
+		d.buildMu.Lock()
 		if t, vals = d.loadRanks(), d.Values(); t.trails(vals) {
 			t = buildRanks(t, vals)
 			d.ranks.Store(t)
@@ -259,12 +314,13 @@ func (d *Dict) loadRanks() *rankTable {
 
 // trails reports whether the fold rule wants the table rebuilt over vals.
 func (t *rankTable) trails(vals []string) bool {
-	return (len(vals)-len(t.rank))*rankFoldDiv > len(vals)
+	tail := len(vals) - len(t.rank)
+	return tail*rankFoldDiv > len(vals) || tail > rankTailMax
 }
 
 // buildRanks extends old to cover vals: the codes old does not rank are
-// sorted by value and merged into its order, O(len(vals)) comparisons
-// past the sort of the new ones.
+// sorted by value, and each is placed in old's order by binary search,
+// the runs of old codes between them copied.
 func buildRanks(old *rankTable, vals []string) *rankTable {
 	fresh := make([]int32, len(vals)-len(old.order))
 	for i := range fresh {
@@ -272,31 +328,32 @@ func buildRanks(old *rankTable, vals []string) *rankTable {
 	}
 	slices.SortFunc(fresh, func(a, b int32) int { return strings.Compare(vals[a], vals[b]) })
 	t := &rankTable{rank: make([]int32, len(vals)), order: make([]int32, 0, len(vals))}
-	i, j := 0, 0
-	for i < len(old.order) || j < len(fresh) {
-		if j == len(fresh) || (i < len(old.order) && vals[old.order[i]] < vals[fresh[j]]) {
-			t.order = append(t.order, old.order[i])
-			i++
-		} else {
-			t.order = append(t.order, fresh[j])
-			j++
-		}
+	i := 0
+	for _, c := range fresh {
+		at := old.before(vals, i, vals[c])
+		t.order = append(append(t.order, old.order[i:at]...), c)
+		i = at
 	}
+	t.order = append(t.order, old.order[i:]...)
 	for r, c := range t.order {
 		t.rank[c] = int32(r)
 	}
 	return t
 }
 
-// ByteSize estimates the dictionary's in-memory footprint, the rank
-// table included once it exists.
+// ByteSize returns the bytes the dictionary holds, counted from
+// lengths: a string header a value and a header a slot of the writer's
+// spare capacity (the tail the next values land in), each value's
+// bytes, and the rank table once one is built. A bulk load's map is
+// not counted: no built or loaded system holds one.
 func (d *Dict) ByteSize() int64 {
-	vals := d.Values()
-	// 16 bytes of string header per entry, roughly doubled for the
-	// reverse map entry, plus the payload bytes stored once.
-	n := int64(len(vals)) * 40
-	for _, v := range vals {
-		n += int64(len(v))
+	v := d.view.Load()
+	if v == nil {
+		return 0
+	}
+	n := int64(len(v.vals)+v.spare) * 16
+	for _, s := range v.vals {
+		n += int64(len(s))
 	}
 	if t := d.ranks.Load(); t != nil {
 		n += int64(len(t.rank)+len(t.order)) * 4
@@ -304,13 +361,10 @@ func (d *Dict) ByteSize() int64 {
 	return n
 }
 
-// RestoreDict rebuilds a dictionary from values in code order (snapshot
-// load).
+// RestoreDict adopts values in code order as a sealed dictionary
+// (snapshot load).
 func RestoreDict(vals []string) *Dict {
-	d := &Dict{vals: vals, ids: make(map[string]int32, len(vals))}
-	for i, v := range vals {
-		d.ids[v] = int32(i)
-	}
+	d := &Dict{vals: vals}
 	d.publish()
 	return d
 }

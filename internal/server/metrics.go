@@ -302,6 +302,7 @@ type residentGauge struct {
 func residentSeries(r squid.ResidentBytes) []residentGauge {
 	return []residentGauge{
 		{"columns", r.Columns},
+		{"dicts", r.Dicts},
 		{"hash_index", r.HashIndexBase + r.HashIndexTail},
 		{"inverted", r.Inverted},
 		{"basic_stats", r.BasicStats},

@@ -236,7 +236,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if stats.Name != "cs_academics" || stats.NumRelations != 2 {
 		t.Errorf("stats %+v", stats)
 	}
-	if rb := stats.ResidentBytes; rb["columns"] != stats.DBBytes || rb["hash_index"] <= 0 || rb["hash_index_tail"] > rb["hash_index"] || rb["basic_stats"] <= 0 {
+	if rb := stats.ResidentBytes; rb["columns"]+rb["dicts"] != stats.DBBytes || rb["dicts"] <= 0 || rb["hash_index"] <= 0 || rb["hash_index_tail"] > rb["hash_index"] || rb["basic_stats"] <= 0 {
 		t.Errorf("stats resident_bytes %v (db_bytes %d)", rb, stats.DBBytes)
 	}
 	var health map[string]any
@@ -257,7 +257,8 @@ func TestServerEndToEnd(t *testing.T) {
 		"squid_selcache_hits_total",
 		`squid_request_duration_seconds_bucket{route="/v1/discover",le="+Inf"}`,
 		"squid_admission_shed_total 0",
-		fmt.Sprintf(`squid_resident_bytes{structure="columns"} %d`, stats.DBBytes),
+		fmt.Sprintf(`squid_resident_bytes{structure="columns"} %d`, stats.ResidentBytes["columns"]),
+		fmt.Sprintf(`squid_resident_bytes{structure="dicts"} %d`, stats.ResidentBytes["dicts"]),
 		fmt.Sprintf(`squid_resident_bytes{structure="hash_index"} %d`, stats.ResidentBytes["hash_index"]),
 		fmt.Sprintf(`squid_resident_bytes{structure="inverted"} %d`, stats.ResidentBytes["inverted"]),
 		fmt.Sprintf(`squid_resident_bytes{structure="basic_stats"} %d`, stats.ResidentBytes["basic_stats"]),

@@ -148,6 +148,13 @@ const (
 	// views it reads (a derived relation, from its property's pair
 	// lists; on the block's scan stage, dropped with the execution).
 	CounterViewRows
+	// CounterRowsWalked counts the source rows context discovery read
+	// walking examples' access paths (a categorical property's rows, a
+	// derived property's first-fact rows).
+	CounterRowsWalked
+	// CounterProbes counts the posting-list and pair-list probes
+	// context discovery made in place of walks.
+	CounterProbes
 
 	numCounters
 )
@@ -156,7 +163,7 @@ var counterNames = [numCounters]string{
 	"candidates", "properties", "contexts", "selected", "rows",
 	"cache_hits", "cache_misses", "cache_stores", "epoch_seq", "est_rows",
 	"cells_streamed", "filters", "pairs_bumped", "index_builds",
-	"copied_bytes", "view_rows",
+	"copied_bytes", "view_rows", "rows_walked", "probes",
 }
 
 // String returns the counter's wire name.

@@ -97,8 +97,8 @@ func TestPinnedEpochOutputStableWhileInterning(t *testing.T) {
 // about the one structure the read path builds lazily: the first
 // discovery that orders an output builds the rank table of the output
 // column's dictionary (a rank and an order entry, 8 bytes, per value),
-// and ResidentBytes.Columns — squid_resident_bytes{structure="columns"}
-// — grows by exactly that.
+// and ResidentBytes.Dicts — squid_resident_bytes{structure="dicts"} —
+// grows by exactly that, while Columns stays.
 func TestResidentBytesCountRankTables(t *testing.T) {
 	sys, err := Build(academicsDB(), DefaultBuildConfig())
 	if err != nil {
@@ -114,8 +114,8 @@ func TestResidentBytesCountRankTables(t *testing.T) {
 		t.Fatalf("output of %d values over a dictionary of %d: the fixture should output every name", len(d.Output), names)
 	}
 	after := sys.ResidentBytes()
-	if got, want := after.Columns-before.Columns, int64(8*names); got != want {
-		t.Errorf("Columns grew by %d bytes over the first ordered output, want the rank table's %d", got, want)
+	if got, want := after.Dicts-before.Dicts, int64(8*names); got != want || after.Columns != before.Columns {
+		t.Errorf("Dicts grew by %d bytes and Columns by %d over the first ordered output, want the rank table's %d and none", got, after.Columns-before.Columns, want)
 	}
 	if after.DerivedPairs != before.DerivedPairs {
 		t.Errorf("DerivedPairs moved from %d to %d with no derived value ordered", before.DerivedPairs, after.DerivedPairs)

@@ -177,6 +177,54 @@ func TestSnapshotSaveLoadSaveIdentical(t *testing.T) {
 	}
 }
 
+// TestDictionariesHoldNoMap: the dictionaries of a built system, of one
+// that has taken inserts and of one loaded from its snapshot hold their
+// values once, in code order, with no bulk-load map beside them, and
+// find every value by their rank tables — a value an insert interned
+// included.
+func TestDictionariesHoldNoMap(t *testing.T) {
+	sys, _ := snapshotSystem(t)
+	check := func(state string, s *System) {
+		t.Helper()
+		db := s.AlphaDB().DB()
+		for _, name := range db.RelationNames() {
+			for _, col := range db.Relation(name).Columns() {
+				d := col.Dict()
+				if d == nil {
+					continue
+				}
+				if d.Bulk() {
+					t.Errorf("%s: %s.%s holds a bulk-load map", state, name, col.Name)
+				}
+				for code, v := range d.Values() {
+					if got, ok := d.Lookup(v); !ok || got != int32(code) {
+						t.Fatalf("%s: %s.%s: Lookup(%q) = %d, %v; want %d", state, name, col.Name, v, got, ok, code)
+					}
+				}
+			}
+		}
+	}
+	check("built", sys)
+	if err := sys.InsertBatchContext(context.Background(), []InsertOp{
+		{Rel: "person", Vals: []Value{IntVal(900003), StringVal("Interned By Search"), StringVal("Female"), IntVal(1975), IntVal(1)}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("after an insert", sys)
+	var buf bytes.Buffer
+	if err := sys.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("loaded", loaded)
+	if _, ok := loaded.AlphaDB().DB().Relation("person").Column("name").Dict().Lookup("Interned By Search"); !ok {
+		t.Error("loaded: the inserted name is not found")
+	}
+}
+
 // TestSnapshotVersionMismatch asserts the strict version policy: a
 // stream with a newer or an older version (v4, the format that still
 // stored every inverse beside the data it inverts, v3 and v2 before it)

@@ -297,11 +297,11 @@ func compareAlphaDBs(t *testing.T, label string, got, want *adb.AlphaDB, rng *ra
 					t.Errorf("%s: domain coverage diverged", at)
 				}
 				for _, v := range values {
-					if gp.CategoricalSelectivity(v) != wp.CategoricalSelectivity(v) {
-						t.Errorf("%s: ψ(%s) = %v want %v", at, v, gp.CategoricalSelectivity(v), wp.CategoricalSelectivity(v))
+					if gs, ws := gp.SelectivityOfCode(codesOf(gp.LookupCode, v)[0]), wp.SelectivityOfCode(codesOf(wp.LookupCode, v)[0]); gs != ws {
+						t.Errorf("%s: ψ(%s) = %v want %v", at, v, gs, ws)
 					}
 					pair := []string{v, values[rng.Intn(len(values))]}
-					if !reflect.DeepEqual(gp.EntityRowSetWithAnyValue(pair, trace.Span{}, true).ToSorted(), wp.EntityRowSetWithAnyValue(pair, trace.Span{}, true).ToSorted()) {
+					if !reflect.DeepEqual(gp.EntityRowSetWithAnyCode(codesOf(gp.LookupCode, pair...), trace.Span{}, true).ToSorted(), wp.EntityRowSetWithAnyCode(codesOf(wp.LookupCode, pair...), trace.Span{}, true).ToSorted()) {
 						t.Errorf("%s: rows of %q diverged", at, pair)
 					}
 				}
@@ -340,21 +340,35 @@ func compareAlphaDBs(t *testing.T, label string, got, want *adb.AlphaDB, rng *ra
 				t.Errorf("%s: derived rows diverged: %d rows want %d", at, len(gr), len(wr))
 			}
 			for _, v := range wp.DistinctValues() {
-				if gp.MaxStrength(v) != wp.MaxStrength(v) {
-					t.Errorf("%s: max strength of %s = %d want %d", at, v, gp.MaxStrength(v), wp.MaxStrength(v))
-					continue
-				}
-				for theta := 1; theta <= wp.MaxStrength(v); theta++ {
-					if gp.Selectivity(v, theta) != wp.Selectivity(v, theta) {
-						t.Errorf("%s: ψ(%s,%d) = %v want %v", at, v, theta, gp.Selectivity(v, theta), wp.Selectivity(v, theta))
+				// Every θ up to one past the largest strength: ψ reads 0 there.
+				gc, wc := codesOf(gp.LookupCode, v)[0], codesOf(wp.LookupCode, v)[0]
+				for theta, ws := 1, 1.0; ws > 0; theta++ {
+					var gs float64
+					if gs, ws = gp.SelectivityOfCode(gc, theta), wp.SelectivityOfCode(wc, theta); gs != ws {
+						t.Errorf("%s: ψ(%s,%d) = %v want %v", at, v, theta, gs, ws)
+						break
 					}
-					if !reflect.DeepEqual(gp.EntityRowSetWithStrength(v, theta, trace.Span{}, true).ToSorted(), wp.EntityRowSetWithStrength(v, theta, trace.Span{}, true).ToSorted()) {
+					if !reflect.DeepEqual(gp.EntityRowSetWithStrength(gc, theta, trace.Span{}, true).ToSorted(), wp.EntityRowSetWithStrength(wc, theta, trace.Span{}, true).ToSorted()) {
 						t.Errorf("%s: rows of (%s,%d) diverged", at, v, theta)
 					}
 				}
 			}
 		}
 	}
+}
+
+// codesOf looks values up in a property's dictionary (its LookupCode),
+// NoCode for a value it lacks.
+func codesOf(lookup func(string) (int32, bool), values ...string) []int32 {
+	codes := make([]int32, len(values))
+	for i, v := range values {
+		code, ok := lookup(v)
+		if !ok {
+			code = relation.NoCode
+		}
+		codes[i] = code
+	}
+	return codes
 }
 
 // derivedView builds every row of p's derived relation, the view over
@@ -393,9 +407,12 @@ func checkDerivedCells(t *testing.T, label string, got, want *adb.AlphaDB) {
 				}
 			}
 			for _, v := range wp.DistinctValues() {
-				for theta := 1; theta <= wp.MaxStrength(v)+1; theta++ {
-					if gp.Selectivity(v, theta) != wp.Selectivity(v, theta) {
-						t.Errorf("%s: ψ(%s,%d) = %v want %v", at, v, theta, gp.Selectivity(v, theta), wp.Selectivity(v, theta))
+				gc, wc := codesOf(gp.LookupCode, v)[0], codesOf(wp.LookupCode, v)[0]
+				for theta, ws := 1, 1.0; ws > 0; theta++ {
+					var gs float64
+					if gs, ws = gp.SelectivityOfCode(gc, theta), wp.SelectivityOfCode(wc, theta); gs != ws {
+						t.Errorf("%s: ψ(%s,%d) = %v want %v", at, v, theta, gs, ws)
+						break
 					}
 				}
 			}
@@ -407,7 +424,7 @@ func checkDerivedCells(t *testing.T, label string, got, want *adb.AlphaDB) {
 // derived property through its public answers: for every value,
 // ψ(φ⟨Attr,v,θ⟩)·|R| must equal a brute-force count over the value's
 // (entity, strength) pairs for every θ up to one past the largest
-// strength, which must be the largest strength among the pairs.
+// strength among the pairs, where it reads 0.
 func checkStrengthHistograms(t *testing.T, label string, a *adb.AlphaDB) {
 	t.Helper()
 	for name, info := range a.Snapshot().Entities {
@@ -419,9 +436,6 @@ func checkStrengthHistograms(t *testing.T, label string, a *adb.AlphaDB) {
 				for r := range entries.Len() {
 					maxStrength = max(maxStrength, int(entries.Int64(r)))
 				}
-				if p.MaxStrength(v) != maxStrength {
-					t.Errorf("%s: %s.%s: max strength of %s = %d, the pairs say %d", label, name, p.Attr, v, p.MaxStrength(v), maxStrength)
-				}
 				for theta := 1; theta <= maxStrength+1; theta++ {
 					n := 0
 					for r := range entries.Len() {
@@ -429,8 +443,8 @@ func checkStrengthHistograms(t *testing.T, label string, a *adb.AlphaDB) {
 							n++
 						}
 					}
-					if want := float64(n) / float64(p.NumEntities()); p.Selectivity(v, theta) != want {
-						t.Errorf("%s: %s.%s: ψ(%s,%d) = %v, the pairs say %v", label, name, p.Attr, v, theta, p.Selectivity(v, theta), want)
+					if want := float64(n) / float64(p.NumEntities()); p.SelectivityOfCode(code, theta) != want {
+						t.Errorf("%s: %s.%s: ψ(%s,%d) = %v, the pairs say %v", label, name, p.Attr, v, theta, p.SelectivityOfCode(code, theta), want)
 					}
 				}
 			}

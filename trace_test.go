@@ -119,6 +119,14 @@ func TestTraceStructure(t *testing.T) {
 	if n := strings.Count(structure, "candidate "); n != 1 {
 		t.Fatalf("fixture resolved to %d candidates, want exactly 1:\n%s", n, structure)
 	}
+	// The contexts span says what the walks read: interest is seeded by
+	// Dan Suciu's one research row, and the other two examples, with
+	// two rows each, probe the one shared value's posting list; name is
+	// seeded by Dan Suciu's own row, and Sam Madden's walk, one row,
+	// leaves nothing shared.
+	if want := "contexts {contexts=1 probes=2 properties=2 rows_walked=3}"; !strings.Contains(structure, want) {
+		t.Fatalf("structure has no contexts span counting its reads, want %q:\n%s", want, structure)
+	}
 	if want := "rowset φ⟨interest,data management,⊥⟩ {cache_misses=1 cache_stores=1 cells_streamed=3 rows=3}"; !strings.Contains(structure, want) {
 		t.Fatalf("structure has no rowset span saying what its miss read, want %q:\n%s", want, structure)
 	}
