@@ -217,12 +217,15 @@ func buildEpoch(db *relation.Database, cfg Config) (*Epoch, error) {
 		a.Entities[entities[i]] = builds[i].info
 	}
 
-	// Phase 2: enumerate property tasks (cheap, sequential), then fan
-	// them out across the pool; each task writes its own result slot.
+	// Phase 2: enumerate property tasks (cheap, sequential), walk the
+	// links they read, then fan the tasks out across the pool; each task
+	// writes its own result slot.
 	var tasks []func()
+	adj := adjacencies{}
 	for _, eb := range builds {
-		tasks = append(tasks, a.planEntity(eb)...)
+		tasks = append(tasks, a.planEntity(eb, adj)...)
 	}
+	a.walkLinks(adj, workers)
 	index.RunBounded(len(tasks), workers, func(i int) { tasks[i]() })
 
 	// Phase 3: assemble deterministically in entity order, replaying
@@ -235,7 +238,7 @@ func buildEpoch(db *relation.Database, cfg Config) (*Epoch, error) {
 		}
 		a.finishEntity(eb)
 	}
-	a.deriveAll(derived)
+	a.deriveAll(derived, adj)
 	a.names = a.nameTable()
 	<-invDone
 	a.BuildTime = time.Since(start)
@@ -349,9 +352,10 @@ func entityInfo(db *relation.Database, name string) (*EntityInfo, error) {
 
 // planEntity enumerates the property-discovery tasks of one entity in
 // the same order the sequential builder visited them, reserving one
-// result slot per task. Tasks only read base relations and the
-// resident index set, so they run freely in parallel.
-func (a *Epoch) planEntity(eb *entityBuild) []func() {
+// result slot per task, and registers in adj the link of every
+// association they walk. Tasks only read base relations, the resident
+// index set and the walked adjacencies, so they run freely in parallel.
+func (a *Epoch) planEntity(eb *entityBuild, adj adjacencies) []func() {
 	info := eb.info
 	name := info.Relation
 	rel := info.rel
@@ -437,8 +441,13 @@ func (a *Epoch) planEntity(eb *entityBuild) []func() {
 				case relation.KindProperty:
 					addBasic(func() *BasicProperty { return a.buildFactDimProperty(info, factName, fkToMe, other) })
 				case relation.KindEntity:
+					via := a.DB.Relation(other.RefRelation)
+					if !intColumn(via, via.PrimaryKey) {
+						continue
+					}
+					j := adj.need(link{name, factName, fkToMe.Column, other.Column, via.Name, via.PrimaryKey})
 					addTask(func(res *taskResult) {
-						res.basics, res.deriveds = a.buildDerivedProperties(info, factName, fkToMe, other)
+						res.basics, res.deriveds = a.buildDerivedProperties(info, factName, fkToMe, other, j)
 					})
 				}
 			}
@@ -506,8 +515,9 @@ func (a *Epoch) isEntity(name string) bool { return a.DB.Kind(name) == relation.
 // the entity row it describes and the value code it contributes, and
 // appendCodes reads that map in reverse, from an entity row to its
 // codes. The cold build and the snapshot load fold pair over every
-// source row (foldCategorical), an insert applies it to the rows it
-// adds, and the property keeps the reader for appendCodes.
+// source row (foldCategorical) — an entity association's over its link's
+// adjacency instead —, an insert applies it to the rows it adds, and the
+// property keeps the reader for appendCodes.
 type pairReader struct {
 	src *relation.Relation
 	// entCol names the entity in a fact or side row, resolved through pk;
@@ -691,7 +701,10 @@ func (r *pairReader) firstVia(dst []int32, start int) []int32 {
 // ids it holds in two columns: a pair of entities associates once,
 // however many fact rows link it. It reads one hash index, over
 // whichever of the two columns comes first in the fact, so the checks
-// of both of the fact's entities share it.
+// of both of the fact's entities share it. It scans the earlier rows of
+// the row's first id, so it serves the insert path, one new row at a
+// time; Build and Load take the distinct pairs from the link's
+// adjacency (adjacencyOf) instead.
 type pairCheck struct {
 	idx    *index.IntHash
 	ac, bc *relation.Column
@@ -724,14 +737,16 @@ func (c pairCheck) first(fr int) bool {
 // buildCategorical builds info's categorical property attr, reached by
 // acc (multi-valued through a fact or side table): foldCategorical, then
 // the distinct-count guards, which an entity-association property
-// bypasses: its domain is the associated entity relation itself.
-func (a *Epoch) buildCategorical(info *EntityInfo, attr string, acc AccessPath) *BasicProperty {
+// bypasses: its domain is the associated entity relation itself. adj is
+// the adjacency of an entity association's link, nil for any other
+// path.
+func (a *Epoch) buildCategorical(info *EntityInfo, attr string, acc AccessPath, adj *adjacency) *BasicProperty {
 	p := &BasicProperty{
 		Entity: info.Relation, Attr: attr, Kind: Categorical, Access: acc,
 		MultiValued: acc.Type == FactDim || acc.Type == AttrTable,
 		numEntities: info.NumRows,
 	}
-	assoc := p.foldCategorical(a)
+	assoc := p.foldCategorical(a, adj)
 	if p.numValues == 0 || !assoc && !a.keepCategorical(p.numValues, p.numEntities) {
 		return nil
 	}
@@ -744,11 +759,27 @@ func (a *Epoch) buildCategorical(info *EntityInfo, attr string, acc AccessPath) 
 // the pairs by entity row and computes the per-code statistics from
 // them, and keeps the reader, which answers an entity row's codes from
 // then on — the one derivation, shared by the cold build and the
-// snapshot load. It reports whether the property is an entity
-// association.
-func (p *BasicProperty) foldCategorical(s source) (assoc bool) {
+// snapshot load. An entity association reads its link's adjacency adj
+// instead, which lists each associated via row once: each maps to its
+// display value's code, a NULL display value to none. It reports
+// whether the property is an entity association.
+func (p *BasicProperty) foldCategorical(s source, adj *adjacency) (assoc bool) {
 	r := p.pairs(s)
 	p.dict, p.path = r.dict, r
+	if r.assoc {
+		offs := make([]uint32, len(adj.offs))
+		codes := make([]int32, 0, len(adj.vias))
+		for e := range len(offs) - 1 {
+			for _, v := range adj.of(e) {
+				if !r.dimVal.IsNull(int(v)) {
+					codes = append(codes, r.dimVal.Code(int(v)))
+				}
+			}
+			offs[e+1] = uint32(len(codes))
+		}
+		p.buildCatStats(offs, codes)
+		return true
+	}
 	n := r.src.NumRows()
 	rows, codes := make([]uint32, 0, n), make([]int32, 0, n)
 	for sr := range n {
@@ -850,7 +881,7 @@ func (p *BasicProperty) buildNumStats(col *relation.Column) {
 func (a *Epoch) buildDirectProperty(info *EntityInfo, col *relation.Column) *BasicProperty {
 	acc := AccessPath{Type: Direct, Column: col.Name}
 	if col.Type == relation.String {
-		return a.buildCategorical(info, col.Name, acc)
+		return a.buildCategorical(info, col.Name, acc, nil)
 	}
 	p := &BasicProperty{Entity: info.Relation, Attr: col.Name, Kind: Numeric, Access: acc, numEntities: info.NumRows}
 	p.buildNumStats(col)
@@ -885,7 +916,7 @@ func (a *Epoch) buildFKDimProperty(info *EntityInfo, fk relation.ForeignKey) *Ba
 	return a.buildCategorical(info, dim.Name, AccessPath{
 		Type: FKDim, Column: fk.Column,
 		Dim: dim.Name, DimPK: fk.RefColumn, DimValueCol: valCol,
-	})
+	}, nil)
 }
 
 // buildAttrTableProperty creates a (multi-valued) basic property from an
@@ -896,7 +927,7 @@ func (a *Epoch) buildAttrTableProperty(info *EntityInfo, sideName string, fk rel
 		Type: AttrTable,
 		Fact: sideName, FactEntityCol: fk.Column,
 		Column: col.Name,
-	})
+	}, nil)
 }
 
 // buildFactDimProperty creates a (multi-valued) basic property reached
@@ -911,5 +942,5 @@ func (a *Epoch) buildFactDimProperty(info *EntityInfo, factName string, fkToMe, 
 		Type: FactDim,
 		Fact: factName, FactEntityCol: fkToMe.Column, FactDimCol: fkToDim.Column,
 		Dim: dim.Name, DimPK: fkToDim.RefColumn, DimValueCol: valCol,
-	})
+	}, nil)
 }

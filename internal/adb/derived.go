@@ -1,8 +1,11 @@
 package adb
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"slices"
+	"strings"
 
 	"squid/internal/index"
 	"squid/internal/relation"
@@ -14,13 +17,12 @@ import (
 // associated entity's direct categorical and FK-dimension attributes
 // (depth 1), and aggregates over second-fact dimension attributes such
 // as persontogenre (depth 2). It builds the entity-association basic
-// property and returns the derived properties as descriptors: deriveAll
-// materializes them after the parallel phase, one wave for every entity.
-func (a *Epoch) buildDerivedProperties(info *EntityInfo, fact1 string, fkToMe, fkToVia relation.ForeignKey) ([]*BasicProperty, []*DerivedProperty) {
+// property over adj, the link's adjacency, and returns the derived
+// properties as descriptors: deriveAll materializes them after the
+// parallel phase, one wave for every entity. The via relation has an
+// INTEGER primary key (planEntity).
+func (a *Epoch) buildDerivedProperties(info *EntityInfo, fact1 string, fkToMe, fkToVia relation.ForeignKey, adj *adjacency) ([]*BasicProperty, []*DerivedProperty) {
 	via := a.DB.Relation(fkToVia.RefRelation)
-	if via.PrimaryKey == "" || via.Column(via.PrimaryKey).Type != relation.Int {
-		return nil, nil
-	}
 	// Label the association; self edges (movie→sequelof→movie) qualify
 	// the label with the FK column so the two directions stay distinct.
 	viaLabel := via.Name
@@ -42,7 +44,7 @@ func (a *Epoch) buildDerivedProperties(info *EntityInfo, fact1 string, fkToMe, f
 	// the titles of the movies they appear in). This is what lets SQuID
 	// discover contexts such as "all examples appeared in Pulp Fiction"
 	// (IQ1/IQ2/IQ5/IQ6 of the paper's benchmark).
-	if assoc := a.buildEntityAssocProperty(info, fact1, fkToMe, fkToVia, via); assoc != nil {
+	if assoc := a.buildEntityAssocProperty(info, fact1, fkToMe, fkToVia, via, adj); assoc != nil {
 		basics = append(basics, assoc)
 	}
 
@@ -109,6 +111,49 @@ func (a *Epoch) buildDerivedProperties(info *EntityInfo, fact1 string, fkToMe, f
 	return basics, out
 }
 
+// link names one first-fact walk: the rows of fact that link a row of
+// entity, through entCol, to a row of via, through viaCol and via's key
+// viaPK. An entity association property and every derived property over
+// the same link read its one adjacency (adjacencyOf).
+type link struct{ entity, fact, entCol, viaCol, via, viaPK string }
+
+func (p *DerivedProperty) link() link {
+	return link{p.Entity, p.Fact1, p.Fact1EntityCol, p.Fact1ViaCol, p.Via, p.ViaPK}
+}
+
+// link is the link an entity association's FactDim path walks.
+func (p *BasicProperty) link() link {
+	acc := p.Access
+	return link{p.Entity, acc.Fact, acc.FactEntityCol, acc.FactDimCol, acc.Dim, acc.DimPK}
+}
+
+// linkReader resolves a link against one epoch's relations and indexes.
+type linkReader struct {
+	entCol, viaCol *relation.Column
+	pk, viaPK      *index.IntHash
+}
+
+func (k link) reader(s source) linkReader {
+	fact, ent, via := s.viewRel(k.fact), s.viewRel(k.entity), s.viewRel(k.via)
+	return linkReader{
+		entCol: fact.Column(k.entCol), viaCol: fact.Column(k.viaCol),
+		pk: s.readHash(ent, ent.PrimaryKey), viaPK: s.readHash(via, k.viaPK),
+	}
+}
+
+// link resolves first-fact row fr to the entity row and the via row it
+// links; ok is false when a key is NULL or names no row.
+func (l *linkReader) link(fr int) (eRow, vRow int, ok bool) {
+	if l.entCol.IsNull(fr) || l.viaCol.IsNull(fr) {
+		return 0, 0, false
+	}
+	if eRow, ok = l.pk.First(l.entCol.Int64(fr)); !ok {
+		return 0, 0, false
+	}
+	vRow, ok = l.viaPK.First(l.viaCol.Int64(fr))
+	return eRow, vRow, ok
+}
+
 // derivedReader is a derived property's one derivation, resolved
 // against one epoch's relations and indexes. link resolves a first-fact
 // row to the entity row and the via row it links; add lists the
@@ -122,35 +167,24 @@ func (a *Epoch) buildDerivedProperties(info *EntityInfo, fact1 string, fkToMe, f
 // AppendCounts sums them for one entity, reaching its first-fact rows
 // through byEntity.
 type derivedReader struct {
-	entCol, viaCol, ids *relation.Column
-	pk, viaPK, byEntity *index.IntHash
-	degree              bool
-	target              pairReader
+	linkReader
+	ids      *relation.Column
+	byEntity *index.IntHash
+	degree   bool
+	target   pairReader
 }
 
 func (p *DerivedProperty) reader(s source) derivedReader {
-	fact, ent, via := s.viewRel(p.Fact1), s.viewRel(p.Entity), s.viewRel(p.Via)
+	fact, ent := s.viewRel(p.Fact1), s.viewRel(p.Entity)
 	d := derivedReader{
-		entCol: fact.Column(p.Fact1EntityCol), viaCol: fact.Column(p.Fact1ViaCol), ids: ent.Column(ent.PrimaryKey),
-		pk: s.readHash(ent, ent.PrimaryKey), viaPK: s.readHash(via, p.ViaPK), byEntity: s.readHash(fact, p.Fact1EntityCol),
+		linkReader: p.link().reader(s),
+		ids:        ent.Column(ent.PrimaryKey), byEntity: s.readHash(fact, p.Fact1EntityCol),
 		degree: p.Target.Type == Degree,
 	}
 	if !d.degree {
 		d.target = (&BasicProperty{Entity: p.Via, Access: p.Target}).pairs(s)
 	}
 	return d
-}
-
-// link is ok false when a key is NULL or names no row.
-func (d *derivedReader) link(fr int) (eRow, vRow int, ok bool) {
-	if d.entCol.IsNull(fr) || d.viaCol.IsNull(fr) {
-		return 0, 0, false
-	}
-	if eRow, ok = d.pk.First(d.entCol.Int64(fr)); !ok {
-		return 0, 0, false
-	}
-	vRow, ok = d.viaPK.First(d.viaCol.Int64(fr))
-	return eRow, vRow, ok
 }
 
 // add appends the codes via row vRow contributes to dst.
@@ -187,8 +221,9 @@ func (a *Epoch) entityDisplayColumn(ent *relation.Relation) string {
 }
 
 // buildEntityAssocProperty creates the multi-valued basic property
-// holding the display values of the entities associated through fact1.
-func (a *Epoch) buildEntityAssocProperty(info *EntityInfo, fact1 string, fkToMe, fkToVia relation.ForeignKey, via *relation.Relation) *BasicProperty {
+// holding the display values of the entities associated through fact1,
+// over the link's adjacency adj.
+func (a *Epoch) buildEntityAssocProperty(info *EntityInfo, fact1 string, fkToMe, fkToVia relation.ForeignKey, via *relation.Relation, adj *adjacency) *BasicProperty {
 	valCol := a.entityDisplayColumn(via)
 	if valCol == "" {
 		return nil
@@ -197,7 +232,7 @@ func (a *Epoch) buildEntityAssocProperty(info *EntityInfo, fact1 string, fkToMe,
 		Type: FactDim,
 		Fact: fact1, FactEntityCol: fkToMe.Column, FactDimCol: fkToVia.Column,
 		Dim: via.Name, DimPK: via.PrimaryKey, DimValueCol: valCol,
-	})
+	}, adj)
 }
 
 // newDerived initializes a DerivedProperty shell. The relation name is
@@ -232,55 +267,110 @@ func sanitizeRelName(attr string) string {
 // the snapshot load's, so a loaded property is a built one byte for
 // byte. It names their relations in the order given, the first of base,
 // base_2, base_3, ... that neither an earlier one nor a base relation
-// holds (a loaded name was checked unique and free, Decode, so it stays
-// as stored), then runs one wave over the workers: the properties are
-// grouped by the first-fact link they walk, each group's adjacency is
-// built once, and then every property is materialized over its group's.
-func (a *Epoch) deriveAll(derived []*DerivedProperty) {
-	type link struct{ entity, fact, entCol, viaCol, via, viaPK string }
-	groups := make(map[link]int)
-	var firsts []*DerivedProperty
-	groupOf := make([]int, len(derived))
+// holds (a loaded name was checked unique and free, Decode), then
+// materializes every property over the adjacency of its link, fanned
+// over the workers.
+func (a *Epoch) deriveAll(derived []*DerivedProperty, adj adjacencies) {
 	taken := make(map[string]bool, len(derived))
-	for i, p := range derived {
+	for _, p := range derived {
 		base := p.RelName
 		for n := 2; taken[p.RelName] || a.DB.Relation(p.RelName) != nil; n++ {
 			p.RelName = fmt.Sprintf("%s_%d", base, n)
 		}
 		taken[p.RelName] = true
-		k := link{p.Entity, p.Fact1, p.Fact1EntityCol, p.Fact1ViaCol, p.Via, p.ViaPK}
-		g, ok := groups[k]
-		if !ok {
-			g = len(firsts)
-			groups[k] = g
-			firsts = append(firsts, p)
-		}
-		groupOf[i] = g
 	}
-	workers := a.cfg.workers()
-	adjacency := make([][][]int, len(firsts))
-	index.RunBounded(len(firsts), workers, func(g int) { adjacency[g] = a.adjacencyOf(firsts[g]) })
-	index.RunBounded(len(derived), workers, func(i int) { a.materializeDerived(derived[i], adjacency[groupOf[i]]) })
+	index.RunBounded(len(derived), a.cfg.workers(), func(i int) { a.materializeDerived(derived[i], adj[derived[i].link()]) })
 }
 
-// adjacencyOf lists, for every row of p's entity, the distinct via rows
-// the first fact links it to, ascending. Several fact rows linking one
-// pair (an actor with several roles in one movie) count once, matching
-// the DISTINCT semantics of the paper's Q6 per (person, movie) pair.
-func (a *Epoch) adjacencyOf(p *DerivedProperty) [][]int {
-	r := p.reader(a)
-	adjacency := make([][]int, a.Entities[p.Entity].NumRows)
-	fact := a.DB.Relation(p.Fact1)
-	for fr := range fact.NumRows() {
-		if eRow, vRow, ok := r.link(fr); ok {
-			adjacency[eRow] = append(adjacency[eRow], vRow)
+// adjacency lists, for every row of a link's entity, the distinct via
+// rows the link's fact rows link it to, in the order of the first fact
+// row that links each: row e's are vias[offs[e]:offs[e+1]]. Several
+// fact rows linking one pair (an actor with several roles in one movie)
+// count once, matching the DISTINCT semantics of the paper's Q6 per
+// (person, movie) pair.
+type adjacency struct {
+	offs, vias []uint32
+}
+
+func (j *adjacency) of(eRow int) []uint32 { return j.vias[j.offs[eRow]:j.offs[eRow+1]] }
+
+// adjacencies holds the adjacency of every link one derive wave reads:
+// registered (need) while the wave is planned, and computed once
+// (walkLinks) before the entity-association folds and the derived
+// properties read them.
+type adjacencies map[link]*adjacency
+
+// need registers link k and returns the adjacency walk fills in.
+func (m adjacencies) need(k link) *adjacency {
+	j := m[k]
+	if j == nil {
+		j = &adjacency{}
+		m[k] = j
+	}
+	return j
+}
+
+// walkLinks computes every registered adjacency, fanned over workers.
+// The links go out in one fixed order, those with the most fact rows
+// first, so the workers' schedule, and how long the wave takes, is the
+// same from one run to the next instead of following map iteration.
+func (a *Epoch) walkLinks(m adjacencies, workers int) {
+	links := slices.SortedFunc(maps.Keys(m), func(x, y link) int {
+		return cmp.Or(
+			cmp.Compare(a.DB.Relation(y.fact).NumRows(), a.DB.Relation(x.fact).NumRows()),
+			strings.Compare(x.entity, y.entity), strings.Compare(x.fact, y.fact),
+			strings.Compare(x.entCol, y.entCol), strings.Compare(x.viaCol, y.viaCol),
+			strings.Compare(x.via, y.via), strings.Compare(x.viaPK, y.viaPK))
+	})
+	index.RunBounded(len(links), workers, func(i int) { *m[links[i]] = a.adjacencyOf(links[i]) })
+}
+
+// adjacencyOf computes the adjacency of link k in time linear in its
+// fact rows, entities and via rows: the fact rows resolve once, a
+// counting sort groups their via rows by entity row in fact-row order,
+// and a stamp per via row — the last entity row that listed it — drops
+// the repeats in place.
+func (a *Epoch) adjacencyOf(k link) adjacency {
+	r := k.reader(a)
+	numEnt, numVia := a.DB.Relation(k.entity).NumRows(), a.DB.Relation(k.via).NumRows()
+	n := r.entCol.Len()
+	ents, vias := make([]int32, n), make([]uint32, n)
+	offs := make([]uint32, numEnt+1)
+	for fr := range n {
+		eRow, vRow, ok := r.link(fr)
+		if !ok {
+			ents[fr] = -1
+			continue
+		}
+		ents[fr], vias[fr] = int32(eRow), uint32(vRow)
+		offs[eRow+1]++
+	}
+	for e := range numEnt {
+		offs[e+1] += offs[e]
+	}
+	flat := make([]uint32, offs[numEnt])
+	next := slices.Clone(offs[:numEnt])
+	for fr, e := range ents {
+		if e >= 0 {
+			flat[next[e]] = vias[fr]
+			next[e]++
 		}
 	}
-	for i, vs := range adjacency {
-		slices.Sort(vs)
-		adjacency[i] = slices.Compact(vs)
+	stamp := make([]int32, numVia)
+	w := uint32(0)
+	for e := range numEnt {
+		lo, hi := offs[e], offs[e+1]
+		offs[e] = w
+		for _, v := range flat[lo:hi] {
+			if stamp[v] != int32(e)+1 {
+				stamp[v] = int32(e) + 1
+				flat[w] = v
+				w++
+			}
+		}
 	}
-	return adjacency
+	offs[numEnt] = w
+	return adjacency{offs: offs, vias: flat[:w]}
 }
 
 // materializeDerived derives a property's statistics from its
@@ -297,7 +387,7 @@ func (a *Epoch) adjacencyOf(p *DerivedProperty) [][]int {
 // one pseudo-code indexes a dictionary of its own. A chunk of a pair
 // list is its own allocation, so a chunk an insert later replaces is
 // freed on its own instead of being pinned by its neighbors' array.
-func (a *Epoch) materializeDerived(p *DerivedProperty, adjacency [][]int) {
+func (a *Epoch) materializeDerived(p *DerivedProperty, adj *adjacency) {
 	c := p.reader(a)
 	p.walk, p.dict = c, c.target.dict
 	if c.degree {
@@ -317,9 +407,9 @@ func (a *Epoch) materializeDerived(p *DerivedProperty, adjacency [][]int) {
 	count := make([]int32, n)
 	var touched []int32
 	pairs := make([]relation.Chunked[valCount], n)
-	for eRow, viaRows := range adjacency {
+	for eRow := range len(adj.offs) - 1 {
 		touched = touched[:0]
-		for _, vRow := range viaRows {
+		for _, vRow := range adj.of(eRow) {
 			for _, code := range codes[offs[vRow]:offs[vRow+1]] {
 				if count[code] == 0 {
 					touched = append(touched, code)

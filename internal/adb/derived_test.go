@@ -1,6 +1,7 @@
 package adb
 
 import (
+	"fmt"
 	"maps"
 	"math/rand"
 	"slices"
@@ -93,7 +94,7 @@ func checkDerivedReference(t *testing.T, a *AlphaDB, seen *shapes) {
 			}
 			var walked []derivedRow
 			for row := range info.NumRows {
-				counts := countsOf(p, info.IDByRow(row))
+				counts := countsAt(p, row)
 				values := slices.Sorted(maps.Keys(counts))
 				for _, v := range values {
 					walked = append(walked, derivedRow{info.IDByRow(row), v, int64(counts[v])})
@@ -117,6 +118,12 @@ func countsOf(p *DerivedProperty, id int64) map[string]int {
 	if !ok {
 		return nil
 	}
+	return countsAt(p, row)
+}
+
+// countsAt is countsOf for entity row row: nil for a later row of a
+// repeated key, which no fact row links.
+func countsAt(p *DerivedProperty, row int) map[string]int {
 	ccs, _ := p.AppendCounts(nil, nil, row)
 	if len(ccs) == 0 {
 		return nil
@@ -259,6 +266,154 @@ func derivedOracleDB(rng *rand.Rand) *relation.Database {
 	fact("castinfo", "person_id", "person", "movie_id", "movie", personID, movieID, nPersons, nMovies, 4*nPersons)
 	fact("movietogenre", "movie_id", "movie", "genre_id", "genre", movieID, dimID, nMovies, genres*4/3+1, 2*nMovies)
 	fact("sequelof", "movie_id", "movie", "original_id", "movie", movieID, movieID, nMovies, nMovies, nMovies/2)
+	return db
+}
+
+// TestSkewedAdjacencyMatchesReference holds the linear adjacency of
+// every link (adjacencyOf), the entity-association posting lists folded
+// over it and the derived pair lists materialized over it to map-based
+// references, built and loaded, on a skewed fixture (skewedDB): one
+// person linked by thousands of fact rows, repeated pairs, NULL and
+// dangling keys, repeated primary keys, and movies that share a title.
+func TestSkewedAdjacencyMatchesReference(t *testing.T) {
+	built, err := Build(skewedDB(rand.New(rand.NewSource(44))), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := roundTrip(t, built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen shapes
+	for _, road := range []struct {
+		name string
+		a    *AlphaDB
+	}{{"built", built}, {"loaded", loaded}} {
+		checkLayout(t, road.name, road.a)
+		checkDerivedReference(t, road.a, &seen)
+		ep := road.a.Snapshot()
+		links := 0
+		for _, name := range ep.DB.EntityRelations() {
+			for _, p := range ep.Entity(name).Derived {
+				if p.Target.Type == Degree {
+					links++
+					checkAdjacency(t, ep, p.link())
+				}
+			}
+		}
+		if links != 2 {
+			t.Fatalf("%s: %d links, want castinfo's two", road.name, links)
+		}
+	}
+	if !seen.repeatedPair || !seen.nullKey || !seen.factDim {
+		t.Errorf("the fixture lacks a shape: %+v", seen)
+	}
+}
+
+// checkAdjacency compares the adjacency of link k with the distinct
+// (entity row, via row) pairs of a map over the fact rows, each key
+// resolved to the first row holding it, and checks each entity row's
+// via rows are in the order of the first fact row that links them.
+func checkAdjacency(t *testing.T, ep *Epoch, k link) {
+	t.Helper()
+	ents, vias := firstRows(ep.DB.Relation(k.entity), ep.DB.Relation(k.entity).PrimaryKey), firstRows(ep.DB.Relation(k.via), k.viaPK)
+	fact := ep.DB.Relation(k.fact)
+	ec, vc := fact.Column(k.entCol), fact.Column(k.viaCol)
+	want := make([][]uint32, ep.DB.Relation(k.entity).NumRows())
+	seen := map[[2]int]bool{}
+	for fr := range fact.NumRows() {
+		if ec.IsNull(fr) || vc.IsNull(fr) {
+			continue
+		}
+		e, eok := ents[ec.Int64(fr)]
+		v, vok := vias[vc.Int64(fr)]
+		if eok && vok && !seen[[2]int{e, v}] {
+			seen[[2]int{e, v}] = true
+			want[e] = append(want[e], uint32(v))
+		}
+	}
+	adj := ep.adjacencyOf(k)
+	if len(adj.offs) != len(want)+1 {
+		t.Fatalf("%+v: %d offsets for %d entity rows", k, len(adj.offs), len(want))
+	}
+	for e, w := range want {
+		if got := adj.of(e); !slices.Equal(got, w) {
+			t.Fatalf("%+v: entity row %d links %v, the map reference %v", k, e, got, w)
+		}
+	}
+}
+
+// skewedDB is a castinfo between persons and movies in which person 1
+// has 3,000 fact rows over 120 movies, most of them repeats, beside a
+// few rows for every other person; one fact row in twenty has a NULL
+// or a dangling key. Persons 7 and 8 and movie 5 hold their key twice
+// (the later row is never linked), 120 titles are spread over 200
+// movies, some NULL, and movietogenre is a second hop.
+func skewedDB(rng *rand.Rand) *relation.Database {
+	db := relation.NewDatabase("skewed")
+	genre := relation.New("genre", relation.Col("id", relation.Int), relation.Col("name", relation.String)).SetPrimaryKey("id")
+	for i, g := range []string{"Drama", "Comedy", "Noir", "Horror"} {
+		genre.MustAppend(relation.IntVal(int64(i)), relation.StringVal(g))
+	}
+	db.AddRelation(genre)
+	db.MarkProperty("genre")
+
+	person := relation.New("person", relation.Col("id", relation.Int), relation.Col("name", relation.String)).SetPrimaryKey("id")
+	for i := 1; i <= 300; i++ {
+		person.MustAppend(relation.IntVal(int64(i)), relation.StringVal(fmt.Sprintf("person %d", i%250)))
+	}
+	person.MustAppend(relation.IntVal(7), relation.StringVal("person 7 again"))
+	person.MustAppend(relation.IntVal(8), relation.StringVal("person 8 again"))
+	db.AddRelation(person)
+	db.MarkEntity("person")
+
+	movie := relation.New("movie", relation.Col("id", relation.Int), relation.Col("title", relation.String), relation.Col("kind", relation.String)).SetPrimaryKey("id")
+	for i := 1; i <= 200; i++ {
+		title := relation.StringVal(fmt.Sprintf("title %d", rng.Intn(120)))
+		if i%31 == 0 {
+			title = relation.Null
+		}
+		movie.MustAppend(relation.IntVal(int64(i)), title, relation.StringVal([]string{"feature", "short", "series"}[rng.Intn(3)]))
+	}
+	movie.MustAppend(relation.IntVal(5), relation.StringVal("title 5 again"), relation.StringVal("feature"))
+	db.AddRelation(movie)
+	db.MarkEntity("movie")
+
+	// key draws a fact key: a NULL or a dangling one now and then.
+	key := func(v int64) relation.Value {
+		switch rng.Intn(40) {
+		case 0:
+			return relation.Null
+		case 1:
+			return relation.IntVal(100000 + v)
+		}
+		return relation.IntVal(v)
+	}
+	castinfo := relation.New("castinfo", relation.Col("person_id", relation.Int), relation.Col("movie_id", relation.Int)).
+		AddForeignKey("person_id", "person", "id").AddForeignKey("movie_id", "movie", "id")
+	var rows [][2]relation.Value
+	for range 3000 {
+		rows = append(rows, [2]relation.Value{key(1), key(int64(1 + rng.Intn(120)))})
+	}
+	for p := 2; p <= 300; p++ {
+		for range rng.Intn(6) {
+			rows = append(rows, [2]relation.Value{key(int64(p)), key(int64(1 + rng.Intn(200)))})
+		}
+	}
+	rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	for _, r := range rows {
+		castinfo.MustAppend(r[0], r[1])
+	}
+	db.AddRelation(castinfo)
+
+	mg := relation.New("movietogenre", relation.Col("movie_id", relation.Int), relation.Col("genre_id", relation.Int)).
+		AddForeignKey("movie_id", "movie", "id").AddForeignKey("genre_id", "genre", "id")
+	for m := 1; m <= 200; m++ {
+		for range 1 + rng.Intn(3) {
+			mg.MustAppend(key(int64(m)), relation.IntVal(int64(rng.Intn(4))))
+		}
+	}
+	db.AddRelation(mg)
 	return db
 }
 

@@ -260,16 +260,6 @@ func checkLayout(t *testing.T, road string, a *AlphaDB) {
 // property lists an associated entity once however many facts link the
 // pair, as the build does.
 func scanCodes(ep *Epoch, info *EntityInfo, p *BasicProperty) [][]int32 {
-	rowOf := func(rel *relation.Relation, key string) map[int64]int {
-		m := map[int64]int{}
-		c := rel.Column(key)
-		for r := rel.NumRows() - 1; r >= 0; r-- {
-			if !c.IsNull(r) {
-				m[c.Int64(r)] = r // the first row with the key wins
-			}
-		}
-		return m
-	}
 	out := make([][]int32, info.NumRows)
 	ent := info.Rel()
 	switch ap := p.Access; ap.Type {
@@ -282,7 +272,7 @@ func scanCodes(ep *Epoch, info *EntityInfo, p *BasicProperty) [][]int32 {
 		}
 	case FKDim:
 		dim := ep.DB.Relation(ap.Dim)
-		dims, fk, vc := rowOf(dim, ap.DimPK), ent.Column(ap.Column), dim.Column(ap.DimValueCol)
+		dims, fk, vc := firstRows(dim, ap.DimPK), ent.Column(ap.Column), dim.Column(ap.DimValueCol)
 		for r := range out {
 			if fk.IsNull(r) {
 				continue
@@ -293,7 +283,7 @@ func scanCodes(ep *Epoch, info *EntityInfo, p *BasicProperty) [][]int32 {
 		}
 	case AttrTable:
 		side := ep.DB.Relation(ap.Fact)
-		ents, fk, vc := rowOf(ent, info.PK), side.Column(ap.FactEntityCol), side.Column(ap.Column)
+		ents, fk, vc := firstRows(ent, info.PK), side.Column(ap.FactEntityCol), side.Column(ap.Column)
 		for sr := 0; sr < side.NumRows(); sr++ {
 			if e, ok := ents[fk.Int64(sr)]; ok && !fk.IsNull(sr) && !vc.IsNull(sr) {
 				out[e] = append(out[e], vc.Code(sr))
@@ -301,7 +291,7 @@ func scanCodes(ep *Epoch, info *EntityInfo, p *BasicProperty) [][]int32 {
 		}
 	case FactDim:
 		fact, dim := ep.DB.Relation(ap.Fact), ep.DB.Relation(ap.Dim)
-		ents, dims := rowOf(ent, info.PK), rowOf(dim, ap.DimPK)
+		ents, dims := firstRows(ent, info.PK), firstRows(dim, ap.DimPK)
 		fk, dk, vc := fact.Column(ap.FactEntityCol), fact.Column(ap.FactDimCol), dim.Column(ap.DimValueCol)
 		assoc := ep.DB.Kind(ap.Dim) == relation.KindEntity
 		seen := map[[2]int]bool{}
@@ -319,6 +309,19 @@ func scanCodes(ep *Epoch, info *EntityInfo, p *BasicProperty) [][]int32 {
 		}
 	}
 	return out
+}
+
+// firstRows maps each key of rel's column key to the first row holding
+// it, as a primary-key index resolves a repeated key.
+func firstRows(rel *relation.Relation, key string) map[int64]int {
+	m := map[int64]int{}
+	c := rel.Column(key)
+	for r := rel.NumRows() - 1; r >= 0; r-- {
+		if !c.IsNull(r) {
+			m[c.Int64(r)] = r // the first row with the key wins
+		}
+	}
+	return m
 }
 
 // TestResidentBytesCountsNumericOrder: on an entity whose only property

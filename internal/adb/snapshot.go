@@ -153,22 +153,33 @@ func Decode(r *snapshot.Reader) (*AlphaDB, error) {
 	for _, info := range a.Entities {
 		info.pkIndex = a.readHash(info.rel, info.PK)
 	}
-	index.RunBounded(len(basic), workers, func(i int) { a.deriveBasic(basic[i]) })
-	a.deriveAll(derived)
+	adj := adjacencies{}
+	for _, p := range basic {
+		if p.Access.Type == FactDim && a.isEntity(p.Access.Dim) {
+			adj.need(p.link())
+		}
+	}
+	for _, p := range derived {
+		adj.need(p.link())
+	}
+	a.walkLinks(adj, workers)
+	index.RunBounded(len(basic), workers, func(i int) { a.deriveBasic(basic[i], adj) })
+	a.deriveAll(derived, adj)
 	a.names = a.nameTable()
 	<-invDone
 	return newAlphaDB(a), nil
 }
 
 // deriveBasic builds a loaded basic property's statistics with the
-// function the cold build calls for its kind. A numeric property's path
-// is always Direct: every other path ends at a TEXT column (readBasic).
-func (a *Epoch) deriveBasic(p *BasicProperty) {
+// function the cold build calls for its kind, an entity association over
+// its link's adjacency in adj. A numeric property's path is always
+// Direct: every other path ends at a TEXT column (readBasic).
+func (a *Epoch) deriveBasic(p *BasicProperty, adj adjacencies) {
 	if p.Kind == Numeric {
 		p.buildNumStats(a.DB.Relation(p.Entity).Column(p.Access.Column))
 		return
 	}
-	p.foldCategorical(a)
+	p.foldCategorical(a, adj[p.link()])
 }
 
 // writeConfig writes what the build configuration decides about the

@@ -657,3 +657,67 @@ func TestDifferentialKernels(t *testing.T) {
 		}
 	}
 }
+
+// TestTextJoinAcrossDictionaries checks a TEXT join between columns of
+// two dictionaries, whose left side translates its codes into the right
+// dictionary's through one table a join: every cell's key, met once
+// and again, equals a per-cell Dict.Lookup of its string, and the join
+// — both sides hashed, streamed and probed through candidate lists —
+// answers what the nested-loop reference does. Each side holds values
+// the other lacks, repeated values and NULLs.
+func TestTextJoinAcrossDictionaries(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	db := relation.NewDatabase("xdict")
+	for i, n := range []int{kernelRows, 60} {
+		r := relation.New(fmt.Sprintf("r%d", i),
+			relation.Col("id", relation.Int),
+			relation.Col("s", relation.String),
+			relation.Col("c", relation.String),
+		)
+		for row := 0; row < n; row++ {
+			// Both sides draw from v0..v39; r0 alone holds a0..a199, r1
+			// alone b0..b9.
+			s := relation.StringVal(fmt.Sprintf("v%d", rng.Intn(40)))
+			switch rng.Intn(8) {
+			case 0:
+				s = relation.Null
+			case 1, 2:
+				s = relation.StringVal(fmt.Sprintf("%c%d", 'a'+i, rng.Intn(200/(1+19*i))))
+			}
+			r.MustAppend(relation.IntVal(int64(row)), s, relation.StringVal(string(rune('a'+rng.Intn(4)))))
+		}
+		db.AddRelation(r)
+	}
+	l, r := db.Relation("r0").Column("s"), db.Relation("r1").Column("s")
+	if l.Dict() == r.Dict() {
+		t.Fatal("the fixture's columns share a dictionary")
+	}
+	lk, _ := keyCols(l, r)
+	for pass := 0; pass < 2; pass++ {
+		for row := 0; row < l.Len(); row++ {
+			var want int64
+			ok := !l.IsNull(row)
+			if ok {
+				var code int32
+				code, ok = r.Dict().Lookup(l.Str(row))
+				want = int64(code)
+			}
+			if got, gok := lk.key(row); gok != ok || ok && got != want {
+				t.Fatalf("pass %d, row %d (%v): key = %d, %v; the per-cell lookup gives %d, %v", pass, row, l.Get(row), got, gok, want, ok)
+			}
+		}
+	}
+	sel := []ColRef{{"r0", "id"}, {"r1", "id"}}
+	for _, q := range []*Query{
+		{From: []string{"r0", "r1"}, Joins: []Join{{"r0", "s", "r1", "s"}}, Select: sel},
+		{From: []string{"r1", "r0"}, Joins: []Join{{"r1", "s", "r0", "s"}}, Select: sel},
+		{From: []string{"r0", "r1"}, Joins: []Join{{"r0", "s", "r1", "s"}}, Select: sel,
+			Preds: []Pred{{Rel: "r0", Col: "c", Op: OpEq, Val: relation.StringVal("a")}}},
+		{From: []string{"r1", "r0"}, Joins: []Join{{"r1", "s", "r0", "s"}}, Select: sel,
+			Preds: []Pred{{Rel: "r1", Col: "c", Op: OpEq, Val: relation.StringVal("b")}}},
+	} {
+		if len(checkDifferential(t, db, q)) == 0 {
+			t.Errorf("%s: no rows, the fixture degenerated", describe(q))
+		}
+	}
+}

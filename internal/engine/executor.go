@@ -1043,13 +1043,22 @@ type keyCol struct {
 	// into, for keyText, is the dictionary whose codes are the keys: the
 	// other column's, when this side has to translate its strings.
 	into *relation.Dict
+	// xlat translates this column's codes into into's, a code at a time
+	// as the join first meets it; nil when the codes are the keys. The
+	// copies of a keyCol share it.
+	xlat []int32
 }
 
 // keyCols binds the two sides of a join condition. TEXT keys are the
-// right column's dictionary codes, so only the left side touches strings.
+// right column's dictionary codes, so only the left side touches
+// strings, once a distinct code (textKey).
 func keyCols(l, r *relation.Column) (lk, rk keyCol) {
 	kind := joinKind(l, r)
-	return keyCol{l, kind, r.Dict()}, keyCol{r, kind, r.Dict()}
+	lk, rk = keyCol{col: l, kind: kind, into: r.Dict()}, keyCol{col: r, kind: kind, into: r.Dict()}
+	if kind == keyText && l.Dict() != r.Dict() {
+		lk.xlat = slices.Repeat([]int32{xlatUnknown}, l.Dict().Len())
+	}
+	return lk, rk
 }
 
 // floatKey is the word of a DOUBLE key. A NaN keeps its own bits, which
@@ -1076,13 +1085,28 @@ func (k keyCol) key(row int) (int64, bool) {
 		f := c.Float64(row)
 		return floatKey(f), f == f
 	case keyText:
-		if c.Dict() == k.into {
-			return int64(c.Code(row)), true
-		}
-		code, ok := k.into.Lookup(c.Str(row))
-		return int64(code), ok
+		code := k.textKey(c.Code(row))
+		return code, code >= 0
 	}
 	return 0, false
+}
+
+// xlatUnknown marks a code keyCol.xlat has not translated yet.
+const xlatUnknown = -2
+
+// textKey is the key of a TEXT cell holding code c: c itself, or its
+// translation into the other dictionary, -1 for a value that one lacks.
+func (k keyCol) textKey(c int32) int64 {
+	if k.xlat == nil || c < 0 {
+		return int64(c)
+	}
+	if k.xlat[c] == xlatUnknown {
+		k.xlat[c] = -1
+		if code, ok := k.into.Lookup(k.col.Dict().Value(c)); ok {
+			k.xlat[c] = code
+		}
+	}
+	return int64(k.xlat[c])
 }
 
 // keyBlocks reads the streamed side of a join a block of keys at a
@@ -1101,15 +1125,9 @@ type keyBlocks struct {
 	ints  []int64
 	flts  []float64
 	codes []int32
-	// xlat translates this column's codes into the other dictionary's,
-	// a code at a time as the stream first meets it.
-	xlat []int32
 	// buf holds a gathered block; nil when blocks are views of ints.
 	buf []int64
 }
-
-// xlatUnknown marks a code keyBlocks.xlat has not translated yet.
-const xlatUnknown = -2
 
 // newKeyBlocks streams the cells of k at rows — every row below n when
 // rows is nil.
@@ -1125,9 +1143,6 @@ func newKeyBlocks(k keyCol, rows []int, n int) *keyBlocks {
 		b.flts = c.RawFloats()
 	default:
 		b.codes = c.RawCodes()
-		if c.Dict() != k.into {
-			b.xlat = slices.Repeat([]int32{xlatUnknown}, c.Dict().Len())
-		}
 	}
 	if k.kind != keyInt || rows != nil {
 		b.buf = make([]int64, min(b.n, ctxCheckRows))
@@ -1186,20 +1201,6 @@ func (b *keyBlocks) block(lo, hi int) []int64 {
 		}
 	}
 	return buf
-}
-
-// textKey is the key of a TEXT cell holding code c.
-func (b *keyBlocks) textKey(c int32) int64 {
-	if b.xlat == nil || c < 0 {
-		return int64(c)
-	}
-	if b.xlat[c] == xlatUnknown {
-		b.xlat[c] = -1
-		if code, ok := b.into.Lookup(b.col.Dict().Value(c)); ok {
-			b.xlat[c] = code
-		}
-	}
-	return int64(b.xlat[c])
 }
 
 // extend joins the relation of step s into the tuples; cells is how

@@ -49,84 +49,93 @@ type Inverted struct {
 func posting(col uint32, row int) uint64 { return uint64(col)<<32 | uint64(uint32(row)) }
 
 // BuildInvertedParallel builds the inverted index — the αDB build and
-// the snapshot load both call it — with per-relation shards fanned over
-// a bounded worker pool. Columns are dictionary-encoded: each distinct
-// value is normalized once per column, and the per-row work is a code
-// lookup. The shards are then numbered, sized and placed into one flat
-// array in relation order, so every list comes out ascending.
+// the snapshot load both call it — in the columns' code space. Fanned
+// over a bounded worker pool, each text column counts its rows per
+// dictionary code and normalizes each code it holds once (tallyColumn).
+// Then, serially in column order, each distinct normal form is keyed
+// once, and a counting sort places every posting, column by column and
+// row by row, into one flat array: every list comes out ascending by
+// (text-column ordinal, row), and no cell is hashed.
 func BuildInvertedParallel(db *relation.Database, workers int) *Inverted {
-	names := db.RelationNames()
-	inv := &Inverted{keys: keyTable[string]{base: make(map[string]uint32)}}
-	first := make([]uint32, len(names))
-	for i, name := range names {
-		first[i] = uint32(len(inv.cols))
+	inv := &Inverted{}
+	var cols []*relation.Column
+	for _, name := range db.RelationNames() {
 		for _, col := range db.Relation(name).Columns() {
 			if col.Type == relation.String {
 				inv.cols = append(inv.cols, ColumnKey{name, col.Name})
+				cols = append(cols, col)
 			}
 		}
 	}
-	shards := make([]map[string][]uint64, len(names))
-	RunBounded(len(names), workers, func(i int) {
-		shards[i] = invertRelation(first[i], db.Relation(names[i]))
-	})
-	offs := []uint32{0}
-	for _, shard := range shards {
-		for key, ps := range shard {
-			k, ok := inv.keys.base[key]
+	tallies := make([]tally, len(cols))
+	RunBounded(len(cols), workers, func(c int) { tallies[c] = tallyColumn(cols[c]) })
+	// Key the normal forms, each distinct one once, and turn every used
+	// code's count into its key ordinal; sizes[k] counts key k's rows.
+	// The map grows as it fills: a size hint, even the exact key count,
+	// makes a larger one (Go 1.24 gives a hinted map a power-of-two
+	// number of tables, each rounded up to a power-of-two capacity), and
+	// the keys are few beside the cells.
+	inv.keys.base = make(map[string]uint32)
+	var sizes []uint32
+	for _, t := range tallies {
+		for code, n := range t.rows {
+			if n == 0 {
+				continue
+			}
+			k, ok := inv.keys.base[t.norm[code]]
 			if !ok {
-				k = uint32(len(offs) - 1)
-				inv.keys.base[key] = k
-				offs = append(offs, 0)
+				k = uint32(len(sizes))
+				inv.keys.base[t.norm[code]] = k
+				sizes = append(sizes, 0)
 			}
-			offs[k+1] += uint32(len(ps))
+			sizes[k] += n
+			t.rows[code] = k
 		}
 	}
-	for k := 1; k < len(offs); k++ {
-		offs[k] += offs[k-1]
+	offs := make([]uint32, len(sizes)+1)
+	for k, n := range sizes {
+		offs[k+1] = offs[k] + n
 	}
-	flat := make([]uint64, offs[len(offs)-1])
-	next := slices.Clone(offs[:len(offs)-1])
-	for _, shard := range shards {
-		for key, ps := range shard {
-			k := inv.keys.base[key]
-			next[k] += uint32(copy(flat[next[k]:], ps))
+	flat := make([]uint64, offs[len(sizes)])
+	next := sizes // reused as the placement cursors
+	copy(next, offs)
+	for c, col := range cols {
+		keyOf := tallies[c].rows
+		for row, code := range col.RawCodes() {
+			if code >= 0 { // a NULL cell holds NoCode
+				flat[next[keyOf[code]]] = posting(uint32(c), row)
+				next[keyOf[code]]++
+			}
 		}
 	}
 	inv.lists = PostingsOf(offs, flat)
 	return inv
 }
 
-// invertRelation builds the posting shard of one relation, whose first
-// text column has ordinal first.
-func invertRelation(first uint32, rel *relation.Relation) map[string][]uint64 {
-	shard := make(map[string][]uint64)
-	ord := first
-	for _, col := range rel.Columns() {
-		if col.Type != relation.String {
-			continue
-		}
-		norm := normalizedDict(col.Dict())
-		for row := 0; row < col.Len(); row++ {
-			if col.IsNull(row) {
-				continue
-			}
-			key := norm[col.Code(row)]
-			shard[key] = append(shard[key], posting(ord, row))
-		}
-		ord++
-	}
-	return shard
+// tally is one text column's census: rows[code] counts the column's
+// rows holding code, and norm[code] is the normal form of each code the
+// column holds.
+type tally struct {
+	rows []uint32
+	norm []string
 }
 
-// normalizedDict precomputes normalize for every dictionary code.
-func normalizedDict(d *relation.Dict) []string {
-	vals := d.Values()
-	norm := make([]string, len(vals))
-	for i, v := range vals {
-		norm[i] = normalize(v)
+// tallyColumn counts col's rows per code and normalizes each code the
+// column holds once.
+func tallyColumn(col *relation.Column) tally {
+	vals := col.Dict().Values()
+	t := tally{rows: make([]uint32, len(vals)), norm: make([]string, len(vals))}
+	for _, code := range col.RawCodes() {
+		if code >= 0 {
+			t.rows[code]++
+		}
 	}
-	return norm
+	for code, n := range t.rows {
+		if n > 0 {
+			t.norm[code] = normalize(vals[code])
+		}
+	}
+	return t
 }
 
 // RunBounded executes fn(0..n-1) over a worker pool of the given size
@@ -195,14 +204,32 @@ func normalPrefix(s string) int {
 }
 
 // appendNormalized appends the normal form of s, whose first from bytes
-// are in normal form already (normalPrefix), to dst.
+// are in normal form already (normalPrefix), to dst. ASCII is
+// lower-cased and its spaces collapsed a byte at a time; the first byte
+// past ASCII hands the rest to the rune loop.
 func appendNormalized(dst []byte, s string, from int) []byte {
 	start := len(dst)
 	dst = append(dst, s[:from]...)
 	sep := false
+	i := from
+	for ; i < len(s) && s[i] < utf8.RuneSelf; i++ {
+		c := s[i]
+		if c == ' ' || '\t' <= c && c <= '\r' {
+			sep = len(dst) > start
+			continue
+		}
+		if sep {
+			dst = append(dst, ' ')
+			sep = false
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
 	// Ranging decodes invalid UTF-8 to utf8.RuneError, which is written
 	// out as U+FFFD: what strings.ToLower makes of it.
-	for _, r := range s[from:] {
+	for _, r := range s[i:] {
 		if unicode.IsSpace(r) {
 			sep = len(dst) > start
 			continue

@@ -46,6 +46,20 @@ func TestNormalizeMatchesReference(t *testing.T) {
 	}
 }
 
+// FuzzNormalize checks normalize, its ASCII byte loop and the rune loop
+// it hands off to, against TestNormalizeMatchesReference's reference on
+// arbitrary bytes, valid UTF-8 or not.
+func FuzzNormalize(f *testing.F) {
+	for _, s := range []string{"", " ", "Dan  Suciu", "ab \tCD ", "caf\u00c9 \u00a0X", "A\u0130b", "\xffA  b", "x\u3000 Y"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := normalize(s), strings.Join(strings.Fields(strings.ToLower(s)), " "); got != want {
+			t.Fatalf("normalize(%q) = %q, want %q", s, got, want)
+		}
+	})
+}
+
 // TestLookupNormalizesWithoutAllocating pins the read path's shape: a
 // lookup of a value that is not in normal form probes the maps with a
 // key built on the stack, and reads views of the posting lists.

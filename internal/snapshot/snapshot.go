@@ -388,16 +388,22 @@ func (r *Reader) String() string {
 	return string(r.take(r.Len()))
 }
 
-// Strings reads a counted list of strings.
+// Strings reads a counted list of strings into a slice of exactly their
+// number: a dictionary adopts it (relation.RestoreDict), so spare room
+// would stay resident.
 func (r *Reader) Strings() []string {
 	n := r.Len()
 	// Every entry takes at least a byte of stream, so the list grows with
-	// what was read instead of being sized from the prefix.
+	// what was read instead of being sized from the prefix, and is copied
+	// to its exact size at the end.
 	var out []string
 	for i := 0; i < n && r.err == nil; i++ {
 		out = append(out, r.String())
 	}
-	return out
+	if cap(out) == len(out) {
+		return out
+	}
+	return append(make([]string, 0, len(out)), out...)
 }
 
 // Floats reads a fixed-width float block.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"squid/internal/datagen"
+	"squid/internal/relation"
 )
 
 // snapshotSystem builds a small IMDb system for round-trip tests.
@@ -222,6 +223,41 @@ func TestDictionariesHoldNoMap(t *testing.T) {
 	check("loaded", loaded)
 	if _, ok := loaded.AlphaDB().DB().Relation("person").Column("name").Dict().Lookup("Interned By Search"); !ok {
 		t.Error("loaded: the inserted name is not found")
+	}
+}
+
+// TestLoadedDictionariesHoldNoSpare: a loaded dictionary adopts the
+// value slice the snapshot reader fills (relation.RestoreDict), so the
+// reader hands it over at its exact size. Every dictionary of a loaded
+// system, before anything looks a value up in it, costs what a
+// dictionary restored from an exact-size copy of its values costs.
+func TestLoadedDictionariesHoldNoSpare(t *testing.T) {
+	sys, _ := snapshotSystem(t)
+	var buf bytes.Buffer
+	if err := sys.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := loaded.AlphaDB().DB()
+	dicts := 0
+	for _, name := range db.RelationNames() {
+		for _, col := range db.Relation(name).Columns() {
+			d := col.Dict()
+			if d == nil {
+				continue
+			}
+			dicts++
+			exact := relation.RestoreDict(append(make([]string, 0, d.Len()), d.Values()...))
+			if got, want := d.ByteSize(), exact.ByteSize(); got != want {
+				t.Errorf("%s.%s: %d values in %d B, %d B at their exact size", name, col.Name, d.Len(), got, want)
+			}
+		}
+	}
+	if dicts == 0 {
+		t.Fatal("the loaded system has no dictionary")
 	}
 }
 
