@@ -62,7 +62,9 @@ import (
 //     resident fact foreign-key indexes, 190 with 4-byte derived counts
 //     in chunks and key-ordered hash indexes that store offsets only,
 //     173 once a categorical property walks its access path for an
-//     entity's codes instead of keeping them per row.
+//     entity's codes instead of keeping them per row, 104 with derived
+//     properties that are their pair lists, 107 once every hash index
+//     stores its rows (the offsets-only base in key order deleted).
 func TestBudgets(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("allocation and heap sizes under the race detector are not the production ones")

@@ -66,9 +66,8 @@ type ResidentBytes struct {
 	// their values and the rank tables built over them so far
 	// (relation.Dict.ByteSize).
 	Dicts int64
-	// HashIndexBase and HashIndexTail are the flat bases (a key-ordered
-	// base's offsets, and once the span of the process-wide identity
-	// vector those bases read) and the tail maps of the resident hash
+	// HashIndexBase and HashIndexTail are the bases (key maps, offsets
+	// and flat posting arrays) and the tails of the resident hash
 	// indexes.
 	HashIndexBase, HashIndexTail int64
 	// Inverted is the inverted index: its key maps and its posting

@@ -88,13 +88,13 @@ func GenerateAdult(cfg AdultConfig) *Adult {
 		relation.Col("income", relation.String),
 	).SetPrimaryKey("id")
 
-	wcW := zipfWeights(len(adultWorkclasses), 1.4)
-	eduW := zipfWeights(len(adultEducations), 0.8)
-	marW := zipfWeights(len(adultMarital), 0.9)
-	occW := zipfWeights(len(adultOccupations), 0.5)
-	relW := zipfWeights(len(adultRelationships), 0.8)
-	raceW := zipfWeights(len(adultRaces), 2.0)
-	ctyW := zipfWeights(len(adultCountries), 2.5)
+	wcW := cumulate(zipfWeights(len(adultWorkclasses), 1.4))
+	eduW := cumulate(zipfWeights(len(adultEducations), 0.8))
+	marW := cumulate(zipfWeights(len(adultMarital), 0.9))
+	occW := cumulate(zipfWeights(len(adultOccupations), 0.5))
+	relW := cumulate(zipfWeights(len(adultRelationships), 0.8))
+	raceW := cumulate(zipfWeights(len(adultRaces), 2.0))
+	ctyW := cumulate(zipfWeights(len(adultCountries), 2.5))
 
 	id := int64(0)
 	for rep := 0; rep < cfg.ScaleFactor; rep++ {

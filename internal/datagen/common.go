@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 )
 
 // zipfWeights returns n weights following a Zipf-like distribution with
@@ -31,18 +32,29 @@ func zipfWeights(n int, s float64) []float64 {
 	return w
 }
 
-// weightedPick draws an index according to the weights (which must sum
-// to ~1).
-func weightedPick(rng *rand.Rand, weights []float64) int {
-	r := rng.Float64()
+// cdf is a vector of non-negative weights (which must sum to ~1)
+// accumulated once: cdf[i] is w[0]+…+w[i], summed in order.
+type cdf []float64
+
+func cumulate(weights []float64) cdf {
+	c := make(cdf, len(weights))
 	acc := 0.0
 	for i, w := range weights {
 		acc += w
-		if r < acc {
-			return i
-		}
+		c[i] = acc
 	}
-	return len(weights) - 1
+	return c
+}
+
+// weightedPick draws an index according to the weights c accumulates.
+func weightedPick(rng *rand.Rand, c cdf) int { return search(c, rng.Float64()) }
+
+// search returns the first index whose cumulative weight exceeds r, by
+// binary search, or the last when rounding leaves r above them all. A
+// variable so a test can make every generator draw through a linear
+// scan instead.
+var search = func(c cdf, r float64) int {
+	return min(sort.Search(len(c), func(i int) bool { return r < c[i] }), len(c)-1)
 }
 
 // sampleDistinct draws k distinct ints from [0, n).

@@ -1,6 +1,8 @@
 package datagen
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -318,7 +320,7 @@ func TestVariantsPreserveDimensions(t *testing.T) {
 // TestIMDbDeterministic generates one configuration of each generator
 // twice and requires the same rows in the same order in every relation:
 // every set drawn into a map (IMDb's genres, countries and keywords,
-// DBLP's keywords) is emitted sorted, never in map order, so two
+// DBLP's keywords, the retail products' tags) is emitted sorted, never in map order, so two
 // processes (and two snapshots of their data) agree byte for byte.
 func TestIMDbDeterministic(t *testing.T) {
 	for _, tc := range []struct {
@@ -332,20 +334,123 @@ func TestIMDbDeterministic(t *testing.T) {
 		{"adult", func() *relation.Database {
 			return GenerateAdult(AdultConfig{Seed: 5, NumRows: 1500, ScaleFactor: 1}).DB
 		}},
+		{"retail", func() *relation.Database { return GenerateGen(tinyGen()).DB }},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			a, b := tc.generate(), tc.generate()
-			for _, name := range a.RelationNames() {
-				ra, rb := a.Relation(name), b.Relation(name)
-				if ra.NumRows() != rb.NumRows() {
-					t.Fatalf("%s: %d rows, then %d", name, ra.NumRows(), rb.NumRows())
-				}
-				for i := 0; i < ra.NumRows(); i++ {
-					if !reflect.DeepEqual(ra.Row(i), rb.Row(i)) {
-						t.Fatalf("%s row %d: %v, then %v", name, i, ra.Row(i), rb.Row(i))
-					}
-				}
+		t.Run(tc.name, func(t *testing.T) { requireSameRows(t, tc.generate(), tc.generate()) })
+	}
+}
+
+// requireSameRows fails t unless a and b hold the same rows in the same
+// order in every relation.
+func requireSameRows(t *testing.T, a, b *relation.Database) {
+	t.Helper()
+	for _, name := range a.RelationNames() {
+		ra, rb := a.Relation(name), b.Relation(name)
+		if ra.NumRows() != rb.NumRows() {
+			t.Fatalf("%s: %d rows, then %d", name, ra.NumRows(), rb.NumRows())
+		}
+		for i := 0; i < ra.NumRows(); i++ {
+			if !reflect.DeepEqual(ra.Row(i), rb.Row(i)) {
+				t.Fatalf("%s row %d: %v, then %v", name, i, ra.Row(i), rb.Row(i))
 			}
-		})
+		}
+	}
+}
+
+// linearPick is the reference draw: the running sum of the weights,
+// scanned for the first that exceeds r, the last index past them all.
+func linearPick(weights []float64, r float64) int {
+	acc := 0.0
+	for i, w := range weights {
+		acc += w
+		if r < acc {
+			return i
+		}
+	}
+	return len(weights) - 1
+}
+
+// TestWeightedPickMatchesLinearScan: over random weight vectors — zero
+// weights, runs of equal ones, sums a rounding short of 1 — the binary
+// search over the accumulated weights picks the index the linear scan
+// picks, for random draws and for draws on and beside every cumulative
+// value.
+func TestWeightedPickMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 500; trial++ {
+		w := make([]float64, 1+rng.Intn(40))
+		for i := range w {
+			switch rng.Intn(4) {
+			case 0: // zero
+			case 1:
+				if i > 0 {
+					w[i] = w[i-1] // a repeat
+				}
+			default:
+				w[i] = rng.Float64()
+			}
+		}
+		if rng.Intn(2) == 0 {
+			renormalize(w)
+		} else {
+			copy(w, zipfWeights(len(w), rng.Float64()*2))
+		}
+		c := cumulate(w)
+		draws := []float64{0, math.Nextafter(1, 0)}
+		for _, acc := range c {
+			draws = append(draws, acc, math.Nextafter(acc, 0), math.Nextafter(acc, 2))
+		}
+		for i := 0; i < 50; i++ {
+			draws = append(draws, rng.Float64())
+		}
+		for _, r := range draws {
+			if got, want := search(c, r), linearPick(w, r); got != want {
+				t.Fatalf("weights %v, draw %v: picked %d, the linear scan %d", w, r, got, want)
+			}
+		}
+	}
+	if got := search(cumulate(nil), 0.5); got != linearPick(nil, 0.5) {
+		t.Errorf("no weights: picked %d, the linear scan %d", got, linearPick(nil, 0.5))
+	}
+}
+
+// TestGeneratorsMatchLinearPick: every generator, at two seeds, draws
+// the same database with the binary search as with every draw made by
+// a linear scan of the same accumulated weights.
+func TestGeneratorsMatchLinearPick(t *testing.T) {
+	for seed := int64(1); seed <= 2; seed++ {
+		for _, tc := range []struct {
+			name     string
+			generate func() *relation.Database
+		}{
+			{"imdb", func() *relation.Database {
+				return GenerateIMDb(IMDbConfig{Seed: seed, NumPersons: 600, NumMovies: 300, NumCompany: 20}).DB
+			}},
+			{"dblp", func() *relation.Database {
+				return GenerateDBLP(DBLPConfig{Seed: seed, NumAuthor: 800, NumPubs: 1600}).DB
+			}},
+			{"adult", func() *relation.Database {
+				return GenerateAdult(AdultConfig{Seed: seed, NumRows: 1500, ScaleFactor: 1}).DB
+			}},
+			{"retail", func() *relation.Database {
+				cfg := tinyGen()
+				cfg.Seed = seed
+				return GenerateGen(cfg).DB
+			}},
+		} {
+			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
+				searched := tc.generate()
+				defer func(s func(cdf, float64) int) { search = s }(search)
+				search = func(c cdf, r float64) int {
+					for i, acc := range c {
+						if r < acc {
+							return i
+						}
+					}
+					return len(c) - 1
+				}
+				requireSameRows(t, searched, tc.generate())
+			})
+		}
 	}
 }

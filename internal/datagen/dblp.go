@@ -101,8 +101,8 @@ func GenerateDBLP(cfg DBLPConfig) *DBLP {
 	).SetPrimaryKey("id").
 		AddForeignKey("affiliation_id", "affiliation", "id").
 		AddForeignKey("country_id", "country", "id")
-	affW := zipfWeights(len(dblpAffiliations), 0.8)
-	countryW := zipfWeights(len(imdbCountries), 1.2)
+	affW := cumulate(zipfWeights(len(dblpAffiliations), 0.8))
+	countryW := cumulate(zipfWeights(len(imdbCountries), 1.2))
 	for i := 0; i < cfg.NumAuthor; i++ {
 		author.MustAppend(
 			relation.IntVal(int64(i)),
@@ -124,7 +124,8 @@ func GenerateDBLP(cfg DBLPConfig) *DBLP {
 	).SetPrimaryKey("id").
 		AddForeignKey("venue_id", "venue", "id").
 		AddForeignKey("pubtype_id", "pubtype", "id")
-	venueW := zipfWeights(len(dblpVenues), 0.7)
+	venueW := cumulate(zipfWeights(len(dblpVenues), 0.7))
+	typeW := cumulate(zipfWeights(len(dblpPubTypes), 1.0))
 	pubVenue := make([]int, cfg.NumPubs)
 	for i := 0; i < cfg.NumPubs; i++ {
 		v := weightedPick(rng, venueW)
@@ -134,7 +135,7 @@ func GenerateDBLP(cfg DBLPConfig) *DBLP {
 			relation.StringVal(paperTitle(i)),
 			relation.IntVal(int64(2000+rng.Intn(16))), // 2000-2015 like the paper
 			relation.IntVal(int64(v)),
-			relation.IntVal(int64(weightedPick(rng, zipfWeights(len(dblpPubTypes), 1.0)))),
+			relation.IntVal(int64(weightedPick(rng, typeW))),
 		)
 	}
 	db.AddRelation(publication)
@@ -145,7 +146,7 @@ func GenerateDBLP(cfg DBLPConfig) *DBLP {
 		relation.Col("pub_id", relation.Int),
 		relation.Col("area_id", relation.Int),
 	).AddForeignKey("pub_id", "publication", "id").AddForeignKey("area_id", "area", "id")
-	areaW := zipfWeights(len(dblpAreas), 0.8)
+	areaW := cumulate(zipfWeights(len(dblpAreas), 0.8))
 	for i := 0; i < cfg.NumPubs; i++ {
 		pta.MustAppend(relation.IntVal(int64(i)), relation.IntVal(int64(weightedPick(rng, areaW))))
 	}
@@ -155,7 +156,7 @@ func GenerateDBLP(cfg DBLPConfig) *DBLP {
 		relation.Col("pub_id", relation.Int),
 		relation.Col("keyword_id", relation.Int),
 	).AddForeignKey("pub_id", "publication", "id").AddForeignKey("keyword_id", "keyword", "id")
-	kwW := zipfWeights(len(dblpKeywords), 0.8)
+	kwW := cumulate(zipfWeights(len(dblpKeywords), 0.8))
 	for i := 0; i < cfg.NumPubs; i++ {
 		for _, k := range sampleDistinct(rng, len(dblpKeywords), 1+rng.Intn(3)) {
 			_ = k
@@ -176,7 +177,7 @@ func GenerateDBLP(cfg DBLPConfig) *DBLP {
 		relation.Col("author_id", relation.Int),
 		relation.Col("pub_id", relation.Int),
 	).AddForeignKey("author_id", "author", "id").AddForeignKey("pub_id", "publication", "id")
-	authorW := zipfWeights(cfg.NumAuthor, 0.8)
+	authorW := cumulate(zipfWeights(cfg.NumAuthor, 0.8))
 	pubAuthors := make([][]int64, cfg.NumPubs)
 	writePub := func(a int64, p int) {
 		atp.MustAppend(relation.IntVal(a), relation.IntVal(int64(p)))

@@ -2,7 +2,9 @@ package datagen
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"squid/internal/relation"
 )
@@ -326,8 +328,8 @@ func GenerateGen(cfg GenConfig) *Gen {
 	).SetPrimaryKey("id").
 		AddForeignKey("region_id", "region", "id").
 		AddForeignKey("segment_id", "segment", "id")
-	regionW := zipfWeights(cfg.NumRegions, cfg.Skew)
-	segmentW := zipfWeights(cfg.NumSegments, 0.8)
+	regionW := cumulate(zipfWeights(cfg.NumRegions, cfg.Skew))
+	segmentW := cumulate(zipfWeights(cfg.NumSegments, 0.8))
 	for i := 0; i < cfg.NumCustomers; i++ {
 		age := 18 + rng.Intn(63)
 		if j, planted := loyalOrd[i]; planted {
@@ -351,7 +353,7 @@ func GenerateGen(cfg GenConfig) *Gen {
 		relation.Col("price", relation.Float),
 		relation.Col("brand_id", relation.Int),
 	).SetPrimaryKey("id").AddForeignKey("brand_id", "brand", "id")
-	brandW := zipfWeights(cfg.NumBrands, cfg.Skew)
+	brandW := cumulate(zipfWeights(cfg.NumBrands, cfg.Skew))
 	// brandOf[p] is product p's brand; groupProducts[g] collects each
 	// planted brand's shelf so the planted purchases reference real rows.
 	brandOf := make([]int, cfg.NumProducts)
@@ -385,11 +387,12 @@ func GenerateGen(cfg GenConfig) *Gen {
 		relation.Col("product_id", relation.Int),
 		relation.Col("tag_id", relation.Int),
 	).AddForeignKey("product_id", "product", "id").AddForeignKey("tag_id", "tag", "id")
-	tagW := zipfWeights(cfg.NumTags, 0.9)
+	tagWeights := zipfWeights(cfg.NumTags, 0.9)
 	for g := 0; g < cfg.NumGroups; g++ {
-		tagW[g] = 0
+		tagWeights[g] = 0
 	}
-	renormalize(tagW)
+	renormalize(tagWeights)
+	tagW := cumulate(tagWeights)
 	for p := 0; p < cfg.NumProducts; p++ {
 		if brandOf[p] < cfg.NumGroups {
 			pt.MustAppend(relation.IntVal(int64(p)), relation.IntVal(int64(brandOf[p])))
@@ -399,7 +402,7 @@ func GenerateGen(cfg GenConfig) *Gen {
 		for len(ts) < n {
 			ts[weightedPick(rng, tagW)] = struct{}{}
 		}
-		for tg := range ts {
+		for _, tg := range slices.Sorted(maps.Keys(ts)) {
 			pt.MustAppend(relation.IntVal(int64(p)), relation.IntVal(int64(tg)))
 		}
 	}
@@ -422,27 +425,32 @@ func GenerateGen(cfg GenConfig) *Gen {
 	// are suppressed to 2% of their natural weight: the planted classes
 	// must be separated by their associations, not diluted into the
 	// background head.
-	customerW := zipfWeights(cfg.NumCustomers, 0.15)
-	rng.Shuffle(len(customerW), func(i, j int) { customerW[i], customerW[j] = customerW[j], customerW[i] })
+	customerWeights := zipfWeights(cfg.NumCustomers, 0.15)
+	rng.Shuffle(len(customerWeights), func(i, j int) {
+		customerWeights[i], customerWeights[j] = customerWeights[j], customerWeights[i]
+	})
 	for id := range loyalOrd {
-		customerW[id] = 0
+		customerWeights[id] = 0
 	}
-	renormalize(customerW)
-	productW := zipfWeights(cfg.NumProducts, cfg.Skew)
-	rng.Shuffle(len(productW), func(i, j int) { productW[i], productW[j] = productW[j], productW[i] })
+	renormalize(customerWeights)
+	productWeights := zipfWeights(cfg.NumProducts, cfg.Skew)
+	rng.Shuffle(len(productWeights), func(i, j int) {
+		productWeights[i], productWeights[j] = productWeights[j], productWeights[i]
+	})
 	for p, b := range brandOf {
 		if b < cfg.NumGroups {
-			productW[p] *= 0.02
+			productWeights[p] *= 0.02
 		}
 	}
-	renormalize(productW)
+	renormalize(productWeights)
 	// The last NumGroups channels are the groups' boutique channels:
 	// zero background weight, used exclusively by the planted purchases.
-	channelW := zipfWeights(cfg.NumChannels, 0.7)
+	channelWeights := zipfWeights(cfg.NumChannels, 0.7)
 	for g := 0; g < cfg.NumGroups; g++ {
-		channelW[cfg.NumChannels-1-g] = 0
+		channelWeights[cfg.NumChannels-1-g] = 0
 	}
-	renormalize(channelW)
+	renormalize(channelWeights)
+	customerW, productW, channelW := cumulate(customerWeights), cumulate(productWeights), cumulate(channelWeights)
 	buy := func(c, p int64, ch int) {
 		purchase.MustAppend(relation.IntVal(c), relation.IntVal(p), relation.IntVal(int64(ch)))
 	}

@@ -132,7 +132,7 @@ func GenerateIMDb(cfg IMDbConfig) *IMDb {
 		relation.Col("birth_year", relation.Int),
 		relation.Col("country_id", relation.Int),
 	).SetPrimaryKey("id").AddForeignKey("country_id", "country", "id")
-	countryW := zipfWeights(len(imdbCountries), 1.1)
+	countryW := cumulate(zipfWeights(len(imdbCountries), 1.1))
 	for i := 0; i < cfg.NumPersons; i++ {
 		gender := "Male"
 		if rng.Intn(100) < 45 {
@@ -158,7 +158,8 @@ func GenerateIMDb(cfg IMDbConfig) *IMDb {
 		relation.Col("certificate", relation.String),
 		relation.Col("language_id", relation.Int),
 	).SetPrimaryKey("id").AddForeignKey("language_id", "language", "id")
-	langW := zipfWeights(len(imdbLanguages), 1.3)
+	langW := cumulate(zipfWeights(len(imdbLanguages), 1.3))
+	certW := cumulate(zipfWeights(len(imdbCertificates), 0.6))
 	years := make([]int, cfg.NumMovies)
 	for i := 0; i < cfg.NumMovies; i++ {
 		year := 1960 + rng.Intn(60) // 1960-2019
@@ -168,7 +169,7 @@ func GenerateIMDb(cfg IMDbConfig) *IMDb {
 			relation.StringVal(movieTitle(i)),
 			relation.IntVal(int64(year)),
 			relation.StringVal(decadeOf(year)),
-			relation.StringVal(imdbCertificates[weightedPick(rng, zipfWeights(len(imdbCertificates), 0.6))]),
+			relation.StringVal(imdbCertificates[weightedPick(rng, certW)]),
 			relation.IntVal(int64(weightedPick(rng, langW))),
 		)
 	}
@@ -201,7 +202,7 @@ func GenerateIMDb(cfg IMDbConfig) *IMDb {
 		relation.Col("movie_id", relation.Int),
 		relation.Col("genre_id", relation.Int),
 	).AddForeignKey("movie_id", "movie", "id").AddForeignKey("genre_id", "genre", "id")
-	genreW := zipfWeights(len(imdbGenres), 0.9)
+	genreW := cumulate(zipfWeights(len(imdbGenres), 0.9))
 	movieGenres := make([][]int, cfg.NumMovies)
 	for m := 0; m < cfg.NumMovies; m++ {
 		n := 1 + rng.Intn(3)
@@ -262,7 +263,7 @@ func GenerateIMDb(cfg IMDbConfig) *IMDb {
 		relation.Col("movie_id", relation.Int),
 		relation.Col("company_id", relation.Int),
 	).AddForeignKey("movie_id", "movie", "id").AddForeignKey("company_id", "company", "id")
-	compW := zipfWeights(cfg.NumCompany, 1.0)
+	compW := cumulate(zipfWeights(cfg.NumCompany, 1.0))
 	for m := 0; m < cfg.NumMovies; m++ {
 		mcomp.MustAppend(relation.IntVal(int64(m)), relation.IntVal(int64(weightedPick(rng, compW))))
 	}
@@ -273,7 +274,7 @@ func GenerateIMDb(cfg IMDbConfig) *IMDb {
 		relation.Col("movie_id", relation.Int),
 		relation.Col("keyword_id", relation.Int),
 	).AddForeignKey("movie_id", "movie", "id").AddForeignKey("keyword_id", "keyword", "id")
-	kwW := zipfWeights(len(imdbKeywords), 0.8)
+	kwW := cumulate(zipfWeights(len(imdbKeywords), 0.8))
 	for m := 0; m < cfg.NumMovies; m++ {
 		n := 1 + rng.Intn(4)
 		ks := map[int]struct{}{}
@@ -299,8 +300,9 @@ func GenerateIMDb(cfg IMDbConfig) *IMDb {
 	// Popularity skew, shuffled so that popularity is independent of the
 	// person id (otherwise the low ids — which double as ambiguity
 	// plants — would all be mega-stars sharing hundreds of credits).
-	personW := zipfWeights(cfg.NumPersons, 0.7)
-	rng.Shuffle(len(personW), func(i, j int) { personW[i], personW[j] = personW[j], personW[i] })
+	shuffled := zipfWeights(cfg.NumPersons, 0.7)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	personW := cumulate(shuffled)
 	cast := func(p, m int64, role int) {
 		ci.MustAppend(relation.IntVal(p), relation.IntVal(m), relation.IntVal(int64(role)))
 		out.Popularity[p]++
@@ -398,7 +400,7 @@ func GenerateIMDb(cfg IMDbConfig) *IMDb {
 		relation.Col("person_id", relation.Int),
 		relation.Col("award_id", relation.Int),
 	).AddForeignKey("person_id", "person", "id").AddForeignKey("award_id", "award", "id")
-	awardW := zipfWeights(len(imdbAwards), 0.7)
+	awardW := cumulate(zipfWeights(len(imdbAwards), 0.7))
 	for i := 0; i < cfg.NumPersons/20; i++ {
 		p := weightedPick(rng, personW)
 		pa.MustAppend(relation.IntVal(int64(p)), relation.IntVal(int64(weightedPick(rng, awardW))))

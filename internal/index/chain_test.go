@@ -23,9 +23,9 @@ import (
 // — a small one, a near one that bursts fill in until the index is
 // dense, and a far one on both sides of zero that makes it sparse for
 // good — so a run folds it out of and into both of its forms. The
-// second starts key-ordered, built over a sorted column: inserts in key
-// order keep it so through its folds, and one out of order makes the
-// next fold store its rows for good.
+// second starts as a dense window built over a clustered column: runs
+// of inserts fold its lists alone under the same window, and new keys
+// past the window fold its key table and widen the window.
 
 // chainGen is one generation of both indexes.
 type chainGen struct {
@@ -58,9 +58,9 @@ type chainStats struct {
 	// share away.
 	denseGens, sparseGens, foldsOutOfDense, foldsOutOfSparse int
 	denseToSparse, sparseToDense, readAfterFold              int
-	// The second: generations published key-ordered, and folds of a
-	// key-ordered base that kept the form or stored the rows.
-	orderedGens, orderKept, orderBroken int
+	// The second: folds of its lists alone under an unchanged window,
+	// and folds of its key table that widened the window.
+	listFolds, windowFolds int
 }
 
 // burstBase places a burst of 40 keys: an even b in one of 32 adjacent
@@ -80,9 +80,9 @@ func burstBase(b, near int) int64 {
 	}
 }
 
-// orderedBase is the second index's first generation: 256 rows, four to
-// each of the keys 0 to 63, in key order.
-func orderedBase(t *testing.T) (*IntHash, map[int64][]uint32) {
+// clusteredBase is the second index's first generation: 256 rows, four
+// to each of the keys 0 to 63, in key order.
+func clusteredBase(t *testing.T) (*IntHash, map[int64][]uint32) {
 	t.Helper()
 	keys := make([]int64, 256)
 	want := map[int64][]uint32{}
@@ -91,19 +91,18 @@ func orderedBase(t *testing.T) (*IntHash, map[int64][]uint32) {
 		want[keys[row]] = append(want[keys[row]], uint32(row))
 	}
 	h := BuildIntHash(intColumn(cellsOf(keys...)), "k")
-	if !h.ordered || h.lists.flat != nil {
-		t.Fatalf("a sorted column without NULLs built a base that stores its rows")
+	if h.width != 64 || len(h.lists.flat) != len(keys) {
+		t.Fatalf("a clustered column built a window of %d over %d stored rows", h.width, len(h.lists.flat))
 	}
 	return h, want
 }
 
 // runCloneChain replays ops and fails t on the first divergence between
-// any generation and its oracle, or on any change to the identity
-// vector.
+// any generation and its oracle.
 func runCloneChain(t *testing.T, ops []byte) chainStats {
 	t.Helper()
 	var st chainStats
-	ord, ordWant := orderedBase(t)
+	ord, ordWant := clusteredBase(t)
 	live := &chainGen{ints: &IntHash{}, ord: ord}
 	model := &chainOracle{ints: map[int64][]uint32{}, ord: ordWant}
 	var retired []*chainGen
@@ -111,7 +110,6 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 	var foldedAway []bool // retired[i]'s successor folded
 	nextRow, near := 0, 0
 	ordRow, ordMax := 256, int64(63)
-	identities := [][]uint32{*identity.Load()}
 
 	next := func() int {
 		if len(ops) == 0 {
@@ -144,15 +142,15 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 			for i := int64(0); i < 40; i++ {
 				insertKey(base + i)
 			}
-		case 3: // in key order: under the largest key or the next
+		case 3: // under the largest key or the next
 			insertOrd(ordMax + int64(next()%2))
-		case 4: // out of key order unless it draws the largest key
+		case 4: // under any key so far
 			insertOrd(int64(next()) % (ordMax + 1))
-		case 5: // a run of rows in key order: the lists fold
+		case 5: // a run of rows: the lists fold
 			for i := 0; i < 24; i++ {
 				insertOrd(ordMax + int64(i%2))
 			}
-		case 6: // new keys in ascending order: the key table folds
+		case 6: // new keys past the window: the key table folds
 			for i := 0; i < 40; i++ {
 				insertOrd(ordMax + 1)
 			}
@@ -184,18 +182,12 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 					}
 				}
 			}
-			if prev.ord.ordered {
-				st.orderedGens++
-				if &live.ord.lists.offs[0] != &prev.ord.lists.offs[0] { // folded
-					if live.ord.ordered {
-						st.orderKept++
-					} else {
-						st.orderBroken++
-					}
+			if &live.ord.lists.offs[0] != &prev.ord.lists.offs[0] { // folded
+				if live.ord.lo == prev.ord.lo && live.ord.width == prev.ord.width {
+					st.listFolds++
+				} else {
+					st.windowFolds++
 				}
-			}
-			if cur := *identity.Load(); &cur[0] != &identities[len(identities)-1][0] {
-				identities = append(identities, cur)
 			}
 			st.generations++
 		}
@@ -204,19 +196,12 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 	for i := range retired {
 		at := fmt.Sprintf("generation %d of %d", i, len(retired))
 		checkChainHash(t, at+": empty-start index", retired[i].ints, models[i].ints)
-		checkChainHash(t, at+": key-ordered index", retired[i].ord, models[i].ord)
+		checkChainHash(t, at+": clustered index", retired[i].ord, models[i].ord)
 		if t.Failed() {
 			t.FailNow()
 		}
 		if i < len(foldedAway) && foldedAway[i] {
 			st.readAfterFold++
-		}
-	}
-	for _, v := range identities {
-		for i, x := range v {
-			if x != uint32(i) {
-				t.Fatalf("the identity vector holds %d at %d", x, i)
-			}
 		}
 	}
 	return st
@@ -226,9 +211,6 @@ func checkChainHash(t *testing.T, at string, got *IntHash, want map[int64][]uint
 	t.Helper()
 	if got.NumKeys() != len(want) {
 		t.Errorf("%s: NumKeys = %d want %d", at, got.NumKeys(), len(want))
-	}
-	if got.ordered && got.lists.flat != nil {
-		t.Errorf("%s: a key-ordered base stores %d rows", at, len(got.lists.flat))
 	}
 	for k, rows := range want {
 		if r := slices.Concat(got.Rows(k)); !reflect.DeepEqual(r, rows) {
@@ -261,8 +243,7 @@ func checkChainHash(t *testing.T, at string, got *IntHash, want map[int64][]uint
 // op followed by the arguments runCloneChain reads for it. Bursts stay
 // near for the first two thirds of it, so the first index has the time
 // to fill in and turn dense before a far burst makes it sparse for
-// good; the second takes its rows in key order for the first half, so
-// it folds key-ordered before a row out of order breaks the order.
+// good.
 func chainOps(rng *rand.Rand, generations int) []byte {
 	args := [8]int{1, 1, 1, 1, 1, 0, 0, 0}
 	var ops []byte
@@ -270,9 +251,6 @@ func chainOps(rng *rand.Rand, generations int) []byte {
 		op := byte(rng.Intn(8))
 		if op == 7 && rng.Intn(2) == 0 {
 			continue // a dozen writes per generation
-		}
-		if op == 4 && 2*published < generations {
-			op = 3
 		}
 		if op == 7 {
 			published++
@@ -293,8 +271,8 @@ func chainOps(rng *rand.Rand, generations int) []byte {
 // more than once; the first index was published in both forms, folded
 // out of each at least twice and from each into the other, and retired
 // generations were read after their successors had folded; the second
-// was published key-ordered and folded both into the same form and out
-// of it.
+// folded its lists alone under an unchanged window, and its key table
+// into a wider one.
 func TestCloneChainIsolation(t *testing.T) {
 	seeds := int64(2)
 	if testing.Short() {
@@ -310,8 +288,8 @@ func TestCloneChainIsolation(t *testing.T) {
 			st.denseToSparse == 0 || st.sparseToDense == 0 || st.readAfterFold < 2 {
 			t.Errorf("seed %d did not fold through both base forms: %+v", seed, st)
 		}
-		if st.orderedGens == 0 || st.orderKept == 0 || st.orderBroken == 0 {
-			t.Errorf("seed %d did not fold a key-ordered base both ways: %+v", seed, st)
+		if st.listFolds == 0 || st.windowFolds == 0 {
+			t.Errorf("seed %d did not fold the clustered index both ways: %+v", seed, st)
 		}
 	}
 }

@@ -1,12 +1,9 @@
 package index
 
 import (
-	"cmp"
 	"maps"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"squid/internal/relation"
 )
@@ -135,18 +132,14 @@ func groupRows(ords []uint32, numKeys int) (post, offs []uint32) {
 //     either form the keys added since the fold that fall outside the
 //     window, with ordinals handed out past it.
 //
-// A base in key order — every row indexed, and the rows of each key
-// following those of every smaller key, as an entity's primary key is
-// stored — holds its offsets and no rows: list k's base run is rows offs[k] to offs[k+1]-1, served as a
-// view of the identity vector, so Rows answers as it does for any base.
+// Either form's base is one flat posting array of exactly the rows it
+// indexes, cut by one offset a list (groupRows lays it out).
 //
 // An insert appends its row to the key's list and copies nothing of the
 // base. Clone copies the key table's tail and clones the lists, which
 // fold on their own and keep their ordinals; once the key table's tail
-// passes the fold rule, or the lists' tails pass it over a key-ordered
-// base, Clone lays window, table and lists out afresh instead, in the
-// form the widened key range now takes, key-ordered again when the rows
-// still are.
+// passes the fold rule, Clone lays window, table and lists out afresh
+// instead, in the form the widened key range now takes.
 type IntHash struct {
 	lo    int64
 	width uint64
@@ -154,40 +147,6 @@ type IntHash struct {
 	lists Postings[uint32]
 	// keys counts the distinct keys.
 	keys int
-	// ordered marks a base in key order: lists.flat is nil.
-	ordered bool
-}
-
-// identity is the process-wide identity vector, (*identity)[i] = i: the
-// rows of every key-ordered base. It is never written after it is
-// published; growIdentity replaces it with a longer one, and a view of
-// an older one stays valid for as long as a reader holds it.
-var (
-	identity   atomic.Pointer[[]uint32]
-	identityMu sync.Mutex
-)
-
-// growIdentity makes the identity vector cover rows [0, n), growing it
-// by at least a quarter so a base that keeps growing replaces it
-// rarely.
-func growIdentity(n int) {
-	if cur := identity.Load(); cur != nil && len(*cur) >= n {
-		return
-	}
-	identityMu.Lock()
-	defer identityMu.Unlock()
-	cur := identity.Load()
-	if cur != nil {
-		if len(*cur) >= n {
-			return
-		}
-		n = max(n, len(*cur)+len(*cur)/4)
-	}
-	v := make([]uint32, n)
-	for i := range v {
-		v[i] = uint32(i)
-	}
-	identity.Store(&v)
 }
 
 // isDense reports whether keys keys spanning [lo, hi] take the window.
@@ -199,13 +158,10 @@ func isDense(lo, hi int64, keys int) bool {
 }
 
 // BuildIntHash indexes the named integer column of rel. Its first pass
-// reads the key range and whether the column is in key order (no NULL,
-// never decreasing); such a column gets a key-ordered base, its offsets
-// counted in one more pass and no row stored. Any other takes two
-// counting passes: the posting array and its offsets are allocated once
-// at their exact sizes (no per-key slice, no append slack), and rows
-// stay ascending within a key. Warm boots rebuild every hash index
-// through this path.
+// reads the key range; two counting passes (groupRows) then allocate the
+// posting array and its offsets once, at their exact sizes (no per-key
+// slice, no append slack), with rows ascending within a key. Warm boots
+// rebuild every hash index through this path.
 func BuildIntHash(rel *relation.Relation, col string) *IntHash {
 	c := rel.Column(col)
 	if c == nil || c.Type != relation.Int {
@@ -213,10 +169,9 @@ func BuildIntHash(rel *relation.Relation, col string) *IntHash {
 	}
 	n := c.Len()
 	var lo, hi int64
-	rows, runs, ordered := 0, 0, true
+	rows := 0
 	for i := 0; i < n; i++ {
 		if c.IsNull(i) {
-			ordered = false
 			continue
 		}
 		v := c.Int64(i)
@@ -226,17 +181,10 @@ func BuildIntHash(rel *relation.Relation, col string) *IntHash {
 		if rows == 0 || v > hi {
 			hi = v
 		}
-		if rows > 0 && v != c.Int64(i-1) {
-			runs++
-			ordered = ordered && v > c.Int64(i-1)
-		}
 		rows++
 	}
 	if rows == 0 {
 		return &IntHash{}
-	}
-	if ordered {
-		return buildOrdered(c, lo, hi, runs+1)
 	}
 	ords := make([]uint32, n)
 	// A range no wider than denseSlack slots a row is cheap to count
@@ -284,38 +232,6 @@ func BuildIntHash(rel *relation.Relation, col string) *IntHash {
 	return &IntHash{ords: keyTable[int64]{base: ids}, lists: PostingsOf(offs, post), keys: len(ids)}
 }
 
-// buildOrdered indexes a column in key order holding keys keys in
-// [lo, hi]: a key's rows are one run, so the base is the runs' offsets,
-// counted into the window or numbered run by run into the key table.
-func buildOrdered(c *relation.Column, lo, hi int64, keys int) *IntHash {
-	n := c.Len()
-	growIdentity(n)
-	h := &IntHash{keys: keys, ordered: true}
-	var offs []uint32
-	if isDense(lo, hi, keys) {
-		h.lo, h.width = lo, uint64(hi)-uint64(lo)+1
-		offs = make([]uint32, h.width+1)
-		for i := 0; i < n; i++ {
-			offs[uint64(c.Int64(i))-uint64(lo)+1]++
-		}
-		for i := 1; i < len(offs); i++ {
-			offs[i] += offs[i-1]
-		}
-	} else {
-		h.ords.base = make(map[int64]uint32, keys)
-		offs = make([]uint32, 0, keys+1)
-		for i := 0; i < n; i++ {
-			if v := c.Int64(i); i == 0 || v != c.Int64(i-1) {
-				h.ords.base[v] = uint32(len(offs))
-				offs = append(offs, uint32(i))
-			}
-		}
-		offs = append(offs, uint32(n))
-	}
-	h.lists = PostingsOf[uint32](offs, nil)
-	return h
-}
-
 // ord returns v's list ordinal and whether the index has one for it.
 func (h *IntHash) ord(v int64) (int, bool) {
 	if i := uint64(v) - uint64(h.lo); i < h.width {
@@ -340,11 +256,7 @@ func (h *IntHash) Rows(v int64) (base, tail []uint32) {
 // does, without its range check: every ordinal ord returns has a list.
 func (h *IntHash) rows(o int) (base, tail []uint32) {
 	if o < h.lists.baseLists() {
-		if !h.ordered {
-			base = h.lists.baseRun(o)
-		} else if a, b := h.lists.offs[o], h.lists.offs[o+1]; a != b {
-			base = (*identity.Load())[a:b:b]
-		}
+		base = h.lists.baseRun(o)
 	}
 	tail, _ = h.lists.tailRun(o)
 	return base, tail
@@ -383,13 +295,12 @@ func (h *IntHash) Insert(v int64, row int) {
 // Clone returns a copy-on-write clone for one writer generation: the
 // window, the key table's base and the lists' base are shared, the key
 // table's tail is copied and the lists clone as Postings do — or, past
-// the key table's fold rule or a key-ordered base's lists' one,
-// everything is laid out afresh (fold). Appends on the clone write only
-// past the lengths the original holds, so readers of the original never
-// observe them.
+// the key table's fold rule, everything is laid out afresh (fold).
+// Appends on the clone write only past the lengths the original holds,
+// so readers of the original never observe them.
 func (h *IntHash) Clone(g *relation.Gen) *IntHash {
 	baseKeys := h.keys - len(h.ords.tail)
-	if h.ords.due(baseKeys) || h.ordered && h.lists.shouldFold() {
+	if h.ords.due(baseKeys) {
 		return h.fold(g)
 	}
 	q := *h
@@ -414,84 +325,54 @@ func (h *IntHash) each(yield func(k int64, o int)) {
 }
 
 // fold lays every key and list out in a fresh base, in the form isDense
-// picks for the key range, with empty tails; what it allocates is
-// charged to g. Keys take their new ordinals in ascending order, so the
-// base is key-ordered again, storing no rows, when the rows of each key
-// still follow those of the one before. A list's base run and tail stay
-// in order: every row the tail holds is newer than the base's.
+// picks for the key range, with empty tails; what the base holds is
+// charged to g. Keys take their new ordinals in ascending order and
+// groupRows places the rows, as BuildIntHash does, so a list's base run
+// and tail come out as one ascending run.
 func (h *IntHash) fold(g *relation.Gen) *IntHash {
-	type keyList struct {
-		k int64
-		o int
-	}
-	keys := make([]keyList, 0, h.keys)
-	h.each(func(k int64, o int) { keys = append(keys, keyList{k, o}) })
-	slices.SortFunc(keys, func(a, b keyList) int { return cmp.Compare(a.k, b.k) })
+	keys := make([]int64, 0, h.keys)
+	end := 0 // one past the last row indexed
+	h.each(func(k int64, o int) {
+		keys = append(keys, k)
+		base, tail := h.rows(o)
+		if len(tail) > 0 {
+			base = tail
+		}
+		end = max(end, int(base[len(base)-1])+1)
+	})
+	slices.Sort(keys)
 	q := &IntHash{keys: h.keys}
 	n := len(keys)
-	// slot is the new ordinal of the i-th smallest key.
-	slot := func(i int) int { return i }
-	if n > 0 && isDense(keys[0].k, keys[n-1].k, n) {
-		q.lo, q.width = keys[0].k, uint64(keys[n-1].k)-uint64(keys[0].k)+1
+	if n > 0 && isDense(keys[0], keys[n-1], n) {
+		q.lo, q.width = keys[0], uint64(keys[n-1])-uint64(keys[0])+1
 		n = int(q.width)
-		slot = func(i int) int { return int(uint64(keys[i].k) - uint64(q.lo)) }
 	} else {
-		q.ords.base = make(map[int64]uint32, h.keys)
-		for i, kl := range keys {
-			q.ords.base[kl.k] = uint32(i)
+		q.ords.base = make(map[int64]uint32, n)
+		for i, k := range keys {
+			q.ords.base[k] = uint32(i)
 		}
 	}
-	offs := make([]uint32, n+1)
-	rows, next := uint32(0), 0
-	ordered := true
-	for i, kl := range keys {
-		for t := slot(i); next <= t; next++ {
-			offs[next] = rows
-		}
-		base, tail := h.rows(kl.o)
-		first, last := bounds(base, tail)
-		count := uint32(len(base) + len(tail))
-		ordered = ordered && first == rows && last == rows+count-1
-		rows += count
-	}
-	for ; next <= n; next++ {
-		offs[next] = rows
-	}
-	var flat []uint32
-	if ordered {
-		growIdentity(int(rows))
-	} else {
-		flat = make([]uint32, rows)
-		for i, kl := range keys {
-			base, tail := h.rows(kl.o)
-			at := offs[slot(i)] + uint32(copy(flat[offs[slot(i)]:], base))
-			copy(flat[at:], tail)
+	ords := slices.Repeat([]uint32{noKey}, end)
+	for _, k := range keys {
+		o, _ := h.ord(k)
+		slot, _ := q.ord(k)
+		base, tail := h.rows(o)
+		for _, run := range [2][]uint32{base, tail} {
+			for _, row := range run {
+				ords[row] = uint32(slot)
+			}
 		}
 	}
-	q.lists, q.ordered = PostingsOf(offs, flat), ordered
+	post, offs := groupRows(ords, n)
+	q.lists = PostingsOf(offs, post)
 	q.lists.gen = g
 	keyBytes, _ := q.ords.residentBytes()
-	g.Charge(4*(len(offs)+len(flat)) + int(keyBytes))
+	g.Charge(4*(len(offs)+len(post)) + int(keyBytes))
 	return q
 }
 
-// bounds returns the first and the last row of a non-empty list whose
-// base run and tail are ascending, every tail row newer than the base's:
-// the list is a run of consecutive rows exactly when last-first+1 is its
-// length.
-func bounds(base, tail []uint32) (first, last uint32) {
-	switch {
-	case len(base) == 0:
-		return tail[0], tail[len(tail)-1]
-	case len(tail) == 0:
-		return base[0], base[len(base)-1]
-	}
-	return base[0], tail[len(tail)-1]
-}
-
 // residentBytes returns the bytes of the base and of the tail: the key
-// table's maps and the lists'. A key-ordered base's rows are the
-// identity vector, which IndexSet counts once, by the span it reads.
+// table's maps and the lists'.
 func (h *IntHash) residentBytes() (base, tail int64) {
 	base, tail = h.lists.ResidentBytes()
 	kb, kt := h.ords.residentBytes()

@@ -98,24 +98,24 @@ func TestBuildIntHashParity(t *testing.T) {
 	}
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	cases := []struct {
-		name           string
-		cells          []*int64
-		dense, ordered bool
+		name  string
+		cells []*int64
+		dense bool
 	}{
-		{"unique ascending", cellsOf(3, 4, 5, 6, 7, 8), true, true},
-		{"clustered runs with gaps", cellsOf(clustered...), true, true},
-		{"shuffled duplicates", cellsOf(shuffled...), true, false},
-		{"several runs a key", cellsOf(severalRuns...), true, false},
-		{"negative keys", cellsOf(negative...), true, false},
-		{"nulls between", null(cellsOf(clustered...), 0.3), true, false},
-		{"sparse keys", cellsOf(sparse...), false, true},
-		{"sparse with nulls and repeats", null(cellsOf(append(sparse, sparse[:100]...)...), 0.2), false, false},
-		{"two far keys", cellsOf(1, 1<<40, 1, 1<<40), false, false},
-		{"two keys, many rows", cellsOf(twoOfMany...), false, false},
-		{"one key", cellsOf(42, 42, 42), true, true},
-		{"one step down", cellsOf(1, 2, 3, 3, 2), true, false},
-		{"empty", nil, false, false},
-		{"all null", make([]*int64, 40), false, false},
+		{"unique ascending", cellsOf(3, 4, 5, 6, 7, 8), true},
+		{"clustered runs with gaps", cellsOf(clustered...), true},
+		{"shuffled duplicates", cellsOf(shuffled...), true},
+		{"several runs a key", cellsOf(severalRuns...), true},
+		{"negative keys", cellsOf(negative...), true},
+		{"nulls between", null(cellsOf(clustered...), 0.3), true},
+		{"sparse keys", cellsOf(sparse...), false},
+		{"sparse with nulls and repeats", null(cellsOf(append(sparse, sparse[:100]...)...), 0.2), false},
+		{"two far keys", cellsOf(1, 1<<40, 1, 1<<40), false},
+		{"two keys, many rows", cellsOf(twoOfMany...), false},
+		{"one key", cellsOf(42, 42, 42), true},
+		{"one step down", cellsOf(1, 2, 3, 3, 2), true},
+		{"empty", nil, false},
+		{"all null", make([]*int64, 40), false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -127,14 +127,10 @@ func TestBuildIntHashParity(t *testing.T) {
 			if h.width > 0 && h.ords.base != nil {
 				t.Error("both base forms are populated")
 			}
-			if h.ordered != c.ordered {
-				t.Errorf("key-ordered = %v want %v", h.ordered, c.ordered)
-			}
-			// Exact sizes: one posting a non-NULL row, nothing spare, and
-			// none at all in key order.
+			// Exact sizes: one posting a non-NULL row, nothing spare.
 			rows := 0
 			for _, cell := range c.cells {
-				if cell != nil && !c.ordered {
+				if cell != nil {
 					rows++
 				}
 			}

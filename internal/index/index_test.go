@@ -157,75 +157,34 @@ func TestFirstTouchCopiesNoBaseRun(t *testing.T) {
 	}
 }
 
-// TestKeyOrderedBasesShareOneIdentity: key-ordered bases hold no
-// vector of their own. Built in growing sizes, each past the identity
-// vector's length, every one answers Rows with views of the one vector
-// live now, so the vectors the growth replaced are garbage.
-func TestKeyOrderedBasesShareOneIdentity(t *testing.T) {
-	var built []*IntHash
-	for _, n := range []int{1000, 1 << 15, 1 << 17} {
-		rel := relation.New("t", relation.Col("k", relation.Int))
-		for row := range n {
-			rel.MustAppend(relation.IntVal(int64(row / 3)))
-		}
-		built = append(built, BuildIntHash(rel, "k"))
-	}
-	cur := *identity.Load()
-	for i, h := range built {
-		k := int64(h.NumKeys() - 1)
-		base, _ := h.Rows(k)
-		if !h.ordered || len(base) == 0 || &base[0] != &cur[base[0]] {
-			t.Errorf("index %d: ordered %v, the rows of its last key are not a view of the live identity vector", i, h.ordered)
-		}
-	}
-}
-
 // TestBuildIntHashPresizesByRuns: on a derived relation's clustered
-// entity ids (every key a run of rows, in key order) the base is its
-// offsets alone — four bytes a slot of the key range, no row stored —
-// and the build allocates nothing else once the identity vector covers
-// the rows. With one row out of key order the base stores its rows and
-// costs what it indexes — four bytes a row and four a slot, under a
-// third of the map of per-key lists it replaces — and the build
-// allocates little beyond it: an oversized base layer is shared by
-// every epoch and never shrinks.
+// entity ids (every key a run of rows, in key order) the base is a dense
+// window that costs what it indexes — one 4-byte posting a row and one
+// offset a slot of the key range, nothing spare, under a third of the
+// map of per-key lists it replaces — and the build allocates little
+// beyond it: an oversized base layer is shared by every epoch and never
+// shrinks.
 func TestBuildIntHashPresizesByRuns(t *testing.T) {
 	const keys, run = 4000, 7
+	const rows, width = keys * run, 3*(keys-1) + 1
 	rel := relation.New("derived", relation.Col("entity_id", relation.Int), relation.Col("count", relation.Int))
 	for k := 0; k < keys; k++ {
 		for i := 0; i < run; i++ {
 			rel.MustAppend(relation.IntVal(int64(3*k)), relation.IntVal(1))
 		}
 	}
-	growIdentity(rel.NumRows())
 	var h *IntHash
 	built := allocated(func() { h = BuildIntHash(rel, "entity_id") })
 	three, four := slices.Concat(h.Rows(3)), slices.Concat(h.Rows(4))
-	if h.NumKeys() != keys || len(three) != run || four != nil {
+	if h.NumKeys() != keys || len(three) != run || three[0] != run || four != nil {
 		t.Fatalf("index has %d keys, Rows(3) = %v, Rows(4) = %v", h.NumKeys(), three, four)
 	}
+	if flat := h.lists.flat; h.width != width || len(flat) != rows || cap(flat) != rows || len(h.lists.offs) != width+1 {
+		t.Errorf("window %d, %d postings (cap %d), %d offsets: want %d, %d and %d", h.width, len(flat), cap(flat), len(h.lists.offs), width, rows, width+1)
+	}
 	base, tail := h.residentBytes()
-	if want := int64(4 * (3*(keys-1) + 2)); !h.ordered || h.width == 0 || tail != 0 || base != want {
-		t.Errorf("key-ordered base takes %d bytes (ordered: %v, dense: %v, tail %d), want its %d bytes of offsets", base, h.ordered, h.width > 0, tail, want)
-	}
-	if built > uint64(base)+uint64(base)/8 {
-		t.Errorf("BuildIntHash allocated %d bytes for a %d-byte key-ordered index", built, base)
-	}
-
-	// The first key's last row moves to the end of the relation.
-	ids := make([]int64, rel.NumRows())
-	for row := range ids {
-		ids[row] = rel.Column("entity_id").Int64(row)
-	}
-	ids = append(append(ids[:run-1:run-1], ids[run:]...), 0)
-	stored := relation.Restore("derived", "", nil, []*relation.Column{relation.RestoreIntColumn("entity_id", ids, nil)}, len(ids))
-	built = allocated(func() { h = BuildIntHash(stored, "entity_id") })
-	if first := slices.Concat(h.Rows(0)); h.ordered || len(first) != run || first[run-1] != uint32(len(ids)-1) {
-		t.Fatalf("out of key order: ordered %v, Rows(0) = %v", h.ordered, first)
-	}
-	base, tail = h.residentBytes()
-	if want := int64(4*keys*run + 4*(3*keys)); h.width == 0 || tail != 0 || base > want {
-		t.Errorf("base takes %d bytes (dense: %v, tail %d), want at most %d", base, h.width > 0, tail, want)
+	if want := int64(4*rows + 4*(width+1)); tail != 0 || base != want {
+		t.Errorf("base takes %d bytes (tail %d), want %d", base, tail, want)
 	}
 	var ref map[int64][]int
 	mapped := allocated(func() {

@@ -42,20 +42,14 @@ func (s *IndexSet) ResidentIntHash(rel *relation.Relation, col string) *IntHash 
 func (s *IndexSet) NumIndexes() int { return len(s.ints) }
 
 // ResidentBytes reports what the indexes hold, counted from their
-// lengths and element widths: the flat bases and the tails, and once
-// the part of the process-wide identity vector the key-ordered bases
-// read — 4 bytes a row of the longest — not its full length, which
-// another system or an earlier, larger build may have set.
+// lengths and element widths: the key tables and flat bases, and the
+// tails.
 func (s *IndexSet) ResidentBytes() (base, tail int64) {
-	span := 0
 	for _, h := range s.ints {
 		b, t := h.residentBytes()
 		base, tail = base+b, tail+t
-		if h.ordered {
-			span = max(span, h.lists.baseElems())
-		}
 	}
-	return base + 4*int64(span), tail
+	return base, tail
 }
 
 // IndexDelta accumulates one copy-on-write writer's index changes

@@ -16,10 +16,7 @@ import (
 //
 //   - an immutable base shared by every epoch since the last fold: list k
 //     is flat[offs[k]:offs[k+1]] — one 4-byte offset a list and one
-//     element a member, no slice header, no per-list allocation. A hash
-//     index whose base is in key order stores no flat at all: its list k
-//     is the rows offs[k] to offs[k+1]-1 (IntHash), and only the
-//     offsets are read here;
+//     element a member, no slice header, no per-list allocation;
 //   - a tail holding the entries of the lists inserts touched since the
 //     fold, as a table with one word per 64 lists (tailWord): a bitset
 //     of the lists the tail holds and their entries in list order. Reading
@@ -66,16 +63,6 @@ type tailWord[T uint32 | uint64] struct {
 }
 
 func (l *lists[T]) baseLists() int { return max(len(l.offs)-1, 0) }
-
-// baseElems returns the number of elements the base's lists hold, read
-// from the offsets: a key-ordered hash index stores no elements (see
-// IntHash).
-func (l *lists[T]) baseElems() int {
-	if len(l.offs) == 0 {
-		return 0
-	}
-	return int(l.offs[len(l.offs)-1])
-}
 
 // baseRun returns base list k (nil when empty), capped so an append can
 // never reach the next list.
@@ -125,7 +112,7 @@ func (l *lists[T]) setTail(k int, run []T) {
 	t.runs = slices.Insert(t.runs, i, run)
 }
 
-func (l *lists[T]) shouldFold() bool { return foldDue(l.added, l.baseElems()) }
+func (l *lists[T]) shouldFold() bool { return foldDue(l.added, len(l.flat)) }
 
 // cloneTail returns a clone for generation g sharing the base, the tail
 // words and their entries, with its own copy of the table, charged to g.
@@ -275,7 +262,7 @@ func (p *Postings[T]) Clone(g *relation.Gen) Postings[T] {
 // tail.
 func (p *Postings[T]) fold(g *relation.Gen) Postings[T] {
 	offs := make([]uint32, p.n+1)
-	flat := make([]T, 0, p.baseElems()+p.added)
+	flat := make([]T, 0, len(p.flat)+p.added)
 	for k := range p.n {
 		base, tail := p.Rows(k)
 		flat = append(append(flat, base...), tail...)
