@@ -382,11 +382,13 @@ func (a *Epoch) adjacencyOf(k link) adjacency {
 // leaves code space: each via row's contributions are listed once as
 // source-dictionary codes, and an entity's counts are summed in a dense
 // counter indexed by code, each code's (entity row, strength) pair
-// appended to the code's list, so every list is in entity-row order. The
-// codes are the source dictionary's, so no value is translated; Degree's
-// one pseudo-code indexes a dictionary of its own. A chunk of a pair
-// list is its own allocation, so a chunk an insert later replaces is
-// freed on its own instead of being pinned by its neighbors' array.
+// appended to the code's list (codeStats.appendPair), so every list is
+// in entity-row order. The codes are the source dictionary's, so no
+// value is translated; Degree's one pseudo-code indexes a dictionary of
+// its own. A chunk of a pair
+// list's rows or strengths is its own allocation, so a chunk an insert
+// later replaces is freed on its own instead of being pinned by its
+// neighbors' array; the histograms, a few bytes a value, share one.
 func (a *Epoch) materializeDerived(p *DerivedProperty, adj *adjacency) {
 	c := p.reader(a)
 	p.walk, p.dict = c, c.target.dict
@@ -395,7 +397,8 @@ func (a *Epoch) materializeDerived(p *DerivedProperty, adj *adjacency) {
 	}
 	via := a.DB.Relation(p.Via)
 	offs := make([]uint32, via.NumRows()+1)
-	var codes []int32
+	// Most targets give a via row one code; a second fact can give more.
+	codes := make([]int32, 0, via.NumRows())
 	for vRow := range via.NumRows() {
 		codes = c.add(vRow, codes)
 		offs[vRow+1] = uint32(len(codes))
@@ -404,9 +407,11 @@ func (a *Epoch) materializeDerived(p *DerivedProperty, adj *adjacency) {
 	if len(codes) > 0 {
 		n = int(slices.Max(codes)) + 1
 	}
-	count := make([]int32, n)
-	var touched []int32
-	pairs := make([]relation.Chunked[valCount], n)
+	// count is the entity's strength for each value, top the largest
+	// strength of each value's list.
+	count, top := make([]int32, n), make([]int32, n)
+	touched := make([]int32, 0, n)
+	stats := make([]codeStats, n)
 	for eRow := range len(adj.offs) - 1 {
 		touched = touched[:0]
 		for _, vRow := range adj.of(eRow) {
@@ -418,14 +423,21 @@ func (a *Epoch) materializeDerived(p *DerivedProperty, adj *adjacency) {
 			}
 		}
 		for _, code := range touched {
-			pairs[code].Append(nil, valCount{entityRow: uint32(eRow), count: uint32(count[code])})
+			stats[code].appendPair(uint32(eRow), int(count[code]))
+			top[code] = max(top[code], count[code])
 			count[code] = 0
 		}
 	}
-	stats := make([]codeStats, n)
-	for code := range pairs {
-		if pairs[code].Len() > 0 {
-			stats[code] = newCodeStats(pairs[code])
+	// One array holds every value's histogram, top[code] entries each.
+	total := 0
+	for _, m := range top {
+		total += int(m)
+	}
+	ge := make([]int32, total)
+	for code, m := range top {
+		if m > 0 {
+			stats[code].deriveHistogram(ge[:m:m])
+			ge = ge[m:]
 		}
 	}
 	p.codes = relation.ChunkedOf(stats)

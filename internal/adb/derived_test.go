@@ -419,9 +419,11 @@ func skewedDB(rng *rand.Rand) *relation.Database {
 
 // TestPairFindMatchesSearch holds codeStats.find, which interpolates
 // within a chunk picked from the chunk table, to the plain binary
-// search of the pair list (Chunked.Search) for every row up to the
+// search of the row vector (Chunked.Search) for every row up to the
 // entity count, over lists built whole and grown by inserts that split
-// their chunks: uniform, clustered at either end, and sparse.
+// their chunks: uniform, clustered at either end, and sparse. After
+// every insert the strength vector keeps the row vector's chunk
+// lengths.
 func TestPairFindMatchesSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const entities = 5000
@@ -448,11 +450,10 @@ func TestPairFindMatchesSearch(t *testing.T) {
 			}
 		}
 		built, inserted := rows[:len(rows)/2], rows[len(rows)/2:]
-		var pairs []valCount
+		var cs codeStats
 		for _, r := range built {
-			pairs = append(pairs, valCount{entityRow: r, count: 1})
+			cs.appendPair(r, 1)
 		}
-		cs := codeStats{pairs: relation.ChunkedOf(pairs)}
 		rng.Shuffle(len(inserted), func(i, j int) { inserted[i], inserted[j] = inserted[j], inserted[i] })
 		g := new(relation.Gen)
 		for _, r := range inserted {
@@ -460,14 +461,31 @@ func TestPairFindMatchesSearch(t *testing.T) {
 			if found {
 				t.Fatalf("trial %d: row %d found before its insert", trial, r)
 			}
-			cs.pairs.InsertAt(g, ci, off, valCount{entityRow: r, count: 1})
+			cs.insertPair(g, ci, off, r)
+			if err := lockstep(&cs); err != nil {
+				t.Fatalf("trial %d: after inserting row %d: %v", trial, r, err)
+			}
 		}
 		for row := range entities + 1 {
 			ci, off, found := cs.find(row, entities)
-			wci, woff := cs.pairs.Search(func(vc valCount) bool { return int(vc.entityRow) >= row })
+			wci, woff := cs.rows.Search(func(r uint32) bool { return int(r) >= row })
 			if ci != wci || off != woff || found != slices.Contains(rows, uint32(row)) {
 				t.Fatalf("trial %d: find(%d) = (%d, %d, %v), the search gives (%d, %d)", trial, row, ci, off, found, wci, woff)
 			}
 		}
 	}
+}
+
+// lockstep reports whether a pair list's strength vector has its row
+// vector's chunk lengths.
+func lockstep(cs *codeStats) error {
+	if cs.rows.NumChunks() != cs.strengths.NumChunks() || cs.rows.Len() != cs.strengths.Len() {
+		return fmt.Errorf("%d rows in %d chunks, %d strengths in %d", cs.rows.Len(), cs.rows.NumChunks(), cs.strengths.Len(), cs.strengths.NumChunks())
+	}
+	for ci := range cs.rows.NumChunks() {
+		if r, s := len(cs.rows.Chunk(ci)), len(cs.strengths.Chunk(ci)); r != s {
+			return fmt.Errorf("chunk %d holds %d rows and %d strengths", ci, r, s)
+		}
+	}
+	return nil
 }

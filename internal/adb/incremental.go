@@ -510,8 +510,13 @@ func (eb *epochBuilder) addContrib(entity string, i int, eRows []int) {
 }
 
 // bump increments the (entity, value) association strength by one on
-// the writer's private clone of the property: the value's pair list and
-// histogram, one chunk of each copied on first touch.
+// the writer's private clone of the property, copying on first touch
+// only what it writes. Raising a strength c → c+1 below 255 writes its
+// byte: one 256-byte strength chunk, the rows untouched. At or past 255
+// it writes the side table instead (codeStats.setStrength). A new pair
+// inserts into the row and strength vectors at one place, both
+// splitting a full chunk alike. The histogram gains one entity at
+// strength ≥ c+1.
 func (eb *epochBuilder) bump(p *DerivedProperty, eRow int, code int32) {
 	eb.bumped++
 	g := eb.gen
@@ -519,15 +524,15 @@ func (eb *epochBuilder) bump(p *DerivedProperty, eRow int, code int32) {
 		p.codes.Append(g, codeStats{})
 	}
 	cs := p.codes.At(int(code))
-	// Pair list: insert in entity-row order (the invariant behind
-	// StrengthOf's binary search and merge intersection).
+	// Pair list: insert in entity-row order (the invariant behind find
+	// and the merge intersection).
 	ci, off, has := cs.find(eRow, p.numEntities)
 	old := 0
 	if has {
-		old = int(cs.pairs.Chunk(ci)[off].count)
-		cs.pairs.SetAt(g, ci, off, valCount{entityRow: uint32(eRow), count: uint32(old + 1)})
+		old = cs.strengthAt(ci, off)
+		cs.setStrength(g, ci, off, old+1)
 	} else {
-		cs.pairs.InsertAt(g, ci, off, valCount{entityRow: uint32(eRow), count: 1})
+		cs.insertPair(g, ci, off, uint32(eRow))
 	}
 	// Histogram: one more entity at strength ≥ old+1.
 	for cs.ge.Len() <= old {

@@ -15,11 +15,15 @@
 package adb
 
 import (
+	"cmp"
 	"fmt"
+	"iter"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"squid/internal/index"
 	"squid/internal/relation"
@@ -422,8 +426,8 @@ func (p *BasicProperty) String() string {
 	return fmt.Sprintf("%s.%s", p.Entity, p.Attr)
 }
 
-// valCount pairs an entity row with its association strength for one
-// derived value.
+// valCount pairs an entity row with its exact association strength for
+// one derived value: an entry of a pair list's side table (codeStats).
 type valCount struct {
 	entityRow, count uint32
 }
@@ -472,75 +476,166 @@ type DerivedProperty struct {
 	schema *relation.Relation
 }
 
-// codeStats is what a derived property knows about one value code.
+// saturated is the strength byte of a pair whose strength is 255 or
+// more; its exact strength is in the list's side table.
+const saturated = math.MaxUint8
+
+// codeStats is what a derived property knows about one value code: its
+// pair list — the (entity row, strength) pairs of the entities
+// associated with the value, stored as two vectors in step and a side
+// table — and the histogram of their strengths.
 type codeStats struct {
-	// pairs lists the (entity row, strength) pairs sorted ascending by
-	// entity row — the invariant behind the O(log n) StrengthOf lookup
-	// and the merge-intersection of the abduction layer. The builder
-	// emits rows in order; incremental bumps insert in place.
-	pairs relation.Chunked[valCount]
+	// rows lists the entity rows sorted ascending — the invariant
+	// behind find and the merge-intersection of the abduction layer.
+	// The builder emits rows in order; incremental bumps insert in
+	// place.
+	rows relation.Chunked[uint32]
+	// strengths[i] is the strength of rows[i], one byte a pair: a
+	// strength of 255 or more reads saturated. It has the chunk
+	// boundaries of rows, since every write that adds a pair — the
+	// build's Append, an insert's InsertAt — adds it to both at the
+	// same place.
+	strengths relation.Chunked[uint8]
+	// over is the side table: the exact strength of every pair whose
+	// byte is saturated, sorted by entity row. It holds a few entries a
+	// list (173 over 184 lists at 4x the default IMDb), so a writer
+	// replaces it whole instead of sharing chunks of it.
+	over []valCount
 	// ge is the strength histogram in suffix-count form: ge[θ-1] is
 	// the number of entities associated at strength ≥ θ, so its length
 	// is the largest strength, ψ(φ⟨Attr,v,θ⟩) is one read, and a bump
-	// from c to c+1 is ge[c]++. It is derived from pairs at build and
-	// load, never stored.
+	// from c to c+1 is ge[c]++. It is derived from the pairs at build
+	// and load, never stored.
 	ge relation.Chunked[int32]
 }
 
-// newCodeStats derives the histogram of a finished pair list.
-func newCodeStats(pairs relation.Chunked[valCount]) codeStats {
-	maxCount := 0
-	for ci := 0; ci < pairs.NumChunks(); ci++ {
-		for _, vc := range pairs.Chunk(ci) {
-			maxCount = max(maxCount, int(vc.count))
-		}
+// appendPair adds a pair past the last one (build: entity rows come in
+// order).
+func (cs *codeStats) appendPair(row uint32, count int) {
+	cs.rows.Append(nil, row)
+	cs.strengths.Append(nil, uint8(min(count, saturated)))
+	if count >= saturated {
+		cs.over = append(cs.over, valCount{entityRow: row, count: uint32(count)})
 	}
-	ge := make([]int32, maxCount)
-	for ci := 0; ci < pairs.NumChunks(); ci++ {
-		for _, vc := range pairs.Chunk(ci) {
-			ge[vc.count-1]++
-		}
+}
+
+// deriveHistogram derives ge from a finished pair list into ge, zeroed
+// and as long as the list's largest strength; the histogram adopts it.
+func (cs *codeStats) deriveHistogram(ge []int32) {
+	for _, c := range cs.all() {
+		ge[c-1]++
 	}
-	for i := maxCount - 2; i >= 0; i-- {
+	for i := len(ge) - 2; i >= 0; i-- {
 		ge[i] += ge[i+1]
 	}
-	return codeStats{pairs: pairs, ge: relation.ChunkedOf(ge)}
+	cs.ge = relation.ChunkedOf(ge)
+}
+
+// all iterates the pairs in entity-row order with their exact
+// strengths: the k-th saturated byte is the k-th side-table entry.
+func (cs *codeStats) all() iter.Seq2[uint32, int] {
+	return func(yield func(uint32, int) bool) {
+		k := 0
+		for ci := range cs.rows.NumChunks() {
+			strengths := cs.strengths.Chunk(ci)
+			for i, row := range cs.rows.Chunk(ci) {
+				c := int(strengths[i])
+				if c == saturated {
+					c = int(cs.over[k].count)
+					k++
+				}
+				if !yield(row, c) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// overAt returns where entity row row's entry is or belongs in the side
+// table.
+func (cs *codeStats) overAt(row uint32) (int, bool) {
+	return slices.BinarySearchFunc(cs.over, row, func(vc valCount, r uint32) int { return cmp.Compare(vc.entityRow, r) })
+}
+
+// strengthAt returns the exact strength of the pair at offset off of
+// chunk ci: its byte, or its side-table entry when the byte is
+// saturated.
+func (cs *codeStats) strengthAt(ci, off int) int {
+	if c := cs.strengths.Chunk(ci)[off]; c != saturated {
+		return int(c)
+	}
+	i, _ := cs.overAt(cs.rows.Chunk(ci)[off])
+	return int(cs.over[i].count)
+}
+
+// setStrength sets the strength of the pair at offset off of chunk ci
+// to c, which is not below its current strength. Below 255 that writes
+// the byte: the writer's generation copies one 256-byte strength chunk.
+// From 255 on the byte reads saturated and the side table, copied
+// whole, takes the exact strength.
+func (cs *codeStats) setStrength(g *relation.Gen, ci, off, c int) {
+	if c < saturated {
+		cs.strengths.SetAt(g, ci, off, uint8(c))
+		return
+	}
+	if cs.strengths.Chunk(ci)[off] != saturated {
+		cs.strengths.SetAt(g, ci, off, saturated)
+	}
+	vc := valCount{entityRow: cs.rows.Chunk(ci)[off], count: uint32(c)}
+	i, found := cs.overAt(vc.entityRow)
+	g.Charge(len(cs.over) * int(unsafe.Sizeof(vc)))
+	if found {
+		cs.over = slices.Clone(cs.over)
+		cs.over[i] = vc
+	} else {
+		cs.over = slices.Insert(slices.Clip(cs.over), i, vc)
+	}
+}
+
+// insertPair inserts entity row row at strength 1 at offset off of
+// chunk ci, where find placed it: into both vectors, which split a
+// full chunk alike.
+func (cs *codeStats) insertPair(g *relation.Gen, ci, off int, row uint32) {
+	cs.rows.InsertAt(g, ci, off, row)
+	cs.strengths.InsertAt(g, ci, off, 1)
 }
 
 // find locates entity row in the pair list, whose rows lie below
 // entities: the chunk and offset where its pair is (found) or belongs
-// (not found). A list's rows spread about evenly, so find starts where
-// the row's rank would put it and steps to the exact place: to the last
+// (not found). It reads the row vector alone, sixteen rows a cache
+// line. A list's rows spread about evenly, so find starts where the
+// row's rank would put it and steps to the exact place: to the last
 // chunk whose first row is at most row, read from the chunk table alone,
 // then within the chunk from the rank between its first row and the
-// next chunk's. A probe reads about one line of pairs, where a binary
+// next chunk's. A probe reads about one line of rows, where a binary
 // search over the chunks' last rows and then within one read a dozen.
 // Derived contexts probe a pair list per example and shared value.
 func (cs *codeStats) find(row, entities int) (ci, off int, found bool) {
-	r, n := uint32(row), cs.pairs.NumChunks()
-	if n == 0 || cs.pairs.First(0).entityRow > r {
+	r, n := uint32(row), cs.rows.NumChunks()
+	if n == 0 || cs.rows.First(0) > r {
 		return 0, 0, false
 	}
-	for ci = min(n-1, row*n/max(entities, 1)); cs.pairs.First(ci).entityRow > r; ci-- {
+	for ci = min(n-1, row*n/max(entities, 1)); cs.rows.First(ci) > r; ci-- {
 	}
-	for ci+1 < n && cs.pairs.First(ci+1).entityRow <= r {
+	for ci+1 < n && cs.rows.First(ci+1) <= r {
 		ci++
 	}
-	c, lo, hi := cs.pairs.Chunk(ci), cs.pairs.First(ci).entityRow, uint32(entities)
+	c, lo, hi := cs.rows.Chunk(ci), cs.rows.First(ci), uint32(entities)
 	if ci+1 < n {
-		hi = cs.pairs.First(ci + 1).entityRow
+		hi = cs.rows.First(ci + 1)
 	}
 	if r > lo && hi > lo {
 		off = min(len(c)-1, int(uint64(r-lo)*uint64(len(c))/uint64(hi-lo)))
 	}
-	for off > 0 && c[off-1].entityRow >= r {
+	for off > 0 && c[off-1] >= r {
 		off--
 	}
-	for off < len(c) && c[off].entityRow < r {
+	for off < len(c) && c[off] < r {
 		off++
 	}
 	if off < len(c) {
-		return ci, off, c[off].entityRow == r
+		return ci, off, c[off] == r
 	}
 	if ci+1 < n {
 		return ci + 1, 0, false
@@ -551,13 +646,15 @@ func (cs *codeStats) find(row, entities int) (ci, off int, found bool) {
 // NumEntities returns |R| for the owning entity relation.
 func (p *DerivedProperty) NumEntities() int { return p.numEntities }
 
-// PairBytes returns the bytes of the per-value statistics: the code
-// table, every (entity row, strength) pair list and every strength
-// histogram, counted from their lengths.
+// PairBytes returns the bytes of the per-value statistics, counted
+// from their lengths: the code table, and for every value its pair list
+// — four bytes of entity row and one of strength a pair, each vector
+// with its chunk table, and eight bytes a side-table entry — and its
+// strength histogram.
 func (p *DerivedProperty) PairBytes() int64 {
 	n := p.codes.ByteSize()
 	for _, cs := range p.codes.All() {
-		n += cs.pairs.ByteSize() + cs.ge.ByteSize()
+		n += cs.rows.ByteSize() + cs.strengths.ByteSize() + int64(len(cs.over))*int64(unsafe.Sizeof(valCount{})) + cs.ge.ByteSize()
 	}
 	return n
 }
@@ -662,9 +759,11 @@ func (p *DerivedProperty) SelectivityOfCode(code int32, theta int) float64 {
 // EntityRowSetWithStrength returns the entity rows associated with
 // the value of code at strength ≥ θ, in a set sized by the histogram's
 // count (ge[θ-1], ψ's numerator); a θ past the largest strength, or
-// NoCode, is the empty set without a walk. Memoized under the value
-// (kept on a miss when store is set), with memo events attributed to
-// sp; do not mutate the returned set.
+// NoCode, is the empty set without a walk. At θ ≤ 1 the set is the row
+// vector whole; up to 255 a walk compares the strength bytes; past 255
+// only the side table can hold a member, and the walk reads it alone.
+// Memoized under the value (kept on a miss when store is set), with
+// memo events attributed to sp; do not mutate the returned set.
 func (p *DerivedProperty) EntityRowSetWithStrength(code int32, theta int, sp trace.Span, store bool) *index.RowSet {
 	if code == relation.NoCode {
 		return index.NewRowSet(p.numEntities, 0)
@@ -674,19 +773,35 @@ func (p *DerivedProperty) EntityRowSetWithStrength(code int32, theta int, sp tra
 		if cs == nil || theta > cs.ge.Len() {
 			return index.NewRowSet(p.numEntities, 0)
 		}
-		count := cs.pairs.Len()
+		count := cs.rows.Len()
 		if theta >= 1 {
 			count = int(cs.ge.At(theta - 1))
 		}
 		s := index.NewRowSet(p.numEntities, count)
-		for ci := 0; ci < cs.pairs.NumChunks(); ci++ {
-			for _, vc := range cs.pairs.Chunk(ci) {
+		cells := cs.rows.Len()
+		switch {
+		case theta <= 1:
+			for ci := range cs.rows.NumChunks() {
+				s.AddAll(cs.rows.Chunk(ci))
+			}
+		case theta <= saturated:
+			for ci := range cs.rows.NumChunks() {
+				strengths := cs.strengths.Chunk(ci)
+				for i, row := range cs.rows.Chunk(ci) {
+					if int(strengths[i]) >= theta {
+						s.Add(int(row))
+					}
+				}
+			}
+		default:
+			cells = len(cs.over)
+			for _, vc := range cs.over {
 				if int(vc.count) >= theta {
 					s.Add(int(vc.entityRow))
 				}
 			}
 		}
-		sp.Add(trace.CounterCellsStreamed, int64(cs.pairs.Len()))
+		sp.Add(trace.CounterCellsStreamed, int64(cells))
 		return s
 	})
 }
@@ -711,29 +826,28 @@ func (p *DerivedProperty) EntityRowSetWithNormStrength(code int32, thetaN float6
 		if cs == nil {
 			return index.NewRowSet(p.numEntities, 0)
 		}
-		s := index.NewRowSet(p.numEntities, cs.pairs.Len())
-		for ci := 0; ci < cs.pairs.NumChunks(); ci++ {
-			for _, vc := range cs.pairs.Chunk(ci) {
-				if d := float64(degree.Degree(int(vc.entityRow))); d > 0 && float64(vc.count)/d >= thetaN {
-					s.Add(int(vc.entityRow))
-				}
+		s := index.NewRowSet(p.numEntities, cs.rows.Len())
+		for row, c := range cs.all() {
+			if d := float64(degree.Degree(int(row))); d > 0 && float64(c)/d >= thetaN {
+				s.Add(int(row))
 			}
 		}
-		sp.Add(trace.CounterCellsStreamed, int64(cs.pairs.Len()))
+		sp.Add(trace.CounterCellsStreamed, int64(cs.rows.Len()))
 		return s
 	})
 }
 
 // StrengthOfCode returns the association strength of the entity at row
-// for the value code (0 when unassociated) by binary search over the
-// row-sorted pair list.
+// for the value code (0 when unassociated): find over the row vector,
+// then the strength byte, and the side table only when the byte reads
+// saturated.
 func (p *DerivedProperty) StrengthOfCode(row int, code int32) int {
 	cs := p.statsOf(code)
 	if cs == nil {
 		return 0
 	}
 	if ci, off, found := cs.find(row, p.numEntities); found {
-		return int(cs.pairs.Chunk(ci)[off].count)
+		return cs.strengthAt(ci, off)
 	}
 	return 0
 }
@@ -747,7 +861,7 @@ func (p *DerivedProperty) Degree(row int) int { return p.StrengthOfCode(row, 0) 
 func (p *DerivedProperty) DistinctValues() []string {
 	var out []string
 	for code := 0; code < p.codes.Len(); code++ {
-		if p.codes.Ref(code).pairs.Len() > 0 {
+		if p.codes.Ref(code).rows.Len() > 0 {
 			out = append(out, p.dict.Value(int32(code)))
 		}
 	}
@@ -777,8 +891,8 @@ func (p *DerivedProperty) viewRows(info *EntityInfo, codes []int32) *relation.Re
 		if cs == nil {
 			return true
 		}
-		n += cs.pairs.Len()
-		return cs.pairs.Len() == 0
+		n += cs.rows.Len()
+		return cs.rows.Len() == 0
 	})
 	p.dict.SortCodes(codes)
 	// offs[r] is the next slot of entity row r's rows.
@@ -786,8 +900,8 @@ func (p *DerivedProperty) viewRows(info *EntityInfo, codes []int32) *relation.Re
 	if len(codes) > 1 {
 		offs = make([]int, p.numEntities+1)
 		for _, code := range codes {
-			for _, vc := range p.statsOf(code).pairs.All() {
-				offs[vc.entityRow+1]++
+			for _, row := range p.statsOf(code).rows.All() {
+				offs[row+1]++
 			}
 		}
 		for r := range p.numEntities {
@@ -798,13 +912,13 @@ func (p *DerivedProperty) viewRows(info *EntityInfo, codes []int32) *relation.Re
 	pk := info.rel.Column(info.PK)
 	at := 0
 	for _, code := range codes {
-		for _, vc := range p.statsOf(code).pairs.All() {
+		for row, c := range p.statsOf(code).all() {
 			i := at
 			if offs != nil {
-				i = offs[vc.entityRow]
-				offs[vc.entityRow]++
+				i = offs[row]
+				offs[row]++
 			}
-			ids[i], vals[i], counts[i] = pk.Int64(int(vc.entityRow)), code, int64(vc.count)
+			ids[i], vals[i], counts[i] = pk.Int64(int(row)), code, int64(c)
 			at++
 		}
 	}

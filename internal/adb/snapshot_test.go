@@ -59,9 +59,13 @@ func TestDecodeRejectsOutOfRangeBlocks(t *testing.T) {
 		p := person.DerivedByAttr("movie:genre")
 		code, _ := p.LookupCode([]string{"Comedy", "Drama", "Comedy"}[row])
 		cs := p.codes.Ref(int(code))
-		vc := cs.pairs.At(row / 2)
+		vc := valCount{entityRow: cs.rows.At(row / 2), count: uint32(cs.strengthAt(0, row/2))}
 		damage(&vc)
-		cs.pairs.SetAt(nil, 0, row/2, vc)
+		cs.rows.SetAt(nil, 0, row/2, vc.entityRow)
+		cs.strengths.SetAt(nil, 0, row/2, uint8(min(vc.count, saturated)))
+		if vc.count >= saturated {
+			cs.over = append(cs.over, vc)
+		}
 	}
 	cases := []struct {
 		name    string

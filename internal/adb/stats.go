@@ -159,7 +159,7 @@ func (a *Epoch) ComputeStats() Stats {
 		s.NumDerivedProp += len(e.Derived)
 		for _, p := range e.Derived {
 			for _, cs := range p.codes.All() {
-				s.DerivedRows += cs.pairs.Len()
+				s.DerivedRows += cs.rows.Len()
 			}
 		}
 	}

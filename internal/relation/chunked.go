@@ -13,6 +13,12 @@ import (
 // entries per 100k rows.
 const chunkCap = 256
 
+// firstTableCap is the room Append gives a chunk table it starts: a
+// vector appended from empty — a derived pair list's rows and
+// strengths, a few chunks each — allocates its table once instead of at
+// one, two and four chunks.
+const firstTableCap = 4
+
 // Gen identifies one writer generation — the private copy-on-write
 // scope of one epoch builder. Storage stamped with a Gen belongs to
 // that writer and is mutated in place; anything else is shared with
@@ -157,16 +163,11 @@ func (v *Chunked[T]) ownTable(g *Gen) {
 	}
 }
 
-// ownChunk copies chunk ci on the generation's first write into it.
-func (v *Chunked[T]) ownChunk(g *Gen, ci int) *chunk[T] {
+// ownChunk copies chunk ci on the generation's first write into it,
+// with room for size elements.
+func (v *Chunked[T]) ownChunk(g *Gen, ci, size int) *chunk[T] {
 	c := &v.chunks[ci]
 	if c.owner != g {
-		// The last chunk of a positional vector keeps room to grow, so
-		// later appends stay in place.
-		size := len(c.data)
-		if ci == len(v.chunks)-1 && !v.ragged {
-			size = chunkCap
-		}
 		data := make([]T, len(c.data), size)
 		copy(data, c.data)
 		g.Charge(len(data) * elemSize[T]())
@@ -184,7 +185,7 @@ func (v *Chunked[T]) Set(g *Gen, i int, x T) {
 // SetAt overwrites the element at offset off of chunk ci.
 func (v *Chunked[T]) SetAt(g *Gen, ci, off int, x T) {
 	v.ownTable(g)
-	c := v.ownChunk(g, ci)
+	c := v.ownChunk(g, ci, len(v.chunks[ci].data))
 	c.data[off] = x
 	if off == 0 {
 		c.first = x
@@ -206,11 +207,17 @@ func (v *Chunked[T]) Append(g *Gen, x T) {
 	if last := len(v.chunks) - 1; last >= 0 && len(v.chunks[last].data) < chunkCap {
 		c := &v.chunks[last]
 		if len(c.data) == cap(c.data) {
-			// Cut from a decoded array: no spare capacity to grow into.
-			c = v.ownChunk(g, last)
+			// No spare capacity: cut from a decoded array, or copied
+			// tight by a SetAt. A shared chunk is copied with room to
+			// grow, so later appends stay in place; one the generation
+			// owns grows as a slice does.
+			c = v.ownChunk(g, last, chunkCap)
 		}
 		c.data = append(c.data, x)
 		return
+	}
+	if v.chunks == nil {
+		v.chunks = make([]chunk[T], 0, firstTableCap)
 	}
 	v.chunks = append(v.chunks, chunk[T]{owner: g, data: append(make([]T, 0, chunkCap), x), first: x})
 }
