@@ -28,7 +28,9 @@ import (
 //     a slice indexed like the filters; 81.0 and 19.89 KB once a
 //     discovery runs serially, without a worker pool, a scratch free
 //     list or a per-property context slice; 72.02 and 19.63 KB with one
-//     ordered dictionary and the derived relations read as views.
+//     ordered dictionary and the derived relations read as views; 71.02
+//     and 19.56 KB once each example is normalized once and probed into
+//     the dictionaries' normal indexes.
 //   - What a cold one — the first after a boot, and the first to touch
 //     a property after a publish — allocates beyond a warm one: the row
 //     sets it builds, each allocated at the size its statistic gave and
@@ -61,7 +63,9 @@ import (
 //     tabulated in code space into typed columns; 1.09 once derived
 //     properties are their pair lists; 0.39 with one adjacency a fact
 //     link, laid out flat, and the inverted index built in code space
-//     (a key a distinct value, not a map append a text cell).
+//     (a key a distinct value, not a map append a text cell); still
+//     0.39 once the dictionaries' normal indexes replaced that index,
+//     each code normalized once to key its hash.
 //   - What Load adds to the heap per base-relation row: 374 B before
 //     PR 18's flat hash-index bases and 8-byte derived pairs, 254 after,
 //     224 with PR 25's flat categorical statistics, 217 with 8-byte
@@ -72,7 +76,10 @@ import (
 //     entity's codes instead of keeping them per row, 104 with derived
 //     properties that are their pair lists, 107 once every hash index
 //     stores its rows (the offsets-only base in key order deleted),
-//     95.9 with derived pairs of a 4-byte row and a 1-byte strength.
+//     95.9 with derived pairs of a 4-byte row and a 1-byte strength,
+//     85.2 once entity lookup reads the dictionaries' normal indexes
+//     and a code index a TEXT column (the inverted index and its string
+//     key map deleted).
 func TestBudgets(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("allocation and heap sizes under the race detector are not the production ones")
@@ -96,13 +103,13 @@ func TestBudgets(t *testing.T) {
 		limit    float64
 		reason   string
 	}{
-		{"WarmDiscoverMallocs", warm, "mallocs", 76, "5% above the 72.02 of a serial discovery over one ordered dictionary (81.0 with its reverse maps, 95.0 with the worker pool and its scratch free list)"},
-		{"WarmDiscoverKB", warm, "KB", 20.9, "5% above the 19.89 KB of a serial discovery (20.45 with the worker pool and its scratch free list)"},
+		{"WarmDiscoverMallocs", warm, "mallocs", 75, "5% above the 71.02 of a serial discovery whose examples probe the dictionaries' normal indexes (72.02 with the inverted index, 81.0 with the dictionaries' reverse maps, 95.0 with the worker pool and its scratch free list)"},
+		{"WarmDiscoverKB", warm, "KB", 20.5, "5% above the 19.56 KB of a serial discovery whose examples probe the dictionaries' normal indexes (19.63 with the inverted index, 19.89 before the views, 20.45 with the worker pool and its scratch free list)"},
 		{"ColdDiscoverMallocs", coldOverWarm, "mallocs", 10, "no grow, sort, dedup, densify or compact copy of a row set (28 at PR 23's parent, 6 after)"},
 		{"ColdDiscoverKB", coldOverWarm, "KB", 2, "each row set sized once from its statistic (3.2 KB at PR 23's parent, 1.4 after)"},
-		{"BuildMallocsPerRow", build, "mallocs/row", 0.41, "5% above the 0.39 of one flat adjacency a fact link and a code-space inverted index (1.09 with per-entity via lists and a map append a text cell, 1.74 with the derived relations stored, 3.59 with a map per entity, a string sort and a boxed append per row)"},
+		{"BuildMallocsPerRow", build, "mallocs/row", 0.41, "5% above the 0.39 of one flat adjacency a fact link and one normalization a dictionary code (1.09 with per-entity via lists and a map append a text cell, 1.74 with the derived relations stored, 3.59 with a map per entity, a string sort and a boxed append per row)"},
 		{"InsertBatchMB", insert, "MB", 0.56, "5% above the 0.53 MB of bumps that write a strength byte into chunks copied at their length (1.14 MB with last chunks copied with room for 256, 1.22 with 8-byte pairs, 1.52 with the derived relations stored, 1.69 with per-row code lists, 2.01 before flat 4-byte lists, 1.84 before the key table)"},
-		{"LoadBytesPerRow", load, "B/row", 101, "5% above the 95.9 B/row of derived pairs of a 4-byte row and a 1-byte strength (105.6 with 8-byte pairs, 173 with the derived relations stored, 190 with per-row code lists, 217 before chunked derived counts)"},
+		{"LoadBytesPerRow", load, "B/row", 89.5, "5% above the 85.2 B/row of entity lookup over the dictionaries' normal indexes and a code index a TEXT column (95.9 with the inverted index, 105.6 with 8-byte pairs, 173 with the derived relations stored, 190 with per-row code lists, 217 before chunked derived counts)"},
 	}
 	for _, b := range budgets {
 		t.Run(b.name, func(t *testing.T) {

@@ -152,8 +152,9 @@ type taskResult struct {
 }
 
 // Build constructs the abduction-ready database for db. Construction
-// fans out over Config.Workers goroutines (per-relation inverted-index
-// shards, per-entity scaffolds, and one task per candidate property);
+// fans out over Config.Workers goroutines (the resident hash indexes,
+// the dictionaries' normal indexes, per-entity scaffolds, and one task
+// per candidate property);
 // the assembled αDB is byte-for-byte independent of the worker count.
 // The result is published as epoch 0 of the returned handle.
 func Build(db *relation.Database, cfg Config) (*AlphaDB, error) {
@@ -165,7 +166,7 @@ func Build(db *relation.Database, cfg Config) (*AlphaDB, error) {
 }
 
 // buildEpoch runs the offline phase and assembles the initial epoch:
-// the resident hash indexes, then (beside the inverted index) a scaffold
+// the resident hash indexes, then (beside the normal indexes) a scaffold
 // per entity, one task per candidate property, assembly in enumeration
 // order, and the derived properties in one materialization wave
 // (deriveAll), which Decode runs too.
@@ -193,15 +194,15 @@ func buildEpoch(db *relation.Database, cfg Config) (*Epoch, error) {
 		return nil, fmt.Errorf("adb: database %q declares no entity relations", db.Name)
 	}
 
-	// The inverted index build shares no state with property discovery;
-	// run it concurrently with everything below. The channel is closed
+	// The normal indexes share no state with property discovery; build
+	// them concurrently with everything below. The channel is closed
 	// when done, so the deferred receive also covers error returns.
-	invDone := make(chan struct{})
+	normalsDone := make(chan struct{})
 	go func() {
-		a.Inverted = index.BuildInvertedParallel(db, workers)
-		close(invDone)
+		buildNormalIndexes(db, workers)
+		close(normalsDone)
 	}()
-	defer func() { <-invDone }()
+	defer func() { <-normalsDone }()
 
 	// Phase 1: scaffold every entity.
 	builds := make([]*entityBuild, len(entities))
@@ -240,21 +241,26 @@ func buildEpoch(db *relation.Database, cfg Config) (*Epoch, error) {
 	}
 	a.deriveAll(derived, adj)
 	a.names = a.nameTable()
-	<-invDone
+	<-normalsDone
 	a.BuildTime = time.Since(start)
 	return a, nil
 }
 
 // residentIndexes builds the hash indexes every epoch holds from the
 // start — the integer primary key of every relation that is not a fact,
-// and every foreign-key column of a fact relation — fanned over workers.
-// Build and Load both run it before anything reads the set, so the
-// per-row functions of the build and of every insert find their key
-// lookups resident.
+// every foreign-key column of a fact relation, and every TEXT column by
+// its codes (entity lookup's rows) — fanned over workers. Build and Load
+// both run it before anything reads the set, so the per-row functions of
+// the build and of every insert find their key lookups resident.
 func residentIndexes(db *relation.Database, workers int) *index.IndexSet {
 	var keys []index.ColumnKey
 	for _, name := range db.RelationNames() {
 		rel := db.Relation(name)
+		for _, col := range rel.Columns() {
+			if col.Type == relation.String {
+				keys = append(keys, index.ColumnKey{Relation: name, Column: col.Name})
+			}
+		}
 		if db.Kind(name) != relation.KindUnknown {
 			if intColumn(rel, rel.PrimaryKey) {
 				keys = append(keys, index.ColumnKey{Relation: name, Column: rel.PrimaryKey})
@@ -276,6 +282,22 @@ func residentIndexes(db *relation.Database, workers int) *index.IndexSet {
 		set.AdoptIntHash(key.Relation, key.Column, built[i])
 	}
 	return set
+}
+
+// buildNormalIndexes builds the normal index of every TEXT column's
+// dictionary (relation.Dict.BuildNormalIndex), fanned over workers, so
+// no entity lookup builds one: Build and Load run it beside property
+// discovery.
+func buildNormalIndexes(db *relation.Database, workers int) {
+	var dicts []*relation.Dict
+	for _, name := range db.RelationNames() {
+		for _, col := range db.Relation(name).Columns() {
+			if col.Type == relation.String {
+				dicts = append(dicts, col.Dict())
+			}
+		}
+	}
+	index.RunBounded(len(dicts), workers, func(i int) { dicts[i].BuildNormalIndex() })
 }
 
 // EphemeralEntity builds a property-less EntityInfo for a non-entity

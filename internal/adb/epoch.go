@@ -14,7 +14,7 @@ import (
 
 // Epoch is one immutable, atomically published state of the αDB: the
 // base database, per-entity semantic properties with their statistics,
-// the inverted index and the resident hash indexes.
+// and the resident hash indexes.
 //
 // Readers (discovery, engine execution, stats, snapshot encode) load
 // the current epoch once with AlphaDB.Snapshot and run wait-free
@@ -35,18 +35,14 @@ import (
 // existed at its publish). Everything else an epoch holds is its own
 // or shared copy-on-write, so it answers exactly as of its publish.
 type Epoch struct {
-	DB *relation.Database
-	// Inverted maps every TEXT value of the base relations to its
-	// postings (entity lookup, §5 of the paper): this epoch's rows,
-	// exactly.
-	Inverted *index.Inverted
+	DB       *relation.Database
 	Entities map[string]*EntityInfo
 
 	// Indexes is this epoch's resident hash indexes over base relations
 	// (see index.IndexSet): the key lookups of the online phase and of
-	// the writer, and the joins the engine probes. The set is fixed once
-	// published: a reader that needs an index it lacks builds a private
-	// one.
+	// the writer, the joins the engine probes, and every TEXT column's
+	// rows by code (entity lookup). The set is fixed once published: a
+	// reader that needs an index it lacks builds a private one.
 	Indexes *index.IndexSet
 
 	// BuildTime is the offline precomputation wall time.
@@ -74,14 +70,10 @@ func (a *Epoch) Entity(name string) *EntityInfo { return a.Entities[name] }
 func (a *Epoch) Config() Config { return a.cfg }
 
 // CommonColumns resolves example values to candidate (relation, column)
-// matches through this epoch's inverted index.
+// matches (entity lookup, §5 of the paper): the dictionaries of this
+// epoch's TEXT columns and its code indexes, this epoch's rows exactly.
 func (a *Epoch) CommonColumns(values []string) []index.ColumnMatch {
-	return a.Inverted.CommonColumns(values)
-}
-
-// InvertedLookup returns the postings of one value in this epoch.
-func (a *Epoch) InvertedLookup(value string) []index.Posting {
-	return a.Inverted.Lookup(value)
+	return a.Indexes.CommonColumns(a.DB, values)
 }
 
 // AlphaDB is the abduction-ready database handle: it owns the chain of
@@ -227,13 +219,8 @@ func (a *AlphaDB) publish(eb *epochBuilder, sp trace.Span) {
 	}
 	entities := maps.Clone(cur.Entities)
 	maps.Copy(entities, eb.entities)
-	inv := cur.Inverted
-	if eb.inv != nil {
-		inv = eb.inv
-	}
 	next := &Epoch{
 		DB:          cur.DB.CloneWith(eb.baseRels),
-		Inverted:    inv,
 		Entities:    entities,
 		Indexes:     eb.idx.MergeInto(cur.Indexes),
 		BuildTime:   cur.BuildTime,
@@ -249,8 +236,8 @@ func (a *AlphaDB) publish(eb *epochBuilder, sp trace.Span) {
 
 	// GC telemetry: cur just retired. Everything the builder did not
 	// copy, cur shares with next; what it did copy — chunks and chunk
-	// tables, index and inverted-index tails and folded bases — has an
-	// original of about the same size that only cur still references.
+	// tables, index tails and folded bases — has an original of about
+	// the same size that only cur still references.
 	// Charge cur that, and let a finalizer credit it back once no reader
 	// pins it — the gap between publishes and finalizations is exactly
 	// the chain's uncollected garbage.

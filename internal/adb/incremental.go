@@ -15,7 +15,7 @@ import (
 // global lock), an insert batch builds the next epoch: it clones the
 // headers of the relations, per-property statistics, and indexes the
 // batch touches, copies only the chunks and tails it writes into
-// (relation.Chunked, index.IntHash, index.Postings, index.Inverted),
+// (relation.Chunked, index.IntHash, index.Postings),
 // structurally shares everything else with the base epoch, and
 // publishes the result with one atomic pointer swap (AlphaDB.publish).
 // Readers pinned to older epochs are never stalled and never observe a
@@ -39,20 +39,17 @@ import (
 
 // epochBuilder accumulates one writer's copy-on-write changes against
 // a base epoch. Privatization is lazy and per-structure: the first
-// touch of a relation, property, index or the inverted index clones its
-// header; the first write into a chunk of a chunked vector copies that chunk
-// (stamped with gen, so later touches in the same batch mutate it in
-// place); a layered structure — a hash index, a categorical property's
-// posting lists — copies its tail when the property or shard is cloned
-// and writes into that. Lists shared with the base are only ever
+// touch of a relation, property or index clones its header; the first
+// write into a chunk of a chunked vector copies that chunk (stamped
+// with gen, so later touches in the same batch mutate it in place); a
+// layered structure — a hash index, a categorical property's posting
+// lists — copies its tail when the property or shard is cloned and
+// writes into that. Lists shared with the base are only ever
 // appended past the base's lengths: a posting list keeps its new rows
 // in the tail beside its base run.
 type epochBuilder struct {
 	base *Epoch
 	idx  *index.IndexDelta
-	// inv is the writer's clone of the inverted index, made on the
-	// batch's first TEXT cell; nil while the batch posted none.
-	inv *index.Inverted
 	// gen is this writer's generation: it stamps every chunk and table
 	// the builder copies, and tallies the bytes copied (chunks, index
 	// tails and folds, updated columns) — what the epoch this publish
@@ -353,23 +350,8 @@ func (eb *epochBuilder) insertEntity(entityRel string, vals []relation.Value) er
 		eb.privDerived(info, i).numEntities = info.NumRows
 	}
 	eb.applyNaming(entityRel, row, pk.Int())
-	eb.postText(rel, row)
 	eb.noteApplied(entityRel, vals)
 	return nil
-}
-
-// postText posts the TEXT cells of a row just appended to rel to the
-// writer's clone of the inverted index, as BuildInvertedParallel indexes
-// every TEXT column of every relation.
-func (eb *epochBuilder) postText(rel *relation.Relation, row int) {
-	for _, col := range rel.Columns() {
-		if col.Type == relation.String && !col.IsNull(row) {
-			if eb.inv == nil {
-				eb.inv = eb.base.Inverted.Clone(eb.gen)
-			}
-			eb.inv.Insert(rel.Name, col.Name, col.Str(row), row)
-		}
-	}
 }
 
 // insertFact applies one fact-row insert to the builder's clones: only
@@ -396,7 +378,6 @@ func (eb *epochBuilder) insertFact(factRel string, vals []relation.Value) error 
 	row := fact.NumRows() - 1
 	eb.idx.NoteAppend(fact, row)
 	eb.applyFact(fact, row, nil)
-	eb.postText(fact, row)
 	eb.noteApplied(factRel, vals)
 	return nil
 }

@@ -83,9 +83,9 @@ func TestInsertEntityMaintainsStats(t *testing.T) {
 	if got := info.BasicByAttr("gender").SelectivityOfCode(info.BasicByAttr("gender").code("Male")); math.Abs(got-4.0/7.0) > 1e-9 {
 		t.Errorf("ψ(Male)=%v want 4/7", got)
 	}
-	// The new name is findable via the inverted index.
-	if got := a.Snapshot().InvertedLookup("new actor"); len(got) != 1 {
-		t.Errorf("inverted index not updated: %v", got)
+	// The new name is findable by entity lookup.
+	if n := lookupRows(a.Snapshot(), "new actor"); n != 1 {
+		t.Errorf("entity lookup finds %d rows of the new name, want 1", n)
 	}
 	rebuildAndCompare(t, a)
 }

@@ -20,9 +20,9 @@ import (
 // categorical property's posting lists and resolved path, buildNumStats
 // for a numeric property's value order, deriveAll for the derived
 // relations with their pair lists and histograms (under the names the
-// file records), BuildInvertedParallel for the entity-lookup index and
-// residentIndexes for the hash indexes — so a loaded αDB equals a built
-// one by construction. After inserts a load also restores the cold
+// file records), buildNormalIndexes for the dictionaries' index of
+// entity lookup and residentIndexes for the hash indexes — so a loaded
+// αDB equals a built one by construction. After inserts a load also restores the cold
 // build's derived row order and value codes, which incremental
 // maintenance appends to instead. The row-set memos restart empty, and
 // restored systems support incremental inserts exactly like freshly
@@ -140,15 +140,15 @@ func Decode(r *snapshot.Reader) (*AlphaDB, error) {
 		names[p.RelName] = true
 	}
 
-	// The derive wave. The inverted index reads only the base database:
-	// it builds beside the rest, as buildEpoch builds it beside property
-	// discovery.
+	// The derive wave. The normal indexes read only the dictionaries:
+	// they build beside the rest, as buildEpoch builds them beside
+	// property discovery.
 	workers := cfg.workers()
 	a.Indexes = residentIndexes(db, workers)
-	invDone := make(chan struct{})
+	normalsDone := make(chan struct{})
 	go func() {
-		a.Inverted = index.BuildInvertedParallel(db, workers)
-		close(invDone)
+		buildNormalIndexes(db, workers)
+		close(normalsDone)
 	}()
 	for _, info := range a.Entities {
 		info.pkIndex = a.readHash(info.rel, info.PK)
@@ -166,7 +166,7 @@ func Decode(r *snapshot.Reader) (*AlphaDB, error) {
 	index.RunBounded(len(basic), workers, func(i int) { a.deriveBasic(basic[i], adj) })
 	a.deriveAll(derived, adj)
 	a.names = a.nameTable()
-	<-invDone
+	<-normalsDone
 	return newAlphaDB(a), nil
 }
 

@@ -63,16 +63,13 @@ type ResidentBytes struct {
 	// bitmaps.
 	Columns int64
 	// Dicts is the dictionaries of the base relations' TEXT columns:
-	// their values and the rank tables built over them so far
-	// (relation.Dict.ByteSize).
+	// their values, and the rank tables and normal indexes built over
+	// them so far (relation.Dict.ByteSize).
 	Dicts int64
 	// HashIndexBase and HashIndexTail are the bases (key maps, offsets
 	// and flat posting arrays) and the tails of the resident hash
-	// indexes.
+	// indexes, the TEXT columns' code indexes included.
 	HashIndexBase, HashIndexTail int64
-	// Inverted is the inverted index: its key maps and its posting
-	// lists, base and tail.
-	Inverted int64
 	// BasicStats is the basic properties' per-value statistics: the
 	// categorical posting lists (offsets, postings and their insert
 	// tails) and the numeric value orders. An entity's own values are
@@ -92,7 +89,7 @@ type ResidentBytes struct {
 // over index and property headers and the dictionaries, never over
 // rows.
 func (a *Epoch) ResidentBytes() ResidentBytes {
-	r := ResidentBytes{Inverted: a.Inverted.ResidentBytes()}
+	var r ResidentBytes
 	for _, name := range a.DB.RelationNames() {
 		for _, col := range a.DB.Relation(name).Columns() {
 			r.Columns += col.CellBytes()
@@ -184,7 +181,6 @@ func (s Stats) String() string {
 	fmt.Fprintf(&b, "  Properties           %d basic, %d derived\n", s.NumBasicProps, s.NumDerivedProp)
 	fmt.Fprintf(&b, "  Hash indexes         %d, %s resident (%s of it insert tails)\n", s.NumHashIndexes,
 		humanBytes(s.Resident.HashIndexBase+s.Resident.HashIndexTail), humanBytes(s.Resident.HashIndexTail))
-	fmt.Fprintf(&b, "  Inverted index       %s\n", humanBytes(s.Resident.Inverted))
 	fmt.Fprintf(&b, "  Basic statistics     %s\n", humanBytes(s.Resident.BasicStats))
 	fmt.Fprintf(&b, "  Derived pair lists   %s\n", humanBytes(s.Resident.DerivedPairs))
 	fmt.Fprintf(&b, "  Selectivity cache    %d entries (%d hits, %d misses)\n",

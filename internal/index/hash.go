@@ -29,7 +29,7 @@ const (
 // entries has passed the fold rule.
 func foldDue(added, base int) bool { return added >= foldMin && added*foldDiv > base }
 
-// keyTable maps a key to its list ordinal, for IntHash and Inverted: an
+// keyTable maps a key to its list ordinal, for IntHash: an
 // immutable base shared by every epoch since the last fold, and a tail
 // of the keys added since (nil when none), which a clone copies.
 type keyTable[K comparable] struct {
@@ -117,17 +117,18 @@ func groupRows(ords []uint32, numKeys int) (post, offs []uint32) {
 
 // IntHash is a hash index from an integer column's values to row numbers;
 // it serves the key/foreign-key point lookups the abduction phase issues
-// (the paper uses PostgreSQL B-tree indexes for the same role). The zero
-// value is an empty index ready for Insert.
+// (the paper uses PostgreSQL B-tree indexes for the same role). Over a
+// TEXT column it maps the dictionary codes to rows: entity lookup's
+// (CommonColumns). The zero value is an empty index ready for Insert.
 //
-// It is a key table over Postings[uint32], as the inverted index is: a
-// key finds its list ordinal, and the list is a layered posting list
-// (lists.go). A key finds its ordinal in one of two places:
+// It is a key table over Postings[uint32]: a key finds its list
+// ordinal, and the list is a layered posting list (lists.go). A key
+// finds its ordinal in one of two places:
 //
 //   - a dense window [lo, lo+width) fixed at build or fold: key k's
 //     ordinal is k−lo, found with one unsigned compare and no hash. It is
 //     taken when the key range is at most denseSlack slots a key, which
-//     every primary-key and foreign-key column is;
+//     every primary-key, foreign-key and TEXT column is;
 //   - the key table: in the sparse form (width 0) every key, and in
 //     either form the keys added since the fold that fall outside the
 //     window, with ordinals handed out past it.
@@ -157,14 +158,24 @@ func isDense(lo, hi int64, keys int) bool {
 	return rng < 1<<31 && rng < denseSlack*uint64(keys)
 }
 
-// BuildIntHash indexes the named integer column of rel. Its first pass
-// reads the key range; two counting passes (groupRows) then allocate the
+// cellKey is the key of cell row of an INTEGER column, or of a TEXT
+// one: its dictionary code.
+func cellKey(c *relation.Column, row int) int64 {
+	if c.Type == relation.String {
+		return int64(c.Code(row))
+	}
+	return c.Int64(row)
+}
+
+// BuildIntHash indexes the named INTEGER column of rel by its values,
+// or the named TEXT column by its dictionary codes. Its first pass reads
+// the key range; two counting passes (groupRows) then allocate the
 // posting array and its offsets once, at their exact sizes (no per-key
 // slice, no append slack), with rows ascending within a key. Warm boots
 // rebuild every hash index through this path.
 func BuildIntHash(rel *relation.Relation, col string) *IntHash {
 	c := rel.Column(col)
-	if c == nil || c.Type != relation.Int {
+	if c == nil || c.Type == relation.Float {
 		return &IntHash{}
 	}
 	n := c.Len()
@@ -174,7 +185,7 @@ func BuildIntHash(rel *relation.Relation, col string) *IntHash {
 		if c.IsNull(i) {
 			continue
 		}
-		v := c.Int64(i)
+		v := cellKey(c, i)
 		if rows == 0 || v < lo {
 			lo = v
 		}
@@ -193,7 +204,7 @@ func BuildIntHash(rel *relation.Relation, col string) *IntHash {
 		for i := range ords {
 			ords[i] = noKey
 			if !c.IsNull(i) {
-				ords[i] = uint32(uint64(c.Int64(i)) - uint64(lo))
+				ords[i] = uint32(uint64(cellKey(c, i)) - uint64(lo))
 			}
 		}
 		width := uint64(hi) - uint64(lo) + 1
@@ -216,8 +227,8 @@ func BuildIntHash(rel *relation.Relation, col string) *IntHash {
 		if c.IsNull(i) {
 			continue
 		}
-		v := c.Int64(i)
-		if i > 0 && ords[i-1] != noKey && c.Int64(i-1) == v {
+		v := cellKey(c, i)
+		if i > 0 && ords[i-1] != noKey && cellKey(c, i-1) == v {
 			ords[i] = ords[i-1]
 			continue
 		}

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -31,29 +32,47 @@ func testDB() *relation.Database {
 	return db
 }
 
+// lookupSet is the resident set entity lookup reads: a code index of
+// every TEXT column of db, as Build and Load make it.
+func lookupSet(db *relation.Database) *IndexSet {
+	set := NewIndexSet()
+	for _, name := range db.RelationNames() {
+		for _, col := range db.Relation(name).Columns() {
+			if col.Type == relation.String {
+				set.AdoptIntHash(name, col.Name, BuildIntHash(db.Relation(name), col.Name))
+			}
+		}
+	}
+	return set
+}
+
+// TestInvertedLookup looks single values up through the dictionaries
+// and the code indexes, the paper's inverted column index: case and
+// whitespace do not matter, and a value is found in every column and
+// row that holds it.
 func TestInvertedLookup(t *testing.T) {
-	inv := BuildInvertedParallel(testDB(), 1)
-	got := inv.Lookup("tom cruise")
-	if len(got) != 1 || got[0].Relation != "person" || got[0].Row != 0 {
-		t.Errorf("lookup=%v", got)
+	db := testDB()
+	set := lookupSet(db)
+	want := []ColumnMatch{{Key: ColumnKey{"person", "name"}, Rows: [][]int{{0}}}}
+	for _, v := range []string{"tom cruise", "  TOM   CRUISE "} {
+		if got := set.CommonColumns(db, []string{v}); !reflect.DeepEqual(got, want) {
+			t.Errorf("lookup of %q = %v, want %v", v, got, want)
+		}
 	}
-	// Case and whitespace insensitive.
-	if len(inv.Lookup("  TOM   CRUISE ")) != 1 {
-		t.Error("normalization failed")
+	// "Titanic" appears in two relations, three rows in all.
+	want = []ColumnMatch{
+		{Key: ColumnKey{"movie", "title"}, Rows: [][]int{{0, 1}}},
+		{Key: ColumnKey{"person", "name"}, Rows: [][]int{{2}}},
 	}
-	// "Titanic" appears in two relations, three rows total.
-	if len(inv.Lookup("Titanic")) != 3 {
-		t.Errorf("Titanic postings=%v", inv.Lookup("Titanic"))
-	}
-	if inv.NumKeys() == 0 {
-		t.Error("NumKeys")
+	if got := set.CommonColumns(db, []string{"Titanic"}); !reflect.DeepEqual(got, want) {
+		t.Errorf("Titanic matches %v, want %v", got, want)
 	}
 }
 
 func TestCommonColumns(t *testing.T) {
-	inv := BuildInvertedParallel(testDB(), 1)
+	db := testDB()
 	// Both names only co-occur in person.name.
-	matches := inv.CommonColumns([]string{"Tom Cruise", "Clint Eastwood"})
+	matches := lookupSet(db).CommonColumns(db, []string{"Tom Cruise", "Clint Eastwood"})
 	if len(matches) != 1 {
 		t.Fatalf("matches=%v", matches)
 	}
@@ -66,8 +85,8 @@ func TestCommonColumns(t *testing.T) {
 }
 
 func TestCommonColumnsAmbiguity(t *testing.T) {
-	inv := BuildInvertedParallel(testDB(), 1)
-	matches := inv.CommonColumns([]string{"Titanic", "Pulp Fiction"})
+	db := testDB()
+	matches := lookupSet(db).CommonColumns(db, []string{"Titanic", "Pulp Fiction"})
 	if len(matches) != 1 || matches[0].Key != (ColumnKey{"movie", "title"}) {
 		t.Fatalf("matches=%v", matches)
 	}
@@ -80,14 +99,15 @@ func TestCommonColumnsAmbiguity(t *testing.T) {
 }
 
 func TestCommonColumnsNoMatch(t *testing.T) {
-	inv := BuildInvertedParallel(testDB(), 1)
-	if got := inv.CommonColumns([]string{"Tom Cruise", "Pulp Fiction"}); got != nil {
+	db := testDB()
+	set := lookupSet(db)
+	if got := set.CommonColumns(db, []string{"Tom Cruise", "Pulp Fiction"}); got != nil {
 		t.Errorf("expected no common column, got %v", got)
 	}
-	if got := inv.CommonColumns(nil); got != nil {
+	if got := set.CommonColumns(db, nil); got != nil {
 		t.Error("empty input must give nil")
 	}
-	if got := inv.CommonColumns([]string{"unknown value"}); got != nil {
+	if got := set.CommonColumns(db, []string{"unknown value"}); got != nil {
 		t.Errorf("unknown value must give nil, got %v", got)
 	}
 }
@@ -104,10 +124,17 @@ func TestIntHash(t *testing.T) {
 	if h.NumKeys() != 3 {
 		t.Errorf("NumKeys=%d", h.NumKeys())
 	}
-	// Non-int column yields empty index, not a panic.
-	empty := BuildIntHash(db.Relation("person"), "name")
-	if empty.NumKeys() != 0 {
-		t.Error("string column must yield empty int index")
+	// A TEXT column is indexed by its dictionary codes.
+	names := db.Relation("person").Column("name")
+	byCode := BuildIntHash(db.Relation("person"), "name")
+	if code, ok := names.Dict().Lookup("Clint Eastwood"); !ok {
+		t.Fatal("Clint Eastwood is not in the dictionary")
+	} else if r, ok := byCode.First(int64(code)); !ok || r != 1 || byCode.NumKeys() != 3 {
+		t.Errorf("First(code of Clint Eastwood)=%d,%v over %d keys", r, ok, byCode.NumKeys())
+	}
+	// A missing column yields an empty index, not a panic.
+	if empty := BuildIntHash(db.Relation("person"), "nickname"); empty.NumKeys() != 0 {
+		t.Error("a missing column must yield an empty index")
 	}
 }
 

@@ -7,10 +7,10 @@ import (
 )
 
 // IndexSet is an epoch's resident hash indexes, keyed by (relation,
-// column): the integer primary key of every relation that is not a fact
-// and every foreign-key column of a fact relation (Build and Load build
-// both before anything reads them), and any index a writer built for
-// itself and published since. Once its epoch is published the set is fixed: it has
+// column): the integer primary key of every relation that is not a fact,
+// every foreign-key column of a fact relation and every TEXT column, by
+// its codes (Build and Load build them all before anything reads them),
+// and any index a writer built for itself and published since. Once its epoch is published the set is fixed: it has
 // no lock and no method that builds, and a reader that needs an index
 // the set lacks builds a private one for itself (the engine does, per
 // execution). A writer changes the set only through an IndexDelta, whose
@@ -96,7 +96,7 @@ func (d *IndexDelta) ReadIntHash(rel *relation.Relation, col string) *IntHash {
 // first write.
 func (d *IndexDelta) NoteAppend(rel *relation.Relation, row int) {
 	for _, col := range rel.Columns() {
-		if col.Type != relation.Int || col.IsNull(row) {
+		if col.Type == relation.Float || col.IsNull(row) {
 			continue
 		}
 		key := ColumnKey{rel.Name, col.Name}
@@ -106,7 +106,7 @@ func (d *IndexDelta) NoteAppend(rel *relation.Relation, row int) {
 			d.ints[key] = h
 		}
 		if h != nil {
-			h.Insert(col.Int64(row), row)
+			h.Insert(cellKey(col, row), row)
 		}
 	}
 }

@@ -10,9 +10,9 @@ import (
 
 // Postings is the one list layering of the package: the entity rows of
 // each value code of a categorical statistic and every hash index's
-// posting lists (Postings[uint32]), and the inverted index's
-// (Postings[uint64]). Each is a vector of lists of 4- or 8-byte
-// elements:
+// posting lists (Postings[uint32]). Each is a vector of lists of 4-byte
+// elements (8-byte ones, Postings[uint64], have no user outside the
+// tests):
 //
 //   - an immutable base shared by every epoch since the last fold: list k
 //     is flat[offs[k]:offs[k+1]] — one 4-byte offset a list and one
@@ -141,9 +141,9 @@ func (l *lists[T]) residentBytes() (base, tail int64) {
 	return base, tail
 }
 
-// Postings is a vector of sets: the entity rows of each value code
-// (uint32), or the (text-column ordinal, row) pairs of each inverted
-// index key (uint64). A list's base run is ascending, and its tail entry
+// Postings is a vector of sets: the entity rows of each value code, or
+// the rows of each key of a hash index. A list's base run is ascending,
+// and its tail entry
 // holds only the members added since the fold, in insertion order — so
 // an insert copies nothing but a tail entry's growth, and every reader
 // (Rows, Count, the fold) treats the pair as a set; the fold sorts it

@@ -11,8 +11,8 @@ import (
 )
 
 // The epoch-isolation contract of the posting lists — a categorical
-// statistic's and every hash index's Postings[uint32], the inverted
-// index's Postings[uint64] — driven like runCloneChain drives the hash
+// statistic's and every hash index's Postings[uint32], and the 8-byte
+// Postings[uint64] — driven like runCloneChain drives the hash
 // indexes: a writer clones the newest generation, inserts the way the
 // αDB's writer does — a new entity row with its codes, an existing row
 // gaining a code (it lands in the tail after larger rows), a code past
@@ -29,10 +29,10 @@ type listsGen struct {
 	wide  Postings[uint64]
 }
 
-// widePosting packs row with a column ordinal drawn from it, so the
-// pairs of one list sort by column before row, as the inverted index's
-// do.
-func widePosting(row uint32) uint64 { return posting(row%3, int(row)) }
+// widePosting packs row with a column ordinal drawn from it into a
+// (column, row) pair, so the pairs of one list sort by column before
+// row.
+func widePosting(row uint32) uint64 { return uint64(row%3)<<32 | uint64(row) }
 
 // listsOracle is one generation's rows of each code, ascending.
 type listsOracle [][]uint32

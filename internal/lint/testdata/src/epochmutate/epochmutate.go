@@ -42,10 +42,10 @@ func insertIntoResidentIndexViaLocal(e *adb.Epoch) {
 	h.Insert(7, 3) // want "Insert mutates state reachable from a published"
 }
 
-// So is the epoch's inverted index: a posting added in place would show
-// in every epoch that shares the list.
-func postIntoInverted(e *adb.Epoch) {
-	e.Inverted.Insert("movie", "title", "Heat", 3) // want "Insert mutates state reachable from a published"
+// So is a TEXT column's code index, entity lookup's rows: a row added
+// in place would show in every epoch that shares the list.
+func postIntoTextIndex(e *adb.Epoch) {
+	e.Indexes.ResidentIntHash(e.DB.Relation("movie"), "title").Insert(0, 3) // want "Insert mutates state reachable from a published"
 }
 
 // A published property's categorical statistics share their base (and
@@ -67,8 +67,8 @@ func addPostingViaLocal(e *adb.Epoch) {
 // writer's inserts stay in its private generation.
 func cloneIndexesThenInsert(e *adb.Epoch) {
 	e.Indexes.ResidentIntHash(e.DB.Relation("movie"), "id").Clone(nil).Insert(7, 3)
-	inv := e.Inverted.Clone(nil)
-	inv.Insert("movie", "title", "Heat", 3)
+	titles := e.Indexes.ResidentIntHash(e.DB.Relation("movie"), "title").Clone(nil)
+	titles.Insert(0, 3)
 }
 
 // Clone detaches a property's posting lists the same way: the tail's

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"hash/maphash"
 	"math/bits"
 	"slices"
 	"sort"
@@ -58,10 +59,14 @@ type Dict struct {
 	bulk atomic.Pointer[map[string]int32]
 
 	// ranks is the current rank table (nil until the first Lookup, or
-	// SortCodes of two codes or more); buildMu makes its rebuild
-	// single-flight.
-	ranks   atomic.Pointer[rankTable]
-	buildMu sync.Mutex
+	// SortCodes of two codes or more), and normals the normal index
+	// (nil until it is first used). buildMu makes a rank table's rebuild
+	// single-flight; normalMu orders a normal index's build with the
+	// writer's additions to it.
+	ranks    atomic.Pointer[rankTable]
+	normals  atomic.Pointer[normalIndex]
+	buildMu  sync.Mutex
+	normalMu sync.Mutex
 }
 
 // dictView is a published prefix of the values and the spare capacity
@@ -126,10 +131,17 @@ func (d *Dict) Intern(v string) int32 {
 	return d.add(v)
 }
 
-// add appends v, which the dictionary lacks, and publishes it.
+// add appends v, which the dictionary lacks, and publishes it. Once
+// there is a normal index, v's code is in it before v is published, so
+// a reader that sees the value finds its code.
 func (d *Dict) add(v string) int32 {
+	d.normalMu.Lock()
+	defer d.normalMu.Unlock()
 	id := int32(len(d.vals))
 	d.vals = append(d.vals, v)
+	if ix := d.normals.Load(); ix != nil {
+		d.normals.Store(ix.covering(d.vals))
+	}
 	d.publish()
 	return id
 }
@@ -341,11 +353,117 @@ func buildRanks(old *rankTable, vals []string) *rankTable {
 	return t
 }
 
+// normalIndex is an open-addressing hash table of a dictionary's
+// codes keyed by their values' normal forms. A code sits in the first
+// empty slot at or after the one its hash picks (linear probing), so
+// the codes of one normal form share a probe sequence. A slot holds
+// code+1 in its low shift bits — 0 when empty, and every code+1 is
+// below the slot count — and the hash's tag above them, so a probe
+// reads a value only when the tags agree. It holds every code: the
+// writer stores each code it adds atomically, before it publishes the
+// value, so a reader probes without a lock, and once the codes would
+// pass 4/5 of the slots the writer lays out a table of twice the slots
+// and publishes that instead.
+type normalIndex struct {
+	slots []atomic.Int32
+	shift uint
+	codes int // it holds the codes [0, codes); written under normalMu
+}
+
+// normalSeed seeds the hash of every normal form in the process.
+var normalSeed = maphash.MakeSeed()
+
+// probe returns the slot a normal form's hash h starts probing at and
+// the tag its codes' slots carry: the hash's high half picks the slot,
+// its low half fills the bits above shift.
+func (ix *normalIndex) probe(h uint64) (int, int32) {
+	return int(h >> 32 * uint64(len(ix.slots)) >> 32), int32(uint32(h) >> (ix.shift + 1) << ix.shift)
+}
+
+// covering returns an index of every code of vals: ix with the codes it
+// lacks added, or, once they would fill more than 4/5 of its slots, a
+// table of twice the slots laid out afresh, so the layouts the writer
+// makes while the dictionary grows to N values normalize fewer than 2N
+// values in all. The first table (ix nil, as Build and Load lay it out)
+// is a third larger than the codes need. Each value is normalized once,
+// into a string, to key its hash.
+func (ix *normalIndex) covering(vals []string) *normalIndex {
+	if ix == nil {
+		ix = newNormalIndex(len(vals)*4/3 + 8)
+	} else if len(vals)*5 > len(ix.slots)*4 {
+		ix = newNormalIndex(2 * len(ix.slots))
+	}
+	for ; ix.codes < len(vals); ix.codes++ {
+		i, tag := ix.probe(maphash.String(normalSeed, normalize(vals[ix.codes])))
+		for ix.slots[i].Load() != 0 {
+			if i++; i == len(ix.slots) {
+				i = 0
+			}
+		}
+		ix.slots[i].Store(tag | int32(ix.codes+1))
+	}
+	return ix
+}
+
+func newNormalIndex(size int) *normalIndex {
+	return &normalIndex{slots: make([]atomic.Int32, size), shift: uint(bits.Len(uint(size)))}
+}
+
+// normalIndex returns the normal index, building it on first use. It
+// holds every code of the values published before it was loaded (add
+// stores a code before it publishes the value).
+func (d *Dict) normalIndex() *normalIndex {
+	ix := d.normals.Load()
+	if ix == nil {
+		d.normalMu.Lock()
+		if ix = d.normals.Load(); ix == nil {
+			ix = ix.covering(d.Values())
+			d.normals.Store(ix)
+		}
+		d.normalMu.Unlock()
+	}
+	return ix
+}
+
+// BuildNormalIndex builds the normal index if there is none yet; Build
+// and Load build every TEXT column's before the system serves.
+func (d *Dict) BuildNormalIndex() { d.normalIndex() }
+
+// AppendNormalCodes appends to dst, ascending, the code of every value
+// whose normal form (normalize: lower case, spaces collapsed) is form,
+// as AppendNormal writes it: several values can share one. A probed
+// value is normalized on the stack (on the heap only past 64 bytes),
+// so a lookup allocates nothing past what dst needs.
+func (d *Dict) AppendNormalCodes(dst []int32, form []byte) []int32 {
+	vals := d.Values()
+	ix := d.normalIndex() // after the values: it holds all their codes
+	start := len(dst)
+	low := int32(1)<<ix.shift - 1
+	var buf [64]byte
+	for i, tag := ix.probe(maphash.Bytes(normalSeed, form)); ; {
+		s := ix.slots[i].Load()
+		if s == 0 {
+			break
+		}
+		// A code past vals was added since they were loaded.
+		if c := s&low - 1; s&^low == tag && int(c) < len(vals) && string(AppendNormal(buf[:0], vals[c])) == string(form) {
+			dst = append(dst, c)
+		}
+		if i++; i == len(ix.slots) {
+			i = 0
+		}
+	}
+	if len(dst)-start > 1 {
+		slices.Sort(dst[start:])
+	}
+	return dst
+}
+
 // ByteSize returns the bytes the dictionary holds, counted from
 // lengths: a string header a value and a header a slot of the writer's
 // spare capacity (the tail the next values land in), each value's
-// bytes, and the rank table once one is built. A bulk load's map is
-// not counted: no built or loaded system holds one.
+// bytes, and the rank table and the normal index once built. A bulk
+// load's map is not counted: no built or loaded system holds one.
 func (d *Dict) ByteSize() int64 {
 	v := d.view.Load()
 	if v == nil {
@@ -357,6 +475,9 @@ func (d *Dict) ByteSize() int64 {
 	}
 	if t := d.ranks.Load(); t != nil {
 		n += int64(len(t.rank)+len(t.order)) * 4
+	}
+	if ix := d.normals.Load(); ix != nil {
+		n += int64(len(ix.slots)) * 4
 	}
 	return n
 }

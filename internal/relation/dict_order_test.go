@@ -267,6 +267,12 @@ func TestSortCodesWhileInterning(t *testing.T) {
 					t.Errorf("reader %d: Lookup(%q) found %d, which decodes to %q", seed, w, got, d.Value(got))
 					return
 				}
+				// The normal index holds every code below n, whatever
+				// the writer added or grew meanwhile.
+				if found := d.AppendNormalCodes(nil, AppendNormal(nil, words[c])); !slices.Contains(found, int32(c)) {
+					t.Errorf("reader %d: AppendNormalCodes(%q) = %v, which lacks %d", seed, words[c], found, c)
+					return
+				}
 			}
 		}(int64(r))
 	}
@@ -283,17 +289,23 @@ func TestSortCodesWhileInterning(t *testing.T) {
 
 // TestLookupTailIsCapped interns into a sealed dictionary large
 // enough that the fold rule's 1/rankFoldDiv share passes rankTailMax:
-// the table is rebuilt once the codes past it pass rankTailMax, so no
-// search scans more, and every value stays found at its code.
+// the rank table is rebuilt once the codes past it pass rankTailMax, so
+// no search scans more, the normal index holds every code through the
+// tables it grows into, each of at least twice the slots of the one it
+// replaces, and every value stays found at its code — by
+// Lookup, and by AppendNormalCodes in another spelling.
 func TestLookupTailIsCapped(t *testing.T) {
 	const n = 40000
 	words := make([]string, n+3*rankTailMax)
 	for i := range words {
-		words[i] = fmt.Sprintf("v%d", (i*7919)%len(words))
+		words[i] = fmt.Sprintf("V %d", (i*7919)%len(words))
 	}
 	d := RestoreDict(slices.Clone(words[:n]))
 	d.Lookup("")
+	d.BuildNormalIndex()
+	grown := 0
 	for i, w := range words[n:] {
+		before := d.normals.Load()
 		if code := d.Intern(w); code != int32(n+i) {
 			t.Fatalf("Intern(%q) = %d, want %d", w, code, n+i)
 		}
@@ -301,17 +313,31 @@ func TestLookupTailIsCapped(t *testing.T) {
 		if tail := len(vals) - len(table.rank); tail > rankTailMax {
 			t.Fatalf("%d values: a search scans %d codes past the rank table, want at most %d", len(vals), tail, rankTailMax)
 		}
+		if ix, vals := d.normalIndex(), d.Values(); ix.codes != len(vals) || ix.codes*5 > len(ix.slots)*4 {
+			t.Fatalf("%d values: the normal index holds %d codes in %d slots", len(vals), ix.codes, len(ix.slots))
+		} else if ix != before {
+			if len(ix.slots) < 2*len(before.slots) {
+				t.Fatalf("%d values: the normal index grew from %d slots to %d, want at least twice", len(vals), len(before.slots), len(ix.slots))
+			}
+			grown++
+		}
 	}
-	if len(d.loadRanks().rank) < n+2*rankTailMax {
-		t.Fatalf("the table ranks %d codes of %d: the cap did not rebuild it", len(d.loadRanks().rank), d.Len())
+	if len(d.loadRanks().rank) < n+2*rankTailMax || grown == 0 {
+		t.Fatalf("the table ranks %d codes of %d, and the normal index grew %d times: the cap did not rebuild them",
+			len(d.loadRanks().rank), d.Len(), grown)
 	}
-	lookupOracle(t, "capped", d.loadRanks(), d.Values(), words, []string{"v", "x", "v-1"})
+	lookupOracle(t, "capped", d.loadRanks(), d.Values(), words, []string{"V", "x", "V -1"})
+	for code, w := range words {
+		if got := d.AppendNormalCodes(nil, AppendNormal(nil, " "+strings.ToLower(w))); !slices.Equal(got, []int32{int32(code)}) {
+			t.Fatalf("AppendNormalCodes(%q) = %v, want [%d]", " "+strings.ToLower(w), got, code)
+		}
+	}
 }
 
 // TestDictByteSizeMatchesHeap holds ByteSize to what a restored
-// dictionary of 40k values costs the heap once its rank table is built:
-// the values decoded one allocation each, as a snapshot load decodes
-// them, their headers and the table.
+// dictionary of 40k values costs the heap once its rank table and its
+// normal index are built: the values decoded one allocation each, as a
+// snapshot load decodes them, their headers, the table and the index.
 func TestDictByteSizeMatchesHeap(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("the race detector's shadow memory is not the dictionary's")
@@ -330,6 +356,7 @@ func TestDictByteSizeMatchesHeap(t *testing.T) {
 	}
 	d := RestoreDict(vals)
 	d.Lookup("x")
+	d.BuildNormalIndex()
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
 	heap := int64(ms.HeapAlloc - before)
@@ -341,10 +368,12 @@ func TestDictByteSizeMatchesHeap(t *testing.T) {
 }
 
 // FuzzDictOps replays a byte stream as interleaved Intern, Lookup,
-// SortCodes, Values and Seal calls against a map and sort.Strings
-// oracle. Values are drawn from a small alphabet, so prefixes, repeats
-// and misses are common, and the stream runs long enough to cross the
-// fold rule more than once.
+// SortCodes, Values, Seal and AppendNormalCodes calls against a map,
+// sort.Strings and a normalize-scan oracle. Values are drawn from a
+// small alphabet, so prefixes, repeats and misses are common; some are
+// interned in other case and spacing, so several codes share a normal
+// form; and the stream runs long enough to cross the rank table's fold
+// rule and the normal index's growth more than once.
 func FuzzDictOps(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 1, 1, 2, 4, 3, 9, 0, 7, 4, 0, 5, 1, 2, 3})
 	rng := rand.New(rand.NewSource(1))
@@ -366,13 +395,29 @@ func FuzzDictOps(f *testing.F) {
 			}
 			return w.String()
 		}
+		// respell writes w in another case and spacing, chosen by bits.
+		respell := func(w string, bits byte) string {
+			if bits&1 != 0 {
+				w = strings.ToUpper(w)
+			}
+			if bits&2 != 0 {
+				w = " " + strings.ReplaceAll(w, "b", "\tB  ")
+			}
+			if bits&4 != 0 {
+				w += "\n"
+			}
+			return w
+		}
 		for i := 0; i+1 < len(ops); i += 2 {
-			op, arg := ops[i]%5, ops[i+1]
+			op, arg := ops[i]%7, ops[i+1]
 			switch op {
-			case 0, 1: // Intern a word of arg, or arg and its successor joined
+			case 0, 1, 5: // Intern a word of arg, arg and its successor joined, or arg respelled
 				w := word(arg)
-				if op == 1 {
+				switch op {
+				case 1:
 					w += "|" + word(arg+1)
+				case 5:
+					w = respell(w, arg)
 				}
 				want, ok := codes[w]
 				if !ok {
@@ -407,6 +452,17 @@ func FuzzDictOps(f *testing.F) {
 				}
 				if !slices.Equal(d.Values(), vals) {
 					t.Fatalf("op %d: Values %q, want %q", i, d.Values(), vals)
+				}
+			case 6:
+				w := respell(word(arg), arg>>3)
+				var want []int32
+				for c, v := range vals {
+					if normalize(v) == normalize(w) {
+						want = append(want, int32(c))
+					}
+				}
+				if got := d.AppendNormalCodes(nil, AppendNormal(nil, w)); !slices.Equal(got, want) {
+					t.Fatalf("op %d: AppendNormalCodes(%q) = %v, want %v", i, w, got, want)
 				}
 			}
 		}

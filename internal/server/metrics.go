@@ -304,7 +304,6 @@ func residentSeries(r squid.ResidentBytes) []residentGauge {
 		{"columns", r.Columns},
 		{"dicts", r.Dicts},
 		{"hash_index", r.HashIndexBase + r.HashIndexTail},
-		{"inverted", r.Inverted},
 		{"basic_stats", r.BasicStats},
 		{"derived_pairs", r.DerivedPairs},
 		{"rowset_memos", r.RowSetMemos},

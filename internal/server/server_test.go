@@ -260,7 +260,6 @@ func TestServerEndToEnd(t *testing.T) {
 		fmt.Sprintf(`squid_resident_bytes{structure="columns"} %d`, stats.ResidentBytes["columns"]),
 		fmt.Sprintf(`squid_resident_bytes{structure="dicts"} %d`, stats.ResidentBytes["dicts"]),
 		fmt.Sprintf(`squid_resident_bytes{structure="hash_index"} %d`, stats.ResidentBytes["hash_index"]),
-		fmt.Sprintf(`squid_resident_bytes{structure="inverted"} %d`, stats.ResidentBytes["inverted"]),
 		fmt.Sprintf(`squid_resident_bytes{structure="basic_stats"} %d`, stats.ResidentBytes["basic_stats"]),
 		`squid_resident_bytes{structure="derived_pairs"}`,
 		`squid_resident_bytes{structure="rowset_memos"}`,

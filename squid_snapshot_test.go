@@ -251,6 +251,7 @@ func TestLoadedDictionariesHoldNoSpare(t *testing.T) {
 			}
 			dicts++
 			exact := relation.RestoreDict(append(make([]string, 0, d.Len()), d.Values()...))
+			exact.BuildNormalIndex() // as Load builds every TEXT column's
 			if got, want := d.ByteSize(), exact.ByteSize(); got != want {
 				t.Errorf("%s.%s: %d values in %d B, %d B at their exact size", name, col.Name, d.Len(), got, want)
 			}

@@ -2,14 +2,12 @@ package squid
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"regexp"
 	"slices"
-	"strings"
 	"testing"
 
 	"squid/internal/adb"
@@ -243,25 +241,19 @@ func labelIngest(sys *System, rng *rand.Rand, seq0 uint64, followed chan<- struc
 // domain coverage and satisfying-row sets of every basic and derived
 // property; every derived relation's (entity_id, value, count) rows in
 // order (a view lists them in the cold build's order, after inserts
-// too); and the inverted-index postings (sorted: a build groups them by relation,
-// an insert appends them in arrival order) of every TEXT value.
+// too); and what entity lookup finds for every TEXT value: the columns
+// that hold it and their rows.
 func compareAlphaDBs(t *testing.T, label string, got, want *adb.AlphaDB, rng *rand.Rand) {
 	t.Helper()
-	postings := func(a *adb.AlphaDB, v string) []index.Posting {
-		ps := slices.Clone(a.Snapshot().InvertedLookup(v))
-		slices.SortFunc(ps, func(a, b index.Posting) int {
-			return cmp.Or(strings.Compare(a.Relation, b.Relation), strings.Compare(a.Column, b.Column), cmp.Compare(a.Row, b.Row))
-		})
-		return ps
-	}
 	for _, name := range want.DB().RelationNames() {
 		for _, col := range want.DB().Relation(name).Columns() {
 			if col.Type != relation.String {
 				continue
 			}
 			for _, v := range col.Dict().Values() {
-				if g, w := postings(got, v), postings(want, v); !reflect.DeepEqual(g, w) {
-					t.Errorf("%s: postings of %q are %v want %v", label, v, g, w)
+				g, w := got.Snapshot().CommonColumns([]string{v}), want.Snapshot().CommonColumns([]string{v})
+				if !reflect.DeepEqual(g, w) {
+					t.Errorf("%s: lookup of %q finds %v want %v", label, v, g, w)
 				}
 			}
 		}
@@ -736,10 +728,10 @@ func TestIngestRepros(t *testing.T) {
 	}
 }
 
-// TestInsertFactPostsText: an insert into an attribute table posts the
-// row's TEXT cells to the inverted index, as a cold build and a load
-// index every relation's TEXT columns — the three roads resolve the new
-// value to the same posting.
+// TestInsertFactPostsText: an insert into an attribute table indexes
+// the row's TEXT cells by their codes, as a cold build and a load index
+// every relation's TEXT columns — the three roads resolve the new value
+// to the same row.
 func TestInsertFactPostsText(t *testing.T) {
 	sys, err := Build(academicsDB(), DefaultBuildConfig())
 	if err != nil {
@@ -760,10 +752,10 @@ func TestInsertFactPostsText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []index.Posting{{Relation: "research", Column: "interest", Row: 8}}
+	want := []index.ColumnMatch{{Key: index.ColumnKey{Relation: "research", Column: "interest"}, Rows: [][]int{{8}}}}
 	for label, s := range map[string]*System{"incremental": sys, "cold build": cold, "round trip": loaded} {
-		if got := s.AlphaDB().Snapshot().InvertedLookup("quantum origami"); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: postings of the inserted interest are %v want %v", label, got, want)
+		if got := s.AlphaDB().Snapshot().CommonColumns([]string{"quantum origami"}); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: lookup of the inserted interest finds %v want %v", label, got, want)
 		}
 	}
 	compareAlphaDBs(t, "incremental vs cold build", sys.AlphaDB(), cold.AlphaDB(), rand.New(rand.NewSource(1)))
