@@ -59,8 +59,8 @@ func (r *Result) EntityInfo() *adb.EntityInfo { return r.info }
 // give the name twice). The rows' dictionary codes are collected, ordered
 // by the dictionary's rank table (relation.Dict.SortCodes — integer
 // work, no string is compared) and decoded once from one view of the
-// values. The attribute is a TEXT column: base queries come from the
-// inverted index, which indexes nothing else.
+// values. The attribute is a TEXT column: base queries come from entity
+// lookup (index.IndexSet.CommonColumns), which reads nothing else.
 func (r *Result) OutputValues() []string {
 	col := r.info.Rel().Column(r.Base.Attr)
 	codes := make([]int32, 0, len(r.OutputRows))
@@ -139,10 +139,11 @@ func abduceForEntityCtx(ctx context.Context, info *adb.EntityInfo, base BaseQuer
 }
 
 // DiscoverCtx maps raw example strings to candidate entity columns via
-// the inverted index, resolves ambiguity with the provided resolver,
-// abduces a query per candidate base query, and returns the results
-// ranked by posterior score (best first). It returns an error when no
-// entity column contains all examples.
+// the normal and code indexes (index.IndexSet.CommonColumns), resolves
+// ambiguity with the provided resolver, abduces a query per candidate
+// base query, and returns the results ranked by posterior score (best
+// first). It returns an error when no entity column contains all
+// examples.
 //
 // The resolver decides which candidate row each ambiguous example maps
 // to; pass nil to take the first candidate (disambiguation lives in

@@ -3,6 +3,7 @@ package adb
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"squid/internal/relation"
@@ -335,6 +336,26 @@ func TestBuildErrors(t *testing.T) {
 	db3.MarkEntity("e")
 	if _, err := Build(db3, DefaultConfig()); err == nil {
 		t.Error("non-integer PK must error")
+	}
+}
+
+// TestBuildRejectsTextForeignKey: a fact whose foreign key into an
+// entity's INTEGER key is declared on a TEXT column is an error that
+// names the relation and the column, not a panic in a property task.
+func TestBuildRejectsTextForeignKey(t *testing.T) {
+	db := relation.NewDatabase("textfk")
+	person := relation.New("person", relation.Col("id", relation.Int), relation.Col("name", relation.String)).SetPrimaryKey("id")
+	person.MustAppend(relation.IntVal(1), relation.StringVal("a"))
+	person.MustAppend(relation.IntVal(2), relation.StringVal("b"))
+	db.AddRelation(person)
+	db.MarkEntity("person")
+	f := relation.New("f", relation.Col("who", relation.String), relation.Col("tag", relation.String)).AddForeignKey("who", "person", "id")
+	f.MustAppend(relation.StringVal("1"), relation.StringVal("x"))
+	f.MustAppend(relation.StringVal("2"), relation.StringVal("y"))
+	db.AddRelation(f)
+	_, err := Build(db, DefaultConfig())
+	if err == nil || !strings.Contains(err.Error(), `relation "f"`) || !strings.Contains(err.Error(), `"who"`) {
+		t.Fatalf("Build = %v, want an error naming f.who", err)
 	}
 }
 

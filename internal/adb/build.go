@@ -36,11 +36,12 @@ type Config struct {
 	// relation name (e.g. free-text columns).
 	ExcludeColumns map[string][]string
 	// Workers bounds the offline build's worker pool: basic-property
-	// stats, derived-property walks, inverted-index shards, and the
-	// resident hash indexes fan out across this many goroutines. 0 means
-	// GOMAXPROCS; 1 forces a serial build. Output is deterministic
-	// regardless of the worker count. It is a setting of the running
-	// process: a snapshot does not record it, and a loaded αDB reports 0.
+	// stats, derived-property walks, the dictionaries' normal indexes,
+	// and the resident hash and code indexes fan out across this many
+	// goroutines. 0 means GOMAXPROCS; 1 forces a serial build. Output is
+	// deterministic regardless of the worker count. It is a setting of
+	// the running process: a snapshot does not record it, and a loaded
+	// αDB reports 0.
 	Workers int
 }
 
@@ -172,6 +173,9 @@ func Build(db *relation.Database, cfg Config) (*AlphaDB, error) {
 // (deriveAll), which Decode runs too.
 func buildEpoch(db *relation.Database, cfg Config) (*Epoch, error) {
 	start := time.Now()
+	if err := checkForeignKeys(db); err != nil {
+		return nil, fmt.Errorf("adb: %w", err)
+	}
 	if cfg.MaxFactDepth == 0 {
 		workers := cfg.Workers
 		cfg = DefaultConfig()
@@ -370,6 +374,23 @@ func entityInfo(db *relation.Database, name string) (*EntityInfo, error) {
 		NumRows:  rel.NumRows(),
 		rel:      rel,
 	}, nil
+}
+
+// checkForeignKeys returns an error naming the first foreign key that is
+// not an INTEGER column referencing an INTEGER column: the build, a load
+// and every insert read the key of an entity or a dimension through a
+// foreign key as an integer. It reads the schema alone.
+func checkForeignKeys(db *relation.Database) error {
+	for _, name := range db.RelationNames() {
+		rel := db.Relation(name)
+		for _, fk := range rel.Foreign {
+			if !intColumn(rel, fk.Column) || !intColumn(db.Relation(fk.RefRelation), fk.RefColumn) {
+				return fmt.Errorf("relation %q: foreign key %q into %s.%s is not an INTEGER column referencing an INTEGER column",
+					name, fk.Column, fk.RefRelation, fk.RefColumn)
+			}
+		}
+	}
+	return nil
 }
 
 // planEntity enumerates the property-discovery tasks of one entity in

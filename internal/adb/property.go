@@ -5,8 +5,10 @@
 // relations such as persontogenre(person_id, genre_id, count) (Fig 5 /
 // query Q6 of the paper) as per-value pair lists, which the engine reads
 // as views, precomputes selectivity statistics for
-// every basic and derived semantic property, and builds the inverted
-// column index used for entity lookup (§5).
+// every basic and derived semantic property, and builds what entity
+// lookup reads in place of the paper's inverted column index (§5): a
+// code index of every TEXT column and its dictionary's normal index
+// (index.IndexSet.CommonColumns).
 //
 // Categorical statistics are dictionary-encoded: every property keys its
 // per-value counts and posting lists by the int32 codes of the source
@@ -121,7 +123,7 @@ type BasicProperty struct {
 	// counts codes with a non-empty list — the property's distinct-value
 	// cardinality (the dictionary can hold values this property never
 	// exhibits).
-	catRows   index.Postings[uint32]
+	catRows   index.Postings
 	numValues int
 
 	// The numeric statistic is the column itself — every numeric
@@ -264,7 +266,7 @@ func (p *BasicProperty) addCatRow(code int32, row int) {
 // Postings exposes the per-value posting lists for reading. They are
 // shared with every epoch since the last fold: do not mutate
 // (epochmutate enforces it).
-func (p *BasicProperty) Postings() *index.Postings[uint32] { return &p.catRows }
+func (p *BasicProperty) Postings() *index.Postings { return &p.catRows }
 
 // SelectivityOfCode returns ψ(φ⟨Attr,v,⊥⟩), the fraction of entities
 // exhibiting the value of code (0 for NoCode).

@@ -69,8 +69,8 @@ func (a *Epoch) Encode(w *snapshot.Writer) {
 
 // Decode restores an αDB from a snapshot stream positioned after the
 // header. It reads and checks everything the file holds, then the
-// trailer, and derives nothing before the trailer passes: the hash
-// indexes, the inverted index, every basic property's statistics
+// trailer, and derives nothing before the trailer passes: the hash and
+// code indexes, the normal indexes, every basic property's statistics
 // (deriveBasic) and the derived properties (deriveAll) are built by the
 // functions buildEpoch builds them with, fanned over the loading
 // process's own workers. The restored state shares nothing with the
@@ -121,14 +121,8 @@ func Decode(r *snapshot.Reader) (*AlphaDB, error) {
 	if len(a.Entities) != len(marked) {
 		return nil, r.Fail("%d entity entries for %d entity relations", len(a.Entities), len(marked))
 	}
-	// A fact insert reads the entity key through every foreign key that
-	// references an entity relation.
-	for _, name := range db.RelationNames() {
-		for _, fk := range db.Relation(name).Foreign {
-			if a.Entities[fk.RefRelation] != nil && !intColumn(db.Relation(name), fk.Column) {
-				return nil, r.Fail("relation %q: foreign key %q into entity %q is not an INTEGER column", name, fk.Column, fk.RefRelation)
-			}
-		}
+	if err := checkForeignKeys(db); err != nil {
+		return nil, r.Fail("%v", err)
 	}
 	// A derived relation is registered under its stored name, which the
 	// execution engine and the Q5 text read beside the base relations.

@@ -36,8 +36,8 @@ func upsizeIMDb(base *IMDb, dense bool) *relation.Database {
 	}
 
 	// Entity relations: duplicate every row with offset ids and a
-	// " (dup)" suffix on the display value so the inverted index keeps
-	// the copies distinguishable.
+	// " (dup)" suffix on the display value so entity lookup keeps the
+	// copies distinguishable.
 	personOff := int64(src.Relation("person").NumRows())
 	movieOff := int64(src.Relation("movie").NumRows())
 	companyOff := int64(src.Relation("company").NumRows())

@@ -10,26 +10,36 @@ import (
 	"squid/internal/relation"
 )
 
-// The epoch-isolation contract of the hash index: a writer clones the
-// newest generation, mutates only its clone, and every retired
-// generation keeps answering exactly the state it was retired in —
+// The epoch-isolation contract of the hash index: a writer's
+// IndexDelta clones the newest generation's index on its first write —
+// or rebuilds it from the writer's relation once its key table has
+// passed the fold rule — mutates only its own copy, and every retired
+// generation keeps answering exactly the state it was retired in,
 // although key tables, tail entries and base layers are shared along
 // the whole chain and appends land past a retired generation's lengths
-// in the same backing arrays. The driver below replays an op stream
-// against two indexes and one plain map oracle per index and
-// generation, and compares every generation at the end.
+// in the same backing arrays. The driver below replays an op stream of
+// row appends to two relations, noted on one IndexDelta a generation as
+// the αDB's writer notes them, against one plain map oracle per index
+// and generation, and compares every generation at the end with its
+// oracle and with BuildIntHash over that generation's relation.
 //
 // The first index starts empty. Its integer keys come in three regions
 // — a small one, a near one that bursts fill in until the index is
 // dense, and a far one on both sides of zero that makes it sparse for
-// good — so a run folds it out of and into both of its forms. The
+// good — so a run rebuilds it out of and into both of its forms. The
 // second starts as a dense window built over a clustered column: runs
 // of inserts fold its lists alone under the same window, and new keys
-// past the window fold its key table and widen the window.
+// past the window rebuild it with a wider one.
 
-// chainGen is one generation of both indexes.
+// chainGen is one generation: both relations, each with one column k,
+// and the index set over them.
 type chainGen struct {
-	ints, ord *IntHash
+	ints, ord *relation.Relation
+	set       *IndexSet
+}
+
+func (g *chainGen) hashes() (ints, ord *IntHash) {
+	return g.set.ResidentIntHash(g.ints, "k"), g.set.ResidentIntHash(g.ord, "k")
 }
 
 // chainOracle is the plain-data model of one generation.
@@ -52,15 +62,22 @@ func (o *chainOracle) clone() *chainOracle {
 // chainStats is what a run exercised.
 type chainStats struct {
 	generations, hashFolds int
-	// The first index: generations published in each form, folds out of
-	// each, folds that changed the form, and retired generations compared
-	// with their oracle after their successor had folded the base they
-	// share away.
+	// The first index: generations published in each form, rebuilds out
+	// of each, rebuilds that changed the form, and retired generations
+	// compared with their oracle after their successor had rebuilt the
+	// index they share.
 	denseGens, sparseGens, foldsOutOfDense, foldsOutOfSparse int
 	denseToSparse, sparseToDense, readAfterFold              int
 	// The second: folds of its lists alone under an unchanged window,
-	// and folds of its key table that widened the window.
+	// and rebuilds that widened the window.
 	listFolds, windowFolds int
+}
+
+// keysRebuilt reports whether next is a rebuild of prev: a new window or
+// a new key map, which only BuildIntHash lays out.
+func keysRebuilt(prev, next *IntHash) bool {
+	return prev.lo != next.lo || prev.width != next.width ||
+		reflect.ValueOf(prev.ords.base).UnsafePointer() != reflect.ValueOf(next.ords.base).UnsafePointer()
 }
 
 // burstBase places a burst of 40 keys: an even b in one of 32 adjacent
@@ -80,9 +97,19 @@ func burstBase(b, near int) int64 {
 	}
 }
 
-// clusteredBase is the second index's first generation: 256 rows, four
-// to each of the keys 0 to 63, in key order.
-func clusteredBase(t *testing.T) (*IntHash, map[int64][]uint32) {
+// keyRelation is a relation named name of one INTEGER column k holding
+// keys.
+func keyRelation(name string, keys []int64) *relation.Relation {
+	rel := relation.New(name, relation.Col("k", relation.Int))
+	for _, k := range keys {
+		rel.MustAppend(relation.IntVal(k))
+	}
+	return rel
+}
+
+// clusteredBase is the second relation's first generation: 256 rows,
+// four to each of the keys 0 to 63, in key order.
+func clusteredBase(t *testing.T) (*relation.Relation, map[int64][]uint32) {
 	t.Helper()
 	keys := make([]int64, 256)
 	want := map[int64][]uint32{}
@@ -90,11 +117,11 @@ func clusteredBase(t *testing.T) (*IntHash, map[int64][]uint32) {
 		keys[row] = int64(row / 4)
 		want[keys[row]] = append(want[keys[row]], uint32(row))
 	}
-	h := BuildIntHash(intColumn(cellsOf(keys...)), "k")
-	if h.width != 64 || len(h.lists.flat) != len(keys) {
+	rel := keyRelation("ord", keys)
+	if h := BuildIntHash(rel, "k"); h.width != 64 || len(h.lists.flat) != len(keys) {
 		t.Fatalf("a clustered column built a window of %d over %d stored rows", h.width, len(h.lists.flat))
 	}
-	return h, want
+	return rel, want
 }
 
 // runCloneChain replays ops and fails t on the first divergence between
@@ -102,14 +129,61 @@ func clusteredBase(t *testing.T) (*IntHash, map[int64][]uint32) {
 func runCloneChain(t *testing.T, ops []byte) chainStats {
 	t.Helper()
 	var st chainStats
-	ord, ordWant := clusteredBase(t)
-	live := &chainGen{ints: &IntHash{}, ord: ord}
+	ordRel, ordWant := clusteredBase(t)
+	cur := &chainGen{ints: keyRelation("ints", nil), ord: ordRel, set: NewIndexSet()}
+	for _, rel := range []*relation.Relation{cur.ints, cur.ord} {
+		cur.set.AdoptIntHash(rel.Name, "k", BuildIntHash(rel, "k"))
+	}
 	model := &chainOracle{ints: map[int64][]uint32{}, ord: ordWant}
-	var retired []*chainGen
-	var models []*chainOracle
-	var foldedAway []bool // retired[i]'s successor folded
-	nextRow, near := 0, 0
-	ordRow, ordMax := 256, int64(63)
+	gens, models := []*chainGen{cur}, []*chainOracle{model.clone()}
+	var foldedAway []bool // gens[i]'s successor rebuilt the first index
+	ordMax := int64(63)
+
+	// The writer of the next generation.
+	var ints, ord *relation.Relation
+	var delta *IndexDelta
+	begin := func() {
+		ints, ord = cur.ints.CloneForWrite(), cur.ord.CloneForWrite()
+		delta = NewIndexDelta(cur.set, new(relation.Gen))
+	}
+	publish := func() {
+		pub := &chainGen{ints: ints, ord: ord, set: delta.MergeInto(cur.set)}
+		prevInts, prevOrd := cur.hashes()
+		nextInts, nextOrd := pub.hashes()
+		switch {
+		case nextInts.width > 0:
+			st.denseGens++
+		case len(nextInts.ords.base) > 0:
+			st.sparseGens++
+		}
+		folded := keysRebuilt(prevInts, nextInts)
+		foldedAway = append(foldedAway, folded)
+		if folded {
+			st.hashFolds++
+			switch {
+			case prevInts.width > 0:
+				st.foldsOutOfDense++
+				if nextInts.width == 0 {
+					st.denseToSparse++
+				}
+			case len(prevInts.ords.base) > 0:
+				st.foldsOutOfSparse++
+				if nextInts.width > 0 {
+					st.sparseToDense++
+				}
+			}
+		}
+		switch {
+		case keysRebuilt(prevOrd, nextOrd):
+			st.windowFolds++
+		case &nextOrd.lists.offs[0] != &prevOrd.lists.offs[0]:
+			st.listFolds++
+		}
+		gens, models = append(gens, pub), append(models, model.clone())
+		cur = pub
+		begin()
+	}
+	begin()
 
 	next := func() int {
 		if len(ops) == 0 {
@@ -120,22 +194,23 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 		return int(b)
 	}
 	insertKey := func(k int64) {
-		live.ints.Insert(k, nextRow)
-		model.ints[k] = append(model.ints[k], uint32(nextRow))
-		nextRow++
+		model.ints[k] = append(model.ints[k], uint32(ints.NumRows()))
+		ints.MustAppend(relation.IntVal(k))
+		delta.NoteAppend(ints, ints.NumRows()-1)
 	}
 	insertOrd := func(k int64) {
-		live.ord.Insert(k, ordRow)
-		model.ord[k] = append(model.ord[k], uint32(ordRow))
-		ordRow++
+		model.ord[k] = append(model.ord[k], uint32(ord.NumRows()))
+		ord.MustAppend(relation.IntVal(k))
+		delta.NoteAppend(ord, ord.NumRows()-1)
 		ordMax = max(ordMax, k)
 	}
 
+	near := 0
 	for len(ops) > 0 {
 		switch op := next() % 8; op {
 		case 0, 1: // insert into a small key space: posting lists grow
 			insertKey(int64(next() % 48))
-		case 2: // a burst of keys: tails grow towards a fold
+		case 2: // a burst of keys: the key table's tail grows towards a rebuild
 			b := next()
 			base := burstBase(b, near)
 			near += 1 - b&1
@@ -150,53 +225,22 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 			for i := 0; i < 24; i++ {
 				insertOrd(ordMax + int64(i%2))
 			}
-		case 6: // new keys past the window: the key table folds
+		case 6: // new keys past the window: the key table grows
 			for i := 0; i < 40; i++ {
 				insertOrd(ordMax + 1)
 			}
-		case 7: // publish: retire the live generation, clone the next
-			retired, models = append(retired, live), append(models, model.clone())
-			prev := live
-			g := new(relation.Gen)
-			live = &chainGen{ints: prev.ints.Clone(g), ord: prev.ord.Clone(g)}
-			folded := len(prev.ints.ords.tail) > 0 && len(live.ints.ords.tail) == 0
-			foldedAway = append(foldedAway, folded)
-			switch {
-			case prev.ints.width > 0:
-				st.denseGens++
-			case len(prev.ints.ords.base) > 0:
-				st.sparseGens++
-			}
-			if folded {
-				st.hashFolds++
-				switch {
-				case prev.ints.width > 0:
-					st.foldsOutOfDense++
-					if live.ints.width == 0 {
-						st.denseToSparse++
-					}
-				case len(prev.ints.ords.base) > 0:
-					st.foldsOutOfSparse++
-					if live.ints.width > 0 {
-						st.sparseToDense++
-					}
-				}
-			}
-			if &live.ord.lists.offs[0] != &prev.ord.lists.offs[0] { // folded
-				if live.ord.lo == prev.ord.lo && live.ord.width == prev.ord.width {
-					st.listFolds++
-				} else {
-					st.windowFolds++
-				}
-			}
+		case 7: // publish
+			publish()
 			st.generations++
 		}
 	}
-	retired, models = append(retired, live), append(models, model)
-	for i := range retired {
-		at := fmt.Sprintf("generation %d of %d", i, len(retired))
-		checkChainHash(t, at+": empty-start index", retired[i].ints, models[i].ints)
-		checkChainHash(t, at+": clustered index", retired[i].ord, models[i].ord)
+	// The writes after the last publish.
+	gens, models = append(gens, &chainGen{ints: ints, ord: ord, set: delta.MergeInto(cur.set)}), append(models, model)
+	for i, g := range gens {
+		at := fmt.Sprintf("generation %d of %d", i, len(gens))
+		ih, oh := g.hashes()
+		checkChainHash(t, at+": empty-start index", ih, g.ints, models[i].ints)
+		checkChainHash(t, at+": clustered index", oh, g.ord, models[i].ord)
 		if t.Failed() {
 			t.FailNow()
 		}
@@ -207,14 +251,20 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 	return st
 }
 
-func checkChainHash(t *testing.T, at string, got *IntHash, want map[int64][]uint32) {
+// checkChainHash holds got to the oracle want and to BuildIntHash over
+// rel, the relation of got's generation.
+func checkChainHash(t *testing.T, at string, got *IntHash, rel *relation.Relation, want map[int64][]uint32) {
 	t.Helper()
-	if got.NumKeys() != len(want) {
-		t.Errorf("%s: NumKeys = %d want %d", at, got.NumKeys(), len(want))
+	built := BuildIntHash(rel, "k")
+	if got.NumKeys() != len(want) || built.NumKeys() != len(want) {
+		t.Errorf("%s: NumKeys = %d, built %d, want %d", at, got.NumKeys(), built.NumKeys(), len(want))
 	}
 	for k, rows := range want {
 		if r := slices.Concat(got.Rows(k)); !reflect.DeepEqual(r, rows) {
 			t.Errorf("%s: Rows(%d) = %v want %v", at, k, r, rows)
+		}
+		if b := slices.Concat(built.Rows(k)); !reflect.DeepEqual(b, rows) {
+			t.Errorf("%s: built Rows(%d) = %v want %v", at, k, b, rows)
 		}
 		if first, ok := got.First(k); !ok || first != int(rows[0]) {
 			t.Errorf("%s: First(%d) = %d, %v want %d", at, k, first, ok, rows[0])
@@ -267,12 +317,12 @@ func chainOps(rng *rand.Rand, generations int) []byte {
 }
 
 // TestCloneChainIsolation drives 60 generations per seed and insists the
-// run crossed what the isolation argument is about: hash tails folded
-// more than once; the first index was published in both forms, folded
-// out of each at least twice and from each into the other, and retired
-// generations were read after their successors had folded; the second
-// folded its lists alone under an unchanged window, and its key table
-// into a wider one.
+// run crossed what the isolation argument is about: the writer rebuilt
+// a key table past the fold rule more than once; the first index was
+// published in both forms, rebuilt out of each at least twice and from
+// each into the other, and retired generations were read after their
+// successors had rebuilt it; the second folded its lists alone under an
+// unchanged window, and was rebuilt into a wider one.
 func TestCloneChainIsolation(t *testing.T) {
 	seeds := int64(2)
 	if testing.Short() {

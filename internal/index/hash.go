@@ -4,17 +4,19 @@ import (
 	"maps"
 	"math"
 	"slices"
+	"unsafe"
 
 	"squid/internal/relation"
 )
 
 const (
 	// foldDiv and foldMin are the fold rule (foldDue) of every layered
-	// structure of the package: a key table's tail and a Postings tail
-	// fold into a fresh base once they hold at least foldMin entries and
-	// more than 1/foldDiv of the base — so the base is paid for amortized
-	// O(foldDiv) per inserted entry, never per publish, and a tail over a
-	// small or empty base does not fold on every clone.
+	// structure of the package. Once a tail holds at least foldMin
+	// entries and more than 1/foldDiv of the base, a Postings tail folds
+	// into a fresh base, and a hash index with such a key-table tail is
+	// rebuilt — so the base is paid for amortized O(foldDiv) per inserted
+	// entry, never per publish, and a tail over a small or empty base
+	// does not fold on every clone.
 	foldDiv = 32
 	foldMin = 64
 	// denseSlack is the most window slots a key may cost: at 4 bytes an
@@ -29,20 +31,20 @@ const (
 // entries has passed the fold rule.
 func foldDue(added, base int) bool { return added >= foldMin && added*foldDiv > base }
 
-// keyTable maps a key to its list ordinal, for IntHash: an
-// immutable base shared by every epoch since the last fold, and a tail
-// of the keys added since (nil when none), which a clone copies.
-type keyTable[K comparable] struct {
-	base, tail map[K]uint32
+// keyTable maps a key to its list ordinal, for IntHash: an immutable
+// base shared by every epoch since the index was built, and a tail of
+// the keys added since (nil when none), which a clone copies.
+type keyTable struct {
+	base, tail map[int64]uint32
 }
 
-// keySlot is one map entry of a keyTable, padding included.
-type keySlot[K comparable] struct {
-	k K
+// keySlotBytes is one map entry of a keyTable, padding included.
+const keySlotBytes = int(unsafe.Sizeof(struct {
+	k int64
 	o uint32
-}
+}{}))
 
-func (t *keyTable[K]) get(k K) (uint32, bool) {
+func (t *keyTable) get(k int64) (uint32, bool) {
 	if o, ok := t.base[k]; ok {
 		return o, true
 	}
@@ -53,42 +55,27 @@ func (t *keyTable[K]) get(k K) (uint32, bool) {
 	return o, ok
 }
 
-func (t *keyTable[K]) add(k K, o uint32) {
+func (t *keyTable) add(k int64, o uint32) {
 	if t.tail == nil {
-		t.tail = make(map[K]uint32)
+		t.tail = make(map[int64]uint32)
 	}
 	t.tail[k] = o
 }
 
-// due reports whether the tail has passed the fold rule, weighed
-// against the baseKeys keys the index holds outside the tail (a hash
-// index counts its dense window's keys there).
-func (t *keyTable[K]) due(baseKeys int) bool { return foldDue(len(t.tail), baseKeys) }
-
 // clone returns the table of a writer's clone: the base shared and the
-// tail copied — or, once due, merged with the base into a fresh one.
-// What it copies is charged to g.
-func (t *keyTable[K]) clone(g *relation.Gen, baseKeys int) keyTable[K] {
-	slot := elemSize[keySlot[K]]()
-	switch n := len(t.tail); {
-	case t.due(baseKeys):
-		base := make(map[K]uint32, len(t.base)+n)
-		maps.Copy(base, t.base)
-		maps.Copy(base, t.tail)
-		g.Charge(int(relation.MapBytes(len(base), slot)))
-		return keyTable[K]{base: base}
-	case n > 0:
-		g.Charge(int(relation.MapBytes(n, slot)))
-		return keyTable[K]{base: t.base, tail: maps.Clone(t.tail)}
+// tail copied, charged to g.
+func (t *keyTable) clone(g *relation.Gen) keyTable {
+	if len(t.tail) == 0 {
+		return *t
 	}
-	return *t
+	g.Charge(int(relation.MapBytes(len(t.tail), keySlotBytes)))
+	return keyTable{base: t.base, tail: maps.Clone(t.tail)}
 }
 
 // residentBytes returns the bytes of the base map and of the tail map
 // (not what a key points to).
-func (t *keyTable[K]) residentBytes() (base, tail int64) {
-	slot := elemSize[keySlot[K]]()
-	return relation.MapBytes(len(t.base), slot), relation.MapBytes(len(t.tail), slot)
+func (t *keyTable) residentBytes() (base, tail int64) {
+	return relation.MapBytes(len(t.base), keySlotBytes), relation.MapBytes(len(t.tail), keySlotBytes)
 }
 
 // groupRows is the counting sort of a bulk build. ords[row] is the key
@@ -121,11 +108,11 @@ func groupRows(ords []uint32, numKeys int) (post, offs []uint32) {
 // TEXT column it maps the dictionary codes to rows: entity lookup's
 // (CommonColumns). The zero value is an empty index ready for Insert.
 //
-// It is a key table over Postings[uint32]: a key finds its list
+// It is a key table over Postings: a key finds its list
 // ordinal, and the list is a layered posting list (lists.go). A key
 // finds its ordinal in one of two places:
 //
-//   - a dense window [lo, lo+width) fixed at build or fold: key k's
+//   - a dense window [lo, lo+width) fixed at build: key k's
 //     ordinal is k−lo, found with one unsigned compare and no hash. It is
 //     taken when the key range is at most denseSlack slots a key, which
 //     every primary-key, foreign-key and TEXT column is;
@@ -138,14 +125,15 @@ func groupRows(ords []uint32, numKeys int) (post, offs []uint32) {
 //
 // An insert appends its row to the key's list and copies nothing of the
 // base. Clone copies the key table's tail and clones the lists, which
-// fold on their own and keep their ordinals; once the key table's tail
-// passes the fold rule, Clone lays window, table and lists out afresh
-// instead, in the form the widened key range now takes.
+// fold on their own and keep their ordinals. The key table never folds
+// in place: once its tail passes the fold rule (keysDue), a writer's
+// IndexDelta rebuilds the index from its column with BuildIntHash, in
+// the form the widened key range now takes.
 type IntHash struct {
 	lo    int64
 	width uint64
-	ords  keyTable[int64]
-	lists Postings[uint32]
+	ords  keyTable
+	lists Postings
 	// keys counts the distinct keys.
 	keys int
 }
@@ -240,7 +228,7 @@ func BuildIntHash(rel *relation.Relation, col string) *IntHash {
 		ords[i] = id
 	}
 	post, offs := groupRows(ords, len(ids))
-	return &IntHash{ords: keyTable[int64]{base: ids}, lists: PostingsOf(offs, post), keys: len(ids)}
+	return &IntHash{ords: keyTable{base: ids}, lists: PostingsOf(offs, post), keys: len(ids)}
 }
 
 // ord returns v's list ordinal and whether the index has one for it.
@@ -260,17 +248,7 @@ func (h *IntHash) Rows(v int64) (base, tail []uint32) {
 	if !ok {
 		return nil, nil
 	}
-	return h.rows(o)
-}
-
-// rows returns list o as Rows does. It reads the lists as Postings.Rows
-// does, without its range check: every ordinal ord returns has a list.
-func (h *IntHash) rows(o int) (base, tail []uint32) {
-	if o < h.lists.baseLists() {
-		base = h.lists.baseRun(o)
-	}
-	tail, _ = h.lists.tailRun(o)
-	return base, tail
+	return h.lists.Rows(o)
 }
 
 // First returns the first row holding value v and whether one exists;
@@ -303,83 +281,24 @@ func (h *IntHash) Insert(v int64, row int) {
 	h.lists.AddRow(o, uint32(row))
 }
 
+// keysDue reports whether the key table's tail has passed the fold rule,
+// weighed against the keys the index holds outside it (the dense
+// window's count there): the writer then rebuilds the index rather
+// than clone it (IndexDelta.NoteAppend).
+func (h *IntHash) keysDue() bool {
+	return foldDue(len(h.ords.tail), h.keys-len(h.ords.tail))
+}
+
 // Clone returns a copy-on-write clone for one writer generation: the
 // window, the key table's base and the lists' base are shared, the key
-// table's tail is copied and the lists clone as Postings do — or, past
-// the key table's fold rule, everything is laid out afresh (fold).
-// Appends on the clone write only past the lengths the original holds,
-// so readers of the original never observe them.
+// table's tail is copied and the lists clone as Postings do. Appends on
+// the clone write only past the lengths the original holds, so readers
+// of the original never observe them.
 func (h *IntHash) Clone(g *relation.Gen) *IntHash {
-	baseKeys := h.keys - len(h.ords.tail)
-	if h.ords.due(baseKeys) {
-		return h.fold(g)
-	}
 	q := *h
-	q.ords = h.ords.clone(g, baseKeys)
+	q.ords = h.ords.clone(g)
 	q.lists = h.lists.Clone(g)
 	return &q
-}
-
-// each yields every key with its list ordinal: the window's occupied
-// slots, then the key table.
-func (h *IntHash) each(yield func(k int64, o int)) {
-	for i := 0; i < int(h.width); i++ {
-		if h.lists.Count(i) > 0 {
-			yield(h.lo+int64(i), i)
-		}
-	}
-	for _, m := range [2]map[int64]uint32{h.ords.base, h.ords.tail} {
-		for k, o := range m {
-			yield(k, int(o))
-		}
-	}
-}
-
-// fold lays every key and list out in a fresh base, in the form isDense
-// picks for the key range, with empty tails; what the base holds is
-// charged to g. Keys take their new ordinals in ascending order and
-// groupRows places the rows, as BuildIntHash does, so a list's base run
-// and tail come out as one ascending run.
-func (h *IntHash) fold(g *relation.Gen) *IntHash {
-	keys := make([]int64, 0, h.keys)
-	end := 0 // one past the last row indexed
-	h.each(func(k int64, o int) {
-		keys = append(keys, k)
-		base, tail := h.rows(o)
-		if len(tail) > 0 {
-			base = tail
-		}
-		end = max(end, int(base[len(base)-1])+1)
-	})
-	slices.Sort(keys)
-	q := &IntHash{keys: h.keys}
-	n := len(keys)
-	if n > 0 && isDense(keys[0], keys[n-1], n) {
-		q.lo, q.width = keys[0], uint64(keys[n-1])-uint64(keys[0])+1
-		n = int(q.width)
-	} else {
-		q.ords.base = make(map[int64]uint32, n)
-		for i, k := range keys {
-			q.ords.base[k] = uint32(i)
-		}
-	}
-	ords := slices.Repeat([]uint32{noKey}, end)
-	for _, k := range keys {
-		o, _ := h.ord(k)
-		slot, _ := q.ord(k)
-		base, tail := h.rows(o)
-		for _, run := range [2][]uint32{base, tail} {
-			for _, row := range run {
-				ords[row] = uint32(slot)
-			}
-		}
-	}
-	post, offs := groupRows(ords, n)
-	q.lists = PostingsOf(offs, post)
-	q.lists.gen = g
-	keyBytes, _ := q.ords.residentBytes()
-	g.Charge(4*(len(offs)+len(post)) + int(keyBytes))
-	return q
 }
 
 // residentBytes returns the bytes of the base and of the tail: the key

@@ -155,22 +155,36 @@ func TestIntHashExtremeKeys(t *testing.T) {
 	}
 	checkIntHash(t, h, cells)
 
-	// The same through inserts and a fold.
-	live := &IntHash{}
+	// The same through a writer's inserts, and through the rebuild the
+	// next writer makes once the key table has passed the fold rule.
+	rel := keyRelation("t", nil)
+	set := NewIndexSet()
+	set.AdoptIntHash(rel.Name, "k", BuildIntHash(rel, "k"))
 	var inserted []*int64
-	add := func(k int64) {
-		live.Insert(k, len(inserted))
-		inserted = append(inserted, &k)
+	write := func(keys ...int64) *IntHash {
+		rel = rel.CloneForWrite()
+		d := NewIndexDelta(set, new(relation.Gen))
+		for _, k := range keys {
+			rel.MustAppend(relation.IntVal(k))
+			d.NoteAppend(rel, rel.NumRows()-1)
+			inserted = append(inserted, &k)
+		}
+		set = d.MergeInto(set)
+		return set.ResidentIntHash(rel, "k")
 	}
+	var keys []int64
 	for i := int64(0); i < foldMin; i++ {
-		add(math.MaxInt64 - i)
-		add(math.MinInt64 + i)
+		keys = append(keys, math.MaxInt64-i, math.MinInt64+i)
 	}
-	folded := live.Clone(new(relation.Gen))
+	live := write(keys...)
+	if !live.keysDue() {
+		t.Fatalf("%d inserted keys left the key table short of the fold rule", len(keys))
+	}
+	folded := write(0)
 	if len(folded.ords.tail) != 0 || folded.width > 0 {
-		t.Fatalf("fold left a tail of %d keys or chose the dense form", len(folded.ords.tail))
+		t.Fatalf("the rebuild left a tail of %d keys or chose the dense form", len(folded.ords.tail))
 	}
-	checkIntHash(t, live, inserted)
+	checkIntHash(t, live, inserted[:len(keys)])
 	checkIntHash(t, folded, inserted)
 
 	// A dense run at the very top: the slot of a key far below it must

@@ -54,13 +54,14 @@ func (s *IndexSet) ResidentBytes() (base, tail int64) {
 
 // IndexDelta accumulates one copy-on-write writer's index changes
 // against a base epoch's IndexSet: the first write into a resident index
-// clones it (a copy of its key table's tail — the keys added since its
-// last fold — and one pointer per 64 lists, never of the index), later
+// clones it (a copy of its key table's tail — the keys added since it
+// was built — and one pointer per 64 lists, never of the index), later
 // writes mutate the private clone in place, and MergeInto lays the
-// clones over the base set. An index the base lacks is built privately
-// from the writer's relation. Reads during the apply see the private
-// clone when one exists and the immutable base otherwise, so a batch
-// observes its own earlier rows.
+// clones over the base set. A resident index whose key table has passed
+// the fold rule is rebuilt from the writer's relation instead of cloned,
+// and so is an index the base lacks. Reads during the apply see the
+// private index when one exists and the immutable base otherwise, so a
+// batch observes its own earlier rows.
 type IndexDelta struct {
 	base *IndexSet
 	ints map[ColumnKey]*IntHash
@@ -92,8 +93,10 @@ func (d *IndexDelta) ReadIntHash(rel *relation.Relation, col string) *IntHash {
 }
 
 // NoteAppend maintains every index of rel this writer holds or the base
-// holds for the row that was just appended, cloning a base index on its
-// first write.
+// holds for row, which must be rel's last row: on its first write into
+// a base index, the writer clones it — or, once its key table has passed
+// the fold rule, builds it afresh from rel (BuildIntHash, which already
+// indexes row), charged to the writer's generation.
 func (d *IndexDelta) NoteAppend(rel *relation.Relation, row int) {
 	for _, col := range rel.Columns() {
 		if col.Type == relation.Float || col.IsNull(row) {
@@ -101,13 +104,22 @@ func (d *IndexDelta) NoteAppend(rel *relation.Relation, row int) {
 		}
 		key := ColumnKey{rel.Name, col.Name}
 		h := d.ints[key]
-		if h == nil && d.base.ints[key] != nil {
-			h = d.base.ints[key].Clone(d.gen)
+		if h == nil {
+			b := d.base.ints[key]
+			if b == nil {
+				continue
+			}
+			if b.keysDue() {
+				h = BuildIntHash(rel, col.Name)
+				built, _ := h.residentBytes()
+				d.gen.Charge(int(built))
+				d.ints[key] = h
+				continue // the build indexed row
+			}
+			h = b.Clone(d.gen)
 			d.ints[key] = h
 		}
-		if h != nil {
-			h.Insert(cellKey(col, row), row)
-		}
+		h.Insert(cellKey(col, row), row)
 	}
 }
 

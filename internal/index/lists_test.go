@@ -11,28 +11,20 @@ import (
 )
 
 // The epoch-isolation contract of the posting lists — a categorical
-// statistic's and every hash index's Postings[uint32], and the 8-byte
-// Postings[uint64] — driven like runCloneChain drives the hash
-// indexes: a writer clones the newest generation, inserts the way the
+// statistic's and every hash index's Postings — driven like
+// runCloneChain drives the hash indexes: a writer clones the newest generation, inserts the way the
 // αDB's writer does — a new entity row with its codes, an existing row
 // gaining a code (it lands in the tail after larger rows), a code past
 // the posting table — and every retired generation must keep answering
 // exactly the sets it was retired with, although tail entries are shared
 // along the chain and grown past their lengths in place, and folds
 // replace the base under later generations. The oracle is the set of
-// rows of each code. The 8-byte lists hold each row as a (column
-// ordinal, row) pair, widePosting(row), in the same lists.
+// rows of each code.
 
-// listsGen is one generation of the 4- and the 8-byte lists.
+// listsGen is one generation of the lists.
 type listsGen struct {
-	posts Postings[uint32]
-	wide  Postings[uint64]
+	posts Postings
 }
-
-// widePosting packs row with a column ordinal drawn from it into a
-// (column, row) pair, so the pairs of one list sort by column before
-// row.
-func widePosting(row uint32) uint64 { return uint64(row%3)<<32 | uint64(row) }
 
 // listsOracle is one generation's rows of each code, ascending.
 type listsOracle [][]uint32
@@ -76,23 +68,12 @@ func listsBase() (*listsGen, listsOracle) {
 			model.add(int32(rng.Intn(listsBaseCodes)), uint32(row))
 		}
 	}
-	offs, flat, wflat := []uint32{0}, []uint32(nil), []uint64(nil)
+	offs, flat := []uint32{0}, []uint32(nil)
 	for _, rows := range model[:listsBaseCodes] {
 		flat = append(flat, rows...)
 		offs = append(offs, uint32(len(flat)))
-		wflat = append(wflat, wideSorted(rows)...)
 	}
-	return &listsGen{posts: PostingsOf(offs, flat), wide: PostingsOf(offs, wflat)}, model
-}
-
-// wideSorted returns the 8-byte postings of rows, ascending.
-func wideSorted(rows []uint32) []uint64 {
-	out := make([]uint64, len(rows))
-	for i, r := range rows {
-		out[i] = widePosting(r)
-	}
-	slices.Sort(out)
-	return out
+	return &listsGen{posts: PostingsOf(offs, flat)}, model
 }
 
 // runListsChain replays ops and fails t on the first divergence between
@@ -128,16 +109,15 @@ func runListsChain(t *testing.T, ops []byte) listsStats {
 			st.pastTable++
 		}
 		live.posts.AddRow(int(code), uint32(row))
-		live.wide.AddRow(int(code), widePosting(uint32(row)))
 	}
 	publish := func(fold bool) {
 		retired, models = append(retired, live), append(models, model.clone())
 		prev, g := live, new(relation.Gen)
 		if fold {
-			live = &listsGen{posts: prev.posts.fold(g), wide: prev.wide.fold(g)}
+			live = &listsGen{posts: prev.posts.fold(g)}
 			st.forcedFolds++
 		} else {
-			live = &listsGen{posts: prev.posts.Clone(g), wide: prev.wide.Clone(g)}
+			live = &listsGen{posts: prev.posts.Clone(g)}
 		}
 		folded := prev.posts.added > 0 && live.posts.added == 0
 		if !fold && folded {
@@ -214,12 +194,6 @@ func checkListsGen(t *testing.T, at string, got *listsGen, want listsOracle) {
 			t.Errorf("%s: code %d: Contains(%d) = true for a row the set lacks", at, code, absent)
 			return
 		}
-		wbase, wtail := got.wide.Rows(code)
-		wide := slices.Sorted(slices.Values(append(slices.Clone(wbase), wtail...)))
-		if !slices.IsSorted(wbase) || got.wide.Count(code) != len(rows) || !slices.Equal(wide, wideSorted(rows)) {
-			t.Errorf("%s: code %d: 8-byte Rows = %v + %v want the set %v", at, code, wbase, wtail, wideSorted(rows))
-			return
-		}
 	}
 	if pb, pt := got.posts.ResidentBytes(); pb != 4*int64(len(got.posts.offs)+len(got.posts.flat)) || pt < 4*int64(got.posts.added) {
 		t.Errorf("%s: Postings.ResidentBytes = %d, %d with %d rows added", at, pb, pt, got.posts.added)
@@ -286,39 +260,35 @@ func FuzzListsCloneChain(f *testing.F) {
 }
 
 // TestSearchRunMatchesBinarySearch holds Contains' base-run search to
-// slices.BinarySearch on duplicate-free ascending runs of both widths:
-// uniform over their range, skewed (a dense cluster and a long sparse
-// tail, where the first guess lands far off), and spread up to the
-// width's largest value, where (x-first)·(n-1) overflows 64 bits.
+// slices.BinarySearch on duplicate-free ascending runs: uniform over
+// their range, skewed (a dense cluster and a long sparse tail, where the
+// first guess lands far off), and spread up to the largest row, where
+// (x-first)·(n-1) takes all 64 bits.
 func TestSearchRunMatchesBinarySearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{1, 2, 3, 17, 500, 4000} {
 		for _, shape := range []string{"uniform", "skewed", "extreme"} {
-			checkSearchRun(t, shape, drawRun[uint32](rng, n, shape, math.MaxUint32), rng)
-			checkSearchRun(t, shape, drawRun[uint64](rng, n, shape, math.MaxUint64), rng)
+			checkSearchRun(t, shape, drawRun(rng, n, shape), rng)
 		}
 	}
 }
 
-// drawRun draws n distinct values of the shape below top, ascending.
-func drawRun[T uint32 | uint64](rng *rand.Rand, n int, shape string, top T) []T {
-	seen := map[T]bool{}
-	run := make([]T, 0, n)
+// drawRun draws n distinct rows of the shape, ascending.
+func drawRun(rng *rand.Rand, n int, shape string) []uint32 {
+	seen := map[uint32]bool{}
+	run := make([]uint32, 0, n)
 	for len(run) < n {
-		var v T
+		var v uint32
 		switch shape {
 		case "uniform":
-			v = T(rng.Int63n(int64(8 * n)))
+			v = uint32(rng.Int63n(int64(8 * n)))
 		case "skewed":
-			v = T(rng.Int63n(int64(n)))
+			v = uint32(rng.Int63n(int64(n)))
 			if rng.Intn(8) == 0 {
-				v = T(rng.Int63n(1<<30) * int64(n))
+				v = uint32(rng.Int63n(1<<30) * int64(n))
 			}
 		default:
-			v = top - T(rng.Uint64()>>1)
-			if rng.Intn(2) == 0 {
-				v = T(rng.Uint64() >> 1)
-			}
+			v = rng.Uint32()
 		}
 		if !seen[v] {
 			seen[v] = true
@@ -329,9 +299,9 @@ func drawRun[T uint32 | uint64](rng *rand.Rand, n int, shape string, top T) []T 
 	return run
 }
 
-func checkSearchRun[T uint32 | uint64](t *testing.T, shape string, run []T, rng *rand.Rand) {
+func checkSearchRun(t *testing.T, shape string, run []uint32, rng *rand.Rand) {
 	t.Helper()
-	probes := []T{0, ^T(0)}
+	probes := []uint32{0, math.MaxUint32}
 	for i, v := range run {
 		probes = append(probes, v, v-1, v+1)
 		if i > 0 {
@@ -339,12 +309,12 @@ func checkSearchRun[T uint32 | uint64](t *testing.T, shape string, run []T, rng 
 		}
 	}
 	for range 200 {
-		probes = append(probes, T(rng.Uint64()))
+		probes = append(probes, rng.Uint32())
 	}
 	for _, x := range probes {
 		_, want := slices.BinarySearch(run, x)
 		if got := searchRun(run, x); got != want {
-			t.Fatalf("%s run of %d (%T): searchRun(%d) = %v, binary search %v", shape, len(run), x, x, got, want)
+			t.Fatalf("%s run of %d: searchRun(%d) = %v, binary search %v", shape, len(run), x, got, want)
 		}
 	}
 }
@@ -356,7 +326,7 @@ func checkSearchRun[T uint32 | uint64](t *testing.T, shape string, run []T, rng 
 func BenchmarkSearchRun(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	for _, shape := range []string{"uniform", "skewed"} {
-		run := drawRun[uint32](rng, 1<<14, shape, math.MaxUint32)
+		run := drawRun(rng, 1<<14, shape)
 		probes := make([]uint32, 1024)
 		for i := range probes {
 			probes[i] = run[rng.Intn(len(run))]

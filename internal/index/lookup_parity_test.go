@@ -114,7 +114,8 @@ func reload(db *relation.Database) *relation.Database {
 // generated database the way the αDB's writer does — rows appended to
 // write clones of the relations, interned into the dictionaries every
 // epoch shares, and noted on an IndexDelta that clones each code index
-// on its first write and folds its tails — with a lookup of the newest
+// on its first write, folds its lists and rebuilds it once its key
+// table passes the fold rule — with a lookup of the newest
 // epoch after every publish, so the normal indexes grow under lookups
 // as interns fill them. Halfway, the chain is reloaded as a
 // snapshot load would, and grows on from the restored dictionaries. It
@@ -252,10 +253,10 @@ func TestCommonColumnsMatchesMapOracle(t *testing.T) {
 		gens = append(gens, next)
 		check(len(gens)-1, next, query())
 	}
-	t.Logf("%d generations, %d fresh values: %d key-table folds, %d list folds, %d indexes shared with the generation before",
+	t.Logf("%d generations, %d fresh values: %d key-table rebuilds, %d list folds, %d indexes shared with the generation before",
 		len(gens), fresh, keyFolds, listFolds, shared)
 	if keyFolds == 0 || listFolds == 0 || shared == 0 {
-		t.Fatalf("the chain folded the key tables %d times and the lists %d times, and shared %d indexes: it proves too little",
+		t.Fatalf("the chain rebuilt the key tables %d times, folded the lists %d times, and shared %d indexes: it proves too little",
 			keyFolds, listFolds, shared)
 	}
 	for trial := 0; trial < 800; trial++ {

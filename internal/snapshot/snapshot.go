@@ -12,8 +12,9 @@
 // posting lists, the numeric value orders, the derived properties (each
 // a count over the base facts, derived from its stored descriptor, its
 // relation named as stored) as their (entity, strength) pair lists and
-// strength histograms, the inverted entity-lookup index and every hash
-// index — so none of them can disagree with the facts they come from.
+// strength histograms, the dictionaries' normal indexes and every hash
+// and code index — so none of them can disagree with the facts they come
+// from.
 //
 // # Version-compatibility policy
 //

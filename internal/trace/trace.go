@@ -43,8 +43,8 @@ type Phase uint8
 const (
 	// PhaseDiscover is the root of one discovery request.
 	PhaseDiscover Phase = iota
-	// PhaseResolve is candidate base-query enumeration: the inverted
-	// index resolving examples to (relation, column) matches.
+	// PhaseResolve is candidate base-query enumeration: the normal and
+	// code indexes resolving examples to (relation, column) matches.
 	PhaseResolve
 	// PhaseCandidate groups one candidate base query's abduction.
 	PhaseCandidate

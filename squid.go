@@ -16,7 +16,9 @@
 //     Database whose relations are annotated as entities and properties:
 //     it discovers fact tables from foreign keys, materializes derived
 //     relations such as persontogenre(person_id, genre_id, count), and
-//     precomputes selectivity statistics and an inverted column index.
+//     precomputes selectivity statistics and the indexes entity lookup
+//     reads: a code index of every TEXT column and its dictionary's
+//     normal index.
 //
 //   - Online, DiscoverContext maps examples to entities, derives their
 //     semantic contexts, and runs the linear-time abduction algorithm
@@ -254,7 +256,8 @@ func (s *System) Traces() *trace.Ring {
 
 // Build runs the offline phase: it constructs the abduction-ready
 // database for db (precomputing derived relations, statistics, and the
-// inverted index) and returns a System configured with DefaultParams.
+// hash, code and normal indexes) and returns a System configured with
+// DefaultParams.
 func Build(db *Database, cfg BuildConfig) (*System, error) {
 	alpha, err := adb.Build(db, cfg)
 	if err != nil {
