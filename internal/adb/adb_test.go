@@ -359,6 +359,48 @@ func TestBuildRejectsTextForeignKey(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsEntityKeysAnInsertRejects: a cold build refuses an
+// entity relation whose primary key holds a NULL or a repeated value,
+// as an insert of that row does, with an error naming the relation and
+// the key, and so does a load of a file whose key column holds one.
+func TestBuildRejectsEntityKeysAnInsertRejects(t *testing.T) {
+	// people has ids 1, id, 3.
+	people := func(id relation.Value) *relation.Database {
+		db := relation.NewDatabase("keys")
+		person := relation.New("person", relation.Col("id", relation.Int), relation.Col("name", relation.String)).SetPrimaryKey("id")
+		for i, id := range []relation.Value{relation.IntVal(1), id, relation.IntVal(3)} {
+			person.MustAppend(id, relation.StringVal(fmt.Sprintf("p%d", i)))
+		}
+		db.AddRelation(person)
+		db.MarkEntity("person")
+		return db
+	}
+	const want = `primary key "id" holds 2 distinct values in 3 rows`
+	for _, id := range []relation.Value{relation.IntVal(1), relation.Null} {
+		check := func(road string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), `"person"`) || !strings.Contains(err.Error(), want) {
+				t.Errorf("id %v: %s = %v, want an error naming person and its key", id, road, err)
+			}
+		}
+		db := people(id)
+		_, err := Build(db, DefaultConfig())
+		check("Build", err)
+		if db.Validate() == nil {
+			t.Errorf("id %v: Validate accepts the keys Build rejects", id)
+		}
+		a, err := Build(people(relation.IntVal(2)), DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Snapshot().DB.Relation("person").Column("id").Set(1, id); err != nil {
+			t.Fatal(err)
+		}
+		_, err = roundTrip(t, a)
+		check("Load", err)
+	}
+}
+
 func TestSelectivityBounds(t *testing.T) {
 	// All selectivities must lie in [0, 1].
 	a := buildFixture(t)

@@ -182,9 +182,6 @@ func buildEpoch(db *relation.Database, cfg Config) (*Epoch, error) {
 		cfg.Workers = workers
 	}
 	workers := cfg.workers()
-	// The epoch's dictionaries answer Lookup and Intern from their rank
-	// tables; the maps of the load that filled them go.
-	db.Seal()
 	a := &Epoch{
 		DB:       db,
 		Entities: make(map[string]*EntityInfo),
@@ -342,16 +339,28 @@ func (a *Epoch) nameTable() *relation.Database {
 }
 
 // scaffoldEntity validates that a relation can serve as an entity (an
-// integer primary key) and builds its property-less lookup scaffold;
-// safe to run in parallel across entities (it only reads the resident
-// set).
+// integer primary key, one row a key) and builds its property-less
+// lookup scaffold; safe to run in parallel across entities (it only
+// reads the resident set).
 func (a *Epoch) scaffoldEntity(name string) (*EntityInfo, error) {
 	info, err := entityInfo(a.DB, name)
 	if err != nil {
 		return nil, err
 	}
+	return info, a.indexKey(info)
+}
+
+// indexKey reads the entity's primary-key index and rejects the keys an
+// insert rejects (insertEntity): a NULL one and a repeated one. The
+// index holds every non-NULL key once, so it holds as many keys as the
+// relation has rows exactly when there is neither.
+func (a *Epoch) indexKey(info *EntityInfo) error {
 	info.pkIndex = a.readHash(info.rel, info.PK)
-	return info, nil
+	if keys := info.pkIndex.NumKeys(); keys != info.NumRows {
+		return fmt.Errorf("adb: entity relation %q: primary key %q holds %d distinct values in %d rows: a NULL or a repeated one",
+			info.Relation, info.PK, keys, info.NumRows)
+	}
+	return nil
 }
 
 // entityInfo is scaffoldEntity without the primary-key index: what a

@@ -139,14 +139,16 @@ func Decode(r *snapshot.Reader) (*AlphaDB, error) {
 	// property discovery.
 	workers := cfg.workers()
 	a.Indexes = residentIndexes(db, workers)
+	for _, name := range marked {
+		if err := a.indexKey(a.Entities[name]); err != nil {
+			return nil, r.Fail("%v", err)
+		}
+	}
 	normalsDone := make(chan struct{})
 	go func() {
 		buildNormalIndexes(db, workers)
 		close(normalsDone)
 	}()
-	for _, info := range a.Entities {
-		info.pkIndex = a.readHash(info.rel, info.PK)
-	}
 	adj := adjacencies{}
 	for _, p := range basic {
 		if p.Access.Type == FactDim && a.isEntity(p.Access.Dim) {

@@ -188,7 +188,6 @@ func TestCommonColumnsMatchesMapOracle(t *testing.T) {
 		}
 		db.AddRelation(r)
 	}
-	db.Seal()
 	type generation struct {
 		db  *relation.Database
 		set *IndexSet

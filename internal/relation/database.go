@@ -165,17 +165,6 @@ func (d *Database) ByteSize() int64 {
 	return n
 }
 
-// Seal ends the bulk load of every TEXT column's dictionary (Dict.Seal).
-func (d *Database) Seal() {
-	for _, name := range d.order {
-		for _, c := range d.relations[name].cols {
-			if c.dict != nil {
-				c.dict.Seal()
-			}
-		}
-	}
-}
-
 // TotalRows returns the sum of all relation cardinalities.
 func (d *Database) TotalRows() int {
 	n := 0

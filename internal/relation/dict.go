@@ -21,29 +21,29 @@ import (
 // snapshot that serializes the dictionary in code order restores the exact
 // same encoding.
 //
-// One ordered index: the dictionary keeps its values once, in code
-// order, and a rank table (rank[code] and its inverse, order: the codes
-// in string order) built on first use over the codes [0, n) there were.
-// Lookup is a binary search of order plus a scan of the codes interned
-// since the table was built; SortCodes replaces codes by their ranks
-// and sorts integers. Interning a value never changes the relative
-// order of the existing ones, so a reader searches or sorts by the one
-// table pointer it loaded, whatever is interned or rebuilt meanwhile,
-// and the table is rebuilt once the codes past it are more than
-// 1/rankFoldDiv of the dictionary — the fold rule of the index tails —
-// or more than rankTailMax, which bounds the scan whatever the size.
-// A bulk load (a CSV load, a generator, rows appended before a system
-// is built) interns through a map of its own until Seal drops it: no
-// built or loaded system holds one.
+// The dictionary keeps its values once, in code order, and two tables
+// over their codes. The normal index (normalIndex) finds values: an
+// open-addressing hash table of every code keyed by the hash of its
+// value's normal form, which Lookup and Intern probe for a value's own
+// form and AppendNormalCodes for a form any spelling can share. The
+// rank table (rank[code] and its inverse, order: the codes in string
+// order), built on first use over the codes [0, n) there were, only
+// orders: SortCodes replaces codes by their ranks and sorts integers.
+// Interning a value never changes the relative order of the existing
+// ones, so a reader sorts by the one table pointer it loaded, whatever
+// is interned or rebuilt meanwhile, and the table is rebuilt once the
+// codes past it are more than 1/rankFoldDiv of the dictionary — the
+// fold rule of the index tails.
 //
 // Concurrency: a Dict is append-only and deliberately shared across
 // copy-on-write epochs instead of cloned: the values are published as
 // an immutable prefix behind one atomic pointer (Value, Values and Len
-// are one load and an index), the rank table behind another, and
-// Intern — which the αDB's one write lock serializes — appends past
-// every published prefix and republishes. A reader takes no lock while
-// the table keeps up; one that finds it trailing rebuilds it, or waits
-// for the reader already rebuilding it.
+// are one load and an index), each table behind another, and Intern —
+// which the αDB's one write lock serializes — adds the value's code to
+// the normal index, appends past every published prefix and
+// republishes. A lookup takes no lock; a sort takes none while the
+// rank table keeps up, and one that finds it trailing rebuilds it, or
+// waits for the reader already rebuilding it.
 // Codes are stable forever — an epoch that was published when the
 // dictionary held n values only ever stores codes < n in its columns
 // and statistics, so readers of a retired epoch decode exactly the
@@ -54,15 +54,12 @@ type Dict struct {
 	// so no reader can append into the writer's spare capacity.
 	vals []string
 	view atomic.Pointer[dictView]
-	// bulk maps the values to their codes during a bulk load; only
-	// Intern reads or writes it, and Seal drops it.
-	bulk atomic.Pointer[map[string]int32]
 
-	// ranks is the current rank table (nil until the first Lookup, or
-	// SortCodes of two codes or more), and normals the normal index
-	// (nil until it is first used). buildMu makes a rank table's rebuild
-	// single-flight; normalMu orders a normal index's build with the
-	// writer's additions to it.
+	// ranks is the current rank table (nil until the first SortCodes of
+	// two codes or more), and normals the normal index (nil until it is
+	// first used). buildMu makes a rank table's rebuild single-flight;
+	// normalMu orders a normal index's build with the writer's
+	// additions to it.
 	ranks    atomic.Pointer[rankTable]
 	normals  atomic.Pointer[normalIndex]
 	buildMu  sync.Mutex
@@ -84,19 +81,12 @@ type rankTable struct {
 	order []int32
 }
 
-// rankFoldDiv and rankTailMax are the rank table's fold rule: it is
-// rebuilt once the codes interned since it was built are more than
-// 1/rankFoldDiv of the dictionary or more than rankTailMax, so a
-// Lookup scans at most min(n/rankFoldDiv, rankTailMax) codes past its
-// binary search. A rebuild places the new codes by binary search and
-// copies the n old ones, so up to 32k values it costs O(rankFoldDiv)
-// copies per interned value, and past that O(n/rankTailMax): at a
-// million values, a scan of at most 1024 codes and about a thousand
-// copies amortized.
-const (
-	rankFoldDiv = 32
-	rankTailMax = 1024
-)
+// rankFoldDiv is the rank table's fold rule: it is rebuilt once the
+// codes interned since it was built are more than 1/rankFoldDiv of the
+// dictionary. A rebuild places the new codes by binary search and
+// copies the n old ones, so it costs O(rankFoldDiv) copies per
+// interned value.
+const rankFoldDiv = 32
 
 var noRanks = &rankTable{}
 
@@ -104,44 +94,29 @@ var noRanks = &rankTable{}
 // dictionary entry.
 const NoCode int32 = -1
 
-// newDict creates an empty dictionary in bulk-load mode.
-func newDict() *Dict {
-	d := &Dict{}
-	bulk := make(map[string]int32)
-	d.bulk.Store(&bulk)
-	return d
-}
+// newDict creates an empty dictionary.
+func newDict() *Dict { return &Dict{} }
 
 // Intern returns the code of v, assigning the next dense code on first
-// appearance: a bulk load finds v in its map, any other caller by
-// Lookup. Callers must serialize Intern with other Interns of the same
-// dictionary (the αDB's write lock does).
+// appearance: Lookup, then add on a miss. Callers must serialize Intern
+// with other Interns of the same dictionary (the αDB's write lock
+// does).
 func (d *Dict) Intern(v string) int32 {
-	if bulk := d.bulk.Load(); bulk != nil {
-		if id, ok := (*bulk)[v]; ok {
-			return id
-		}
-		id := d.add(v)
-		(*bulk)[v] = id
-		return id
-	}
 	if id, ok := d.Lookup(v); ok {
 		return id
 	}
 	return d.add(v)
 }
 
-// add appends v, which the dictionary lacks, and publishes it. Once
-// there is a normal index, v's code is in it before v is published, so
-// a reader that sees the value finds its code.
+// add appends v, which the dictionary lacks, and publishes it. v's code
+// is in the normal index before v is published, so a reader that sees
+// the value finds its code.
 func (d *Dict) add(v string) int32 {
 	d.normalMu.Lock()
 	defer d.normalMu.Unlock()
 	id := int32(len(d.vals))
 	d.vals = append(d.vals, v)
-	if ix := d.normals.Load(); ix != nil {
-		d.normals.Store(ix.covering(d.vals))
-	}
+	d.normals.Store(d.normals.Load().covering(d.vals))
 	d.publish()
 	return id
 }
@@ -152,35 +127,20 @@ func (d *Dict) publish() {
 	d.view.Store(&dictView{vals: d.vals[:n:n], spare: cap(d.vals) - n})
 }
 
-// Seal ends a bulk load: it drops the load's map, so the dictionary
-// holds its values once, and a later Intern searches as Lookup does.
-// Building a system seals its database's dictionaries.
-func (d *Dict) Seal() { d.bulk.Store(nil) }
-
-// Bulk reports whether the dictionary is in a bulk load: whether it
-// holds the load's map beside its values.
-func (d *Dict) Bulk() bool { return d.bulk.Load() != nil }
-
 // Lookup returns the code of v without interning, and whether v is
-// known: a binary search of the rank table, then a scan of the codes
-// interned since it was built.
+// known: v is normalized once, on the stack (on the heap only past 64
+// bytes), and the one value among its normal form's candidates in the
+// normal index that equals v byte for byte is the answer.
 func (d *Dict) Lookup(v string) (int32, bool) {
-	t, vals := d.rankTable()
-	return t.lookup(vals, v)
-}
-
-// lookup finds v among vals, which cover at least the codes t ranks.
-func (t *rankTable) lookup(vals []string, v string) (int32, bool) {
-	r, found := slices.BinarySearchFunc(t.order, v, func(c int32, v string) int { return strings.Compare(vals[c], v) })
-	if found {
-		return t.order[r], true
-	}
-	for c := len(t.order); c < len(vals); c++ {
-		if vals[c] == v {
-			return int32(c), true
+	vals := d.Values()
+	ix := d.normalIndex() // after the values: it holds all their codes
+	var buf [64]byte
+	for p := ix.candidates(maphash.Bytes(normalSeed, AppendNormal(buf[:0], v)), len(vals)); ; {
+		c, ok := p.next()
+		if !ok || vals[c] == v {
+			return c, ok
 		}
 	}
-	return 0, false
 }
 
 // Value decodes a code back to its string.
@@ -298,11 +258,10 @@ func sortRanks(ranks []int32, n int) {
 	}
 }
 
-// rankTable returns the rank table to search or sort by and a view of
-// the values that covers at least the codes it ranks. When the table
-// trails the dictionary by more than the fold rule allows, the caller
-// rebuilds it, or waits for the caller already rebuilding it, so no
-// search scans past the fold rule's bound.
+// rankTable returns the rank table to sort by and a view of the values
+// that covers at least the codes it ranks. When the table trails the
+// dictionary by more than the fold rule allows, the caller rebuilds it,
+// or waits for the caller already rebuilding it.
 func (d *Dict) rankTable() (*rankTable, []string) {
 	// The values are loaded after the table, so they cover what it ranks.
 	t, vals := d.loadRanks(), d.Values()
@@ -326,8 +285,7 @@ func (d *Dict) loadRanks() *rankTable {
 
 // trails reports whether the fold rule wants the table rebuilt over vals.
 func (t *rankTable) trails(vals []string) bool {
-	tail := len(vals) - len(t.rank)
-	return tail*rankFoldDiv > len(vals) || tail > rankTailMax
+	return (len(vals)-len(t.rank))*rankFoldDiv > len(vals)
 }
 
 // buildRanks extends old to cover vals: the codes old does not rank are
@@ -380,16 +338,48 @@ func (ix *normalIndex) probe(h uint64) (int, int32) {
 	return int(h >> 32 * uint64(len(ix.slots)) >> 32), int32(uint32(h) >> (ix.shift + 1) << ix.shift)
 }
 
+// candidates walks the probe sequence of a normal form's hash: the
+// codes below n whose slots carry its tag, every code of that form
+// among them.
+type candidates struct {
+	ix          *normalIndex
+	i           int
+	tag, low, n int32
+}
+
+func (ix *normalIndex) candidates(h uint64, n int) candidates {
+	i, tag := ix.probe(h)
+	return candidates{ix: ix, i: i, tag: tag, low: int32(1)<<ix.shift - 1, n: int32(n)}
+}
+
+// next returns the next candidate, or false at the empty slot that ends
+// the probe sequence.
+func (p *candidates) next() (int32, bool) {
+	for {
+		s := p.ix.slots[p.i].Load()
+		if s == 0 {
+			return 0, false
+		}
+		if p.i++; p.i == len(p.ix.slots) {
+			p.i = 0
+		}
+		// A code past n was added since the caller loaded its values.
+		if c := s&p.low - 1; s&^p.low == p.tag && c < p.n {
+			return c, true
+		}
+	}
+}
+
 // covering returns an index of every code of vals: ix with the codes it
 // lacks added, or, once they would fill more than 4/5 of its slots, a
 // table of twice the slots laid out afresh, so the layouts the writer
 // makes while the dictionary grows to N values normalize fewer than 2N
-// values in all. The first table (ix nil, as Build and Load lay it out)
-// is a third larger than the codes need. Each value is normalized once,
-// into a string, to key its hash.
+// values in all. A table laid out from nothing (ix nil, as Build and
+// Load lay it out) is a third larger than the codes need. Each value
+// is normalized once, into a string, to key its hash.
 func (ix *normalIndex) covering(vals []string) *normalIndex {
 	if ix == nil {
-		ix = newNormalIndex(len(vals)*4/3 + 8)
+		ix = newNormalIndex(tightSlots(len(vals)))
 	} else if len(vals)*5 > len(ix.slots)*4 {
 		ix = newNormalIndex(2 * len(ix.slots))
 	}
@@ -405,29 +395,39 @@ func (ix *normalIndex) covering(vals []string) *normalIndex {
 	return ix
 }
 
+// tightSlots is the slot count of a table laid out from nothing over n
+// codes: a third more than the codes need.
+func tightSlots(n int) int { return n*4/3 + 8 }
+
 func newNormalIndex(size int) *normalIndex {
 	return &normalIndex{slots: make([]atomic.Int32, size), shift: uint(bits.Len(uint(size)))}
 }
 
-// normalIndex returns the normal index, building it on first use. It
+// normalIndex returns the normal index, laying it out on first use. It
 // holds every code of the values published before it was loaded (add
 // stores a code before it publishes the value).
 func (d *Dict) normalIndex() *normalIndex {
-	ix := d.normals.Load()
-	if ix == nil {
-		d.normalMu.Lock()
-		if ix = d.normals.Load(); ix == nil {
-			ix = ix.covering(d.Values())
-			d.normals.Store(ix)
-		}
-		d.normalMu.Unlock()
+	if ix := d.normals.Load(); ix != nil {
+		return ix
 	}
-	return ix
+	d.BuildNormalIndex()
+	return d.normals.Load()
 }
 
-// BuildNormalIndex builds the normal index if there is none yet; Build
-// and Load build every TEXT column's before the system serves.
-func (d *Dict) BuildNormalIndex() { d.normalIndex() }
+// BuildNormalIndex lays the normal index out afresh, a third larger
+// than the codes need, in place of one the interns of a load grew by
+// doubling: Build and Load lay out every TEXT column's before the
+// system serves, so a built and a loaded system hold one layout. A
+// table of that size is that layout already (every layout places the
+// codes in code order), so it is kept: building a database again
+// normalizes nothing.
+func (d *Dict) BuildNormalIndex() {
+	d.normalMu.Lock()
+	defer d.normalMu.Unlock()
+	if ix := d.normals.Load(); ix == nil || len(ix.slots) != tightSlots(len(d.vals)) {
+		d.normals.Store((*normalIndex)(nil).covering(d.vals))
+	}
+}
 
 // AppendNormalCodes appends to dst, ascending, the code of every value
 // whose normal form (normalize: lower case, spaces collapsed) is form,
@@ -438,19 +438,14 @@ func (d *Dict) AppendNormalCodes(dst []int32, form []byte) []int32 {
 	vals := d.Values()
 	ix := d.normalIndex() // after the values: it holds all their codes
 	start := len(dst)
-	low := int32(1)<<ix.shift - 1
 	var buf [64]byte
-	for i, tag := ix.probe(maphash.Bytes(normalSeed, form)); ; {
-		s := ix.slots[i].Load()
-		if s == 0 {
+	for p := ix.candidates(maphash.Bytes(normalSeed, form), len(vals)); ; {
+		c, ok := p.next()
+		if !ok {
 			break
 		}
-		// A code past vals was added since they were loaded.
-		if c := s&low - 1; s&^low == tag && int(c) < len(vals) && string(AppendNormal(buf[:0], vals[c])) == string(form) {
+		if string(AppendNormal(buf[:0], vals[c])) == string(form) {
 			dst = append(dst, c)
-		}
-		if i++; i == len(ix.slots) {
-			i = 0
 		}
 	}
 	if len(dst)-start > 1 {
@@ -462,8 +457,7 @@ func (d *Dict) AppendNormalCodes(dst []int32, form []byte) []int32 {
 // ByteSize returns the bytes the dictionary holds, counted from
 // lengths: a string header a value and a header a slot of the writer's
 // spare capacity (the tail the next values land in), each value's
-// bytes, and the rank table and the normal index once built. A bulk
-// load's map is not counted: no built or loaded system holds one.
+// bytes, and the rank table and the normal index once built.
 func (d *Dict) ByteSize() int64 {
 	v := d.view.Load()
 	if v == nil {
@@ -482,8 +476,8 @@ func (d *Dict) ByteSize() int64 {
 	return n
 }
 
-// RestoreDict adopts values in code order as a sealed dictionary
-// (snapshot load).
+// RestoreDict adopts values in code order as a dictionary (snapshot
+// load).
 func RestoreDict(vals []string) *Dict {
 	d := &Dict{vals: vals}
 	d.publish()

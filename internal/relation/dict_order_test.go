@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -68,19 +69,18 @@ func drawCodes(rng *rand.Rand, n, k int) []int32 {
 	return codes
 }
 
-// lookupOracle holds a search by table t to the interned words, in
-// code order: every word interned is found at its code, and each of
-// absent is not found.
-func lookupOracle(t *testing.T, when string, table *rankTable, vals, interned, absent []string) {
+// lookupOracle holds Lookup to the interned words, in code order: every
+// word interned is found at its code, and each of absent is not found.
+func lookupOracle(t *testing.T, when string, d *Dict, interned, absent []string) {
 	t.Helper()
 	for code, w := range interned {
-		if got, ok := table.lookup(vals, w); !ok || got != int32(code) {
+		if got, ok := d.Lookup(w); !ok || got != int32(code) {
 			t.Fatalf("%s: Lookup(%q) = %d, %v; want code %d", when, w, got, ok, code)
 		}
 	}
 	for _, w := range absent {
-		if got, ok := table.lookup(vals, w); ok {
-			t.Fatalf("%s: Lookup(%q) found code %d (%q) for a value never interned", when, w, got, vals[got])
+		if got, ok := d.Lookup(w); ok {
+			t.Fatalf("%s: Lookup(%q) found code %d (%q) for a value never interned", when, w, got, d.Value(got))
 		}
 	}
 }
@@ -89,9 +89,7 @@ func lookupOracle(t *testing.T, when string, table *rankTable, vals, interned, a
 // Lookup to the intern order over generated dictionaries: before any
 // table exists, over codes interned after the table was built (the
 // tail), across the rebuild the fold rule triggers, and for a reader
-// that sorts and searches by the table it loaded before that rebuild.
-// Odd seeds seal the dictionary after its first values, so the rest
-// are interned by search, not by the bulk map.
+// that sorts by the table it loaded before that rebuild.
 func TestSortCodesMatchesSortStrings(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -111,7 +109,7 @@ func TestSortCodesMatchesSortStrings(t *testing.T) {
 			if got, ok := d.Lookup(words[n/2]); !ok || got != int32(n/2) {
 				t.Fatalf("seed %d, %s: Lookup(%q) = %d, %v; want %d", seed, when, words[n/2], got, ok, n/2)
 			}
-			lookupOracle(t, fmt.Sprintf("seed %d, %s", seed, when), d.loadRanks(), d.Values(), words[:n], words[n:])
+			lookupOracle(t, fmt.Sprintf("seed %d, %s", seed, when), d, words[:n], words[n:])
 		}
 		interned := 0
 		intern := func(upTo int) {
@@ -129,9 +127,6 @@ func TestSortCodesMatchesSortStrings(t *testing.T) {
 			interned = upTo
 		}
 		intern(400)
-		if seed%2 == 1 {
-			d.Seal()
-		}
 		check("first use", d.SortCodes)
 		built := d.loadRanks()
 		if len(built.rank) != 400 {
@@ -149,11 +144,10 @@ func TestSortCodesMatchesSortStrings(t *testing.T) {
 		// relative order of the codes the old table ranked.
 		intern(600)
 		check("across the rebuild", d.SortCodes)
-		// A bulk load interns without a search, so the sort rebuilds over
-		// all 600 codes; a sealed Intern searches, and may rebuild on the
-		// fold rule partway.
+		// Intern never reads the rank table, so the sort rebuilds over
+		// all 600 codes.
 		rebuilt := d.loadRanks()
-		if rebuilt == built || seed%2 == 0 && len(rebuilt.rank) != 600 || rebuilt.trails(d.Values()) {
+		if rebuilt == built || len(rebuilt.rank) != 600 {
 			t.Fatalf("seed %d: 200 values on 400 left a table over %d codes", seed, len(rebuilt.rank))
 		}
 		for a := 1; a < 400; a++ {
@@ -167,9 +161,6 @@ func TestSortCodesMatchesSortStrings(t *testing.T) {
 		intern(len(words) - 50)
 		check("old table", func(codes []int32) { built.sortCodes(d.Values(), codes) })
 		check("no table", func(codes []int32) { noRanks.sortCodes(d.Values(), codes) })
-		n := d.Len()
-		lookupOracle(t, fmt.Sprintf("seed %d, old table", seed), built, d.Values(), words[:n], words[n:])
-		lookupOracle(t, fmt.Sprintf("seed %d, no table", seed), noRanks, d.Values(), words[:n], words[n:])
 	}
 }
 
@@ -223,8 +214,8 @@ func TestOutputOrderMatchesSortStrings(t *testing.T) {
 }
 
 // TestSortCodesWhileInterning runs sorts and lookups against a
-// sealed dictionary a writer keeps interning into by search, past
-// several rebuilds: every sort of the codes a reader held when it
+// restored dictionary a writer keeps interning into, past several
+// rebuilds: every sort of the codes a reader held when it
 // started agrees with sort.Strings, every value below the reader's
 // length is found at its code, and a word found at all decodes to
 // itself, whichever table the reader loaded. Run under -race.
@@ -287,46 +278,128 @@ func TestSortCodesWhileInterning(t *testing.T) {
 	}
 }
 
-// TestLookupTailIsCapped interns into a sealed dictionary large
-// enough that the fold rule's 1/rankFoldDiv share passes rankTailMax:
-// the rank table is rebuilt once the codes past it pass rankTailMax, so
-// no search scans more, the normal index holds every code through the
-// tables it grows into, each of at least twice the slots of the one it
-// replaces, and every value stays found at its code — by
-// Lookup, and by AppendNormalCodes in another spelling.
-func TestLookupTailIsCapped(t *testing.T) {
+// TestLookupWhileInterning runs readers that Lookup every value
+// published so far beside a writer interning past two normal-index
+// growths and a rank-table rebuild: each value below a reader's length
+// is found at its code, whichever normal index the reader loaded, and a
+// word past it is found, if at all, at a code that decodes to it. The
+// writer waits for a reader pass every 128 interns, so the passes
+// interleave with its growths. Run under -race.
+func TestLookupWhileInterning(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	words := orderWords(rng, 3000)
+	d := RestoreDict(slices.Clone(words[:200]))
+	d.BuildNormalIndex()
+	d.SortCodes([]int32{0, 1})
+	ranks := d.loadRanks()
+	var passes atomic.Int64
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	const readers = 2
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for last := false; !last; {
+				last = done.Load()
+				n := d.Len()
+				for c, w := range words[:n] {
+					if got, ok := d.Lookup(w); !ok || got != int32(c) {
+						t.Errorf("reader %d, %d values: Lookup(%q) = %d, %v; want %d", r, n, w, got, ok, c)
+						return
+					}
+				}
+				w := words[min(n, len(words)-1)]
+				if got, ok := d.Lookup(w); ok && d.Value(got) != w {
+					t.Errorf("reader %d: Lookup(%q) found %d, which decodes to %q", r, w, got, d.Value(got))
+					return
+				}
+				d.SortCodes([]int32{0, int32(n - 1)}) // rebuilds the rank table past the fold rule
+				passes.Add(1)
+			}
+		}(r)
+	}
+	grown, rebuilt := 0, false
+	for i, w := range words[200:] {
+		if i%128 == 0 {
+			for want := passes.Load() + readers; passes.Load() < want && !t.Failed(); {
+				runtime.Gosched()
+			}
+		}
+		ix := d.normals.Load()
+		if code := d.Intern(w); code != int32(200+i) {
+			t.Errorf("Intern(%q) = %d, want %d", w, code, 200+i)
+			break
+		}
+		if d.normals.Load() != ix {
+			grown++
+		}
+		rebuilt = rebuilt || d.loadRanks() != ranks
+	}
+	done.Store(true)
+	wg.Wait()
+	if grown < 2 || !rebuilt {
+		t.Errorf("the writer interned past %d normal-index growths and rank-table rebuild %v; want at least two and one", grown, rebuilt)
+	}
+}
+
+// TestRankTableFoldRule interns into a restored dictionary of 40k
+// values, sorting after every intern: the rank table is rebuilt, over
+// every code, exactly when the codes past it pass 1/rankFoldDiv of the
+// dictionary, and otherwise kept. Meanwhile the normal index holds
+// every code through the table it grows into, of twice the slots of
+// the one it replaces; BuildNormalIndex then lays the grown table out
+// afresh at its first size; and every value stays found at its code —
+// by Lookup, and by AppendNormalCodes in another spelling.
+func TestRankTableFoldRule(t *testing.T) {
 	const n = 40000
-	words := make([]string, n+3*rankTailMax)
+	words := make([]string, n+3072)
 	for i := range words {
 		words[i] = fmt.Sprintf("V %d", (i*7919)%len(words))
 	}
 	d := RestoreDict(slices.Clone(words[:n]))
-	d.Lookup("")
+	d.SortCodes([]int32{0, 1})
 	d.BuildNormalIndex()
-	grown := 0
+	grown, rebuilt := 0, 0
 	for i, w := range words[n:] {
-		before := d.normals.Load()
+		before, table := d.normals.Load(), d.loadRanks()
 		if code := d.Intern(w); code != int32(n+i) {
 			t.Fatalf("Intern(%q) = %d, want %d", w, code, n+i)
 		}
-		table, vals := d.rankTable()
-		if tail := len(vals) - len(table.rank); tail > rankTailMax {
-			t.Fatalf("%d values: a search scans %d codes past the rank table, want at most %d", len(vals), tail, rankTailMax)
+		if d.loadRanks() != table {
+			t.Fatalf("%d values: Intern rebuilt the rank table", d.Len())
+		}
+		due := (d.Len()-len(table.rank))*rankFoldDiv > d.Len()
+		d.SortCodes([]int32{0, int32(d.Len() - 1)})
+		switch after := d.loadRanks(); {
+		case due && len(after.rank) != d.Len():
+			t.Fatalf("%d values, %d past the rank table: the sort left a table of %d codes", d.Len(), d.Len()-len(table.rank), len(after.rank))
+		case !due && after != table:
+			t.Fatalf("%d values, %d past the rank table: the sort rebuilt it within the fold rule", d.Len(), d.Len()-len(table.rank))
+		case due:
+			rebuilt++
 		}
 		if ix, vals := d.normalIndex(), d.Values(); ix.codes != len(vals) || ix.codes*5 > len(ix.slots)*4 {
 			t.Fatalf("%d values: the normal index holds %d codes in %d slots", len(vals), ix.codes, len(ix.slots))
 		} else if ix != before {
-			if len(ix.slots) < 2*len(before.slots) {
-				t.Fatalf("%d values: the normal index grew from %d slots to %d, want at least twice", len(vals), len(before.slots), len(ix.slots))
+			if len(ix.slots) != 2*len(before.slots) {
+				t.Fatalf("%d values: the normal index grew from %d slots to %d, want twice", len(vals), len(before.slots), len(ix.slots))
 			}
 			grown++
 		}
 	}
-	if len(d.loadRanks().rank) < n+2*rankTailMax || grown == 0 {
-		t.Fatalf("the table ranks %d codes of %d, and the normal index grew %d times: the cap did not rebuild them",
-			len(d.loadRanks().rank), d.Len(), grown)
+	if rebuilt < 2 || grown == 0 {
+		t.Fatalf("%d interns rebuilt the rank table %d times and grew the normal index %d times", len(words)-n, rebuilt, grown)
 	}
-	lookupOracle(t, "capped", d.loadRanks(), d.Values(), words, []string{"V", "x", "V -1"})
+	d.BuildNormalIndex()
+	ix := d.normals.Load()
+	if len(ix.slots) != len(words)*4/3+8 || ix.codes != len(words) {
+		t.Fatalf("BuildNormalIndex laid out %d codes in %d slots, want %d in %d", ix.codes, len(ix.slots), len(words), len(words)*4/3+8)
+	}
+	if d.BuildNormalIndex(); d.normals.Load() != ix {
+		t.Fatal("BuildNormalIndex laid out again a table at its first size")
+	}
+	lookupOracle(t, "laid out afresh", d, words, []string{"V", "x", "V -1", "v 1"})
 	for code, w := range words {
 		if got := d.AppendNormalCodes(nil, AppendNormal(nil, " "+strings.ToLower(w))); !slices.Equal(got, []int32{int32(code)}) {
 			t.Fatalf("AppendNormalCodes(%q) = %v, want [%d]", " "+strings.ToLower(w), got, code)
@@ -355,7 +428,7 @@ func TestDictByteSizeMatchesHeap(t *testing.T) {
 		vals[i] = string(buf)
 	}
 	d := RestoreDict(vals)
-	d.Lookup("x")
+	d.SortCodes([]int32{0, 1})
 	d.BuildNormalIndex()
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
@@ -368,12 +441,13 @@ func TestDictByteSizeMatchesHeap(t *testing.T) {
 }
 
 // FuzzDictOps replays a byte stream as interleaved Intern, Lookup,
-// SortCodes, Values, Seal and AppendNormalCodes calls against a map,
+// SortCodes, Values and AppendNormalCodes calls against a map,
 // sort.Strings and a normalize-scan oracle. Values are drawn from a
 // small alphabet, so prefixes, repeats and misses are common; some are
-// interned in other case and spacing, so several codes share a normal
-// form; and the stream runs long enough to cross the rank table's fold
-// rule and the normal index's growth more than once.
+// interned, and all are looked up, in other case and spacing, so
+// several codes share a normal form and Lookup must pick the exact
+// value among them; and the stream runs long enough to cross the rank
+// table's fold rule and the normal index's growth more than once.
 func FuzzDictOps(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 1, 1, 2, 4, 3, 9, 0, 7, 4, 0, 5, 1, 2, 3})
 	rng := rand.New(rand.NewSource(1))
@@ -428,7 +502,7 @@ func FuzzDictOps(f *testing.F) {
 					t.Fatalf("op %d: Intern(%q) = %d, want %d", i, w, got, want)
 				}
 			case 2:
-				w := word(arg)
+				w := respell(word(arg), arg>>3)
 				want, known := codes[w]
 				if got, ok := d.Lookup(w); ok != known || got != want && known {
 					t.Fatalf("op %d: Lookup(%q) = %d, %v; want %d, %v", i, w, got, ok, want, known)
@@ -447,9 +521,6 @@ func FuzzDictOps(f *testing.F) {
 					t.Fatalf("op %d: SortCodes order %q, want %q", i, got, want)
 				}
 			case 4:
-				if arg%4 == 0 {
-					d.Seal()
-				}
 				if !slices.Equal(d.Values(), vals) {
 					t.Fatalf("op %d: Values %q, want %q", i, d.Values(), vals)
 				}
@@ -469,29 +540,29 @@ func FuzzDictOps(f *testing.F) {
 	})
 }
 
-// BenchmarkDictLookup prices Lookup — what a sealed dictionary's Intern
-// pays for a value it holds — on restored dictionaries of 40k and 400k
-// values with their rank tables built: a value the table ranks, one
-// interned since (the tail scan at its longest under the fold rule), a
-// miss, and Intern of new values, the rebuilds they trigger included,
-// 4096 at a time into a dictionary restored afresh (untimed).
+// BenchmarkDictLookup prices Lookup — what Intern pays for a value the
+// dictionary holds — on restored dictionaries of 40k and 400k values
+// with their normal indexes built: a value restored with the
+// dictionary, one of the 1,024 interned since, a miss, and Intern of
+// new values, the normal-index growth they trigger included, 4096 at a
+// time into a dictionary restored afresh (untimed).
 func BenchmarkDictLookup(b *testing.B) {
 	for _, n := range []int{40000, 400000} {
 		vals := make([]string, n)
 		for i := range vals {
 			vals[i] = fmt.Sprintf("name %d of the dictionary", (i*7919)%n)
 		}
-		tail := min(n/rankFoldDiv, rankTailMax)
+		const interned = 1024
 		restored := func() *Dict {
-			d := RestoreDict(slices.Clone(vals[:n-tail]))
-			d.Lookup("")
-			for _, v := range vals[n-tail:] {
+			d := RestoreDict(slices.Clone(vals[:n-interned]))
+			d.BuildNormalIndex()
+			for _, v := range vals[n-interned:] {
 				d.Intern(v)
 			}
 			return d
 		}
 		d := restored()
-		for _, c := range []struct{ name, v string }{{"ranked", vals[n/2]}, {"tail", vals[n-1]}, {"miss", "no such name"}} {
+		for _, c := range []struct{ name, v string }{{"restored", vals[n/2]}, {"interned", vals[n-1]}, {"miss", "no such name"}} {
 			b.Run(fmt.Sprintf("%s/%dk", c.name, n/1000), func(b *testing.B) {
 				for b.Loop() {
 					d.Lookup(c.v)
@@ -516,29 +587,21 @@ func BenchmarkDictLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkDictBulkLoad prices what the bulk-load map buys: 40k
-// distinct values, each interned twice as a column of repeated cells
-// would, into a dictionary in bulk-load mode and into a sealed one,
-// which finds every value by search.
+// BenchmarkDictBulkLoad prices a bulk load: 40k distinct values, each
+// interned twice as a column of repeated cells would, into a new
+// dictionary, whose normal index grows by doubling as they come.
 func BenchmarkDictBulkLoad(b *testing.B) {
 	const n = 40000
 	vals := make([]string, n)
 	for i := range vals {
 		vals[i] = fmt.Sprintf("name %d of the dictionary", (i*7919)%n)
 	}
-	for _, sealed := range []bool{false, true} {
-		b.Run(map[bool]string{false: "map", true: "search"}[sealed], func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				d := newDict()
-				if sealed {
-					d.Seal()
-				}
-				for _, v := range vals {
-					d.Intern(v)
-					d.Intern(v)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for b.Loop() {
+		d := newDict()
+		for _, v := range vals {
+			d.Intern(v)
+			d.Intern(v)
+		}
 	}
 }

@@ -178,12 +178,11 @@ func TestSnapshotSaveLoadSaveIdentical(t *testing.T) {
 	}
 }
 
-// TestDictionariesHoldNoMap: the dictionaries of a built system, of one
-// that has taken inserts and of one loaded from its snapshot hold their
-// values once, in code order, with no bulk-load map beside them, and
-// find every value by their rank tables — a value an insert interned
-// included.
-func TestDictionariesHoldNoMap(t *testing.T) {
+// TestDictionariesFindEveryValue: the dictionaries of a built system,
+// of one that has taken inserts and of one loaded from its snapshot
+// find every value at its code through their normal indexes — a value
+// an insert interned included.
+func TestDictionariesFindEveryValue(t *testing.T) {
 	sys, _ := snapshotSystem(t)
 	check := func(state string, s *System) {
 		t.Helper()
@@ -193,9 +192,6 @@ func TestDictionariesHoldNoMap(t *testing.T) {
 				d := col.Dict()
 				if d == nil {
 					continue
-				}
-				if d.Bulk() {
-					t.Errorf("%s: %s.%s holds a bulk-load map", state, name, col.Name)
 				}
 				for code, v := range d.Values() {
 					if got, ok := d.Lookup(v); !ok || got != int32(code) {
@@ -207,7 +203,7 @@ func TestDictionariesHoldNoMap(t *testing.T) {
 	}
 	check("built", sys)
 	if err := sys.InsertBatchContext(context.Background(), []InsertOp{
-		{Rel: "person", Vals: []Value{IntVal(900003), StringVal("Interned By Search"), StringVal("Female"), IntVal(1975), IntVal(1)}},
+		{Rel: "person", Vals: []Value{IntVal(900003), StringVal("Interned By Probe"), StringVal("Female"), IntVal(1975), IntVal(1)}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +217,7 @@ func TestDictionariesHoldNoMap(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("loaded", loaded)
-	if _, ok := loaded.AlphaDB().DB().Relation("person").Column("name").Dict().Lookup("Interned By Search"); !ok {
+	if _, ok := loaded.AlphaDB().DB().Relation("person").Column("name").Dict().Lookup("Interned By Probe"); !ok {
 		t.Error("loaded: the inserted name is not found")
 	}
 }
