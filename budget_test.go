@@ -108,8 +108,8 @@ func TestBudgets(t *testing.T) {
 		{"ColdDiscoverMallocs", coldOverWarm, "mallocs", 10, "no grow, sort, dedup, densify or compact copy of a row set (28 at PR 23's parent, 6 after)"},
 		{"ColdDiscoverKB", coldOverWarm, "KB", 2, "each row set sized once from its statistic (3.2 KB at PR 23's parent, 1.4 after)"},
 		{"BuildMallocsPerRow", build, "mallocs/row", 0.41, "5% above the 0.39 of one flat adjacency a fact link and one normalization a dictionary code (1.09 with per-entity via lists and a map append a text cell, 1.74 with the derived relations stored, 3.59 with a map per entity, a string sort and a boxed append per row)"},
-		{"InsertBatchMB", insert, "MB", 0.56, "5% above the 0.53 MB of bumps that write a strength byte into chunks copied at their length (1.14 MB with last chunks copied with room for 256, 1.22 with 8-byte pairs, 1.52 with the derived relations stored, 1.69 with per-row code lists, 2.01 before flat 4-byte lists, 1.84 before the key table)"},
-		{"LoadBytesPerRow", load, "B/row", 89.5, "5% above the 85.2 B/row of entity lookup over the dictionaries' normal indexes and a code index a TEXT column (95.9 with the inverted index, 105.6 with 8-byte pairs, 173 with the derived relations stored, 190 with per-row code lists, 217 before chunked derived counts)"},
+		{"InsertBatchMB", insert, "MB", 0.37, "5% above the 0.35 MB of bumps into dense strength columns and chunk tables of 16-byte entries (0.53 MB with every value a pair list and 40-byte entries, bumps that write a strength byte into chunks copied at their length; 1.14 MB with last chunks copied with room for 256, 1.22 with 8-byte pairs, 1.52 with the derived relations stored, 1.69 with per-row code lists, 2.01 before flat 4-byte lists, 1.84 before the key table)"},
+		{"LoadBytesPerRow", load, "B/row", 73.7, "5% above the 70.2 B/row of dense strength columns for values a fifth of the entities hold and chunk tables of 16-byte entries (85.2 with every value a pair list and 40-byte entries, entity lookup over the dictionaries' normal indexes and a code index a TEXT column; 95.9 with the inverted index, 105.6 with 8-byte pairs, 173 with the derived relations stored, 190 with per-row code lists, 217 before chunked derived counts)"},
 	}
 	for _, b := range budgets {
 		t.Run(b.name, func(t *testing.T) {

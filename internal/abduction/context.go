@@ -279,13 +279,14 @@ func (a sharedAssoc) compareCode(code int32) int { return int(a.code) - int(code
 // degrees come precomputed from the shared example state. The shared
 // values intersect the way categoricalContexts' do: the example whose
 // walk reads the fewest first-fact rows seeds them with its strengths,
-// ascending by code — or, when that costs less, by a probe of the pair
-// list (StrengthOfCode) of each value of the dictionary — and every
-// other example keeps the shared values it has, by a probe of each, and
-// lowers their minimums. A walked fact row costs about two probes (200
-// against 100 ns at 4x), a domain is small (18 values at most in the
-// IMDb schema), and an entity can hold over a thousand fact rows. Values
-// decode to strings only when a filter is emitted.
+// ascending by code — or, when that costs less, by a probe
+// (StrengthOfCode) of each value of the dictionary — and every other
+// example keeps the shared values it has, by a probe of each, and
+// lowers their minimums. A walked fact row costs about two probes of a
+// pair list and twenty of a dense column (200 against 100 and 10 ns at
+// 4x), a domain is small (18 values at most in the IMDb schema), and an
+// entity can hold over a thousand fact rows. Values decode to strings
+// only when a filter is emitted.
 func derivedContexts(out []Context, st *exampleState, prop *adb.DerivedProperty, params Params) []Context {
 	var degree *adb.DerivedProperty
 	if params.NormalizeAssociation {
@@ -316,7 +317,8 @@ func derivedContexts(out []Context, st *exampleState, prop *adb.DerivedProperty,
 	}
 	reads, seed := sc.reads, st.seed
 	shared := sc.aggs[:0]
-	if values := prop.Dict().Len(); 2*reads[seed] > values {
+	values, dense := prop.Dict().Len(), prop.DenseValues()
+	if 20*reads[seed] > 10*(values-dense)+dense {
 		st.probes += values
 		for code := range int32(values) {
 			if count := prop.StrengthOfCode(st.rows[seed], code); count > 0 {

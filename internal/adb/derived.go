@@ -279,8 +279,24 @@ func (a *Epoch) deriveAll(derived []*DerivedProperty, adj adjacencies) {
 		}
 		taken[p.RelName] = true
 	}
-	index.RunBounded(len(derived), a.cfg.workers(), func(i int) { a.materializeDerived(derived[i], adj[derived[i].link()]) })
+	// A property's tabulation passes on to the next one its worker
+	// materializes: one buffer a worker, grown to the most pairs a
+	// property has, in place of one a property. The channel holds one
+	// slot a property, so a send never waits.
+	tabs := make(chan []tabbed, len(derived))
+	index.RunBounded(len(derived), a.cfg.workers(), func(i int) {
+		var tab []tabbed
+		select {
+		case tab = <-tabs:
+		default:
+		}
+		tabs <- a.materializeDerived(derived[i], adj[derived[i].link()], tab)
+	})
 }
+
+// tabbed is one (value, strength) pair of an entity's tabulation
+// (materializeDerived).
+type tabbed struct{ code, count int32 }
 
 // adjacency lists, for every row of a link's entity, the distinct via
 // rows the link's fact rows link it to, in the order of the first fact
@@ -381,15 +397,18 @@ func (a *Epoch) adjacencyOf(k link) adjacency {
 // and the snapshot load both run it (deriveAll). The tabulation never
 // leaves code space: each via row's contributions are listed once as
 // source-dictionary codes, and an entity's counts are summed in a dense
-// counter indexed by code, each code's (entity row, strength) pair
-// appended to the code's list (codeStats.appendPair), so every list is
-// in entity-row order. The codes are the source dictionary's, so no
+// counter indexed by code. The codes are the source dictionary's, so no
 // value is translated; Degree's one pseudo-code indexes a dictionary of
-// its own. A chunk of a pair
-// list's rows or strengths is its own allocation, so a chunk an insert
-// later replaces is freed on its own instead of being pinned by its
-// neighbors' array; the histograms, a few bytes a value, share one.
-func (a *Epoch) materializeDerived(p *DerivedProperty, adj *adjacency) {
+// its own. The pass counts each value's pairs and largest strength,
+// which pick its layout (denseAt) and size its histogram; then each
+// tabulated strength is written in place: a byte of the value's dense
+// column, one array a value, or a pair appended to its list
+// (codeStats.appendPair), so every list is in entity-row order. A chunk
+// of a pair list's rows or strengths is its own allocation, so a chunk
+// an insert later replaces is freed on its own instead of being pinned
+// by its neighbors' array; the histograms, a few bytes a value, share
+// one.
+func (a *Epoch) materializeDerived(p *DerivedProperty, adj *adjacency, tab []tabbed) []tabbed {
 	c := p.reader(a)
 	p.walk, p.dict = c, c.target.dict
 	if c.degree {
@@ -407,12 +426,18 @@ func (a *Epoch) materializeDerived(p *DerivedProperty, adj *adjacency) {
 	if len(codes) > 0 {
 		n = int(slices.Max(codes)) + 1
 	}
-	// count is the entity's strength for each value, top the largest
-	// strength of each value's list.
-	count, top := make([]int32, n), make([]int32, n)
-	touched := make([]int32, 0, n)
-	stats := make([]codeStats, n)
-	for eRow := range len(adj.offs) - 1 {
+	// The one pass over the adjacency tabulates each entity's strengths
+	// in a dense counter indexed by code (count, zeroed again for the
+	// next entity through touched) into tab, the caller's buffer, entity
+	// after entity: entity row e's (value, strength) pairs end at
+	// ends[e]. A via row gives most targets one code, so the adjacency's
+	// length is about what tab needs. Each value's pairs and largest
+	// strength are counted on the way.
+	entities := len(adj.offs) - 1
+	count, touched := make([]int32, n), make([]int32, 0, n)
+	tab, ends := slices.Grow(tab[:0], len(adj.vias)), make([]uint32, entities)
+	pairs, top := make([]int32, n), make([]int32, n)
+	for eRow := range entities {
 		touched = touched[:0]
 		for _, vRow := range adj.of(eRow) {
 			for _, code := range codes[offs[vRow]:offs[vRow+1]] {
@@ -423,24 +448,55 @@ func (a *Epoch) materializeDerived(p *DerivedProperty, adj *adjacency) {
 			}
 		}
 		for _, code := range touched {
-			stats[code].appendPair(uint32(eRow), int(count[code]))
+			tab = append(tab, tabbed{code, count[code]})
+			pairs[code]++
 			top[code] = max(top[code], count[code])
 			count[code] = 0
 		}
+		ends[eRow] = uint32(len(tab))
 	}
 	// One array holds every value's histogram, top[code] entries each.
 	total := 0
 	for _, m := range top {
 		total += int(m)
 	}
-	ge := make([]int32, total)
+	ge, hist := make([]int32, total), make([][]int32, n)
+	stats, cols := make([]codeStats, n), make([][]uint8, n)
 	for code, m := range top {
-		if m > 0 {
-			stats[code].deriveHistogram(ge[:m:m])
-			ge = ge[m:]
+		hist[code], ge = ge[:m:m], ge[m:]
+		if denseAt(int(pairs[code]), entities) {
+			cols[code] = make([]uint8, entities)
+			stats[code].dense = true
+			p.dense++
+		}
+	}
+	at := 0
+	for eRow, end := range ends {
+		for _, t := range tab[at:end] {
+			cs, k := &stats[t.code], int(t.count)
+			hist[t.code][k-1]++
+			if cs.dense {
+				cols[t.code][eRow] = uint8(min(k, saturated))
+				cs.noteOver(uint32(eRow), k)
+			} else {
+				cs.appendPair(uint32(eRow), k)
+			}
+		}
+		at = int(end)
+	}
+	for code, h := range hist {
+		for i := len(h) - 2; i >= 0; i-- {
+			h[i] += h[i+1]
+		}
+		if len(h) > 0 {
+			stats[code].ge = relation.ChunkedOf(h)
+		}
+		if stats[code].dense {
+			stats[code].strengths = relation.ChunkedOf(cols[code])
 		}
 	}
 	p.codes = relation.ChunkedOf(stats)
 	p.memo = newRowSetMemo(a.selCache)
 	p.schema = p.viewRows(a.Entities[p.Entity], []int32{})
+	return tab
 }

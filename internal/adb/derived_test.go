@@ -18,8 +18,10 @@ import (
 // value → strength per entity, the values of each entity in
 // sort.Strings order; the comparison is row by row. Every entity's walk
 // (AppendCounts) must give the reference's strengths too. The generated
-// schemas carry every shape the tabulation has a case for, and the test
-// fails if one of them stops occurring.
+// schemas carry every shape the tabulation has a case for, both value
+// layouts among them, and the test fails if one of them stops
+// occurring. Every value must answer in the other layout as in its own
+// (checkRelayout).
 func TestMaterializedDerivedMatchesReference(t *testing.T) {
 	var seen shapes
 	for seed := int64(1); seed <= 8; seed++ {
@@ -44,6 +46,8 @@ func TestMaterializedDerivedMatchesReference(t *testing.T) {
 		"an entity with no association":          seen.unassociated,
 		"an entity with two values to order":     seen.multiValued,
 		"a value dictionary out of string order": seen.unsortedDict,
+		"a value laid out as a dense column":     seen.dense,
+		"a value laid out as a pair list":        seen.list,
 	} {
 		if !ok {
 			t.Errorf("no fixture has %s", name)
@@ -54,6 +58,7 @@ func TestMaterializedDerivedMatchesReference(t *testing.T) {
 // shapes records which cases of the tabulation the fixtures reached.
 type shapes struct {
 	nullKey, repeatedPair, degree, factDim, selfEdge, unassociated, multiValued, unsortedDict bool
+	dense, list                                                                               bool
 }
 
 type derivedRow struct {
@@ -107,6 +112,11 @@ func checkDerivedReference(t *testing.T, a *AlphaDB, seen *shapes) {
 			seen.factDim = seen.factDim || p.Target.Type == FactDim && len(want) > 0
 			seen.selfEdge = seen.selfEdge || p.Via == p.Entity && len(want) > 0
 			seen.unsortedDict = seen.unsortedDict || !sort.StringsAreSorted(p.Dict().Values())
+			for _, cs := range p.codes.All() {
+				seen.dense = seen.dense || cs.dense && cs.pairs() > 0
+				seen.list = seen.list || !cs.dense && cs.pairs() > 0
+			}
+			checkRelayout(t, info, p)
 		}
 	}
 }

@@ -494,10 +494,11 @@ func (eb *epochBuilder) addContrib(entity string, i int, eRows []int) {
 // the writer's private clone of the property, copying on first touch
 // only what it writes. Raising a strength c → c+1 below 255 writes its
 // byte: one 256-byte strength chunk, the rows untouched. At or past 255
-// it writes the side table instead (codeStats.setStrength). A new pair
-// inserts into the row and strength vectors at one place, both
-// splitting a full chunk alike. The histogram gains one entity at
-// strength ≥ c+1.
+// it writes the side table instead (codeStats.setStrength). In a dense
+// column a new pair is a byte raised from 0, and a row past the
+// column's end is first appended; in a list a new pair inserts into the
+// row and strength vectors at one place, both splitting a full chunk
+// alike. The histogram gains one entity at strength ≥ c+1.
 func (eb *epochBuilder) bump(p *DerivedProperty, eRow int, code int32) {
 	eb.bumped++
 	g := eb.gen
@@ -505,15 +506,21 @@ func (eb *epochBuilder) bump(p *DerivedProperty, eRow int, code int32) {
 		p.codes.Append(g, codeStats{})
 	}
 	cs := p.codes.At(int(code))
-	// Pair list: insert in entity-row order (the invariant behind find
-	// and the merge intersection).
-	ci, off, has := cs.find(eRow, p.numEntities)
-	old := 0
-	if has {
-		old = cs.strengthAt(ci, off)
-		cs.setStrength(g, ci, off, old+1)
+	old, row := 0, uint32(eRow)
+	if cs.dense {
+		for cs.strengths.Len() <= eRow {
+			cs.strengths.Append(g, 0)
+		}
+		ci, off := cs.strengths.Locate(eRow)
+		old = cs.exact(cs.strengths.Chunk(ci)[off], row)
+		cs.setStrength(g, ci, off, row, old+1)
+	} else if ci, off, has := cs.find(eRow, p.numEntities); has {
+		old = cs.exact(cs.strengths.Chunk(ci)[off], row)
+		cs.setStrength(g, ci, off, row, old+1)
 	} else {
-		cs.insertPair(g, ci, off, uint32(eRow))
+		// Pair list: insert in entity-row order (the invariant behind
+		// find and the merge intersection).
+		cs.insertPair(g, ci, off, row)
 	}
 	// Histogram: one more entity at strength ≥ old+1.
 	for cs.ge.Len() <= old {

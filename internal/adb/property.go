@@ -18,9 +18,11 @@ package adb
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"iter"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -470,7 +472,9 @@ type DerivedProperty struct {
 	// re-points every property it clones at its publish.
 	walk derivedReader
 	// codes[code] holds the statistics of one value (see codeStats).
-	codes       relation.Chunked[codeStats]
+	codes relation.Chunked[codeStats]
+	// dense counts the values laid out as dense columns (denseAt).
+	dense       int
 	numEntities int
 	memo        *rowSetMemo
 	// schema is the derived relation's columns and keys with no row
@@ -479,28 +483,44 @@ type DerivedProperty struct {
 }
 
 // saturated is the strength byte of a pair whose strength is 255 or
-// more; its exact strength is in the list's side table.
+// more; its exact strength is in the value's side table.
 const saturated = math.MaxUint8
 
+// denseAt reports whether a value of the given number of pairs over
+// entities entities is laid out dense: when its pairs number at least a
+// fifth of the entities, the byte an entity of a dense column costs no
+// more than the five bytes a pair of a list.
+func denseAt(pairs, entities int) bool { return pairs > 0 && 5*pairs >= entities }
+
 // codeStats is what a derived property knows about one value code: its
-// pair list — the (entity row, strength) pairs of the entities
-// associated with the value, stored as two vectors in step and a side
-// table — and the histogram of their strengths.
+// (entity row, strength) pairs, in the layout that cost fewer bytes when
+// the value was laid out from nothing (denseAt, materializeDerived), a
+// side table, and the histogram of their strengths. A writer keeps a
+// value's layout; a value it adds starts as a list.
+//
+//   - A pair list (dense false) is rows and strengths, two vectors in
+//     step.
+//   - A dense column (dense true) is strengths alone, indexed by entity
+//     row: 0 for an entity the value is not associated with, and for
+//     the rows past its end, which a writer appends when it first bumps
+//     one. rows is empty.
 type codeStats struct {
-	// rows lists the entity rows sorted ascending — the invariant
-	// behind find and the merge-intersection of the abduction layer.
-	// The builder emits rows in order; incremental bumps insert in
-	// place.
+	// rows lists a pair list's entity rows sorted ascending — the
+	// invariant behind find and the merge-intersection of the
+	// abduction layer. The builder emits rows in order; incremental
+	// bumps insert in place.
 	rows relation.Chunked[uint32]
-	// strengths[i] is the strength of rows[i], one byte a pair: a
-	// strength of 255 or more reads saturated. It has the chunk
-	// boundaries of rows, since every write that adds a pair — the
-	// build's Append, an insert's InsertAt — adds it to both at the
-	// same place.
+	// strengths holds one byte a pair — a strength of 255 or more reads
+	// saturated. In a list strengths[i] is the strength of rows[i], with
+	// the chunk boundaries of rows, since every write that adds a pair —
+	// the build's Append, an insert's InsertAt — adds it to both at the
+	// same place. In a dense column strengths[r] is entity row r's, every
+	// chunk full but the last.
 	strengths relation.Chunked[uint8]
+	dense     bool
 	// over is the side table: the exact strength of every pair whose
 	// byte is saturated, sorted by entity row. It holds a few entries a
-	// list (173 over 184 lists at 4x the default IMDb), so a writer
+	// value (173 over 184 values at 4x the default IMDb), so a writer
 	// replaces it whole instead of sharing chunks of it.
 	over []valCount
 	// ge is the strength histogram in suffix-count form: ge[θ-1] is
@@ -511,46 +531,129 @@ type codeStats struct {
 	ge relation.Chunked[int32]
 }
 
-// appendPair adds a pair past the last one (build: entity rows come in
-// order).
+// appendPair adds a pair past the last one of a list (build: entity
+// rows come in order).
 func (cs *codeStats) appendPair(row uint32, count int) {
 	cs.rows.Append(nil, row)
 	cs.strengths.Append(nil, uint8(min(count, saturated)))
+	cs.noteOver(row, count)
+}
+
+// noteOver adds the side-table entry of a pair the build appends, when
+// its strength saturates the byte.
+func (cs *codeStats) noteOver(row uint32, count int) {
 	if count >= saturated {
 		cs.over = append(cs.over, valCount{entityRow: row, count: uint32(count)})
 	}
 }
 
-// deriveHistogram derives ge from a finished pair list into ge, zeroed
-// and as long as the list's largest strength; the histogram adopts it.
-func (cs *codeStats) deriveHistogram(ge []int32) {
-	for _, c := range cs.all() {
-		ge[c-1]++
+// pairs returns the number of entities associated with the value.
+func (cs *codeStats) pairs() int {
+	if !cs.dense {
+		return cs.rows.Len()
 	}
-	for i := len(ge) - 2; i >= 0; i-- {
-		ge[i] += ge[i+1]
+	if cs.ge.Len() == 0 {
+		return 0
 	}
-	cs.ge = relation.ChunkedOf(ge)
+	return int(cs.ge.At(0))
+}
+
+// byteOnes has a one in every byte; byteHigh the high bit of every byte.
+const (
+	byteOnes = 0x0101010101010101
+	byteHigh = 0x8080808080808080
+)
+
+// bytesAtLeast returns the high bit of every byte of w that is at least
+// the same byte of t, eight unsigned compares at once: the high bits
+// decide where they differ, and where they agree the low seven bits'
+// difference, which no byte borrows across, does.
+func bytesAtLeast(w, t uint64) uint64 {
+	return (w&^t | ^(w^t)&((w|byteHigh)-(t&^byteHigh))) & byteHigh
+}
+
+// gatherHigh packs the high bits of the eight bytes of m, as
+// bytesAtLeast returns them, into the low eight bits: bit i is byte i's.
+func gatherHigh(m uint64) uint64 { return (m >> 7) * 0x0102040810204080 >> 56 }
+
+// word8 reads eight bytes of b from i as a little-endian word, zeros
+// past its end.
+func word8(b []uint8, i int) uint64 {
+	if i+8 <= len(b) {
+		return binary.LittleEndian.Uint64(b[i:])
+	}
+	var w uint64
+	for k, x := range b[i:] {
+		w |= uint64(x) << (8 * k)
+	}
+	return w
 }
 
 // all iterates the pairs in entity-row order with their exact
-// strengths: the k-th saturated byte is the k-th side-table entry.
+// strengths: the k-th saturated byte is the k-th side-table entry. A
+// dense column is read a word at a time, its zero bytes skipped by mask.
 func (cs *codeStats) all() iter.Seq2[uint32, int] {
 	return func(yield func(uint32, int) bool) {
-		k := 0
-		for ci := range cs.rows.NumChunks() {
+		k, at := 0, 0
+		exact := func(b uint8) int {
+			if b != saturated {
+				return int(b)
+			}
+			k++
+			return int(cs.over[k-1].count)
+		}
+		for ci := range cs.strengths.NumChunks() {
 			strengths := cs.strengths.Chunk(ci)
-			for i, row := range cs.rows.Chunk(ci) {
-				c := int(strengths[i])
-				if c == saturated {
-					c = int(cs.over[k].count)
-					k++
+			if !cs.dense {
+				for i, row := range cs.rows.Chunk(ci) {
+					if !yield(row, exact(strengths[i])) {
+						return
+					}
 				}
-				if !yield(row, c) {
-					return
+				continue
+			}
+			for j := 0; j < len(strengths); j += 8 {
+				for m := bytesAtLeast(word8(strengths, j), byteOnes); m != 0; m &= m - 1 {
+					i := j + bits.TrailingZeros64(m)/8
+					if !yield(uint32(at+i), exact(strengths[i])) {
+						return
+					}
 				}
 			}
+			at += len(strengths)
 		}
+	}
+}
+
+// denseRows adds to s the entity rows of a dense column whose strength
+// byte is at least θ (1 ≤ θ ≤ 255), eight bytes a step: a high-bit mask
+// of the bytes ≥ θ, gathered into eight set bits, and 64 rows a word of
+// the set. A chunk starts on a multiple of 256 rows, so every word
+// does. A whole 64-byte block is read through an array pointer, which
+// drops word8's length test and takes a third off the scan
+// (BenchmarkDerivedStrength); only a column's last block can be short.
+func (cs *codeStats) denseRows(s *index.RowSet, theta int) {
+	t := uint64(theta) * byteOnes
+	at := 0
+	for ci := range cs.strengths.NumChunks() {
+		strengths := cs.strengths.Chunk(ci)
+		for j := 0; j < len(strengths); j += 64 {
+			var w uint64
+			if j+64 <= len(strengths) {
+				block := (*[64]uint8)(strengths[j : j+64])
+				for k := 0; k < 64; k += 8 {
+					w |= gatherHigh(bytesAtLeast(binary.LittleEndian.Uint64(block[k:k+8]), t)) << k
+				}
+			} else {
+				for k := j; k < len(strengths); k += 8 {
+					w |= gatherHigh(bytesAtLeast(word8(strengths, k), t)) << (k - j)
+				}
+			}
+			if w != 0 {
+				s.AddWord((at+j)>>6, w)
+			}
+		}
+		at += len(strengths)
 	}
 }
 
@@ -560,23 +663,22 @@ func (cs *codeStats) overAt(row uint32) (int, bool) {
 	return slices.BinarySearchFunc(cs.over, row, func(vc valCount, r uint32) int { return cmp.Compare(vc.entityRow, r) })
 }
 
-// strengthAt returns the exact strength of the pair at offset off of
-// chunk ci: its byte, or its side-table entry when the byte is
-// saturated.
-func (cs *codeStats) strengthAt(ci, off int) int {
-	if c := cs.strengths.Chunk(ci)[off]; c != saturated {
-		return int(c)
+// exact returns the exact strength of entity row row whose byte is b:
+// the byte, or the row's side-table entry when the byte reads saturated.
+func (cs *codeStats) exact(b uint8, row uint32) int {
+	if b != saturated {
+		return int(b)
 	}
-	i, _ := cs.overAt(cs.rows.Chunk(ci)[off])
+	i, _ := cs.overAt(row)
 	return int(cs.over[i].count)
 }
 
-// setStrength sets the strength of the pair at offset off of chunk ci
-// to c, which is not below its current strength. Below 255 that writes
-// the byte: the writer's generation copies one 256-byte strength chunk.
-// From 255 on the byte reads saturated and the side table, copied
-// whole, takes the exact strength.
-func (cs *codeStats) setStrength(g *relation.Gen, ci, off, c int) {
+// setStrength sets the strength of entity row row, whose byte is at
+// offset off of chunk ci, to c, which is not below its current
+// strength. Below 255 that writes the byte: the writer's generation
+// copies one 256-byte strength chunk. From 255 on the byte reads
+// saturated and the side table, copied whole, takes the exact strength.
+func (cs *codeStats) setStrength(g *relation.Gen, ci, off int, row uint32, c int) {
 	if c < saturated {
 		cs.strengths.SetAt(g, ci, off, uint8(c))
 		return
@@ -584,7 +686,7 @@ func (cs *codeStats) setStrength(g *relation.Gen, ci, off, c int) {
 	if cs.strengths.Chunk(ci)[off] != saturated {
 		cs.strengths.SetAt(g, ci, off, saturated)
 	}
-	vc := valCount{entityRow: cs.rows.Chunk(ci)[off], count: uint32(c)}
+	vc := valCount{entityRow: row, count: uint32(c)}
 	i, found := cs.overAt(vc.entityRow)
 	g.Charge(len(cs.over) * int(unsafe.Sizeof(vc)))
 	if found {
@@ -596,14 +698,14 @@ func (cs *codeStats) setStrength(g *relation.Gen, ci, off, c int) {
 }
 
 // insertPair inserts entity row row at strength 1 at offset off of
-// chunk ci, where find placed it: into both vectors, which split a
-// full chunk alike.
+// chunk ci of a list, where find placed it: into both vectors, which
+// split a full chunk alike.
 func (cs *codeStats) insertPair(g *relation.Gen, ci, off int, row uint32) {
 	cs.rows.InsertAt(g, ci, off, row)
 	cs.strengths.InsertAt(g, ci, off, 1)
 }
 
-// find locates entity row in the pair list, whose rows lie below
+// find locates entity row in a pair list, whose rows lie below
 // entities: the chunk and offset where its pair is (found) or belongs
 // (not found). It reads the row vector alone, sixteen rows a cache
 // line. A list's rows spread about evenly, so find starts where the
@@ -612,7 +714,6 @@ func (cs *codeStats) insertPair(g *relation.Gen, ci, off int, row uint32) {
 // then within the chunk from the rank between its first row and the
 // next chunk's. A probe reads about one line of rows, where a binary
 // search over the chunks' last rows and then within one read a dozen.
-// Derived contexts probe a pair list per example and shared value.
 func (cs *codeStats) find(row, entities int) (ci, off int, found bool) {
 	r, n := uint32(row), cs.rows.NumChunks()
 	if n == 0 || cs.rows.First(0) > r {
@@ -649,10 +750,10 @@ func (cs *codeStats) find(row, entities int) (ci, off int, found bool) {
 func (p *DerivedProperty) NumEntities() int { return p.numEntities }
 
 // PairBytes returns the bytes of the per-value statistics, counted
-// from their lengths: the code table, and for every value its pair list
-// — four bytes of entity row and one of strength a pair, each vector
-// with its chunk table, and eight bytes a side-table entry — and its
-// strength histogram.
+// from their lengths: the code table, and for every value its pairs —
+// four bytes of entity row and one of strength a pair of a list, one
+// byte an entity of a dense column, each vector with its chunk table,
+// and eight bytes a side-table entry — and its strength histogram.
 func (p *DerivedProperty) PairBytes() int64 {
 	n := p.codes.ByteSize()
 	for _, cs := range p.codes.All() {
@@ -660,6 +761,11 @@ func (p *DerivedProperty) PairBytes() int64 {
 	}
 	return n
 }
+
+// DenseValues returns how many of the property's values are laid out
+// as dense columns, whose probe is one byte load; every other value's
+// probe searches a pair list.
+func (p *DerivedProperty) DenseValues() int { return p.dense }
 
 // cloneForWrite returns a copy-on-write clone for one epoch's writer
 // (see BasicProperty.cloneForWrite): the per-code table, every pair
@@ -762,8 +868,9 @@ func (p *DerivedProperty) SelectivityOfCode(code int32, theta int) float64 {
 // the value of code at strength ≥ θ, in a set sized by the histogram's
 // count (ge[θ-1], ψ's numerator); a θ past the largest strength, or
 // NoCode, is the empty set without a walk. At θ ≤ 1 the set is the row
-// vector whole; up to 255 a walk compares the strength bytes; past 255
-// only the side table can hold a member, and the walk reads it alone.
+// vector whole; up to 255 a walk compares the strength bytes — a dense
+// column's eight at a step; past 255 only the side table can hold a
+// member, and the walk reads it alone.
 // Memoized under the value (kept on a miss when store is set), with
 // memo events attributed to sp; do not mutate the returned set.
 func (p *DerivedProperty) EntityRowSetWithStrength(code int32, theta int, sp trace.Span, store bool) *index.RowSet {
@@ -775,13 +882,16 @@ func (p *DerivedProperty) EntityRowSetWithStrength(code int32, theta int, sp tra
 		if cs == nil || theta > cs.ge.Len() {
 			return index.NewRowSet(p.numEntities, 0)
 		}
-		count := cs.rows.Len()
+		count := cs.pairs()
 		if theta >= 1 {
 			count = int(cs.ge.At(theta - 1))
 		}
 		s := index.NewRowSet(p.numEntities, count)
 		cells := cs.rows.Len()
 		switch {
+		case theta <= saturated && cs.dense:
+			cells = cs.strengths.Len()
+			cs.denseRows(s, max(theta, 1))
 		case theta <= 1:
 			for ci := range cs.rows.NumChunks() {
 				s.AddAll(cs.rows.Chunk(ci))
@@ -828,28 +938,35 @@ func (p *DerivedProperty) EntityRowSetWithNormStrength(code int32, thetaN float6
 		if cs == nil {
 			return index.NewRowSet(p.numEntities, 0)
 		}
-		s := index.NewRowSet(p.numEntities, cs.rows.Len())
+		pairs := cs.pairs()
+		s := index.NewRowSet(p.numEntities, pairs)
 		for row, c := range cs.all() {
 			if d := float64(degree.Degree(int(row))); d > 0 && float64(c)/d >= thetaN {
 				s.Add(int(row))
 			}
 		}
-		sp.Add(trace.CounterCellsStreamed, int64(cs.rows.Len()))
+		sp.Add(trace.CounterCellsStreamed, int64(pairs))
 		return s
 	})
 }
 
 // StrengthOfCode returns the association strength of the entity at row
-// for the value code (0 when unassociated): find over the row vector,
-// then the strength byte, and the side table only when the byte reads
-// saturated.
+// for the value code (0 when unassociated): one byte load from a dense
+// column, or find over a list's row vector and then its strength byte,
+// and the side table only when the byte reads saturated.
 func (p *DerivedProperty) StrengthOfCode(row int, code int32) int {
 	cs := p.statsOf(code)
-	if cs == nil {
+	switch {
+	case cs == nil:
+		return 0
+	case cs.dense:
+		if uint(row) < uint(cs.strengths.Len()) {
+			return cs.exact(cs.strengths.At(row), uint32(row))
+		}
 		return 0
 	}
 	if ci, off, found := cs.find(row, p.numEntities); found {
-		return cs.strengthAt(ci, off)
+		return cs.exact(cs.strengths.Chunk(ci)[off], uint32(row))
 	}
 	return 0
 }
@@ -863,7 +980,7 @@ func (p *DerivedProperty) Degree(row int) int { return p.StrengthOfCode(row, 0) 
 func (p *DerivedProperty) DistinctValues() []string {
 	var out []string
 	for code := 0; code < p.codes.Len(); code++ {
-		if p.codes.Ref(code).rows.Len() > 0 {
+		if p.codes.Ref(code).pairs() > 0 {
 			out = append(out, p.dict.Value(int32(code)))
 		}
 	}
@@ -872,10 +989,10 @@ func (p *DerivedProperty) DistinctValues() []string {
 }
 
 // viewRows lists the derived relation (entity_id, value, count) from
-// the pair lists in the cold build's order — entity row, then the
+// the values' pairs in the cold build's order — entity row, then the
 // value's rank — all of its rows when codes is nil, else those of the
-// given values: none is the schema. One value's rows are its pair list
-// as it stands; several values' are placed in rank order by a counting
+// given values: none is the schema. One value's rows are its pairs in
+// entity-row order as they stand; several values' are placed in rank order by a counting
 // sort on the entity row. info holds the entities' keys.
 func (p *DerivedProperty) viewRows(info *EntityInfo, codes []int32) *relation.Relation {
 	if codes == nil {
@@ -893,8 +1010,9 @@ func (p *DerivedProperty) viewRows(info *EntityInfo, codes []int32) *relation.Re
 		if cs == nil {
 			return true
 		}
-		n += cs.rows.Len()
-		return cs.rows.Len() == 0
+		pairs := cs.pairs()
+		n += pairs
+		return pairs == 0
 	})
 	p.dict.SortCodes(codes)
 	// offs[r] is the next slot of entity row r's rows.
@@ -902,7 +1020,7 @@ func (p *DerivedProperty) viewRows(info *EntityInfo, codes []int32) *relation.Re
 	if len(codes) > 1 {
 		offs = make([]int, p.numEntities+1)
 		for _, code := range codes {
-			for _, row := range p.statsOf(code).rows.All() {
+			for row := range p.statsOf(code).all() {
 				offs[row+1]++
 			}
 		}

@@ -10,15 +10,17 @@ import (
 	"squid/internal/trace"
 )
 
-// saturationDB is a cast of 600 persons over 420 movies, 400 of them
-// Comedy and 20 Drama. Persons 0 and 300 are in movies 0..253, so their
-// Comedy strength and their degree are 254; every other even person is
-// in one movie; odd persons are in none. Comedy's pair list then holds
-// the 300 even rows: a full first chunk (rows 0..510) and 44 more.
-func saturationDB() *relation.Database {
+// saturationDB is a cast of persons (600 or more) over 420 movies, 400
+// of them Comedy and 20 Drama. Persons 0 and 300 are in movies 0..253,
+// so their Comedy strength and their degree are 254; every other even
+// person below 600 is in one movie; odd persons, and those from 600 on,
+// are in none. Comedy then has the 300 even rows below 600: over 600
+// persons a dense column, over more than 1,500 a pair list of a full
+// first chunk (rows 0..510) and 44 more.
+func saturationDB(persons int64) *relation.Database {
 	db := relation.NewDatabase("saturation")
 	person := relation.New("person", relation.Col("id", relation.Int), relation.Col("name", relation.String)).SetPrimaryKey("id")
-	for id := range int64(600) {
+	for id := range persons {
 		person.MustAppend(relation.IntVal(id), relation.StringVal(fmt.Sprintf("person %d", id)))
 	}
 	db.AddRelation(person)
@@ -51,15 +53,26 @@ func saturationDB() *relation.Database {
 // TestSaturatedStrengthsMatchBuild drives strengths across the byte's
 // saturation point by inserts: person 0's Comedy strength goes 254 →
 // 255 → 256 → 257 and on to 300, one cast row a publish, and person
-// 300's crosses 255 in the publish that splits its full chunk, a new
-// pair inserted beside it. After every publish each derived property
-// must answer as a cold Build of the same rows does — every strength,
-// ψ and the row set at θ ∈ {1, 254, 255, 256, 257}, the normalized-θ
-// sets, the histogram and the view rows — and give the two persons the
-// strengths their cast rows make, which a build that clamps alike would
-// not.
+// 300's crosses 255 in the publish that adds a new pair beside it —
+// which, in a list, splits the full chunk that holds both. It runs over
+// Comedy as a pair list and as a dense column. After every publish each
+// derived property must answer as a cold Build of the same rows does —
+// every strength, ψ and the row set at θ ∈ {1, 254, 255, 256, 257}, the
+// normalized-θ sets, the histogram and the view rows — and give the two
+// persons the strengths their cast rows make, which a build that clamps
+// alike would not.
 func TestSaturatedStrengthsMatchBuild(t *testing.T) {
-	a, err := Build(saturationDB(), DefaultConfig())
+	for _, form := range []struct {
+		name    string
+		persons int64
+		dense   bool
+	}{{"list", 1600, false}, {"dense", 600, true}} {
+		t.Run(form.name, func(t *testing.T) { checkSaturation(t, form.persons, form.dense) })
+	}
+}
+
+func checkSaturation(t *testing.T, persons int64, dense bool) {
+	a, err := Build(saturationDB(persons), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +106,14 @@ func TestSaturatedStrengthsMatchBuild(t *testing.T) {
 				t.Fatalf("%s: person %d's Comedy strength is %d, its cast rows make %d", at, row, got, want)
 			}
 		}
-		if i == 1 {
-			// The new pair of person 301 split the chunk that holds
-			// person 300's, which crossed 255 in the same publish.
-			cs := p.statsOf(p.code("Comedy"))
-			if cs.rows.NumChunks() != 3 || len(cs.over) != 2 {
-				t.Fatalf("%s: Comedy's list is %d chunks with %d saturated pairs, want a split first chunk and two", at, cs.rows.NumChunks(), len(cs.over))
-			}
+		cs := p.statsOf(p.code("Comedy"))
+		if cs.dense != dense {
+			t.Fatalf("%s: Comedy is dense %v over %d persons, want %v", at, cs.dense, persons, dense)
+		}
+		if i == 1 && (len(cs.over) != 2 || !dense && cs.rows.NumChunks() != 3) {
+			// The new pair of person 301 split the chunk of a list that
+			// holds person 300's, which crossed 255 in the same publish.
+			t.Fatalf("%s: Comedy's list is %d chunks with %d saturated pairs, want a split first chunk (a list) and two", at, cs.rows.NumChunks(), len(cs.over))
 		}
 		if t.Failed() {
 			t.FailNow()
@@ -222,13 +236,20 @@ func pairOps(rng *rand.Rand, publishes int) []byte {
 // takes.
 var pairOpArgs = [4]int{0, 3, 4, 4}
 
-// pairChainStats records what one run of runPairChain exercised.
+// pairChainStats records what one run of runPairChain exercised: on
+// the dense value, new pairs (a byte raised from 0), rows past the
+// column's end, and strengths past 255.
 type pairChainStats struct {
 	generations, splits, saturated, sharedSaturations int
+	denseNew, denseGrown, denseSaturated              int
 }
 
-// pairEntities is the entity count of runPairChain's property.
-const pairEntities = 1200
+// pairEntities is the entity count of runPairChain's property;
+// pairDenseRows the length its dense value's column is built at.
+const (
+	pairEntities  = 1200
+	pairDenseRows = 1000
+)
 
 // pairModel is runPairChain's oracle: the strength of each (value,
 // entity row) pair, 0 for none.
@@ -237,14 +258,21 @@ type pairModel [3][pairEntities]int
 // runPairChain decodes ops into writer generations over one derived
 // property of three values: op 0 publishes, 1 bumps one (entity, value)
 // pair, 2 bumps one pair up to 256 times, 3 bumps up to 256 entity rows
-// from a start, once each. Every retired generation must still answer as
-// the oracle did at its publish.
+// from a start, once each. Value 0 starts as an empty pair list, value 1
+// as a dense column of pairDenseRows zero bytes, as a build lays out a
+// value before the entities past them were inserted, and value 2, past
+// the code table, is added as a list by its first bump. Every retired
+// generation must still answer as the oracle did at its publish.
 func runPairChain(t *testing.T, ops []byte) pairChainStats {
 	t.Helper()
 	live := &DerivedProperty{
 		numEntities: pairEntities,
 		dict:        relation.RestoreDict([]string{"a", "b", "c"}),
 		memo:        newRowSetMemo(&SelCache{}),
+		codes: relation.ChunkedOf([]codeStats{{}, {
+			dense: true, strengths: relation.ChunkedOf(make([]uint8, pairDenseRows)),
+		}}),
+		dense: 1,
 	}
 	// model[code][row] is the strength the oracle holds.
 	var model pairModel
@@ -254,6 +282,16 @@ func runPairChain(t *testing.T, ops []byte) pairChainStats {
 	eb := &epochBuilder{gen: new(relation.Gen)}
 	p := live.cloneForWrite()
 	bump := func(code int32, row int) {
+		if cs := p.statsOf(code); cs != nil && cs.dense {
+			switch {
+			case row >= cs.strengths.Len():
+				st.denseGrown++
+			case model[code][row] == 0:
+				st.denseNew++
+			case model[code][row] == saturated-1:
+				st.denseSaturated++
+			}
+		}
 		model[code][row]++
 		if model[code][row] == saturated {
 			st.saturated++
@@ -324,9 +362,10 @@ func split(cs *codeStats) bool {
 }
 
 // checkPairModel holds a generation of runPairChain's property to its
-// oracle: the lockstep chunk boundaries and the side table, find and
-// StrengthOfCode for every row, the histogram, and the row sets at the
-// strengths around the saturation point and the extremes.
+// oracle: a list's lockstep chunk boundaries and find, a dense column's
+// length, the side table, StrengthOfCode for every row, the pairs in
+// order (all), the histogram, and the row sets at the strengths around
+// the saturation point and the extremes.
 func checkPairModel(t *testing.T, at string, p *DerivedProperty, model *pairModel) {
 	t.Helper()
 	for code := range int32(3) {
@@ -344,8 +383,28 @@ func checkPairModel(t *testing.T, at string, p *DerivedProperty, model *pairMode
 			}
 			continue
 		}
-		if err := lockstep(cs); err != nil {
+		if cs.dense != (code == 1) {
+			t.Errorf("%s: value %d is dense %v", at, code, cs.dense)
+			return
+		}
+		if cs.dense && (cs.rows.Len() != 0 || cs.strengths.Len() < pairDenseRows || cs.strengths.Len() > pairEntities) {
+			t.Errorf("%s: dense value %d holds %d rows and %d bytes", at, code, cs.rows.Len(), cs.strengths.Len())
+			return
+		}
+		if err := lockstep(cs); !cs.dense && err != nil {
 			t.Errorf("%s: value %d: %v", at, code, err)
+			return
+		}
+		k := 0
+		for row, c := range cs.all() {
+			if k >= len(rows) || int(row) != rows[k] || c != strengths[row] {
+				t.Errorf("%s: value %d: pair %d is (%d, %d), the oracle's %d pairs differ", at, code, k, row, c, len(rows))
+				return
+			}
+			k++
+		}
+		if k != len(rows) || cs.pairs() != len(rows) {
+			t.Errorf("%s: value %d: %d pairs listed, %d counted, the oracle's %d", at, code, k, cs.pairs(), len(rows))
 			return
 		}
 		var over []valCount
@@ -361,6 +420,13 @@ func checkPairModel(t *testing.T, at string, p *DerivedProperty, model *pairMode
 		for row := range pairEntities {
 			want := strengths[row]
 			top = max(top, want)
+			if cs.dense {
+				if got := p.StrengthOfCode(row, code); got != want {
+					t.Errorf("%s: dense value %d: row %d's strength %d, the oracle's %d", at, code, row, got, want)
+					return
+				}
+				continue
+			}
 			ci, off, found := cs.find(row, pairEntities)
 			wci, woff := cs.rows.Search(func(r uint32) bool { return int(r) >= row })
 			if found != (want > 0) || ci != wci || off != woff {
@@ -394,21 +460,29 @@ func checkPairModel(t *testing.T, at string, p *DerivedProperty, model *pairMode
 }
 
 // TestDerivedPairsCloneChain drives 40 generations per seed and insists
-// the run split a chunk through a clone, saturated strengths, and wrote
-// a side table a retired generation still read.
+// each run split a chunk through a clone, saturated strengths, wrote a
+// side table a retired generation still read, and on the dense value
+// raised bytes from 0 and grew the column past its end, and that some
+// run saturated a byte of the dense value.
 func TestDerivedPairsCloneChain(t *testing.T) {
-	for seed := int64(1); seed <= 2; seed++ {
+	var dense pairChainStats
+	for seed := int64(1); seed <= 3; seed++ {
 		st := runPairChain(t, pairOps(rand.New(rand.NewSource(seed)), 40))
 		t.Logf("seed %d: %+v", seed, st)
-		if st.generations != 41 || st.splits == 0 || st.saturated == 0 || st.sharedSaturations == 0 {
+		if st.generations != 41 || st.splits == 0 || st.saturated == 0 || st.sharedSaturations == 0 || st.denseNew == 0 || st.denseGrown == 0 {
 			t.Errorf("seed %d exercised too little: %+v", seed, st)
 		}
+		dense.denseSaturated += st.denseSaturated
+	}
+	if dense.denseSaturated == 0 {
+		t.Error("no seed saturated a byte of the dense value")
 	}
 }
 
-// FuzzDerivedPairsCloneChain lets the fuzzer pick the interleaving.
+// FuzzDerivedPairsCloneChain lets the fuzzer pick the interleaving, over
+// a pair list and a dense column alike.
 func FuzzDerivedPairsCloneChain(f *testing.F) {
-	for seed := int64(1); seed <= 2; seed++ {
+	for seed := int64(1); seed <= 3; seed++ {
 		f.Add(pairOps(rand.New(rand.NewSource(seed)), 40))
 	}
 	f.Add([]byte{2, 0, 1, 2, 255, 2, 0, 1, 2, 255, 0, 3, 0, 0, 0, 255, 0})

@@ -54,15 +54,25 @@ func TestDecodeRejectsOutOfRangeBlocks(t *testing.T) {
 	const far = 1 << 20
 	// setPair overwrites one pair of person's movie:genre property, whose
 	// relation rows are (1, Comedy, 3), (2, Drama, 2), (3, Comedy, 1):
-	// the first pair of Comedy's list, Drama's, and Comedy's second.
+	// persons 1 to 3 are entity rows 0 to 2. Comedy, two pairs over six
+	// persons, is a dense column, whose bytes at the old and the damaged
+	// entity row are written; Drama is a list of one pair.
 	setPair := func(person *EntityInfo, row int, damage func(*valCount)) {
 		p := person.DerivedByAttr("movie:genre")
 		code, _ := p.LookupCode([]string{"Comedy", "Drama", "Comedy"}[row])
 		cs := p.codes.Ref(int(code))
-		vc := valCount{entityRow: cs.rows.At(row / 2), count: uint32(cs.strengthAt(0, row/2))}
-		damage(&vc)
-		cs.rows.SetAt(nil, 0, row/2, vc.entityRow)
-		cs.strengths.SetAt(nil, 0, row/2, uint8(min(vc.count, saturated)))
+		var vc valCount
+		if cs.dense {
+			vc = valCount{entityRow: uint32(row), count: uint32(cs.exact(cs.strengths.At(row), uint32(row)))}
+			damage(&vc)
+			cs.strengths.Set(nil, row, 0)
+			cs.strengths.Set(nil, int(vc.entityRow)%cs.strengths.Len(), uint8(min(vc.count, saturated)))
+		} else {
+			vc = valCount{entityRow: cs.rows.At(0), count: uint32(cs.exact(cs.strengths.At(0), cs.rows.At(0)))}
+			damage(&vc)
+			cs.rows.SetAt(nil, 0, 0, vc.entityRow)
+			cs.strengths.SetAt(nil, 0, 0, uint8(min(vc.count, saturated)))
+		}
 		if vc.count >= saturated {
 			cs.over = append(cs.over, vc)
 		}

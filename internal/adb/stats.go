@@ -156,7 +156,7 @@ func (a *Epoch) ComputeStats() Stats {
 		s.NumDerivedProp += len(e.Derived)
 		for _, p := range e.Derived {
 			for _, cs := range p.codes.All() {
-				s.DerivedRows += cs.rows.Len()
+				s.DerivedRows += cs.pairs()
 			}
 		}
 	}

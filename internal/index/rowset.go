@@ -281,6 +281,20 @@ func addAll[T int | uint32](s *RowSet, rows []T) {
 	s.maybeDensify()
 }
 
+// AddWord inserts row 64·wi+b for every set bit b of w: one 64-row word
+// of a scan that gathers its matches a word at a time. Into the dense
+// form within its span it is one OR; otherwise the rows go in one by
+// one, ascending.
+func (s *RowSet) AddWord(wi int, w uint64) {
+	if uint(wi) < uint(len(s.words)) {
+		s.words[wi] |= w
+		return
+	}
+	for ; w != 0; w &= w - 1 {
+		s.Add(wi<<6 | bits.TrailingZeros64(w))
+	}
+}
+
 // Contains reports membership.
 func (s *RowSet) Contains(row int) bool {
 	if s == nil || row < 0 {

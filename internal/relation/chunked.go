@@ -43,12 +43,44 @@ func (g *Gen) Charge(bytes int) {
 	}
 }
 
+// chunk is one entry of a chunk table, 16 bytes for 1- to 4-byte
+// elements: a pointer to the chunk's first element, its length, and its
+// capacity, whose top bit (ownedBit) says the chunk belongs to the
+// generation that owns the table — ownTable clears every bit when it
+// copies a table for a new generation.
 type chunk[T any] struct {
-	owner *Gen
-	data  []T
-	// first is data[0], kept in the table: a search of a sorted list
-	// picks its chunk from the table alone (First).
+	ptr *T
+	n   uint16
+	c   uint16
+	// first is the chunk's first element, kept in the table: a search of
+	// a sorted list picks its chunk from the table alone (First).
 	first T
+}
+
+// ownedBit marks, in a chunk's capacity, a chunk the table's generation
+// owns. Capacities stay at most chunkCap, far below it.
+const ownedBit = 1 << 15
+
+// data returns the chunk's elements.
+func (c *chunk[T]) data() []T { return unsafe.Slice(c.ptr, c.n) }
+
+func (c *chunk[T]) owned() bool { return c.c&ownedBit != 0 }
+
+func (c *chunk[T]) capacity() int { return int(c.c &^ ownedBit) }
+
+// set points the chunk at data, owned by the table's generation or not.
+func (c *chunk[T]) set(data []T, owned bool) {
+	c.ptr, c.n, c.c = unsafe.SliceData(data), uint16(len(data)), uint16(cap(data))
+	if owned {
+		c.c |= ownedBit
+	}
+}
+
+// newChunk returns an entry for data, owned by the table's generation.
+func newChunk[T any](data []T) chunk[T] {
+	c := chunk[T]{first: data[0]}
+	c.set(data, true)
+	return c
 }
 
 // Chunked is a vector stored as chunks of at most chunkCap elements,
@@ -82,7 +114,7 @@ func ChunkedOf[T any](flat []T) Chunked[T] {
 	v.chunks = make([]chunk[T], 0, (len(flat)+chunkCap-1)/chunkCap)
 	for off := 0; off < len(flat); off += chunkCap {
 		end := min(off+chunkCap, len(flat))
-		v.chunks = append(v.chunks, chunk[T]{data: flat[off:end:end], first: flat[off]})
+		v.chunks = append(v.chunks, newChunk(flat[off:end:end]))
 	}
 	return v
 }
@@ -100,7 +132,7 @@ func (v *Chunked[T]) ByteSize() int64 {
 func (v *Chunked[T]) NumChunks() int { return len(v.chunks) }
 
 // Chunk returns the ci-th chunk for reading; do not mutate.
-func (v *Chunked[T]) Chunk(ci int) []T { return v.chunks[ci].data }
+func (v *Chunked[T]) Chunk(ci int) []T { return v.chunks[ci].data() }
 
 // First returns the first element of the ci-th chunk, read from the
 // chunk table.
@@ -110,8 +142,8 @@ func (v *Chunked[T]) First(ci int) T { return v.chunks[ci].first }
 func (v *Chunked[T]) All() iter.Seq2[int, T] {
 	return func(yield func(int, T) bool) {
 		i := 0
-		for _, c := range v.chunks {
-			for _, x := range c.data {
+		for ci := range v.chunks {
+			for _, x := range v.chunks[ci].data() {
 				if !yield(i, x) {
 					return
 				}
@@ -121,13 +153,14 @@ func (v *Chunked[T]) All() iter.Seq2[int, T] {
 	}
 }
 
-// locate maps an element index to its chunk and offset.
-func (v *Chunked[T]) locate(i int) (ci, off int) {
+// Locate maps an element index to its chunk and offset: a division
+// unless an insert split a chunk.
+func (v *Chunked[T]) Locate(i int) (ci, off int) {
 	if !v.ragged {
 		return i / chunkCap, i % chunkCap
 	}
 	for ci = range v.chunks {
-		n := len(v.chunks[ci].data)
+		n := int(v.chunks[ci].n)
 		if i < n {
 			return ci, i
 		}
@@ -138,15 +171,15 @@ func (v *Chunked[T]) locate(i int) (ci, off int) {
 
 // At returns element i.
 func (v *Chunked[T]) At(i int) T {
-	ci, off := v.locate(i)
-	return v.chunks[ci].data[off]
+	ci, off := v.Locate(i)
+	return v.chunks[ci].data()[off]
 }
 
 // Ref returns a pointer to element i for reading without a copy; do not
 // write through it.
 func (v *Chunked[T]) Ref(i int) *T {
-	ci, off := v.locate(i)
-	return &v.chunks[ci].data[off]
+	ci, off := v.Locate(i)
+	return &v.chunks[ci].data()[off]
 }
 
 func elemSize[T any]() int {
@@ -154,39 +187,44 @@ func elemSize[T any]() int {
 	return int(unsafe.Sizeof(z))
 }
 
-// ownTable copies the chunk table on the generation's first write.
+// ownTable copies the chunk table on the generation's first write,
+// clearing every chunk's owned bit: the chunks still belong to the
+// generations that wrote them.
 func (v *Chunked[T]) ownTable(g *Gen) {
 	if v.owner != g {
 		g.Charge(len(v.chunks) * int(unsafe.Sizeof(chunk[T]{})))
-		v.chunks = append(make([]chunk[T], 0, len(v.chunks)+1), v.chunks...)
-		v.owner = g
+		chunks := append(make([]chunk[T], 0, len(v.chunks)+1), v.chunks...)
+		for i := range chunks {
+			chunks[i].c &^= ownedBit
+		}
+		v.chunks, v.owner = chunks, g
 	}
 }
 
 // ownChunk copies chunk ci on the generation's first write into it,
-// with room for size elements.
+// with room for size elements; the table is the generation's already.
 func (v *Chunked[T]) ownChunk(g *Gen, ci, size int) *chunk[T] {
 	c := &v.chunks[ci]
-	if c.owner != g {
-		data := make([]T, len(c.data), size)
-		copy(data, c.data)
+	if !c.owned() {
+		data := make([]T, c.n, size)
+		copy(data, c.data())
 		g.Charge(len(data) * elemSize[T]())
-		c.data, c.owner = data, g
+		c.set(data, true)
 	}
 	return c
 }
 
 // Set overwrites element i.
 func (v *Chunked[T]) Set(g *Gen, i int, x T) {
-	ci, off := v.locate(i)
+	ci, off := v.Locate(i)
 	v.SetAt(g, ci, off, x)
 }
 
 // SetAt overwrites the element at offset off of chunk ci.
 func (v *Chunked[T]) SetAt(g *Gen, ci, off int, x T) {
 	v.ownTable(g)
-	c := v.ownChunk(g, ci, len(v.chunks[ci].data))
-	c.data[off] = x
+	c := v.ownChunk(g, ci, int(v.chunks[ci].n))
+	c.data()[off] = x
 	if off == 0 {
 		c.first = x
 	}
@@ -199,27 +237,33 @@ func (v *Chunked[T]) SetAt(g *Gen, ci, off int, x T) {
 func (v *Chunked[T]) Append(g *Gen, x T) {
 	if v.ragged {
 		last := len(v.chunks) - 1
-		v.InsertAt(g, last, len(v.chunks[last].data), x)
+		v.InsertAt(g, last, int(v.chunks[last].n), x)
 		return
 	}
 	v.ownTable(g)
 	v.n++
-	if last := len(v.chunks) - 1; last >= 0 && len(v.chunks[last].data) < chunkCap {
+	if last := len(v.chunks) - 1; last >= 0 && v.chunks[last].n < chunkCap {
 		c := &v.chunks[last]
-		if len(c.data) == cap(c.data) {
+		if int(c.n) == c.capacity() {
 			// No spare capacity: cut from a decoded array, or copied
-			// tight by a SetAt. A shared chunk is copied with room to
-			// grow, so later appends stay in place; one the generation
-			// owns grows as a slice does.
-			c = v.ownChunk(g, last, chunkCap)
+			// tight by a SetAt. The chunk is copied with room to grow,
+			// so later appends stay in place; only a shared one is
+			// charged.
+			data := make([]T, c.n, chunkCap)
+			copy(data, c.data())
+			if !c.owned() {
+				g.Charge(len(data) * elemSize[T]())
+			}
+			c.set(data, true)
 		}
-		c.data = append(c.data, x)
+		*(*T)(unsafe.Add(unsafe.Pointer(c.ptr), uintptr(c.n)*unsafe.Sizeof(x))) = x
+		c.n++
 		return
 	}
 	if v.chunks == nil {
 		v.chunks = make([]chunk[T], 0, firstTableCap)
 	}
-	v.chunks = append(v.chunks, chunk[T]{owner: g, data: append(make([]T, 0, chunkCap), x), first: x})
+	v.chunks = append(v.chunks, newChunk(append(make([]T, 0, chunkCap), x)))
 }
 
 // Search returns the position of the first element of a sorted vector
@@ -232,13 +276,13 @@ func (v *Chunked[T]) Search(ge func(T) bool) (ci, off int) {
 		return 0, 0
 	}
 	ci = sort.Search(n, func(i int) bool {
-		d := v.chunks[i].data
+		d := v.chunks[i].data()
 		return ge(d[len(d)-1])
 	})
 	if ci == n {
-		return n - 1, len(v.chunks[n-1].data)
+		return n - 1, int(v.chunks[n-1].n)
 	}
-	d := v.chunks[ci].data
+	d := v.chunks[ci].data()
 	return ci, sort.Search(len(d), func(i int) bool { return ge(d[i]) })
 }
 
@@ -252,25 +296,24 @@ func (v *Chunked[T]) InsertAt(g *Gen, ci, off int, x T) {
 	v.ownTable(g)
 	v.n++
 	if len(v.chunks) == 0 || ci == len(v.chunks)-1 && off == chunkCap {
-		v.chunks = append(v.chunks, chunk[T]{owner: g, data: []T{x}, first: x})
+		v.chunks = append(v.chunks, newChunk([]T{x}))
 		return
 	}
 	c := &v.chunks[ci]
-	old := c.data
-	if c.owner != g {
+	old := c.data()
+	if !c.owned() {
 		g.Charge(len(old) * elemSize[T]())
 	}
 	data := make([]T, 0, len(old)+1)
 	data = append(append(append(data, old[:off]...), x), old[off:]...)
 	if len(old) < chunkCap {
-		c.data, c.owner, c.first = data, g, data[0]
+		*c = newChunk(data)
 		return
 	}
 	// Split: the chunkCap+1 elements become two chunks of half each,
 	// separately allocated so either can be freed on its own.
 	half := len(data) / 2
-	c.data, c.owner, c.first = slices.Clone(data[:half]), g, data[0]
-	right := chunk[T]{owner: g, data: slices.Clone(data[half:]), first: data[half]}
-	v.chunks = slices.Insert(v.chunks, ci+1, right)
+	*c = newChunk(slices.Clone(data[:half]))
+	v.chunks = slices.Insert(v.chunks, ci+1, newChunk(slices.Clone(data[half:])))
 	v.ragged = true
 }

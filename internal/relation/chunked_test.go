@@ -63,7 +63,7 @@ func runChunkedChain(t *testing.T, ops []byte) chunkedStats {
 		model.srt[at] = x
 	}
 	appendPos := func(x int) {
-		if n := live.pos.NumChunks(); n > 0 && live.pos.chunks[n-1].owner != g && len(live.pos.Chunk(n-1)) < cap(live.pos.Chunk(n-1)) {
+		if n := live.pos.NumChunks(); n > 0 && (live.pos.owner != g || !live.pos.chunks[n-1].owned()) && int(live.pos.chunks[n-1].n) < live.pos.chunks[n-1].capacity() {
 			st.sharedAppends++ // grows a chunk a retired generation still reads
 		}
 		live.pos.Append(g, x)
@@ -228,5 +228,20 @@ func TestChunkedSplitAndAppend(t *testing.T) {
 	v.Set(g2, chunkCap+3, -7)
 	if retiredV.At(chunkCap+3) != chunkCap+3 || v.At(chunkCap+3) != -7 {
 		t.Errorf("Set through a clone reached the retired vector")
+	}
+}
+
+// TestChunkTableEntryIs16Bytes pins the size of a chunk-table entry for
+// the element widths the αDB stores — what a writer's first write copies
+// per chunk of a shared table.
+func TestChunkTableEntryIs16Bytes(t *testing.T) {
+	for name, size := range map[string]uintptr{
+		"uint8":  unsafe.Sizeof(chunk[uint8]{}),
+		"int32":  unsafe.Sizeof(chunk[int32]{}),
+		"uint32": unsafe.Sizeof(chunk[uint32]{}),
+	} {
+		if size != 16 {
+			t.Errorf("a chunk-table entry of %s elements is %d bytes, want 16", name, size)
+		}
 	}
 }

@@ -98,25 +98,35 @@ const NoCode int32 = -1
 func newDict() *Dict { return &Dict{} }
 
 // Intern returns the code of v, assigning the next dense code on first
-// appearance: Lookup, then add on a miss. Callers must serialize Intern
-// with other Interns of the same dictionary (the αDB's write lock
-// does).
+// appearance: a lookup, then add on a miss with the hash the lookup
+// computed. Callers must serialize Intern with other Interns of the
+// same dictionary (the αDB's write lock does).
 func (d *Dict) Intern(v string) int32 {
-	if id, ok := d.Lookup(v); ok {
+	id, h, ok := d.lookup(v)
+	if ok {
 		return id
 	}
-	return d.add(v)
+	return d.add(v, h)
 }
 
-// add appends v, which the dictionary lacks, and publishes it. v's code
-// is in the normal index before v is published, so a reader that sees
-// the value finds its code.
-func (d *Dict) add(v string) int32 {
+// add appends v, which the dictionary lacks and whose normal form
+// hashes to h, and publishes it. v's code is in the normal index before
+// v is published, so a reader that sees the value finds its code. The
+// code is placed by h; only a relayout of the index normalizes the codes
+// again.
+func (d *Dict) add(v string, h uint64) int32 {
 	d.normalMu.Lock()
 	defer d.normalMu.Unlock()
 	id := int32(len(d.vals))
 	d.vals = append(d.vals, v)
-	d.normals.Store(d.normals.Load().covering(d.vals))
+	ix := d.normals.Load()
+	if ix == nil || ix.codes != int(id) || len(d.vals)*5 > len(ix.slots)*4 {
+		ix = ix.covering(d.vals)
+	} else {
+		ix.place(h, ix.codes)
+		ix.codes++
+	}
+	d.normals.Store(ix)
 	d.publish()
 	return id
 }
@@ -132,13 +142,20 @@ func (d *Dict) publish() {
 // bytes), and the one value among its normal form's candidates in the
 // normal index that equals v byte for byte is the answer.
 func (d *Dict) Lookup(v string) (int32, bool) {
+	id, _, ok := d.lookup(v)
+	return id, ok
+}
+
+// lookup is Lookup that also returns the hash of v's normal form.
+func (d *Dict) lookup(v string) (int32, uint64, bool) {
 	vals := d.Values()
 	ix := d.normalIndex() // after the values: it holds all their codes
 	var buf [64]byte
-	for p := ix.candidates(maphash.Bytes(normalSeed, AppendNormal(buf[:0], v)), len(vals)); ; {
+	h := maphash.Bytes(normalSeed, AppendNormal(buf[:0], v))
+	for p := ix.candidates(h, len(vals)); ; {
 		c, ok := p.next()
 		if !ok || vals[c] == v {
-			return c, ok
+			return c, h, ok
 		}
 	}
 }
@@ -384,15 +401,21 @@ func (ix *normalIndex) covering(vals []string) *normalIndex {
 		ix = newNormalIndex(2 * len(ix.slots))
 	}
 	for ; ix.codes < len(vals); ix.codes++ {
-		i, tag := ix.probe(maphash.String(normalSeed, normalize(vals[ix.codes])))
-		for ix.slots[i].Load() != 0 {
-			if i++; i == len(ix.slots) {
-				i = 0
-			}
-		}
-		ix.slots[i].Store(tag | int32(ix.codes+1))
+		ix.place(maphash.String(normalSeed, normalize(vals[ix.codes])), ix.codes)
 	}
 	return ix
+}
+
+// place stores code, whose normal form hashes to h, in the first empty
+// slot of its probe sequence.
+func (ix *normalIndex) place(h uint64, code int) {
+	i, tag := ix.probe(h)
+	for ix.slots[i].Load() != 0 {
+		if i++; i == len(ix.slots) {
+			i = 0
+		}
+	}
+	ix.slots[i].Store(tag | int32(code+1))
 }
 
 // tightSlots is the slot count of a table laid out from nothing over n
