@@ -74,7 +74,7 @@ func (a *Epoch) buildDerivedProperties(info *EntityInfo, fact1 string, fkToMe, f
 		// Numeric attributes of associated entities are not aggregated
 		// (see DESIGN.md: bucketed categorical columns such as decade
 		// stand in for them).
-		if col.Type == relation.String && a.keepCategorical(col.DistinctCount(), via.NumRows()) {
+		if col.Type == relation.String && a.keepCategorical(col.Dict().Len(), via.NumRows()) {
 			add(AccessPath{Type: Direct, Column: col.Name}, col.Name)
 		}
 	}

@@ -151,7 +151,7 @@ func (eb *epochBuilder) baseRel(name string) *relation.Relation {
 	if r := eb.baseRels[name]; r != nil {
 		return r
 	}
-	r := eb.base.DB.Relation(name).CloneForWrite()
+	r := eb.base.DB.Relation(name).CloneForWrite(eb.gen)
 	eb.baseRels[name] = r
 	clear(eb.readers)
 	return r

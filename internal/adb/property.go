@@ -1045,9 +1045,9 @@ func (p *DerivedProperty) viewRows(info *EntityInfo, codes []int32) *relation.Re
 	return relation.Restore(p.RelName, "",
 		[]relation.ForeignKey{{Column: "entity_id", RefRelation: p.Entity, RefColumn: info.PK}},
 		[]*relation.Column{
-			relation.RestoreIntColumn("entity_id", ids, nil),
+			relation.NewIntColumn("entity_id", ids),
 			relation.RestoreStringColumn("value", vals, p.dict, nil),
-			relation.RestoreIntColumn("count", counts, nil),
+			relation.NewIntColumn("count", counts),
 		}, n)
 }
 

@@ -376,7 +376,6 @@ type rowPred struct {
 	nulls  []bool
 	member *index.RowSet
 
-	ints  []int64
 	cells []float64
 	codes []int32
 	strs  []string // the dictionary's values, for a TEXT range
@@ -399,11 +398,9 @@ func bindPred(p Pred, col *relation.Column) (rowPred, error) {
 	rp := rowPred{Pred: p, col: col, nulls: col.RawNulls()}
 	text := col.Type == relation.String
 	switch col.Type {
-	case relation.Int:
-		rp.ints = col.RawInts()
 	case relation.Float:
 		rp.cells = col.RawFloats()
-	default:
+	case relation.String:
 		rp.codes = col.RawCodes()
 	}
 	if p.Op != OpEq && p.Op != OpIn {
@@ -473,7 +470,7 @@ func (p *rowPred) matches(row int) bool {
 	}
 	switch p.col.Type {
 	case relation.Int:
-		v := p.ints[row]
+		v := p.col.Int64(row)
 		if p.keys != nil {
 			if _, ok := slices.BinarySearch(p.keys, v); ok {
 				return true
@@ -1110,23 +1107,22 @@ func (k keyCol) textKey(c int32) int64 {
 }
 
 // keyBlocks reads the streamed side of a join a block of keys at a
-// time, straight from the column's storage: the words keyCol.key would
-// return, without its per-cell NULL test and kind switch. A
-// cell that has no key yields a word no table holds (a NaN's bits, -1
-// for a string the other dictionary lacks) — except a NULL cell, which
-// yields the zero its storage holds (NoCode for TEXT): the caller tests
-// the NULL bitmap of the few cells whose word is in the table.
+// time, straight from the column's storage into one buffer: the words
+// keyCol.key would return, without its per-cell NULL test and kind
+// switch. A cell that has no key yields a word no table holds (a NaN's
+// bits, -1 for a string the other dictionary lacks) — except a NULL
+// cell, which yields what its storage holds (an INTEGER column's base,
+// NoCode for TEXT): the caller tests the NULL flags of the few cells
+// whose word is in the table.
 type keyBlocks struct {
 	keyCol
 	// rows lists the side's rows in stream order; nil streams the first
 	// n rows of the column in row order.
 	rows  []int
 	n     int
-	ints  []int64
 	flts  []float64
 	codes []int32
-	// buf holds a gathered block; nil when blocks are views of ints.
-	buf []int64
+	buf   []int64
 }
 
 // newKeyBlocks streams the cells of k at rows — every row below n when
@@ -1137,16 +1133,12 @@ func newKeyBlocks(k keyCol, rows []int, n int) *keyBlocks {
 		b.n = len(rows)
 	}
 	switch c := k.col; c.Type {
-	case relation.Int:
-		b.ints = c.RawInts()
 	case relation.Float:
 		b.flts = c.RawFloats()
-	default:
+	case relation.String:
 		b.codes = c.RawCodes()
 	}
-	if k.kind != keyInt || rows != nil {
-		b.buf = make([]int64, min(b.n, ctxCheckRows))
-	}
+	b.buf = make([]int64, min(b.n, ctxCheckRows))
 	return b
 }
 
@@ -1159,20 +1151,21 @@ func (b *keyBlocks) row(i int) int {
 }
 
 // block returns the keys of cells [lo, hi) of the side, hi - lo at most
-// ctxCheckRows: a view of the storage for INTEGER keys streamed in row
-// order, gathered into the buffer otherwise. Valid until the next call.
+// ctxCheckRows, in the buffer: INTEGER keys streamed in row order are
+// decoded a block at a time (Column.ReadInt64s), every other side is
+// gathered a cell at a time. Valid until the next call.
 func (b *keyBlocks) block(lo, hi int) []int64 {
-	if b.buf == nil {
-		return b.ints[lo:hi]
-	}
 	buf, rows := b.buf[:hi-lo], b.rows
 	if rows != nil {
 		rows = rows[lo:hi]
 	}
 	switch b.kind {
 	case keyInt:
+		if rows == nil {
+			b.col.ReadInt64s(buf, lo)
+		}
 		for i, r := range rows {
-			buf[i] = b.ints[r]
+			buf[i] = b.col.Int64(r)
 		}
 	case keyFloat:
 		switch {

@@ -285,7 +285,7 @@ func TestRangePushdownAfterAppend(t *testing.T) {
 	if want := scanRows(items, preds); !reflect.DeepEqual(before, want) {
 		t.Fatalf("pre-append filterRows=%v want %v", before, want)
 	}
-	next := items.CloneForWrite()
+	next := items.CloneForWrite(nil)
 	delta := index.NewIndexDelta(pool, nil)
 	for i := 0; i < 10; i++ {
 		next.MustAppend(

@@ -143,7 +143,7 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 	var ints, ord *relation.Relation
 	var delta *IndexDelta
 	begin := func() {
-		ints, ord = cur.ints.CloneForWrite(), cur.ord.CloneForWrite()
+		ints, ord = cur.ints.CloneForWrite(nil), cur.ord.CloneForWrite(nil)
 		delta = NewIndexDelta(cur.set, new(relation.Gen))
 	}
 	publish := func() {

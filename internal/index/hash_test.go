@@ -162,7 +162,7 @@ func TestIntHashExtremeKeys(t *testing.T) {
 	set.AdoptIntHash(rel.Name, "k", BuildIntHash(rel, "k"))
 	var inserted []*int64
 	write := func(keys ...int64) *IntHash {
-		rel = rel.CloneForWrite()
+		rel = rel.CloneForWrite(nil)
 		d := NewIndexDelta(set, new(relation.Gen))
 		for _, k := range keys {
 			rel.MustAppend(relation.IntVal(k))

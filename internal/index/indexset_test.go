@@ -48,7 +48,7 @@ func TestIndexDeltaNoteAppend(t *testing.T) {
 	baseInt := BuildIntHash(rel, "id")
 	base.AdoptIntHash(rel.Name, "id", baseInt)
 
-	next := rel.CloneForWrite()
+	next := rel.CloneForWrite(nil)
 	delta := NewIndexDelta(base, nil)
 	if delta.ReadIntHash(next, "id") != baseInt {
 		t.Error("a read before any append did not serve the base's index")

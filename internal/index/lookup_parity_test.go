@@ -228,7 +228,7 @@ func TestCommonColumnsMatchesMapOracle(t *testing.T) {
 			name := names[rng.Intn(len(names))]
 			r := written[name]
 			if r == nil {
-				r = prev.db.Relation(name).CloneForWrite()
+				r = prev.db.Relation(name).CloneForWrite(nil)
 				written[name] = r
 			}
 			vals := make([]relation.Value, r.NumCols())

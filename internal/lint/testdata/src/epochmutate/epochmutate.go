@@ -89,7 +89,7 @@ func freshConstruction() *adb.Epoch {
 
 // CloneForWrite is the sanctioned escape hatch: the clone is private.
 func cloneThenMutate(e *adb.Epoch) {
-	r := e.DB.Relation("movie").CloneForWrite()
+	r := e.DB.Relation("movie").CloneForWrite(nil)
 	r.MustAppend()
 }
 

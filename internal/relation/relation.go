@@ -24,6 +24,9 @@ type Relation struct {
 	cols    []*Column
 	colIdx  map[string]int
 	numRows int
+	// gen is the writer generation of a CloneForWrite clone: an append
+	// that relays a column charges the copy to it.
+	gen *Gen
 }
 
 // New creates an empty relation with the given columns.
@@ -75,16 +78,18 @@ func Restore(name, primaryKey string, fks []ForeignKey, cols []*Column, numRows 
 	return r
 }
 
-// CloneForWrite returns a copy-on-write clone of the relation for one
-// epoch's writer, in O(columns): the column headers are copied, and the
-// cell storage, the dictionaries, the column-name index and the key
+// CloneForWrite returns a copy-on-write clone of the relation for the
+// writer generation g, in O(columns): the column headers are copied, and
+// the cell storage, the dictionaries, the column-name index and the key
 // metadata are shared. Appends on the clone write only past the
 // original's length (into shared spare capacity or a reallocated
 // array), which no reader of the original indexes; one writer at a time
 // appends, and epochs form a linear chain, so each storage index is
-// written at most once.
-func (r *Relation) CloneForWrite() *Relation {
+// written at most once. An append that relays an INTEGER column writes
+// a new array, charged to g.
+func (r *Relation) CloneForWrite(g *Gen) *Relation {
 	q := *r
+	q.gen = g
 	q.cols = make([]*Column, len(r.cols))
 	for i, c := range r.cols {
 		col := *c
@@ -157,7 +162,7 @@ func (r *Relation) Append(vals ...Value) error {
 		return err
 	}
 	for i, v := range vals {
-		if err := r.cols[i].Append(v); err != nil {
+		if err := r.cols[i].append(r.gen, v); err != nil {
 			return err
 		}
 	}

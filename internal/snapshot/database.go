@@ -1,12 +1,15 @@
 package snapshot
 
 import (
+	"slices"
+
 	"squid/internal/relation"
 )
 
 // WriteDatabase serializes a database: relations in insertion order
-// (schema, dictionary-encoded column storage, NULL bitmaps) followed by
-// the entity/property kind annotations.
+// (schema, NULL bitmaps, column storage: INTEGER as a base and offsets,
+// TEXT dictionary-encoded) followed by the entity/property kind
+// annotations.
 func WriteDatabase(w *Writer, db *relation.Database) {
 	w.String(db.Name)
 	names := db.RelationNames()
@@ -119,7 +122,10 @@ func writeColumn(w *Writer, c *relation.Column) {
 	w.Bools(c.RawNulls())
 	switch c.Type {
 	case relation.Int:
-		w.Int64s(c.RawInts())
+		base, width, offs := c.IntLayout()
+		w.Varint(base)
+		w.Uvarint(uint64(width))
+		w.Block(offs)
 	case relation.Float:
 		w.Floats(c.RawFloats())
 	default:
@@ -145,11 +151,29 @@ func readColumn(r *Reader, numRows int) *relation.Column {
 	}
 	switch typ {
 	case relation.Int:
-		ints := r.Int64s()
-		if r.Err() != nil || !check(len(ints)) {
+		base, width := r.Varint(), r.Uvarint()
+		if r.Err() == nil && width != 1 && width != 2 && width != 4 && width != 8 {
+			r.Fail("column %q: offsets %d bytes wide", name, width)
+		}
+		if r.Err() == nil && (numRows < 0 || numRows > maxLen) {
+			r.Fail("column %q: %d cells", name, numRows)
+		}
+		if r.Err() != nil {
 			return nil
 		}
-		return relation.RestoreIntColumn(name, ints, nulls)
+		offs := r.Block(numRows * int(width))
+		if r.Err() != nil {
+			return nil
+		}
+		for row, null := range nulls {
+			// A NULL cell's offset is 0, so the file is a function of the
+			// cells (relation.Column.IntLayout).
+			if null && slices.ContainsFunc(offs[row*int(width):(row+1)*int(width)], func(b byte) bool { return b != 0 }) {
+				r.Fail("column %q: NULL cell in row %d holds an offset", name, row)
+				return nil
+			}
+		}
+		return relation.RestoreIntColumn(name, base, int(width), offs, nulls)
 	case relation.Float:
 		flts := r.Floats()
 		if r.Err() != nil || !check(len(flts)) {

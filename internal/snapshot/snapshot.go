@@ -60,8 +60,10 @@ const Magic = "SQAS"
 // v7 dropped the derived relations, which load materializes from the
 // base database, and added the CRC32 trailer; v8 dropped the categorical
 // properties' per-row value codes, which load folds from the base
-// database, and the building process's worker count.
-const Version = 8
+// database, and the building process's worker count; v9 stores an
+// INTEGER column as a base, an offset width of 1, 2, 4 or 8 bytes and
+// one offset a row, where v8 stored 8 bytes a cell.
+const Version = 9
 
 // ErrVersion reports a snapshot whose format version does not match
 // this build's Version.
@@ -183,20 +185,10 @@ func (w *Writer) Floats(xs []float64) {
 	w.raw(buf)
 }
 
-// Int64s writes an int64 slice as one fixed-width block (column
-// payloads decode with a straight 8-byte loop, no varint branching).
-func (w *Writer) Int64s(xs []int64) {
-	w.Uvarint(uint64(len(xs)))
-	if len(xs) == 0 {
-		return
-	}
-	buf := w.scratch[:0]
-	for _, x := range xs {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
-	}
-	w.scratch = buf
-	w.raw(buf)
-}
+// Block writes b as it is, with no length prefix: a block whose length
+// the reader knows from what precedes it (an INTEGER column's offsets,
+// a row count times their width).
+func (w *Writer) Block(b []byte) { w.raw(b) }
 
 // Int32s writes an int32 slice as one fixed-width block (two's
 // complement, so dictionary codes including the NoCode sentinel round
@@ -424,21 +416,14 @@ func (r *Reader) Floats() []float64 {
 	return out
 }
 
-// Int64s reads a fixed-width int64 block.
-func (r *Reader) Int64s() []int64 {
-	n := r.Len()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	buf := r.take(n * 8)
+// Block reads n bytes that Writer.Block wrote into a slice of their
+// own, which the caller adopts.
+func (r *Reader) Block(n int) []byte {
+	buf := r.take(n)
 	if r.err != nil {
 		return nil
 	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-	return out
+	return append(make([]byte, 0, n), buf...)
 }
 
 // Int32s reads a fixed-width int32 block.

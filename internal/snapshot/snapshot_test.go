@@ -22,7 +22,7 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	w.String("héllo\x00world")
 	w.Strings([]string{"a", "", "c"})
 	w.Floats([]float64{0, -1.5, math.Inf(1)})
-	w.Int64s([]int64{math.MinInt64, math.MaxInt64})
+	w.Block([]byte{0, 1, 0xff})
 	w.Int32s([]int32{-1, 0, 7})
 	w.Bools([]bool{true, false, true, true, false, true, false, false, true})
 	if err := w.Flush(); err != nil {
@@ -52,8 +52,8 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	if got := r.Floats(); !reflect.DeepEqual(got, []float64{0, -1.5, math.Inf(1)}) {
 		t.Errorf("Floats=%v", got)
 	}
-	if got := r.Int64s(); !reflect.DeepEqual(got, []int64{math.MinInt64, math.MaxInt64}) {
-		t.Errorf("Int64s=%v", got)
+	if got := r.Block(3); !reflect.DeepEqual(got, []byte{0, 1, 0xff}) {
+		t.Errorf("Block=%v", got)
 	}
 	if got := r.Int32s(); !reflect.DeepEqual(got, []int32{-1, 0, 7}) {
 		t.Errorf("Int32s=%v", got)
@@ -185,7 +185,7 @@ func TestDatabaseRoundTrip(t *testing.T) {
 // ReadDatabase checks each where it reads it.
 func TestReadDatabaseRejects(t *testing.T) {
 	cols := func() []*relation.Column {
-		return []*relation.Column{relation.RestoreIntColumn("id", []int64{7}, nil)}
+		return []*relation.Column{relation.NewIntColumn("id", []int64{7})}
 	}
 	one := func(rels ...*relation.Relation) *relation.Database {
 		db := relation.NewDatabase("d")
@@ -218,7 +218,7 @@ func TestReadDatabaseRejects(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	WriteDatabase(w, one(
-		relation.Restore("r1", "", nil, []*relation.Column{relation.RestoreIntColumn("c1", nil, nil), relation.RestoreIntColumn("c2", nil, nil)}, 0),
+		relation.Restore("r1", "", nil, []*relation.Column{relation.NewIntColumn("c1", nil), relation.NewIntColumn("c2", nil)}, 0),
 		relation.Restore("r2", "", nil, nil, 0)))
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -42,6 +43,23 @@ func fuzzDB() *Database {
 	return db
 }
 
+// fuzzWideDB is fuzzDB with a relation of INTEGER columns laid out at
+// each offset width — 2, 4 and 8 bytes, one of them holding a NULL — so
+// a seed of its snapshot carries every width the decoder checks.
+func fuzzWideDB() *Database {
+	db := fuzzDB()
+	wide := NewRelation("stamps", Col("id", Int), Col("w2", Int), Col("w4", Int), Col("wide", Int)).SetPrimaryKey("id")
+	for i := int64(0); i < 6; i++ {
+		w4 := IntVal(-i << 20)
+		if i == 3 {
+			w4 = Null
+		}
+		wide.MustAppend(IntVal(i), IntVal(1000*i), w4, IntVal(math.MaxInt64-i<<40))
+	}
+	db.AddRelation(wide)
+	return db
+}
+
 // fuzzExampleSets are example sets over fuzzDB whose discoveries between
 // them select an attribute-table filter, a derived one and a numeric
 // range.
@@ -60,28 +78,23 @@ var fuzzExampleSets = [][]string{
 // (TestSnapshotCorpusDamageFailsLoad), so each input is also loaded with
 // its trailer recomputed, which a hand-edited file can carry. The
 // committed corpus
-// (testdata/fuzz/FuzzSnapshotDecode) is a valid v8 stream of fuzzDB, the
+// (testdata/fuzz/FuzzSnapshotDecode) is a valid v9 stream of fuzzDB, the
 // same stream cut at ¼, ½, ¾ and one byte short, and with the low bit
 // flipped at each of the eight offsets (2i+1)/16 of its length; the
-// live stream is added as well, so the fuzzer starts from a loadable
-// input even after the format moves past the corpus.
+// live streams of fuzzDB and fuzzWideDB are added as well, so the
+// fuzzer starts from loadable inputs, with INTEGER columns of every
+// offset width, even after the format moves past the corpus.
 func FuzzSnapshotDecode(f *testing.F) {
-	sys, err := Build(fuzzDB(), DefaultBuildConfig())
-	if err != nil {
-		f.Fatal(err)
+	for _, db := range []*Database{fuzzDB(), fuzzWideDB()} {
+		f.Add(savedBytes(f, db))
 	}
-	var buf bytes.Buffer
-	if err := sys.Save(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The bytes load as they are and resealed — the last four replaced
 		// by the CRC32 of the rest, as a hand-edited file re-checksummed
 		// would be — so what the trailer guards stays reachable.
 		inputs := [][]byte{data}
-		if n := len(data) - 4; n >= 0 {
-			inputs = append(inputs, binary.LittleEndian.AppendUint32(slices.Clone(data[:n]), crc32.ChecksumIEEE(data[:n])))
+		if len(data) >= 4 {
+			inputs = append(inputs, reseal(data))
 		}
 		for _, in := range inputs {
 			sys, err := Load(bytes.NewReader(in))
@@ -99,6 +112,60 @@ func FuzzSnapshotDecode(f *testing.F) {
 			_, _ = sys.DiscoverContext(context.Background(), []string{"Fuzz Researcher", "Dan Suciu"})
 		}
 	})
+}
+
+// savedBytes is the snapshot of a system built over db.
+func savedBytes(tb testing.TB, db *Database) []byte {
+	tb.Helper()
+	sys, err := Build(db, DefaultBuildConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sys.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// reseal replaces the last four bytes of a stream with the CRC32 of the
+// rest, as a hand-edited file re-checksummed would carry.
+func reseal(data []byte) []byte {
+	n := len(data) - 4
+	return binary.LittleEndian.AppendUint32(slices.Clone(data[:n]), crc32.ChecksumIEEE(data[:n]))
+}
+
+// TestLoadRejectsDamagedIntColumn: an INTEGER column's offset width
+// outside {1, 2, 4, 8}, or its offset block cut short, is an error from
+// Load, not a panic, even under a valid trailer.
+func TestLoadRejectsDamagedIntColumn(t *testing.T) {
+	data := savedBytes(t, fuzzWideDB())
+	// The column "wide": its name, type INTEGER (0) and no NULL flags (a
+	// count of 0), then its base and its width.
+	at := bytes.Index(data, []byte("\x04wide\x00\x00"))
+	if at < 0 {
+		t.Fatal("no column wide in the stream")
+	}
+	_, n := binary.Varint(data[at+7:])
+	widthAt := at + 7 + n
+	if data[widthAt] != 8 {
+		t.Fatalf("column wide is %d bytes wide, want 8", data[widthAt])
+	}
+	if _, err := Load(bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	for _, width := range []byte{0, 3, 5, 16} {
+		bad := slices.Clone(data)
+		bad[widthAt] = width
+		if _, err := Load(bytes.NewReader(reseal(bad))); err == nil {
+			t.Errorf("width %d loaded", width)
+		}
+	}
+	for _, cut := range []int{1, 8, 6*8 - 1} {
+		if _, err := Load(bytes.NewReader(reseal(append(slices.Clone(data[:widthAt+cut]), 0, 0, 0, 0)))); err == nil {
+			t.Errorf("the offsets cut at byte %d loaded", cut-1)
+		}
+	}
 }
 
 // TestSnapshotCorpusDamageFailsLoad holds the committed FuzzSnapshotDecode

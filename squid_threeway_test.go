@@ -457,7 +457,10 @@ func checkStrengthHistograms(t *testing.T, label string, a *adb.AlphaDB) {
 // hash tail folds past max(64, base/8) keys): three chunks of person
 // rows, derived pair lists of several chunks that take mid-list inserts
 // (a split), and enough castinfo publishes to fold the derived
-// relations' entity-id indexes more than twice.
+// relations' entity-id indexes more than twice. Both arms insert ids
+// past a million into id columns laid out two bytes wide, so inserts
+// relay INTEGER columns at a wider width; each arm counts the columns a
+// publish widened and fails if none did.
 func TestRandomIngestThreeWay(t *testing.T) {
 	t.Run("small", func(t *testing.T) {
 		threeWay(t, datagen.IMDbConfig{Seed: 11, NumPersons: 300, NumMovies: 150, NumCompany: 10}, 12)
@@ -491,12 +494,22 @@ func threeWay(t *testing.T, cfg datagen.IMDbConfig, publishes int) {
 	seq0 := sys.AlphaDB().EpochStats().Seq
 	go func() { labelErr <- labelIngest(sys, rand.New(rand.NewSource(7)), seq0, followed, done) }()
 	rng := rand.New(rand.NewSource(20190625))
+	widths, relayouts := intWidths(sys.AlphaDB().DB()), 0
 	rows := randomIngest(t, sys, rng, publishes, func(k int) {
 		if k == 0 {
 			<-followed
 		}
 		// Every publish's paths walk what a cold build of its rows folds.
 		ep := sys.AlphaDB().Snapshot()
+		// A relay only widens, and a clone keeps its width: a column wider
+		// than at the last publish was relaid since.
+		now := intWidths(ep.DB)
+		for col, w := range now {
+			if w > widths[col] {
+				relayouts++
+			}
+		}
+		widths = now
 		cold, err := Build(ep.DB, DefaultBuildConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -509,6 +522,10 @@ func threeWay(t *testing.T, cfg datagen.IMDbConfig, publishes int) {
 	}
 	if rows < 200 {
 		t.Fatalf("sequence too small: %d rows", rows)
+	}
+	t.Logf("%d rows inserted, %d INTEGER columns relaid wider", rows, relayouts)
+	if relayouts == 0 {
+		t.Fatal("no insert relaid an INTEGER column")
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -577,6 +594,20 @@ func threeWay(t *testing.T, cfg datagen.IMDbConfig, publishes int) {
 	if intents < 8 {
 		t.Fatalf("only %d benchmark intents had enough ground truth", intents)
 	}
+}
+
+// intWidths maps each INTEGER column of db, as "relation.column", to
+// the bytes of its offsets.
+func intWidths(db *relation.Database) map[string]int {
+	out := map[string]int{}
+	for _, name := range db.RelationNames() {
+		for _, c := range db.Relation(name).Columns() {
+			if c.Type == relation.Int {
+				out[name+"."+c.Name] = c.Width()
+			}
+		}
+	}
+	return out
 }
 
 // checkCategoricalCodes holds every categorical property of got to
