@@ -1004,14 +1004,14 @@ func (p *DerivedProperty) viewRows(info *EntityInfo, codes []int32) *relation.Re
 		slices.Sort(codes)
 		codes = slices.Compact(codes)
 	}
-	n := 0
+	n, top := 0, 0
 	codes = slices.DeleteFunc(codes, func(c int32) bool {
 		cs := p.statsOf(c)
 		if cs == nil {
 			return true
 		}
 		pairs := cs.pairs()
-		n += pairs
+		n, top = n+pairs, max(top, cs.ge.Len())
 		return pairs == 0
 	})
 	p.dict.SortCodes(codes)
@@ -1028,8 +1028,9 @@ func (p *DerivedProperty) viewRows(info *EntityInfo, codes []int32) *relation.Re
 			offs[r+1] += offs[r]
 		}
 	}
-	ids, vals, counts := make([]int64, n), make([]int32, n), make([]int64, n)
-	pk := info.rel.Column(info.PK)
+	// A value's histogram is as long as its largest strength: the counts
+	// are laid out for 1 to top before the first is written.
+	rows, vals, counts := make([]uint32, n), make([]int32, n), relation.MakeIntColumn("count", 1, int64(top), n)
 	at := 0
 	for _, code := range codes {
 		for row, c := range p.statsOf(code).all() {
@@ -1038,16 +1039,17 @@ func (p *DerivedProperty) viewRows(info *EntityInfo, codes []int32) *relation.Re
 				i = offs[row]
 				offs[row]++
 			}
-			ids[i], vals[i], counts[i] = pk.Int64(int(row)), code, int64(c)
+			rows[i], vals[i] = row, code
+			counts.PutInt64(i, int64(c))
 			at++
 		}
 	}
 	return relation.Restore(p.RelName, "",
 		[]relation.ForeignKey{{Column: "entity_id", RefRelation: p.Entity, RefColumn: info.PK}},
 		[]*relation.Column{
-			relation.NewIntColumn("entity_id", ids),
+			relation.GatherIntColumn("entity_id", info.rel.Column(info.PK), rows),
 			relation.RestoreStringColumn("value", vals, p.dict, nil),
-			relation.NewIntColumn("count", counts),
+			counts,
 		}, n)
 }
 

@@ -47,19 +47,38 @@ func NewColumn(name string, t ColType) *Column {
 	return c
 }
 
-// NewIntColumn creates an INTEGER column holding vals, no NULL among
-// them, laid out at the width their range takes.
-func NewIntColumn(name string, vals []int64) *Column {
+// MakeIntColumn creates an INTEGER column of n cells laid out to hold
+// every value in [lo, hi], each reading as the layout's base until
+// PutInt64 writes it.
+func MakeIntColumn(name string, lo, hi int64, n int) *Column {
 	c := &Column{Name: name, Type: Int}
-	if len(vals) > 0 {
-		lo, hi := vals[0], vals[0]
-		for _, v := range vals {
-			lo, hi = min(lo, v), max(hi, v)
+	c.base, c.shift = intLayout(lo, hi, 0)
+	c.offs = make([]byte, n<<c.shift)
+	return c
+}
+
+// GatherIntColumn creates an INTEGER column holding the cells of src at
+// rows, none of them NULL, in src's layout: each cell's offset is
+// copied, not decoded.
+func GatherIntColumn(name string, src *Column, rows []uint32) *Column {
+	c := &Column{Name: name, Type: Int, base: src.base, shift: src.shift, offs: make([]byte, len(rows)<<src.shift)}
+	from, to := src.offs, c.offs
+	switch c.shift {
+	case 0:
+		for i, r := range rows {
+			to[i] = from[r]
 		}
-		c.base, c.shift = intLayout(lo, hi, 0)
-		c.offs = make([]byte, len(vals)<<c.shift)
-		for i, v := range vals {
-			c.putOffset(i, v)
+	case 1:
+		for i, r := range rows {
+			binary.LittleEndian.PutUint16(to[2*i:2*i+2], binary.LittleEndian.Uint16(from[2*r:2*r+2]))
+		}
+	case 2:
+		for i, r := range rows {
+			binary.LittleEndian.PutUint32(to[4*i:4*i+4], binary.LittleEndian.Uint32(from[4*r:4*r+4]))
+		}
+	default:
+		for i, r := range rows {
+			binary.LittleEndian.PutUint64(to[8*i:8*i+8], binary.LittleEndian.Uint64(from[8*r:8*r+8]))
 		}
 	}
 	return c
@@ -110,7 +129,7 @@ func (c *Column) append(g *Gen, v Value) error {
 		}
 		n := c.Len()
 		c.offs = append(c.offs, make([]byte, 1<<c.shift)...)
-		c.putOffset(n, v.i)
+		c.PutInt64(n, v.i)
 	case Float:
 		switch v.kind {
 		case kindFloat:
@@ -199,23 +218,26 @@ func (c *Column) Int64(row int) int64 {
 // slot, as Int64 would read them (a NULL cell reads as the base): a
 // block at a time, one loop per width.
 func (c *Column) ReadInt64s(dst []int64, lo int) {
-	base, src := c.base, c.offs[lo<<c.shift:(lo+len(dst))<<c.shift]
+	base, n := c.base, len(dst)
+	src := c.offs[lo<<c.shift : (lo+n)<<c.shift]
+	// Each offset is sliced at its exact width, so one bounds check
+	// covers a cell.
 	switch c.shift {
 	case 0:
-		for i, o := range src {
+		for i, o := range src[:n] {
 			dst[i] = base + int64(o)
 		}
 	case 1:
 		for i := range dst {
-			dst[i] = base + int64(binary.LittleEndian.Uint16(src[i<<1:]))
+			dst[i] = base + int64(binary.LittleEndian.Uint16(src[2*i:2*i+2]))
 		}
 	case 2:
 		for i := range dst {
-			dst[i] = base + int64(binary.LittleEndian.Uint32(src[i<<2:]))
+			dst[i] = base + int64(binary.LittleEndian.Uint32(src[4*i:4*i+4]))
 		}
 	default:
 		for i := range dst {
-			dst[i] = base + int64(binary.LittleEndian.Uint64(src[i<<3:]))
+			dst[i] = base + int64(binary.LittleEndian.Uint64(src[8*i:8*i+8]))
 		}
 	}
 }
@@ -230,18 +252,20 @@ func (c *Column) holds(v int64) bool {
 	return (uint64(v)-uint64(c.base))>>(8<<c.shift) == 0
 }
 
-// putOffset writes v's offset into cell row, which the layout holds.
-func (c *Column) putOffset(row int, v int64) {
+// PutInt64 writes v's offset into cell row in place, which the
+// column's layout must hold (a MakeIntColumn column's range): no relay,
+// no NULL flag.
+func (c *Column) PutInt64(row int, v int64) {
 	off := uint64(v) - uint64(c.base)
 	switch c.shift {
 	case 0:
 		c.offs[row] = byte(off)
 	case 1:
-		binary.LittleEndian.PutUint16(c.offs[row<<1:], uint16(off))
+		binary.LittleEndian.PutUint16(c.offs[2*row:2*row+2], uint16(off))
 	case 2:
-		binary.LittleEndian.PutUint32(c.offs[row<<2:], uint32(off))
+		binary.LittleEndian.PutUint32(c.offs[4*row:4*row+4], uint32(off))
 	default:
-		binary.LittleEndian.PutUint64(c.offs[row<<3:], off)
+		binary.LittleEndian.PutUint64(c.offs[8*row:8*row+8], off)
 	}
 }
 
@@ -282,7 +306,7 @@ func (c *Column) relay(g *Gen, v int64) {
 	g.Charge(len(c.offs))
 	for i := range n {
 		if !c.IsNull(i) {
-			c.putOffset(i, old.Int64(i))
+			c.PutInt64(i, old.Int64(i))
 		}
 	}
 }
@@ -321,7 +345,7 @@ func (c *Column) IntLayout() (base int64, width int, offs []byte) {
 	canon := &Column{Type: Int, base: b, shift: shift, offs: make([]byte, c.Len()<<shift), nulls: c.nulls}
 	for i := range c.Len() {
 		if !c.IsNull(i) {
-			canon.putOffset(i, c.Int64(i))
+			canon.PutInt64(i, c.Int64(i))
 		}
 	}
 	return b, canon.Width(), canon.offs
@@ -353,7 +377,7 @@ func (c *Column) Set(row int, v Value) error {
 		c.nulls[row] = true
 		switch c.Type {
 		case Int:
-			c.putOffset(row, c.base)
+			c.PutInt64(row, c.base)
 		case String:
 			c.codes[row] = NoCode
 		}
@@ -370,7 +394,7 @@ func (c *Column) Set(row int, v Value) error {
 		if !c.holds(v.i) {
 			c.relay(nil, v.i)
 		}
-		c.putOffset(row, v.i)
+		c.PutInt64(row, v.i)
 	case Float:
 		c.flts[row] = v.Float()
 	case String:

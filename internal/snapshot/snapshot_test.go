@@ -178,6 +178,15 @@ func TestDatabaseRoundTrip(t *testing.T) {
 	}
 }
 
+// intColumn is an INTEGER column holding vals.
+func intColumn(name string, vals ...int64) *relation.Column {
+	c := relation.NewColumn(name, relation.Int)
+	for _, v := range vals {
+		c.Append(relation.IntVal(v))
+	}
+	return c
+}
+
 // TestReadDatabaseRejects: relation.Restore and the scans over a restored
 // column trust what they are handed — a key naming no column, a column
 // or relation named twice (both panic in package relation), a NoCode
@@ -185,7 +194,7 @@ func TestDatabaseRoundTrip(t *testing.T) {
 // ReadDatabase checks each where it reads it.
 func TestReadDatabaseRejects(t *testing.T) {
 	cols := func() []*relation.Column {
-		return []*relation.Column{relation.NewIntColumn("id", []int64{7})}
+		return []*relation.Column{intColumn("id", 7)}
 	}
 	one := func(rels ...*relation.Relation) *relation.Database {
 		db := relation.NewDatabase("d")
@@ -218,7 +227,7 @@ func TestReadDatabaseRejects(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	WriteDatabase(w, one(
-		relation.Restore("r1", "", nil, []*relation.Column{relation.NewIntColumn("c1", nil), relation.NewIntColumn("c2", nil)}, 0),
+		relation.Restore("r1", "", nil, []*relation.Column{intColumn("c1"), intColumn("c2")}, 0),
 		relation.Restore("r2", "", nil, nil, 0)))
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
