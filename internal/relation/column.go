@@ -3,6 +3,7 @@ package relation
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Column is a typed column of a relation, stored densely, with a NULL
@@ -458,11 +459,7 @@ func (c *Column) RawNulls() []bool { return c.nulls }
 // returned (snapshot load): width is 1, 2, 4 or 8, and offs holds a
 // width-byte offset a row. The slices are adopted, not copied.
 func RestoreIntColumn(name string, base int64, width int, offs []byte, nulls []bool) *Column {
-	shift := uint8(0)
-	for 1<<shift < width {
-		shift++
-	}
-	return &Column{Name: name, Type: Int, base: base, shift: shift, offs: offs, nulls: nulls}
+	return &Column{Name: name, Type: Int, base: base, shift: uint8(bits.TrailingZeros(uint(width))), offs: offs, nulls: nulls}
 }
 
 // RestoreFloatColumn rebuilds a Float column from raw storage.
