@@ -71,15 +71,18 @@ func GatherIntColumn(name string, src *Column, rows []uint32) *Column {
 		}
 	case 1:
 		for i, r := range rows {
-			binary.LittleEndian.PutUint16(to[2*i:2*i+2], binary.LittleEndian.Uint16(from[2*r:2*r+2]))
+			j := 2 * int(r)
+			binary.LittleEndian.PutUint16(to[2*i:2*i+2], binary.LittleEndian.Uint16(from[j:j+2]))
 		}
 	case 2:
 		for i, r := range rows {
-			binary.LittleEndian.PutUint32(to[4*i:4*i+4], binary.LittleEndian.Uint32(from[4*r:4*r+4]))
+			j := 4 * int(r)
+			binary.LittleEndian.PutUint32(to[4*i:4*i+4], binary.LittleEndian.Uint32(from[j:j+4]))
 		}
 	default:
 		for i, r := range rows {
-			binary.LittleEndian.PutUint64(to[8*i:8*i+8], binary.LittleEndian.Uint64(from[8*r:8*r+8]))
+			j := 8 * int(r)
+			binary.LittleEndian.PutUint64(to[8*i:8*i+8], binary.LittleEndian.Uint64(from[j:j+8]))
 		}
 	}
 	return c

@@ -297,3 +297,35 @@ func TestIntLayoutWidths(t *testing.T) {
 		}
 	}
 }
+
+// TestGatherAndMakeIntColumn holds GatherIntColumn to the cells it
+// copies at every width, and a MakeIntColumn column to the values
+// PutInt64 wrote across its range.
+func TestGatherAndMakeIntColumn(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, span := range []int64{200, 60_000, 1 << 31, math.MaxInt64} {
+		src := NewColumn("src", Int)
+		for range 300 {
+			src.Append(IntVal(rng.Int63n(span) - span/2))
+		}
+		rows := make([]uint32, 500)
+		for i := range rows {
+			rows[i] = uint32(rng.Intn(src.Len()))
+		}
+		got := GatherIntColumn("g", src, rows)
+		for i, r := range rows {
+			if got.Int64(i) != src.Int64(int(r)) {
+				t.Fatalf("span %d: gathered cell %d reads %d, row %d of the source %d", span, i, got.Int64(i), r, src.Int64(int(r)))
+			}
+		}
+
+		lo, hi := -span/2, span/2
+		made := MakeIntColumn("m", lo, hi, 3)
+		for i, v := range []int64{lo, hi, 0} {
+			made.PutInt64(i, v)
+		}
+		if made.Int64(0) != lo || made.Int64(1) != hi || made.Int64(2) != 0 {
+			t.Errorf("span %d: MakeIntColumn over [%d, %d] reads %d %d %d", span, lo, hi, made.Int64(0), made.Int64(1), made.Int64(2))
+		}
+	}
+}
