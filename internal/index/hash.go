@@ -155,32 +155,50 @@ func cellKey(c *relation.Column, row int) int64 {
 	return c.Int64(row)
 }
 
+// keyBlock fills keys with the keys cellKey reads from the cells of c
+// from row at on: an INTEGER column's decoded in one loop
+// (Column.ReadInt64s).
+func keyBlock(c *relation.Column, keys []int64, at int) {
+	if c.Type == relation.String {
+		for i := range keys {
+			keys[i] = int64(c.Code(at + i))
+		}
+		return
+	}
+	c.ReadInt64s(keys, at)
+}
+
 // BuildIntHash indexes the named INTEGER column of rel by its values,
 // or the named TEXT column by its dictionary codes. Its first pass reads
 // the key range; two counting passes (groupRows) then allocate the
 // posting array and its offsets once, at their exact sizes (no per-key
-// slice, no append slack), with rows ascending within a key. Warm boots
-// rebuild every hash index through this path.
+// slice, no append slack), with rows ascending within a key. Each pass
+// reads the keys a block at a time into a buffer on the stack
+// (keyBlock). Warm boots rebuild every hash index through this path.
 func BuildIntHash(rel *relation.Relation, col string) *IntHash {
 	c := rel.Column(col)
 	if c == nil || c.Type == relation.Float {
 		return &IntHash{}
 	}
 	n := c.Len()
+	var buf [256]int64
 	var lo, hi int64
 	rows := 0
-	for i := 0; i < n; i++ {
-		if c.IsNull(i) {
-			continue
+	for at := 0; at < n; at += len(buf) {
+		keys := buf[:min(len(buf), n-at)]
+		keyBlock(c, keys, at)
+		for i, v := range keys {
+			if c.IsNull(at + i) {
+				continue
+			}
+			if rows == 0 || v < lo {
+				lo = v
+			}
+			if rows == 0 || v > hi {
+				hi = v
+			}
+			rows++
 		}
-		v := cellKey(c, i)
-		if rows == 0 || v < lo {
-			lo = v
-		}
-		if rows == 0 || v > hi {
-			hi = v
-		}
-		rows++
 	}
 	if rows == 0 {
 		return &IntHash{}
@@ -189,10 +207,14 @@ func BuildIntHash(rel *relation.Relation, col string) *IntHash {
 	// A range no wider than denseSlack slots a row is cheap to count
 	// into directly, and only then can it be dense: keys ≤ rows.
 	if isDense(lo, hi, rows) {
-		for i := range ords {
-			ords[i] = noKey
-			if !c.IsNull(i) {
-				ords[i] = uint32(uint64(cellKey(c, i)) - uint64(lo))
+		for at := 0; at < n; at += len(buf) {
+			keys := buf[:min(len(buf), n-at)]
+			keyBlock(c, keys, at)
+			for i, v := range keys {
+				ords[at+i] = noKey
+				if !c.IsNull(at + i) {
+					ords[at+i] = uint32(uint64(v) - uint64(lo))
+				}
 			}
 		}
 		width := uint64(hi) - uint64(lo) + 1
@@ -210,22 +232,28 @@ func BuildIntHash(rel *relation.Relation, col string) *IntHash {
 	// Sparse: number the keys by first appearance (one map probe a run
 	// of equal values, not one a row); the numbering is the key table.
 	ids := make(map[int64]uint32)
-	for i := 0; i < n; i++ {
-		ords[i] = noKey
-		if c.IsNull(i) {
-			continue
+	var prev int64 // the key of the last non-NULL row
+	for at := 0; at < n; at += len(buf) {
+		keys := buf[:min(len(buf), n-at)]
+		keyBlock(c, keys, at)
+		for i, v := range keys {
+			row := at + i
+			ords[row] = noKey
+			if c.IsNull(row) {
+				continue
+			}
+			if row > 0 && ords[row-1] != noKey && prev == v {
+				ords[row] = ords[row-1]
+				continue
+			}
+			prev = v
+			id, ok := ids[v]
+			if !ok {
+				id = uint32(len(ids))
+				ids[v] = id
+			}
+			ords[row] = id
 		}
-		v := cellKey(c, i)
-		if i > 0 && ords[i-1] != noKey && cellKey(c, i-1) == v {
-			ords[i] = ords[i-1]
-			continue
-		}
-		id, ok := ids[v]
-		if !ok {
-			id = uint32(len(ids))
-			ids[v] = id
-		}
-		ords[i] = id
 	}
 	post, offs := groupRows(ords, len(ids))
 	return &IntHash{ords: keyTable{base: ids}, lists: PostingsOf(offs, post), keys: len(ids)}
