@@ -339,65 +339,97 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
-// TestBuildRejectsTextForeignKey: a fact whose foreign key into an
-// entity's INTEGER key is declared on a TEXT column is an error that
-// names the relation and the column, not a panic in a property task.
-func TestBuildRejectsTextForeignKey(t *testing.T) {
-	db := relation.NewDatabase("textfk")
-	person := relation.New("person", relation.Col("id", relation.Int), relation.Col("name", relation.String)).SetPrimaryKey("id")
-	person.MustAppend(relation.IntVal(1), relation.StringVal("a"))
-	person.MustAppend(relation.IntVal(2), relation.StringVal("b"))
-	db.AddRelation(person)
-	db.MarkEntity("person")
-	f := relation.New("f", relation.Col("who", relation.String), relation.Col("tag", relation.String)).AddForeignKey("who", "person", "id")
-	f.MustAppend(relation.StringVal("1"), relation.StringVal("x"))
-	f.MustAppend(relation.StringVal("2"), relation.StringVal("y"))
-	db.AddRelation(f)
-	_, err := Build(db, DefaultConfig())
-	if err == nil || !strings.Contains(err.Error(), `relation "f"`) || !strings.Contains(err.Error(), `"who"`) {
-		t.Fatalf("Build = %v, want an error naming f.who", err)
+// TestBuildRejectsEntityKeysAnInsertRejects holds Build, Load and an
+// insert to the one schema rule (checkSchema): each case breaks one rule
+// in fixtureDB and expects the same error text from Build of the broken
+// database and from Load of a file that carries it under a valid
+// trailer (the fixture's αDB, damaged in place and encoded), and for a
+// NULL or repeated entity key also from an insert of the row that
+// brings it. The dimension's repeated key is a later row naming a key an
+// earlier row holds.
+func TestBuildRejectsEntityKeysAnInsertRejects(t *testing.T) {
+	const notInt = "is not an INTEGER column referencing an INTEGER column"
+	person := func(id relation.Value) []relation.Value {
+		return []relation.Value{id, relation.StringVal("x"), relation.StringVal("Male"), relation.IntVal(40), relation.IntVal(1)}
+	}
+	cases := []struct {
+		name   string
+		damage func(db *relation.Database)
+		want   string
+		insert []relation.Value // the person row an insert brings; nil: no insert breaks the rule
+	}{
+		{"TEXT foreign key", func(db *relation.Database) {
+			db.Relation("person").AddForeignKey("name", "country", "id")
+		}, `relation "person": foreign key "name" into country.id ` + notInt, nil},
+		{"foreign key into a missing relation", func(db *relation.Database) {
+			db.Relation("castinfo").AddForeignKey("person_id", "nobody", "id")
+		}, `relation "castinfo": foreign key "person_id" into nobody.id ` + notInt, nil},
+		{"foreign key into a missing column", func(db *relation.Database) {
+			db.Relation("castinfo").AddForeignKey("person_id", "person", "nope")
+		}, `relation "castinfo": foreign key "person_id" into person.nope ` + notInt, nil},
+		{"foreign key into a TEXT column", func(db *relation.Database) {
+			db.Relation("castinfo").AddForeignKey("person_id", "person", "name")
+		}, `relation "castinfo": foreign key "person_id" into person.name ` + notInt, nil},
+		{"entity key TEXT", func(db *relation.Database) {
+			db.Relation("person").PrimaryKey = "name"
+		}, `relation "person": primary key "name" is not an INTEGER column`, nil},
+		{"entity key missing", func(db *relation.Database) {
+			db.Relation("person").PrimaryKey = ""
+		}, `relation "person": primary key "" is not an INTEGER column`, nil},
+		{"entity key NULL", func(db *relation.Database) {
+			mustSet(t, db.Relation("person").Column("id"), 1, relation.Null)
+		}, `relation "person": primary key "id": a NULL key`, person(relation.Null)},
+		{"entity key repeated", func(db *relation.Database) {
+			mustSet(t, db.Relation("person").Column("id"), 1, relation.IntVal(1))
+		}, `relation "person": primary key "id": a repeated key`, person(relation.IntVal(1))},
+		{"dimension key TEXT", func(db *relation.Database) {
+			db.Relation("genre").PrimaryKey = "name"
+		}, `relation "genre": primary key "name" is not an INTEGER column`, nil},
+		{"dimension key NULL", func(db *relation.Database) {
+			mustSet(t, db.Relation("genre").Column("id"), 0, relation.Null)
+		}, `relation "genre": primary key "id": a NULL key`, nil},
+		{"dimension key repeated", func(db *relation.Database) {
+			db.Relation("genre").MustAppend(relation.IntVal(101), relation.StringVal("Drama again"))
+		}, `relation "genre": primary key "id": a repeated key`, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			check := func(road string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s = %v, want %q", road, err, tc.want)
+				}
+			}
+			db := fixtureDB()
+			tc.damage(db)
+			_, err := Build(db, DefaultConfig())
+			check("Build", err)
+
+			a := buildFixture(t)
+			ep := a.Snapshot()
+			tc.damage(ep.DB)
+			// The file records the keys the damaged schema declares, as a
+			// Save of it would.
+			for _, info := range ep.Entities {
+				info.PK = info.rel.PrimaryKey
+				for _, p := range info.Derived {
+					p.ViaPK = ep.DB.Relation(p.Via).PrimaryKey
+				}
+			}
+			_, err = roundTrip(t, a)
+			check("Load", err)
+
+			if tc.insert != nil {
+				check("insert", buildFixture(t).InsertBatch([]InsertOp{{Rel: "person", Vals: tc.insert}}, trace.Span{}))
+			}
+		})
 	}
 }
 
-// TestBuildRejectsEntityKeysAnInsertRejects: a cold build refuses an
-// entity relation whose primary key holds a NULL or a repeated value,
-// as an insert of that row does, with an error naming the relation and
-// the key, and so does a load of a file whose key column holds one.
-func TestBuildRejectsEntityKeysAnInsertRejects(t *testing.T) {
-	// people has ids 1, id, 3.
-	people := func(id relation.Value) *relation.Database {
-		db := relation.NewDatabase("keys")
-		person := relation.New("person", relation.Col("id", relation.Int), relation.Col("name", relation.String)).SetPrimaryKey("id")
-		for i, id := range []relation.Value{relation.IntVal(1), id, relation.IntVal(3)} {
-			person.MustAppend(id, relation.StringVal(fmt.Sprintf("p%d", i)))
-		}
-		db.AddRelation(person)
-		db.MarkEntity("person")
-		return db
-	}
-	const want = `primary key "id" holds 2 distinct values in 3 rows`
-	for _, id := range []relation.Value{relation.IntVal(1), relation.Null} {
-		check := func(road string, err error) {
-			t.Helper()
-			if err == nil || !strings.Contains(err.Error(), `"person"`) || !strings.Contains(err.Error(), want) {
-				t.Errorf("id %v: %s = %v, want an error naming person and its key", id, road, err)
-			}
-		}
-		db := people(id)
-		_, err := Build(db, DefaultConfig())
-		check("Build", err)
-		if db.Validate() == nil {
-			t.Errorf("id %v: Validate accepts the keys Build rejects", id)
-		}
-		a, err := Build(people(relation.IntVal(2)), DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Snapshot().DB.Relation("person").Column("id").Set(1, id); err != nil {
-			t.Fatal(err)
-		}
-		_, err = roundTrip(t, a)
-		check("Load", err)
+func mustSet(t *testing.T, col *relation.Column, row int, v relation.Value) {
+	t.Helper()
+	if err := col.Set(row, v); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -18,23 +18,8 @@ type Config struct {
 	// restricts it to two fact tables (§5). Depth 1 enables derived
 	// properties over the associated entity's direct/FK attributes;
 	// depth 2 additionally walks a second fact table (persontogenre).
+	// 0 means 2; Build refuses a depth outside 0..2.
 	MaxFactDepth int
-	// MaxCatDistinct excludes categorical columns with more distinct
-	// values than this (identifiers, names) from property discovery.
-	MaxCatDistinct int
-	// MaxCatRatio excludes categorical columns whose distinct-value
-	// count exceeds this fraction of the entity cardinality.
-	MaxCatRatio float64
-	// PropertyValueColumn overrides the display/value column of a
-	// dimension relation (default: its first String column).
-	PropertyValueColumn map[string]string
-	// DisplayColumn overrides the display column of an entity relation
-	// used for entity-association properties (default: its first
-	// String column).
-	DisplayColumn map[string]string
-	// ExcludeColumns lists entity columns to skip entirely, keyed by
-	// relation name (e.g. free-text columns).
-	ExcludeColumns map[string][]string
 	// Workers bounds the offline build's worker pool: basic-property
 	// stats, derived-property walks, the dictionaries' normal indexes,
 	// and the resident hash and code indexes fan out across this many
@@ -55,13 +40,7 @@ func (c Config) workers() int {
 
 // DefaultConfig returns the configuration used throughout the paper's
 // experiments: derived properties up to two fact tables deep.
-func DefaultConfig() Config {
-	return Config{
-		MaxFactDepth:   2,
-		MaxCatDistinct: 1000,
-		MaxCatRatio:    0.5,
-	}
-}
+func DefaultConfig() Config { return Config{MaxFactDepth: 2} }
 
 // EntityInfo gathers everything the online phase needs about one entity
 // relation: its semantic properties with statistics and lookup indexes.
@@ -76,9 +55,9 @@ type EntityInfo struct {
 	rel     *relation.Relation
 	pkIndex *index.IntHash
 
-	// Name→property maps built once at construction, replacing the
-	// linear scans the hot paths (normalization-degree lookup, tests)
-	// used to pay per call.
+	// Name→property maps, built with the property lists (finishEntity,
+	// readEntity, epochBuilder.finalize); nil on a property-less
+	// EntityInfo (EphemeralEntity), where a lookup finds nothing.
 	basicByAttr   map[string]*BasicProperty
 	derivedByAttr map[string]*DerivedProperty
 }
@@ -93,34 +72,13 @@ func (e *EntityInfo) IDByRow(row int) int64 { return e.rel.Column(e.PK).Int64(ro
 func (e *EntityInfo) Rel() *relation.Relation { return e.rel }
 
 // BasicByAttr returns the basic property with the given display name.
-func (e *EntityInfo) BasicByAttr(attr string) *BasicProperty {
-	if e.basicByAttr != nil {
-		return e.basicByAttr[attr]
-	}
-	for _, p := range e.Basic {
-		if p.Attr == attr {
-			return p
-		}
-	}
-	return nil
-}
+func (e *EntityInfo) BasicByAttr(attr string) *BasicProperty { return e.basicByAttr[attr] }
 
 // DerivedByAttr returns the derived property with the given display name.
-func (e *EntityInfo) DerivedByAttr(attr string) *DerivedProperty {
-	if e.derivedByAttr != nil {
-		return e.derivedByAttr[attr]
-	}
-	for _, p := range e.Derived {
-		if p.Attr == attr {
-			return p
-		}
-	}
-	return nil
-}
+func (e *EntityInfo) DerivedByAttr(attr string) *DerivedProperty { return e.derivedByAttr[attr] }
 
 // buildAttrMaps indexes the (sorted) property lists by display name;
-// the first property wins for duplicate names, matching the order the
-// linear scans observed.
+// the first property wins for duplicate names.
 func (e *EntityInfo) buildAttrMaps() {
 	e.basicByAttr = make(map[string]*BasicProperty, len(e.Basic))
 	for _, p := range e.Basic {
@@ -154,10 +112,10 @@ type taskResult struct {
 
 // Build constructs the abduction-ready database for db. Construction
 // fans out over Config.Workers goroutines (the resident hash indexes,
-// the dictionaries' normal indexes, per-entity scaffolds, and one task
-// per candidate property);
-// the assembled αDB is byte-for-byte independent of the worker count.
-// The result is published as epoch 0 of the returned handle.
+// the dictionaries' normal indexes, and one task per candidate
+// property); the assembled αDB is byte-for-byte independent of the
+// worker count. The result is published as epoch 0 of the returned
+// handle.
 func Build(db *relation.Database, cfg Config) (*AlphaDB, error) {
 	e, err := buildEpoch(db, cfg)
 	if err != nil {
@@ -167,19 +125,19 @@ func Build(db *relation.Database, cfg Config) (*AlphaDB, error) {
 }
 
 // buildEpoch runs the offline phase and assembles the initial epoch:
-// the resident hash indexes, then (beside the normal indexes) a scaffold
-// per entity, one task per candidate property, assembly in enumeration
-// order, and the derived properties in one materialization wave
-// (deriveAll), which Decode runs too.
+// the resident hash indexes and the schema rule over them (checkSchema),
+// then (beside the normal indexes) a scaffold per entity, one task per
+// candidate property, assembly in enumeration order, and the derived
+// properties in one materialization wave (deriveAll), which Decode runs
+// too.
 func buildEpoch(db *relation.Database, cfg Config) (*Epoch, error) {
 	start := time.Now()
-	if err := checkForeignKeys(db); err != nil {
-		return nil, fmt.Errorf("adb: %w", err)
-	}
-	if cfg.MaxFactDepth == 0 {
-		workers := cfg.Workers
-		cfg = DefaultConfig()
-		cfg.Workers = workers
+	switch cfg.MaxFactDepth {
+	case 0:
+		cfg.MaxFactDepth = 2
+	case 1, 2:
+	default:
+		return nil, fmt.Errorf("adb: MaxFactDepth %d outside 0..2", cfg.MaxFactDepth)
 	}
 	workers := cfg.workers()
 	a := &Epoch{
@@ -189,34 +147,24 @@ func buildEpoch(db *relation.Database, cfg Config) (*Epoch, error) {
 		cfg:      cfg,
 		selCache: &SelCache{},
 	}
-
-	entities := db.EntityRelations()
-	if len(entities) == 0 {
-		return nil, fmt.Errorf("adb: database %q declares no entity relations", db.Name)
+	if err := checkSchema(db, a.Indexes); err != nil {
+		return nil, fmt.Errorf("adb: %w", err)
 	}
 
 	// The normal indexes share no state with property discovery; build
-	// them concurrently with everything below. The channel is closed
-	// when done, so the deferred receive also covers error returns.
+	// them concurrently with everything below.
 	normalsDone := make(chan struct{})
 	go func() {
 		buildNormalIndexes(db, workers)
 		close(normalsDone)
 	}()
-	defer func() { <-normalsDone }()
 
 	// Phase 1: scaffold every entity.
-	builds := make([]*entityBuild, len(entities))
-	errs := make([]error, len(entities))
-	index.RunBounded(len(entities), workers, func(i int) {
-		info, err := a.scaffoldEntity(entities[i])
-		builds[i], errs[i] = &entityBuild{info: info}, err
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-		a.Entities[entities[i]] = builds[i].info
+	var builds []*entityBuild
+	for _, name := range db.EntityRelations() {
+		info := a.scaffoldEntity(name)
+		a.Entities[name] = info
+		builds = append(builds, &entityBuild{info: info})
 	}
 
 	// Phase 2: enumerate property tasks (cheap, sequential), walk the
@@ -309,8 +257,11 @@ func buildNormalIndexes(db *relation.Database, workers int) {
 // (all movie genres, IQ7 of the paper), the abduced query is the plain
 // projection over that relation with no filters.
 func (a *Epoch) EphemeralEntity(name string) *EntityInfo {
-	info, _ := a.scaffoldEntity(name) // the error only says why name cannot serve; the caller tries the next match
-	return info
+	rel := a.DB.Relation(name)
+	if rel == nil || !intColumn(rel, rel.PrimaryKey) {
+		return nil // name cannot serve; the caller tries the next match
+	}
+	return a.scaffoldEntity(name)
 }
 
 // CombinedDB returns the database the execution engine runs αDB-form
@@ -338,58 +289,43 @@ func (a *Epoch) nameTable() *relation.Database {
 	return db
 }
 
-// scaffoldEntity validates that a relation can serve as an entity (an
-// integer primary key, one row a key) and builds its property-less
-// lookup scaffold; safe to run in parallel across entities (it only
-// reads the resident set).
-func (a *Epoch) scaffoldEntity(name string) (*EntityInfo, error) {
-	info, err := entityInfo(a.DB, name)
-	if err != nil {
-		return nil, err
-	}
-	return info, a.indexKey(info)
-}
-
-// indexKey reads the entity's primary-key index and rejects the keys an
-// insert rejects (insertEntity): a NULL one and a repeated one. The
-// index holds every non-NULL key once, so it holds as many keys as the
-// relation has rows exactly when there is neither.
-func (a *Epoch) indexKey(info *EntityInfo) error {
+// scaffoldEntity builds the property-less lookup scaffold of a relation
+// with an INTEGER primary key, over its key's index.
+func (a *Epoch) scaffoldEntity(name string) *EntityInfo {
+	info := newEntityInfo(a.DB.Relation(name))
 	info.pkIndex = a.readHash(info.rel, info.PK)
-	if keys := info.pkIndex.NumKeys(); keys != info.NumRows {
-		return fmt.Errorf("adb: entity relation %q: primary key %q holds %d distinct values in %d rows: a NULL or a repeated one",
-			info.Relation, info.PK, keys, info.NumRows)
-	}
-	return nil
+	return info
 }
 
-// entityInfo is scaffoldEntity without the primary-key index: what a
-// snapshot load checks before its trailer passes, when nothing may be
+// newEntityInfo is scaffoldEntity without the primary-key index: what a
+// snapshot load reads before its trailer passes, when nothing may be
 // derived yet.
-func entityInfo(db *relation.Database, name string) (*EntityInfo, error) {
-	rel := db.Relation(name)
-	if rel == nil {
-		return nil, fmt.Errorf("adb: no relation %q", name)
-	}
-	if rel.PrimaryKey == "" {
-		return nil, fmt.Errorf("adb: entity relation %q has no primary key", name)
-	}
-	if rel.Column(rel.PrimaryKey).Type != relation.Int {
-		return nil, fmt.Errorf("adb: entity relation %q primary key must be INTEGER", name)
-	}
-	return &EntityInfo{
-		Relation: name,
-		PK:       rel.PrimaryKey,
-		NumRows:  rel.NumRows(),
-		rel:      rel,
-	}, nil
+func newEntityInfo(rel *relation.Relation) *EntityInfo {
+	return &EntityInfo{Relation: rel.Name, PK: rel.PrimaryKey, NumRows: rel.NumRows(), rel: rel}
 }
 
-// checkForeignKeys returns an error naming the first foreign key that is
-// not an INTEGER column referencing an INTEGER column: the build, a load
-// and every insert read the key of an entity or a dimension through a
-// foreign key as an integer. It reads the schema alone.
-func checkForeignKeys(db *relation.Database) error {
+// checkSchema is the schema rule Build and Load hold a database to,
+// over the resident indexes (residentIndexes) built for it:
+//   - the database declares an entity relation;
+//   - every foreign key is an INTEGER column referencing an INTEGER
+//     column of an existing relation: the build, a load and every insert
+//     read the key of an entity or a dimension through it as an integer;
+//   - every entity and every dimension relation has an INTEGER primary
+//     key holding each row's key exactly once, none NULL: the αDB reads
+//     a row by its key's first row (IntHash.First), and an insert refuses
+//     a row that would break it (insertEntity). The key's resident index
+//     holds each non-NULL key once, so it holds as many keys as the
+//     relation has rows exactly when no key is NULL or repeated.
+//
+// A key declared on a fact relation names a column and nothing more: no
+// index holds it, nothing checks it, and only the dimension fallback
+// reads rows by it (EphemeralEntity, the first row a key). The rule
+// builds nothing of its own; it looks for a NULL only once a key's index
+// counts short.
+func checkSchema(db *relation.Database, idx *index.IndexSet) error {
+	if len(db.EntityRelations()) == 0 {
+		return fmt.Errorf("database %q declares no entity relations", db.Name)
+	}
 	for _, name := range db.RelationNames() {
 		rel := db.Relation(name)
 		for _, fk := range rel.Foreign {
@@ -398,8 +334,26 @@ func checkForeignKeys(db *relation.Database) error {
 					name, fk.Column, fk.RefRelation, fk.RefColumn)
 			}
 		}
+		if db.Kind(name) == relation.KindUnknown {
+			continue
+		}
+		if !intColumn(rel, rel.PrimaryKey) {
+			return fmt.Errorf("relation %q: primary key %q is not an INTEGER column", name, rel.PrimaryKey)
+		}
+		if idx.ResidentIntHash(rel, rel.PrimaryKey).NumKeys() != rel.NumRows() {
+			return keyError(name, rel.PrimaryKey, slices.Contains(rel.Column(rel.PrimaryKey).RawNulls(), true))
+		}
 	}
 	return nil
+}
+
+// keyError is the error for a primary key that holds a NULL (null) or a
+// repeated key, the same from the schema rule and from an insert.
+func keyError(rel, pk string, null bool) error {
+	if null {
+		return fmt.Errorf("relation %q: primary key %q: a NULL key", rel, pk)
+	}
+	return fmt.Errorf("relation %q: primary key %q: a repeated key", rel, pk)
 }
 
 // planEntity enumerates the property-discovery tasks of one entity in
@@ -412,10 +366,6 @@ func (a *Epoch) planEntity(eb *entityBuild, adj adjacencies) []func() {
 	name := info.Relation
 	rel := info.rel
 
-	excluded := make(map[string]bool)
-	for _, c := range a.cfg.ExcludeColumns[name] {
-		excluded[c] = true
-	}
 	fkCols := make(map[string]relation.ForeignKey)
 	for _, fk := range rel.Foreign {
 		fkCols[fk.Column] = fk
@@ -437,7 +387,7 @@ func (a *Epoch) planEntity(eb *entityBuild, adj adjacencies) []func() {
 
 	// 1. Direct attributes of the entity relation.
 	for _, col := range rel.Columns() {
-		if col.Name == rel.PrimaryKey || excluded[col.Name] {
+		if col.Name == rel.PrimaryKey {
 			continue
 		}
 		if fk, isFK := fkCols[col.Name]; isFK {
@@ -494,9 +444,6 @@ func (a *Epoch) planEntity(eb *entityBuild, adj adjacencies) []func() {
 					addBasic(func() *BasicProperty { return a.buildFactDimProperty(info, factName, fkToMe, other) })
 				case relation.KindEntity:
 					via := a.DB.Relation(other.RefRelation)
-					if !intColumn(via, via.PrimaryKey) {
-						continue
-					}
 					j := adj.need(link{name, factName, fkToMe.Column, other.Column, via.Name, via.PrimaryKey})
 					addTask(func(res *taskResult) {
 						res.basics, res.deriveds = a.buildDerivedProperties(info, factName, fkToMe, other, j)
@@ -521,19 +468,23 @@ func (a *Epoch) finishEntity(eb *entityBuild) {
 	info.buildAttrMaps()
 }
 
+// The distinct-count guards of keepCategorical: a categorical column
+// with more distinct values than maxCatDistinct, or (over at least
+// ratioMinEntities entities) more than maxCatRatio of the entity count,
+// is an identifier or a name, not a property.
+const (
+	maxCatDistinct   = 1000
+	maxCatRatio      = 0.5
+	ratioMinEntities = 50
+)
+
 // keepCategorical applies the distinct-count guards that exclude
 // identifier-like text columns from property discovery. The ratio guard
 // only applies to relations large enough for the ratio to be meaningful
 // (small dimension-like tables legitimately have high distinct ratios).
-func (a *Epoch) keepCategorical(distinct, entities int) bool {
-	if distinct == 0 || distinct > a.cfg.MaxCatDistinct {
-		return false
-	}
-	const ratioMinEntities = 50
-	if entities >= ratioMinEntities && float64(distinct)/float64(entities) > a.cfg.MaxCatRatio {
-		return false
-	}
-	return true
+func keepCategorical(distinct, entities int) bool {
+	return distinct > 0 && distinct <= maxCatDistinct &&
+		(entities < ratioMinEntities || float64(distinct)/float64(entities) <= maxCatRatio)
 }
 
 // source is what the per-row functions of a property read: the cold
@@ -799,7 +750,7 @@ func (a *Epoch) buildCategorical(info *EntityInfo, attr string, acc AccessPath, 
 		numEntities: info.NumRows,
 	}
 	assoc := p.foldCategorical(a, adj)
-	if p.numValues == 0 || !assoc && !a.keepCategorical(p.numValues, p.numEntities) {
+	if p.numValues == 0 || !assoc && !keepCategorical(p.numValues, p.numEntities) {
 		return nil
 	}
 	p.memo = newRowSetMemo(a.selCache)
@@ -944,12 +895,10 @@ func (a *Epoch) buildDirectProperty(info *EntityInfo, col *relation.Column) *Bas
 	return p
 }
 
-// dimValueColumn resolves the display column of a dimension relation.
-func (a *Epoch) dimValueColumn(dim *relation.Relation) string {
-	if c, ok := a.cfg.PropertyValueColumn[dim.Name]; ok {
-		return c
-	}
-	for _, col := range dim.Columns() {
+// displayColumn names the display column of a dimension or an entity
+// relation, its first TEXT column, or "" when it has none.
+func displayColumn(rel *relation.Relation) string {
+	for _, col := range rel.Columns() {
 		if col.Type == relation.String {
 			return col.Name
 		}
@@ -961,7 +910,7 @@ func (a *Epoch) dimValueColumn(dim *relation.Relation) string {
 // entity's own foreign key into a dimension relation.
 func (a *Epoch) buildFKDimProperty(info *EntityInfo, fk relation.ForeignKey) *BasicProperty {
 	dim := a.DB.Relation(fk.RefRelation)
-	valCol := a.dimValueColumn(dim)
+	valCol := displayColumn(dim)
 	if valCol == "" {
 		return nil
 	}
@@ -986,7 +935,7 @@ func (a *Epoch) buildAttrTableProperty(info *EntityInfo, sideName string, fk rel
 // through a fact table into a dimension relation.
 func (a *Epoch) buildFactDimProperty(info *EntityInfo, factName string, fkToMe, fkToDim relation.ForeignKey) *BasicProperty {
 	dim := a.DB.Relation(fkToDim.RefRelation)
-	valCol := a.dimValueColumn(dim)
+	valCol := displayColumn(dim)
 	if valCol == "" {
 		return nil
 	}

@@ -63,7 +63,7 @@ func (a *Epoch) buildDerivedProperties(info *EntityInfo, fact1 string, fkToMe, f
 				continue
 			}
 			dim := a.DB.Relation(fk.RefRelation)
-			if valColName := a.dimValueColumn(dim); valColName != "" {
+			if valColName := displayColumn(dim); valColName != "" {
 				add(AccessPath{
 					Type: FKDim, Column: fk.Column,
 					Dim: dim.Name, DimPK: fk.RefColumn, DimValueCol: valColName,
@@ -74,7 +74,7 @@ func (a *Epoch) buildDerivedProperties(info *EntityInfo, fact1 string, fkToMe, f
 		// Numeric attributes of associated entities are not aggregated
 		// (see DESIGN.md: bucketed categorical columns such as decade
 		// stand in for them).
-		if col.Type == relation.String && a.keepCategorical(col.Dict().Len(), via.NumRows()) {
+		if col.Type == relation.String && keepCategorical(col.Dict().Len(), via.NumRows()) {
 			add(AccessPath{Type: Direct, Column: col.Name}, col.Name)
 		}
 	}
@@ -97,7 +97,7 @@ func (a *Epoch) buildDerivedProperties(info *EntityInfo, fact1 string, fkToMe, f
 						continue
 					}
 					dim := a.DB.Relation(fkToDim.RefRelation)
-					if valColName := a.dimValueColumn(dim); valColName != "" {
+					if valColName := displayColumn(dim); valColName != "" {
 						add(AccessPath{
 							Type: FactDim,
 							Fact: fact2Name, FactEntityCol: fkToVia2.Column, FactDimCol: fkToDim.Column,
@@ -206,25 +206,11 @@ func (d *derivedReader) factRows(eRow int) (base, tail []uint32) {
 	return d.byEntity.Rows(id)
 }
 
-// entityDisplayColumn resolves the display column of an entity relation
-// for entity-association properties.
-func (a *Epoch) entityDisplayColumn(ent *relation.Relation) string {
-	if c, ok := a.cfg.DisplayColumn[ent.Name]; ok {
-		return c
-	}
-	for _, col := range ent.Columns() {
-		if col.Type == relation.String {
-			return col.Name
-		}
-	}
-	return ""
-}
-
 // buildEntityAssocProperty creates the multi-valued basic property
 // holding the display values of the entities associated through fact1,
 // over the link's adjacency adj.
 func (a *Epoch) buildEntityAssocProperty(info *EntityInfo, fact1 string, fkToMe, fkToVia relation.ForeignKey, via *relation.Relation, adj *adjacency) *BasicProperty {
-	valCol := a.entityDisplayColumn(via)
+	valCol := displayColumn(via)
 	if valCol == "" {
 		return nil
 	}

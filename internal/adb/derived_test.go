@@ -284,8 +284,7 @@ func derivedOracleDB(rng *rand.Rand) *relation.Database {
 // over it and the derived pair lists materialized over it to map-based
 // references, built and loaded, on a skewed fixture (skewedDB): one
 // person linked by thousands of fact rows, repeated pairs, NULL and
-// dangling keys, a repeated dimension key, and movies that share a
-// title.
+// dangling keys, and movies that share a title.
 func TestSkewedAdjacencyMatchesReference(t *testing.T) {
 	built, err := Build(skewedDB(rand.New(rand.NewSource(44))), DefaultConfig())
 	if err != nil {
@@ -357,17 +356,14 @@ func checkAdjacency(t *testing.T, ep *Epoch, k link) {
 // skewedDB is a castinfo between persons and movies in which person 1
 // has 3,000 fact rows over 120 movies, most of them repeats, beside a
 // few rows for every other person; one fact row in twenty has a NULL
-// or a dangling key. Genre 2 holds its key twice (the later row is
-// never linked; an entity's key cannot repeat, Build rejects it), 120
-// titles are spread over 200 movies, some NULL, and movietogenre is a
-// second hop.
+// or a dangling key. 120 titles are spread over 200 movies, some NULL,
+// and movietogenre is a second hop.
 func skewedDB(rng *rand.Rand) *relation.Database {
 	db := relation.NewDatabase("skewed")
 	genre := relation.New("genre", relation.Col("id", relation.Int), relation.Col("name", relation.String)).SetPrimaryKey("id")
 	for i, g := range []string{"Drama", "Comedy", "Noir", "Horror"} {
 		genre.MustAppend(relation.IntVal(int64(i)), relation.StringVal(g))
 	}
-	genre.MustAppend(relation.IntVal(2), relation.StringVal("Noir again"))
 	db.AddRelation(genre)
 	db.MarkProperty("genre")
 

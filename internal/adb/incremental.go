@@ -312,12 +312,14 @@ func (eb *epochBuilder) insertEntity(entityRel string, vals []relation.Value) er
 	if err := view.ValidateRow(vals); err != nil {
 		return err
 	}
+	// The row must keep the schema rule (checkSchema): its key is
+	// neither NULL nor one the relation holds.
 	pk := vals[pkIdx]
 	if pk.IsNull() {
-		return fmt.Errorf("adb: NULL primary key")
+		return fmt.Errorf("adb: %w", keyError(entityRel, view.PrimaryKey, true))
 	}
 	if _, dup := eb.viewEntity(entityRel).RowByID(pk.Int()); dup {
-		return fmt.Errorf("adb: duplicate primary key %v in %q", pk, entityRel)
+		return fmt.Errorf("adb: %w", keyError(entityRel, view.PrimaryKey, false))
 	}
 	info := eb.entity(entityRel)
 	rel := eb.baseRel(entityRel)

@@ -2,6 +2,7 @@ package adb
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -195,7 +196,7 @@ func checkLayout(t *testing.T, road string, a *AlphaDB) {
 	t.Helper()
 	ep := a.Snapshot()
 	var scratch []int32
-	for _, name := range sortedKeys(ep.Entities) {
+	for _, name := range slices.Sorted(maps.Keys(ep.Entities)) {
 		info := ep.Entities[name]
 		for _, p := range info.Basic {
 			if p.Kind != Categorical {

@@ -3,6 +3,7 @@ package adb
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"squid/internal/relation"
@@ -76,11 +77,11 @@ func TestParallelBuildDeterministic(t *testing.T) {
 // inverted column index — answers a serial and a parallel build alike:
 // every TEXT value of the fixture, and probes in other spellings.
 func TestParallelBuildInvertedIdentical(t *testing.T) {
-	serial, err := Build(fixtureDB(), Config{MaxFactDepth: 2, MaxCatDistinct: 1000, MaxCatRatio: 0.5, Workers: 1})
+	serial, err := Build(fixtureDB(), Config{MaxFactDepth: 2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Build(fixtureDB(), Config{MaxFactDepth: 2, MaxCatDistinct: 1000, MaxCatRatio: 0.5, Workers: 8})
+	parallel, err := Build(fixtureDB(), Config{MaxFactDepth: 2, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +102,9 @@ func TestParallelBuildInvertedIdentical(t *testing.T) {
 	}
 }
 
-// TestBuildWorkersPreservedWithZeroDepth asserts the zero-value config
-// upgrade to DefaultConfig keeps an explicit worker count.
+// TestBuildWorkersPreservedWithZeroDepth asserts that a zero depth
+// means 2 and keeps an explicit worker count, and that Build refuses a
+// depth outside 0..2.
 func TestBuildWorkersPreservedWithZeroDepth(t *testing.T) {
 	a, err := Build(fixtureDB(), Config{Workers: 1})
 	if err != nil {
@@ -113,6 +115,11 @@ func TestBuildWorkersPreservedWithZeroDepth(t *testing.T) {
 	}
 	if got := a.Config().MaxFactDepth; got != 2 {
 		t.Errorf("MaxFactDepth=%d after default upgrade, want 2", got)
+	}
+	for _, depth := range []int{-1, 3} {
+		if _, err := Build(fixtureDB(), Config{MaxFactDepth: depth}); err == nil || !strings.Contains(err.Error(), "MaxFactDepth") {
+			t.Errorf("depth %d: Build = %v, want an error naming MaxFactDepth", depth, err)
+		}
 	}
 }
 

@@ -28,8 +28,9 @@ import (
 // restored systems support incremental inserts exactly like freshly
 // built ones. The file is bytes from outside the process: the trailer
 // turns a flipped bit or a cut into an error, and what the file carries
-// is checked where it is read — access paths against the schema, derived
-// relation names against each other and the base relations — so a
+// is checked where it is read — the build depth, access paths against
+// the schema, derived relation names against each other and the base
+// relations, the database against the schema rule of Build — so a
 // damaged snapshot fails Load instead of panicking inside a later
 // discovery.
 
@@ -51,7 +52,10 @@ func (a *Epoch) Encode(w *snapshot.Writer) {
 	// and applies the rest, continuing the chain at the exact sequence
 	// the log ends on.
 	w.Uvarint(a.seq)
-	writeConfig(w, a.cfg)
+	// The build configuration is its depth: Workers is how many
+	// goroutines the building process used, and a loaded αDB fans out
+	// over its own GOMAXPROCS.
+	w.Int(a.cfg.MaxFactDepth)
 	w.Varint(int64(a.BuildTime))
 	snapshot.WriteDatabase(w, a.DB)
 
@@ -70,7 +74,8 @@ func (a *Epoch) Encode(w *snapshot.Writer) {
 // Decode restores an αDB from a snapshot stream positioned after the
 // header. It reads and checks everything the file holds, then the
 // trailer, and derives nothing before the trailer passes: the hash and
-// code indexes, the normal indexes, every basic property's statistics
+// code indexes (over which the database meets Build's schema rule,
+// checkSchema), the normal indexes, every basic property's statistics
 // (deriveBasic) and the derived properties (deriveAll) are built by the
 // functions buildEpoch builds them with, fanned over the loading
 // process's own workers. The restored state shares nothing with the
@@ -78,7 +83,10 @@ func (a *Epoch) Encode(w *snapshot.Writer) {
 // recorded, so the epoch chain continues where it left off.
 func Decode(r *snapshot.Reader) (*AlphaDB, error) {
 	seq := r.Uvarint()
-	cfg := readConfig(r)
+	cfg := Config{MaxFactDepth: r.Int()}
+	if cfg.MaxFactDepth != 1 && cfg.MaxFactDepth != 2 {
+		r.Fail("build depth %d outside 1..2", cfg.MaxFactDepth)
+	}
 	buildTime := time.Duration(r.Varint())
 	db := snapshot.ReadDatabase(r)
 	if r.Err() != nil {
@@ -121,9 +129,6 @@ func Decode(r *snapshot.Reader) (*AlphaDB, error) {
 	if len(a.Entities) != len(marked) {
 		return nil, r.Fail("%d entity entries for %d entity relations", len(a.Entities), len(marked))
 	}
-	if err := checkForeignKeys(db); err != nil {
-		return nil, r.Fail("%v", err)
-	}
 	// A derived relation is registered under its stored name, which the
 	// execution engine and the Q5 text read beside the base relations.
 	names := make(map[string]bool, len(derived))
@@ -139,10 +144,11 @@ func Decode(r *snapshot.Reader) (*AlphaDB, error) {
 	// property discovery.
 	workers := cfg.workers()
 	a.Indexes = residentIndexes(db, workers)
-	for _, name := range marked {
-		if err := a.indexKey(a.Entities[name]); err != nil {
-			return nil, r.Fail("%v", err)
-		}
+	if err := checkSchema(db, a.Indexes); err != nil {
+		return nil, r.Fail("%v", err)
+	}
+	for _, info := range a.Entities {
+		info.pkIndex = a.readHash(info.rel, info.PK)
 	}
 	normalsDone := make(chan struct{})
 	go func() {
@@ -176,72 +182,6 @@ func (a *Epoch) deriveBasic(p *BasicProperty, adj adjacencies) {
 		return
 	}
 	p.foldCategorical(a, adj[p.link()])
-}
-
-// writeConfig writes what the build configuration decides about the
-// αDB. Workers is left out: it is how many goroutines the building
-// process used, and a loaded αDB fans out over its own GOMAXPROCS.
-func writeConfig(w *snapshot.Writer, cfg Config) {
-	w.Int(cfg.MaxFactDepth)
-	w.Int(cfg.MaxCatDistinct)
-	w.Float(cfg.MaxCatRatio)
-	writeStringMap(w, cfg.PropertyValueColumn)
-	writeStringMap(w, cfg.DisplayColumn)
-	keys := sortedKeys(cfg.ExcludeColumns)
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		w.String(k)
-		w.Strings(cfg.ExcludeColumns[k])
-	}
-}
-
-func readConfig(r *snapshot.Reader) Config {
-	cfg := Config{
-		MaxFactDepth:   r.Int(),
-		MaxCatDistinct: r.Int(),
-		MaxCatRatio:    r.Float(),
-	}
-	cfg.PropertyValueColumn = readStringMap(r)
-	cfg.DisplayColumn = readStringMap(r)
-	if n := r.Len(); n > 0 {
-		cfg.ExcludeColumns = make(map[string][]string)
-		for i := 0; i < n && r.Err() == nil; i++ {
-			k := r.String()
-			cfg.ExcludeColumns[k] = r.Strings()
-		}
-	}
-	return cfg
-}
-
-func writeStringMap(w *snapshot.Writer, m map[string]string) {
-	keys := sortedKeys(m)
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		w.String(k)
-		w.String(m[k])
-	}
-}
-
-func readStringMap(r *snapshot.Reader) map[string]string {
-	n := r.Len()
-	if n == 0 {
-		return nil
-	}
-	m := make(map[string]string)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		k := r.String()
-		m[k] = r.String()
-	}
-	return m
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func writeAccess(w *snapshot.Writer, ap AccessPath) {
@@ -287,11 +227,12 @@ func readEntity(r *snapshot.Reader, a *Epoch) *EntityInfo {
 	if r.Err() != nil {
 		return nil
 	}
-	info, err := entityInfo(a.DB, name)
-	if err != nil {
-		r.Fail("%v", err)
+	rel := a.DB.Relation(name)
+	if rel == nil {
+		r.Fail("entity entry names no relation %q", name)
 		return nil
 	}
+	info := newEntityInfo(rel)
 	if info.PK != pk || info.NumRows != numRows {
 		r.Fail("entity %q: recorded key %q and %d rows, restored relation has key %q and %d rows",
 			name, pk, numRows, info.PK, info.NumRows)
@@ -436,10 +377,11 @@ func readDerived(r *snapshot.Reader, a *Epoch, info *EntityInfo) *DerivedPropert
 		r.Fail("derived property %s.%s: %d entities recorded for a %d-row relation", info.Relation, p.Attr, p.numEntities, info.NumRows)
 		return p
 	}
-	// The path must be one the build takes: the associated entity's
-	// primary key, and a degree or a TEXT value of the associated entity.
+	// The path must be one the build takes: an entity's primary key (an
+	// INTEGER column by the schema rule), and a degree or a TEXT value of
+	// that entity.
 	via, fact1 := a.DB.Relation(p.Via), a.DB.Relation(p.Fact1)
-	resolves := via != nil && p.ViaPK == via.PrimaryKey && intColumn(via, p.ViaPK) &&
+	resolves := via != nil && a.isEntity(p.Via) && p.ViaPK == via.PrimaryKey &&
 		intColumn(fact1, p.Fact1EntityCol) && intColumn(fact1, p.Fact1ViaCol)
 	switch p.Target.Type {
 	case Degree:

@@ -36,11 +36,11 @@ func statsFingerprint(a *AlphaDB) string {
 }
 
 // TestDecodeRejectsOutOfRangeBlocks damages, one case at a time, what a
-// v9 snapshot still trusts — a property path that does not resolve
+// snapshot still trusts — a property path that does not resolve
 // against the schema, a derived relation name that repeats or shadows a
 // base relation — and expects Decode to fail: unchecked, every one of
 // these loads cleanly and panics or answers wrongly later, inside a
-// discovery. The rebuilt cases damage what v9 does not store — a
+// discovery. The rebuilt cases damage what the file does not store — a
 // categorical property's distinct-value count, a posting list, a
 // numeric value order, a derived property's pairs and their order —
 // and expect the opposite: the damage

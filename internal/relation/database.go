@@ -173,42 +173,3 @@ func (d *Database) TotalRows() int {
 	}
 	return n
 }
-
-// Validate checks referential metadata: primary keys exist and are unique,
-// and every foreign key references an existing relation/column. Generators
-// call this after building synthetic data.
-func (d *Database) Validate() error {
-	for _, name := range d.order {
-		r := d.relations[name]
-		if r.PrimaryKey != "" {
-			col := r.Column(r.PrimaryKey)
-			if col == nil {
-				return fmt.Errorf("relation %q: primary key column %q missing", name, r.PrimaryKey)
-			}
-			seen := make(map[Value]struct{}, col.Len())
-			for i := 0; i < col.Len(); i++ {
-				v := col.Get(i)
-				if v.IsNull() {
-					return fmt.Errorf("relation %q: NULL primary key at row %d", name, i)
-				}
-				if _, dup := seen[v]; dup {
-					return fmt.Errorf("relation %q: duplicate primary key %v", name, v)
-				}
-				seen[v] = struct{}{}
-			}
-		}
-		for _, fk := range r.Foreign {
-			ref := d.relations[fk.RefRelation]
-			if ref == nil {
-				return fmt.Errorf("relation %q: foreign key %q references missing relation %q", name, fk.Column, fk.RefRelation)
-			}
-			if ref.Column(fk.RefColumn) == nil {
-				return fmt.Errorf("relation %q: foreign key %q references missing column %s.%s", name, fk.Column, fk.RefRelation, fk.RefColumn)
-			}
-			if r.Column(fk.Column) == nil {
-				return fmt.Errorf("relation %q: foreign key column %q missing", name, fk.Column)
-			}
-		}
-	}
-	return nil
-}

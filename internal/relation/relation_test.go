@@ -247,39 +247,6 @@ func TestRelationDistinctValues(t *testing.T) {
 	}
 }
 
-func TestDatabaseValidate(t *testing.T) {
-	d := NewDatabase("test")
-	p := d.AddRelation(newPersonRel())
-	_ = p
-	research := New("research",
-		Col("aid", Int),
-		Col("interest", String),
-	).AddForeignKey("aid", "person", "id")
-	d.AddRelation(research)
-	research.MustAppend(IntVal(1), StringVal("acting"))
-	if err := d.Validate(); err != nil {
-		t.Fatalf("valid db rejected: %v", err)
-	}
-
-	bad := NewDatabase("bad")
-	r := New("r", Col("id", Int)).SetPrimaryKey("id")
-	r.MustAppend(IntVal(1))
-	r.MustAppend(IntVal(1))
-	bad.AddRelation(r)
-	if err := bad.Validate(); err == nil {
-		t.Error("duplicate PK must fail validation")
-	}
-}
-
-func TestDatabaseValidateBadFK(t *testing.T) {
-	d := NewDatabase("t")
-	r := New("r", Col("x", Int)).AddForeignKey("x", "missing", "id")
-	d.AddRelation(r)
-	if err := d.Validate(); err == nil {
-		t.Error("FK to missing relation must fail")
-	}
-}
-
 func TestDatabaseKinds(t *testing.T) {
 	d := NewDatabase("t")
 	d.AddRelation(New("person", Col("id", Int)))

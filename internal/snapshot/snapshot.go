@@ -2,8 +2,8 @@
 // an abduction-ready database to disk. A snapshot stores each fact once,
 // and only facts.
 //
-// Stored: the epoch sequence number, the build configuration (less the
-// building process's worker count), the base database (schemas, column
+// Stored: the epoch sequence number, the build configuration's fact-table
+// depth, the base database (schemas, column
 // storage, per-column string dictionaries), the property descriptors,
 // and a CRC32 trailer over every byte before it.
 //
@@ -62,8 +62,10 @@ const Magic = "SQAS"
 // properties' per-row value codes, which load folds from the base
 // database, and the building process's worker count; v9 stores an
 // INTEGER column as a base, an offset width of 1, 2, 4 or 8 bytes and
-// one offset a row, where v8 stored 8 bytes a cell.
-const Version = 9
+// one offset a row, where v8 stored 8 bytes a cell; v10 stores the build
+// configuration as its fact-table depth alone, dropping the categorical
+// guards (now constants) and three column maps no build set.
+const Version = 10
 
 // ErrVersion reports a snapshot whose format version does not match
 // this build's Version.

@@ -135,7 +135,10 @@ type (
 	ColType = relation.ColType
 	// Params are SQuID's tuning parameters (paper Fig 21).
 	Params = abduction.Params
-	// BuildConfig tunes αDB construction.
+	// BuildConfig tunes αDB construction: MaxFactDepth, how many fact
+	// tables a derived property walks (1 or 2, paper §5; 0 means 2,
+	// stored in a snapshot), and Workers, the build's goroutines (0
+	// means GOMAXPROCS; a setting of the building process, not stored).
 	BuildConfig = adb.Config
 	// Stats summarizes an αDB (Fig 18 statistics).
 	Stats = adb.Stats
@@ -257,7 +260,11 @@ func (s *System) Traces() *trace.Ring {
 // Build runs the offline phase: it constructs the abduction-ready
 // database for db (precomputing derived relations, statistics, and the
 // hash, code and normal indexes) and returns a System configured with
-// DefaultParams.
+// DefaultParams. It refuses a database that breaks the schema rule,
+// which Load holds a snapshot's database to as well: every foreign key
+// is an INTEGER column referencing an INTEGER column, and every entity
+// and dimension relation has an INTEGER primary key holding each row's
+// key once, none NULL.
 func Build(db *Database, cfg BuildConfig) (*System, error) {
 	alpha, err := adb.Build(db, cfg)
 	if err != nil {

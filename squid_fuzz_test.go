@@ -78,7 +78,7 @@ var fuzzExampleSets = [][]string{
 // (TestSnapshotCorpusDamageFailsLoad), so each input is also loaded with
 // its trailer recomputed, which a hand-edited file can carry. The
 // committed corpus
-// (testdata/fuzz/FuzzSnapshotDecode) is a valid v9 stream of fuzzDB, the
+// (testdata/fuzz/FuzzSnapshotDecode) is a valid v10 stream of fuzzDB, the
 // same stream cut at ¼, ½, ¾ and one byte short, and with the low bit
 // flipped at each of the eight offsets (2i+1)/16 of its length; the
 // live streams of fuzzDB and fuzzWideDB are added as well, so the

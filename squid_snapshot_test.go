@@ -3,12 +3,15 @@ package squid
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"squid/internal/datagen"
 	"squid/internal/relation"
+	"squid/internal/snapshot"
 )
 
 // snapshotSystem builds a small IMDb system for round-trip tests.
@@ -330,6 +333,45 @@ func TestLoadRejectsDamagedParams(t *testing.T) {
 				t.Errorf("Load accepted %+v", p)
 			}
 		})
+	}
+}
+
+// TestLoadRejectsDamagedConfig: the build configuration a snapshot
+// stores is its fact-table depth, and Load refuses a depth other than 1
+// or 2 even under a valid trailer, as Build refuses one outside 0..2 (0
+// means 2): a loaded system would otherwise write it back at its next
+// Save. Each case re-encodes the depth and reseals the trailer.
+func TestLoadRejectsDamagedConfig(t *testing.T) {
+	sys, err := Build(academicsDB(), DefaultBuildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sys.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	// The depth follows the header, the parameters and the epoch
+	// sequence, 0 for a fresh build.
+	var head bytes.Buffer
+	w := snapshot.NewWriter(&head)
+	w.Header()
+	writeParams(w, sys.params)
+	w.Uvarint(0)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	at := head.Len()
+	if depth, n := binary.Varint(data[at:]); !bytes.HasPrefix(data, head.Bytes()) || depth != 2 || n != 1 {
+		t.Fatalf("no depth 2 after the header, parameters and sequence")
+	}
+	for _, depth := range []int64{-1, 0, 1, 2, 3, 1 << 40} {
+		bad := binary.AppendVarint(slices.Clone(data[:at]), depth)
+		bad = append(bad, data[at+1:]...)
+		_, err := Load(bytes.NewReader(reseal(bad)))
+		if ok := depth == 1 || depth == 2; ok != (err == nil) {
+			t.Errorf("depth %d: Load = %v", depth, err)
+		}
 	}
 }
 
