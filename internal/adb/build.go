@@ -604,8 +604,8 @@ func (r *pairReader) value(sr int) (code int32, d int, ok bool) {
 // appendCodes appends to dst the codes the fold of pair gives entity row
 // eRow, in source-row order with repeats: the entity row's own pair, or
 // the pairs of the source rows byEntity lists under the entity's key —
-// ascending, since rows are only appended — when its key resolves to
-// eRow through pk. It allocates nothing once dst has room.
+// ascending, since rows are only appended. It allocates nothing once
+// dst has room.
 func (r *pairReader) appendCodes(dst []int32, eRow int) []int32 {
 	if r.entCol == nil {
 		if code, _, ok := r.value(eRow); ok {
@@ -616,26 +616,20 @@ func (r *pairReader) appendCodes(dst []int32, eRow int) []int32 {
 	if r.ids.IsNull(eRow) {
 		return dst
 	}
-	id := r.ids.Int64(eRow)
-	if first, ok := r.pk.First(id); !ok || first != eRow {
-		return dst // a repeated key: the fold gives the pairs to its first row
-	}
 	start := len(dst)
-	base, tail := r.byEntity.Rows(id)
-	room := len(base) + len(tail)
+	rows := r.byEntity.Rows(r.ids.Int64(eRow))
+	room := rows.Len()
 	if r.assoc {
 		room *= 3 // firstVia works past the codes
 	}
 	dst = slices.Grow(dst, room)
-	for _, run := range [2][]uint32{base, tail} {
-		for _, sr := range run {
-			switch code, d, ok := r.value(int(sr)); {
-			case !ok:
-			case r.assoc:
-				dst = append(dst, int32(d)) // a via row, coded by firstVia
-			default:
-				dst = append(dst, code)
-			}
+	for sr := range rows.All() {
+		switch code, d, ok := r.value(int(sr)); {
+		case !ok:
+		case r.assoc:
+			dst = append(dst, int32(d)) // a via row, coded by firstVia
+		default:
+			dst = append(dst, code)
 		}
 	}
 	if r.assoc {
@@ -654,8 +648,7 @@ func (r *pairReader) sourceRows(eRow int) int {
 	if r.ids.IsNull(eRow) {
 		return 0
 	}
-	base, tail := r.byEntity.Rows(r.ids.Int64(eRow))
-	return len(base) + len(tail)
+	return r.byEntity.Rows(r.ids.Int64(eRow)).Len()
 }
 
 // firstVia keeps the first occurrence of each via row in dst[start:] and
@@ -723,15 +716,12 @@ func newPairCheck(s source, fact *relation.Relation, a, b string) pairCheck {
 // first reports whether no row of the fact before fr links fr's pair.
 func (c pairCheck) first(fr int) bool {
 	id := c.bc.Int64(fr)
-	base, tail := c.idx.Rows(c.ac.Int64(fr))
-	for _, run := range [2][]uint32{base, tail} {
-		for _, r := range run {
-			if int(r) >= fr {
-				return true
-			}
-			if !c.bc.IsNull(int(r)) && c.bc.Int64(int(r)) == id {
-				return false
-			}
+	for r := range c.idx.Rows(c.ac.Int64(fr)).All() {
+		if int(r) >= fr {
+			return true
+		}
+		if !c.bc.IsNull(int(r)) && c.bc.Int64(int(r)) == id {
+			return false
 		}
 	}
 	return true
@@ -817,8 +807,9 @@ func byRow(rows []uint32, codes []int32, numRows int) (offs []uint32, flat []int
 // buildCatStats derives catRows from the pairs grouped by row (byRow) —
 // the one constructor of a categorical property's posting lists. It is
 // a counting sort by code that lists each (entity, code) pair once,
-// ascending by row, in one offsets array and one posting array sized
-// exactly. The grouping is dropped after it.
+// ascending by row, into a base laid out at its exact size over the
+// entity rows (index.PostingsBuilder: a value more than one entity in
+// 32 holds is a bitmap). The grouping is dropped after it.
 func (p *BasicProperty) buildCatStats(offs []uint32, flat []int32) {
 	codes := p.dict.Len()
 	// seen[c] is one past the last row counted for code c: rows ascend,
@@ -837,21 +828,18 @@ func (p *BasicProperty) buildCatStats(offs []uint32, flat []int32) {
 		if pOffs[c+1] > 0 {
 			p.numValues++
 		}
-		pOffs[c+1] += pOffs[c]
 	}
-	posts := make([]uint32, pOffs[codes])
-	next := slices.Clone(pOffs[:codes])
+	b := index.NewPostingsBuilder(pOffs, len(offs)-1)
 	clear(seen)
 	for row := range len(offs) - 1 {
 		for _, c := range flat[offs[row]:offs[row+1]] {
 			if seen[c] != row+1 {
 				seen[c] = row + 1
-				posts[next[c]] = uint32(row)
-				next[c]++
+				b.Add(int(c), uint32(row))
 			}
 		}
 	}
-	p.catRows = index.PostingsOf(pOffs, posts)
+	p.catRows = b.Postings()
 }
 
 // buildNumStats points a numeric property at its column and derives

@@ -198,3 +198,96 @@ func viewText(r *relation.Relation) string {
 	}
 	return string(out)
 }
+
+// listEdgeDB holds 640 persons, a posting list's universe of ten bitmap
+// words: kind "edge" is held by N/32 = 20 of them, "past" by 21 and
+// "rest" by the others, and castinfo holds 640 rows, 20 of person 0 and
+// 21 of person 1.
+func listEdgeDB() *relation.Database {
+	db := relation.NewDatabase("listedge")
+	person := relation.New("person", relation.Col("id", relation.Int), relation.Col("name", relation.String), relation.Col("kind", relation.String)).SetPrimaryKey("id")
+	movie := relation.New("movie", relation.Col("id", relation.Int), relation.Col("title", relation.String)).SetPrimaryKey("id")
+	castinfo := relation.New("castinfo", relation.Col("person_id", relation.Int), relation.Col("movie_id", relation.Int)).
+		AddForeignKey("person_id", "person", "id").AddForeignKey("movie_id", "movie", "id")
+	for id := range int64(640) {
+		kind := "rest"
+		switch {
+		case id%2 == 0 && id < 40:
+			kind = "edge"
+		case id%2 == 1 && id < 43:
+			kind = "past"
+		}
+		person.MustAppend(relation.IntVal(id), relation.StringVal(fmt.Sprintf("person %d", id)), relation.StringVal(kind))
+		movie.MustAppend(relation.IntVal(id), relation.StringVal(fmt.Sprintf("movie %d", id)))
+		p := id
+		switch {
+		case id < 20:
+			p = 0
+		case id < 41:
+			p = 1
+		}
+		castinfo.MustAppend(relation.IntVal(p), relation.IntVal(id))
+	}
+	for _, r := range []*relation.Relation{person, movie, castinfo} {
+		db.AddRelation(r)
+	}
+	db.MarkEntity("person")
+	db.MarkEntity("movie")
+	return db
+}
+
+// TestPostingsRuleEdge pins the posting-list layout rule at its edge,
+// built and loaded: of kind's lists, "edge" (N/32 rows) is a run of
+// 4-byte rows and "past" (N/32+1) and "rest" are bitmaps of ten words,
+// so the statistic takes exactly the bytes of that layout; each list
+// reads back, and builds its row set, as a scan of the column gives it.
+// The hash indexes take the same layout by the same builder
+// (index.TestLayoutRuleEdge pins BuildIntHash at this edge), and a load
+// lays them out as the build did.
+func TestPostingsRuleEdge(t *testing.T) {
+	built, err := Build(listEdgeDB(), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := roundTrip(t, built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, l := built.Snapshot().ResidentBytes(), loaded.Snapshot().ResidentBytes(); b.HashIndexBase != l.HashIndexBase || b.BasicStats != l.BasicStats {
+		t.Errorf("built %+v, loaded %+v", b, l)
+	}
+	for _, a := range []*AlphaDB{built, loaded} {
+		info := a.Entity("person")
+		p := info.BasicByAttr("kind")
+		if p == nil {
+			t.Fatal("person has no kind property")
+		}
+		// Three offsets past the first, the 20 rows of the run and two
+		// entries a bitmap; one word of bitmap marks and ten a bitmap.
+		if base, tail := p.catRows.ResidentBytes(); base != 4*(4+20+2*2)+8*(1+2*10) || tail != 0 {
+			t.Errorf("kind's lists take %d B (tail %d), want %d", base, tail, 4*(4+20+2*2)+8*(1+2*10))
+		}
+		kinds := info.rel.Column("kind")
+		for _, v := range []string{"edge", "past", "rest"} {
+			var want []int
+			for row := range info.NumRows {
+				if kinds.Dict().Value(kinds.Code(row)) == v {
+					want = append(want, row)
+				}
+			}
+			l := p.catRows.Rows(int(p.code(v)))
+			got := slices.Collect(l.All())
+			if l.Len() != len(want) || len(got) != len(want) {
+				t.Fatalf("%s: %d rows (Len %d), want %d", v, len(got), l.Len(), len(want))
+			}
+			for i, r := range got {
+				if int(r) != want[i] {
+					t.Fatalf("%s: rows %v, want %v", v, got, want)
+				}
+			}
+			if s := p.EntityRowSetWithAnyCode([]int32{p.code(v)}, trace.Span{}, false); !slices.Equal(s.ToSorted(), want) {
+				t.Errorf("%s: row set %v, want %v", v, s.ToSorted(), want)
+			}
+		}
+	}
+}

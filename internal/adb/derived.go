@@ -195,15 +195,12 @@ func (d *derivedReader) add(vRow int, dst []int32) []int32 {
 	return d.target.appendCodes(dst, vRow)
 }
 
-// factRows returns the first-fact rows that name entity row eRow's key
-// when the key resolves to eRow: a repeated key's rows link its first
-// row, as link resolves them.
-func (d *derivedReader) factRows(eRow int) (base, tail []uint32) {
-	id := d.ids.Int64(eRow)
-	if first, ok := d.pk.First(id); d.ids.IsNull(eRow) || !ok || first != eRow {
-		return nil, nil
+// factRows returns the first-fact rows that name entity row eRow's key.
+func (d *derivedReader) factRows(eRow int) index.List {
+	if d.ids.IsNull(eRow) {
+		return index.List{}
 	}
-	return d.byEntity.Rows(id)
+	return d.byEntity.Rows(d.ids.Int64(eRow))
 }
 
 // buildEntityAssocProperty creates the multi-valued basic property

@@ -46,7 +46,7 @@ import (
 // lists — copies its tail when the property or shard is cloned and
 // writes into that. Lists shared with the base are only ever
 // appended past the base's lengths: a posting list keeps its new rows
-// in the tail beside its base run.
+// in the tail beside its base.
 type epochBuilder struct {
 	base *Epoch
 	idx  *index.IndexDelta
@@ -405,8 +405,9 @@ func (eb *epochBuilder) applyNaming(entityRel string, row int, id int64) {
 		var rows []uint32
 		for _, fk := range fact.Foreign {
 			if fk.RefRelation == entityRel {
-				base, tail := eb.readHash(fact, fk.Column).Rows(id)
-				rows = append(append(rows, base...), tail...)
+				for fr := range eb.readHash(fact, fk.Column).Rows(id).All() {
+					rows = append(rows, fr)
+				}
 			}
 		}
 		slices.Sort(rows)
@@ -463,12 +464,9 @@ func (eb *epochBuilder) applyFact(fact *relation.Relation, fr int, at *arrival) 
 					continue
 				}
 				var linked []int
-				base, tail := eb.readHash(eb.viewRel(p.Fact1), p.Fact1ViaCol).Rows(r.target.ids.Int64(vRow))
-				for _, run := range [2][]uint32{base, tail} {
-					for _, lr := range run {
-						if eRow, _, ok := r.link(int(lr)); ok && !slices.Contains(linked, eRow) {
-							linked = append(linked, eRow)
-						}
+				for lr := range eb.readHash(eb.viewRel(p.Fact1), p.Fact1ViaCol).Rows(r.target.ids.Int64(vRow)).All() {
+					if eRow, _, ok := r.link(int(lr)); ok && !slices.Contains(linked, eRow) {
+						linked = append(linked, eRow)
 					}
 				}
 				eb.codes = append(eb.codes[:0], code)

@@ -116,15 +116,16 @@ type BasicProperty struct {
 	path pairReader
 	// catRows is the categorical statistic: catRows[code] is the set of
 	// rows of the distinct entities exhibiting the value — its size is
-	// the value's entity count, ψ's numerator — one flat 4-byte layout,
-	// an immutable base plus the rows this epoch's writers added since
-	// the last fold (index.Postings): no slice header per value, and a
-	// fact insert never copies a value's posting list. The base run is
-	// ascending, the rows added since the fold follow in insertion
-	// order, and every reader treats the two as one set. numValues
-	// counts codes with a non-empty list — the property's distinct-value
-	// cardinality (the dictionary can hold values this property never
-	// exhibits).
+	// the value's entity count, ψ's numerator — an immutable base plus
+	// the rows this epoch's writers added since the last fold
+	// (index.Postings): no slice header per value, and a fact insert
+	// never copies a value's posting list. A value more than one entity
+	// in 32 exhibits is a bitmap over the entity rows in the base, any
+	// other an ascending run of 4-byte rows; the rows added since the
+	// fold follow in insertion order, and every reader reads the two as
+	// one list (index.List). numValues counts codes with a non-empty
+	// list — the property's distinct-value cardinality (the dictionary
+	// can hold values this property never exhibits).
 	catRows   index.Postings
 	numValues int
 
@@ -326,7 +327,8 @@ func (p *BasicProperty) CategoricalDomainCoverage(k int) float64 {
 // of their values (a single value is a one-element disjunction), with
 // memo events attributed to sp. The set is sized by the lists' total
 // length, ψ's numerator when the values do not overlap and an upper
-// bound when they do, and takes the 4-byte postings as they are stored.
+// bound when they do, and takes each list as it is stored: a common
+// value's bitmap a word at a time, a run's 4-byte rows.
 // A set the call had to build stays in the memo when store is set
 // (rowSetMemo.rowSet says who may). The returned set is shared: do not
 // mutate.
@@ -341,9 +343,7 @@ func (p *BasicProperty) EntityRowSetWithAnyCode(codes []int32, sp trace.Span, st
 		}
 		s := index.NewRowSet(p.numEntities, total)
 		for _, c := range codes {
-			base, tail := p.catRows.Rows(int(c))
-			s.AddAll(base)
-			s.AddAll(tail)
+			s.AddList(p.catRows.Rows(int(c)))
 		}
 		sp.Add(trace.CounterCellsStreamed, int64(total))
 		return s
@@ -813,12 +813,9 @@ type CodeCount struct {
 func (p *DerivedProperty) AppendCounts(dst []CodeCount, sc []int32, row int) ([]CodeCount, []int32) {
 	d := &p.walk
 	sc = sc[:0]
-	base, tail := d.factRows(row)
-	for _, run := range [2][]uint32{base, tail} {
-		for _, fr := range run {
-			if _, vRow, ok := d.link(int(fr)); ok {
-				sc = append(sc, int32(vRow))
-			}
+	for fr := range d.factRows(row).All() {
+		if _, vRow, ok := d.link(int(fr)); ok {
+			sc = append(sc, int32(vRow))
 		}
 	}
 	slices.Sort(sc)
@@ -843,8 +840,7 @@ func (p *DerivedProperty) AppendCounts(dst []CodeCount, sc []int32, row int) ([]
 // the entity at row: what a caller weighs a walk by against probing the
 // pair lists.
 func (p *DerivedProperty) SourceRows(row int) int {
-	base, tail := p.walk.factRows(row)
-	return len(base) + len(tail)
+	return p.walk.factRows(row).Len()
 }
 
 // SelectivityOfCode returns ψ(φ⟨Attr,v,θ⟩): the fraction of entities

@@ -66,16 +66,16 @@ type ResidentBytes struct {
 	// their values, and the rank tables and normal indexes built over
 	// them so far (relation.Dict.ByteSize).
 	Dicts int64
-	// HashIndexBase and HashIndexTail are the bases (key maps, offsets
-	// and flat posting arrays) and the tails of the resident hash
-	// indexes, the TEXT columns' code indexes included.
+	// HashIndexBase and HashIndexTail are the bases (key maps, offsets,
+	// runs and bitmaps) and the tails of the resident hash indexes, the
+	// TEXT columns' code indexes included.
 	HashIndexBase, HashIndexTail int64
 	// BasicStats is the basic properties' per-value statistics: the
-	// categorical posting lists (offsets, postings and their insert
-	// tails) and the numeric value orders. An entity's own values are
-	// its relations' cells, counted under Columns: a categorical
-	// property walks its access path to them, a numeric one reads its
-	// column.
+	// categorical posting lists (offsets, runs, bitmaps and their
+	// insert tails) and the numeric value orders. An entity's own
+	// values are its relations' cells, counted under Columns: a
+	// categorical property walks its access path to them, a numeric one
+	// reads its column.
 	BasicStats int64
 	// DerivedPairs is the derived properties' per-value pair lists and
 	// strength histograms: the derived relations, which the engine reads

@@ -688,14 +688,13 @@ func (e *Executor) access(rel *relation.Relation, preds []rowPred, builds *int) 
 			continue
 		}
 		if h := e.idx.ResidentIntHash(rel, p.Col); h != nil && !text {
-			runs := make([][]uint32, 0, 2*len(p.keys))
+			lists := make([]index.List, len(p.keys))
 			total := 0
-			for _, k := range p.keys {
-				base, tail := h.Rows(k)
-				runs = append(runs, base, tail)
-				total += len(base) + len(tail)
+			for i, k := range p.keys {
+				lists[i] = h.Rows(k)
+				total += lists[i].Len()
 			}
-			consider(total, func() []int { return unionRows(runs, n) })
+			consider(total, func() []int { return unionRows(lists, n, total) })
 			continue
 		}
 		*builds++
@@ -704,28 +703,23 @@ func (e *Executor) access(rel *relation.Relation, preds []rowPred, builds *int) 
 	return a
 }
 
-// unionRows merges ascending posting runs into one ascending,
-// duplicate-free row list in the executor's row width: runs that follow
-// one another — one key's base run and tail — are concatenated, and
-// others (an IN may name one key twice) go through a row set.
-func unionRows(runs [][]uint32, universe int) []int {
-	total, last, ordered := 0, -1, true
-	for _, run := range runs {
-		if len(run) > 0 {
-			ordered = ordered && int(run[0]) > last
-			total, last = total+len(run), int(run[len(run)-1])
-		}
-	}
-	if !ordered {
-		s := index.NewRowSet(universe, total)
-		for _, run := range runs {
-			s.AddAll(run)
-		}
-		return s.ToSorted()
-	}
+// unionRows merges the posting lists of a predicate's keys, total rows
+// in all, into one ascending, duplicate-free row list in the executor's
+// row width: lists that follow one another — a key's own rows ascend,
+// the inserted ones after its base — are concatenated, and once a row
+// comes out of order (an IN may name one key twice) the lists go through
+// a row set instead.
+func unionRows(lists []index.List, universe, total int) []int {
 	rows := make([]int, 0, total)
-	for _, run := range runs {
-		for _, r := range run {
+	for _, l := range lists {
+		for r := range l.All() {
+			if n := len(rows); n > 0 && int(r) <= rows[n-1] {
+				s := index.NewRowSet(universe, total)
+				for _, l := range lists {
+					s.AddList(l)
+				}
+				return s.ToSorted()
+			}
 			rows = append(rows, int(r))
 		}
 	}
@@ -1229,17 +1223,14 @@ func probeJoin(p *poller, t tuples, s step, okey keyCol, h *index.IntHash, preds
 		if !ok {
 			continue
 		}
-		base, tail := h.Rows(k)
-		for _, run := range [2][]uint32{base, tail} {
-			for _, r := range run {
-				row := int(r)
-				if !matchAll(preds, row) {
-					continue
-				}
-				out.emit(src, s.to.pos, row)
-				if err := p.poll(); err != nil {
-					return out, err
-				}
+		for r := range h.Rows(k).All() {
+			row := int(r)
+			if !matchAll(preds, row) {
+				continue
+			}
+			out.emit(src, s.to.pos, row)
+			if err := p.poll(); err != nil {
+				return out, err
 			}
 		}
 	}

@@ -29,7 +29,10 @@ import (
 // good — so a run rebuilds it out of and into both of its forms. The
 // second starts as a dense window built over a clustered column: runs
 // of inserts fold its lists alone under the same window, and new keys
-// past the window rebuild it with a wider one.
+// past the window rebuild it with a wider one. Its runs of rows under
+// one key fold that key's run into a bitmap and grow the bitmap by its
+// tail, and the rows the relation gains meanwhile widen the universe
+// until a fold lays a bitmap out as a run again.
 
 // chainGen is one generation: both relations, each with one column k,
 // and the index set over them.
@@ -71,6 +74,9 @@ type chainStats struct {
 	// The second: folds of its lists alone under an unchanged window,
 	// and rebuilds that widened the window.
 	listFolds, windowFolds int
+	// Lists those folds laid out the other way, and bitmaps they folded
+	// with tail rows.
+	runToBitmap, bitmapToRun, bitmapTailFolds int
 }
 
 // keysRebuilt reports whether next is a rebuild of prev: a new window or
@@ -179,6 +185,15 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 		case &nextOrd.lists.offs[0] != &prevOrd.lists.offs[0]:
 			st.listFolds++
 		}
+		// A fold or a rebuild from the same first key keeps every key's
+		// ordinal.
+		if &nextOrd.lists.offs[0] != &prevOrd.lists.offs[0] && nextOrd.lo == prevOrd.lo && nextOrd.width > 0 && prevOrd.width > 0 {
+			var ls listsStats
+			ls.noteRelayout(&prevOrd.lists, &nextOrd.lists)
+			st.runToBitmap += ls.runToBitmap
+			st.bitmapToRun += ls.bitmapToRun
+			st.bitmapTailFolds += ls.bitmapTailFolds
+		}
 		gens, models = append(gens, pub), append(models, model.clone())
 		cur = pub
 		begin()
@@ -221,9 +236,10 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 			insertOrd(ordMax + int64(next()%2))
 		case 4: // under any key so far
 			insertOrd(int64(next()) % (ordMax + 1))
-		case 5: // a run of rows: the lists fold
+		case 5: // a run of rows under one of the first keys: the lists fold
+			k := int64(next() % 8)
 			for i := 0; i < 24; i++ {
-				insertOrd(ordMax + int64(i%2))
+				insertOrd(k)
 			}
 		case 6: // new keys past the window: the key table grows
 			for i := 0; i < 40; i++ {
@@ -252,7 +268,8 @@ func runCloneChain(t *testing.T, ops []byte) chainStats {
 }
 
 // checkChainHash holds got to the oracle want and to BuildIntHash over
-// rel, the relation of got's generation.
+// rel, the relation of got's generation: every key's list read whole,
+// its count, membership, first row and row sets.
 func checkChainHash(t *testing.T, at string, got *IntHash, rel *relation.Relation, want map[int64][]uint32) {
 	t.Helper()
 	built := BuildIntHash(rel, "k")
@@ -260,22 +277,35 @@ func checkChainHash(t *testing.T, at string, got *IntHash, rel *relation.Relatio
 		t.Errorf("%s: NumKeys = %d, built %d, want %d", at, got.NumKeys(), built.NumKeys(), len(want))
 	}
 	for k, rows := range want {
-		if r := slices.Concat(got.Rows(k)); !reflect.DeepEqual(r, rows) {
+		if r := slices.Collect(got.Rows(k).All()); !reflect.DeepEqual(r, rows) {
 			t.Errorf("%s: Rows(%d) = %v want %v", at, k, r, rows)
 		}
-		if b := slices.Concat(built.Rows(k)); !reflect.DeepEqual(b, rows) {
+		if b := slices.Collect(built.Rows(k).All()); !reflect.DeepEqual(b, rows) {
 			t.Errorf("%s: built Rows(%d) = %v want %v", at, k, b, rows)
 		}
 		if first, ok := got.First(k); !ok || first != int(rows[0]) {
 			t.Errorf("%s: First(%d) = %d, %v want %d", at, k, first, ok, rows[0])
 		}
+		o, _ := got.ord(k)
+		l := got.Rows(k)
+		if got.lists.Count(o) != len(rows) || l.Len() != len(rows) {
+			t.Errorf("%s: key %d counts %d, Len %d, want %d", at, k, got.lists.Count(o), l.Len(), len(rows))
+		}
+		for i, r := range rows {
+			if next := i+1 < len(rows) && rows[i+1] == r+1; !got.lists.Contains(o, r) || got.lists.Contains(o, r+1) != next {
+				t.Errorf("%s: key %d: Contains is wrong around row %d of %v", at, k, r, rows)
+				break
+			}
+		}
+		first, ok := got.lists.First(o)
+		checkFirstAndRowSets(t, at+": key", k, l, first, ok, rows, true)
 	}
 	// Keys a later generation inserted must stay absent here, and so
 	// must the neighbors of every present key: in a gap of the dense
 	// table, below its first slot, above its last.
 	absent := func(k int64) {
 		if _, has := want[k]; !has {
-			if _, ok := got.First(k); ok || slices.Concat(got.Rows(k)) != nil {
+			if _, ok := got.First(k); ok || slices.Collect(got.Rows(k).All()) != nil {
 				t.Errorf("%s: absent key %d is visible", at, k)
 			}
 		}
@@ -295,7 +325,7 @@ func checkChainHash(t *testing.T, at string, got *IntHash, rel *relation.Relatio
 // to fill in and turn dense before a far burst makes it sparse for
 // good.
 func chainOps(rng *rand.Rand, generations int) []byte {
-	args := [8]int{1, 1, 1, 1, 1, 0, 0, 0}
+	args := [8]int{1, 1, 1, 1, 1, 1, 0, 0}
 	var ops []byte
 	for published := 0; published < generations; {
 		op := byte(rng.Intn(8))
@@ -322,7 +352,9 @@ func chainOps(rng *rand.Rand, generations int) []byte {
 // published in both forms, rebuilt out of each at least twice and from
 // each into the other, and retired generations were read after their
 // successors had rebuilt it; the second folded its lists alone under an
-// unchanged window, and was rebuilt into a wider one.
+// unchanged window, and was rebuilt into a wider one, and its folds laid
+// runs out as bitmaps and bitmaps as runs, and folded bitmaps with tail
+// rows.
 func TestCloneChainIsolation(t *testing.T) {
 	seeds := int64(2)
 	if testing.Short() {
@@ -340,6 +372,9 @@ func TestCloneChainIsolation(t *testing.T) {
 		}
 		if st.listFolds == 0 || st.windowFolds == 0 {
 			t.Errorf("seed %d did not fold the clustered index both ways: %+v", seed, st)
+		}
+		if st.runToBitmap == 0 || st.bitmapToRun == 0 || st.bitmapTailFolds == 0 {
+			t.Errorf("seed %d did not fold lists across the layout rule both ways: %+v", seed, st)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package index
 import (
 	"maps"
 	"math"
-	"slices"
 	"unsafe"
 
 	"squid/internal/relation"
@@ -80,26 +79,27 @@ func (t *keyTable) residentBytes() (base, tail int64) {
 
 // groupRows is the counting sort of a bulk build. ords[row] is the key
 // ordinal of row, noKey to skip it; the result is the rows grouped by
-// ordinal, ascending within each, and the numKeys+1 list boundaries.
-func groupRows(ords []uint32, numKeys int) (post, offs []uint32) {
-	offs = make([]uint32, numKeys+1)
+// ordinal, a Postings base over the rows of ords (ascending within each
+// run), and the number of ordinals holding a row.
+func groupRows(ords []uint32, numKeys int) (lists Postings, keys int) {
+	sizes := make([]uint32, numKeys+1)
 	for _, o := range ords {
 		if o != noKey {
-			offs[o+1]++
+			sizes[o+1]++
 		}
 	}
-	for i := 1; i <= numKeys; i++ {
-		offs[i] += offs[i-1]
+	for _, c := range sizes[1:] {
+		if c > 0 {
+			keys++
+		}
 	}
-	post = make([]uint32, offs[numKeys])
-	next := slices.Clone(offs[:numKeys])
+	b := NewPostingsBuilder(sizes, len(ords))
 	for row, o := range ords {
 		if o != noKey {
-			post[next[o]] = uint32(row)
-			next[o]++
+			b.Add(int(o), uint32(row))
 		}
 	}
-	return post, offs
+	return b.Postings(), keys
 }
 
 // IntHash is a hash index from an integer column's values to row numbers;
@@ -120,8 +120,9 @@ func groupRows(ords []uint32, numKeys int) (post, offs []uint32) {
 //     either form the keys added since the fold that fall outside the
 //     window, with ordinals handed out past it.
 //
-// Either form's base is one flat posting array of exactly the rows it
-// indexes, cut by one offset a list (groupRows lays it out).
+// Either form's base is a Postings base over the relation's rows, laid
+// out once at its exact size (groupRows): a key that holds more than
+// one row in 32 is a bitmap, every other key a run of its rows.
 //
 // An insert appends its row to the key's list and copies nothing of the
 // base. Clone copies the key table's tail and clones the lists, which
@@ -171,10 +172,11 @@ func keyBlock(c *relation.Column, keys []int64, at int) {
 // BuildIntHash indexes the named INTEGER column of rel by its values,
 // or the named TEXT column by its dictionary codes. Its first pass reads
 // the key range; two counting passes (groupRows) then allocate the
-// posting array and its offsets once, at their exact sizes (no per-key
-// slice, no append slack), with rows ascending within a key. Each pass
-// reads the keys a block at a time into a buffer on the stack
-// (keyBlock). Warm boots rebuild every hash index through this path.
+// lists once, at their exact sizes (no per-key slice, no append slack),
+// each a bitmap or a run of rows ascending by the layout rule of
+// Postings. Each pass reads the keys a block at a time into a buffer on
+// the stack (keyBlock). Warm boots rebuild every hash index through this
+// path.
 func BuildIntHash(rel *relation.Relation, col string) *IntHash {
 	c := rel.Column(col)
 	if c == nil || c.Type == relation.Float {
@@ -218,15 +220,8 @@ func BuildIntHash(rel *relation.Relation, col string) *IntHash {
 			}
 		}
 		width := uint64(hi) - uint64(lo) + 1
-		post, offs := groupRows(ords, int(width))
-		keys := 0
-		for i := 0; i+1 < len(offs); i++ {
-			if offs[i] != offs[i+1] {
-				keys++
-			}
-		}
-		if isDense(lo, hi, keys) {
-			return &IntHash{lo: lo, width: width, lists: PostingsOf(offs, post), keys: keys}
+		if lists, keys := groupRows(ords, int(width)); isDense(lo, hi, keys) {
+			return &IntHash{lo: lo, width: width, lists: lists, keys: keys}
 		}
 	}
 	// Sparse: number the keys by first appearance (one map probe a run
@@ -255,8 +250,8 @@ func BuildIntHash(rel *relation.Relation, col string) *IntHash {
 			ords[row] = id
 		}
 	}
-	post, offs := groupRows(ords, len(ids))
-	return &IntHash{ords: keyTable{base: ids}, lists: PostingsOf(offs, post), keys: len(ids)}
+	lists, _ := groupRows(ords, len(ids))
+	return &IntHash{ords: keyTable{base: ids}, lists: lists, keys: len(ids)}
 }
 
 // ord returns v's list ordinal and whether the index has one for it.
@@ -268,28 +263,27 @@ func (h *IntHash) ord(v int64) (int, bool) {
 	return int(o), ok
 }
 
-// Rows returns the rows holding value v as the ascending base run and
-// the rows inserted since the fold, all newer than the base's (both nil
-// if absent). The views are shared storage: do not mutate.
-func (h *IntHash) Rows(v int64) (base, tail []uint32) {
+// Rows returns the list of the rows holding value v (empty if absent):
+// the base's ascending, then the rows inserted since the fold, all newer
+// than the base's. The view is shared storage: do not mutate.
+func (h *IntHash) Rows(v int64) List {
 	o, ok := h.ord(v)
 	if !ok {
-		return nil, nil
+		return List{}
 	}
 	return h.lists.Rows(o)
 }
 
 // First returns the first row holding value v and whether one exists;
-// this is the primary-key point-lookup fast path.
+// this is the primary-key point-lookup fast path: a one-row list is
+// never a bitmap, so it is one read of the run.
 func (h *IntHash) First(v int64) (int, bool) {
-	base, tail := h.Rows(v)
-	switch {
-	case len(base) > 0:
-		return int(base[0]), true
-	case len(tail) > 0:
-		return int(tail[0]), true
+	o, ok := h.ord(v)
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	r, ok := h.lists.First(o)
+	return int(r), ok
 }
 
 // NumKeys returns the number of distinct indexed values.

@@ -48,7 +48,7 @@ func checkIntHash(t *testing.T, h *IntHash, cells []*int64) {
 		t.Errorf("NumKeys = %d want %d", h.NumKeys(), len(want))
 	}
 	for k, rows := range want {
-		got := slices.Concat(h.Rows(k))
+		got := slices.Collect(h.Rows(k).All())
 		if !reflect.DeepEqual(got, rows) || !slices.IsSorted(got) {
 			t.Errorf("Rows(%d) = %v want %v", k, got, rows)
 		}
@@ -59,14 +59,14 @@ func checkIntHash(t *testing.T, h *IntHash, cells []*int64) {
 			if _, has := want[absent]; has {
 				continue
 			}
-			if _, ok := h.First(absent); ok || slices.Concat(h.Rows(absent)) != nil {
-				t.Errorf("absent key %d (beside %d) answers %v", absent, k, slices.Concat(h.Rows(absent)))
+			if _, ok := h.First(absent); ok || slices.Collect(h.Rows(absent).All()) != nil {
+				t.Errorf("absent key %d (beside %d) answers %v", absent, k, slices.Collect(h.Rows(absent).All()))
 			}
 		}
 	}
 	for _, absent := range []int64{math.MinInt64, math.MaxInt64, 0} {
-		if _, has := want[absent]; !has && slices.Concat(h.Rows(absent)) != nil {
-			t.Errorf("absent key %d answers %v", absent, slices.Concat(h.Rows(absent)))
+		if _, has := want[absent]; !has && slices.Collect(h.Rows(absent).All()) != nil {
+			t.Errorf("absent key %d answers %v", absent, slices.Collect(h.Rows(absent).All()))
 		}
 	}
 }
@@ -127,17 +127,40 @@ func TestBuildIntHashParity(t *testing.T) {
 			if h.width > 0 && h.ords.base != nil {
 				t.Error("both base forms are populated")
 			}
-			// Exact sizes: one posting a non-NULL row, nothing spare.
+			// Exact sizes: each list in the layout the rule picks for
+			// its count, one posting a row of a run and two entries and
+			// a bitmap's words a bitmap, nothing spare.
 			rows := 0
 			for _, cell := range c.cells {
 				if cell != nil {
 					rows++
 				}
 			}
-			if flat := h.lists.flat; len(flat) != rows || cap(flat) != rows {
-				t.Errorf("posting array holds %d (cap %d) for %d rows", len(flat), cap(flat), rows)
-			}
+			checkLayout(t, &h.lists, rows)
 		})
+	}
+}
+
+// checkLayout holds p's base to the layout rule and to exact sizes, and
+// to the rows it counts.
+func checkLayout(t *testing.T, p *Postings, rows int) {
+	t.Helper()
+	runRows, bitmaps := 0, 0
+	for k := range p.baseLists() {
+		n := p.Count(k)
+		if p.isBitmap(k) != isBitmap(n, p.span) {
+			t.Errorf("list %d of %d rows over %d words: bitmap %v", k, n, p.span, p.isBitmap(k))
+		}
+		if p.isBitmap(k) {
+			bitmaps++
+		} else {
+			runRows += n
+		}
+	}
+	if p.rows != rows || len(p.flat) != runRows+2*bitmaps || cap(p.flat) != len(p.flat) ||
+		len(p.words) != bitmaps*p.span || cap(p.words) != len(p.words) {
+		t.Errorf("%d rows (want %d): %d run rows and %d bitmaps of %d words in %d (cap %d) entries and %d (cap %d) words",
+			p.rows, rows, runRows, bitmaps, p.span, len(p.flat), cap(p.flat), len(p.words), cap(p.words))
 	}
 }
 

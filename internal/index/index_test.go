@@ -144,8 +144,8 @@ func TestIntHashDuplicates(t *testing.T) {
 	r.MustAppend(relation.IntVal(7))
 	r.MustAppend(relation.IntVal(8))
 	h := BuildIntHash(r, "pid")
-	if base, tail := h.Rows(7); len(base) != 2 || tail != nil {
-		t.Errorf("Rows(7)=%v, %v", base, tail)
+	if rows := slices.Collect(h.Rows(7).All()); !slices.Equal(rows, []uint32{0, 1}) {
+		t.Errorf("Rows(7)=%v", rows)
 	}
 }
 
@@ -202,7 +202,7 @@ func TestBuildIntHashPresizesByRuns(t *testing.T) {
 	}
 	var h *IntHash
 	built := allocated(func() { h = BuildIntHash(rel, "entity_id") })
-	three, four := slices.Concat(h.Rows(3)), slices.Concat(h.Rows(4))
+	three, four := slices.Collect(h.Rows(3).All()), slices.Collect(h.Rows(4).All())
 	if h.NumKeys() != keys || len(three) != run || three[0] != run || four != nil {
 		t.Fatalf("index has %d keys, Rows(3) = %v, Rows(4) = %v", h.NumKeys(), three, four)
 	}

@@ -63,7 +63,7 @@ func TestIndexDeltaNoteAppend(t *testing.T) {
 	}
 	wantInt := BuildIntHash(next, "id")
 	for v := int64(0); v < 100; v++ {
-		if got, want := slices.Concat(ih.Rows(v)), slices.Concat(wantInt.Rows(v)); !reflect.DeepEqual(got, want) {
+		if got, want := slices.Collect(ih.Rows(v).All()), slices.Collect(wantInt.Rows(v).All()); !reflect.DeepEqual(got, want) {
 			t.Errorf("after append, Rows(%d) = %v want %v", v, got, want)
 		}
 	}

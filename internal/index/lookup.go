@@ -50,11 +50,8 @@ func (s *IndexSet) CommonColumns(db *relation.Database, values []string) []Colum
 			c.h = s.ints[c.key]
 		}
 		for _, code := range codes {
-			base, tail := c.h.Rows(int64(code))
-			for _, run := range [2][]uint32{base, tail} {
-				for _, r := range run {
-					flat = append(flat, int(r))
-				}
+			for r := range c.h.Rows(int64(code)).All() {
+				flat = append(flat, int(r))
 			}
 		}
 		if len(codes) > 1 {

@@ -28,15 +28,15 @@ func TestLookupNormalizesWithoutAllocating(t *testing.T) {
 	h := lookupSet(db).ResidentIntHash(db.Relation("person"), "name")
 	var buf [4]int32
 	var form [64]byte
-	lookup := func() (base, tail []uint32) {
+	lookup := func() List {
 		codes := names.Dict().AppendNormalCodes(buf[:0], relation.AppendNormal(form[:0], " TOM   cruise\t"))
 		if len(codes) != 1 {
-			return nil, nil
+			return List{}
 		}
 		return h.Rows(int64(codes[0]))
 	}
-	if base, tail := lookup(); len(base) != 1 || base[0] != 0 || len(tail) != 0 {
-		t.Fatalf("lookup = %v, %v, want the one row", base, tail)
+	if rows := slices.Collect(lookup().All()); !slices.Equal(rows, []uint32{0}) {
+		t.Fatalf("lookup = %v, want the one row", rows)
 	}
 	if n := testing.AllocsPerRun(100, func() { lookup() }); n != 0 {
 		t.Errorf("a lookup allocates %.0f times, want 0", n)

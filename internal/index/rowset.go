@@ -281,6 +281,26 @@ func addAll[T int | uint32](s *RowSet, rows []T) {
 	s.maybeDensify()
 }
 
+// AddList inserts every row of a posting list (Postings.Rows,
+// IntHash.Rows): a bitmap base is ORed in a word at a time — into a
+// dense set spanning it, a copy of its words — and a run base and the
+// rows added since the fold go through AddAll.
+func (s *RowSet) AddList(l List) {
+	if words := s.words; len(l.words) <= len(words) {
+		for i, w := range l.words {
+			words[i] |= w
+		}
+	} else {
+		for wi, w := range l.words {
+			if w != 0 {
+				s.AddWord(wi, w)
+			}
+		}
+	}
+	s.AddAll(l.run)
+	s.AddAll(l.tail)
+}
+
 // AddWord inserts row 64·wi+b for every set bit b of w: one 64-row word
 // of a scan that gathers its matches a word at a time. Into the dense
 // form within its span it is one OR; otherwise the rows go in one by

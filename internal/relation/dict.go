@@ -90,6 +90,15 @@ const rankFoldDiv = 32
 
 var noRanks = &rankTable{}
 
+// valsGrowDiv and valsGrowMin are the step the values grow by when
+// full: 1/valsGrowDiv of them, at least valsGrowMin. The spare room is
+// at most that share of the values, and a bulk load copies each value
+// O(valsGrowDiv) times, amortized.
+const (
+	valsGrowDiv = 32
+	valsGrowMin = 64
+)
+
 // NoCode is the sentinel code stored for NULL cells; it never names a
 // dictionary entry.
 const NoCode int32 = -1
@@ -118,6 +127,14 @@ func (d *Dict) add(v string, h uint64) int32 {
 	d.normalMu.Lock()
 	defer d.normalMu.Unlock()
 	id := int32(len(d.vals))
+	if n := len(d.vals); n == cap(d.vals) {
+		// A bounded step, not append's rule: a loaded dictionary is held
+		// at its exact size, and append would grow it by a quarter or
+		// more on its first intern.
+		grown := make([]string, n, n+max(n/valsGrowDiv, valsGrowMin))
+		copy(grown, d.vals)
+		d.vals = grown
+	}
 	d.vals = append(d.vals, v)
 	ix := d.normals.Load()
 	if ix == nil || ix.codes != int(id) || len(d.vals)*5 > len(ix.slots)*4 {

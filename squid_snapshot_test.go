@@ -261,6 +261,48 @@ func TestLoadedDictionariesHoldNoSpare(t *testing.T) {
 	}
 }
 
+// TestInsertedDictionariesGrowByBoundedSteps: the first value interned
+// into a loaded dictionary, held at its exact size, grows it by a
+// bounded step (1/32 of its values, at least 64), not by append's rule.
+// After the benchmark's 24 insert batches (afterInserts) the
+// dictionaries hold at most 1/32 of their loaded bytes more than the
+// values interned since take; append's rule took 14% more at bench
+// scale.
+func TestInsertedDictionariesGrowByBoundedSteps(t *testing.T) {
+	cfg := benchScale().IMDb
+	built, err := Build(datagen.GenerateIMDb(cfg).DB, DefaultBuildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := built.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inserted := afterInserts(t, built, cfg)
+	before, after := loaded.ResidentBytes().Dicts, inserted.ResidentBytes().Dicts
+	interned := int64(0)
+	db, ldb := inserted.AlphaDB().DB(), loaded.AlphaDB().DB()
+	for _, name := range db.RelationNames() {
+		for _, col := range db.Relation(name).Columns() {
+			if d := col.Dict(); d != nil {
+				for _, v := range d.Values()[ldb.Relation(name).Column(col.Name).Dict().Len():] {
+					interned += 16 + int64(len(v))
+				}
+			}
+		}
+	}
+	if interned == 0 {
+		t.Fatal("the inserts interned no value")
+	}
+	if limit := before + before/32 + interned; after > limit {
+		t.Errorf("dictionaries take %d B after the inserts, %d B loaded and %d B for the values interned since: over %d", after, before, interned, limit)
+	}
+}
+
 // TestSnapshotVersionMismatch asserts the strict version policy: a
 // stream with a newer or an older version (v4, the format that still
 // stored every inverse beside the data it inverts, v3 and v2 before it)
