@@ -164,7 +164,8 @@ func BenchmarkBuild(b *testing.B) {
 
 // BenchmarkSnapshot measures warm-boot persistence at bench scale:
 // Save of a built system and Load of its snapshot, the two steps the
-// offline phase takes after the cold Build above.
+// offline phase takes after the cold Build above; load reports its
+// mallocs too.
 func BenchmarkSnapshot(b *testing.B) {
 	g := datagen.GenerateIMDb(benchScale().IMDb)
 	sys, err := Build(g.DB, DefaultBuildConfig())
@@ -186,6 +187,7 @@ func BenchmarkSnapshot(b *testing.B) {
 	})
 	b.Run("load", func(b *testing.B) {
 		b.SetBytes(int64(buf.Len()))
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
 				b.Fatal(err)

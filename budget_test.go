@@ -65,7 +65,11 @@ import (
 //     link, laid out flat, and the inverted index built in code space
 //     (a key a distinct value, not a map append a text cell); still
 //     0.39 once the dictionaries' normal indexes replaced that index,
-//     each code normalized once to key its hash.
+//     each code normalized once to key its hash; 0.37 with posting lists
+//     laid out as bitmaps where that is smaller; 0.125 with each code
+//     normalized into a buffer on the stack instead of a string, though
+//     every chunk of a vector laid out by ChunkedOf is now an allocation
+//     of its own.
 //   - What Load adds to the heap per base-relation row: 374 B before
 //     PR 18's flat hash-index bases and 8-byte derived pairs, 254 after,
 //     224 with PR 25's flat categorical statistics, 217 with 8-byte
@@ -82,7 +86,16 @@ import (
 //     key map deleted), 70.2 with dense strength columns, 52.4 with
 //     INTEGER cells stored as a base and narrow offsets, 46.1 once a
 //     posting list that holds more than one row in 32 of its universe
-//     is a bitmap.
+//     is a bitmap, 45.4 once a loaded dictionary's values are slices of
+//     one string.
+//   - What Load and the repository benchmark's first 24 insert batches
+//     leave on the heap per base-relation row: 52.3 B with the vectors
+//     of the numeric orders and the derived properties cut from one
+//     array each, so a chunk an insert copied stayed pinned by its
+//     neighbors; 51.6 with every chunk its own allocation and the
+//     loaded dictionaries' values in one string. At this scale a batch
+//     replaces most chunks of a small vector anyway; at 4x the heap
+//     after 64 batches reads 8.47 → 7.17 MB.
 func TestBudgets(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("allocation and heap sizes under the race detector are not the production ones")
@@ -98,6 +111,7 @@ func TestBudgets(t *testing.T) {
 	build := &measurement{run: buildMallocs}
 	insert := &measurement{run: insertBatchAlloc}
 	load := &measurement{run: loadHeap}
+	inserted := &measurement{run: insertedHeap}
 
 	budgets := []struct {
 		name     string
@@ -110,9 +124,10 @@ func TestBudgets(t *testing.T) {
 		{"WarmDiscoverKB", warm, "KB", 20.5, "5% above the 19.56 KB of a serial discovery whose examples probe the dictionaries' normal indexes (19.63 with the inverted index, 19.89 before the views, 20.45 with the worker pool and its scratch free list)"},
 		{"ColdDiscoverMallocs", coldOverWarm, "mallocs", 10, "no grow, sort, dedup, densify or compact copy of a row set (28 at PR 23's parent, 6 after)"},
 		{"ColdDiscoverKB", coldOverWarm, "KB", 2, "each row set sized once from its statistic (3.2 KB at PR 23's parent, 1.4 after)"},
-		{"BuildMallocsPerRow", build, "mallocs/row", 0.41, "5% above the 0.39 of one flat adjacency a fact link and one normalization a dictionary code (1.09 with per-entity via lists and a map append a text cell, 1.74 with the derived relations stored, 3.59 with a map per entity, a string sort and a boxed append per row)"},
+		{"BuildMallocsPerRow", build, "mallocs/row", 0.131, "5% above the 0.125 of each dictionary code normalized into a stack buffer to key its hash, with every chunk ChunkedOf lays out its own allocation (0.37 with each normalization that rewrote a value making a string, 0.39 before bitmap posting lists, 1.09 with per-entity via lists and a map append a text cell, 1.74 with the derived relations stored, 3.59 with a map per entity, a string sort and a boxed append per row)"},
 		{"InsertBatchMB", insert, "MB", 0.37, "5% above the 0.35 MB of bumps into dense strength columns and chunk tables of 16-byte entries (0.53 MB with every value a pair list and 40-byte entries, bumps that write a strength byte into chunks copied at their length; 1.14 MB with last chunks copied with room for 256, 1.22 with 8-byte pairs, 1.52 with the derived relations stored, 1.69 with per-row code lists, 2.01 before flat 4-byte lists, 1.84 before the key table)"},
-		{"LoadBytesPerRow", load, "B/row", 48.4, "5% above the 46.1 B/row of posting lists laid out as a bitmap where that is smaller (52.4 with every list a run of 4-byte rows and INTEGER cells stored as a base and offsets of the width their column's range takes; 70.2 with 8-byte INTEGER cells, dense strength columns for values a fifth of the entities hold and chunk tables of 16-byte entries; 85.2 with every value a pair list and 40-byte entries, entity lookup over the dictionaries' normal indexes and a code index a TEXT column; 95.9 with the inverted index, 105.6 with 8-byte pairs, 173 with the derived relations stored, 190 with per-row code lists, 217 before chunked derived counts)"},
+		{"InsertedBytesPerRow", inserted, "B/row", 54.2, "5% above the 51.6 B/row that Load and 24 insert batches leave with every chunk of a vector its own allocation, so a chunk an insert replaced is freed, and a loaded dictionary's values in one string (52.3 with the chunks that ChunkedOf laid out cut from one array, which a replaced chunk's neighbors kept whole)"},
+		{"LoadBytesPerRow", load, "B/row", 47.6, "5% above the 45.4 B/row of a loaded dictionary's values sliced from one string (46.1 with a string a value; posting lists laid out as a bitmap where that is smaller; 52.4 with every list a run of 4-byte rows and INTEGER cells stored as a base and offsets of the width their column's range takes; 70.2 with 8-byte INTEGER cells, dense strength columns for values a fifth of the entities hold and chunk tables of 16-byte entries; 85.2 with every value a pair list and 40-byte entries, entity lookup over the dictionaries' normal indexes and a code index a TEXT column; 95.9 with the inverted index, 105.6 with 8-byte pairs, 173 with the derived relations stored, 190 with per-row code lists, 217 before chunked derived counts)"},
 	}
 	for _, b := range budgets {
 		t.Run(b.name, func(t *testing.T) {
@@ -243,23 +258,44 @@ func loadHeap(t *testing.T) map[string]float64 {
 			t.Fatal(err)
 		}
 	}
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	before := heap()
+	before := heapAfterGC()
 	sys, err := Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	grew := heap() - before
+	grew := heapAfterGC() - before
 	rows := sys.alpha.Snapshot().DB.TotalRows()
 	// The snapshot bytes stay live across both readings: freed between
 	// them, they would be subtracted from what Load added.
 	runtime.KeepAlive(&buf)
 	runtime.KeepAlive(sys)
 	return map[string]float64{"B/row": float64(grew) / float64(rows)}
+}
+
+// insertedHeap reports what Load of the fixture's snapshot and the
+// repository benchmark's first 24 insert batches (afterInserts) leave
+// on the heap per base-relation row, retired epochs collected: the
+// chunks a batch copies, and what the chunks they replaced still pin.
+func insertedHeap(t *testing.T) map[string]float64 {
+	cfg := benchScale().IMDb
+	built, err := Build(datagen.GenerateIMDb(cfg).DB, DefaultBuildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := heapAfterGC()
+	sys := afterInserts(t, built, cfg)
+	grew := heapAfterGC() - before
+	rows := built.alpha.Snapshot().DB.TotalRows()
+	runtime.KeepAlive(built)
+	runtime.KeepAlive(sys)
+	return map[string]float64{"B/row": float64(grew) / float64(rows)}
+}
+
+// heapAfterGC returns the live heap after two collections.
+func heapAfterGC() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

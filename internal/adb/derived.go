@@ -386,11 +386,13 @@ func (a *Epoch) adjacencyOf(k link) adjacency {
 // which pick its layout (denseAt) and size its histogram; then each
 // tabulated strength is written in place: a byte of the value's dense
 // column, one array a value, or a pair appended to its list
-// (codeStats.appendPair), so every list is in entity-row order. A chunk
-// of a pair list's rows or strengths is its own allocation, so a chunk
-// an insert later replaces is freed on its own instead of being pinned
-// by its neighbors' array; the histograms, a few bytes a value, share
-// one.
+// (codeStats.appendPair), so every list is in entity-row order. Every
+// chunk the property keeps — of a pair list's rows or strengths, a
+// dense column, a histogram, the table of values — is its own
+// allocation (Append, ChunkedOf), so a chunk an insert later replaces
+// is freed on its own instead of being pinned by its neighbors' array;
+// the dense columns and the histograms are tabulated in scratch arrays
+// that ChunkedOf copies out.
 func (a *Epoch) materializeDerived(p *DerivedProperty, adj *adjacency, tab []tabbed) []tabbed {
 	c := p.reader(a)
 	p.walk, p.dict = c, c.target.dict
@@ -438,7 +440,8 @@ func (a *Epoch) materializeDerived(p *DerivedProperty, adj *adjacency, tab []tab
 		}
 		ends[eRow] = uint32(len(tab))
 	}
-	// One array holds every value's histogram, top[code] entries each.
+	// One scratch array holds every value's histogram, top[code] entries
+	// each.
 	total := 0
 	for _, m := range top {
 		total += int(m)

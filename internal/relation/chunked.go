@@ -103,9 +103,12 @@ type Chunked[T any] struct {
 	ragged bool
 }
 
-// ChunkedOf cuts flat into chunks that are capacity-capped subslices of
-// its backing array (build and snapshot decode: one allocation, one
-// contiguous read); the vector adopts flat, do not mutate it.
+// ChunkedOf copies flat into chunks of chunkCap elements (build and
+// snapshot decode), each its own allocation of exactly its length: a
+// writer's copy of one chunk frees the chunk it replaced once the last
+// epoch that reads it retires, where chunks cut from one array would
+// keep the whole array pinned by their neighbors. flat stays the
+// caller's.
 func ChunkedOf[T any](flat []T) Chunked[T] {
 	v := Chunked[T]{n: len(flat)}
 	if len(flat) == 0 {
@@ -114,7 +117,7 @@ func ChunkedOf[T any](flat []T) Chunked[T] {
 	v.chunks = make([]chunk[T], 0, (len(flat)+chunkCap-1)/chunkCap)
 	for off := 0; off < len(flat); off += chunkCap {
 		end := min(off+chunkCap, len(flat))
-		v.chunks = append(v.chunks, newChunk(flat[off:end:end]))
+		v.chunks = append(v.chunks, newChunk(append(make([]T, 0, end-off), flat[off:end]...)))
 	}
 	return v
 }
@@ -233,7 +236,10 @@ func (v *Chunked[T]) SetAt(g *Gen, ci, off int, x T) {
 // Append adds x at the end. Growing the last chunk into its spare
 // capacity copies nothing even when the chunk is shared: epochs form a
 // linear chain, so the slot past a retired generation's length is
-// written at most once and no reader of that generation indexes it.
+// written at most once and no reader of that generation indexes it. A
+// last chunk without spare capacity — ChunkedOf's, exact-size, and a
+// SetAt's copy — is copied once, with room for chunkCap, and grows in
+// place from then on.
 func (v *Chunked[T]) Append(g *Gen, x T) {
 	if v.ragged {
 		last := len(v.chunks) - 1
@@ -245,10 +251,10 @@ func (v *Chunked[T]) Append(g *Gen, x T) {
 	if last := len(v.chunks) - 1; last >= 0 && v.chunks[last].n < chunkCap {
 		c := &v.chunks[last]
 		if int(c.n) == c.capacity() {
-			// No spare capacity: cut from a decoded array, or copied
-			// tight by a SetAt. The chunk is copied with room to grow,
-			// so later appends stay in place; only a shared one is
-			// charged.
+			// No spare capacity: laid out at its exact length by
+			// ChunkedOf, or copied tight by a SetAt. The chunk is
+			// copied with room to grow, so later appends stay in place;
+			// only a shared one is charged.
 			data := make([]T, c.n, chunkCap)
 			copy(data, c.data())
 			if !c.owned() {

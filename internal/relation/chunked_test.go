@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -17,7 +18,8 @@ import (
 // generation's length in the same backing arrays. The driver replays an
 // op stream against a positional and a sorted vector and one plain
 // slice oracle each per generation, and compares every generation at
-// the end.
+// the end. Both vectors start from a ChunkedOf base, as Build and Load
+// lay them out: exact-size chunks, each its own allocation.
 
 // chunkedGen is one generation of both vectors.
 type chunkedGen struct {
@@ -40,12 +42,6 @@ type chunkedStats struct {
 func runChunkedChain(t *testing.T, ops []byte) chunkedStats {
 	t.Helper()
 	var st chunkedStats
-	g := new(Gen)
-	live := chunkedGen{}
-	model := chunkedOracle{}
-	var retired []chunkedGen
-	var models []chunkedOracle
-
 	next := func() int {
 		if len(ops) == 0 {
 			return 0
@@ -54,6 +50,17 @@ func runChunkedChain(t *testing.T, ops []byte) chunkedStats {
 		ops = ops[1:]
 		return int(b)
 	}
+	// The first byte sizes the bases: up to three chunks, the last
+	// partly filled or full.
+	model := chunkedOracle{}
+	for i := range 3 * next() {
+		model.pos = append(model.pos, i*7%256)
+		model.srt = append(model.srt, 3*i)
+	}
+	live := chunkedGen{pos: ChunkedOf(model.pos), srt: ChunkedOf(model.srt)}
+	g := new(Gen)
+	var retired []chunkedGen
+	var models []chunkedOracle
 	insertSorted := func(x int) {
 		ci, off := live.srt.Search(func(y int) bool { return y >= x })
 		live.srt.InsertAt(g, ci, off, x)
@@ -142,9 +149,10 @@ func checkChunked(t *testing.T, at string, got *Chunked[int], want []int) {
 }
 
 // chunkedOps draws an op stream of the given number of publishes,
-// about a dozen writes per generation.
+// about a dozen writes per generation, after the byte that sizes the
+// bases.
 func chunkedOps(rng *rand.Rand, publishes int) []byte {
-	var ops []byte
+	ops := []byte{byte(rng.Intn(256))}
 	for published := 0; published < publishes; {
 		op := byte(rng.Intn(5))
 		if op == 4 && rng.Intn(3) != 0 {
@@ -229,6 +237,43 @@ func TestChunkedSplitAndAppend(t *testing.T) {
 	if retiredV.At(chunkCap+3) != chunkCap+3 || v.At(chunkCap+3) != -7 {
 		t.Errorf("Set through a clone reached the retired vector")
 	}
+}
+
+// TestReplacedChunksAreFreed: ChunkedOf gives every chunk its own
+// allocation, so a chunk a writer copies is freed once no header reads
+// it. A vector of 1 MiB of bytes has every other chunk replaced by a
+// new generation's SetAt and its old header dropped: the heap then
+// holds about 1 MiB (the chunks and the table), where chunks cut from
+// one array would keep that array and the copies, about 1.5 MiB.
+func TestReplacedChunksAreFreed(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("heap sizes under the race detector are not the production ones")
+	}
+	const size = 1 << 20
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	// The old header and the array it was made from go out of scope.
+	next, g := func() (Chunked[uint8], *Gen) {
+		old := ChunkedOf(make([]uint8, size))
+		next, g := old, new(Gen)
+		for ci := 0; ci < next.NumChunks(); ci += 2 {
+			next.SetAt(g, ci, 0, 1)
+		}
+		return next, g
+	}()
+	held := heap() - before
+	table := int64(next.NumChunks()) * int64(unsafe.Sizeof(chunk[uint8]{}))
+	t.Logf("%d B held for %d B of elements and %d B of chunk table; %d B copied", held, size, table, g.Copied)
+	if limit := size + table + size/8; held > limit {
+		t.Errorf("the heap holds %d B after every other chunk was replaced, over %d: the replaced chunks are pinned", held, limit)
+	}
+	runtime.KeepAlive(next)
 }
 
 // TestChunkTableEntryIs16Bytes pins the size of a chunk-table entry for

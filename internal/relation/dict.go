@@ -54,6 +54,9 @@ type Dict struct {
 	// so no reader can append into the writer's spare capacity.
 	vals []string
 	view atomic.Pointer[dictView]
+	// restored marks a dictionary RestoreDict adopted at its exact
+	// size: its values grow by bounded steps (valsGrowDiv).
+	restored bool
 
 	// ranks is the current rank table (nil until the first SortCodes of
 	// two codes or more), and normals the normal index (nil until it is
@@ -90,10 +93,10 @@ const rankFoldDiv = 32
 
 var noRanks = &rankTable{}
 
-// valsGrowDiv and valsGrowMin are the step the values grow by when
-// full: 1/valsGrowDiv of them, at least valsGrowMin. The spare room is
-// at most that share of the values, and a bulk load copies each value
-// O(valsGrowDiv) times, amortized.
+// valsGrowDiv and valsGrowMin are the step a restored dictionary's
+// values grow by when full: 1/valsGrowDiv of them, at least valsGrowMin.
+// Its spare room is at most that share of the values, and an intern
+// copies O(valsGrowDiv) value headers, amortized.
 const (
 	valsGrowDiv = 32
 	valsGrowMin = 64
@@ -127,10 +130,12 @@ func (d *Dict) add(v string, h uint64) int32 {
 	d.normalMu.Lock()
 	defer d.normalMu.Unlock()
 	id := int32(len(d.vals))
-	if n := len(d.vals); n == cap(d.vals) {
+	if n := len(d.vals); n == cap(d.vals) && d.restored {
 		// A bounded step, not append's rule: a loaded dictionary is held
 		// at its exact size, and append would grow it by a quarter or
-		// more on its first intern.
+		// more on its first intern. One filled by interning takes
+		// append's rule, so a bulk load copies each value header a few
+		// times, not valsGrowDiv times.
 		grown := make([]string, n, n+max(n/valsGrowDiv, valsGrowMin))
 		copy(grown, d.vals)
 		d.vals = grown
@@ -410,15 +415,19 @@ func (p *candidates) next() (int32, bool) {
 // makes while the dictionary grows to N values normalize fewer than 2N
 // values in all. A table laid out from nothing (ix nil, as Build and
 // Load lay it out) is a third larger than the codes need. Each value
-// is normalized once, into a string, to key its hash.
+// is normalized once, into one buffer on the stack (on the heap only
+// past 64 bytes) that every value reuses, to key its hash.
 func (ix *normalIndex) covering(vals []string) *normalIndex {
 	if ix == nil {
 		ix = newNormalIndex(tightSlots(len(vals)))
 	} else if len(vals)*5 > len(ix.slots)*4 {
 		ix = newNormalIndex(2 * len(ix.slots))
 	}
+	var stack [64]byte
+	buf := stack[:0]
 	for ; ix.codes < len(vals); ix.codes++ {
-		ix.place(maphash.String(normalSeed, normalize(vals[ix.codes])), ix.codes)
+		buf = AppendNormal(buf[:0], vals[ix.codes])
+		ix.place(maphash.Bytes(normalSeed, buf), ix.codes)
 	}
 	return ix
 }
@@ -470,8 +479,8 @@ func (d *Dict) BuildNormalIndex() {
 }
 
 // AppendNormalCodes appends to dst, ascending, the code of every value
-// whose normal form (normalize: lower case, spaces collapsed) is form,
-// as AppendNormal writes it: several values can share one. A probed
+// whose normal form (lower case, spaces collapsed) is form, as
+// AppendNormal writes it: several values can share one. A probed
 // value is normalized on the stack (on the heap only past 64 bytes),
 // so a lookup allocates nothing past what dst needs.
 func (d *Dict) AppendNormalCodes(dst []int32, form []byte) []int32 {
@@ -517,9 +526,10 @@ func (d *Dict) ByteSize() int64 {
 }
 
 // RestoreDict adopts values in code order as a dictionary (snapshot
-// load).
+// load), which the snapshot reader hands over at their exact size: the
+// values past them grow by bounded steps (valsGrowDiv).
 func RestoreDict(vals []string) *Dict {
-	d := &Dict{vals: vals}
+	d := &Dict{vals: vals, restored: true}
 	d.publish()
 	return d
 }

@@ -409,8 +409,9 @@ func TestRankTableFoldRule(t *testing.T) {
 
 // TestDictByteSizeMatchesHeap holds ByteSize to what a restored
 // dictionary of 40k values costs the heap once its rank table and its
-// normal index are built: the values decoded one allocation each, as a
-// snapshot load decodes them, their headers, the table and the index.
+// normal index are built: the values one allocation each (a snapshot
+// load slices them from one string, which the size classes round less),
+// their headers, the table and the index.
 func TestDictByteSizeMatchesHeap(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("the race detector's shadow memory is not the dictionary's")

@@ -385,20 +385,26 @@ func (r *Reader) String() string {
 
 // Strings reads a counted list of strings into a slice of exactly their
 // number: a dictionary adopts it (relation.RestoreDict), so spare room
-// would stay resident.
+// would stay resident. The strings are slices of one string that holds
+// their bytes back to back: one allocation for the list, not one a
+// value.
 func (r *Reader) Strings() []string {
 	n := r.Len()
-	// Every entry takes at least a byte of stream, so the list grows with
-	// what was read instead of being sized from the prefix, and is copied
-	// to its exact size at the end.
-	var out []string
+	// Every entry takes at least a byte of stream, so the bytes and the
+	// ends grow with what was read instead of being sized from the
+	// prefix.
+	var buf []byte
+	var ends []int
 	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, r.String())
+		buf = append(buf, r.take(r.Len())...)
+		ends = append(ends, len(buf))
 	}
-	if cap(out) == len(out) {
-		return out
+	all, out := string(buf), make([]string, len(ends))
+	start := 0
+	for i, end := range ends {
+		out[i], start = all[start:end], end
 	}
-	return append(make([]string, 0, len(out)), out...)
+	return out
 }
 
 // Floats reads a fixed-width float block.

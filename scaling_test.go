@@ -2,23 +2,29 @@ package squid
 
 import (
 	"bytes"
+	"math"
 	"runtime"
-	"slices"
 	"testing"
 
 	"squid/internal/datagen"
 )
 
 // TestOfflineAllocsScaleLinearly is the offline phase's scaling
-// contract: what Build and Load allocate per base-relation row — mallocs
-// and bytes — stays within 10% across the IMDb generator at 1x, 2x and
-// 4x its default size (8x too, outside -short), so neither allocates
-// per row anything that grows with the data. Readings on go1.24
-// linux/amd64, 1x/2x/4x/8x: Build 0.38/0.36/0.35/0.35 mallocs and
-// 190/186/185/188 B a row, Load 0.73/0.70/0.68/0.68 mallocs and
-// 229/226/230/232 B a row; with a pair check that rescanned an entity's
-// earlier fact rows and an inverted index hashed a cell at a time,
-// Build read 1.09/1.07/1.06/1.06 mallocs and Load 1.44/1.41/1.39/1.39.
+// contract: what Build and Load allocate — mallocs and bytes — grows
+// linearly with the base-relation rows of the IMDb generator at 1x, 2x
+// and 4x its default size (8x too, outside -short). Each quantity is a
+// fixed share (per property, per relation) plus a share per row, so the
+// line through the smallest and the largest scale must predict every
+// scale in between within 10%; a term that grows faster than the rows —
+// a rescan, a quadratic pick — bends the middle scales off that line.
+// Per row, the fixed share makes a quantity fall as the scale grows:
+// Build 0.0697/0.0502/0.0413/0.036 mallocs and Load 0.258/0.226/0.211/
+// 0.203 at 1x/2x/4x/8x, which a band of 10% between the smallest and
+// the largest reading a row did not hold. Every quantity sits within
+// 2.5% of its line through 1x and 8x; through 1x and 4x (-short),
+// Build's bytes at 2x read up to 5% under it, as the build's workers
+// share out the properties differently from run to run. Readings on
+// go1.24 linux/amd64.
 func TestOfflineAllocsScaleLinearly(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("allocation counts under the race detector are not the production ones")
@@ -27,15 +33,16 @@ func TestOfflineAllocsScaleLinearly(t *testing.T) {
 	if testing.Short() {
 		scales = scales[:3]
 	}
-	quantities := []string{"Build mallocs/row", "Build B/row", "Load mallocs/row", "Load B/row"}
+	quantities := []string{"Build mallocs", "Build bytes", "Load mallocs", "Load bytes"}
 	got := make([][]float64, len(quantities))
+	var rows []float64
 	for _, scale := range scales {
 		cfg := datagen.DefaultIMDbConfig()
 		cfg.NumPersons *= scale
 		cfg.NumMovies *= scale
 		cfg.NumCompany *= scale
 		db := datagen.GenerateIMDb(cfg).DB
-		rows := float64(db.TotalRows())
+		rows = append(rows, float64(db.TotalRows()))
 		var sys *System
 		buildMallocs, buildBytes := allocsOf(func() {
 			var err error
@@ -53,14 +60,24 @@ func TestOfflineAllocsScaleLinearly(t *testing.T) {
 			}
 		})
 		for i, v := range []float64{buildMallocs, buildBytes, loadMallocs, loadBytes} {
-			got[i] = append(got[i], v/rows)
+			got[i] = append(got[i], v)
 		}
 	}
+	last := len(scales) - 1
 	for i, q := range quantities {
-		t.Logf("%s at %vx: %.3g", q, scales, got[i])
-		if lo, hi := slices.Min(got[i]), slices.Max(got[i]); hi > 1.1*lo {
-			t.Errorf("%s ranges from %.3g to %.3g over %vx: more than 10%% apart", q, lo, hi, scales)
+		perRow := make([]float64, len(rows))
+		for k := range rows {
+			perRow[k] = got[i][k] / rows[k]
 		}
+		slope := (got[i][last] - got[i][0]) / (rows[last] - rows[0])
+		offs := make([]float64, len(rows))
+		for k := 1; k < last; k++ {
+			want := got[i][0] + slope*(rows[k]-rows[0])
+			if offs[k] = got[i][k]/want - 1; math.Abs(offs[k]) > 0.1 {
+				t.Errorf("%s at %dx: %.4g, %+.1f%% off the line through %dx and %dx (%.4g)", q, scales[k], got[i][k], 100*offs[k], scales[0], scales[last], want)
+			}
+		}
+		t.Logf("%s a row at %vx: %.3g, off the line by %.3f", q, scales, perRow, offs)
 	}
 }
 
